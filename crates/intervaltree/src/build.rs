@@ -11,7 +11,15 @@
 //!                  [ancL: BlockList][ancR: BlockList]
 //! leaf record:     [tag=1][mini: SegTreeHandle (36 B)]
 //!                  [ancL: BlockList][ancR: BlockList][padding]
+//! flat leaf record: [tag=2][run: BlockList]
+//!                  [ancL: BlockList][ancR: BlockList][padding]
 //! ```
+//!
+//! A leaf's run is *flat* — one block, read once and filtered — whenever
+//! its intervals fit in one block, which is every run of an input whose
+//! endpoints are mostly distinct. Only a run holding more than a block of
+//! intervals (many intervals sharing few endpoints) gets a mini segment
+//! tree. The choice is a property of the input, not a setting.
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
@@ -76,15 +84,26 @@ pub enum NodeRecord {
         /// Cache over in-page right-direction strict ancestors.
         anc_r: BlockList<CacheEntry>,
     },
-    /// Endpoint-run leaf with its mini segment tree.
+    /// Endpoint-run leaf.
     Leaf {
-        /// Index over intervals confined to this run (`n == 0` possible).
-        mini: SegTreeHandle,
+        /// The intervals confined to this run.
+        run: LeafRun,
         /// Cache over in-page left-direction strict ancestors.
         anc_l: BlockList<CacheEntry>,
         /// Cache over in-page right-direction strict ancestors.
         anc_r: BlockList<CacheEntry>,
     },
+}
+
+/// How a leaf stores the intervals confined to its endpoint run.
+#[derive(Debug, Clone, Copy)]
+pub enum LeafRun {
+    /// At most one block of intervals (possibly none), in input order: a
+    /// stab reads the block once and filters it.
+    Flat(BlockList<Interval>),
+    /// More than one block of intervals over at most `B` endpoints,
+    /// indexed by a mini segment tree.
+    Mini(SegTreeHandle),
 }
 
 /// Number of records per skeletal page.
@@ -109,12 +128,51 @@ pub fn decode_record(page: &[u8], slot: u16) -> Result<NodeRecord> {
             anc_r: BlockList::decode(&mut r)?,
         }),
         1 => Ok(NodeRecord::Leaf {
-            mini: SegTreeHandle::decode(&mut r)?,
+            run: LeafRun::Mini(SegTreeHandle::decode(&mut r)?),
+            anc_l: BlockList::decode(&mut r)?,
+            anc_r: BlockList::decode(&mut r)?,
+        }),
+        2 => Ok(NodeRecord::Leaf {
+            run: LeafRun::Flat(BlockList::decode(&mut r)?),
             anc_l: BlockList::decode(&mut r)?,
             anc_r: BlockList::decode(&mut r)?,
         }),
         tag => Err(StoreError::Corrupt(format!("unknown interval-tree node tag {tag}"))),
     }
+}
+
+/// Encodes `rec` into `w`, padded to [`RECORD_LEN`].
+pub fn encode_record(w: &mut PageWriter<'_>, rec: &NodeRecord) -> Result<()> {
+    let start = w.position();
+    match rec {
+        NodeRecord::Internal { boundary, left, right, l_list, r_list, anc_l, anc_r } => {
+            w.put_u8(0)?;
+            w.put_i64(*boundary)?;
+            for child in [left, right] {
+                w.put_u64(child.page.0)?;
+                w.put_u16(child.slot)?;
+            }
+            l_list.encode(w)?;
+            r_list.encode(w)?;
+            anc_l.encode(w)?;
+            anc_r.encode(w)?;
+        }
+        NodeRecord::Leaf { run, anc_l, anc_r } => {
+            match run {
+                LeafRun::Mini(mini) => {
+                    w.put_u8(1)?;
+                    mini.encode(w)?;
+                }
+                LeafRun::Flat(list) => {
+                    w.put_u8(2)?;
+                    list.encode(w)?;
+                }
+            }
+            anc_l.encode(w)?;
+            anc_r.encode(w)?;
+        }
+    }
+    w.skip(RECORD_LEN - (w.position() - start))
 }
 
 // ---------------------------------------------------------------------------
@@ -234,11 +292,11 @@ impl ExternalIntervalTree {
         let page_ids: Vec<PageId> =
             pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
 
-        // Materialize per-node sorted lists and per-leaf mini trees.
+        // Materialize per-node sorted lists and per-leaf runs.
         let cap = run_len; // BlockList::<Interval>::capacity == run_len
         let mut l_sorted: Vec<Vec<Interval>> = Vec::with_capacity(nodes.len());
         let mut r_sorted: Vec<Vec<Interval>> = Vec::with_capacity(nodes.len());
-        let mut minis: Vec<Option<SegTreeHandle>> = Vec::with_capacity(nodes.len());
+        let mut runs: Vec<Option<LeafRun>> = Vec::with_capacity(nodes.len());
         for node in &nodes {
             match node {
                 MemNode::Internal { items, .. } => {
@@ -248,13 +306,19 @@ impl ExternalIntervalTree {
                     r.sort_unstable_by_key(|iv| (std::cmp::Reverse(iv.hi), iv.lo, iv.id));
                     l_sorted.push(l);
                     r_sorted.push(r);
-                    minis.push(None);
+                    runs.push(None);
                 }
                 MemNode::Leaf { items } => {
-                    let mini = CachedSegmentTree::build(store, items)?;
+                    // Below a block's worth of intervals a flat scan beats
+                    // any tree: one read instead of the mini tree's four.
+                    let run = if items.len() <= cap {
+                        LeafRun::Flat(BlockList::build(store, items)?)
+                    } else {
+                        LeafRun::Mini(CachedSegmentTree::build(store, items)?.handle())
+                    };
                     l_sorted.push(Vec::new());
                     r_sorted.push(Vec::new());
-                    minis.push(Some(mini.handle()));
+                    runs.push(Some(run));
                 }
             }
         }
@@ -319,36 +383,33 @@ impl ExternalIntervalTree {
         }
 
         // Serialize pages.
+        let node_ref = |ni: usize| {
+            let (p, slot) = node_loc[ni];
+            NodeRef { page: page_ids[p], slot }
+        };
         let mut buf = vec![0u8; page_size];
         for (page_idx, members) in pages.iter().enumerate() {
             let used = {
                 let mut w = PageWriter::new(&mut buf);
                 w.put_u16(members.len() as u16)?;
                 for &ni in members {
-                    let start = w.position();
-                    match &nodes[ni] {
-                        MemNode::Internal { boundary, left, right, .. } => {
-                            w.put_u8(0)?;
-                            w.put_i64(*boundary)?;
-                            for child in [*left, *right] {
-                                let (p, s) = node_loc[child];
-                                w.put_u64(page_ids[p].0)?;
-                                w.put_u16(s)?;
-                            }
-                            l_lists[ni].encode(&mut w)?;
-                            r_lists[ni].encode(&mut w)?;
-                            anc_l[ni].encode(&mut w)?;
-                            anc_r[ni].encode(&mut w)?;
-                        }
-                        MemNode::Leaf { .. } => {
-                            w.put_u8(1)?;
-                            minis[ni].as_ref().expect("leaf has a mini tree").encode(&mut w)?;
-                            anc_l[ni].encode(&mut w)?;
-                            anc_r[ni].encode(&mut w)?;
-                        }
-                    }
-                    // Pad to the fixed record size.
-                    w.skip(RECORD_LEN - (w.position() - start))?;
+                    let rec = match &nodes[ni] {
+                        MemNode::Internal { boundary, left, right, .. } => NodeRecord::Internal {
+                            boundary: *boundary,
+                            left: node_ref(*left),
+                            right: node_ref(*right),
+                            l_list: l_lists[ni],
+                            r_list: r_lists[ni],
+                            anc_l: anc_l[ni],
+                            anc_r: anc_r[ni],
+                        },
+                        MemNode::Leaf { .. } => NodeRecord::Leaf {
+                            run: runs[ni].expect("leaf has a run"),
+                            anc_l: anc_l[ni],
+                            anc_r: anc_r[ni],
+                        },
+                    };
+                    encode_record(&mut w, &rec)?;
                 }
                 w.position()
             };
@@ -367,6 +428,27 @@ impl ExternalIntervalTree {
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
+}
+
+/// Counts the tree's `(flat, mini)` leaves.
+#[cfg(test)]
+pub(crate) fn leaf_kinds(tree: &ExternalIntervalTree, store: &PageStore) -> (usize, usize) {
+    let (mut flat, mut mini) = (0, 0);
+    let mut stack = vec![tree.root_page];
+    while let Some(pid) = stack.pop() {
+        let page = store.read(pid).unwrap();
+        let count = PageReader::new(&page).get_u16().unwrap();
+        for slot in 0..count {
+            match decode_record(&page, slot).unwrap() {
+                NodeRecord::Internal { left, right, .. } => {
+                    stack.extend([left, right].iter().filter(|c| c.page != pid).map(|c| c.page));
+                }
+                NodeRecord::Leaf { run: LeafRun::Flat(_), .. } => flat += 1,
+                NodeRecord::Leaf { run: LeafRun::Mini(_), .. } => mini += 1,
+            }
+        }
+    }
+    (flat, mini)
 }
 
 #[cfg(test)]

@@ -17,10 +17,17 @@
 //! * **Θ(B)-endpoint runs.** Distinct endpoints are grouped into runs of
 //!   `B` consecutive values; boundaries between runs drive the BST, so the
 //!   tree has `O(n/B)` nodes and `O(log(n/B))` depth. Intervals that cross
-//!   no boundary fall entirely inside one run and are indexed there by a
-//!   per-run [`pc_segtree::CachedSegmentTree`] over at most `B` endpoints —
-//!   a structure of depth `O(log B)` that fits `O(1)` skeletal pages, so
-//!   querying it costs `O(1 + t_leaf/B)` I/Os.
+//!   no boundary fall entirely inside one run and are stored at its leaf.
+//!   **A run is a block when it fits in one:** up to `B` such intervals
+//!   are written as a single block that a stab reads once and filters —
+//!   below a block's worth of keys a flat scan beats any tree, and this is
+//!   every run of an input whose endpoints are mostly distinct. Only a run
+//!   holding more than a block of intervals (many intervals sharing few
+//!   endpoints) is indexed by a per-run [`pc_segtree::CachedSegmentTree`]
+//!   over its at most `B` endpoints — a structure of depth `O(log B)` that
+//!   fits `O(1)` skeletal pages, so querying it costs `O(1 + t_leaf/B)`
+//!   I/Os. Which of the two a leaf gets is decided by the number of
+//!   intervals it holds, nothing else.
 //! * **Skeletal paging.** The boundary BST is blocked into pages of height
 //!   `h ≈ log B` (Figure 2), giving `O(log_B n)` navigation.
 //! * **Path caches (the `log B`-segment trick of Thm 3.2).** Every node `v`

@@ -6,7 +6,7 @@ use pc_pagestore::layout::BlockList;
 use pc_pagestore::{Interval, PageStore, Result};
 use pc_segtree::CachedSegmentTree;
 
-use crate::build::{decode_record, CacheEntry, ExternalIntervalTree, NodeRecord};
+use crate::build::{decode_record, CacheEntry, ExternalIntervalTree, LeafRun, NodeRecord};
 
 impl ExternalIntervalTree {
     /// Stabbing query: every interval containing `q`, in `O(log_B n + t/B)`
@@ -73,15 +73,25 @@ impl ExternalIntervalTree {
                     page = store.read(cur_page)?;
                     slot = next.slot;
                 }
-                NodeRecord::Leaf { mini, anc_l, anc_r } => {
+                NodeRecord::Leaf { run, anc_l, anc_r } => {
                     self.drain_caches(store, q, cap_iv, &anc_l, &anc_r, &inpage, &mut results)?;
-                    let mini = CachedSegmentTree::from_handle(mini);
-                    results.extend(mini.stab(store, q)?);
+                    match run {
+                        LeafRun::Flat(list) => {
+                            let _scan = pc_obs::span!(output: "run_block");
+                            let before = results.len();
+                            let block = list.read_first_block(store)?;
+                            results.extend(block.into_iter().filter(|iv| iv.contains(q)));
+                            pc_obs::add_items((results.len() - before) as u64);
+                        }
+                        LeafRun::Mini(mini) => {
+                            results.extend(CachedSegmentTree::from_handle(mini).stab(store, q)?);
+                        }
+                    }
                     break;
                 }
             }
         }
-        Ok((results, (store.stats() - before).reads))
+        Ok((results, (store.stats() - before).logical_reads()))
     }
 
     /// Reads both ancestor caches of an exit node, applying the §4.1
@@ -281,6 +291,74 @@ mod tests {
             let allowed = 8 * 4 + 4 * (t / b + 1);
             assert!(ios <= allowed, "ios={ios} t={t} allowed={allowed}");
         }
+    }
+
+    /// `n` intervals over the 8 endpoints `0..8`: one run, no boundaries,
+    /// so the root is a leaf holding all of them.
+    fn shared_endpoint_intervals(n: usize) -> Vec<Interval> {
+        let mut pairs = Vec::new();
+        for lo in 0..8i64 {
+            for hi in lo..8 {
+                pairs.push((lo, hi));
+            }
+        }
+        (0..n).map(|i| iv(pairs[i % pairs.len()].0, pairs[i % pairs.len()].1, i as u64)).collect()
+    }
+
+    #[test]
+    fn run_of_one_block_is_flat_and_one_more_is_a_mini_tree() {
+        let cap = BlockList::<Interval>::capacity(512);
+        let queries: Vec<i64> = (-1..=8).collect();
+        for (n, kinds) in [(0, (1, 0)), (1, (1, 0)), (cap, (1, 0)), (cap + 1, (0, 1))] {
+            let intervals = shared_endpoint_intervals(n);
+            let store = PageStore::in_memory(512);
+            let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
+            assert_eq!(crate::build::leaf_kinds(&tree, &store), kinds, "n={n}");
+            if kinds.0 == 1 {
+                // The skeletal page plus the run's block, if it has one.
+                assert_eq!(store.live_pages(), 1 + n.min(1) as u64, "n={n}");
+                let (_, ios) = tree.stab_with_ios(&store, 3).unwrap();
+                assert_eq!(ios, store.live_pages(), "n={n}");
+            }
+            check_against_brute(&intervals, &queries, 512);
+        }
+    }
+
+    #[test]
+    fn many_intervals_over_few_endpoints_take_the_mini_tree_within_the_bound() {
+        let b = BlockList::<Interval>::capacity(512);
+        let intervals = shared_endpoint_intervals(4 * b);
+        let store = PageStore::in_memory(512);
+        let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
+        assert_eq!(crate::build::leaf_kinds(&tree, &store), (0, 1));
+        let log_b_n = 2; // ceil(log_20 80)
+        for q in -1..=8 {
+            let (res, ios) = tree.stab_with_ios(&store, q).unwrap();
+            assert_eq!(ids(res.clone()), brute(&intervals, q), "q={q}");
+            assert_eq!(res.len(), brute(&intervals, q).len(), "duplicates at q={q}");
+            let allowed = 3 * log_b_n + 2 * res.len().div_ceil(b);
+            assert!(ios as usize <= allowed, "q={q} ios={ios} t={} allowed={allowed}", res.len());
+        }
+    }
+
+    #[test]
+    fn pooled_and_strict_stores_report_the_same_reads() {
+        let intervals = random_intervals(3000, 50_000, 2000, 0xabc);
+        let strict = PageStore::in_memory(512);
+        let pooled = PageStore::in_memory_pooled(512, 4096);
+        let a = ExternalIntervalTree::build(&strict, &intervals).unwrap();
+        let b = ExternalIntervalTree::build(&pooled, &intervals).unwrap();
+        let mut s = 0x1234u64;
+        let mut hits = 0;
+        for _ in 0..40 {
+            let q = xorshift(&mut s, 52_000);
+            let before = pooled.stats();
+            let (_, strict_ios) = a.stab_with_ios(&strict, q).unwrap();
+            let (_, pooled_ios) = b.stab_with_ios(&pooled, q).unwrap();
+            assert_eq!(pooled_ios, strict_ios, "q={q}");
+            hits += (pooled.stats() - before).cache_hits;
+        }
+        assert!(hits > 0, "the pool must have absorbed some of the reads");
     }
 
     #[test]

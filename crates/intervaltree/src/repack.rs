@@ -4,10 +4,11 @@
 //! tree's skeletal pages form a proper tree (each page is filled from a
 //! single subtree root). Every record owns up to four [`BlockList`]
 //! chains (L/R interval lists, left/right ancestor caches) which are
-//! attached to their page, and each leaf record embeds a whole mini
-//! segment tree via its [`SegTreeHandle`] — those are collected as
-//! additional layout roots, so each mini tree ends up contiguous right
-//! after the main tree, in its own vEB order.
+//! attached to their page, as is a flat leaf's one-block run. A leaf
+//! whose run outgrew one block embeds a whole mini segment tree via its
+//! [`SegTreeHandle`] — those are collected as additional layout roots, so
+//! each mini tree ends up contiguous right after the main tree, in its
+//! own vEB order.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -17,9 +18,9 @@ use pc_pagestore::repack::{chain_pages, copy_chain, ensure_quiesced, PageGraph, 
 use pc_pagestore::{PageStore, Record, Result};
 use pc_segtree::SegTreeHandle;
 
-use crate::build::{decode_record, NodeRecord, RECORD_LEN};
-
-use crate::build::ExternalIntervalTree;
+use crate::build::{
+    decode_record, encode_record, ExternalIntervalTree, LeafRun, NodeRecord, NodeRef,
+};
 
 impl ExternalIntervalTree {
     /// Records every page of this tree into `graph`: the skeletal tree
@@ -48,11 +49,16 @@ impl ExternalIntervalTree {
                             }
                         }
                     }
-                    NodeRecord::Leaf { mini, anc_l, anc_r } => {
+                    NodeRecord::Leaf { run, anc_l, anc_r } => {
                         for list in [anc_l.head(), anc_r.head()] {
                             graph.attach(idx, &chain_pages(store, list)?);
                         }
-                        minis.push(mini);
+                        match run {
+                            LeafRun::Flat(list) => {
+                                graph.attach(idx, &chain_pages(store, list.head())?)
+                            }
+                            LeafRun::Mini(mini) => minis.push(mini),
+                        }
                     }
                 }
             }
@@ -85,8 +91,7 @@ impl ExternalIntervalTree {
                 let mut w = PageWriter::new(&mut buf);
                 w.put_u16(count as u16)?;
                 for slot in 0..count {
-                    let start = w.position();
-                    match decode_record(&page, slot as u16)? {
+                    let moved = match decode_record(&page, slot as u16)? {
                         NodeRecord::Internal {
                             boundary,
                             left,
@@ -107,29 +112,37 @@ impl ExternalIntervalTree {
                                     stack.push(child.page);
                                 }
                             }
-                            w.put_u8(0)?;
-                            w.put_i64(boundary)?;
-                            for child in [left, right] {
-                                w.put_u64(map.get(child.page)?.0)?;
-                                w.put_u16(child.slot)?;
+                            NodeRecord::Internal {
+                                boundary,
+                                left: NodeRef { page: map.get(left.page)?, slot: left.slot },
+                                right: NodeRef { page: map.get(right.page)?, slot: right.slot },
+                                l_list: relocate(&l_list, map)?,
+                                r_list: relocate(&r_list, map)?,
+                                anc_l: relocate(&anc_l, map)?,
+                                anc_r: relocate(&anc_r, map)?,
                             }
-                            relocate(&l_list, map)?.encode(&mut w)?;
-                            relocate(&r_list, map)?.encode(&mut w)?;
-                            relocate(&anc_l, map)?.encode(&mut w)?;
-                            relocate(&anc_r, map)?.encode(&mut w)?;
                         }
-                        NodeRecord::Leaf { mini, anc_l, anc_r } => {
+                        NodeRecord::Leaf { run, anc_l, anc_r } => {
                             for list in [&anc_l, &anc_r] {
                                 copy_chain(src, dst, list.head(), map)?;
                             }
-                            let moved = mini.rewrite_into(src, dst, map)?;
-                            w.put_u8(1)?;
-                            moved.encode(&mut w)?;
-                            relocate(&anc_l, map)?.encode(&mut w)?;
-                            relocate(&anc_r, map)?.encode(&mut w)?;
+                            let run = match run {
+                                LeafRun::Flat(list) => {
+                                    copy_chain(src, dst, list.head(), map)?;
+                                    LeafRun::Flat(relocate(&list, map)?)
+                                }
+                                LeafRun::Mini(mini) => {
+                                    LeafRun::Mini(mini.rewrite_into(src, dst, map)?)
+                                }
+                            };
+                            NodeRecord::Leaf {
+                                run,
+                                anc_l: relocate(&anc_l, map)?,
+                                anc_r: relocate(&anc_r, map)?,
+                            }
                         }
-                    }
-                    w.skip(RECORD_LEN - (w.position() - start))?;
+                    };
+                    encode_record(&mut w, &moved)?;
                 }
                 w.position()
             };
@@ -186,15 +199,23 @@ mod tests {
     #[test]
     fn repacked_tree_answers_identically_with_equal_transfers() {
         let src = PageStore::in_memory(512);
-        let intervals = random_intervals(1200, 0xabba);
+        let mut intervals = random_intervals(1200, 0xabba);
+        // 80 intervals over the 8 smallest endpoints: all confined to the
+        // first run, which therefore needs a mini tree; the rest are flat.
+        intervals.extend((0..80).map(|i| {
+            let lo = -1000 + (i % 8);
+            Interval::new(lo, lo + (i / 8) % (8 - i % 8), 1200 + i as u64)
+        }));
         let tree = ExternalIntervalTree::build(&src, &intervals).unwrap();
+        let (flat, mini) = crate::build::leaf_kinds(&tree, &src);
+        assert!(flat > 0 && mini == 1, "flat={flat} mini={mini}");
         let dst = PageStore::in_memory(512);
         let packed = tree.repack(&src, &dst).unwrap();
         assert_eq!(packed.len(), tree.len());
         assert_eq!(dst.live_pages(), src.live_pages());
         let mut s = 0x5150u64;
-        for _ in 0..40 {
-            let q = xorshift(&mut s, 55_000) - 1000;
+        let random = (0..40).map(|_| xorshift(&mut s, 55_000) - 1000);
+        for q in (-1001..=-992).chain(random) {
             src.reset_stats();
             let a = tree.stab(&src, q).unwrap();
             let reads_a = src.stats().reads;

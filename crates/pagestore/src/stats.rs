@@ -49,12 +49,20 @@ impl IoStats {
         self.allocs - self.frees
     }
 
+    /// Logical page reads: backend transfers plus the reads a buffer pool
+    /// absorbed. This is the count the paper's bounds speak about — what a
+    /// query asked for, whatever the pool happened to hold — so it is the
+    /// same on a pooled and a strict store.
+    pub fn logical_reads(&self) -> u64 {
+        self.reads + self.cache_hits
+    }
+
     /// Buffer-pool hit ratio `cache_hits / (cache_hits + reads)` — the
     /// fraction of logical reads the pool absorbed. Returns 0.0 when there
     /// has been no read traffic at all (strict mode reports 0.0 too, since
     /// every logical read is a backend transfer).
     pub fn hit_ratio(&self) -> f64 {
-        let logical = self.cache_hits + self.reads;
+        let logical = self.logical_reads();
         if logical == 0 {
             0.0
         } else {

@@ -8,6 +8,12 @@
 //! them without touching skeletal pages), so they are re-encoded with
 //! remapped links rather than copied raw.
 //!
+//! The 3-sided structure (Theorem 3.3) has the same skeleton; each record
+//! owns its points page, its A-list chain, and one directory page that
+//! names the A-list's blocks and the S-family's chains. The directory is
+//! attached once, to its owning node, right before the chains it indexes,
+//! and is re-encoded with every page id remapped.
+//!
 //! The recursive region schemes (Theorems 4.3/4.4) add per-record X/Y
 //! lists, update buffers, and a nested inner structure — another region
 //! tree or a basic PST. Inner structures are collected as separate layout
@@ -29,6 +35,7 @@ use crate::build::{
     decode_record, read_points_page, BasicPst, CacheMode, NaivePst, PstCore, SegmentedPst,
 };
 use crate::multilevel::MultilevelPst;
+use crate::three_sided::{NodeDir, ThreeSidedPst, TsRecord};
 use crate::two_level::{
     decode_header, encode_header, encode_record, InnerHandle, NodeRef, PageHeaderInfo,
     RegionRecord, TwoLevelPst,
@@ -177,6 +184,102 @@ macro_rules! variant_repack {
 variant_repack!(NaivePst);
 variant_repack!(BasicPst);
 variant_repack!(SegmentedPst);
+
+impl ThreeSidedPst {
+    fn collect_pages(&self, store: &PageStore, graph: &mut PageGraph) -> Result<()> {
+        let Some(root_idx) = graph.add_root(self.root_page) else {
+            return Ok(());
+        };
+        let mut queue = VecDeque::from([(self.root_page, root_idx)]);
+        while let Some((pid, idx)) = queue.pop_front() {
+            let page = store.read(pid)?;
+            let count = PageReader::new(&page).get_u16()?;
+            for slot in 0..count {
+                let rec = TsRecord::decode(&page, slot)?;
+                graph.attach(idx, &[rec.own_pts]);
+                if !rec.dir.is_null() {
+                    graph.attach(idx, &[rec.dir]);
+                    graph.attach(idx, &chain_pages(store, rec.a_list.head())?);
+                    for (right_sibs, left_sibs) in NodeDir::read(store, rec.dir)?.s {
+                        graph.attach(idx, &chain_pages(store, right_sibs.head())?);
+                        graph.attach(idx, &chain_pages(store, left_sibs.head())?);
+                    }
+                }
+                for child in [rec.left, rec.right] {
+                    if !child.page.is_null() && child.page != pid {
+                        if let Some(child_idx) = graph.add_child(idx, child.page) {
+                            queue.push_back((child.page, child_idx));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn rewrite_into(&self, src: &PageStore, dst: &PageStore, map: &Relocation) -> Result<Self> {
+        // Skeletal pages form a tree, so each is reached exactly once.
+        let mut stack = vec![self.root_page];
+        let mut buf = vec![0u8; src.page_size()];
+        while let Some(pid) = stack.pop() {
+            let page = src.read(pid)?;
+            let count = PageReader::new(&page).get_u16()?;
+            let used = {
+                let mut w = PageWriter::new(&mut buf);
+                w.put_u16(count)?;
+                for slot in 0..count {
+                    let mut rec = TsRecord::decode(&page, slot)?;
+                    rewrite_points_page(src, dst, rec.own_pts, map)?;
+                    if !rec.dir.is_null() {
+                        copy_chain(src, dst, rec.a_list.head(), map)?;
+                        let mut dir = NodeDir::read(src, rec.dir)?;
+                        for (_, block) in &mut dir.a {
+                            *block = map.get(*block)?;
+                        }
+                        for (right_sibs, left_sibs) in &mut dir.s {
+                            for list in [right_sibs, left_sibs] {
+                                copy_chain(src, dst, list.head(), map)?;
+                                *list = relocate(list, map)?;
+                            }
+                        }
+                        dir.write(dst, map.get(rec.dir)?)?;
+                    }
+                    for child in [rec.left, rec.right] {
+                        if !child.page.is_null() && child.page != pid {
+                            stack.push(child.page);
+                        }
+                    }
+                    rec.a_list = relocate(&rec.a_list, map)?;
+                    for id in [
+                        &mut rec.left.page,
+                        &mut rec.right.page,
+                        &mut rec.own_pts,
+                        &mut rec.left_pts,
+                        &mut rec.right_pts,
+                        &mut rec.dir,
+                    ] {
+                        *id = map.get(*id)?;
+                    }
+                    rec.encode(&mut w)?;
+                }
+                w.position()
+            };
+            dst.write(map.get(pid)?, &buf[..used])?;
+        }
+        Ok(ThreeSidedPst { root_page: map.get(self.root_page)?, n: self.n })
+    }
+
+    /// Rewrites the structure into `dst` in van Emde Boas page order and
+    /// returns the relocated handle. Both stores must be quiesced.
+    pub fn repack(&self, src: &PageStore, dst: &PageStore) -> Result<Self> {
+        ensure_quiesced(src)?;
+        ensure_quiesced(dst)?;
+        let mut graph = PageGraph::new();
+        self.collect_pages(src, &mut graph)?;
+        let reloc = Relocation::alloc_in(&graph.veb_order(), dst)?;
+        self.rewrite_into(src, dst, &reloc)
+    }
+}
 
 impl InnerHandle {
     /// Views a basic-PST inner structure as a [`PstCore`] (inner PSTs are
@@ -422,6 +525,34 @@ mod tests {
         let pts = random_points(3000, 12_000, 0xbead);
         let src = PageStore::in_memory(512);
         assert_repack_identical!(MultilevelPst::build(&src, &pts, 3).unwrap(), src, 0x55, "ml");
+    }
+
+    #[test]
+    fn repacked_three_sided_answers_and_counts_identically() {
+        use crate::three_sided::ThreeSided;
+        let pts = random_points(4000, 10_000, 0xace);
+        let src = PageStore::in_memory(512);
+        let orig = ThreeSidedPst::build(&src, &pts).unwrap();
+        let dst = PageStore::in_memory(512);
+        let packed = orig.repack(&src, &dst).unwrap();
+        assert_eq!(dst.live_pages(), src.live_pages());
+        let mut s = 0x66u64;
+        for _ in 0..40 {
+            let x1 = xorshift(&mut s, 11_000) - 500;
+            let q = ThreeSided {
+                x1,
+                x2: x1 + xorshift(&mut s, 4_000),
+                y0: xorshift(&mut s, 11_000) - 500,
+            };
+            let (ra, ca) = orig.query_counted(&src, q).unwrap();
+            let (rb, cb) = packed.query_counted(&dst, q).unwrap();
+            assert_eq!(ids(ra), ids(rb), "q={q:?}");
+            assert_eq!(
+                (ca.skeletal, ca.cache_blocks, ca.node_blocks),
+                (cb.skeletal, cb.cache_blocks, cb.node_blocks),
+                "q={q:?}"
+            );
+        }
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //!
 //! The extended abstract defers the construction; we realize it as:
 //!
-//! * **Mirrored A-lists with directories.** Every node carries its
-//!   in-segment ancestors' points twice: descending x (for the left path)
-//!   and ascending x (for the right path). Each list has a one-block
-//!   *directory* mapping block → (boundary x, page id), so a query jumps
-//!   straight to the start of its qualifying run in one I/O — this is how
-//!   shared-prefix ancestors are handled without scanning their
-//!   out-of-range prefix.
+//! * **One A-list with a directory.** Every node carries its in-segment
+//!   ancestors' points once, in descending x. A *directory* maps each
+//!   block → (boundary x, page id), so a query jumps straight to the start
+//!   of its qualifying run — this is how shared-prefix ancestors are
+//!   handled without scanning their out-of-range prefix. The run
+//!   `[x1, x2]` is the same set whichever boundary walks it, so the left
+//!   walk, the right walk and the shared prefix all scan this one list.
 //! * **Threshold-indexed S-lists.** A sibling of a *shared* node lies
 //!   wholly outside the query band, so the S-cache must exclude ancestors
 //!   above the split. We store one S-list per possible in-page split depth
@@ -31,10 +31,13 @@
 //!   This family of up to `h` lists per node, each up to `h` blocks, is
 //!   exactly the paper's extra `log B` space factor: total space
 //!   `O((n/B)·log² B)`.
+//! * **One directory page per node.** The A-directory and the handles of
+//!   the S-family are a few hundred bytes together, so they share one
+//!   page: `[a_count][(x, page)*][s_count][(S_j, S'_j)*]`.
 //!
-//! Queries read, per skeletal page on each path: one A-directory, the run
-//! blocks (all answers but ≤ 2 partials), one S-directory page, one `S_j`
-//! prefix, and the exit's own block — `O(1)` overhead per segment, hence
+//! Queries read, per skeletal page on each path: the node's directory
+//! page, the run blocks (all answers but ≤ 2 partials), one `S_j` prefix,
+//! and the exit's own block — `O(1)` overhead per segment, hence
 //! `O(log_B n + t/B)` total.
 
 use std::collections::HashMap;
@@ -67,7 +70,7 @@ impl ThreeSided {
 }
 
 /// Byte size of one 3-sided skeletal record.
-pub const RECORD_LEN: usize = 24 + 24 + 10 + 10 + 8 + 2 + 10 + 10 + 16 + 8 + 16 + 8 + 8;
+pub const RECORD_LEN: usize = 24 + 24 + 10 + 10 + 8 + 2 + 10 + 10 + 16 + 8;
 const PAGE_HEADER: usize = 2;
 
 /// Records per skeletal page.
@@ -78,92 +81,113 @@ pub fn skeletal_capacity(page_size: usize) -> usize {
 }
 
 #[derive(Debug, Clone)]
-struct TsRecord {
-    split: Point,
-    min_y: Point,
-    left: NodeRef,
-    right: NodeRef,
-    own_pts: PageId,
-    own_cnt: u16,
-    left_pts: PageId,
-    left_cnt: u16,
-    right_pts: PageId,
-    right_cnt: u16,
-    a_desc: BlockList<SEntry>,
-    a_desc_dir: PageId,
-    a_asc: BlockList<SEntry>,
-    a_asc_dir: PageId,
-    s_dir: PageId,
+pub(crate) struct TsRecord {
+    pub split: Point,
+    pub min_y: Point,
+    pub left: NodeRef,
+    pub right: NodeRef,
+    pub own_pts: PageId,
+    pub own_cnt: u16,
+    pub left_pts: PageId,
+    pub left_cnt: u16,
+    pub right_pts: PageId,
+    pub right_cnt: u16,
+    /// In-page strict ancestors' points, descending x-key.
+    pub a_list: BlockList<SEntry>,
+    /// The node's [`NodeDir`] page ([`NULL_PAGE`] for a page's subtree
+    /// root, which has no in-page ancestors).
+    pub dir: PageId,
 }
 
-fn decode_record(page: &[u8], slot: u16) -> Result<TsRecord> {
-    let offset = PAGE_HEADER + RECORD_LEN * slot as usize;
-    let mut r = PageReader::new(&page[offset..offset + RECORD_LEN]);
-    Ok(TsRecord {
-        split: Point::decode(&mut r)?,
-        min_y: Point::decode(&mut r)?,
-        left: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
-        right: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
-        own_pts: PageId(r.get_u64()?),
-        own_cnt: r.get_u16()?,
-        left_pts: PageId(r.get_u64()?),
-        left_cnt: r.get_u16()?,
-        right_pts: PageId(r.get_u64()?),
-        right_cnt: r.get_u16()?,
-        a_desc: BlockList::decode(&mut r)?,
-        a_desc_dir: PageId(r.get_u64()?),
-        a_asc: BlockList::decode(&mut r)?,
-        a_asc_dir: PageId(r.get_u64()?),
-        s_dir: PageId(r.get_u64()?),
-    })
-}
-
-/// Writes a list directory: `[count u16][(boundary_x i64, page u64) *]`,
-/// where `boundary_x` is the x of the block's **last** entry.
-fn write_directory(
-    store: &PageStore,
-    list: &BlockList<SEntry>,
-    entries: &[SEntry],
-) -> Result<PageId> {
-    if list.is_empty() {
-        return Ok(NULL_PAGE);
+impl TsRecord {
+    pub(crate) fn decode(page: &[u8], slot: u16) -> Result<TsRecord> {
+        let offset = PAGE_HEADER + RECORD_LEN * slot as usize;
+        let mut r = PageReader::new(&page[offset..offset + RECORD_LEN]);
+        Ok(TsRecord {
+            split: Point::decode(&mut r)?,
+            min_y: Point::decode(&mut r)?,
+            left: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
+            right: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
+            own_pts: PageId(r.get_u64()?),
+            own_cnt: r.get_u16()?,
+            left_pts: PageId(r.get_u64()?),
+            left_cnt: r.get_u16()?,
+            right_pts: PageId(r.get_u64()?),
+            right_cnt: r.get_u16()?,
+            a_list: BlockList::decode(&mut r)?,
+            dir: PageId(r.get_u64()?),
+        })
     }
-    let pages = list.block_pages(store)?;
-    let cap = BlockList::<SEntry>::capacity(store.page_size());
-    let id = store.alloc()?;
-    let mut buf = vec![0u8; store.page_size()];
-    let used = {
-        let mut w = PageWriter::new(&mut buf);
-        w.put_u16(pages.len() as u16)?;
-        for (j, pid) in pages.iter().enumerate() {
-            let last_idx = ((j + 1) * cap - 1).min(entries.len() - 1);
-            w.put_i64(entries[last_idx].p.x)?;
-            w.put_u64(pid.0)?;
+
+    pub(crate) fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
+        self.split.encode(w)?;
+        self.min_y.encode(w)?;
+        for child in [self.left, self.right] {
+            w.put_u64(child.page.0)?;
+            w.put_u16(child.slot)?;
         }
-        w.position()
-    };
-    store.write(id, &buf[..used])?;
-    Ok(id)
+        for (pts, cnt) in [
+            (self.own_pts, self.own_cnt),
+            (self.left_pts, self.left_cnt),
+            (self.right_pts, self.right_cnt),
+        ] {
+            w.put_u64(pts.0)?;
+            w.put_u16(cnt)?;
+        }
+        self.a_list.encode(w)?;
+        w.put_u64(self.dir.0)
+    }
 }
 
-fn read_directory(store: &PageStore, id: PageId) -> Result<Vec<(i64, PageId)>> {
-    let page = store.read(id)?;
-    let mut r = PageReader::new(&page);
-    let count = r.get_u16()? as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let x = r.get_i64()?;
-        let pid = PageId(r.get_u64()?);
-        out.push((x, pid));
+/// A node's directory page: where each block of its A-list starts, and
+/// the handles of its S-family.
+#[derive(Debug, Default)]
+pub(crate) struct NodeDir {
+    /// Per A-list block, in chain order: the x of the block's **last**
+    /// (smallest) entry and the block's page.
+    pub a: Vec<(i64, PageId)>,
+    /// Entry `j` holds (`S_j` right-siblings, `S'_j` left-siblings).
+    pub s: Vec<(BlockList<SEntry>, BlockList<SEntry>)>,
+}
+
+impl NodeDir {
+    pub(crate) fn read(store: &PageStore, id: PageId) -> Result<NodeDir> {
+        let page = store.read(id)?;
+        let mut r = PageReader::new(&page);
+        let a = (0..r.get_u16()?)
+            .map(|_| Ok((r.get_i64()?, PageId(r.get_u64()?))))
+            .collect::<Result<_>>()?;
+        let s = (0..r.get_u16()?)
+            .map(|_| Ok((BlockList::decode(&mut r)?, BlockList::decode(&mut r)?)))
+            .collect::<Result<_>>()?;
+        Ok(NodeDir { a, s })
     }
-    Ok(out)
+
+    pub(crate) fn write(&self, store: &PageStore, id: PageId) -> Result<()> {
+        let mut buf = vec![0u8; store.page_size()];
+        let used = {
+            let mut w = PageWriter::new(&mut buf);
+            w.put_u16(self.a.len() as u16)?;
+            for &(x, page) in &self.a {
+                w.put_i64(x)?;
+                w.put_u64(page.0)?;
+            }
+            w.put_u16(self.s.len() as u16)?;
+            for (right_sibs, left_sibs) in &self.s {
+                right_sibs.encode(&mut w)?;
+                left_sibs.encode(&mut w)?;
+            }
+            w.position()
+        };
+        store.write(id, &buf[..used])
+    }
 }
 
 /// External PST for 3-sided queries: `O(log_B n + t/B)` I/Os,
 /// `O((n/B)·log² B)` blocks (Theorem 3.3).
 pub struct ThreeSidedPst {
-    root_page: PageId,
-    n: u64,
+    pub(crate) root_page: PageId,
+    pub(crate) n: u64,
 }
 
 impl ThreeSidedPst {
@@ -177,48 +201,41 @@ impl ThreeSidedPst {
             pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
 
         let n_nodes = mem.nodes.len();
-        let mut a_desc = vec![BlockList::empty(); n_nodes];
-        let mut a_desc_dir = vec![NULL_PAGE; n_nodes];
-        let mut a_asc = vec![BlockList::empty(); n_nodes];
-        let mut a_asc_dir = vec![NULL_PAGE; n_nodes];
-        let mut s_dir = vec![NULL_PAGE; n_nodes];
+        let mut a_list = vec![BlockList::empty(); n_nodes];
+        let mut dir = vec![NULL_PAGE; n_nodes];
 
-        // DFS with in-page chains: (arena idx, abs depth, in-page depth,
-        // went_left).
+        // DFS with in-page chains: (arena idx, in-page depth, went_left).
         struct Frame {
             node: usize,
-            depth: u16,
-            chain: Vec<(usize, u16, u16, bool)>,
+            chain: Vec<(usize, u16, bool)>,
         }
-        let mut stack = vec![Frame { node: 0, depth: 0, chain: Vec::new() }];
-        let mut buf = vec![0u8; page_size];
-        while let Some(Frame { node, depth, chain }) = stack.pop() {
-            // A-lists: every in-page strict ancestor's points, both
-            // orders, tagged with the ancestor's in-page depth so boundary
-            // walks can skip shared ancestors already reported by the
-            // shared phase.
-            let mut a: Vec<SEntry> = Vec::new();
-            for &(anc, _, inpage_depth, _) in &chain {
-                a.extend(
-                    mem.nodes[anc].points.iter().map(|&p| SEntry { p, depth: inpage_depth }),
-                );
-            }
-            a.sort_unstable_by(|p, q| cmp_x(&q.p, &p.p));
-            a_desc[node] = BlockList::build(store, &a)?;
-            a_desc_dir[node] = write_directory(store, &a_desc[node], &a)?;
-            a.reverse();
-            a_asc[node] = BlockList::build(store, &a)?;
-            a_asc_dir[node] = write_directory(store, &a_asc[node], &a)?;
-
-            // Threshold-indexed S-families.
+        let mut stack = vec![Frame { node: 0, chain: Vec::new() }];
+        let cap = BlockList::<SEntry>::capacity(page_size);
+        while let Some(Frame { node, chain }) = stack.pop() {
             if !chain.is_empty() {
-                let max_j = chain.len(); // == in-page depth of `node`
-                let mut handles: Vec<(BlockList<SEntry>, BlockList<SEntry>)> =
-                    Vec::with_capacity(max_j);
-                for j in 0..max_j as u16 {
+                // A-list: every in-page strict ancestor's points, tagged
+                // with the ancestor's in-page depth so boundary walks can
+                // skip shared ancestors already reported by the shared
+                // phase.
+                let mut a: Vec<SEntry> = Vec::new();
+                for &(anc, inpage_depth, _) in &chain {
+                    a.extend(
+                        mem.nodes[anc].points.iter().map(|&p| SEntry { p, depth: inpage_depth }),
+                    );
+                }
+                a.sort_unstable_by(|p, q| cmp_x(&q.p, &p.p));
+                a_list[node] = BlockList::build(store, &a)?;
+                let mut node_dir = NodeDir::default();
+                for (chunk, page) in a.chunks(cap).zip(a_list[node].block_pages(store)?) {
+                    node_dir.a.push((chunk.last().expect("chunks are non-empty").p.x, page));
+                }
+
+                // Threshold-indexed S-families; `chain.len()` is the
+                // in-page depth of `node`.
+                for j in 0..chain.len() as u16 {
                     let mut right_sibs: Vec<SEntry> = Vec::new();
                     let mut left_sibs: Vec<SEntry> = Vec::new();
-                    for &(anc, _abs_depth, inpage_depth, went_left) in &chain {
+                    for &(anc, inpage_depth, went_left) in &chain {
                         if inpage_depth < j {
                             continue;
                         }
@@ -226,43 +243,24 @@ impl ThreeSidedPst {
                         // chain is a path, so in-page depth uniquely names
                         // the ancestor, and the query walk can reconstruct
                         // it without knowing absolute depths.
-                        if went_left {
-                            let sib = mem.nodes[anc].right;
-                            right_sibs.extend(
-                                mem.nodes[sib]
-                                    .points
-                                    .iter()
-                                    .map(|&p| SEntry { p, depth: inpage_depth }),
-                            );
+                        let (sib, sibs) = if went_left {
+                            (mem.nodes[anc].right, &mut right_sibs)
                         } else {
-                            let sib = mem.nodes[anc].left;
-                            left_sibs.extend(
-                                mem.nodes[sib]
-                                    .points
-                                    .iter()
-                                    .map(|&p| SEntry { p, depth: inpage_depth }),
-                            );
-                        }
+                            (mem.nodes[anc].left, &mut left_sibs)
+                        };
+                        sibs.extend(
+                            mem.nodes[sib].points.iter().map(|&p| SEntry { p, depth: inpage_depth }),
+                        );
                     }
                     right_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
                     left_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-                    handles.push((
+                    node_dir.s.push((
                         BlockList::build(store, &right_sibs)?,
                         BlockList::build(store, &left_sibs)?,
                     ));
                 }
-                let id = store.alloc()?;
-                let used = {
-                    let mut w = PageWriter::new(&mut buf);
-                    w.put_u16(handles.len() as u16)?;
-                    for (right_sibs, left_sibs) in &handles {
-                        right_sibs.encode(&mut w)?;
-                        left_sibs.encode(&mut w)?;
-                    }
-                    w.position()
-                };
-                store.write(id, &buf[..used])?;
-                s_dir[node] = id;
+                dir[node] = store.alloc()?;
+                node_dir.write(store, dir[node])?;
             }
 
             let mn = &mem.nodes[node];
@@ -271,59 +269,48 @@ impl ThreeSidedPst {
                     let same_page = node_loc[child].0 == node_loc[node].0;
                     let chain = if same_page {
                         let mut c = chain.clone();
-                        c.push((node, depth, c.len() as u16, went_left));
+                        c.push((node, c.len() as u16, went_left));
                         c
                     } else {
                         Vec::new()
                     };
-                    stack.push(Frame { node: child, depth: depth + 1, chain });
+                    stack.push(Frame { node: child, chain });
                 }
             }
         }
 
         // Serialize skeletal pages.
+        let mut buf = vec![0u8; page_size];
+        let child = |ni: usize| match ni {
+            NONE => (NodeRef { page: NULL_PAGE, slot: 0 }, NULL_PAGE, 0),
+            _ => {
+                let (p, slot) = node_loc[ni];
+                (NodeRef { page: page_ids[p], slot }, pts_ids[ni], mem.nodes[ni].points.len() as u16)
+            }
+        };
         for (page_idx, members) in pages.iter().enumerate() {
             let used = {
                 let mut w = PageWriter::new(&mut buf);
                 w.put_u16(members.len() as u16)?;
                 for &ni in members {
                     let node = &mem.nodes[ni];
-                    node.split.encode(&mut w)?;
-                    node.points
-                        .last()
-                        .copied()
-                        .unwrap_or(Point::new(0, 0, 0))
-                        .encode(&mut w)?;
-                    if node.is_leaf() {
-                        for _ in 0..2 {
-                            w.put_u64(NULL_PAGE.0)?;
-                            w.put_u16(0)?;
-                        }
-                    } else {
-                        for child in [node.left, node.right] {
-                            let (p, s) = node_loc[child];
-                            w.put_u64(page_ids[p].0)?;
-                            w.put_u16(s)?;
-                        }
+                    let (left, left_pts, left_cnt) = child(node.left);
+                    let (right, right_pts, right_cnt) = child(node.right);
+                    TsRecord {
+                        split: node.split,
+                        min_y: node.points.last().copied().unwrap_or(Point::new(0, 0, 0)),
+                        left,
+                        right,
+                        own_pts: pts_ids[ni],
+                        own_cnt: node.points.len() as u16,
+                        left_pts,
+                        left_cnt,
+                        right_pts,
+                        right_cnt,
+                        a_list: a_list[ni],
+                        dir: dir[ni],
                     }
-                    w.put_u64(pts_ids[ni].0)?;
-                    w.put_u16(node.points.len() as u16)?;
-                    if node.is_leaf() {
-                        for _ in 0..2 {
-                            w.put_u64(NULL_PAGE.0)?;
-                            w.put_u16(0)?;
-                        }
-                    } else {
-                        w.put_u64(pts_ids[node.left].0)?;
-                        w.put_u16(mem.nodes[node.left].points.len() as u16)?;
-                        w.put_u64(pts_ids[node.right].0)?;
-                        w.put_u16(mem.nodes[node.right].points.len() as u16)?;
-                    }
-                    a_desc[ni].encode(&mut w)?;
-                    w.put_u64(a_desc_dir[ni].0)?;
-                    a_asc[ni].encode(&mut w)?;
-                    w.put_u64(a_asc_dir[ni].0)?;
-                    w.put_u64(s_dir[ni].0)?;
+                    .encode(&mut w)?;
                 }
                 w.position()
             };
@@ -375,13 +362,14 @@ impl ThreeSidedPst {
         let mut slot = 0u16;
         let mut inpage_depth = 0u16;
         loop {
-            let rec = decode_record(&page, slot)?;
+            let rec = TsRecord::decode(&page, slot)?;
             let is_leaf = rec.left.page.is_null();
             let is_corner = rec.own_cnt == 0 || rec.min_y.y < q.y0 || is_leaf;
             if is_corner {
                 // Everything below fails the y bound; the shared prefix is
                 // the whole relevant tree.
-                ctx.middle_run_desc(&rec, 0)?;
+                let dir = ctx.read_dir(&rec)?;
+                ctx.middle_run(&dir, 0)?;
                 ctx.read_own(&rec, true)?;
                 return Ok((ctx.results, ctx.counters));
             }
@@ -391,7 +379,8 @@ impl ThreeSidedPst {
             if left1 != left2 {
                 // Split node: middle-filter it and its covered ancestors,
                 // then walk each boundary independently.
-                ctx.middle_run_desc(&rec, 0)?;
+                let dir = ctx.read_dir(&rec)?;
+                ctx.middle_run(&dir, 0)?;
                 ctx.read_own(&rec, false)?;
                 let thr_left = inpage_threshold(rec.left.page, cur_page_id, inpage_depth);
                 let thr_right = inpage_threshold(rec.right.page, cur_page_id, inpage_depth);
@@ -402,7 +391,8 @@ impl ThreeSidedPst {
             let next = if left1 { rec.left } else { rec.right };
             if next.page != cur_page_id {
                 // Shared-segment exit: middle contributions for this page.
-                ctx.middle_run_desc(&rec, 0)?;
+                let dir = ctx.read_dir(&rec)?;
+                ctx.middle_run(&dir, 0)?;
                 ctx.read_own(&rec, false)?;
                 cur_page_id = next.page;
                 page = {
@@ -459,27 +449,30 @@ impl TsCtx<'_> {
         Ok(())
     }
 
-    /// Middle-run scan of the descending A-list: directory-jump to the
-    /// first block containing `x <= x2`, then scan while `x >= x1`,
-    /// filtering the transition block. Entries from ancestors at in-page
-    /// depth `< min_depth` (shared prefix, already reported) are skipped.
-    fn middle_run_desc(&mut self, rec: &TsRecord, min_depth: u16) -> Result<()> {
-        if rec.a_desc.is_empty() {
-            return Ok(());
+    /// Reads a node's directory page (one navigation I/O); a page's
+    /// subtree root has none.
+    fn read_dir(&mut self, rec: &TsRecord) -> Result<NodeDir> {
+        if rec.dir.is_null() {
+            return Ok(NodeDir::default());
         }
-        // The directory jump is navigation I/O; only the run blocks are an
-        // output scan.
-        let dir = read_directory(self.store, rec.a_desc_dir)?;
         self.counters.cache_blocks += 1;
+        NodeDir::read(self.store, rec.dir)
+    }
+
+    /// Middle-run scan of the A-list: directory-jump to the first block
+    /// containing `x <= x2`, then scan while `x >= x1`, filtering the
+    /// transition block. Entries from ancestors at in-page depth
+    /// `< min_depth` (shared prefix, already reported) are skipped.
+    fn middle_run(&mut self, dir: &NodeDir, min_depth: u16) -> Result<()> {
         // boundary_x is the block's smallest x (descending list): the first
         // block whose minimum is <= x2 can contain qualifying entries.
-        let Some(start) = dir.iter().position(|&(bx, _)| bx <= self.q.x2) else {
+        let Some(&(_, start)) = dir.a.iter().find(|&&(bx, _)| bx <= self.q.x2) else {
             return Ok(());
         };
         let _probe = pc_obs::span!("path_cache_probe");
         pc_obs::set_block_capacity(BlockList::<SEntry>::capacity(self.store.page_size()) as u64);
         let before = self.results.len();
-        let mut next = dir[start].1;
+        let mut next = start;
         'run: while !next.is_null() {
             let (entries, nxt) = BlockList::<SEntry>::read_block(self.store, next)?;
             self.counters.cache_blocks += 1;
@@ -497,62 +490,18 @@ impl TsCtx<'_> {
         Ok(())
     }
 
-    /// Middle-run scan of the ascending A-list (mirror of
-    /// [`Self::middle_run_desc`]).
-    fn middle_run_asc(&mut self, rec: &TsRecord, min_depth: u16) -> Result<()> {
-        if rec.a_asc.is_empty() {
-            return Ok(());
-        }
-        let dir = read_directory(self.store, rec.a_asc_dir)?;
-        self.counters.cache_blocks += 1;
-        // boundary_x is the block's largest x (ascending list).
-        let Some(start) = dir.iter().position(|&(bx, _)| bx >= self.q.x1) else {
-            return Ok(());
-        };
-        let _probe = pc_obs::span!("path_cache_probe");
-        pc_obs::set_block_capacity(BlockList::<SEntry>::capacity(self.store.page_size()) as u64);
-        let before = self.results.len();
-        let mut next = dir[start].1;
-        'run: while !next.is_null() {
-            let (entries, nxt) = BlockList::<SEntry>::read_block(self.store, next)?;
-            self.counters.cache_blocks += 1;
-            for e in entries {
-                if e.p.x > self.q.x2 {
-                    break 'run;
-                }
-                if e.p.x >= self.q.x1 && e.depth >= min_depth {
-                    self.results.push(e.p);
-                }
-            }
-            next = nxt;
-        }
-        pc_obs::add_items((self.results.len() - before) as u64);
-        Ok(())
-    }
-
-    /// Reads the S-family directory and drains `S_threshold`: a
-    /// descending-y prefix with per-depth counts, then seeds descendant
-    /// traversals for fully-inside siblings.
+    /// Drains `S_threshold` of the node's S-family: a descending-y prefix
+    /// with per-depth counts, then seeds descendant traversals for
+    /// fully-inside siblings.
     fn drain_s<const LEFT: bool>(
         &mut self,
-        rec: &TsRecord,
+        dir: &NodeDir,
         threshold: u16,
         sib: &HashMap<u16, (PageId, u16)>,
     ) -> Result<()> {
-        if rec.s_dir.is_null() {
+        let Some(&(right_sibs, left_sibs)) = dir.s.get(threshold as usize) else {
             return Ok(());
-        }
-        let page = self.store.read(rec.s_dir)?;
-        self.counters.cache_blocks += 1;
-        let mut r = PageReader::new(&page);
-        let count = r.get_u16()?;
-        if threshold >= count {
-            return Ok(());
-        }
-        // Entry j holds (S_j right-siblings, S'_j left-siblings).
-        r.skip(threshold as usize * 2 * BlockList::<SEntry>::ENCODED_LEN)?;
-        let right_sibs: BlockList<SEntry> = BlockList::decode(&mut r)?;
-        let left_sibs: BlockList<SEntry> = BlockList::decode(&mut r)?;
+        };
         let list = if LEFT { right_sibs } else { left_sibs };
 
         let mut qualified: HashMap<u16, u16> = HashMap::new();
@@ -622,16 +571,13 @@ impl TsCtx<'_> {
         let mut sib: HashMap<u16, (PageId, u16)> = HashMap::new();
         let mut inpage_depth = threshold;
         loop {
-            let rec = decode_record(&page, slot)?;
+            let rec = TsRecord::decode(&page, slot)?;
             let is_leaf = rec.left.page.is_null();
             let is_corner = rec.own_cnt == 0 || rec.min_y.y < self.q.y0 || is_leaf;
             if is_corner {
-                if LEFT {
-                    self.middle_run_desc(&rec, threshold)?;
-                } else {
-                    self.middle_run_asc(&rec, threshold)?;
-                }
-                self.drain_s::<LEFT>(&rec, threshold, &sib)?;
+                let dir = self.read_dir(&rec)?;
+                self.middle_run(&dir, threshold)?;
+                self.drain_s::<LEFT>(&dir, threshold, &sib)?;
                 self.read_own(&rec, true)?;
                 return Ok(());
             }
@@ -649,12 +595,9 @@ impl TsCtx<'_> {
             let next = if go_left { rec.left } else { rec.right };
             let crosses = next.page != cur_page_id;
             if crosses {
-                if LEFT {
-                    self.middle_run_desc(&rec, threshold)?;
-                } else {
-                    self.middle_run_asc(&rec, threshold)?;
-                }
-                self.drain_s::<LEFT>(&rec, threshold, &sib)?;
+                let dir = self.read_dir(&rec)?;
+                self.middle_run(&dir, threshold)?;
+                self.drain_s::<LEFT>(&dir, threshold, &sib)?;
                 self.read_own(&rec, false)?;
                 // The exit's inside sibling belongs to no S-list below it.
                 if let Some((pts, _)) = inside_sib {
@@ -774,6 +717,55 @@ mod tests {
             }
         }
         check(&pts, &queries, 512);
+    }
+
+    /// Every x that ends a block of some node's A-list: a band ending on
+    /// one starts or stops its middle run exactly on a block boundary.
+    fn block_boundary_xs(points: &[Point], page_size: usize) -> Vec<i64> {
+        let store = PageStore::in_memory(page_size);
+        let pst = ThreeSidedPst::build(&store, points).unwrap();
+        let mut xs = Vec::new();
+        let mut stack = vec![pst.root_page];
+        while let Some(pid) = stack.pop() {
+            let page = store.read(pid).unwrap();
+            for slot in 0..PageReader::new(&page).get_u16().unwrap() {
+                let rec = TsRecord::decode(&page, slot).unwrap();
+                if !rec.dir.is_null() {
+                    xs.extend(NodeDir::read(&store, rec.dir).unwrap().a.iter().map(|&(x, _)| x));
+                }
+                stack.extend(
+                    [rec.left.page, rec.right.page].iter().filter(|p| !p.is_null() && **p != pid),
+                );
+            }
+        }
+        xs.sort_unstable();
+        xs.dedup();
+        xs
+    }
+
+    /// One descending A-list serves the left walk, the right walk and the
+    /// shared prefix: bands whose ends sit on its block boundaries, over
+    /// data with 40-fold x-ties and over distinct xs.
+    #[test]
+    fn x_ties_and_bands_ending_on_block_boundaries() {
+        let mut s = 0x71e5u64;
+        let tied: Vec<Point> =
+            (0..3000).map(|i| Point::new((i * 7 % 75) as i64, xorshift(&mut s, 500), i)).collect();
+        let distinct: Vec<Point> =
+            (0..3000).map(|i| Point::new(i as i64 * 3, xorshift(&mut s, 500), i)).collect();
+        for pts in [tied, distinct] {
+            let xs = block_boundary_xs(&pts, 512);
+            assert!(xs.len() > 20, "only {} block boundaries", xs.len());
+            let mut queries = Vec::new();
+            for (i, &bx) in xs.iter().enumerate() {
+                let other = xs[(i * 13 + 5) % xs.len()];
+                for (x1, x2) in [(bx, bx), (bx - 1, bx), (bx, bx + 1), (bx.min(other), bx.max(other))]
+                {
+                    queries.push(ThreeSided { x1, x2, y0: (i as i64 * 37) % 520 - 10 });
+                }
+            }
+            check(&pts, &queries, 512);
+        }
     }
 
     #[test]

@@ -195,9 +195,9 @@ impl Engine<'_> {
 
         // Saturating: on a durable store, reads served from the WAL dirty
         // table are not backend transfers, so the output-block counts can
-        // exceed the transfer delta. The paper's exact accounting holds in
-        // the strict volatile stores the experiments use.
-        let total_reads = (self.store.stats() - before).reads;
+        // exceed the read delta. The paper's exact accounting holds in the
+        // volatile stores the experiments use, strict or pooled.
+        let total_reads = (self.store.stats() - before).logical_reads();
         profile.search_ios =
             total_reads.saturating_sub(profile.useful_ios + profile.wasteful_ios);
         Ok(profile)

@@ -100,6 +100,13 @@ cargo test -q --offline --workspace
 echo "==> cargo test -q --offline --workspace --features obs"
 cargo test -q --offline --workspace --features obs
 
+# The benchmark package stands outside the workspace and carries its own
+# assumptions about the layouts (its smoke run asserts the cold pool still
+# misses and that BENCHMARK.json names what the program emits), so a layout
+# change that breaks them fails here, before the driver runs it.
+echo "==> cargo test -q --offline --manifest-path benchmark/Cargo.toml"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo build --offline --benches (bench harness compiles)"
 cargo build --offline --benches --workspace
 

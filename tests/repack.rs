@@ -14,7 +14,7 @@ use pc_btree::BTree;
 use pc_pagestore::layout::BlockList;
 use pc_pagestore::repack::{chain_pages, copy_chain, Relocation};
 use pc_pagestore::StoreError;
-use pc_pst::{SegmentedPst, TwoLevelPst};
+use pc_pst::{SegmentedPst, ThreeSided, ThreeSidedPst, TwoLevelPst};
 
 macro_rules! ensure_eq {
     ($a:expr, $b:expr, $($arg:tt)+) => {{
@@ -112,16 +112,23 @@ fn repacked_segtree_is_bit_identical() {
     });
 }
 
-/// Interval-tree stabs (mini segment trees included) are bit-identical
-/// after repack.
+/// Interval-tree stabs are bit-identical after repack, page count
+/// included, on data holding both kinds of run: the 8 smallest endpoints
+/// carry more than a block of intervals (a mini segment tree), every
+/// other run fits one block (flat).
 #[test]
 fn repacked_intervaltree_is_bit_identical() {
     let generate = |rng: &mut Rng| {
-        let raw = gen_vec(rng, 1, 300, |rng| {
+        let mut raw = gen_vec(rng, 1, 300, |rng| {
             let lo = rng.gen_range(-500i64..500);
             (lo, lo + rng.gen_range(0i64..150))
         });
-        let probes = gen_vec(rng, 1, 30, |rng| rng.gen_range(-600i64..800));
+        raw.extend(gen_vec(rng, 21, 80, |rng| {
+            let lo = rng.gen_range(-1000i64..-992);
+            (lo, rng.gen_range(lo..-992))
+        }));
+        let mut probes = gen_vec(rng, 1, 30, |rng| rng.gen_range(-600i64..800));
+        probes.extend(-1001..=-991);
         (raw, probes)
     };
     let shrink = |(raw, probes): &(Vec<(i64, i64)>, Vec<i64>)| {
@@ -140,6 +147,7 @@ fn repacked_intervaltree_is_bit_identical() {
         let tree = ExternalIntervalTree::build(&src, &intervals).unwrap();
         let dst = PageStore::in_memory(512);
         let packed = tree.repack(&src, &dst).unwrap();
+        ensure_eq!(dst.live_pages(), src.live_pages(), "live pages");
         for &q in probes {
             let (a, ra) = counted(&src, |s| ids(tree.stab(s, q).unwrap()));
             let (b, rb) = counted(&dst, |s| ids(packed.stab(s, q).unwrap()));
@@ -192,6 +200,50 @@ fn repacked_psts_are_bit_identical() {
             let (b, rb) = counted(&dst, |s| pids(two_packed.query(s, q).unwrap()));
             ensure_eq!(a, b, "two-level {q:?}");
             ensure_eq!(ra, rb, "two-level {q:?} transfers");
+        }
+        Ok(())
+    });
+}
+
+/// 3-sided queries are bit-identical after repack; each node's fused
+/// directory page is relocated once, so the page count is too.
+#[test]
+fn repacked_three_sided_pst_is_bit_identical() {
+    let generate = |rng: &mut Rng| {
+        // Few distinct xs: A-list blocks break inside runs of x-ties.
+        let points = gen_vec(rng, 1, 600, |rng| {
+            (rng.gen_range(-40i64..40), rng.gen_range(-800i64..800))
+        });
+        let queries = gen_vec(rng, 1, 25, |rng| {
+            let x1 = rng.gen_range(-45i64..45);
+            (x1, x1 + rng.gen_range(0i64..30), rng.gen_range(-900i64..900))
+        });
+        (points, queries)
+    };
+    type Case = (Vec<(i64, i64)>, Vec<(i64, i64, i64)>);
+    let shrink = |(points, queries): &Case| {
+        shrink_vec(points, no_shrink)
+            .into_iter()
+            .map(|p| (p, queries.clone()))
+            .collect::<Vec<_>>()
+    };
+    check(&Config::with_cases(12), generate, shrink, |(points, queries)| {
+        let pts: Vec<Point> = points
+            .iter()
+            .enumerate()
+            .map(|(id, &(x, y))| Point::new(x, y, id as u64))
+            .collect();
+        let src = PageStore::in_memory(512);
+        let pst = ThreeSidedPst::build(&src, &pts).unwrap();
+        let dst = PageStore::in_memory(512);
+        let packed = pst.repack(&src, &dst).unwrap();
+        ensure_eq!(dst.live_pages(), src.live_pages(), "live pages");
+        for &(x1, x2, y0) in queries {
+            let q = ThreeSided { x1, x2, y0 };
+            let (a, ra) = counted(&src, |s| pids(pst.query(s, q).unwrap()));
+            let (b, rb) = counted(&dst, |s| pids(packed.query(s, q).unwrap()));
+            ensure_eq!(a, b, "{q:?}");
+            ensure_eq!(ra, rb, "{q:?} transfers");
         }
         Ok(())
     });
