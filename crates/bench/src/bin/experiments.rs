@@ -12,7 +12,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use pc_bench::{f1, f2, log_base, to_intervals, to_points, Table};
+use pc_bench::{f1, f2, log_base, to_intervals, to_points, Table, TWO_LEVEL_SPACE_C};
 use pc_pagestore::backend::MemBackend;
 use pc_pagestore::{
     FaultBackend, FaultPlan, Interval, MirrorBackend, RetryPolicy, StoreConfig, StoreError,
@@ -32,8 +32,13 @@ use pc_workloads::{
 };
 
 const PAGE: usize = 4096;
-/// Points per block at PAGE bytes (the paper's B for 24-byte records).
+/// Records per block at PAGE bytes (the paper's B for 24-byte records).
 const B: f64 = 170.0;
+/// The PSTs' block unit at PAGE bytes: cache entries per block, which is
+/// also the points per node (163 at 4 KiB).
+fn b_pst() -> f64 {
+    pc_pst::block_capacity(PAGE) as f64
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,6 +51,7 @@ fn main() {
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
+    let mut within_pins = true;
     for exp in selected {
         match exp {
             "e1" => e1_btree_baseline(),
@@ -61,7 +67,7 @@ fn main() {
             "e11" => e11_dynamic_three_sided(),
             "e12" => e12_naive_vs_cached(),
             "e13" => e13_interval_management(),
-            "e14" => e14_tradeoff_table(),
+            "e14" => within_pins &= e14_tradeoff_table(),
             "e15" => e15_parallel_throughput(),
             "e16" => e16_buffer_pool(),
             "e17" => e17_page_size_ablation(),
@@ -69,6 +75,9 @@ fn main() {
             "e20" => e20_crash_durability(),
             other => eprintln!("unknown experiment {other}"),
         }
+    }
+    if !within_pins {
+        std::process::exit(1);
     }
 }
 
@@ -267,7 +276,7 @@ where
             f1(space_pred(n as f64)),
             f1(t_avg),
             f1(io),
-            f1(log_base(n as f64, B) + t_avg / B),
+            f1(log_base(n as f64, b_pst()) + t_avg / b_pst()),
         ]);
     }
     table.print();
@@ -298,7 +307,7 @@ fn e5_basic_pst() {
     pst_experiment(
         |s, p| BasicPst::build(s, p).unwrap(),
         "(n/B)·log2 n",
-        |n| n / B * n.log2(),
+        |n| n / b_pst() * n.log2(),
     );
 }
 
@@ -308,7 +317,7 @@ fn e6_segmented_pst() {
     pst_experiment(
         |s, p| SegmentedPst::build(s, p).unwrap(),
         "(n/B)·log2 B",
-        |n| n / B * B.log2(),
+        |n| n / b_pst() * b_pst().log2(),
     );
 }
 
@@ -318,7 +327,7 @@ fn e7_two_level_pst() {
     pst_experiment(
         |s, p| TwoLevelPst::build(s, p).unwrap(),
         "(n/B)·loglog2 B",
-        |n| n / B * B.log2().log2(),
+        |n| n / b_pst() * b_pst().log2().log2(),
     );
 }
 
@@ -347,7 +356,7 @@ fn e8_multilevel_space() {
         table.row(vec![
             levels.to_string(),
             pages.to_string(),
-            f2(pages as f64 / (n as f64 / B)),
+            f2(pages as f64 / (n as f64 / b_pst())),
             f1(io),
             f1(t_total as f64 / queries.len() as f64),
         ]);
@@ -384,10 +393,10 @@ fn e9_three_sided() {
         table.row(vec![
             n.to_string(),
             pages.to_string(),
-            f1(n as f64 / B * B.log2() * B.log2()),
+            f1(n as f64 / b_pst() * b_pst().log2() * b_pst().log2()),
             f1(t_avg),
             f1(io),
-            f1(log_base(n as f64, B) + t_avg / B),
+            f1(log_base(n as f64, b_pst()) + t_avg / b_pst()),
         ]);
     }
     table.print();
@@ -434,10 +443,10 @@ fn e10_dynamic_pst() {
             n.to_string(),
             f1(ins_io),
             f1(del_io),
-            f1(log_base(n as f64, B)),
+            f1(log_base(n as f64, b_pst())),
             f1(q_io),
             f1(t_total as f64 / queries.len() as f64),
-            f2(store.live_pages() as f64 / (n as f64 / B)),
+            f2(store.live_pages() as f64 / (n as f64 / b_pst())),
         ]);
     }
     table.print();
@@ -478,7 +487,7 @@ fn e11_dynamic_three_sided() {
             f1(upd_io),
             f1(q_io),
             f1(t_total as f64 / queries.len() as f64),
-            f1(log_base(n as f64, B) * B.log2() * B.log2()),
+            f1(log_base(n as f64, b_pst()) * b_pst().log2() * b_pst().log2()),
         ]);
     }
     table.print();
@@ -541,8 +550,8 @@ fn e12_naive_vs_cached() {
             f1(ios[2]),
             waste_col(wastes[0]),
             waste_col(wastes[1]),
-            f1((n as f64 / B).log2()),
-            f1(log_base(n as f64, B)),
+            f1((n as f64 / b_pst()).log2()),
+            f1(log_base(n as f64, b_pst())),
         ]);
     }
     table.print();
@@ -603,7 +612,8 @@ fn e13_interval_management() {
 // ---------------------------------------------------------------------------
 // E14: the space/time trade-off table (§6)
 // ---------------------------------------------------------------------------
-fn e14_tradeoff_table() {
+/// Returns whether the two-level row stayed within [`TWO_LEVEL_SPACE_C`].
+fn e14_tradeoff_table() -> bool {
     println!("## E14 — space/time trade-offs across all variants (§6)\n");
     let n = 200_000usize;
     let raw = gen_points(n, PointDist::Uniform, 23);
@@ -631,10 +641,21 @@ fn e14_tradeoff_table() {
         })),
     ];
     let _ = &points;
+    let mut within_pin = true;
     for (label, paper, build) in builders {
         let store = PageStore::in_memory(PAGE);
         let pst = build(&store);
         let pages = store.live_pages();
+        if label.starts_with("two-level") {
+            let units = pages as f64 / (n as f64 / b_pst() * b_pst().log2().log2());
+            if units > TWO_LEVEL_SPACE_C {
+                eprintln!(
+                    "E14: two-level space is {units:.3} units of (n/B)·loglog B, \
+                     pinned at {TWO_LEVEL_SPACE_C} (tests/layout_bounds.rs)"
+                );
+                within_pin = false;
+            }
+        }
         store.reset_stats();
         let mut t_total = 0usize;
         for q in &queries {
@@ -645,12 +666,13 @@ fn e14_tradeoff_table() {
             label.to_string(),
             paper.to_string(),
             pages.to_string(),
-            f2(pages as f64 / (n as f64 / B)),
+            f2(pages as f64 / (n as f64 / b_pst())),
             f1(io),
             f1(t_total as f64 / queries.len() as f64),
         ]);
     }
     table.print();
+    within_pin
 }
 
 // ---------------------------------------------------------------------------
@@ -775,7 +797,7 @@ fn e17_page_size_ablation() {
             seg.query(&seg_store, *q).unwrap();
         }
         let seg_io = seg_store.stats().reads as f64 / queries.len() as f64;
-        let b = (page - 22) / 24;
+        let b = pc_pst::block_capacity(page);
         table.row(vec![
             page.to_string(),
             b.to_string(),

@@ -15,6 +15,14 @@ pub fn to_intervals(raw: &[RawInterval]) -> Vec<Interval> {
     raw.iter().map(|&(lo, hi, id)| Interval::new(lo, hi, id)).collect()
 }
 
+/// The two-level PST's pinned space constant at 4 KiB pages: a build over
+/// uniform points takes at most this many units of `(n/B)·log₂log₂B` pages,
+/// `B` being `pc_pst::block_capacity`. Measured 1.953 at n = 100k; the pin
+/// is 10% above. `tests/layout_bounds.rs` asserts it and the `experiments`
+/// binary's E14 exits non-zero past it, so the §6 table and the gate move
+/// together.
+pub const TWO_LEVEL_SPACE_C: f64 = 2.15;
+
 /// Simple fixed-width markdown table printer.
 pub struct Table {
     headers: Vec<String>,

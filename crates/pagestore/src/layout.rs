@@ -48,11 +48,24 @@ impl<R: Record> BlockList<R> {
     /// Record order is preserved — the paper's lists are always sorted by
     /// the caller before blocking.
     pub fn build(store: &PageStore, records: &[R]) -> Result<Self> {
+        Self::build_blocked(store, records, Self::capacity(store.page_size()))
+    }
+
+    /// [`BlockList::build`] with `per_block <= capacity` records to a page
+    /// (`ceil(len / per_block)` pages). A structure whose lists are copied
+    /// into other lists block by block picks one count for all of them, so
+    /// that a block of a source is a block of the copy whatever the two
+    /// record sizes are.
+    pub fn build_blocked(store: &PageStore, records: &[R], per_block: usize) -> Result<Self> {
         if records.is_empty() {
             return Ok(Self::empty());
         }
         let cap = Self::capacity(store.page_size());
-        let chunks: Vec<&[R]> = records.chunks(cap).collect();
+        assert!(
+            (1..=cap).contains(&per_block),
+            "{per_block} records per block, a page holds {cap}"
+        );
+        let chunks: Vec<&[R]> = records.chunks(per_block).collect();
         let ids: Vec<PageId> = chunks.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
         let mut buf = vec![0u8; store.page_size()];
         for (i, chunk) in chunks.iter().enumerate() {
@@ -94,15 +107,6 @@ impl<R: Record> BlockList<R> {
         self.len == 0
     }
 
-    /// Number of pages the list occupies.
-    pub fn page_count(&self, page_size: usize) -> u64 {
-        if self.len == 0 {
-            0
-        } else {
-            self.len.div_ceil(Self::capacity(page_size) as u64)
-        }
-    }
-
     /// Iterates over the list one *block* at a time; each step costs one
     /// I/O. Stopping early (not exhausting the iterator) reads no further
     /// pages — this is how queries achieve output-sensitive cost.
@@ -110,7 +114,7 @@ impl<R: Record> BlockList<R> {
         BlockIter { store, next: self.head, _marker: PhantomData }
     }
 
-    /// Reads the entire list into memory (`page_count` I/Os).
+    /// Reads the entire list into memory (one I/O per block).
     pub fn read_all(&self, store: &PageStore) -> Result<Vec<R>> {
         let mut out = Vec::with_capacity(self.len as usize);
         for block in self.blocks(store) {
@@ -220,7 +224,7 @@ impl<R: Record> BlockList<R> {
         Ok((out, next))
     }
 
-    /// The page ids of every block in chain order (`page_count` I/Os);
+    /// The page ids of every block in chain order (one I/O per block);
     /// used once at build time to construct directories.
     pub fn block_pages(&self, store: &PageStore) -> Result<Vec<PageId>> {
         let mut out = Vec::new();
@@ -281,7 +285,7 @@ mod tests {
         let store = PageStore::in_memory(256);
         let list = BlockList::<Point>::build(&store, &[]).unwrap();
         assert!(list.is_empty());
-        assert_eq!(list.page_count(256), 0);
+        assert_eq!(store.live_pages(), 0);
         assert_eq!(list.read_all(&store).unwrap(), vec![]);
         assert_eq!(list.read_first_block(&store).unwrap(), vec![]);
         assert_eq!(store.stats().total_io(), 0);
@@ -301,8 +305,8 @@ mod tests {
         // 256-byte page: (256 - 10) / 24 = 10 points per block.
         assert_eq!(BlockList::<Point>::capacity(256), 10);
         let store = PageStore::in_memory(256);
-        let list = BlockList::build(&store, &points(95)).unwrap();
-        assert_eq!(list.page_count(256), 10); // ceil(95/10)
+        BlockList::build(&store, &points(95)).unwrap();
+        assert_eq!(store.live_pages(), 10); // ceil(95/10)
         assert_eq!(store.stats().writes, 10);
     }
 
@@ -359,8 +363,46 @@ mod tests {
         let store = PageStore::in_memory(256);
         let data = points(3);
         let list = BlockList::build(&store, &data).unwrap();
-        assert_eq!(list.page_count(256), 1);
+        assert_eq!(store.live_pages(), 1);
         assert_eq!(list.read_all(&store).unwrap(), data);
+    }
+
+    #[test]
+    fn short_blocked_list_builds_reads_relocates_and_frees() {
+        use crate::repack::{chain_pages, copy_chain, Relocation};
+        // 7 records to a block where a page holds 10: 30 records, 5 blocks.
+        let store = PageStore::in_memory(256);
+        let data = points(30);
+        let list = BlockList::build_blocked(&store, &data, 7).unwrap();
+        assert_eq!(list.len(), 30);
+        assert_eq!(store.live_pages(), 5);
+        let sizes: Vec<usize> = list.blocks(&store).map(|b| b.unwrap().len()).collect();
+        assert_eq!(sizes, vec![7, 7, 7, 7, 2]);
+        assert_eq!(list.read_first_block(&store).unwrap(), data[..7].to_vec());
+        assert_eq!(list.read_all(&store).unwrap(), data);
+        let pages = list.block_pages(&store).unwrap();
+        assert_eq!(pages.len(), 5);
+        let (second, next) = BlockList::<Point>::read_block(&store, pages[1]).unwrap();
+        assert_eq!((second, next), (data[7..14].to_vec(), pages[2]));
+
+        let dst = PageStore::in_memory(256);
+        assert_eq!(chain_pages(&store, list.head()).unwrap(), pages);
+        let reloc = Relocation::alloc_in(&pages, &dst).unwrap();
+        copy_chain(&store, &dst, list.head(), &reloc).unwrap();
+        let moved = list.with_head(reloc.get(list.head()).unwrap());
+        assert_eq!(dst.live_pages(), 5);
+        assert_eq!(moved.blocks(&dst).map(|b| b.unwrap().len()).collect::<Vec<_>>(), sizes);
+        assert_eq!(moved.read_all(&dst).unwrap(), data);
+
+        list.free(&store).unwrap();
+        assert_eq!(store.live_pages(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "records per block")]
+    fn blocking_past_the_page_capacity_is_refused() {
+        let store = PageStore::in_memory(256);
+        let _ = BlockList::build_blocked(&store, &points(30), 11);
     }
 
     #[test]

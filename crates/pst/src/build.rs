@@ -26,6 +26,17 @@
 //!
 //! `a_list`/`s_list` are the paper's A- and S-lists; which ancestors they
 //! cover depends on the [`CacheMode`].
+//!
+//! ## The block unit
+//!
+//! One number, [`points_capacity`], is the paper's `B` for the whole
+//! crate: the entries a path-cache block holds. A node holds `B` points
+//! and every list that is copied into a cache, or is one, is blocked `B`
+//! to a page ([`blocked`]), so a cache over `k` full nodes is exactly `k`
+//! blocks. `B` is the smaller of the points-page and `BlockList<SEntry>`
+//! capacities (a `BlockList<Point>` page always holds more); the few bytes
+//! the roomier layouts leave unused cost less than the extra block every
+//! cache paid while a node held more points than a cache block.
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
@@ -59,15 +70,17 @@ pub struct SEntry {
 }
 
 impl Record for SEntry {
-    const ENCODED_LEN: usize = Point::ENCODED_LEN + 2;
+    /// The tag is one byte on the page: the decomposition halves its
+    /// x-range at every level, so depths stay below 64.
+    const ENCODED_LEN: usize = Point::ENCODED_LEN + 1;
 
     fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
         self.p.encode(w)?;
-        w.put_u16(self.depth)
+        w.put_u8(u8::try_from(self.depth).expect("path depths stay below 64"))
     }
 
     fn decode(r: &mut PageReader<'_>) -> Result<Self> {
-        Ok(SEntry { p: Point::decode(r)?, depth: r.get_u16()? })
+        Ok(SEntry { p: Point::decode(r)?, depth: u16::from(r.get_u8()?) })
     }
 }
 
@@ -78,11 +91,18 @@ pub const PAGE_HEADER: usize = 2;
 /// Points-page header size.
 pub const POINTS_HEADER: usize = 2 + 8 + 8 + 2 + 2;
 
-/// Region capacity: points per node block.
+/// The block unit `B`: points per node, and entries per block of every
+/// A-, S-, X- and Y-list (see the module header).
 pub fn points_capacity(page_size: usize) -> usize {
-    let cap = (page_size - POINTS_HEADER) / Point::ENCODED_LEN;
+    let cap = ((page_size - POINTS_HEADER) / Point::ENCODED_LEN)
+        .min(BlockList::<SEntry>::capacity(page_size));
     assert!(cap >= 2, "page size {page_size} too small for a PST points page");
     cap
+}
+
+/// Builds a list blocked [`points_capacity`] records to a page.
+pub(crate) fn blocked<R: Record>(store: &PageStore, records: &[R]) -> Result<BlockList<R>> {
+    BlockList::build_blocked(store, records, points_capacity(store.page_size()))
 }
 
 /// Skeletal records per page.
@@ -239,8 +259,8 @@ pub fn build_external(store: &PageStore, mem: &MemPst, mode: CacheMode) -> Resul
             }
             a.sort_unstable_by(|x, y| cmp_x(y, x));
             s.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-            a_lists[node] = BlockList::build(store, &a)?;
-            s_lists[node] = BlockList::build(store, &s)?;
+            a_lists[node] = blocked(store, &a)?;
+            s_lists[node] = blocked(store, &s)?;
 
             let mn = &mem.nodes[node];
             if mn.left != NONE {
@@ -445,15 +465,111 @@ pst_variant!(
     CacheMode::InPage
 );
 
+/// Walkers the layout tests of this crate share.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use super::*;
+
+    /// Record counts of a list's blocks, in chain order.
+    pub(crate) fn block_sizes<R: Record>(store: &PageStore, list: &BlockList<R>) -> Vec<usize> {
+        list.blocks(store).map(|b| b.unwrap().len()).collect()
+    }
+
+    /// Asserts that `list` copies `full` whole nodes plus `rest` further
+    /// entries and occupies exactly `full` blocks of `B`, then one partial
+    /// block if `rest > 0`.
+    pub(crate) fn assert_cache_blocks<R: Record>(
+        store: &PageStore,
+        list: &BlockList<R>,
+        full: usize,
+        rest: usize,
+        what: &str,
+    ) {
+        let b = points_capacity(store.page_size());
+        assert!(rest < b, "{what}: {rest} loose entries is a block or more");
+        let mut want = vec![b; full];
+        want.extend((rest > 0).then_some(rest));
+        assert_eq!(block_sizes(store, list), want, "{what}");
+    }
+
+    /// Walks a single-level structure and checks every cache against the
+    /// block unit: a node's A-list is one whole block per covered ancestor
+    /// (ancestors have children, so each holds exactly `B` points) and its
+    /// S-list is the covered right siblings' points in whole blocks but
+    /// the last. Returns `(nodes, full nodes)`.
+    pub(crate) fn check_core_caches(
+        store: &PageStore,
+        root_page: PageId,
+        mode: CacheMode,
+    ) -> (usize, usize) {
+        struct Frame {
+            at: NodeRef,
+            /// Covered ancestors, and the sizes of their right siblings on
+            /// the left-going steps.
+            covered: usize,
+            sibs: Vec<u16>,
+        }
+        let b = points_capacity(store.page_size());
+        let (mut nodes, mut full) = (0, 0);
+        let root = NodeRef { page: root_page, slot: 0 };
+        let mut stack = vec![Frame { at: root, covered: 0, sibs: Vec::new() }];
+        while let Some(f) = stack.pop() {
+            let rec = decode_record(&store.read(f.at.page).unwrap(), f.at.slot).unwrap();
+            nodes += 1;
+            full += usize::from(rec.own_cnt as usize == b);
+            assert_cache_blocks(store, &rec.a_list, f.covered, 0, "A-list");
+            let copied: usize = f.sibs.iter().map(|&c| c as usize).sum();
+            assert_cache_blocks(store, &rec.s_list, copied / b, copied % b, "S-list");
+            if rec.left.page.is_null() {
+                continue;
+            }
+            for (child, went_left) in [(rec.left, true), (rec.right, false)] {
+                let covers = match mode {
+                    CacheMode::None => false,
+                    CacheMode::FullPath => true,
+                    CacheMode::InPage => child.page == f.at.page,
+                };
+                let mut sibs = if covers { f.sibs.clone() } else { Vec::new() };
+                if covers && went_left {
+                    sibs.push(rec.right_cnt);
+                }
+                let covered = if covers { f.covered + 1 } else { 0 };
+                stack.push(Frame { at: child, covered, sibs });
+            }
+        }
+        (nodes, full)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    fn caches_over_k_full_nodes_are_k_blocks() {
+        for (page_size, n) in [(512, 6_000u64), (4096, 40_000)] {
+            let pts: Vec<Point> = (0..n)
+                .map(|i| Point::new((i * 7919 % 100_003) as i64, (i * 104_729 % 99_991) as i64, i))
+                .collect();
+            for mode in [CacheMode::FullPath, CacheMode::InPage] {
+                let store = PageStore::in_memory(page_size);
+                let mem = MemPst::build(&pts, points_capacity(page_size));
+                let core = build_external(&store, &mem, mode).unwrap();
+                let (nodes, full) = testutil::check_core_caches(&store, core.root_page, mode);
+                assert_eq!(nodes, mem.nodes.len());
+                assert!(full * 2 >= nodes - 1, "{full} full nodes of {nodes}");
+            }
+        }
+    }
+
+    #[test]
     fn geometry() {
         assert_eq!(RECORD_LEN, 130);
-        assert_eq!(points_capacity(512), 20);
-        assert_eq!(points_capacity(4096), 169);
+        // The block unit: min(points page, cache block of 25-byte entries).
+        assert_eq!(SEntry::ENCODED_LEN, 25);
+        assert_eq!(points_capacity(512), 20); // (512 - 22) / 24 = (512 - 10) / 25
+        assert_eq!(points_capacity(4096), 163); // (4096 - 10) / 25 < (4096 - 22) / 24 = 169
+        assert_eq!(points_capacity(256), 9); // (256 - 22) / 24 < (256 - 10) / 25 = 9.84
         assert_eq!(skeletal_capacity(512), 3);
         assert_eq!(skeletal_capacity(4096), 31);
     }

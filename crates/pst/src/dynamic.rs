@@ -8,10 +8,12 @@
 //!
 //! * An update is logged in the root page's `U` (`O(1)` I/Os). When `U`
 //!   overflows, its updates trickle one level of pages down: each is either
-//!   applied to the in-page region that contains its coordinates (the
-//!   region's X/Y lists and the page's A/S caches are rebuilt — `O(B)`
-//!   I/Os per flush, `O(1)` amortized) or forwarded to a child page's `U`,
-//!   cascading.
+//!   applied to the in-page region that contains its coordinates or
+//!   forwarded to a child page's `U`, cascading. A flush rewrites the X/Y
+//!   lists of the regions it touched and, of the page's A/S caches, those
+//!   with a source whose *first* X- (Y-) block moved — a cache copies
+//!   nothing else, and an applied point's rank in both orders is known
+//!   when it is applied. `O(B)` I/Os per flush, `O(1)` amortized.
 //! * Applied updates are also logged in the region's `u`; the region's
 //!   **inner PST is rebuilt only when `u` overflows** (`O(log B · log log
 //!   B)` per `B` updates — §5's accounting).
@@ -43,16 +45,20 @@
 //!
 //! [`DynamicThreeSidedPst`] wraps the static Theorem 3.3 structure with a
 //! root buffer of `B·log_B n` updates (queries scan it: `O(log_B n)` extra
-//! I/Os, keeping queries optimal) and rebuilds the structure on overflow.
-//! The measured amortized update cost is reported in experiment E11.
+//! I/Os, keeping queries optimal) and, on overflow, frees the structure and
+//! builds it again. The measured amortized update cost is reported in
+//! experiment E11.
+//!
+//! Both structures append the buffered inserts a query accepts in `seq`
+//! order: one query on one store returns one vector, call after call.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::layout::BlockList;
 use pc_pagestore::{PageId, PageStore, Point, Record, Result};
 
-use crate::build::SEntry;
+use crate::build::{blocked, SEntry};
 use crate::mem::{cmp_x, cmp_y, TwoSided};
 use crate::query::QueryCounters;
 use crate::three_sided::{ThreeSided, ThreeSidedPst};
@@ -67,6 +73,53 @@ use crate::two_level::{
 enum FlushOutcome {
     InPlace,
     Rebuilt(PageId),
+}
+
+/// What one flush did to one in-page region.
+#[derive(Default, Clone)]
+struct Touched {
+    /// The updates applied to the region, in `seq` order.
+    ops: Vec<UpdateRec>,
+    /// An applied point was among the first `B` of the region's X-list
+    /// (resp. Y-list) — the block the page's A- (resp. S-) caches copy.
+    x_first: bool,
+    y_first: bool,
+}
+
+impl Touched {
+    /// Records `op`, applied to a point of y-rank `y_rank` in the region
+    /// whose other points are `rest`.
+    fn apply(&mut self, op: UpdateRec, p: &Point, y_rank: usize, rest: &[Point], b: usize) {
+        let x_rank = rest.iter().filter(|o| cmp_x(o, p) == Ordering::Greater).count();
+        self.x_first |= x_rank < b;
+        self.y_first |= y_rank < b;
+        self.ops.push(op);
+    }
+}
+
+/// Applies buffered updates to a static answer: the latest op per point id
+/// wins (a buffer can be met along several traversal arms), deletes mask,
+/// and inserts the query `contains` are appended in `seq` order, so one
+/// query on one store always returns the same vector.
+fn merge_buffered(
+    static_res: Vec<Point>,
+    pending: Vec<UpdateRec>,
+    contains: impl Fn(&Point) -> bool,
+) -> Vec<Point> {
+    let mut latest: HashMap<u64, UpdateRec> = HashMap::new();
+    for op in pending {
+        let e = latest.entry(op.p.id).or_insert(op);
+        if op.seq > e.seq {
+            *e = op;
+        }
+    }
+    let mut results: Vec<Point> =
+        static_res.into_iter().filter(|p| !latest.contains_key(&p.id)).collect();
+    let mut inserts: Vec<UpdateRec> =
+        latest.into_values().filter(|op| !op.is_delete && contains(&op.p)).collect();
+    inserts.sort_unstable_by_key(|op| op.seq);
+    results.extend(inserts.into_iter().map(|op| op.p));
+    results
 }
 
 /// Fully dynamic external PST for 2-sided queries (Theorem 5.1):
@@ -172,21 +225,7 @@ impl DynamicPst {
     ) -> Result<(Vec<Point>, QueryCounters)> {
         let handle = InnerHandle { root: self.root, n: self.live.max(1), is_region: true };
         let (static_res, pending, counters) = query_handle_buffered(store, handle, q)?;
-        // Latest op per point id wins (pending may contain the same op
-        // twice when a page is visited along several traversal arms).
-        let mut latest: HashMap<u64, UpdateRec> = HashMap::new();
-        for op in pending {
-            let e = latest.entry(op.p.id).or_insert(op);
-            if op.seq > e.seq {
-                *e = op;
-            }
-        }
-        let mut results: Vec<Point> =
-            static_res.into_iter().filter(|p| !latest.contains_key(&p.id)).collect();
-        results.extend(
-            latest.values().filter(|op| !op.is_delete && q.contains(&op.p)).map(|op| op.p),
-        );
-        Ok((results, counters))
+        Ok((merge_buffered(static_res, pending, |p| q.contains(p)), counters))
     }
 
     /// Pushes updates into a page's `U` buffer, flushing the page whenever
@@ -270,9 +309,10 @@ impl DynamicPst {
         }
 
         let region_cap = self.caps[0];
+        let b = block_capacity(store.page_size());
         // Per-child-page forwards: (child ref, parent slot, is_right, ops).
         let mut forwards: HashMap<u64, (NodeRef, u16, bool, Vec<UpdateRec>)> = HashMap::new();
-        let mut touched: Vec<Vec<UpdateRec>> = vec![Vec::new(); count];
+        let mut touched: Vec<Touched> = vec![Touched::default(); count];
         let mut net: i64 = 0;
         let mut hazard = false;
         for op in &ops {
@@ -295,7 +335,7 @@ impl DynamicPst {
                     let rec = &records[slot];
                     let has_children = !rec.left.page.is_null();
                     let in_band = match points[slot].last() {
-                        Some(m) => cmp_y(&op.p, m) != std::cmp::Ordering::Less,
+                        Some(m) => cmp_y(&op.p, m) != Ordering::Less,
                         None => {
                             if has_children {
                                 // Empty region above live children: broken band.
@@ -307,21 +347,21 @@ impl DynamicPst {
                     if in_band || !has_children {
                         if op.is_delete {
                             if let Some(i) = points[slot].iter().position(|x| x.id == op.p.id) {
-                                points[slot].remove(i);
-                                touched[slot].push(*op);
+                                let gone = points[slot].remove(i);
+                                touched[slot].apply(*op, &gone, i, &points[slot], b);
                                 done = true;
                             }
                             // Not found on this branch: other tie branches
                             // (or a buffered insert below) may hold it.
                         } else {
                             let pos = points[slot].partition_point(|x| {
-                                cmp_y(x, &op.p) == std::cmp::Ordering::Greater
+                                cmp_y(x, &op.p) == Ordering::Greater
                             });
+                            touched[slot].apply(*op, &op.p, pos, &points[slot], b);
                             points[slot].insert(pos, op.p);
                             if points[slot].len() > 2 * region_cap {
                                 hazard = true;
                             }
-                            touched[slot].push(*op);
                             done = true;
                         }
                         break;
@@ -356,8 +396,7 @@ impl DynamicPst {
             }
         }
 
-
-        let applied: usize = touched.iter().map(|t| t.len()).sum();
+        let applied: usize = touched.iter().map(|t| t.ops.len()).sum();
         header.churn += applied as u32;
         header.subtree_n = (header.subtree_n as i64 + net).max(0) as u64;
 
@@ -383,9 +422,12 @@ impl DynamicPst {
         Ok(FlushOutcome::InPlace)
     }
 
-    /// Rewrites one page after its regions' contents changed: fresh
-    /// X/Y/A/S lists, per-region `u` appends, inner rebuilds on `u`
-    /// overflow, and a parent patch when the page root's metadata changed.
+    /// Rewrites one page after its regions' contents changed: fresh X/Y
+    /// lists for the touched regions, per-region `u` appends, inner
+    /// rebuilds on `u` overflow, a fresh A- (S-) cache for every region
+    /// with a source whose first X- (Y-) block moved — the other caches
+    /// still hold exactly what a rebuild would write — and a parent patch
+    /// for the page root's metadata.
     #[allow(clippy::too_many_arguments)]
     fn rewrite_page(
         &mut self,
@@ -394,7 +436,7 @@ impl DynamicPst {
         header: PageHeaderInfo,
         mut records: Vec<RegionRecord>,
         points: Vec<Vec<Point>>,
-        touched: &[Vec<UpdateRec>],
+        touched: &[Touched],
         parent: Option<(PageId, u16, bool)>,
     ) -> Result<()> {
         let count = records.len();
@@ -407,13 +449,13 @@ impl DynamicPst {
             let mut xs = pts.clone();
             xs.sort_unstable_by(|a, c| cmp_x(c, a));
             x_sorted.push(xs);
-            if touched[slot].is_empty() {
+            if touched[slot].ops.is_empty() {
                 continue;
             }
             records[slot].x_list.free(store)?;
             records[slot].y_list.free(store)?;
-            records[slot].x_list = BlockList::build(store, &x_sorted[slot])?;
-            records[slot].y_list = BlockList::build(store, &points[slot])?;
+            records[slot].x_list = blocked(store, &x_sorted[slot])?;
+            records[slot].y_list = blocked(store, &points[slot])?;
             records[slot].own_cnt = points[slot].len() as u16;
             records[slot].min_y_y = points[slot].last().map(|p| p.y).unwrap_or(0);
 
@@ -423,7 +465,7 @@ impl DynamicPst {
             } else {
                 read_buffer(store, records[slot].u_buf)?
             };
-            u_ops.extend(touched[slot].iter().copied());
+            u_ops.extend(touched[slot].ops.iter().copied());
             if u_ops.len() >= u_cap {
                 free_inner(store, records[slot].inner_root, records[slot].inner_is_region)?;
                 let inner = build_region_tree(store, &points[slot], &self.caps[1..])?;
@@ -438,7 +480,7 @@ impl DynamicPst {
             write_buffer(store, records[slot].u_buf, &u_ops)?;
         }
 
-        // Refresh intra-page parent-side metadata and every A/S cache.
+        // Refresh intra-page parent-side metadata.
         let slot_of_ref =
             |r: NodeRef| -> Option<usize> { (r.page == page_id).then_some(r.slot as usize) };
         for slot in 0..count {
@@ -453,8 +495,11 @@ impl DynamicPst {
                 records[slot].right_y_list = records[rs].y_list;
             }
         }
-        // In-page ancestor chains by BFS from slot 0.
-        let mut chains: Vec<Vec<(usize, u16, bool)>> = vec![Vec::new(); count];
+        // In-page cache sources by BFS from slot 0: per region, its
+        // ancestors (A) and their in-page right siblings on the left-going
+        // steps (S), each tagged with the ancestor's in-page depth.
+        let mut a_src: Vec<Vec<(usize, u16)>> = vec![Vec::new(); count];
+        let mut s_src: Vec<Vec<(usize, u16)>> = vec![Vec::new(); count];
         let mut order = vec![(0usize, 0u16)];
         let mut qi = 0;
         while qi < order.len() {
@@ -462,33 +507,34 @@ impl DynamicPst {
             qi += 1;
             for (child, went_left) in [(records[slot].left, true), (records[slot].right, false)]
             {
-                if let Some(cs) = slot_of_ref(child) {
-                    let mut chain = chains[slot].clone();
-                    chain.push((slot, depth, went_left));
-                    chains[cs] = chain;
-                    order.push((cs, depth + 1));
+                let Some(cs) = slot_of_ref(child) else { continue };
+                a_src[cs] = a_src[slot].clone();
+                a_src[cs].push((slot, depth));
+                s_src[cs] = s_src[slot].clone();
+                if went_left {
+                    s_src[cs].extend(slot_of_ref(records[slot].right).map(|sib| (sib, depth)));
                 }
+                order.push((cs, depth + 1));
             }
         }
+        let first_blocks = |srcs: &[(usize, u16)], lists: &[Vec<Point>]| -> Vec<SEntry> {
+            srcs.iter()
+                .flat_map(|&(src, depth)| lists[src].iter().take(b).map(move |&p| SEntry { p, depth }))
+                .collect()
+        };
         for slot in 0..count {
-            records[slot].a_list.free(store)?;
-            records[slot].s_list.free(store)?;
-            let mut a: Vec<SEntry> = Vec::new();
-            let mut s: Vec<SEntry> = Vec::new();
-            for &(anc, anc_depth, went_left) in &chains[slot] {
-                a.extend(x_sorted[anc].iter().take(b).map(|&p| SEntry { p, depth: anc_depth }));
-                if went_left {
-                    if let Some(sib) = slot_of_ref(records[anc].right) {
-                        s.extend(
-                            points[sib].iter().take(b).map(|&p| SEntry { p, depth: anc_depth }),
-                        );
-                    }
-                }
+            if a_src[slot].iter().any(|&(src, _)| touched[src].x_first) {
+                records[slot].a_list.free(store)?;
+                let mut a = first_blocks(&a_src[slot], &x_sorted);
+                a.sort_unstable_by(|x, y| cmp_x(&y.p, &x.p));
+                records[slot].a_list = blocked(store, &a)?;
             }
-            a.sort_unstable_by(|x, y| cmp_x(&y.p, &x.p));
-            s.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-            records[slot].a_list = BlockList::build(store, &a)?;
-            records[slot].s_list = BlockList::build(store, &s)?;
+            if s_src[slot].iter().any(|&(src, _)| touched[src].y_first) {
+                records[slot].s_list.free(store)?;
+                let mut s = first_blocks(&s_src[slot], &points);
+                s.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
+                records[slot].s_list = blocked(store, &s)?;
+            }
         }
 
         // Serialize the page.
@@ -781,10 +827,7 @@ impl DynamicThreeSidedPst {
         for page in self.buffer.drain(..) {
             store.free(page)?;
         }
-        // Note: the old static structure's pages are leaked into the store
-        // (the static type has no free-walk); experiments build dynamic
-        // 3-sided structures in dedicated stores and measure I/O, not
-        // residual space. The 2-sided DynamicPst does free everything.
+        self.inner.free(store)?;
         let points: Vec<Point> = live.into_values().collect();
         self.inner = ThreeSidedPst::build(store, &points)?;
         Ok(())
@@ -799,25 +842,14 @@ impl DynamicThreeSidedPst {
         for &page in &self.buffer {
             ops.extend(read_buffer(store, page)?);
         }
-        let mut latest: HashMap<u64, UpdateRec> = HashMap::new();
-        for op in ops {
-            let e = latest.entry(op.p.id).or_insert(op);
-            if op.seq > e.seq {
-                *e = op;
-            }
-        }
-        let mut results: Vec<Point> =
-            static_res.into_iter().filter(|p| !latest.contains_key(&p.id)).collect();
-        results.extend(
-            latest.values().filter(|op| !op.is_delete && q.contains(&op.p)).map(|op| op.p),
-        );
-        Ok(results)
+        Ok(merge_buffered(static_res, ops, |p| q.contains(p)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pc_pagestore::layout::BlockList;
     use pc_pagestore::PageStore;
 
     fn xorshift(state: &mut u64, bound: i64) -> i64 {
@@ -990,6 +1022,275 @@ mod tests {
             after <= 3 * baseline + 100,
             "page count grew from {baseline} to {after} under constant n"
         );
+    }
+
+    #[test]
+    fn three_sided_space_stays_bounded_under_churn() {
+        // Every buffer overflow rebuilds the static structure; the old one
+        // must be freed, or the store grows by a whole structure each time.
+        let store = PageStore::in_memory(512);
+        let initial = random_points(2000, 10_000, 14);
+        let mut pst = DynamicThreeSidedPst::build(&store, &initial).unwrap();
+        let baseline = store.live_pages();
+        let mut s = 0x6060u64;
+        let mut live: Vec<Point> = initial;
+        for next_id in 1_000_000u64..1_001_500 {
+            let p = Point::new(xorshift(&mut s, 10_000), xorshift(&mut s, 10_000), next_id);
+            pst.insert(&store, p).unwrap();
+            live.push(p);
+            let victim = live.swap_remove(xorshift(&mut s, live.len() as i64) as usize);
+            pst.delete(&store, victim).unwrap();
+        }
+        // 3000 updates through a 60-update buffer: 50 rebuilds.
+        let after = store.live_pages();
+        assert!(
+            after <= baseline + baseline / 10 + 10,
+            "page count grew from {baseline} to {after} under constant n"
+        );
+        let q = ThreeSided { x1: 0, x2: 10_000, y0: 0 };
+        let mut want: Vec<u64> = live.iter().map(|p| p.id).collect();
+        want.sort_unstable();
+        assert_eq!(ids(pst.query(&store, q).unwrap()), want);
+    }
+
+    #[test]
+    fn buffered_inserts_come_back_in_one_order() {
+        // At 4 KiB a corner path records several siblings per skeletal
+        // page, so the order in which they are traversed shows as well.
+        for (page_size, n, domain) in [(512, 600, 5000), (4096, 40_000, 1_000_000)] {
+            let store = PageStore::in_memory(page_size);
+            let initial = random_points(n, domain, 15);
+            let mut two = DynamicPst::build(&store, &initial).unwrap();
+            let mut three = DynamicThreeSidedPst::build(&store, &initial).unwrap();
+            for i in 0..12u64 {
+                let p = Point::new(100 + 7 * i as i64, domain - 11 * i as i64, 70_000 + i);
+                two.insert(&store, p).unwrap();
+                three.insert(&store, p).unwrap();
+            }
+            let q2 = TwoSided { x0: 0, y0: 0 };
+            let q3 = ThreeSided { x1: 0, x2: domain, y0: 0 };
+            let first2 = two.query(&store, q2).unwrap();
+            let first3 = three.query(&store, q3).unwrap();
+            // The twelve buffered inserts close the answer, oldest first.
+            let tail: Vec<u64> = first2[first2.len() - 12..].iter().map(|p| p.id).collect();
+            assert_eq!(tail, (70_000..70_012).collect::<Vec<u64>>());
+            for _ in 0..8 {
+                assert_eq!(two.query(&store, q2).unwrap(), first2);
+                assert_eq!(three.query(&store, q3).unwrap(), first3);
+            }
+        }
+    }
+
+    /// A leaf region can be empty (the decomposition splits a remainder of
+    /// one point into one point and none) and still open a skeletal page of
+    /// its own, whose `U` buffer then takes the inserts bound for it. A
+    /// query that leaves the segment beside it must read that page.
+    #[test]
+    fn buffered_insert_under_an_empty_leaf_page_is_found() {
+        let store = PageStore::in_memory(512);
+        let cap = region_caps(512, 2)[0] as i64;
+        // root: cap points, then cap + 1 on each side: cap, one and none.
+        let n = 3 * cap + 2;
+        let pts: Vec<Point> =
+            (0..n).map(|i| Point::new(10 * i, (i * 37) % n, i as u64)).collect();
+        let mut pst = DynamicPst::build(&store, &pts).unwrap();
+        let page = store.read(pst.root).unwrap();
+        let root = decode_record(&page, 0).unwrap();
+        let left = decode_record(&page, root.left.slot).unwrap();
+        assert_eq!(root.left.page, pst.root);
+        assert!(left.right_cnt == 0 && left.right.page != pst.root, "geometry moved: {left:?}");
+        assert!(left.split_x < root.split_x);
+
+        // Right of the left child's split, below its band: bound for the
+        // empty leaf. Flushing the root page forwards it to that page's U.
+        let p = Point::new(root.split_x, -1, 999_999);
+        pst.insert(&store, p).unwrap();
+        pst.flush_page(&store, pst.root, None).unwrap();
+        let got = pst.query(&store, TwoSided { x0: i64::MIN, y0: i64::MIN }).unwrap();
+        assert_eq!(got.len() as i64, n + 1);
+        assert!(got.contains(&p), "the buffered insert was not reported");
+    }
+
+    /// From-scratch A/S contents of every region of one page, taken from
+    /// the page's X/Y lists alone.
+    fn rebuilt_caches(store: &PageStore, page_id: PageId) -> Vec<(Vec<SEntry>, Vec<SEntry>)> {
+        let recs = page_records(store, page_id);
+        let b = block_capacity(store.page_size());
+        let first = |list: &BlockList<Point>, depth: u16| -> Vec<SEntry> {
+            let all = list.read_all(store).unwrap();
+            all.into_iter().take(b).map(|p| SEntry { p, depth }).collect()
+        };
+        // (parent slot, is the left child), None for the page root
+        let mut parent = vec![None; recs.len()];
+        for (slot, rec) in recs.iter().enumerate() {
+            for (child, is_left) in [(rec.left, true), (rec.right, false)] {
+                if child.page == page_id {
+                    parent[child.slot as usize] = Some((slot, is_left));
+                }
+            }
+        }
+        (0..recs.len())
+            .map(|slot| {
+                let mut path = Vec::new();
+                let mut cur = slot;
+                while let Some((up, is_left)) = parent[cur] {
+                    path.push((up, is_left));
+                    cur = up;
+                }
+                path.reverse();
+                let (mut a, mut s) = (Vec::new(), Vec::new());
+                for (depth, &(anc, went_left)) in path.iter().enumerate() {
+                    a.extend(first(&recs[anc].x_list, depth as u16));
+                    let sib = recs[anc].right;
+                    if went_left && sib.page == page_id {
+                        s.extend(first(&recs[sib.slot as usize].y_list, depth as u16));
+                    }
+                }
+                a.sort_unstable_by(|x, y| cmp_x(&y.p, &x.p));
+                s.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
+                (a, s)
+            })
+            .collect()
+    }
+
+    fn page_records(store: &PageStore, page_id: PageId) -> Vec<RegionRecord> {
+        let page = store.read(page_id).unwrap();
+        (0..decode_header(&page).unwrap().count)
+            .map(|slot| decode_record(&page, slot).unwrap())
+            .collect()
+    }
+
+    fn assert_caches_match_a_rebuild(store: &PageStore, page_id: PageId, what: &str) {
+        let want = rebuilt_caches(store, page_id);
+        for (slot, (rec, (a, s))) in page_records(store, page_id).iter().zip(want).enumerate() {
+            assert_eq!(rec.a_list.read_all(store).unwrap(), a, "{what}: A-list of slot {slot}");
+            assert_eq!(rec.s_list.read_all(store).unwrap(), s, "{what}: S-list of slot {slot}");
+            let mut by_x = rec.y_list.read_all(store).unwrap();
+            by_x.sort_unstable_by(|x, y| cmp_x(y, x));
+            assert_eq!(rec.x_list.read_all(store).unwrap(), by_x, "{what}: X/Y of slot {slot}");
+        }
+    }
+
+    /// A twin (same coordinates, fresh id) of a point of `rec`'s region
+    /// chosen by whether it is among the region's first `B` by x and by y:
+    /// the twin takes the rank next to its original in both orders.
+    fn twin(store: &PageStore, rec: &RegionRecord, top_x: bool, top_y: bool, id: u64) -> Point {
+        let b = block_capacity(store.page_size());
+        let xs = rec.x_list.read_all(store).unwrap();
+        let ys = rec.y_list.read_all(store).unwrap();
+        let e = xs
+            .iter()
+            .enumerate()
+            .find(|&(xi, e)| {
+                let yi = ys.iter().position(|p| p.id == e.id).unwrap();
+                (xi < b) == top_x && (yi < b) == top_y
+            })
+            .expect("a region of several blocks has a point of every kind")
+            .1;
+        Point::new(e.x, e.y, id)
+    }
+
+    /// Drives `rewrite_page` through the cases its selective cache rebuild
+    /// tells apart and compares every A/S list of the page with a rebuild
+    /// from scratch each time.
+    #[test]
+    fn selective_cache_rebuild_equals_a_rebuild_from_scratch() {
+        for (page_size, n) in [(512usize, 2_000usize), (4096, 70_000)] {
+            let store = PageStore::in_memory(page_size);
+            let initial = random_points(n, 1 << 40, 0x5e1ec7);
+            let mut pst = DynamicPst::build(&store, &initial).unwrap();
+            let root = pst.root;
+            assert_caches_match_a_rebuild(&store, root, "fresh build");
+            let mut next_id = 10_000_000u64;
+            let flush_root = |pst: &mut DynamicPst, p: Point, delete: bool| -> u64 {
+                if delete {
+                    pst.delete(&store, p).unwrap();
+                } else {
+                    pst.insert(&store, p).unwrap();
+                }
+                let before = store.stats().writes;
+                assert!(matches!(pst.flush_page(&store, root, None).unwrap(), FlushOutcome::InPlace));
+                store.stats().writes - before
+            };
+
+            // The region that feeds the most caches: the page root's left
+            // child's right sibling (S-lists) and the page root (A-lists).
+            let recs = page_records(&store, root);
+            let right_of_root = recs[0].right.slot as usize;
+            assert_eq!(recs[0].right.page, root);
+
+            // 1. Neither first block moves: no cache is rewritten.
+            next_id += 1;
+            let quiet = twin(&store, &recs[right_of_root], false, false, next_id);
+            let handles = |store: &PageStore| -> Vec<(PageId, u64, PageId, u64)> {
+                page_records(store, root)
+                    .iter()
+                    .map(|r| (r.a_list.head(), r.a_list.len(), r.s_list.head(), r.s_list.len()))
+                    .collect()
+            };
+            let before = handles(&store);
+            let w_quiet = flush_root(&mut pst, quiet, false);
+            assert_eq!(handles(&store), before, "a quiet flush moved a cache");
+            assert_caches_match_a_rebuild(&store, root, "quiet insert");
+
+            // 2. Only a Y-first block moves (insert, then the delete back).
+            next_id += 1;
+            let recs = page_records(&store, root);
+            let y_only = twin(&store, &recs[right_of_root], false, true, next_id);
+            let w_y = flush_root(&mut pst, y_only, false);
+            assert_caches_match_a_rebuild(&store, root, "Y-first insert");
+            flush_root(&mut pst, y_only, true);
+            assert_caches_match_a_rebuild(&store, root, "Y-first delete");
+
+            // 3. Only an X-first block moves — the page root's, which every
+            //    A-list of the page copies.
+            next_id += 1;
+            let recs = page_records(&store, root);
+            let x_only = twin(&store, &recs[0], true, false, next_id);
+            let w_x = flush_root(&mut pst, x_only, false);
+            assert_caches_match_a_rebuild(&store, root, "X-first insert");
+            flush_root(&mut pst, x_only, true);
+            assert_caches_match_a_rebuild(&store, root, "X-first delete");
+            assert!(w_quiet < w_y && w_quiet < w_x, "writes: {w_quiet} quiet, {w_y} Y, {w_x} X");
+
+            // 4. The root region of a child page changes: its own caches,
+            //    and the parent record's view of it.
+            let recs = page_records(&store, root);
+            let (pslot, is_right, child) = recs
+                .iter()
+                .enumerate()
+                .flat_map(|(slot, r)| [(slot, false, r.left), (slot, true, r.right)])
+                .find(|&(_, _, c)| !c.page.is_null() && c.page != root)
+                .expect("the root page has child pages");
+            next_id += 1;
+            let child_root = decode_record(&store.read(child.page).unwrap(), 0).unwrap();
+            let below = twin(&store, &child_root, true, true, next_id);
+            flush_root(&mut pst, below, false);
+            assert_caches_match_a_rebuild(&store, root, "forwarding flush");
+            let parent = Some((root, pslot as u16, is_right));
+            assert!(matches!(
+                pst.flush_page(&store, child.page, parent).unwrap(),
+                FlushOutcome::InPlace
+            ));
+            assert_caches_match_a_rebuild(&store, child.page, "child page root");
+            assert_caches_match_a_rebuild(&store, root, "parent of the flushed page");
+            let child_root = decode_record(&store.read(child.page).unwrap(), 0).unwrap();
+            let up = &page_records(&store, root)[pslot];
+            let (cnt, y_list) = if is_right {
+                (up.right_cnt, up.right_y_list)
+            } else {
+                (up.left_cnt, child_root.y_list)
+            };
+            assert_eq!(cnt, child_root.own_cnt);
+            assert_eq!(y_list, child_root.y_list);
+
+            // And the answers: everything, once.
+            let got = pst.query(&store, TwoSided { x0: i64::MIN, y0: i64::MIN }).unwrap();
+            let mut want: Vec<u64> = initial.iter().map(|p| p.id).collect();
+            want.extend([quiet.id, below.id]);
+            want.sort_unstable();
+            assert_eq!(ids(got), want);
+        }
     }
 
     #[test]

@@ -70,4 +70,4 @@ pub use dynamic::{DynamicPst, DynamicThreeSidedPst};
 pub use mem::TwoSided;
 pub use multilevel::MultilevelPst;
 pub use three_sided::{ThreeSided, ThreeSidedPst};
-pub use two_level::TwoLevelPst;
+pub use two_level::{block_capacity, TwoLevelPst};

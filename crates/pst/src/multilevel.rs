@@ -1,16 +1,17 @@
 //! The multilevel scheme of §4.2 (Theorem 4.4).
 //!
-//! Instead of placing a basic PST inside each `B log B`-point region, the
-//! multilevel scheme nests another region tree with regions of
-//! `B·⌈log log B⌉` points, and so on — after `k` levels the space overhead
+//! Instead of placing a basic PST inside each `Θ(B log B)`-point region,
+//! the multilevel scheme nests another region tree with regions of
+//! `Θ(B log log B)` points, and so on — after `k` levels the space overhead
 //! is `O((n/B)·log^(k) B)`, converging to `O((n/B)·log* B)` with query
 //! time `O(log_B n + t/B + log* B)` (each level adds `O(1)` I/Os).
 //!
 //! This is a thin wrapper over the shared region-tree engine in
 //! [`crate::two_level`], parameterized by the iterated-log capacity
-//! sequence of [`crate::two_level::region_caps`]. The recursion saturates
-//! naturally once the iterated log reaches 1, so asking for more levels
-//! than `log* B` is safe.
+//! sequence of [`crate::two_level::region_caps`] (`7·B`, then `3·B` at
+//! 4 KiB; `3·B` alone at 512 bytes, where `B` = 20). The recursion
+//! saturates naturally once the iterated log reaches 1, so asking for more
+//! levels than `log* B` is safe.
 
 use pc_pagestore::{PageStore, Point, Result};
 
@@ -100,22 +101,25 @@ mod tests {
 
     #[test]
     fn all_level_counts_match_brute_force() {
-        let pts = random_points(4000, 15_000, 0x6161);
-        let store = PageStore::in_memory(512);
-        let psts: Vec<MultilevelPst> = (1..=4)
-            .map(|k| MultilevelPst::build(&store, &pts, k).unwrap())
-            .collect();
-        let mut s = 0x77u64;
-        for i in 0..80 {
-            let q = TwoSided {
-                x0: xorshift(&mut s, 16_000) - 500,
-                y0: xorshift(&mut s, 16_000) - 500,
-            };
-            let want = brute(&pts, q);
-            for pst in &psts {
-                let res = pst.query(&store, q).unwrap();
-                assert_eq!(res.len(), want.len(), "dup? k={} q{i}={q:?}", pst.levels());
-                assert_eq!(ids(res), want, "k={} q{i}={q:?}", pst.levels());
+        // 512 bytes has one region level (3·B); 4 KiB has two (7·B, 3·B),
+        // so only there does k = 3 nest a region tree in a region.
+        for (page_size, n) in [(512, 4000), (4096, 30_000)] {
+            let pts = random_points(n, 15_000, 0x6161);
+            let store = PageStore::in_memory(page_size);
+            let psts: Vec<MultilevelPst> =
+                (1..=4).map(|k| MultilevelPst::build(&store, &pts, k).unwrap()).collect();
+            let mut s = 0x77u64;
+            for i in 0..80 {
+                let q = TwoSided {
+                    x0: xorshift(&mut s, 16_000) - 500,
+                    y0: xorshift(&mut s, 16_000) - 500,
+                };
+                let want = brute(&pts, q);
+                for pst in &psts {
+                    let res = pst.query(&store, q).unwrap();
+                    assert_eq!(res.len(), want.len(), "dup? k={} q{i}={q:?}", pst.levels());
+                    assert_eq!(ids(res), want, "k={} q{i}={q:?}", pst.levels());
+                }
             }
         }
     }

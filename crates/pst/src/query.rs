@@ -1,14 +1,13 @@
 //! The 2-sided query engine shared by the naive, basic, and segmented
 //! variants (§3 of the paper).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use pc_pagestore::layout::BlockList;
 use pc_pagestore::search::partition_point;
 use pc_pagestore::{PageId, PageStore, Point, Result};
 
 use crate::build::{
-    decode_record, points_capacity, read_points_page, CacheMode, PstCore, SEntry, SkeletalRecord,
+    decode_record, points_capacity, read_points_page, CacheMode, PstCore, SkeletalRecord,
 };
 use crate::mem::TwoSided;
 
@@ -170,13 +169,11 @@ impl Ctx<'_> {
     ) -> Result<()> {
         // A-list: descending x; prefix with x >= x0 qualifies (covered
         // ancestors are all above the corner, so y >= y0 holds).
-        let mut qualified: HashMap<u16, u16> = HashMap::new();
+        // Ordered by depth: the traversals below run, and report, in one
+        // order from call to call.
+        let mut qualified: BTreeMap<u16, u16> = BTreeMap::new();
         {
-            // S-blocks hold the fewer entries per page, so classifying both
-            // scans against that capacity never flags a full A-block as
-            // wasteful.
             let _probe = pc_obs::span!("path_cache_probe");
-            pc_obs::set_block_capacity(BlockList::<SEntry>::capacity(self.store.page_size()) as u64);
             let before = self.results.len();
             'a_scan: for block in rec.a_list.blocks(self.store) {
                 self.counters.cache_blocks += 1;

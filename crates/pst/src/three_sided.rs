@@ -40,13 +40,15 @@
 //! and the exit's own block — `O(1)` overhead per segment, hence
 //! `O(log_B n + t/B)` total.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
 use pc_pagestore::{Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
-use crate::build::{paginate, points_capacity, read_points_page, write_points_pages, NodeRef, SEntry};
+use crate::build::{
+    blocked, paginate, points_capacity, read_points_page, write_points_pages, NodeRef, SEntry,
+};
 use crate::mem::{cmp_x, cmp_y, MemPst, NONE};
 use crate::query::{traverse_descendants, QueryCounters};
 
@@ -210,7 +212,7 @@ impl ThreeSidedPst {
             chain: Vec<(usize, u16, bool)>,
         }
         let mut stack = vec![Frame { node: 0, chain: Vec::new() }];
-        let cap = BlockList::<SEntry>::capacity(page_size);
+        let cap = points_capacity(page_size);
         while let Some(Frame { node, chain }) = stack.pop() {
             if !chain.is_empty() {
                 // A-list: every in-page strict ancestor's points, tagged
@@ -224,7 +226,7 @@ impl ThreeSidedPst {
                     );
                 }
                 a.sort_unstable_by(|p, q| cmp_x(&q.p, &p.p));
-                a_list[node] = BlockList::build(store, &a)?;
+                a_list[node] = blocked(store, &a)?;
                 let mut node_dir = NodeDir::default();
                 for (chunk, page) in a.chunks(cap).zip(a_list[node].block_pages(store)?) {
                     node_dir.a.push((chunk.last().expect("chunks are non-empty").p.x, page));
@@ -254,10 +256,7 @@ impl ThreeSidedPst {
                     }
                     right_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
                     left_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-                    node_dir.s.push((
-                        BlockList::build(store, &right_sibs)?,
-                        BlockList::build(store, &left_sibs)?,
-                    ));
+                    node_dir.s.push((blocked(store, &right_sibs)?, blocked(store, &left_sibs)?));
                 }
                 dir[node] = store.alloc()?;
                 node_dir.write(store, dir[node])?;
@@ -328,6 +327,34 @@ impl ThreeSidedPst {
     /// True when no points are indexed.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Frees every page of the structure: skeletal pages and, per node,
+    /// its points page, A-list, directory page and the S-family the
+    /// directory indexes. The handle must not be used again.
+    pub fn free(&self, store: &PageStore) -> Result<()> {
+        // Skeletal pages form a tree, so each is reached exactly once.
+        let mut stack = vec![self.root_page];
+        while let Some(pid) = stack.pop() {
+            let page = store.read(pid)?;
+            for slot in 0..PageReader::new(&page).get_u16()? {
+                let rec = TsRecord::decode(&page, slot)?;
+                store.free(rec.own_pts)?;
+                rec.a_list.free(store)?;
+                if !rec.dir.is_null() {
+                    for (right_sibs, left_sibs) in NodeDir::read(store, rec.dir)?.s {
+                        right_sibs.free(store)?;
+                        left_sibs.free(store)?;
+                    }
+                    store.free(rec.dir)?;
+                }
+                stack.extend(
+                    [rec.left.page, rec.right.page].iter().filter(|p| !p.is_null() && **p != pid),
+                );
+            }
+            store.free(pid)?;
+        }
+        Ok(())
     }
 
     /// Answers a 3-sided query.
@@ -470,7 +497,6 @@ impl TsCtx<'_> {
             return Ok(());
         };
         let _probe = pc_obs::span!("path_cache_probe");
-        pc_obs::set_block_capacity(BlockList::<SEntry>::capacity(self.store.page_size()) as u64);
         let before = self.results.len();
         let mut next = start;
         'run: while !next.is_null() {
@@ -504,12 +530,10 @@ impl TsCtx<'_> {
         };
         let list = if LEFT { right_sibs } else { left_sibs };
 
-        let mut qualified: HashMap<u16, u16> = HashMap::new();
+        // Ordered by depth, so the answer's order repeats from call to call.
+        let mut qualified: BTreeMap<u16, u16> = BTreeMap::new();
         {
             let _probe = pc_obs::span!("path_cache_probe");
-            pc_obs::set_block_capacity(
-                BlockList::<SEntry>::capacity(self.store.page_size()) as u64
-            );
             let before = self.results.len();
             's_scan: for block in list.blocks(self.store) {
                 self.counters.cache_blocks += 1;
@@ -765,6 +789,55 @@ mod tests {
                 }
             }
             check(&pts, &queries, 512);
+        }
+    }
+
+    /// A node at in-page depth `d` copies `d` full ancestors: its A-list is
+    /// `d` blocks of `B`, one directory entry each; `S_j` copies the
+    /// siblings at in-page depth `>= j`, whole blocks but the last. And the
+    /// free-walk returns every page of it.
+    #[test]
+    fn caches_are_whole_blocks_and_free_returns_every_page() {
+        use crate::build::testutil::assert_cache_blocks;
+        for (page_size, n) in [(512, 6_000), (4096, 60_000)] {
+            let pts = random_points(n, 1_000_000, 0x3b3b);
+            let store = PageStore::in_memory(page_size);
+            let pst = ThreeSidedPst::build(&store, &pts).unwrap();
+            let b = points_capacity(page_size);
+            // (node, in-page depth, per in-page ancestor: (right, left) sibling size)
+            let mut stack = vec![(NodeRef { page: pst.root_page, slot: 0 }, Vec::<(u16, u16)>::new())];
+            let mut deepest = 0;
+            while let Some((at, sibs)) = stack.pop() {
+                let rec = TsRecord::decode(&store.read(at.page).unwrap(), at.slot).unwrap();
+                deepest = deepest.max(sibs.len());
+                assert_cache_blocks(&store, &rec.a_list, sibs.len(), 0, "A-list");
+                let dir = if rec.dir.is_null() {
+                    NodeDir::default()
+                } else {
+                    NodeDir::read(&store, rec.dir).unwrap()
+                };
+                assert_eq!(dir.a.len(), sibs.len(), "one directory entry per A-block");
+                assert_eq!(dir.s.len(), sibs.len(), "one S-pair per split depth");
+                for (j, (right_sibs, left_sibs)) in dir.s.iter().enumerate() {
+                    let right: usize = sibs[j..].iter().map(|&(r, _)| r as usize).sum();
+                    let left: usize = sibs[j..].iter().map(|&(_, l)| l as usize).sum();
+                    assert_cache_blocks(&store, right_sibs, right / b, right % b, "S_j");
+                    assert_cache_blocks(&store, left_sibs, left / b, left % b, "S'_j");
+                }
+                if rec.left.page.is_null() {
+                    continue;
+                }
+                for (child, went_left) in [(rec.left, true), (rec.right, false)] {
+                    let mut sibs = if child.page == at.page { sibs.clone() } else { Vec::new() };
+                    if child.page == at.page {
+                        sibs.push(if went_left { (rec.right_cnt, 0) } else { (0, rec.left_cnt) });
+                    }
+                    stack.push((child, sibs));
+                }
+            }
+            assert!(deepest >= 2, "no node deeper than {deepest} in its page");
+            pst.free(&store).unwrap();
+            assert_eq!(store.live_pages(), 0, "free-walk left pages behind");
         }
     }
 

@@ -1,11 +1,17 @@
 //! The recursive region schemes of §4: two-level (Theorem 4.3) and the
 //! shared engine for the multilevel scheme (Theorem 4.4).
 //!
-//! The top-level decomposition uses regions of `B·⌈log₂ B⌉` points, so
-//! there are only `n/(B log B)` regions. Each region `R` stores (§4):
+//! The top-level decomposition uses regions of `(2^h − 1)·B` points, with
+//! `2^h − 1` the largest such number that is at most `⌈log₂ B⌉` — still
+//! `Θ(B log B)`, so there are only `n/(B log B)` regions, and a full
+//! region's inner tree is complete: `2^h − 1` nodes of exactly `B` points,
+//! none of them a near-empty leaf that still pays for full-path caches.
+//! `B` is the crate's one block unit ([`block_capacity`]). Each region `R`
+//! stores (§4):
 //!
-//! * **X-list** — `R`'s points sorted descending by x, blocked;
-//! * **Y-list** — sorted descending by y, blocked;
+//! * **X-list** — `R`'s points sorted descending by x, blocked `B` to a
+//!   page;
+//! * **Y-list** — sorted descending by y, blocked likewise;
 //! * **A-list** — the *first blocks* of the X-lists of `R`'s in-segment
 //!   ancestors (segment = skeletal page), merged descending by x and
 //!   tagged with the source depth;
@@ -14,25 +20,28 @@
 //! * an **inner structure** over `R`'s points: a Lemma 3.1 PST with
 //!   full-path caches for the two-level scheme (height `O(log log B)` —
 //!   Lemma 4.2's space bound), or recursively another region tree with
-//!   regions of `B·⌈log₂ log₂ B⌉` points for the multilevel scheme
-//!   (§4.2), bottoming out at the basic PST.
+//!   regions sized by the same rule from the iterated log for the
+//!   multilevel scheme (§4.2), bottoming out at the basic PST.
 //!
 //! The query (§4.1) reads `O(log_B n)` A/S caches along the corner path.
 //! Because a cache holds only each ancestor's first block, the
 //! **continuation rule** applies: a source's X-list (resp. a sibling's
 //! Y-list) is read block by block from its second block if and only if all
 //! its copied points qualified — every continued read is a full block of
-//! answers except possibly the last. The corner region is queried through
-//! its inner structure; descendants of fully-inside siblings are traversed
-//! region by region, paid for by their parents' full output.
+//! answers except possibly the last. A first block is `B` entries and so is
+//! a cache block, so a cache over `k` sources is `k` blocks. The corner
+//! region is queried through its inner structure; descendants of
+//! fully-inside siblings are traversed region by region, paid for by their
+//! parents' full output, each skeletal page read once however many of its
+//! regions the traversal visits.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::{PageId, PageStore, Point, Record, Result, NULL_PAGE};
+use pc_pagestore::{Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
-use crate::build::{build_external, points_capacity, CacheMode, PstCore, SEntry};
+use crate::build::{blocked, build_external, points_capacity, CacheMode, PstCore, SEntry};
 use crate::mem::{cmp_x, MemPst, TwoSided, NONE};
 use crate::query::{run_two_sided, QueryCounters};
 
@@ -61,9 +70,9 @@ pub fn skeletal_capacity(page_size: usize) -> usize {
     cap
 }
 
-/// Blocked-list capacity for points — the paper's `B`.
+/// The paper's `B`: the crate's one block unit, [`points_capacity`].
 pub fn block_capacity(page_size: usize) -> usize {
-    BlockList::<Point>::capacity(page_size)
+    points_capacity(page_size)
 }
 
 /// `⌈log₂ v⌉`, at least 1.
@@ -71,28 +80,30 @@ fn ceil_log2(v: usize) -> usize {
     ((usize::BITS - (v.max(2) - 1).leading_zeros()) as usize).max(1)
 }
 
-/// Region capacities for a `levels`-deep scheme: `B·⌈log B⌉`,
-/// `B·⌈log log B⌉`, …, one entry per region level (the bottom level is
-/// always the basic PST). The sequence stops early once the iterated log
+/// The largest `2^h − 1` that is at most `v` (`v >= 1`): the node count of
+/// the tallest complete binary tree with no more than `v` nodes.
+fn complete_tree_nodes(v: usize) -> usize {
+    (1 << (v + 1).ilog2()) - 1
+}
+
+/// Region capacities for a `levels`-deep scheme, one entry per region
+/// level (the bottom level is always the basic PST): `m₁·B`, `m₂·B`, …
+/// where `m₁` is `⌈log₂ B⌉` and `mᵢ₊₁` is `⌈log₂ mᵢ⌉`, each rounded down to
+/// a complete tree's node count `2^h − 1` so that a full region's inner
+/// structure has no underfull node. The sequence stops once that count
 /// reaches 1 — a region of `B` points *is* a basic block.
 pub fn region_caps(page_size: usize, levels: u32) -> Vec<usize> {
     let b = block_capacity(page_size);
     let mut caps = Vec::new();
-    let mut l = ceil_log2(b);
+    let mut m = complete_tree_nodes(ceil_log2(b));
     for _ in 1..levels {
-        if l <= 1 {
+        if m <= 1 {
             break;
         }
-        caps.push(b * l);
-        l = ceil_log2(l);
+        caps.push(b * m);
+        m = complete_tree_nodes(ceil_log2(m));
     }
     caps
-}
-
-/// Top-level region capacity of the two-level scheme: `B · ⌈log₂ B⌉`.
-#[cfg_attr(not(test), allow(dead_code))]
-pub fn region_capacity(page_size: usize) -> usize {
-    block_capacity(page_size) * ceil_log2(block_capacity(page_size))
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,9 +319,9 @@ pub(crate) fn build_region_tree(
     let mut y_lists = Vec::with_capacity(n_nodes);
     let mut inners: Vec<InnerHandle> = Vec::with_capacity(n_nodes);
     for (node, xs) in mem.nodes.iter().zip(&x_sorted) {
-        x_lists.push(BlockList::build(store, xs)?);
+        x_lists.push(blocked(store, xs)?);
         // Node points are already descending by y-key.
-        y_lists.push(BlockList::build(store, &node.points)?);
+        y_lists.push(blocked(store, &node.points)?);
         inners.push(build_region_tree(store, &node.points, &caps[1..])?);
     }
 
@@ -339,8 +350,8 @@ pub(crate) fn build_region_tree(
         }
         a.sort_unstable_by(|x, y| cmp_x(&y.p, &x.p));
         s.sort_unstable_by(|x, y| crate::mem::cmp_y(&y.p, &x.p));
-        a_lists[node] = BlockList::build(store, &a)?;
-        s_lists[node] = BlockList::build(store, &s)?;
+        a_lists[node] = blocked(store, &a)?;
+        s_lists[node] = blocked(store, &s)?;
 
         let mn = &mem.nodes[node];
         if mn.left != NONE {
@@ -444,24 +455,26 @@ pub(crate) fn run_region_query(
     let mut anc: HashMap<u16, BlockList<Point>> = HashMap::new();
     let mut sib: HashMap<u16, (BlockList<Point>, u16, bool, NodeRef)> = HashMap::new();
 
-    let mut cur_page_id = root_page;
-    let mut page = {
-        let _lvl = pc_obs::span!("level", 0u64);
-        store.read(cur_page_id)?
+    let mut ctx = TlCtx {
+        store,
+        q,
+        b: block_capacity(store.page_size()),
+        results,
+        counters,
+        pending,
+        held: NULL_PAGE,
+        page: Page::from(Vec::new()),
     };
-    counters.skeletal += 1;
-    collect_page_buffer(store, &page, counters, pending)?;
+    ctx.load(root_page, true)?;
     let mut slot = 0u16;
     // In-page depth of the current node; matches the cache tags.
     let mut depth = 0u16;
     loop {
-        let rec = decode_record(&page, slot)?;
+        let rec = decode_record(&ctx.page, slot)?;
         let is_leaf = rec.left.page.is_null();
         let is_corner = rec.own_cnt == 0 || rec.min_y_y < q.y0 || is_leaf;
         if is_corner {
-            let mut ctx =
-                TlCtx { store, q, b: block_capacity(store.page_size()), results, counters, pending };
-            ctx.drain_caches_and_seed(&rec, &anc, &sib)?;
+            ctx.drain_caches_and_seed(&rec, &anc, &sib, None)?;
             if !rec.u_buf.is_null() {
                 ctx.counters.cache_blocks += 1;
                 let ops = read_buffer(store, rec.u_buf)?;
@@ -470,6 +483,7 @@ pub(crate) fn run_region_query(
             // The corner region itself is answered by its inner structure.
             if rec.inner_n > 0 {
                 if rec.inner_is_region {
+                    let TlCtx { results, counters, pending, .. } = ctx;
                     run_region_query(store, rec.inner_root, q, results, counters, pending)?;
                 } else {
                     let core = PstCore {
@@ -478,10 +492,10 @@ pub(crate) fn run_region_query(
                         mode: CacheMode::FullPath,
                     };
                     let (pts, c) = run_two_sided(store, &core, q)?;
-                    results.extend(pts);
-                    counters.skeletal += c.skeletal;
-                    counters.cache_blocks += c.cache_blocks;
-                    counters.node_blocks += c.node_blocks;
+                    ctx.results.extend(pts);
+                    ctx.counters.skeletal += c.skeletal;
+                    ctx.counters.cache_blocks += c.cache_blocks;
+                    ctx.counters.node_blocks += c.node_blocks;
                 }
             }
             return Ok(());
@@ -489,27 +503,17 @@ pub(crate) fn run_region_query(
 
         let go_left = q.x0 <= rec.split_x;
         let next = if go_left { rec.left } else { rec.right };
-        let crosses_page = next.page != cur_page_id;
-        if crosses_page {
+        if next.page != ctx.held {
             // Segment exit: settle this page. The exit's own X-list and its
             // right sibling are read directly (the next segment's caches
             // restart below them).
-            let mut ctx =
-                TlCtx { store, q, b: block_capacity(store.page_size()), results, counters, pending };
-            ctx.drain_caches_and_seed(&rec, &anc, &sib)?;
+            // (Visited even when empty: its page's `U` buffer may not be.)
+            let exit_sibling = go_left.then_some(rec.right);
+            ctx.drain_caches_and_seed(&rec, &anc, &sib, exit_sibling)?;
             ctx.scan_x_prefix(&rec.x_list, 0)?;
-            if go_left && rec.right_cnt > 0 {
-                ctx.visit_region(rec.right, true)?;
-            }
             anc.clear();
             sib.clear();
-            cur_page_id = next.page;
-            page = {
-                let _lvl = pc_obs::span!("level", counters.skeletal);
-                store.read(cur_page_id)?
-            };
-            counters.skeletal += 1;
-            collect_page_buffer(store, &page, counters, pending)?;
+            ctx.load(next.page, true)?;
             slot = next.slot;
             depth = 0;
             continue;
@@ -521,21 +525,6 @@ pub(crate) fn run_region_query(
         slot = next.slot;
         depth += 1;
     }
-}
-
-/// Reads a visited page's super-node buffer, if any, into `pending`.
-fn collect_page_buffer(
-    store: &PageStore,
-    page: &[u8],
-    counters: &mut QueryCounters,
-    pending: &mut Vec<UpdateRec>,
-) -> Result<()> {
-    let header = decode_header(page)?;
-    if !header.u_page.is_null() {
-        counters.cache_blocks += 1;
-        pending.extend(read_buffer(store, header.u_page)?);
-    }
-    Ok(())
 }
 
 /// Queries an [`InnerHandle`] (region tree or basic PST), returning any
@@ -617,12 +606,51 @@ struct TlCtx<'a> {
     results: &'a mut Vec<Point>,
     counters: &'a mut QueryCounters,
     pending: &'a mut Vec<UpdateRec>,
+    /// The skeletal page in hand: regions on it are decoded from `page`
+    /// without another read of it or of its `U` buffer.
+    held: PageId,
+    page: Page,
 }
 
 impl TlCtx<'_> {
+    /// Takes skeletal page `id` in hand (one I/O, plus its `U` buffer's).
+    /// `on_path` marks a step of the corner path rather than of a
+    /// descendant traversal.
+    fn load(&mut self, id: PageId, on_path: bool) -> Result<()> {
+        {
+            let _lvl = on_path.then(|| pc_obs::span!("level", self.counters.skeletal));
+            self.page = self.store.read(id)?;
+        }
+        self.held = id;
+        self.counters.skeletal += 1;
+        let u_page = decode_header(&self.page)?.u_page;
+        if !u_page.is_null() {
+            self.counters.cache_blocks += 1;
+            self.pending.extend(read_buffer(self.store, u_page)?);
+        }
+        Ok(())
+    }
+
     /// Scans an X-list prefix (descending x) starting at `skip` blocks,
     /// keeping points with `x >= x0` and stopping at the first failure.
     fn scan_x_prefix(&mut self, list: &BlockList<Point>, skip: usize) -> Result<u64> {
+        let x0 = self.q.x0;
+        self.scan_prefix(list, skip, |p| p.x >= x0)
+    }
+
+    /// Scans a Y-list prefix (descending y), keeping points with
+    /// `y >= y0`. Returns the number kept.
+    fn scan_y_prefix(&mut self, list: &BlockList<Point>, skip: usize) -> Result<u64> {
+        let y0 = self.q.y0;
+        self.scan_prefix(list, skip, |p| p.y >= y0)
+    }
+
+    fn scan_prefix(
+        &mut self,
+        list: &BlockList<Point>,
+        skip: usize,
+        keep: impl Fn(&Point) -> bool,
+    ) -> Result<u64> {
         let _scan = pc_obs::span!(output: "list_scan");
         let mut kept = 0u64;
         let mut blocks = list.blocks(self.store);
@@ -634,7 +662,7 @@ impl TlCtx<'_> {
         'scan: for block in blocks {
             self.counters.node_blocks += 1;
             for p in block? {
-                if p.x < self.q.x0 {
+                if !keep(&p) {
                     break 'scan;
                 }
                 self.results.push(p);
@@ -645,65 +673,45 @@ impl TlCtx<'_> {
         Ok(kept)
     }
 
-    /// Scans a Y-list prefix (descending y), keeping points with
-    /// `y >= y0`. Returns the number kept.
-    fn scan_y_prefix(&mut self, list: &BlockList<Point>, skip: usize, add: bool) -> Result<u64> {
-        // `kept` counts qualifying points even when `add` is false (they
-        // were already reported from an S-cache): the reads still produce
-        // useful entries, so they are not wasteful.
-        let _scan = pc_obs::span!(output: "list_scan");
-        let mut kept = 0u64;
-        let mut blocks = list.blocks(self.store);
-        for _ in 0..skip {
-            if blocks.next().transpose()?.is_none() {
-                return Ok(0);
-            }
-        }
-        'scan: for block in blocks {
-            self.counters.node_blocks += 1;
-            for p in block? {
-                if p.y < self.q.y0 {
+    /// Drains one cache list: reports the prefix that `keep`s and counts
+    /// it per source depth (ordered, so that what the caller does per
+    /// source — and with it the answer's order — repeats from call to call).
+    fn drain_cache(
+        &mut self,
+        list: &BlockList<SEntry>,
+        keep: impl Fn(&Point) -> bool,
+    ) -> Result<BTreeMap<u16, u64>> {
+        let _probe = pc_obs::span!("path_cache_probe");
+        let mut qualified: BTreeMap<u16, u64> = BTreeMap::new();
+        let before = self.results.len();
+        'scan: for block in list.blocks(self.store) {
+            self.counters.cache_blocks += 1;
+            for e in block? {
+                if !keep(&e.p) {
                     break 'scan;
                 }
-                if add {
-                    self.results.push(p);
-                }
-                kept += 1;
+                self.results.push(e.p);
+                *qualified.entry(e.depth).or_insert(0) += 1;
             }
         }
-        pc_obs::add_items(kept);
-        Ok(kept)
+        pc_obs::add_items((self.results.len() - before) as u64);
+        Ok(qualified)
     }
 
     /// Reads the node's A/S caches, applies the continuation rule, and
-    /// seeds the region-level descendant traversal.
+    /// runs the region-level descendant traversal below every sibling that
+    /// lies wholly inside the query — and over `exit_sibling`, the right
+    /// sibling of a segment exit, which no cache covers.
     fn drain_caches_and_seed(
         &mut self,
         rec: &RegionRecord,
         anc: &HashMap<u16, BlockList<Point>>,
         sib: &HashMap<u16, (BlockList<Point>, u16, bool, NodeRef)>,
+        exit_sibling: Option<NodeRef>,
     ) -> Result<()> {
+        let (x0, y0) = (self.q.x0, self.q.y0);
         // A-cache: first blocks of ancestors' X-lists, descending x.
-        let mut a_qualified: HashMap<u16, u64> = HashMap::new();
-        {
-            let _probe = pc_obs::span!("path_cache_probe");
-            pc_obs::set_block_capacity(
-                BlockList::<SEntry>::capacity(self.store.page_size()) as u64
-            );
-            let before = self.results.len();
-            'a_scan: for block in rec.a_list.blocks(self.store) {
-                self.counters.cache_blocks += 1;
-                for e in block? {
-                    if e.p.x < self.q.x0 {
-                        break 'a_scan;
-                    }
-                    self.results.push(e.p);
-                    *a_qualified.entry(e.depth).or_insert(0) += 1;
-                }
-            }
-            pc_obs::add_items((self.results.len() - before) as u64);
-        }
-        for (d, cnt) in a_qualified {
+        for (d, cnt) in self.drain_cache(&rec.a_list, |p| p.x >= x0)? {
             let list = anc.get(&d).expect("A entries come from recorded ancestors");
             let copied = (list.len() as usize).min(self.b) as u64;
             if cnt == copied && list.len() > copied {
@@ -712,75 +720,65 @@ impl TlCtx<'_> {
         }
 
         // S-cache: first blocks of siblings' Y-lists, descending y.
-        let mut s_qualified: HashMap<u16, u64> = HashMap::new();
-        {
-            let _probe = pc_obs::span!("path_cache_probe");
-            pc_obs::set_block_capacity(
-                BlockList::<SEntry>::capacity(self.store.page_size()) as u64
-            );
-            let before = self.results.len();
-            's_scan: for block in rec.s_list.blocks(self.store) {
-                self.counters.cache_blocks += 1;
-                for e in block? {
-                    if e.p.y < self.q.y0 {
-                        break 's_scan;
-                    }
-                    self.results.push(e.p);
-                    *s_qualified.entry(e.depth).or_insert(0) += 1;
-                }
-            }
-            pc_obs::add_items((self.results.len() - before) as u64);
-        }
-        for (d, cnt) in s_qualified {
+        let mut inside: Vec<NodeRef> = Vec::new();
+        for (d, cnt) in self.drain_cache(&rec.s_list, |p| p.y >= y0)? {
             let (list, total, is_leaf, sref) =
                 sib.get(&d).expect("S entries come from recorded siblings");
             let copied = (list.len() as usize).min(self.b) as u64;
             let mut qualified = cnt;
             if cnt == copied && list.len() > copied {
-                qualified += self.scan_y_prefix(list, 1, true)?;
+                qualified += self.scan_y_prefix(list, 1)?;
             }
             // Region fully inside the query: traverse its children.
             if qualified == u64::from(*total) && !is_leaf {
-                self.seed_children(*sref)?;
+                inside.push(*sref);
             }
         }
-        Ok(())
+        self.traverse(&inside, exit_sibling)
     }
 
-    /// Reads a region's skeletal record just to launch traversal of its
-    /// children (its own points were already reported).
-    fn seed_children(&mut self, r: NodeRef) -> Result<()> {
-        let page = self.store.read(r.page)?;
-        self.counters.skeletal += 1;
-        collect_page_buffer(self.store, &page, self.counters, self.pending)?;
-        let rec = decode_record(&page, r.slot)?;
-        for (child, cnt) in [(rec.left, rec.left_cnt), (rec.right, rec.right_cnt)] {
-            if !child.page.is_null() && cnt > 0 {
-                self.visit_region(child, true)?;
+    /// Region-level descendant traversal. `reported` regions have their
+    /// points in the output already and only launch their children; every
+    /// other region reports its Y-prefix and is descended into when all of
+    /// it qualified. Regions on the page in hand go first: a page is a
+    /// connected subtree entered through its slot 0 alone, so this order
+    /// reads each skeletal page once.
+    fn traverse(&mut self, reported: &[NodeRef], exit_sibling: Option<NodeRef>) -> Result<()> {
+        // (region, whether its own points are still to be reported)
+        let mut here: Vec<(NodeRef, bool)> = Vec::new();
+        let mut elsewhere: Vec<(NodeRef, bool)> = Vec::new();
+        elsewhere.extend(exit_sibling.map(|r| (r, true)));
+        for &r in reported {
+            (if r.page == self.held { &mut here } else { &mut elsewhere }).push((r, false));
+        }
+        loop {
+            let (nref, report) = match here.pop() {
+                Some(next) => next,
+                None => match elsewhere.pop() {
+                    Some(next) => {
+                        self.load(next.0.page, false)?;
+                        next
+                    }
+                    None => return Ok(()),
+                },
+            };
+            let rec = decode_record(&self.page, nref.slot)?;
+            if report {
+                let kept = self.scan_y_prefix(&rec.y_list, 0)?;
+                if kept < u64::from(rec.own_cnt) {
+                    continue;
+                }
+            }
+            // An empty child is still visited when it opens a page of its
+            // own: that page's `U` buffer may hold inserts bound for it.
+            for child in [rec.left, rec.right] {
+                if child.page == self.held {
+                    here.push((child, true));
+                } else if !child.page.is_null() {
+                    elsewhere.push((child, true));
+                }
             }
         }
-        Ok(())
-    }
-
-    /// Region-level descendant traversal: report the Y-prefix; recurse
-    /// when the whole region qualified.
-    fn visit_region(&mut self, r: NodeRef, add: bool) -> Result<()> {
-        let mut stack = vec![r];
-        while let Some(nref) = stack.pop() {
-            let page = self.store.read(nref.page)?;
-            self.counters.skeletal += 1;
-            collect_page_buffer(self.store, &page, self.counters, self.pending)?;
-            let rec = decode_record(&page, nref.slot)?;
-            if rec.own_cnt == 0 {
-                continue;
-            }
-            let kept = self.scan_y_prefix(&rec.y_list, 0, add)?;
-            if kept == u64::from(rec.own_cnt) && !rec.left.page.is_null() {
-                stack.push(rec.left);
-                stack.push(rec.right);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -817,20 +815,92 @@ mod tests {
 
     #[test]
     fn region_capacity_is_b_log_b() {
-        // page 512: B = 20, ceil(log2 20) = 5 => 100
-        assert_eq!(region_capacity(512), 100);
-        // page 4096: B = 170, ceil(log2 170) = 8 => 1360
-        assert_eq!(region_capacity(4096), 1360);
+        // page 512: B = 20, ceil(log2 20) = 5, largest 2^h - 1 <= 5 is 3.
+        assert_eq!(block_capacity(512), 20);
+        assert_eq!(region_caps(512, 2), vec![3 * 20]);
+        // page 4096: B = 163, ceil(log2 163) = 8, largest 2^h - 1 <= 8 is 7.
+        assert_eq!(block_capacity(4096), 163);
+        assert_eq!(region_caps(4096, 2), vec![7 * 163]);
     }
 
     #[test]
     fn region_caps_iterate_the_log() {
-        // B = 20: L1 = 5, L2 = 3, L3 = 2, L4 = 1 (stop).
-        assert_eq!(region_caps(512, 2), vec![100]);
-        assert_eq!(region_caps(512, 3), vec![100, 60]);
-        assert_eq!(region_caps(512, 4), vec![100, 60, 40]);
-        assert_eq!(region_caps(512, 9), vec![100, 60, 40]); // saturates
-        assert_eq!(region_caps(512, 1), Vec::<usize>::new());
+        assert_eq!(
+            (1..=9).map(complete_tree_nodes).collect::<Vec<_>>(),
+            vec![1, 1, 3, 3, 3, 3, 7, 7, 7]
+        );
+        // B = 163: 8 -> 7 nodes, ceil(log2 7) = 3 -> 3 nodes,
+        // ceil(log2 3) = 2 -> 1 node (stop).
+        assert_eq!(region_caps(4096, 2), vec![1141]);
+        assert_eq!(region_caps(4096, 3), vec![1141, 489]);
+        assert_eq!(region_caps(4096, 9), vec![1141, 489]); // saturates
+        assert_eq!(region_caps(4096, 1), Vec::<usize>::new());
+        // B = 20: 5 -> 3 nodes, then 1 (stop).
+        assert_eq!(region_caps(512, 9), vec![60]);
+    }
+
+    /// Walks a region tree: every region with its in-page depth and the
+    /// point counts of the in-page right siblings its S-list copies from.
+    fn walk_regions(
+        store: &PageStore,
+        root: PageId,
+        visit: &mut dyn FnMut(&RegionRecord, usize, &[u16]),
+    ) {
+        let mut stack = vec![(NodeRef { page: root, slot: 0 }, 0usize, Vec::<u16>::new())];
+        while let Some((at, inpage, sibs)) = stack.pop() {
+            let rec = decode_record(&store.read(at.page).unwrap(), at.slot).unwrap();
+            visit(&rec, inpage, &sibs);
+            if rec.left.page.is_null() {
+                continue;
+            }
+            for (child, went_left) in [(rec.left, true), (rec.right, false)] {
+                if child.page != at.page {
+                    stack.push((child, 0, Vec::new()));
+                    continue;
+                }
+                let mut sibs = sibs.clone();
+                sibs.extend(went_left.then_some(rec.right_cnt));
+                stack.push((child, inpage + 1, sibs));
+            }
+        }
+    }
+
+    /// The block unit end to end, at both page sizes: a region's X/Y lists
+    /// are blocks of `B`, its A/S caches over `k` full first blocks are
+    /// `k` blocks, a full region's inner tree is complete with every node
+    /// full, and the inner full-path caches obey the same rule.
+    #[test]
+    fn one_block_unit_from_region_lists_to_inner_caches() {
+        use crate::build::testutil::{assert_cache_blocks, check_core_caches};
+        for (page_size, n, inner_nodes) in [(512, 5_000, 3), (4096, 60_000, 7)] {
+            let pts = random_points(n, 1_000_000, 0x1b1b);
+            let store = PageStore::in_memory(page_size);
+            let pst = TwoLevelPst::build(&store, &pts).unwrap();
+            let b = block_capacity(page_size);
+            let r_cap = region_caps(page_size, 2)[0];
+            assert_eq!(r_cap, inner_nodes * b);
+            let (mut regions, mut full_regions) = (0, 0);
+            walk_regions(&store, pst.root.root, &mut |rec, inpage, sibs| {
+                regions += 1;
+                let cnt = rec.own_cnt as usize;
+                assert_cache_blocks(&store, &rec.x_list, cnt / b, cnt % b, "X-list");
+                assert_cache_blocks(&store, &rec.y_list, cnt / b, cnt % b, "Y-list");
+                // Ancestors have children, so each is full: one whole first
+                // block apiece. A sibling may be a short leaf.
+                assert_cache_blocks(&store, &rec.a_list, inpage, 0, "A-cache");
+                let copied: usize = sibs.iter().map(|&c| (c as usize).min(b)).sum();
+                assert_cache_blocks(&store, &rec.s_list, copied / b, copied % b, "S-cache");
+
+                assert!(!rec.inner_is_region);
+                let (nodes, full) =
+                    check_core_caches(&store, rec.inner_root, CacheMode::FullPath);
+                if cnt == r_cap {
+                    full_regions += 1;
+                    assert_eq!((nodes, full), (inner_nodes, inner_nodes), "full region's inner");
+                }
+            });
+            assert!(full_regions >= 10 && full_regions * 3 >= regions, "{full_regions}/{regions}");
+        }
     }
 
     #[test]

@@ -1,19 +1,27 @@
-//! The static structures' footprint and per-query reads as assertions
-//! (the paper's table, Theorems 3.3 and 3.5): at 4 KiB pages and a fixed
-//! seed, `pages <= c·(n/B)·f(B)` and `reads <= c1·ceil(log_B n) +
+//! The structures' footprint and per-query reads as assertions (the
+//! paper's table, Theorems 3.3, 3.5, 4.3 and 5.1): at 4 KiB pages and a
+//! fixed seed, `pages <= c·(n/B)·f(B)` and `reads <= c1·ceil(log_B n) +
 //! 2·ceil(t/B)`. `c` and `c1` are pinned 10% above what the layouts
 //! measure, so a layout regression fails here instead of moving a table.
 
-use path_caching::{Interval, PageStore, Point, ThreeSided};
+use path_caching::{Interval, PageStore, Point, ThreeSided, TwoSided};
+use pc_bench::TWO_LEVEL_SPACE_C;
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pst::ThreeSidedPst;
+use pc_pst::{DynamicPst, ThreeSidedPst, TwoLevelPst};
 use pc_workloads::{
-    gen_intervals, gen_points, gen_stabbing, gen_three_sided, IntervalDist, PointDist, DOMAIN,
+    gen_intervals, gen_points, gen_stabbing, gen_three_sided, gen_two_sided, IntervalDist,
+    PointDist, DOMAIN,
 };
 
 const PAGE_SIZE: usize = 4096;
-/// 24-byte points and intervals per 4 KiB block.
-const B: u64 = 170;
+/// 24-byte intervals per 4 KiB block.
+const B_INTERVALS: u64 = 170;
+
+/// The PSTs' block unit at 4 KiB (163): cache entries per block, which is
+/// also the points per node.
+fn b_points() -> u64 {
+    pc_pst::block_capacity(PAGE_SIZE) as u64
+}
 
 fn ceil_log(base: u64, n: u64) -> u64 {
     let (mut levels, mut reach) = (0, 1u64);
@@ -26,8 +34,8 @@ fn ceil_log(base: u64, n: u64) -> u64 {
 
 /// Asserts `reads <= c1·ceil(log_B n) + 2·ceil(t/B)`: a scanned list ends
 /// in at most one partial block and, in these layouts, starts in one.
-fn assert_reads_within(reads: u64, n: u64, t: usize, c1: f64, what: &str) {
-    let allowed = c1 * ceil_log(B, n) as f64 + 2.0 * (t as u64).div_ceil(B) as f64;
+fn assert_reads_within(reads: u64, b: u64, n: u64, t: usize, c1: f64, what: &str) {
+    let allowed = c1 * ceil_log(b, n) as f64 + 2.0 * (t as u64).div_ceil(b) as f64;
     assert!(reads as f64 <= allowed, "{what}: {reads} reads for t={t}, allowed {allowed:.1}");
 }
 
@@ -48,32 +56,116 @@ fn interval_tree_space_and_stab_reads_stay_within_pinned_constants() {
         let store = PageStore::in_memory(PAGE_SIZE);
         let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
 
-        let unit = n.div_ceil(B) as f64 * (B as f64).log2();
+        let b = B_INTERVALS;
+        let unit = n.div_ceil(b) as f64 * (b as f64).log2();
         assert_pages_within(store.live_pages(), unit, c, "(n/B)·log2 B");
         for stab in gen_stabbing(&raw, 300, 0xfeed) {
             let (hits, reads) = tree.stab_with_ios(&store, stab.q).unwrap();
-            assert_reads_within(reads, n, hits.len(), c1, "stab");
+            assert_reads_within(reads, b, n, hits.len(), c1, "stab");
         }
     }
+}
+
+fn uniform_points(n: u64) -> (Vec<(i64, i64, u64)>, Vec<Point>) {
+    let raw = gen_points(n as usize, PointDist::Uniform, 0x5eed);
+    let points = raw.iter().map(|&(x, y, id)| Point::new(x, y, id)).collect();
+    (raw, points)
 }
 
 #[test]
 fn three_sided_pst_space_and_query_reads_stay_within_pinned_constants() {
     let n = 100_000u64;
-    let raw = gen_points(n as usize, PointDist::Uniform, 0x5eed);
-    let points: Vec<Point> = raw.iter().map(|&(x, y, id)| Point::new(x, y, id)).collect();
+    let (raw, points) = uniform_points(n);
     let store = PageStore::in_memory(PAGE_SIZE);
     let pst = ThreeSidedPst::build(&store, &points).unwrap();
 
-    // Measured c = 0.496.
-    let unit = n.div_ceil(B) as f64 * (B as f64).log2().powi(2);
-    assert_pages_within(store.live_pages(), unit, 0.545, "(n/B)·log2² B");
-    // Measured c1 = 4.00 at t ≈ 16 and 6.00 at t ≈ 4096.
-    for (t, c1) in [(16, 4.4), (4096, 6.6)] {
+    // Measured c = 0.374.
+    let b = b_points();
+    let unit = n.div_ceil(b) as f64 * (b as f64).log2().powi(2);
+    assert_pages_within(store.live_pages(), unit, 0.411, "(n/B)·log2² B");
+    // Measured c1 = 4.00 at t ≈ 16 and at t ≈ 4096.
+    for t in [16, 4096] {
         for q in gen_three_sided(&raw, 150, t, 0xfeed) {
             let q = ThreeSided { x1: q.x1, x2: q.x2, y0: q.y0 };
             let (hits, counters) = pst.query_counted(&store, q).unwrap();
-            assert_reads_within(counters.total(), n, hits.len(), c1, "3-sided");
+            assert_reads_within(counters.total(), b, n, hits.len(), 4.4, "3-sided");
         }
     }
+}
+
+/// Theorems 4.3 and 5.1: the two-level structure, static and as the
+/// dynamic structure builds it, in `(n/B)·log2 log2 B` blocks with optimal
+/// 2-sided queries.
+#[test]
+fn two_level_pst_space_and_query_reads_stay_within_pinned_constants() {
+    let n = 100_000u64;
+    let (raw, points) = uniform_points(n);
+    let b = b_points();
+    let unit = n.div_ceil(b) as f64 * (b as f64).log2().log2();
+
+    let store = PageStore::in_memory(PAGE_SIZE);
+    let pst = TwoLevelPst::build(&store, &points).unwrap();
+    // Measured c = 1.953; the pin (2.15) is the one E14 of the
+    // `experiments` binary exits non-zero past.
+    assert_pages_within(store.live_pages(), unit, TWO_LEVEL_SPACE_C, "(n/B)·log2 log2 B");
+    let dyn_store = PageStore::in_memory(PAGE_SIZE);
+    let dynamic = DynamicPst::build(&dyn_store, &points).unwrap();
+    assert_eq!(dyn_store.live_pages(), store.live_pages(), "one layout, static or dynamic");
+
+    let mut by_x_desc = points.clone();
+    by_x_desc.sort_unstable_by_key(|p| std::cmp::Reverse((p.x, p.y, p.id)));
+    // Measured c1 = 2.00 at t ≈ 16; at t ≈ 4096 the 2·ceil(t/B) allowance
+    // alone covers every query (measured c1 = -2.33).
+    for (t, c1) in [(16, 2.2), (4096, 0.0)] {
+        // The generator's corners all sit in the plane's top-right, inside
+        // the root region. A corner with only `r` points to its right lies
+        // the deeper the smaller `r` is, so `r` = t, 2t, 3t, … walks paths
+        // of every length at the same output size.
+        let top_right = gen_two_sided(&raw, 50, t, 0xfeed).into_iter().map(|q| (q.x0, q.y0));
+        let deep = (1..=100usize).map(|i| {
+            let right = &by_x_desc[..(i * t).min(by_x_desc.len())];
+            let mut ys: Vec<i64> = right.iter().map(|p| p.y).collect();
+            ys.sort_unstable_by(|a, b| b.cmp(a));
+            (right[right.len() - 1].x, ys[t - 1])
+        });
+        for (x0, y0) in top_right.chain(deep) {
+            let q = TwoSided { x0, y0 };
+            let (hits, counters) = pst.query_counted(&store, q).unwrap();
+            assert_reads_within(counters.total(), b, n, hits.len(), c1, "2-sided");
+            let (dyn_hits, dyn_counters) = dynamic.query_counted(&dyn_store, q).unwrap();
+            assert_eq!((dyn_hits.len(), dyn_counters.total()), (hits.len(), counters.total()));
+        }
+    }
+}
+
+/// Space under churn: after 20k insert/delete pairs on 50k points the
+/// dynamic structure holds the same number of points it started with, and
+/// may not have drifted far above a fresh build of what it now holds.
+#[test]
+fn dynamic_pst_space_stays_near_a_fresh_build_under_churn() {
+    let n = 50_000u64;
+    let (_, points) = uniform_points(n);
+    let fresh: Vec<(i64, i64, u64)> = gen_points(20_000, PointDist::Uniform, 0xc0de);
+    let store = PageStore::in_memory(PAGE_SIZE);
+    let mut pst = DynamicPst::build(&store, &points).unwrap();
+    let mut live = points;
+    for (i, &(x, y, id)) in fresh.iter().enumerate() {
+        let p = Point::new(x, y, n + id);
+        pst.insert(&store, p).unwrap();
+        live.push(p);
+        // A victim from anywhere in the set, old or new.
+        let victim = live.swap_remove((i * 7919 + 13) % live.len());
+        pst.delete(&store, victim).unwrap();
+    }
+    assert_eq!(pst.len(), n);
+    let rebuilt = PageStore::in_memory(PAGE_SIZE);
+    DynamicPst::build(&rebuilt, &live).unwrap();
+    // Measured 1.481 (2563 pages against 1731).
+    let factor = store.live_pages() as f64 / rebuilt.live_pages() as f64;
+    assert!(
+        factor <= 1.63,
+        "{} pages after churn, {} fresh: factor {factor:.3}",
+        store.live_pages(),
+        rebuilt.live_pages()
+    );
 }
