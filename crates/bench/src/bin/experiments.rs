@@ -12,7 +12,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use pc_bench::{f1, f2, log_base, to_intervals, to_points, Table, TWO_LEVEL_SPACE_C};
+use pc_bench::{
+    f1, f2, interval_tree_constants, log_base, to_intervals, to_points, Table,
+    INTERVAL_TREE_PINS, TWO_LEVEL_SPACE_C,
+};
 use pc_pagestore::backend::MemBackend;
 use pc_pagestore::{
     FaultBackend, FaultPlan, Interval, MirrorBackend, RetryPolicy, StoreConfig, StoreError,
@@ -57,7 +60,7 @@ fn main() {
             "e1" => e1_btree_baseline(),
             "e2" => e2_wasteful_ios(),
             "e3" => e3_segment_tree(),
-            "e4" => e4_interval_tree(),
+            "e4" => within_pins &= e4_interval_tree(),
             "e5" => e5_basic_pst(),
             "e6" => e6_segmented_pst(),
             "e7" => e7_two_level_pst(),
@@ -213,7 +216,8 @@ fn e3_segment_tree() {
 // ---------------------------------------------------------------------------
 // E4: Theorem 3.5 — external interval tree bounds
 // ---------------------------------------------------------------------------
-fn e4_interval_tree() {
+/// Returns whether the pinned geometries stayed within [`INTERVAL_TREE_PINS`].
+fn e4_interval_tree() -> bool {
     println!("## E4 — Theorem 3.5: path-cached interval tree\n");
     println!("query O(log_B n + t/B); space O((n/B) log B) blocks\n");
     let mut table = Table::new(&[
@@ -243,6 +247,28 @@ fn e4_interval_tree() {
         ]);
     }
     table.print();
+
+    println!(
+        "pinned constants at n = 40 000: pages <= c·(n/B)·log2 B, \
+         every stab's reads <= c1·ceil(log_B n) + 2·ceil(t/B)\n"
+    );
+    let mut table = Table::new(&["avg t", "pages", "c", "c pin", "c1", "c1 pin"]);
+    let mut within_pins = true;
+    for (t_mean, c_pin, c1_pin) in INTERVAL_TREE_PINS {
+        let (pages, c, c1) = interval_tree_constants(t_mean);
+        if c > c_pin || c1 > c1_pin {
+            eprintln!(
+                "E4: at t ≈ {t_mean} the interval tree measures c = {c:.3}, c1 = {c1:.3}, \
+                 pinned at {c_pin} and {c1_pin} (tests/layout_bounds.rs)"
+            );
+            within_pins = false;
+        }
+        let mut row = vec![t_mean.to_string(), pages.to_string()];
+        row.extend([c, c_pin, c1, c1_pin].map(|v| format!("{v:.3}")));
+        table.row(row);
+    }
+    table.print();
+    within_pins
 }
 
 // ---------------------------------------------------------------------------

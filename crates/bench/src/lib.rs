@@ -2,8 +2,9 @@
 
 use std::fmt;
 
-use pc_pagestore::{Interval, Point};
-use pc_workloads::{RawInterval, RawPoint};
+use pc_intervaltree::ExternalIntervalTree;
+use pc_pagestore::{Interval, PageStore, Point};
+use pc_workloads::{gen_intervals, gen_stabbing, IntervalDist, RawInterval, RawPoint};
 
 /// Converts generator output to storage points.
 pub fn to_points(raw: &[RawPoint]) -> Vec<Point> {
@@ -22,6 +23,35 @@ pub fn to_intervals(raw: &[RawInterval]) -> Vec<Interval> {
 /// binary's E14 exits non-zero past it, so the §6 table and the gate move
 /// together.
 pub const TWO_LEVEL_SPACE_C: f64 = 2.15;
+
+/// The interval tree's pinned constants at 4 KiB pages (`B` = 170
+/// intervals): per mean stab output `t`, `(t, c, c1)` with `pages <=
+/// c·(n/B)·log₂B` and every stab's `reads <= c1·⌈log_B n⌉ + 2·⌈t/B⌉` over
+/// [`interval_tree_constants`]' data. Measured c 0.555 / 0.979 and c1
+/// 0.667 / 1.333; the pins are 10% above. `tests/layout_bounds.rs` asserts
+/// them and the `experiments` binary's E4 exits non-zero past them.
+pub const INTERVAL_TREE_PINS: [(i64, f64, f64); 2] = [(16, 0.611, 0.734), (500, 1.08, 1.467)];
+
+/// Builds the pinned geometry — 40 000 uniform-length intervals meeting a
+/// stab `t_mean` at a time, 4 KiB pages — and measures `(pages, c, c1)` as
+/// [`INTERVAL_TREE_PINS`] defines them, `c1` over 300 stabs.
+pub fn interval_tree_constants(t_mean: i64) -> (u64, f64, f64) {
+    let (n, b) = (40_000u64, 170u64);
+    let max_len = 2 * t_mean * pc_workloads::DOMAIN / n as i64;
+    let raw = gen_intervals(n as usize, IntervalDist::UniformLen { max_len }, 0x5eed);
+    let store = PageStore::in_memory(4096);
+    let tree = ExternalIntervalTree::build(&store, &to_intervals(&raw)).expect("in-memory build");
+    let levels = log_base(n as f64, b as f64).ceil();
+    let c1 = gen_stabbing(&raw, 300, 0xfeed)
+        .iter()
+        .map(|stab| {
+            let (hits, reads) = tree.stab_with_ios(&store, stab.q).expect("in-memory stab");
+            (reads as f64 - 2.0 * (hits.len() as u64).div_ceil(b) as f64) / levels
+        })
+        .fold(f64::MIN, f64::max);
+    let pages = store.live_pages();
+    (pages, pages as f64 / (n.div_ceil(b) as f64 * (b as f64).log2()), c1)
+}
 
 /// Simple fixed-width markdown table printer.
 pub struct Table {

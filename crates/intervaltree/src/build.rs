@@ -3,57 +3,41 @@
 //! ## On-page layout
 //!
 //! ```text
-//! page:            [count: u16][record * count]          (93-byte records)
+//! skeletal page:   [count: u16][record * count]          (64-byte records)
 //! internal record: [tag=0][boundary: i64]
 //!                  [left_page: u64][left_slot: u16]
 //!                  [right_page: u64][right_slot: u16]
-//!                  [L: BlockList][R: BlockList]
-//!                  [ancL: BlockList][ancR: BlockList]
-//! leaf record:     [tag=1][mini: SegTreeHandle (36 B)]
-//!                  [ancL: BlockList][ancR: BlockList][padding]
-//! flat leaf record: [tag=2][run: BlockList]
-//!                  [ancL: BlockList][ancR: BlockList][padding]
+//!                  [bundle: u64][L head: u64][R head: u64][padding]
+//! leaf record:     [tag=1][bundle: u64][padding]
+//! mini leaf record: [tag=2][bundle: u64][mini: SegTreeHandle (36 B)][padding]
 //! ```
 //!
-//! A leaf's run is *flat* — one block, read once and filtered — whenever
-//! its intervals fit in one block, which is every run of an input whose
-//! endpoints are mostly distinct. Only a run holding more than a block of
-//! intervals (many intervals sharing few endpoints) gets a mini segment
-//! tree. The choice is a property of the input, not a setting.
+//! A record is 64 bytes, so a page of `2^k` bytes holds `2^(k-6) − 1` of
+//! them — 63 at 4 KiB, 7 at 512 B — and BFS-fill makes every page one
+//! complete subtree of `k − 6` levels wherever the tree below its root is
+//! that deep. A node so has at most `k − 7` strict ancestors in its page
+//! (5 at 4 KiB), which bounds the sources of its bundle. Everything a node
+//! owns of at most a block hangs off that one exit bundle (see
+//! [`crate::bundle`]): the copies of its in-page ancestors' first blocks
+//! and its own intervals, a leaf's run included. More than a block of
+//! intervals is, at a boundary node, the two sorted lists `L` and `R`
+//! whose heads its record holds, and at a leaf (many intervals sharing
+//! few endpoints) a mini segment tree. Which it is follows from the
+//! input, not from a setting.
+
+use std::collections::VecDeque;
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Interval, PageId, PageStore, Record, Result, StoreError};
+use pc_pagestore::{Interval, PageId, PageStore, Record, Result, StoreError, NULL_PAGE};
 use pc_segtree::{CachedSegmentTree, SegTreeHandle};
 
-/// Byte size of one node record (internal layout dominates).
-pub const RECORD_LEN: usize = 1 + 8 + 10 + 10 + 16 + 16 + 16 + 16;
+use crate::bundle::{Bundle, CacheEntry};
+
+/// Byte size of one node record (a boundary node needs 53, a mini leaf 45).
+pub const RECORD_LEN: usize = 64;
 /// Byte offset of slot 0 within a page.
 pub const PAGE_HEADER: usize = 2;
-
-/// A cache entry: a copied interval tagged with the in-page slot of the
-/// ancestor list it was copied from, so queries can apply the continuation
-/// rule per source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheEntry {
-    /// The copied interval.
-    pub iv: Interval,
-    /// In-page slot of the source node.
-    pub src_slot: u16,
-}
-
-impl Record for CacheEntry {
-    const ENCODED_LEN: usize = Interval::ENCODED_LEN + 2;
-
-    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
-        self.iv.encode(w)?;
-        w.put_u16(self.src_slot)
-    }
-
-    fn decode(r: &mut PageReader<'_>) -> Result<Self> {
-        Ok(CacheEntry { iv: Interval::decode(r)?, src_slot: r.get_u16()? })
-    }
-}
 
 /// Reference to a node: `(page, slot)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +51,7 @@ pub struct NodeRef {
 /// A decoded node record.
 #[derive(Debug, Clone)]
 pub enum NodeRecord {
-    /// Boundary node with its interval lists and ancestor caches.
+    /// Boundary node.
     Internal {
         /// The boundary value this node owns.
         boundary: i64,
@@ -75,35 +59,20 @@ pub enum NodeRecord {
         left: NodeRef,
         /// Right child.
         right: NodeRef,
-        /// Node intervals sorted ascending by `lo`.
-        l_list: BlockList<Interval>,
-        /// Node intervals sorted descending by `hi`.
-        r_list: BlockList<Interval>,
-        /// Cache over in-page left-direction strict ancestors.
-        anc_l: BlockList<CacheEntry>,
-        /// Cache over in-page right-direction strict ancestors.
-        anc_r: BlockList<CacheEntry>,
+        /// The node's exit bundle (null when it has nothing to report).
+        bundle: PageId,
+        /// Heads of the node's own `L` and `R` when it holds more than a
+        /// block of intervals (null otherwise: they lie in the bundle).
+        lists: [PageId; 2],
     },
     /// Endpoint-run leaf.
     Leaf {
-        /// The intervals confined to this run.
-        run: LeafRun,
-        /// Cache over in-page left-direction strict ancestors.
-        anc_l: BlockList<CacheEntry>,
-        /// Cache over in-page right-direction strict ancestors.
-        anc_r: BlockList<CacheEntry>,
+        /// Index of a run of more than one block of intervals (over at
+        /// most `B` endpoints); a shorter run lies flat in the bundle.
+        mini: Option<SegTreeHandle>,
+        /// The leaf's exit bundle.
+        bundle: PageId,
     },
-}
-
-/// How a leaf stores the intervals confined to its endpoint run.
-#[derive(Debug, Clone, Copy)]
-pub enum LeafRun {
-    /// At most one block of intervals (possibly none), in input order: a
-    /// stab reads the block once and filters it.
-    Flat(BlockList<Interval>),
-    /// More than one block of intervals over at most `B` endpoints,
-    /// indexed by a mini segment tree.
-    Mini(SegTreeHandle),
 }
 
 /// Number of records per skeletal page.
@@ -122,20 +91,13 @@ pub fn decode_record(page: &[u8], slot: u16) -> Result<NodeRecord> {
             boundary: r.get_i64()?,
             left: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
             right: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
-            l_list: BlockList::decode(&mut r)?,
-            r_list: BlockList::decode(&mut r)?,
-            anc_l: BlockList::decode(&mut r)?,
-            anc_r: BlockList::decode(&mut r)?,
+            bundle: PageId(r.get_u64()?),
+            lists: [PageId(r.get_u64()?), PageId(r.get_u64()?)],
         }),
-        1 => Ok(NodeRecord::Leaf {
-            run: LeafRun::Mini(SegTreeHandle::decode(&mut r)?),
-            anc_l: BlockList::decode(&mut r)?,
-            anc_r: BlockList::decode(&mut r)?,
-        }),
+        1 => Ok(NodeRecord::Leaf { mini: None, bundle: PageId(r.get_u64()?) }),
         2 => Ok(NodeRecord::Leaf {
-            run: LeafRun::Flat(BlockList::decode(&mut r)?),
-            anc_l: BlockList::decode(&mut r)?,
-            anc_r: BlockList::decode(&mut r)?,
+            bundle: PageId(r.get_u64()?),
+            mini: Some(SegTreeHandle::decode(&mut r)?),
         }),
         tag => Err(StoreError::Corrupt(format!("unknown interval-tree node tag {tag}"))),
     }
@@ -145,31 +107,23 @@ pub fn decode_record(page: &[u8], slot: u16) -> Result<NodeRecord> {
 pub fn encode_record(w: &mut PageWriter<'_>, rec: &NodeRecord) -> Result<()> {
     let start = w.position();
     match rec {
-        NodeRecord::Internal { boundary, left, right, l_list, r_list, anc_l, anc_r } => {
+        NodeRecord::Internal { boundary, left, right, bundle, lists } => {
             w.put_u8(0)?;
             w.put_i64(*boundary)?;
             for child in [left, right] {
                 w.put_u64(child.page.0)?;
                 w.put_u16(child.slot)?;
             }
-            l_list.encode(w)?;
-            r_list.encode(w)?;
-            anc_l.encode(w)?;
-            anc_r.encode(w)?;
-        }
-        NodeRecord::Leaf { run, anc_l, anc_r } => {
-            match run {
-                LeafRun::Mini(mini) => {
-                    w.put_u8(1)?;
-                    mini.encode(w)?;
-                }
-                LeafRun::Flat(list) => {
-                    w.put_u8(2)?;
-                    list.encode(w)?;
-                }
+            for page in [bundle, &lists[0], &lists[1]] {
+                w.put_u64(page.0)?;
             }
-            anc_l.encode(w)?;
-            anc_r.encode(w)?;
+        }
+        NodeRecord::Leaf { mini, bundle } => {
+            w.put_u8(1 + u8::from(mini.is_some()))?;
+            w.put_u64(bundle.0)?;
+            if let Some(mini) = mini {
+                mini.encode(w)?;
+            }
         }
     }
     w.skip(RECORD_LEN - (w.position() - start))
@@ -179,33 +133,23 @@ pub fn encode_record(w: &mut PageWriter<'_>, rec: &NodeRecord) -> Result<()> {
 // In-memory construction
 // ---------------------------------------------------------------------------
 
-enum MemNode {
-    Internal { boundary: i64, left: usize, right: usize, items: Vec<Interval> },
-    Leaf { items: Vec<Interval> },
+/// A node of the boundary BST: `split` is `(boundary, left, right)`, none
+/// for an endpoint-run leaf.
+struct MemNode {
+    split: Option<(i64, usize, usize)>,
+    items: Vec<Interval>,
 }
-
-const NONE: usize = usize::MAX;
 
 /// Builds the boundary BST over runs `[rlo, rhi]`; `boundaries[i]`
 /// separates run `i` from run `i + 1`.
 fn build_bst(nodes: &mut Vec<MemNode>, boundaries: &[i64], rlo: usize, rhi: usize) -> usize {
     let idx = nodes.len();
-    if rlo == rhi {
-        nodes.push(MemNode::Leaf { items: Vec::new() });
-        return idx;
-    }
-    let mid = (rlo + rhi) / 2;
-    nodes.push(MemNode::Internal {
-        boundary: boundaries[mid],
-        left: NONE,
-        right: NONE,
-        items: Vec::new(),
-    });
-    let left = build_bst(nodes, boundaries, rlo, mid);
-    let right = build_bst(nodes, boundaries, mid + 1, rhi);
-    if let MemNode::Internal { left: l, right: r, .. } = &mut nodes[idx] {
-        *l = left;
-        *r = right;
+    nodes.push(MemNode { split: None, items: Vec::new() });
+    if rlo < rhi {
+        let mid = (rlo + rhi) / 2;
+        let left = build_bst(nodes, boundaries, rlo, mid);
+        let right = build_bst(nodes, boundaries, mid + 1, rhi);
+        nodes[idx].split = Some((boundaries[mid], left, right));
     }
     idx
 }
@@ -220,7 +164,8 @@ impl ExternalIntervalTree {
     /// Builds the tree over `intervals` in `store`.
     pub fn build(store: &PageStore, intervals: &[Interval]) -> Result<Self> {
         let page_size = store.page_size();
-        let run_len = BlockList::<Interval>::capacity(page_size); // Θ(B) endpoints per run
+        // Θ(B): endpoints per run, intervals per block.
+        let block = BlockList::<Interval>::capacity(page_size);
 
         // Distinct endpoints → runs → boundaries.
         let mut endpoints: Vec<i64> = Vec::with_capacity(intervals.len() * 2);
@@ -230,10 +175,10 @@ impl ExternalIntervalTree {
         }
         endpoints.sort_unstable();
         endpoints.dedup();
-        let num_runs = endpoints.len().div_ceil(run_len).max(1);
+        let num_runs = endpoints.len().div_ceil(block).max(1);
         // boundaries[i] = first endpoint of run i + 1
         let boundaries: Vec<i64> =
-            (1..num_runs).map(|i| endpoints[i * run_len]).collect();
+            (1..num_runs).map(|i| endpoints[i * block]).collect();
 
         // Boundary BST with runs as leaves.
         let mut nodes = Vec::with_capacity(2 * num_runs);
@@ -243,24 +188,16 @@ impl ExternalIntervalTree {
         // contains; boundary-free intervals sink to their run's leaf.
         for iv in intervals {
             let mut cur = 0usize;
-            loop {
-                match &mut nodes[cur] {
-                    MemNode::Internal { boundary, left, right, items } => {
-                        if iv.hi < *boundary {
-                            cur = *left;
-                        } else if iv.lo > *boundary {
-                            cur = *right;
-                        } else {
-                            items.push(*iv);
-                            break;
-                        }
-                    }
-                    MemNode::Leaf { items } => {
-                        items.push(*iv);
-                        break;
-                    }
+            while let Some((boundary, left, right)) = nodes[cur].split {
+                if iv.hi < boundary {
+                    cur = left;
+                } else if iv.lo > boundary {
+                    cur = right;
+                } else {
+                    break;
                 }
             }
+            nodes[cur].items.push(*iv);
         }
 
         // Paginate: BFS-fill to record capacity (see pc-pst's paginate for
@@ -268,13 +205,11 @@ impl ExternalIntervalTree {
         let cap = page_capacity(page_size);
         let mut node_loc: Vec<(usize, u16)> = vec![(usize::MAX, 0); nodes.len()];
         let mut pages: Vec<Vec<usize>> = Vec::new();
-        let mut page_roots = std::collections::VecDeque::new();
-        page_roots.push_back(0usize);
+        let mut page_roots = VecDeque::from([0usize]);
         while let Some(root) = page_roots.pop_front() {
             let page_idx = pages.len();
             let mut members = Vec::new();
-            let mut queue = std::collections::VecDeque::new();
-            queue.push_back(root);
+            let mut queue = VecDeque::from([root]);
             while let Some(ni) = queue.pop_front() {
                 if members.len() == cap {
                     page_roots.push_back(ni);
@@ -282,9 +217,8 @@ impl ExternalIntervalTree {
                 }
                 node_loc[ni] = (page_idx, members.len() as u16);
                 members.push(ni);
-                if let MemNode::Internal { left, right, .. } = &nodes[ni] {
-                    queue.push_back(*left);
-                    queue.push_back(*right);
+                if let Some((_, left, right)) = nodes[ni].split {
+                    queue.extend([left, right]);
                 }
             }
             pages.push(members);
@@ -292,128 +226,94 @@ impl ExternalIntervalTree {
         let page_ids: Vec<PageId> =
             pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
 
-        // Materialize per-node sorted lists and per-leaf runs.
-        let cap = run_len; // BlockList::<Interval>::capacity == run_len
-        let mut l_sorted: Vec<Vec<Interval>> = Vec::with_capacity(nodes.len());
-        let mut r_sorted: Vec<Vec<Interval>> = Vec::with_capacity(nodes.len());
-        let mut runs: Vec<Option<LeafRun>> = Vec::with_capacity(nodes.len());
-        for node in &nodes {
-            match node {
-                MemNode::Internal { items, .. } => {
-                    let mut l = items.clone();
-                    l.sort_unstable_by_key(|iv| (iv.lo, iv.hi, iv.id));
-                    let mut r = items.clone();
-                    r.sort_unstable_by_key(|iv| (std::cmp::Reverse(iv.hi), iv.lo, iv.id));
-                    l_sorted.push(l);
-                    r_sorted.push(r);
-                    runs.push(None);
-                }
-                MemNode::Leaf { items } => {
-                    // Below a block's worth of intervals a flat scan beats
-                    // any tree: one read instead of the mini tree's four.
-                    let run = if items.len() <= cap {
-                        LeafRun::Flat(BlockList::build(store, items)?)
-                    } else {
-                        LeafRun::Mini(CachedSegmentTree::build(store, items)?.handle())
-                    };
-                    l_sorted.push(Vec::new());
-                    r_sorted.push(Vec::new());
-                    runs.push(Some(run));
+        // Per boundary node: its intervals as `[L, R]` and, when they are
+        // more than a block, the two lists themselves: the heads go into
+        // its record, the second blocks are where the copies in its
+        // descendants' bundles continue.
+        let mut sorted: Vec<[Vec<Interval>; 2]> = Vec::with_capacity(nodes.len());
+        let mut heads = vec![[NULL_PAGE; 2]; nodes.len()];
+        let mut conts = vec![[NULL_PAGE; 2]; nodes.len()];
+        for (ni, node) in nodes.iter().enumerate() {
+            let items = if node.split.is_some() { &node.items[..] } else { &[] };
+            let (mut l, mut r) = (items.to_vec(), items.to_vec());
+            l.sort_unstable_by_key(|iv| (iv.lo, iv.hi, iv.id));
+            r.sort_unstable_by_key(|iv| (std::cmp::Reverse(iv.hi), iv.lo, iv.id));
+            if l.len() > block {
+                for (side, list) in [&l, &r].into_iter().enumerate() {
+                    let head = BlockList::build(store, list)?.head();
+                    heads[ni][side] = head;
+                    conts[ni][side] = BlockList::<Interval>::read_block(store, head)?.1;
                 }
             }
+            sorted.push([l, r]);
         }
 
-        // Write interval lists.
-        let mut l_lists: Vec<BlockList<Interval>> = Vec::with_capacity(nodes.len());
-        let mut r_lists: Vec<BlockList<Interval>> = Vec::with_capacity(nodes.len());
-        for i in 0..nodes.len() {
-            l_lists.push(BlockList::build(store, &l_sorted[i])?);
-            r_lists.push(BlockList::build(store, &r_sorted[i])?);
-        }
-
-        // Ancestor caches per node: merge first blocks of in-page strict
-        // ancestors, split by direction.
-        let mut anc_l: Vec<BlockList<CacheEntry>> = vec![BlockList::empty(); nodes.len()];
-        let mut anc_r: Vec<BlockList<CacheEntry>> = vec![BlockList::empty(); nodes.len()];
-        // DFS carrying the in-page ancestor stack: (node idx, direction
-        // taken when descending *from* it: false = left, true = right).
-        struct Frame {
-            node: usize,
-            // in-page ancestor chain as (arena idx, direction to current)
-            chain: Vec<(usize, bool)>,
-        }
-        let mut stack = vec![Frame { node: 0, chain: Vec::new() }];
-        while let Some(Frame { node, chain }) = stack.pop() {
-            // Build this node's caches from `chain`.
-            let mut lefts: Vec<CacheEntry> = Vec::new();
-            let mut rights: Vec<CacheEntry> = Vec::new();
-            for &(anc, dir) in &chain {
-                let src_slot = node_loc[anc].1;
-                if !dir {
-                    // Path goes left at `anc`: queries reaching this node
-                    // have q < boundary(anc); they scan L(anc).
-                    for iv in l_sorted[anc].iter().take(cap) {
-                        lefts.push(CacheEntry { iv: *iv, src_slot });
-                    }
-                } else {
-                    for iv in r_sorted[anc].iter().take(cap) {
-                        rights.push(CacheEntry { iv: *iv, src_slot });
-                    }
-                }
-            }
-            lefts.sort_unstable_by_key(|e| (e.iv.lo, e.iv.hi, e.iv.id));
-            rights.sort_unstable_by_key(|e| (std::cmp::Reverse(e.iv.hi), e.iv.lo, e.iv.id));
-            anc_l[node] = BlockList::build(store, &lefts)?;
-            anc_r[node] = BlockList::build(store, &rights)?;
-
-            if let MemNode::Internal { left, right, .. } = &nodes[node] {
-                // Children in the same page extend the chain; children in a
-                // new page start fresh (caches are per-page segments).
-                for (child, dir) in [(*left, false), (*right, true)] {
-                    let chain = if node_loc[child].0 == node_loc[node].0 {
-                        let mut c = chain.clone();
-                        c.push((node, dir));
-                        c
-                    } else {
-                        Vec::new()
-                    };
-                    stack.push(Frame { node: child, chain });
-                }
-            }
-        }
-
-        // Serialize pages.
+        // One bundle and record per node. DFS carrying the in-page strict
+        // ancestors as (arena idx, whether the path turns right there):
+        // children in the same page extend the chain, children in a new
+        // page start afresh (bundles are per-page segments).
         let node_ref = |ni: usize| {
             let (p, slot) = node_loc[ni];
             NodeRef { page: page_ids[p], slot }
         };
+        let mut records: Vec<Option<NodeRecord>> = vec![None; nodes.len()];
+        let mut stack = vec![(0usize, Vec::<(usize, bool)>::new())];
+        while let Some((node, chain)) = stack.pop() {
+            let mut table = Vec::new();
+            let mut anc = [Vec::new(), Vec::new()];
+            for &(a, turns_right) in &chain {
+                // Queries that turn left at `a` have q < boundary(a) and
+                // report a prefix of L(a); the others one of R(a).
+                let side = usize::from(turns_right);
+                if sorted[a][side].is_empty() {
+                    continue;
+                }
+                let src = table.len() as u8;
+                let copies = sorted[a][side].iter().take(block);
+                anc[side].extend(copies.map(|&iv| CacheEntry { iv, src }));
+                table.push(conts[a][side]);
+            }
+            anc[0].sort_unstable_by_key(|e| (e.iv.lo, e.iv.hi, e.iv.id));
+            anc[1].sort_unstable_by_key(|e| (std::cmp::Reverse(e.iv.hi), e.iv.lo, e.iv.id));
+            // A block's worth of intervals lies flat in the bundle, to be
+            // filtered: no read beyond the bundle's. More of them are a
+            // boundary node's two lists, or a leaf's mini tree.
+            let MemNode { split, items } = &nodes[node];
+            let own = if items.len() <= block { &items[..] } else { &[] };
+            let bundle = Bundle::write(store, table, anc, own)?;
+            records[node] = Some(match *split {
+                None => {
+                    let mini = (items.len() > block).then(|| CachedSegmentTree::build(store, items));
+                    NodeRecord::Leaf { mini: mini.transpose()?.map(|tree| tree.handle()), bundle }
+                }
+                Some((boundary, left, right)) => {
+                    for (child, turns_right) in [(left, false), (right, true)] {
+                        let mut below = Vec::new();
+                        if node_loc[child].0 == node_loc[node].0 {
+                            below.clone_from(&chain);
+                            below.push((node, turns_right));
+                        }
+                        stack.push((child, below));
+                    }
+                    let (left, right, lists) = (node_ref(left), node_ref(right), heads[node]);
+                    NodeRecord::Internal { boundary, left, right, bundle, lists }
+                }
+            });
+        }
+
+        // Serialize pages.
         let mut buf = vec![0u8; page_size];
-        for (page_idx, members) in pages.iter().enumerate() {
+        for (members, page_id) in pages.iter().zip(&page_ids) {
             let used = {
                 let mut w = PageWriter::new(&mut buf);
                 w.put_u16(members.len() as u16)?;
                 for &ni in members {
-                    let rec = match &nodes[ni] {
-                        MemNode::Internal { boundary, left, right, .. } => NodeRecord::Internal {
-                            boundary: *boundary,
-                            left: node_ref(*left),
-                            right: node_ref(*right),
-                            l_list: l_lists[ni],
-                            r_list: r_lists[ni],
-                            anc_l: anc_l[ni],
-                            anc_r: anc_r[ni],
-                        },
-                        MemNode::Leaf { .. } => NodeRecord::Leaf {
-                            run: runs[ni].expect("leaf has a run"),
-                            anc_l: anc_l[ni],
-                            anc_r: anc_r[ni],
-                        },
-                    };
-                    encode_record(&mut w, &rec)?;
+                    let rec = records[ni].as_ref().expect("the DFS visits every node");
+                    encode_record(&mut w, rec)?;
                 }
                 w.position()
             };
-            store.write(page_ids[page_idx], &buf[..used])?;
+            store.write(*page_id, &buf[..used])?;
         }
 
         Ok(ExternalIntervalTree { root_page: page_ids[0], n: intervals.len() as u64 })
@@ -443,8 +343,8 @@ pub(crate) fn leaf_kinds(tree: &ExternalIntervalTree, store: &PageStore) -> (usi
                 NodeRecord::Internal { left, right, .. } => {
                     stack.extend([left, right].iter().filter(|c| c.page != pid).map(|c| c.page));
                 }
-                NodeRecord::Leaf { run: LeafRun::Flat(_), .. } => flat += 1,
-                NodeRecord::Leaf { run: LeafRun::Mini(_), .. } => mini += 1,
+                NodeRecord::Leaf { mini: None, .. } => flat += 1,
+                NodeRecord::Leaf { mini: Some(_), .. } => mini += 1,
             }
         }
     }
@@ -457,19 +357,14 @@ mod tests {
 
     #[test]
     fn record_geometry() {
-        assert_eq!(RECORD_LEN, 93);
-        assert_eq!(page_capacity(512), 5);
-        assert_eq!(page_capacity(4096), 44);
-    }
-
-    #[test]
-    fn cache_entry_roundtrip() {
-        let mut buf = vec![0u8; CacheEntry::ENCODED_LEN];
-        let e = CacheEntry { iv: Interval::new(-3, 9, 77), src_slot: 12 };
-        let mut w = PageWriter::new(&mut buf);
-        e.encode(&mut w).unwrap();
-        let mut r = PageReader::new(&buf);
-        assert_eq!(CacheEntry::decode(&mut r).unwrap(), e);
+        // One complete subtree per page: 3, 6 and 9 levels' worth.
+        assert_eq!([512, 4096, 32768].map(page_capacity), [7, 63, 511]);
+        // The largest record, a mini leaf, round-trips in its 64 bytes.
+        let mut buf = vec![0u8; PAGE_HEADER + RECORD_LEN];
+        let mini = SegTreeHandle::decode(&mut PageReader::new(&[7u8; 36])).unwrap();
+        let rec = NodeRecord::Leaf { mini: Some(mini), bundle: PageId(5) };
+        encode_record(&mut PageWriter::new(&mut buf[PAGE_HEADER..]), &rec).unwrap();
+        assert_eq!(format!("{:?}", decode_record(&buf, 0).unwrap()), format!("{rec:?}"));
     }
 
     #[test]

@@ -19,27 +19,28 @@
 //!   tree has `O(n/B)` nodes and `O(log(n/B))` depth. Intervals that cross
 //!   no boundary fall entirely inside one run and are stored at its leaf.
 //!   **A run is a block when it fits in one:** up to `B` such intervals
-//!   are written as a single block that a stab reads once and filters —
-//!   below a block's worth of keys a flat scan beats any tree, and this is
-//!   every run of an input whose endpoints are mostly distinct. Only a run
+//!   lie flat in the leaf's bundle, read once and filtered — below a
+//!   block's worth of keys a flat scan beats any tree, and this is every
+//!   run of an input whose endpoints are mostly distinct. Only a run
 //!   holding more than a block of intervals (many intervals sharing few
 //!   endpoints) is indexed by a per-run [`pc_segtree::CachedSegmentTree`]
-//!   over its at most `B` endpoints — a structure of depth `O(log B)` that
-//!   fits `O(1)` skeletal pages, so querying it costs `O(1 + t_leaf/B)`
-//!   I/Os. Which of the two a leaf gets is decided by the number of
-//!   intervals it holds, nothing else.
-//! * **Skeletal paging.** The boundary BST is blocked into pages of height
-//!   `h ≈ log B` (Figure 2), giving `O(log_B n)` navigation.
-//! * **Path caches (the `log B`-segment trick of Thm 3.2).** Every node `v`
-//!   carries two caches built from its strict ancestors *within its own
-//!   skeletal page*: `ancL` merges the first blocks of `L(a)` for ancestors
-//!   `a` whose path to `v` goes left (sorted ascending by `lo`), `ancR`
-//!   symmetrically. Each cache entry is tagged with its source slot so the
-//!   query can detect "the whole first block qualified" and continue into
-//!   the source list from its second block — the analogue of the X-list
-//!   continuation rule of §4.1. A query therefore reads, per page on the
-//!   path: two caches plus the exit node's own list, each at most one
-//!   wasteful I/O, all continuations paid for by full blocks.
+//!   over its at most `B` endpoints — depth `O(log B)`, `O(1)` skeletal
+//!   pages, `O(1 + t_leaf/B)` I/Os. Which of the two a leaf gets is decided
+//!   by the number of intervals it holds, nothing else.
+//! * **Skeletal paging.** The boundary BST is blocked into pages of 64-byte
+//!   records (Figure 2): 63 to a 4 KiB page, one complete six-level
+//!   subtree, giving `O(log_B n)` navigation.
+//! * **Path caches, themselves path-cached.** As in Thm 3.2's `log B`
+//!   segments, every node `v` carries copies of the first blocks of its
+//!   strict ancestors' lists *within its own skeletal page* — `L(a)` where
+//!   the path to `v` turns left at `a`, `R(a)` where it turns right. Those
+//!   copies and `v`'s own intervals are again sub-block lists read
+//!   together, so they share **one exit bundle per node** (`bundle.rs`),
+//!   read once where the path leaves the page, at a leaf or on a
+//!   `q == boundary` hit (a node holding more than a block keeps `L` and
+//!   `R` as lists, their heads in its record). Its table says where each source list goes on:
+//!   when a whole first block qualified the query continues at the second
+//!   block directly — the X-list continuation rule of §4.1.
 //!
 //! Totals: `O(log_B n + t/B)` query I/Os and `O((n/B)·log B)` disk blocks —
 //! the Theorem 3.5 bounds.
@@ -56,6 +57,7 @@
 //! ```
 
 mod build;
+mod bundle;
 mod query;
 mod repack;
 

@@ -1,12 +1,12 @@
 //! Stabbing queries over the external interval tree.
 
-use std::collections::HashMap;
-
+use pc_pagestore::codec::PageReader;
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Interval, PageStore, Result};
+use pc_pagestore::{Interval, PageId, PageStore, Record, Result};
 use pc_segtree::CachedSegmentTree;
 
-use crate::build::{decode_record, CacheEntry, ExternalIntervalTree, LeafRun, NodeRecord};
+use crate::build::{decode_record, ExternalIntervalTree, NodeRecord};
+use crate::bundle::{Bundle, CacheEntry};
 
 impl ExternalIntervalTree {
     /// Stabbing query: every interval containing `q`, in `O(log_B n + t/B)`
@@ -20,8 +20,7 @@ impl ExternalIntervalTree {
     pub fn stab_with_ios(&self, store: &PageStore, q: i64) -> Result<(Vec<Interval>, u64)> {
         let _span = pc_obs::span!("ivtree_stab");
         let before = store.stats();
-        let cap_iv = BlockList::<Interval>::capacity(store.page_size());
-        pc_obs::set_block_capacity(cap_iv as u64);
+        pc_obs::set_block_capacity(BlockList::<Interval>::capacity(store.page_size()) as u64);
         let mut results = Vec::new();
 
         let mut cur_page = self.root_page;
@@ -31,61 +30,38 @@ impl ExternalIntervalTree {
             store.read(cur_page)?
         };
         let mut slot = 0u16;
-        // In-page strict ancestors of the current node, keyed by slot.
-        let mut inpage: HashMap<u16, (BlockList<Interval>, BlockList<Interval>)> =
-            HashMap::new();
         loop {
             match decode_record(&page, slot)? {
-                NodeRecord::Internal { boundary, left, right, l_list, r_list, anc_l, anc_r } => {
-                    if q == boundary {
-                        // Every interval at this node contains q; nothing
-                        // below this node can (left subtree: hi < q; right
-                        // subtree: lo > q).
-                        self.drain_caches(store, q, cap_iv, &anc_l, &anc_r, &inpage, &mut results)?;
-                        let _scan = pc_obs::span!(output: "cover_list");
-                        for block in l_list.blocks(store) {
-                            let block = block?;
-                            pc_obs::add_items(block.len() as u64);
-                            results.extend(block);
-                        }
-                        break;
-                    }
-                    let goes_left = q < boundary;
-                    let next = if goes_left { left } else { right };
-                    if next.page == cur_page {
-                        // Mid-segment node: its lists will be served by a
-                        // descendant's ancestor caches.
-                        inpage.insert(slot, (l_list, r_list));
+                NodeRecord::Internal { boundary, left, right, bundle, lists } => {
+                    let next = if q < boundary { left } else { right };
+                    if q != boundary && next.page == cur_page {
+                        // Mid-segment node: its lists are served by the
+                        // bundle of the node the path leaves the page at.
                         slot = next.slot;
                         continue;
                     }
-                    // Page exit: settle this page's contributions.
-                    self.drain_caches(store, q, cap_iv, &anc_l, &anc_r, &inpage, &mut results)?;
-                    if goes_left {
-                        scan_prefix(store, &l_list, 0, |iv| iv.lo <= q, &mut results)?;
-                    } else {
-                        scan_prefix(store, &r_list, 0, |iv| iv.hi >= q, &mut results)?;
+                    // Page exit or boundary hit: settle this page's
+                    // contributions. On a hit every interval of this node
+                    // contains q, as `lo <= q` finds, and nothing below
+                    // can (left subtree: hi < q; right subtree: lo > q).
+                    drain_bundle(store, q, bundle, &mut results)?;
+                    let side = usize::from(q > boundary);
+                    if !lists[side].is_null() {
+                        scan_list(store, lists[side], side, q, &mut results)?;
                     }
-                    inpage.clear();
+                    if q == boundary {
+                        break;
+                    }
                     cur_page = next.page;
                     skeletal_depth += 1;
                     let _lvl = pc_obs::span!("level", skeletal_depth);
                     page = store.read(cur_page)?;
                     slot = next.slot;
                 }
-                NodeRecord::Leaf { run, anc_l, anc_r } => {
-                    self.drain_caches(store, q, cap_iv, &anc_l, &anc_r, &inpage, &mut results)?;
-                    match run {
-                        LeafRun::Flat(list) => {
-                            let _scan = pc_obs::span!(output: "run_block");
-                            let before = results.len();
-                            let block = list.read_first_block(store)?;
-                            results.extend(block.into_iter().filter(|iv| iv.contains(q)));
-                            pc_obs::add_items((results.len() - before) as u64);
-                        }
-                        LeafRun::Mini(mini) => {
-                            results.extend(CachedSegmentTree::from_handle(mini).stab(store, q)?);
-                        }
+                NodeRecord::Leaf { mini, bundle } => {
+                    drain_bundle(store, q, bundle, &mut results)?;
+                    if let Some(mini) = mini {
+                        results.extend(CachedSegmentTree::from_handle(mini).stab(store, q)?);
                     }
                     break;
                 }
@@ -93,100 +69,114 @@ impl ExternalIntervalTree {
         }
         Ok((results, (store.stats() - before).logical_reads()))
     }
+}
 
-    /// Reads both ancestor caches of an exit node, applying the §4.1
-    /// continuation rule: when every copied entry of a source list
-    /// qualified, keep reading that source from its second block.
-    ///
-    /// The continuation re-reads the source's first block to reach its
-    /// successor (one extra I/O), which is paid for by the full block of
-    /// results that triggered the continuation.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_caches(
-        &self,
-        store: &PageStore,
-        q: i64,
-        cap_iv: usize,
-        anc_l: &BlockList<CacheEntry>,
-        anc_r: &BlockList<CacheEntry>,
-        inpage: &HashMap<u16, (BlockList<Interval>, BlockList<Interval>)>,
-        results: &mut Vec<Interval>,
-    ) -> Result<()> {
-        for (cache, is_left) in [(anc_l, true), (anc_r, false)] {
-            let mut qualified: HashMap<u16, usize> = HashMap::new();
-            {
-                let _probe = pc_obs::span!("path_cache_probe");
-                pc_obs::set_block_capacity(BlockList::<CacheEntry>::capacity(store.page_size()) as u64);
-                let before = results.len();
-                'outer: for block in cache.blocks(store) {
-                    for e in block? {
-                        let ok = if is_left { e.iv.lo <= q } else { e.iv.hi >= q };
-                        if !ok {
-                            break 'outer;
-                        }
-                        results.push(e.iv);
-                        *qualified.entry(e.src_slot).or_insert(0) += 1;
-                    }
-                }
-                pc_obs::add_items((results.len() - before) as u64);
-            }
-            for (src_slot, count) in qualified {
-                let (l, r) = inpage
-                    .get(&src_slot)
-                    .expect("cache source must be an in-page ancestor");
-                let list = if is_left { l } else { r };
-                let copied = (list.len() as usize).min(cap_iv);
-                if count == copied && list.len() as usize > copied {
-                    if is_left {
-                        scan_prefix(store, list, 1, |iv| iv.lo <= q, results)?;
-                    } else {
-                        scan_prefix(store, list, 1, |iv| iv.hi >= q, results)?;
-                    }
-                }
-            }
-        }
-        Ok(())
+/// Whether an interval of an `L` list (`side` 0, ascending `lo`) or an `R`
+/// list (`side` 1, descending `hi`) still contains `q`; once one does not,
+/// none after it does.
+fn qualifies(side: usize, q: i64, iv: &Interval) -> bool {
+    if side == 0 {
+        iv.lo <= q
+    } else {
+        iv.hi >= q
     }
 }
 
-/// Extends `results` with the maximal qualifying prefix of `list`,
-/// starting at block `skip_blocks`; stops reading at the first
-/// non-qualifying entry.
-fn scan_prefix(
+/// Reads an exit node's bundle and reports from its sections: the
+/// qualifying prefix of each merged ancestor section, then — the §4.1
+/// continuation rule — every source list whose whole first block
+/// qualified, from its second block on, and the node's own intervals.
+fn drain_bundle(
     store: &PageStore,
-    list: &BlockList<Interval>,
-    skip_blocks: usize,
-    pred: impl Fn(&Interval) -> bool,
+    q: i64,
+    bundle: PageId,
+    results: &mut Vec<Interval>,
+) -> Result<()> {
+    if bundle.is_null() {
+        return Ok(());
+    }
+    let page_size = store.page_size();
+    let block = BlockList::<Interval>::capacity(page_size);
+    // One probe per bundle: the page, both ancestor sections, their tails.
+    let probe = pc_obs::span!("path_cache_probe");
+    pc_obs::set_block_capacity(BlockList::<CacheEntry>::capacity(page_size) as u64);
+    let page = store.read(bundle)?;
+    let Bundle { conts, chains: [rest_l, rest_r, own_rest], sections: [anc_l, anc_r, own] } =
+        Bundle::decode(&page)?;
+    let mut continued = Vec::new();
+    for (side, (head, rest)) in [(anc_l, rest_l), (anc_r, rest_r)].into_iter().enumerate() {
+        let mut qualified = vec![0usize; conts.len()];
+        let before = results.len();
+        scan(store, head, rest, |e: CacheEntry| {
+            qualifies(side, q, &e.iv) && {
+                results.push(e.iv);
+                qualified[e.src as usize] += 1;
+                true
+            }
+        })?;
+        pc_obs::add_items((results.len() - before) as u64);
+        let whole = conts.iter().zip(qualified).filter(|(c, n)| *n == block && !c.is_null());
+        continued.extend(whole.map(|(cont, _)| (*cont, side)));
+    }
+    drop(probe);
+    for (cont, side) in continued {
+        scan_list(store, cont, side, q, results)?;
+    }
+    // At most a block, on the page or in `own_rest`, in no useful order.
+    let _scan = pc_obs::span!(output: "run_block");
+    let before = results.len();
+    scan(store, own, own_rest, |iv: Interval| {
+        if iv.contains(q) {
+            results.push(iv);
+        }
+        true
+    })?;
+    pc_obs::add_items((results.len() - before) as u64);
+    Ok(())
+}
+
+/// Extends `results` with the maximal qualifying prefix of the `side` list
+/// whose chain starts at `page`.
+fn scan_list(
+    store: &PageStore,
+    page: PageId,
+    side: usize,
+    q: i64,
     results: &mut Vec<Interval>,
 ) -> Result<()> {
     let _span = pc_obs::span!(output: "list_scan");
-    pc_obs::set_block_capacity(BlockList::<Interval>::capacity(store.page_size()) as u64);
     let before = results.len();
-    let r = scan_prefix_inner(store, list, skip_blocks, pred, results);
+    let r = scan(store, &[], page, |iv: Interval| {
+        qualifies(side, q, &iv) && {
+            results.push(iv);
+            true
+        }
+    });
     pc_obs::add_items((results.len() - before) as u64);
     r
 }
 
-fn scan_prefix_inner(
+/// Hands `visit` the records encoded in `head`, then those of the chain
+/// starting at `next` block by block, and stops decoding and reading when
+/// it declines one.
+fn scan<R: Record>(
     store: &PageStore,
-    list: &BlockList<Interval>,
-    skip_blocks: usize,
-    pred: impl Fn(&Interval) -> bool,
-    results: &mut Vec<Interval>,
+    head: &[u8],
+    mut next: PageId,
+    mut visit: impl FnMut(R) -> bool,
 ) -> Result<()> {
-    let mut blocks = list.blocks(store);
-    for _ in 0..skip_blocks {
-        if blocks.next().transpose()?.is_none() {
+    let mut r = PageReader::new(head);
+    while r.remaining() > 0 {
+        if !visit(R::decode(&mut r)?) {
             return Ok(());
         }
     }
-    for block in blocks {
-        for iv in block? {
-            if !pred(&iv) {
-                return Ok(());
-            }
-            results.push(iv);
+    while !next.is_null() {
+        let (block, after) = BlockList::<R>::read_block(store, next)?;
+        if !block.into_iter().all(&mut visit) {
+            return Ok(());
         }
+        next = after;
     }
     Ok(())
 }
@@ -315,7 +305,7 @@ mod tests {
             let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
             assert_eq!(crate::build::leaf_kinds(&tree, &store), kinds, "n={n}");
             if kinds.0 == 1 {
-                // The skeletal page plus the run's block, if it has one.
+                // The skeletal page plus the leaf's bundle, if it has one.
                 assert_eq!(store.live_pages(), 1 + n.min(1) as u64, "n={n}");
                 let (_, ios) = tree.stab_with_ios(&store, 3).unwrap();
                 assert_eq!(ios, store.live_pages(), "n={n}");

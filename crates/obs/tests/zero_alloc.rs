@@ -7,7 +7,7 @@
 //!   reproducible across server restarts.
 //! * **Zero allocation off the sampled path** — in default builds, a
 //!   request that was *not* sampled pays one thread-local load per span
-//!   and allocates nothing. Pinned with a counting global allocator; the
+//!   and allocates nothing. Pinned with a global allocator that counts per thread; the
 //!   `obs` feature intentionally trades this for always-on aggregation, so
 //!   the allocation assertion is compiled out there.
 
@@ -76,26 +76,43 @@ fn retuning_changes_rate_without_changing_selection() {
 mod alloc_counting {
     use super::*;
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::cell::Cell;
 
-    /// System allocator with an allocation counter — the probe for the
-    /// "sampled-off requests allocate nothing" contract.
+    /// System allocator with a per-thread allocation counter — the probe
+    /// for the "sampled-off requests allocate nothing" contract. Per
+    /// thread, because the harness runs this binary's tests on parallel
+    /// threads and a sibling's allocations are not the measured path's.
     struct Counting;
 
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        // Const-initialised and without a destructor: touching it from
+        // inside the allocator neither allocates nor registers anything.
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
 
-    // SAFETY: delegates everything to `System`; the counter is a relaxed
-    // atomic with no other side effects.
+    fn count_one() {
+        // `try_with`: a thread that is tearing down may still free or
+        // allocate after its locals are gone.
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
+
+    /// Allocations made by the calling thread so far.
+    fn allocs() -> u64 {
+        ALLOCS.with(Cell::get)
+    }
+
+    // SAFETY: delegates everything to `System`; the counter is a
+    // thread-local cell with no other side effects.
     unsafe impl GlobalAlloc for Counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Relaxed);
+            count_one();
             unsafe { System.alloc(layout) }
         }
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
             unsafe { System.dealloc(ptr, layout) }
         }
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Relaxed);
+            count_one();
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
@@ -113,7 +130,7 @@ mod alloc_counting {
             pc_obs::record_io(pc_obs::IoEvent::Read);
         }
 
-        let before = ALLOCS.load(Relaxed);
+        let before = allocs();
         for key in 0..1_000u64 {
             // The admission decision itself…
             let sampled = sampler.should_sample(key);
@@ -131,7 +148,7 @@ mod alloc_counting {
                 pc_obs::add_items(3);
             }
         }
-        let after = ALLOCS.load(Relaxed);
+        let after = allocs();
         assert_eq!(after - before, 0, "unsampled fast path allocated {}x", after - before);
     }
 
@@ -139,7 +156,7 @@ mod alloc_counting {
     fn sampled_requests_do_allocate_and_capture() {
         // Sanity check that the counter works at all: a captured trace
         // builds a real tree on the heap.
-        let before = ALLOCS.load(Relaxed);
+        let before = allocs();
         let cap = pc_obs::begin_trace();
         {
             let _root = pc_obs::span!("traced");
@@ -147,6 +164,6 @@ mod alloc_counting {
         }
         let trace = cap.finish().expect("captured");
         assert_eq!(trace.total_io, 1);
-        assert!(ALLOCS.load(Relaxed) > before, "capturing a trace must allocate");
+        assert!(allocs() > before, "capturing a trace must allocate");
     }
 }

@@ -53,7 +53,7 @@
 //! order: one query on one store returns one vector, call after call.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::{PageId, PageStore, Point, Record, Result};
@@ -310,8 +310,9 @@ impl DynamicPst {
 
         let region_cap = self.caps[0];
         let b = block_capacity(store.page_size());
-        // Per-child-page forwards: (child ref, parent slot, is_right, ops).
-        let mut forwards: HashMap<u64, (NodeRef, u16, bool, Vec<UpdateRec>)> = HashMap::new();
+        // Per-child-page forwards: (child ref, parent slot, is_right, ops),
+        // flushed in page-id order so that every run allocates alike.
+        let mut forwards: BTreeMap<u64, (NodeRef, u16, bool, Vec<UpdateRec>)> = BTreeMap::new();
         let mut touched: Vec<Touched> = vec![Touched::default(); count];
         let mut net: i64 = 0;
         let mut hazard = false;

@@ -63,11 +63,14 @@ use crate::query::{run_two_sided, QueryCounters};
 pub const RECORD_LEN: usize = 8 + 8 + 10 + 10 + 2 + 2 + 2 + 1 + 16 * 5 + 8 + 8 + 1 + 8;
 pub(crate) const PAGE_HEADER: usize = 24;
 
-/// Region records per skeletal page.
+/// Region records per skeletal page: the largest odd count that fits, a
+/// page root plus whole sibling pairs. BFS-fill with an even count (6 at
+/// 1 KiB) leaves the last sibling pair split across two pages, and the
+/// dynamic structure's S-cache rebuild only sees siblings of its own page.
 pub fn skeletal_capacity(page_size: usize) -> usize {
-    let cap = (page_size - PAGE_HEADER) / RECORD_LEN;
-    assert!(cap >= 3, "page size {page_size} too small for a region-tree page");
-    cap
+    let fit = (page_size - PAGE_HEADER) / RECORD_LEN;
+    assert!(fit >= 3, "page size {page_size} too small for a region-tree page");
+    (fit - 1) | 1
 }
 
 /// The paper's `B`: the crate's one block unit, [`points_capacity`].
@@ -821,6 +824,13 @@ mod tests {
         // page 4096: B = 163, ceil(log2 163) = 8, largest 2^h - 1 <= 8 is 7.
         assert_eq!(block_capacity(4096), 163);
         assert_eq!(region_caps(4096, 2), vec![7 * 163]);
+    }
+
+    #[test]
+    fn skeletal_pages_hold_a_root_and_whole_sibling_pairs() {
+        // 1 KiB fits 6 records; the sixth would be half a sibling pair.
+        let caps: Vec<usize> = [512, 1024, 2048, 4096].map(skeletal_capacity).to_vec();
+        assert_eq!(caps, vec![3, 5, 13, 27]);
     }
 
     #[test]

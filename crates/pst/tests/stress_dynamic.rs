@@ -1,7 +1,7 @@
 //! Deterministic stress sweep for the dynamic PST: many seeds, sorted-key
 //! victim selection (no HashMap iteration-order dependence).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use pc_pagestore::{PageStore, Point};
 use pc_pst::{DynamicPst, TwoSided};
@@ -84,4 +84,55 @@ fn dynamic_stress_seed_sweep() {
         }
     }
     assert!(failures.is_empty(), "{failures:?}");
+}
+
+/// 20 000 points on 1 KiB pages, 12 000 updates, a random 2-sided query
+/// every 40 steps against a `BTreeMap` model. At 1 KiB a skeletal page
+/// would hold an even number of region records, so BFS-fill would split a
+/// sibling pair across pages, which the dynamic S-caches do not cover;
+/// `two_level::skeletal_capacity` therefore keeps the count odd.
+#[test]
+fn random_queries_track_a_model_on_1k_pages() {
+    const DOMAIN: i64 = 1_000_000;
+    let mut wrong = Vec::new();
+    for seed in 0..5u64 {
+        let mut s = (seed + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut model: BTreeMap<u64, Point> = (0..20_000)
+            .map(|id| (id, Point::new(xorshift(&mut s, DOMAIN), xorshift(&mut s, DOMAIN), id)))
+            .collect();
+        let store = PageStore::in_memory(1024);
+        let initial: Vec<Point> = model.values().copied().collect();
+        let mut pst = DynamicPst::build(&store, &initial).unwrap();
+        let mut next_id = 20_000u64;
+        for step in 0..12_000u64 {
+            if xorshift(&mut s, 2) == 0 {
+                let p = Point::new(xorshift(&mut s, DOMAIN), xorshift(&mut s, DOMAIN), next_id);
+                next_id += 1;
+                pst.insert(&store, p).unwrap();
+                model.insert(p.id, p);
+            } else {
+                let at = xorshift(&mut s, next_id as i64) as u64;
+                let victim = model.range(at..).next().or_else(|| model.iter().next());
+                if let Some((&id, &p)) = victim {
+                    model.remove(&id);
+                    pst.delete(&store, p).unwrap();
+                }
+            }
+            if step % 40 == 0 {
+                let q = TwoSided { x0: xorshift(&mut s, DOMAIN), y0: xorshift(&mut s, DOMAIN) };
+                let mut got: Vec<u64> =
+                    pst.query(&store, q).unwrap().iter().map(|p| p.id).collect();
+                got.sort_unstable();
+                let want: Vec<u64> = model
+                    .values()
+                    .filter(|p| q.contains(p))
+                    .map(|p| p.id)
+                    .collect();
+                if got != want {
+                    wrong.push((seed, step));
+                }
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{} wrong answers, first {:?}", wrong.len(), wrong.first());
 }

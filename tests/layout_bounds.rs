@@ -4,19 +4,12 @@
 //! 2·ceil(t/B)`. `c` and `c1` are pinned 10% above what the layouts
 //! measure, so a layout regression fails here instead of moving a table.
 
-use path_caching::{Interval, PageStore, Point, ThreeSided, TwoSided};
-use pc_bench::TWO_LEVEL_SPACE_C;
-use pc_intervaltree::ExternalIntervalTree;
+use path_caching::{PageStore, Point, ThreeSided, TwoSided};
+use pc_bench::{interval_tree_constants, INTERVAL_TREE_PINS, TWO_LEVEL_SPACE_C};
 use pc_pst::{DynamicPst, ThreeSidedPst, TwoLevelPst};
-use pc_workloads::{
-    gen_intervals, gen_points, gen_stabbing, gen_three_sided, gen_two_sided, IntervalDist,
-    PointDist, DOMAIN,
-};
+use pc_workloads::{gen_points, gen_three_sided, gen_two_sided, PointDist};
 
 const PAGE_SIZE: usize = 4096;
-/// 24-byte intervals per 4 KiB block.
-const B_INTERVALS: u64 = 170;
-
 /// The PSTs' block unit at 4 KiB (163): cache entries per block, which is
 /// also the points per node.
 fn b_points() -> u64 {
@@ -45,24 +38,13 @@ fn assert_pages_within(pages: u64, unit: f64, c: f64, what: &str) {
 
 #[test]
 fn interval_tree_space_and_stab_reads_stay_within_pinned_constants() {
-    let n = 40_000u64;
-    // Stabs meeting ~16 intervals (measured c = 1.628, c1 = 2.00), then ~3
-    // blocks of them (c = 2.165, c1 = 2.67).
-    for (t_mean, c, c1) in [(16, 1.79, 2.2), (500, 2.38, 2.93)] {
-        let max_len = 2 * t_mean * DOMAIN / n as i64;
-        let raw = gen_intervals(n as usize, IntervalDist::UniformLen { max_len }, 0x5eed);
-        let intervals: Vec<Interval> =
-            raw.iter().map(|&(lo, hi, id)| Interval::new(lo, hi, id)).collect();
-        let store = PageStore::in_memory(PAGE_SIZE);
-        let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
-
-        let b = B_INTERVALS;
-        let unit = n.div_ceil(b) as f64 * (b as f64).log2();
-        assert_pages_within(store.live_pages(), unit, c, "(n/B)·log2 B");
-        for stab in gen_stabbing(&raw, 300, 0xfeed) {
-            let (hits, reads) = tree.stab_with_ios(&store, stab.q).unwrap();
-            assert_reads_within(reads, b, n, hits.len(), c1, "stab");
-        }
+    // Stabs meeting ~16 intervals, then ~3 blocks of them; the pins and
+    // the measurement are the ones E4 of the `experiments` binary exits
+    // non-zero past.
+    for (t_mean, c_pin, c1_pin) in INTERVAL_TREE_PINS {
+        let (pages, c, c1) = interval_tree_constants(t_mean);
+        assert!(c <= c_pin, "t≈{t_mean}: {pages} pages is {c:.3} units of (n/B)·log2 B");
+        assert!(c1 <= c1_pin, "t≈{t_mean}: a stab needs c1 = {c1:.3}");
     }
 }
 

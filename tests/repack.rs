@@ -115,7 +115,10 @@ fn repacked_segtree_is_bit_identical() {
 /// Interval-tree stabs are bit-identical after repack, page count
 /// included, on data holding both kinds of run: the 8 smallest endpoints
 /// carry more than a block of intervals (a mini segment tree), every
-/// other run fits one block (flat).
+/// other run fits one block (flat). 45 wide intervals put more than a block
+/// on one boundary node, so its lists have second blocks for the tables
+/// below it to point at, and 20 copies of them do not fit a 512-byte
+/// bundle page, so bundles with tails are moved too.
 #[test]
 fn repacked_intervaltree_is_bit_identical() {
     let generate = |rng: &mut Rng| {
@@ -123,6 +126,7 @@ fn repacked_intervaltree_is_bit_identical() {
             let lo = rng.gen_range(-500i64..500);
             (lo, lo + rng.gen_range(0i64..150))
         });
+        raw.extend((0..45).map(|i| (-400 - i, 400 + i)));
         raw.extend(gen_vec(rng, 21, 80, |rng| {
             let lo = rng.gen_range(-1000i64..-992);
             (lo, rng.gen_range(lo..-992))
@@ -154,6 +158,10 @@ fn repacked_intervaltree_is_bit_identical() {
             ensure_eq!(a, b, "stab({q})");
             ensure_eq!(ra, rb, "stab({q}) transfers");
         }
+        // Skeletal page and bundle, then a tail or a continuation: the
+        // wide intervals all start left of 0.
+        let (_, reads) = counted(&dst, |s| packed.stab(s, 0).unwrap());
+        ensure_eq!(reads >= 4, true, "stab(0) reads {reads}");
         Ok(())
     });
 }
