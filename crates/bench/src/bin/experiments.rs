@@ -13,8 +13,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pc_bench::{
-    f1, f2, interval_tree_constants, log_base, to_intervals, to_points, Table,
-    INTERVAL_TREE_PINS, TWO_LEVEL_SPACE_C,
+    f1, f2, interval_tree_constants, log_base, three_sided_constants, to_intervals, to_points,
+    Table, INTERVAL_TREE_PINS, THREE_SIDED_PINS, TWO_LEVEL_SPACE_C,
 };
 use pc_pagestore::backend::MemBackend;
 use pc_pagestore::{
@@ -65,7 +65,7 @@ fn main() {
             "e6" => e6_segmented_pst(),
             "e7" => e7_two_level_pst(),
             "e8" => e8_multilevel_space(),
-            "e9" => e9_three_sided(),
+            "e9" => within_pins &= e9_three_sided(),
             "e10" => e10_dynamic_pst(),
             "e11" => e11_dynamic_three_sided(),
             "e12" => e12_naive_vs_cached(),
@@ -393,18 +393,29 @@ fn e8_multilevel_space() {
 // ---------------------------------------------------------------------------
 // E9: Theorem 3.3 — 3-sided queries
 // ---------------------------------------------------------------------------
-fn e9_three_sided() {
+/// Returns whether the pinned geometry stayed within [`THREE_SIDED_PINS`].
+fn e9_three_sided() -> bool {
     println!("## E9 — Theorem 3.3: 3-sided PST\n");
     println!("query O(log_B n + t/B); space O((n/B) log^2 B) blocks\n");
     let mut table = Table::new(&[
-        "n", "pages", "(n/B)·log2²B", "avg t", "avg query I/O", "log_B n + t/B",
+        "n",
+        "pages",
+        "skeletal/Y/A/S/directory",
+        "(n/B)·log2²B",
+        "avg t",
+        "avg query I/O",
+        "log_B n + t/B",
     ]);
+    let by_class = |c: &pc_pst::PageCensus| {
+        format!("{}/{}/{}/{}/{}", c.skeletal, c.y_lists, c.a_lists, c.s_lists, c.directories)
+    };
     for n in [20_000usize, 100_000, 400_000] {
         let raw = gen_points(n, PointDist::Uniform, 12);
         let points = to_points(&raw);
         let store = PageStore::in_memory(PAGE);
         let pst = ThreeSidedPst::build(&store, &points).unwrap();
         let pages = store.live_pages();
+        let census = pst.page_census(&store).unwrap();
         let queries = gen_three_sided(&raw, 100, n / 50, 13);
         store.reset_stats();
         let mut t_total = 0usize;
@@ -419,6 +430,7 @@ fn e9_three_sided() {
         table.row(vec![
             n.to_string(),
             pages.to_string(),
+            by_class(&census),
             f1(n as f64 / b_pst() * b_pst().log2() * b_pst().log2()),
             f1(t_avg),
             f1(io),
@@ -426,6 +438,35 @@ fn e9_three_sided() {
         ]);
     }
     table.print();
+
+    println!("pinned geometries (uniform, 4 KiB; n = 17 131 is the peak of the space");
+    println!("sawtooth, 16 leaves of one point): the constants of");
+    println!("pages <= c·(n/B)·log2²B and reads <= c1·ceil(log_B n) + 2·ceil(t/B),");
+    println!("worst of 150 queries\n");
+    let mut pinned = Table::new(&[
+        "n", "pages", "skeletal/Y/A/S/directory", "c", "pin", "c1 t≈16", "pin", "c1 t≈4096", "pin",
+    ]);
+    let mut within = true;
+    for (n, c_pin, c1_pins) in THREE_SIDED_PINS {
+        let (census, c, c1) = three_sided_constants(n);
+        pinned.row(vec![
+            n.to_string(),
+            census.total().to_string(),
+            by_class(&census),
+            format!("{c:.3}"),
+            format!("{c_pin:.3}"),
+            f2(c1[0]),
+            f2(c1_pins[0].1),
+            f2(c1[1]),
+            f2(c1_pins[1].1),
+        ]);
+        within &= c <= c_pin && c1.iter().zip(c1_pins).all(|(got, (_, pin))| *got <= pin);
+    }
+    pinned.print();
+    if !within {
+        eprintln!("E9: the 3-sided PST passed its pinned constants");
+    }
+    within
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ use std::fmt;
 
 use pc_intervaltree::ExternalIntervalTree;
 use pc_pagestore::{Interval, PageStore, Point};
-use pc_workloads::{gen_intervals, gen_stabbing, IntervalDist, RawInterval, RawPoint};
+use pc_pst::{PageCensus, ThreeSided, ThreeSidedPst};
+use pc_workloads::{
+    gen_intervals, gen_points, gen_stabbing, gen_three_sided, IntervalDist, PointDist,
+    RawInterval, RawPoint,
+};
 
 /// Converts generator output to storage points.
 pub fn to_points(raw: &[RawPoint]) -> Vec<Point> {
@@ -51,6 +55,53 @@ pub fn interval_tree_constants(t_mean: i64) -> (u64, f64, f64) {
         .fold(f64::MIN, f64::max);
     let pages = store.live_pages();
     (pages, pages as f64 / (n.div_ceil(b) as f64 * (b as f64).log2()), c1)
+}
+
+/// One pinned size of [`THREE_SIDED_PINS`]: `(n, c, [(t, c1); 2])`.
+pub type ThreeSidedPin = (u64, f64, [(usize, f64); 2]);
+
+/// The 3-sided PST's pinned constants at 4 KiB pages (`B` =
+/// `pc_pst::block_capacity`, 163), per pinned size: `(n, c, [(t, c1); 2])`
+/// with `pages <= c·(n/B)·log₂²B` and every query's `reads <=
+/// c1·⌈log_B n⌉ + 2·⌈t/B⌉` at mean output `t`, over
+/// [`three_sided_constants`]' data. Space is a sawtooth in `n` — a node
+/// costs its ancestors' blocks however few points it holds — so the sizes
+/// are its peak (15 full nodes and 16 leaves of one point: 17 131), the
+/// small size E9 and E11 run at, and 100k, where the tree spans two levels
+/// of skeletal pages. Measured c 0.206 / 0.183 / 0.086 and c1 1.50 / 2.00 /
+/// 3.00 at t ≈ 16, 1.00 / −2.00 / 0.00 at t ≈ 4096; the pins are 10% above
+/// (a tenth of a read per level above the 0.00). `tests/layout_bounds.rs`
+/// asserts them and the `experiments` binary's E9 exits non-zero past them.
+pub const THREE_SIDED_PINS: [ThreeSidedPin; 3] = [
+    (17_131, 0.227, [(16, 1.65), (4096, 1.1)]),
+    (20_000, 0.201, [(16, 2.2), (4096, -1.8)]),
+    (100_000, 0.095, [(16, 3.3), (4096, 0.1)]),
+];
+
+/// Builds a pinned geometry — `n` uniform points, 4 KiB pages — and
+/// measures `(page census, c, [c1; 2])` as [`THREE_SIDED_PINS`] defines
+/// them, each `c1` the worst of 150 queries.
+pub fn three_sided_constants(n: u64) -> (PageCensus, f64, [f64; 2]) {
+    let b = pc_pst::block_capacity(4096) as u64;
+    let raw = gen_points(n as usize, PointDist::Uniform, 0x5eed);
+    let store = PageStore::in_memory(4096);
+    let pst = ThreeSidedPst::build(&store, &to_points(&raw)).expect("in-memory build");
+    let levels = log_base(n as f64, b as f64).ceil();
+    let c1 = [16, 4096].map(|t| {
+        gen_three_sided(&raw, 150, t, 0xfeed)
+            .iter()
+            .map(|q| {
+                let q = ThreeSided { x1: q.x1, x2: q.x2, y0: q.y0 };
+                let (hits, counters) = pst.query_counted(&store, q).expect("in-memory query");
+                let output = 2.0 * (hits.len() as u64).div_ceil(b) as f64;
+                (counters.total() as f64 - output) / levels
+            })
+            .fold(f64::MIN, f64::max)
+    });
+    let census = pst.page_census(&store).expect("in-memory walk");
+    assert_eq!(census.total(), store.live_pages(), "the census misses a class of pages");
+    let unit = n.div_ceil(b) as f64 * (b as f64).log2().powi(2);
+    (census, census.total() as f64 / unit, c1)
 }
 
 /// Simple fixed-width markdown table printer.

@@ -335,9 +335,10 @@ pub fn build_external(store: &PageStore, mem: &MemPst, mode: CacheMode) -> Resul
 /// pages, but it does not make the page count `O(#nodes / capacity)`: a
 /// capacity that is not `2^h − 1` cuts a level in two, and the cut-off
 /// part and whatever lies below the last full page height become pages
-/// of a few records each. At 4 KiB (33 records) the 4 095 nodes of a
-/// complete 12-level 3-sided PST take 1 175 skeletal pages: 35 full ones,
-/// 900 of 3 records and 240 of one (DESIGN §12, "Skeletal pagination").
+/// of a few records each. At 4 KiB the 4 095 regions of a complete
+/// 12-level two-level PST (27 records a page) take 813 skeletal pages, 576
+/// of them of 3 records (DESIGN §12, "Skeletal pagination"); the 3-sided
+/// PST passes a `2^h − 1` and gets complete subtrees.
 /// Returns the per-page member lists
 /// (arena indices, slot order) and each node's `(page, slot)`; a page's
 /// subtree root is always slot 0.

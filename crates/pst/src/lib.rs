@@ -69,5 +69,5 @@ pub use build::{BasicPst, NaivePst, SegmentedPst};
 pub use dynamic::{DynamicPst, DynamicThreeSidedPst};
 pub use mem::TwoSided;
 pub use multilevel::MultilevelPst;
-pub use three_sided::{ThreeSided, ThreeSidedPst};
+pub use three_sided::{PageCensus, ThreeSided, ThreeSidedPst};
 pub use two_level::{block_capacity, TwoLevelPst};

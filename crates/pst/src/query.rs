@@ -219,10 +219,11 @@ impl Ctx<'_> {
 /// Top-down descendant traversal (Figure 4): visit a node, keep its points
 /// with `y >= y0`, and recurse only when *all* points qualified. With
 /// `add = false` the node's points were already reported (from an S-list);
-/// the read only fetches its child links. Shared by the 2-sided and
-/// 3-sided engines — in both, visited subtrees lie wholly inside the
-/// query's x-range, so only the y-filter applies.
-pub(crate) fn traverse_descendants(
+/// the read only fetches its child links. Only this 2-sided engine uses it
+/// (the 3-sided one reads Y-lists, whose links are in the skeletal
+/// records); visited subtrees lie wholly inside the query's x-range, so
+/// only the y-filter applies.
+fn traverse_descendants(
     store: &PageStore,
     pts_page: PageId,
     add: bool,

@@ -9,10 +9,11 @@
 //! remapped links rather than copied raw.
 //!
 //! The 3-sided structure (Theorem 3.3) has the same skeleton; each record
-//! owns its points page, its A-list chain, and one directory page that
+//! owns its Y-list chain, its A-list chain, and one directory page that
 //! names the A-list's blocks and the S-family's chains. The directory is
 //! attached once, to its owning node, right before the chains it indexes,
-//! and is re-encoded with every page id remapped.
+//! and is re-encoded with every page id remapped; so are the ids a record
+//! keeps of its Y-list's second block and of its children's Y-lists.
 //!
 //! The recursive region schemes (Theorems 4.3/4.4) add per-record X/Y
 //! lists, update buffers, and a nested inner structure — another region
@@ -196,7 +197,7 @@ impl ThreeSidedPst {
             let count = PageReader::new(&page).get_u16()?;
             for slot in 0..count {
                 let rec = TsRecord::decode(&page, slot)?;
-                graph.attach(idx, &[rec.own_pts]);
+                graph.attach(idx, &chain_pages(store, rec.y_list.head())?);
                 if !rec.dir.is_null() {
                     graph.attach(idx, &[rec.dir]);
                     graph.attach(idx, &chain_pages(store, rec.a_list.head())?);
@@ -205,7 +206,7 @@ impl ThreeSidedPst {
                         graph.attach(idx, &chain_pages(store, left_sibs.head())?);
                     }
                 }
-                for child in [rec.left, rec.right] {
+                for child in [rec.left.at, rec.right.at] {
                     if !child.page.is_null() && child.page != pid {
                         if let Some(child_idx) = graph.add_child(idx, child.page) {
                             queue.push_back((child.page, child_idx));
@@ -218,18 +219,15 @@ impl ThreeSidedPst {
     }
 
     fn rewrite_into(&self, src: &PageStore, dst: &PageStore, map: &Relocation) -> Result<Self> {
-        // Skeletal pages form a tree, so each is reached exactly once.
-        let mut stack = vec![self.root_page];
         let mut buf = vec![0u8; src.page_size()];
-        while let Some(pid) = stack.pop() {
-            let page = src.read(pid)?;
-            let count = PageReader::new(&page).get_u16()?;
+        for (pid, records) in self.skeletal_pages(src)? {
             let used = {
                 let mut w = PageWriter::new(&mut buf);
-                w.put_u16(count)?;
-                for slot in 0..count {
-                    let mut rec = TsRecord::decode(&page, slot)?;
-                    rewrite_points_page(src, dst, rec.own_pts, map)?;
+                w.put_u16(records.len() as u16)?;
+                for mut rec in records {
+                    // Every node's Y-list is copied once, through its own
+                    // record; the parent's `y_head` only names it.
+                    copy_chain(src, dst, rec.y_list.head(), map)?;
                     if !rec.dir.is_null() {
                         copy_chain(src, dst, rec.a_list.head(), map)?;
                         let mut dir = NodeDir::read(src, rec.dir)?;
@@ -244,18 +242,14 @@ impl ThreeSidedPst {
                         }
                         dir.write(dst, map.get(rec.dir)?)?;
                     }
-                    for child in [rec.left, rec.right] {
-                        if !child.page.is_null() && child.page != pid {
-                            stack.push(child.page);
-                        }
-                    }
+                    rec.y_list = relocate(&rec.y_list, map)?;
                     rec.a_list = relocate(&rec.a_list, map)?;
                     for id in [
-                        &mut rec.left.page,
-                        &mut rec.right.page,
-                        &mut rec.own_pts,
-                        &mut rec.left_pts,
-                        &mut rec.right_pts,
+                        &mut rec.y_second,
+                        &mut rec.left.at.page,
+                        &mut rec.left.y_head,
+                        &mut rec.right.at.page,
+                        &mut rec.right.y_head,
                         &mut rec.dir,
                     ] {
                         *id = map.get(*id)?;

@@ -14,43 +14,86 @@
 //!
 //! ## Our instantiation of the Thm 3.3 space/time trade
 //!
-//! The extended abstract defers the construction; we realize it as:
+//! The extended abstract defers the construction. We build it on §4's
+//! **regions**: a node holds `m·B` points, `m = 2^h − 1 <= ⌈log₂ B⌉`
+//! ([`node_capacity`]: `7·B` at 4 KiB, `3·B` at 512 B — the 2-sided
+//! scheme's `region_caps` rule and the same `B`), so there are `m` times
+//! fewer nodes to hang caches on, and a cache copies only each sibling's
+//! *first* block. Per node:
 //!
-//! * **One A-list with a directory.** Every node carries its in-segment
-//!   ancestors' points once, in descending x. A *directory* maps each
-//!   block → (boundary x, page id), so a query jumps straight to the start
-//!   of its qualifying run — this is how shared-prefix ancestors are
-//!   handled without scanning their out-of-range prefix. The run
-//!   `[x1, x2]` is the same set whichever boundary walks it, so the left
-//!   walk, the right walk and the shared prefix all scan this one list.
-//! * **Threshold-indexed S-lists.** A sibling of a *shared* node lies
-//!   wholly outside the query band, so the S-cache must exclude ancestors
-//!   above the split. We store one S-list per possible in-page split depth
-//!   `j` (`S_j` = right siblings of in-page ancestors at in-page depth
-//!   `>= j`, descending y) and the mirrored `S'_j` for left siblings.
-//!   This family of up to `h` lists per node, each up to `h` blocks, is
-//!   exactly the paper's extra `log B` space factor: total space
-//!   `O((n/B)·log² B)`.
-//! * **One directory page per node.** The A-directory and the handles of
-//!   the S-family are a few hundred bytes together, so they share one
-//!   page: `[a_count][(x, page)*][s_count][(S_j, S'_j)*]`.
+//! * **Y-list** — the node's points, once, descending y, blocked `B`. The
+//!   skeletal record names its first and its second block.
+//! * **One A-list with a directory, the node included.** The points of the
+//!   in-page ancestors *and of the node itself*, descending x, each tagged
+//!   with its source's in-page depth. A *directory* maps each block →
+//!   (smallest x, page id), so a query jumps straight to the start of its
+//!   run `[x1, x2]`; the run is the same set whichever boundary walks it,
+//!   so the left walk, the right walk and the shared prefix all scan this
+//!   one list, and no path node's points are read from anywhere else.
+//! * **Threshold-indexed S-lists over first blocks.** A sibling of a
+//!   *shared* node lies wholly outside the query band, so the S-cache must
+//!   exclude ancestors above the split. We store one S-list per possible
+//!   in-page split depth `j` (`S_j` = the first Y-blocks of the right
+//!   siblings of in-page ancestors at in-page depth `>= j`, merged
+//!   descending y) and the mirrored `S'_j` for left siblings. This family
+//!   of up to `h` lists per node, each up to `h` blocks, is the paper's
+//!   extra `log B` space factor: total space `O((n/B)·log² B)`.
+//! * **One directory page**: `[a_count u16][(x i64, page u64)*]`
+//!   `[s_count u16][(S_j 16, S'_j 16)*]`.
 //!
-//! Queries read, per skeletal page on each path: the node's directory
-//! page, the run blocks (all answers but ≤ 2 partials), one `S_j` prefix,
-//! and the exit's own block — `O(1)` overhead per segment, hence
-//! `O(log_B n + t/B)` total.
-
-use std::collections::{BTreeMap, HashMap};
+//! Skeletal pages hold complete subtrees ([`skeletal_capacity`] is a
+//! `2^h − 1`: 31 records at 4 KiB, 3 at 512 B), `MemPst`'s leaves differ in
+//! depth by at most one, and [`paginate`] fills breadth first — so a page
+//! is the top `h` levels under its root, in-page depth stays below `h`
+//! (≤ 4 at 4 KiB: an A-list is at most `5·m` blocks, its directory 35
+//! entries), both children of a node are on its page or both are roots of
+//! pages of their own, and a sibling the S-list names always has its
+//! record on the page in hand. The 120-byte record:
+//!
+//! ```text
+//! [split_x i64][min_y i64][y_list 16][y_second u64]
+//! [left 28][right 28]          child: [page u64][slot u16][y_head u64][cnt u16][top_y i64]
+//!                              (cnt's top bit: the child is a leaf)
+//! [a_list 16][dir u64]
+//! ```
+//!
+//! ## The three query rules
+//!
+//! 1. **One run per page and walk.** Where a walk leaves a skeletal page —
+//!    at the corner, at an *exit* whose path child is on another page, or
+//!    at an exit whose path child has nothing at or above `y0` (its top y
+//!    is in the record, so a corner that can contribute nothing is never
+//!    opened) — it reads that node's directory and scans the A-run
+//!    `[x1, x2]`. Ancestors lie above `y0` entirely; at a corner the
+//!    node's own entries are filtered by `y >= y0` as well, which is the
+//!    one place a scan can pass over non-answers: up to `m − 1` blocks of
+//!    them, at most two corners per query. A split node whose children
+//!    share its page reports nothing itself: the first walk below it
+//!    reports the shared ancestors in its run, the other skips them by
+//!    their depth tags.
+//! 2. **Continuation.** The same stop drains `S_threshold`. A sibling
+//!    whose cached block qualified entirely continues in its own Y-list
+//!    *from the second block*; only a sibling whose whole Y-list qualified
+//!    is descended into.
+//! 3. **Descendants by Y-prefix.** A descendant is visited only below a
+//!    wholly reported parent and only if its top y qualifies, and costs
+//!    its qualifying Y-prefix: `⌊c/B⌋ + 1` blocks for `c` answers. Its
+//!    record is needed only when all of it qualified and it has children
+//!    (its parent's record says so); the traversal keeps the skeletal page
+//!    in hand and finishes it before loading another.
+//!
+//! Per skeletal page on each path that is one directory page, the run
+//! blocks and one `S_j` prefix (all answers but the partial ends) — `O(1)`
+//! overhead per segment, hence `O(log_B n + t/B)` total.
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
 use pc_pagestore::{Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
-use crate::build::{
-    blocked, paginate, points_capacity, read_points_page, write_points_pages, NodeRef, SEntry,
-};
+use crate::build::{blocked, paginate, points_capacity, NodeRef, SEntry};
 use crate::mem::{cmp_x, cmp_y, MemPst, NONE};
-use crate::query::{traverse_descendants, QueryCounters};
+use crate::query::QueryCounters;
+use crate::two_level::{complete_tree_nodes, region_caps};
 
 /// A 3-sided query: report points with `x1 <= x <= x2 && y >= y0`
 /// (Figure 1).
@@ -71,33 +114,94 @@ impl ThreeSided {
     }
 }
 
+const CHILD_LEN: usize = 10 + 8 + 2 + 8;
 /// Byte size of one 3-sided skeletal record.
-pub const RECORD_LEN: usize = 24 + 24 + 10 + 10 + 8 + 2 + 10 + 10 + 16 + 8;
+pub const RECORD_LEN: usize = 8 + 8 + 16 + 8 + 2 * CHILD_LEN + 16 + 8;
 const PAGE_HEADER: usize = 2;
 
-/// Records per skeletal page.
+/// Records per skeletal page: the node count of the tallest complete
+/// binary tree that fits.
 pub fn skeletal_capacity(page_size: usize) -> usize {
-    let cap = (page_size - PAGE_HEADER) / RECORD_LEN;
-    assert!(cap >= 3, "page size {page_size} too small for a 3-sided PST page");
-    cap
+    let fit = (page_size - PAGE_HEADER) / RECORD_LEN;
+    assert!(fit >= 3, "page size {page_size} too small for a 3-sided PST page");
+    complete_tree_nodes(fit)
+}
+
+/// Points per node: the top-level region capacity of the 2-sided scheme.
+pub fn node_capacity(page_size: usize) -> usize {
+    region_caps(page_size, 2)[0]
+}
+
+/// A child as its parent's record describes it: enough to read the child's
+/// Y-list, or to see that nothing of it can qualify, without its record.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChildLink {
+    /// The child's record ([`NULL_PAGE`] below a leaf).
+    pub at: NodeRef,
+    /// First block of the child's Y-list.
+    pub y_head: PageId,
+    pub cnt: u16,
+    /// True if the child has no children: a traversal that reported all
+    /// of it has no use for its record. On the page it is `cnt`'s top bit.
+    pub leaf: bool,
+    /// y of the child's highest point; garbage when `cnt == 0`.
+    pub top_y: i64,
+}
+
+impl ChildLink {
+    const LEAF_BIT: u16 = 1 << 15;
+    const NONE: ChildLink = ChildLink {
+        at: NodeRef { page: NULL_PAGE, slot: 0 },
+        y_head: NULL_PAGE,
+        cnt: 0,
+        leaf: true,
+        top_y: 0,
+    };
+
+    /// True if the child's subtree can hold an answer at or above `y0`.
+    fn reaches(&self, y0: i64) -> bool {
+        self.cnt > 0 && self.top_y >= y0
+    }
+
+    fn decode(r: &mut PageReader<'_>) -> Result<ChildLink> {
+        let at = NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? };
+        let y_head = PageId(r.get_u64()?);
+        let cnt = r.get_u16()?;
+        Ok(ChildLink {
+            at,
+            y_head,
+            cnt: cnt & !Self::LEAF_BIT,
+            leaf: cnt & Self::LEAF_BIT != 0,
+            top_y: r.get_i64()?,
+        })
+    }
+
+    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
+        w.put_u64(self.at.page.0)?;
+        w.put_u16(self.at.slot)?;
+        w.put_u64(self.y_head.0)?;
+        w.put_u16(self.cnt | if self.leaf { Self::LEAF_BIT } else { 0 })?;
+        w.put_i64(self.top_y)
+    }
 }
 
 #[derive(Debug, Clone)]
 pub(crate) struct TsRecord {
-    pub split: Point,
-    pub min_y: Point,
-    pub left: NodeRef,
-    pub right: NodeRef,
-    pub own_pts: PageId,
-    pub own_cnt: u16,
-    pub left_pts: PageId,
-    pub left_cnt: u16,
-    pub right_pts: PageId,
-    pub right_cnt: u16,
-    /// In-page strict ancestors' points, descending x-key.
+    /// Routing key: largest x of the left subtree's x-range.
+    pub split_x: i64,
+    /// y of the node's lowest point; garbage when the node is empty.
+    pub min_y: i64,
+    /// The node's points, descending y-key.
+    pub y_list: BlockList<Point>,
+    /// Second block of `y_list` ([`NULL_PAGE`] when it has one block).
+    pub y_second: PageId,
+    pub left: ChildLink,
+    pub right: ChildLink,
+    /// In-page ancestors' and the node's own points, descending x-key,
+    /// tagged with the source's in-page depth.
     pub a_list: BlockList<SEntry>,
-    /// The node's [`NodeDir`] page ([`NULL_PAGE`] for a page's subtree
-    /// root, which has no in-page ancestors).
+    /// The node's [`NodeDir`] page ([`NULL_PAGE`] when `a_list` is empty:
+    /// an empty node at the root of a page).
     pub dir: PageId,
 }
 
@@ -106,38 +210,37 @@ impl TsRecord {
         let offset = PAGE_HEADER + RECORD_LEN * slot as usize;
         let mut r = PageReader::new(&page[offset..offset + RECORD_LEN]);
         Ok(TsRecord {
-            split: Point::decode(&mut r)?,
-            min_y: Point::decode(&mut r)?,
-            left: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
-            right: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
-            own_pts: PageId(r.get_u64()?),
-            own_cnt: r.get_u16()?,
-            left_pts: PageId(r.get_u64()?),
-            left_cnt: r.get_u16()?,
-            right_pts: PageId(r.get_u64()?),
-            right_cnt: r.get_u16()?,
+            split_x: r.get_i64()?,
+            min_y: r.get_i64()?,
+            y_list: BlockList::decode(&mut r)?,
+            y_second: PageId(r.get_u64()?),
+            left: ChildLink::decode(&mut r)?,
+            right: ChildLink::decode(&mut r)?,
             a_list: BlockList::decode(&mut r)?,
             dir: PageId(r.get_u64()?),
         })
     }
 
     pub(crate) fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
-        self.split.encode(w)?;
-        self.min_y.encode(w)?;
-        for child in [self.left, self.right] {
-            w.put_u64(child.page.0)?;
-            w.put_u16(child.slot)?;
-        }
-        for (pts, cnt) in [
-            (self.own_pts, self.own_cnt),
-            (self.left_pts, self.left_cnt),
-            (self.right_pts, self.right_cnt),
-        ] {
-            w.put_u64(pts.0)?;
-            w.put_u16(cnt)?;
-        }
+        w.put_i64(self.split_x)?;
+        w.put_i64(self.min_y)?;
+        self.y_list.encode(w)?;
+        w.put_u64(self.y_second.0)?;
+        self.left.encode(w)?;
+        self.right.encode(w)?;
         self.a_list.encode(w)?;
         w.put_u64(self.dir.0)
+    }
+
+    /// True where a boundary path ends: below this node nothing reaches
+    /// `y0` (or there is nothing below).
+    fn is_corner(&self, y0: i64) -> bool {
+        self.y_list.is_empty() || self.min_y < y0 || self.left.at.page.is_null()
+    }
+
+    /// The children a traversal below this wholly reported node visits.
+    fn reaching_children(&self, y0: i64) -> impl Iterator<Item = ChildLink> {
+        [self.left, self.right].into_iter().filter(move |c| c.reaches(y0))
     }
 }
 
@@ -185,6 +288,28 @@ impl NodeDir {
     }
 }
 
+/// A built [`ThreeSidedPst`]'s pages by class.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PageCensus {
+    /// Skeletal pages.
+    pub skeletal: u64,
+    /// Blocks of the nodes' Y-lists (the points themselves).
+    pub y_lists: u64,
+    /// Blocks of the A-lists.
+    pub a_lists: u64,
+    /// Blocks of the S-families.
+    pub s_lists: u64,
+    /// Directory pages.
+    pub directories: u64,
+}
+
+impl PageCensus {
+    /// All pages of the structure.
+    pub fn total(&self) -> u64 {
+        self.skeletal + self.y_lists + self.a_lists + self.s_lists + self.directories
+    }
+}
+
 /// External PST for 3-sided queries: `O(log_B n + t/B)` I/Os,
 /// `O((n/B)·log² B)` blocks (Theorem 3.3).
 pub struct ThreeSidedPst {
@@ -196,63 +321,67 @@ impl ThreeSidedPst {
     /// Builds the structure over `points`.
     pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
         let page_size = store.page_size();
-        let mem = MemPst::build(points, points_capacity(page_size));
-        let pts_ids = write_points_pages(store, &mem)?;
+        let b = points_capacity(page_size);
+        assert!(node_capacity(page_size) < usize::from(ChildLink::LEAF_BIT));
+        let mem = MemPst::build(points, node_capacity(page_size));
         let (pages, node_loc) = paginate(&mem, skeletal_capacity(page_size));
         let page_ids: Vec<PageId> =
             pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
 
         let n_nodes = mem.nodes.len();
+        let mut y_list = Vec::with_capacity(n_nodes);
+        let mut y_second = Vec::with_capacity(n_nodes);
+        for node in &mem.nodes {
+            // Node points are already descending by y-key.
+            let list = blocked(store, &node.points)?;
+            y_second.push(if node.points.len() > b {
+                BlockList::<Point>::read_block(store, list.head())?.1
+            } else {
+                NULL_PAGE
+            });
+            y_list.push(list);
+        }
         let mut a_list = vec![BlockList::empty(); n_nodes];
         let mut dir = vec![NULL_PAGE; n_nodes];
 
         // DFS with in-page chains: (arena idx, in-page depth, went_left).
+        // Within one page the chain is a path, so in-page depth uniquely
+        // names the ancestor, and the query walk can reconstruct it without
+        // knowing absolute depths.
         struct Frame {
             node: usize,
             chain: Vec<(usize, u16, bool)>,
         }
+        // The first `limit` points of a node by y, tagged with `depth`.
+        let tagged = |ni: usize, depth: u16, limit: usize| {
+            mem.nodes[ni].points.iter().take(limit).map(move |&p| SEntry { p, depth })
+        };
         let mut stack = vec![Frame { node: 0, chain: Vec::new() }];
-        let cap = points_capacity(page_size);
         while let Some(Frame { node, chain }) = stack.pop() {
-            if !chain.is_empty() {
-                // A-list: every in-page strict ancestor's points, tagged
-                // with the ancestor's in-page depth so boundary walks can
-                // skip shared ancestors already reported by the shared
-                // phase.
-                let mut a: Vec<SEntry> = Vec::new();
-                for &(anc, inpage_depth, _) in &chain {
-                    a.extend(
-                        mem.nodes[anc].points.iter().map(|&p| SEntry { p, depth: inpage_depth }),
-                    );
-                }
+            let depth = chain.len() as u16;
+            let mut a: Vec<SEntry> = tagged(node, depth, usize::MAX).collect();
+            for &(anc, anc_depth, _) in &chain {
+                a.extend(tagged(anc, anc_depth, usize::MAX));
+            }
+            if !a.is_empty() {
                 a.sort_unstable_by(|p, q| cmp_x(&q.p, &p.p));
                 a_list[node] = blocked(store, &a)?;
                 let mut node_dir = NodeDir::default();
-                for (chunk, page) in a.chunks(cap).zip(a_list[node].block_pages(store)?) {
+                for (chunk, page) in a.chunks(b).zip(a_list[node].block_pages(store)?) {
                     node_dir.a.push((chunk.last().expect("chunks are non-empty").p.x, page));
                 }
-
-                // Threshold-indexed S-families; `chain.len()` is the
-                // in-page depth of `node`.
-                for j in 0..chain.len() as u16 {
+                // Threshold-indexed S-families over the siblings' first
+                // blocks, tagged with the depth of the sibling's parent.
+                for j in 0..depth {
                     let mut right_sibs: Vec<SEntry> = Vec::new();
                     let mut left_sibs: Vec<SEntry> = Vec::new();
-                    for &(anc, inpage_depth, went_left) in &chain {
-                        if inpage_depth < j {
-                            continue;
-                        }
-                        // Tag with the *in-page* depth: within one page the
-                        // chain is a path, so in-page depth uniquely names
-                        // the ancestor, and the query walk can reconstruct
-                        // it without knowing absolute depths.
+                    for &(anc, anc_depth, went_left) in &chain[j as usize..] {
                         let (sib, sibs) = if went_left {
                             (mem.nodes[anc].right, &mut right_sibs)
                         } else {
                             (mem.nodes[anc].left, &mut left_sibs)
                         };
-                        sibs.extend(
-                            mem.nodes[sib].points.iter().map(|&p| SEntry { p, depth: inpage_depth }),
-                        );
+                        sibs.extend(tagged(sib, anc_depth, b));
                     }
                     right_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
                     left_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
@@ -265,10 +394,9 @@ impl ThreeSidedPst {
             let mn = &mem.nodes[node];
             if mn.left != NONE {
                 for (child, went_left) in [(mn.left, true), (mn.right, false)] {
-                    let same_page = node_loc[child].0 == node_loc[node].0;
-                    let chain = if same_page {
+                    let chain = if node_loc[child].0 == node_loc[node].0 {
                         let mut c = chain.clone();
-                        c.push((node, c.len() as u16, went_left));
+                        c.push((node, depth, went_left));
                         c
                     } else {
                         Vec::new()
@@ -281,10 +409,17 @@ impl ThreeSidedPst {
         // Serialize skeletal pages.
         let mut buf = vec![0u8; page_size];
         let child = |ni: usize| match ni {
-            NONE => (NodeRef { page: NULL_PAGE, slot: 0 }, NULL_PAGE, 0),
+            NONE => ChildLink::NONE,
             _ => {
                 let (p, slot) = node_loc[ni];
-                (NodeRef { page: page_ids[p], slot }, pts_ids[ni], mem.nodes[ni].points.len() as u16)
+                let pts = &mem.nodes[ni].points;
+                ChildLink {
+                    at: NodeRef { page: page_ids[p], slot },
+                    y_head: y_list[ni].head(),
+                    cnt: pts.len() as u16,
+                    leaf: mem.nodes[ni].left == NONE,
+                    top_y: pts.first().map_or(0, |p| p.y),
+                }
             }
         };
         for (page_idx, members) in pages.iter().enumerate() {
@@ -293,19 +428,13 @@ impl ThreeSidedPst {
                 w.put_u16(members.len() as u16)?;
                 for &ni in members {
                     let node = &mem.nodes[ni];
-                    let (left, left_pts, left_cnt) = child(node.left);
-                    let (right, right_pts, right_cnt) = child(node.right);
                     TsRecord {
-                        split: node.split,
-                        min_y: node.points.last().copied().unwrap_or(Point::new(0, 0, 0)),
-                        left,
-                        right,
-                        own_pts: pts_ids[ni],
-                        own_cnt: node.points.len() as u16,
-                        left_pts,
-                        left_cnt,
-                        right_pts,
-                        right_cnt,
+                        split_x: node.split.x,
+                        min_y: node.points.last().map_or(0, |p| p.y),
+                        y_list: y_list[ni],
+                        y_second: y_second[ni],
+                        left: child(node.left),
+                        right: child(node.right),
                         a_list: a_list[ni],
                         dir: dir[ni],
                     }
@@ -329,17 +458,35 @@ impl ThreeSidedPst {
         self.n == 0
     }
 
-    /// Frees every page of the structure: skeletal pages and, per node,
-    /// its points page, A-list, directory page and the S-family the
-    /// directory indexes. The handle must not be used again.
-    pub fn free(&self, store: &PageStore) -> Result<()> {
-        // Skeletal pages form a tree, so each is reached exactly once.
+    /// Every skeletal page with its records, a page before the pages
+    /// below it. Skeletal pages form a tree, so each is reached once.
+    pub(crate) fn skeletal_pages(&self, store: &PageStore) -> Result<Vec<(PageId, Vec<TsRecord>)>> {
+        let mut out: Vec<(PageId, Vec<TsRecord>)> = Vec::new();
         let mut stack = vec![self.root_page];
         while let Some(pid) = stack.pop() {
             let page = store.read(pid)?;
-            for slot in 0..PageReader::new(&page).get_u16()? {
-                let rec = TsRecord::decode(&page, slot)?;
-                store.free(rec.own_pts)?;
+            let records = (0..PageReader::new(&page).get_u16()?)
+                .map(|slot| TsRecord::decode(&page, slot))
+                .collect::<Result<Vec<_>>>()?;
+            for rec in &records {
+                stack.extend(
+                    [rec.left.at.page, rec.right.at.page]
+                        .iter()
+                        .filter(|p| !p.is_null() && **p != pid),
+                );
+            }
+            out.push((pid, records));
+        }
+        Ok(out)
+    }
+
+    /// Frees every page of the structure: skeletal pages and, per node,
+    /// its Y-list, A-list, directory page and the S-family the directory
+    /// indexes. The handle must not be used again.
+    pub fn free(&self, store: &PageStore) -> Result<()> {
+        for (pid, records) in self.skeletal_pages(store)? {
+            for rec in records {
+                rec.y_list.free(store)?;
                 rec.a_list.free(store)?;
                 if !rec.dir.is_null() {
                     for (right_sibs, left_sibs) in NodeDir::read(store, rec.dir)?.s {
@@ -348,13 +495,30 @@ impl ThreeSidedPst {
                     }
                     store.free(rec.dir)?;
                 }
-                stack.extend(
-                    [rec.left.page, rec.right.page].iter().filter(|p| !p.is_null() && **p != pid),
-                );
             }
             store.free(pid)?;
         }
         Ok(())
+    }
+
+    /// Counts the structure's pages by class (one read per page).
+    pub fn page_census(&self, store: &PageStore) -> Result<PageCensus> {
+        let mut census = PageCensus::default();
+        for (_, records) in self.skeletal_pages(store)? {
+            census.skeletal += 1;
+            for rec in records {
+                census.y_lists += rec.y_list.block_pages(store)?.len() as u64;
+                census.a_lists += rec.a_list.block_pages(store)?.len() as u64;
+                if !rec.dir.is_null() {
+                    census.directories += 1;
+                    for (right_sibs, left_sibs) in NodeDir::read(store, rec.dir)?.s {
+                        census.s_lists += right_sibs.block_pages(store)?.len() as u64;
+                        census.s_lists += left_sibs.block_pages(store)?.len() as u64;
+                    }
+                }
+            }
+        }
+        Ok(census)
     }
 
     /// Answers a 3-sided query.
@@ -370,114 +534,90 @@ impl ThreeSidedPst {
     ) -> Result<(Vec<Point>, QueryCounters)> {
         assert!(q.x1 <= q.x2, "3-sided query bounds out of order");
         let _span = pc_obs::span!("pst3_query");
-        pc_obs::set_block_capacity(points_capacity(store.page_size()) as u64);
+        let b = points_capacity(store.page_size());
+        pc_obs::set_block_capacity(b as u64);
         let mut ctx = TsCtx {
             store,
             q,
-            cap: points_capacity(store.page_size()) as u16,
+            b: b as u64,
             results: Vec::new(),
             counters: QueryCounters::default(),
         };
 
         // --- Shared prefix -------------------------------------------------
-        let mut cur_page_id = self.root_page;
-        let mut page = {
-            let _lvl = pc_obs::span!("level", 0u64);
-            store.read(cur_page_id)?
-        };
-        ctx.counters.skeletal += 1;
-        let mut slot = 0u16;
-        let mut inpage_depth = 0u16;
+        let mut at = NodeRef { page: self.root_page, slot: 0 };
+        let mut page = ctx.load(at.page)?;
+        let mut depth = 0u16;
         loop {
-            let rec = TsRecord::decode(&page, slot)?;
-            let is_leaf = rec.left.page.is_null();
-            let is_corner = rec.own_cnt == 0 || rec.min_y.y < q.y0 || is_leaf;
-            if is_corner {
+            let rec = TsRecord::decode(&page, at.slot)?;
+            if rec.is_corner(q.y0) {
                 // Everything below fails the y bound; the shared prefix is
                 // the whole relevant tree.
                 let dir = ctx.read_dir(&rec)?;
-                ctx.middle_run(&dir, 0)?;
-                ctx.read_own(&rec, true)?;
-                return Ok((ctx.results, ctx.counters));
+                ctx.a_run(&dir, 0, Some(depth))?;
+                break;
             }
             // Routing keys: qx1 = (x1, -inf, -inf), qx2 = (x2, +inf, +inf).
-            let left1 = q.x1 <= rec.split.x;
-            let left2 = q.x2 < rec.split.x;
+            let left1 = q.x1 <= rec.split_x;
+            let left2 = q.x2 < rec.split_x;
             if left1 != left2 {
-                // Split node: middle-filter it and its covered ancestors,
-                // then walk each boundary independently.
-                let dir = ctx.read_dir(&rec)?;
-                ctx.middle_run(&dir, 0)?;
-                ctx.read_own(&rec, false)?;
-                let thr_left = inpage_threshold(rec.left.page, cur_page_id, inpage_depth);
-                let thr_right = inpage_threshold(rec.right.page, cur_page_id, inpage_depth);
-                ctx.boundary_walk::<true>(rec.left, thr_left, cur_page_id, &page)?;
-                ctx.boundary_walk::<false>(rec.right, thr_right, cur_page_id, &page)?;
-                return Ok((ctx.results, ctx.counters));
+                // Split node: walk each boundary that has anything below it.
+                // Children on this page take this page's run with them.
+                let same_page = rec.left.at.page == at.page;
+                let walks = [rec.left.reaches(q.y0), rec.right.reaches(q.y0)];
+                let threshold = if same_page { depth + 1 } else { 0 };
+                let mut a_min = 0;
+                if !same_page || walks == [false, false] {
+                    let dir = ctx.read_dir(&rec)?;
+                    ctx.a_run(&dir, 0, None)?;
+                    a_min = threshold;
+                }
+                if walks[0] {
+                    ctx.boundary_walk::<true>(rec.left.at, threshold, a_min, at.page, &page)?;
+                    a_min = threshold;
+                }
+                if walks[1] {
+                    ctx.boundary_walk::<false>(rec.right.at, threshold, a_min, at.page, &page)?;
+                }
+                break;
             }
             let next = if left1 { rec.left } else { rec.right };
-            if next.page != cur_page_id {
-                // Shared-segment exit: middle contributions for this page.
-                let dir = ctx.read_dir(&rec)?;
-                ctx.middle_run(&dir, 0)?;
-                ctx.read_own(&rec, false)?;
-                cur_page_id = next.page;
-                page = {
-                    let _lvl = pc_obs::span!("level", ctx.counters.skeletal);
-                    store.read(cur_page_id)?
-                };
-                ctx.counters.skeletal += 1;
-                inpage_depth = 0;
+            let reaches = next.reaches(q.y0);
+            if reaches && next.at.page == at.page {
+                depth += 1;
             } else {
-                inpage_depth += 1;
+                // Shared-segment exit: this page's middle contributions.
+                let dir = ctx.read_dir(&rec)?;
+                ctx.a_run(&dir, 0, None)?;
+                if !reaches {
+                    break;
+                }
+                page = ctx.load(next.at.page)?;
+                depth = 0;
             }
-            slot = next.slot;
+            at = next.at;
         }
-    }
-}
-
-/// Threshold for the child's S-family: if the child stays in the split's
-/// page, ancestors at in-page depth <= the split's must be excluded.
-fn inpage_threshold(child_page: PageId, split_page: PageId, split_inpage_depth: u16) -> u16 {
-    if child_page == split_page {
-        split_inpage_depth + 1
-    } else {
-        0
+        Ok((ctx.results, ctx.counters))
     }
 }
 
 struct TsCtx<'a> {
     store: &'a PageStore,
     q: ThreeSided,
-    cap: u16,
+    b: u64,
     results: Vec<Point>,
     counters: QueryCounters,
 }
 
 impl TsCtx<'_> {
-    /// Reads a node's own block, filtering with the full predicate.
-    ///
-    /// `output_scan` marks the corner's block (output-amortized); the
-    /// per-segment exit and split-node reads are fixed search overhead.
-    fn read_own(&mut self, rec: &TsRecord, output_scan: bool) -> Result<()> {
-        if rec.own_cnt == 0 {
-            return Ok(());
-        }
-        let _scan = if output_scan {
-            pc_obs::span!(output: "node_block")
-        } else {
-            pc_obs::span!("node_block")
-        };
-        let before = self.results.len();
-        let pp = read_points_page(self.store, rec.own_pts)?;
-        self.counters.node_blocks += 1;
-        self.results.extend(pp.points.iter().filter(|p| self.q.contains(p)));
-        pc_obs::add_items((self.results.len() - before) as u64);
-        Ok(())
+    /// Reads a skeletal page (one navigation I/O).
+    fn load(&mut self, id: PageId) -> Result<Page> {
+        let _lvl = pc_obs::span!("level", self.counters.skeletal);
+        self.counters.skeletal += 1;
+        self.store.read(id)
     }
 
-    /// Reads a node's directory page (one navigation I/O); a page's
-    /// subtree root has none.
+    /// Reads a node's directory page (one navigation I/O).
     fn read_dir(&mut self, rec: &TsRecord) -> Result<NodeDir> {
         if rec.dir.is_null() {
             return Ok(NodeDir::default());
@@ -486,11 +626,13 @@ impl TsCtx<'_> {
         NodeDir::read(self.store, rec.dir)
     }
 
-    /// Middle-run scan of the A-list: directory-jump to the first block
-    /// containing `x <= x2`, then scan while `x >= x1`, filtering the
-    /// transition block. Entries from ancestors at in-page depth
-    /// `< min_depth` (shared prefix, already reported) are skipped.
-    fn middle_run(&mut self, dir: &NodeDir, min_depth: u16) -> Result<()> {
+    /// Scans the run `[x1, x2]` of an A-list: directory-jump to the first
+    /// block containing `x <= x2`, then scan while `x >= x1`. Entries from
+    /// sources at in-page depth `< min_depth` (shared prefix, reported by
+    /// the other walk) are skipped; the entries of the source at depth
+    /// `corner`, the one node on the path that reaches below `y0`, are
+    /// filtered by `y >= y0`.
+    fn a_run(&mut self, dir: &NodeDir, min_depth: u16, corner: Option<u16>) -> Result<()> {
         // boundary_x is the block's smallest x (descending list): the first
         // block whose minimum is <= x2 can contain qualifying entries.
         let Some(&(_, start)) = dir.a.iter().find(|&&(bx, _)| bx <= self.q.x2) else {
@@ -506,7 +648,10 @@ impl TsCtx<'_> {
                 if e.p.x < self.q.x1 {
                     break 'run;
                 }
-                if e.p.x <= self.q.x2 && e.depth >= min_depth {
+                if e.p.x <= self.q.x2
+                    && e.depth >= min_depth
+                    && (Some(e.depth) != corner || e.p.y >= self.q.y0)
+                {
                     self.results.push(e.p);
                 }
             }
@@ -516,22 +661,47 @@ impl TsCtx<'_> {
         Ok(())
     }
 
-    /// Drains `S_threshold` of the node's S-family: a descending-y prefix
-    /// with per-depth counts, then seeds descendant traversals for
-    /// fully-inside siblings.
+    /// Scans a Y-list from block `start` on, keeping the prefix with
+    /// `y >= y0`. Returns the number kept.
+    fn scan_y(&mut self, start: PageId) -> Result<u64> {
+        let _scan = pc_obs::span!(output: "list_scan");
+        let before = self.results.len();
+        let mut next = start;
+        'scan: while !next.is_null() {
+            let (points, nxt) = BlockList::<Point>::read_block(self.store, next)?;
+            self.counters.node_blocks += 1;
+            for p in points {
+                if p.y < self.q.y0 {
+                    break 'scan;
+                }
+                self.results.push(p);
+            }
+            next = nxt;
+        }
+        let kept = (self.results.len() - before) as u64;
+        pc_obs::add_items(kept);
+        Ok(kept)
+    }
+
+    /// Drains `S_threshold` of the node's S-family — a descending-y prefix
+    /// of the recorded siblings' first blocks — and continues every
+    /// sibling whose cached block qualified entirely in its own Y-list.
+    /// Returns the children to visit below the wholly reported siblings.
+    /// `sib[d]` is the slot, on `page`, of the inside sibling recorded at
+    /// in-page depth `d`.
     fn drain_s<const LEFT: bool>(
         &mut self,
         dir: &NodeDir,
         threshold: u16,
-        sib: &HashMap<u16, (PageId, u16)>,
-    ) -> Result<()> {
+        sib: &[Option<u16>],
+        page: &Page,
+    ) -> Result<Vec<ChildLink>> {
+        let mut inside = Vec::new();
         let Some(&(right_sibs, left_sibs)) = dir.s.get(threshold as usize) else {
-            return Ok(());
+            return Ok(inside);
         };
         let list = if LEFT { right_sibs } else { left_sibs };
-
-        // Ordered by depth, so the answer's order repeats from call to call.
-        let mut qualified: BTreeMap<u16, u16> = BTreeMap::new();
+        let mut qualified = vec![0u64; sib.len()];
         {
             let _probe = pc_obs::span!("path_cache_probe");
             let before = self.results.len();
@@ -542,122 +712,127 @@ impl TsCtx<'_> {
                         break 's_scan;
                     }
                     self.results.push(e.p);
-                    *qualified.entry(e.depth).or_insert(0) += 1;
+                    qualified[e.depth as usize] += 1;
                 }
             }
             pc_obs::add_items((self.results.len() - before) as u64);
         }
-        for (d, cnt) in qualified {
-            let &(pts, total) = sib.get(&d).expect("S entries come from recorded siblings");
-            if cnt == total && total == self.cap {
-                traverse_descendants(
-                    self.store,
-                    pts,
-                    false,
-                    self.q.y0,
-                    &mut self.results,
-                    &mut self.counters,
-                )?;
+        for (slot, cached) in sib.iter().zip(qualified) {
+            if cached == 0 {
+                continue;
+            }
+            let slot = slot.expect("S entries come from recorded siblings");
+            let rec = TsRecord::decode(page, slot)?;
+            let total = rec.y_list.len();
+            if cached < total.min(self.b) {
+                continue;
+            }
+            if cached + self.scan_y(rec.y_second)? == total {
+                inside.extend(rec.reaching_children(self.q.y0));
             }
         }
-        Ok(())
+        Ok(inside)
+    }
+
+    /// Top-down descendant traversal (Figure 4) below wholly reported
+    /// nodes: reports each visited node's Y-prefix and descends only where
+    /// all of it qualified. Visited subtrees lie wholly inside the query's
+    /// x-range, so only the y-filter applies. Nodes on the skeletal page in
+    /// hand go first: a page is entered through its slot 0 alone, so this
+    /// order reads each skeletal page at most once, and only for a node
+    /// that has children.
+    fn traverse(&mut self, mut held: PageId, page: &Page, seeds: Vec<ChildLink>) -> Result<()> {
+        if seeds.is_empty() {
+            return Ok(());
+        }
+        let _span = pc_obs::span!(output: "traverse");
+        let mut page = page.clone();
+        let (mut here, mut elsewhere): (Vec<_>, Vec<_>) =
+            seeds.into_iter().partition(|c| c.at.page == held);
+        loop {
+            let node = match here.pop() {
+                Some(node) => node,
+                None => match elsewhere.pop() {
+                    Some(node) => node,
+                    None => return Ok(()),
+                },
+            };
+            if self.scan_y(node.y_head)? < u64::from(node.cnt) {
+                continue;
+            }
+            if node.at.page != held {
+                if node.leaf {
+                    continue;
+                }
+                held = node.at.page;
+                page = self.load(held)?;
+            }
+            for child in TsRecord::decode(&page, node.at.slot)?.reaching_children(self.q.y0) {
+                (if child.at.page == held { &mut here } else { &mut elsewhere }).push(child);
+            }
+        }
     }
 
     /// Walks one boundary path below the split. `LEFT` walks the `x1`
     /// boundary (right siblings are inside the band); `!LEFT` mirrors it.
+    /// On the split's page the walk starts at in-page depth `threshold`,
+    /// drains `S_threshold` and reports A-entries from depth `a_min` on;
+    /// both are 0 from the next page on.
     fn boundary_walk<const LEFT: bool>(
         &mut self,
         start: NodeRef,
         mut threshold: u16,
+        mut a_min: u16,
         split_page_id: PageId,
         split_page: &Page,
     ) -> Result<()> {
-        if start.page.is_null() {
-            return Ok(());
-        }
-        let mut cur_page_id;
-        let mut page;
-        if start.page == split_page_id {
-            cur_page_id = split_page_id;
-            page = split_page.clone();
-        } else {
-            cur_page_id = start.page;
-            page = {
-                let _lvl = pc_obs::span!("level", self.counters.skeletal);
-                self.store.read(cur_page_id)?
-            };
-            self.counters.skeletal += 1;
-        }
-        let mut slot = start.slot;
-        // Sibling map keyed by *in-page* depth, matching the build-time S
-        // tags. When the walk starts inside the split's page, its first
-        // node sits at in-page depth `threshold` (= split depth + 1).
-        let mut sib: HashMap<u16, (PageId, u16)> = HashMap::new();
-        let mut inpage_depth = threshold;
+        let mut at = start;
+        let mut page =
+            if at.page == split_page_id { split_page.clone() } else { self.load(at.page)? };
+        // Slot of the inside sibling recorded at each in-page depth so far,
+        // matching the build-time S tags; `sib.len()` is the walk's depth.
+        let mut sib: Vec<Option<u16>> = vec![None; threshold as usize];
         loop {
-            let rec = TsRecord::decode(&page, slot)?;
-            let is_leaf = rec.left.page.is_null();
-            let is_corner = rec.own_cnt == 0 || rec.min_y.y < self.q.y0 || is_leaf;
-            if is_corner {
+            let rec = TsRecord::decode(&page, at.slot)?;
+            if rec.is_corner(self.q.y0) {
                 let dir = self.read_dir(&rec)?;
-                self.middle_run(&dir, threshold)?;
-                self.drain_s::<LEFT>(&dir, threshold, &sib)?;
-                self.read_own(&rec, true)?;
-                return Ok(());
+                self.a_run(&dir, a_min, Some(sib.len() as u16))?;
+                let inside = self.drain_s::<LEFT>(&dir, threshold, &sib, &page)?;
+                return self.traverse(at.page, &page, inside);
             }
-            // Route by this walk's boundary.
-            let go_left = if LEFT { self.q.x1 <= rec.split.x } else { self.q.x2 < rec.split.x };
-            // The inside sibling: right child on the left path when going
-            // left; left child on the right path when going right.
-            let inside_sib = if LEFT && go_left {
-                (rec.right_cnt > 0).then_some((rec.right_pts, rec.right_cnt))
-            } else if !LEFT && !go_left {
-                (rec.left_cnt > 0).then_some((rec.left_pts, rec.left_cnt))
-            } else {
-                None
-            };
-            let next = if go_left { rec.left } else { rec.right };
-            let crosses = next.page != cur_page_id;
-            if crosses {
-                let dir = self.read_dir(&rec)?;
-                self.middle_run(&dir, threshold)?;
-                self.drain_s::<LEFT>(&dir, threshold, &sib)?;
-                self.read_own(&rec, false)?;
-                // The exit's inside sibling belongs to no S-list below it.
-                if let Some((pts, _)) = inside_sib {
-                    traverse_descendants(
-                        self.store,
-                        pts,
-                        true,
-                        self.q.y0,
-                        &mut self.results,
-                        &mut self.counters,
-                    )?;
-                }
-                sib.clear();
-                threshold = 0;
-                cur_page_id = next.page;
-                page = {
-                    let _lvl = pc_obs::span!("level", self.counters.skeletal);
-                    self.store.read(cur_page_id)?
-                };
-                self.counters.skeletal += 1;
-                inpage_depth = 0;
-                slot = next.slot;
+            // Route by this walk's boundary. The inside sibling is the
+            // right child on the left path when going left, the left child
+            // on the right path when going right.
+            let go_left = if LEFT { self.q.x1 <= rec.split_x } else { self.q.x2 < rec.split_x };
+            let (next, other) = if go_left { (rec.left, rec.right) } else { (rec.right, rec.left) };
+            let inside_sib = (go_left == LEFT && other.cnt > 0).then_some(other);
+            let reaches = next.reaches(self.q.y0);
+            if reaches && next.at.page == at.page {
+                sib.push(inside_sib.map(|s| s.at.slot));
+                at = next.at;
                 continue;
             }
-            if let Some(info) = inside_sib {
-                sib.insert(inpage_depth, info);
+            // Exit: settle this page. The exit's inside sibling belongs to
+            // no S-list below it.
+            let dir = self.read_dir(&rec)?;
+            self.a_run(&dir, a_min, None)?;
+            let mut inside = self.drain_s::<LEFT>(&dir, threshold, &sib, &page)?;
+            inside.extend(inside_sib.filter(|s| s.reaches(self.q.y0)));
+            self.traverse(at.page, &page, inside)?;
+            if !reaches {
+                return Ok(());
             }
-            slot = next.slot;
-            inpage_depth += 1;
+            sib.clear();
+            (threshold, a_min) = (0, 0);
+            at = next.at;
+            page = self.load(at.page)?;
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::testutil::assert_cache_blocks;
 
     fn xorshift(state: &mut u64, bound: i64) -> i64 {
         *state ^= *state << 13;
@@ -698,6 +873,14 @@ mod tests {
     }
 
     #[test]
+    fn geometry() {
+        assert_eq!(RECORD_LEN, 120);
+        // 4 KiB fits 34 records, 512 B fits 4: the complete trees below.
+        assert_eq!([512, 1024, 4096].map(skeletal_capacity), [3, 7, 31]);
+        assert_eq!([512, 1024, 4096].map(node_capacity), [3 * 20, 3 * 40, 7 * 163]);
+    }
+
+    #[test]
     fn matches_brute_force_random() {
         let pts = random_points(4000, 10_000, 0x35);
         let mut s = 0x99u64;
@@ -709,6 +892,40 @@ mod tests {
             })
             .collect();
         check(&pts, &queries, 512);
+    }
+
+    /// Uniform, clustered and duplicate-heavy points at three page sizes,
+    /// bands from a single x to the whole plane.
+    #[test]
+    fn matches_brute_force_across_page_sizes_and_distributions() {
+        for (page_size, n) in [(512, 3_000), (1024, 6_000), (4096, 30_000)] {
+            let mut s = 0x5151u64 + page_size as u64;
+            let uniform = random_points(n, 100_000, s);
+            let clustered: Vec<Point> = (0..n)
+                .map(|id| {
+                    let centre = xorshift(&mut s, 12) * 8_000;
+                    let (dx, dy) = (xorshift(&mut s, 300), xorshift(&mut s, 300));
+                    Point::new(centre + dx, 100_000 - centre + dy, id as u64)
+                })
+                .collect();
+            let duplicates: Vec<Point> = (0..n)
+                .map(|id| Point::new(xorshift(&mut s, 30) * 3_000, xorshift(&mut s, 40), id as u64))
+                .collect();
+            for pts in [uniform, clustered, duplicates] {
+                let mut queries = vec![
+                    ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN },
+                    ThreeSided { x1: -5, x2: 200_000, y0: 20 },
+                ];
+                for _ in 0..60 {
+                    let anchor = pts[xorshift(&mut s, n as i64) as usize];
+                    let width = [0, 1, 300, 3_000, 40_000][xorshift(&mut s, 5) as usize];
+                    let x1 = anchor.x - xorshift(&mut s, width + 1);
+                    let y0 = anchor.y - [0, 1, 50, 100_000][xorshift(&mut s, 4) as usize];
+                    queries.push(ThreeSided { x1, x2: x1 + width, y0 });
+                }
+                check(&pts, &queries, page_size);
+            }
+        }
     }
 
     #[test]
@@ -744,22 +961,14 @@ mod tests {
     }
 
     /// Every x that ends a block of some node's A-list: a band ending on
-    /// one starts or stops its middle run exactly on a block boundary.
+    /// one starts or stops its run exactly on a block boundary.
     fn block_boundary_xs(points: &[Point], page_size: usize) -> Vec<i64> {
         let store = PageStore::in_memory(page_size);
         let pst = ThreeSidedPst::build(&store, points).unwrap();
         let mut xs = Vec::new();
-        let mut stack = vec![pst.root_page];
-        while let Some(pid) = stack.pop() {
-            let page = store.read(pid).unwrap();
-            for slot in 0..PageReader::new(&page).get_u16().unwrap() {
-                let rec = TsRecord::decode(&page, slot).unwrap();
-                if !rec.dir.is_null() {
-                    xs.extend(NodeDir::read(&store, rec.dir).unwrap().a.iter().map(|&(x, _)| x));
-                }
-                stack.extend(
-                    [rec.left.page, rec.right.page].iter().filter(|p| !p.is_null() && **p != pid),
-                );
+        for (_, records) in pst.skeletal_pages(&store).unwrap() {
+            for rec in records.iter().filter(|rec| !rec.dir.is_null()) {
+                xs.extend(NodeDir::read(&store, rec.dir).unwrap().a.iter().map(|&(x, _)| x));
             }
         }
         xs.sort_unstable();
@@ -769,7 +978,8 @@ mod tests {
 
     /// One descending A-list serves the left walk, the right walk and the
     /// shared prefix: bands whose ends sit on its block boundaries, over
-    /// data with 40-fold x-ties and over distinct xs.
+    /// data with 40-fold x-ties (which straddle every split) and over
+    /// distinct xs.
     #[test]
     fn x_ties_and_bands_ending_on_block_boundaries() {
         let mut s = 0x71e5u64;
@@ -792,50 +1002,294 @@ mod tests {
         }
     }
 
-    /// A node at in-page depth `d` copies `d` full ancestors: its A-list is
-    /// `d` blocks of `B`, one directory entry each; `S_j` copies the
-    /// siblings at in-page depth `>= j`, whole blocks but the last. And the
-    /// free-walk returns every page of it.
+    // --- Cut-overs at 512 B: a block is 20 entries, a node 3 blocks, a
+    // skeletal page a node and its two children. ---------------------------
+
+    const B: usize = 20;
+    const CAP: usize = 3 * B;
+
+    /// y of the `k`-th point, in x-order, of a [`layered`] node at `depth`.
+    fn layer_y(depth: usize, k: usize) -> i64 {
+        1000 * (10 - depth as i64) - k as i64
+    }
+
+    /// `n` points at x = 0, 1, 2, … whose decomposition is known without
+    /// building it: every node takes 60 points spread evenly over its
+    /// x-range (a leaf, all there are), the `k`-th of them in x-order at
+    /// `layer_y(depth, k)`. A node's Y-list is its points in ascending x,
+    /// and `y0 = layer_y(d, k)` takes the first `k + 1` points of every
+    /// node at depth `d`, all of the nodes above and none of those below.
+    fn layered(n: usize) -> Vec<Point> {
+        fn assign(xs: &[usize], depth: usize, ys: &mut [i64]) {
+            let (mut own, mut rest) = (0, Vec::new());
+            for (i, &x) in xs.iter().enumerate() {
+                if xs.len() <= CAP || (own < CAP && i == own * xs.len() / CAP) {
+                    ys[x] = layer_y(depth, own);
+                    own += 1;
+                } else {
+                    rest.push(x);
+                }
+            }
+            if !rest.is_empty() {
+                let (left, right) = rest.split_at((rest.len() / 2).max(1));
+                assign(left, depth + 1, ys);
+                assign(right, depth + 1, ys);
+            }
+        }
+        let mut ys = vec![0; n];
+        assign(&(0..n).collect::<Vec<_>>(), 0, &mut ys);
+        ys.iter().enumerate().map(|(x, &y)| Point::new(x as i64, y, x as u64)).collect()
+    }
+
+    struct Built {
+        points: Vec<Point>,
+        store: PageStore,
+        pst: ThreeSidedPst,
+    }
+
+    impl Built {
+        fn new(points: Vec<Point>) -> Built {
+            let store = PageStore::in_memory(512);
+            let pst = ThreeSidedPst::build(&store, &points).unwrap();
+            Built { points, store, pst }
+        }
+
+        fn census(&self) -> PageCensus {
+            let census = self.pst.page_census(&self.store).unwrap();
+            assert_eq!(census.total(), self.store.live_pages());
+            census
+        }
+
+        /// Checks the answer against brute force and returns the reads as
+        /// `(skeletal, cache blocks, Y-list blocks)`.
+        fn reads(&self, x1: i64, x2: i64, y0: i64) -> (u64, u64, u64) {
+            let q = ThreeSided { x1, x2, y0 };
+            let before = self.store.stats();
+            let (res, c) = self.pst.query_counted(&self.store, q).unwrap();
+            assert_eq!((self.store.stats() - before).logical_reads(), c.total(), "{q:?}");
+            let want = brute(&self.points, q);
+            assert_eq!(res.len(), want.len(), "dup? {q:?}");
+            assert_eq!(ids(res), want, "{q:?}");
+            // Theorem 3.3 with the old pin of `tests/layout_bounds.rs`.
+            let levels = (self.points.len() as f64).log(B as f64).ceil();
+            let allowed = 4.4 * levels + 2.0 * want.len().div_ceil(B) as f64;
+            assert!(c.total() as f64 <= allowed, "{q:?}: {c:?}, allowed {allowed}");
+            (c.skeletal, c.cache_blocks, c.node_blocks)
+        }
+    }
+
+    const EVERYTHING: i64 = i64::MIN;
+
+    #[test]
+    fn a_node_of_three_blocks_and_one_point_more() {
+        // 60 points are one node: a Y-list and an A-list of three blocks
+        // each, a directory. Any band reads the record, the directory and
+        // its run of the A-list, never the Y-list.
+        let one = Built::new(layered(CAP));
+        assert_eq!(
+            one.census(),
+            PageCensus { skeletal: 1, y_lists: 3, a_lists: 3, s_lists: 0, directories: 1 }
+        );
+        assert_eq!(one.reads(i64::MIN, i64::MAX, EVERYTHING), (1, 1 + 3, 0));
+        // The A-list's blocks are x = 59..=40, 39..=20, 19..=0. A run that
+        // ends inside a block stops there; one that ends with the block
+        // has to look at the next.
+        assert_eq!(one.reads(21, 39, EVERYTHING), (1, 1 + 1, 0));
+        assert_eq!(one.reads(20, 39, EVERYTHING), (1, 1 + 2, 0));
+        assert_eq!(one.reads(21, 40, EVERYTHING), (1, 1 + 2, 0));
+        assert_eq!(one.reads(40, 40, EVERYTHING), (1, 1 + 2, 0));
+        assert_eq!(one.reads(41, 41, layer_y(0, 41)), (1, 1 + 1, 0));
+        // The directory tells a band left of every x from one right of them.
+        assert_eq!(one.reads(60, 99, EVERYTHING), (1, 1 + 1, 0));
+        assert_eq!(one.reads(-9, -1, EVERYTHING), (1, 1, 0));
+
+        // The 61st point is the left child's only one; the right child is
+        // empty. The children copy the root into their A-lists (4 and 3
+        // blocks), the right one's S'_0 copies the left one's block.
+        let two = Built::new(layered(CAP + 1));
+        assert_eq!(
+            two.census(),
+            PageCensus {
+                skeletal: 1,
+                y_lists: 3 + 1,
+                a_lists: 3 + 4 + 3,
+                s_lists: 1,
+                directories: 3,
+            }
+        );
+        // The root is the split and says nothing itself; only the left
+        // child has anything, and its run carries the root's points.
+        assert_eq!(two.reads(i64::MIN, i64::MAX, EVERYTHING), (1, 1 + 4, 0));
+        // Above the child's one point the walk ends at the root, as an
+        // exit: the child is never opened.
+        assert_eq!(two.reads(i64::MIN, i64::MAX, layer_y(0, 59)), (1, 1 + 3, 0));
+    }
+
+    /// Four levels, every leaf of `leaf` points: the root's page, and one
+    /// page per grandchild holding it and its two leaves. A band over all
+    /// xs splits at the root; each walk leaves the root's page at a child
+    /// of the root (reading that child's other subtree by Y-lists) and ends
+    /// in a leaf whose sibling leaf is in its S-list.
+    fn four_levels(leaf: usize) -> Built {
+        let built = Built::new(layered(7 * CAP + 8 * leaf));
+        let leaf_blocks = leaf.div_ceil(B) as u64;
+        assert_eq!(
+            built.census(),
+            PageCensus {
+                skeletal: 5,
+                y_lists: 7 * 3 + 8 * leaf_blocks,
+                // Page roots copy themselves, the others their parent too.
+                a_lists: 5 * 3 + 2 * 6 + 8 * (3 + leaf_blocks),
+                // One first block each, for every node with a sibling on its page.
+                s_lists: 10,
+                directories: 15,
+            }
+        );
+        built
+    }
+
+    #[test]
+    fn a_cached_sibling_continues_from_its_second_block() {
+        // Per walk and besides the Y-lists: two directories, a run of 6
+        // blocks at the exit, a run over parent and leaf at the corner and
+        // the S-block. Y-lists per walk: 3 blocks of the exit's sibling,
+        // then what its two leaves and the S-list's sibling take.
+        let whole = |pst: &Built, y0| pst.reads(i64::MIN, i64::MAX, y0);
+
+        // A sibling of exactly one block is all in the cache: nothing to
+        // continue with, whether or not all of it qualifies.
+        let pst = four_levels(B);
+        assert_eq!(whole(&pst, layer_y(3, 19)), (5, 2 * (2 + 6 + 4 + 1), 2 * (3 + 1 + 1)));
+        assert_eq!(whole(&pst, layer_y(3, 18)), (5, 2 * (2 + 6 + 4 + 1), 2 * (3 + 1 + 1)));
+
+        // One point more: a second block, read only when the first
+        // qualified entirely, and then without the first.
+        let pst = four_levels(B + 1);
+        assert_eq!(whole(&pst, layer_y(3, 18)), (5, 2 * (2 + 6 + 5 + 1), 2 * (3 + 1 + 1)));
+        assert_eq!(whole(&pst, layer_y(3, 19)), (5, 2 * (2 + 6 + 5 + 1), 2 * (3 + 2 + 2 + 1)));
+        assert_eq!(whole(&pst, layer_y(3, 20)), (5, 2 * (2 + 6 + 5 + 1), 2 * (3 + 2 + 2 + 1)));
+
+        // Three blocks: 45 qualifying points are the cached block, the
+        // second block and a quarter of the third, where the scan stops.
+        let pst = four_levels(CAP);
+        assert_eq!(whole(&pst, layer_y(3, 18)), (5, 2 * (2 + 6 + 6 + 1), 2 * (3 + 1 + 1)));
+        assert_eq!(whole(&pst, layer_y(3, 19)), (5, 2 * (2 + 6 + 6 + 1), 2 * (3 + 2 + 2 + 1)));
+        assert_eq!(whole(&pst, layer_y(3, 44)), (5, 2 * (2 + 6 + 6 + 1), 2 * (3 + 3 + 3 + 2)));
+        assert_eq!(whole(&pst, EVERYTHING), (5, 2 * (2 + 6 + 6 + 1), 2 * (3 + 3 + 3 + 2)));
+    }
+
+    #[test]
+    fn a_corner_that_holds_no_answer_is_not_opened() {
+        // A band over the leftmost leaf's xs. The shared prefix leaves the
+        // root's page at the root's left child and ends on the next page.
+        let pst = four_levels(CAP);
+        let leaf: Vec<&Point> =
+            pst.points.iter().filter(|p| p.y <= layer_y(3, 0)).take(CAP).collect();
+        // (Its largest x is the parent's routing key; a band up to there
+        // would make the parent a split.)
+        let (x1, x2) = (leaf[0].x, leaf[CAP - 2].x);
+        // One above the leaf's top y: its parent is an exit, with a run
+        // over its own 60 points only.
+        let closed = pst.reads(x1, x2, layer_y(3, 0) + 1);
+        // At its top y the leaf is the corner: the run is over parent and
+        // leaf, and 58 of the leaf's 59 entries in it are no answers —
+        // three blocks (`m`) where a one-block node cost one.
+        let open = pst.reads(x1, x2, layer_y(3, 0));
+        assert_eq!(closed, (2, (1 + 2) + (1 + 2), 0));
+        assert_eq!(open, (2, (1 + 2) + (1 + 5), 0));
+    }
+
+    #[test]
+    fn a_wholly_reported_leaf_is_not_looked_up() {
+        // Five full levels: the 16 leaves are full nodes and the roots of
+        // skeletal pages of their own. The whole plane reads the root's
+        // page, the four grandchild pages and the two leaves the walks end
+        // in; the 14 leaves between them are told from nodes with children
+        // by their parents' records.
+        let pst = Built::new(layered(31 * CAP));
+        assert_eq!(pst.census().skeletal, 1 + 4 + 16);
+        let (skeletal, _, y_blocks) = pst.reads(i64::MIN, i64::MAX, EVERYTHING);
+        assert_eq!(skeletal, 1 + 4 + 2);
+        // The 22 nodes off the two walks, by Y-list; an S-list holds the
+        // first block of one of them per walk.
+        assert_eq!(y_blocks, (31 - 9) * 3 - 2);
+    }
+
+    /// A node's Y-list is its points in whole blocks; its A-list copies the
+    /// in-page ancestors and the node itself, one directory entry per
+    /// block; `S_j` copies the first blocks of the siblings at in-page
+    /// depth `>= j`; every id a record keeps of another node's pages is
+    /// that node's. And the free-walk returns every page of it.
     #[test]
     fn caches_are_whole_blocks_and_free_returns_every_page() {
-        use crate::build::testutil::assert_cache_blocks;
-        for (page_size, n) in [(512, 6_000), (4096, 60_000)] {
+        for (page_size, n) in [(512, 6_000), (4096, 200_000)] {
             let pts = random_points(n, 1_000_000, 0x3b3b);
             let store = PageStore::in_memory(page_size);
             let pst = ThreeSidedPst::build(&store, &pts).unwrap();
             let b = points_capacity(page_size);
-            // (node, in-page depth, per in-page ancestor: (right, left) sibling size)
-            let mut stack = vec![(NodeRef { page: pst.root_page, slot: 0 }, Vec::<(u16, u16)>::new())];
-            let mut deepest = 0;
-            while let Some((at, sibs)) = stack.pop() {
-                let rec = TsRecord::decode(&store.read(at.page).unwrap(), at.slot).unwrap();
+            let cap = node_capacity(page_size);
+            let decode = |at: NodeRef| {
+                TsRecord::decode(&store.read(at.page).unwrap(), at.slot).unwrap()
+            };
+            // (node, points of the in-page ancestors, per in-page ancestor:
+            // (right, left) sibling's cached count)
+            let root = NodeRef { page: pst.root_page, slot: 0 };
+            let mut stack = vec![(root, 0usize, Vec::<(usize, usize)>::new())];
+            let (mut deepest, mut second_blocks) = (0, 0);
+            while let Some((at, above, sibs)) = stack.pop() {
+                let rec = decode(at);
+                let cnt = rec.y_list.len() as usize;
                 deepest = deepest.max(sibs.len());
-                assert_cache_blocks(&store, &rec.a_list, sibs.len(), 0, "A-list");
+                assert_cache_blocks(&store, &rec.y_list, cnt / b, cnt % b, "Y-list");
+                let y_pages = rec.y_list.block_pages(&store).unwrap();
+                assert_eq!(rec.y_second, y_pages.get(1).copied().unwrap_or(NULL_PAGE));
+                second_blocks += y_pages.len().min(2) / 2;
+                let copied = above + cnt;
+                assert_cache_blocks(&store, &rec.a_list, copied / b, copied % b, "A-list");
                 let dir = if rec.dir.is_null() {
                     NodeDir::default()
                 } else {
                     NodeDir::read(&store, rec.dir).unwrap()
                 };
-                assert_eq!(dir.a.len(), sibs.len(), "one directory entry per A-block");
+                assert_eq!(dir.a.len(), copied.div_ceil(b), "one directory entry per A-block");
                 assert_eq!(dir.s.len(), sibs.len(), "one S-pair per split depth");
                 for (j, (right_sibs, left_sibs)) in dir.s.iter().enumerate() {
-                    let right: usize = sibs[j..].iter().map(|&(r, _)| r as usize).sum();
-                    let left: usize = sibs[j..].iter().map(|&(_, l)| l as usize).sum();
+                    let right: usize = sibs[j..].iter().map(|&(r, _)| r).sum();
+                    let left: usize = sibs[j..].iter().map(|&(_, l)| l).sum();
                     assert_cache_blocks(&store, right_sibs, right / b, right % b, "S_j");
                     assert_cache_blocks(&store, left_sibs, left / b, left % b, "S'_j");
                 }
-                if rec.left.page.is_null() {
+                if rec.left.at.page.is_null() {
+                    assert!(cnt <= cap);
                     continue;
                 }
-                for (child, went_left) in [(rec.left, true), (rec.right, false)] {
-                    let mut sibs = if child.page == at.page { sibs.clone() } else { Vec::new() };
-                    if child.page == at.page {
-                        sibs.push(if went_left { (rec.right_cnt, 0) } else { (0, rec.left_cnt) });
+                assert_eq!(cnt, cap, "a node with children is full");
+                assert_eq!(rec.left.at.page == at.page, rec.right.at.page == at.page);
+                for (child, other, went_left) in
+                    [(rec.left, rec.right, true), (rec.right, rec.left, false)]
+                {
+                    let child_rec = decode(child.at);
+                    assert_eq!(child.y_head, child_rec.y_list.head());
+                    assert_eq!(u64::from(child.cnt), child_rec.y_list.len());
+                    assert_eq!(child.leaf, child_rec.left.at.page.is_null());
+                    if child.cnt > 0 {
+                        let top = child_rec.y_list.read_first_block(&store).unwrap()[0];
+                        assert_eq!(child.top_y, top.y);
+                        assert!(top.y <= rec.min_y);
                     }
-                    stack.push((child, sibs));
+                    if child.at.page != at.page {
+                        assert_eq!(child.at.slot, 0, "a page is entered through its root");
+                        stack.push((child.at, 0, Vec::new()));
+                        continue;
+                    }
+                    let mut sibs = sibs.clone();
+                    let cached = usize::from(other.cnt).min(b);
+                    sibs.push(if went_left { (cached, 0) } else { (0, cached) });
+                    stack.push((child.at, above + cnt, sibs));
                 }
             }
-            assert!(deepest >= 2, "no node deeper than {deepest} in its page");
+            assert_eq!(deepest, skeletal_capacity(page_size).ilog2() as usize);
+            assert!(second_blocks >= 10, "only {second_blocks} Y-lists of two blocks or more");
             pst.free(&store).unwrap();
             assert_eq!(store.live_pages(), 0, "free-walk left pages behind");
         }
@@ -859,22 +1313,27 @@ mod tests {
         }
     }
 
+    /// Theorem 3.3 at 512 B, with the allowance per skeletal page of a
+    /// path, not per `log_B n` level: a 3-record page has fan-out 4, not
+    /// `B` = 20, so the 9-level tree puts 5 pages on a path where
+    /// `⌈log_B n⌉` is 4. The old pin of `tests/layout_bounds.rs`, 4.4 reads,
+    /// holds per page; per `⌈log_B n⌉` the worst of these queries needs
+    /// 4.75, which is why that pin is stated at 4 KiB.
     #[test]
     fn query_io_is_optimal_shape() {
         let pts = random_points(20_000, 100_000, 0xcc);
         let store = PageStore::in_memory(512);
         let pst = ThreeSidedPst::build(&store, &pts).unwrap();
         let b = points_capacity(512) as u64;
+        let pages_on_a_path = 5;
         let mut s = 0xddu64;
-        for _ in 0..60 {
+        for i in 0..200 {
             let a = xorshift(&mut s, 100_000);
-            let w = xorshift(&mut s, 30_000);
+            let w = [30, 300, 3_000, 30_000][i % 4];
             let q = ThreeSided { x1: a, x2: a + w, y0: xorshift(&mut s, 100_000) };
             let (res, c) = pst.query_counted(&store, q).unwrap();
-            let t = res.len() as u64;
-            // Two boundary paths, each ~log_B n segments of O(1) reads.
-            let allowed = 90 + 6 * (t / b + 1);
-            assert!(c.total() <= allowed, "io={} t={t} ({c:?})", c.total());
+            let allowed = 44 * pages_on_a_path / 10 + 2 * (res.len() as u64).div_ceil(b);
+            assert!(c.total() <= allowed, "io={} t={} ({c:?})", c.total(), res.len());
         }
     }
 
@@ -887,7 +1346,7 @@ mod tests {
         let pages = store.live_pages() - before;
         let b = points_capacity(512) as u64;
         let log_b = 5u64;
-        let bound = 6 * (20_000 / b) * log_b * log_b;
+        let bound = (20_000 / b) * log_b * log_b / 2;
         assert!(pages <= bound, "space {pages} exceeds O(n/B log^2 B) ~ {bound}");
     }
 }

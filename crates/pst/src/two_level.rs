@@ -85,7 +85,7 @@ fn ceil_log2(v: usize) -> usize {
 
 /// The largest `2^h − 1` that is at most `v` (`v >= 1`): the node count of
 /// the tallest complete binary tree with no more than `v` nodes.
-fn complete_tree_nodes(v: usize) -> usize {
+pub(crate) fn complete_tree_nodes(v: usize) -> usize {
     (1 << (v + 1).ilog2()) - 1
 }
 
@@ -657,10 +657,13 @@ impl TlCtx<'_> {
         let _scan = pc_obs::span!(output: "list_scan");
         let mut kept = 0u64;
         let mut blocks = list.blocks(self.store);
+        // Reaching a continued list's next block reads the ones before it:
+        // a region record names only the head.
         for _ in 0..skip {
             if blocks.next().transpose()?.is_none() {
                 return Ok(0);
             }
+            self.counters.node_blocks += 1;
         }
         'scan: for block in blocks {
             self.counters.node_blocks += 1;

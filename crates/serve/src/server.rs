@@ -21,7 +21,9 @@
 //!
 //! Graceful drain-then-shutdown: the ADMIN `Shutdown` op (or
 //! [`ServerHandle::shutdown`]) flips one flag and closes both queues. New
-//! requests get `ShuttingDown`; already-admitted jobs drain and their
+//! requests get `ShuttingDown` — a reader keeps answering so until its
+//! peer has nothing more on the wire, because closing over unread requests
+//! resets the connection; already-admitted jobs drain and their
 //! responses are written before the threads exit. Response frames are
 //! shared [`Page`]s, written under a per-connection mutex with a write
 //! timeout, so a stalled peer can never hang a worker.
@@ -598,9 +600,9 @@ fn batcher_loop(shared: &Shared) {
     }
 }
 
-/// Handles one decoded request on the reader thread. Returns `false` when
-/// the connection should stop reading (shutdown was requested).
-fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) -> bool {
+/// Handles one decoded request on the reader thread: admin ops inline, the
+/// rest admitted to a queue or answered with a typed refusal.
+fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) {
     shared.stats.requests.fetch_add(1, Relaxed);
     let now = Instant::now();
 
@@ -608,7 +610,7 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) -> bool {
     match &req.op {
         Op::Ping => {
             shared.respond(conn, &Response { id: req.id, body: Body::Pong });
-            return true;
+            return;
         }
         Op::Stats => {
             let mut pairs = shared.stats.stat_pairs(&shared.store.stats());
@@ -620,7 +622,7 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) -> bool {
             pairs.extend(store_stat_pairs(&shared.store, &shared.commit_obs));
             pairs.extend(version_stat_pairs(&shared.versions.metrics()));
             shared.respond(conn, &Response { id: req.id, body: Body::Stats(pairs) });
-            return true;
+            return;
         }
         Op::Metrics => {
             let mut text = shared.stats.render_text();
@@ -641,7 +643,7 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) -> bool {
             text.push_str(&render_version_metrics(&shared.versions.metrics()));
             text.push_str(&pc_obs::render_text());
             shared.respond(conn, &Response { id: req.id, body: Body::Metrics(text) });
-            return true;
+            return;
         }
         Op::SlowLog { k, clear } => {
             let entries = shared.slow_entries(*k as usize);
@@ -649,13 +651,13 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) -> bool {
             if *clear {
                 shared.slowlog.clear();
             }
-            return true;
+            return;
         }
         Op::SetSampling { every } => {
             shared.sampler.set_every(*every);
             let pairs = vec![(names::TRACE_SAMPLE_EVERY.to_string(), *every)];
             shared.respond(conn, &Response { id: req.id, body: Body::Stats(pairs) });
-            return true;
+            return;
         }
         Op::Versions => {
             let m = shared.versions.metrics();
@@ -672,12 +674,12 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) -> bool {
                     },
                 },
             );
-            return true;
+            return;
         }
         Op::Shutdown => {
             shared.respond(conn, &Response { id: req.id, body: Body::ShutdownAck });
             shared.begin_shutdown();
-            return false;
+            return;
         }
         _ => {}
     }
@@ -685,7 +687,7 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) -> bool {
     if shared.shutdown.load(Relaxed) {
         shared.stats.shed_shutdown.fetch_add(1, Relaxed);
         shared.respond(conn, &Response::error(req.id, ErrorCode::ShuttingDown, "draining"));
-        return false;
+        return;
     }
 
     // Route validation happens at admission so a bad request never occupies
@@ -696,7 +698,7 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) -> bool {
             conn,
             &Response::error(req.id, ErrorCode::BadRequest, format!("unknown target {}", req.target)),
         );
-        return true;
+        return;
     };
     let is_update = req.op.is_update();
     if is_update && !target.supports_updates() {
@@ -709,7 +711,7 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) -> bool {
                 format!("target {} ({}) is read-only", req.target, target.kind()),
             ),
         );
-        return true;
+        return;
     }
 
     if let Some(ts) = shared.target_stats.get(req.target) {
@@ -733,7 +735,7 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) -> bool {
                     "updates must address the current epoch (as_of must be 0)",
                 ),
             );
-            return true;
+            return;
         }
         None
     } else if target.versioned_updates() {
@@ -750,7 +752,7 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) -> bool {
                         conn,
                         &Response::error(req.id, ErrorCode::BadRequest, e.to_string()),
                     );
-                    return true;
+                    return;
                 }
             }
         }
@@ -768,7 +770,7 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) -> bool {
                 ),
             ),
         );
-        return true;
+        return;
     } else {
         None
     };
@@ -784,17 +786,14 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) -> bool {
     match queue.try_push(job) {
         Ok(()) => {
             shared.stats.admitted.fetch_add(1, Relaxed);
-            true
         }
         Err(PushError::Full(_)) => {
             shared.stats.overloaded.fetch_add(1, Relaxed);
             shared.respond(conn, &Response::error(id, ErrorCode::Overloaded, "queue full"));
-            true
         }
         Err(PushError::Closed(_)) => {
             shared.stats.shed_shutdown.fetch_add(1, Relaxed);
             shared.respond(conn, &Response::error(id, ErrorCode::ShuttingDown, "draining"));
-            false
         }
     }
 }
@@ -803,21 +802,28 @@ fn conn_loop(shared: &Shared, conn: Arc<Conn>) {
     let mut reader = FrameReader::new(shared.cfg.max_frame);
     let mut last_activity = Instant::now();
     let mut seen_bytes = 0u64;
+    // When this reader first saw the server draining.
+    let mut draining_since: Option<Instant> = None;
     loop {
         if shared.shutdown.load(Relaxed) {
-            // Stop reading; admitted jobs still hold the Conn and write
-            // their responses before the socket finally closes.
-            return;
+            // Nothing is admitted any more, but what the peer sent before
+            // it could know is still read, and `handle_request` answers
+            // each with `ShuttingDown`. Closing the socket over unread
+            // requests makes the kernel reset the connection: the peer
+            // then gets an I/O error where the protocol promises a typed
+            // one, possibly ahead of admitted jobs' responses it has not
+            // read yet. The grace ends with the first quiet tick — or, for
+            // a peer that keeps sending, when a stalled write would.
+            let since = *draining_since.get_or_insert_with(Instant::now);
+            if since.elapsed() >= shared.cfg.write_timeout {
+                return;
+            }
         }
         match reader.poll(&mut (&conn.stream)) {
             Ok(FrameProgress::Frame(payload)) => {
                 last_activity = Instant::now();
                 match decode_request(&payload) {
-                    Ok(req) => {
-                        if !handle_request(shared, &conn, req) {
-                            return;
-                        }
-                    }
+                    Ok(req) => handle_request(shared, &conn, req),
                     Err(e) => {
                         // The framing survives a bad payload, but a peer
                         // sending garbage gets one typed error and a close.
@@ -828,6 +834,11 @@ fn conn_loop(shared: &Shared, conn: Arc<Conn>) {
                 }
             }
             Ok(FrameProgress::Pending) => {
+                if draining_since.is_some() {
+                    // Admitted jobs still hold the Conn and write their
+                    // responses before the socket finally closes.
+                    return;
+                }
                 if reader.bytes_read() != seen_bytes {
                     seen_bytes = reader.bytes_read();
                     last_activity = Instant::now();

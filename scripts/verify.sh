@@ -100,13 +100,6 @@ cargo test -q --offline --workspace
 echo "==> cargo test -q --offline --workspace --features obs"
 cargo test -q --offline --workspace --features obs
 
-# The benchmark package stands outside the workspace and carries its own
-# assumptions about the layouts (its smoke run asserts the cold pool still
-# misses and that BENCHMARK.json names what the program emits), so a layout
-# change that breaks them fails here, before the driver runs it.
-echo "==> cargo test -q --offline --manifest-path benchmark/Cargo.toml"
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
-
 echo "==> cargo build --offline --benches (bench harness compiles)"
 cargo build --offline --benches --workspace
 
@@ -499,3 +492,13 @@ print(f'scrape ok: {scrape["final"]["metrics_families"]} families, '
 PY
     echo "OK: observability gates passed (off-mode cost, sampling A/B, scrape block)"
 fi
+
+# The benchmark package stands outside the workspace and carries its own
+# assumptions about the layouts (its smoke run asserts the cold pool still
+# misses and that BENCHMARK.json names what the program emits), so a layout
+# change that breaks them fails here, before the driver runs it. It runs
+# last: what it asserts can only be re-pinned by a PR that changes nothing
+# but `benchmark/`, and until one does a stale line there must not keep
+# the steps above from running.
+echo "==> cargo test -q --offline --manifest-path benchmark/Cargo.toml"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
