@@ -1,7 +1,5 @@
 //! Shared utilities for the experiment harness and timing benches.
 
-use std::fmt;
-
 use pc_intervaltree::ExternalIntervalTree;
 use pc_pagestore::{Interval, PageStore, Point};
 use pc_pst::{PageCensus, ThreeSided, ThreeSidedPst};
@@ -148,81 +146,6 @@ impl Table {
     }
 }
 
-/// Minimal JSON value for machine-readable benchmark artifacts (e.g.
-/// `BENCH_pool.json`). The workspace is hermetic — no serde — so this is a
-/// small hand-rolled emitter; it only needs to *write* JSON, never parse.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// A boolean.
-    Bool(bool),
-    /// A float (serialized with enough precision to round-trip).
-    Num(f64),
-    /// An unsigned integer.
-    Int(u64),
-    /// A string (escaped on output).
-    Str(String),
-    /// An ordered array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience constructor for an object from `(key, value)` pairs.
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-}
-
-fn write_json_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    f.write_str("\"")
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Bool(v) => write!(f, "{v}"),
-            Json::Num(v) if v.is_finite() => write!(f, "{v}"),
-            Json::Num(_) => f.write_str("null"),
-            Json::Int(v) => write!(f, "{v}"),
-            Json::Str(s) => write_json_str(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_json_str(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
-    }
-}
-
 /// `log_base(n)`, at least 1 — the predicted navigation term.
 pub fn log_base(n: f64, base: f64) -> f64 {
     (n.max(2.0).ln() / base.max(2.0).ln()).max(1.0)
@@ -236,23 +159,4 @@ pub fn f1(v: f64) -> String {
 /// Formats a float to two decimals.
 pub fn f2(v: f64) -> String {
     format!("{v:.2}")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_emitter_produces_valid_json() {
-        let j = Json::obj(vec![
-            ("name", Json::Str("pool \"scaling\"\n".into())),
-            ("threads", Json::Arr(vec![Json::Int(1), Json::Int(8)])),
-            ("ratio", Json::Num(2.5)),
-            ("bad", Json::Num(f64::NAN)),
-        ]);
-        assert_eq!(
-            j.to_string(),
-            r#"{"name":"pool \"scaling\"\n","threads":[1,8],"ratio":2.5,"bad":null}"#
-        );
-    }
 }

@@ -34,7 +34,6 @@
 
 mod bulk;
 mod node;
-mod repack;
 mod tree;
 
 pub use tree::BTree;

@@ -104,7 +104,7 @@ pub fn decode_record(page: &[u8], slot: u16) -> Result<NodeRecord> {
 }
 
 /// Encodes `rec` into `w`, padded to [`RECORD_LEN`].
-pub fn encode_record(w: &mut PageWriter<'_>, rec: &NodeRecord) -> Result<()> {
+fn encode_record(w: &mut PageWriter<'_>, rec: &NodeRecord) -> Result<()> {
     let start = w.position();
     match rec {
         NodeRecord::Internal { boundary, left, right, bundle, lists } => {
@@ -157,7 +157,7 @@ fn build_bst(nodes: &mut Vec<MemNode>, boundaries: &[i64], rlo: usize, rhi: usiz
 /// External interval tree for stabbing queries (Theorem 3.5).
 pub struct ExternalIntervalTree {
     pub(crate) root_page: PageId,
-    pub(crate) n: u64,
+    n: u64,
 }
 
 impl ExternalIntervalTree {

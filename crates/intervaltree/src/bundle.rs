@@ -134,7 +134,7 @@ impl<'a> Bundle<'a> {
     }
 
     /// Encodes the bundle into `page` of `store`.
-    pub fn write_at(&self, store: &PageStore, page: PageId) -> Result<()> {
+    fn write_at(&self, store: &PageStore, page: PageId) -> Result<()> {
         let mut buf = vec![0u8; store.page_size()];
         let mut w = PageWriter::new(&mut buf);
         let held = self.chains.iter().filter(|c| !c.is_null());

@@ -59,6 +59,5 @@
 mod build;
 mod bundle;
 mod query;
-mod repack;
 
 pub use build::ExternalIntervalTree;

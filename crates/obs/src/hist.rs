@@ -3,11 +3,10 @@
 //! These are the *real* implementations behind the crate-root [`Counter`]
 //! and [`Histogram`] re-exports when the `obs` feature is on. They live in
 //! their own always-compiled module because some consumers (the `pc-serve`
-//! request path, `pc-loadgen` latency recording) need live measurement even
-//! in a default build where the crate-root types are inert ZSTs: those
-//! callers name `pc_obs::hist::{Counter, Histogram}` explicitly and pay for
-//! what they use, while the global span/metrics machinery stays free when
-//! off.
+//! request path and router) need live measurement even in a default build
+//! where the crate-root types are inert ZSTs: those callers name
+//! `pc_obs::hist::{Counter, Histogram}` explicitly and pay for what they
+//! use, while the global span/metrics machinery stays free when off.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 

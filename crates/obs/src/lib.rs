@@ -33,8 +33,7 @@
 //! recompile. The metrics registry and the flight recorder remain
 //! feature-gated (check at runtime with [`enabled`]); with `obs` off their
 //! API compiles to inert no-ops, and the unarmed span fast path is pinned
-//! ≤ 1% by the `obs_overhead` bench gate in `scripts/verify.sh` (and
-//! allocation-free by the `zero_alloc` test). Instrumentation is purely
+//! allocation-free by the `zero_alloc` test. Instrumentation is purely
 //! observational: it never changes which pages a structure touches, so
 //! strict-mode transfer counts are bit-identical with the feature (or the
 //! sampler) on or off.

@@ -6,8 +6,7 @@
 //! metrics registry and the flight recorder vanish. Every function here is
 //! `#[inline(always)]` with an empty body and every type is a zero-sized
 //! struct without `Drop`, so instrumented call sites disappear entirely
-//! under optimization — the bench gate in `scripts/verify.sh` pins the
-//! residual overhead at ≤ 1%.
+//! under optimization.
 
 use crate::{QueryTrace, Snapshot};
 

@@ -16,8 +16,7 @@
 //!   one for sampled requests. Otherwise [`Span::enter`] is a single
 //!   const-initialized thread-local load plus a branch: no allocation, no
 //!   `Instant::now()`, nothing for the optimizer to keep. The zero-alloc
-//!   property is pinned by the `zero_alloc` integration test and the
-//!   `obs_overhead` bench gate.
+//!   property is pinned by the `zero_alloc` integration test.
 //!
 //! Either way, [`begin_trace`]/[`TraceCapture::finish`] capture the next
 //! finished *root* span on this thread as a [`QueryTrace`] and hand it back

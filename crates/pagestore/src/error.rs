@@ -45,16 +45,6 @@ pub enum StoreError {
     /// an injected crash point; all further I/O on this store fails with
     /// this error until the surviving media are reopened and recovered.
     Crashed,
-    /// A whole-store physical operation (e.g. [`crate::repack`]) was asked
-    /// to run against a durable store whose no-steal dirty table is not
-    /// empty. The dirty table holds logged-but-not-checkpointed page
-    /// images; reading pages around it would mix committed and uncommitted
-    /// bytes, and a relocated copy could not be replayed onto by recovery.
-    /// Quiesce first: `commit_with` (or `sync`) then `checkpoint`.
-    DirtyStore {
-        /// Pages currently held in the no-steal dirty table.
-        dirty_pages: u64,
-    },
     /// An `as_of` request named an epoch outside the retained window of a
     /// [`crate::VersionedStore`] (either never installed or already
     /// trimmed by the retention policy).
@@ -109,11 +99,6 @@ impl fmt::Display for StoreError {
                  complete units (recoverable via WAL replay)"
             ),
             StoreError::Crashed => write!(f, "store killed at an injected crash point"),
-            StoreError::DirtyStore { dirty_pages } => write!(
-                f,
-                "store has {dirty_pages} uncheckpointed dirty pages; quiesce \
-                 (commit + checkpoint) before physical reorganization"
-            ),
             StoreError::VersionNotRetained { requested, oldest, current } => write!(
                 f,
                 "version {requested} is not retained (retained range {oldest}..={current})"
@@ -166,7 +151,6 @@ mod tests {
         assert!(!StoreError::Quarantined(PageId(1)).is_transient());
         assert!(!StoreError::TornWrite { complete: 3, trailing_bytes: 17 }.is_transient());
         assert!(!StoreError::Crashed.is_transient());
-        assert!(!StoreError::DirtyStore { dirty_pages: 2 }.is_transient());
         assert!(!StoreError::VersionNotRetained { requested: 9, oldest: 3, current: 7 }
             .is_transient());
     }
@@ -177,13 +161,6 @@ mod tests {
         for needle in ["2", "5", "9"] {
             assert!(e.to_string().contains(needle), "{e}");
         }
-    }
-
-    #[test]
-    fn dirty_store_display_carries_count_and_remedy() {
-        let e = StoreError::DirtyStore { dirty_pages: 5 };
-        assert!(e.to_string().contains('5'), "{e}");
-        assert!(e.to_string().contains("checkpoint"), "{e}");
     }
 
     #[test]

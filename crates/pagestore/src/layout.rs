@@ -89,14 +89,6 @@ impl<R: Record> BlockList<R> {
         self.head
     }
 
-    /// The same list rooted at a different head page. This is the
-    /// relocation primitive used by [`crate::repack`]: after copying the
-    /// chain's pages into a new store, the embedded handle is rewritten to
-    /// point at the relocated head while the length is unchanged.
-    pub fn with_head(&self, head: PageId) -> Self {
-        BlockList { head, len: self.len, _marker: PhantomData }
-    }
-
     /// Total number of records.
     pub fn len(&self) -> u64 {
         self.len
@@ -368,8 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn short_blocked_list_builds_reads_relocates_and_frees() {
-        use crate::repack::{chain_pages, copy_chain, Relocation};
+    fn short_blocked_list_builds_reads_and_frees() {
         // 7 records to a block where a page holds 10: 30 records, 5 blocks.
         let store = PageStore::in_memory(256);
         let data = points(30);
@@ -384,15 +375,6 @@ mod tests {
         assert_eq!(pages.len(), 5);
         let (second, next) = BlockList::<Point>::read_block(&store, pages[1]).unwrap();
         assert_eq!((second, next), (data[7..14].to_vec(), pages[2]));
-
-        let dst = PageStore::in_memory(256);
-        assert_eq!(chain_pages(&store, list.head()).unwrap(), pages);
-        let reloc = Relocation::alloc_in(&pages, &dst).unwrap();
-        copy_chain(&store, &dst, list.head(), &reloc).unwrap();
-        let moved = list.with_head(reloc.get(list.head()).unwrap());
-        assert_eq!(dst.live_pages(), 5);
-        assert_eq!(moved.blocks(&dst).map(|b| b.unwrap().len()).collect::<Vec<_>>(), sizes);
-        assert_eq!(moved.read_all(&dst).unwrap(), data);
 
         list.free(&store).unwrap();
         assert_eq!(store.live_pages(), 0);

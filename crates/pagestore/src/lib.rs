@@ -51,7 +51,6 @@ pub mod mirror;
 pub mod page;
 pub mod pool;
 pub mod recovery;
-pub mod repack;
 pub mod search;
 pub mod stats;
 pub mod store;
@@ -67,7 +66,6 @@ pub use mirror::MirrorBackend;
 pub use page::Page;
 pub use pool::{BufferPool, ShardStats, ShardedPool};
 pub use recovery::RecoveryReport;
-pub use repack::{ensure_quiesced, PageGraph, Relocation};
 pub use stats::IoStats;
 pub use store::{
     PageId, PageStore, RetryPolicy, StoreConfig, StoreObserver, WalConfig, NULL_PAGE,

@@ -476,7 +476,6 @@ impl PageStore {
                 return Err(StoreError::PageNotAllocated(id));
             }
             a.allocated[id.0 as usize] = false;
-            a.free_list.push(id.0);
         }
         if let Some(ws) = &self.wal {
             ws.wal.append_free(id)?;
@@ -495,6 +494,10 @@ impl PageStore {
                 self.quarantine_len.store(q.len() as u64, Ordering::Relaxed);
             }
         }
+        // Publish the id last: a concurrent `alloc` that recycled it before
+        // the frame above was retired would have its zeroed page overwritten
+        // by the old owner's dirty frame, or its first write discarded.
+        self.alloc.write().free_list.push(id.0);
         self.stats.frees.fetch_add(1, Ordering::Relaxed);
         pc_obs::record_io(IoEvent::Free);
         Ok(())

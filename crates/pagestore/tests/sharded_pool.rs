@@ -4,8 +4,10 @@
 //! so every lock edge gets exercised.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
-use pc_pagestore::{PageId, PageStore};
+use pc_pagestore::backend::{Backend, MemBackend};
+use pc_pagestore::{PageId, PageStore, Result, StoreConfig};
 
 /// Allocates pages until `want` of them land in pool shard `shard`,
 /// returning those ids (the others stay allocated but unused).
@@ -207,4 +209,93 @@ fn interleaving_smoke_with_small_shard_count() {
         );
         assert_eq!(s.allocs, s.frees, "every private page was freed");
     }
+}
+
+/// The rendezvous of [`GateBackend`]: a read of `page` waits at `entered`,
+/// then at `release`.
+struct Gate {
+    page: AtomicU64,
+    entered: Barrier,
+    release: Barrier,
+}
+
+/// A memory backend whose read of one chosen page parks until released. A
+/// pool miss holds its shard lock across the fetch, so parking the fetch
+/// parks every later operation on that shard at the lock.
+struct GateBackend {
+    inner: MemBackend,
+    gate: Arc<Gate>,
+}
+
+impl Backend for GateBackend {
+    fn frame_size(&self) -> usize {
+        self.inner.frame_size()
+    }
+
+    fn read_frame(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+        if id.0 == self.gate.page.load(Ordering::SeqCst) {
+            self.gate.entered.wait();
+            self.gate.release.wait();
+        }
+        self.inner.read_frame(id, buf)
+    }
+
+    fn write_frame(&self, id: PageId, buf: &[u8]) -> Result<()> {
+        self.inner.write_frame(id, buf)
+    }
+
+    fn sync(&self) -> Result<()> {
+        self.inner.sync()
+    }
+
+    fn frame_count(&self) -> u64 {
+        self.inner.frame_count()
+    }
+}
+
+/// `free` must retire the page's pool frame before a concurrent `alloc`
+/// can recycle the id. The freeing thread is held at the shard lock with
+/// the page's dirty frame still resident; an `alloc` in that window used
+/// to get the id, and the stale frame's write-back then landed on top of
+/// the new owner's zeroed page.
+#[test]
+fn free_retires_the_frame_before_publishing_the_id() {
+    let gate = Arc::new(Gate {
+        page: AtomicU64::new(u64::MAX),
+        entered: Barrier::new(2),
+        release: Barrier::new(2),
+    });
+    let store = PageStore::new(
+        StoreConfig { pool_shards: 1, ..StoreConfig::pooled(64, 1) },
+        Box::new(GateBackend { inner: MemBackend::new(64 + 8), gate: Arc::clone(&gate) }),
+    );
+    let gated = store.alloc().unwrap();
+    let victim = store.alloc().unwrap();
+    store.write(gated, &[0x11; 64]).unwrap();
+    // One frame: this evicts `gated` to the backend and leaves `victim`
+    // as the resident dirty page.
+    store.write(victim, &[0xAA; 64]).unwrap();
+    gate.page.store(gated.0, Ordering::SeqCst);
+    let live = store.live_pages();
+
+    let recycled = std::thread::scope(|s| {
+        // Misses on `gated` and parks in the fetch, holding the shard lock.
+        let reader = s.spawn(|| store.read(gated).unwrap());
+        gate.entered.wait();
+        // Unallocates `victim`, then parks at the shard lock in `discard`.
+        let freer = s.spawn(|| store.free(victim).unwrap());
+        while store.live_pages() == live {
+            std::thread::yield_now();
+        }
+        let fresh = store.alloc().unwrap();
+        // The reader's insert now evicts `victim`'s stale frame.
+        gate.release.wait();
+        assert!(reader.join().unwrap().iter().all(|&b| b == 0x11));
+        freer.join().unwrap();
+        fresh
+    });
+    assert!(store.read(recycled).unwrap().iter().all(|&b| b == 0), "a fresh page reads as zeros");
+    let again = store.alloc().unwrap();
+    assert_eq!(again, victim, "the freed id is recyclable once its frame is retired");
+    assert!(store.read(again).unwrap().iter().all(|&b| b == 0));
 }

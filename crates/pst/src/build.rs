@@ -409,7 +409,7 @@ macro_rules! pst_variant {
     ($(#[$doc:meta])* $name:ident, $mode:expr) => {
         $(#[$doc])*
         pub struct $name {
-            pub(crate) core: PstCore,
+            core: PstCore,
         }
 
         impl $name {

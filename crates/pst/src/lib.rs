@@ -61,7 +61,6 @@ mod dynamic;
 mod mem;
 mod multilevel;
 mod query;
-mod repack;
 mod three_sided;
 mod two_level;
 

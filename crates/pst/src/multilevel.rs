@@ -21,8 +21,8 @@ use crate::two_level::{build_region_tree, query_handle, region_caps, InnerHandle
 
 /// The multilevel recursive PST (Theorem 4.4).
 pub struct MultilevelPst {
-    pub(crate) root: InnerHandle,
-    pub(crate) levels: u32,
+    root: InnerHandle,
+    levels: u32,
 }
 
 impl MultilevelPst {

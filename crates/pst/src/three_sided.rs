@@ -135,7 +135,7 @@ pub fn node_capacity(page_size: usize) -> usize {
 /// A child as its parent's record describes it: enough to read the child's
 /// Y-list, or to see that nothing of it can qualify, without its record.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ChildLink {
+struct ChildLink {
     /// The child's record ([`NULL_PAGE`] below a leaf).
     pub at: NodeRef,
     /// First block of the child's Y-list.
@@ -186,7 +186,7 @@ impl ChildLink {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct TsRecord {
+struct TsRecord {
     /// Routing key: largest x of the left subtree's x-range.
     pub split_x: i64,
     /// y of the node's lowest point; garbage when the node is empty.
@@ -206,7 +206,7 @@ pub(crate) struct TsRecord {
 }
 
 impl TsRecord {
-    pub(crate) fn decode(page: &[u8], slot: u16) -> Result<TsRecord> {
+    fn decode(page: &[u8], slot: u16) -> Result<TsRecord> {
         let offset = PAGE_HEADER + RECORD_LEN * slot as usize;
         let mut r = PageReader::new(&page[offset..offset + RECORD_LEN]);
         Ok(TsRecord {
@@ -221,7 +221,7 @@ impl TsRecord {
         })
     }
 
-    pub(crate) fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
+    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
         w.put_i64(self.split_x)?;
         w.put_i64(self.min_y)?;
         self.y_list.encode(w)?;
@@ -247,7 +247,7 @@ impl TsRecord {
 /// A node's directory page: where each block of its A-list starts, and
 /// the handles of its S-family.
 #[derive(Debug, Default)]
-pub(crate) struct NodeDir {
+struct NodeDir {
     /// Per A-list block, in chain order: the x of the block's **last**
     /// (smallest) entry and the block's page.
     pub a: Vec<(i64, PageId)>,
@@ -256,7 +256,7 @@ pub(crate) struct NodeDir {
 }
 
 impl NodeDir {
-    pub(crate) fn read(store: &PageStore, id: PageId) -> Result<NodeDir> {
+    fn read(store: &PageStore, id: PageId) -> Result<NodeDir> {
         let page = store.read(id)?;
         let mut r = PageReader::new(&page);
         let a = (0..r.get_u16()?)
@@ -268,7 +268,7 @@ impl NodeDir {
         Ok(NodeDir { a, s })
     }
 
-    pub(crate) fn write(&self, store: &PageStore, id: PageId) -> Result<()> {
+    fn write(&self, store: &PageStore, id: PageId) -> Result<()> {
         let mut buf = vec![0u8; store.page_size()];
         let used = {
             let mut w = PageWriter::new(&mut buf);
@@ -313,8 +313,8 @@ impl PageCensus {
 /// External PST for 3-sided queries: `O(log_B n + t/B)` I/Os,
 /// `O((n/B)·log² B)` blocks (Theorem 3.3).
 pub struct ThreeSidedPst {
-    pub(crate) root_page: PageId,
-    pub(crate) n: u64,
+    root_page: PageId,
+    n: u64,
 }
 
 impl ThreeSidedPst {
@@ -460,7 +460,7 @@ impl ThreeSidedPst {
 
     /// Every skeletal page with its records, a page before the pages
     /// below it. Skeletal pages form a tree, so each is reached once.
-    pub(crate) fn skeletal_pages(&self, store: &PageStore) -> Result<Vec<(PageId, Vec<TsRecord>)>> {
+    fn skeletal_pages(&self, store: &PageStore) -> Result<Vec<(PageId, Vec<TsRecord>)>> {
         let mut out: Vec<(PageId, Vec<TsRecord>)> = Vec::new();
         let mut stack = vec![self.root_page];
         while let Some(pid) = stack.pop() {

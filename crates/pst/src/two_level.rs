@@ -567,7 +567,7 @@ pub(crate) fn query_handle(
 /// The two-level recursive PST (Theorem 4.3): optimal `O(log_B n + t/B)`
 /// 2-sided queries in `O((n/B)·log log B)` disk blocks.
 pub struct TwoLevelPst {
-    pub(crate) root: InnerHandle,
+    root: InnerHandle,
 }
 
 impl TwoLevelPst {

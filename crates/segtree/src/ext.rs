@@ -17,11 +17,11 @@ use crate::build::{
 /// endpoint run. 36 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegTreeHandle {
-    pub(crate) root_page: PageId,
-    pub(crate) ep_root: PageId,
-    pub(crate) ep_height: u32,
-    pub(crate) ep_len: u64,
-    pub(crate) n: u64,
+    root_page: PageId,
+    ep_root: PageId,
+    ep_height: u32,
+    ep_len: u64,
+    n: u64,
 }
 
 impl Record for SegTreeHandle {
@@ -258,13 +258,6 @@ macro_rules! segment_tree_variant {
                         n: h.n,
                     },
                 }
-            }
-
-            /// Rewrites this tree into `dst` in van Emde Boas page order
-            /// (see [`pc_pagestore::repack`]) and returns the relocated
-            /// tree. Both stores must be quiesced.
-            pub fn repack(&self, src: &PageStore, dst: &PageStore) -> Result<Self> {
-                Ok(Self::from_handle(self.handle().repack(src, dst)?))
             }
         }
     };

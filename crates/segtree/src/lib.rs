@@ -57,6 +57,5 @@
 mod build;
 mod ext;
 mod mem;
-mod repack;
 
 pub use ext::{CachedSegmentTree, NaiveSegmentTree, QueryProfile, SegTreeHandle};

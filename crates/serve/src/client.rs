@@ -1,10 +1,9 @@
-//! A small blocking client for the wire protocol, used by `pc-loadgen`,
-//! the tests, and the examples.
+//! A small blocking client for the wire protocol, used by the router,
+//! the `benchmark/` package, the tests, and the examples.
 //!
 //! Every socket operation carries a timeout: a peer that disappears
 //! mid-stream surfaces as a [`ClientError::Io`] timeout (or
-//! [`ClientError::Closed`] on EOF), never a hang — callers like
-//! `pc-loadgen` turn that into a nonzero exit.
+//! [`ClientError::Closed`] on EOF), never a hang.
 
 use std::fmt;
 use std::io;
@@ -263,7 +262,7 @@ impl RetryPolicy {
 /// `Insert`/`Delete`, which could double-apply) are retried under a
 /// [`RetryPolicy`], reconnecting to the same address between attempts.
 ///
-/// Usable standalone (a loadgen or an operator tool that should ride out
+/// Usable standalone (an operator tool that should ride out
 /// a server restart); the router builds its per-replica failover on the
 /// same policy.
 pub struct RetryClient {

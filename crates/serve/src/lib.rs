@@ -35,8 +35,8 @@
 //!   so clients talk to a cluster exactly as they would to one node.
 //!
 //! Everything is `std` + workspace crates only (the hermetic-build rule);
-//! the companion binary `pc-loadgen` drives this server over real sockets
-//! and records throughput/latency artifacts.
+//! the `benchmark/` package drives this server over real sockets and
+//! records throughput and latency.
 //!
 //! [`Page`]: pc_pagestore::Page
 //! [`QueryTarget`]: target::QueryTarget

@@ -8,8 +8,7 @@
 //! and [`pc_obs::store_metrics`]; per-target families carry a
 //! `{target="name"}` label so one scrape separates tenants sharing the
 //! store. The structured form of the same families rides in the ADMIN
-//! `Stats` pairs (the labelled name is the pair key), which is what
-//! `pc-loadgen --scrape` records into the bench artifact.
+//! `Stats` pairs (the labelled name is the pair key).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;

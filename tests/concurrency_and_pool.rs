@@ -5,7 +5,7 @@
 //! buffer pool is sharded — an access locks only the shard its page hashes
 //! to — so a *static* index can be queried from many threads at once in
 //! both strict and pooled mode; these tests pin that contract down (and
-//! the E15 experiment plus the `pool_scaling` bench measure throughput).
+//! the E15 experiment measures throughput).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

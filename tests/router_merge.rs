@@ -14,11 +14,14 @@
 //! Seed comes from `PC_CHAOS_SEED` when set, so a failing run is
 //! reproducible exactly.
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pc_btree::BTree;
+use pc_obs::shard_metrics::{ERRORS, REQUESTS};
 use pc_pagestore::{Interval, PageStore, Point};
 use pc_pst::{DynamicPst, DynamicThreeSidedPst, ThreeSided, TwoSided};
 use pc_rng::Rng;
@@ -26,8 +29,8 @@ use pc_segtree::CachedSegmentTree;
 use pc_serve::wire::{Body, ErrorCode, Op};
 use pc_serve::{
     canonicalize, BTreeTarget, Client, DynamicPstTarget, DynamicThreeSidedTarget, FrontendConfig,
-    Registry, Router, RouterConfig, RouterFrontend, SegTreeTarget, Server, ServerConfig,
-    ServerHandle, Service, ShardMap,
+    QueryTarget, Registry, RetryPolicy, Router, RouterConfig, RouterError, RouterFrontend,
+    SegTreeTarget, Server, ServerConfig, ServerHandle, Service, ShardMap, TargetError,
 };
 use pc_workloads::{
     gen_intervals, gen_points, gen_range_1d, gen_stabbing, gen_three_sided, gen_two_sided,
@@ -237,4 +240,97 @@ fn router_answers_bit_identical_across_shard_counts() {
         }
         frontend.join();
     }
+}
+
+/// A target whose first query parks until released (it announces itself on
+/// the sender first); every later query answers empty at once.
+struct GateTarget(Mutex<Option<(Sender<()>, Receiver<()>)>>);
+
+impl QueryTarget for GateTarget {
+    fn kind(&self) -> &'static str {
+        "gate"
+    }
+
+    fn query(&self, _store: &PageStore, _op: &Op) -> Result<Body, TargetError> {
+        let gate = self.0.lock().unwrap().take();
+        if let Some((entered, release)) = gate {
+            entered.send(()).unwrap();
+            release.recv().unwrap();
+        }
+        Ok(Body::Points(Vec::new()))
+    }
+}
+
+fn spawn_gate_shard(gate: Option<(Sender<()>, Receiver<()>)>, cfg: ServerConfig) -> ServerHandle {
+    let store = Arc::new(PageStore::in_memory(PAGE));
+    let mut registry = Registry::new();
+    registry.register("gate", Box::new(GateTarget(Mutex::new(gate))));
+    Server::spawn(Service { store, registry }, cfg).unwrap()
+}
+
+/// A load skewed onto one shard sheds there and nowhere else: the hot
+/// shard has one worker (parked on the first query) and a one-slot queue,
+/// so of four more queries exactly one waits and three come back
+/// `Overloaded` through the router at once, while the cold shard keeps
+/// answering; `pc_shard_errors_total` counts the three on the hot shard.
+#[test]
+fn skewed_load_sheds_on_the_hot_shard_only() {
+    const SPLIT: i64 = DOMAIN / 2;
+    let (entered_tx, entered_rx) = channel();
+    let (release_tx, release_rx) = channel();
+    let hot = spawn_gate_shard(
+        Some((entered_tx, release_rx)),
+        ServerConfig { workers: 1, queue_depth: 1, ..ServerConfig::default() },
+    );
+    let cold = spawn_gate_shard(None, ServerConfig::default());
+    let router = Router::connect(
+        &[vec![hot.addr()], vec![cold.addr()]],
+        vec![SPLIT],
+        RouterConfig {
+            // A shed request comes back as the shard's own error, unretried.
+            retry: RetryPolicy { attempts: 1, ..RetryPolicy::default() },
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    let hot_query = Op::ThreeSided { x1: 0, x2: SPLIT - 1, y0: 0 };
+    let cold_query = Op::ThreeSided { x1: SPLIT, x2: DOMAIN, y0: 0 };
+
+    std::thread::scope(|s| {
+        let (done_tx, done_rx) = channel();
+        let send_hot = || {
+            let (router, op, done) = (&router, &hot_query, done_tx.clone());
+            s.spawn(move || done.send(router.query(0, 0, op)).unwrap());
+        };
+        send_hot();
+        entered_rx.recv().unwrap();
+        for _ in 0..4 {
+            send_hot();
+        }
+        // The worker is parked, so whatever completes now was shed.
+        for _ in 0..3 {
+            match done_rx.recv().unwrap() {
+                Err(RouterError::Shard { shard: 0, code: ErrorCode::Overloaded, .. }) => {}
+                other => panic!("expected the hot shard's Overloaded, got {other:?}"),
+            }
+        }
+        for _ in 0..5 {
+            assert!(matches!(router.query(0, 0, &cold_query), Ok(Body::Points(_))));
+        }
+        release_tx.send(()).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(done_rx.recv().unwrap(), Ok(Body::Points(_))));
+        }
+    });
+
+    let stats: HashMap<String, u64> = router.stat_pairs().into_iter().collect();
+    let per_shard = |family: &str, shard: usize| stats[&format!("{family}{{shard=\"{shard}\"}}")];
+    assert_eq!((per_shard(REQUESTS, 0), per_shard(ERRORS, 0)), (5, 3));
+    assert_eq!((per_shard(REQUESTS, 1), per_shard(ERRORS, 1)), (5, 0));
+    assert_eq!(hot.stats().overloaded.load(Relaxed), 3);
+    assert_eq!(cold.stats().overloaded.load(Relaxed), 0);
+
+    router.shutdown();
+    hot.join();
+    cold.join();
 }
