@@ -13,8 +13,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pc_bench::{
-    f1, f2, interval_tree_constants, log_base, three_sided_constants, to_intervals, to_points,
-    Table, INTERVAL_TREE_PINS, THREE_SIDED_PINS, TWO_LEVEL_SPACE_C,
+    basic_constants, dynamic_churn_pages, f1, f2, interval_tree_constants, log_base,
+    multilevel_constants, segmented_constants, three_sided_constants, to_intervals, to_points,
+    two_level_constants, Table, TwoSidedPin, TwoSidedPst, BASIC_PINS, DYNAMIC_CHURN_FACTOR,
+    INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS, SEGMENTED_PINS, THREE_SIDED_PINS,
+    TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES, TWO_LEVEL_SPACE_C,
 };
 use pc_pagestore::backend::MemBackend;
 use pc_pagestore::{
@@ -61,12 +64,12 @@ fn main() {
             "e2" => e2_wasteful_ios(),
             "e3" => e3_segment_tree(),
             "e4" => within_pins &= e4_interval_tree(),
-            "e5" => e5_basic_pst(),
-            "e6" => e6_segmented_pst(),
-            "e7" => e7_two_level_pst(),
-            "e8" => e8_multilevel_space(),
+            "e5" => within_pins &= e5_basic_pst(),
+            "e6" => within_pins &= e6_segmented_pst(),
+            "e7" => within_pins &= e7_two_level_pst(),
+            "e8" => within_pins &= e8_multilevel_space(),
             "e9" => within_pins &= e9_three_sided(),
-            "e10" => e10_dynamic_pst(),
+            "e10" => within_pins &= e10_dynamic_pst(),
             "e11" => e11_dynamic_three_sided(),
             "e12" => e12_naive_vs_cached(),
             "e13" => e13_interval_management(),
@@ -274,93 +277,124 @@ fn e4_interval_tree() -> bool {
 // ---------------------------------------------------------------------------
 // Shared 2-sided PST experiment body
 // ---------------------------------------------------------------------------
-fn pst_experiment<F, I>(build: F, space_label: &str, space_pred: fn(f64) -> f64)
-where
-    F: Fn(&PageStore, &[Point]) -> I,
-    I: PstLike,
-{
-    let mut table = Table::new(&[
-        "n", "pages", space_label, "avg t", "avg query I/O", "log_B n + t/B",
-    ]);
+/// A column that breaks a structure's pages down: its label and its cell.
+type ByClass<'a, P> = (&'a str, fn(&P, &PageStore) -> String);
+
+fn pst_experiment<P: TwoSidedPst>(
+    space_label: &str,
+    space_pred: fn(f64) -> f64,
+    by_class: Option<ByClass<'_, P>>,
+) {
+    let mut headers = vec!["n", "pages", space_label, "avg t", "avg query I/O", "log_B n + t/B"];
+    headers.extend(by_class.map(|(label, _)| label));
+    let mut table = Table::new(&headers);
     for n in [20_000usize, 100_000, 400_000] {
         let raw = gen_points(n, PointDist::Uniform, 8);
         let points = to_points(&raw);
         let store = PageStore::in_memory(PAGE);
-        let pst = build(&store, &points);
+        let pst = P::build_on(&store, &points);
         let pages = store.live_pages();
         let queries = gen_two_sided(&raw, 100, n / 50, 9);
         store.reset_stats();
         let mut t_total = 0usize;
         for q in &queries {
-            t_total += pst.run(&store, TwoSided { x0: q.x0, y0: q.y0 });
+            t_total += pst.counted(&store, TwoSided { x0: q.x0, y0: q.y0 }).0;
         }
         let io = store.stats().reads as f64 / queries.len() as f64;
         let t_avg = t_total as f64 / queries.len() as f64;
-        table.row(vec![
+        let mut row = vec![
             n.to_string(),
             pages.to_string(),
             f1(space_pred(n as f64)),
             f1(t_avg),
             f1(io),
             f1(log_base(n as f64, b_pst()) + t_avg / b_pst()),
-        ]);
+        ];
+        row.extend(by_class.map(|(_, describe)| describe(&pst, &store)));
+        table.row(row);
     }
     table.print();
 }
 
-trait PstLike {
-    fn run(&self, store: &PageStore, q: TwoSided) -> usize;
+/// Prints a 2-sided structure's constants at the sizes its pins are the
+/// worst over, and returns whether they stayed within them.
+fn pinned_two_sided(
+    exp: &str,
+    unit: &str,
+    sizes: &[u64],
+    pins: TwoSidedPin,
+    measure: fn(u64) -> (u64, f64, [f64; 2]),
+) -> bool {
+    let (c_pin, c1_pins) = pins;
+    println!("pinned constants (uniform, 4 KiB): pages <= c·{unit} and reads <=");
+    println!("c1·ceil(log_B n) + 2·ceil(t/B), worst of 150 corners; pins: c {c_pin:.3},");
+    println!("c1 {:.2} at t≈16, {:.2} at t≈4096\n", c1_pins[0].1, c1_pins[1].1);
+    let mut table = Table::new(&["n", "pages", "c", "c1 t≈16", "c1 t≈4096"]);
+    let mut within = true;
+    for &n in sizes {
+        let (pages, c, c1) = measure(n);
+        table.row(vec![n.to_string(), pages.to_string(), format!("{c:.3}"), f2(c1[0]), f2(c1[1])]);
+        within &= c <= c_pin && c1.iter().zip(c1_pins).all(|(got, (_, pin))| *got <= pin);
+    }
+    table.print();
+    if !within {
+        eprintln!("{exp}: the structure passed its pinned constants (tests/layout_bounds.rs)");
+    }
+    within
 }
-macro_rules! pst_like {
-    ($t:ty) => {
-        impl PstLike for $t {
-            fn run(&self, store: &PageStore, q: TwoSided) -> usize {
-                self.query(store, q).unwrap().len()
-            }
-        }
-    };
-}
-pst_like!(NaivePst);
-pst_like!(BasicPst);
-pst_like!(SegmentedPst);
-pst_like!(TwoLevelPst);
-pst_like!(MultilevelPst);
-pst_like!(DynamicPst);
 
-fn e5_basic_pst() {
+/// A two-level or dynamic PST's pages by class, in the order of the
+/// `REGION_CLASSES` column label.
+const REGION_CLASSES: &str = "skeletal/X/Y/A/S + inner skeletal/points/caches + buffers";
+fn by_region_class(c: &pc_pst::RegionCensus) -> String {
+    format!(
+        "{}/{}/{}/{}/{} + {}/{}/{} + {}",
+        c.skeletal,
+        c.x_lists,
+        c.y_lists,
+        c.a_caches,
+        c.s_caches,
+        c.inner_skeletal,
+        c.inner_points,
+        c.inner_caches,
+        c.buffers
+    )
+}
+
+/// Returns whether the pinned geometries stayed within [`BASIC_PINS`].
+fn e5_basic_pst() -> bool {
     println!("## E5 — Lemma 3.1: basic PST, full-path A/S caches\n");
     println!("query O(log_B n + t/B); space O((n/B) log n) blocks\n");
-    pst_experiment(
-        |s, p| BasicPst::build(s, p).unwrap(),
-        "(n/B)·log2 n",
-        |n| n / b_pst() * n.log2(),
-    );
+    pst_experiment::<BasicPst>("(n/B)·log2 n", |n| n / b_pst() * n.log2(), None);
+    pinned_two_sided("E5", "(n/B)·log2 n", &LADDER_PIN_SIZES, BASIC_PINS, basic_constants)
 }
 
-fn e6_segmented_pst() {
+/// Returns whether the pinned geometries stayed within [`SEGMENTED_PINS`].
+fn e6_segmented_pst() -> bool {
     println!("## E6 — Theorem 3.2: segmented PST, log B-sized cache segments\n");
     println!("query O(log_B n + t/B); space O((n/B) log B) blocks\n");
-    pst_experiment(
-        |s, p| SegmentedPst::build(s, p).unwrap(),
-        "(n/B)·log2 B",
-        |n| n / b_pst() * b_pst().log2(),
-    );
+    pst_experiment::<SegmentedPst>("(n/B)·log2 B", |n| n / b_pst() * b_pst().log2(), None);
+    pinned_two_sided("E6", "(n/B)·log2 B", &LADDER_PIN_SIZES, SEGMENTED_PINS, segmented_constants)
 }
 
-fn e7_two_level_pst() {
+/// Returns whether the pinned geometries stayed within [`TWO_LEVEL_PINS`].
+fn e7_two_level_pst() -> bool {
     println!("## E7 — Theorem 4.3: two-level recursive PST\n");
     println!("query O(log_B n + t/B); space O((n/B) loglog B) blocks\n");
-    pst_experiment(
-        |s, p| TwoLevelPst::build(s, p).unwrap(),
+    pst_experiment::<TwoLevelPst>(
         "(n/B)·loglog2 B",
         |n| n / b_pst() * b_pst().log2().log2(),
+        Some((REGION_CLASSES, |pst, store| by_region_class(&pst.page_census(store).unwrap()))),
     );
+    let unit = "(n/B)·log2 log2 B";
+    pinned_two_sided("E7", unit, &TWO_LEVEL_PIN_SIZES, TWO_LEVEL_PINS, two_level_constants)
 }
 
 // ---------------------------------------------------------------------------
 // E8: Theorem 4.4 — multilevel space scaling
 // ---------------------------------------------------------------------------
-fn e8_multilevel_space() {
+/// Returns whether the pinned geometries stayed within [`MULTILEVEL_PINS`].
+fn e8_multilevel_space() -> bool {
     println!("## E8 — Theorem 4.4: multilevel scheme, space vs level count\n");
     println!("levels 1 (basic, log n) .. k (log^(k) B), saturating at log* B\n");
     let n = 200_000usize;
@@ -388,6 +422,8 @@ fn e8_multilevel_space() {
         ]);
     }
     table.print();
+    println!("three levels:");
+    pinned_two_sided("E8", "n/B", &LADDER_PIN_SIZES, MULTILEVEL_PINS, multilevel_constants)
 }
 
 // ---------------------------------------------------------------------------
@@ -472,11 +508,19 @@ fn e9_three_sided() -> bool {
 // ---------------------------------------------------------------------------
 // E10: Theorem 5.1 — dynamic PST
 // ---------------------------------------------------------------------------
-fn e10_dynamic_pst() {
+/// Returns whether the churn workload stayed within [`DYNAMIC_CHURN_FACTOR`].
+fn e10_dynamic_pst() -> bool {
     println!("## E10 — Theorem 5.1: dynamic two-level PST\n");
     println!("amortized update O(log_B n); queries stay O(log_B n + t/B) under churn\n");
     let mut table = Table::new(&[
-        "n", "insert I/O", "delete I/O", "log_B n", "query I/O (dirty)", "avg t", "pages/(n/B)",
+        "n",
+        "insert I/O",
+        "delete I/O",
+        "log_B n",
+        "query I/O (dirty)",
+        "avg t",
+        "pages/(n/B)",
+        REGION_CLASSES,
     ]);
     for n in [20_000usize, 100_000, 400_000] {
         let raw = gen_points(n, PointDist::Uniform, 14);
@@ -514,9 +558,21 @@ fn e10_dynamic_pst() {
             f1(q_io),
             f1(t_total as f64 / queries.len() as f64),
             f2(store.live_pages() as f64 / (n as f64 / b_pst())),
+            by_region_class(&pst.page_census(&store).unwrap()),
         ]);
     }
     table.print();
+
+    let (after, fresh) = dynamic_churn_pages();
+    let factor = after as f64 / fresh as f64;
+    println!(
+        "space under churn (20k insert/delete pairs on 50k points): {after} pages against \
+         {fresh} of a fresh build, factor {factor:.3}, pinned at {DYNAMIC_CHURN_FACTOR}\n"
+    );
+    if factor > DYNAMIC_CHURN_FACTOR {
+        eprintln!("E10: the dynamic PST drifted past its pinned churn factor (tests/layout_bounds.rs)");
+    }
+    factor <= DYNAMIC_CHURN_FACTOR
 }
 
 // ---------------------------------------------------------------------------
@@ -595,12 +651,18 @@ fn e12_naive_vs_cached() {
         let mut ios = Vec::new();
         let mut wastes = Vec::new();
         let mut t_avg = 0.0;
-        for pst in [&naive as &dyn PstLike, &seg, &two] {
+        type Run<'a> = &'a dyn Fn(TwoSided) -> usize;
+        let runs: [Run<'_>; 3] = [
+            &|q| naive.counted(&store, q).0,
+            &|q| seg.counted(&store, q).0,
+            &|q| two.counted(&store, q).0,
+        ];
+        for run in runs {
             store.reset_stats();
             let waste_before = pc_obs::snapshot().counter("pc_op_wasteful_io_total");
             let mut t_total = 0usize;
             for q in &queries {
-                t_total += pst.run(&store, *q);
+                t_total += run(*q);
             }
             let waste = pc_obs::snapshot().counter("pc_op_wasteful_io_total") - waste_before;
             ios.push(store.stats().reads as f64 / queries.len() as f64);
@@ -685,34 +747,34 @@ fn e14_tradeoff_table() -> bool {
     let n = 200_000usize;
     let raw = gen_points(n, PointDist::Uniform, 23);
     let points = to_points(&raw);
-    let queries = gen_two_sided(&raw, 60, n / 50, 24);
+    let queries: Vec<TwoSided> = gen_two_sided(&raw, 60, n / 50, 24)
+        .iter()
+        .map(|q| TwoSided { x0: q.x0, y0: q.y0 })
+        .collect();
     let mut table = Table::new(&[
         "variant", "paper space", "pages", "blocks/point·B", "avg query I/O", "avg t",
     ]);
-    type Builder = Box<dyn Fn(&PageStore) -> Box<dyn PstLike>>;
-    let builders: Vec<(&str, &str, Builder)> = vec![
-        ("naive [IKO]", "n/B", Box::new(|s: &PageStore| {
-            Box::new(NaivePst::build(s, &to_points(&gen_points(200_000, PointDist::Uniform, 23))).unwrap()) as Box<dyn PstLike>
-        })),
-        ("basic (Lem 3.1)", "(n/B)·log n", Box::new(|s: &PageStore| {
-            Box::new(BasicPst::build(s, &to_points(&gen_points(200_000, PointDist::Uniform, 23))).unwrap())
-        })),
-        ("segmented (Thm 3.2)", "(n/B)·log B", Box::new(|s: &PageStore| {
-            Box::new(SegmentedPst::build(s, &to_points(&gen_points(200_000, PointDist::Uniform, 23))).unwrap())
-        })),
-        ("two-level (Thm 4.3)", "(n/B)·loglog B", Box::new(|s: &PageStore| {
-            Box::new(TwoLevelPst::build(s, &to_points(&gen_points(200_000, PointDist::Uniform, 23))).unwrap())
-        })),
-        ("3-level (Thm 4.4)", "(n/B)·log*B", Box::new(|s: &PageStore| {
-            Box::new(MultilevelPst::build(s, &to_points(&gen_points(200_000, PointDist::Uniform, 23)), 3).unwrap())
-        })),
-    ];
-    let _ = &points;
-    let mut within_pin = true;
-    for (label, paper, build) in builders {
+    /// Builds `P` and returns its pages, mean reads per query and mean t.
+    fn measure<P: TwoSidedPst>(points: &[Point], queries: &[TwoSided]) -> (u64, f64, f64) {
         let store = PageStore::in_memory(PAGE);
-        let pst = build(&store);
+        let pst = P::build_on(&store, points);
         let pages = store.live_pages();
+        store.reset_stats();
+        let t_total: usize = queries.iter().map(|q| pst.counted(&store, *q).0).sum();
+        let nq = queries.len() as f64;
+        (pages, store.stats().reads as f64 / nq, t_total as f64 / nq)
+    }
+    type Measure = fn(&[Point], &[TwoSided]) -> (u64, f64, f64);
+    let variants: [(&str, &str, Measure); 5] = [
+        ("naive [IKO]", "n/B", measure::<NaivePst>),
+        ("basic (Lem 3.1)", "(n/B)·log n", measure::<BasicPst>),
+        ("segmented (Thm 3.2)", "(n/B)·log B", measure::<SegmentedPst>),
+        ("two-level (Thm 4.3)", "(n/B)·loglog B", measure::<TwoLevelPst>),
+        ("3-level (Thm 4.4)", "(n/B)·log*B", measure::<MultilevelPst>),
+    ];
+    let mut within_pin = true;
+    for (label, paper, measure) in variants {
+        let (pages, io, t_avg) = measure(&points, &queries);
         if label.starts_with("two-level") {
             let units = pages as f64 / (n as f64 / b_pst() * b_pst().log2().log2());
             if units > TWO_LEVEL_SPACE_C {
@@ -723,19 +785,13 @@ fn e14_tradeoff_table() -> bool {
                 within_pin = false;
             }
         }
-        store.reset_stats();
-        let mut t_total = 0usize;
-        for q in &queries {
-            t_total += pst.run(&store, TwoSided { x0: q.x0, y0: q.y0 });
-        }
-        let io = store.stats().reads as f64 / queries.len() as f64;
         table.row(vec![
             label.to_string(),
             paper.to_string(),
             pages.to_string(),
             f2(pages as f64 / (n as f64 / b_pst())),
             f1(io),
-            f1(t_total as f64 / queries.len() as f64),
+            f1(t_avg),
         ]);
     }
     table.print();

@@ -48,17 +48,22 @@ impl<R: Record> BlockList<R> {
     /// Record order is preserved — the paper's lists are always sorted by
     /// the caller before blocking.
     pub fn build(store: &PageStore, records: &[R]) -> Result<Self> {
-        Self::build_blocked(store, records, Self::capacity(store.page_size()))
+        Ok(Self::build_blocked(store, records, Self::capacity(store.page_size()))?.0)
     }
 
     /// [`BlockList::build`] with `per_block <= capacity` records to a page
     /// (`ceil(len / per_block)` pages). A structure whose lists are copied
     /// into other lists block by block picks one count for all of them, so
     /// that a block of a source is a block of the copy whatever the two
-    /// record sizes are.
-    pub fn build_blocked(store: &PageStore, records: &[R], per_block: usize) -> Result<Self> {
+    /// record sizes are. Also returns the blocks' pages in chain order, for
+    /// the builder that records more of them than the head.
+    pub fn build_blocked(
+        store: &PageStore,
+        records: &[R],
+        per_block: usize,
+    ) -> Result<(Self, Vec<PageId>)> {
         if records.is_empty() {
-            return Ok(Self::empty());
+            return Ok((Self::empty(), Vec::new()));
         }
         let cap = Self::capacity(store.page_size());
         assert!(
@@ -81,7 +86,7 @@ impl<R: Record> BlockList<R> {
             };
             store.write(ids[i], &buf[..used])?;
         }
-        Ok(BlockList { head: ids[0], len: records.len() as u64, _marker: PhantomData })
+        Ok((BlockList { head: ids[0], len: records.len() as u64, _marker: PhantomData }, ids))
     }
 
     /// First page of the chain ([`NULL_PAGE`] when empty).
@@ -216,8 +221,9 @@ impl<R: Record> BlockList<R> {
         Ok((out, next))
     }
 
-    /// The page ids of every block in chain order (one I/O per block);
-    /// used once at build time to construct directories.
+    /// The page ids of every block in chain order (one I/O per block), for
+    /// the walks that count or free a built structure's pages. A builder
+    /// has them from [`BlockList::build_blocked`] and does not call this.
     pub fn block_pages(&self, store: &PageStore) -> Result<Vec<PageId>> {
         let mut out = Vec::new();
         let mut cur = self.head;
@@ -364,7 +370,7 @@ mod tests {
         // 7 records to a block where a page holds 10: 30 records, 5 blocks.
         let store = PageStore::in_memory(256);
         let data = points(30);
-        let list = BlockList::build_blocked(&store, &data, 7).unwrap();
+        let (list, built) = BlockList::build_blocked(&store, &data, 7).unwrap();
         assert_eq!(list.len(), 30);
         assert_eq!(store.live_pages(), 5);
         let sizes: Vec<usize> = list.blocks(&store).map(|b| b.unwrap().len()).collect();
@@ -373,6 +379,7 @@ mod tests {
         assert_eq!(list.read_all(&store).unwrap(), data);
         let pages = list.block_pages(&store).unwrap();
         assert_eq!(pages.len(), 5);
+        assert_eq!(built, pages, "the build names the pages the chain walk finds");
         let (second, next) = BlockList::<Point>::read_block(&store, pages[1]).unwrap();
         assert_eq!((second, next), (data[7..14].to_vec(), pages[2]));
 

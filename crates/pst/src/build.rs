@@ -21,11 +21,24 @@
 //!         [left_ref: u64+u16][right_ref: u64+u16]
 //!         [own_pts: u64][own_cnt: u16]
 //!         [left_pts: u64][left_cnt: u16][right_pts: u64][right_cnt: u16]
-//!         [a_list: BlockList<Point>][s_list: BlockList<SEntry>]
+//!         [child_a: BlockList<Point>][left_s: BlockList<SEntry>]
 //! ```
 //!
-//! `a_list`/`s_list` are the paper's A- and S-lists; which ancestors they
-//! cover depends on the [`CacheMode`].
+//! ## Who owns which cache
+//!
+//! The paper defines a node's A-list by its *ancestors* and its S-list by
+//! the right siblings of its *path* (§3), so two siblings have the same
+//! A-list and a right child has its parent's S-list, depth tags included.
+//! Each distinct list is therefore written once, in the record of the
+//! parent: `child_a` is the A-list both children use (the covered
+//! ancestors' points and the parent's own) and `left_s` the left child's
+//! S-list (the parent's S-list plus the right child's points). Which
+//! ancestors are covered depends on the [`CacheMode`]; a leaf, and a node
+//! whose children open a new segment, holds two empty handles. The query
+//! carries the pair `(cur_a, cur_s)` down its path — `child_a` on every
+//! in-segment step, `left_s` on a left step, both empty again when a step
+//! opens a segment — and drains that pair where it used to drain the
+//! node's own lists, so it reads the same blocks.
 //!
 //! ## The block unit
 //!
@@ -102,6 +115,14 @@ pub fn points_capacity(page_size: usize) -> usize {
 
 /// Builds a list blocked [`points_capacity`] records to a page.
 pub(crate) fn blocked<R: Record>(store: &PageStore, records: &[R]) -> Result<BlockList<R>> {
+    Ok(blocked_pages(store, records)?.0)
+}
+
+/// [`blocked`], with the blocks' pages in chain order.
+pub(crate) fn blocked_pages<R: Record>(
+    store: &PageStore,
+    records: &[R],
+) -> Result<(BlockList<R>, Vec<PageId>)> {
     BlockList::build_blocked(store, records, points_capacity(store.page_size()))
 }
 
@@ -149,10 +170,13 @@ pub struct SkeletalRecord {
     pub right_pts: PageId,
     /// Right child's point count.
     pub right_cnt: u16,
-    /// A-list: covered ancestors' points, descending x-key.
-    pub a_list: BlockList<Point>,
-    /// S-list: covered right-siblings' points, descending y-key.
-    pub s_list: BlockList<SEntry>,
+    /// The children's A-list: the covered ancestors' points and this
+    /// node's, descending x-key. Empty where no child continues the segment.
+    pub child_a: BlockList<Point>,
+    /// The left child's S-list: the covered right siblings' points down to
+    /// the right child's, descending y-key. The right child uses the list
+    /// this node uses.
+    pub left_s: BlockList<SEntry>,
 }
 
 /// Decodes the record at `slot` from raw skeletal-page bytes.
@@ -170,9 +194,32 @@ pub fn decode_record(page: &[u8], slot: u16) -> Result<SkeletalRecord> {
         left_cnt: r.get_u16()?,
         right_pts: PageId(r.get_u64()?),
         right_cnt: r.get_u16()?,
-        a_list: BlockList::decode(&mut r)?,
-        s_list: BlockList::decode(&mut r)?,
+        child_a: BlockList::decode(&mut r)?,
+        left_s: BlockList::decode(&mut r)?,
     })
+}
+
+/// Visits every skeletal page of a single-level structure with its records,
+/// a page before the pages below it.
+pub(crate) fn for_each_skeletal_page(
+    store: &PageStore,
+    root_page: PageId,
+    visit: &mut impl FnMut(PageId, &[SkeletalRecord]) -> Result<()>,
+) -> Result<()> {
+    let mut stack = vec![root_page];
+    while let Some(pid) = stack.pop() {
+        let page = store.read(pid)?;
+        let records = (0..PageReader::new(&page).get_u16()?)
+            .map(|slot| decode_record(&page, slot))
+            .collect::<Result<Vec<_>>>()?;
+        for rec in &records {
+            stack.extend(
+                [rec.left.page, rec.right.page].into_iter().filter(|p| !p.is_null() && *p != pid),
+            );
+        }
+        visit(pid, &records)?;
+    }
+    Ok(())
 }
 
 /// A decoded points page.
@@ -231,11 +278,11 @@ pub fn build_external(store: &PageStore, mem: &MemPst, mode: CacheMode) -> Resul
     let page_ids: Vec<PageId> =
         pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
 
-    // A/S lists via DFS with an ancestor chain.
-    let mut a_lists: Vec<BlockList<Point>> = vec![BlockList::empty(); mem.nodes.len()];
-    let mut s_lists: Vec<BlockList<SEntry>> = vec![BlockList::empty(); mem.nodes.len()];
+    // The children's lists, per internal node, via DFS with the chain of
+    // covered ancestors: (arena idx, depth, went_left).
+    let mut child_a: Vec<BlockList<Point>> = vec![BlockList::empty(); mem.nodes.len()];
+    let mut left_s: Vec<BlockList<SEntry>> = vec![BlockList::empty(); mem.nodes.len()];
     if mode != CacheMode::None {
-        // chain entries: (arena idx, depth, went_left)
         struct Frame {
             node: usize,
             depth: u16,
@@ -243,40 +290,36 @@ pub fn build_external(store: &PageStore, mem: &MemPst, mode: CacheMode) -> Resul
         }
         let mut stack = vec![Frame { node: 0, depth: 0, chain: Vec::new() }];
         while let Some(Frame { node, depth, chain }) = stack.pop() {
-            let mut a: Vec<Point> = Vec::new();
-            let mut s: Vec<SEntry> = Vec::new();
-            for &(anc, anc_depth, went_left) in &chain {
-                a.extend(mem.nodes[anc].points.iter().copied());
-                if went_left {
-                    let sib = mem.nodes[anc].right;
-                    s.extend(
-                        mem.nodes[sib]
-                            .points
-                            .iter()
-                            .map(|&p| SEntry { p, depth: anc_depth }),
-                    );
-                }
-            }
-            a.sort_unstable_by(|x, y| cmp_x(y, x));
-            s.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-            a_lists[node] = blocked(store, &a)?;
-            s_lists[node] = blocked(store, &s)?;
-
             let mn = &mem.nodes[node];
-            if mn.left != NONE {
-                for (child, went_left) in [(mn.left, true), (mn.right, false)] {
-                    let chain = if mode == CacheMode::FullPath
-                        || node_loc[child].0 == node_loc[node].0
-                    {
-                        let mut c = chain.clone();
-                        c.push((node, depth, went_left));
-                        c
-                    } else {
-                        // New skeletal page: segment restarts.
-                        Vec::new()
-                    };
-                    stack.push(Frame { node: child, depth: depth + 1, chain });
+            if mn.left == NONE {
+                continue;
+            }
+            for (child, went_left) in [(mn.left, true), (mn.right, false)] {
+                if mode == CacheMode::InPage && node_loc[child].0 != node_loc[node].0 {
+                    // New skeletal page: segment restarts.
+                    stack.push(Frame { node: child, depth: depth + 1, chain: Vec::new() });
+                    continue;
                 }
+                let mut chain = chain.clone();
+                chain.push((node, depth, went_left));
+                if went_left {
+                    // The left child's chain names both lists: its A-list is
+                    // the right child's too.
+                    let mut a: Vec<Point> = Vec::new();
+                    let mut s: Vec<SEntry> = Vec::new();
+                    for &(anc, anc_depth, went_left) in &chain {
+                        a.extend(mem.nodes[anc].points.iter().copied());
+                        if went_left {
+                            let sib = &mem.nodes[mem.nodes[anc].right];
+                            s.extend(sib.points.iter().map(|&p| SEntry { p, depth: anc_depth }));
+                        }
+                    }
+                    a.sort_unstable_by(|x, y| cmp_x(y, x));
+                    s.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
+                    child_a[node] = blocked(store, &a)?;
+                    left_s[node] = blocked(store, &s)?;
+                }
+                stack.push(Frame { node: child, depth: depth + 1, chain });
             }
         }
     }
@@ -315,8 +358,8 @@ pub fn build_external(store: &PageStore, mem: &MemPst, mode: CacheMode) -> Resul
                     w.put_u64(pts_ids[node.right].0)?;
                     w.put_u16(mem.nodes[node.right].points.len() as u16)?;
                 }
-                a_lists[ni].encode(&mut w)?;
-                s_lists[ni].encode(&mut w)?;
+                child_a[ni].encode(&mut w)?;
+                left_s[ni].encode(&mut w)?;
             }
             w.position()
         };
@@ -474,7 +517,68 @@ pst_variant!(
 /// Walkers the layout tests of this crate share.
 #[cfg(test)]
 pub(crate) mod testutil {
+    use std::sync::{Arc, Mutex};
+
+    use pc_pagestore::backend::{Backend, MemBackend};
+    use pc_pagestore::store::CHECKSUM_LEN;
+    use pc_pagestore::StoreConfig;
+
     use super::*;
+
+    struct LoggingBackend {
+        inner: MemBackend,
+        log: Arc<Mutex<Vec<PageId>>>,
+    }
+
+    impl Backend for LoggingBackend {
+        fn frame_size(&self) -> usize {
+            self.inner.frame_size()
+        }
+        fn read_frame(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+            self.log.lock().unwrap().push(id);
+            self.inner.read_frame(id, buf)
+        }
+        fn write_frame(&self, id: PageId, buf: &[u8]) -> Result<()> {
+            self.inner.write_frame(id, buf)
+        }
+        fn sync(&self) -> Result<()> {
+            self.inner.sync()
+        }
+        fn frame_count(&self) -> u64 {
+            self.inner.frame_count()
+        }
+    }
+
+    /// A strict in-memory store that logs the page of every read.
+    pub(crate) struct LoggedStore {
+        pub(crate) store: PageStore,
+        log: Arc<Mutex<Vec<PageId>>>,
+    }
+
+    impl LoggedStore {
+        pub(crate) fn new(page_size: usize) -> LoggedStore {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let inner = MemBackend::new(page_size + CHECKSUM_LEN);
+            let backend = LoggingBackend { inner, log: Arc::clone(&log) };
+            let store = PageStore::new(StoreConfig::strict(page_size), Box::new(backend));
+            LoggedStore { store, log }
+        }
+
+        /// Runs `f` and returns what it returns with the pages it read, in
+        /// order.
+        pub(crate) fn reads_of<T>(&self, f: impl FnOnce(&PageStore) -> T) -> (T, Vec<PageId>) {
+            self.log.lock().unwrap().clear();
+            let out = f(&self.store);
+            (out, std::mem::take(&mut self.log.lock().unwrap()))
+        }
+    }
+
+    /// `n` points with pairwise distinct x and pairwise distinct y.
+    pub(crate) fn distinct_points(n: usize) -> Vec<Point> {
+        (0..n as u64)
+            .map(|i| Point::new((i * 7919 % 100_003) as i64, (i * 104_729 % 99_991) as i64, i))
+            .collect()
+    }
 
     /// Record counts of a list's blocks, in chain order.
     pub(crate) fn block_sizes<R: Record>(store: &PageStore, list: &BlockList<R>) -> Vec<usize> {
@@ -492,17 +596,24 @@ pub(crate) mod testutil {
         what: &str,
     ) {
         let b = points_capacity(store.page_size());
+        assert_block_sizes(b, &block_sizes(store, list), full, rest, what);
+    }
+
+    /// [`assert_cache_blocks`] on the record counts of a list's blocks.
+    pub(crate) fn assert_block_sizes(b: usize, sizes: &[usize], full: usize, rest: usize, what: &str) {
         assert!(rest < b, "{what}: {rest} loose entries is a block or more");
         let mut want = vec![b; full];
         want.extend((rest > 0).then_some(rest));
-        assert_eq!(block_sizes(store, list), want, "{what}");
+        assert_eq!(sizes, want, "{what}");
     }
 
     /// Walks a single-level structure and checks every cache against the
-    /// block unit: a node's A-list is one whole block per covered ancestor
-    /// (ancestors have children, so each holds exactly `B` points) and its
-    /// S-list is the covered right siblings' points in whole blocks but
-    /// the last. Returns `(nodes, full nodes)`.
+    /// block unit: a node's `child_a` is one whole block per covered source
+    /// of its children — the covered ancestors and the node, which all have
+    /// children and so hold exactly `B` points — and its `left_s` is the
+    /// points of the left child's covered right siblings in whole blocks but
+    /// the last; both are empty where no child continues the segment.
+    /// Returns `(nodes, full nodes)`.
     pub(crate) fn check_core_caches(
         store: &PageStore,
         root_page: PageId,
@@ -523,24 +634,26 @@ pub(crate) mod testutil {
             let rec = decode_record(&store.read(f.at.page).unwrap(), f.at.slot).unwrap();
             nodes += 1;
             full += usize::from(rec.own_cnt as usize == b);
-            assert_cache_blocks(store, &rec.a_list, f.covered, 0, "A-list");
-            let copied: usize = f.sibs.iter().map(|&c| c as usize).sum();
-            assert_cache_blocks(store, &rec.s_list, copied / b, copied % b, "S-list");
-            if rec.left.page.is_null() {
-                continue;
-            }
-            for (child, went_left) in [(rec.left, true), (rec.right, false)] {
-                let covers = match mode {
-                    CacheMode::None => false,
-                    CacheMode::FullPath => true,
-                    CacheMode::InPage => child.page == f.at.page,
-                };
-                let mut sibs = if covers { f.sibs.clone() } else { Vec::new() };
-                if covers && went_left {
-                    sibs.push(rec.right_cnt);
+            let covers = |child: NodeRef| match mode {
+                _ if child.page.is_null() => false,
+                CacheMode::None => false,
+                CacheMode::FullPath => true,
+                CacheMode::InPage => child.page == f.at.page,
+            };
+            let mut left_sibs = f.sibs.clone();
+            left_sibs.push(rec.right_cnt);
+            let (sources, copied) = match covers(rec.left) {
+                true => (f.covered + 1, left_sibs.iter().map(|&c| c as usize).sum()),
+                false => (0, 0),
+            };
+            assert_cache_blocks(store, &rec.child_a, sources, 0, "child_a");
+            assert_cache_blocks(store, &rec.left_s, copied / b, copied % b, "left_s");
+            for (child, sibs) in [(rec.left, left_sibs), (rec.right, f.sibs)] {
+                if covers(child) {
+                    stack.push(Frame { at: child, covered: f.covered + 1, sibs });
+                } else if !child.page.is_null() {
+                    stack.push(Frame { at: child, covered: 0, sibs: Vec::new() });
                 }
-                let covered = if covers { f.covered + 1 } else { 0 };
-                stack.push(Frame { at: child, covered, sibs });
             }
         }
         (nodes, full)
@@ -549,14 +662,15 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use super::testutil::{distinct_points, LoggedStore};
     use super::*;
 
     #[test]
     fn caches_over_k_full_nodes_are_k_blocks() {
-        for (page_size, n) in [(512, 6_000u64), (4096, 40_000)] {
-            let pts: Vec<Point> = (0..n)
-                .map(|i| Point::new((i * 7919 % 100_003) as i64, (i * 104_729 % 99_991) as i64, i))
-                .collect();
+        for (page_size, n) in [(512, 6_000), (4096, 40_000)] {
+            let pts = distinct_points(n);
             for mode in [CacheMode::FullPath, CacheMode::InPage] {
                 let store = PageStore::in_memory(page_size);
                 let mem = MemPst::build(&pts, points_capacity(page_size));
@@ -564,6 +678,84 @@ mod tests {
                 let (nodes, full) = testutil::check_core_caches(&store, core.root_page, mode);
                 assert_eq!(nodes, mem.nodes.len());
                 assert!(full * 2 >= nodes - 1, "{full} full nodes of {nodes}");
+            }
+        }
+    }
+
+    /// Every distinct list once, and one owner each: the page count of a
+    /// complete tree with full-path caches, and a free walk that knows no
+    /// aliasing rule and returns every page.
+    #[test]
+    fn each_cache_list_is_written_once_and_freed_once() {
+        for (page_size, levels) in [(512usize, 3usize), (4096, 4)] {
+            let b = points_capacity(page_size);
+            let nodes = (1 << levels) - 1;
+            let store = PageStore::in_memory(page_size);
+            let mem = MemPst::build(&distinct_points(nodes * b), b);
+            assert_eq!(mem.nodes.len(), nodes);
+            assert!(mem.nodes.iter().all(|node| node.points.len() == b));
+            let core = build_external(&store, &mem, CacheMode::FullPath).unwrap();
+            // The 2^d internal nodes at depth d: a child_a of d + 1 blocks
+            // each; a left_s of one block for the right child and one per
+            // left step above, d/2 on average.
+            let a_blocks: usize = (0..levels - 1).map(|d| (d + 1) << d).sum();
+            let s_blocks: usize = (0..levels - 1).map(|d| (1 << d) + (d << d) / 2).sum();
+            let skeletal = paginate(&mem, skeletal_capacity(page_size)).0.len();
+            assert_eq!(store.live_pages() as usize, nodes + skeletal + a_blocks + s_blocks);
+            crate::two_level::free_pages(&store, core.root_page, false).unwrap();
+            assert_eq!(store.live_pages(), 0);
+        }
+    }
+
+    /// Two siblings drain one A-list, and a right child the S-list its
+    /// parent drains: corner queries at a node and at each of its children
+    /// meet the same cache lists, compared by the pages of their heads.
+    #[test]
+    fn siblings_drain_the_same_lists() {
+        for (page_size, n) in [(512, 3_000), (4096, 30_000)] {
+            for mode in [CacheMode::FullPath, CacheMode::InPage] {
+                let logged = LoggedStore::new(page_size);
+                let store = &logged.store;
+                let mem = MemPst::build(&distinct_points(n), points_capacity(page_size));
+                let core = build_external(store, &mem, mode).unwrap();
+                let mut records: Vec<(NodeRef, SkeletalRecord)> = Vec::new();
+                for_each_skeletal_page(store, core.root_page, &mut |page, recs| {
+                    let at = |slot: usize| NodeRef { page, slot: slot as u16 };
+                    records.extend(recs.iter().enumerate().map(|(slot, r)| (at(slot), r.clone())));
+                    Ok(())
+                })
+                .unwrap();
+                let heads = |list: fn(&SkeletalRecord) -> PageId| -> HashSet<PageId> {
+                    records.iter().map(|(_, rec)| list(rec)).filter(|p| !p.is_null()).collect()
+                };
+                let a_heads = heads(|rec| rec.child_a.head());
+                let s_heads = heads(|rec| rec.left_s.head());
+                // The cache lists a corner query at the node `at` meets: x0
+                // inside the node's x-range, y0 just above its lowest point.
+                let met = |at: NodeRef| {
+                    let rec = &records.iter().find(|(r, _)| *r == at).expect("a record").1;
+                    let own = read_points_page(store, rec.own_pts).unwrap().points;
+                    let q = TwoSided { x0: own[0].x, y0: rec.min_y.y + 1 };
+                    let (_, log) = logged.reads_of(|s| run_two_sided(s, &core, q).unwrap());
+                    let of = |heads: &HashSet<PageId>| -> Vec<PageId> {
+                        log.iter().copied().filter(|p| heads.contains(p)).collect()
+                    };
+                    (of(&a_heads), of(&s_heads))
+                };
+                let mut shared = 0;
+                for (at, rec) in &records {
+                    let in_segment = mode == CacheMode::FullPath || rec.left.page == at.page;
+                    if rec.left.page.is_null() || !in_segment || rec.right_cnt == 0 {
+                        continue;
+                    }
+                    let ((a_left, s_left), (a_right, s_right)) = (met(rec.left), met(rec.right));
+                    assert_eq!(a_left, a_right, "siblings meet one A-list");
+                    assert_eq!(a_left.last(), Some(&rec.child_a.head()));
+                    assert_eq!(s_left.last(), Some(&rec.left_s.head()));
+                    assert_eq!(s_right, met(*at).1, "a right child meets its parent's S-list");
+                    shared += 1;
+                }
+                assert!(shared >= 20, "{shared} sibling pairs compared");
             }
         }
     }

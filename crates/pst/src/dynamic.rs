@@ -10,10 +10,16 @@
 //!   overflows, its updates trickle one level of pages down: each is either
 //!   applied to the in-page region that contains its coordinates or
 //!   forwarded to a child page's `U`, cascading. A flush rewrites the X/Y
-//!   lists of the regions it touched and, of the page's A/S caches, those
-//!   with a source whose *first* X- (Y-) block moved — a cache copies
+//!   lists of the regions it touched — the record takes the new lists'
+//!   first *and second* block from the build — and, of the page's caches,
+//!   those with a source whose *first* X- (Y-) block moved: a cache copies
 //!   nothing else, and an applied point's rank in both orders is known
-//!   when it is applied. `O(B)` I/Os per flush, `O(1)` amortized.
+//!   when it is applied. A cache list lives once, in the record of the
+//!   parent of the regions that drain it (`child_a`: both children's
+//!   A-list, sources = the parent and its in-page ancestors; `left_s`: the
+//!   left child's S-list — see the `two_level` module header), so a moved
+//!   first block rebuilds one list per parent below it, not one per
+//!   sibling. `O(B)` I/Os per flush, `O(1)` amortized.
 //! * Applied updates are also logged in the region's `u`; the region's
 //!   **inner PST is rebuilt only when `u` overflows** (`O(log B · log log
 //!   B)` per `B` updates — §5's accounting).
@@ -33,13 +39,16 @@
 //! super-node boundaries) plus subtree rebuilds on 2× sibling imbalance.
 //! We substitute both with a single mechanism at the same amortized cost:
 //! a per-page churn counter triggers a **subtree rebuild** (gather all
-//! live points below the page, resolve pending ops by stamp, rebuild
-//! statically, splice into the parent). A rebuild restores the perfect
-//! decomposition, which subsumes re-division and rebalancing. Rebuilds are
-//! also triggered eagerly by two rare invariant hazards (a region emptied
-//! by deletes while it still has children, or a region growing past twice
-//! its capacity); an adversarially targeted delete stream can therefore
-//! exceed the amortized bound — the trade-off is noted in EXPERIMENTS.md.
+//! live points below the page, resolve pending ops by stamp, free the old
+//! subtree — every list has one owner, so one walk names each page once —
+//! rebuild statically, splice into the parent, whose record copies the new
+//! root's count and the `(head, second)` of its Y-list). A rebuild restores
+//! the perfect decomposition, which subsumes re-division and rebalancing.
+//! Rebuilds are also triggered eagerly by two rare invariant hazards (a
+//! region emptied by deletes while it still has children, or a region
+//! growing past twice its capacity); an adversarially targeted delete
+//! stream can therefore exceed the amortized bound — the trade-off is noted
+//! in EXPERIMENTS.md.
 //!
 //! ## Dynamic 3-sided queries (Theorem 5.2)
 //!
@@ -55,8 +64,8 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 
-use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::{PageId, PageStore, Point, Record, Result};
+use pc_pagestore::codec::PageWriter;
+use pc_pagestore::{PageId, PageStore, Point, Result};
 
 use crate::build::{blocked, SEntry};
 use crate::mem::{cmp_x, cmp_y, TwoSided};
@@ -64,8 +73,9 @@ use crate::query::QueryCounters;
 use crate::three_sided::{ThreeSided, ThreeSidedPst};
 use crate::two_level::{
     block_capacity, buffer_capacity, build_region_tree, decode_header, decode_record,
-    encode_header, encode_record, query_handle_buffered, read_buffer, region_caps, write_buffer,
-    InnerHandle, NodeRef, PageHeaderInfo, RegionRecord, UpdateRec, PAGE_HEADER, RECORD_LEN,
+    encode_header, encode_record, for_each_region_page, free_pages, page_census,
+    query_handle_buffered, read_buffer, region_caps, write_buffer, InnerHandle, ListRef, NodeRef,
+    PageHeaderInfo, RegionCensus, RegionRecord, UpdateRec, PAGE_HEADER, RECORD_LEN,
 };
 
 /// Outcome of a page flush: either the page was rewritten in place, or
@@ -183,6 +193,11 @@ impl DynamicPst {
     /// True when no points are live.
     pub fn is_empty(&self) -> bool {
         self.live == 0
+    }
+
+    /// Counts the structure's pages by class, update buffers included.
+    pub fn page_census(&self, store: &PageStore) -> Result<RegionCensus> {
+        page_census(store, self.root)
     }
 
     /// Update records applied since the initial build — the `seq` word of
@@ -425,10 +440,11 @@ impl DynamicPst {
 
     /// Rewrites one page after its regions' contents changed: fresh X/Y
     /// lists for the touched regions, per-region `u` appends, inner
-    /// rebuilds on `u` overflow, a fresh A- (S-) cache for every region
-    /// with a source whose first X- (Y-) block moved — the other caches
-    /// still hold exactly what a rebuild would write — and a parent patch
-    /// for the page root's metadata.
+    /// rebuilds on `u` overflow, a fresh `child_a` (`left_s`) for every
+    /// region whose children's A-list (left child's S-list) has a source
+    /// whose first X- (Y-) block moved — the other caches still hold exactly
+    /// what a rebuild would write — and a parent patch for the page root's
+    /// metadata.
     #[allow(clippy::too_many_arguments)]
     fn rewrite_page(
         &mut self,
@@ -455,8 +471,8 @@ impl DynamicPst {
             }
             records[slot].x_list.free(store)?;
             records[slot].y_list.free(store)?;
-            records[slot].x_list = blocked(store, &x_sorted[slot])?;
-            records[slot].y_list = blocked(store, &points[slot])?;
+            records[slot].x_list = ListRef::build(store, &x_sorted[slot])?;
+            records[slot].y_list = ListRef::build(store, &points[slot])?;
             records[slot].own_cnt = points[slot].len() as u16;
             records[slot].min_y_y = points[slot].last().map(|p| p.y).unwrap_or(0);
 
@@ -468,7 +484,7 @@ impl DynamicPst {
             };
             u_ops.extend(touched[slot].ops.iter().copied());
             if u_ops.len() >= u_cap {
-                free_inner(store, records[slot].inner_root, records[slot].inner_is_region)?;
+                free_pages(store, records[slot].inner_root, records[slot].inner_is_region)?;
                 let inner = build_region_tree(store, &points[slot], &self.caps[1..])?;
                 records[slot].inner_root = inner.root;
                 records[slot].inner_n = inner.n;
@@ -523,18 +539,21 @@ impl DynamicPst {
                 .flat_map(|&(src, depth)| lists[src].iter().take(b).map(move |&p| SEntry { p, depth }))
                 .collect()
         };
-        for slot in 0..count {
-            if a_src[slot].iter().any(|&(src, _)| touched[src].x_first) {
-                records[slot].a_list.free(store)?;
-                let mut a = first_blocks(&a_src[slot], &x_sorted);
+        // A region's record holds its in-page children's lists: the left
+        // child's sources name both.
+        for rec in &mut records {
+            let Some(lc) = slot_of_ref(rec.left) else { continue };
+            if a_src[lc].iter().any(|&(src, _)| touched[src].x_first) {
+                rec.child_a.free(store)?;
+                let mut a = first_blocks(&a_src[lc], &x_sorted);
                 a.sort_unstable_by(|x, y| cmp_x(&y.p, &x.p));
-                records[slot].a_list = blocked(store, &a)?;
+                rec.child_a = blocked(store, &a)?;
             }
-            if s_src[slot].iter().any(|&(src, _)| touched[src].y_first) {
-                records[slot].s_list.free(store)?;
-                let mut s = first_blocks(&s_src[slot], &points);
+            if s_src[lc].iter().any(|&(src, _)| touched[src].y_first) {
+                rec.left_s.free(store)?;
+                let mut s = first_blocks(&s_src[lc], &points);
                 s.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-                records[slot].s_list = blocked(store, &s)?;
+                rec.left_s = blocked(store, &s)?;
             }
         }
 
@@ -580,7 +599,7 @@ impl DynamicPst {
             }
         }
         let points: Vec<Point> = live.into_values().collect();
-        free_subtree(store, page_id)?;
+        free_pages(store, page_id, true)?;
         let handle = build_region_tree(store, &points, &self.caps)?;
         match parent {
             None => self.root = handle.root,
@@ -660,79 +679,15 @@ fn gather_subtree(
     live: &mut HashMap<u64, Point>,
     ops: &mut Vec<UpdateRec>,
 ) -> Result<()> {
-    let page = store.read(page_id)?;
-    let header = decode_header(&page)?;
-    if !header.u_page.is_null() {
-        ops.extend(read_buffer(store, header.u_page)?);
-    }
-    for slot in 0..header.count {
-        let rec = decode_record(&page, slot)?;
-        for p in rec.x_list.read_all(store)? {
-            live.insert(p.id, p);
+    for_each_region_page(store, page_id, &mut |_, header, records| {
+        if !header.u_page.is_null() {
+            ops.extend(read_buffer(store, header.u_page)?);
         }
-        for child in [rec.left, rec.right] {
-            if !child.page.is_null() && child.page != page_id && child.slot == 0 {
-                gather_subtree(store, child.page, live, ops)?;
-            }
+        for rec in records {
+            live.extend(rec.x_list.read_all(store)?.into_iter().map(|p| (p.id, p)));
         }
-    }
-    Ok(())
-}
-
-/// Frees an inner structure (basic PST or nested region tree).
-fn free_inner(store: &PageStore, root: PageId, is_region: bool) -> Result<()> {
-    if is_region {
-        free_subtree(store, root)
-    } else {
-        free_basic(store, root)
-    }
-}
-
-/// Frees a region-tree subtree: all pages, lists, buffers, and inners.
-fn free_subtree(store: &PageStore, page_id: PageId) -> Result<()> {
-    let page = store.read(page_id)?;
-    let header = decode_header(&page)?;
-    if !header.u_page.is_null() {
-        store.free(header.u_page)?;
-    }
-    for slot in 0..header.count {
-        let rec = decode_record(&page, slot)?;
-        rec.x_list.free(store)?;
-        rec.y_list.free(store)?;
-        // right_y_list aliases the right child's own y_list: not freed here.
-        rec.a_list.free(store)?;
-        rec.s_list.free(store)?;
-        if !rec.u_buf.is_null() {
-            store.free(rec.u_buf)?;
-        }
-        free_inner(store, rec.inner_root, rec.inner_is_region)?;
-        for child in [rec.left, rec.right] {
-            if !child.page.is_null() && child.page != page_id && child.slot == 0 {
-                free_subtree(store, child.page)?;
-            }
-        }
-    }
-    store.free(page_id)
-}
-
-/// Frees a basic (Lemma 3.1) PST: skeletal pages, points pages, caches.
-fn free_basic(store: &PageStore, root_page: PageId) -> Result<()> {
-    use crate::build::decode_record as decode_basic;
-    let page = store.read(root_page)?;
-    let mut r = PageReader::new(&page);
-    let count = r.get_u16()?;
-    for slot in 0..count {
-        let rec = decode_basic(&page, slot)?;
-        store.free(rec.own_pts)?;
-        rec.a_list.free(store)?;
-        rec.s_list.free(store)?;
-        for child in [rec.left, rec.right] {
-            if !child.page.is_null() && child.page != root_page && child.slot == 0 {
-                free_basic(store, child.page)?;
-            }
-        }
-    }
-    store.free(root_page)
+        Ok(())
+    })
 }
 
 /// Dynamic 3-sided structure (Theorem 5.2): the static Theorem 3.3 index
@@ -797,7 +752,7 @@ impl DynamicThreeSidedPst {
         // Persist buffered ops in blocks; the in-memory copy mirrors disk
         // (appending costs the read-modify-write the experiments measure).
         self.buffered.push(rec);
-        let per_page = (store.page_size() - 2) / UpdateRec::ENCODED_LEN;
+        let per_page = buffer_capacity(store.page_size());
         let need_pages = self.buffered.len().div_ceil(per_page);
         while self.buffer.len() < need_pages {
             self.buffer.push(store.alloc()?);
@@ -850,8 +805,7 @@ impl DynamicThreeSidedPst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pc_pagestore::layout::BlockList;
-    use pc_pagestore::PageStore;
+    use pc_pagestore::{PageStore, NULL_PAGE};
 
     fn xorshift(state: &mut u64, bound: i64) -> i64 {
         *state ^= *state << 13;
@@ -1023,6 +977,14 @@ mod tests {
             after <= 3 * baseline + 100,
             "page count grew from {baseline} to {after} under constant n"
         );
+        // Flushes, inner rebuilds and subtree rebuilds later, every list
+        // still has one owner: the census names each live page once, and
+        // the free walk returns them all.
+        let census = pst.page_census(&store).unwrap();
+        assert!(census.buffers > 0, "{census:?}");
+        assert_eq!(census.total(), after);
+        free_pages(&store, pst.root, true).unwrap();
+        assert_eq!(store.live_pages(), 0);
     }
 
     #[test]
@@ -1112,39 +1074,30 @@ mod tests {
         assert!(got.contains(&p), "the buffered insert was not reported");
     }
 
-    /// From-scratch A/S contents of every region of one page, taken from
-    /// the page's X/Y lists alone.
+    /// From-scratch `child_a` / `left_s` contents of every region of one
+    /// page, taken from the page's X/Y lists alone.
     fn rebuilt_caches(store: &PageStore, page_id: PageId) -> Vec<(Vec<SEntry>, Vec<SEntry>)> {
         let recs = page_records(store, page_id);
         let b = block_capacity(store.page_size());
-        let first = |list: &BlockList<Point>, depth: u16| -> Vec<SEntry> {
+        let first = |list: &ListRef, depth: usize| -> Vec<SEntry> {
             let all = list.read_all(store).unwrap();
-            all.into_iter().take(b).map(|p| SEntry { p, depth }).collect()
+            all.into_iter().take(b).map(|p| SEntry { p, depth: depth as u16 }).collect()
         };
-        // (parent slot, is the left child), None for the page root
-        let mut parent = vec![None; recs.len()];
-        for (slot, rec) in recs.iter().enumerate() {
-            for (child, is_left) in [(rec.left, true), (rec.right, false)] {
-                if child.page == page_id {
-                    parent[child.slot as usize] = Some((slot, is_left));
-                }
-            }
-        }
-        (0..recs.len())
-            .map(|slot| {
-                let mut path = Vec::new();
-                let mut cur = slot;
-                while let Some((up, is_left)) = parent[cur] {
-                    path.push((up, is_left));
-                    cur = up;
-                }
-                path.reverse();
+        let paths = crate::two_level::testutil::in_page_paths(page_id, &recs);
+        paths
+            .into_iter()
+            .enumerate()
+            .map(|(slot, mut path)| {
                 let (mut a, mut s) = (Vec::new(), Vec::new());
-                for (depth, &(anc, went_left)) in path.iter().enumerate() {
-                    a.extend(first(&recs[anc].x_list, depth as u16));
-                    let sib = recs[anc].right;
-                    if went_left && sib.page == page_id {
-                        s.extend(first(&recs[sib.slot as usize].y_list, depth as u16));
+                if recs[slot].left.page == page_id {
+                    // The left child's path names both of the record's lists.
+                    path.push((slot, true));
+                    for (depth, &(anc, went_left)) in path.iter().enumerate() {
+                        a.extend(first(&recs[anc].x_list, depth));
+                        let sib = recs[anc].right;
+                        if went_left && sib.page == page_id {
+                            s.extend(first(&recs[sib.slot as usize].y_list, depth));
+                        }
                     }
                 }
                 a.sort_unstable_by(|x, y| cmp_x(&y.p, &x.p));
@@ -1163,12 +1116,25 @@ mod tests {
 
     fn assert_caches_match_a_rebuild(store: &PageStore, page_id: PageId, what: &str) {
         let want = rebuilt_caches(store, page_id);
-        for (slot, (rec, (a, s))) in page_records(store, page_id).iter().zip(want).enumerate() {
-            assert_eq!(rec.a_list.read_all(store).unwrap(), a, "{what}: A-list of slot {slot}");
-            assert_eq!(rec.s_list.read_all(store).unwrap(), s, "{what}: S-list of slot {slot}");
+        let recs = page_records(store, page_id);
+        for (slot, (rec, (a, s))) in recs.iter().zip(want).enumerate() {
+            assert_eq!(rec.child_a.read_all(store).unwrap(), a, "{what}: child_a of slot {slot}");
+            assert_eq!(rec.left_s.read_all(store).unwrap(), s, "{what}: left_s of slot {slot}");
             let mut by_x = rec.y_list.read_all(store).unwrap();
+            assert_eq!(by_x.len(), rec.own_cnt as usize, "{what}: count of slot {slot}");
             by_x.sort_unstable_by(|x, y| cmp_x(y, x));
             assert_eq!(rec.x_list.read_all(store).unwrap(), by_x, "{what}: X/Y of slot {slot}");
+            // The record names the second block of each list, and of its
+            // right child's Y-list, as the chains have them.
+            for list in [rec.x_list, rec.y_list] {
+                let second = list.blocks(store).unwrap().get(1).map_or(NULL_PAGE, |block| block.0);
+                assert_eq!(list.second, second, "{what}: second block of slot {slot}");
+            }
+            if rec.right.page == page_id {
+                let right = &recs[rec.right.slot as usize];
+                assert_eq!(rec.right_y_list, right.y_list, "{what}: right_y_list of slot {slot}");
+                assert_eq!(rec.right_cnt, right.own_cnt, "{what}: right_cnt of slot {slot}");
+            }
         }
     }
 
@@ -1214,8 +1180,9 @@ mod tests {
                 store.stats().writes - before
             };
 
-            // The region that feeds the most caches: the page root's left
-            // child's right sibling (S-lists) and the page root (A-lists).
+            // The regions that feed the most caches: the page root's right
+            // child (every left_s below the root's left child copies it) and
+            // the page root (every child_a).
             let recs = page_records(&store, root);
             let right_of_root = recs[0].right.slot as usize;
             assert_eq!(recs[0].right.page, root);
@@ -1226,7 +1193,7 @@ mod tests {
             let handles = |store: &PageStore| -> Vec<(PageId, u64, PageId, u64)> {
                 page_records(store, root)
                     .iter()
-                    .map(|r| (r.a_list.head(), r.a_list.len(), r.s_list.head(), r.s_list.len()))
+                    .map(|r| (r.child_a.head(), r.child_a.len(), r.left_s.head(), r.left_s.len()))
                     .collect()
             };
             let before = handles(&store);
@@ -1244,7 +1211,7 @@ mod tests {
             assert_caches_match_a_rebuild(&store, root, "Y-first delete");
 
             // 3. Only an X-first block moves — the page root's, which every
-            //    A-list of the page copies.
+            //    child_a of the page copies.
             next_id += 1;
             let recs = page_records(&store, root);
             let x_only = twin(&store, &recs[0], true, false, next_id);

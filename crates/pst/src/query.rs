@@ -1,13 +1,12 @@
 //! The 2-sided query engine shared by the naive, basic, and segmented
 //! variants (§3 of the paper).
 
-use std::collections::{BTreeMap, HashMap};
-
+use pc_pagestore::layout::BlockList;
 use pc_pagestore::search::partition_point;
 use pc_pagestore::{PageId, PageStore, Point, Result};
 
 use crate::build::{
-    decode_record, points_capacity, read_points_page, CacheMode, PstCore, SkeletalRecord,
+    decode_record, points_capacity, read_points_page, CacheMode, PstCore, SEntry, SkeletalRecord,
 };
 use crate::mem::TwoSided;
 
@@ -49,8 +48,13 @@ pub fn run_two_sided(
         results: Vec::new(),
         counters: QueryCounters::default(),
     };
-    // Right-sibling info per path depth: (points page, count).
-    let mut sib: HashMap<u16, (PageId, u16)> = HashMap::new();
+    // Per path depth, the right sibling left behind there, if any:
+    // (points page, count).
+    let mut sib: Vec<Option<(PageId, u16)>> = Vec::new();
+    // The A- and S-list of the node in hand, picked up from its ancestors'
+    // records on the way down (see the `build` module header).
+    let mut cur_a: BlockList<Point> = BlockList::empty();
+    let mut cur_s: BlockList<SEntry> = BlockList::empty();
 
     let mut cur_page_id = core.root_page;
     let mut page = {
@@ -59,7 +63,6 @@ pub fn run_two_sided(
     };
     ctx.counters.skeletal += 1;
     let mut slot = 0u16;
-    let mut depth = 0u16;
     loop {
         let rec = decode_record(&page, slot)?;
         let is_leaf = rec.left.page.is_null();
@@ -70,7 +73,7 @@ pub fn run_two_sided(
                     ctx.read_own_filtered(&rec, true)?;
                 }
                 CacheMode::FullPath | CacheMode::InPage => {
-                    ctx.drain_caches_and_seed(&rec, &sib)?;
+                    ctx.drain_caches_and_seed(&cur_a, &cur_s, &sib)?;
                     ctx.read_own_filtered(&rec, true)?;
                 }
             }
@@ -80,9 +83,7 @@ pub fn run_two_sided(
         // v is a proper ancestor of the corner: all its points satisfy
         // y >= y0, and the path continues below.
         let go_left = q.x0 <= rec.split.x;
-        if go_left && rec.right_cnt > 0 {
-            sib.insert(depth, (rec.right_pts, rec.right_cnt));
-        }
+        sib.push((go_left && rec.right_cnt > 0).then_some((rec.right_pts, rec.right_cnt)));
         let next = if go_left { rec.left } else { rec.right };
         let crosses_page = next.page != cur_page_id;
 
@@ -104,7 +105,7 @@ pub fn run_two_sided(
                     // The exit's own right sibling belongs to no S-list
                     // (the next segment's caches restart below it), so it
                     // is read directly — one paid I/O per segment.
-                    ctx.drain_caches_and_seed(&rec, &sib)?;
+                    ctx.drain_caches_and_seed(&cur_a, &cur_s, &sib)?;
                     ctx.read_own_filtered(&rec, false)?;
                     if go_left && rec.right_cnt > 0 {
                         ctx.traverse(rec.right_pts, true)?;
@@ -119,8 +120,15 @@ pub fn run_two_sided(
             page = store.read(cur_page_id)?;
             ctx.counters.skeletal += 1;
         }
+        if crosses_page && core.mode == CacheMode::InPage {
+            (cur_a, cur_s) = (BlockList::empty(), BlockList::empty());
+        } else {
+            cur_a = rec.child_a;
+            if go_left {
+                cur_s = rec.left_s;
+            }
+        }
         slot = next.slot;
-        depth += 1;
     }
     Ok((ctx.results, ctx.counters))
 }
@@ -160,22 +168,23 @@ impl Ctx<'_> {
         Ok(())
     }
 
-    /// Reads the node's A- and S-lists (answer prefixes), then seeds the
+    /// Reads a node's A- and S-lists (answer prefixes), then seeds the
     /// descendant traversal for every sibling whose points all qualified.
     fn drain_caches_and_seed(
         &mut self,
-        rec: &SkeletalRecord,
-        sib: &HashMap<u16, (PageId, u16)>,
+        a_list: &BlockList<Point>,
+        s_list: &BlockList<SEntry>,
+        sib: &[Option<(PageId, u16)>],
     ) -> Result<()> {
         // A-list: descending x; prefix with x >= x0 qualifies (covered
         // ancestors are all above the corner, so y >= y0 holds).
-        // Ordered by depth: the traversals below run, and report, in one
-        // order from call to call.
-        let mut qualified: BTreeMap<u16, u16> = BTreeMap::new();
+        // S-entries are counted per source depth; the traversals below run,
+        // and report, in depth order.
+        let mut qualified = vec![0u16; sib.len()];
         {
             let _probe = pc_obs::span!("path_cache_probe");
             let before = self.results.len();
-            'a_scan: for block in rec.a_list.blocks(self.store) {
+            'a_scan: for block in a_list.blocks(self.store) {
                 self.counters.cache_blocks += 1;
                 for p in block? {
                     if p.x < self.q.x0 {
@@ -187,14 +196,14 @@ impl Ctx<'_> {
             // S-list: descending y; prefix with y >= y0 qualifies (siblings
             // lie wholly right of x0). Count per source depth for the
             // descent rule.
-            's_scan: for block in rec.s_list.blocks(self.store) {
+            's_scan: for block in s_list.blocks(self.store) {
                 self.counters.cache_blocks += 1;
                 for e in block? {
                     if e.p.y < self.q.y0 {
                         break 's_scan;
                     }
                     self.results.push(e.p);
-                    *qualified.entry(e.depth).or_insert(0) += 1;
+                    qualified[e.depth as usize] += 1;
                 }
             }
             pc_obs::add_items((self.results.len() - before) as u64);
@@ -202,10 +211,12 @@ impl Ctx<'_> {
         // Descend into a sibling's children only when its region is fully
         // inside the query (§3's paid-for rule). Underfull nodes are leaves
         // by construction, so only full blocks can have children.
-        for (d, cnt) in qualified {
-            let &(pts, total) = sib.get(&d).expect("S entries come from recorded siblings");
-            if cnt == total && total == self.cap {
-                self.traverse(pts, false)?;
+        for (sibling, cnt) in sib.iter().zip(qualified) {
+            match *sibling {
+                Some((pts, total)) if cnt == total && total == self.cap => {
+                    self.traverse(pts, false)?
+                }
+                _ => {}
             }
         }
         Ok(())

@@ -90,7 +90,7 @@ use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
 use pc_pagestore::{Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
-use crate::build::{blocked, paginate, points_capacity, NodeRef, SEntry};
+use crate::build::{blocked, blocked_pages, paginate, points_capacity, NodeRef, SEntry};
 use crate::mem::{cmp_x, cmp_y, MemPst, NONE};
 use crate::query::QueryCounters;
 use crate::two_level::{complete_tree_nodes, region_caps};
@@ -333,12 +333,8 @@ impl ThreeSidedPst {
         let mut y_second = Vec::with_capacity(n_nodes);
         for node in &mem.nodes {
             // Node points are already descending by y-key.
-            let list = blocked(store, &node.points)?;
-            y_second.push(if node.points.len() > b {
-                BlockList::<Point>::read_block(store, list.head())?.1
-            } else {
-                NULL_PAGE
-            });
+            let (list, pages) = blocked_pages(store, &node.points)?;
+            y_second.push(pages.get(1).copied().unwrap_or(NULL_PAGE));
             y_list.push(list);
         }
         let mut a_list = vec![BlockList::empty(); n_nodes];
@@ -365,9 +361,10 @@ impl ThreeSidedPst {
             }
             if !a.is_empty() {
                 a.sort_unstable_by(|p, q| cmp_x(&q.p, &p.p));
-                a_list[node] = blocked(store, &a)?;
+                let (list, pages) = blocked_pages(store, &a)?;
+                a_list[node] = list;
                 let mut node_dir = NodeDir::default();
-                for (chunk, page) in a.chunks(b).zip(a_list[node].block_pages(store)?) {
+                for (chunk, page) in a.chunks(b).zip(pages) {
                     node_dir.a.push((chunk.last().expect("chunks are non-empty").p.x, page));
                 }
                 // Threshold-indexed S-families over the siblings' first

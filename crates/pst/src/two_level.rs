@@ -12,37 +12,50 @@
 //! * **X-list** — `R`'s points sorted descending by x, blocked `B` to a
 //!   page;
 //! * **Y-list** — sorted descending by y, blocked likewise;
-//! * **A-list** — the *first blocks* of the X-lists of `R`'s in-segment
-//!   ancestors (segment = skeletal page), merged descending by x and
-//!   tagged with the source depth;
-//! * **S-list** — the first blocks of the Y-lists of the in-segment
-//!   right-siblings, merged descending by y, tagged;
 //! * an **inner structure** over `R`'s points: a Lemma 3.1 PST with
 //!   full-path caches for the two-level scheme (height `O(log log B)` —
 //!   Lemma 4.2's space bound), or recursively another region tree with
 //!   regions sized by the same rule from the iterated log for the
-//!   multilevel scheme (§4.2), bottoming out at the basic PST.
+//!   multilevel scheme (§4.2), bottoming out at the basic PST;
 //!
-//! The query (§4.1) reads `O(log_B n)` A/S caches along the corner path.
+//! and, for its children, the two caches §4 defines per region — written
+//! once, by the parent, because the paper defines them by the path above a
+//! region: two siblings have the same A-list, and a right child's S-list is
+//! its parent's, depth tags included (see the `build` module header):
+//!
+//! * **`child_a`** — the A-list of both children: the *first blocks* of the
+//!   X-lists of `R` and of `R`'s in-segment ancestors (segment = skeletal
+//!   page), merged descending by x and tagged with the source's in-page
+//!   depth;
+//! * **`left_s`** — the S-list of the left child: the first blocks of the
+//!   Y-lists of the in-segment right siblings down to `R`'s right child,
+//!   merged descending by y, tagged.
+//!
+//! A leaf, and a region whose children open pages of their own, holds two
+//! empty handles. The query (§4.1) carries `(cur_a, cur_s)` down the corner
+//! path — `child_a` on every in-page step, `left_s` on a left step, both
+//! empty again on a page crossing — and drains them at the corner and where
+//! the path leaves a page: `O(log_B n)` A/S caches in all.
 //! Because a cache holds only each ancestor's first block, the
 //! **continuation rule** applies: a source's X-list (resp. a sibling's
-//! Y-list) is read block by block from its second block if and only if all
-//! its copied points qualified — every continued read is a full block of
-//! answers except possibly the last. A first block is `B` entries and so is
-//! a cache block, so a cache over `k` sources is `k` blocks. The corner
-//! region is queried through its inner structure; descendants of
-//! fully-inside siblings are traversed region by region, paid for by their
-//! parents' full output, each skeletal page read once however many of its
-//! regions the traversal visits.
-
-use std::collections::{BTreeMap, HashMap};
+//! Y-list) is read on *from its second block*, which the record names, if
+//! and only if all its copied points qualified — every continued read is a
+//! full block of answers except possibly the last, and no block is read
+//! twice. A first block is `B` entries and so is a cache block, so a cache
+//! over `k` sources is `k` blocks. The corner region is queried through its
+//! inner structure; descendants of fully-inside siblings are traversed
+//! region by region, paid for by their parents' full output, each skeletal
+//! page read once however many of its regions the traversal visits.
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
 use pc_pagestore::{Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
-use crate::build::{blocked, build_external, points_capacity, CacheMode, PstCore, SEntry};
-use crate::mem::{cmp_x, MemPst, TwoSided, NONE};
+use crate::build::{
+    blocked, blocked_pages, build_external, for_each_skeletal_page, points_capacity, CacheMode,
+    PstCore, SEntry,
+};
+use crate::mem::{cmp_x, cmp_y, MemPst, TwoSided, NONE};
 use crate::query::{run_two_sided, QueryCounters};
 
 /// Byte size of one region record.
@@ -50,9 +63,14 @@ use crate::query::{run_two_sided, QueryCounters};
 /// ```text
 /// [split_x i64][min_y_y i64][left u64+u16][right u64+u16]
 /// [own_cnt u16][left_cnt u16][right_cnt u16][child_leaf_flags u8]
-/// [x_list 16][y_list 16][right_y_list 16][a_list 16][s_list 16]
+/// [x_list 16][y_list 16][right_y_list 16][child_a 16][left_s 16]
 /// [inner_root u64][inner_n u64][inner_is_region u8][u_buf u64]
 /// ```
+///
+/// `x_list`, `y_list` and `right_y_list` (the right child's Y-list) are
+/// [`ListRef`]s, `[head u64][second u64]`: their lengths are `own_cnt`,
+/// `own_cnt` and `right_cnt`. `child_a` and `left_s` are `BlockList`
+/// handles, `[head u64][len u64]`.
 ///
 /// The page header carries the dynamic-structure state (all zero for
 /// static builds):
@@ -115,6 +133,49 @@ pub(crate) struct NodeRef {
     pub(crate) slot: u16,
 }
 
+/// A region's X- or Y-list as a record names it: the pages of its first
+/// two blocks ([`NULL_PAGE`] where the list has none), so that a scan can
+/// start at either. The record's point counts give the length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ListRef {
+    pub(crate) head: PageId,
+    pub(crate) second: PageId,
+}
+
+impl ListRef {
+    pub(crate) const EMPTY: ListRef = ListRef { head: NULL_PAGE, second: NULL_PAGE };
+
+    /// Writes `points`, in the order given, `B` to a page.
+    pub(crate) fn build(store: &PageStore, points: &[Point]) -> Result<ListRef> {
+        let pages = blocked_pages(store, points)?.1;
+        let page = |i: usize| pages.get(i).copied().unwrap_or(NULL_PAGE);
+        Ok(ListRef { head: page(0), second: page(1) })
+    }
+
+    /// Every block of the list with its page, in chain order (one read per
+    /// block).
+    pub(crate) fn blocks(&self, store: &PageStore) -> Result<Vec<(PageId, Vec<Point>)>> {
+        let mut out = Vec::new();
+        let mut next = self.head;
+        while !next.is_null() {
+            let (points, after) = BlockList::<Point>::read_block(store, next)?;
+            out.push((next, points));
+            next = after;
+        }
+        Ok(out)
+    }
+
+    /// The list's points, in order.
+    pub(crate) fn read_all(&self, store: &PageStore) -> Result<Vec<Point>> {
+        Ok(self.blocks(store)?.into_iter().flat_map(|(_, points)| points).collect())
+    }
+
+    /// Frees every page of the list.
+    pub(crate) fn free(&self, store: &PageStore) -> Result<()> {
+        self.blocks(store)?.into_iter().try_for_each(|(page, _)| store.free(page))
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct RegionRecord {
     pub(crate) split_x: i64,
@@ -126,11 +187,14 @@ pub(crate) struct RegionRecord {
     pub(crate) right_cnt: u16,
     pub(crate) left_is_leaf: bool,
     pub(crate) right_is_leaf: bool,
-    pub(crate) x_list: BlockList<Point>,
-    pub(crate) y_list: BlockList<Point>,
-    pub(crate) right_y_list: BlockList<Point>,
-    pub(crate) a_list: BlockList<SEntry>,
-    pub(crate) s_list: BlockList<SEntry>,
+    pub(crate) x_list: ListRef,
+    pub(crate) y_list: ListRef,
+    /// The right child's `y_list`, whichever page that child is on.
+    pub(crate) right_y_list: ListRef,
+    /// The children's A-list; empty where they are on other pages.
+    pub(crate) child_a: BlockList<SEntry>,
+    /// The left child's S-list; the right child uses this region's.
+    pub(crate) left_s: BlockList<SEntry>,
     pub(crate) inner_root: PageId,
     pub(crate) inner_n: u64,
     pub(crate) inner_is_region: bool,
@@ -148,6 +212,10 @@ pub(crate) fn decode_record(page: &[u8], slot: u16) -> Result<RegionRecord> {
     let left_cnt = r.get_u16()?;
     let right_cnt = r.get_u16()?;
     let flags = r.get_u8()?;
+    let mut list_ref = || -> Result<ListRef> {
+        Ok(ListRef { head: PageId(r.get_u64()?), second: PageId(r.get_u64()?) })
+    };
+    let (x_list, y_list, right_y_list) = (list_ref()?, list_ref()?, list_ref()?);
     Ok(RegionRecord {
         split_x,
         min_y_y,
@@ -158,11 +226,11 @@ pub(crate) fn decode_record(page: &[u8], slot: u16) -> Result<RegionRecord> {
         right_cnt,
         left_is_leaf: flags & 1 != 0,
         right_is_leaf: flags & 2 != 0,
-        x_list: BlockList::decode(&mut r)?,
-        y_list: BlockList::decode(&mut r)?,
-        right_y_list: BlockList::decode(&mut r)?,
-        a_list: BlockList::decode(&mut r)?,
-        s_list: BlockList::decode(&mut r)?,
+        x_list,
+        y_list,
+        right_y_list,
+        child_a: BlockList::decode(&mut r)?,
+        left_s: BlockList::decode(&mut r)?,
         inner_root: PageId(r.get_u64()?),
         inner_n: r.get_u64()?,
         inner_is_region: r.get_u8()? != 0,
@@ -170,8 +238,8 @@ pub(crate) fn decode_record(page: &[u8], slot: u16) -> Result<RegionRecord> {
     })
 }
 
-/// Re-encodes a region record (used by the dynamic structure's partial
-/// rebuilds; the writer must be positioned at the record's start).
+/// Encodes a region record (the writer must be positioned at the record's
+/// start).
 pub(crate) fn encode_record(w: &mut PageWriter<'_>, rec: &RegionRecord) -> Result<()> {
     w.put_i64(rec.split_x)?;
     w.put_i64(rec.min_y_y)?;
@@ -183,11 +251,12 @@ pub(crate) fn encode_record(w: &mut PageWriter<'_>, rec: &RegionRecord) -> Resul
     w.put_u16(rec.left_cnt)?;
     w.put_u16(rec.right_cnt)?;
     w.put_u8(u8::from(rec.left_is_leaf) | (u8::from(rec.right_is_leaf) << 1))?;
-    rec.x_list.encode(w)?;
-    rec.y_list.encode(w)?;
-    rec.right_y_list.encode(w)?;
-    rec.a_list.encode(w)?;
-    rec.s_list.encode(w)?;
+    for list in [rec.x_list, rec.y_list, rec.right_y_list] {
+        w.put_u64(list.head.0)?;
+        w.put_u64(list.second.0)?;
+    }
+    rec.child_a.encode(w)?;
+    rec.left_s.encode(w)?;
     w.put_u64(rec.inner_root.0)?;
     w.put_u64(rec.inner_n)?;
     w.put_u8(u8::from(rec.inner_is_region))?;
@@ -322,58 +391,70 @@ pub(crate) fn build_region_tree(
     let mut y_lists = Vec::with_capacity(n_nodes);
     let mut inners: Vec<InnerHandle> = Vec::with_capacity(n_nodes);
     for (node, xs) in mem.nodes.iter().zip(&x_sorted) {
-        x_lists.push(blocked(store, xs)?);
+        x_lists.push(ListRef::build(store, xs)?);
         // Node points are already descending by y-key.
-        y_lists.push(blocked(store, &node.points)?);
+        y_lists.push(ListRef::build(store, &node.points)?);
         inners.push(build_region_tree(store, &node.points, &caps[1..])?);
     }
 
-    // A/S caches from in-page ancestor chains (first blocks only).
-    let mut a_lists: Vec<BlockList<SEntry>> = vec![BlockList::empty(); n_nodes];
-    let mut s_lists: Vec<BlockList<SEntry>> = vec![BlockList::empty(); n_nodes];
-    // Chain entries are tagged with the ancestor's *in-page* depth (the
-    // chain resets at page boundaries, so its length is exactly that),
-    // matching the in-page counter the query maintains.
+    // The children's caches, per region with children on its page, from the
+    // chain of in-page ancestors (first blocks only). Chain entries are
+    // tagged with the ancestor's *in-page* depth (the chain resets at page
+    // boundaries, so its length is exactly that), matching the depth the
+    // query counts.
+    let mut child_a: Vec<BlockList<SEntry>> = vec![BlockList::empty(); n_nodes];
+    let mut left_s: Vec<BlockList<SEntry>> = vec![BlockList::empty(); n_nodes];
     struct Frame {
         node: usize,
         chain: Vec<(usize, u16, bool)>,
     }
     let mut stack = vec![Frame { node: 0, chain: Vec::new() }];
     while let Some(Frame { node, chain }) = stack.pop() {
-        let mut a: Vec<SEntry> = Vec::new();
-        let mut s: Vec<SEntry> = Vec::new();
-        for &(anc, anc_depth, went_left) in &chain {
-            a.extend(x_sorted[anc].iter().take(b).map(|&p| SEntry { p, depth: anc_depth }));
-            if went_left {
-                let sib = mem.nodes[anc].right;
-                s.extend(
-                    mem.nodes[sib].points.iter().take(b).map(|&p| SEntry { p, depth: anc_depth }),
-                );
-            }
-        }
-        a.sort_unstable_by(|x, y| cmp_x(&y.p, &x.p));
-        s.sort_unstable_by(|x, y| crate::mem::cmp_y(&y.p, &x.p));
-        a_lists[node] = blocked(store, &a)?;
-        s_lists[node] = blocked(store, &s)?;
-
         let mn = &mem.nodes[node];
-        if mn.left != NONE {
-            for (child, went_left) in [(mn.left, true), (mn.right, false)] {
-                let chain = if node_loc[child].0 == node_loc[node].0 {
-                    let mut c = chain.clone();
-                    let inpage_depth = c.len() as u16;
-                    c.push((node, inpage_depth, went_left));
-                    c
-                } else {
-                    Vec::new()
-                };
-                stack.push(Frame { node: child, chain });
+        if mn.left == NONE {
+            continue;
+        }
+        for (child, went_left) in [(mn.left, true), (mn.right, false)] {
+            if node_loc[child].0 != node_loc[node].0 {
+                stack.push(Frame { node: child, chain: Vec::new() });
+                continue;
             }
+            let mut chain = chain.clone();
+            chain.push((node, chain.len() as u16, went_left));
+            if went_left {
+                // The left child's chain names both lists: its A-list is
+                // the right child's too.
+                let first_block = |pts: &[Point], depth: u16| -> Vec<SEntry> {
+                    pts.iter().take(b).map(|&p| SEntry { p, depth }).collect()
+                };
+                let mut a: Vec<SEntry> = Vec::new();
+                let mut s: Vec<SEntry> = Vec::new();
+                for &(anc, anc_depth, went_left) in &chain {
+                    a.extend(first_block(&x_sorted[anc], anc_depth));
+                    if went_left {
+                        s.extend(first_block(&mem.nodes[mem.nodes[anc].right].points, anc_depth));
+                    }
+                }
+                a.sort_unstable_by(|x, y| cmp_x(&y.p, &x.p));
+                s.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
+                child_a[node] = blocked(store, &a)?;
+                left_s[node] = blocked(store, &s)?;
+            }
+            stack.push(Frame { node: child, chain });
         }
     }
 
     // Serialize.
     let mut buf = vec![0u8; page_size];
+    let child_ref = |ni: usize| match ni {
+        NONE => NodeRef { page: NULL_PAGE, slot: 0 },
+        _ => NodeRef { page: page_ids[node_loc[ni].0], slot: node_loc[ni].1 },
+    };
+    // What a parent's record says of a child: (point count, is a leaf).
+    let child_info = |ni: usize| match ni {
+        NONE => (0, true),
+        _ => (mem.nodes[ni].points.len() as u16, mem.nodes[ni].is_leaf()),
+    };
     for (page_idx, members) in pages.iter().enumerate() {
         let used = {
             let mut w = PageWriter::new(&mut buf);
@@ -388,45 +469,29 @@ pub(crate) fn build_region_tree(
             )?;
             for &ni in members {
                 let node = &mem.nodes[ni];
-                w.put_i64(node.split.x)?;
-                w.put_i64(node.points.last().map(|p| p.y).unwrap_or(0))?;
-                if node.is_leaf() {
-                    for _ in 0..2 {
-                        w.put_u64(NULL_PAGE.0)?;
-                        w.put_u16(0)?;
-                    }
-                } else {
-                    for child in [node.left, node.right] {
-                        let (p, s) = node_loc[child];
-                        w.put_u64(page_ids[p].0)?;
-                        w.put_u16(s)?;
-                    }
-                }
-                w.put_u16(node.points.len() as u16)?;
-                if node.is_leaf() {
-                    w.put_u16(0)?;
-                    w.put_u16(0)?;
-                    w.put_u8(3)?;
-                } else {
-                    w.put_u16(mem.nodes[node.left].points.len() as u16)?;
-                    w.put_u16(mem.nodes[node.right].points.len() as u16)?;
-                    let flags = u8::from(mem.nodes[node.left].is_leaf())
-                        | (u8::from(mem.nodes[node.right].is_leaf()) << 1);
-                    w.put_u8(flags)?;
-                }
-                x_lists[ni].encode(&mut w)?;
-                y_lists[ni].encode(&mut w)?;
-                if node.is_leaf() {
-                    BlockList::<Point>::empty().encode(&mut w)?;
-                } else {
-                    y_lists[node.right].encode(&mut w)?;
-                }
-                a_lists[ni].encode(&mut w)?;
-                s_lists[ni].encode(&mut w)?;
-                w.put_u64(inners[ni].root.0)?;
-                w.put_u64(inners[ni].n)?;
-                w.put_u8(u8::from(inners[ni].is_region))?;
-                w.put_u64(NULL_PAGE.0)?;
+                let ((left_cnt, left_is_leaf), (right_cnt, right_is_leaf)) =
+                    (child_info(node.left), child_info(node.right));
+                let rec = RegionRecord {
+                    split_x: node.split.x,
+                    min_y_y: node.points.last().map_or(0, |p| p.y),
+                    left: child_ref(node.left),
+                    right: child_ref(node.right),
+                    own_cnt: node.points.len() as u16,
+                    left_cnt,
+                    right_cnt,
+                    left_is_leaf,
+                    right_is_leaf,
+                    x_list: x_lists[ni],
+                    y_list: y_lists[ni],
+                    right_y_list: if node.is_leaf() { ListRef::EMPTY } else { y_lists[node.right] },
+                    child_a: child_a[ni],
+                    left_s: left_s[ni],
+                    inner_root: inners[ni].root,
+                    inner_n: inners[ni].n,
+                    inner_is_region: inners[ni].is_region,
+                    u_buf: NULL_PAGE,
+                };
+                encode_record(&mut w, &rec)?;
             }
             w.position()
         };
@@ -435,6 +500,10 @@ pub(crate) fn build_region_tree(
 
     Ok(InnerHandle { root: page_ids[0], n: points.len() as u64, is_region: true })
 }
+
+/// A right sibling the corner path left behind: the second block of its
+/// Y-list, its point count, whether it is a leaf, and its record.
+type Sibling = (PageId, u16, bool, NodeRef);
 
 /// Runs a 2-sided query against a region tree rooted at `root_page`,
 /// appending to `results`/`counters` (recursive across levels). Buffered
@@ -453,15 +522,20 @@ pub(crate) fn run_region_query(
     // Nested region levels open nested spans; each sets its own B.
     let _span = pc_obs::span!("pst_region");
     pc_obs::set_block_capacity(block_capacity(store.page_size()) as u64);
-    // In-page ancestor info by depth: X-list; sibling info by depth:
-    // (Y-list, count, is_leaf, skeletal ref).
-    let mut anc: HashMap<u16, BlockList<Point>> = HashMap::new();
-    let mut sib: HashMap<u16, (BlockList<Point>, u16, bool, NodeRef)> = HashMap::new();
+    // By in-page depth — the cache tags: the path's ancestors on the page in
+    // hand (second block of the X-list, point count) and the right siblings
+    // left behind there.
+    let mut anc: Vec<(PageId, u16)> = Vec::new();
+    let mut sib: Vec<Option<Sibling>> = Vec::new();
+    // The A- and S-cache of the region in hand, picked up from its in-page
+    // ancestors' records on the way down.
+    let mut cur_a: BlockList<SEntry> = BlockList::empty();
+    let mut cur_s: BlockList<SEntry> = BlockList::empty();
 
     let mut ctx = TlCtx {
         store,
         q,
-        b: block_capacity(store.page_size()),
+        b: block_capacity(store.page_size()) as u64,
         results,
         counters,
         pending,
@@ -470,14 +544,12 @@ pub(crate) fn run_region_query(
     };
     ctx.load(root_page, true)?;
     let mut slot = 0u16;
-    // In-page depth of the current node; matches the cache tags.
-    let mut depth = 0u16;
     loop {
         let rec = decode_record(&ctx.page, slot)?;
         let is_leaf = rec.left.page.is_null();
         let is_corner = rec.own_cnt == 0 || rec.min_y_y < q.y0 || is_leaf;
         if is_corner {
-            ctx.drain_caches_and_seed(&rec, &anc, &sib, None)?;
+            ctx.drain_caches_and_seed(&cur_a, &cur_s, &anc, &sib, None)?;
             if !rec.u_buf.is_null() {
                 ctx.counters.cache_blocks += 1;
                 let ops = read_buffer(store, rec.u_buf)?;
@@ -506,27 +578,30 @@ pub(crate) fn run_region_query(
 
         let go_left = q.x0 <= rec.split_x;
         let next = if go_left { rec.left } else { rec.right };
+        slot = next.slot;
         if next.page != ctx.held {
             // Segment exit: settle this page. The exit's own X-list and its
             // right sibling are read directly (the next segment's caches
             // restart below them).
             // (Visited even when empty: its page's `U` buffer may not be.)
             let exit_sibling = go_left.then_some(rec.right);
-            ctx.drain_caches_and_seed(&rec, &anc, &sib, exit_sibling)?;
-            ctx.scan_x_prefix(&rec.x_list, 0)?;
+            ctx.drain_caches_and_seed(&cur_a, &cur_s, &anc, &sib, exit_sibling)?;
+            ctx.scan_prefix(rec.x_list.head, |p| p.x >= q.x0)?;
             anc.clear();
             sib.clear();
+            (cur_a, cur_s) = (BlockList::empty(), BlockList::empty());
             ctx.load(next.page, true)?;
-            slot = next.slot;
-            depth = 0;
             continue;
         }
-        anc.insert(depth, rec.x_list);
-        if go_left && rec.right_cnt > 0 {
-            sib.insert(depth, (rec.right_y_list, rec.right_cnt, rec.right_is_leaf, rec.right));
+        anc.push((rec.x_list.second, rec.own_cnt));
+        sib.push(
+            (go_left && rec.right_cnt > 0)
+                .then_some((rec.right_y_list.second, rec.right_cnt, rec.right_is_leaf, rec.right)),
+        );
+        cur_a = rec.child_a;
+        if go_left {
+            cur_s = rec.left_s;
         }
-        slot = next.slot;
-        depth += 1;
     }
 }
 
@@ -564,6 +639,136 @@ pub(crate) fn query_handle(
     Ok((results, counters))
 }
 
+/// Visits every skeletal page of the region tree under `root` with its
+/// header and records, a page before the pages below it.
+pub(crate) fn for_each_region_page(
+    store: &PageStore,
+    root: PageId,
+    visit: &mut impl FnMut(PageId, &PageHeaderInfo, &[RegionRecord]) -> Result<()>,
+) -> Result<()> {
+    let mut stack = vec![root];
+    while let Some(pid) = stack.pop() {
+        let page = store.read(pid)?;
+        let header = decode_header(&page)?;
+        let records = (0..header.count)
+            .map(|slot| decode_record(&page, slot))
+            .collect::<Result<Vec<_>>>()?;
+        for rec in &records {
+            stack.extend(
+                [rec.left.page, rec.right.page].into_iter().filter(|p| !p.is_null() && *p != pid),
+            );
+        }
+        visit(pid, &header, &records)?;
+    }
+    Ok(())
+}
+
+/// A built [`TwoLevelPst`]'s or [`crate::DynamicPst`]'s pages by class.
+/// Nested region levels count with the outer one; `inner_*` is the basic
+/// PST at the bottom.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RegionCensus {
+    /// Skeletal pages of the region tree.
+    pub skeletal: u64,
+    /// Blocks of the regions' X-lists.
+    pub x_lists: u64,
+    /// Blocks of the regions' Y-lists.
+    pub y_lists: u64,
+    /// Blocks of the A-caches (`child_a`).
+    pub a_caches: u64,
+    /// Blocks of the S-caches (`left_s`).
+    pub s_caches: u64,
+    /// Skeletal pages of the regions' inner trees.
+    pub inner_skeletal: u64,
+    /// Points pages of the inner trees.
+    pub inner_points: u64,
+    /// A- and S-list blocks of the inner trees.
+    pub inner_caches: u64,
+    /// Update buffers: the pages' `U` and the regions' `u` (none in a
+    /// static build).
+    pub buffers: u64,
+}
+
+impl RegionCensus {
+    /// All pages of the structure.
+    pub fn total(&self) -> u64 {
+        self.skeletal
+            + self.x_lists
+            + self.y_lists
+            + self.a_caches
+            + self.s_caches
+            + self.inner_skeletal
+            + self.inner_points
+            + self.inner_caches
+            + self.buffers
+    }
+}
+
+/// A class of pages: the census field that counts them.
+pub(crate) type PageClass = fn(&mut RegionCensus) -> &mut u64;
+
+/// Names every page of the region tree (or basic PST) under `root` once,
+/// with its class. Each list has one owner, so there is no aliasing rule:
+/// a record's `right_y_list` is the right child's `y_list` and is named
+/// there. A page is named after the pages found through it have been read,
+/// so `visit` may free it.
+pub(crate) fn for_each_page(
+    store: &PageStore,
+    root: PageId,
+    is_region: bool,
+    visit: &mut impl FnMut(PageClass, PageId) -> Result<()>,
+) -> Result<()> {
+    if !is_region {
+        return for_each_skeletal_page(store, root, &mut |pid, records| {
+            for rec in records {
+                visit(|c| &mut c.inner_points, rec.own_pts)?;
+                let caches = [rec.child_a.block_pages(store)?, rec.left_s.block_pages(store)?];
+                caches.into_iter().flatten().try_for_each(|p| visit(|c| &mut c.inner_caches, p))?;
+            }
+            visit(|c| &mut c.inner_skeletal, pid)
+        });
+    }
+    let mut inners = Vec::new();
+    for_each_region_page(store, root, &mut |pid, header, records| {
+        let mut buffers = vec![header.u_page];
+        for rec in records {
+            let lists: [(PageClass, ListRef); 2] =
+                [(|c| &mut c.x_lists, rec.x_list), (|c| &mut c.y_lists, rec.y_list)];
+            for (class, list) in lists {
+                list.blocks(store)?.into_iter().try_for_each(|(page, _)| visit(class, page))?;
+            }
+            let caches: [(PageClass, BlockList<SEntry>); 2] =
+                [(|c| &mut c.a_caches, rec.child_a), (|c| &mut c.s_caches, rec.left_s)];
+            for (class, list) in caches {
+                list.block_pages(store)?.into_iter().try_for_each(|page| visit(class, page))?;
+            }
+            buffers.push(rec.u_buf);
+            inners.push((rec.inner_root, rec.inner_is_region));
+        }
+        let mut buffers = buffers.into_iter().filter(|page| !page.is_null());
+        buffers.try_for_each(|page| visit(|c| &mut c.buffers, page))?;
+        visit(|c| &mut c.skeletal, pid)
+    })?;
+    inners.into_iter().try_for_each(|(root, is_region)| for_each_page(store, root, is_region, visit))
+}
+
+/// Frees every page of the region tree (or basic PST) under `root`.
+pub(crate) fn free_pages(store: &PageStore, root: PageId, is_region: bool) -> Result<()> {
+    for_each_page(store, root, is_region, &mut |_, page| store.free(page))
+}
+
+/// Counts the pages of the region tree under `root` by class (one read per
+/// page but the inner trees' points pages and the update buffers, which
+/// their owners' records name).
+pub(crate) fn page_census(store: &PageStore, root: PageId) -> Result<RegionCensus> {
+    let mut census = RegionCensus::default();
+    for_each_page(store, root, true, &mut |class, _| {
+        *class(&mut census) += 1;
+        Ok(())
+    })?;
+    Ok(census)
+}
+
 /// The two-level recursive PST (Theorem 4.3): optimal `O(log_B n + t/B)`
 /// 2-sided queries in `O((n/B)·log log B)` disk blocks.
 pub struct TwoLevelPst {
@@ -587,6 +792,11 @@ impl TwoLevelPst {
         self.root.n == 0
     }
 
+    /// Counts the structure's pages by class.
+    pub fn page_census(&self, store: &PageStore) -> Result<RegionCensus> {
+        page_census(store, self.root.root)
+    }
+
     /// Answers a 2-sided query.
     pub fn query(&self, store: &PageStore, q: TwoSided) -> Result<Vec<Point>> {
         Ok(self.query_counted(store, q)?.0)
@@ -605,7 +815,7 @@ impl TwoLevelPst {
 struct TlCtx<'a> {
     store: &'a PageStore,
     q: TwoSided,
-    b: usize,
+    b: u64,
     results: &'a mut Vec<Point>,
     counters: &'a mut QueryCounters,
     pending: &'a mut Vec<UpdateRec>,
@@ -634,61 +844,39 @@ impl TlCtx<'_> {
         Ok(())
     }
 
-    /// Scans an X-list prefix (descending x) starting at `skip` blocks,
-    /// keeping points with `x >= x0` and stopping at the first failure.
-    fn scan_x_prefix(&mut self, list: &BlockList<Point>, skip: usize) -> Result<u64> {
-        let x0 = self.q.x0;
-        self.scan_prefix(list, skip, |p| p.x >= x0)
-    }
-
-    /// Scans a Y-list prefix (descending y), keeping points with
-    /// `y >= y0`. Returns the number kept.
-    fn scan_y_prefix(&mut self, list: &BlockList<Point>, skip: usize) -> Result<u64> {
-        let y0 = self.q.y0;
-        self.scan_prefix(list, skip, |p| p.y >= y0)
-    }
-
-    fn scan_prefix(
-        &mut self,
-        list: &BlockList<Point>,
-        skip: usize,
-        keep: impl Fn(&Point) -> bool,
-    ) -> Result<u64> {
+    /// Scans a list from block `start` on — an X-list (descending x) with
+    /// `keep` = `x >= x0`, a Y-list (descending y) with `y >= y0` — reporting
+    /// points up to the first that fails. Returns the number kept.
+    fn scan_prefix(&mut self, start: PageId, keep: impl Fn(&Point) -> bool) -> Result<u64> {
         let _scan = pc_obs::span!(output: "list_scan");
         let mut kept = 0u64;
-        let mut blocks = list.blocks(self.store);
-        // Reaching a continued list's next block reads the ones before it:
-        // a region record names only the head.
-        for _ in 0..skip {
-            if blocks.next().transpose()?.is_none() {
-                return Ok(0);
-            }
+        let mut next = start;
+        'scan: while !next.is_null() {
+            let (points, after) = BlockList::<Point>::read_block(self.store, next)?;
             self.counters.node_blocks += 1;
-        }
-        'scan: for block in blocks {
-            self.counters.node_blocks += 1;
-            for p in block? {
+            for p in points {
                 if !keep(&p) {
                     break 'scan;
                 }
                 self.results.push(p);
                 kept += 1;
             }
+            next = after;
         }
         pc_obs::add_items(kept);
         Ok(kept)
     }
 
-    /// Drains one cache list: reports the prefix that `keep`s and counts
-    /// it per source depth (ordered, so that what the caller does per
-    /// source — and with it the answer's order — repeats from call to call).
+    /// Drains one cache list over `sources` tagged sources: reports the
+    /// prefix that `keep`s and counts it per source depth.
     fn drain_cache(
         &mut self,
         list: &BlockList<SEntry>,
+        sources: usize,
         keep: impl Fn(&Point) -> bool,
-    ) -> Result<BTreeMap<u16, u64>> {
+    ) -> Result<Vec<u64>> {
         let _probe = pc_obs::span!("path_cache_probe");
-        let mut qualified: BTreeMap<u16, u64> = BTreeMap::new();
+        let mut qualified = vec![0u64; sources];
         let before = self.results.len();
         'scan: for block in list.blocks(self.store) {
             self.counters.cache_blocks += 1;
@@ -697,47 +885,52 @@ impl TlCtx<'_> {
                     break 'scan;
                 }
                 self.results.push(e.p);
-                *qualified.entry(e.depth).or_insert(0) += 1;
+                qualified[e.depth as usize] += 1;
             }
         }
         pc_obs::add_items((self.results.len() - before) as u64);
         Ok(qualified)
     }
 
-    /// Reads the node's A/S caches, applies the continuation rule, and
+    /// Reads a region's A/S caches, applies the continuation rule, and
     /// runs the region-level descendant traversal below every sibling that
     /// lies wholly inside the query — and over `exit_sibling`, the right
-    /// sibling of a segment exit, which no cache covers.
+    /// sibling of a segment exit, which no cache covers. Sources are taken
+    /// in depth order, so the answer's order repeats from call to call.
     fn drain_caches_and_seed(
         &mut self,
-        rec: &RegionRecord,
-        anc: &HashMap<u16, BlockList<Point>>,
-        sib: &HashMap<u16, (BlockList<Point>, u16, bool, NodeRef)>,
+        a_cache: &BlockList<SEntry>,
+        s_cache: &BlockList<SEntry>,
+        anc: &[(PageId, u16)],
+        sib: &[Option<Sibling>],
         exit_sibling: Option<NodeRef>,
     ) -> Result<()> {
-        let (x0, y0) = (self.q.x0, self.q.y0);
+        let (x0, y0, b) = (self.q.x0, self.q.y0, self.b);
+        // A list continues past its cached first block if all of that block
+        // qualified and there is a second.
+        let continues = |cached: u64, len: u16, second: PageId| {
+            cached == u64::from(len).min(b) && !second.is_null()
+        };
         // A-cache: first blocks of ancestors' X-lists, descending x.
-        for (d, cnt) in self.drain_cache(&rec.a_list, |p| p.x >= x0)? {
-            let list = anc.get(&d).expect("A entries come from recorded ancestors");
-            let copied = (list.len() as usize).min(self.b) as u64;
-            if cnt == copied && list.len() > copied {
-                self.scan_x_prefix(list, 1)?;
+        let cached = self.drain_cache(a_cache, anc.len(), |p| p.x >= x0)?;
+        for (&(second, len), cached) in anc.iter().zip(cached) {
+            if continues(cached, len, second) {
+                self.scan_prefix(second, |p| p.x >= x0)?;
             }
         }
 
         // S-cache: first blocks of siblings' Y-lists, descending y.
         let mut inside: Vec<NodeRef> = Vec::new();
-        for (d, cnt) in self.drain_cache(&rec.s_list, |p| p.y >= y0)? {
-            let (list, total, is_leaf, sref) =
-                sib.get(&d).expect("S entries come from recorded siblings");
-            let copied = (list.len() as usize).min(self.b) as u64;
-            let mut qualified = cnt;
-            if cnt == copied && list.len() > copied {
-                qualified += self.scan_y_prefix(list, 1)?;
+        let cached = self.drain_cache(s_cache, sib.len(), |p| p.y >= y0)?;
+        for (sibling, cached) in sib.iter().zip(cached) {
+            let Some((second, total, is_leaf, sref)) = *sibling else { continue };
+            let mut qualified = cached;
+            if continues(cached, total, second) {
+                qualified += self.scan_prefix(second, |p| p.y >= y0)?;
             }
             // Region fully inside the query: traverse its children.
-            if qualified == u64::from(*total) && !is_leaf {
-                inside.push(*sref);
+            if qualified == u64::from(total) && !is_leaf {
+                inside.push(sref);
             }
         }
         self.traverse(&inside, exit_sibling)
@@ -770,7 +963,8 @@ impl TlCtx<'_> {
             };
             let rec = decode_record(&self.page, nref.slot)?;
             if report {
-                let kept = self.scan_y_prefix(&rec.y_list, 0)?;
+                let y0 = self.q.y0;
+                let kept = self.scan_prefix(rec.y_list.head, |p| p.y >= y0)?;
                 if kept < u64::from(rec.own_cnt) {
                     continue;
                 }
@@ -788,9 +982,32 @@ impl TlCtx<'_> {
     }
 }
 
+/// What the layout tests of this module and of `dynamic` share.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use super::*;
+
+    /// For every record of skeletal page `page`, its in-page path from slot
+    /// 0: (ancestor's slot, whether the path went left there), top down.
+    pub(crate) fn in_page_paths(page: PageId, records: &[RegionRecord]) -> Vec<Vec<(usize, bool)>> {
+        let mut paths = vec![Vec::new(); records.len()];
+        // Slots are in breadth-first order: a parent's is below its children's.
+        for (slot, rec) in records.iter().enumerate() {
+            for (child, went_left) in [(rec.left, true), (rec.right, false)] {
+                if child.page == page {
+                    paths[child.slot as usize] = paths[slot].clone();
+                    paths[child.slot as usize].push((slot, went_left));
+                }
+            }
+        }
+        paths
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::testutil::{distinct_points, LoggedStore};
 
     fn xorshift(state: &mut u64, bound: i64) -> i64 {
         *state ^= *state << 13;
@@ -852,39 +1069,14 @@ mod tests {
         assert_eq!(region_caps(512, 9), vec![60]);
     }
 
-    /// Walks a region tree: every region with its in-page depth and the
-    /// point counts of the in-page right siblings its S-list copies from.
-    fn walk_regions(
-        store: &PageStore,
-        root: PageId,
-        visit: &mut dyn FnMut(&RegionRecord, usize, &[u16]),
-    ) {
-        let mut stack = vec![(NodeRef { page: root, slot: 0 }, 0usize, Vec::<u16>::new())];
-        while let Some((at, inpage, sibs)) = stack.pop() {
-            let rec = decode_record(&store.read(at.page).unwrap(), at.slot).unwrap();
-            visit(&rec, inpage, &sibs);
-            if rec.left.page.is_null() {
-                continue;
-            }
-            for (child, went_left) in [(rec.left, true), (rec.right, false)] {
-                if child.page != at.page {
-                    stack.push((child, 0, Vec::new()));
-                    continue;
-                }
-                let mut sibs = sibs.clone();
-                sibs.extend(went_left.then_some(rec.right_cnt));
-                stack.push((child, inpage + 1, sibs));
-            }
-        }
-    }
-
     /// The block unit end to end, at both page sizes: a region's X/Y lists
-    /// are blocks of `B`, its A/S caches over `k` full first blocks are
-    /// `k` blocks, a full region's inner tree is complete with every node
-    /// full, and the inner full-path caches obey the same rule.
+    /// are blocks of `B`, the caches it holds for its children are `k`
+    /// blocks over `k` full first blocks, a full region's inner tree is
+    /// complete with every node full, and the inner full-path caches obey
+    /// the same rule.
     #[test]
     fn one_block_unit_from_region_lists_to_inner_caches() {
-        use crate::build::testutil::{assert_cache_blocks, check_core_caches};
+        use crate::build::testutil::{assert_block_sizes, assert_cache_blocks, check_core_caches};
         for (page_size, n, inner_nodes) in [(512, 5_000, 3), (4096, 60_000, 7)] {
             let pts = random_points(n, 1_000_000, 0x1b1b);
             let store = PageStore::in_memory(page_size);
@@ -893,26 +1085,182 @@ mod tests {
             let r_cap = region_caps(page_size, 2)[0];
             assert_eq!(r_cap, inner_nodes * b);
             let (mut regions, mut full_regions) = (0, 0);
-            walk_regions(&store, pst.root.root, &mut |rec, inpage, sibs| {
-                regions += 1;
-                let cnt = rec.own_cnt as usize;
-                assert_cache_blocks(&store, &rec.x_list, cnt / b, cnt % b, "X-list");
-                assert_cache_blocks(&store, &rec.y_list, cnt / b, cnt % b, "Y-list");
-                // Ancestors have children, so each is full: one whole first
-                // block apiece. A sibling may be a short leaf.
-                assert_cache_blocks(&store, &rec.a_list, inpage, 0, "A-cache");
-                let copied: usize = sibs.iter().map(|&c| (c as usize).min(b)).sum();
-                assert_cache_blocks(&store, &rec.s_list, copied / b, copied % b, "S-cache");
+            for_each_region_page(&store, pst.root.root, &mut |page, _, records| {
+                let paths = testutil::in_page_paths(page, records);
+                for (rec, path) in records.iter().zip(paths) {
+                    regions += 1;
+                    let cnt = rec.own_cnt as usize;
+                    for list in [rec.x_list, rec.y_list] {
+                        let sizes: Vec<usize> =
+                            list.blocks(&store).unwrap().iter().map(|block| block.1.len()).collect();
+                        assert_block_sizes(b, &sizes, cnt / b, cnt % b, "X/Y-list");
+                    }
+                    // The region and its ancestors have children, so each is
+                    // full: one whole first block apiece. A sibling may be a
+                    // short leaf.
+                    let (mut sources, mut copied) = (0, 0);
+                    if rec.left.page == page {
+                        sources = path.len() + 1;
+                        let left_steps = path.iter().filter(|&&(_, went_left)| went_left);
+                        let sibs = left_steps.map(|&(anc, _)| records[anc].right_cnt);
+                        copied = sibs.chain([rec.right_cnt]).map(|c| (c as usize).min(b)).sum();
+                    }
+                    assert_cache_blocks(&store, &rec.child_a, sources, 0, "A-cache");
+                    assert_cache_blocks(&store, &rec.left_s, copied / b, copied % b, "S-cache");
 
-                assert!(!rec.inner_is_region);
-                let (nodes, full) =
-                    check_core_caches(&store, rec.inner_root, CacheMode::FullPath);
-                if cnt == r_cap {
-                    full_regions += 1;
-                    assert_eq!((nodes, full), (inner_nodes, inner_nodes), "full region's inner");
+                    assert!(!rec.inner_is_region);
+                    let (nodes, full) =
+                        check_core_caches(&store, rec.inner_root, CacheMode::FullPath);
+                    if cnt == r_cap {
+                        full_regions += 1;
+                        assert_eq!((nodes, full), (inner_nodes, inner_nodes), "full region's inner");
+                    }
                 }
-            });
+                Ok(())
+            })
+            .unwrap();
             assert!(full_regions >= 10 && full_regions * 3 >= regions, "{full_regions}/{regions}");
+        }
+    }
+
+    /// Every list once: the census of a complete tree of seven full regions
+    /// (512 B) and of three (4 KiB), class by class, and a free walk that
+    /// returns every page — of a two-level and of a nested build.
+    #[test]
+    fn census_counts_each_list_once_and_free_returns_every_page() {
+        for (page_size, regions, want) in [
+            // Root page of three regions and four leaf pages; per region three
+            // blocks of X and of Y and an inner tree of three nodes (one
+            // skeletal page, a child_a and a left_s of one block).
+            (512, 7, RegionCensus {
+                skeletal: 5, x_lists: 21, y_lists: 21, a_caches: 1, s_caches: 1,
+                inner_skeletal: 7, inner_points: 21, inner_caches: 14, buffers: 0,
+            }),
+            // One page; inner trees of seven nodes: child_a 1 + 2 + 2 blocks,
+            // left_s 1 + 2 + 1.
+            (4096, 3, RegionCensus {
+                skeletal: 1, x_lists: 21, y_lists: 21, a_caches: 1, s_caches: 1,
+                inner_skeletal: 3, inner_points: 21, inner_caches: 27, buffers: 0,
+            }),
+        ] {
+            let store = PageStore::in_memory(page_size);
+            let pts = distinct_points(regions * region_caps(page_size, 2)[0]);
+            let pst = TwoLevelPst::build(&store, &pts).unwrap();
+            let census = pst.page_census(&store).unwrap();
+            assert_eq!(census, want, "{page_size}-byte pages");
+            assert_eq!(census.total(), store.live_pages());
+            free_pages(&store, pst.root.root, true).unwrap();
+            assert_eq!(store.live_pages(), 0);
+        }
+        let store = PageStore::in_memory(4096);
+        let caps = region_caps(4096, 3);
+        let nested = build_region_tree(&store, &random_points(30_000, 1 << 30, 0x7e57), &caps);
+        let root = nested.unwrap().root;
+        assert_eq!(page_census(&store, root).unwrap().total(), store.live_pages());
+        free_pages(&store, root, true).unwrap();
+        assert_eq!(store.live_pages(), 0);
+    }
+
+    /// Two sibling regions drain one A-cache, and a right child the S-cache
+    /// its parent drains: corner queries at a region and at each of its
+    /// in-page children meet the same caches, compared by the pages of
+    /// their heads.
+    #[test]
+    fn sibling_regions_drain_the_same_caches() {
+        use std::collections::HashSet;
+        for (page_size, n) in [(512, 3_000), (4096, 90_000)] {
+            let logged = LoggedStore::new(page_size);
+            let store = &logged.store;
+            let pst = TwoLevelPst::build(store, &distinct_points(n)).unwrap();
+            let mut regions: Vec<(NodeRef, RegionRecord)> = Vec::new();
+            for_each_region_page(store, pst.root.root, &mut |page, _, records| {
+                let at = |slot: usize| NodeRef { page, slot: slot as u16 };
+                regions.extend(records.iter().enumerate().map(|(slot, r)| (at(slot), r.clone())));
+                Ok(())
+            })
+            .unwrap();
+            let heads = |list: fn(&RegionRecord) -> PageId| -> HashSet<PageId> {
+                regions.iter().map(|(_, rec)| list(rec)).filter(|p| !p.is_null()).collect()
+            };
+            let a_heads = heads(|rec| rec.child_a.head());
+            let s_heads = heads(|rec| rec.left_s.head());
+            // The caches a corner query at the region `at` meets: x0 inside
+            // the region's x-range, y0 just above its lowest point.
+            let met = |at: NodeRef| {
+                let rec = &regions.iter().find(|(r, _)| *r == at).expect("a record").1;
+                let x0 = rec.x_list.read_all(store).unwrap()[0].x;
+                let q = TwoSided { x0, y0: rec.min_y_y + 1 };
+                let (_, log) = logged.reads_of(|s| pst.query(s, q).unwrap());
+                let of = |heads: &HashSet<PageId>| -> Vec<PageId> {
+                    log.iter().copied().filter(|p| heads.contains(p)).collect()
+                };
+                (of(&a_heads), of(&s_heads))
+            };
+            let mut shared = 0;
+            for (at, rec) in &regions {
+                if rec.left.page != at.page || rec.left_cnt == 0 || rec.right_cnt == 0 {
+                    continue;
+                }
+                let ((a_left, s_left), (a_right, s_right)) = (met(rec.left), met(rec.right));
+                assert_eq!(a_left, a_right, "siblings meet one A-cache");
+                assert_eq!(a_left.last(), Some(&rec.child_a.head()));
+                assert_eq!(s_left.last(), Some(&rec.left_s.head()));
+                assert_eq!(s_right, met(*at).1, "a right child meets its parent's S-cache");
+                shared += 1;
+            }
+            assert!(shared >= 15, "{shared} sibling pairs compared");
+        }
+    }
+
+    /// The continuation rule at its edges: a cached source of exactly `B`,
+    /// `B + 1` and `2B + 1` points — an ancestor's X-list and a sibling's
+    /// Y-list through `right_y_list` — is read on for no, one and two blocks,
+    /// from the second block the record names; its head is never read, and
+    /// no page twice.
+    #[test]
+    fn a_continued_list_starts_at_its_second_block() {
+        for page_size in [512, 4096] {
+            let b = block_capacity(page_size);
+            for (len, more_blocks) in [(b, 0), (b + 1, 1), (2 * b + 1, 2)] {
+                let logged = LoggedStore::new(page_size);
+                let store = &logged.store;
+                // Regions of `len` points: a root, the corner (a leaf) to
+                // its left and a leaf sibling to its right, all full.
+                let pts = distinct_points(3 * len);
+                let root_page = build_region_tree(store, &pts, &[len]).unwrap().root;
+                let page = store.read(root_page).unwrap();
+                let root = decode_record(&page, 0).unwrap();
+                let corner = decode_record(&page, root.left.slot).unwrap();
+                let sibling = decode_record(&page, root.right.slot).unwrap();
+                assert_eq!(
+                    [root.own_cnt, corner.own_cnt, sibling.own_cnt].map(usize::from),
+                    [len; 3]
+                );
+                assert_eq!(root.right_y_list, sibling.y_list);
+
+                let handle = InnerHandle { root: root_page, n: pts.len() as u64, is_region: true };
+                let q = TwoSided { x0: i64::MIN, y0: i64::MIN };
+                let ((hits, counters), log) = logged.reads_of(|s| query_handle(s, handle, q).unwrap());
+                assert_eq!(ids(hits), (0..pts.len() as u64).collect::<Vec<_>>());
+                assert_eq!(counters.total(), log.len() as u64);
+                let reads_of = |page: PageId| log.iter().filter(|&&p| p == page).count();
+                assert!(log.iter().all(|&p| reads_of(p) == 1), "a page was read twice");
+                for list in [root.x_list, sibling.y_list] {
+                    let pages: Vec<PageId> =
+                        list.blocks(store).unwrap().into_iter().map(|(page, _)| page).collect();
+                    assert_eq!(pages.len(), 1 + more_blocks);
+                    assert_eq!(list.second, pages.get(1).copied().unwrap_or(NULL_PAGE));
+                    let reads: Vec<usize> = pages.iter().map(|&p| reads_of(p)).collect();
+                    let mut want = vec![1; pages.len()];
+                    want[0] = 0;
+                    assert_eq!(reads, want, "{len} points: reads per block");
+                }
+                // The skeletal page, one block of each cache, the
+                // continuations, and the corner region's inner structure.
+                let inner = InnerHandle { root: corner.inner_root, n: corner.inner_n, is_region: false };
+                let inner_reads = query_handle(store, inner, q).unwrap().1.total();
+                assert_eq!(counters.total(), 3 + 2 * more_blocks as u64 + inner_reads);
+            }
         }
     }
 
