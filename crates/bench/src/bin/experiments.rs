@@ -622,11 +622,7 @@ fn e11_dynamic_three_sided() {
 fn e12_naive_vs_cached() {
     println!("## E12 — naive [IKO] vs path-cached PST: the log n vs log_B n gap\n");
     println!("small-t queries at growing n; output terms cancel, navigation dominates");
-    if pc_obs::enabled() {
-        println!("waste/q = per-query wasteful transfers (pc-obs span classifier)\n");
-    } else {
-        println!("waste/q columns need `--features obs` (tracing compiled out)\n");
-    }
+    println!("waste/q = per-query wasteful transfers (pc-obs span classifier)\n");
     let mut table = Table::new(&[
         "n",
         "t",
@@ -659,26 +655,25 @@ fn e12_naive_vs_cached() {
         ];
         for run in runs {
             store.reset_stats();
-            let waste_before = pc_obs::snapshot().counter("pc_op_wasteful_io_total");
+            let mut waste = 0u64;
             let mut t_total = 0usize;
             for q in &queries {
+                let capture = pc_obs::begin_trace();
                 t_total += run(*q);
+                waste += capture.finish().map_or(0, |trace| trace.wasteful_ios);
             }
-            let waste = pc_obs::snapshot().counter("pc_op_wasteful_io_total") - waste_before;
             ios.push(store.stats().reads as f64 / queries.len() as f64);
             wastes.push(waste as f64 / queries.len() as f64);
             t_avg = t_total as f64 / queries.len() as f64;
         }
-        let waste_col =
-            |w: f64| if pc_obs::enabled() { f1(w) } else { "-".to_string() };
         table.row(vec![
             n.to_string(),
             f1(t_avg),
             f1(ios[0]),
             f1(ios[1]),
             f1(ios[2]),
-            waste_col(wastes[0]),
-            waste_col(wastes[1]),
+            f1(wastes[0]),
+            f1(wastes[1]),
             f1((n as f64 / b_pst()).log2()),
             f1(log_base(n as f64, b_pst())),
         ]);

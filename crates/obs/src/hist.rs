@@ -1,12 +1,10 @@
-//! Always-compiled counter and power-of-two-bucket histogram primitives.
+//! The counter and power-of-two-bucket histogram primitives, re-exported
+//! at the crate root as [`crate::Counter`] and [`crate::Histogram`].
 //!
-//! These are the *real* implementations behind the crate-root [`Counter`]
-//! and [`Histogram`] re-exports when the `obs` feature is on. They live in
-//! their own always-compiled module because some consumers (the `pc-serve`
-//! request path and router) need live measurement even in a default build
-//! where the crate-root types are inert ZSTs: those callers name
-//! `pc_obs::hist::{Counter, Histogram}` explicitly and pay for what they
-//! use, while the global span/metrics machinery stays free when off.
+//! Plain relaxed atomics owned by whoever counts — the serve layer's
+//! `ServeStats` / `TargetStats`, the router's `ShardStats`, the WAL's
+//! group-commit sizes — so recording is a few uncontended `fetch_add`s and
+//! reading is a [`HistogramSnapshot`] taken once per scrape.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 

@@ -7,7 +7,8 @@
 //! crate attributes transfers to individual queries, tree levels, and
 //! path-cache probes so that claim becomes measurable.
 //!
-//! Three layers, all std-only (no dependencies):
+//! Four pieces, all std-only (no dependencies), all always compiled — the
+//! workspace has one build configuration:
 //!
 //! 1. **Tracing** — a thread-local span stack. Query code brackets regions
 //!    with [`span!`] guards; the page store reports every transfer through
@@ -16,36 +17,30 @@
 //!    navigation (their reads are *search* I/Os), `Output` spans report how
 //!    many result items they produced via [`add_items`], and any read beyond
 //!    the full blocks those items account for is classified *wasteful*
-//!    ([`wasteful_transfers`]).
-//! 2. **Metrics** — a global registry of relaxed-atomic [`Counter`]s and
-//!    power-of-two-bucket [`Histogram`]s (query latency, per-query total and
-//!    wasteful I/O), with a Prometheus-style [`render_text`] exposition and a
-//!    structured [`snapshot`] API.
-//! 3. **Flight recorder** — a bounded per-thread ring of the K worst queries
-//!    by I/O count, each retaining its full span tree ([`flight_top`]), for
-//!    "why was this query expensive" dumps.
+//!    ([`wasteful_transfers`]). Spans do work only while the thread is
+//!    inside a [`begin_trace`] capture, which hands the finished
+//!    [`QueryTrace`] back to whoever opened it; outside one a span is a
+//!    thread-local load and a branch (the `zero_alloc` test pins that it
+//!    allocates nothing).
+//! 2. **Sampling and retention** — a [`sample::Sampler`] picks 1-in-N
+//!    requests for the serve layer to capture, and a [`slowlog::SlowLog`]
+//!    keeps the worst of them by latency and by wasteful I/O.
+//! 3. **Primitives** — relaxed-atomic [`Counter`]s and power-of-two-bucket
+//!    [`Histogram`]s, owned by whoever counts (`ServeStats`, `TargetStats`,
+//!    the WAL); there is no process-global registry.
+//! 4. **Exposition** — every always-on family is declared once, as a typed
+//!    [`Sample`], and [`stat_pairs`] / [`render_text`] turn one sample list
+//!    into the ADMIN `Stats` pairs and the Prometheus `Metrics` text. The
+//!    family names live in [`serve_metrics`], [`target_metrics`],
+//!    [`store_metrics`], [`version_metrics`] and [`shard_metrics`].
 //!
-//! The tracing layer is **always compiled** with a request-scoped
-//! activation model: without the `obs` feature, spans only do work while
-//! the thread is inside a [`begin_trace`] capture window — the serve layer
-//! opens one for requests picked by a [`sample::Sampler`], so release
-//! binaries trace 1-in-N requests and feed a [`slowlog::SlowLog`] with no
-//! recompile. The metrics registry and the flight recorder remain
-//! feature-gated (check at runtime with [`enabled`]); with `obs` off their
-//! API compiles to inert no-ops, and the unarmed span fast path is pinned
-//! allocation-free by the `zero_alloc` test. Instrumentation is purely
-//! observational: it never changes which pages a structure touches, so
-//! strict-mode transfer counts are bit-identical with the feature (or the
-//! sampler) on or off.
+//! Instrumentation is purely observational: it never changes which pages a
+//! structure touches, so strict-mode transfer counts are bit-identical
+//! whether or not a capture is open.
 
 #![forbid(unsafe_code)]
 
 use std::fmt;
-
-/// True when this build carries live instrumentation (`--features obs`).
-pub const fn enabled() -> bool {
-    cfg!(feature = "obs")
-}
 
 /// One observable page-store event, reported via [`record_io`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,28 +75,6 @@ impl IoEvent {
             IoEvent::PoolEvict => 5,
         }
     }
-
-    /// Registry counter name for this event kind.
-    pub const fn counter_name(self) -> &'static str {
-        match self {
-            IoEvent::Read => "pc_io_reads_total",
-            IoEvent::Write => "pc_io_writes_total",
-            IoEvent::CacheHit => "pc_io_cache_hits_total",
-            IoEvent::Alloc => "pc_io_allocs_total",
-            IoEvent::Free => "pc_io_frees_total",
-            IoEvent::PoolEvict => "pc_io_pool_evictions_total",
-        }
-    }
-
-    /// All event kinds in [`IoEvent::index`] order.
-    pub const ALL: [IoEvent; IoEvent::COUNT] = [
-        IoEvent::Read,
-        IoEvent::Write,
-        IoEvent::CacheHit,
-        IoEvent::Alloc,
-        IoEvent::Free,
-        IoEvent::PoolEvict,
-    ];
 }
 
 /// The I/O events observed inside one span (the per-span `IoStats` delta).
@@ -262,7 +235,7 @@ impl SpanNode {
     }
 }
 
-/// A finished root span retained by the flight recorder.
+/// A finished root span, as handed back by [`TraceCapture::finish`].
 #[derive(Debug, Clone)]
 pub struct QueryTrace {
     /// Root span name.
@@ -354,38 +327,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Point-in-time copy of the whole metrics registry, from [`snapshot`].
-#[derive(Debug, Clone, Default)]
-pub struct Snapshot {
-    /// `(name, value)` for every counter.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, histogram)` for every histogram.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
-}
-
-impl Snapshot {
-    /// Value of the named counter (0 when absent — e.g. `obs` off).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v).unwrap_or(0)
-    }
-
-    /// The named histogram, if present.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
-    }
-
-    /// Buffer-pool hit ratio `hits / (hits + reads)`, 0.0 when no traffic.
-    pub fn pool_hit_ratio(&self) -> f64 {
-        let hits = self.counter("pc_io_cache_hits_total");
-        let reads = self.counter("pc_io_reads_total");
-        if hits + reads == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + reads) as f64
-        }
-    }
-}
-
 /// Opens a span guard; the span closes (and records its I/O delta) when the
 /// guard drops. Bind it to a named `_guard`-style variable — `let _ = ...`
 /// would drop it immediately.
@@ -409,48 +350,10 @@ macro_rules! span {
     };
 }
 
-/// Registry names for the pagestore fault-tolerance counters, collected
-/// here so dashboards, tests, and the emitting code can never drift apart.
-/// All are monotonic totals; see DESIGN.md §9 "Fault model & recovery".
-pub mod fault_metrics {
-    /// Extra backend attempts issued by the store's bounded-retry loop.
-    pub const RETRIES: &str = "pc_store_retries_total";
-    /// Pages moved into the store's quarantine set (retry budget exhausted).
-    pub const QUARANTINED: &str = "pc_store_quarantined_total";
-    /// Mirror reads served by a non-primary replica.
-    pub const FAILOVERS: &str = "pc_mirror_failovers_total";
-    /// Replica frames rewritten from a good copy (read-repair or scrub).
-    pub const REPAIRS: &str = "pc_mirror_repairs_total";
-    /// Faults injected by `FaultBackend` (all kinds, all ops).
-    pub const INJECTED: &str = "pc_fault_injected_total";
-}
-
-/// Registry names for the pagestore write-ahead-log / durability metrics,
-/// collected here (like [`fault_metrics`]) so the emitting code in
-/// `pc-pagestore`, the serve layer's exposition, and the crash tests never
-/// drift apart. All are monotonic totals except the histogram; see
-/// DESIGN.md §10 "Durability & recovery".
-pub mod wal_metrics {
-    /// WAL records appended (all kinds, commits and checkpoints included).
-    pub const APPENDS: &str = "pc_wal_appends_total";
-    /// Commit records written — successful group commits.
-    pub const COMMITS: &str = "pc_wal_commits_total";
-    /// `fsync`s issued against the log medium (commits + checkpoints).
-    pub const FSYNCS: &str = "pc_wal_fsyncs_total";
-    /// Checkpoints installed (atomic log swaps).
-    pub const CHECKPOINTS: &str = "pc_wal_checkpoints_total";
-    /// Records replayed by recovery on open.
-    pub const REPLAYED: &str = "pc_wal_replayed_records_total";
-    /// Torn log or data tails truncated during recovery.
-    pub const TORN_TAILS: &str = "pc_wal_torn_tails_total";
-    /// Histogram of records made durable per group commit.
-    pub const GROUP_COMMIT_SIZE: &str = "pc_wal_group_commit_records";
-}
-
-/// Registry/exposition names for the `pc-serve` service-layer metrics,
-/// collected here (like [`fault_metrics`]) so the server's own exposition,
-/// the load generator, dashboards, and tests never drift apart. All are
-/// monotonic totals unless noted; see DESIGN.md "Service layer".
+/// Exposition names for the `pc-serve` service-layer metrics, collected
+/// here so the server's own exposition, the benchmark, dashboards, and
+/// tests never drift apart. All are monotonic totals unless noted; see
+/// DESIGN.md "Service layer".
 pub mod serve_metrics {
     /// Connections accepted by the listener.
     pub const CONNS_ACCEPTED: &str = "pc_serve_conns_accepted_total";
@@ -572,11 +475,8 @@ pub mod shard_metrics {
 }
 
 /// Exposition names for the store-level families the server renders from
-/// the shared `PageStore` (its `IoStats` and always-on `WalStats`), plus
-/// the commit-observer histogram. Distinct from the `pc_wal_*` /
-/// `pc_io_*` names in [`wal_metrics`] and `IoEvent::counter_name`, which
-/// are the process-global `obs`-feature registry: these are per-store and
-/// always available.
+/// the shared `PageStore`: its `IoStats`, its `WalStats` and the WAL's
+/// group-commit size histogram.
 pub mod store_metrics {
     /// WAL records appended (all kinds).
     pub const WAL_APPENDS: &str = "pc_store_wal_appends_total";
@@ -592,8 +492,7 @@ pub mod store_metrics {
     pub const WAL_LOG_BYTES: &str = "pc_store_wal_log_bytes";
     /// Gauge: pages dirty since the last checkpoint.
     pub const WAL_DIRTY_PAGES: &str = "pc_store_wal_dirty_pages";
-    /// Histogram of records made durable per group commit, fed live by the
-    /// store's commit observer hook.
+    /// Histogram of records made durable per group commit.
     pub const WAL_GROUP_COMMIT_RECORDS: &str = "pc_store_wal_group_commit_records";
     /// Gauge (scaled ×10⁶): buffer-pool hit ratio `hits / (hits + reads)`.
     pub const POOL_HIT_RATIO_PPM: &str = "pc_store_pool_hit_ratio_ppm";
@@ -601,7 +500,7 @@ pub mod store_metrics {
 
 /// Exposition names for the partial-persistence (versioning / snapshot
 /// isolation) subsystem in `pc-pagestore`'s `version` module. Collected
-/// here (like [`wal_metrics`]) so the emitting code, the serve layer's
+/// here (like [`store_metrics`]) so the emitting code, the serve layer's
 /// exposition, and the snapshot test suites never drift apart. All are
 /// monotonic totals unless noted; see DESIGN.md "Versioning & snapshot
 /// isolation".
@@ -620,37 +519,15 @@ pub mod version_metrics {
     pub const OLDEST_PIN_AGE: &str = "pc_version_oldest_pin_age_epochs";
 }
 
-pub mod hist;
+mod hist;
+mod metrics;
 pub mod sample;
 pub mod slowlog;
 mod trace;
 
+pub use hist::{Counter, Histogram};
+pub use metrics::{render_text, stat_pairs, Sample, Summary, Value};
 pub use trace::{add_items, begin_trace, record_io, set_block_capacity, Span, TraceCapture};
-
-#[cfg(feature = "obs")]
-mod metrics;
-#[cfg(feature = "obs")]
-mod recorder;
-
-#[cfg(feature = "obs")]
-pub use metrics::{counter, histogram, render_text, snapshot, Counter, Histogram};
-#[cfg(feature = "obs")]
-pub use recorder::{flight_clear, flight_top};
-
-#[cfg(not(feature = "obs"))]
-mod noop;
-
-#[cfg(not(feature = "obs"))]
-pub use noop::{
-    counter, flight_clear, flight_top, histogram, render_text, snapshot, Counter, Histogram,
-};
-
-/// Serializes tests that observe global registry / flight-recorder state.
-#[cfg(all(test, feature = "obs"))]
-pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 #[cfg(test)]
 mod tests {
@@ -669,11 +546,6 @@ mod tests {
         assert_eq!(wasteful_transfers(1, 1000 * 170, 170), 0);
         // Degenerate capacity is treated as 1.
         assert_eq!(wasteful_transfers(5, 3, 0), 2);
-    }
-
-    #[test]
-    fn enabled_reflects_feature() {
-        assert_eq!(enabled(), cfg!(feature = "obs"));
     }
 
     #[test]
@@ -728,31 +600,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_lookups_and_hit_ratio() {
-        let snap = Snapshot {
-            counters: vec![
-                ("pc_io_reads_total".into(), 25),
-                ("pc_io_cache_hits_total".into(), 75),
-            ],
-            histograms: vec![(
-                "h".into(),
-                HistogramSnapshot { count: 2, sum: 3, buckets: vec![(1, 2)] },
-            )],
-        };
-        assert_eq!(snap.counter("pc_io_reads_total"), 25);
-        assert_eq!(snap.counter("missing"), 0);
-        assert!(snap.histogram("h").is_some());
-        assert!(snap.histogram("missing").is_none());
-        assert!((snap.pool_hit_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(Snapshot::default().pool_hit_ratio(), 0.0);
-    }
-
-    #[test]
     fn histogram_snapshot_quantiles() {
         assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
         assert_eq!(HistogramSnapshot::default().mean(), 0.0);
         // 10 observations: 8 in the ≤7 bucket, 2 in the ≤1023 bucket.
-        let h = hist::Histogram::default();
+        let h = Histogram::default();
         for _ in 0..8 {
             h.record(5);
         }

@@ -1,194 +1,212 @@
-//! Global metrics registry: relaxed-atomic counters and power-of-two-bucket
-//! histograms, with a Prometheus-style text exposition.
+//! The one exposition path: typed [`Sample`]s in, the ADMIN `Stats` pairs
+//! or the Prometheus `Metrics` text out.
 //!
-//! Hot-path metrics (the per-[`IoEvent`] counters and the per-query
-//! histograms) live in a fixed struct reached through one `OnceLock` — no
-//! name lookup or locking on the record path. Ad-hoc named metrics from
-//! [`counter`]/[`histogram`] go through a mutex-guarded registration list
-//! and are leaked (`&'static`), so callers pay the lock once and then share
-//! the same lock-free atomics.
+//! Every source of always-on metrics (`ServeStats`, `TargetStatsSet`, the
+//! store, the version manager, the router) pushes its families onto one
+//! list, each family named once; [`stat_pairs`] and [`render_text`] are two
+//! views of that list, so the structured and the text form cannot carry
+//! different names, and a histogram is snapshotted once per scrape however
+//! many quantiles are read from it.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::fmt::Write;
 
-use crate::{HistogramSnapshot, IoEvent, Snapshot};
+use crate::HistogramSnapshot;
 
-// The primitives themselves live in the always-compiled `hist` module (so a
-// default build can still measure explicitly); the registry here re-exports
-// them as the crate-root types when `obs` is on.
-pub use crate::hist::{Counter, Histogram};
-
-/// The always-registered metrics, reachable without any locking.
-#[derive(Debug, Default)]
-pub(crate) struct FixedMetrics {
-    /// One counter per [`IoEvent`] kind, indexed by [`IoEvent::index`].
-    pub(crate) io: [Counter; IoEvent::COUNT],
-    /// Finished root spans (one per traced operation).
-    pub(crate) ops_total: Counter,
-    /// Total wasteful transfers across all finished root spans.
-    pub(crate) wasteful_total: Counter,
-    /// Total output items across all finished root spans.
-    pub(crate) items_total: Counter,
-    /// Per-operation total transfers.
-    pub(crate) hist_op_io: Histogram,
-    /// Per-operation wasteful transfers.
-    pub(crate) hist_wasteful: Histogram,
-    /// Per-operation wall latency in nanoseconds.
-    pub(crate) hist_latency: Histogram,
+/// What a histogram contributes to the `Stats` pairs, which carry `u64`s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Summary {
+    /// The median ([`HistogramSnapshot::quantile`] at 0.50).
+    P50,
+    /// The 99th percentile.
+    P99,
+    /// The number of observations.
+    Count,
 }
 
-const OPS_TOTAL: &str = "pc_ops_total";
-const WASTEFUL_TOTAL: &str = "pc_op_wasteful_io_total";
-const ITEMS_TOTAL: &str = "pc_op_output_items_total";
-const HIST_OP_IO: &str = "pc_op_total_io";
-const HIST_WASTEFUL: &str = "pc_op_wasteful_io";
-const HIST_LATENCY: &str = "pc_op_latency_ns";
-const POOL_HIT_RATIO: &str = "pc_pool_hit_ratio";
-
-enum DynMetric {
-    C(&'static Counter),
-    H(&'static Histogram),
+/// The typed value of one [`Sample`].
+#[derive(Debug, Clone)]
+pub enum Value {
+    /// A monotonic total.
+    Counter(u64),
+    /// A level that can go down.
+    Gauge(u64),
+    /// A distribution: rendered whole in the text form, and as the named
+    /// `(stat name, summary)` pairs in the `Stats` form (the names are
+    /// spelled out because the wire contract's are irregular —
+    /// `pc_serve_query_p50_ns` summarises `pc_serve_query_latency_ns`).
+    Histogram(HistogramSnapshot, &'static [(&'static str, Summary)]),
 }
 
-struct Registry {
-    fixed: FixedMetrics,
-    dynamic: Mutex<Vec<(&'static str, DynMetric)>>,
+/// One sample of one metric family, with at most one label.
+#[derive(Debug, Clone)]
+pub struct Sample {
+    /// The family name (`pc_serve_requests_total`).
+    pub family: &'static str,
+    /// `(key, value)` of the sample's label (`("target", "pst/main")`).
+    pub label: Option<(&'static str, String)>,
+    /// The typed value.
+    pub value: Value,
 }
 
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY
-        .get_or_init(|| Registry { fixed: FixedMetrics::default(), dynamic: Mutex::new(Vec::new()) })
+impl Sample {
+    /// An unlabelled counter sample.
+    pub fn counter(family: &'static str, v: u64) -> Sample {
+        Sample { family, label: None, value: Value::Counter(v) }
+    }
+
+    /// An unlabelled gauge sample.
+    pub fn gauge(family: &'static str, v: u64) -> Sample {
+        Sample { family, label: None, value: Value::Gauge(v) }
+    }
+
+    /// An unlabelled histogram sample; `stats` names its `Stats` pairs.
+    pub fn histogram(
+        family: &'static str,
+        snapshot: HistogramSnapshot,
+        stats: &'static [(&'static str, Summary)],
+    ) -> Sample {
+        Sample { family, label: None, value: Value::Histogram(snapshot, stats) }
+    }
+
+    /// The same sample under `{key="value"}`.
+    pub fn labelled(mut self, key: &'static str, value: impl Into<String>) -> Sample {
+        self.label = Some((key, value.into()));
+        self
+    }
+
+    /// `{key="value"}`, or nothing for an unlabelled sample.
+    fn braces(&self) -> String {
+        match &self.label {
+            Some((k, v)) => format!("{{{k}=\"{v}\"}}"),
+            None => String::new(),
+        }
+    }
 }
 
-/// Fast path to the fixed metrics for the tracing layer.
-#[inline]
-pub(crate) fn fixed() -> &'static FixedMetrics {
-    &registry().fixed
-}
-
-fn dynamic() -> MutexGuard<'static, Vec<(&'static str, DynMetric)>> {
-    registry().dynamic.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// The named counter, registering it on first use. Callers on hot paths
-/// should cache the returned reference; lookups take a registry lock.
-///
-/// Panics if `name` is already registered as a histogram.
-pub fn counter(name: &'static str) -> &'static Counter {
-    let mut d = dynamic();
-    for (n, m) in d.iter() {
-        if *n == name {
-            match m {
-                DynMetric::C(c) => return c,
-                DynMetric::H(_) => panic!("metric {name:?} is already a histogram"),
+/// The structured form: `(name, value)` pairs for the ADMIN `Stats` body.
+/// A labelled sample's name carries its label set exactly as the text form
+/// writes it, so the two forms share keys.
+pub fn stat_pairs(samples: &[Sample]) -> Vec<(String, u64)> {
+    let mut out = Vec::with_capacity(samples.len());
+    for s in samples {
+        let braces = s.braces();
+        match &s.value {
+            Value::Counter(v) | Value::Gauge(v) => out.push((format!("{}{braces}", s.family), *v)),
+            Value::Histogram(h, stats) => {
+                for &(name, summary) in *stats {
+                    let v = match summary {
+                        Summary::P50 => h.quantile(0.50),
+                        Summary::P99 => h.quantile(0.99),
+                        Summary::Count => h.count,
+                    };
+                    out.push((format!("{name}{braces}"), v));
+                }
             }
         }
     }
-    let c: &'static Counter = Box::leak(Box::default());
-    d.push((name, DynMetric::C(c)));
-    c
+    out
 }
 
-/// The named histogram, registering it on first use (see [`counter`]).
-///
-/// Panics if `name` is already registered as a counter.
-pub fn histogram(name: &'static str) -> &'static Histogram {
-    let mut d = dynamic();
-    for (n, m) in d.iter() {
-        if *n == name {
-            match m {
-                DynMetric::H(h) => return h,
-                DynMetric::C(_) => panic!("metric {name:?} is already a counter"),
-            }
-        }
-    }
-    let h: &'static Histogram = Box::leak(Box::default());
-    d.push((name, DynMetric::H(h)));
-    h
-}
-
-/// Structured point-in-time copy of every registered metric.
-pub fn snapshot() -> Snapshot {
-    let r = registry();
-    let mut counters: Vec<(String, u64)> = Vec::new();
-    for ev in IoEvent::ALL {
-        counters.push((ev.counter_name().to_string(), r.fixed.io[ev.index()].get()));
-    }
-    counters.push((OPS_TOTAL.to_string(), r.fixed.ops_total.get()));
-    counters.push((WASTEFUL_TOTAL.to_string(), r.fixed.wasteful_total.get()));
-    counters.push((ITEMS_TOTAL.to_string(), r.fixed.items_total.get()));
-    let mut histograms: Vec<(String, HistogramSnapshot)> = vec![
-        (HIST_OP_IO.to_string(), r.fixed.hist_op_io.snapshot()),
-        (HIST_WASTEFUL.to_string(), r.fixed.hist_wasteful.snapshot()),
-        (HIST_LATENCY.to_string(), r.fixed.hist_latency.snapshot()),
-    ];
-    for (n, m) in dynamic().iter() {
-        match m {
-            DynMetric::C(c) => counters.push((n.to_string(), c.get())),
-            DynMetric::H(h) => histograms.push((n.to_string(), h.snapshot())),
-        }
-    }
-    Snapshot { counters, histograms }
-}
-
-/// Prometheus-style text exposition of every registered metric, plus the
-/// derived `pc_pool_hit_ratio` gauge.
-pub fn render_text() -> String {
-    let snap = snapshot();
+/// The Prometheus text form. Consecutive samples of one family share one
+/// `# TYPE` line, so a source pushes a labelled family's samples together.
+pub fn render_text(samples: &[Sample]) -> String {
     let mut out = String::new();
-    for (name, v) in &snap.counters {
-        out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-    }
-    for (name, h) in &snap.histograms {
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        let mut cumulative = 0u64;
-        for &(le, c) in &h.buckets {
-            cumulative += c;
-            out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
+    let mut typed = "";
+    for s in samples {
+        let family = s.family;
+        if family != typed {
+            let kind = match s.value {
+                Value::Counter(_) => "counter",
+                Value::Gauge(_) => "gauge",
+                Value::Histogram(..) => "histogram",
+            };
+            let _ = writeln!(out, "# TYPE {family} {kind}");
+            typed = family;
         }
-        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-        out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", h.sum, h.count));
+        let braces = s.braces();
+        match &s.value {
+            Value::Counter(v) | Value::Gauge(v) => {
+                let _ = writeln!(out, "{family}{braces} {v}");
+            }
+            Value::Histogram(h, _) => {
+                let own =
+                    s.label.as_ref().map(|(k, v)| format!("{k}=\"{v}\",")).unwrap_or_default();
+                let mut cumulative = 0u64;
+                for &(le, c) in &h.buckets {
+                    cumulative += c;
+                    let _ = writeln!(out, "{family}_bucket{{{own}le=\"{le}\"}} {cumulative}");
+                }
+                let _ = writeln!(out, "{family}_bucket{{{own}le=\"+Inf\"}} {}", h.count);
+                let _ = writeln!(out, "{family}_sum{braces} {}", h.sum);
+                let _ = writeln!(out, "{family}_count{braces} {}", h.count);
+            }
+        }
     }
-    out.push_str(&format!(
-        "# TYPE {POOL_HIT_RATIO} gauge\n{POOL_HIT_RATIO} {:.6}\n",
-        snap.pool_hit_ratio()
-    ));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Histogram;
 
-    #[test]
-    fn dynamic_registration_is_idempotent() {
-        let a = counter("test_metrics_dyn_counter");
-        let b = counter("test_metrics_dyn_counter");
-        assert!(std::ptr::eq(a, b));
-        a.add(2);
-        b.inc();
-        assert_eq!(a.get(), 3);
-        let h1 = histogram("test_metrics_dyn_hist");
-        let h2 = histogram("test_metrics_dyn_hist");
-        assert!(std::ptr::eq(h1, h2));
+    fn samples() -> Vec<Sample> {
+        let h = Histogram::default();
+        h.record(3);
+        h.record(100);
+        const STATS: &[(&str, Summary)] = &[
+            ("t_lat_p50", Summary::P50),
+            ("t_lat_p99", Summary::P99),
+            ("t_lat_count", Summary::Count),
+        ];
+        vec![
+            Sample::counter("t_total", 7),
+            Sample::gauge("t_depth", 2).labelled("target", "a"),
+            Sample::gauge("t_depth", 5).labelled("target", "b"),
+            Sample::histogram("t_lat", h.snapshot(), STATS),
+            Sample::histogram("t_lat_by", h.snapshot(), &STATS[2..]).labelled("shard", "0"),
+        ]
     }
 
     #[test]
-    fn render_text_is_prometheus_shaped() {
-        counter("test_metrics_render_counter").add(7);
-        let h = histogram("test_metrics_render_hist");
-        h.record(3);
-        h.record(100);
-        let text = render_text();
-        assert!(text.contains("# TYPE test_metrics_render_counter counter"), "{text}");
-        assert!(text.contains("test_metrics_render_counter 7"), "{text}");
-        assert!(text.contains("# TYPE test_metrics_render_hist histogram"), "{text}");
-        assert!(text.contains("test_metrics_render_hist_bucket{le=\"3\"} 1"), "{text}");
-        assert!(text.contains("test_metrics_render_hist_bucket{le=\"+Inf\"} 2"), "{text}");
-        assert!(text.contains("test_metrics_render_hist_sum 103"), "{text}");
-        assert!(text.contains("test_metrics_render_hist_count 2"), "{text}");
-        assert!(text.contains("# TYPE pc_pool_hit_ratio gauge"), "{text}");
-        assert!(text.contains("# TYPE pc_ops_total counter"), "{text}");
-        assert!(text.contains("# TYPE pc_op_latency_ns histogram"), "{text}");
+    fn text_form_types_each_family_once_and_labels_every_line() {
+        assert_eq!(
+            render_text(&samples()),
+            "# TYPE t_total counter\n\
+             t_total 7\n\
+             # TYPE t_depth gauge\n\
+             t_depth{target=\"a\"} 2\n\
+             t_depth{target=\"b\"} 5\n\
+             # TYPE t_lat histogram\n\
+             t_lat_bucket{le=\"3\"} 1\n\
+             t_lat_bucket{le=\"127\"} 2\n\
+             t_lat_bucket{le=\"+Inf\"} 2\n\
+             t_lat_sum 103\n\
+             t_lat_count 2\n\
+             # TYPE t_lat_by histogram\n\
+             t_lat_by_bucket{shard=\"0\",le=\"3\"} 1\n\
+             t_lat_by_bucket{shard=\"0\",le=\"127\"} 2\n\
+             t_lat_by_bucket{shard=\"0\",le=\"+Inf\"} 2\n\
+             t_lat_by_sum{shard=\"0\"} 103\n\
+             t_lat_by_count{shard=\"0\"} 2\n"
+        );
+    }
+
+    #[test]
+    fn stats_form_shares_keys_with_the_text_and_names_histogram_summaries() {
+        let pairs: Vec<(String, u64)> = stat_pairs(&samples());
+        let expect: Vec<(String, u64)> = [
+            ("t_total", 7),
+            ("t_depth{target=\"a\"}", 2),
+            ("t_depth{target=\"b\"}", 5),
+            ("t_lat_p50", 3),
+            ("t_lat_p99", 127),
+            ("t_lat_count", 2),
+            ("t_lat_count{shard=\"0\"}", 2),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+        assert_eq!(pairs, expect);
     }
 }

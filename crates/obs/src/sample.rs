@@ -1,13 +1,13 @@
 //! Deterministic 1-in-N request sampling.
 //!
-//! Always compiled (like [`crate::hist`]): the serve layer decides per
-//! request whether to open a [`crate::begin_trace`] capture, so release
-//! binaries trace a controlled fraction of traffic without the `obs`
-//! feature. The decision is a pure function of `(seed, key)` — *not* a
-//! thread-local counter — so the sampled set is independent of worker
-//! interleaving: the same workload replayed against the same seed selects
-//! exactly the same requests. That property is what makes sampled traces
-//! comparable across runs (and is pinned by the determinism tests).
+//! The serve layer decides per request whether to open a
+//! [`crate::begin_trace`] capture, so a server traces a controlled
+//! fraction of its traffic. The decision is a pure function of
+//! `(seed, key)` — *not* a thread-local counter — so the sampled set is
+//! independent of worker interleaving: the same workload replayed against
+//! the same seed selects exactly the same requests. That property is what
+//! makes sampled traces comparable across runs (and is pinned by the
+//! determinism tests).
 //!
 //! The rate is a relaxed atomic so an operator can retune a live server
 //! (the `SetSampling` ADMIN op); `0` disables sampling entirely.

@@ -1,11 +1,10 @@
 //! The slow-query log: a concurrent top-K ring over finished request
 //! traces.
 //!
-//! Always compiled (the serve layer feeds it from sampled
-//! [`crate::begin_trace`] captures, which work in every build). Each
-//! retained entry keeps the *full* span tree plus its request identity, so
-//! "what burned the I/O budget last night" is answerable from a live
-//! server without a debugger.
+//! The one trace-retention ring: the serve layer feeds it from sampled
+//! [`crate::begin_trace`] captures. Each retained entry keeps the *full*
+//! span tree plus its request identity, so "what burned the I/O budget
+//! last night" is answerable from a live server without a debugger.
 //!
 //! Two independent rankings, per the paper's cost model: wall-clock
 //! latency answers "what was slow", wasteful I/O ([`QueryTrace::wasteful_ios`],

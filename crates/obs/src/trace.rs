@@ -3,25 +3,20 @@
 //! A [`Span`] guard pushes a frame recording the thread's cumulative I/O
 //! counts at open; [`record_io`] bumps those counts; on drop the frame's
 //! delta becomes a [`SpanNode`] attached to its parent. When the *root*
-//! frame pops, the finished tree is delivered to whoever asked for it.
+//! frame pops, the finished tree goes to the capture that asked for it.
 //!
-//! This module is **always compiled** — that is what makes request-scoped
-//! tracing work in release builds. Two activation paths:
+//! A span does real work only while the current thread has an open
+//! [`TraceCapture`] (see [`begin_trace`]) — a library caller opens one
+//! around the query it wants explained, the serve layer around sampled
+//! requests. Otherwise [`Span::enter`] is a single const-initialized
+//! thread-local load plus a branch: no allocation, no `Instant::now()`,
+//! nothing for the optimizer to keep. The zero-alloc property is pinned by
+//! the `zero_alloc` integration test.
 //!
-//! * With the `obs` cargo feature, every root span is live: on finalize it
-//!   is folded into the global metrics registry and offered to the flight
-//!   recorder, exactly as in earlier revisions.
-//! * Without `obs`, a span does real work only while the current thread has
-//!   an open [`TraceCapture`] (see [`begin_trace`]) — the serve layer opens
-//!   one for sampled requests. Otherwise [`Span::enter`] is a single
-//!   const-initialized thread-local load plus a branch: no allocation, no
-//!   `Instant::now()`, nothing for the optimizer to keep. The zero-alloc
-//!   property is pinned by the `zero_alloc` integration test.
-//!
-//! Either way, [`begin_trace`]/[`TraceCapture::finish`] capture the next
-//! finished *root* span on this thread as a [`QueryTrace`] and hand it back
-//! to the caller — that is the per-request trace context: the worker owns
-//! the tree, with no detour through process-global state.
+//! [`begin_trace`]/[`TraceCapture::finish`] capture the next finished
+//! *root* span on this thread as a [`QueryTrace`] and hand it back to the
+//! caller — that is the per-request trace context: the caller owns the
+//! tree, with no detour through process-global state.
 
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
@@ -63,13 +58,13 @@ thread_local! {
 /// True when spans on this thread should record anything at all.
 #[inline(always)]
 fn tracing_live() -> bool {
-    cfg!(feature = "obs") || CAPTURING.with(Cell::get)
+    CAPTURING.with(Cell::get)
 }
 
 /// Captures the next root span finished on this thread.
 ///
-/// Arms tracing (in builds without the `obs` feature, spans are inert
-/// outside a capture) and reserves the thread's capture slot. Call
+/// Arms tracing (spans are inert outside a capture) and reserves the
+/// thread's capture slot. Call
 /// [`TraceCapture::finish`] after the root span guard has dropped to take
 /// the finished [`QueryTrace`]. Captures nest: an inner capture takes the
 /// inner root, the outer capture state is restored when the guard goes.
@@ -103,13 +98,11 @@ impl Drop for TraceCapture {
     }
 }
 
-/// Reports one page-store event to the tracing layer and (with `obs`) the
-/// global per-event counters. Called by the `pc-pagestore` observer hook;
-/// purely observational (never alters store behavior or its own `IoStats`).
+/// Reports one page-store event to the tracing layer. Called by the
+/// `pc-pagestore` observer hook; purely observational (never alters store
+/// behavior or its own `IoStats`).
 #[inline]
 pub fn record_io(ev: IoEvent) {
-    #[cfg(feature = "obs")]
-    crate::metrics::fixed().io[ev.index()].inc();
     if !tracing_live() {
         return;
     }
@@ -150,8 +143,8 @@ pub fn set_block_capacity(b: u64) {
 #[must_use = "a span records nothing unless the guard is held"]
 #[derive(Debug)]
 pub struct Span {
-    /// False when the span was opened on an unarmed thread (no `obs`
-    /// feature, no capture): enter pushed nothing and drop pops nothing.
+    /// False when the span was opened on an unarmed thread (no capture):
+    /// enter pushed nothing and drop pops nothing.
     live: bool,
 }
 
@@ -224,33 +217,23 @@ impl Drop for Span {
     }
 }
 
-/// Delivers a finished root span: into the open capture slot when this
-/// thread is inside a [`begin_trace`] window, and (with `obs`) into the
-/// metrics registry and the flight recorder.
+/// Delivers a finished root span to the open capture slot. A root that
+/// outlives its capture (the guard was opened inside one and dropped after
+/// it) has nobody waiting for it and is dropped.
 fn finalize(root: SpanNode, latency_ns: u64) {
-    let total_io = root.io.total_io();
-    let wasteful_ios = root.wasteful_ios();
-    let search_ios = root.search_ios();
-    let items = root.output_items();
-    #[cfg(feature = "obs")]
-    {
-        let m = crate::metrics::fixed();
-        m.ops_total.inc();
-        m.wasteful_total.add(wasteful_ios);
-        m.items_total.add(items);
-        m.hist_op_io.record(total_io);
-        m.hist_wasteful.record(wasteful_ios);
-        m.hist_latency.record(latency_ns);
-    }
-    let trace = QueryTrace { name: root.name, latency_ns, total_io, search_ios, wasteful_ios, items, root };
-    if CAPTURING.with(Cell::get) {
-        CAPTURED.with(|c| *c.borrow_mut() = Some(trace));
+    if !CAPTURING.with(Cell::get) {
         return;
     }
-    #[cfg(feature = "obs")]
-    crate::recorder::offer(trace);
-    #[cfg(not(feature = "obs"))]
-    drop(trace);
+    let trace = QueryTrace {
+        name: root.name,
+        latency_ns,
+        total_io: root.io.total_io(),
+        search_ios: root.search_ios(),
+        wasteful_ios: root.wasteful_ios(),
+        items: root.output_items(),
+        root,
+    };
+    CAPTURED.with(|c| *c.borrow_mut() = Some(trace));
 }
 
 #[cfg(test)]
@@ -264,9 +247,6 @@ mod tests {
         }
     }
 
-    /// The capture path works identically in both instrumentation modes —
-    /// this is the contract that lets release servers trace sampled
-    /// requests.
     #[test]
     fn begin_trace_captures_the_root_span_tree() {
         let cap = begin_trace();
@@ -341,7 +321,6 @@ mod tests {
         assert!(cap.finish().is_none());
     }
 
-    #[cfg(not(feature = "obs"))]
     #[test]
     fn spans_are_inert_outside_a_capture_without_obs() {
         // No capture open: the guard is dead weight and nothing is stacked.
@@ -353,106 +332,5 @@ mod tests {
         }
         let cap = begin_trace();
         assert!(cap.finish().is_none(), "nothing was captured retroactively");
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn span_tree_attributes_self_and_child_reads() {
-        use crate::{flight_clear, flight_top};
-        let _g = crate::test_guard();
-        flight_clear();
-        {
-            let _root = crate::span!("query");
-            set_block_capacity(4);
-            reads(2); // root self: search
-            {
-                let _lvl = crate::span!("level", 1u64);
-                reads(1); // level self: search
-            }
-            {
-                let _probe = crate::span!(output: "path_cache_probe");
-                reads(3);
-                add_items(9); // 2 full blocks at B=4 + tail → 1 wasteful
-            }
-        }
-        let top = flight_top(1);
-        assert_eq!(top.len(), 1);
-        let t = &top[0];
-        assert_eq!(t.name, "query");
-        assert_eq!(t.total_io, 6);
-        assert_eq!(t.search_ios, 3);
-        assert_eq!(t.wasteful_ios, 1);
-        assert_eq!(t.items, 9);
-        assert_eq!(t.root.children.len(), 2);
-        let probe = &t.root.children[1];
-        assert_eq!(probe.name, "path_cache_probe");
-        assert_eq!(probe.self_reads, 3);
-        assert_eq!(probe.block_capacity, 4, "capacity inherited from root");
-        assert_eq!(probe.wasteful(), 1);
-        flight_clear();
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn root_finalization_updates_metrics() {
-        use crate::snapshot;
-        let _g = crate::test_guard();
-        let before = snapshot();
-        {
-            let _root = crate::span!(output: "solo");
-            reads(2);
-            add_items(1);
-        }
-        let after = snapshot();
-        assert_eq!(after.counter("pc_ops_total") - before.counter("pc_ops_total"), 1);
-        // B defaults to 1: 2 reads, 1 item → 1 wasteful.
-        assert_eq!(
-            after.counter("pc_op_wasteful_io_total") - before.counter("pc_op_wasteful_io_total"),
-            1
-        );
-        assert_eq!(
-            after.counter("pc_op_output_items_total")
-                - before.counter("pc_op_output_items_total"),
-            1
-        );
-        assert!(after.counter("pc_io_reads_total") >= before.counter("pc_io_reads_total") + 2);
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn io_outside_any_span_only_hits_global_counters() {
-        use crate::snapshot;
-        let _g = crate::test_guard();
-        let before = snapshot();
-        record_io(IoEvent::Write);
-        let after = snapshot();
-        assert_eq!(
-            after.counter("pc_io_writes_total") - before.counter("pc_io_writes_total"),
-            1
-        );
-        assert_eq!(after.counter("pc_ops_total"), before.counter("pc_ops_total"));
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn captured_roots_bypass_the_flight_recorder_but_not_the_registry() {
-        use crate::{flight_clear, flight_top, snapshot};
-        let _g = crate::test_guard();
-        flight_clear();
-        let before = snapshot();
-        let cap = begin_trace();
-        {
-            let _root = crate::span!("served_request");
-            reads(4);
-        }
-        let t = cap.finish().unwrap();
-        assert_eq!(t.total_io, 4);
-        let after = snapshot();
-        // Aggregates still advance (identical counters whether or not the
-        // request was sampled — the e2e acceptance criterion).
-        assert_eq!(after.counter("pc_ops_total") - before.counter("pc_ops_total"), 1);
-        // But the trace went to the caller, not the global recorder.
-        assert!(flight_top(8).iter().all(|q| q.name != "served_request"));
-        flight_clear();
     }
 }

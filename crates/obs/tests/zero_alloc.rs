@@ -5,11 +5,9 @@
 //!   threads, and retuning the rate never perturbs which keys a given rate
 //!   selects. This is what makes "same workload ⇒ same sampled set"
 //!   reproducible across server restarts.
-//! * **Zero allocation off the sampled path** — in default builds, a
-//!   request that was *not* sampled pays one thread-local load per span
-//!   and allocates nothing. Pinned with a global allocator that counts per thread; the
-//!   `obs` feature intentionally trades this for always-on aggregation, so
-//!   the allocation assertion is compiled out there.
+//! * **Zero allocation off the sampled path** — a request that was *not*
+//!   sampled pays one thread-local load per span and allocates nothing.
+//!   Pinned with a global allocator that counts per thread.
 
 use pc_obs::sample::Sampler;
 
@@ -70,9 +68,8 @@ fn retuning_changes_rate_without_changing_selection() {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-allocation fast path (default build only).
+// Zero-allocation fast path.
 
-#[cfg(not(feature = "obs"))]
 mod alloc_counting {
     use super::*;
     use std::alloc::{GlobalAlloc, Layout, System};

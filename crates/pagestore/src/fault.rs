@@ -318,7 +318,6 @@ impl FaultBackend {
 
     fn bump(&self, c: &AtomicU64) {
         c.fetch_add(1, Ordering::Relaxed);
-        pc_obs::counter(pc_obs::fault_metrics::INJECTED).inc();
     }
 }
 

@@ -67,9 +67,7 @@ pub use page::Page;
 pub use pool::{BufferPool, ShardStats, ShardedPool};
 pub use recovery::RecoveryReport;
 pub use stats::IoStats;
-pub use store::{
-    PageId, PageStore, RetryPolicy, StoreConfig, StoreObserver, WalConfig, NULL_PAGE,
-};
+pub use store::{PageId, PageStore, RetryPolicy, StoreConfig, WalConfig, NULL_PAGE};
 pub use types::{Interval, Point, Record};
 pub use version::{
     decode_version_meta, encode_version_meta, ApplyGuard, Snapshot, SnapshotGuard, VersionConfig,

@@ -73,7 +73,6 @@ impl MirrorBackend {
 
     fn note_repair(&self) {
         self.repairs.fetch_add(1, Ordering::Relaxed);
-        pc_obs::counter(pc_obs::fault_metrics::REPAIRS).inc();
     }
 }
 
@@ -113,7 +112,6 @@ impl Backend for MirrorBackend {
                     FrameState::Written => {
                         if i > 0 {
                             self.failovers.fetch_add(1, Ordering::Relaxed);
-                            pc_obs::counter(pc_obs::fault_metrics::FAILOVERS).inc();
                         }
                         // Read-repair, best-effort — a failed repair write
                         // leaves that replica corrupt-but-detectable, which

@@ -13,7 +13,6 @@
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use pc_obs::IoEvent;
 use pc_sync::{Mutex, RwLock};
@@ -220,20 +219,6 @@ pub struct PageStore {
     /// `Some` for durable stores: write-ahead log + dirty table. `None`
     /// keeps the classic volatile store with bit-identical I/O accounting.
     wal: Option<WalState>,
-    /// Event hook for distributions the cumulative counters cannot carry
-    /// (e.g. per-commit group sizes). `None` until registered.
-    observer: RwLock<Option<Arc<dyn StoreObserver>>>,
-}
-
-/// Observer of store events whose *distribution* matters, not just the
-/// count ([`IoStats`]/[`WalStats`] carry the cumulative totals). Called
-/// synchronously on the operating thread, so implementations must be cheap
-/// — record into an atomic histogram and return. Registered with
-/// [`PageStore::set_observer`].
-pub trait StoreObserver: Send + Sync {
-    /// A group commit made `records` WAL records durable with one fsync
-    /// (`records >= 1`; empty commits do not fire).
-    fn on_group_commit(&self, records: u64);
 }
 
 impl PageStore {
@@ -268,7 +253,6 @@ impl PageStore {
             quarantine: Mutex::new(HashSet::new()),
             quarantine_len: AtomicU64::new(0),
             wal: None,
-            observer: RwLock::new(None),
         }
     }
 
@@ -299,9 +283,6 @@ impl PageStore {
             "durable stores are strict: the WAL dirty table is the only write buffer"
         );
         let (wal, outcome) = Wal::open(log, config.page_size)?;
-        if outcome.torn_bytes > 0 {
-            pc_obs::counter(pc_obs::wal_metrics::TORN_TAILS).inc();
-        }
         let (report, snap) = crate::recovery::replay(backend.as_ref(), config.page_size, &outcome)?;
         // Make the replayed state durable, then retire the old log: after
         // install_checkpoint the replayed records are never needed again.
@@ -337,7 +318,6 @@ impl PageStore {
                 checkpoint_bytes: wal_config.checkpoint_bytes,
                 last_meta: Mutex::new(recovered_meta),
             }),
-            observer: RwLock::new(None),
         };
         Ok((store, report))
     }
@@ -524,7 +504,6 @@ impl PageStore {
         if q.insert(id.0) {
             self.quarantine_len.store(q.len() as u64, Ordering::Relaxed);
             self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-            pc_obs::counter(pc_obs::fault_metrics::QUARANTINED).inc();
         }
     }
 
@@ -549,7 +528,6 @@ impl PageStore {
                     }
                     attempt += 1;
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    pc_obs::counter(pc_obs::fault_metrics::RETRIES).inc();
                     if let Some(backoff) = self.retry.backoff {
                         backoff(attempt - 1);
                     }
@@ -645,7 +623,7 @@ impl PageStore {
         // under the paper's transfer accounting, with re-attempts surfaced
         // separately as `retries`.
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        // Observer hook for pc-obs (a no-op unless the `obs` feature is on):
+        // Observer hook for pc-obs (inert outside a `begin_trace` capture):
         // purely observational, so `IoStats` and transfer behavior stay
         // bit-identical either way.
         pc_obs::record_io(IoEvent::Read);
@@ -703,17 +681,7 @@ impl PageStore {
         if ws.wal.log_bytes() >= ws.checkpoint_bytes {
             self.checkpoint_locked(ws)?;
         }
-        if group > 0 {
-            if let Some(obs) = self.observer.read().as_ref() {
-                obs.on_group_commit(group);
-            }
-        }
         Ok(group)
-    }
-
-    /// Registers the store's event observer (replacing any previous one).
-    pub fn set_observer(&self, observer: Arc<dyn StoreObserver>) {
-        *self.observer.write() = Some(observer);
     }
 
     /// Forces a checkpoint on a durable store: commits anything pending,
@@ -764,6 +732,13 @@ impl PageStore {
             s.dirty_pages = ws.dirty.lock().len() as u64;
             s
         })
+    }
+
+    /// Distribution of records made durable per group commit — what
+    /// [`WalStats::max_group`] is the maximum of — or `None` on a volatile
+    /// store.
+    pub fn wal_group_sizes(&self) -> Option<pc_obs::HistogramSnapshot> {
+        self.wal.as_ref().map(|ws| ws.wal.group_sizes())
     }
 
     /// Checkpoint body; caller holds `op_lock` and has just committed (the
@@ -927,6 +902,7 @@ fn verify_frame(frame: &[u8], page_size: usize, id: PageId) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn alloc_write_read_roundtrip_counts_io() {

@@ -562,9 +562,6 @@ impl VersionedStore {
         }
     }
 
-    // The `pc_version_*` exposition renders from `metrics()` snapshots
-    // (per store), not the global `pc_obs` registry — registering these
-    // there as well would duplicate the families in a server's scrape.
     fn note_reclaimed(&self, n: u64) {
         if n > 0 {
             self.reclaimed.fetch_add(n, Relaxed);

@@ -443,8 +443,8 @@ pub fn scan(bytes: &[u8], page_size: usize) -> Result<ScanOutcome> {
     })
 }
 
-/// Cumulative WAL activity counters (always on; the matching `pc-obs`
-/// metrics under [`pc_obs::wal_metrics`] are the feature-gated mirror).
+/// Cumulative WAL activity counters — the one count of log activity; the
+/// serve layer renders them as the `pc_store_wal_*` families.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Records appended (all kinds, commits and checkpoints included).
@@ -494,6 +494,9 @@ pub struct Wal {
     checkpoints: AtomicU64,
     replayed: AtomicU64,
     max_group: AtomicU64,
+    /// Records made durable per commit — the distribution behind
+    /// `max_group` (see [`Wal::group_sizes`]).
+    group_sizes: pc_obs::Histogram,
     dirty_hits: AtomicU64,
 }
 
@@ -520,6 +523,7 @@ impl Wal {
             checkpoints: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
             max_group: AtomicU64::new(0),
+            group_sizes: pc_obs::Histogram::default(),
             dirty_hits: AtomicU64::new(0),
         };
         Ok((wal, outcome))
@@ -544,7 +548,6 @@ impl Wal {
         inner.uncommitted += 1;
         inner.log_bytes += buf.len() as u64;
         self.appends.fetch_add(1, Relaxed);
-        pc_obs::counter(pc_obs::wal_metrics::APPENDS).inc();
         Ok(lsn)
     }
 
@@ -589,10 +592,7 @@ impl Wal {
         self.commits.fetch_add(1, Relaxed);
         self.fsyncs.fetch_add(1, Relaxed);
         self.max_group.fetch_max(group, Relaxed);
-        pc_obs::counter(pc_obs::wal_metrics::APPENDS).inc();
-        pc_obs::counter(pc_obs::wal_metrics::COMMITS).inc();
-        pc_obs::counter(pc_obs::wal_metrics::FSYNCS).inc();
-        pc_obs::histogram(pc_obs::wal_metrics::GROUP_COMMIT_SIZE).record(group);
+        self.group_sizes.record(group);
         Ok(group)
     }
 
@@ -615,8 +615,6 @@ impl Wal {
         self.appends.fetch_add(1, Relaxed);
         self.checkpoints.fetch_add(1, Relaxed);
         self.fsyncs.fetch_add(1, Relaxed);
-        pc_obs::counter(pc_obs::wal_metrics::CHECKPOINTS).inc();
-        pc_obs::counter(pc_obs::wal_metrics::FSYNCS).inc();
         Ok(())
     }
 
@@ -633,12 +631,17 @@ impl Wal {
     /// Notes `n` records replayed by recovery (stats only).
     pub fn note_replayed(&self, n: u64) {
         self.replayed.fetch_add(n, Relaxed);
-        pc_obs::counter(pc_obs::wal_metrics::REPLAYED).add(n);
     }
 
     /// Notes one read served from the store's dirty table (stats only).
     pub fn note_dirty_hit(&self) {
         self.dirty_hits.fetch_add(1, Relaxed);
+    }
+
+    /// Distribution of records made durable per group commit (empty
+    /// commits issue no fsync and are not recorded).
+    pub fn group_sizes(&self) -> pc_obs::HistogramSnapshot {
+        self.group_sizes.snapshot()
     }
 
     /// Snapshot of the log's counters. `dirty_pages` is filled in by the
@@ -765,6 +768,8 @@ mod tests {
         assert_eq!(s.commits, 1);
         assert_eq!(s.fsyncs, 1);
         assert_eq!(s.max_group, 5);
+        // One group of 5; the empty commit is not an observation.
+        assert_eq!(wal.group_sizes().buckets, vec![(7, 1)]);
         assert_eq!(s.appends, 6, "5 writes + 1 commit");
     }
 

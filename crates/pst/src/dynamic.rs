@@ -110,7 +110,9 @@ impl Touched {
 /// Applies buffered updates to a static answer: the latest op per point id
 /// wins (a buffer can be met along several traversal arms), deletes mask,
 /// and inserts the query `contains` are appended in `seq` order, so one
-/// query on one store always returns the same vector.
+/// query on one store always returns the same vector. Those inserts are
+/// output the static spans never saw, so they are reported to the caller's
+/// open span.
 fn merge_buffered(
     static_res: Vec<Point>,
     pending: Vec<UpdateRec>,
@@ -128,6 +130,7 @@ fn merge_buffered(
     let mut inserts: Vec<UpdateRec> =
         latest.into_values().filter(|op| !op.is_delete && contains(&op.p)).collect();
     inserts.sort_unstable_by_key(|op| op.seq);
+    pc_obs::add_items(inserts.len() as u64);
     results.extend(inserts.into_iter().map(|op| op.p));
     results
 }
@@ -238,6 +241,8 @@ impl DynamicPst {
         store: &PageStore,
         q: TwoSided,
     ) -> Result<(Vec<Point>, QueryCounters)> {
+        // The root span: the merge below reports into it.
+        let _span = pc_obs::span!("dynpst_query");
         let handle = InnerHandle { root: self.root, n: self.live.max(1), is_region: true };
         let (static_res, pending, counters) = query_handle_buffered(store, handle, q)?;
         Ok((merge_buffered(static_res, pending, |p| q.contains(p)), counters))
@@ -792,11 +797,16 @@ impl DynamicThreeSidedPst {
     /// Answers a 3-sided query, merging buffered updates (the static query
     /// plus `O(buffer/B)` = `O(log_B n)` block reads).
     pub fn query(&self, store: &PageStore, q: ThreeSided) -> Result<Vec<Point>> {
+        // The root span: the buffer reads and the merge sit inside it.
+        let _span = pc_obs::span!("dynpst3_query");
         let static_res = self.inner.query(store, q)?;
         // Re-read the persisted buffer pages (honest I/O accounting).
         let mut ops: Vec<UpdateRec> = Vec::new();
-        for &page in &self.buffer {
-            ops.extend(read_buffer(store, page)?);
+        {
+            let _buf = pc_obs::span!("update_buffer");
+            for &page in &self.buffer {
+                ops.extend(read_buffer(store, page)?);
+            }
         }
         Ok(merge_buffered(static_res, ops, |p| q.contains(p)))
     }

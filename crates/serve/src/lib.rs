@@ -53,7 +53,7 @@ pub mod target;
 pub mod wire;
 
 pub use client::{Client, ClientError, RetryClient, RetryPolicy};
-pub use obsplane::{GroupCommitObserver, TargetStats, TargetStatsSet};
+pub use obsplane::{TargetStats, TargetStatsSet};
 pub use router::{
     canonicalize, FrontendConfig, FrontendHandle, Router, RouterConfig, RouterError,
     RouterFrontend, ShardMap, ShardStats,

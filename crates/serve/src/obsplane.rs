@@ -1,21 +1,20 @@
-//! The server's live observability plane: per-target metric families,
-//! store-level (WAL + pool) families, and the group-commit observer.
+//! The server's live observability plane: per-target metric families and
+//! the store-level (WAL + pool) and version families.
 //!
-//! Everything here is **always compiled** — built on relaxed atomics and
-//! the always-on `pc_obs::hist` histogram, like `ServeStats` — so a release
-//! binary without the `obs` cargo feature still serves the full ADMIN
-//! `Metrics`/`Stats` surface. Names come from [`pc_obs::target_metrics`]
-//! and [`pc_obs::store_metrics`]; per-target families carry a
-//! `{target="name"}` label so one scrape separates tenants sharing the
-//! store. The structured form of the same families rides in the ADMIN
-//! `Stats` pairs (the labelled name is the pair key).
+//! Built on relaxed atomics and `pc_obs::Histogram`, like `ServeStats`, so
+//! every binary serves the full ADMIN `Metrics`/`Stats` surface. Each
+//! family is declared once, as a `pc_obs::Sample` pushed by the functions
+//! here; names come from [`pc_obs::target_metrics`],
+//! [`pc_obs::store_metrics`] and [`pc_obs::version_metrics`]. Per-target
+//! families carry a `{target="name"}` label so one scrape separates
+//! tenants sharing the store, and the labelled name is the pair key in the
+//! structured `Stats` form.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
 
-use pc_obs::hist::Histogram;
-use pc_obs::{store_metrics, target_metrics, version_metrics, QueryTrace};
-use pc_pagestore::{PageStore, StoreObserver, VersionMetrics};
+use pc_obs::Summary::{Count, P50, P99};
+use pc_obs::{store_metrics, target_metrics, version_metrics, Histogram, QueryTrace, Sample};
+use pc_pagestore::{PageStore, VersionMetrics};
 
 /// Always-on counters and latency distribution for one registered target.
 #[derive(Default)]
@@ -76,85 +75,40 @@ impl TargetStatsSet {
         self.entries.get(id as usize).map(|(n, _)| n.as_str())
     }
 
-    /// `(labelled name, value)` pairs — the structured (binary) form of the
-    /// per-target families, carried in the ADMIN `Stats` body.
-    pub fn stat_pairs(&self) -> Vec<(String, u64)> {
-        let mut out = Vec::new();
-        for (name, s) in &self.entries {
-            let lbl = |family: &str| format!("{family}{{target=\"{name}\"}}");
-            out.push((lbl(target_metrics::REQUESTS), s.requests.load(Relaxed)));
-            out.push((lbl(target_metrics::QUERIES_OK), s.queries_ok.load(Relaxed)));
-            out.push((lbl(target_metrics::UPDATES_OK), s.updates_ok.load(Relaxed)));
-            out.push((lbl(target_metrics::ERRORS), s.errors.load(Relaxed)));
-            out.push((lbl(target_metrics::BATCHES), s.batches.load(Relaxed)));
-            out.push((lbl(target_metrics::BATCHED_UPDATES), s.batched_updates.load(Relaxed)));
-            out.push((lbl(target_metrics::TRACES), s.traces.load(Relaxed)));
-            out.push((lbl(target_metrics::TRACED_IO), s.traced_io.load(Relaxed)));
-            out.push((lbl(target_metrics::TRACED_WASTEFUL), s.traced_wasteful.load(Relaxed)));
-            let q = s.latency_ns.snapshot();
-            out.push((format!("{}_p50{{target=\"{name}\"}}", target_metrics::LATENCY), q.quantile(0.50)));
-            out.push((format!("{}_p99{{target=\"{name}\"}}", target_metrics::LATENCY), q.quantile(0.99)));
-            out.push((format!("{}_count{{target=\"{name}\"}}", target_metrics::LATENCY), q.count));
-        }
-        out
-    }
-
-    /// Prometheus text exposition of the per-target families. Each family
-    /// is typed once, then emits one labelled sample per target.
-    pub fn render_text(&self) -> String {
-        type CounterRead = fn(&TargetStats) -> u64;
-        let mut out = String::new();
-        let counters: [(&str, CounterRead); 9] = [
-            (target_metrics::REQUESTS, |s| s.requests.load(Relaxed)),
-            (target_metrics::QUERIES_OK, |s| s.queries_ok.load(Relaxed)),
-            (target_metrics::UPDATES_OK, |s| s.updates_ok.load(Relaxed)),
-            (target_metrics::ERRORS, |s| s.errors.load(Relaxed)),
-            (target_metrics::BATCHES, |s| s.batches.load(Relaxed)),
-            (target_metrics::BATCHED_UPDATES, |s| s.batched_updates.load(Relaxed)),
-            (target_metrics::TRACES, |s| s.traces.load(Relaxed)),
-            (target_metrics::TRACED_IO, |s| s.traced_io.load(Relaxed)),
-            (target_metrics::TRACED_WASTEFUL, |s| s.traced_wasteful.load(Relaxed)),
+    /// Pushes the per-target families, family by family (so each is typed
+    /// once in the text form), one labelled sample per target.
+    pub fn samples(&self, out: &mut Vec<Sample>) {
+        type Read = fn(&TargetStats) -> &AtomicU64;
+        let counters: [(&'static str, Read); 9] = [
+            (target_metrics::REQUESTS, |s| &s.requests),
+            (target_metrics::QUERIES_OK, |s| &s.queries_ok),
+            (target_metrics::UPDATES_OK, |s| &s.updates_ok),
+            (target_metrics::ERRORS, |s| &s.errors),
+            (target_metrics::BATCHES, |s| &s.batches),
+            (target_metrics::BATCHED_UPDATES, |s| &s.batched_updates),
+            (target_metrics::TRACES, |s| &s.traces),
+            (target_metrics::TRACED_IO, |s| &s.traced_io),
+            (target_metrics::TRACED_WASTEFUL, |s| &s.traced_wasteful),
         ];
         for (family, read) in counters {
-            out.push_str(&format!("# TYPE {family} counter\n"));
             for (name, s) in &self.entries {
-                out.push_str(&format!("{family}{{target=\"{name}\"}} {}\n", read(s)));
+                out.push(Sample::counter(family, read(s).load(Relaxed)).labelled("target", name));
             }
         }
-        let family = target_metrics::LATENCY;
-        out.push_str(&format!("# TYPE {family} histogram\n"));
         for (name, s) in &self.entries {
-            let snap = s.latency_ns.snapshot();
-            let mut cumulative = 0u64;
-            for &(le, c) in &snap.buckets {
-                cumulative += c;
-                out.push_str(&format!(
-                    "{family}_bucket{{target=\"{name}\",le=\"{le}\"}} {cumulative}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "{family}_bucket{{target=\"{name}\",le=\"+Inf\"}} {}\n",
-                snap.count
-            ));
-            out.push_str(&format!("{family}_sum{{target=\"{name}\"}} {}\n", snap.sum));
-            out.push_str(&format!("{family}_count{{target=\"{name}\"}} {}\n", snap.count));
+            out.push(
+                Sample::histogram(
+                    target_metrics::LATENCY,
+                    s.latency_ns.snapshot(),
+                    &[
+                        ("pc_target_latency_ns_p50", P50),
+                        ("pc_target_latency_ns_p99", P99),
+                        ("pc_target_latency_ns_count", Count),
+                    ],
+                )
+                .labelled("target", name),
+            );
         }
-        out
-    }
-}
-
-/// [`StoreObserver`] recording the distribution of group-commit sizes —
-/// the cumulative `WalStats` only carry the max. Registered on the shared
-/// store at server spawn; the histogram is always on.
-#[derive(Default)]
-pub struct GroupCommitObserver {
-    /// Records made durable per group commit.
-    pub records_per_commit: Histogram,
-}
-
-impl StoreObserver for GroupCommitObserver {
-    fn on_group_commit(&self, records: u64) {
-        self.records_per_commit.record(records);
     }
 }
 
@@ -171,105 +125,44 @@ pub fn pool_hit_ratio_ppm(cache_hits: u64, reads: u64) -> u64 {
     ((cache_hits as u128 * 1_000_000) / total) as u64
 }
 
-/// `(name, value)` pairs for the store-level families (structured form).
-pub fn store_stat_pairs(store: &PageStore, commits: &GroupCommitObserver) -> Vec<(String, u64)> {
+/// Pushes the store-level families: the pool hit ratio always, the
+/// `pc_store_wal_*` ones on a durable store.
+pub fn store_samples(store: &PageStore, out: &mut Vec<Sample>) {
     let io = store.stats();
-    let mut out = vec![(
-        store_metrics::POOL_HIT_RATIO_PPM.to_string(),
+    out.push(Sample::gauge(
+        store_metrics::POOL_HIT_RATIO_PPM,
         pool_hit_ratio_ppm(io.cache_hits, io.reads),
-    )];
-    if let Some(w) = store.wal_stats() {
-        let snap = commits.records_per_commit.snapshot();
-        out.extend([
-            (store_metrics::WAL_APPENDS.to_string(), w.appends),
-            (store_metrics::WAL_COMMITS.to_string(), w.commits),
-            (store_metrics::WAL_FSYNCS.to_string(), w.fsyncs),
-            (store_metrics::WAL_CHECKPOINTS.to_string(), w.checkpoints),
-            (store_metrics::WAL_REPLAYED.to_string(), w.replayed),
-            (store_metrics::WAL_LOG_BYTES.to_string(), w.log_bytes),
-            (store_metrics::WAL_DIRTY_PAGES.to_string(), w.dirty_pages),
-            (format!("{}_p50", store_metrics::WAL_GROUP_COMMIT_RECORDS), snap.quantile(0.50)),
-            (format!("{}_count", store_metrics::WAL_GROUP_COMMIT_RECORDS), snap.count),
-        ]);
-    }
-    out
+    ));
+    let (Some(w), Some(groups)) = (store.wal_stats(), store.wal_group_sizes()) else { return };
+    out.extend([
+        Sample::counter(store_metrics::WAL_APPENDS, w.appends),
+        Sample::counter(store_metrics::WAL_COMMITS, w.commits),
+        Sample::counter(store_metrics::WAL_FSYNCS, w.fsyncs),
+        Sample::counter(store_metrics::WAL_CHECKPOINTS, w.checkpoints),
+        Sample::counter(store_metrics::WAL_REPLAYED, w.replayed),
+        Sample::gauge(store_metrics::WAL_LOG_BYTES, w.log_bytes),
+        Sample::gauge(store_metrics::WAL_DIRTY_PAGES, w.dirty_pages),
+        Sample::histogram(
+            store_metrics::WAL_GROUP_COMMIT_RECORDS,
+            groups,
+            &[
+                ("pc_store_wal_group_commit_records_p50", P50),
+                ("pc_store_wal_group_commit_records_count", Count),
+            ],
+        ),
+    ]);
 }
 
-/// Prometheus text exposition of the store-level families.
-pub fn render_store_metrics(store: &PageStore, commits: &GroupCommitObserver) -> String {
-    let io = store.stats();
-    let mut out = format!(
-        "# TYPE {family} gauge\n{family} {}\n",
-        pool_hit_ratio_ppm(io.cache_hits, io.reads),
-        family = store_metrics::POOL_HIT_RATIO_PPM,
-    );
-    if let Some(w) = store.wal_stats() {
-        for (family, v) in [
-            (store_metrics::WAL_APPENDS, w.appends),
-            (store_metrics::WAL_COMMITS, w.commits),
-            (store_metrics::WAL_FSYNCS, w.fsyncs),
-            (store_metrics::WAL_CHECKPOINTS, w.checkpoints),
-            (store_metrics::WAL_REPLAYED, w.replayed),
-        ] {
-            out.push_str(&format!("# TYPE {family} counter\n{family} {v}\n"));
-        }
-        for (family, v) in [
-            (store_metrics::WAL_LOG_BYTES, w.log_bytes),
-            (store_metrics::WAL_DIRTY_PAGES, w.dirty_pages),
-        ] {
-            out.push_str(&format!("# TYPE {family} gauge\n{family} {v}\n"));
-        }
-        let family = store_metrics::WAL_GROUP_COMMIT_RECORDS;
-        let snap = commits.records_per_commit.snapshot();
-        out.push_str(&format!("# TYPE {family} histogram\n"));
-        let mut cumulative = 0u64;
-        for &(le, c) in &snap.buckets {
-            cumulative += c;
-            out.push_str(&format!("{family}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-        }
-        out.push_str(&format!("{family}_bucket{{le=\"+Inf\"}} {}\n", snap.count));
-        out.push_str(&format!("{family}_sum {}\n{family}_count {}\n", snap.sum, snap.count));
-    }
-    out
-}
-
-/// `(name, value)` pairs for the `pc_version_*` families (structured
-/// form), rendered from a [`VersionMetrics`] point-in-time snapshot.
-pub fn version_stat_pairs(m: &VersionMetrics) -> Vec<(String, u64)> {
-    vec![
-        (version_metrics::EPOCHS_INSTALLED.to_string(), m.installed),
-        (version_metrics::EPOCHS_RETAINED.to_string(), m.retained),
-        (version_metrics::PAGES_RECLAIMED.to_string(), m.reclaimed_pages),
-        (version_metrics::SNAPSHOTS_PINNED.to_string(), m.pinned),
-        (version_metrics::OLDEST_PIN_AGE.to_string(), m.oldest_pin_age),
-    ]
-}
-
-/// Prometheus text exposition of the `pc_version_*` families.
-pub fn render_version_metrics(m: &VersionMetrics) -> String {
-    let mut out = String::new();
-    for (family, v) in [
-        (version_metrics::EPOCHS_INSTALLED, m.installed),
-        (version_metrics::PAGES_RECLAIMED, m.reclaimed_pages),
-    ] {
-        out.push_str(&format!("# TYPE {family} counter\n{family} {v}\n"));
-    }
-    for (family, v) in [
-        (version_metrics::EPOCHS_RETAINED, m.retained),
-        (version_metrics::SNAPSHOTS_PINNED, m.pinned),
-        (version_metrics::OLDEST_PIN_AGE, m.oldest_pin_age),
-    ] {
-        out.push_str(&format!("# TYPE {family} gauge\n{family} {v}\n"));
-    }
-    out
-}
-
-/// Convenience: registers a fresh [`GroupCommitObserver`] on `store` and
-/// returns the shared handle the server keeps for rendering.
-pub fn install_commit_observer(store: &PageStore) -> Arc<GroupCommitObserver> {
-    let obs = Arc::new(GroupCommitObserver::default());
-    store.set_observer(Arc::clone(&obs) as Arc<dyn StoreObserver>);
-    obs
+/// Pushes the `pc_version_*` families from a [`VersionMetrics`]
+/// point-in-time snapshot.
+pub fn version_samples(m: &VersionMetrics, out: &mut Vec<Sample>) {
+    out.extend([
+        Sample::counter(version_metrics::EPOCHS_INSTALLED, m.installed),
+        Sample::counter(version_metrics::PAGES_RECLAIMED, m.reclaimed_pages),
+        Sample::gauge(version_metrics::EPOCHS_RETAINED, m.retained),
+        Sample::gauge(version_metrics::SNAPSHOTS_PINNED, m.pinned),
+        Sample::gauge(version_metrics::OLDEST_PIN_AGE, m.oldest_pin_age),
+    ]);
 }
 
 #[cfg(test)]
@@ -286,13 +179,15 @@ mod tests {
         s.latency_ns.record(1000);
         set.get(1).unwrap().requests.fetch_add(2, Relaxed);
 
-        let text = set.render_text();
+        let mut samples = Vec::new();
+        set.samples(&mut samples);
+        let text = pc_obs::render_text(&samples);
         assert!(text.contains("# TYPE pc_target_requests_total counter"), "{text}");
         assert!(text.contains("pc_target_requests_total{target=\"pst/main\"} 5"), "{text}");
         assert!(text.contains("pc_target_requests_total{target=\"btree/aux\"} 2"), "{text}");
         assert!(text.contains("pc_target_latency_ns_count{target=\"pst/main\"} 1"), "{text}");
 
-        let pairs = set.stat_pairs();
+        let pairs = pc_obs::stat_pairs(&samples);
         let get = |n: &str| pairs.iter().find(|(k, _)| k == n).map(|&(_, v)| v).unwrap();
         assert_eq!(get("pc_target_requests_total{target=\"pst/main\"}"), 5);
         assert_eq!(get("pc_target_errors_total{target=\"pst/main\"}"), 1);
@@ -341,21 +236,29 @@ mod tests {
     #[test]
     fn commit_observer_records_group_sizes_from_the_store() {
         let (store, _) = PageStore::in_memory_durable(256);
-        let obs = install_commit_observer(&store);
         let id = store.alloc().unwrap();
         store.write(id, &vec![7u8; 256]).unwrap();
         store.commit_with(b"t").unwrap();
-        let snap = obs.records_per_commit.snapshot();
-        assert_eq!(snap.count, 1, "one non-empty commit observed");
-        // An empty commit (nothing pending) must not fire the observer.
+        let snap = store.wal_group_sizes().expect("durable store");
+        assert_eq!((snap.count, snap.sum), (1, 2), "one commit of alloc + write");
+        // An empty commit (nothing pending) must not be recorded.
         store.commit_with(b"t").unwrap();
-        assert_eq!(obs.records_per_commit.snapshot().count, 1);
-        let pairs = store_stat_pairs(&store, &obs);
+        assert_eq!(store.wal_group_sizes().unwrap().count, 1);
+        let mut samples = Vec::new();
+        store_samples(&store, &mut samples);
+        let pairs = pc_obs::stat_pairs(&samples);
         let get = |n: &str| pairs.iter().find(|(k, _)| k == n).map(|&(_, v)| v);
         assert!(get("pc_store_wal_commits_total").unwrap() >= 1);
         assert_eq!(get("pc_store_wal_group_commit_records_count"), Some(1));
-        let text = render_store_metrics(&store, &obs);
+        let text = pc_obs::render_text(&samples);
         assert!(text.contains("# TYPE pc_store_wal_commits_total counter"), "{text}");
         assert!(text.contains("pc_store_wal_group_commit_records_count 1"), "{text}");
+
+        // A volatile store has no log, so no group sizes and no WAL families.
+        let volatile = PageStore::in_memory(256);
+        assert!(volatile.wal_group_sizes().is_none());
+        samples.clear();
+        store_samples(&volatile, &mut samples);
+        assert_eq!(samples.len(), 1, "the pool hit ratio alone");
     }
 }

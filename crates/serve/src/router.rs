@@ -55,8 +55,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pc_obs::hist::Histogram;
 use pc_obs::shard_metrics as names;
+use pc_obs::Summary::{Count, P50, P99};
+use pc_obs::{Histogram, Sample};
 use pc_pagestore::{Interval, Point};
 use pc_rng::Rng;
 use pc_sync::Mutex;
@@ -753,73 +754,53 @@ impl Router {
         result
     }
 
-    /// Structured `(labelled name, value)` pairs for the per-shard
-    /// `pc_shard_*` families — the ADMIN `Stats` form.
-    pub fn stat_pairs(&self) -> Vec<(String, u64)> {
+    /// The per-shard `pc_shard_*` families, family by family, one
+    /// `{shard="i"}` sample per shard.
+    fn samples(&self) -> Vec<Sample> {
+        type Typed = fn(&'static str, u64) -> Sample;
+        type Read = fn(&Shard) -> u64;
+        let scalars: [(Typed, &'static str, Read); 9] = [
+            (Sample::counter, names::REQUESTS, |s| s.stats.requests.load(Relaxed)),
+            (Sample::counter, names::FAILOVERS, |s| s.stats.failovers.load(Relaxed)),
+            (Sample::counter, names::RETRIES, |s| s.stats.retries.load(Relaxed)),
+            (Sample::counter, names::ERRORS, |s| s.stats.errors.load(Relaxed)),
+            (Sample::counter, names::REPLAYED, |s| s.stats.replayed.load(Relaxed)),
+            (Sample::counter, names::RECONNECTS, |s| s.stats.reconnects.load(Relaxed)),
+            (Sample::counter, names::JOURNAL_TRUNCATED, |s| s.stats.truncated.load(Relaxed)),
+            (Sample::gauge, names::DEAD_REPLICAS, Shard::dead_replicas),
+            (Sample::gauge, names::JOURNAL_LEN, |s| s.journal.lock().retained()),
+        ];
+        let shards = || self.inner.shards.iter().enumerate();
         let mut out = Vec::new();
-        for (si, shard) in self.inner.shards.iter().enumerate() {
-            let s = &shard.stats;
-            let lbl = |family: &str| format!("{family}{{shard=\"{si}\"}}");
-            out.push((lbl(names::REQUESTS), s.requests.load(Relaxed)));
-            out.push((lbl(names::FAILOVERS), s.failovers.load(Relaxed)));
-            out.push((lbl(names::RETRIES), s.retries.load(Relaxed)));
-            out.push((lbl(names::ERRORS), s.errors.load(Relaxed)));
-            out.push((lbl(names::REPLAYED), s.replayed.load(Relaxed)));
-            out.push((lbl(names::RECONNECTS), s.reconnects.load(Relaxed)));
-            out.push((lbl(names::JOURNAL_TRUNCATED), s.truncated.load(Relaxed)));
-            out.push((lbl(names::DEAD_REPLICAS), shard.dead_replicas()));
-            out.push((lbl(names::JOURNAL_LEN), shard.journal.lock().retained()));
-            let q = s.latency_ns.snapshot();
-            out.push((format!("{}_p50{{shard=\"{si}\"}}", names::LATENCY), q.quantile(0.50)));
-            out.push((format!("{}_p99{{shard=\"{si}\"}}", names::LATENCY), q.quantile(0.99)));
-            out.push((format!("{}_count{{shard=\"{si}\"}}", names::LATENCY), q.count));
+        for (typed, family, read) in scalars {
+            out.extend(
+                shards().map(|(si, s)| typed(family, read(s)).labelled("shard", si.to_string())),
+            );
         }
+        out.extend(shards().map(|(si, s)| {
+            Sample::histogram(
+                names::LATENCY,
+                s.stats.latency_ns.snapshot(),
+                &[
+                    ("pc_shard_latency_ns_p50", P50),
+                    ("pc_shard_latency_ns_p99", P99),
+                    ("pc_shard_latency_ns_count", Count),
+                ],
+            )
+            .labelled("shard", si.to_string())
+        }));
         out
     }
 
-    /// Prometheus text exposition of the per-shard families.
+    /// Structured `(labelled name, value)` pairs for the `pc_shard_*`
+    /// families — the ADMIN `Stats` form.
+    pub fn stat_pairs(&self) -> Vec<(String, u64)> {
+        pc_obs::stat_pairs(&self.samples())
+    }
+
+    /// Prometheus text exposition of the same families.
     pub fn render_metrics(&self) -> String {
-        type Read = fn(&Shard) -> u64;
-        let counters: [(&str, Read); 7] = [
-            (names::REQUESTS, |s| s.stats.requests.load(Relaxed)),
-            (names::FAILOVERS, |s| s.stats.failovers.load(Relaxed)),
-            (names::RETRIES, |s| s.stats.retries.load(Relaxed)),
-            (names::ERRORS, |s| s.stats.errors.load(Relaxed)),
-            (names::REPLAYED, |s| s.stats.replayed.load(Relaxed)),
-            (names::RECONNECTS, |s| s.stats.reconnects.load(Relaxed)),
-            (names::JOURNAL_TRUNCATED, |s| s.stats.truncated.load(Relaxed)),
-        ];
-        let gauges: [(&str, Read); 2] = [
-            (names::DEAD_REPLICAS, Shard::dead_replicas),
-            (names::JOURNAL_LEN, |s| s.journal.lock().retained()),
-        ];
-        let mut out = String::new();
-        for (family, read) in counters {
-            out.push_str(&format!("# TYPE {family} counter\n"));
-            for (si, shard) in self.inner.shards.iter().enumerate() {
-                out.push_str(&format!("{family}{{shard=\"{si}\"}} {}\n", read(shard)));
-            }
-        }
-        for (family, read) in gauges {
-            out.push_str(&format!("# TYPE {family} gauge\n"));
-            for (si, shard) in self.inner.shards.iter().enumerate() {
-                out.push_str(&format!("{family}{{shard=\"{si}\"}} {}\n", read(shard)));
-            }
-        }
-        let family = names::LATENCY;
-        out.push_str(&format!("# TYPE {family} histogram\n"));
-        for (si, shard) in self.inner.shards.iter().enumerate() {
-            let snap = shard.stats.latency_ns.snapshot();
-            let mut cumulative = 0u64;
-            for &(le, c) in &snap.buckets {
-                cumulative += c;
-                out.push_str(&format!("{family}_bucket{{shard=\"{si}\",le=\"{le}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("{family}_bucket{{shard=\"{si}\",le=\"+Inf\"}} {}\n", snap.count));
-            out.push_str(&format!("{family}_sum{{shard=\"{si}\"}} {}\n", snap.sum));
-            out.push_str(&format!("{family}_count{{shard=\"{si}\"}} {}\n", snap.count));
-        }
-        out
+        pc_obs::render_text(&self.samples())
     }
 
     /// True once shutdown was requested.

@@ -38,18 +38,15 @@ use std::time::{Duration, Instant};
 use pc_obs::sample::Sampler;
 use pc_obs::serve_metrics as names;
 use pc_obs::slowlog::{SlowLog, SlowQuery};
-use pc_obs::QueryTrace;
+use pc_obs::{QueryTrace, Sample};
 use pc_pagestore::{
     decode_version_meta, IoStats, Page, PageStore, Snapshot, VersionConfig, VersionedStore,
 };
 use pc_sync::Mutex;
 
-use crate::obsplane::{
-    install_commit_observer, render_store_metrics, render_version_metrics, store_stat_pairs,
-    version_stat_pairs, GroupCommitObserver, TargetStatsSet,
-};
+use crate::obsplane::{store_samples, version_samples, TargetStatsSet};
 use crate::queue::{Bounded, PushError};
-use crate::stats::ServeStats;
+use crate::stats::{io_stat_pairs, ServeStats};
 use crate::target::{FrozenView, QueryTarget, Registry, TargetError, UpdateOp};
 use crate::wire::{
     decode_request, flatten_spans, response_frame, Body, ErrorCode, FrameProgress, FrameReader,
@@ -170,13 +167,30 @@ struct Shared {
     sampler: Sampler,
     slowlog: SlowLog,
     target_stats: TargetStatsSet,
-    commit_obs: Arc<GroupCommitObserver>,
     /// Write halves of live connections, so [`ServerHandle::kill`] can cut
     /// every socket at once. Weak: the reader/worker `Arc`s own them.
     conn_socks: Mutex<Vec<Weak<Conn>>>,
 }
 
 impl Shared {
+    /// One scrape: every always-on family, declared once each by its
+    /// source, in the order the `Metrics` text lists them. `Stats` and
+    /// `Metrics` are two renderings of this list.
+    fn samples(&self) -> Vec<Sample> {
+        let mut out = Vec::new();
+        self.stats.samples(&mut out);
+        out.extend([
+            Sample::gauge(names::QUERY_QUEUE_DEPTH, self.queries.len() as u64),
+            Sample::gauge(names::UPDATE_QUEUE_DEPTH, self.updates.len() as u64),
+            Sample::gauge(names::TRACE_SAMPLE_EVERY, self.sampler.every()),
+            Sample::counter(names::SLOWLOG_OFFERED, self.slowlog.offered()),
+        ]);
+        self.target_stats.samples(&mut out);
+        store_samples(&self.store, &mut out);
+        version_samples(&self.versions.metrics(), &mut out);
+        out
+    }
+
     fn begin_shutdown(&self) {
         if !self.shutdown.swap(true, Relaxed) {
             self.queries.close();
@@ -613,35 +627,13 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) {
             return;
         }
         Op::Stats => {
-            let mut pairs = shared.stats.stat_pairs(&shared.store.stats());
-            pairs.push((names::QUERY_QUEUE_DEPTH.into(), shared.queries.len() as u64));
-            pairs.push((names::UPDATE_QUEUE_DEPTH.into(), shared.updates.len() as u64));
-            pairs.push((names::TRACE_SAMPLE_EVERY.into(), shared.sampler.every()));
-            pairs.push((names::SLOWLOG_OFFERED.into(), shared.slowlog.offered()));
-            pairs.extend(shared.target_stats.stat_pairs());
-            pairs.extend(store_stat_pairs(&shared.store, &shared.commit_obs));
-            pairs.extend(version_stat_pairs(&shared.versions.metrics()));
+            let mut pairs = pc_obs::stat_pairs(&shared.samples());
+            pairs.extend(io_stat_pairs(&shared.store.stats()));
             shared.respond(conn, &Response { id: req.id, body: Body::Stats(pairs) });
             return;
         }
         Op::Metrics => {
-            let mut text = shared.stats.render_text();
-            for (gauge, v) in [
-                (names::QUERY_QUEUE_DEPTH, shared.queries.len() as u64),
-                (names::UPDATE_QUEUE_DEPTH, shared.updates.len() as u64),
-                (names::TRACE_SAMPLE_EVERY, shared.sampler.every()),
-            ] {
-                text.push_str(&format!("# TYPE {gauge} gauge\n{gauge} {v}\n"));
-            }
-            let offered = shared.slowlog.offered();
-            text.push_str(&format!(
-                "# TYPE {n} counter\n{n} {offered}\n",
-                n = names::SLOWLOG_OFFERED
-            ));
-            text.push_str(&shared.target_stats.render_text());
-            text.push_str(&render_store_metrics(&shared.store, &shared.commit_obs));
-            text.push_str(&render_version_metrics(&shared.versions.metrics()));
-            text.push_str(&pc_obs::render_text());
+            let text = pc_obs::render_text(&shared.samples());
             shared.respond(conn, &Response { id: req.id, body: Body::Metrics(text) });
             return;
         }
@@ -902,7 +894,6 @@ impl Server {
             .into_iter()
             .map(|(_, name, _, _)| name.to_string())
             .collect();
-        let commit_obs = install_commit_observer(&service.store);
         // The epoch manager. On a recovered durable store the last commit
         // metadata restores the exact committed epoch (seq + page map +
         // descriptors); a fresh store starts at epoch 0, whose user
@@ -938,7 +929,6 @@ impl Server {
             sampler: Sampler::new(config.trace_sample, config.trace_seed),
             slowlog: SlowLog::new(config.slowlog_k),
             target_stats: TargetStatsSet::new(target_names),
-            commit_obs,
             conn_socks: Mutex::new(Vec::new()),
             store: service.store,
             cfg: config,
@@ -1028,11 +1018,6 @@ impl ServerHandle {
     /// Retunes the trace-sampling rate live, same as the ADMIN op.
     pub fn set_trace_sampling(&self, every: u64) {
         self.shared.sampler.set_every(every);
-    }
-
-    /// The group-commit size distribution observed on the shared store.
-    pub fn commit_observer(&self) -> &GroupCommitObserver {
-        &self.shared.commit_obs
     }
 
     /// True once shutdown has been requested (locally or over the wire).

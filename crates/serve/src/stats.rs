@@ -1,16 +1,16 @@
 //! Always-on service counters and latency histograms.
 //!
-//! [`ServeStats`] uses plain relaxed atomics plus the always-compiled
-//! `pc_obs::hist::Histogram`, so the ADMIN `Stats`/`Metrics` ops report
-//! real numbers in every build — the `obs` cargo feature only adds the
-//! span/flight-recorder layers on top. Names come from
-//! [`pc_obs::serve_metrics`] so the exposition, the load generator, and the
+//! [`ServeStats`] is plain relaxed atomics plus `pc_obs::Histogram`s, so
+//! the ADMIN `Stats`/`Metrics` ops report real numbers from every binary.
+//! Each family is declared once, in [`ServeStats::samples`]; names come
+//! from [`pc_obs::serve_metrics`] so the exposition, the benchmark and the
 //! tests can never drift apart.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use pc_obs::hist::Histogram;
 use pc_obs::serve_metrics as names;
+use pc_obs::Summary::{Count, P50, P99};
+use pc_obs::{Histogram, Sample};
 use pc_pagestore::IoStats;
 
 /// Cumulative service-layer counters (monotonic, relaxed).
@@ -64,103 +64,83 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// `(name, value)` pairs for the ADMIN `Stats` op: every service
-    /// counter, derived latency quantiles, and the shared store's
-    /// [`IoStats`] (including the resilience counters) under an `io_`
-    /// prefix.
-    pub fn stat_pairs(&self, io: &IoStats) -> Vec<(String, u64)> {
-        let q = self.query_latency_ns.snapshot();
-        let u = self.update_latency_ns.snapshot();
-        let mut out: Vec<(String, u64)> = vec![
-            (names::CONNS_ACCEPTED.into(), self.conns_accepted.load(Relaxed)),
-            (names::CONNS_IDLE_CLOSED.into(), self.conns_idle_closed.load(Relaxed)),
-            (names::REQUESTS.into(), self.requests.load(Relaxed)),
-            (names::ADMITTED.into(), self.admitted.load(Relaxed)),
-            (names::OVERLOADED.into(), self.overloaded.load(Relaxed)),
-            (names::SHED_SHUTDOWN.into(), self.shed_shutdown.load(Relaxed)),
-            (names::DEADLINE_EXCEEDED.into(), self.deadline_exceeded.load(Relaxed)),
-            (names::BAD_REQUESTS.into(), self.bad_requests.load(Relaxed)),
-            (names::STORAGE_ERRORS.into(), self.storage_errors.load(Relaxed)),
-            (names::QUERIES_OK.into(), self.queries_ok.load(Relaxed)),
-            (names::UPDATES_OK.into(), self.updates_ok.load(Relaxed)),
-            (names::BATCHES.into(), self.batches.load(Relaxed)),
-            (names::BATCHED_UPDATES.into(), self.batched_updates.load(Relaxed)),
-            (names::GROUP_COMMITS.into(), self.group_commits.load(Relaxed)),
-            (names::COMMIT_FAILURES.into(), self.commit_failures.load(Relaxed)),
-            (names::TRACES_RETAINED.into(), self.traces_retained.load(Relaxed)),
-            ("pc_serve_query_p50_ns".into(), q.quantile(0.50)),
-            ("pc_serve_query_p99_ns".into(), q.quantile(0.99)),
-            ("pc_serve_update_p50_ns".into(), u.quantile(0.50)),
-            ("pc_serve_update_p99_ns".into(), u.quantile(0.99)),
-            ("pc_serve_queue_wait_p50_ns".into(), self.queue_wait_ns.snapshot().quantile(0.50)),
-            ("pc_serve_queue_wait_p99_ns".into(), self.queue_wait_ns.snapshot().quantile(0.99)),
-            ("pc_serve_batch_coalesce_p50".into(), self.batch_coalesce.snapshot().quantile(0.50)),
-            ("pc_serve_batch_coalesce_count".into(), self.batch_coalesce.snapshot().count),
-        ];
-        out.extend([
-            ("io_reads".to_string(), io.reads),
-            ("io_writes".to_string(), io.writes),
-            ("io_cache_hits".to_string(), io.cache_hits),
-            ("io_allocs".to_string(), io.allocs),
-            ("io_frees".to_string(), io.frees),
-            ("io_pool_evictions".to_string(), io.pool_evictions),
-            ("io_retries".to_string(), io.retries),
-            ("io_failovers".to_string(), io.failovers),
-            ("io_repairs".to_string(), io.repairs),
-            ("io_quarantined".to_string(), io.quarantined),
-        ]);
-        out
-    }
-
-    /// Prometheus-style exposition of the service metrics. The ADMIN
-    /// `Metrics` op concatenates this with `pc_obs::render_text()` so one
-    /// scrape carries both layers.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let counters = [
-            (names::CONNS_ACCEPTED, self.conns_accepted.load(Relaxed)),
-            (names::CONNS_IDLE_CLOSED, self.conns_idle_closed.load(Relaxed)),
-            (names::REQUESTS, self.requests.load(Relaxed)),
-            (names::ADMITTED, self.admitted.load(Relaxed)),
-            (names::OVERLOADED, self.overloaded.load(Relaxed)),
-            (names::SHED_SHUTDOWN, self.shed_shutdown.load(Relaxed)),
-            (names::DEADLINE_EXCEEDED, self.deadline_exceeded.load(Relaxed)),
-            (names::BAD_REQUESTS, self.bad_requests.load(Relaxed)),
-            (names::STORAGE_ERRORS, self.storage_errors.load(Relaxed)),
-            (names::QUERIES_OK, self.queries_ok.load(Relaxed)),
-            (names::UPDATES_OK, self.updates_ok.load(Relaxed)),
-            (names::BATCHES, self.batches.load(Relaxed)),
-            (names::BATCHED_UPDATES, self.batched_updates.load(Relaxed)),
-            (names::GROUP_COMMITS, self.group_commits.load(Relaxed)),
-            (names::COMMIT_FAILURES, self.commit_failures.load(Relaxed)),
-            (names::TRACES_RETAINED, self.traces_retained.load(Relaxed)),
-        ];
-        for (name, v) in counters {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-        }
-        for (name, h) in [
-            (names::QUERY_LATENCY, &self.query_latency_ns),
-            (names::UPDATE_LATENCY, &self.update_latency_ns),
-            (names::QUEUE_WAIT, &self.queue_wait_ns),
-            (names::BATCH_COALESCE, &self.batch_coalesce),
+    /// Pushes every service family: the counters, then the four histograms
+    /// with the quantile pairs that stand for them in the `Stats` form.
+    pub fn samples(&self, out: &mut Vec<Sample>) {
+        for (family, counter) in [
+            (names::CONNS_ACCEPTED, &self.conns_accepted),
+            (names::CONNS_IDLE_CLOSED, &self.conns_idle_closed),
+            (names::REQUESTS, &self.requests),
+            (names::ADMITTED, &self.admitted),
+            (names::OVERLOADED, &self.overloaded),
+            (names::SHED_SHUTDOWN, &self.shed_shutdown),
+            (names::DEADLINE_EXCEEDED, &self.deadline_exceeded),
+            (names::BAD_REQUESTS, &self.bad_requests),
+            (names::STORAGE_ERRORS, &self.storage_errors),
+            (names::QUERIES_OK, &self.queries_ok),
+            (names::UPDATES_OK, &self.updates_ok),
+            (names::BATCHES, &self.batches),
+            (names::BATCHED_UPDATES, &self.batched_updates),
+            (names::GROUP_COMMITS, &self.group_commits),
+            (names::COMMIT_FAILURES, &self.commit_failures),
+            (names::TRACES_RETAINED, &self.traces_retained),
         ] {
-            let s = h.snapshot();
-            out.push_str(&format!("# TYPE {name} histogram\n"));
-            let mut cumulative = 0u64;
-            for &(le, c) in &s.buckets {
-                cumulative += c;
-                out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", s.count));
-            out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", s.sum, s.count));
+            out.push(Sample::counter(family, counter.load(Relaxed)));
         }
-        out
+        out.extend([
+            Sample::histogram(
+                names::QUERY_LATENCY,
+                self.query_latency_ns.snapshot(),
+                &[("pc_serve_query_p50_ns", P50), ("pc_serve_query_p99_ns", P99)],
+            ),
+            Sample::histogram(
+                names::UPDATE_LATENCY,
+                self.update_latency_ns.snapshot(),
+                &[("pc_serve_update_p50_ns", P50), ("pc_serve_update_p99_ns", P99)],
+            ),
+            Sample::histogram(
+                names::QUEUE_WAIT,
+                self.queue_wait_ns.snapshot(),
+                &[("pc_serve_queue_wait_p50_ns", P50), ("pc_serve_queue_wait_p99_ns", P99)],
+            ),
+            Sample::histogram(
+                names::BATCH_COALESCE,
+                self.batch_coalesce.snapshot(),
+                &[("pc_serve_batch_coalesce_p50", P50), ("pc_serve_batch_coalesce_count", Count)],
+            ),
+        ]);
     }
+}
+
+/// The shared store's [`IoStats`] (the resilience counters included) as
+/// `io_*` pairs — carried by the ADMIN `Stats` body only.
+pub fn io_stat_pairs(io: &IoStats) -> Vec<(String, u64)> {
+    [
+        ("io_reads", io.reads),
+        ("io_writes", io.writes),
+        ("io_cache_hits", io.cache_hits),
+        ("io_allocs", io.allocs),
+        ("io_frees", io.frees),
+        ("io_pool_evictions", io.pool_evictions),
+        ("io_retries", io.retries),
+        ("io_failovers", io.failovers),
+        ("io_repairs", io.repairs),
+        ("io_quarantined", io.quarantined),
+    ]
+    .into_iter()
+    .map(|(name, v)| (name.to_string(), v))
+    .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn samples(s: &ServeStats) -> Vec<Sample> {
+        let mut out = Vec::new();
+        s.samples(&mut out);
+        out
+    }
 
     #[test]
     fn stat_pairs_carry_service_and_io_counters() {
@@ -169,7 +149,8 @@ mod tests {
         s.overloaded.fetch_add(2, Relaxed);
         s.query_latency_ns.record(1000);
         let io = IoStats { reads: 7, retries: 3, quarantined: 1, ..IoStats::default() };
-        let pairs = s.stat_pairs(&io);
+        let mut pairs = pc_obs::stat_pairs(&samples(&s));
+        pairs.extend(io_stat_pairs(&io));
         let get = |n: &str| pairs.iter().find(|(k, _)| k == n).map(|&(_, v)| v).unwrap();
         assert_eq!(get(names::REQUESTS), 5);
         assert_eq!(get(names::OVERLOADED), 2);
@@ -185,7 +166,7 @@ mod tests {
         s.admitted.fetch_add(4, Relaxed);
         s.query_latency_ns.record(3);
         s.query_latency_ns.record(100);
-        let text = s.render_text();
+        let text = pc_obs::render_text(&samples(&s));
         assert!(text.contains("# TYPE pc_serve_admitted_total counter"), "{text}");
         assert!(text.contains("pc_serve_admitted_total 4"), "{text}");
         assert!(text.contains("# TYPE pc_serve_query_latency_ns histogram"), "{text}");

@@ -21,8 +21,9 @@ fn points(n: i64) -> Vec<Point> {
     (0..n).map(|i| Point { x: i, y: (i * 37) % n, id: i as u64 }).collect()
 }
 
-fn service_with(names: &[&str]) -> Service {
-    let store = Arc::new(PageStore::in_memory(PAGE));
+/// `names[0]` is a dynamic PST, the rest are static naive PSTs.
+fn spawn_on(store: PageStore, names: &[&str]) -> pc_serve::ServerHandle {
+    let store = Arc::new(store);
     let pts = points(500);
     let mut registry = Registry::new();
     for (i, name) in names.iter().enumerate() {
@@ -34,12 +35,12 @@ fn service_with(names: &[&str]) -> Service {
             registry.register(*name, Box::new(NaivePstTarget(naive)));
         }
     }
-    Service { store, registry }
+    let cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
+    Server::spawn(Service { store, registry }, cfg).unwrap()
 }
 
 fn spawn(names: &[&str]) -> pc_serve::ServerHandle {
-    let cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
-    Server::spawn(service_with(names), cfg).unwrap()
+    spawn_on(PageStore::in_memory(PAGE), names)
 }
 
 fn connect(handle: &pc_serve::ServerHandle) -> Client {
@@ -89,8 +90,8 @@ fn parse_prometheus(text: &str) -> Parsed {
             continue;
         }
         if line.starts_with('#') {
-            // Plain comments (e.g. the disabled-mode banner) are legal in
-            // the text format; only `# TYPE` is load-bearing here.
+            // Plain comments are legal in the text format; only `# TYPE`
+            // is load-bearing here.
             continue;
         }
         let (name, value) = line.rsplit_once(' ').unwrap_or_else(|| panic!("bad line {line:?}"));
@@ -255,4 +256,143 @@ fn per_target_families_follow_registration() {
     assert!(parsed.types.contains_key("pc_target_requests_total"));
     assert!(!parsed.samples.keys().any(|n| n.contains("target=\"alpha\"")));
     handle.join();
+}
+
+/// The service the wire contract is pinned on: a durable store (so the
+/// `pc_store_wal_*` families exist) under one dynamic and one static target.
+fn spawn_durable() -> pc_serve::ServerHandle {
+    spawn_on(PageStore::in_memory_durable(PAGE).0, &["dyn", "naive"])
+}
+
+/// Every unlabelled name the ADMIN `Stats` body carries for that service —
+/// the wire contract `benchmark/` and dashboards read by name.
+const STATS_NAMES: &[&str] = &[
+    "io_allocs",
+    "io_cache_hits",
+    "io_failovers",
+    "io_frees",
+    "io_pool_evictions",
+    "io_quarantined",
+    "io_reads",
+    "io_repairs",
+    "io_retries",
+    "io_writes",
+    "pc_serve_admitted_total",
+    "pc_serve_bad_requests_total",
+    "pc_serve_batch_coalesce_count",
+    "pc_serve_batch_coalesce_p50",
+    "pc_serve_batched_updates_total",
+    "pc_serve_commit_failures_total",
+    "pc_serve_conns_accepted_total",
+    "pc_serve_conns_idle_closed_total",
+    "pc_serve_deadline_exceeded_total",
+    "pc_serve_group_commits_total",
+    "pc_serve_overloaded_total",
+    "pc_serve_queries_ok_total",
+    "pc_serve_query_p50_ns",
+    "pc_serve_query_p99_ns",
+    "pc_serve_query_queue_depth",
+    "pc_serve_queue_wait_p50_ns",
+    "pc_serve_queue_wait_p99_ns",
+    "pc_serve_requests_total",
+    "pc_serve_shed_shutdown_total",
+    "pc_serve_slowlog_offered_total",
+    "pc_serve_storage_errors_total",
+    "pc_serve_trace_sample_every",
+    "pc_serve_traces_retained_total",
+    "pc_serve_update_batches_total",
+    "pc_serve_update_p50_ns",
+    "pc_serve_update_p99_ns",
+    "pc_serve_update_queue_depth",
+    "pc_serve_updates_ok_total",
+    "pc_store_pool_hit_ratio_ppm",
+    "pc_store_wal_appends_total",
+    "pc_store_wal_checkpoints_total",
+    "pc_store_wal_commits_total",
+    "pc_store_wal_dirty_pages",
+    "pc_store_wal_fsyncs_total",
+    "pc_store_wal_group_commit_records_count",
+    "pc_store_wal_group_commit_records_p50",
+    "pc_store_wal_log_bytes",
+    "pc_store_wal_replayed_records_total",
+    "pc_version_epochs_installed_total",
+    "pc_version_epochs_retained",
+    "pc_version_oldest_pin_age_epochs",
+    "pc_version_pinned_snapshots",
+    "pc_version_reclaimed_pages_total",
+];
+
+/// …and the names it carries once per target, as `name{target="…"}`.
+const STATS_NAMES_PER_TARGET: &[&str] = &[
+    "pc_target_batched_updates_total",
+    "pc_target_errors_total",
+    "pc_target_latency_ns_count",
+    "pc_target_latency_ns_p50",
+    "pc_target_latency_ns_p99",
+    "pc_target_queries_ok_total",
+    "pc_target_requests_total",
+    "pc_target_traced_io_total",
+    "pc_target_traced_wasteful_io_total",
+    "pc_target_traces_total",
+    "pc_target_update_batches_total",
+    "pc_target_updates_ok_total",
+];
+
+#[test]
+fn stats_names_are_the_pinned_wire_contract() {
+    let handle = spawn_durable();
+    let mut c = connect(&handle);
+    let mut names: Vec<String> = fetch_stats(&mut c).into_iter().map(|(k, _)| k).collect();
+    names.sort();
+    let mut pinned: Vec<String> = STATS_NAMES.iter().map(|n| n.to_string()).collect();
+    for target in ["dyn", "naive"] {
+        let labelled = |n: &&str| format!("{n}{{target=\"{target}\"}}");
+        pinned.extend(STATS_NAMES_PER_TARGET.iter().map(labelled));
+    }
+    pinned.sort();
+    assert_eq!(names, pinned, "the Stats name set moved");
+    handle.join();
+}
+
+/// `family → type` for every row of DESIGN §11's metrics catalogue.
+fn design_catalogue() -> BTreeMap<String, String> {
+    let design = include_str!("../../../DESIGN.md");
+    let mut rows = BTreeMap::new();
+    for line in design.lines().filter(|l| l.starts_with("| `pc_")) {
+        let cols: Vec<&str> = line.split('|').map(str::trim).collect();
+        let family = cols[1].trim_matches('`').to_string();
+        assert!(
+            rows.insert(family, cols[2].to_string()).is_none(),
+            "catalogue lists a family twice: {line}"
+        );
+    }
+    rows
+}
+
+/// DESIGN §11's catalogue is the `# TYPE` set of a live scrape, in both
+/// directions: a family nobody documented fails here, and so does a row
+/// whose family nothing emits any more.
+#[test]
+fn type_set_equals_the_design_catalogue() {
+    let handle = spawn_durable();
+    let mut c = connect(&handle);
+    let mut scraped = parse_prometheus(&fetch_metrics(&mut c)).types;
+
+    let shards = [spawn(&["dyn"]), spawn(&["dyn"])];
+    let router = pc_serve::Router::connect(
+        &[vec![shards[0].addr()], vec![shards[1].addr()]],
+        vec![250],
+        pc_serve::RouterConfig::default(),
+    )
+    .unwrap();
+    let shard_types = parse_prometheus(&router.render_metrics()).types;
+    assert!(shard_types.keys().all(|f| f.starts_with("pc_shard_")), "{shard_types:?}");
+    scraped.extend(shard_types);
+    router.shutdown();
+
+    assert_eq!(scraped, design_catalogue());
+    handle.join();
+    for shard in shards {
+        shard.join();
+    }
 }

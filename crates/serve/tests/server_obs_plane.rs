@@ -5,9 +5,6 @@
 //! count matches the value measured in-process, per-target Prometheus
 //! families with exact request counts, and deterministic 1-in-N sampling
 //! that thins retained traces without touching the aggregate counters.
-//!
-//! Everything here runs identically with and without the `obs` cargo
-//! feature — that is the tentpole contract (release binaries trace).
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -3,11 +3,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 //!
-//! With `PC_OBS_DUMP=1` and the `obs` feature, the example exits with an
-//! observability dump — the metrics exposition plus the flight recorder's
-//! three most I/O-expensive query traces:
-//!
-//! `PC_OBS_DUMP=1 cargo run --features obs --example quickstart`
+//! It ends by asking *why* the deepest corner query cost what it did: the
+//! query runs inside a `pc_obs::begin_trace()` capture and the span tree is
+//! printed — every read attributed to a level, a cache probe or a list
+//! scan, with §3's wasteful transfers counted per span.
 
 use path_caching::{PageStore, Point, PointIndex, TwoSided, Variant};
 
@@ -64,28 +63,12 @@ pub fn main() -> path_caching::Result<()> {
         println!("{:>10} {:>10} {:>12}", frac, hits.len(), store.stats().reads);
     }
 
-    obs_dump();
+    // Why did the deepest corner cost what it did? Any query can be run
+    // inside a capture; the finished span tree comes back to the caller.
+    let capture = pc_obs::begin_trace();
+    index.query(&store, TwoSided { x0: 999_000, y0: 999_000 })?;
+    if let Some(trace) = capture.finish() {
+        println!("\nwhere the reads went:\n{}", trace.render());
+    }
     Ok(())
-}
-
-/// `PC_OBS_DUMP=1` exit hook: print the metrics exposition and the flight
-/// recorder's worst queries. A no-op unless requested; with `obs` compiled
-/// out it explains how to get a live dump instead of printing empty output.
-fn obs_dump() {
-    if std::env::var("PC_OBS_DUMP").as_deref() != Ok("1") {
-        return;
-    }
-    if !pc_obs::enabled() {
-        println!(
-            "\nPC_OBS_DUMP=1 set, but this build has tracing compiled out; \
-             re-run with `--features obs` for metrics and flight traces"
-        );
-        return;
-    }
-    println!("\n=== pc-obs metrics ===");
-    print!("{}", pc_obs::render_text());
-    println!("=== flight recorder: top 3 queries by I/O ===");
-    for trace in pc_obs::flight_top(3) {
-        print!("{}", trace.render());
-    }
 }

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pc_obs::hist::Histogram;
+use pc_obs::Histogram;
 use pc_serve::wire::{Body, Op};
 use pc_serve::{Client, DynamicPstTarget, Registry, Server, ServerConfig, Service};
 use path_caching::{PageStore, Point};

@@ -73,8 +73,7 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut client = Client::connect(handle.addr(), Duration::from_secs(10))?;
 
     // Retune the sampler over the wire: trace 1 in 16 requests from here
-    // on. No `obs` feature needed — request-scoped capture is always
-    // compiled, and unsampled requests keep a zero-allocation fast path.
+    // on. Unsampled requests keep a zero-allocation fast path.
     client.set_sampling(16)?;
 
     // Background traffic: selective two-sided queries against both

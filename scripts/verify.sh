@@ -6,8 +6,9 @@
 # workspace-local crates — i.e. nothing resolves from crates.io or any
 # other registry. Run from anywhere; it cd's to the repo root.
 #
-# Both instrumentation modes are exercised: the default build (pc-obs
-# compiled to no-ops) and `--features obs` (live tracing/metrics).
+# The workspace has one build configuration — no package declares a cargo
+# feature, and the metadata check below keeps it that way — so every gate
+# runs once: one `cargo test`, one `cargo clippy`.
 #
 # Usage: scripts/verify.sh [--chaos] [--crash]
 #   --chaos   additionally re-run the fault-injection and shard-fabric
@@ -17,8 +18,8 @@
 #             verbatim with PC_CHAOS_SEED=<seed>.
 #   --crash   additionally run the crash-point suite (kill-point matrix,
 #             per-structure acked-survives, store durability, WAL codec
-#             properties) in both instrumentation modes under a hard
-#             timeout — a recovery hang is a failure, not a stall.
+#             properties) under a hard timeout — a recovery hang is a
+#             failure, not a stall.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -39,39 +40,38 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo test -q --offline --workspace --features obs"
-cargo test -q --offline --workspace --features obs
-
 echo "==> cargo build --offline --benches (bench harness compiles)"
 cargo build --offline --benches --workspace
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo clippy --workspace --all-targets --features obs -- -D warnings"
-cargo clippy --workspace --all-targets --offline --features obs -- -D warnings
-
-echo "==> checking that the dependency graph is workspace-only"
+echo "==> checking that the dependency graph is workspace-only and feature-free"
 # Every package in the resolved graph must come from a local path source
 # (cargo metadata reports `"source": null` for path dependencies). Any
-# registry/git source means the build is no longer hermetic.
+# registry/git source means the build is no longer hermetic. And no
+# package may declare a cargo feature: each one is a second build
+# configuration that every gate above would have to run again.
 METADATA="$(cargo metadata --format-version 1 --offline)"
-NON_LOCAL="$(
+BAD="$(
   printf '%s' "$METADATA" | python3 -c '
 import json, sys
 meta = json.load(sys.stdin)
-bad = [p["id"] for p in meta["packages"] if p["source"] is not None]
-print("\n".join(bad))
+for p in meta["packages"]:
+    if p["source"] is not None:
+        print("non-workspace package:", p["id"])
+    for feature in p["features"]:
+        print("cargo feature declared:", p["name"] + "/" + feature)
 '
 )"
-if [ -n "$NON_LOCAL" ]; then
-    echo "ERROR: non-workspace packages in the dependency graph:" >&2
-    echo "$NON_LOCAL" >&2
+if [ -n "$BAD" ]; then
+    echo "ERROR: the dependency graph is not workspace-only and feature-free:" >&2
+    echo "$BAD" >&2
     exit 1
 fi
 
 COUNT="$(printf '%s' "$METADATA" | python3 -c 'import json,sys; print(len(json.load(sys.stdin)["packages"]))')"
-echo "OK: all $COUNT packages are workspace-local; hermetic build verified"
+echo "OK: all $COUNT packages are workspace-local and declare no feature; hermetic build verified"
 
 if [ "$RUN_CHAOS" = 1 ]; then
     # On failure, rerun the printed command to reproduce the exact
@@ -88,18 +88,13 @@ fi
 if [ "$RUN_CRASH" = 1 ]; then
     # Kill-point matrix + per-structure acked-survives live in the
     # workspace-level crash_recovery suite; the store-level durability and
-    # WAL-codec property suites live in pc-pagestore. All three run in both
-    # instrumentation modes. The hard timeouts turn a recovery hang (a
-    # replay loop that never terminates, a lock held across a crash point)
-    # into a failure instead of a stuck CI job.
-    echo "==> crash-point suite (hard timeout, default mode)"
+    # WAL-codec property suites live in pc-pagestore. The hard timeouts turn
+    # a recovery hang (a replay loop that never terminates, a lock held
+    # across a crash point) into a failure instead of a stuck CI job.
+    echo "==> crash-point suite (hard timeout)"
     timeout 300 cargo test -q --offline --test crash_recovery
     timeout 300 cargo test -q --offline -p pc-pagestore --test durability --test wal_proptest
-    echo "==> crash-point suite (hard timeout, --features obs)"
-    timeout 300 cargo test -q --offline --test crash_recovery --features obs
-    timeout 300 cargo test -q --offline -p pc-pagestore --features obs \
-        --test durability --test wal_proptest
-    echo "OK: crash-point suite green in both instrumentation modes"
+    echo "OK: crash-point suite green"
 fi
 
 # The benchmark package stands outside the workspace and carries its own

@@ -41,30 +41,6 @@ fn quickstart_core_path_runs() {
     quickstart::main().expect("quickstart example must complete");
 }
 
-/// The `PC_OBS_DUMP=1` exit hook must work in both builds: with `obs` off
-/// it prints a pointer to the feature flag; with `obs` on it renders the
-/// metrics exposition and flight-recorder traces, which this test checks
-/// were actually populated by the example's queries.
-#[test]
-fn quickstart_obs_dump_runs() {
-    let _serial = smoke_scale();
-    std::env::set_var("PC_OBS_DUMP", "1");
-    if pc_obs::enabled() {
-        pc_obs::flight_clear();
-    }
-    let res = quickstart::main();
-    std::env::remove_var("PC_OBS_DUMP");
-    res.expect("quickstart example must complete with PC_OBS_DUMP=1");
-    if pc_obs::enabled() {
-        let traces = pc_obs::flight_top(3);
-        assert!(!traces.is_empty(), "example queries must reach the flight recorder");
-        assert!(
-            pc_obs::render_text().contains("pc_ops_total"),
-            "metrics exposition must include the ops counter"
-        );
-    }
-}
-
 #[test]
 fn class_hierarchy_core_path_runs() {
     let _serial = smoke_scale();

@@ -15,7 +15,10 @@ use pc_bench::{
     MULTILEVEL_PINS, SEGMENTED_PINS, THREE_SIDED_PINS, TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES,
 };
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pst::{BasicPst, DynamicPst, MultilevelPst, SegmentedPst, ThreeSidedPst, TwoLevelPst};
+use pc_pst::{
+    BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, SegmentedPst,
+    ThreeSidedPst, TwoLevelPst,
+};
 use pc_workloads::{
     gen_intervals, gen_points, gen_stabbing, gen_three_sided, IntervalDist, PointDist,
 };
@@ -105,38 +108,59 @@ fn two_level_pst_space_and_query_reads_stay_within_pinned_constants() {
     }
 }
 
-/// What `query_counted` and `stab_with_ios` report is what the store saw:
-/// every structure's counters against the strict store's own read count,
-/// query by query, at small and at many-block outputs.
+/// What `query_counted` and `stab_with_ios` report is what the store saw,
+/// and so is what a `begin_trace` capture reports: every structure's
+/// counters and span tree against the strict store's own read count, query
+/// by query, at small and at many-block outputs — and the tree's `items`
+/// against the answer's length, since §3's waste is computed from both.
 #[test]
 fn query_counters_equal_the_strict_stores_reads() {
     let n = 100_000u64;
     let (raw, points) = uniform_points(n);
     let store = PageStore::in_memory(PAGE_SIZE);
-    let counted = |what: &str, run: &dyn Fn() -> (usize, u64)| {
+    // `run` answers with (t, reads the structure's own counters report).
+    let counted = |what: &str, run: &dyn Fn() -> (usize, Option<u64>)| {
         let before = store.stats();
+        let capture = pc_obs::begin_trace();
         let (t, reported) = run();
+        let trace = capture.finish().unwrap_or_else(|| panic!("{what}: no trace came back"));
         let seen = (store.stats() - before).logical_reads();
-        assert_eq!(reported, seen, "{what}: t={t}, counters say {reported}, the store {seen}");
+        if let Some(reported) = reported {
+            assert_eq!(reported, seen, "{what}: t={t}, counters say {reported}, the store {seen}");
+        }
+        assert_eq!(trace.total_io, seen, "{what}: t={t}, the span tree's reads");
+        assert_eq!(trace.items, t as u64, "{what}: the span tree's items, {seen} reads");
+        assert!(
+            trace.search_ios + trace.wasteful_ios <= trace.total_io,
+            "{what}: search {} + wasteful {} > total {}",
+            trace.search_ios,
+            trace.wasteful_ios,
+            trace.total_io
+        );
     };
     let basic = BasicPst::build(&store, &points).unwrap();
     let segmented = SegmentedPst::build(&store, &points).unwrap();
     let two_level = TwoLevelPst::build(&store, &points).unwrap();
     let multilevel = MultilevelPst::build(&store, &points, 3).unwrap();
     let mut dynamic = DynamicPst::build(&store, &points).unwrap();
-    // Non-empty update buffers: a query reads those too.
+    let three_sided = ThreeSidedPst::build(&store, &points).unwrap();
+    let mut dynamic_three_sided = DynamicThreeSidedPst::build(&store, &points).unwrap();
+    // Non-empty update buffers: a query reads those too, and answers from
+    // them.
     for (i, p) in points.iter().step_by(997).enumerate() {
-        dynamic.insert(&store, Point::new(p.y, p.x, n + i as u64)).unwrap();
+        let p = Point::new(p.y, p.x, n + i as u64);
+        dynamic.insert(&store, p).unwrap();
+        dynamic_three_sided.insert(&store, p).unwrap();
     }
     macro_rules! two_sided {
         ($pst:ident) => {
             (stringify!($pst), &|q| {
                 let (hits, counters) = $pst.query_counted(&store, q).unwrap();
-                (hits.len(), counters.total())
+                (hits.len(), Some(counters.total()))
             })
         };
     }
-    type Counted<'a> = &'a dyn Fn(TwoSided) -> (usize, u64);
+    type Counted<'a> = &'a dyn Fn(TwoSided) -> (usize, Option<u64>);
     let two_sided: [(&str, Counted<'_>); 5] = [
         two_sided!(basic),
         two_sided!(segmented),
@@ -144,7 +168,6 @@ fn query_counters_equal_the_strict_stores_reads() {
         two_sided!(multilevel),
         two_sided!(dynamic),
     ];
-    let three_sided = ThreeSidedPst::build(&store, &points).unwrap();
     for t in [16usize, 4096] {
         for q in two_sided_corners(&raw, t) {
             for (what, query) in two_sided {
@@ -152,10 +175,14 @@ fn query_counters_equal_the_strict_stores_reads() {
             }
         }
         for q in gen_three_sided(&raw, 150, t, 0xfeed) {
+            let q = ThreeSided { x1: q.x1, x2: q.x2, y0: q.y0 };
             counted("3-sided", &|| {
-                let q = ThreeSided { x1: q.x1, x2: q.x2, y0: q.y0 };
                 let (hits, counters) = three_sided.query_counted(&store, q).unwrap();
-                (hits.len(), counters.total())
+                (hits.len(), Some(counters.total()))
+            });
+            // No counters of its own: the span tree against the store.
+            counted("dynamic 3-sided", &|| {
+                (dynamic_three_sided.query(&store, q).unwrap().len(), None)
             });
         }
         let max_len = 2 * t as i64 * pc_workloads::DOMAIN / n as i64;
@@ -166,10 +193,41 @@ fn query_counters_equal_the_strict_stores_reads() {
         for stab in gen_stabbing(&raw, 150, 0xfeed) {
             counted("interval tree", &|| {
                 let (hits, reads) = tree.stab_with_ios(&store, stab.q).unwrap();
-                (hits.len(), reads)
+                (hits.len(), Some(reads))
             });
         }
     }
+}
+
+/// The paper's Figure 3 pathology, read off the span tree: on the deepest
+/// corners (empty output) the naive structure pays ~log n wasteful
+/// transfers a query while the segmented (path-cached) one stays O(1).
+#[test]
+fn cached_queries_waste_less_than_naive() {
+    let n = 200_000u64;
+    let (_, points) = uniform_points(n);
+    let store = PageStore::in_memory(PAGE_SIZE);
+    let naive = NaivePst::build(&store, &points).unwrap();
+    let segmented = SegmentedPst::build(&store, &points).unwrap();
+    let waste = |what: &str, run: &dyn Fn(TwoSided)| -> u64 {
+        // Just beyond the domain: empty output, deepest corner.
+        (0..20)
+            .map(|i| {
+                let capture = pc_obs::begin_trace();
+                run(TwoSided { x0: pc_workloads::DOMAIN + 1 + i, y0: 0 });
+                let trace = capture.finish().unwrap_or_else(|| panic!("{what}: no trace"));
+                assert_eq!(trace.name, what);
+                trace.wasteful_ios
+            })
+            .sum()
+    };
+    let naive_waste = waste("pst2_naive", &|q| drop(naive.query_counted(&store, q).unwrap()));
+    let segmented_waste =
+        waste("pst2_segmented", &|q| drop(segmented.query_counted(&store, q).unwrap()));
+    assert!(
+        naive_waste > 4 * segmented_waste.max(1),
+        "naive wasteful I/O ({naive_waste}) should dwarf path-cached ({segmented_waste})"
+    );
 }
 
 /// Space under churn: after 20k insert/delete pairs on 50k points the
