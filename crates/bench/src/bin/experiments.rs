@@ -15,13 +15,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use pc_bench::{
     basic_constants, dynamic_churn_pages, f1, f2, interval_tree_constants, log_base,
     multilevel_constants, segmented_constants, three_sided_constants, to_intervals, to_points,
-    two_level_constants, Table, TwoSidedPin, TwoSidedPst, BASIC_PINS, DYNAMIC_CHURN_FACTOR,
-    INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS, SEGMENTED_PINS, THREE_SIDED_PINS,
-    TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES, TWO_LEVEL_SPACE_C,
+    two_level_constants, Spread, Table, TwoSidedConstants, TwoSidedPin, TwoSidedPst, BASIC_PINS,
+    DYNAMIC_CHURN_FACTOR, INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS, SEGMENTED_PINS,
+    THREE_SIDED_PINS, TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES, TWO_LEVEL_SPACE_C, WIDE_PIN_SIZE,
 };
 use pc_pagestore::backend::MemBackend;
 use pc_pagestore::{
-    FaultBackend, FaultPlan, Interval, MirrorBackend, RetryPolicy, StoreConfig, StoreError,
+    FaultBackend, FaultPlan, Frame, Interval, MirrorBackend, RetryPolicy, StoreConfig, StoreError,
 };
 use pc_rng::Rng;
 use pc_btree::BTree;
@@ -38,12 +38,14 @@ use pc_workloads::{
 };
 
 const PAGE: usize = 4096;
-/// Records per block at PAGE bytes (the paper's B for 24-byte records).
+/// Records per block at PAGE bytes in `pc-segtree`, which stores intervals
+/// at their full 24 bytes.
 const B: f64 = 170.0;
-/// The PSTs' block unit at PAGE bytes: cache entries per block, which is
-/// also the points per node (163 at 4 KiB).
-fn b_pst() -> f64 {
-    pc_pst::block_capacity(PAGE) as f64
+/// The block unit at PAGE bytes of a PST storing its points at `frame`:
+/// cache entries per block, which is also the points per node (408 at 4 KiB
+/// for the generators' 20-bit data from 65 536 ids on, 163 at `Frame::WIDE`).
+fn b_pst(frame: Frame) -> f64 {
+    pc_pst::block_capacity(PAGE, frame) as f64
 }
 
 fn main() {
@@ -224,13 +226,14 @@ fn e4_interval_tree() -> bool {
     println!("## E4 — Theorem 3.5: path-cached interval tree\n");
     println!("query O(log_B n + t/B); space O((n/B) log B) blocks\n");
     let mut table = Table::new(&[
-        "n", "pages", "(n/B)·log2 B", "avg t", "avg query I/O", "log_B n + t/B",
+        "n", "frame", "B", "pages", "(n/B)·log2 B", "avg t", "avg query I/O", "log_B n + t/B",
     ]);
     for n in [10_000usize, 50_000, 200_000] {
         let raw = gen_intervals(n, IntervalDist::UniformLen { max_len: 20_000 }, 6);
         let intervals = to_intervals(&raw);
         let store = PageStore::in_memory(PAGE);
         let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
+        let b = pc_intervaltree::block_capacity(PAGE, tree.frame()) as f64;
         let pages = store.live_pages();
         let stabs = gen_stabbing(&raw, 100, 7);
         store.reset_stats();
@@ -242,33 +245,39 @@ fn e4_interval_tree() -> bool {
         let t_avg = t_total as f64 / stabs.len() as f64;
         table.row(vec![
             n.to_string(),
+            tree.frame().to_string(),
+            b.to_string(),
             pages.to_string(),
-            f1(n as f64 / B * B.log2()),
+            f1(n as f64 / b * b.log2()),
             f1(t_avg),
             f1(io),
-            f1(log_base(n as f64, B) + t_avg / B),
+            f1(log_base(n as f64, b) + t_avg / b),
         ]);
     }
     table.print();
 
     println!(
-        "pinned constants at n = 40 000: pages <= c·(n/B)·log2 B, \
+        "pinned constants at n = 40 000, on the generated data and on the same data \
+         stretched over all 64 bits: pages <= c·(n/B)·log2 B, \
          every stab's reads <= c1·ceil(log_B n) + 2·ceil(t/B)\n"
     );
-    let mut table = Table::new(&["avg t", "pages", "c", "c pin", "c1", "c1 pin"]);
+    let mut table = Table::new(&["data", "B", "avg t", "pages", "c", "c pin", "c1", "c1 pin"]);
     let mut within_pins = true;
-    for (t_mean, c_pin, c1_pin) in INTERVAL_TREE_PINS {
-        let (pages, c, c1) = interval_tree_constants(t_mean);
-        if c > c_pin || c1 > c1_pin {
-            eprintln!(
-                "E4: at t ≈ {t_mean} the interval tree measures c = {c:.3}, c1 = {c1:.3}, \
-                 pinned at {c_pin} and {c1_pin} (tests/layout_bounds.rs)"
-            );
-            within_pins = false;
+    for spread in Spread::BOTH {
+        for (t_mean, c_pin, c1_pin) in INTERVAL_TREE_PINS[spread as usize] {
+            let (b, pages, c, c1) = interval_tree_constants(t_mean, spread);
+            if c > c_pin || c1 > c1_pin {
+                eprintln!(
+                    "E4: at t ≈ {t_mean} ({spread:?}) the interval tree measures c = {c:.3}, \
+                     c1 = {c1:.3}, pinned at {c_pin} and {c1_pin} (tests/layout_bounds.rs)"
+                );
+                within_pins = false;
+            }
+            let mut row =
+                vec![format!("{spread:?}"), b.to_string(), t_mean.to_string(), pages.to_string()];
+            row.extend([c, c_pin, c1, c1_pin].map(|v| format!("{v:.3}")));
+            table.row(row);
         }
-        let mut row = vec![t_mean.to_string(), pages.to_string()];
-        row.extend([c, c_pin, c1, c1_pin].map(|v| format!("{v:.3}")));
-        table.row(row);
     }
     table.print();
     within_pins
@@ -280,12 +289,14 @@ fn e4_interval_tree() -> bool {
 /// A column that breaks a structure's pages down: its label and its cell.
 type ByClass<'a, P> = (&'a str, fn(&P, &PageStore) -> String);
 
+/// `space_pred` takes `(n, B)`.
 fn pst_experiment<P: TwoSidedPst>(
     space_label: &str,
-    space_pred: fn(f64) -> f64,
+    space_pred: fn(f64, f64) -> f64,
     by_class: Option<ByClass<'_, P>>,
 ) {
-    let mut headers = vec!["n", "pages", space_label, "avg t", "avg query I/O", "log_B n + t/B"];
+    let mut headers =
+        vec!["n", "frame", "B", "pages", space_label, "avg t", "avg query I/O", "log_B n + t/B"];
     headers.extend(by_class.map(|(label, _)| label));
     let mut table = Table::new(&headers);
     for n in [20_000usize, 100_000, 400_000] {
@@ -293,6 +304,7 @@ fn pst_experiment<P: TwoSidedPst>(
         let points = to_points(&raw);
         let store = PageStore::in_memory(PAGE);
         let pst = P::build_on(&store, &points);
+        let b = b_pst(pst.stored_at());
         let pages = store.live_pages();
         let queries = gen_two_sided(&raw, 100, n / 50, 9);
         store.reset_stats();
@@ -304,11 +316,13 @@ fn pst_experiment<P: TwoSidedPst>(
         let t_avg = t_total as f64 / queries.len() as f64;
         let mut row = vec![
             n.to_string(),
+            pst.stored_at().to_string(),
+            b.to_string(),
             pages.to_string(),
-            f1(space_pred(n as f64)),
+            f1(space_pred(n as f64, b)),
             f1(t_avg),
             f1(io),
-            f1(log_base(n as f64, b_pst()) + t_avg / b_pst()),
+            f1(log_base(n as f64, b) + t_avg / b),
         ];
         row.extend(by_class.map(|(_, describe)| describe(&pst, &store)));
         table.row(row);
@@ -322,19 +336,35 @@ fn pinned_two_sided(
     exp: &str,
     unit: &str,
     sizes: &[u64],
-    pins: TwoSidedPin,
-    measure: fn(u64) -> (u64, f64, [f64; 2]),
+    pins: [TwoSidedPin; 2],
+    measure: fn(u64, Spread) -> TwoSidedConstants,
 ) -> bool {
-    let (c_pin, c1_pins) = pins;
-    println!("pinned constants (uniform, 4 KiB): pages <= c·{unit} and reads <=");
-    println!("c1·ceil(log_B n) + 2·ceil(t/B), worst of 150 corners; pins: c {c_pin:.3},");
-    println!("c1 {:.2} at t≈16, {:.2} at t≈4096\n", c1_pins[0].1, c1_pins[1].1);
-    let mut table = Table::new(&["n", "pages", "c", "c1 t≈16", "c1 t≈4096"]);
+    println!("pinned constants (uniform, 4 KiB), on the generated data and, at one size, on");
+    println!("the same data stretched over all 64 bits: pages <= c·{unit} and reads <=");
+    println!("c1·ceil(log_B n) + 2·ceil(t/B), worst of 150 corners\n");
+    let mut table = Table::new(&[
+        "data", "n", "B", "pages", "c", "pin", "c1 t≈16", "pin", "c1 t≈4096", "pin",
+    ]);
     let mut within = true;
-    for &n in sizes {
-        let (pages, c, c1) = measure(n);
-        table.row(vec![n.to_string(), pages.to_string(), format!("{c:.3}"), f2(c1[0]), f2(c1[1])]);
-        within &= c <= c_pin && c1.iter().zip(c1_pins).all(|(got, (_, pin))| *got <= pin);
+    for spread in Spread::BOTH {
+        let (c_pin, c1_pins) = pins[spread as usize];
+        let sizes = if spread == Spread::Full { &[WIDE_PIN_SIZE] } else { sizes };
+        for &n in sizes {
+            let TwoSidedConstants { b, pages, c, c1 } = measure(n, spread);
+            table.row(vec![
+                format!("{spread:?}"),
+                n.to_string(),
+                b.to_string(),
+                pages.to_string(),
+                format!("{c:.3}"),
+                format!("{c_pin:.3}"),
+                f2(c1[0]),
+                f2(c1_pins[0].1),
+                f2(c1[1]),
+                f2(c1_pins[1].1),
+            ]);
+            within &= c <= c_pin && c1.iter().zip(c1_pins).all(|(got, (_, pin))| *got <= pin);
+        }
     }
     table.print();
     if !within {
@@ -365,7 +395,7 @@ fn by_region_class(c: &pc_pst::RegionCensus) -> String {
 fn e5_basic_pst() -> bool {
     println!("## E5 — Lemma 3.1: basic PST, full-path A/S caches\n");
     println!("query O(log_B n + t/B); space O((n/B) log n) blocks\n");
-    pst_experiment::<BasicPst>("(n/B)·log2 n", |n| n / b_pst() * n.log2(), None);
+    pst_experiment::<BasicPst>("(n/B)·log2 n", |n, b| n / b * n.log2(), None);
     pinned_two_sided("E5", "(n/B)·log2 n", &LADDER_PIN_SIZES, BASIC_PINS, basic_constants)
 }
 
@@ -373,7 +403,7 @@ fn e5_basic_pst() -> bool {
 fn e6_segmented_pst() -> bool {
     println!("## E6 — Theorem 3.2: segmented PST, log B-sized cache segments\n");
     println!("query O(log_B n + t/B); space O((n/B) log B) blocks\n");
-    pst_experiment::<SegmentedPst>("(n/B)·log2 B", |n| n / b_pst() * b_pst().log2(), None);
+    pst_experiment::<SegmentedPst>("(n/B)·log2 B", |n, b| n / b * b.log2(), None);
     pinned_two_sided("E6", "(n/B)·log2 B", &LADDER_PIN_SIZES, SEGMENTED_PINS, segmented_constants)
 }
 
@@ -383,7 +413,7 @@ fn e7_two_level_pst() -> bool {
     println!("query O(log_B n + t/B); space O((n/B) loglog B) blocks\n");
     pst_experiment::<TwoLevelPst>(
         "(n/B)·loglog2 B",
-        |n| n / b_pst() * b_pst().log2().log2(),
+        |n, b| n / b * b.log2().log2(),
         Some((REGION_CLASSES, |pst, store| by_region_class(&pst.page_census(store).unwrap()))),
     );
     let unit = "(n/B)·log2 log2 B";
@@ -402,10 +432,11 @@ fn e8_multilevel_space() -> bool {
     let points = to_points(&raw);
     let queries = gen_two_sided(&raw, 60, n / 50, 11);
     let mut table =
-        Table::new(&["levels", "pages", "pages/(n/B)", "avg query I/O", "avg t"]);
+        Table::new(&["levels", "B", "pages", "pages/(n/B)", "avg query I/O", "avg t"]);
     for levels in 1..=4u32 {
         let store = PageStore::in_memory(PAGE);
         let pst = MultilevelPst::build(&store, &points, levels).unwrap();
+        let b = b_pst(pst.frame());
         let pages = store.live_pages();
         store.reset_stats();
         let mut t_total = 0usize;
@@ -415,8 +446,9 @@ fn e8_multilevel_space() -> bool {
         let io = store.stats().reads as f64 / queries.len() as f64;
         table.row(vec![
             levels.to_string(),
+            b.to_string(),
             pages.to_string(),
-            f2(pages as f64 / (n as f64 / b_pst())),
+            f2(pages as f64 / (n as f64 / b)),
             f1(io),
             f1(t_total as f64 / queries.len() as f64),
         ]);
@@ -435,6 +467,8 @@ fn e9_three_sided() -> bool {
     println!("query O(log_B n + t/B); space O((n/B) log^2 B) blocks\n");
     let mut table = Table::new(&[
         "n",
+        "frame",
+        "B",
         "pages",
         "skeletal/Y/A/S/directory",
         "(n/B)·log2²B",
@@ -452,6 +486,7 @@ fn e9_three_sided() -> bool {
         let pst = ThreeSidedPst::build(&store, &points).unwrap();
         let pages = store.live_pages();
         let census = pst.page_census(&store).unwrap();
+        let b = census.block_capacity as f64;
         let queries = gen_three_sided(&raw, 100, n / 50, 13);
         store.reset_stats();
         let mut t_total = 0usize;
@@ -465,28 +500,37 @@ fn e9_three_sided() -> bool {
         let t_avg = t_total as f64 / queries.len() as f64;
         table.row(vec![
             n.to_string(),
+            census.frame.to_string(),
+            b.to_string(),
             pages.to_string(),
             by_class(&census),
-            f1(n as f64 / b_pst() * b_pst().log2() * b_pst().log2()),
+            f1(n as f64 / b * b.log2() * b.log2()),
             f1(t_avg),
             f1(io),
-            f1(log_base(n as f64, b_pst()) + t_avg / b_pst()),
+            f1(log_base(n as f64, b) + t_avg / b),
         ]);
     }
     table.print();
 
-    println!("pinned geometries (uniform, 4 KiB; n = 17 131 is the peak of the space");
-    println!("sawtooth, 16 leaves of one point): the constants of");
+    println!("pinned geometries (uniform, 4 KiB), on the generated data and, at its peak, on the");
+    println!("same data stretched over all 64 bits; the first size of either is the peak of its");
+    println!("space sawtooth, 15 full nodes and 16 leaves of one point: the constants of");
     println!("pages <= c·(n/B)·log2²B and reads <= c1·ceil(log_B n) + 2·ceil(t/B),");
     println!("worst of 150 queries\n");
     let mut pinned = Table::new(&[
-        "n", "pages", "skeletal/Y/A/S/directory", "c", "pin", "c1 t≈16", "pin", "c1 t≈4096", "pin",
+        "data", "n", "B", "pages", "skeletal/Y/A/S/directory", "c", "pin", "c1 t≈16", "pin",
+        "c1 t≈4096", "pin",
     ]);
     let mut within = true;
-    for (n, c_pin, c1_pins) in THREE_SIDED_PINS {
-        let (census, c, c1) = three_sided_constants(n);
+    for (spread, &(n, c_pin, c1_pins)) in Spread::BOTH
+        .into_iter()
+        .flat_map(|s| THREE_SIDED_PINS[s as usize].iter().map(move |pin| (s, pin)))
+    {
+        let (census, c, c1) = three_sided_constants(n, spread);
         pinned.row(vec![
+            format!("{spread:?}"),
             n.to_string(),
+            census.block_capacity.to_string(),
             census.total().to_string(),
             by_class(&census),
             format!("{c:.3}"),
@@ -514,6 +558,8 @@ fn e10_dynamic_pst() -> bool {
     println!("amortized update O(log_B n); queries stay O(log_B n + t/B) under churn\n");
     let mut table = Table::new(&[
         "n",
+        "frame",
+        "B",
         "insert I/O",
         "delete I/O",
         "log_B n",
@@ -528,19 +574,24 @@ fn e10_dynamic_pst() -> bool {
         let store = PageStore::in_memory(PAGE);
         let mut pst = DynamicPst::build(&store, &points).unwrap();
 
+        // Fresh ids follow the initial ones: none needs a wider frame than
+        // the build chose (n = 20 000: two id bytes), so no update rebuilds
+        // the structure to widen it.
         let updates = (n / 10).clamp(1_000, 20_000);
         let extra = to_points(&gen_points(updates, PointDist::Uniform, 15));
         store.reset_stats();
         for (i, p) in extra.iter().enumerate() {
-            pst.insert(&store, Point::new(p.x, p.y, 10_000_000 + i as u64)).unwrap();
+            pst.insert(&store, Point::new(p.x, p.y, (n + i) as u64)).unwrap();
         }
         let ins_io = store.stats().total_io() as f64 / updates as f64;
 
         store.reset_stats();
         for (i, p) in extra.iter().enumerate() {
-            pst.delete(&store, Point::new(p.x, p.y, 10_000_000 + i as u64)).unwrap();
+            pst.delete(&store, Point::new(p.x, p.y, (n + i) as u64)).unwrap();
         }
         let del_io = store.stats().total_io() as f64 / updates as f64;
+        let census = pst.page_census(&store).unwrap();
+        let b = census.block_capacity as f64;
 
         // Queries against the churned structure (buffers non-empty).
         let queries = gen_two_sided(&raw, 60, n / 50, 16);
@@ -552,27 +603,36 @@ fn e10_dynamic_pst() -> bool {
         let q_io = store.stats().reads as f64 / queries.len() as f64;
         table.row(vec![
             n.to_string(),
+            census.frame.to_string(),
+            b.to_string(),
             f1(ins_io),
             f1(del_io),
-            f1(log_base(n as f64, b_pst())),
+            f1(log_base(n as f64, b)),
             f1(q_io),
             f1(t_total as f64 / queries.len() as f64),
-            f2(store.live_pages() as f64 / (n as f64 / b_pst())),
-            by_region_class(&pst.page_census(&store).unwrap()),
+            f2(store.live_pages() as f64 / (n as f64 / b)),
+            by_region_class(&census),
         ]);
     }
     table.print();
 
-    let (after, fresh) = dynamic_churn_pages();
-    let factor = after as f64 / fresh as f64;
-    println!(
-        "space under churn (20k insert/delete pairs on 50k points): {after} pages against \
-         {fresh} of a fresh build, factor {factor:.3}, pinned at {DYNAMIC_CHURN_FACTOR}\n"
-    );
-    if factor > DYNAMIC_CHURN_FACTOR {
-        eprintln!("E10: the dynamic PST drifted past its pinned churn factor (tests/layout_bounds.rs)");
+    let mut within = true;
+    for spread in Spread::BOTH {
+        let pin = DYNAMIC_CHURN_FACTOR[spread as usize];
+        let (b, after, fresh) = dynamic_churn_pages(spread);
+        let factor = after as f64 / fresh as f64;
+        println!(
+            "space under churn (20k insert/delete pairs on 50k points, {spread:?} data, B = {b}): \
+             {after} pages against {fresh} of a fresh build, factor {factor:.3}, pinned at {pin}\n"
+        );
+        if factor > pin {
+            eprintln!(
+                "E10: the dynamic PST drifted past its pinned churn factor (tests/layout_bounds.rs)"
+            );
+        }
+        within &= factor <= pin;
     }
-    factor <= DYNAMIC_CHURN_FACTOR
+    within
 }
 
 // ---------------------------------------------------------------------------
@@ -582,17 +642,19 @@ fn e11_dynamic_three_sided() {
     println!("## E11 — Theorem 5.2: dynamic 3-sided PST\n");
     println!("queries optimal; amortized update cost reported (buffer+rebuild scheme)\n");
     let mut table =
-        Table::new(&["n", "update I/O", "query I/O", "avg t", "paper bound log_B n·log²B"]);
+        Table::new(&["n", "B", "update I/O", "query I/O", "avg t", "paper bound log_B n·log²B"]);
     for n in [20_000usize, 100_000] {
         let raw = gen_points(n, PointDist::Uniform, 17);
         let points = to_points(&raw);
         let store = PageStore::in_memory(PAGE);
         let mut pst = DynamicThreeSidedPst::build(&store, &points).unwrap();
+        // Fresh ids follow the initial ones, in the frame the build chose.
+        let b = b_pst(Frame::of(&points));
         let updates = 2_000usize;
         let extra = to_points(&gen_points(updates, PointDist::Uniform, 18));
         store.reset_stats();
         for (i, p) in extra.iter().enumerate() {
-            pst.insert(&store, Point::new(p.x, p.y, 20_000_000 + i as u64)).unwrap();
+            pst.insert(&store, Point::new(p.x, p.y, (n + i) as u64)).unwrap();
         }
         let upd_io = store.stats().total_io() as f64 / updates as f64;
         let queries = gen_three_sided(&raw, 40, n / 50, 19);
@@ -607,10 +669,11 @@ fn e11_dynamic_three_sided() {
         let q_io = store.stats().reads as f64 / queries.len() as f64;
         table.row(vec![
             n.to_string(),
+            b.to_string(),
             f1(upd_io),
             f1(q_io),
             f1(t_total as f64 / queries.len() as f64),
-            f1(log_base(n as f64, b_pst()) * b_pst().log2() * b_pst().log2()),
+            f1(log_base(n as f64, b) * b.log2() * b.log2()),
         ]);
     }
     table.print();
@@ -631,6 +694,7 @@ fn e12_naive_vs_cached() {
         "two-lvl I/O",
         "naive waste/q",
         "seg waste/q",
+        "B",
         "log2(n/B)",
         "log_B n",
     ]);
@@ -641,6 +705,7 @@ fn e12_naive_vs_cached() {
         let naive = NaivePst::build(&store, &points).unwrap();
         let seg = SegmentedPst::build(&store, &points).unwrap();
         let two = TwoLevelPst::build(&store, &points).unwrap();
+        let b = b_pst(two.frame());
         // Deep corner, empty output: x0 beyond the domain, y0 = 0.
         let queries: Vec<TwoSided> =
             (0..30).map(|i| TwoSided { x0: 1_000_001 + i, y0: 0 }).collect();
@@ -674,8 +739,9 @@ fn e12_naive_vs_cached() {
             f1(ios[2]),
             f1(wastes[0]),
             f1(wastes[1]),
-            f1((n as f64 / b_pst()).log2()),
-            f1(log_base(n as f64, b_pst())),
+            b.to_string(),
+            f1((n as f64 / b).log2()),
+            f1(log_base(n as f64, b)),
         ]);
     }
     table.print();
@@ -697,6 +763,8 @@ fn e13_interval_management() {
     let points: Vec<Point> =
         intervals.iter().map(|iv| Point::new(-iv.lo, iv.hi, iv.id)).collect();
     let pst = SegmentedPst::build(&store, &points).unwrap();
+    // The PST's block; the B-tree's leaves hold 254 16-byte entries.
+    let b = b_pst(pst.frame());
     store.reset_stats();
     let mut t_total = 0usize;
     for q in &stabs {
@@ -724,12 +792,13 @@ fn e13_interval_management() {
     let btree_io = store2.stats().reads as f64 / stabs.len() as f64;
 
     // Full scan: n/B pages per query by definition.
-    let scan_io = n as f64 / B;
+    let scan_io = n as f64 / b;
 
+    println!("B = {b} (points stored at {})\n", pst.frame());
     let mut table = Table::new(&["method", "avg stab I/O", "avg t", "t/B"]);
-    table.row(vec!["path-cached PST".into(), f1(pst_io), f1(t_avg), f1(t_avg / B)]);
-    table.row(vec!["B-tree on lo (scan+filter)".into(), f1(btree_io), f1(t_avg), f1(t_avg / B)]);
-    table.row(vec!["full scan".into(), f1(scan_io), f1(t_avg), f1(t_avg / B)]);
+    table.row(vec!["path-cached PST".into(), f1(pst_io), f1(t_avg), f1(t_avg / b)]);
+    table.row(vec!["B-tree on lo (scan+filter)".into(), f1(btree_io), f1(t_avg), f1(t_avg / b)]);
+    table.row(vec!["full scan".into(), f1(scan_io), f1(t_avg), f1(t_avg / b)]);
     table.print();
 }
 
@@ -746,6 +815,10 @@ fn e14_tradeoff_table() -> bool {
         .iter()
         .map(|q| TwoSided { x0: q.x0, y0: q.y0 })
         .collect();
+    // One data set, so one frame and one B for every variant.
+    let frame = Frame::of(&points);
+    let b = b_pst(frame);
+    println!("points stored at {frame}: B = {b}\n");
     let mut table = Table::new(&[
         "variant", "paper space", "pages", "blocks/point·B", "avg query I/O", "avg t",
     ]);
@@ -753,6 +826,7 @@ fn e14_tradeoff_table() -> bool {
     fn measure<P: TwoSidedPst>(points: &[Point], queries: &[TwoSided]) -> (u64, f64, f64) {
         let store = PageStore::in_memory(PAGE);
         let pst = P::build_on(&store, points);
+        assert_eq!(pst.stored_at(), Frame::of(points));
         let pages = store.live_pages();
         store.reset_stats();
         let t_total: usize = queries.iter().map(|q| pst.counted(&store, *q).0).sum();
@@ -771,7 +845,7 @@ fn e14_tradeoff_table() -> bool {
     for (label, paper, measure) in variants {
         let (pages, io, t_avg) = measure(&points, &queries);
         if label.starts_with("two-level") {
-            let units = pages as f64 / (n as f64 / b_pst() * b_pst().log2().log2());
+            let units = pages as f64 / (n as f64 / b * b.log2().log2());
             if units > TWO_LEVEL_SPACE_C {
                 eprintln!(
                     "E14: two-level space is {units:.3} units of (n/B)·loglog B, \
@@ -784,7 +858,7 @@ fn e14_tradeoff_table() -> bool {
             label.to_string(),
             paper.to_string(),
             pages.to_string(),
-            f2(pages as f64 / (n as f64 / b_pst())),
+            f2(pages as f64 / (n as f64 / b)),
             f1(io),
             f1(t_avg),
         ]);
@@ -915,7 +989,7 @@ fn e17_page_size_ablation() {
             seg.query(&seg_store, *q).unwrap();
         }
         let seg_io = seg_store.stats().reads as f64 / queries.len() as f64;
-        let b = pc_pst::block_capacity(page);
+        let b = pc_pst::block_capacity(page, seg.frame());
         table.row(vec![
             page.to_string(),
             b.to_string(),

@@ -47,7 +47,7 @@ pub use class_index::{ClassId, ClassIndex, ClassIndexBuilder};
 pub use interval_store::IntervalStore;
 pub use point_index::{DiagonalCorner, DynamicPointIndex, PointIndex, Quadrant, ThreeSidedIndex, Variant};
 
-pub use pc_pagestore::{Interval, IoStats, PageStore, Point, Record, Result, StoreError};
+pub use pc_pagestore::{Frame, Interval, IoStats, PageStore, Point, Record, Result, StoreError};
 pub use pc_pst::{ThreeSided, TwoSided};
 
 /// The paged secondary-storage engine (substrate).

@@ -23,13 +23,15 @@
 //! intervals is, at a boundary node, the two sorted lists `L` and `R`
 //! whose heads its record holds, and at a leaf (many intervals sharing
 //! few endpoints) a mini segment tree. Which it is follows from the
-//! input, not from a setting.
+//! input, not from a setting — and so does the block itself: intervals are
+//! stored at the narrowest [`Frame`] that holds the input, which the
+//! tree's handle carries, and a block is what a page holds of them.
 
 use std::collections::VecDeque;
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Interval, PageId, PageStore, Record, Result, StoreError, NULL_PAGE};
+use pc_pagestore::{Frame, Interval, PageId, PageStore, Record, Result, StoreError, NULL_PAGE};
 use pc_segtree::{CachedSegmentTree, SegTreeHandle};
 
 use crate::bundle::{Bundle, CacheEntry};
@@ -158,14 +160,23 @@ fn build_bst(nodes: &mut Vec<MemNode>, boundaries: &[i64], rlo: usize, rhi: usiz
 pub struct ExternalIntervalTree {
     pub(crate) root_page: PageId,
     n: u64,
+    pub(crate) frame: Frame,
+}
+
+/// `B` for a tree storing its intervals at `frame`: intervals per block,
+/// endpoints per run.
+pub fn block_capacity(page_size: usize, frame: Frame) -> usize {
+    BlockList::<Interval>::capacity(page_size, frame)
 }
 
 impl ExternalIntervalTree {
-    /// Builds the tree over `intervals` in `store`.
+    /// Builds the tree over `intervals` in `store`, stored at the narrowest
+    /// frame that holds them.
     pub fn build(store: &PageStore, intervals: &[Interval]) -> Result<Self> {
         let page_size = store.page_size();
+        let frame = Frame::of(intervals);
         // Θ(B): endpoints per run, intervals per block.
-        let block = BlockList::<Interval>::capacity(page_size);
+        let block = block_capacity(page_size, frame);
 
         // Distinct endpoints → runs → boundaries.
         let mut endpoints: Vec<i64> = Vec::with_capacity(intervals.len() * 2);
@@ -240,9 +251,9 @@ impl ExternalIntervalTree {
             r.sort_unstable_by_key(|iv| (std::cmp::Reverse(iv.hi), iv.lo, iv.id));
             if l.len() > block {
                 for (side, list) in [&l, &r].into_iter().enumerate() {
-                    let head = BlockList::build(store, list)?.head();
-                    heads[ni][side] = head;
-                    conts[ni][side] = BlockList::<Interval>::read_block(store, head)?.1;
+                    let (list, pages) = BlockList::build_blocked(store, frame, list, block)?;
+                    heads[ni][side] = list.head();
+                    conts[ni][side] = pages[1];
                 }
             }
             sorted.push([l, r]);
@@ -280,7 +291,7 @@ impl ExternalIntervalTree {
             // boundary node's two lists, or a leaf's mini tree.
             let MemNode { split, items } = &nodes[node];
             let own = if items.len() <= block { &items[..] } else { &[] };
-            let bundle = Bundle::write(store, table, anc, own)?;
+            let bundle = Bundle::write(store, frame, table, anc, own)?;
             records[node] = Some(match *split {
                 None => {
                     let mini = (items.len() > block).then(|| CachedSegmentTree::build(store, items));
@@ -316,7 +327,12 @@ impl ExternalIntervalTree {
             store.write(*page_id, &buf[..used])?;
         }
 
-        Ok(ExternalIntervalTree { root_page: page_ids[0], n: intervals.len() as u64 })
+        Ok(ExternalIntervalTree { root_page: page_ids[0], n: intervals.len() as u64, frame })
+    }
+
+    /// The widths the tree stores its intervals at.
+    pub fn frame(&self) -> Frame {
+        self.frame
     }
 
     /// Number of indexed intervals.
@@ -392,9 +408,9 @@ mod tests {
             .map(|(lo, hi, id)| Interval::new(lo, hi, id))
             .collect();
         let before = store.live_pages();
-        let _t = ExternalIntervalTree::build(&store, &intervals).unwrap();
+        let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
         let pages = store.live_pages() - before;
-        let b = BlockList::<Interval>::capacity(512) as u64; // 20
+        let b = block_capacity(512, tree.frame()) as u64;
         let bound = 3 * (n as u64).div_ceil(b) * (64 - b.leading_zeros() as u64 + 4);
         assert!(pages <= bound, "space {pages} pages exceeds O(n/B log B) ~ {bound}");
     }

@@ -6,9 +6,13 @@
 //!              [chain: u64] per mask bit     (rest of ancL, rest of ancR,
 //!                                             own block)
 //!              [continuation: u64] × n_src   (the source table)
-//!              [ancL entries][ancR entries]  (25 B: interval + source)
-//!              [own intervals]               (24 B)
+//!              [ancL entries][ancR entries]  (interval + source byte)
+//!              [own intervals]
 //! ```
+//!
+//! Intervals lie at the widths of the tree's [`Frame`] — 24 bytes at
+//! [`Frame::WIDE`], 25 with the source byte — which the tree's handle
+//! carries, not the page.
 //!
 //! Three sections: `ancL` merges the first blocks of `L(a)` over the
 //! in-page strict ancestors `a` the path leaves to the left (ascending
@@ -35,13 +39,16 @@
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Interval, PageId, PageStore, Record, Result, NULL_PAGE};
+use pc_pagestore::{Frame, Framed, Interval, PageId, PageStore, Result, NULL_PAGE};
 
 /// `[n_src][chain mask][3 × count]`.
 const HEADER: usize = 8;
+
 /// Record widths of the three sections.
-const WIDTHS: [usize; 3] =
-    [CacheEntry::ENCODED_LEN, CacheEntry::ENCODED_LEN, Interval::ENCODED_LEN];
+fn widths(frame: Frame) -> [usize; 3] {
+    let entry = frame.record_len::<CacheEntry>();
+    [entry, entry, frame.record_len::<Interval>()]
+}
 
 /// A copied interval tagged with its source's row in the bundle's table,
 /// so queries can apply the continuation rule per source.
@@ -53,16 +60,19 @@ pub struct CacheEntry {
     pub src: u8,
 }
 
-impl Record for CacheEntry {
-    const ENCODED_LEN: usize = Interval::ENCODED_LEN + 1;
+impl Framed for CacheEntry {
+    const TAG: usize = 1;
 
-    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
-        self.iv.encode(w)?;
+    fn fields(&self) -> (i64, i64, u64) {
+        self.iv.fields()
+    }
+
+    fn pack_tag(&self, w: &mut PageWriter<'_>) -> Result<()> {
         w.put_u8(self.src)
     }
 
-    fn decode(r: &mut PageReader<'_>) -> Result<Self> {
-        Ok(CacheEntry { iv: Interval::decode(r)?, src: r.get_u8()? })
+    fn unpack_tagged((lo, hi, id): (i64, i64, u64), r: &mut PageReader<'_>) -> Result<Self> {
+        Ok(CacheEntry { iv: Interval { lo, hi, id }, src: r.get_u8()? })
     }
 }
 
@@ -82,10 +92,10 @@ pub struct Bundle<'a> {
 }
 
 /// The encoding of `records`, back to back.
-fn encoded<R: Record>(records: &[R]) -> Result<Vec<u8>> {
-    let mut buf = vec![0u8; records.len() * R::ENCODED_LEN];
+fn encoded<R: Framed>(frame: Frame, records: &[R]) -> Result<Vec<u8>> {
+    let mut buf = vec![0u8; records.len() * frame.record_len::<R>()];
     let mut w = PageWriter::new(&mut buf);
-    records.iter().try_for_each(|rec| rec.encode(&mut w))?;
+    records.iter().try_for_each(|rec| rec.pack(frame, &mut w))?;
     Ok(buf)
 }
 
@@ -95,6 +105,7 @@ impl<'a> Bundle<'a> {
     /// page, null for a node with nothing.
     pub fn write(
         store: &PageStore,
+        frame: Frame,
         conts: Vec<PageId>,
         mut anc: [Vec<CacheEntry>; 2],
         mut own: &[Interval],
@@ -102,46 +113,47 @@ impl<'a> Bundle<'a> {
         if anc[0].is_empty() && anc[1].is_empty() && own.is_empty() {
             return Ok(NULL_PAGE);
         }
+        let [entry_len, _, own_len] = widths(frame);
         let mut chains = [NULL_PAGE; 3];
         let mut free = store.page_size() - HEADER - 8 * conts.len();
         // A chain pointer for each ancestor section that may yet spill.
         let mut spill = 8 * anc.iter().filter(|s| !s.is_empty()).count();
-        if own.len() * Interval::ENCODED_LEN + spill > free {
-            chains[2] = BlockList::build(store, own)?.head();
+        if own.len() * own_len + spill > free {
+            chains[2] = BlockList::build(store, frame, own)?.head();
             own = &[];
             free -= 8;
         }
-        free -= own.len() * Interval::ENCODED_LEN;
+        free -= own.len() * own_len;
         let smaller = usize::from(anc[1].len() < anc[0].len());
         for i in [smaller, 1 - smaller] {
             if anc[i].is_empty() {
                 continue;
             }
             spill -= 8;
-            if anc[i].len() * CacheEntry::ENCODED_LEN + spill > free {
+            if anc[i].len() * entry_len + spill > free {
                 free -= 8;
-                let fit = (free - spill) / CacheEntry::ENCODED_LEN;
-                chains[i] = BlockList::build(store, &anc[i][fit..])?.head();
+                let fit = (free - spill) / entry_len;
+                chains[i] = BlockList::build(store, frame, &anc[i][fit..])?.head();
                 anc[i].truncate(fit);
             }
-            free -= anc[i].len() * CacheEntry::ENCODED_LEN;
+            free -= anc[i].len() * entry_len;
         }
-        let bytes = [encoded(&anc[0])?, encoded(&anc[1])?, encoded(own)?];
+        let bytes = [encoded(frame, &anc[0])?, encoded(frame, &anc[1])?, encoded(frame, own)?];
         let page = store.alloc()?;
         let sections = bytes.each_ref().map(|b| &b[..]);
-        Bundle { conts, chains, sections }.write_at(store, page)?;
+        Bundle { conts, chains, sections }.write_at(store, frame, page)?;
         Ok(page)
     }
 
     /// Encodes the bundle into `page` of `store`.
-    fn write_at(&self, store: &PageStore, page: PageId) -> Result<()> {
+    fn write_at(&self, store: &PageStore, frame: Frame, page: PageId) -> Result<()> {
         let mut buf = vec![0u8; store.page_size()];
         let mut w = PageWriter::new(&mut buf);
         let held = self.chains.iter().filter(|c| !c.is_null());
         let mask = (0..3).filter(|&i| !self.chains[i].is_null()).fold(0, |m, i| m | 1u8 << i);
         w.put_u8(self.conts.len() as u8)?;
         w.put_u8(mask)?;
-        for (section, width) in self.sections.iter().zip(WIDTHS) {
+        for (section, width) in self.sections.iter().zip(widths(frame)) {
             w.put_u16((section.len() / width) as u16)?;
         }
         held.chain(&self.conts).try_for_each(|page| w.put_u64(page.0))?;
@@ -150,8 +162,8 @@ impl<'a> Bundle<'a> {
         store.write(page, &buf[..used])
     }
 
-    /// Decodes a bundle page.
-    pub fn decode(page: &'a [u8]) -> Result<Self> {
+    /// Decodes a bundle page of a tree stored at `frame`.
+    pub fn decode(page: &'a [u8], frame: Frame) -> Result<Self> {
         let mut r = PageReader::new(page);
         let (n_src, mask) = (r.get_u8()?, r.get_u8()?);
         let counts = [r.get_u16()?, r.get_u16()?, r.get_u16()?];
@@ -163,7 +175,7 @@ impl<'a> Bundle<'a> {
         }
         let conts = (0..n_src).map(|_| Ok(PageId(r.get_u64()?))).collect::<Result<_>>()?;
         let mut sections = [&page[..0]; 3];
-        for ((section, count), width) in sections.iter_mut().zip(counts).zip(WIDTHS) {
+        for ((section, count), width) in sections.iter_mut().zip(counts).zip(widths(frame)) {
             *section = r.get_bytes(count as usize * width)?;
         }
         Ok(Bundle { conts, chains, sections })
@@ -176,11 +188,11 @@ mod tests {
 
     #[test]
     fn cache_entry_roundtrip() {
-        let mut buf = vec![0u8; CacheEntry::ENCODED_LEN];
         let e = CacheEntry { iv: Interval::new(-3, 9, 77), src: 4 };
-        let mut w = PageWriter::new(&mut buf);
-        e.encode(&mut w).unwrap();
-        let mut r = PageReader::new(&buf);
-        assert_eq!(CacheEntry::decode(&mut r).unwrap(), e);
+        for (frame, len) in [(Frame::WIDE, 25), (Frame::of(&[e]), 4)] {
+            let buf = encoded(frame, &[e]).unwrap();
+            assert_eq!(buf.len(), len);
+            assert_eq!(CacheEntry::unpack(frame, &mut PageReader::new(&buf)).unwrap(), e);
+        }
     }
 }

@@ -2,10 +2,10 @@
 
 use pc_pagestore::codec::PageReader;
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Interval, PageId, PageStore, Record, Result};
+use pc_pagestore::{Frame, Framed, Interval, PageId, PageStore, Result};
 use pc_segtree::CachedSegmentTree;
 
-use crate::build::{decode_record, ExternalIntervalTree, NodeRecord};
+use crate::build::{block_capacity, decode_record, ExternalIntervalTree, NodeRecord};
 use crate::bundle::{Bundle, CacheEntry};
 
 impl ExternalIntervalTree {
@@ -20,7 +20,8 @@ impl ExternalIntervalTree {
     pub fn stab_with_ios(&self, store: &PageStore, q: i64) -> Result<(Vec<Interval>, u64)> {
         let _span = pc_obs::span!("ivtree_stab");
         let before = store.stats();
-        pc_obs::set_block_capacity(BlockList::<Interval>::capacity(store.page_size()) as u64);
+        let frame = self.frame;
+        pc_obs::set_block_capacity(block_capacity(store.page_size(), frame) as u64);
         let mut results = Vec::new();
 
         let mut cur_page = self.root_page;
@@ -44,10 +45,10 @@ impl ExternalIntervalTree {
                     // contributions. On a hit every interval of this node
                     // contains q, as `lo <= q` finds, and nothing below
                     // can (left subtree: hi < q; right subtree: lo > q).
-                    drain_bundle(store, q, bundle, &mut results)?;
+                    drain_bundle(store, frame, q, bundle, &mut results)?;
                     let side = usize::from(q > boundary);
                     if !lists[side].is_null() {
-                        scan_list(store, lists[side], side, q, &mut results)?;
+                        scan_list(store, frame, lists[side], side, q, &mut results)?;
                     }
                     if q == boundary {
                         break;
@@ -59,7 +60,7 @@ impl ExternalIntervalTree {
                     slot = next.slot;
                 }
                 NodeRecord::Leaf { mini, bundle } => {
-                    drain_bundle(store, q, bundle, &mut results)?;
+                    drain_bundle(store, frame, q, bundle, &mut results)?;
                     if let Some(mini) = mini {
                         results.extend(CachedSegmentTree::from_handle(mini).stab(store, q)?);
                     }
@@ -88,6 +89,7 @@ fn qualifies(side: usize, q: i64, iv: &Interval) -> bool {
 /// qualified, from its second block on, and the node's own intervals.
 fn drain_bundle(
     store: &PageStore,
+    frame: Frame,
     q: i64,
     bundle: PageId,
     results: &mut Vec<Interval>,
@@ -96,18 +98,18 @@ fn drain_bundle(
         return Ok(());
     }
     let page_size = store.page_size();
-    let block = BlockList::<Interval>::capacity(page_size);
+    let block = block_capacity(page_size, frame);
     // One probe per bundle: the page, both ancestor sections, their tails.
     let probe = pc_obs::span!("path_cache_probe");
-    pc_obs::set_block_capacity(BlockList::<CacheEntry>::capacity(page_size) as u64);
+    pc_obs::set_block_capacity(BlockList::<CacheEntry>::capacity(page_size, frame) as u64);
     let page = store.read(bundle)?;
     let Bundle { conts, chains: [rest_l, rest_r, own_rest], sections: [anc_l, anc_r, own] } =
-        Bundle::decode(&page)?;
+        Bundle::decode(&page, frame)?;
     let mut continued = Vec::new();
     for (side, (head, rest)) in [(anc_l, rest_l), (anc_r, rest_r)].into_iter().enumerate() {
         let mut qualified = vec![0usize; conts.len()];
         let before = results.len();
-        scan(store, head, rest, |e: CacheEntry| {
+        scan(store, frame, head, rest, |e: CacheEntry| {
             qualifies(side, q, &e.iv) && {
                 results.push(e.iv);
                 qualified[e.src as usize] += 1;
@@ -120,12 +122,12 @@ fn drain_bundle(
     }
     drop(probe);
     for (cont, side) in continued {
-        scan_list(store, cont, side, q, results)?;
+        scan_list(store, frame, cont, side, q, results)?;
     }
     // At most a block, on the page or in `own_rest`, in no useful order.
     let _scan = pc_obs::span!(output: "run_block");
     let before = results.len();
-    scan(store, own, own_rest, |iv: Interval| {
+    scan(store, frame, own, own_rest, |iv: Interval| {
         if iv.contains(q) {
             results.push(iv);
         }
@@ -139,6 +141,7 @@ fn drain_bundle(
 /// whose chain starts at `page`.
 fn scan_list(
     store: &PageStore,
+    frame: Frame,
     page: PageId,
     side: usize,
     q: i64,
@@ -146,7 +149,7 @@ fn scan_list(
 ) -> Result<()> {
     let _span = pc_obs::span!(output: "list_scan");
     let before = results.len();
-    let r = scan(store, &[], page, |iv: Interval| {
+    let r = scan(store, frame, &[], page, |iv: Interval| {
         qualifies(side, q, &iv) && {
             results.push(iv);
             true
@@ -159,20 +162,21 @@ fn scan_list(
 /// Hands `visit` the records encoded in `head`, then those of the chain
 /// starting at `next` block by block, and stops decoding and reading when
 /// it declines one.
-fn scan<R: Record>(
+fn scan<R: Framed>(
     store: &PageStore,
+    frame: Frame,
     head: &[u8],
     mut next: PageId,
     mut visit: impl FnMut(R) -> bool,
 ) -> Result<()> {
     let mut r = PageReader::new(head);
     while r.remaining() > 0 {
-        if !visit(R::decode(&mut r)?) {
+        if !visit(R::unpack(frame, &mut r)?) {
             return Ok(());
         }
     }
     while !next.is_null() {
-        let (block, after) = BlockList::<R>::read_block(store, next)?;
+        let (block, after) = BlockList::<R>::read_block(store, frame, next)?;
         if !block.into_iter().all(&mut visit) {
             return Ok(());
         }
@@ -271,7 +275,7 @@ mod tests {
         let store = PageStore::in_memory(512);
         let intervals = random_intervals(8000, 200_000, 4000, 0x7777);
         let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
-        let b = BlockList::<Interval>::capacity(512) as u64;
+        let b = block_capacity(512, tree.frame()) as u64;
         let mut s = 0x4242u64;
         for _ in 0..60 {
             let q = xorshift(&mut s, 200_000);
@@ -297,7 +301,9 @@ mod tests {
 
     #[test]
     fn run_of_one_block_is_flat_and_one_more_is_a_mini_tree() {
-        let cap = BlockList::<Interval>::capacity(512);
+        // These intervals' frame is 1/1/1 up to 256 of them, 1/1/2 beyond.
+        let cap = block_capacity(512, Frame::new(1, 1, 1));
+        assert!(cap < 256);
         let queries: Vec<i64> = (-1..=8).collect();
         for (n, kinds) in [(0, (1, 0)), (1, (1, 0)), (cap, (1, 0)), (cap + 1, (0, 1))] {
             let intervals = shared_endpoint_intervals(n);
@@ -316,17 +322,21 @@ mod tests {
 
     #[test]
     fn many_intervals_over_few_endpoints_take_the_mini_tree_within_the_bound() {
-        let b = BlockList::<Interval>::capacity(512);
+        let b = block_capacity(512, Frame::new(1, 1, 2));
         let intervals = shared_endpoint_intervals(4 * b);
         let store = PageStore::in_memory(512);
         let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
+        assert_eq!(tree.frame(), Frame::new(1, 1, 2));
         assert_eq!(crate::build::leaf_kinds(&tree, &store), (0, 1));
-        let log_b_n = 2; // ceil(log_20 80)
+        let log_b_n = 2; // ceil(log_B 4B)
+        // The mini tree is a `pc-segtree`, which stores full-width intervals:
+        // its output term is in that crate's blocks of 20, not in `b`.
+        let segtree_block = block_capacity(512, Frame::WIDE);
         for q in -1..=8 {
             let (res, ios) = tree.stab_with_ios(&store, q).unwrap();
             assert_eq!(ids(res.clone()), brute(&intervals, q), "q={q}");
             assert_eq!(res.len(), brute(&intervals, q).len(), "duplicates at q={q}");
-            let allowed = 3 * log_b_n + 2 * res.len().div_ceil(b);
+            let allowed = 3 * log_b_n + 2 * res.len().div_ceil(segtree_block);
             assert!(ios as usize <= allowed, "q={q} ios={ios} t={} allowed={allowed}", res.len());
         }
     }
@@ -361,7 +371,7 @@ mod tests {
         let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
         let (res, ios) = tree.stab_with_ios(&store, 0).unwrap();
         assert_eq!(res.len(), n);
-        let b = BlockList::<Interval>::capacity(512) as u64;
+        let b = block_capacity(512, tree.frame()) as u64;
         assert!(
             ios <= 4 * (n as u64 / b) + 40,
             "ios={ios} for t=n={n} (t/B = {})",

@@ -1,13 +1,20 @@
 //! Cut-over cases of the exit bundle, through the public API only: page
 //! counts say what went on the bundle page and what into a tail, read
-//! counts say what a stab had to fetch. 512-byte pages throughout: a block
-//! is 20 intervals, a run 20 endpoints, a bundle page has 512 − 8 − 8 per
-//! source bytes for 25-byte ancestor copies and 24-byte own intervals.
+//! counts say what a stab had to fetch. 512-byte pages and full-width data
+//! throughout: a block is 20 intervals, a run 20 endpoints, a bundle page
+//! has 512 − 8 − 8 per source bytes for 25-byte ancestor copies and 24-byte
+//! own intervals.
 
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pagestore::{Interval, PageStore};
+use pc_pagestore::{Frame, Interval, PageStore};
 
 const BLOCK: usize = 20;
+
+/// Where the cut-over data lies: endpoints `AT + 0..=40` and ids from `ID`
+/// up need all eight bytes, so the tree's frame is [`Frame::WIDE`]. The
+/// layout depends on differences only.
+const AT: i64 = 1 << 60;
+const ID: u64 = 1 << 63;
 
 fn brute(intervals: &[Interval], q: i64) -> Vec<u64> {
     let mut out: Vec<u64> = intervals.iter().filter(|i| i.contains(q)).map(|i| i.id).collect();
@@ -15,12 +22,13 @@ fn brute(intervals: &[Interval], q: i64) -> Vec<u64> {
     out
 }
 
-/// Builds on 512-byte pages and checks every stab in `-1..=40` against
-/// brute force (no duplicates: lengths are compared too).
+/// Builds on 512-byte pages and checks every stab in `AT − 1..=AT + 40`
+/// against brute force (no duplicates: lengths are compared too).
 fn build_checked(intervals: &[Interval]) -> (PageStore, ExternalIntervalTree) {
     let store = PageStore::in_memory(512);
     let tree = ExternalIntervalTree::build(&store, intervals).unwrap();
-    for q in -1..=40 {
+    assert!(intervals.is_empty() || tree.frame() == Frame::WIDE);
+    for q in AT - 1..=AT + 40 {
         let mut got: Vec<u64> = tree.stab(&store, q).unwrap().iter().map(|i| i.id).collect();
         got.sort_unstable();
         assert_eq!(got, brute(intervals, q), "q={q}");
@@ -28,11 +36,12 @@ fn build_checked(intervals: &[Interval]) -> (PageStore, ExternalIntervalTree) {
     (store, tree)
 }
 
+/// Reads of the stab at `AT + q`.
 fn reads(tree: &ExternalIntervalTree, store: &PageStore, q: i64) -> u64 {
-    tree.stab_with_ios(store, q).unwrap().1
+    tree.stab_with_ios(store, AT + q).unwrap().1
 }
 
-/// A root over two runs, `{0..=19}` and `{20..}`, so the boundary is 20:
+/// From `AT` on — a root over two runs, `{0..=19}` and `{20..}`, so the boundary is 20:
 /// `crossing` intervals `[i % 20, 20 + i % 16]` sit at the root and are
 /// copied into both leaves' bundles; `left_only` of them lie in the left
 /// run, over the endpoints the crossing ones leave unused.
@@ -41,7 +50,7 @@ fn two_runs(crossing: usize, left_only: &[(i64, i64)]) -> Vec<Interval> {
     cross
         .chain(left_only.iter().copied())
         .enumerate()
-        .map(|(id, (lo, hi))| Interval::new(lo, hi, id as u64))
+        .map(|(id, (lo, hi))| Interval::new(AT + lo, AT + hi, ID + id as u64))
         .collect()
 }
 
@@ -83,13 +92,14 @@ fn a_source_of_one_block_ends_and_one_more_continues_from_the_table() {
     assert_eq!([0, 16, 17, 18, 19].map(|q| reads(&tree, &store, q)), [2, 2, 3, 4, 4]);
     // q on the boundary: all of L, whose head the root record holds.
     assert_eq!(reads(&tree, &store, 20), 1 + 2);
-    assert_eq!(tree.stab(&store, 20).unwrap().len(), BLOCK + 1);
+    assert_eq!(tree.stab(&store, AT + 20).unwrap().len(), BLOCK + 1);
 }
 
 #[test]
 fn long_lists_on_4k_pages_match_brute_force() {
-    // 400 nested intervals around 5000 on top of short ones: boundary
-    // nodes near the centre hold more than a block (170), so stabs run
+    // 1500 nested intervals around 5000 on top of short ones: boundary
+    // nodes near the centre hold more than a block (681 at these intervals'
+    // frame, 2/2/2), so stabs run
     // through copied first blocks, continuations and two-list exits.
     let mut s = 0x2545_f491u64;
     let mut next = |bound: i64| {
@@ -98,16 +108,17 @@ fn long_lists_on_4k_pages_match_brute_force() {
         s ^= s << 17;
         (s % bound as u64) as i64
     };
-    let mut intervals: Vec<Interval> = (0..400)
+    let mut intervals: Vec<Interval> = (0..1500)
         .map(|i| Interval::new(5000 - 7 * i - next(7), 5000 + 5 * i + next(5), i as u64))
         .collect();
-    intervals.extend((400..3000).map(|id| {
+    intervals.extend((1500..9000).map(|id| {
         let lo = next(10_000);
         Interval::new(lo, lo + next(40), id)
     }));
     let store = PageStore::in_memory(4096);
     let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
-    for q in (0..10_000).step_by(37).chain([4999, 5000, 5001]) {
+    assert_eq!(tree.frame(), Frame::new(2, 2, 2));
+    for q in (-6_000..13_000).step_by(37).chain([4999, 5000, 5001]) {
         let mut got: Vec<u64> = tree.stab(&store, q).unwrap().iter().map(|i| i.id).collect();
         got.sort_unstable();
         assert_eq!(got, brute(&intervals, q), "q={q}");

@@ -26,7 +26,8 @@
 //!   [`layout::BlockList`], the blocked linked list that implements every
 //!   cover-list, cache, A/S/X/Y list in the paper.
 //! * [`types`] — the geometric records ([`types::Point`],
-//!   [`types::Interval`]) shared by all index crates.
+//!   [`types::Interval`]) shared by all index crates, and [`types::Frame`],
+//!   the per-structure field widths they are stored at.
 //!
 //! ## Example
 //!
@@ -68,7 +69,7 @@ pub use pool::{BufferPool, ShardStats, ShardedPool};
 pub use recovery::RecoveryReport;
 pub use stats::IoStats;
 pub use store::{PageId, PageStore, RetryPolicy, StoreConfig, WalConfig, NULL_PAGE};
-pub use types::{Interval, Point, Record};
+pub use types::{Frame, Framed, Interval, Point, Record};
 pub use version::{
     decode_version_meta, encode_version_meta, ApplyGuard, Snapshot, SnapshotGuard, VersionConfig,
     VersionMeta, VersionMetrics, VersionedStore,

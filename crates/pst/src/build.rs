@@ -42,18 +42,23 @@
 //!
 //! ## The block unit
 //!
-//! One number, [`points_capacity`], is the paper's `B` for the whole
-//! crate: the entries a path-cache block holds. A node holds `B` points
-//! and every list that is copied into a cache, or is one, is blocked `B`
-//! to a page ([`blocked`]), so a cache over `k` full nodes is exactly `k`
-//! blocks. `B` is the smaller of the points-page and `BlockList<SEntry>`
+//! One number per structure instance, [`points_capacity`] of the page size
+//! and the structure's [`Frame`], is the paper's `B` for the whole crate:
+//! the entries a path-cache block holds. The frame — the byte widths the
+//! instance's points are stored at — is chosen once, in `build`, as the
+//! narrowest that holds them ([`Frame::of`]), and travels in the handle
+//! ([`PstCore`]), never on a page. A node holds `B` points and every list
+//! that is copied into a cache, or is one, is blocked `B` to a page
+//! ([`blocked`]), so a cache over `k` full nodes is exactly `k` blocks.
+//! `B` is the smaller of the points-page and `BlockList<SEntry>`
 //! capacities (a `BlockList<Point>` page always holds more); the few bytes
 //! the roomier layouts leave unused cost less than the extra block every
-//! cache paid while a node held more points than a cache block.
+//! cache paid while a node held more points than a cache block. Skeletal
+//! records are fixed-width whatever the frame.
 
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::layout::BlockList;
-use pc_pagestore::{PageId, PageStore, Point, Record, Result, NULL_PAGE};
+use pc_pagestore::layout::{unpack_records, BlockList};
+use pc_pagestore::{Frame, Framed, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::mem::{cmp_x, cmp_y, MemPst, TwoSided, NONE};
 use crate::query::{run_two_sided, QueryCounters};
@@ -82,18 +87,21 @@ pub struct SEntry {
     pub depth: u16,
 }
 
-impl Record for SEntry {
+impl Framed for SEntry {
     /// The tag is one byte on the page: the decomposition halves its
     /// x-range at every level, so depths stay below 64.
-    const ENCODED_LEN: usize = Point::ENCODED_LEN + 1;
+    const TAG: usize = 1;
 
-    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
-        self.p.encode(w)?;
+    fn fields(&self) -> (i64, i64, u64) {
+        self.p.fields()
+    }
+
+    fn pack_tag(&self, w: &mut PageWriter<'_>) -> Result<()> {
         w.put_u8(u8::try_from(self.depth).expect("path depths stay below 64"))
     }
 
-    fn decode(r: &mut PageReader<'_>) -> Result<Self> {
-        Ok(SEntry { p: Point::decode(r)?, depth: u16::from(r.get_u8()?) })
+    fn unpack_tagged((x, y, id): (i64, i64, u64), r: &mut PageReader<'_>) -> Result<Self> {
+        Ok(SEntry { p: Point { x, y, id }, depth: u16::from(r.get_u8()?) })
     }
 }
 
@@ -104,26 +112,32 @@ pub const PAGE_HEADER: usize = 2;
 /// Points-page header size.
 pub const POINTS_HEADER: usize = 2 + 8 + 8 + 2 + 2;
 
-/// The block unit `B`: points per node, and entries per block of every
-/// A-, S-, X- and Y-list (see the module header).
-pub fn points_capacity(page_size: usize) -> usize {
-    let cap = ((page_size - POINTS_HEADER) / Point::ENCODED_LEN)
-        .min(BlockList::<SEntry>::capacity(page_size));
+/// The block unit `B` of a structure storing its points at `frame`: points
+/// per node, and entries per block of every A-, S-, X- and Y-list (see the
+/// module header).
+pub fn points_capacity(page_size: usize, frame: Frame) -> usize {
+    let cap = ((page_size - POINTS_HEADER) / frame.record_len::<Point>())
+        .min(BlockList::<SEntry>::capacity(page_size, frame));
     assert!(cap >= 2, "page size {page_size} too small for a PST points page");
     cap
 }
 
 /// Builds a list blocked [`points_capacity`] records to a page.
-pub(crate) fn blocked<R: Record>(store: &PageStore, records: &[R]) -> Result<BlockList<R>> {
-    Ok(blocked_pages(store, records)?.0)
+pub(crate) fn blocked<R: Framed>(
+    store: &PageStore,
+    frame: Frame,
+    records: &[R],
+) -> Result<BlockList<R>> {
+    Ok(blocked_pages(store, frame, records)?.0)
 }
 
 /// [`blocked`], with the blocks' pages in chain order.
-pub(crate) fn blocked_pages<R: Record>(
+pub(crate) fn blocked_pages<R: Framed>(
     store: &PageStore,
+    frame: Frame,
     records: &[R],
 ) -> Result<(BlockList<R>, Vec<PageId>)> {
-    BlockList::build_blocked(store, records, points_capacity(store.page_size()))
+    BlockList::build_blocked(store, frame, records, points_capacity(store.page_size(), frame))
 }
 
 /// Skeletal records per page.
@@ -161,10 +175,8 @@ pub struct SkeletalRecord {
     /// Left child's points page (kept for layout symmetry; the 2-sided
     /// engine only seeds right siblings, but the record format is shared
     /// with diagnostics and freeing walks).
-    #[allow(dead_code)]
     pub left_pts: PageId,
     /// Left child's point count.
-    #[allow(dead_code)]
     pub left_cnt: u16,
     /// Right child's points page.
     pub right_pts: PageId,
@@ -197,6 +209,30 @@ pub fn decode_record(page: &[u8], slot: u16) -> Result<SkeletalRecord> {
         child_a: BlockList::decode(&mut r)?,
         left_s: BlockList::decode(&mut r)?,
     })
+}
+
+/// Encodes a skeletal record: the fields in [`decode_record`]'s order,
+/// exactly [`RECORD_LEN`] bytes, so that slot `k` starts where
+/// `decode_record` looks for it.
+pub(crate) fn encode_record(w: &mut PageWriter<'_>, rec: &SkeletalRecord) -> Result<()> {
+    let start = w.position();
+    rec.split.encode(w)?;
+    rec.min_y.encode(w)?;
+    for child in [rec.left, rec.right] {
+        w.put_u64(child.page.0)?;
+        w.put_u16(child.slot)?;
+    }
+    for (pts, cnt) in
+        [(rec.own_pts, rec.own_cnt), (rec.left_pts, rec.left_cnt), (rec.right_pts, rec.right_cnt)]
+    {
+        w.put_u64(pts.0)?;
+        w.put_u16(cnt)?;
+    }
+    rec.child_a.encode(w)?;
+    rec.left_s.encode(w)?;
+    let written = w.position() - start;
+    assert!(written <= RECORD_LEN, "a skeletal record of {written} bytes");
+    w.skip(RECORD_LEN - written)
 }
 
 /// Visits every skeletal page of a single-level structure with its records,
@@ -238,7 +274,7 @@ pub struct PointsPage {
 }
 
 /// Reads and decodes a points page (one I/O).
-pub fn read_points_page(store: &PageStore, id: PageId) -> Result<PointsPage> {
+pub fn read_points_page(store: &PageStore, frame: Frame, id: PageId) -> Result<PointsPage> {
     let page = store.read(id)?;
     let mut r = PageReader::new(&page);
     let count = r.get_u16()? as usize;
@@ -246,14 +282,12 @@ pub fn read_points_page(store: &PageStore, id: PageId) -> Result<PointsPage> {
     let right_pts = PageId(r.get_u64()?);
     let left_cnt = r.get_u16()?;
     let right_cnt = r.get_u16()?;
-    let mut points = Vec::with_capacity(count);
-    for _ in 0..count {
-        points.push(Point::decode(&mut r)?);
-    }
+    let points = unpack_records(frame, &mut r, count)?;
     Ok(PointsPage { points, left_pts, right_pts, left_cnt, right_cnt })
 }
 
 /// The built single-level structure shared by all three variants.
+#[derive(Debug, Clone, Copy)]
 pub struct PstCore {
     /// Skeletal page holding the binary root at slot 0.
     pub root_page: PageId,
@@ -261,16 +295,25 @@ pub struct PstCore {
     pub n: u64,
     /// Cache mode the structure was built with.
     pub mode: CacheMode,
+    /// The widths its points are stored at.
+    pub frame: Frame,
 }
 
-/// Builds the external structure from an in-memory decomposition whose
-/// region capacity equals [`points_capacity`].
-pub fn build_external(store: &PageStore, mem: &MemPst, mode: CacheMode) -> Result<PstCore> {
+/// Builds the external structure, its points stored at `frame`, from an
+/// in-memory decomposition whose region capacity equals
+/// [`points_capacity`].
+pub fn build_external(
+    store: &PageStore,
+    mem: &MemPst,
+    mode: CacheMode,
+    frame: Frame,
+) -> Result<PstCore> {
     let page_size = store.page_size();
-    assert_eq!(mem.cap, points_capacity(page_size), "decomposition cap must match page size");
+    let b = points_capacity(page_size, frame);
+    assert_eq!(mem.cap, b, "decomposition cap must match the block unit");
 
     // Points pages (allocated up front for child links).
-    let pts_ids = write_points_pages(store, mem)?;
+    let pts_ids = write_points_pages(store, mem, frame)?;
     let mut buf = vec![0u8; page_size];
 
     // Skeletal pagination.
@@ -283,13 +326,13 @@ pub fn build_external(store: &PageStore, mem: &MemPst, mode: CacheMode) -> Resul
     let mut child_a: Vec<BlockList<Point>> = vec![BlockList::empty(); mem.nodes.len()];
     let mut left_s: Vec<BlockList<SEntry>> = vec![BlockList::empty(); mem.nodes.len()];
     if mode != CacheMode::None {
-        struct Frame {
+        struct Visit {
             node: usize,
             depth: u16,
             chain: Vec<(usize, u16, bool)>,
         }
-        let mut stack = vec![Frame { node: 0, depth: 0, chain: Vec::new() }];
-        while let Some(Frame { node, depth, chain }) = stack.pop() {
+        let mut stack = vec![Visit { node: 0, depth: 0, chain: Vec::new() }];
+        while let Some(Visit { node, depth, chain }) = stack.pop() {
             let mn = &mem.nodes[node];
             if mn.left == NONE {
                 continue;
@@ -297,7 +340,7 @@ pub fn build_external(store: &PageStore, mem: &MemPst, mode: CacheMode) -> Resul
             for (child, went_left) in [(mn.left, true), (mn.right, false)] {
                 if mode == CacheMode::InPage && node_loc[child].0 != node_loc[node].0 {
                     // New skeletal page: segment restarts.
-                    stack.push(Frame { node: child, depth: depth + 1, chain: Vec::new() });
+                    stack.push(Visit { node: child, depth: depth + 1, chain: Vec::new() });
                     continue;
                 }
                 let mut chain = chain.clone();
@@ -316,59 +359,54 @@ pub fn build_external(store: &PageStore, mem: &MemPst, mode: CacheMode) -> Resul
                     }
                     a.sort_unstable_by(|x, y| cmp_x(y, x));
                     s.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-                    child_a[node] = blocked(store, &a)?;
-                    left_s[node] = blocked(store, &s)?;
+                    child_a[node] = blocked(store, frame, &a)?;
+                    left_s[node] = blocked(store, frame, &s)?;
                 }
-                stack.push(Frame { node: child, depth: depth + 1, chain });
+                stack.push(Visit { node: child, depth: depth + 1, chain });
             }
         }
     }
 
     // Serialize skeletal pages.
+    let node_ref = |ni: usize| match ni {
+        NONE => NodeRef { page: NULL_PAGE, slot: 0 },
+        _ => NodeRef { page: page_ids[node_loc[ni].0], slot: node_loc[ni].1 },
+    };
+    let pts_of = |ni: usize| match ni {
+        NONE => (NULL_PAGE, 0),
+        _ => (pts_ids[ni], mem.nodes[ni].points.len() as u16),
+    };
     for (page_idx, members) in pages.iter().enumerate() {
         let used = {
             let mut w = PageWriter::new(&mut buf);
             w.put_u16(members.len() as u16)?;
             for &ni in members {
                 let node = &mem.nodes[ni];
-                node.split.encode(&mut w)?;
-                node.points.last().copied().unwrap_or(Point::new(0, 0, 0)).encode(&mut w)?;
-                if node.is_leaf() {
-                    for _ in 0..2 {
-                        w.put_u64(NULL_PAGE.0)?;
-                        w.put_u16(0)?;
-                    }
-                } else {
-                    for child in [node.left, node.right] {
-                        let (p, s) = node_loc[child];
-                        w.put_u64(page_ids[p].0)?;
-                        w.put_u16(s)?;
-                    }
-                }
-                w.put_u64(pts_ids[ni].0)?;
-                w.put_u16(node.points.len() as u16)?;
-                if node.is_leaf() {
-                    w.put_u64(NULL_PAGE.0)?;
-                    w.put_u16(0)?;
-                    w.put_u64(NULL_PAGE.0)?;
-                    w.put_u16(0)?;
-                } else {
-                    w.put_u64(pts_ids[node.left].0)?;
-                    w.put_u16(mem.nodes[node.left].points.len() as u16)?;
-                    w.put_u64(pts_ids[node.right].0)?;
-                    w.put_u16(mem.nodes[node.right].points.len() as u16)?;
-                }
-                child_a[ni].encode(&mut w)?;
-                left_s[ni].encode(&mut w)?;
+                let ((own_pts, own_cnt), (left_pts, left_cnt), (right_pts, right_cnt)) =
+                    (pts_of(ni), pts_of(node.left), pts_of(node.right));
+                let rec = SkeletalRecord {
+                    split: node.split,
+                    min_y: node.points.last().copied().unwrap_or(Point::new(0, 0, 0)),
+                    left: node_ref(node.left),
+                    right: node_ref(node.right),
+                    own_pts,
+                    own_cnt,
+                    left_pts,
+                    left_cnt,
+                    right_pts,
+                    right_cnt,
+                    child_a: child_a[ni],
+                    left_s: left_s[ni],
+                };
+                encode_record(&mut w, &rec)?;
             }
             w.position()
         };
         store.write(page_ids[page_idx], &buf[..used])?;
     }
 
-    Ok(PstCore { root_page: page_ids[0], n: mem.nodes[0].subtree_size, mode })
+    Ok(PstCore { root_page: page_ids[0], n: mem.nodes[0].subtree_size, mode, frame })
 }
-
 
 /// Groups the binary tree into skeletal pages (Figure 2): starting from
 /// each page root, nodes are added in BFS order until the page's record
@@ -415,7 +453,11 @@ pub(crate) fn paginate(mem: &MemPst, cap: usize) -> (Vec<Vec<usize>>, Vec<(usize
 
 /// Writes one points page per region (child links included) and returns
 /// the page ids, indexed by arena position.
-pub(crate) fn write_points_pages(store: &PageStore, mem: &MemPst) -> Result<Vec<PageId>> {
+pub(crate) fn write_points_pages(
+    store: &PageStore,
+    mem: &MemPst,
+    frame: Frame,
+) -> Result<Vec<PageId>> {
     let page_size = store.page_size();
     let pts_ids: Vec<PageId> =
         mem.nodes.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
@@ -439,7 +481,7 @@ pub(crate) fn write_points_pages(store: &PageStore, mem: &MemPst) -> Result<Vec<
             w.put_u16(lc)?;
             w.put_u16(rc)?;
             for p in &node.points {
-                p.encode(&mut w)?;
+                p.pack(frame, &mut w)?;
             }
             w.position()
         };
@@ -456,10 +498,17 @@ macro_rules! pst_variant {
         }
 
         impl $name {
-            /// Builds the structure over `points`.
+            /// Builds the structure over `points`, stored at the narrowest
+            /// frame that holds them.
             pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
-                let mem = MemPst::build(points, points_capacity(store.page_size()));
-                Ok($name { core: build_external(store, &mem, $mode)? })
+                let frame = Frame::of(points);
+                let mem = MemPst::build(points, points_capacity(store.page_size(), frame));
+                Ok($name { core: build_external(store, &mem, $mode, frame)? })
+            }
+
+            /// The widths the structure stores its points at.
+            pub fn frame(&self) -> Frame {
+                self.core.frame
             }
 
             /// Number of indexed points.
@@ -580,23 +629,32 @@ pub(crate) mod testutil {
             .collect()
     }
 
+    /// The frames a test that builds its geometry by hand runs at: today's
+    /// fixed-width records and the benchmark data's.
+    pub(crate) const FRAMES: [Frame; 2] = [Frame::WIDE, Frame::new(3, 3, 3)];
+
     /// Record counts of a list's blocks, in chain order.
-    pub(crate) fn block_sizes<R: Record>(store: &PageStore, list: &BlockList<R>) -> Vec<usize> {
-        list.blocks(store).map(|b| b.unwrap().len()).collect()
+    pub(crate) fn block_sizes<R: Framed>(
+        store: &PageStore,
+        frame: Frame,
+        list: &BlockList<R>,
+    ) -> Vec<usize> {
+        list.blocks(store, frame).map(|b| b.unwrap().len()).collect()
     }
 
     /// Asserts that `list` copies `full` whole nodes plus `rest` further
     /// entries and occupies exactly `full` blocks of `B`, then one partial
     /// block if `rest > 0`.
-    pub(crate) fn assert_cache_blocks<R: Record>(
+    pub(crate) fn assert_cache_blocks<R: Framed>(
         store: &PageStore,
+        frame: Frame,
         list: &BlockList<R>,
         full: usize,
         rest: usize,
         what: &str,
     ) {
-        let b = points_capacity(store.page_size());
-        assert_block_sizes(b, &block_sizes(store, list), full, rest, what);
+        let b = points_capacity(store.page_size(), frame);
+        assert_block_sizes(b, &block_sizes(store, frame, list), full, rest, what);
     }
 
     /// [`assert_cache_blocks`] on the record counts of a list's blocks.
@@ -614,22 +672,19 @@ pub(crate) mod testutil {
     /// points of the left child's covered right siblings in whole blocks but
     /// the last; both are empty where no child continues the segment.
     /// Returns `(nodes, full nodes)`.
-    pub(crate) fn check_core_caches(
-        store: &PageStore,
-        root_page: PageId,
-        mode: CacheMode,
-    ) -> (usize, usize) {
-        struct Frame {
+    pub(crate) fn check_core_caches(store: &PageStore, core: &PstCore) -> (usize, usize) {
+        struct Visit {
             at: NodeRef,
             /// Covered ancestors, and the sizes of their right siblings on
             /// the left-going steps.
             covered: usize,
             sibs: Vec<u16>,
         }
-        let b = points_capacity(store.page_size());
+        let PstCore { root_page, mode, frame, .. } = *core;
+        let b = points_capacity(store.page_size(), frame);
         let (mut nodes, mut full) = (0, 0);
         let root = NodeRef { page: root_page, slot: 0 };
-        let mut stack = vec![Frame { at: root, covered: 0, sibs: Vec::new() }];
+        let mut stack = vec![Visit { at: root, covered: 0, sibs: Vec::new() }];
         while let Some(f) = stack.pop() {
             let rec = decode_record(&store.read(f.at.page).unwrap(), f.at.slot).unwrap();
             nodes += 1;
@@ -646,13 +701,13 @@ pub(crate) mod testutil {
                 true => (f.covered + 1, left_sibs.iter().map(|&c| c as usize).sum()),
                 false => (0, 0),
             };
-            assert_cache_blocks(store, &rec.child_a, sources, 0, "child_a");
-            assert_cache_blocks(store, &rec.left_s, copied / b, copied % b, "left_s");
+            assert_cache_blocks(store, frame, &rec.child_a, sources, 0, "child_a");
+            assert_cache_blocks(store, frame, &rec.left_s, copied / b, copied % b, "left_s");
             for (child, sibs) in [(rec.left, left_sibs), (rec.right, f.sibs)] {
                 if covers(child) {
-                    stack.push(Frame { at: child, covered: f.covered + 1, sibs });
+                    stack.push(Visit { at: child, covered: f.covered + 1, sibs });
                 } else if !child.page.is_null() {
-                    stack.push(Frame { at: child, covered: 0, sibs: Vec::new() });
+                    stack.push(Visit { at: child, covered: 0, sibs: Vec::new() });
                 }
             }
         }
@@ -664,8 +719,16 @@ pub(crate) mod testutil {
 mod tests {
     use std::collections::HashSet;
 
-    use super::testutil::{distinct_points, LoggedStore};
+    use super::testutil::{distinct_points, LoggedStore, FRAMES};
     use super::*;
+
+    /// The default path: the narrowest frame that holds `pts`.
+    fn build_core(store: &PageStore, pts: &[Point], mode: CacheMode) -> (MemPst, PstCore) {
+        let frame = Frame::of(pts);
+        let mem = MemPst::build(pts, points_capacity(store.page_size(), frame));
+        let core = build_external(store, &mem, mode, frame).unwrap();
+        (mem, core)
+    }
 
     #[test]
     fn caches_over_k_full_nodes_are_k_blocks() {
@@ -673,9 +736,8 @@ mod tests {
             let pts = distinct_points(n);
             for mode in [CacheMode::FullPath, CacheMode::InPage] {
                 let store = PageStore::in_memory(page_size);
-                let mem = MemPst::build(&pts, points_capacity(page_size));
-                let core = build_external(&store, &mem, mode).unwrap();
-                let (nodes, full) = testutil::check_core_caches(&store, core.root_page, mode);
+                let (mem, core) = build_core(&store, &pts, mode);
+                let (nodes, full) = testutil::check_core_caches(&store, &core);
                 assert_eq!(nodes, mem.nodes.len());
                 assert!(full * 2 >= nodes - 1, "{full} full nodes of {nodes}");
             }
@@ -687,14 +749,16 @@ mod tests {
     /// aliasing rule and returns every page.
     #[test]
     fn each_cache_list_is_written_once_and_freed_once() {
-        for (page_size, levels) in [(512usize, 3usize), (4096, 4)] {
-            let b = points_capacity(page_size);
+        for (page_size, levels, frame) in
+            FRAMES.into_iter().flat_map(|frame| [(512usize, 3usize, frame), (4096, 4, frame)])
+        {
+            let b = points_capacity(page_size, frame);
             let nodes = (1 << levels) - 1;
             let store = PageStore::in_memory(page_size);
             let mem = MemPst::build(&distinct_points(nodes * b), b);
             assert_eq!(mem.nodes.len(), nodes);
             assert!(mem.nodes.iter().all(|node| node.points.len() == b));
-            let core = build_external(&store, &mem, CacheMode::FullPath).unwrap();
+            let core = build_external(&store, &mem, CacheMode::FullPath, frame).unwrap();
             // The 2^d internal nodes at depth d: a child_a of d + 1 blocks
             // each; a left_s of one block for the right child and one per
             // left step above, d/2 on average.
@@ -716,8 +780,7 @@ mod tests {
             for mode in [CacheMode::FullPath, CacheMode::InPage] {
                 let logged = LoggedStore::new(page_size);
                 let store = &logged.store;
-                let mem = MemPst::build(&distinct_points(n), points_capacity(page_size));
-                let core = build_external(store, &mem, mode).unwrap();
+                let core = build_core(store, &distinct_points(n), mode).1;
                 let mut records: Vec<(NodeRef, SkeletalRecord)> = Vec::new();
                 for_each_skeletal_page(store, core.root_page, &mut |page, recs| {
                     let at = |slot: usize| NodeRef { page, slot: slot as u16 };
@@ -734,7 +797,7 @@ mod tests {
                 // inside the node's x-range, y0 just above its lowest point.
                 let met = |at: NodeRef| {
                     let rec = &records.iter().find(|(r, _)| *r == at).expect("a record").1;
-                    let own = read_points_page(store, rec.own_pts).unwrap().points;
+                    let own = read_points_page(store, core.frame, rec.own_pts).unwrap().points;
                     let q = TwoSided { x0: own[0].x, y0: rec.min_y.y + 1 };
                     let (_, log) = logged.reads_of(|s| run_two_sided(s, &core, q).unwrap());
                     let of = |heads: &HashSet<PageId>| -> Vec<PageId> {
@@ -763,23 +826,63 @@ mod tests {
     #[test]
     fn geometry() {
         assert_eq!(RECORD_LEN, 130);
-        // The block unit: min(points page, cache block of 25-byte entries).
-        assert_eq!(SEntry::ENCODED_LEN, 25);
-        assert_eq!(points_capacity(512), 20); // (512 - 22) / 24 = (512 - 10) / 25
-        assert_eq!(points_capacity(4096), 163); // (4096 - 10) / 25 < (4096 - 22) / 24 = 169
-        assert_eq!(points_capacity(256), 9); // (256 - 22) / 24 < (256 - 10) / 25 = 9.84
+        // The block unit: min(points page, cache block of entries one tag
+        // byte longer than a point). Wide, 24 and 25 bytes:
+        let wide = |page_size| points_capacity(page_size, Frame::WIDE);
+        assert_eq!(Frame::WIDE.record_len::<SEntry>(), 25);
+        assert_eq!(wide(512), 20); // (512 - 22) / 24 = (512 - 10) / 25
+        assert_eq!(wide(4096), 163); // (4096 - 10) / 25 < (4096 - 22) / 24 = 169
+        assert_eq!(wide(256), 9); // (256 - 22) / 24 < (256 - 10) / 25 = 9.84
+        // 20-bit data, 9 and 10 bytes; the narrowest frame, 3 and 4.
+        assert_eq!(points_capacity(4096, Frame::new(3, 3, 3)), 408); // (4096 - 10) / 10
+        assert_eq!(points_capacity(512, Frame::new(3, 3, 3)), 50);
+        assert_eq!(points_capacity(4096, Frame::new(1, 1, 1)), 1021);
+        assert_eq!(points_capacity(4096, Frame::new(2, 5, 8)), 255); // (4096 - 10) / 16
         assert_eq!(skeletal_capacity(512), 3);
         assert_eq!(skeletal_capacity(4096), 31);
     }
 
     #[test]
     fn sentry_roundtrip() {
-        let mut buf = vec![0u8; SEntry::ENCODED_LEN];
         let e = SEntry { p: Point::new(3, -4, 9), depth: 7 };
-        let mut w = PageWriter::new(&mut buf);
-        e.encode(&mut w).unwrap();
-        let mut r = PageReader::new(&buf);
-        assert_eq!(SEntry::decode(&mut r).unwrap(), e);
+        for frame in [Frame::WIDE, Frame::of(&[e])] {
+            let mut buf = vec![0u8; frame.record_len::<SEntry>()];
+            let mut w = PageWriter::new(&mut buf);
+            e.pack(frame, &mut w).unwrap();
+            assert_eq!(w.position(), buf.len());
+            assert_eq!(SEntry::unpack(frame, &mut PageReader::new(&buf)).unwrap(), e);
+        }
+    }
+
+    /// `encode_record` writes what `decode_record` indexes: a page's first
+    /// and last slot round-trip, whatever the fields' sizes sum to.
+    #[test]
+    fn skeletal_records_round_trip_at_the_first_and_the_last_slot() {
+        for page_size in [512, 4096] {
+            let cap = skeletal_capacity(page_size);
+            let rec = |k: u64| SkeletalRecord {
+                split: Point::new(i64::MIN + k as i64, -7, u64::MAX - k),
+                min_y: Point::new(5, i64::MAX, k),
+                left: NodeRef { page: PageId(10 + k), slot: 1 },
+                right: NodeRef { page: PageId(20 + k), slot: 2 },
+                own_pts: PageId(30 + k),
+                own_cnt: 3,
+                left_pts: PageId(40 + k),
+                left_cnt: 4,
+                right_pts: PageId(50 + k),
+                right_cnt: 5,
+                child_a: BlockList::decode(&mut PageReader::new(&[k as u8 + 1; 16])).unwrap(),
+                left_s: BlockList::decode(&mut PageReader::new(&[k as u8 + 2; 16])).unwrap(),
+            };
+            let mut page = vec![0u8; page_size];
+            let mut w = PageWriter::new(&mut page[PAGE_HEADER..]);
+            (0..cap as u64).for_each(|k| encode_record(&mut w, &rec(k)).unwrap());
+            assert_eq!(w.position(), cap * RECORD_LEN);
+            for slot in [0, cap - 1] {
+                let back = decode_record(&page, slot as u16).unwrap();
+                assert_eq!(format!("{back:?}"), format!("{:?}", rec(slot as u64)), "slot {slot}");
+            }
+        }
     }
 
     #[test]
@@ -798,14 +901,13 @@ mod tests {
         let mut sizes = Vec::new();
         for mode in [CacheMode::None, CacheMode::InPage, CacheMode::FullPath] {
             let store = PageStore::in_memory(512);
-            let mem = MemPst::build(&pts, points_capacity(512));
-            build_external(&store, &mem, mode).unwrap();
+            build_core(&store, &pts, mode);
             sizes.push(store.live_pages());
         }
         assert!(sizes[0] < sizes[1], "naive {} !< segmented {}", sizes[0], sizes[1]);
         assert!(sizes[1] < sizes[2], "segmented {} !< full {}", sizes[1], sizes[2]);
         // Naive is O(n/B): within a small constant of 2n/B.
-        let b = points_capacity(512) as u64;
+        let b = points_capacity(512, Frame::of(&pts)) as u64;
         assert!(sizes[0] <= 4 * 20_000 / b, "naive size {} not linear", sizes[0]);
     }
 }

@@ -60,12 +60,23 @@
 //!
 //! Both structures append the buffered inserts a query accepts in `seq`
 //! order: one query on one store returns one vector, call after call.
+//!
+//! ## Widening
+//!
+//! A structure stores its points at one [`Frame`], chosen at `build` and
+//! used by every later list, cache, buffer and subtree rebuild — never a
+//! narrower one, so `B` is one number for the structure's life. An update
+//! naming a point the frame does not hold *widens* first: the live points
+//! are gathered, the pages freed and the structure rebuilt under `frame ∪
+//! Frame::of(p)`. A frame has three fields of at most seven steps each, so
+//! there are at most 21 such rebuilds however long the structure lives,
+//! and Thm 5.1's amortisation stands. The check reads nothing.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 
 use pc_pagestore::codec::PageWriter;
-use pc_pagestore::{PageId, PageStore, Point, Result};
+use pc_pagestore::{Frame, PageId, PageStore, Point, Result};
 
 use crate::build::{blocked, SEntry};
 use crate::mem::{cmp_x, cmp_y, TwoSided};
@@ -140,32 +151,46 @@ fn merge_buffered(
 /// `O((n/B)·log log B)` space plus one buffer block per super node.
 pub struct DynamicPst {
     root: PageId,
+    frame: Frame,
     caps: Vec<usize>,
     seq: u64,
     live: u64,
 }
 
+/// Byte size of a [`DynamicPst::descriptor`].
+const DESCRIPTOR_LEN: usize = 27;
+
 impl DynamicPst {
     /// Builds the structure over an initial point set (ids must be unique
-    /// among live points; updates preserve this invariant).
+    /// among live points; updates preserve this invariant), stored at the
+    /// narrowest frame that holds it.
     pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
-        let caps = region_caps(store.page_size(), 2);
+        Self::build_framed(store, points, Frame::of(points))
+    }
+
+    /// Builds the structure over `points`, stored at `frame`, which holds
+    /// them.
+    pub(crate) fn build_framed(store: &PageStore, points: &[Point], frame: Frame) -> Result<Self> {
+        let caps = region_caps(store.page_size(), 2, frame);
         assert!(!caps.is_empty(), "page too small for the two-level scheme");
-        let handle = build_region_tree(store, points, &caps)?;
-        Ok(DynamicPst { root: handle.root, caps, seq: 0, live: points.len() as u64 })
+        let handle = build_region_tree(store, points, &caps, frame)?;
+        Ok(DynamicPst { root: handle.root, frame, caps, seq: 0, live: points.len() as u64 })
     }
 
     /// Serializes the structure's handle — root page, update sequence,
-    /// live count — as a fixed 24-byte descriptor. Everything else
-    /// (`caps`) is a pure function of the store's page size, so the
-    /// descriptor plus the store's pages is the whole structure: a service
-    /// that commits the descriptor with each durable batch can reopen the
-    /// PST after a crash with [`DynamicPst::open`].
-    pub fn descriptor(&self) -> [u8; 24] {
-        let mut out = [0u8; 24];
+    /// live count, frame — as a fixed 27-byte descriptor. Everything else
+    /// (`caps`) is a pure function of the store's page size and the frame,
+    /// so the descriptor plus the store's pages is the whole structure: a
+    /// service that commits the descriptor with each durable batch can
+    /// reopen the PST after a crash with [`DynamicPst::open`], and an epoch
+    /// installed before a widening keeps the frame its pages were written
+    /// at.
+    pub fn descriptor(&self) -> [u8; DESCRIPTOR_LEN] {
+        let mut out = [0u8; DESCRIPTOR_LEN];
         out[0..8].copy_from_slice(&self.root.0.to_le_bytes());
         out[8..16].copy_from_slice(&self.seq.to_le_bytes());
         out[16..24].copy_from_slice(&self.live.to_le_bytes());
+        out[24..27].copy_from_slice(&self.frame.widths());
         out
     }
 
@@ -174,18 +199,24 @@ impl DynamicPst {
     /// descriptor pointing at garbage fails here with a typed error rather
     /// than on the first query.
     pub fn open(store: &PageStore, desc: &[u8]) -> Result<Self> {
-        if desc.len() != 24 {
+        if desc.len() != DESCRIPTOR_LEN {
             return Err(pc_pagestore::StoreError::Corrupt(format!(
-                "dynamic PST descriptor must be 24 bytes, got {}",
+                "dynamic PST descriptor must be {DESCRIPTOR_LEN} bytes, got {}",
                 desc.len()
             )));
         }
         let word = |i: usize| u64::from_le_bytes(desc[i..i + 8].try_into().expect("8 bytes"));
         let root = PageId(word(0));
-        let caps = region_caps(store.page_size(), 2);
+        let frame = Frame::from_widths(desc[24..27].try_into().expect("3 bytes"))?;
+        let caps = region_caps(store.page_size(), 2, frame);
         assert!(!caps.is_empty(), "page too small for the two-level scheme");
         decode_header(&store.read(root)?)?;
-        Ok(DynamicPst { root, caps, seq: word(8), live: word(16) })
+        Ok(DynamicPst { root, frame, caps, seq: word(8), live: word(16) })
+    }
+
+    /// The widths the structure stores its points at.
+    pub fn frame(&self) -> Frame {
+        self.frame
     }
 
     /// Number of live points (settled plus buffered).
@@ -200,7 +231,7 @@ impl DynamicPst {
 
     /// Counts the structure's pages by class, update buffers included.
     pub fn page_census(&self, store: &PageStore) -> Result<RegionCensus> {
-        page_census(store, self.root)
+        page_census(store, self.root, self.frame)
     }
 
     /// Update records applied since the initial build — the `seq` word of
@@ -213,6 +244,7 @@ impl DynamicPst {
     /// Inserts a point. Amortized `O(log_B n)` I/Os.
     pub fn insert(&mut self, store: &PageStore, p: Point) -> Result<()> {
         let _span = pc_obs::span!("dynpst_insert");
+        self.widen_for(store, &p)?;
         self.seq += 1;
         self.live += 1;
         let rec = UpdateRec { is_delete: false, seq: self.seq, p };
@@ -224,6 +256,7 @@ impl DynamicPst {
     /// Amortized `O(log_B n)` I/Os.
     pub fn delete(&mut self, store: &PageStore, p: Point) -> Result<()> {
         let _span = pc_obs::span!("dynpst_delete");
+        self.widen_for(store, &p)?;
         self.seq += 1;
         self.live = self.live.saturating_sub(1);
         let rec = UpdateRec { is_delete: true, seq: self.seq, p };
@@ -243,9 +276,24 @@ impl DynamicPst {
     ) -> Result<(Vec<Point>, QueryCounters)> {
         // The root span: the merge below reports into it.
         let _span = pc_obs::span!("dynpst_query");
-        let handle = InnerHandle { root: self.root, n: self.live.max(1), is_region: true };
+        let (root, frame) = (self.root, self.frame);
+        let handle = InnerHandle { root, n: self.live.max(1), is_region: true, frame };
         let (static_res, pending, counters) = query_handle_buffered(store, handle, q)?;
         Ok((merge_buffered(static_res, pending, |p| q.contains(p)), counters))
+    }
+
+    /// Rebuilds the structure under `frame ∪ Frame::of(p)` if the frame does
+    /// not hold `p` (see the module header); reads nothing otherwise.
+    fn widen_for(&mut self, store: &PageStore, p: &Point) -> Result<()> {
+        if self.frame.holds(p) {
+            return Ok(());
+        }
+        let points = gather_live(store, self.frame, self.root, Vec::new())?;
+        free_pages(store, self.root, true)?;
+        let wider = self.frame.union(Frame::of(std::slice::from_ref(p)));
+        let rebuilt = Self::build_framed(store, &points, wider)?;
+        *self = DynamicPst { seq: self.seq, live: self.live, ..rebuilt };
+        Ok(())
     }
 
     /// Pushes updates into a page's `U` buffer, flushing the page whenever
@@ -258,24 +306,25 @@ impl DynamicPst {
         mut ops: Vec<UpdateRec>,
         parent: Option<(PageId, u16, bool)>,
     ) -> Result<()> {
-        let cap = buffer_capacity(store.page_size());
+        let frame = self.frame;
+        let cap = buffer_capacity(store.page_size(), frame);
         loop {
             let page = store.read(page_id)?;
             let mut header = decode_header(&page)?;
             let mut buffered = if header.u_page.is_null() {
                 Vec::new()
             } else {
-                read_buffer(store, header.u_page)?
+                read_buffer(store, frame, header.u_page)?
             };
             let space = cap.saturating_sub(buffered.len());
             let take = space.min(ops.len());
             buffered.extend(ops.drain(..take));
             if header.u_page.is_null() {
                 header.u_page = store.alloc()?;
-                write_buffer(store, header.u_page, &buffered)?;
+                write_buffer(store, frame, header.u_page, &buffered)?;
                 patch_header(store, page_id, &header)?;
             } else {
-                write_buffer(store, header.u_page, &buffered)?;
+                write_buffer(store, frame, header.u_page, &buffered)?;
             }
             if buffered.len() >= cap {
                 // A flush may rebuild the subtree under a fresh page; keep
@@ -307,13 +356,14 @@ impl DynamicPst {
         if header.u_page.is_null() {
             return Ok(FlushOutcome::InPlace);
         }
-        let mut ops = read_buffer(store, header.u_page)?;
+        let frame = self.frame;
+        let mut ops = read_buffer(store, frame, header.u_page)?;
         if ops.is_empty() {
             return Ok(FlushOutcome::InPlace);
         }
         ops.sort_unstable_by_key(|o| o.seq);
         // Clear the buffer up front (the page itself is kept for reuse).
-        write_buffer(store, header.u_page, &[])?;
+        write_buffer(store, frame, header.u_page, &[])?;
 
         // Materialize all in-page regions.
         let count = header.count as usize;
@@ -323,13 +373,13 @@ impl DynamicPst {
         }
         let mut points: Vec<Vec<Point>> = Vec::with_capacity(count);
         for rec in &records {
-            let mut pts = rec.x_list.read_all(store)?;
+            let mut pts = rec.x_list.read_all(store, frame)?;
             pts.sort_unstable_by(|a, b| cmp_y(b, a));
             points.push(pts);
         }
 
         let region_cap = self.caps[0];
-        let b = block_capacity(store.page_size());
+        let b = block_capacity(store.page_size(), frame);
         // Per-child-page forwards: (child ref, parent slot, is_right, ops),
         // flushed in page-id order so that every run allocates alike.
         let mut forwards: BTreeMap<u64, (NodeRef, u16, bool, Vec<UpdateRec>)> = BTreeMap::new();
@@ -422,7 +472,7 @@ impl DynamicPst {
         header.subtree_n = (header.subtree_n as i64 + net).max(0) as u64;
 
         let rebuild_threshold =
-            (header.subtree_n / 2).max(4 * buffer_capacity(store.page_size()) as u64);
+            (header.subtree_n / 2).max(4 * buffer_capacity(store.page_size(), frame) as u64);
         if hazard || u64::from(header.churn) > rebuild_threshold {
             // The on-disk lists were not rewritten, so *every* op of this
             // flush — applied in memory or queued for forwarding — must be
@@ -462,8 +512,9 @@ impl DynamicPst {
         parent: Option<(PageId, u16, bool)>,
     ) -> Result<()> {
         let count = records.len();
-        let b = block_capacity(store.page_size());
-        let u_cap = buffer_capacity(store.page_size());
+        let frame = self.frame;
+        let b = block_capacity(store.page_size(), frame);
+        let u_cap = buffer_capacity(store.page_size(), frame);
 
         // Rebuild X/Y lists and region buffers of touched regions.
         let mut x_sorted: Vec<Vec<Point>> = Vec::with_capacity(count);
@@ -476,8 +527,8 @@ impl DynamicPst {
             }
             records[slot].x_list.free(store)?;
             records[slot].y_list.free(store)?;
-            records[slot].x_list = ListRef::build(store, &x_sorted[slot])?;
-            records[slot].y_list = ListRef::build(store, &points[slot])?;
+            records[slot].x_list = ListRef::build(store, frame, &x_sorted[slot])?;
+            records[slot].y_list = ListRef::build(store, frame, &points[slot])?;
             records[slot].own_cnt = points[slot].len() as u16;
             records[slot].min_y_y = points[slot].last().map(|p| p.y).unwrap_or(0);
 
@@ -485,12 +536,12 @@ impl DynamicPst {
             let mut u_ops = if records[slot].u_buf.is_null() {
                 Vec::new()
             } else {
-                read_buffer(store, records[slot].u_buf)?
+                read_buffer(store, frame, records[slot].u_buf)?
             };
             u_ops.extend(touched[slot].ops.iter().copied());
             if u_ops.len() >= u_cap {
                 free_pages(store, records[slot].inner_root, records[slot].inner_is_region)?;
-                let inner = build_region_tree(store, &points[slot], &self.caps[1..])?;
+                let inner = build_region_tree(store, &points[slot], &self.caps[1..], frame)?;
                 records[slot].inner_root = inner.root;
                 records[slot].inner_n = inner.n;
                 records[slot].inner_is_region = inner.is_region;
@@ -499,7 +550,7 @@ impl DynamicPst {
             if records[slot].u_buf.is_null() {
                 records[slot].u_buf = store.alloc()?;
             }
-            write_buffer(store, records[slot].u_buf, &u_ops)?;
+            write_buffer(store, frame, records[slot].u_buf, &u_ops)?;
         }
 
         // Refresh intra-page parent-side metadata.
@@ -552,13 +603,13 @@ impl DynamicPst {
                 rec.child_a.free(store)?;
                 let mut a = first_blocks(&a_src[lc], &x_sorted);
                 a.sort_unstable_by(|x, y| cmp_x(&y.p, &x.p));
-                rec.child_a = blocked(store, &a)?;
+                rec.child_a = blocked(store, frame, &a)?;
             }
             if s_src[lc].iter().any(|&(src, _)| touched[src].y_first) {
                 rec.left_s.free(store)?;
                 let mut s = first_blocks(&s_src[lc], &points);
                 s.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-                rec.left_s = blocked(store, &s)?;
+                rec.left_s = blocked(store, frame, &s)?;
             }
         }
 
@@ -592,20 +643,9 @@ impl DynamicPst {
         parent: Option<(PageId, u16, bool)>,
         extra: Vec<UpdateRec>,
     ) -> Result<PageId> {
-        let mut live: HashMap<u64, Point> = HashMap::new();
-        let mut ops: Vec<UpdateRec> = extra;
-        gather_subtree(store, page_id, &mut live, &mut ops)?;
-        ops.sort_unstable_by_key(|o| o.seq);
-        for op in ops {
-            if op.is_delete {
-                live.remove(&op.p.id);
-            } else {
-                live.insert(op.p.id, op.p);
-            }
-        }
-        let points: Vec<Point> = live.into_values().collect();
+        let points = gather_live(store, self.frame, page_id, extra)?;
         free_pages(store, page_id, true)?;
-        let handle = build_region_tree(store, &points, &self.caps)?;
+        let handle = build_region_tree(store, &points, &self.caps, self.frame)?;
         match parent {
             None => self.root = handle.root,
             Some((pp, pslot, is_right)) => {
@@ -675,24 +715,36 @@ fn patch_parent_child(
     patch_record(store, parent_page, parent_slot, &rec)
 }
 
-/// Collects live points (from X-lists) and pending buffered ops of the
-/// subtree rooted at `page_id`. Region `u` contents are *not* collected:
-/// those ops are already reflected in the X-lists.
-fn gather_subtree(
+/// The live points of the subtree rooted at `page_id`, stored at `frame`:
+/// those of the X-lists with the pending buffered ops, and `extra` ops not
+/// yet buffered, applied in stamp order. Region `u` contents are *not*
+/// collected: those ops are already reflected in the X-lists.
+fn gather_live(
     store: &PageStore,
+    frame: Frame,
     page_id: PageId,
-    live: &mut HashMap<u64, Point>,
-    ops: &mut Vec<UpdateRec>,
-) -> Result<()> {
+    extra: Vec<UpdateRec>,
+) -> Result<Vec<Point>> {
+    let mut live: HashMap<u64, Point> = HashMap::new();
+    let mut ops = extra;
     for_each_region_page(store, page_id, &mut |_, header, records| {
         if !header.u_page.is_null() {
-            ops.extend(read_buffer(store, header.u_page)?);
+            ops.extend(read_buffer(store, frame, header.u_page)?);
         }
         for rec in records {
-            live.extend(rec.x_list.read_all(store)?.into_iter().map(|p| (p.id, p)));
+            live.extend(rec.x_list.read_all(store, frame)?.into_iter().map(|p| (p.id, p)));
         }
         Ok(())
-    })
+    })?;
+    ops.sort_unstable_by_key(|o| o.seq);
+    for op in ops {
+        if op.is_delete {
+            live.remove(&op.p.id);
+        } else {
+            live.insert(op.p.id, op.p);
+        }
+    }
+    Ok(live.into_values().collect())
 }
 
 /// Dynamic 3-sided structure (Theorem 5.2): the static Theorem 3.3 index
@@ -711,7 +763,7 @@ impl DynamicThreeSidedPst {
     /// Builds the structure over an initial point set.
     pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
         let inner = ThreeSidedPst::build(store, points)?;
-        let b = block_capacity(store.page_size());
+        let b = block_capacity(store.page_size(), inner.frame());
         let n = points.len().max(b);
         // B * log_B n buffered updates keep the query overhead at
         // O(log_B n) block reads.
@@ -757,14 +809,19 @@ impl DynamicThreeSidedPst {
         // Persist buffered ops in blocks; the in-memory copy mirrors disk
         // (appending costs the read-modify-write the experiments measure).
         self.buffered.push(rec);
-        let per_page = buffer_capacity(store.page_size());
+        let frame = self.inner.frame();
+        if !frame.holds(&rec) {
+            // The buffer pages are at the structure's frame: widen both now.
+            return self.rebuild(store);
+        }
+        let per_page = buffer_capacity(store.page_size(), frame);
         let need_pages = self.buffered.len().div_ceil(per_page);
         while self.buffer.len() < need_pages {
             self.buffer.push(store.alloc()?);
         }
         let last = self.buffer[need_pages - 1];
         let start = (need_pages - 1) * per_page;
-        write_buffer(store, last, &self.buffered[start..])?;
+        write_buffer(store, frame, last, &self.buffered[start..])?;
 
         if self.buffered.len() >= self.buffer_cap {
             self.rebuild(store)?;
@@ -773,6 +830,8 @@ impl DynamicThreeSidedPst {
     }
 
     fn rebuild(&mut self, store: &PageStore) -> Result<()> {
+        // The frame only ever widens: what held the old points, and the buffer.
+        let frame = self.inner.frame().union(Frame::of(&self.buffered));
         // Collect the full live set: existing structure points + buffer.
         let everything =
             self.inner.query(store, ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN })?;
@@ -790,7 +849,7 @@ impl DynamicThreeSidedPst {
         }
         self.inner.free(store)?;
         let points: Vec<Point> = live.into_values().collect();
-        self.inner = ThreeSidedPst::build(store, &points)?;
+        self.inner = ThreeSidedPst::build_framed(store, &points, frame)?;
         Ok(())
     }
 
@@ -805,7 +864,7 @@ impl DynamicThreeSidedPst {
         {
             let _buf = pc_obs::span!("update_buffer");
             for &page in &self.buffer {
-                ops.extend(read_buffer(store, page)?);
+                ops.extend(read_buffer(store, self.inner.frame(), page)?);
             }
         }
         Ok(merge_buffered(static_res, ops, |p| q.contains(p)))
@@ -889,7 +948,7 @@ mod tests {
         }
         let desc = pst.descriptor();
         let reopened = DynamicPst::open(&store, &desc).unwrap();
-        assert_eq!(reopened.len(), pst.len());
+        assert_eq!((reopened.len(), reopened.frame()), (pst.len(), pst.frame()));
         for q in [(0, 0), (2500, 2500), (4000, 100)] {
             let q = TwoSided { x0: q.0, y0: q.1 };
             let mut a: Vec<u64> = pst.query(&store, q).unwrap().iter().map(|p| p.id).collect();
@@ -906,7 +965,11 @@ mod tests {
 
         // Malformed descriptors are typed errors, not panics.
         assert!(DynamicPst::open(&store, &[0u8; 7]).is_err());
-        assert!(DynamicPst::open(&store, &[0xFFu8; 24]).is_err());
+        assert!(DynamicPst::open(&store, &desc[..24]).is_err(), "a descriptor without a frame");
+        assert!(DynamicPst::open(&store, &[0xFFu8; 27]).is_err(), "widths of 255");
+        let mut garbage_root = [0xFFu8; 27];
+        garbage_root[24..].copy_from_slice(&desc[24..]);
+        assert!(DynamicPst::open(&store, &garbage_root).is_err());
     }
 
     #[test]
@@ -1007,14 +1070,16 @@ mod tests {
         let baseline = store.live_pages();
         let mut s = 0x6060u64;
         let mut live: Vec<Point> = initial;
-        for next_id in 1_000_000u64..1_001_500 {
+        // Ids the initial frame holds: no rebuild but the buffer's.
+        for next_id in 10_000u64..11_500 {
             let p = Point::new(xorshift(&mut s, 10_000), xorshift(&mut s, 10_000), next_id);
             pst.insert(&store, p).unwrap();
             live.push(p);
             let victim = live.swap_remove(xorshift(&mut s, live.len() as i64) as usize);
             pst.delete(&store, victim).unwrap();
         }
-        // 3000 updates through a 60-update buffer: 50 rebuilds.
+        // 3000 updates through a 142-update buffer (B = 71): 21 rebuilds.
+        assert_eq!((pst.inner.frame(), pst.buffer_cap), (Frame::new(2, 2, 2), 142));
         let after = store.live_pages();
         assert!(
             after <= baseline + baseline / 10 + 10,
@@ -1035,8 +1100,10 @@ mod tests {
             let initial = random_points(n, domain, 15);
             let mut two = DynamicPst::build(&store, &initial).unwrap();
             let mut three = DynamicThreeSidedPst::build(&store, &initial).unwrap();
+            // Ids the initial frame holds, so that all twelve stay buffered.
+            let first_id = n as u64;
             for i in 0..12u64 {
-                let p = Point::new(100 + 7 * i as i64, domain - 11 * i as i64, 70_000 + i);
+                let p = Point::new(100 + 7 * i as i64, domain - 11 * i as i64, first_id + i);
                 two.insert(&store, p).unwrap();
                 three.insert(&store, p).unwrap();
             }
@@ -1046,7 +1113,8 @@ mod tests {
             let first3 = three.query(&store, q3).unwrap();
             // The twelve buffered inserts close the answer, oldest first.
             let tail: Vec<u64> = first2[first2.len() - 12..].iter().map(|p| p.id).collect();
-            assert_eq!(tail, (70_000..70_012).collect::<Vec<u64>>());
+            assert_eq!(tail, (first_id..first_id + 12).collect::<Vec<u64>>());
+            assert_eq!(three.buffered.len(), 12);
             for _ in 0..8 {
                 assert_eq!(two.query(&store, q2).unwrap(), first2);
                 assert_eq!(three.query(&store, q3).unwrap(), first3);
@@ -1061,12 +1129,13 @@ mod tests {
     #[test]
     fn buffered_insert_under_an_empty_leaf_page_is_found() {
         let store = PageStore::in_memory(512);
-        let cap = region_caps(512, 2)[0] as i64;
+        let frame = Frame::WIDE;
+        let cap = region_caps(512, 2, frame)[0] as i64;
         // root: cap points, then cap + 1 on each side: cap, one and none.
         let n = 3 * cap + 2;
         let pts: Vec<Point> =
             (0..n).map(|i| Point::new(10 * i, (i * 37) % n, i as u64)).collect();
-        let mut pst = DynamicPst::build(&store, &pts).unwrap();
+        let mut pst = DynamicPst::build_framed(&store, &pts, frame).unwrap();
         let page = store.read(pst.root).unwrap();
         let root = decode_record(&page, 0).unwrap();
         let left = decode_record(&page, root.left.slot).unwrap();
@@ -1086,11 +1155,15 @@ mod tests {
 
     /// From-scratch `child_a` / `left_s` contents of every region of one
     /// page, taken from the page's X/Y lists alone.
-    fn rebuilt_caches(store: &PageStore, page_id: PageId) -> Vec<(Vec<SEntry>, Vec<SEntry>)> {
+    fn rebuilt_caches(
+        store: &PageStore,
+        frame: Frame,
+        page_id: PageId,
+    ) -> Vec<(Vec<SEntry>, Vec<SEntry>)> {
         let recs = page_records(store, page_id);
-        let b = block_capacity(store.page_size());
+        let b = block_capacity(store.page_size(), frame);
         let first = |list: &ListRef, depth: usize| -> Vec<SEntry> {
-            let all = list.read_all(store).unwrap();
+            let all = list.read_all(store, frame).unwrap();
             all.into_iter().take(b).map(|p| SEntry { p, depth: depth as u16 }).collect()
         };
         let paths = crate::two_level::testutil::in_page_paths(page_id, &recs);
@@ -1124,20 +1197,23 @@ mod tests {
             .collect()
     }
 
-    fn assert_caches_match_a_rebuild(store: &PageStore, page_id: PageId, what: &str) {
-        let want = rebuilt_caches(store, page_id);
+    fn assert_caches_match_a_rebuild(store: &PageStore, frame: Frame, page_id: PageId, what: &str) {
+        let want = rebuilt_caches(store, frame, page_id);
         let recs = page_records(store, page_id);
         for (slot, (rec, (a, s))) in recs.iter().zip(want).enumerate() {
-            assert_eq!(rec.child_a.read_all(store).unwrap(), a, "{what}: child_a of slot {slot}");
-            assert_eq!(rec.left_s.read_all(store).unwrap(), s, "{what}: left_s of slot {slot}");
-            let mut by_x = rec.y_list.read_all(store).unwrap();
+            let child_a = rec.child_a.read_all(store, frame).unwrap();
+            let left_s = rec.left_s.read_all(store, frame).unwrap();
+            assert_eq!(child_a, a, "{what}: child_a of slot {slot}");
+            assert_eq!(left_s, s, "{what}: left_s of slot {slot}");
+            let mut by_x = rec.y_list.read_all(store, frame).unwrap();
             assert_eq!(by_x.len(), rec.own_cnt as usize, "{what}: count of slot {slot}");
             by_x.sort_unstable_by(|x, y| cmp_x(y, x));
-            assert_eq!(rec.x_list.read_all(store).unwrap(), by_x, "{what}: X/Y of slot {slot}");
+            let xs = rec.x_list.read_all(store, frame).unwrap();
+            assert_eq!(xs, by_x, "{what}: X/Y of slot {slot}");
             // The record names the second block of each list, and of its
             // right child's Y-list, as the chains have them.
             for list in [rec.x_list, rec.y_list] {
-                let second = list.blocks(store).unwrap().get(1).map_or(NULL_PAGE, |block| block.0);
+                let second = list.pages(store).unwrap().get(1).copied().unwrap_or(NULL_PAGE);
                 assert_eq!(list.second, second, "{what}: second block of slot {slot}");
             }
             if rec.right.page == page_id {
@@ -1151,10 +1227,16 @@ mod tests {
     /// A twin (same coordinates, fresh id) of a point of `rec`'s region
     /// chosen by whether it is among the region's first `B` by x and by y:
     /// the twin takes the rank next to its original in both orders.
-    fn twin(store: &PageStore, rec: &RegionRecord, top_x: bool, top_y: bool, id: u64) -> Point {
-        let b = block_capacity(store.page_size());
-        let xs = rec.x_list.read_all(store).unwrap();
-        let ys = rec.y_list.read_all(store).unwrap();
+    fn twin(
+        store: &PageStore,
+        frame: Frame,
+        rec: &RegionRecord,
+        (top_x, top_y): (bool, bool),
+        id: u64,
+    ) -> Point {
+        let b = block_capacity(store.page_size(), frame);
+        let xs = rec.x_list.read_all(store, frame).unwrap();
+        let ys = rec.y_list.read_all(store, frame).unwrap();
         let e = xs
             .iter()
             .enumerate()
@@ -1175,10 +1257,13 @@ mod tests {
         for (page_size, n) in [(512usize, 2_000usize), (4096, 70_000)] {
             let store = PageStore::in_memory(page_size);
             let initial = random_points(n, 1 << 40, 0x5e1ec7);
-            let mut pst = DynamicPst::build(&store, &initial).unwrap();
-            let root = pst.root;
-            assert_caches_match_a_rebuild(&store, root, "fresh build");
             let mut next_id = 10_000_000u64;
+            // The twins' ids are wider than the initial ones: a frame that
+            // holds both, or the first insert would rebuild the root away.
+            let frame = Frame::of(&initial).union(Frame::of(&[Point::new(0, 0, next_id + 100)]));
+            let mut pst = DynamicPst::build_framed(&store, &initial, frame).unwrap();
+            let root = pst.root;
+            assert_caches_match_a_rebuild(&store, frame, root, "fresh build");
             let flush_root = |pst: &mut DynamicPst, p: Point, delete: bool| -> u64 {
                 if delete {
                     pst.delete(&store, p).unwrap();
@@ -1199,7 +1284,7 @@ mod tests {
 
             // 1. Neither first block moves: no cache is rewritten.
             next_id += 1;
-            let quiet = twin(&store, &recs[right_of_root], false, false, next_id);
+            let quiet = twin(&store, frame, &recs[right_of_root], (false, false), next_id);
             let handles = |store: &PageStore| -> Vec<(PageId, u64, PageId, u64)> {
                 page_records(store, root)
                     .iter()
@@ -1209,26 +1294,26 @@ mod tests {
             let before = handles(&store);
             let w_quiet = flush_root(&mut pst, quiet, false);
             assert_eq!(handles(&store), before, "a quiet flush moved a cache");
-            assert_caches_match_a_rebuild(&store, root, "quiet insert");
+            assert_caches_match_a_rebuild(&store, frame, root, "quiet insert");
 
             // 2. Only a Y-first block moves (insert, then the delete back).
             next_id += 1;
             let recs = page_records(&store, root);
-            let y_only = twin(&store, &recs[right_of_root], false, true, next_id);
+            let y_only = twin(&store, frame, &recs[right_of_root], (false, true), next_id);
             let w_y = flush_root(&mut pst, y_only, false);
-            assert_caches_match_a_rebuild(&store, root, "Y-first insert");
+            assert_caches_match_a_rebuild(&store, frame, root, "Y-first insert");
             flush_root(&mut pst, y_only, true);
-            assert_caches_match_a_rebuild(&store, root, "Y-first delete");
+            assert_caches_match_a_rebuild(&store, frame, root, "Y-first delete");
 
             // 3. Only an X-first block moves — the page root's, which every
             //    child_a of the page copies.
             next_id += 1;
             let recs = page_records(&store, root);
-            let x_only = twin(&store, &recs[0], true, false, next_id);
+            let x_only = twin(&store, frame, &recs[0], (true, false), next_id);
             let w_x = flush_root(&mut pst, x_only, false);
-            assert_caches_match_a_rebuild(&store, root, "X-first insert");
+            assert_caches_match_a_rebuild(&store, frame, root, "X-first insert");
             flush_root(&mut pst, x_only, true);
-            assert_caches_match_a_rebuild(&store, root, "X-first delete");
+            assert_caches_match_a_rebuild(&store, frame, root, "X-first delete");
             assert!(w_quiet < w_y && w_quiet < w_x, "writes: {w_quiet} quiet, {w_y} Y, {w_x} X");
 
             // 4. The root region of a child page changes: its own caches,
@@ -1242,16 +1327,16 @@ mod tests {
                 .expect("the root page has child pages");
             next_id += 1;
             let child_root = decode_record(&store.read(child.page).unwrap(), 0).unwrap();
-            let below = twin(&store, &child_root, true, true, next_id);
+            let below = twin(&store, frame, &child_root, (true, true), next_id);
             flush_root(&mut pst, below, false);
-            assert_caches_match_a_rebuild(&store, root, "forwarding flush");
+            assert_caches_match_a_rebuild(&store, frame, root, "forwarding flush");
             let parent = Some((root, pslot as u16, is_right));
             assert!(matches!(
                 pst.flush_page(&store, child.page, parent).unwrap(),
                 FlushOutcome::InPlace
             ));
-            assert_caches_match_a_rebuild(&store, child.page, "child page root");
-            assert_caches_match_a_rebuild(&store, root, "parent of the flushed page");
+            assert_caches_match_a_rebuild(&store, frame, child.page, "child page root");
+            assert_caches_match_a_rebuild(&store, frame, root, "parent of the flushed page");
             let child_root = decode_record(&store.read(child.page).unwrap(), 0).unwrap();
             let up = &page_records(&store, root)[pslot];
             let (cnt, y_list) = if is_right {

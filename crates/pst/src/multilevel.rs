@@ -9,11 +9,12 @@
 //! This is a thin wrapper over the shared region-tree engine in
 //! [`crate::two_level`], parameterized by the iterated-log capacity
 //! sequence of [`crate::two_level::region_caps`] (`7·B`, then `3·B` at
-//! 4 KiB; `3·B` alone at 512 bytes, where `B` = 20). The recursion
+//! 4 KiB; `3·B` alone at 512 bytes and full-width records, where `B` = 20).
+//! The recursion
 //! saturates naturally once the iterated log reaches 1, so asking for more
 //! levels than `log* B` is safe.
 
-use pc_pagestore::{PageStore, Point, Result};
+use pc_pagestore::{Frame, PageStore, Point, Result};
 
 use crate::mem::TwoSided;
 use crate::query::QueryCounters;
@@ -33,8 +34,14 @@ impl MultilevelPst {
     /// past `log* B` saturate.
     pub fn build(store: &PageStore, points: &[Point], levels: u32) -> Result<Self> {
         assert!(levels >= 1, "at least one level required");
-        let caps = region_caps(store.page_size(), levels);
-        Ok(MultilevelPst { root: build_region_tree(store, points, &caps)?, levels })
+        let frame = Frame::of(points);
+        let caps = region_caps(store.page_size(), levels, frame);
+        Ok(MultilevelPst { root: build_region_tree(store, points, &caps, frame)?, levels })
+    }
+
+    /// The widths the structure stores its points at.
+    pub fn frame(&self) -> Frame {
+        self.root.frame
     }
 
     /// Number of indexed points.
@@ -101,8 +108,9 @@ mod tests {
 
     #[test]
     fn all_level_counts_match_brute_force() {
-        // 512 bytes has one region level (3·B); 4 KiB has two (7·B, 3·B),
-        // so only there does k = 3 nest a region tree in a region.
+        // At these points' frame, 2/2/2, `B` is 71 and 583 and either page
+        // size has two region levels (7·B, 3·B): k = 3 nests a region tree
+        // in a region, k = 4 saturates.
         for (page_size, n) in [(512, 4000), (4096, 30_000)] {
             let pts = random_points(n, 15_000, 0x6161);
             let store = PageStore::in_memory(page_size);

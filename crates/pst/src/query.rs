@@ -3,7 +3,7 @@
 
 use pc_pagestore::layout::BlockList;
 use pc_pagestore::search::partition_point;
-use pc_pagestore::{PageId, PageStore, Point, Result};
+use pc_pagestore::{Frame, PageId, PageStore, Point, Result};
 
 use crate::build::{
     decode_record, points_capacity, read_points_page, CacheMode, PstCore, SEntry, SkeletalRecord,
@@ -40,11 +40,13 @@ pub fn run_two_sided(
         CacheMode::FullPath => "pst2_fullpath",
         CacheMode::InPage => "pst2_segmented",
     });
-    pc_obs::set_block_capacity(points_capacity(store.page_size()) as u64);
+    let cap = points_capacity(store.page_size(), core.frame) as u16;
+    pc_obs::set_block_capacity(u64::from(cap));
     let mut ctx = Ctx {
         store,
+        frame: core.frame,
         q,
-        cap: points_capacity(store.page_size()) as u16,
+        cap,
         results: Vec::new(),
         counters: QueryCounters::default(),
     };
@@ -135,6 +137,7 @@ pub fn run_two_sided(
 
 struct Ctx<'a> {
     store: &'a PageStore,
+    frame: Frame,
     q: TwoSided,
     cap: u16,
     results: Vec<Point>,
@@ -159,7 +162,7 @@ impl Ctx<'_> {
             pc_obs::span!("node_block")
         };
         let before = self.results.len();
-        let pp = read_points_page(self.store, rec.own_pts)?;
+        let pp = read_points_page(self.store, self.frame, rec.own_pts)?;
         self.counters.node_blocks += 1;
         // Points are descending by y-key, so the y-qualifiers are a prefix.
         let cut = partition_point(&pp.points, |p| p.y >= self.q.y0);
@@ -184,7 +187,7 @@ impl Ctx<'_> {
         {
             let _probe = pc_obs::span!("path_cache_probe");
             let before = self.results.len();
-            'a_scan: for block in a_list.blocks(self.store) {
+            'a_scan: for block in a_list.blocks(self.store, self.frame) {
                 self.counters.cache_blocks += 1;
                 for p in block? {
                     if p.x < self.q.x0 {
@@ -196,7 +199,7 @@ impl Ctx<'_> {
             // S-list: descending y; prefix with y >= y0 qualifies (siblings
             // lie wholly right of x0). Count per source depth for the
             // descent rule.
-            's_scan: for block in s_list.blocks(self.store) {
+            's_scan: for block in s_list.blocks(self.store, self.frame) {
                 self.counters.cache_blocks += 1;
                 for e in block? {
                     if e.p.y < self.q.y0 {
@@ -223,7 +226,8 @@ impl Ctx<'_> {
     }
 
     fn traverse(&mut self, pts_page: PageId, add: bool) -> Result<()> {
-        traverse_descendants(self.store, pts_page, add, self.q.y0, &mut self.results, &mut self.counters)
+        let (store, frame, y0) = (self.store, self.frame, self.q.y0);
+        traverse_descendants(store, frame, pts_page, add, y0, &mut self.results, &mut self.counters)
     }
 }
 
@@ -236,6 +240,7 @@ impl Ctx<'_> {
 /// only the y-filter applies.
 fn traverse_descendants(
     store: &PageStore,
+    frame: Frame,
     pts_page: PageId,
     add: bool,
     y0: i64,
@@ -244,13 +249,14 @@ fn traverse_descendants(
 ) -> Result<()> {
     let _span = pc_obs::span!(output: "traverse");
     let before = results.len();
-    let r = traverse_descendants_inner(store, pts_page, add, y0, results, counters);
+    let r = traverse_descendants_inner(store, frame, pts_page, add, y0, results, counters);
     pc_obs::add_items((results.len() - before) as u64);
     r
 }
 
 fn traverse_descendants_inner(
     store: &PageStore,
+    frame: Frame,
     pts_page: PageId,
     add: bool,
     y0: i64,
@@ -259,7 +265,7 @@ fn traverse_descendants_inner(
 ) -> Result<()> {
     let mut stack = vec![(pts_page, add)];
     while let Some((page_id, add)) = stack.pop() {
-        let pp = read_points_page(store, page_id)?;
+        let pp = read_points_page(store, frame, page_id)?;
         counters.node_blocks += 1;
         // Points are descending by y-key, so the y-qualifiers are a prefix.
         let cut = partition_point(&pp.points, |p| p.y >= y0);
@@ -376,7 +382,7 @@ mod tests {
         let store = PageStore::in_memory(512);
         let basic = BasicPst::build(&store, &pts).unwrap();
         let seg = SegmentedPst::build(&store, &pts).unwrap();
-        let b = points_capacity(512) as u64; // 20
+        let b = points_capacity(512, basic.frame()) as u64;
         // log_B n with B=20, n=20k: ~3.3 skeletal pages.
         let mut s = 0xabcdu64;
         for _ in 0..60 {

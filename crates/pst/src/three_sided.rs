@@ -16,8 +16,9 @@
 //!
 //! The extended abstract defers the construction. We build it on §4's
 //! **regions**: a node holds `m·B` points, `m = 2^h − 1 <= ⌈log₂ B⌉`
-//! ([`node_capacity`]: `7·B` at 4 KiB, `3·B` at 512 B — the 2-sided
-//! scheme's `region_caps` rule and the same `B`), so there are `m` times
+//! ([`node_capacity`]: `7·B` at 4 KiB, `3·B` at 512 B and full-width
+//! records — the 2-sided scheme's `region_caps` rule and the same `B`, a
+//! function of the page size and the structure's [`Frame`]), so there are `m` times
 //! fewer nodes to hang caches on, and a cache copies only each sibling's
 //! *first* block. Per node:
 //!
@@ -88,7 +89,7 @@
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
+use pc_pagestore::{Frame, Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::build::{blocked, blocked_pages, paginate, points_capacity, NodeRef, SEntry};
 use crate::mem::{cmp_x, cmp_y, MemPst, NONE};
@@ -128,8 +129,8 @@ pub fn skeletal_capacity(page_size: usize) -> usize {
 }
 
 /// Points per node: the top-level region capacity of the 2-sided scheme.
-pub fn node_capacity(page_size: usize) -> usize {
-    region_caps(page_size, 2)[0]
+pub fn node_capacity(page_size: usize, frame: Frame) -> usize {
+    region_caps(page_size, 2, frame)[0]
 }
 
 /// A child as its parent's record describes it: enough to read the child's
@@ -288,9 +289,14 @@ impl NodeDir {
     }
 }
 
-/// A built [`ThreeSidedPst`]'s pages by class.
+/// A built [`ThreeSidedPst`]'s pages by class, and the `B` they were built
+/// at.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PageCensus {
+    /// The widths the structure stores its points at.
+    pub frame: Frame,
+    /// `B`: [`points_capacity`] of the store's pages at `frame`.
+    pub block_capacity: u64,
     /// Skeletal pages.
     pub skeletal: u64,
     /// Blocks of the nodes' Y-lists (the points themselves).
@@ -315,15 +321,23 @@ impl PageCensus {
 pub struct ThreeSidedPst {
     root_page: PageId,
     n: u64,
+    frame: Frame,
 }
 
 impl ThreeSidedPst {
-    /// Builds the structure over `points`.
+    /// Builds the structure over `points`, stored at the narrowest frame
+    /// that holds them.
     pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
+        Self::build_framed(store, points, Frame::of(points))
+    }
+
+    /// Builds the structure over `points`, stored at `frame`, which holds
+    /// them: the dynamic structure rebuilds under the frame it has.
+    pub(crate) fn build_framed(store: &PageStore, points: &[Point], frame: Frame) -> Result<Self> {
         let page_size = store.page_size();
-        let b = points_capacity(page_size);
-        assert!(node_capacity(page_size) < usize::from(ChildLink::LEAF_BIT));
-        let mem = MemPst::build(points, node_capacity(page_size));
+        let b = points_capacity(page_size, frame);
+        assert!(node_capacity(page_size, frame) < usize::from(ChildLink::LEAF_BIT));
+        let mem = MemPst::build(points, node_capacity(page_size, frame));
         let (pages, node_loc) = paginate(&mem, skeletal_capacity(page_size));
         let page_ids: Vec<PageId> =
             pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
@@ -333,7 +347,7 @@ impl ThreeSidedPst {
         let mut y_second = Vec::with_capacity(n_nodes);
         for node in &mem.nodes {
             // Node points are already descending by y-key.
-            let (list, pages) = blocked_pages(store, &node.points)?;
+            let (list, pages) = blocked_pages(store, frame, &node.points)?;
             y_second.push(pages.get(1).copied().unwrap_or(NULL_PAGE));
             y_list.push(list);
         }
@@ -344,7 +358,7 @@ impl ThreeSidedPst {
         // Within one page the chain is a path, so in-page depth uniquely
         // names the ancestor, and the query walk can reconstruct it without
         // knowing absolute depths.
-        struct Frame {
+        struct Visit {
             node: usize,
             chain: Vec<(usize, u16, bool)>,
         }
@@ -352,8 +366,8 @@ impl ThreeSidedPst {
         let tagged = |ni: usize, depth: u16, limit: usize| {
             mem.nodes[ni].points.iter().take(limit).map(move |&p| SEntry { p, depth })
         };
-        let mut stack = vec![Frame { node: 0, chain: Vec::new() }];
-        while let Some(Frame { node, chain }) = stack.pop() {
+        let mut stack = vec![Visit { node: 0, chain: Vec::new() }];
+        while let Some(Visit { node, chain }) = stack.pop() {
             let depth = chain.len() as u16;
             let mut a: Vec<SEntry> = tagged(node, depth, usize::MAX).collect();
             for &(anc, anc_depth, _) in &chain {
@@ -361,7 +375,7 @@ impl ThreeSidedPst {
             }
             if !a.is_empty() {
                 a.sort_unstable_by(|p, q| cmp_x(&q.p, &p.p));
-                let (list, pages) = blocked_pages(store, &a)?;
+                let (list, pages) = blocked_pages(store, frame, &a)?;
                 a_list[node] = list;
                 let mut node_dir = NodeDir::default();
                 for (chunk, page) in a.chunks(b).zip(pages) {
@@ -382,7 +396,10 @@ impl ThreeSidedPst {
                     }
                     right_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
                     left_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-                    node_dir.s.push((blocked(store, &right_sibs)?, blocked(store, &left_sibs)?));
+                    node_dir.s.push((
+                        blocked(store, frame, &right_sibs)?,
+                        blocked(store, frame, &left_sibs)?,
+                    ));
                 }
                 dir[node] = store.alloc()?;
                 node_dir.write(store, dir[node])?;
@@ -398,7 +415,7 @@ impl ThreeSidedPst {
                     } else {
                         Vec::new()
                     };
-                    stack.push(Frame { node: child, chain });
+                    stack.push(Visit { node: child, chain });
                 }
             }
         }
@@ -442,7 +459,12 @@ impl ThreeSidedPst {
             store.write(page_ids[page_idx], &buf[..used])?;
         }
 
-        Ok(ThreeSidedPst { root_page: page_ids[0], n: points.len() as u64 })
+        Ok(ThreeSidedPst { root_page: page_ids[0], n: points.len() as u64, frame })
+    }
+
+    /// The widths the structure stores its points at.
+    pub fn frame(&self) -> Frame {
+        self.frame
     }
 
     /// Number of indexed points.
@@ -500,7 +522,8 @@ impl ThreeSidedPst {
 
     /// Counts the structure's pages by class (one read per page).
     pub fn page_census(&self, store: &PageStore) -> Result<PageCensus> {
-        let mut census = PageCensus::default();
+        let block_capacity = points_capacity(store.page_size(), self.frame) as u64;
+        let mut census = PageCensus { frame: self.frame, block_capacity, ..PageCensus::default() };
         for (_, records) in self.skeletal_pages(store)? {
             census.skeletal += 1;
             for rec in records {
@@ -531,10 +554,11 @@ impl ThreeSidedPst {
     ) -> Result<(Vec<Point>, QueryCounters)> {
         assert!(q.x1 <= q.x2, "3-sided query bounds out of order");
         let _span = pc_obs::span!("pst3_query");
-        let b = points_capacity(store.page_size());
+        let b = points_capacity(store.page_size(), self.frame);
         pc_obs::set_block_capacity(b as u64);
         let mut ctx = TsCtx {
             store,
+            frame: self.frame,
             q,
             b: b as u64,
             results: Vec::new(),
@@ -600,6 +624,7 @@ impl ThreeSidedPst {
 
 struct TsCtx<'a> {
     store: &'a PageStore,
+    frame: Frame,
     q: ThreeSided,
     b: u64,
     results: Vec<Point>,
@@ -639,7 +664,7 @@ impl TsCtx<'_> {
         let before = self.results.len();
         let mut next = start;
         'run: while !next.is_null() {
-            let (entries, nxt) = BlockList::<SEntry>::read_block(self.store, next)?;
+            let (entries, nxt) = BlockList::<SEntry>::read_block(self.store, self.frame, next)?;
             self.counters.cache_blocks += 1;
             for e in entries {
                 if e.p.x < self.q.x1 {
@@ -665,7 +690,7 @@ impl TsCtx<'_> {
         let before = self.results.len();
         let mut next = start;
         'scan: while !next.is_null() {
-            let (points, nxt) = BlockList::<Point>::read_block(self.store, next)?;
+            let (points, nxt) = BlockList::<Point>::read_block(self.store, self.frame, next)?;
             self.counters.node_blocks += 1;
             for p in points {
                 if p.y < self.q.y0 {
@@ -702,7 +727,7 @@ impl TsCtx<'_> {
         {
             let _probe = pc_obs::span!("path_cache_probe");
             let before = self.results.len();
-            's_scan: for block in list.blocks(self.store) {
+            's_scan: for block in list.blocks(self.store, self.frame) {
                 self.counters.cache_blocks += 1;
                 for e in block? {
                     if e.p.y < self.q.y0 {
@@ -874,7 +899,9 @@ mod tests {
         assert_eq!(RECORD_LEN, 120);
         // 4 KiB fits 34 records, 512 B fits 4: the complete trees below.
         assert_eq!([512, 1024, 4096].map(skeletal_capacity), [3, 7, 31]);
-        assert_eq!([512, 1024, 4096].map(node_capacity), [3 * 20, 3 * 40, 7 * 163]);
+        let caps = |frame| [512, 1024, 4096].map(|page_size| node_capacity(page_size, frame));
+        assert_eq!(caps(Frame::WIDE), [3 * 20, 3 * 40, 7 * 163]);
+        assert_eq!(caps(Frame::new(3, 3, 3)), [3 * 50, 7 * 101, 7 * 408]);
     }
 
     #[test]
@@ -999,11 +1026,16 @@ mod tests {
         }
     }
 
-    // --- Cut-overs at 512 B: a block is 20 entries, a node 3 blocks, a
-    // skeletal page a node and its two children. ---------------------------
+    // --- Cut-overs at 512 B and full-width records: a block is 20 entries,
+    // a node 3 blocks, a skeletal page a node and its two children. ---------
 
     const B: usize = 20;
     const CAP: usize = 3 * B;
+
+    /// The census the cut-overs fill in: `B` = 20 at [`Frame::WIDE`].
+    fn no_pages() -> PageCensus {
+        PageCensus { frame: Frame::WIDE, block_capacity: B as u64, ..PageCensus::default() }
+    }
 
     /// y of the `k`-th point, in x-order, of a [`layered`] node at `depth`.
     fn layer_y(depth: usize, k: usize) -> i64 {
@@ -1047,7 +1079,7 @@ mod tests {
     impl Built {
         fn new(points: Vec<Point>) -> Built {
             let store = PageStore::in_memory(512);
-            let pst = ThreeSidedPst::build(&store, &points).unwrap();
+            let pst = ThreeSidedPst::build_framed(&store, &points, Frame::WIDE).unwrap();
             Built { points, store, pst }
         }
 
@@ -1085,7 +1117,7 @@ mod tests {
         let one = Built::new(layered(CAP));
         assert_eq!(
             one.census(),
-            PageCensus { skeletal: 1, y_lists: 3, a_lists: 3, s_lists: 0, directories: 1 }
+            PageCensus { skeletal: 1, y_lists: 3, a_lists: 3, directories: 1, ..no_pages() }
         );
         assert_eq!(one.reads(i64::MIN, i64::MAX, EVERYTHING), (1, 1 + 3, 0));
         // The A-list's blocks are x = 59..=40, 39..=20, 19..=0. A run that
@@ -1112,6 +1144,7 @@ mod tests {
                 a_lists: 3 + 4 + 3,
                 s_lists: 1,
                 directories: 3,
+                ..no_pages()
             }
         );
         // The root is the split and says nothing itself; only the left
@@ -1140,6 +1173,7 @@ mod tests {
                 // One first block each, for every node with a sibling on its page.
                 s_lists: 10,
                 directories: 15,
+                ..no_pages()
             }
         );
         built
@@ -1223,8 +1257,9 @@ mod tests {
             let pts = random_points(n, 1_000_000, 0x3b3b);
             let store = PageStore::in_memory(page_size);
             let pst = ThreeSidedPst::build(&store, &pts).unwrap();
-            let b = points_capacity(page_size);
-            let cap = node_capacity(page_size);
+            let frame = pst.frame();
+            let b = points_capacity(page_size, frame);
+            let cap = node_capacity(page_size, frame);
             let decode = |at: NodeRef| {
                 TsRecord::decode(&store.read(at.page).unwrap(), at.slot).unwrap()
             };
@@ -1237,12 +1272,12 @@ mod tests {
                 let rec = decode(at);
                 let cnt = rec.y_list.len() as usize;
                 deepest = deepest.max(sibs.len());
-                assert_cache_blocks(&store, &rec.y_list, cnt / b, cnt % b, "Y-list");
+                assert_cache_blocks(&store, frame, &rec.y_list, cnt / b, cnt % b, "Y-list");
                 let y_pages = rec.y_list.block_pages(&store).unwrap();
                 assert_eq!(rec.y_second, y_pages.get(1).copied().unwrap_or(NULL_PAGE));
                 second_blocks += y_pages.len().min(2) / 2;
                 let copied = above + cnt;
-                assert_cache_blocks(&store, &rec.a_list, copied / b, copied % b, "A-list");
+                assert_cache_blocks(&store, frame, &rec.a_list, copied / b, copied % b, "A-list");
                 let dir = if rec.dir.is_null() {
                     NodeDir::default()
                 } else {
@@ -1253,8 +1288,8 @@ mod tests {
                 for (j, (right_sibs, left_sibs)) in dir.s.iter().enumerate() {
                     let right: usize = sibs[j..].iter().map(|&(r, _)| r).sum();
                     let left: usize = sibs[j..].iter().map(|&(_, l)| l).sum();
-                    assert_cache_blocks(&store, right_sibs, right / b, right % b, "S_j");
-                    assert_cache_blocks(&store, left_sibs, left / b, left % b, "S'_j");
+                    assert_cache_blocks(&store, frame, right_sibs, right / b, right % b, "S_j");
+                    assert_cache_blocks(&store, frame, left_sibs, left / b, left % b, "S'_j");
                 }
                 if rec.left.at.page.is_null() {
                     assert!(cnt <= cap);
@@ -1270,7 +1305,7 @@ mod tests {
                     assert_eq!(u64::from(child.cnt), child_rec.y_list.len());
                     assert_eq!(child.leaf, child_rec.left.at.page.is_null());
                     if child.cnt > 0 {
-                        let top = child_rec.y_list.read_first_block(&store).unwrap()[0];
+                        let top = child_rec.y_list.read_first_block(&store, frame).unwrap()[0];
                         assert_eq!(child.top_y, top.y);
                         assert!(top.y <= rec.min_y);
                     }
@@ -1321,7 +1356,7 @@ mod tests {
         let pts = random_points(20_000, 100_000, 0xcc);
         let store = PageStore::in_memory(512);
         let pst = ThreeSidedPst::build(&store, &pts).unwrap();
-        let b = points_capacity(512) as u64;
+        let b = points_capacity(512, pst.frame()) as u64;
         let pages_on_a_path = 5;
         let mut s = 0xddu64;
         for i in 0..200 {
@@ -1339,9 +1374,9 @@ mod tests {
         let pts = random_points(20_000, 100_000, 0xee);
         let store = PageStore::in_memory(512);
         let before = store.live_pages();
-        ThreeSidedPst::build(&store, &pts).unwrap();
+        let pst = ThreeSidedPst::build(&store, &pts).unwrap();
         let pages = store.live_pages() - before;
-        let b = points_capacity(512) as u64;
+        let b = points_capacity(512, pst.frame()) as u64;
         let log_b = 5u64;
         let bound = (20_000 / b) * log_b * log_b / 2;
         assert!(pages <= bound, "space {pages} exceeds O(n/B log^2 B) ~ {bound}");

@@ -6,8 +6,8 @@
 //! `Θ(B log B)`, so there are only `n/(B log B)` regions, and a full
 //! region's inner tree is complete: `2^h − 1` nodes of exactly `B` points,
 //! none of them a near-empty leaf that still pays for full-path caches.
-//! `B` is the crate's one block unit ([`block_capacity`]). Each region `R`
-//! stores (§4):
+//! `B` is the crate's one block unit ([`block_capacity`] of the page size
+//! and the structure's [`Frame`]). Each region `R` stores (§4):
 //!
 //! * **X-list** — `R`'s points sorted descending by x, blocked `B` to a
 //!   page;
@@ -48,8 +48,8 @@
 //! page read once however many of its regions the traversal visits.
 
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
+use pc_pagestore::layout::{chain_pages, unpack_records, BlockList};
+use pc_pagestore::{Frame, Framed, Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::build::{
     blocked, blocked_pages, build_external, for_each_skeletal_page, points_capacity, CacheMode,
@@ -91,9 +91,10 @@ pub fn skeletal_capacity(page_size: usize) -> usize {
     (fit - 1) | 1
 }
 
-/// The paper's `B`: the crate's one block unit, [`points_capacity`].
-pub fn block_capacity(page_size: usize) -> usize {
-    points_capacity(page_size)
+/// The paper's `B` for a structure storing its points at `frame`: the
+/// crate's one block unit, [`points_capacity`].
+pub fn block_capacity(page_size: usize, frame: Frame) -> usize {
+    points_capacity(page_size, frame)
 }
 
 /// `⌈log₂ v⌉`, at least 1.
@@ -113,8 +114,8 @@ pub(crate) fn complete_tree_nodes(v: usize) -> usize {
 /// a complete tree's node count `2^h − 1` so that a full region's inner
 /// structure has no underfull node. The sequence stops once that count
 /// reaches 1 — a region of `B` points *is* a basic block.
-pub fn region_caps(page_size: usize, levels: u32) -> Vec<usize> {
-    let b = block_capacity(page_size);
+pub fn region_caps(page_size: usize, levels: u32, frame: Frame) -> Vec<usize> {
+    let b = block_capacity(page_size, frame);
     let mut caps = Vec::new();
     let mut m = complete_tree_nodes(ceil_log2(b));
     for _ in 1..levels {
@@ -146,33 +147,32 @@ impl ListRef {
     pub(crate) const EMPTY: ListRef = ListRef { head: NULL_PAGE, second: NULL_PAGE };
 
     /// Writes `points`, in the order given, `B` to a page.
-    pub(crate) fn build(store: &PageStore, points: &[Point]) -> Result<ListRef> {
-        let pages = blocked_pages(store, points)?.1;
+    pub(crate) fn build(store: &PageStore, frame: Frame, points: &[Point]) -> Result<ListRef> {
+        let pages = blocked_pages(store, frame, points)?.1;
         let page = |i: usize| pages.get(i).copied().unwrap_or(NULL_PAGE);
         Ok(ListRef { head: page(0), second: page(1) })
     }
 
-    /// Every block of the list with its page, in chain order (one read per
-    /// block).
-    pub(crate) fn blocks(&self, store: &PageStore) -> Result<Vec<(PageId, Vec<Point>)>> {
+    /// The pages of the list's blocks, in chain order (one read per block).
+    pub(crate) fn pages(&self, store: &PageStore) -> Result<Vec<PageId>> {
+        chain_pages(store, self.head)
+    }
+
+    /// The list's points, in order (one read per block).
+    pub(crate) fn read_all(&self, store: &PageStore, frame: Frame) -> Result<Vec<Point>> {
         let mut out = Vec::new();
         let mut next = self.head;
         while !next.is_null() {
-            let (points, after) = BlockList::<Point>::read_block(store, next)?;
-            out.push((next, points));
+            let (points, after) = BlockList::<Point>::read_block(store, frame, next)?;
+            out.extend(points);
             next = after;
         }
         Ok(out)
     }
 
-    /// The list's points, in order.
-    pub(crate) fn read_all(&self, store: &PageStore) -> Result<Vec<Point>> {
-        Ok(self.blocks(store)?.into_iter().flat_map(|(_, points)| points).collect())
-    }
-
     /// Frees every page of the list.
     pub(crate) fn free(&self, store: &PageStore) -> Result<()> {
-        self.blocks(store)?.into_iter().try_for_each(|(page, _)| store.free(page))
+        self.pages(store)?.into_iter().try_for_each(|page| store.free(page))
     }
 }
 
@@ -199,6 +199,14 @@ pub(crate) struct RegionRecord {
     pub(crate) inner_n: u64,
     pub(crate) inner_is_region: bool,
     pub(crate) u_buf: PageId,
+}
+
+impl RegionRecord {
+    /// The region's inner structure, in a structure stored at `frame`.
+    pub(crate) fn inner(&self, frame: Frame) -> InnerHandle {
+        let (root, n, is_region) = (self.inner_root, self.inner_n, self.inner_is_region);
+        InnerHandle { root, n, is_region, frame }
+    }
 }
 
 pub(crate) fn decode_record(page: &[u8], slot: u16) -> Result<RegionRecord> {
@@ -304,45 +312,50 @@ pub struct UpdateRec {
     pub p: Point,
 }
 
-impl Record for UpdateRec {
-    const ENCODED_LEN: usize = 1 + 8 + Point::ENCODED_LEN;
+impl Framed for UpdateRec {
+    /// `[is_delete u8][seq u64]` after the point.
+    const TAG: usize = 1 + 8;
 
-    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
-        w.put_u8(u8::from(self.is_delete))?;
-        w.put_u64(self.seq)?;
-        self.p.encode(w)
+    fn fields(&self) -> (i64, i64, u64) {
+        self.p.fields()
     }
 
-    fn decode(r: &mut PageReader<'_>) -> Result<Self> {
-        Ok(UpdateRec { is_delete: r.get_u8()? != 0, seq: r.get_u64()?, p: Point::decode(r)? })
+    fn pack_tag(&self, w: &mut PageWriter<'_>) -> Result<()> {
+        w.put_u8(u8::from(self.is_delete))?;
+        w.put_u64(self.seq)
+    }
+
+    fn unpack_tagged((x, y, id): (i64, i64, u64), r: &mut PageReader<'_>) -> Result<Self> {
+        Ok(UpdateRec { p: Point { x, y, id }, is_delete: r.get_u8()? != 0, seq: r.get_u64()? })
     }
 }
 
 /// Updates that fit in one buffer page.
-pub(crate) fn buffer_capacity(page_size: usize) -> usize {
-    (page_size - 2) / UpdateRec::ENCODED_LEN
+pub(crate) fn buffer_capacity(page_size: usize, frame: Frame) -> usize {
+    (page_size - 2) / frame.record_len::<UpdateRec>()
 }
 
 /// Reads a buffer page: `[count u16][UpdateRec * count]`.
-pub(crate) fn read_buffer(store: &PageStore, id: PageId) -> Result<Vec<UpdateRec>> {
+pub(crate) fn read_buffer(store: &PageStore, frame: Frame, id: PageId) -> Result<Vec<UpdateRec>> {
     let page = store.read(id)?;
     let mut r = PageReader::new(&page);
     let count = r.get_u16()? as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(UpdateRec::decode(&mut r)?);
-    }
-    Ok(out)
+    unpack_records(frame, &mut r, count)
 }
 
 /// Writes a buffer page.
-pub(crate) fn write_buffer(store: &PageStore, id: PageId, recs: &[UpdateRec]) -> Result<()> {
+pub(crate) fn write_buffer(
+    store: &PageStore,
+    frame: Frame,
+    id: PageId,
+    recs: &[UpdateRec],
+) -> Result<()> {
     let mut buf = vec![0u8; store.page_size()];
     let used = {
         let mut w = PageWriter::new(&mut buf);
         w.put_u16(recs.len() as u16)?;
         for rec in recs {
-            rec.encode(&mut w)?;
+            rec.pack(frame, &mut w)?;
         }
         w.position()
     };
@@ -350,29 +363,40 @@ pub(crate) fn write_buffer(store: &PageStore, id: PageId, recs: &[UpdateRec]) ->
 }
 
 /// Handle to an inner structure: a basic PST (`is_region == false`) or a
-/// nested region tree.
+/// nested region tree, and the frame of the structure it is part of (the
+/// outermost handle carries it in; no record stores it).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InnerHandle {
     pub(crate) root: PageId,
     pub(crate) n: u64,
     pub(crate) is_region: bool,
+    pub(crate) frame: Frame,
+}
+
+impl InnerHandle {
+    /// The basic PST this handle names (`!is_region`).
+    fn core(&self) -> PstCore {
+        PstCore { root_page: self.root, n: self.n, mode: CacheMode::FullPath, frame: self.frame }
+    }
 }
 
 /// Builds a region tree (or a basic PST when `caps` is exhausted) over
-/// `points`, returning its handle.
+/// `points`, stored at `frame` — a frame that holds them, and `caps` its
+/// [`region_caps`] — returning its handle.
 pub(crate) fn build_region_tree(
     store: &PageStore,
     points: &[Point],
     caps: &[usize],
+    frame: Frame,
 ) -> Result<InnerHandle> {
     let page_size = store.page_size();
     if caps.is_empty() {
-        let mem = MemPst::build(points, points_capacity(page_size));
-        let core = build_external(store, &mem, CacheMode::FullPath)?;
-        return Ok(InnerHandle { root: core.root_page, n: core.n, is_region: false });
+        let mem = MemPst::build(points, points_capacity(page_size, frame));
+        let core = build_external(store, &mem, CacheMode::FullPath, frame)?;
+        return Ok(InnerHandle { root: core.root_page, n: core.n, is_region: false, frame });
     }
     let r_cap = caps[0];
-    let b = block_capacity(page_size);
+    let b = block_capacity(page_size, frame);
     let mem = MemPst::build(points, r_cap);
 
     // Pagination of this level's tree.
@@ -391,10 +415,10 @@ pub(crate) fn build_region_tree(
     let mut y_lists = Vec::with_capacity(n_nodes);
     let mut inners: Vec<InnerHandle> = Vec::with_capacity(n_nodes);
     for (node, xs) in mem.nodes.iter().zip(&x_sorted) {
-        x_lists.push(ListRef::build(store, xs)?);
+        x_lists.push(ListRef::build(store, frame, xs)?);
         // Node points are already descending by y-key.
-        y_lists.push(ListRef::build(store, &node.points)?);
-        inners.push(build_region_tree(store, &node.points, &caps[1..])?);
+        y_lists.push(ListRef::build(store, frame, &node.points)?);
+        inners.push(build_region_tree(store, &node.points, &caps[1..], frame)?);
     }
 
     // The children's caches, per region with children on its page, from the
@@ -404,19 +428,19 @@ pub(crate) fn build_region_tree(
     // query counts.
     let mut child_a: Vec<BlockList<SEntry>> = vec![BlockList::empty(); n_nodes];
     let mut left_s: Vec<BlockList<SEntry>> = vec![BlockList::empty(); n_nodes];
-    struct Frame {
+    struct Visit {
         node: usize,
         chain: Vec<(usize, u16, bool)>,
     }
-    let mut stack = vec![Frame { node: 0, chain: Vec::new() }];
-    while let Some(Frame { node, chain }) = stack.pop() {
+    let mut stack = vec![Visit { node: 0, chain: Vec::new() }];
+    while let Some(Visit { node, chain }) = stack.pop() {
         let mn = &mem.nodes[node];
         if mn.left == NONE {
             continue;
         }
         for (child, went_left) in [(mn.left, true), (mn.right, false)] {
             if node_loc[child].0 != node_loc[node].0 {
-                stack.push(Frame { node: child, chain: Vec::new() });
+                stack.push(Visit { node: child, chain: Vec::new() });
                 continue;
             }
             let mut chain = chain.clone();
@@ -437,10 +461,10 @@ pub(crate) fn build_region_tree(
                 }
                 a.sort_unstable_by(|x, y| cmp_x(&y.p, &x.p));
                 s.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-                child_a[node] = blocked(store, &a)?;
-                left_s[node] = blocked(store, &s)?;
+                child_a[node] = blocked(store, frame, &a)?;
+                left_s[node] = blocked(store, frame, &s)?;
             }
-            stack.push(Frame { node: child, chain });
+            stack.push(Visit { node: child, chain });
         }
     }
 
@@ -498,14 +522,15 @@ pub(crate) fn build_region_tree(
         store.write(page_ids[page_idx], &buf[..used])?;
     }
 
-    Ok(InnerHandle { root: page_ids[0], n: points.len() as u64, is_region: true })
+    Ok(InnerHandle { root: page_ids[0], n: points.len() as u64, is_region: true, frame })
 }
 
 /// A right sibling the corner path left behind: the second block of its
 /// Y-list, its point count, whether it is a leaf, and its record.
 type Sibling = (PageId, u16, bool, NodeRef);
 
-/// Runs a 2-sided query against a region tree rooted at `root_page`,
+/// Runs a 2-sided query against a region tree rooted at `root_page`, its
+/// points stored at `frame`,
 /// appending to `results`/`counters` (recursive across levels). Buffered
 /// updates encountered along the way (super-node `U` buffers on visited
 /// pages, the corner region's `u` buffer) are appended to `pending` for
@@ -514,6 +539,7 @@ type Sibling = (PageId, u16, bool, NodeRef);
 pub(crate) fn run_region_query(
     store: &PageStore,
     root_page: PageId,
+    frame: Frame,
     q: TwoSided,
     results: &mut Vec<Point>,
     counters: &mut QueryCounters,
@@ -521,7 +547,8 @@ pub(crate) fn run_region_query(
 ) -> Result<()> {
     // Nested region levels open nested spans; each sets its own B.
     let _span = pc_obs::span!("pst_region");
-    pc_obs::set_block_capacity(block_capacity(store.page_size()) as u64);
+    let b = block_capacity(store.page_size(), frame) as u64;
+    pc_obs::set_block_capacity(b);
     // By in-page depth — the cache tags: the path's ancestors on the page in
     // hand (second block of the X-list, point count) and the right siblings
     // left behind there.
@@ -534,8 +561,9 @@ pub(crate) fn run_region_query(
 
     let mut ctx = TlCtx {
         store,
+        frame,
         q,
-        b: block_capacity(store.page_size()) as u64,
+        b,
         results,
         counters,
         pending,
@@ -552,21 +580,16 @@ pub(crate) fn run_region_query(
             ctx.drain_caches_and_seed(&cur_a, &cur_s, &anc, &sib, None)?;
             if !rec.u_buf.is_null() {
                 ctx.counters.cache_blocks += 1;
-                let ops = read_buffer(store, rec.u_buf)?;
+                let ops = read_buffer(store, frame, rec.u_buf)?;
                 ctx.pending.extend(ops);
             }
             // The corner region itself is answered by its inner structure.
             if rec.inner_n > 0 {
                 if rec.inner_is_region {
                     let TlCtx { results, counters, pending, .. } = ctx;
-                    run_region_query(store, rec.inner_root, q, results, counters, pending)?;
+                    run_region_query(store, rec.inner_root, frame, q, results, counters, pending)?;
                 } else {
-                    let core = PstCore {
-                        root_page: rec.inner_root,
-                        n: rec.inner_n,
-                        mode: CacheMode::FullPath,
-                    };
-                    let (pts, c) = run_two_sided(store, &core, q)?;
+                    let (pts, c) = run_two_sided(store, &rec.inner(frame).core(), q)?;
                     ctx.results.extend(pts);
                     ctx.counters.skeletal += c.skeletal;
                     ctx.counters.cache_blocks += c.cache_blocks;
@@ -619,12 +642,10 @@ pub(crate) fn query_handle_buffered(
         return Ok((results, pending, counters));
     }
     if handle.is_region {
-        run_region_query(store, handle.root, q, &mut results, &mut counters, &mut pending)?;
+        let (root, frame) = (handle.root, handle.frame);
+        run_region_query(store, root, frame, q, &mut results, &mut counters, &mut pending)?;
     } else {
-        let core = PstCore { root_page: handle.root, n: handle.n, mode: CacheMode::FullPath };
-        let (pts, c) = run_two_sided(store, &core, q)?;
-        results = pts;
-        counters = c;
+        (results, counters) = run_two_sided(store, &handle.core(), q)?;
     }
     Ok((results, pending, counters))
 }
@@ -663,11 +684,15 @@ pub(crate) fn for_each_region_page(
     Ok(())
 }
 
-/// A built [`TwoLevelPst`]'s or [`crate::DynamicPst`]'s pages by class.
-/// Nested region levels count with the outer one; `inner_*` is the basic
-/// PST at the bottom.
+/// A built [`TwoLevelPst`]'s or [`crate::DynamicPst`]'s pages by class, and
+/// the `B` they were built at. Nested region levels count with the outer
+/// one; `inner_*` is the basic PST at the bottom.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegionCensus {
+    /// The widths the structure stores its points at.
+    pub frame: Frame,
+    /// `B`: [`block_capacity`] of the store's pages at `frame`.
+    pub block_capacity: u64,
     /// Skeletal pages of the region tree.
     pub skeletal: u64,
     /// Blocks of the regions' X-lists.
@@ -735,7 +760,7 @@ pub(crate) fn for_each_page(
             let lists: [(PageClass, ListRef); 2] =
                 [(|c| &mut c.x_lists, rec.x_list), (|c| &mut c.y_lists, rec.y_list)];
             for (class, list) in lists {
-                list.blocks(store)?.into_iter().try_for_each(|(page, _)| visit(class, page))?;
+                list.pages(store)?.into_iter().try_for_each(|page| visit(class, page))?;
             }
             let caches: [(PageClass, BlockList<SEntry>); 2] =
                 [(|c| &mut c.a_caches, rec.child_a), (|c| &mut c.s_caches, rec.left_s)];
@@ -757,11 +782,12 @@ pub(crate) fn free_pages(store: &PageStore, root: PageId, is_region: bool) -> Re
     for_each_page(store, root, is_region, &mut |_, page| store.free(page))
 }
 
-/// Counts the pages of the region tree under `root` by class (one read per
-/// page but the inner trees' points pages and the update buffers, which
-/// their owners' records name).
-pub(crate) fn page_census(store: &PageStore, root: PageId) -> Result<RegionCensus> {
-    let mut census = RegionCensus::default();
+/// Counts the pages of the region tree under `root`, stored at `frame`, by
+/// class (one read per page but the inner trees' points pages and the
+/// update buffers, which their owners' records name).
+pub(crate) fn page_census(store: &PageStore, root: PageId, frame: Frame) -> Result<RegionCensus> {
+    let block_capacity = block_capacity(store.page_size(), frame) as u64;
+    let mut census = RegionCensus { frame, block_capacity, ..RegionCensus::default() };
     for_each_page(store, root, true, &mut |class, _| {
         *class(&mut census) += 1;
         Ok(())
@@ -776,10 +802,17 @@ pub struct TwoLevelPst {
 }
 
 impl TwoLevelPst {
-    /// Builds the structure over `points`.
+    /// Builds the structure over `points`, stored at the narrowest frame
+    /// that holds them.
     pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
-        let caps = region_caps(store.page_size(), 2);
-        Ok(TwoLevelPst { root: build_region_tree(store, points, &caps)? })
+        let frame = Frame::of(points);
+        let caps = region_caps(store.page_size(), 2, frame);
+        Ok(TwoLevelPst { root: build_region_tree(store, points, &caps, frame)? })
+    }
+
+    /// The widths the structure stores its points at.
+    pub fn frame(&self) -> Frame {
+        self.root.frame
     }
 
     /// Number of indexed points.
@@ -794,7 +827,7 @@ impl TwoLevelPst {
 
     /// Counts the structure's pages by class.
     pub fn page_census(&self, store: &PageStore) -> Result<RegionCensus> {
-        page_census(store, self.root.root)
+        page_census(store, self.root.root, self.root.frame)
     }
 
     /// Answers a 2-sided query.
@@ -814,6 +847,7 @@ impl TwoLevelPst {
 
 struct TlCtx<'a> {
     store: &'a PageStore,
+    frame: Frame,
     q: TwoSided,
     b: u64,
     results: &'a mut Vec<Point>,
@@ -839,7 +873,7 @@ impl TlCtx<'_> {
         let u_page = decode_header(&self.page)?.u_page;
         if !u_page.is_null() {
             self.counters.cache_blocks += 1;
-            self.pending.extend(read_buffer(self.store, u_page)?);
+            self.pending.extend(read_buffer(self.store, self.frame, u_page)?);
         }
         Ok(())
     }
@@ -852,7 +886,7 @@ impl TlCtx<'_> {
         let mut kept = 0u64;
         let mut next = start;
         'scan: while !next.is_null() {
-            let (points, after) = BlockList::<Point>::read_block(self.store, next)?;
+            let (points, after) = BlockList::<Point>::read_block(self.store, self.frame, next)?;
             self.counters.node_blocks += 1;
             for p in points {
                 if !keep(&p) {
@@ -878,7 +912,7 @@ impl TlCtx<'_> {
         let _probe = pc_obs::span!("path_cache_probe");
         let mut qualified = vec![0u64; sources];
         let before = self.results.len();
-        'scan: for block in list.blocks(self.store) {
+        'scan: for block in list.blocks(self.store, self.frame) {
             self.counters.cache_blocks += 1;
             for e in block? {
                 if !keep(&e.p) {
@@ -1007,7 +1041,7 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::testutil::{distinct_points, LoggedStore};
+    use crate::build::testutil::{distinct_points, LoggedStore, FRAMES};
 
     fn xorshift(state: &mut u64, bound: i64) -> i64 {
         *state ^= *state << 13;
@@ -1038,12 +1072,59 @@ mod tests {
 
     #[test]
     fn region_capacity_is_b_log_b() {
-        // page 512: B = 20, ceil(log2 20) = 5, largest 2^h - 1 <= 5 is 3.
-        assert_eq!(block_capacity(512), 20);
-        assert_eq!(region_caps(512, 2), vec![3 * 20]);
+        // Full-width records — page 512: B = 20, ceil(log2 20) = 5, largest
+        // 2^h - 1 <= 5 is 3.
+        assert_eq!(block_capacity(512, Frame::WIDE), 20);
+        assert_eq!(region_caps(512, 2, Frame::WIDE), vec![3 * 20]);
         // page 4096: B = 163, ceil(log2 163) = 8, largest 2^h - 1 <= 8 is 7.
-        assert_eq!(block_capacity(4096), 163);
-        assert_eq!(region_caps(4096, 2), vec![7 * 163]);
+        assert_eq!(block_capacity(4096, Frame::WIDE), 163);
+        assert_eq!(region_caps(4096, 2, Frame::WIDE), vec![7 * 163]);
+        // 3/3/3 — page 512: B = 50, ceil(log2 50) = 6, still 3; page 4096:
+        // B = 408, ceil(log2 408) = 9, still 7.
+        let narrow = Frame::new(3, 3, 3);
+        assert_eq!(region_caps(512, 2, narrow), vec![3 * 50]);
+        assert_eq!(region_caps(4096, 2, narrow), vec![7 * 408]);
+        // 1/1/1 at 512 B: B = 125, ceil(log2 125) = 7: seven blocks a region.
+        assert_eq!(region_caps(512, 2, Frame::new(1, 1, 1)), vec![7 * 125]);
+    }
+
+    /// DESIGN §4.5's table — page × frame → `B`, region capacities, records
+    /// per skeletal page — is what the code computes, row for row: a row
+    /// that drifts from the code fails here, and so does a missing one.
+    #[test]
+    fn design_table_of_block_units_is_what_the_code_computes() {
+        let mut computed = Vec::new();
+        let pages = [(512, "512 B"), (1024, "1 KiB"), (2048, "2 KiB"), (4096, "4 KiB")];
+        for (page_size, label) in pages {
+            for frame in [Frame::new(3, 3, 3), Frame::new(4, 4, 4), Frame::WIDE] {
+                let b = block_capacity(page_size, frame);
+                let caps: Vec<String> = region_caps(page_size, 9, frame)
+                    .iter()
+                    .map(|cap| format!("{cap} = {}·B", cap / b))
+                    .collect();
+                let skeletal = [
+                    crate::build::skeletal_capacity(page_size),
+                    skeletal_capacity(page_size),
+                    crate::three_sided::skeletal_capacity(page_size),
+                ]
+                .map(|cap| cap.to_string());
+                computed.push(format!(
+                    "| {label} | {frame} | {b} | {} | {} |",
+                    caps.join(", then "),
+                    skeletal.join(" / ")
+                ));
+            }
+        }
+        // The table's rows are the ones whose second cell names a frame.
+        let names_a_frame = |cell: &str| {
+            let widths: Vec<&str> = cell.trim().split('/').collect();
+            widths.len() == 3 && widths.iter().all(|w| matches!(w.parse::<u8>(), Ok(1..=8)))
+        };
+        let documented: Vec<&str> = include_str!("../../../DESIGN.md")
+            .lines()
+            .filter(|line| line.split('|').nth(2).is_some_and(names_a_frame))
+            .collect();
+        assert_eq!(documented, computed, "DESIGN §4.5, \"One block unit\"");
     }
 
     #[test]
@@ -1061,12 +1142,14 @@ mod tests {
         );
         // B = 163: 8 -> 7 nodes, ceil(log2 7) = 3 -> 3 nodes,
         // ceil(log2 3) = 2 -> 1 node (stop).
-        assert_eq!(region_caps(4096, 2), vec![1141]);
-        assert_eq!(region_caps(4096, 3), vec![1141, 489]);
-        assert_eq!(region_caps(4096, 9), vec![1141, 489]); // saturates
-        assert_eq!(region_caps(4096, 1), Vec::<usize>::new());
+        assert_eq!(region_caps(4096, 2, Frame::WIDE), vec![1141]);
+        assert_eq!(region_caps(4096, 3, Frame::WIDE), vec![1141, 489]);
+        assert_eq!(region_caps(4096, 9, Frame::WIDE), vec![1141, 489]); // saturates
+        assert_eq!(region_caps(4096, 1, Frame::WIDE), Vec::<usize>::new());
         // B = 20: 5 -> 3 nodes, then 1 (stop).
-        assert_eq!(region_caps(512, 9), vec![60]);
+        assert_eq!(region_caps(512, 9, Frame::WIDE), vec![60]);
+        // B = 408: 9 -> 7 nodes, then 3, then 1.
+        assert_eq!(region_caps(4096, 9, Frame::new(3, 3, 3)), vec![2856, 1224]);
     }
 
     /// The block unit end to end, at both page sizes: a region's X/Y lists
@@ -1077,12 +1160,13 @@ mod tests {
     #[test]
     fn one_block_unit_from_region_lists_to_inner_caches() {
         use crate::build::testutil::{assert_block_sizes, assert_cache_blocks, check_core_caches};
-        for (page_size, n, inner_nodes) in [(512, 5_000, 3), (4096, 60_000, 7)] {
+        for (page_size, n, inner_nodes) in [(512, 5_000, 3), (4096, 150_000, 7)] {
             let pts = random_points(n, 1_000_000, 0x1b1b);
             let store = PageStore::in_memory(page_size);
             let pst = TwoLevelPst::build(&store, &pts).unwrap();
-            let b = block_capacity(page_size);
-            let r_cap = region_caps(page_size, 2)[0];
+            let frame = pst.frame();
+            let b = block_capacity(page_size, frame);
+            let r_cap = region_caps(page_size, 2, frame)[0];
             assert_eq!(r_cap, inner_nodes * b);
             let (mut regions, mut full_regions) = (0, 0);
             for_each_region_page(&store, pst.root.root, &mut |page, _, records| {
@@ -1091,8 +1175,14 @@ mod tests {
                     regions += 1;
                     let cnt = rec.own_cnt as usize;
                     for list in [rec.x_list, rec.y_list] {
-                        let sizes: Vec<usize> =
-                            list.blocks(&store).unwrap().iter().map(|block| block.1.len()).collect();
+                        let sizes: Vec<usize> = list
+                            .pages(&store)
+                            .unwrap()
+                            .iter()
+                            .map(|&page| {
+                                BlockList::<Point>::read_block(&store, frame, page).unwrap().0.len()
+                            })
+                            .collect();
                         assert_block_sizes(b, &sizes, cnt / b, cnt % b, "X/Y-list");
                     }
                     // The region and its ancestors have children, so each is
@@ -1105,12 +1195,12 @@ mod tests {
                         let sibs = left_steps.map(|&(anc, _)| records[anc].right_cnt);
                         copied = sibs.chain([rec.right_cnt]).map(|c| (c as usize).min(b)).sum();
                     }
-                    assert_cache_blocks(&store, &rec.child_a, sources, 0, "A-cache");
-                    assert_cache_blocks(&store, &rec.left_s, copied / b, copied % b, "S-cache");
+                    assert_cache_blocks(&store, frame, &rec.child_a, sources, 0, "A-cache");
+                    let (full, rest) = (copied / b, copied % b);
+                    assert_cache_blocks(&store, frame, &rec.left_s, full, rest, "S-cache");
 
                     assert!(!rec.inner_is_region);
-                    let (nodes, full) =
-                        check_core_caches(&store, rec.inner_root, CacheMode::FullPath);
+                    let (nodes, full) = check_core_caches(&store, &rec.inner(frame).core());
                     if cnt == r_cap {
                         full_regions += 1;
                         assert_eq!((nodes, full), (inner_nodes, inner_nodes), "full region's inner");
@@ -1124,39 +1214,46 @@ mod tests {
     }
 
     /// Every list once: the census of a complete tree of seven full regions
-    /// (512 B) and of three (4 KiB), class by class, and a free walk that
-    /// returns every page — of a two-level and of a nested build.
+    /// (512 B) and of three (4 KiB) of full-width records, class by class,
+    /// and a free walk that returns every page — of a two-level and of a
+    /// nested build.
     #[test]
     fn census_counts_each_list_once_and_free_returns_every_page() {
+        let frame = Frame::WIDE;
         for (page_size, regions, want) in [
             // Root page of three regions and four leaf pages; per region three
             // blocks of X and of Y and an inner tree of three nodes (one
             // skeletal page, a child_a and a left_s of one block).
             (512, 7, RegionCensus {
                 skeletal: 5, x_lists: 21, y_lists: 21, a_caches: 1, s_caches: 1,
-                inner_skeletal: 7, inner_points: 21, inner_caches: 14, buffers: 0,
+                inner_skeletal: 7, inner_points: 21, inner_caches: 14,
+                frame, block_capacity: 20, ..RegionCensus::default()
             }),
             // One page; inner trees of seven nodes: child_a 1 + 2 + 2 blocks,
             // left_s 1 + 2 + 1.
             (4096, 3, RegionCensus {
                 skeletal: 1, x_lists: 21, y_lists: 21, a_caches: 1, s_caches: 1,
-                inner_skeletal: 3, inner_points: 21, inner_caches: 27, buffers: 0,
+                inner_skeletal: 3, inner_points: 21, inner_caches: 27,
+                frame, block_capacity: 163, ..RegionCensus::default()
             }),
         ] {
             let store = PageStore::in_memory(page_size);
-            let pts = distinct_points(regions * region_caps(page_size, 2)[0]);
-            let pst = TwoLevelPst::build(&store, &pts).unwrap();
-            let census = pst.page_census(&store).unwrap();
+            let caps = region_caps(page_size, 2, frame);
+            let pts = distinct_points(regions * caps[0]);
+            let root = build_region_tree(&store, &pts, &caps, frame).unwrap().root;
+            let census = page_census(&store, root, frame).unwrap();
             assert_eq!(census, want, "{page_size}-byte pages");
             assert_eq!(census.total(), store.live_pages());
-            free_pages(&store, pst.root.root, true).unwrap();
+            free_pages(&store, root, true).unwrap();
             assert_eq!(store.live_pages(), 0);
         }
         let store = PageStore::in_memory(4096);
-        let caps = region_caps(4096, 3);
-        let nested = build_region_tree(&store, &random_points(30_000, 1 << 30, 0x7e57), &caps);
-        let root = nested.unwrap().root;
-        assert_eq!(page_census(&store, root).unwrap().total(), store.live_pages());
+        let pts = random_points(30_000, 1 << 30, 0x7e57);
+        let frame = Frame::of(&pts);
+        let caps = region_caps(4096, 3, frame);
+        assert_eq!(caps.len(), 2, "a nested build");
+        let root = build_region_tree(&store, &pts, &caps, frame).unwrap().root;
+        assert_eq!(page_census(&store, root, frame).unwrap().total(), store.live_pages());
         free_pages(&store, root, true).unwrap();
         assert_eq!(store.live_pages(), 0);
     }
@@ -1168,7 +1265,7 @@ mod tests {
     #[test]
     fn sibling_regions_drain_the_same_caches() {
         use std::collections::HashSet;
-        for (page_size, n) in [(512, 3_000), (4096, 90_000)] {
+        for (page_size, n) in [(512, 9_000), (4096, 200_000)] {
             let logged = LoggedStore::new(page_size);
             let store = &logged.store;
             let pst = TwoLevelPst::build(store, &distinct_points(n)).unwrap();
@@ -1188,7 +1285,7 @@ mod tests {
             // the region's x-range, y0 just above its lowest point.
             let met = |at: NodeRef| {
                 let rec = &regions.iter().find(|(r, _)| *r == at).expect("a record").1;
-                let x0 = rec.x_list.read_all(store).unwrap()[0].x;
+                let x0 = rec.x_list.read_all(store, pst.frame()).unwrap()[0].x;
                 let q = TwoSided { x0, y0: rec.min_y_y + 1 };
                 let (_, log) = logged.reads_of(|s| pst.query(s, q).unwrap());
                 let of = |heads: &HashSet<PageId>| -> Vec<PageId> {
@@ -1219,15 +1316,15 @@ mod tests {
     /// no page twice.
     #[test]
     fn a_continued_list_starts_at_its_second_block() {
-        for page_size in [512, 4096] {
-            let b = block_capacity(page_size);
+        for (page_size, frame) in FRAMES.into_iter().flat_map(|f| [(512, f), (4096, f)]) {
+            let b = block_capacity(page_size, frame);
             for (len, more_blocks) in [(b, 0), (b + 1, 1), (2 * b + 1, 2)] {
                 let logged = LoggedStore::new(page_size);
                 let store = &logged.store;
                 // Regions of `len` points: a root, the corner (a leaf) to
                 // its left and a leaf sibling to its right, all full.
                 let pts = distinct_points(3 * len);
-                let root_page = build_region_tree(store, &pts, &[len]).unwrap().root;
+                let root_page = build_region_tree(store, &pts, &[len], frame).unwrap().root;
                 let page = store.read(root_page).unwrap();
                 let root = decode_record(&page, 0).unwrap();
                 let corner = decode_record(&page, root.left.slot).unwrap();
@@ -1238,7 +1335,8 @@ mod tests {
                 );
                 assert_eq!(root.right_y_list, sibling.y_list);
 
-                let handle = InnerHandle { root: root_page, n: pts.len() as u64, is_region: true };
+                let handle =
+                    InnerHandle { root: root_page, n: pts.len() as u64, is_region: true, frame };
                 let q = TwoSided { x0: i64::MIN, y0: i64::MIN };
                 let ((hits, counters), log) = logged.reads_of(|s| query_handle(s, handle, q).unwrap());
                 assert_eq!(ids(hits), (0..pts.len() as u64).collect::<Vec<_>>());
@@ -1246,8 +1344,7 @@ mod tests {
                 let reads_of = |page: PageId| log.iter().filter(|&&p| p == page).count();
                 assert!(log.iter().all(|&p| reads_of(p) == 1), "a page was read twice");
                 for list in [root.x_list, sibling.y_list] {
-                    let pages: Vec<PageId> =
-                        list.blocks(store).unwrap().into_iter().map(|(page, _)| page).collect();
+                    let pages = list.pages(store).unwrap();
                     assert_eq!(pages.len(), 1 + more_blocks);
                     assert_eq!(list.second, pages.get(1).copied().unwrap_or(NULL_PAGE));
                     let reads: Vec<usize> = pages.iter().map(|&p| reads_of(p)).collect();
@@ -1257,8 +1354,7 @@ mod tests {
                 }
                 // The skeletal page, one block of each cache, the
                 // continuations, and the corner region's inner structure.
-                let inner = InnerHandle { root: corner.inner_root, n: corner.inner_n, is_region: false };
-                let inner_reads = query_handle(store, inner, q).unwrap().1.total();
+                let inner_reads = query_handle(store, corner.inner(frame), q).unwrap().1.total();
                 assert_eq!(counters.total(), 3 + 2 * more_blocks as u64 + inner_reads);
             }
         }
@@ -1335,7 +1431,7 @@ mod tests {
         let pts = random_points(30_000, 500_000, 0x4444);
         let store = PageStore::in_memory(512);
         let pst = TwoLevelPst::build(&store, &pts).unwrap();
-        let b = block_capacity(512) as u64;
+        let b = block_capacity(512, pst.frame()) as u64;
         let mut s = 0x66u64;
         for _ in 0..60 {
             let q = TwoSided {

@@ -40,7 +40,7 @@
 use pc_btree::BTree;
 use pc_pagestore::codec::PageWriter;
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Interval, PageId, PageStore, Record, Result, NULL_PAGE};
+use pc_pagestore::{Frame, Interval, PageId, PageStore, Record, Result, NULL_PAGE};
 
 use crate::mem::{MemTree, NONE};
 
@@ -155,7 +155,7 @@ pub fn build_external(
     // Allocate page ids up front so child references can be absolute.
     let page_ids: Vec<PageId> = pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
 
-    let cap_b = BlockList::<Interval>::capacity(store.page_size());
+    let cap_b = BlockList::<Interval>::capacity(store.page_size(), Frame::WIDE);
     // Full (>= one block) cover-lists get their own blocked list; short
     // ones are packed into the page's shared region (naive variant only —
     // the cached variant serves them from caches and drops the originals).
@@ -166,7 +166,7 @@ pub fn build_external(
     let mut shared: Vec<Vec<Interval>> = vec![Vec::new(); pages.len()];
     for (ni, node) in mem.nodes.iter().enumerate() {
         if node.cover.len() >= cap_b {
-            cover_full[ni] = BlockList::build(store, &node.cover)?;
+            cover_full[ni] = BlockList::build(store, Frame::WIDE, &node.cover)?;
         } else if !node.cover.is_empty() && !cached {
             let region = &mut shared[node_loc[ni].0];
             shared_slice[ni] = (region.len() as u32, node.cover.len() as u32);

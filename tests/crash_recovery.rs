@@ -462,6 +462,53 @@ fn dynamic_pst_answers_survive_crash_recovery() {
     );
 }
 
+/// A structure built at 3/3/3 and widened twice — by an `x` of `i64::MAX`,
+/// then by an id of `u64::MAX`, each a rebuild of every page under a wider
+/// frame — with buffered updates before, between and after: the acked
+/// state survives, and the descriptor reopens it at the widened frame.
+#[test]
+fn widened_dynamic_pst_answers_survive_crash_recovery() {
+    use pc_pagestore::Frame;
+    check_kind(
+        "widened_dynamic_pst",
+        |store| {
+            let narrow: Vec<Point> = points(300)
+                .into_iter()
+                .map(|p| Point { x: p.x * 70_000, y: -p.y * 70_000, id: p.id + 70_000 })
+                .collect();
+            let mut t = DynamicPst::build(store, &narrow).unwrap();
+            assert_eq!(t.frame(), Frame::new(3, 3, 3));
+            let wide = [
+                (Point { x: i64::MAX, y: 1, id: 1 }, Frame::new(8, 3, 3)),
+                (Point { x: 2, y: -2, id: u64::MAX }, Frame::new(8, 3, 8)),
+            ];
+            let mut filler =
+                (0..45i64).map(|i| Point { x: 900 + i, y: -(i * 11) % 89, id: i as u64 + 2 });
+            for (p, frame) in wide {
+                filler.by_ref().take(15).for_each(|p| t.insert(store, p).unwrap());
+                store.sync().unwrap();
+                t.insert(store, p).unwrap();
+                assert_eq!(t.frame(), frame);
+            }
+            filler.for_each(|p| t.insert(store, p).unwrap());
+            t.delete(store, narrow[7]).unwrap();
+            t
+        },
+        |t, store| {
+            let reopened = DynamicPst::open(store, &t.descriptor()).unwrap();
+            assert_eq!(reopened.frame(), Frame::new(8, 3, 8));
+            [(i64::MIN, i64::MIN), (0, -3_000_000), (i64::MAX, 0), (1, -2)]
+                .iter()
+                .map(|&(x0, y0)| {
+                    let q = TwoSided { x0, y0 };
+                    assert_eq!(reopened.query(store, q).unwrap(), t.query(store, q).unwrap());
+                    format!("{:?}", t.query(store, q).unwrap())
+                })
+                .collect()
+        },
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Versioned (MVCC) kill-point matrix: recovery exposes exactly the last
 // committed epoch, bit-identical under `as_of`

@@ -1,18 +1,24 @@
 //! The structures' footprint and per-query reads as assertions (the
 //! paper's table: Lemma 3.1, Theorems 3.2, 3.3, 3.5, 4.3, 4.4 and 5.1): at
 //! 4 KiB pages and a fixed seed, `pages <= c·(n/B)·f(B)` and `reads <=
-//! c1·ceil(log_B n) + 2·ceil(t/B)`. `c` and `c1` are pinned 10% above what
-//! the layouts measure — the worst over the sizes a structure is pinned
-//! at — so a layout regression fails here instead of moving a table. The
-//! pins and the measurements are `pc_bench`'s, which the `experiments`
-//! binary prints and exits non-zero past.
+//! c1·ceil(log_B n) + 2·ceil(t/B)`, `B` the block capacity at the frame the
+//! build chose. `c` and `c1` are pinned 10% above what the layouts measure —
+//! the worst over the sizes a structure is pinned at — so a layout
+//! regression fails here instead of moving a table. Every pin is held twice
+//! ([`Spread`]): on the generators' 20-bit data, which the structures store
+//! at three bytes a field, and on the same data stretched over all 64 bits,
+//! which must still meet the pins — and the exact page and read counts — of
+//! the fixed 24-byte records. The pins and the measurements are
+//! `pc_bench`'s, which the `experiments` binary prints and exits non-zero
+//! past.
 
-use path_caching::{Interval, PageStore, Point, ThreeSided, TwoSided};
+use path_caching::{Frame, PageStore, Point, TwoSided};
 use pc_bench::{
     basic_constants, dynamic_churn_pages, interval_tree_constants, multilevel_constants,
-    segmented_constants, three_sided_constants, two_level_constants, two_sided_corners,
-    TwoSidedPin, BASIC_PINS, DYNAMIC_CHURN_FACTOR, INTERVAL_TREE_PINS, LADDER_PIN_SIZES,
-    MULTILEVEL_PINS, SEGMENTED_PINS, THREE_SIDED_PINS, TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES,
+    segmented_constants, three_sided_constants, two_level_constants, two_sided_corners, Spread,
+    TwoSidedConstants, TwoSidedPin, TwoSidedPst, BASIC_PINS, DYNAMIC_CHURN_FACTOR,
+    INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS, SEGMENTED_PINS, THREE_SIDED_PINS,
+    TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES, WIDE_PIN_SIZE,
 };
 use pc_intervaltree::ExternalIntervalTree;
 use pc_pst::{
@@ -20,26 +26,33 @@ use pc_pst::{
     ThreeSidedPst, TwoLevelPst,
 };
 use pc_workloads::{
-    gen_intervals, gen_points, gen_stabbing, gen_three_sided, IntervalDist, PointDist,
+    gen_intervals, gen_points, gen_stabbing, gen_three_sided, IntervalDist, PointDist, RawPoint,
 };
 
 const PAGE_SIZE: usize = 4096;
+/// `B` of the PSTs and of the interval tree at [`Frame::WIDE`]: what every
+/// structure measured before frames.
+const WIDE_B: (u64, u64) = (163, 170);
 
 #[test]
 fn interval_tree_space_and_stab_reads_stay_within_pinned_constants() {
     // Stabs meeting ~16 intervals, then ~3 blocks of them; the pins and
     // the measurement are the ones E4 of the `experiments` binary exits
     // non-zero past.
-    for (t_mean, c_pin, c1_pin) in INTERVAL_TREE_PINS {
-        let (pages, c, c1) = interval_tree_constants(t_mean);
-        assert!(c <= c_pin, "t≈{t_mean}: {pages} pages is {c:.3} units of (n/B)·log2 B");
-        assert!(c1 <= c1_pin, "t≈{t_mean}: a stab needs c1 = {c1:.3}");
+    for spread in Spread::BOTH {
+        for (t_mean, c_pin, c1_pin) in INTERVAL_TREE_PINS[spread as usize] {
+            let (b, pages, c, c1) = interval_tree_constants(t_mean, spread);
+            let what = format!("{spread:?}, B={b}, t≈{t_mean}");
+            assert!(spread != Spread::Full || b == WIDE_B.1, "{what}");
+            assert!(c <= c_pin, "{what}: {pages} pages is {c:.3} units of (n/B)·log2 B");
+            assert!(c1 <= c1_pin, "{what}: a stab needs c1 = {c1:.3}");
+        }
     }
 }
 
-fn uniform_points(n: u64) -> (Vec<(i64, i64, u64)>, Vec<Point>) {
+fn uniform_points(n: u64, spread: Spread) -> (Vec<RawPoint>, Vec<Point>) {
     let raw = gen_points(n as usize, PointDist::Uniform, 0x5eed);
-    let points = raw.iter().map(|&(x, y, id)| Point::new(x, y, id)).collect();
+    let points = spread.points(&raw);
     (raw, points)
 }
 
@@ -48,11 +61,15 @@ fn three_sided_pst_space_and_query_reads_stay_within_pinned_constants() {
     // The pins and the measurement are the ones E9 of the `experiments`
     // binary exits non-zero past: at the peak of the space sawtooth, at a
     // small size and where the tree spans two levels of skeletal pages.
-    for (n, c_pin, c1_pins) in THREE_SIDED_PINS {
-        let (census, c, c1) = three_sided_constants(n);
-        assert!(c <= c_pin, "n={n}: {census:?} is {c:.3} units of (n/B)·log2² B");
-        for (c1, (t, c1_pin)) in c1.into_iter().zip(c1_pins) {
-            assert!(c1 <= c1_pin, "n={n}, t≈{t}: a 3-sided query needs c1 = {c1:.3}");
+    for spread in Spread::BOTH {
+        for &(n, c_pin, c1_pins) in THREE_SIDED_PINS[spread as usize] {
+            let (census, c, c1) = three_sided_constants(n, spread);
+            assert!(spread != Spread::Full || census.block_capacity == WIDE_B.0, "{census:?}");
+            assert!(c <= c_pin, "n={n}: {census:?} is {c:.3} units of (n/B)·log2² B");
+            for (c1, (t, c1_pin)) in c1.into_iter().zip(c1_pins) {
+                let what = format!("{spread:?}, n={n}, t≈{t}");
+                assert!(c1 <= c1_pin, "{what}: a 3-sided query needs c1 = {c1:.3}");
+            }
         }
     }
 }
@@ -60,15 +77,20 @@ fn three_sided_pst_space_and_query_reads_stay_within_pinned_constants() {
 fn assert_two_sided_within(
     what: &str,
     sizes: &[u64],
-    pins: TwoSidedPin,
-    measure: fn(u64) -> (u64, f64, [f64; 2]),
+    pins: [TwoSidedPin; 2],
+    measure: fn(u64, Spread) -> TwoSidedConstants,
 ) {
-    let (c_pin, c1_pins) = pins;
-    for &n in sizes {
-        let (pages, c, c1) = measure(n);
-        assert!(c <= c_pin, "{what}, n={n}: {pages} pages is {c:.3} units of its space bound");
-        for (c1, (t, c1_pin)) in c1.into_iter().zip(c1_pins) {
-            assert!(c1 <= c1_pin, "{what}, n={n}, t≈{t}: a 2-sided query needs c1 = {c1:.3}");
+    for spread in Spread::BOTH {
+        let (c_pin, c1_pins) = pins[spread as usize];
+        let sizes = if spread == Spread::Full { &[WIDE_PIN_SIZE] } else { sizes };
+        for &n in sizes {
+            let TwoSidedConstants { b, pages, c, c1 } = measure(n, spread);
+            let what = format!("{what}, {spread:?}, B={b}, n={n}");
+            assert!(spread != Spread::Full || b == WIDE_B.0, "{what}");
+            assert!(c <= c_pin, "{what}: {pages} pages is {c:.3} units of its space bound");
+            for (c1, (t, c1_pin)) in c1.into_iter().zip(c1_pins) {
+                assert!(c1 <= c1_pin, "{what}, t≈{t}: a 2-sided query needs c1 = {c1:.3}");
+            }
         }
     }
 }
@@ -92,13 +114,15 @@ fn two_level_pst_space_and_query_reads_stay_within_pinned_constants() {
     assert_two_sided_within("two-level", &TWO_LEVEL_PIN_SIZES, TWO_LEVEL_PINS, two_level_constants);
 
     let n = 100_000u64;
-    let (raw, points) = uniform_points(n);
+    let (raw, points) = uniform_points(n, Spread::Domain);
     let store = PageStore::in_memory(PAGE_SIZE);
     let pst = TwoLevelPst::build(&store, &points).unwrap();
     let dyn_store = PageStore::in_memory(PAGE_SIZE);
     let dynamic = DynamicPst::build(&dyn_store, &points).unwrap();
     assert_eq!(dyn_store.live_pages(), store.live_pages(), "one layout, static or dynamic");
-    assert_eq!(dynamic.page_census(&dyn_store).unwrap(), pst.page_census(&store).unwrap());
+    let census = pst.page_census(&store).unwrap();
+    assert_eq!(dynamic.page_census(&dyn_store).unwrap(), census);
+    assert_eq!((census.frame, census.block_capacity), (Frame::new(3, 3, 3), 408));
     for t in [16, 4096] {
         for q in two_sided_corners(&raw, t) {
             let (hits, counters) = pst.query_counted(&store, q).unwrap();
@@ -115,8 +139,12 @@ fn two_level_pst_space_and_query_reads_stay_within_pinned_constants() {
 /// against the answer's length, since §3's waste is computed from both.
 #[test]
 fn query_counters_equal_the_strict_stores_reads() {
+    Spread::BOTH.into_iter().for_each(query_counters_equal_the_strict_stores_reads_on);
+}
+
+fn query_counters_equal_the_strict_stores_reads_on(spread: Spread) {
     let n = 100_000u64;
-    let (raw, points) = uniform_points(n);
+    let (raw, points) = uniform_points(n, spread);
     let store = PageStore::in_memory(PAGE_SIZE);
     // `run` answers with (t, reads the structure's own counters report).
     let counted = |what: &str, run: &dyn Fn() -> (usize, Option<u64>)| {
@@ -147,11 +175,14 @@ fn query_counters_equal_the_strict_stores_reads() {
     let mut dynamic_three_sided = DynamicThreeSidedPst::build(&store, &points).unwrap();
     // Non-empty update buffers: a query reads those too, and answers from
     // them.
+    let frame = dynamic.frame();
+    assert_eq!(frame, [Frame::new(3, 3, 3), Frame::WIDE][spread as usize]);
     for (i, p) in points.iter().step_by(997).enumerate() {
-        let p = Point::new(p.y, p.x, n + i as u64);
+        let p = Point::new(p.y, p.x, spread.id(n + i as u64));
         dynamic.insert(&store, p).unwrap();
         dynamic_three_sided.insert(&store, p).unwrap();
     }
+    assert_eq!(dynamic.frame(), frame, "the inserts were to stay buffered, not to widen");
     macro_rules! two_sided {
         ($pst:ident) => {
             (stringify!($pst), &|q| {
@@ -171,11 +202,11 @@ fn query_counters_equal_the_strict_stores_reads() {
     for t in [16usize, 4096] {
         for q in two_sided_corners(&raw, t) {
             for (what, query) in two_sided {
-                counted(what, &|| query(q));
+                counted(what, &|| query(spread.two_sided(q)));
             }
         }
         for q in gen_three_sided(&raw, 150, t, 0xfeed) {
-            let q = ThreeSided { x1: q.x1, x2: q.x2, y0: q.y0 };
+            let q = spread.three_sided(&q);
             counted("3-sided", &|| {
                 let (hits, counters) = three_sided.query_counted(&store, q).unwrap();
                 (hits.len(), Some(counters.total()))
@@ -187,15 +218,105 @@ fn query_counters_equal_the_strict_stores_reads() {
         }
         let max_len = 2 * t as i64 * pc_workloads::DOMAIN / n as i64;
         let raw = gen_intervals(n as usize, IntervalDist::UniformLen { max_len }, 0x5eed);
-        let intervals: Vec<Interval> =
-            raw.iter().map(|&(lo, hi, id)| Interval::new(lo, hi, id)).collect();
-        let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
+        let tree = ExternalIntervalTree::build(&store, &spread.intervals(&raw)).unwrap();
         for stab in gen_stabbing(&raw, 150, 0xfeed) {
             counted("interval tree", &|| {
-                let (hits, reads) = tree.stab_with_ios(&store, stab.q).unwrap();
+                let (hits, reads) = tree.stab_with_ios(&store, spread.coord(stab.q)).unwrap();
                 (hits.len(), Some(reads))
             });
         }
+    }
+}
+
+// --- Full-width data is the fixed-width layout, to the page and the read:
+// 50 000 uniform points (intervals) stretched over all 64 bits build what
+// the 24-byte records of the commit before frames built over the unstretched
+// data — `(pages, reads, answers)` below are that commit's, the reads and
+// answers summed over the pinned query sets at t ≈ 16 and t ≈ 4096. One test
+// per engine; the wide case is the same code, so these move only with it. ---
+
+const WIDE_N: u64 = 50_000;
+
+fn wide_two_sided<P: TwoSidedPst>(settle: impl Fn(&PageStore, &mut P), want: (u64, u64, usize)) {
+    let (raw, points) = uniform_points(WIDE_N, Spread::Full);
+    let store = PageStore::in_memory(PAGE_SIZE);
+    let mut pst = P::build_on(&store, &points);
+    settle(&store, &mut pst);
+    assert_eq!(pst.stored_at(), Frame::WIDE);
+    let pages = store.live_pages();
+    let (mut reads, mut answers) = (0, 0);
+    for q in [16, 4096].into_iter().flat_map(|t| two_sided_corners(&raw, t)) {
+        let (hits, counted) = pst.counted(&store, Spread::Full.two_sided(q));
+        (reads, answers) = (reads + counted, answers + hits);
+    }
+    assert_eq!((pages, reads, answers), want);
+}
+
+/// The points the dynamic structures of the wide tests take after the build.
+fn wide_inserts(count: usize) -> Vec<Point> {
+    let fresh = gen_points(count, PointDist::Uniform, 0xc0de);
+    Spread::Full.points(&fresh.iter().map(|&(x, y, id)| (x, y, WIDE_N + id)).collect::<Vec<_>>())
+}
+
+#[test]
+fn wide_data_builds_the_fixed_width_single_level_psts() {
+    wide_two_sided::<BasicPst>(|_, _| (), (3361, 5855, 567_930));
+    wide_two_sided::<SegmentedPst>(|_, _| (), (1553, 5911, 567_930));
+}
+
+#[test]
+fn wide_data_builds_the_fixed_width_region_trees() {
+    wide_two_sided::<TwoLevelPst>(|_, _| (), (1452, 5138, 567_930));
+    wide_two_sided::<MultilevelPst>(|_, _| (), (2234, 5402, 567_930));
+}
+
+#[test]
+fn wide_data_builds_the_fixed_width_dynamic_pst() {
+    // 1 000 inserts: flushed regions, and `U` and `u` buffers on the path.
+    let settle = |store: &PageStore, pst: &mut DynamicPst| {
+        wide_inserts(1_000).into_iter().for_each(|p| pst.insert(store, p).unwrap());
+    };
+    wide_two_sided::<DynamicPst>(settle, (1562, 6056, 579_874));
+}
+
+#[test]
+fn wide_data_builds_the_fixed_width_three_sided_psts() {
+    let (raw, points) = uniform_points(WIDE_N, Spread::Full);
+    let store = PageStore::in_memory(PAGE_SIZE);
+    let pst = ThreeSidedPst::build(&store, &points).unwrap();
+    let pages = store.live_pages();
+    let dyn_store = PageStore::in_memory(PAGE_SIZE);
+    let mut dynamic = DynamicThreeSidedPst::build(&dyn_store, &points).unwrap();
+    wide_inserts(100).into_iter().for_each(|p| dynamic.insert(&dyn_store, p).unwrap());
+    let dyn_pages = dyn_store.live_pages();
+    dyn_store.reset_stats();
+    let (mut reads, mut answers, mut dyn_answers) = (0, 0, 0);
+    for q in [16, 4096].into_iter().flat_map(|t| gen_three_sided(&raw, 150, t, 0xfeed)) {
+        let q = Spread::Full.three_sided(&q);
+        let (hits, counters) = pst.query_counted(&store, q).unwrap();
+        (reads, answers) = (reads + counters.total(), answers + hits.len());
+        dyn_answers += dynamic.query(&dyn_store, q).unwrap().len();
+    }
+    assert_eq!(pst.frame(), Frame::WIDE);
+    assert_eq!((pages, reads, answers), (1630, 6517, 616_808));
+    assert_eq!((dyn_pages, dyn_store.stats().reads, dyn_answers), (1631, 6817, 618_051));
+}
+
+#[test]
+fn wide_data_builds_the_fixed_width_interval_tree() {
+    for (t, want) in [(16, (1186, 600, 2_630)), (500, (2824, 1225, 74_957))] {
+        let max_len = 2 * t * pc_workloads::DOMAIN / WIDE_N as i64;
+        let raw = gen_intervals(WIDE_N as usize, IntervalDist::UniformLen { max_len }, 0x5eed);
+        let store = PageStore::in_memory(PAGE_SIZE);
+        let tree = ExternalIntervalTree::build(&store, &Spread::Full.intervals(&raw)).unwrap();
+        assert_eq!(tree.frame(), Frame::WIDE);
+        let pages = store.live_pages();
+        let (mut reads, mut answers) = (0, 0);
+        for stab in gen_stabbing(&raw, 150, 0xfeed) {
+            let (hits, ios) = tree.stab_with_ios(&store, Spread::Full.coord(stab.q)).unwrap();
+            (reads, answers) = (reads + ios, answers + hits.len());
+        }
+        assert_eq!((pages, reads, answers), want, "t≈{t}");
     }
 }
 
@@ -205,7 +326,7 @@ fn query_counters_equal_the_strict_stores_reads() {
 #[test]
 fn cached_queries_waste_less_than_naive() {
     let n = 200_000u64;
-    let (_, points) = uniform_points(n);
+    let (_, points) = uniform_points(n, Spread::Domain);
     let store = PageStore::in_memory(PAGE_SIZE);
     let naive = NaivePst::build(&store, &points).unwrap();
     let segmented = SegmentedPst::build(&store, &points).unwrap();
@@ -236,10 +357,13 @@ fn cached_queries_waste_less_than_naive() {
 /// exits non-zero past the same pin).
 #[test]
 fn dynamic_pst_space_stays_near_a_fresh_build_under_churn() {
-    let (after, fresh) = dynamic_churn_pages();
-    let factor = after as f64 / fresh as f64;
-    assert!(
-        factor <= DYNAMIC_CHURN_FACTOR,
-        "{after} pages after churn, {fresh} fresh: factor {factor:.3}"
-    );
+    for spread in Spread::BOTH {
+        let (b, after, fresh) = dynamic_churn_pages(spread);
+        assert!(spread != Spread::Full || b == WIDE_B.0);
+        let factor = after as f64 / fresh as f64;
+        assert!(
+            factor <= DYNAMIC_CHURN_FACTOR[spread as usize],
+            "{spread:?}, B={b}: {after} pages after churn, {fresh} fresh: factor {factor:.3}"
+        );
+    }
 }

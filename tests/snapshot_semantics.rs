@@ -271,6 +271,60 @@ fn full_scan_op() -> Op {
     Op::TwoSided { x0: i64::MIN, y0: i64::MIN }
 }
 
+/// A widening rebuilds the whole structure under a wider frame — every
+/// page of the old epoch retired at once. A snapshot pinned before it keeps
+/// the frame its descriptor was committed with and answers bit-identically,
+/// pinned or by `as_of`; the head answers with the wide points at the wider
+/// frame.
+#[test]
+fn a_snapshot_pinned_before_a_widening_keeps_its_frame_and_its_answers() {
+    use pc_pagestore::Frame;
+    let seed = seed();
+    let mut initial = initial_points(400, seed ^ 7);
+    initial.iter_mut().for_each(|p| p.id += 70_000);
+    let (handle, store) = spawn(&initial[..400], 8);
+    let versions = Arc::clone(handle.versions());
+    let mut client = Client::connect(handle.addr(), Duration::from_secs(5)).unwrap();
+
+    // One ordinary insert first: epoch 0 is not addressable by `as_of`.
+    initial.push(Point { x: 5, y: 5, id: 69_999 });
+    acked(client.call(0, 0, Op::Insert(initial[400])));
+    let snap = versions.snapshot();
+    let frozen = open_frozen(&snap, &store);
+    assert_eq!((snap.seq(), frozen.frame()), (1, Frame::new(3, 3, 3)));
+    let mut rng = Rng::seed_from_u64(seed ^ 0x1DE);
+    let queries: Vec<TwoSided> = (0..10)
+        .map(|_| TwoSided { x0: rng.gen_range(0..=DOMAIN), y0: rng.gen_range(0..=DOMAIN / 2) })
+        .chain([TwoSided { x0: i64::MIN, y0: i64::MIN }])
+        .collect();
+    let answers = |view: &DynamicPst, snap: &Snapshot| -> Vec<Vec<Point>> {
+        let _g = snap.enter();
+        queries.iter().map(|&q| view.query(&store, q).unwrap()).collect()
+    };
+    let expected = answers(&frozen, &snap);
+
+    let wide =
+        [Point { x: i64::MAX, y: 7, id: 69_998 }, Point { x: -3, y: i64::MIN, id: u64::MAX }];
+    for (p, frame) in wide.into_iter().zip([Frame::new(8, 3, 3), Frame::new(8, 8, 8)]) {
+        acked(client.call(0, 0, Op::Insert(p)));
+        let head = versions.snapshot();
+        assert_eq!(open_frozen(&head, &store).frame(), frame, "the head after {p:?}");
+        assert_eq!(answers(&frozen, &snap), expected, "the pinned snapshot after {p:?}");
+    }
+
+    let old = client.call_as_of(0, 0, snap.seq(), full_scan_op()).unwrap();
+    let Body::Points(old) = canonicalize(old.body) else { panic!("as_of body") };
+    assert_eq!(old, frozen_scan(&snap, &frozen, &store), "as_of the epoch before the widening");
+    assert_eq!(old.len(), initial.len());
+    let live = client.call(0, 0, full_scan_op()).unwrap();
+    let Body::Points(live) = canonicalize(live.body) else { panic!("full scan body") };
+    assert_eq!(live.len(), initial.len() + 2);
+    assert!(wide.iter().all(|p| live.contains(p)), "the head holds the wide points");
+
+    handle.shutdown();
+    handle.join();
+}
+
 /// A pin at the front of the window *blocks* trimming — the pinned epoch
 /// stays addressable and none of its pages are reclaimed, however far the
 /// head churns past the retention target. Releasing the pin (plus one
