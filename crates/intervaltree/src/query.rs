@@ -166,7 +166,7 @@ fn scan<R: Framed>(
     store: &PageStore,
     frame: Frame,
     head: &[u8],
-    mut next: PageId,
+    next: PageId,
     mut visit: impl FnMut(R) -> bool,
 ) -> Result<()> {
     let mut r = PageReader::new(head);
@@ -175,12 +175,10 @@ fn scan<R: Framed>(
             return Ok(());
         }
     }
-    while !next.is_null() {
-        let (block, after) = BlockList::<R>::read_block(store, frame, next)?;
-        if !block.into_iter().all(&mut visit) {
+    for block in BlockList::<R>::blocks_from(store, frame, next) {
+        if !block?.into_iter().all(&mut visit) {
             return Ok(());
         }
-        next = after;
     }
     Ok(())
 }

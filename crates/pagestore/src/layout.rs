@@ -8,9 +8,6 @@
 //! structure's [`Frame`], preserving insertion order. The frame is the
 //! caller's — it is in no block's bytes — so every call that encodes or
 //! decodes records takes it.
-//!
-//! [`RecordPage`] is the simpler flat layout used for tree-node payloads: a
-//! count header followed by fixed-width records, all in one page.
 
 use std::marker::PhantomData;
 
@@ -163,7 +160,15 @@ impl<R: Framed> BlockList<R> {
     /// I/O. Stopping early (not exhausting the iterator) reads no further
     /// pages — this is how queries achieve output-sensitive cost.
     pub fn blocks<'s>(&self, store: &'s PageStore, frame: Frame) -> BlockIter<'s, R> {
-        BlockIter { store, frame, next: self.head, _marker: PhantomData }
+        Self::blocks_from(store, frame, self.head)
+    }
+
+    /// [`BlockList::blocks`] from the block on page `start` on: a list's
+    /// owner may name more of its blocks than the head (the second, for
+    /// the continuation rule; any, through a directory), and a scan can
+    /// start at each of them.
+    pub fn blocks_from(store: &PageStore, frame: Frame, start: PageId) -> BlockIter<'_, R> {
+        BlockIter { store, frame, next: start, _marker: PhantomData }
     }
 
     /// Reads the entire list into memory (one I/O per block).
@@ -173,13 +178,6 @@ impl<R: Framed> BlockList<R> {
             out.extend(block?);
         }
         Ok(out)
-    }
-
-    /// Reads only the first block (one I/O; empty vec for the empty list).
-    /// This is the "first block of the X-list / Y-list" primitive of the
-    /// two-level scheme (paper §4).
-    pub fn read_first_block(&self, store: &PageStore, frame: Frame) -> Result<Vec<R>> {
-        self.blocks(store, frame).next().unwrap_or_else(|| Ok(Vec::new()))
     }
 
     /// Reads one block of a list directly by its page id, returning the
@@ -243,37 +241,6 @@ impl<R: Framed> Iterator for BlockIter<'_, R> {
     }
 }
 
-/// Flat single-page record array with a `u16` count header. Used for
-/// fixed-fanout tree nodes whose payload fits one page by construction.
-pub struct RecordPage;
-
-impl RecordPage {
-    /// Records of type `R` that fit in one page alongside `extra_header`
-    /// caller bytes.
-    pub fn capacity<R: Record>(page_size: usize, extra_header: usize) -> usize {
-        (page_size - 2 - extra_header) / R::ENCODED_LEN
-    }
-
-    /// Encodes `records` (with count header) into `w`.
-    pub fn encode<R: Record>(w: &mut PageWriter<'_>, records: &[R]) -> Result<()> {
-        w.put_u16(records.len() as u16)?;
-        for rec in records {
-            rec.encode(w)?;
-        }
-        Ok(())
-    }
-
-    /// Decodes a record array previously written by [`RecordPage::encode`].
-    pub fn decode<R: Record>(r: &mut PageReader<'_>) -> Result<Vec<R>> {
-        let count = r.get_u16()? as usize;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(R::decode(r)?);
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,7 +260,7 @@ mod tests {
         assert!(list.is_empty());
         assert_eq!(store.live_pages(), 0);
         assert_eq!(list.read_all(&store, WIDE).unwrap(), vec![]);
-        assert_eq!(list.read_first_block(&store, WIDE).unwrap(), vec![]);
+        assert!(list.blocks(&store, WIDE).next().is_none());
         assert_eq!(store.stats().total_io(), 0);
     }
 
@@ -364,7 +331,7 @@ mod tests {
         let data = points(50);
         let list = BlockList::build(&store, WIDE, &data).unwrap();
         store.reset_stats();
-        let first = list.read_first_block(&store, WIDE).unwrap();
+        let first = list.blocks(&store, WIDE).next().unwrap().unwrap();
         assert_eq!(first, data[..10].to_vec());
         assert_eq!(store.stats().reads, 1);
     }
@@ -410,13 +377,18 @@ mod tests {
         assert_eq!(store.live_pages(), 5);
         let sizes: Vec<usize> = list.blocks(&store, WIDE).map(|b| b.unwrap().len()).collect();
         assert_eq!(sizes, vec![7, 7, 7, 7, 2]);
-        assert_eq!(list.read_first_block(&store, WIDE).unwrap(), data[..7].to_vec());
+        assert_eq!(list.blocks(&store, WIDE).next().unwrap().unwrap(), data[..7].to_vec());
         assert_eq!(list.read_all(&store, WIDE).unwrap(), data);
         let pages = list.block_pages(&store).unwrap();
         assert_eq!(pages.len(), 5);
         assert_eq!(built, pages, "the build names the pages the chain walk finds");
         let (second, next) = BlockList::<Point>::read_block(&store, WIDE, pages[1]).unwrap();
         assert_eq!((second, next), (data[7..14].to_vec(), pages[2]));
+        // A scan can start at any block: the second one on.
+        let from_second: Vec<Point> = BlockList::blocks_from(&store, WIDE, pages[1])
+            .flat_map(|block| block.unwrap())
+            .collect();
+        assert_eq!(from_second, data[7..]);
 
         list.free(&store).unwrap();
         assert_eq!(store.live_pages(), 0);
@@ -427,21 +399,5 @@ mod tests {
     fn blocking_past_the_page_capacity_is_refused() {
         let store = PageStore::in_memory(256);
         let _ = BlockList::build_blocked(&store, WIDE, &points(30), 11);
-    }
-
-    #[test]
-    fn record_page_roundtrip() {
-        let data = points(7);
-        let mut buf = vec![0u8; 256];
-        let mut w = PageWriter::new(&mut buf);
-        RecordPage::encode(&mut w, &data).unwrap();
-        let mut r = PageReader::new(&buf);
-        assert_eq!(RecordPage::decode::<Point>(&mut r).unwrap(), data);
-    }
-
-    #[test]
-    fn record_page_capacity_accounts_for_headers() {
-        assert_eq!(RecordPage::capacity::<Point>(256, 0), 10);
-        assert_eq!(RecordPage::capacity::<Point>(256, 24), 9);
     }
 }

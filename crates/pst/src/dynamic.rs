@@ -15,11 +15,9 @@
 //!   those with a source whose *first* X- (Y-) block moved: a cache copies
 //!   nothing else, and an applied point's rank in both orders is known
 //!   when it is applied. A cache list lives once, in the record of the
-//!   parent of the regions that drain it (`child_a`: both children's
-//!   A-list, sources = the parent and its in-page ancestors; `left_s`: the
-//!   left child's S-list — see the `two_level` module header), so a moved
-//!   first block rebuilds one list per parent below it, not one per
-//!   sibling. `O(B)` I/Os per flush, `O(1)` amortized.
+//!   parent of the regions that drain it (the `region` module header), so
+//!   a moved first block rebuilds one list per parent below it, not one
+//!   per sibling. `O(B)` I/Os per flush, `O(1)` amortized.
 //! * Applied updates are also logged in the region's `u`; the region's
 //!   **inner PST is rebuilt only when `u` overflows** (`O(log B · log log
 //!   B)` per `B` updates — §5's accounting).
@@ -78,15 +76,18 @@ use std::collections::{BTreeMap, HashMap};
 use pc_pagestore::codec::PageWriter;
 use pc_pagestore::{Frame, PageId, PageStore, Point, Result};
 
-use crate::build::{blocked, SEntry};
+use crate::build::{blocked, Kind, PstHandle};
 use crate::mem::{cmp_x, cmp_y, TwoSided};
 use crate::query::QueryCounters;
+use crate::region::{
+    for_each_cache_owner, for_each_skeletal_page, merge_tagged, patch_record, write_page, NodeRef,
+    SkelRecord,
+};
 use crate::three_sided::{ThreeSided, ThreeSidedPst};
 use crate::two_level::{
-    block_capacity, buffer_capacity, build_region_tree, decode_header, decode_record,
-    encode_header, encode_record, for_each_region_page, free_pages, page_census,
-    query_handle_buffered, read_buffer, region_caps, write_buffer, InnerHandle, ListRef, NodeRef,
-    PageHeaderInfo, RegionCensus, RegionRecord, UpdateRec, PAGE_HEADER, RECORD_LEN,
+    block_capacity, buffer_capacity, build_region_tree, decode_header, encode_header, free_pages,
+    page_census, query_handle, read_buffer, region_caps, write_buffer, ListRef, PageHeaderInfo,
+    RegionCensus, RegionRecord, UpdateRec, PAGE_HEADER,
 };
 
 /// Outcome of a page flush: either the page was rewritten in place, or
@@ -244,11 +245,8 @@ impl DynamicPst {
     /// Inserts a point. Amortized `O(log_B n)` I/Os.
     pub fn insert(&mut self, store: &PageStore, p: Point) -> Result<()> {
         let _span = pc_obs::span!("dynpst_insert");
-        self.widen_for(store, &p)?;
-        self.seq += 1;
         self.live += 1;
-        let rec = UpdateRec { is_delete: false, seq: self.seq, p };
-        self.push_updates(store, self.root, vec![rec], None)
+        self.log(store, p, false)
     }
 
     /// Deletes a point (matched by its full `(x, y, id)` identity; a
@@ -256,10 +254,15 @@ impl DynamicPst {
     /// Amortized `O(log_B n)` I/Os.
     pub fn delete(&mut self, store: &PageStore, p: Point) -> Result<()> {
         let _span = pc_obs::span!("dynpst_delete");
+        self.live = self.live.saturating_sub(1);
+        self.log(store, p, true)
+    }
+
+    /// Stamps an update and logs it in the root page's `U`.
+    fn log(&mut self, store: &PageStore, p: Point, is_delete: bool) -> Result<()> {
         self.widen_for(store, &p)?;
         self.seq += 1;
-        self.live = self.live.saturating_sub(1);
-        let rec = UpdateRec { is_delete: true, seq: self.seq, p };
+        let rec = UpdateRec { is_delete, seq: self.seq, p };
         self.push_updates(store, self.root, vec![rec], None)
     }
 
@@ -277,8 +280,8 @@ impl DynamicPst {
         // The root span: the merge below reports into it.
         let _span = pc_obs::span!("dynpst_query");
         let (root, frame) = (self.root, self.frame);
-        let handle = InnerHandle { root, n: self.live.max(1), is_region: true, frame };
-        let (static_res, pending, counters) = query_handle_buffered(store, handle, q)?;
+        let handle = PstHandle { root, n: self.live.max(1), kind: Kind::Region, frame };
+        let (static_res, pending, counters) = query_handle(store, handle, q)?;
         Ok((merge_buffered(static_res, pending, |p| q.contains(p)), counters))
     }
 
@@ -366,11 +369,8 @@ impl DynamicPst {
         write_buffer(store, frame, header.u_page, &[])?;
 
         // Materialize all in-page regions.
-        let count = header.count as usize;
-        let mut records: Vec<RegionRecord> = Vec::with_capacity(count);
-        for slot in 0..count {
-            records.push(decode_record(&page, slot as u16)?);
-        }
+        let records = RegionRecord::all(&page)?;
+        let count = records.len();
         let mut points: Vec<Vec<Point>> = Vec::with_capacity(count);
         for rec in &records {
             let mut pts = rec.x_list.read_all(store, frame)?;
@@ -542,9 +542,8 @@ impl DynamicPst {
             if u_ops.len() >= u_cap {
                 free_pages(store, records[slot].inner_root, records[slot].inner_is_region)?;
                 let inner = build_region_tree(store, &points[slot], &self.caps[1..], frame)?;
-                records[slot].inner_root = inner.root;
-                records[slot].inner_n = inner.n;
-                records[slot].inner_is_region = inner.is_region;
+                (records[slot].inner_root, records[slot].inner_n) = (inner.root, inner.n);
+                records[slot].inner_is_region = inner.kind == Kind::Region;
                 u_ops.clear();
             }
             if records[slot].u_buf.is_null() {
@@ -554,82 +553,48 @@ impl DynamicPst {
         }
 
         // Refresh intra-page parent-side metadata.
-        let slot_of_ref =
-            |r: NodeRef| -> Option<usize> { (r.page == page_id).then_some(r.slot as usize) };
         for slot in 0..count {
-            let (l, r) = (records[slot].left, records[slot].right);
-            if let Some(ls) = slot_of_ref(l) {
-                records[slot].left_cnt = records[ls].own_cnt;
-                records[slot].left_is_leaf = records[ls].left.page.is_null();
-            }
-            if let Some(rs) = slot_of_ref(r) {
-                records[slot].right_cnt = records[rs].own_cnt;
-                records[slot].right_is_leaf = records[rs].left.page.is_null();
-                records[slot].right_y_list = records[rs].y_list;
-            }
-        }
-        // In-page cache sources by BFS from slot 0: per region, its
-        // ancestors (A) and their in-page right siblings on the left-going
-        // steps (S), each tagged with the ancestor's in-page depth.
-        let mut a_src: Vec<Vec<(usize, u16)>> = vec![Vec::new(); count];
-        let mut s_src: Vec<Vec<(usize, u16)>> = vec![Vec::new(); count];
-        let mut order = vec![(0usize, 0u16)];
-        let mut qi = 0;
-        while qi < order.len() {
-            let (slot, depth) = order[qi];
-            qi += 1;
-            for (child, went_left) in [(records[slot].left, true), (records[slot].right, false)]
-            {
-                let Some(cs) = slot_of_ref(child) else { continue };
-                a_src[cs] = a_src[slot].clone();
-                a_src[cs].push((slot, depth));
-                s_src[cs] = s_src[slot].clone();
-                if went_left {
-                    s_src[cs].extend(slot_of_ref(records[slot].right).map(|sib| (sib, depth)));
+            for (child, is_right) in [(records[slot].left, false), (records[slot].right, true)] {
+                if child.page == page_id {
+                    let child = records[child.slot as usize].clone();
+                    records[slot].set_child(is_right, &child);
                 }
-                order.push((cs, depth + 1));
             }
         }
-        let first_blocks = |srcs: &[(usize, u16)], lists: &[Vec<Point>]| -> Vec<SEntry> {
-            srcs.iter()
-                .flat_map(|&(src, depth)| lists[src].iter().take(b).map(move |&p| SEntry { p, depth }))
-                .collect()
-        };
-        // A region's record holds its in-page children's lists: the left
-        // child's sources name both.
-        for rec in &mut records {
-            let Some(lc) = slot_of_ref(rec.left) else { continue };
-            if a_src[lc].iter().any(|&(src, _)| touched[src].x_first) {
+        // A region's record holds its in-page children's lists; the path
+        // of the left child names the sources of both (the `region` module
+        // header), each tagged with its in-page depth.
+        let right_of: Vec<usize> = records.iter().map(|rec| rec.right.slot as usize).collect();
+        let mut paths = vec![None; count];
+        let in_page = |r: NodeRef| (r.page == page_id).then_some(r.slot as usize);
+        let children =
+            |slot: usize| Some([in_page(records[slot].left)?, in_page(records[slot].right)?]);
+        for_each_cache_owner(0, children, |_, _| true, |slot, _, path| {
+            paths[slot] = Some(path.to_vec());
+            Ok(())
+        })?;
+        for (rec, path) in records.iter_mut().zip(paths) {
+            let Some(path) = path else { continue };
+            if path.iter().any(|step| touched[step.node].x_first) {
                 rec.child_a.free(store)?;
-                let mut a = first_blocks(&a_src[lc], &x_sorted);
-                a.sort_unstable_by(|x, y| cmp_x(&y.p, &x.p));
-                rec.child_a = blocked(store, frame, &a)?;
+                let sources = path.iter().map(|step| (&x_sorted[step.node][..], step.depth));
+                rec.child_a = blocked(store, frame, &merge_tagged(sources, b, cmp_x))?.0;
             }
-            if s_src[lc].iter().any(|&(src, _)| touched[src].y_first) {
+            let sibs = || path.iter().filter(|s| s.went_left).map(|s| (right_of[s.node], s.depth));
+            if sibs().any(|(sib, _)| touched[sib].y_first) {
                 rec.left_s.free(store)?;
-                let mut s = first_blocks(&s_src[lc], &points);
-                s.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-                rec.left_s = blocked(store, frame, &s)?;
+                let sources = sibs().map(|(sib, depth)| (&points[sib][..], depth));
+                rec.left_s = blocked(store, frame, &merge_tagged(sources, b, cmp_y))?.0;
             }
         }
 
-        // Serialize the page.
-        let mut buf = vec![0u8; store.page_size()];
-        let used = {
-            let mut w = PageWriter::new(&mut buf);
-            encode_header(&mut w, &header)?;
-            for rec in &records {
-                encode_record(&mut w, rec)?;
-            }
-            w.position()
-        };
-        store.write(page_id, &buf[..used])?;
+        write_page(store, page_id, |w| encode_header(w, &header), &records)?;
 
         // Patch the parent's view of this page's root if it changed.
-        if let Some((pp, pslot, is_right)) = parent {
-            patch_parent_child(store, pp, pslot, is_right, &records[0])?;
+        match parent {
+            Some(parent) => patch_parent(store, parent, None, &records[0]),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Gathers every live point under `page_id` (resolving pending buffered
@@ -646,24 +611,12 @@ impl DynamicPst {
         let points = gather_live(store, self.frame, page_id, extra)?;
         free_pages(store, page_id, true)?;
         let handle = build_region_tree(store, &points, &self.caps, self.frame)?;
+        let at = NodeRef { page: handle.root, slot: 0 };
         match parent {
             None => self.root = handle.root,
-            Some((pp, pslot, is_right)) => {
-                let root_page = store.read(handle.root)?;
-                let new_root = decode_record(&root_page, 0)?;
-                let page = store.read(pp)?;
-                let mut rec = decode_record(&page, pslot)?;
-                if is_right {
-                    rec.right = NodeRef { page: handle.root, slot: 0 };
-                    rec.right_cnt = new_root.own_cnt;
-                    rec.right_is_leaf = new_root.left.page.is_null();
-                    rec.right_y_list = new_root.y_list;
-                } else {
-                    rec.left = NodeRef { page: handle.root, slot: 0 };
-                    rec.left_cnt = new_root.own_cnt;
-                    rec.left_is_leaf = new_root.left.page.is_null();
-                }
-                patch_record(store, pp, pslot, &rec)?;
+            Some(parent) => {
+                let new_root = RegionRecord::at(&store.read(handle.root)?, 0)?;
+                patch_parent(store, parent, Some(at), &new_root)?;
             }
         }
         Ok(handle.root)
@@ -672,47 +625,26 @@ impl DynamicPst {
 
 /// Rewrites just the header of a page, preserving its records.
 fn patch_header(store: &PageStore, page_id: PageId, header: &PageHeaderInfo) -> Result<()> {
-    let page = store.read(page_id)?;
-    let mut bytes = page.to_vec();
-    {
-        let mut w = PageWriter::new(&mut bytes[..PAGE_HEADER]);
-        encode_header(&mut w, header)?;
-    }
+    let mut bytes = store.read(page_id)?.to_vec();
+    encode_header(&mut PageWriter::new(&mut bytes[2..PAGE_HEADER]), header)?;
     store.write(page_id, &bytes)
 }
 
-/// Rewrites one record of a page in place.
-fn patch_record(store: &PageStore, page_id: PageId, slot: u16, rec: &RegionRecord) -> Result<()> {
-    let page = store.read(page_id)?;
-    let mut bytes = page.to_vec();
-    {
-        let start = PAGE_HEADER + RECORD_LEN * slot as usize;
-        let mut w = PageWriter::new(&mut bytes[start..start + RECORD_LEN]);
-        encode_record(&mut w, rec)?;
-    }
-    store.write(page_id, &bytes)
-}
-
-/// Updates a parent record's child-side metadata after the child page's
-/// root region changed.
-fn patch_parent_child(
+/// Updates the record `(page, slot)` of the parent of a page whose root
+/// region changed — `child_root`, its right child if `is_right` — or was
+/// rebuilt under the fresh root `moved_to`.
+fn patch_parent(
     store: &PageStore,
-    parent_page: PageId,
-    parent_slot: u16,
-    child_is_right: bool,
+    (page, slot, is_right): (PageId, u16, bool),
+    moved_to: Option<NodeRef>,
     child_root: &RegionRecord,
 ) -> Result<()> {
-    let page = store.read(parent_page)?;
-    let mut rec = decode_record(&page, parent_slot)?;
-    if child_is_right {
-        rec.right_cnt = child_root.own_cnt;
-        rec.right_is_leaf = child_root.left.page.is_null();
-        rec.right_y_list = child_root.y_list;
-    } else {
-        rec.left_cnt = child_root.own_cnt;
-        rec.left_is_leaf = child_root.left.page.is_null();
+    let mut rec = RegionRecord::at(&store.read(page)?, slot)?;
+    if let Some(at) = moved_to {
+        *(if is_right { &mut rec.right } else { &mut rec.left }) = at;
     }
-    patch_record(store, parent_page, parent_slot, &rec)
+    rec.set_child(is_right, child_root);
+    patch_record(store, NodeRef { page, slot }, &rec)
 }
 
 /// The live points of the subtree rooted at `page_id`, stored at `frame`:
@@ -727,15 +659,21 @@ fn gather_live(
 ) -> Result<Vec<Point>> {
     let mut live: HashMap<u64, Point> = HashMap::new();
     let mut ops = extra;
-    for_each_region_page(store, page_id, &mut |_, header, records| {
-        if !header.u_page.is_null() {
-            ops.extend(read_buffer(store, frame, header.u_page)?);
+    for_each_skeletal_page(store, page_id, &mut |_, page, records: &[RegionRecord]| {
+        let u_page = decode_header(page)?.u_page;
+        if !u_page.is_null() {
+            ops.extend(read_buffer(store, frame, u_page)?);
         }
         for rec in records {
             live.extend(rec.x_list.read_all(store, frame)?.into_iter().map(|p| (p.id, p)));
         }
         Ok(())
     })?;
+    Ok(replayed(live, ops))
+}
+
+/// The points of `live` after `ops`, applied in stamp order.
+fn replayed(mut live: HashMap<u64, Point>, mut ops: Vec<UpdateRec>) -> Vec<Point> {
     ops.sort_unstable_by_key(|o| o.seq);
     for op in ops {
         if op.is_delete {
@@ -744,7 +682,7 @@ fn gather_live(
             live.insert(op.p.id, op.p);
         }
     }
-    Ok(live.into_values().collect())
+    live.into_values().collect()
 }
 
 /// Dynamic 3-sided structure (Theorem 5.2): the static Theorem 3.3 index
@@ -792,22 +730,20 @@ impl DynamicThreeSidedPst {
     /// Inserts a point.
     pub fn insert(&mut self, store: &PageStore, p: Point) -> Result<()> {
         let _span = pc_obs::span!("dynpst3_insert");
-        self.seq += 1;
-        let rec = UpdateRec { is_delete: false, seq: self.seq, p };
-        self.log(store, rec)
+        self.log(store, p, false)
     }
 
     /// Deletes a point (by full identity).
     pub fn delete(&mut self, store: &PageStore, p: Point) -> Result<()> {
         let _span = pc_obs::span!("dynpst3_delete");
-        self.seq += 1;
-        let rec = UpdateRec { is_delete: true, seq: self.seq, p };
-        self.log(store, rec)
+        self.log(store, p, true)
     }
 
-    fn log(&mut self, store: &PageStore, rec: UpdateRec) -> Result<()> {
+    fn log(&mut self, store: &PageStore, p: Point, is_delete: bool) -> Result<()> {
         // Persist buffered ops in blocks; the in-memory copy mirrors disk
         // (appending costs the read-modify-write the experiments measure).
+        self.seq += 1;
+        let rec = UpdateRec { is_delete, seq: self.seq, p };
         self.buffered.push(rec);
         let frame = self.inner.frame();
         if !frame.holds(&rec) {
@@ -835,20 +771,12 @@ impl DynamicThreeSidedPst {
         // Collect the full live set: existing structure points + buffer.
         let everything =
             self.inner.query(store, ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN })?;
-        let mut live: HashMap<u64, Point> = everything.into_iter().map(|p| (p.id, p)).collect();
-        self.buffered.sort_unstable_by_key(|o| o.seq);
-        for op in self.buffered.drain(..) {
-            if op.is_delete {
-                live.remove(&op.p.id);
-            } else {
-                live.insert(op.p.id, op.p);
-            }
-        }
+        let live: HashMap<u64, Point> = everything.into_iter().map(|p| (p.id, p)).collect();
+        let points = replayed(live, std::mem::take(&mut self.buffered));
         for page in self.buffer.drain(..) {
             store.free(page)?;
         }
         self.inner.free(store)?;
-        let points: Vec<Point> = live.into_values().collect();
         self.inner = ThreeSidedPst::build_framed(store, &points, frame)?;
         Ok(())
     }
@@ -856,6 +784,11 @@ impl DynamicThreeSidedPst {
     /// Answers a 3-sided query, merging buffered updates (the static query
     /// plus `O(buffer/B)` = `O(log_B n)` block reads).
     pub fn query(&self, store: &PageStore, q: ThreeSided) -> Result<Vec<Point>> {
+        if q.x1 > q.x2 {
+            // No point lies in a band whose bounds are out of order, and
+            // none of the buffer's can: the empty answer, at no read.
+            return Ok(Vec::new());
+        }
         // The root span: the buffer reads and the merge sit inside it.
         let _span = pc_obs::span!("dynpst3_query");
         let static_res = self.inner.query(store, q)?;
@@ -874,27 +807,11 @@ impl DynamicThreeSidedPst {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{ids, random_points, xorshift};
+    use crate::build::SEntry;
+    use crate::testutil::in_page_paths;
+    use pc_pagestore::layout::chain_pages;
     use pc_pagestore::{PageStore, NULL_PAGE};
-
-    fn xorshift(state: &mut u64, bound: i64) -> i64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        (*state % bound as u64) as i64
-    }
-
-    fn random_points(n: usize, domain: i64, seed: u64) -> Vec<Point> {
-        let mut s = seed;
-        (0..n)
-            .map(|id| Point::new(xorshift(&mut s, domain), xorshift(&mut s, domain), id as u64))
-            .collect()
-    }
-
-    fn ids(mut pts: Vec<Point>) -> Vec<u64> {
-        let mut out: Vec<u64> = pts.drain(..).map(|p| p.id).collect();
-        out.sort_unstable();
-        out
-    }
 
     fn check_against_oracle(
         store: &PageStore,
@@ -1137,8 +1054,8 @@ mod tests {
             (0..n).map(|i| Point::new(10 * i, (i * 37) % n, i as u64)).collect();
         let mut pst = DynamicPst::build_framed(&store, &pts, frame).unwrap();
         let page = store.read(pst.root).unwrap();
-        let root = decode_record(&page, 0).unwrap();
-        let left = decode_record(&page, root.left.slot).unwrap();
+        let root = RegionRecord::at(&page, 0).unwrap();
+        let left = RegionRecord::at(&page, root.left.slot).unwrap();
         assert_eq!(root.left.page, pst.root);
         assert!(left.right_cnt == 0 && left.right.page != pst.root, "geometry moved: {left:?}");
         assert!(left.split_x < root.split_x);
@@ -1166,7 +1083,7 @@ mod tests {
             let all = list.read_all(store, frame).unwrap();
             all.into_iter().take(b).map(|p| SEntry { p, depth: depth as u16 }).collect()
         };
-        let paths = crate::two_level::testutil::in_page_paths(page_id, &recs);
+        let paths = in_page_paths(page_id, &recs);
         paths
             .into_iter()
             .enumerate()
@@ -1191,10 +1108,7 @@ mod tests {
     }
 
     fn page_records(store: &PageStore, page_id: PageId) -> Vec<RegionRecord> {
-        let page = store.read(page_id).unwrap();
-        (0..decode_header(&page).unwrap().count)
-            .map(|slot| decode_record(&page, slot).unwrap())
-            .collect()
+        RegionRecord::all(&store.read(page_id).unwrap()).unwrap()
     }
 
     fn assert_caches_match_a_rebuild(store: &PageStore, frame: Frame, page_id: PageId, what: &str) {
@@ -1213,7 +1127,7 @@ mod tests {
             // The record names the second block of each list, and of its
             // right child's Y-list, as the chains have them.
             for list in [rec.x_list, rec.y_list] {
-                let second = list.pages(store).unwrap().get(1).copied().unwrap_or(NULL_PAGE);
+                let second = chain_pages(store, list.head).unwrap().get(1).copied().unwrap_or(NULL_PAGE);
                 assert_eq!(list.second, second, "{what}: second block of slot {slot}");
             }
             if rec.right.page == page_id {
@@ -1326,7 +1240,7 @@ mod tests {
                 .find(|&(_, _, c)| !c.page.is_null() && c.page != root)
                 .expect("the root page has child pages");
             next_id += 1;
-            let child_root = decode_record(&store.read(child.page).unwrap(), 0).unwrap();
+            let child_root = RegionRecord::at(&store.read(child.page).unwrap(), 0).unwrap();
             let below = twin(&store, frame, &child_root, (true, true), next_id);
             flush_root(&mut pst, below, false);
             assert_caches_match_a_rebuild(&store, frame, root, "forwarding flush");
@@ -1337,7 +1251,7 @@ mod tests {
             ));
             assert_caches_match_a_rebuild(&store, frame, child.page, "child page root");
             assert_caches_match_a_rebuild(&store, frame, root, "parent of the flushed page");
-            let child_root = decode_record(&store.read(child.page).unwrap(), 0).unwrap();
+            let child_root = RegionRecord::at(&store.read(child.page).unwrap(), 0).unwrap();
             let up = &page_records(&store, root)[pslot];
             let (cnt, y_list) = if is_right {
                 (up.right_cnt, up.right_y_list)

@@ -56,11 +56,13 @@
 //! assert!(hits.iter().all(|p| p.x >= 400 && p.y >= 400));
 //! ```
 
+#[macro_use]
 mod build;
 mod dynamic;
 mod mem;
 mod multilevel;
 mod query;
+mod region;
 mod three_sided;
 mod two_level;
 
@@ -70,3 +72,6 @@ pub use mem::TwoSided;
 pub use multilevel::MultilevelPst;
 pub use three_sided::{PageCensus, ThreeSided, ThreeSidedPst};
 pub use two_level::{block_capacity, RegionCensus, TwoLevelPst};
+
+#[cfg(test)]
+mod testutil;

@@ -60,7 +60,6 @@ impl MemPstNode {
     pub fn is_leaf(&self) -> bool {
         self.left == NONE
     }
-
 }
 
 /// Arena-allocated in-memory PST.
@@ -83,6 +82,12 @@ impl MemPst {
         let mut pst = MemPst { nodes: Vec::new(), cap };
         pst.build_subtree(sorted_x);
         pst
+    }
+
+    /// The children of node `ni`, left then right; `None` at a leaf.
+    pub fn children(&self, ni: usize) -> Option<[usize; 2]> {
+        let node = &self.nodes[ni];
+        (!node.is_leaf()).then_some([node.left, node.right])
     }
 
     /// Recursively builds the subtree over `pts` (sorted by x-key),
@@ -165,27 +170,7 @@ impl MemPst {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn brute(points: &[Point], q: TwoSided) -> Vec<u64> {
-        let mut ids: Vec<u64> =
-            points.iter().filter(|p| q.contains(p)).map(|p| p.id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn xorshift(state: &mut u64, bound: i64) -> i64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        (*state % bound as u64) as i64
-    }
-
-    fn random_points(n: usize, domain: i64, seed: u64) -> Vec<Point> {
-        let mut s = seed;
-        (0..n)
-            .map(|id| Point::new(xorshift(&mut s, domain), xorshift(&mut s, domain), id as u64))
-            .collect()
-    }
+    use crate::testutil::{brute, random_points, xorshift};
 
     #[test]
     fn heap_property_holds() {

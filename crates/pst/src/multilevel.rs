@@ -18,93 +18,32 @@ use pc_pagestore::{Frame, PageStore, Point, Result};
 
 use crate::mem::TwoSided;
 use crate::query::QueryCounters;
-use crate::two_level::{build_region_tree, query_handle, region_caps, InnerHandle};
+use crate::two_level::{build_region_tree, region_caps};
 
-/// The multilevel recursive PST (Theorem 4.4).
-pub struct MultilevelPst {
-    root: InnerHandle,
-    levels: u32,
-}
-
-impl MultilevelPst {
-    /// Builds a `levels`-deep structure over `points`.
+static_pst!(
+    /// The multilevel recursive PST (Theorem 4.4), `levels` deep.
     ///
     /// `levels = 1` is the basic PST (Lemma 3.1), `levels = 2` the
     /// two-level scheme (Theorem 4.3); higher values iterate §4.2. Values
     /// past `log* B` saturate.
-    pub fn build(store: &PageStore, points: &[Point], levels: u32) -> Result<Self> {
+    MultilevelPst(levels: u32),
+    |store, points, frame| {
         assert!(levels >= 1, "at least one level required");
-        let frame = Frame::of(points);
-        let caps = region_caps(store.page_size(), levels, frame);
-        Ok(MultilevelPst { root: build_region_tree(store, points, &caps, frame)?, levels })
+        build_region_tree(store, points, &region_caps(store.page_size(), levels, frame), frame)
     }
+);
 
-    /// The widths the structure stores its points at.
-    pub fn frame(&self) -> Frame {
-        self.root.frame
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> u64 {
-        self.root.n
-    }
-
-    /// True when no points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.root.n == 0
-    }
-
+impl MultilevelPst {
     /// The level count requested at build time.
     pub fn levels(&self) -> u32 {
         self.levels
-    }
-
-    /// Answers a 2-sided query.
-    pub fn query(&self, store: &PageStore, q: TwoSided) -> Result<Vec<Point>> {
-        Ok(self.query_counted(store, q)?.0)
-    }
-
-    /// Answers a 2-sided query with I/O counters.
-    pub fn query_counted(
-        &self,
-        store: &PageStore,
-        q: TwoSided,
-    ) -> Result<(Vec<Point>, QueryCounters)> {
-        query_handle(store, self.root, q)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pc_pagestore::PageStore;
-
-    fn xorshift(state: &mut u64, bound: i64) -> i64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        (*state % bound as u64) as i64
-    }
-
-    fn random_points(n: usize, domain: i64, seed: u64) -> Vec<Point> {
-        let mut s = seed;
-        (0..n)
-            .map(|id| Point::new(xorshift(&mut s, domain), xorshift(&mut s, domain), id as u64))
-            .collect()
-    }
-
-    fn brute(points: &[Point], q: TwoSided) -> Vec<u64> {
-        let mut ids: Vec<u64> =
-            points.iter().filter(|p| q.contains(p)).map(|p| p.id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn ids(mut pts: Vec<Point>) -> Vec<u64> {
-        let mut out: Vec<u64> = pts.drain(..).map(|p| p.id).collect();
-        out.sort_unstable();
-        out
-    }
+    use crate::testutil::{brute, ids, random_points, xorshift};
 
     #[test]
     fn all_level_counts_match_brute_force() {

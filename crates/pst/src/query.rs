@@ -1,14 +1,13 @@
 //! The 2-sided query engine shared by the naive, basic, and segmented
-//! variants (§3 of the paper).
+//! variants (§3 of the paper), on the `region` substrate's [`Walk`].
 
 use pc_pagestore::layout::BlockList;
 use pc_pagestore::search::partition_point;
-use pc_pagestore::{Frame, PageId, PageStore, Point, Result};
+use pc_pagestore::{PageId, Point, Result};
 
-use crate::build::{
-    decode_record, points_capacity, read_points_page, CacheMode, PstCore, SEntry, SkeletalRecord,
-};
+use crate::build::{CacheMode, PointsPage, SEntry, SkeletalRecord};
 use crate::mem::TwoSided;
+use crate::region::{SkelRecord, Walk};
 
 /// I/O breakdown of one query, in page reads.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,57 +28,43 @@ impl QueryCounters {
     }
 }
 
-/// Runs a 2-sided query against a built single-level structure.
-pub fn run_two_sided(
-    store: &PageStore,
-    core: &PstCore,
+/// Runs a 2-sided query against the single-level structure under
+/// `root_page`, built with the caches of `mode`, appending to `walk`.
+pub(crate) fn run_two_sided(
+    walk: &mut Walk<'_>,
+    root_page: PageId,
+    mode: CacheMode,
     q: TwoSided,
-) -> Result<(Vec<Point>, QueryCounters)> {
-    let _span = pc_obs::span!(match core.mode {
+) -> Result<()> {
+    let _span = pc_obs::span!(match mode {
         CacheMode::None => "pst2_naive",
         CacheMode::FullPath => "pst2_fullpath",
         CacheMode::InPage => "pst2_segmented",
     });
-    let cap = points_capacity(store.page_size(), core.frame) as u16;
-    pc_obs::set_block_capacity(u64::from(cap));
-    let mut ctx = Ctx {
-        store,
-        frame: core.frame,
-        q,
-        cap,
-        results: Vec::new(),
-        counters: QueryCounters::default(),
-    };
+    pc_obs::set_block_capacity(walk.b);
+    // Levels count from this structure's root, which a region's walk may
+    // have reached after skeletal pages of its own.
+    let above = walk.counters.skeletal;
+    let mut ctx = Ctx { walk, q };
     // Per path depth, the right sibling left behind there, if any:
     // (points page, count).
     let mut sib: Vec<Option<(PageId, u16)>> = Vec::new();
     // The A- and S-list of the node in hand, picked up from its ancestors'
-    // records on the way down (see the `build` module header).
+    // records on the way down (see the `region` module header).
     let mut cur_a: BlockList<Point> = BlockList::empty();
     let mut cur_s: BlockList<SEntry> = BlockList::empty();
 
-    let mut cur_page_id = core.root_page;
-    let mut page = {
-        let _lvl = pc_obs::span!("level", 0u64);
-        store.read(cur_page_id)?
-    };
-    ctx.counters.skeletal += 1;
+    ctx.walk.load(root_page, Some(0))?;
     let mut slot = 0u16;
     loop {
-        let rec = decode_record(&page, slot)?;
+        let rec = SkeletalRecord::at(&ctx.walk.page, slot)?;
         let is_leaf = rec.left.page.is_null();
         let is_corner = rec.own_cnt == 0 || rec.min_y.y < q.y0 || is_leaf;
         if is_corner {
-            match core.mode {
-                CacheMode::None => {
-                    ctx.read_own_filtered(&rec, true)?;
-                }
-                CacheMode::FullPath | CacheMode::InPage => {
-                    ctx.drain_caches_and_seed(&cur_a, &cur_s, &sib)?;
-                    ctx.read_own_filtered(&rec, true)?;
-                }
+            if mode != CacheMode::None {
+                ctx.drain_caches_and_seed(&cur_a, &cur_s, &sib)?;
             }
-            break;
+            return ctx.read_own_filtered(&rec, true);
         }
 
         // v is a proper ancestor of the corner: all its points satisfy
@@ -87,42 +72,29 @@ pub fn run_two_sided(
         let go_left = q.x0 <= rec.split.x;
         sib.push((go_left && rec.right_cnt > 0).then_some((rec.right_pts, rec.right_cnt)));
         let next = if go_left { rec.left } else { rec.right };
-        let crosses_page = next.page != cur_page_id;
+        let crosses_page = next.page != ctx.walk.held;
 
-        match core.mode {
-            CacheMode::None => {
-                // Read every path node and every right sibling directly —
-                // the Figure 3 pathology, one block each.
-                ctx.read_own_filtered(&rec, true)?;
-                if go_left && rec.right_cnt > 0 {
-                    ctx.traverse(rec.right_pts, true)?;
-                }
+        // Where the node and its right sibling are read directly: at every
+        // path node without caches — the Figure 3 pathology, one block
+        // each — and at a segment exit, whose own right sibling belongs to
+        // no S-list (the next segment's caches restart below it): one paid
+        // I/O per segment, after this page's ancestors and siblings are
+        // settled. Full-path caches serve everything at the corner.
+        let uncached = mode == CacheMode::None;
+        if uncached || (mode == CacheMode::InPage && crosses_page) {
+            if !uncached {
+                ctx.drain_caches_and_seed(&cur_a, &cur_s, &sib)?;
             }
-            CacheMode::FullPath => {
-                // Everything is served by the corner's full-path caches.
-            }
-            CacheMode::InPage => {
-                if crosses_page {
-                    // Segment exit: settle this page's ancestors/siblings.
-                    // The exit's own right sibling belongs to no S-list
-                    // (the next segment's caches restart below it), so it
-                    // is read directly — one paid I/O per segment.
-                    ctx.drain_caches_and_seed(&cur_a, &cur_s, &sib)?;
-                    ctx.read_own_filtered(&rec, false)?;
-                    if go_left && rec.right_cnt > 0 {
-                        ctx.traverse(rec.right_pts, true)?;
-                    }
-                }
+            ctx.read_own_filtered(&rec, uncached)?;
+            if go_left && rec.right_cnt > 0 {
+                ctx.traverse(rec.right_pts, true)?;
             }
         }
 
         if crosses_page {
-            cur_page_id = next.page;
-            let _lvl = pc_obs::span!("level", ctx.counters.skeletal);
-            page = store.read(cur_page_id)?;
-            ctx.counters.skeletal += 1;
+            ctx.walk.load(next.page, Some(ctx.walk.counters.skeletal - above))?;
         }
-        if crosses_page && core.mode == CacheMode::InPage {
+        if crosses_page && mode == CacheMode::InPage {
             (cur_a, cur_s) = (BlockList::empty(), BlockList::empty());
         } else {
             cur_a = rec.child_a;
@@ -132,19 +104,14 @@ pub fn run_two_sided(
         }
         slot = next.slot;
     }
-    Ok((ctx.results, ctx.counters))
 }
 
-struct Ctx<'a> {
-    store: &'a PageStore,
-    frame: Frame,
+struct Ctx<'w, 'a> {
+    walk: &'w mut Walk<'a>,
     q: TwoSided,
-    cap: u16,
-    results: Vec<Point>,
-    counters: QueryCounters,
 }
 
-impl Ctx<'_> {
+impl Ctx<'_, '_> {
     /// Reads a path node's own block and keeps the qualifying points.
     ///
     /// `output_scan` distinguishes reads whose cost the paper amortizes
@@ -161,62 +128,46 @@ impl Ctx<'_> {
         } else {
             pc_obs::span!("node_block")
         };
-        let before = self.results.len();
-        let pp = read_points_page(self.store, self.frame, rec.own_pts)?;
-        self.counters.node_blocks += 1;
+        let (walk, q) = (&mut *self.walk, self.q);
+        let before = walk.results.len();
+        let pp = PointsPage::decode(&walk.node_page(rec.own_pts)?, walk.frame)?;
         // Points are descending by y-key, so the y-qualifiers are a prefix.
-        let cut = partition_point(&pp.points, |p| p.y >= self.q.y0);
-        self.results.extend(pp.points[..cut].iter().filter(|p| p.x >= self.q.x0));
-        pc_obs::add_items((self.results.len() - before) as u64);
+        let cut = partition_point(&pp.points, |p| p.y >= q.y0);
+        walk.results.extend(pp.points[..cut].iter().filter(|p| p.x >= q.x0));
+        pc_obs::add_items((walk.results.len() - before) as u64);
         Ok(())
     }
 
-    /// Reads a node's A- and S-lists (answer prefixes), then seeds the
-    /// descendant traversal for every sibling whose points all qualified.
+    /// Reads a node's A- and S-lists (answer prefixes) in one probe, then
+    /// seeds the descendant traversal for every sibling whose points all
+    /// qualified.
     fn drain_caches_and_seed(
         &mut self,
         a_list: &BlockList<Point>,
         s_list: &BlockList<SEntry>,
         sib: &[Option<(PageId, u16)>],
     ) -> Result<()> {
+        let TwoSided { x0, y0 } = self.q;
         // A-list: descending x; prefix with x >= x0 qualifies (covered
-        // ancestors are all above the corner, so y >= y0 holds).
-        // S-entries are counted per source depth; the traversals below run,
-        // and report, in depth order.
-        let mut qualified = vec![0u16; sib.len()];
-        {
-            let _probe = pc_obs::span!("path_cache_probe");
-            let before = self.results.len();
-            'a_scan: for block in a_list.blocks(self.store, self.frame) {
-                self.counters.cache_blocks += 1;
-                for p in block? {
-                    if p.x < self.q.x0 {
-                        break 'a_scan;
-                    }
-                    self.results.push(p);
+        // ancestors are all above the corner, so y >= y0 holds). S-list:
+        // descending y; prefix with y >= y0 qualifies (siblings lie wholly
+        // right of x0), counted per source depth for the descent rule; the
+        // traversals below run, and report, in depth order.
+        let qualified = self.walk.probe(|walk| {
+            walk.cache_scan(a_list.head(), |answer, p: Point| {
+                p.x >= x0 && {
+                    answer.push(p);
+                    true
                 }
-            }
-            // S-list: descending y; prefix with y >= y0 qualifies (siblings
-            // lie wholly right of x0). Count per source depth for the
-            // descent rule.
-            's_scan: for block in s_list.blocks(self.store, self.frame) {
-                self.counters.cache_blocks += 1;
-                for e in block? {
-                    if e.p.y < self.q.y0 {
-                        break 's_scan;
-                    }
-                    self.results.push(e.p);
-                    qualified[e.depth as usize] += 1;
-                }
-            }
-            pc_obs::add_items((self.results.len() - before) as u64);
-        }
+            })?;
+            walk.drain(s_list, sib.len(), |p| p.y >= y0)
+        })?;
         // Descend into a sibling's children only when its region is fully
         // inside the query (§3's paid-for rule). Underfull nodes are leaves
         // by construction, so only full blocks can have children.
         for (sibling, cnt) in sib.iter().zip(qualified) {
             match *sibling {
-                Some((pts, total)) if cnt == total && total == self.cap => {
+                Some((pts, total)) if cnt == u64::from(total) && cnt == self.walk.b => {
                     self.traverse(pts, false)?
                 }
                 _ => {}
@@ -225,97 +176,41 @@ impl Ctx<'_> {
         Ok(())
     }
 
+    /// Top-down descendant traversal (Figure 4): visit a node, keep its
+    /// points with `y >= y0`, and recurse only when *all* points qualified.
+    /// With `add = false` the node's points were already reported (from an
+    /// S-list); the read only fetches its child links. Only this engine uses
+    /// points pages (the others read Y-lists, whose links are in the
+    /// skeletal records); visited subtrees lie wholly inside the query's
+    /// x-range, so only the y-filter applies.
     fn traverse(&mut self, pts_page: PageId, add: bool) -> Result<()> {
-        let (store, frame, y0) = (self.store, self.frame, self.q.y0);
-        traverse_descendants(store, frame, pts_page, add, y0, &mut self.results, &mut self.counters)
-    }
-}
-
-/// Top-down descendant traversal (Figure 4): visit a node, keep its points
-/// with `y >= y0`, and recurse only when *all* points qualified. With
-/// `add = false` the node's points were already reported (from an S-list);
-/// the read only fetches its child links. Only this 2-sided engine uses it
-/// (the 3-sided one reads Y-lists, whose links are in the skeletal
-/// records); visited subtrees lie wholly inside the query's x-range, so
-/// only the y-filter applies.
-fn traverse_descendants(
-    store: &PageStore,
-    frame: Frame,
-    pts_page: PageId,
-    add: bool,
-    y0: i64,
-    results: &mut Vec<Point>,
-    counters: &mut QueryCounters,
-) -> Result<()> {
-    let _span = pc_obs::span!(output: "traverse");
-    let before = results.len();
-    let r = traverse_descendants_inner(store, frame, pts_page, add, y0, results, counters);
-    pc_obs::add_items((results.len() - before) as u64);
-    r
-}
-
-fn traverse_descendants_inner(
-    store: &PageStore,
-    frame: Frame,
-    pts_page: PageId,
-    add: bool,
-    y0: i64,
-    results: &mut Vec<Point>,
-    counters: &mut QueryCounters,
-) -> Result<()> {
-    let mut stack = vec![(pts_page, add)];
-    while let Some((page_id, add)) = stack.pop() {
-        let pp = read_points_page(store, frame, page_id)?;
-        counters.node_blocks += 1;
-        // Points are descending by y-key, so the y-qualifiers are a prefix.
-        let cut = partition_point(&pp.points, |p| p.y >= y0);
-        if add {
-            results.extend_from_slice(&pp.points[..cut]);
-        }
-        if cut == pp.points.len() && !pp.points.is_empty() {
-            if !pp.left_pts.is_null() && pp.left_cnt > 0 {
-                stack.push((pp.left_pts, true));
+        let y0 = self.q.y0;
+        // No points page is the skeletal page in hand: last in, first out.
+        let seeds = vec![(pts_page, add)];
+        self.walk.traverse(seeds, true, |&(page, _)| page, |walk, (page, add), below| {
+            let pp = PointsPage::decode(&walk.node_page(page)?, walk.frame)?;
+            // Points are descending by y-key, so the y-qualifiers are a prefix.
+            let cut = partition_point(&pp.points, |p| p.y >= y0);
+            if add {
+                walk.results.extend_from_slice(&pp.points[..cut]);
+                pc_obs::add_items(cut as u64);
             }
-            if !pp.right_pts.is_null() && pp.right_cnt > 0 {
-                stack.push((pp.right_pts, true));
+            if cut == pp.points.len() && cut > 0 {
+                let children = [(pp.left_pts, pp.left_cnt), (pp.right_pts, pp.right_cnt)];
+                let children = children.into_iter().filter(|&(p, cnt)| !p.is_null() && cnt > 0);
+                below.extend(children.map(|(p, _)| (p, true)));
             }
-        }
+            Ok(())
+        })
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{BasicPst, NaivePst, SegmentedPst};
+    use crate::testutil::{brute, ids, random_points, xorshift};
+    use crate::build::{points_capacity, BasicPst, NaivePst, SegmentedPst};
     use pc_pagestore::PageStore;
-
-    fn xorshift(state: &mut u64, bound: i64) -> i64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        (*state % bound as u64) as i64
-    }
-
-    fn random_points(n: usize, domain: i64, seed: u64) -> Vec<Point> {
-        let mut s = seed;
-        (0..n)
-            .map(|id| Point::new(xorshift(&mut s, domain), xorshift(&mut s, domain), id as u64))
-            .collect()
-    }
-
-    fn brute(points: &[Point], q: TwoSided) -> Vec<u64> {
-        let mut ids: Vec<u64> =
-            points.iter().filter(|p| q.contains(p)).map(|p| p.id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn ids(mut pts: Vec<Point>) -> Vec<u64> {
-        let mut out: Vec<u64> = pts.drain(..).map(|p| p.id).collect();
-        out.sort_unstable();
-        out
-    }
 
     #[test]
     fn all_variants_match_brute_force() {

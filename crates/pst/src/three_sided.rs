@@ -89,11 +89,15 @@
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Frame, Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
+use pc_pagestore::{Frame, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
-use crate::build::{blocked, blocked_pages, paginate, points_capacity, NodeRef, SEntry};
+use crate::build::{blocked, points_capacity, SEntry};
 use crate::mem::{cmp_x, cmp_y, MemPst, NONE};
 use crate::query::QueryCounters;
+use crate::region::{
+    for_each_block, for_each_in_segment, for_each_skeletal_page, merge_tagged, write_with, NodeRef,
+    SkelRecord, Skeleton, Walk,
+};
 use crate::two_level::{complete_tree_nodes, region_caps};
 
 /// A 3-sided query: report points with `x1 <= x <= x2 && y >= y0`
@@ -151,13 +155,8 @@ struct ChildLink {
 
 impl ChildLink {
     const LEAF_BIT: u16 = 1 << 15;
-    const NONE: ChildLink = ChildLink {
-        at: NodeRef { page: NULL_PAGE, slot: 0 },
-        y_head: NULL_PAGE,
-        cnt: 0,
-        leaf: true,
-        top_y: 0,
-    };
+    const NONE: ChildLink =
+        ChildLink { at: NodeRef::NULL, y_head: NULL_PAGE, cnt: 0, leaf: true, top_y: 0 };
 
     /// True if the child's subtree can hold an answer at or above `y0`.
     fn reaches(&self, y0: i64) -> bool {
@@ -165,7 +164,7 @@ impl ChildLink {
     }
 
     fn decode(r: &mut PageReader<'_>) -> Result<ChildLink> {
-        let at = NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? };
+        let at = NodeRef::decode(r)?;
         let y_head = PageId(r.get_u64()?);
         let cnt = r.get_u16()?;
         Ok(ChildLink {
@@ -178,8 +177,7 @@ impl ChildLink {
     }
 
     fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
-        w.put_u64(self.at.page.0)?;
-        w.put_u16(self.at.slot)?;
+        self.at.encode(w)?;
         w.put_u64(self.y_head.0)?;
         w.put_u16(self.cnt | if self.leaf { Self::LEAF_BIT } else { 0 })?;
         w.put_i64(self.top_y)
@@ -206,18 +204,19 @@ struct TsRecord {
     pub dir: PageId,
 }
 
-impl TsRecord {
-    fn decode(page: &[u8], slot: u16) -> Result<TsRecord> {
-        let offset = PAGE_HEADER + RECORD_LEN * slot as usize;
-        let mut r = PageReader::new(&page[offset..offset + RECORD_LEN]);
+impl SkelRecord for TsRecord {
+    const HEADER: usize = PAGE_HEADER;
+    const LEN: usize = RECORD_LEN;
+
+    fn decode(r: &mut PageReader<'_>) -> Result<TsRecord> {
         Ok(TsRecord {
             split_x: r.get_i64()?,
             min_y: r.get_i64()?,
-            y_list: BlockList::decode(&mut r)?,
+            y_list: BlockList::decode(r)?,
             y_second: PageId(r.get_u64()?),
-            left: ChildLink::decode(&mut r)?,
-            right: ChildLink::decode(&mut r)?,
-            a_list: BlockList::decode(&mut r)?,
+            left: ChildLink::decode(r)?,
+            right: ChildLink::decode(r)?,
+            a_list: BlockList::decode(r)?,
             dir: PageId(r.get_u64()?),
         })
     }
@@ -233,6 +232,12 @@ impl TsRecord {
         w.put_u64(self.dir.0)
     }
 
+    fn children(&self) -> [NodeRef; 2] {
+        [self.left.at, self.right.at]
+    }
+}
+
+impl TsRecord {
     /// True where a boundary path ends: below this node nothing reaches
     /// `y0` (or there is nothing below).
     fn is_corner(&self, y0: i64) -> bool {
@@ -257,9 +262,8 @@ struct NodeDir {
 }
 
 impl NodeDir {
-    fn read(store: &PageStore, id: PageId) -> Result<NodeDir> {
-        let page = store.read(id)?;
-        let mut r = PageReader::new(&page);
+    fn decode(page: &[u8]) -> Result<NodeDir> {
+        let mut r = PageReader::new(page);
         let a = (0..r.get_u16()?)
             .map(|_| Ok((r.get_i64()?, PageId(r.get_u64()?))))
             .collect::<Result<_>>()?;
@@ -270,9 +274,7 @@ impl NodeDir {
     }
 
     fn write(&self, store: &PageStore, id: PageId) -> Result<()> {
-        let mut buf = vec![0u8; store.page_size()];
-        let used = {
-            let mut w = PageWriter::new(&mut buf);
+        write_with(store, id, |w| {
             w.put_u16(self.a.len() as u16)?;
             for &(x, page) in &self.a {
                 w.put_i64(x)?;
@@ -280,12 +282,11 @@ impl NodeDir {
             }
             w.put_u16(self.s.len() as u16)?;
             for (right_sibs, left_sibs) in &self.s {
-                right_sibs.encode(&mut w)?;
-                left_sibs.encode(&mut w)?;
+                right_sibs.encode(w)?;
+                left_sibs.encode(w)?;
             }
-            w.position()
-        };
-        store.write(id, &buf[..used])
+            Ok(())
+        })
     }
 }
 
@@ -316,6 +317,9 @@ impl PageCensus {
     }
 }
 
+/// A class of pages: the census field that counts them.
+type PageClass = fn(&mut PageCensus) -> &mut u64;
+
 /// External PST for 3-sided queries: `O(log_B n + t/B)` I/Os,
 /// `O((n/B)·log² B)` blocks (Theorem 3.3).
 pub struct ThreeSidedPst {
@@ -338,97 +342,63 @@ impl ThreeSidedPst {
         let b = points_capacity(page_size, frame);
         assert!(node_capacity(page_size, frame) < usize::from(ChildLink::LEAF_BIT));
         let mem = MemPst::build(points, node_capacity(page_size, frame));
-        let (pages, node_loc) = paginate(&mem, skeletal_capacity(page_size));
-        let page_ids: Vec<PageId> =
-            pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
+        let skel = Skeleton::new(store, &mem, skeletal_capacity(page_size))?;
 
         let n_nodes = mem.nodes.len();
         let mut y_list = Vec::with_capacity(n_nodes);
         let mut y_second = Vec::with_capacity(n_nodes);
         for node in &mem.nodes {
             // Node points are already descending by y-key.
-            let (list, pages) = blocked_pages(store, frame, &node.points)?;
+            let (list, pages) = blocked(store, frame, &node.points)?;
             y_second.push(pages.get(1).copied().unwrap_or(NULL_PAGE));
             y_list.push(list);
         }
         let mut a_list = vec![BlockList::empty(); n_nodes];
         let mut dir = vec![NULL_PAGE; n_nodes];
 
-        // DFS with in-page chains: (arena idx, in-page depth, went_left).
-        // Within one page the chain is a path, so in-page depth uniquely
-        // names the ancestor, and the query walk can reconstruct it without
+        // Within one page a chain is a path, so in-page depth uniquely names
+        // the ancestor, and the query walk can reconstruct it without
         // knowing absolute depths.
-        struct Visit {
-            node: usize,
-            chain: Vec<(usize, u16, bool)>,
-        }
-        // The first `limit` points of a node by y, tagged with `depth`.
-        let tagged = |ni: usize, depth: u16, limit: usize| {
-            mem.nodes[ni].points.iter().take(limit).map(move |&p| SEntry { p, depth })
-        };
-        let mut stack = vec![Visit { node: 0, chain: Vec::new() }];
-        while let Some(Visit { node, chain }) = stack.pop() {
-            let depth = chain.len() as u16;
-            let mut a: Vec<SEntry> = tagged(node, depth, usize::MAX).collect();
-            for &(anc, anc_depth, _) in &chain {
-                a.extend(tagged(anc, anc_depth, usize::MAX));
+        let points_of = |ni: usize| &mem.nodes[ni].points[..];
+        let same_page = |parent, child| skel.same_page(parent, child);
+        for_each_in_segment(0, |ni| mem.children(ni), same_page, |node, _, chain| {
+            // The node's own points and its in-page ancestors', whole.
+            let sources = chain.iter().map(|step| (points_of(step.node), step.depth));
+            let own = (points_of(node), chain.len() as u16);
+            let a = merge_tagged(sources.chain([own]), usize::MAX, cmp_x);
+            if a.is_empty() {
+                return Ok(());
             }
-            if !a.is_empty() {
-                a.sort_unstable_by(|p, q| cmp_x(&q.p, &p.p));
-                let (list, pages) = blocked_pages(store, frame, &a)?;
-                a_list[node] = list;
-                let mut node_dir = NodeDir::default();
-                for (chunk, page) in a.chunks(b).zip(pages) {
-                    node_dir.a.push((chunk.last().expect("chunks are non-empty").p.x, page));
-                }
-                // Threshold-indexed S-families over the siblings' first
-                // blocks, tagged with the depth of the sibling's parent.
-                for j in 0..depth {
-                    let mut right_sibs: Vec<SEntry> = Vec::new();
-                    let mut left_sibs: Vec<SEntry> = Vec::new();
-                    for &(anc, anc_depth, went_left) in &chain[j as usize..] {
-                        let (sib, sibs) = if went_left {
-                            (mem.nodes[anc].right, &mut right_sibs)
-                        } else {
-                            (mem.nodes[anc].left, &mut left_sibs)
-                        };
-                        sibs.extend(tagged(sib, anc_depth, b));
-                    }
-                    right_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-                    left_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-                    node_dir.s.push((
-                        blocked(store, frame, &right_sibs)?,
-                        blocked(store, frame, &left_sibs)?,
-                    ));
-                }
-                dir[node] = store.alloc()?;
-                node_dir.write(store, dir[node])?;
+            let (list, pages) = blocked(store, frame, &a)?;
+            a_list[node] = list;
+            let mut node_dir = NodeDir::default();
+            for (chunk, page) in a.chunks(b).zip(pages) {
+                node_dir.a.push((chunk.last().expect("chunks are non-empty").p.x, page));
             }
+            // Threshold-indexed S-families over the first blocks of the
+            // siblings on one side, tagged with the depth of their parent.
+            for j in 0..chain.len() {
+                let family = |went_left: bool| {
+                    let steps = chain[j..].iter().filter(move |step| step.went_left == went_left);
+                    let sibs = steps.map(|step| {
+                        let parent = &mem.nodes[step.node];
+                        let sib = if went_left { parent.right } else { parent.left };
+                        (points_of(sib), step.depth)
+                    });
+                    blocked(store, frame, &merge_tagged(sibs, b, cmp_y))
+                };
+                node_dir.s.push((family(true)?.0, family(false)?.0));
+            }
+            dir[node] = store.alloc()?;
+            node_dir.write(store, dir[node])
+        })?;
 
-            let mn = &mem.nodes[node];
-            if mn.left != NONE {
-                for (child, went_left) in [(mn.left, true), (mn.right, false)] {
-                    let chain = if node_loc[child].0 == node_loc[node].0 {
-                        let mut c = chain.clone();
-                        c.push((node, depth, went_left));
-                        c
-                    } else {
-                        Vec::new()
-                    };
-                    stack.push(Visit { node: child, chain });
-                }
-            }
-        }
-
-        // Serialize skeletal pages.
-        let mut buf = vec![0u8; page_size];
         let child = |ni: usize| match ni {
             NONE => ChildLink::NONE,
             _ => {
-                let (p, slot) = node_loc[ni];
                 let pts = &mem.nodes[ni].points;
                 ChildLink {
-                    at: NodeRef { page: page_ids[p], slot },
+                    at: skel.node_ref(ni),
                     y_head: y_list[ni].head(),
                     cnt: pts.len() as u16,
                     leaf: mem.nodes[ni].left == NONE,
@@ -436,30 +406,20 @@ impl ThreeSidedPst {
                 }
             }
         };
-        for (page_idx, members) in pages.iter().enumerate() {
-            let used = {
-                let mut w = PageWriter::new(&mut buf);
-                w.put_u16(members.len() as u16)?;
-                for &ni in members {
-                    let node = &mem.nodes[ni];
-                    TsRecord {
-                        split_x: node.split.x,
-                        min_y: node.points.last().map_or(0, |p| p.y),
-                        y_list: y_list[ni],
-                        y_second: y_second[ni],
-                        left: child(node.left),
-                        right: child(node.right),
-                        a_list: a_list[ni],
-                        dir: dir[ni],
-                    }
-                    .encode(&mut w)?;
-                }
-                w.position()
-            };
-            store.write(page_ids[page_idx], &buf[..used])?;
-        }
-
-        Ok(ThreeSidedPst { root_page: page_ids[0], n: points.len() as u64, frame })
+        skel.write(store, |_, _| Ok(()), |ni| {
+            let node = &mem.nodes[ni];
+            TsRecord {
+                split_x: node.split.x,
+                min_y: node.points.last().map_or(0, |p| p.y),
+                y_list: y_list[ni],
+                y_second: y_second[ni],
+                left: child(node.left),
+                right: child(node.right),
+                a_list: a_list[ni],
+                dir: dir[ni],
+            }
+        })?;
+        Ok(ThreeSidedPst { root_page: skel.root(), n: points.len() as u64, frame })
     }
 
     /// The widths the structure stores its points at.
@@ -477,67 +437,45 @@ impl ThreeSidedPst {
         self.n == 0
     }
 
-    /// Every skeletal page with its records, a page before the pages
-    /// below it. Skeletal pages form a tree, so each is reached once.
-    fn skeletal_pages(&self, store: &PageStore) -> Result<Vec<(PageId, Vec<TsRecord>)>> {
-        let mut out: Vec<(PageId, Vec<TsRecord>)> = Vec::new();
-        let mut stack = vec![self.root_page];
-        while let Some(pid) = stack.pop() {
-            let page = store.read(pid)?;
-            let records = (0..PageReader::new(&page).get_u16()?)
-                .map(|slot| TsRecord::decode(&page, slot))
-                .collect::<Result<Vec<_>>>()?;
-            for rec in &records {
-                stack.extend(
-                    [rec.left.at.page, rec.right.at.page]
-                        .iter()
-                        .filter(|p| !p.is_null() && **p != pid),
-                );
-            }
-            out.push((pid, records));
-        }
-        Ok(out)
-    }
-
-    /// Frees every page of the structure: skeletal pages and, per node,
-    /// its Y-list, A-list, directory page and the S-family the directory
-    /// indexes. The handle must not be used again.
-    pub fn free(&self, store: &PageStore) -> Result<()> {
-        for (pid, records) in self.skeletal_pages(store)? {
+    /// Names every page of the structure once, with its class: skeletal
+    /// pages and, per node, its Y-list, A-list, directory page and the
+    /// S-family the directory indexes. A page is named after the pages
+    /// found through it have been read, so `visit` may free it.
+    fn for_each_page(
+        &self,
+        store: &PageStore,
+        visit: &mut impl FnMut(PageClass, PageId) -> Result<()>,
+    ) -> Result<()> {
+        for_each_skeletal_page(store, self.root_page, &mut |pid, _, records: &[TsRecord]| {
             for rec in records {
-                rec.y_list.free(store)?;
-                rec.a_list.free(store)?;
+                for_each_block(store, rec.y_list.head(), |c| &mut c.y_lists, visit)?;
+                for_each_block(store, rec.a_list.head(), |c| &mut c.a_lists, visit)?;
                 if !rec.dir.is_null() {
-                    for (right_sibs, left_sibs) in NodeDir::read(store, rec.dir)?.s {
-                        right_sibs.free(store)?;
-                        left_sibs.free(store)?;
+                    for (right_sibs, left_sibs) in NodeDir::decode(&store.read(rec.dir)?)?.s {
+                        for_each_block(store, right_sibs.head(), |c| &mut c.s_lists, visit)?;
+                        for_each_block(store, left_sibs.head(), |c| &mut c.s_lists, visit)?;
                     }
-                    store.free(rec.dir)?;
+                    visit(|c| &mut c.directories, rec.dir)?;
                 }
             }
-            store.free(pid)?;
-        }
-        Ok(())
+            visit(|c| &mut c.skeletal, pid)
+        })
+    }
+
+    /// Frees every page of the structure. The handle must not be used
+    /// again.
+    pub fn free(&self, store: &PageStore) -> Result<()> {
+        self.for_each_page(store, &mut |_, page| store.free(page))
     }
 
     /// Counts the structure's pages by class (one read per page).
     pub fn page_census(&self, store: &PageStore) -> Result<PageCensus> {
         let block_capacity = points_capacity(store.page_size(), self.frame) as u64;
         let mut census = PageCensus { frame: self.frame, block_capacity, ..PageCensus::default() };
-        for (_, records) in self.skeletal_pages(store)? {
-            census.skeletal += 1;
-            for rec in records {
-                census.y_lists += rec.y_list.block_pages(store)?.len() as u64;
-                census.a_lists += rec.a_list.block_pages(store)?.len() as u64;
-                if !rec.dir.is_null() {
-                    census.directories += 1;
-                    for (right_sibs, left_sibs) in NodeDir::read(store, rec.dir)?.s {
-                        census.s_lists += right_sibs.block_pages(store)?.len() as u64;
-                        census.s_lists += left_sibs.block_pages(store)?.len() as u64;
-                    }
-                }
-            }
-        }
+        self.for_each_page(store, &mut |class, _| {
+            *class(&mut census) += 1;
+            Ok(())
+        })?;
         Ok(census)
     }
 
@@ -546,31 +484,26 @@ impl ThreeSidedPst {
         Ok(self.query_counted(store, q)?.0)
     }
 
-    /// Answers a 3-sided query with I/O counters.
+    /// Answers a 3-sided query with I/O counters. A band whose bounds are
+    /// out of order holds no point: the empty answer, at no read.
     pub fn query_counted(
         &self,
         store: &PageStore,
         q: ThreeSided,
     ) -> Result<(Vec<Point>, QueryCounters)> {
-        assert!(q.x1 <= q.x2, "3-sided query bounds out of order");
+        if q.x1 > q.x2 {
+            return Ok((Vec::new(), QueryCounters::default()));
+        }
         let _span = pc_obs::span!("pst3_query");
-        let b = points_capacity(store.page_size(), self.frame);
-        pc_obs::set_block_capacity(b as u64);
-        let mut ctx = TsCtx {
-            store,
-            frame: self.frame,
-            q,
-            b: b as u64,
-            results: Vec::new(),
-            counters: QueryCounters::default(),
-        };
+        let mut ctx = TsCtx { walk: Walk::new(store, self.frame), q };
+        pc_obs::set_block_capacity(ctx.walk.b);
 
         // --- Shared prefix -------------------------------------------------
         let mut at = NodeRef { page: self.root_page, slot: 0 };
-        let mut page = ctx.load(at.page)?;
+        ctx.load(at.page)?;
         let mut depth = 0u16;
         loop {
-            let rec = TsRecord::decode(&page, at.slot)?;
+            let rec = TsRecord::at(&ctx.walk.page, at.slot)?;
             if rec.is_corner(q.y0) {
                 // Everything below fails the y bound; the shared prefix is
                 // the whole relevant tree.
@@ -593,12 +526,15 @@ impl ThreeSidedPst {
                     ctx.a_run(&dir, 0, None)?;
                     a_min = threshold;
                 }
+                let split_page = ctx.walk.page.clone();
                 if walks[0] {
-                    ctx.boundary_walk::<true>(rec.left.at, threshold, a_min, at.page, &page)?;
+                    ctx.boundary_walk::<true>(rec.left.at, threshold, a_min)?;
                     a_min = threshold;
                 }
                 if walks[1] {
-                    ctx.boundary_walk::<false>(rec.right.at, threshold, a_min, at.page, &page)?;
+                    // The left walk may have left another page in hand.
+                    (ctx.walk.held, ctx.walk.page) = (at.page, split_page);
+                    ctx.boundary_walk::<false>(rec.right.at, threshold, a_min)?;
                 }
                 break;
             }
@@ -613,30 +549,25 @@ impl ThreeSidedPst {
                 if !reaches {
                     break;
                 }
-                page = ctx.load(next.at.page)?;
+                ctx.load(next.at.page)?;
                 depth = 0;
             }
             at = next.at;
         }
-        Ok((ctx.results, ctx.counters))
+        Ok((ctx.walk.results, ctx.walk.counters))
     }
 }
 
+/// One query: the walk and the band.
 struct TsCtx<'a> {
-    store: &'a PageStore,
-    frame: Frame,
+    walk: Walk<'a>,
     q: ThreeSided,
-    b: u64,
-    results: Vec<Point>,
-    counters: QueryCounters,
 }
 
 impl TsCtx<'_> {
-    /// Reads a skeletal page (one navigation I/O).
-    fn load(&mut self, id: PageId) -> Result<Page> {
-        let _lvl = pc_obs::span!("level", self.counters.skeletal);
-        self.counters.skeletal += 1;
-        self.store.read(id)
+    /// Takes a skeletal page in hand, as one more level of the walk.
+    fn load(&mut self, id: PageId) -> Result<()> {
+        self.walk.load(id, Some(self.walk.counters.skeletal))
     }
 
     /// Reads a node's directory page (one navigation I/O).
@@ -644,8 +575,7 @@ impl TsCtx<'_> {
         if rec.dir.is_null() {
             return Ok(NodeDir::default());
         }
-        self.counters.cache_blocks += 1;
-        NodeDir::read(self.store, rec.dir)
+        NodeDir::decode(&self.walk.cache_page(rec.dir)?)
     }
 
     /// Scans the run `[x1, x2]` of an A-list: directory-jump to the first
@@ -655,102 +585,56 @@ impl TsCtx<'_> {
     /// `corner`, the one node on the path that reaches below `y0`, are
     /// filtered by `y >= y0`.
     fn a_run(&mut self, dir: &NodeDir, min_depth: u16, corner: Option<u16>) -> Result<()> {
+        let ThreeSided { x1, x2, y0 } = self.q;
         // boundary_x is the block's smallest x (descending list): the first
         // block whose minimum is <= x2 can contain qualifying entries.
-        let Some(&(_, start)) = dir.a.iter().find(|&&(bx, _)| bx <= self.q.x2) else {
+        let Some(&(_, start)) = dir.a.iter().find(|&&(bx, _)| bx <= x2) else {
             return Ok(());
         };
-        let _probe = pc_obs::span!("path_cache_probe");
-        let before = self.results.len();
-        let mut next = start;
-        'run: while !next.is_null() {
-            let (entries, nxt) = BlockList::<SEntry>::read_block(self.store, self.frame, next)?;
-            self.counters.cache_blocks += 1;
-            for e in entries {
-                if e.p.x < self.q.x1 {
-                    break 'run;
+        self.walk.probe(|walk| {
+            walk.cache_scan(start, |answer, e: SEntry| {
+                if e.p.x < x1 {
+                    return false;
                 }
-                if e.p.x <= self.q.x2
-                    && e.depth >= min_depth
-                    && (Some(e.depth) != corner || e.p.y >= self.q.y0)
-                {
-                    self.results.push(e.p);
+                if e.p.x <= x2 && e.depth >= min_depth && (Some(e.depth) != corner || e.p.y >= y0) {
+                    answer.push(e.p);
                 }
-            }
-            next = nxt;
-        }
-        pc_obs::add_items((self.results.len() - before) as u64);
-        Ok(())
-    }
-
-    /// Scans a Y-list from block `start` on, keeping the prefix with
-    /// `y >= y0`. Returns the number kept.
-    fn scan_y(&mut self, start: PageId) -> Result<u64> {
-        let _scan = pc_obs::span!(output: "list_scan");
-        let before = self.results.len();
-        let mut next = start;
-        'scan: while !next.is_null() {
-            let (points, nxt) = BlockList::<Point>::read_block(self.store, self.frame, next)?;
-            self.counters.node_blocks += 1;
-            for p in points {
-                if p.y < self.q.y0 {
-                    break 'scan;
-                }
-                self.results.push(p);
-            }
-            next = nxt;
-        }
-        let kept = (self.results.len() - before) as u64;
-        pc_obs::add_items(kept);
-        Ok(kept)
+                true
+            })
+        })
     }
 
     /// Drains `S_threshold` of the node's S-family — a descending-y prefix
     /// of the recorded siblings' first blocks — and continues every
     /// sibling whose cached block qualified entirely in its own Y-list.
     /// Returns the children to visit below the wholly reported siblings.
-    /// `sib[d]` is the slot, on `page`, of the inside sibling recorded at
-    /// in-page depth `d`.
+    /// `sib[d]` is the slot, on the page in hand, of the inside sibling
+    /// recorded at in-page depth `d`.
     fn drain_s<const LEFT: bool>(
         &mut self,
         dir: &NodeDir,
         threshold: u16,
         sib: &[Option<u16>],
-        page: &Page,
     ) -> Result<Vec<ChildLink>> {
+        let (walk, y0) = (&mut self.walk, self.q.y0);
         let mut inside = Vec::new();
         let Some(&(right_sibs, left_sibs)) = dir.s.get(threshold as usize) else {
             return Ok(inside);
         };
         let list = if LEFT { right_sibs } else { left_sibs };
-        let mut qualified = vec![0u64; sib.len()];
-        {
-            let _probe = pc_obs::span!("path_cache_probe");
-            let before = self.results.len();
-            's_scan: for block in list.blocks(self.store, self.frame) {
-                self.counters.cache_blocks += 1;
-                for e in block? {
-                    if e.p.y < self.q.y0 {
-                        break 's_scan;
-                    }
-                    self.results.push(e.p);
-                    qualified[e.depth as usize] += 1;
-                }
-            }
-            pc_obs::add_items((self.results.len() - before) as u64);
-        }
+        let qualified = walk.probe(|walk| walk.drain(&list, sib.len(), |p| p.y >= y0))?;
         for (slot, cached) in sib.iter().zip(qualified) {
             if cached == 0 {
                 continue;
             }
             let slot = slot.expect("S entries come from recorded siblings");
-            let rec = TsRecord::decode(page, slot)?;
+            let rec = TsRecord::at(&walk.page, slot)?;
             let total = rec.y_list.len();
-            if cached < total.min(self.b) {
+            if cached < total.min(walk.b) {
                 continue;
             }
-            if cached + self.scan_y(rec.y_second)? == total {
-                inside.extend(rec.reaching_children(self.q.y0));
+            if cached + walk.prefix(rec.y_second, |p| p.y >= y0)? == total {
+                inside.extend(rec.reaching_children(y0));
             }
         }
         Ok(inside)
@@ -759,68 +643,51 @@ impl TsCtx<'_> {
     /// Top-down descendant traversal (Figure 4) below wholly reported
     /// nodes: reports each visited node's Y-prefix and descends only where
     /// all of it qualified. Visited subtrees lie wholly inside the query's
-    /// x-range, so only the y-filter applies. Nodes on the skeletal page in
-    /// hand go first: a page is entered through its slot 0 alone, so this
-    /// order reads each skeletal page at most once, and only for a node
-    /// that has children.
-    fn traverse(&mut self, mut held: PageId, page: &Page, seeds: Vec<ChildLink>) -> Result<()> {
-        if seeds.is_empty() {
-            return Ok(());
-        }
-        let _span = pc_obs::span!(output: "traverse");
-        let mut page = page.clone();
-        let (mut here, mut elsewhere): (Vec<_>, Vec<_>) =
-            seeds.into_iter().partition(|c| c.at.page == held);
-        loop {
-            let node = match here.pop() {
-                Some(node) => node,
-                None => match elsewhere.pop() {
-                    Some(node) => node,
-                    None => return Ok(()),
-                },
-            };
-            if self.scan_y(node.y_head)? < u64::from(node.cnt) {
-                continue;
+    /// x-range, so only the y-filter applies. A node's skeletal page is
+    /// read only for a node that has children.
+    fn traverse(&mut self, seeds: Vec<ChildLink>) -> Result<()> {
+        let y0 = self.q.y0;
+        self.walk.traverse(seeds, true, |node| node.at.page, |walk, node, below| {
+            if walk.prefix(node.y_head, |p| p.y >= y0)? < u64::from(node.cnt) {
+                return Ok(());
             }
-            if node.at.page != held {
+            if node.at.page != walk.held {
                 if node.leaf {
-                    continue;
+                    return Ok(());
                 }
-                held = node.at.page;
-                page = self.load(held)?;
+                walk.load(node.at.page, Some(walk.counters.skeletal))?;
             }
-            for child in TsRecord::decode(&page, node.at.slot)?.reaching_children(self.q.y0) {
-                (if child.at.page == held { &mut here } else { &mut elsewhere }).push(child);
-            }
-        }
+            below.extend(TsRecord::at(&walk.page, node.at.slot)?.reaching_children(y0));
+            Ok(())
+        })
     }
 
     /// Walks one boundary path below the split. `LEFT` walks the `x1`
     /// boundary (right siblings are inside the band); `!LEFT` mirrors it.
-    /// On the split's page the walk starts at in-page depth `threshold`,
-    /// drains `S_threshold` and reports A-entries from depth `a_min` on;
-    /// both are 0 from the next page on.
+    /// On the split's page — in hand if `start` is on it — the walk starts
+    /// at in-page depth `threshold`, drains `S_threshold` and reports
+    /// A-entries from depth `a_min` on; both are 0 from the next page on.
     fn boundary_walk<const LEFT: bool>(
         &mut self,
         start: NodeRef,
         mut threshold: u16,
         mut a_min: u16,
-        split_page_id: PageId,
-        split_page: &Page,
     ) -> Result<()> {
+        let y0 = self.q.y0;
         let mut at = start;
-        let mut page =
-            if at.page == split_page_id { split_page.clone() } else { self.load(at.page)? };
+        if at.page != self.walk.held {
+            self.load(at.page)?;
+        }
         // Slot of the inside sibling recorded at each in-page depth so far,
         // matching the build-time S tags; `sib.len()` is the walk's depth.
         let mut sib: Vec<Option<u16>> = vec![None; threshold as usize];
         loop {
-            let rec = TsRecord::decode(&page, at.slot)?;
-            if rec.is_corner(self.q.y0) {
+            let rec = TsRecord::at(&self.walk.page, at.slot)?;
+            if rec.is_corner(y0) {
                 let dir = self.read_dir(&rec)?;
                 self.a_run(&dir, a_min, Some(sib.len() as u16))?;
-                let inside = self.drain_s::<LEFT>(&dir, threshold, &sib, &page)?;
-                return self.traverse(at.page, &page, inside);
+                let inside = self.drain_s::<LEFT>(&dir, threshold, &sib)?;
+                return self.traverse(inside);
             }
             // Route by this walk's boundary. The inside sibling is the
             // right child on the left path when going left, the left child
@@ -828,7 +695,7 @@ impl TsCtx<'_> {
             let go_left = if LEFT { self.q.x1 <= rec.split_x } else { self.q.x2 < rec.split_x };
             let (next, other) = if go_left { (rec.left, rec.right) } else { (rec.right, rec.left) };
             let inside_sib = (go_left == LEFT && other.cnt > 0).then_some(other);
-            let reaches = next.reaches(self.q.y0);
+            let reaches = next.reaches(y0);
             if reaches && next.at.page == at.page {
                 sib.push(inside_sib.map(|s| s.at.slot));
                 at = next.at;
@@ -838,50 +705,24 @@ impl TsCtx<'_> {
             // no S-list below it.
             let dir = self.read_dir(&rec)?;
             self.a_run(&dir, a_min, None)?;
-            let mut inside = self.drain_s::<LEFT>(&dir, threshold, &sib, &page)?;
-            inside.extend(inside_sib.filter(|s| s.reaches(self.q.y0)));
-            self.traverse(at.page, &page, inside)?;
+            let mut inside = self.drain_s::<LEFT>(&dir, threshold, &sib)?;
+            inside.extend(inside_sib.filter(|s| s.reaches(y0)));
+            self.traverse(inside)?;
             if !reaches {
                 return Ok(());
             }
             sib.clear();
             (threshold, a_min) = (0, 0);
             at = next.at;
-            page = self.load(at.page)?;
+            self.load(at.page)?;
         }
     }
 }
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::testutil::assert_cache_blocks;
-
-    fn xorshift(state: &mut u64, bound: i64) -> i64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        (*state % bound as u64) as i64
-    }
-
-    fn random_points(n: usize, domain: i64, seed: u64) -> Vec<Point> {
-        let mut s = seed;
-        (0..n)
-            .map(|id| Point::new(xorshift(&mut s, domain), xorshift(&mut s, domain), id as u64))
-            .collect()
-    }
-
-    fn brute(points: &[Point], q: ThreeSided) -> Vec<u64> {
-        let mut ids: Vec<u64> =
-            points.iter().filter(|p| q.contains(p)).map(|p| p.id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn ids(mut pts: Vec<Point>) -> Vec<u64> {
-        let mut out: Vec<u64> = pts.drain(..).map(|p| p.id).collect();
-        out.sort_unstable();
-        out
-    }
+    use crate::testutil::{brute, ids, random_points, xorshift};
+    use crate::testutil::assert_cache_blocks;
 
     fn check(points: &[Point], queries: &[ThreeSided], page_size: usize) {
         let store = PageStore::in_memory(page_size);
@@ -990,11 +831,14 @@ mod tests {
         let store = PageStore::in_memory(page_size);
         let pst = ThreeSidedPst::build(&store, points).unwrap();
         let mut xs = Vec::new();
-        for (_, records) in pst.skeletal_pages(&store).unwrap() {
+        for_each_skeletal_page(&store, pst.root_page, &mut |_, _, records: &[TsRecord]| {
             for rec in records.iter().filter(|rec| !rec.dir.is_null()) {
-                xs.extend(NodeDir::read(&store, rec.dir).unwrap().a.iter().map(|&(x, _)| x));
+                let dir = NodeDir::decode(&store.read(rec.dir)?)?;
+                xs.extend(dir.a.iter().map(|&(x, _)| x));
             }
-        }
+            Ok(())
+        })
+        .unwrap();
         xs.sort_unstable();
         xs.dedup();
         xs
@@ -1261,7 +1105,7 @@ mod tests {
             let b = points_capacity(page_size, frame);
             let cap = node_capacity(page_size, frame);
             let decode = |at: NodeRef| {
-                TsRecord::decode(&store.read(at.page).unwrap(), at.slot).unwrap()
+                TsRecord::at(&store.read(at.page).unwrap(), at.slot).unwrap()
             };
             // (node, points of the in-page ancestors, per in-page ancestor:
             // (right, left) sibling's cached count)
@@ -1281,7 +1125,7 @@ mod tests {
                 let dir = if rec.dir.is_null() {
                     NodeDir::default()
                 } else {
-                    NodeDir::read(&store, rec.dir).unwrap()
+                    NodeDir::decode(&store.read(rec.dir).unwrap()).unwrap()
                 };
                 assert_eq!(dir.a.len(), copied.div_ceil(b), "one directory entry per A-block");
                 assert_eq!(dir.s.len(), sibs.len(), "one S-pair per split depth");
@@ -1305,7 +1149,7 @@ mod tests {
                     assert_eq!(u64::from(child.cnt), child_rec.y_list.len());
                     assert_eq!(child.leaf, child_rec.left.at.page.is_null());
                     if child.cnt > 0 {
-                        let top = child_rec.y_list.read_first_block(&store, frame).unwrap()[0];
+                        let top = child_rec.y_list.blocks(&store, frame).next().unwrap().unwrap()[0];
                         assert_eq!(child.top_y, top.y);
                         assert!(top.y <= rec.min_y);
                     }

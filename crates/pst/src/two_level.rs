@@ -18,45 +18,37 @@
 //!   regions sized by the same rule from the iterated log for the
 //!   multilevel scheme (§4.2), bottoming out at the basic PST;
 //!
-//! and, for its children, the two caches §4 defines per region — written
-//! once, by the parent, because the paper defines them by the path above a
-//! region: two siblings have the same A-list, and a right child's S-list is
-//! its parent's, depth tags included (see the `build` module header):
+//! and, for its children, the two parent-owned caches of the `region`
+//! module header, with a skeletal page as the segment, over *first blocks*:
 //!
-//! * **`child_a`** — the A-list of both children: the *first blocks* of the
-//!   X-lists of `R` and of `R`'s in-segment ancestors (segment = skeletal
-//!   page), merged descending by x and tagged with the source's in-page
-//!   depth;
-//! * **`left_s`** — the S-list of the left child: the first blocks of the
-//!   Y-lists of the in-segment right siblings down to `R`'s right child,
-//!   merged descending by y, tagged.
+//! * **`child_a`** — the first blocks of the X-lists of `R` and of `R`'s
+//!   in-page ancestors, merged descending by x and tagged with the source's
+//!   in-page depth;
+//! * **`left_s`** — the first blocks of the Y-lists of the in-page right
+//!   siblings down to `R`'s right child, merged descending by y, tagged.
 //!
-//! A leaf, and a region whose children open pages of their own, holds two
-//! empty handles. The query (§4.1) carries `(cur_a, cur_s)` down the corner
-//! path — `child_a` on every in-page step, `left_s` on a left step, both
-//! empty again on a page crossing — and drains them at the corner and where
-//! the path leaves a page: `O(log_B n)` A/S caches in all.
-//! Because a cache holds only each ancestor's first block, the
-//! **continuation rule** applies: a source's X-list (resp. a sibling's
-//! Y-list) is read on *from its second block*, which the record names, if
-//! and only if all its copied points qualified — every continued read is a
-//! full block of answers except possibly the last, and no block is read
-//! twice. A first block is `B` entries and so is a cache block, so a cache
-//! over `k` sources is `k` blocks. The corner region is queried through its
-//! inner structure; descendants of fully-inside siblings are traversed
-//! region by region, paid for by their parents' full output, each skeletal
-//! page read once however many of its regions the traversal visits.
+//! The query (§4.1) drains them at the corner and where the path leaves a
+//! page: `O(log_B n)` A/S caches in all, each source continued in its own
+//! list by the substrate's continuation rule. The corner region is queried
+//! through its inner structure; descendants of fully-inside siblings are
+//! traversed region by region, paid for by their parents' full output,
+//! each skeletal page read once however many of its regions the traversal
+//! visits.
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::{chain_pages, unpack_records, BlockList};
-use pc_pagestore::{Frame, Framed, Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
+use pc_pagestore::{Frame, Framed, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::build::{
-    blocked, blocked_pages, build_external, for_each_skeletal_page, points_capacity, CacheMode,
-    PstCore, SEntry,
+    blocked, build_single_level, points_capacity, CacheMode, Kind, PstHandle,
+    SEntry, SkeletalRecord,
 };
 use crate::mem::{cmp_x, cmp_y, MemPst, TwoSided, NONE};
 use crate::query::{run_two_sided, QueryCounters};
+use crate::region::{
+    for_each_block, for_each_cache_owner, for_each_skeletal_page, merge_tagged, write_with,
+    NodeRef, SkelRecord, Skeleton, Walk,
+};
 
 /// Byte size of one region record.
 ///
@@ -128,12 +120,6 @@ pub fn region_caps(page_size: usize, levels: u32, frame: Frame) -> Vec<usize> {
     caps
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct NodeRef {
-    pub(crate) page: PageId,
-    pub(crate) slot: u16,
-}
-
 /// A region's X- or Y-list as a record names it: the pages of its first
 /// two blocks ([`NULL_PAGE`] where the list has none), so that a scan can
 /// start at either. The record's point counts give the length.
@@ -148,31 +134,29 @@ impl ListRef {
 
     /// Writes `points`, in the order given, `B` to a page.
     pub(crate) fn build(store: &PageStore, frame: Frame, points: &[Point]) -> Result<ListRef> {
-        let pages = blocked_pages(store, frame, points)?.1;
+        let pages = blocked(store, frame, points)?.1;
         let page = |i: usize| pages.get(i).copied().unwrap_or(NULL_PAGE);
         Ok(ListRef { head: page(0), second: page(1) })
     }
 
-    /// The pages of the list's blocks, in chain order (one read per block).
-    pub(crate) fn pages(&self, store: &PageStore) -> Result<Vec<PageId>> {
-        chain_pages(store, self.head)
-    }
-
     /// The list's points, in order (one read per block).
     pub(crate) fn read_all(&self, store: &PageStore, frame: Frame) -> Result<Vec<Point>> {
-        let mut out = Vec::new();
-        let mut next = self.head;
-        while !next.is_null() {
-            let (points, after) = BlockList::<Point>::read_block(store, frame, next)?;
-            out.extend(points);
-            next = after;
-        }
-        Ok(out)
+        let blocks = BlockList::<Point>::blocks_from(store, frame, self.head);
+        Ok(blocks.collect::<Result<Vec<_>>>()?.concat())
     }
 
     /// Frees every page of the list.
     pub(crate) fn free(&self, store: &PageStore) -> Result<()> {
-        self.pages(store)?.into_iter().try_for_each(|page| store.free(page))
+        chain_pages(store, self.head)?.into_iter().try_for_each(|page| store.free(page))
+    }
+
+    fn decode(r: &mut PageReader<'_>) -> Result<ListRef> {
+        Ok(ListRef { head: PageId(r.get_u64()?), second: PageId(r.get_u64()?) })
+    }
+
+    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
+        w.put_u64(self.head.0)?;
+        w.put_u64(self.second.0)
     }
 }
 
@@ -203,78 +187,88 @@ pub(crate) struct RegionRecord {
 
 impl RegionRecord {
     /// The region's inner structure, in a structure stored at `frame`.
-    pub(crate) fn inner(&self, frame: Frame) -> InnerHandle {
-        let (root, n, is_region) = (self.inner_root, self.inner_n, self.inner_is_region);
-        InnerHandle { root, n, is_region, frame }
+    pub(crate) fn inner(&self, frame: Frame) -> PstHandle {
+        let kind =
+            if self.inner_is_region { Kind::Region } else { Kind::Basic(CacheMode::FullPath) };
+        PstHandle { root: self.inner_root, n: self.inner_n, kind, frame }
+    }
+
+    /// Copies what this record keeps of its `right` (else left) child from
+    /// the child's own record.
+    pub(crate) fn set_child(&mut self, right: bool, child: &RegionRecord) {
+        let is_leaf = child.left.page.is_null();
+        if right {
+            (self.right_cnt, self.right_is_leaf) = (child.own_cnt, is_leaf);
+            self.right_y_list = child.y_list;
+        } else {
+            (self.left_cnt, self.left_is_leaf) = (child.own_cnt, is_leaf);
+        }
     }
 }
 
-pub(crate) fn decode_record(page: &[u8], slot: u16) -> Result<RegionRecord> {
-    let offset = PAGE_HEADER + RECORD_LEN * slot as usize;
-    let mut r = PageReader::new(&page[offset..offset + RECORD_LEN]);
-    let split_x = r.get_i64()?;
-    let min_y_y = r.get_i64()?;
-    let left = NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? };
-    let right = NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? };
-    let own_cnt = r.get_u16()?;
-    let left_cnt = r.get_u16()?;
-    let right_cnt = r.get_u16()?;
-    let flags = r.get_u8()?;
-    let mut list_ref = || -> Result<ListRef> {
-        Ok(ListRef { head: PageId(r.get_u64()?), second: PageId(r.get_u64()?) })
-    };
-    let (x_list, y_list, right_y_list) = (list_ref()?, list_ref()?, list_ref()?);
-    Ok(RegionRecord {
-        split_x,
-        min_y_y,
-        left,
-        right,
-        own_cnt,
-        left_cnt,
-        right_cnt,
-        left_is_leaf: flags & 1 != 0,
-        right_is_leaf: flags & 2 != 0,
-        x_list,
-        y_list,
-        right_y_list,
-        child_a: BlockList::decode(&mut r)?,
-        left_s: BlockList::decode(&mut r)?,
-        inner_root: PageId(r.get_u64()?),
-        inner_n: r.get_u64()?,
-        inner_is_region: r.get_u8()? != 0,
-        u_buf: PageId(r.get_u64()?),
-    })
+impl SkelRecord for RegionRecord {
+    const HEADER: usize = PAGE_HEADER;
+    const LEN: usize = RECORD_LEN;
+
+    fn decode(r: &mut PageReader<'_>) -> Result<RegionRecord> {
+        let split_x = r.get_i64()?;
+        let min_y_y = r.get_i64()?;
+        let (left, right) = (NodeRef::decode(r)?, NodeRef::decode(r)?);
+        let own_cnt = r.get_u16()?;
+        let left_cnt = r.get_u16()?;
+        let right_cnt = r.get_u16()?;
+        let flags = r.get_u8()?;
+        Ok(RegionRecord {
+            split_x,
+            min_y_y,
+            left,
+            right,
+            own_cnt,
+            left_cnt,
+            right_cnt,
+            left_is_leaf: flags & 1 != 0,
+            right_is_leaf: flags & 2 != 0,
+            x_list: ListRef::decode(r)?,
+            y_list: ListRef::decode(r)?,
+            right_y_list: ListRef::decode(r)?,
+            child_a: BlockList::decode(r)?,
+            left_s: BlockList::decode(r)?,
+            inner_root: PageId(r.get_u64()?),
+            inner_n: r.get_u64()?,
+            inner_is_region: r.get_u8()? != 0,
+            u_buf: PageId(r.get_u64()?),
+        })
+    }
+
+    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
+        w.put_i64(self.split_x)?;
+        w.put_i64(self.min_y_y)?;
+        self.left.encode(w)?;
+        self.right.encode(w)?;
+        w.put_u16(self.own_cnt)?;
+        w.put_u16(self.left_cnt)?;
+        w.put_u16(self.right_cnt)?;
+        w.put_u8(u8::from(self.left_is_leaf) | (u8::from(self.right_is_leaf) << 1))?;
+        for list in [self.x_list, self.y_list, self.right_y_list] {
+            list.encode(w)?;
+        }
+        self.child_a.encode(w)?;
+        self.left_s.encode(w)?;
+        w.put_u64(self.inner_root.0)?;
+        w.put_u64(self.inner_n)?;
+        w.put_u8(u8::from(self.inner_is_region))?;
+        w.put_u64(self.u_buf.0)
+    }
+
+    fn children(&self) -> [NodeRef; 2] {
+        [self.left, self.right]
+    }
 }
 
-/// Encodes a region record (the writer must be positioned at the record's
-/// start).
-pub(crate) fn encode_record(w: &mut PageWriter<'_>, rec: &RegionRecord) -> Result<()> {
-    w.put_i64(rec.split_x)?;
-    w.put_i64(rec.min_y_y)?;
-    for child in [rec.left, rec.right] {
-        w.put_u64(child.page.0)?;
-        w.put_u16(child.slot)?;
-    }
-    w.put_u16(rec.own_cnt)?;
-    w.put_u16(rec.left_cnt)?;
-    w.put_u16(rec.right_cnt)?;
-    w.put_u8(u8::from(rec.left_is_leaf) | (u8::from(rec.right_is_leaf) << 1))?;
-    for list in [rec.x_list, rec.y_list, rec.right_y_list] {
-        w.put_u64(list.head.0)?;
-        w.put_u64(list.second.0)?;
-    }
-    rec.child_a.encode(w)?;
-    rec.left_s.encode(w)?;
-    w.put_u64(rec.inner_root.0)?;
-    w.put_u64(rec.inner_n)?;
-    w.put_u8(u8::from(rec.inner_is_region))?;
-    w.put_u64(rec.u_buf.0)
-}
-
-/// Decoded page header (dynamic-structure bookkeeping).
+/// What a region page's header holds after the record count: the
+/// dynamic structure's bookkeeping.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PageHeaderInfo {
-    pub(crate) count: u16,
     pub(crate) churn: u32,
     pub(crate) subtree_n: u64,
     pub(crate) u_page: PageId,
@@ -282,16 +276,13 @@ pub(crate) struct PageHeaderInfo {
 
 pub(crate) fn decode_header(page: &[u8]) -> Result<PageHeaderInfo> {
     let mut r = PageReader::new(page);
-    let count = r.get_u16()?;
-    r.skip(2)?;
-    let churn = r.get_u32()?;
-    let subtree_n = r.get_u64()?;
-    let u_page = PageId(r.get_u64()?);
-    Ok(PageHeaderInfo { count, churn, subtree_n, u_page })
+    r.skip(2 + 2)?;
+    let (churn, subtree_n) = (r.get_u32()?, r.get_u64()?);
+    Ok(PageHeaderInfo { churn, subtree_n, u_page: PageId(r.get_u64()?) })
 }
 
+/// Writes the header's bytes after the count.
 pub(crate) fn encode_header(w: &mut PageWriter<'_>, h: &PageHeaderInfo) -> Result<()> {
-    w.put_u16(h.count)?;
     w.put_u16(0)?;
     w.put_u32(h.churn)?;
     w.put_u64(h.subtree_n)?;
@@ -335,12 +326,16 @@ pub(crate) fn buffer_capacity(page_size: usize, frame: Frame) -> usize {
     (page_size - 2) / frame.record_len::<UpdateRec>()
 }
 
-/// Reads a buffer page: `[count u16][UpdateRec * count]`.
-pub(crate) fn read_buffer(store: &PageStore, frame: Frame, id: PageId) -> Result<Vec<UpdateRec>> {
-    let page = store.read(id)?;
-    let mut r = PageReader::new(&page);
+/// Decodes a buffer page: `[count u16][UpdateRec * count]`.
+pub(crate) fn decode_buffer(page: &[u8], frame: Frame) -> Result<Vec<UpdateRec>> {
+    let mut r = PageReader::new(page);
     let count = r.get_u16()? as usize;
     unpack_records(frame, &mut r, count)
+}
+
+/// Reads a buffer page.
+pub(crate) fn read_buffer(store: &PageStore, frame: Frame, id: PageId) -> Result<Vec<UpdateRec>> {
+    decode_buffer(&store.read(id)?, frame)
 }
 
 /// Writes a buffer page.
@@ -350,34 +345,10 @@ pub(crate) fn write_buffer(
     id: PageId,
     recs: &[UpdateRec],
 ) -> Result<()> {
-    let mut buf = vec![0u8; store.page_size()];
-    let used = {
-        let mut w = PageWriter::new(&mut buf);
+    write_with(store, id, |w| {
         w.put_u16(recs.len() as u16)?;
-        for rec in recs {
-            rec.pack(frame, &mut w)?;
-        }
-        w.position()
-    };
-    store.write(id, &buf[..used])
-}
-
-/// Handle to an inner structure: a basic PST (`is_region == false`) or a
-/// nested region tree, and the frame of the structure it is part of (the
-/// outermost handle carries it in; no record stores it).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct InnerHandle {
-    pub(crate) root: PageId,
-    pub(crate) n: u64,
-    pub(crate) is_region: bool,
-    pub(crate) frame: Frame,
-}
-
-impl InnerHandle {
-    /// The basic PST this handle names (`!is_region`).
-    fn core(&self) -> PstCore {
-        PstCore { root_page: self.root, n: self.n, mode: CacheMode::FullPath, frame: self.frame }
-    }
+        recs.iter().try_for_each(|rec| rec.pack(frame, w))
+    })
 }
 
 /// Builds a region tree (or a basic PST when `caps` is exhausted) over
@@ -388,20 +359,14 @@ pub(crate) fn build_region_tree(
     points: &[Point],
     caps: &[usize],
     frame: Frame,
-) -> Result<InnerHandle> {
+) -> Result<PstHandle> {
+    let Some((&r_cap, inner_caps)) = caps.split_first() else {
+        return build_single_level(store, points, CacheMode::FullPath, frame);
+    };
     let page_size = store.page_size();
-    if caps.is_empty() {
-        let mem = MemPst::build(points, points_capacity(page_size, frame));
-        let core = build_external(store, &mem, CacheMode::FullPath, frame)?;
-        return Ok(InnerHandle { root: core.root_page, n: core.n, is_region: false, frame });
-    }
-    let r_cap = caps[0];
     let b = block_capacity(page_size, frame);
     let mem = MemPst::build(points, r_cap);
-
-    // Pagination of this level's tree.
-    let (pages, node_loc) = crate::build::paginate(&mem, skeletal_capacity(page_size));
-    let page_ids: Vec<PageId> = pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
+    let skel = Skeleton::new(store, &mem, skeletal_capacity(page_size))?;
 
     // Per-region lists and inner structures.
     let n_nodes = mem.nodes.len();
@@ -413,142 +378,85 @@ pub(crate) fn build_region_tree(
     }
     let mut x_lists = Vec::with_capacity(n_nodes);
     let mut y_lists = Vec::with_capacity(n_nodes);
-    let mut inners: Vec<InnerHandle> = Vec::with_capacity(n_nodes);
+    let mut inners: Vec<PstHandle> = Vec::with_capacity(n_nodes);
     for (node, xs) in mem.nodes.iter().zip(&x_sorted) {
         x_lists.push(ListRef::build(store, frame, xs)?);
         // Node points are already descending by y-key.
         y_lists.push(ListRef::build(store, frame, &node.points)?);
-        inners.push(build_region_tree(store, &node.points, &caps[1..], frame)?);
+        inners.push(build_region_tree(store, &node.points, inner_caps, frame)?);
     }
 
-    // The children's caches, per region with children on its page, from the
-    // chain of in-page ancestors (first blocks only). Chain entries are
-    // tagged with the ancestor's *in-page* depth (the chain resets at page
-    // boundaries, so its length is exactly that), matching the depth the
+    // The children's caches, per region with children on its page: first
+    // blocks only, tagged with the source's *in-page* depth — the depth the
     // query counts.
     let mut child_a: Vec<BlockList<SEntry>> = vec![BlockList::empty(); n_nodes];
     let mut left_s: Vec<BlockList<SEntry>> = vec![BlockList::empty(); n_nodes];
-    struct Visit {
-        node: usize,
-        chain: Vec<(usize, u16, bool)>,
-    }
-    let mut stack = vec![Visit { node: 0, chain: Vec::new() }];
-    while let Some(Visit { node, chain }) = stack.pop() {
-        let mn = &mem.nodes[node];
-        if mn.left == NONE {
-            continue;
-        }
-        for (child, went_left) in [(mn.left, true), (mn.right, false)] {
-            if node_loc[child].0 != node_loc[node].0 {
-                stack.push(Visit { node: child, chain: Vec::new() });
-                continue;
-            }
-            let mut chain = chain.clone();
-            chain.push((node, chain.len() as u16, went_left));
-            if went_left {
-                // The left child's chain names both lists: its A-list is
-                // the right child's too.
-                let first_block = |pts: &[Point], depth: u16| -> Vec<SEntry> {
-                    pts.iter().take(b).map(|&p| SEntry { p, depth }).collect()
-                };
-                let mut a: Vec<SEntry> = Vec::new();
-                let mut s: Vec<SEntry> = Vec::new();
-                for &(anc, anc_depth, went_left) in &chain {
-                    a.extend(first_block(&x_sorted[anc], anc_depth));
-                    if went_left {
-                        s.extend(first_block(&mem.nodes[mem.nodes[anc].right].points, anc_depth));
-                    }
-                }
-                a.sort_unstable_by(|x, y| cmp_x(&y.p, &x.p));
-                s.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-                child_a[node] = blocked(store, frame, &a)?;
-                left_s[node] = blocked(store, frame, &s)?;
-            }
-            stack.push(Visit { node: child, chain });
-        }
-    }
+    let same_page = |parent, child| skel.same_page(parent, child);
+    for_each_cache_owner(0, |ni| mem.children(ni), same_page, |node, _, path| {
+        let a = merge_tagged(path.iter().map(|s| (&x_sorted[s.node][..], s.depth)), b, cmp_x);
+        let sibs = path.iter().filter(|s| s.went_left);
+        let sibs = sibs.map(|s| (&mem.nodes[mem.nodes[s.node].right].points[..], s.depth));
+        let s = merge_tagged(sibs, b, cmp_y);
+        child_a[node] = blocked(store, frame, &a)?.0;
+        left_s[node] = blocked(store, frame, &s)?.0;
+        Ok(())
+    })?;
 
-    // Serialize.
-    let mut buf = vec![0u8; page_size];
-    let child_ref = |ni: usize| match ni {
-        NONE => NodeRef { page: NULL_PAGE, slot: 0 },
-        _ => NodeRef { page: page_ids[node_loc[ni].0], slot: node_loc[ni].1 },
-    };
     // What a parent's record says of a child: (point count, is a leaf).
     let child_info = |ni: usize| match ni {
         NONE => (0, true),
         _ => (mem.nodes[ni].points.len() as u16, mem.nodes[ni].is_leaf()),
     };
-    for (page_idx, members) in pages.iter().enumerate() {
-        let used = {
-            let mut w = PageWriter::new(&mut buf);
-            encode_header(
-                &mut w,
-                &PageHeaderInfo {
-                    count: members.len() as u16,
-                    churn: 0,
-                    subtree_n: mem.nodes[members[0]].subtree_size,
-                    u_page: NULL_PAGE,
-                },
-            )?;
-            for &ni in members {
-                let node = &mem.nodes[ni];
-                let ((left_cnt, left_is_leaf), (right_cnt, right_is_leaf)) =
-                    (child_info(node.left), child_info(node.right));
-                let rec = RegionRecord {
-                    split_x: node.split.x,
-                    min_y_y: node.points.last().map_or(0, |p| p.y),
-                    left: child_ref(node.left),
-                    right: child_ref(node.right),
-                    own_cnt: node.points.len() as u16,
-                    left_cnt,
-                    right_cnt,
-                    left_is_leaf,
-                    right_is_leaf,
-                    x_list: x_lists[ni],
-                    y_list: y_lists[ni],
-                    right_y_list: if node.is_leaf() { ListRef::EMPTY } else { y_lists[node.right] },
-                    child_a: child_a[ni],
-                    left_s: left_s[ni],
-                    inner_root: inners[ni].root,
-                    inner_n: inners[ni].n,
-                    inner_is_region: inners[ni].is_region,
-                    u_buf: NULL_PAGE,
-                };
-                encode_record(&mut w, &rec)?;
-            }
-            w.position()
-        };
-        store.write(page_ids[page_idx], &buf[..used])?;
-    }
-
-    Ok(InnerHandle { root: page_ids[0], n: points.len() as u64, is_region: true, frame })
+    let header = |root: usize, w: &mut PageWriter<'_>| {
+        let subtree_n = mem.nodes[root].subtree_size;
+        encode_header(w, &PageHeaderInfo { churn: 0, subtree_n, u_page: NULL_PAGE })
+    };
+    skel.write(store, header, |ni| {
+        let node = &mem.nodes[ni];
+        let ((left_cnt, left_is_leaf), (right_cnt, right_is_leaf)) =
+            (child_info(node.left), child_info(node.right));
+        RegionRecord {
+            split_x: node.split.x,
+            min_y_y: node.points.last().map_or(0, |p| p.y),
+            left: skel.node_ref(node.left),
+            right: skel.node_ref(node.right),
+            own_cnt: node.points.len() as u16,
+            left_cnt,
+            right_cnt,
+            left_is_leaf,
+            right_is_leaf,
+            x_list: x_lists[ni],
+            y_list: y_lists[ni],
+            right_y_list: if node.is_leaf() { ListRef::EMPTY } else { y_lists[node.right] },
+            child_a: child_a[ni],
+            left_s: left_s[ni],
+            inner_root: inners[ni].root,
+            inner_n: inners[ni].n,
+            inner_is_region: inners[ni].kind == Kind::Region,
+            u_buf: NULL_PAGE,
+        }
+    })?;
+    Ok(PstHandle { root: skel.root(), n: points.len() as u64, kind: Kind::Region, frame })
 }
 
 /// A right sibling the corner path left behind: the second block of its
 /// Y-list, its point count, whether it is a leaf, and its record.
 type Sibling = (PageId, u16, bool, NodeRef);
 
-/// Runs a 2-sided query against a region tree rooted at `root_page`, its
-/// points stored at `frame`,
-/// appending to `results`/`counters` (recursive across levels). Buffered
-/// updates encountered along the way (super-node `U` buffers on visited
-/// pages, the corner region's `u` buffer) are appended to `pending` for
-/// the caller to merge; static structures have no buffers, so it stays
-/// empty for them.
-pub(crate) fn run_region_query(
-    store: &PageStore,
-    root_page: PageId,
-    frame: Frame,
-    q: TwoSided,
-    results: &mut Vec<Point>,
-    counters: &mut QueryCounters,
+/// Runs a 2-sided query against a region tree rooted at `root_page`,
+/// appending to `walk` (recursive across levels). Buffered updates
+/// encountered along the way (super-node `U` buffers on visited pages, the
+/// corner region's `u` buffer) are appended to `pending` for the caller to
+/// merge; static structures have no buffers, so it stays empty for them.
+fn run_region_query(
+    walk: &mut Walk<'_>,
     pending: &mut Vec<UpdateRec>,
+    root_page: PageId,
+    q: TwoSided,
 ) -> Result<()> {
     // Nested region levels open nested spans; each sets its own B.
     let _span = pc_obs::span!("pst_region");
-    let b = block_capacity(store.page_size(), frame) as u64;
-    pc_obs::set_block_capacity(b);
+    pc_obs::set_block_capacity(walk.b);
     // By in-page depth — the cache tags: the path's ancestors on the page in
     // hand (second block of the X-list, point count) and the right siblings
     // left behind there.
@@ -559,61 +467,38 @@ pub(crate) fn run_region_query(
     let mut cur_a: BlockList<SEntry> = BlockList::empty();
     let mut cur_s: BlockList<SEntry> = BlockList::empty();
 
-    let mut ctx = TlCtx {
-        store,
-        frame,
-        q,
-        b,
-        results,
-        counters,
-        pending,
-        held: NULL_PAGE,
-        page: Page::from(Vec::new()),
-    };
-    ctx.load(root_page, true)?;
+    let mut ctx = TlCtx { walk, pending, q };
+    load_page(ctx.walk, ctx.pending, root_page, true)?;
     let mut slot = 0u16;
     loop {
-        let rec = decode_record(&ctx.page, slot)?;
+        let rec = RegionRecord::at(&ctx.walk.page, slot)?;
         let is_leaf = rec.left.page.is_null();
         let is_corner = rec.own_cnt == 0 || rec.min_y_y < q.y0 || is_leaf;
         if is_corner {
             ctx.drain_caches_and_seed(&cur_a, &cur_s, &anc, &sib, None)?;
+            let TlCtx { walk, pending, .. } = ctx;
             if !rec.u_buf.is_null() {
-                ctx.counters.cache_blocks += 1;
-                let ops = read_buffer(store, frame, rec.u_buf)?;
-                ctx.pending.extend(ops);
+                pending.extend(decode_buffer(&walk.cache_page(rec.u_buf)?, walk.frame)?);
             }
             // The corner region itself is answered by its inner structure.
-            if rec.inner_n > 0 {
-                if rec.inner_is_region {
-                    let TlCtx { results, counters, pending, .. } = ctx;
-                    run_region_query(store, rec.inner_root, frame, q, results, counters, pending)?;
-                } else {
-                    let (pts, c) = run_two_sided(store, &rec.inner(frame).core(), q)?;
-                    ctx.results.extend(pts);
-                    ctx.counters.skeletal += c.skeletal;
-                    ctx.counters.cache_blocks += c.cache_blocks;
-                    ctx.counters.node_blocks += c.node_blocks;
-                }
-            }
-            return Ok(());
+            return query_on(walk, pending, rec.inner(walk.frame), q);
         }
 
         let go_left = q.x0 <= rec.split_x;
         let next = if go_left { rec.left } else { rec.right };
         slot = next.slot;
-        if next.page != ctx.held {
+        if next.page != ctx.walk.held {
             // Segment exit: settle this page. The exit's own X-list and its
             // right sibling are read directly (the next segment's caches
             // restart below them).
             // (Visited even when empty: its page's `U` buffer may not be.)
             let exit_sibling = go_left.then_some(rec.right);
             ctx.drain_caches_and_seed(&cur_a, &cur_s, &anc, &sib, exit_sibling)?;
-            ctx.scan_prefix(rec.x_list.head, |p| p.x >= q.x0)?;
+            ctx.walk.prefix(rec.x_list.head, |p| p.x >= q.x0)?;
             anc.clear();
             sib.clear();
             (cur_a, cur_s) = (BlockList::empty(), BlockList::empty());
-            ctx.load(next.page, true)?;
+            load_page(ctx.walk, ctx.pending, next.page, true)?;
             continue;
         }
         anc.push((rec.x_list.second, rec.own_cnt));
@@ -628,60 +513,31 @@ pub(crate) fn run_region_query(
     }
 }
 
-/// Queries an [`InnerHandle`] (region tree or basic PST), returning any
-/// buffered updates encountered for the caller to merge.
-pub(crate) fn query_handle_buffered(
-    store: &PageStore,
-    handle: InnerHandle,
+/// Answers `q` from the structure `handle` names, on `walk`.
+fn query_on(
+    walk: &mut Walk<'_>,
+    pending: &mut Vec<UpdateRec>,
+    handle: PstHandle,
     q: TwoSided,
-) -> Result<(Vec<Point>, Vec<UpdateRec>, QueryCounters)> {
-    let mut results = Vec::new();
-    let mut counters = QueryCounters::default();
-    let mut pending = Vec::new();
-    if handle.n == 0 {
-        return Ok((results, pending, counters));
+) -> Result<()> {
+    match handle.kind {
+        _ if handle.n == 0 => Ok(()),
+        Kind::Region => run_region_query(walk, pending, handle.root, q),
+        Kind::Basic(mode) => run_two_sided(walk, handle.root, mode, q),
     }
-    if handle.is_region {
-        let (root, frame) = (handle.root, handle.frame);
-        run_region_query(store, root, frame, q, &mut results, &mut counters, &mut pending)?;
-    } else {
-        (results, counters) = run_two_sided(store, &handle.core(), q)?;
-    }
-    Ok((results, pending, counters))
 }
 
-/// Queries an [`InnerHandle`] (region tree or basic PST).
+/// Queries a [`PstHandle`] (region tree or single-level PST): the answer,
+/// any buffered updates encountered for the caller to merge, the reads.
 pub(crate) fn query_handle(
     store: &PageStore,
-    handle: InnerHandle,
+    handle: PstHandle,
     q: TwoSided,
-) -> Result<(Vec<Point>, QueryCounters)> {
-    let (results, _pending, counters) = query_handle_buffered(store, handle, q)?;
-    Ok((results, counters))
-}
-
-/// Visits every skeletal page of the region tree under `root` with its
-/// header and records, a page before the pages below it.
-pub(crate) fn for_each_region_page(
-    store: &PageStore,
-    root: PageId,
-    visit: &mut impl FnMut(PageId, &PageHeaderInfo, &[RegionRecord]) -> Result<()>,
-) -> Result<()> {
-    let mut stack = vec![root];
-    while let Some(pid) = stack.pop() {
-        let page = store.read(pid)?;
-        let header = decode_header(&page)?;
-        let records = (0..header.count)
-            .map(|slot| decode_record(&page, slot))
-            .collect::<Result<Vec<_>>>()?;
-        for rec in &records {
-            stack.extend(
-                [rec.left.page, rec.right.page].into_iter().filter(|p| !p.is_null() && *p != pid),
-            );
-        }
-        visit(pid, &header, &records)?;
-    }
-    Ok(())
+) -> Result<(Vec<Point>, Vec<UpdateRec>, QueryCounters)> {
+    let mut walk = Walk::new(store, handle.frame);
+    let mut pending = Vec::new();
+    query_on(&mut walk, &mut pending, handle, q)?;
+    Ok((walk.results, pending, walk.counters))
 }
 
 /// A built [`TwoLevelPst`]'s or [`crate::DynamicPst`]'s pages by class, and
@@ -744,29 +600,23 @@ pub(crate) fn for_each_page(
     visit: &mut impl FnMut(PageClass, PageId) -> Result<()>,
 ) -> Result<()> {
     if !is_region {
-        return for_each_skeletal_page(store, root, &mut |pid, records| {
+        return for_each_skeletal_page(store, root, &mut |pid, _, records: &[SkeletalRecord]| {
             for rec in records {
                 visit(|c| &mut c.inner_points, rec.own_pts)?;
-                let caches = [rec.child_a.block_pages(store)?, rec.left_s.block_pages(store)?];
-                caches.into_iter().flatten().try_for_each(|p| visit(|c| &mut c.inner_caches, p))?;
+                for_each_block(store, rec.child_a.head(), |c| &mut c.inner_caches, visit)?;
+                for_each_block(store, rec.left_s.head(), |c| &mut c.inner_caches, visit)?;
             }
             visit(|c| &mut c.inner_skeletal, pid)
         });
     }
     let mut inners = Vec::new();
-    for_each_region_page(store, root, &mut |pid, header, records| {
-        let mut buffers = vec![header.u_page];
+    for_each_skeletal_page(store, root, &mut |pid, page, records: &[RegionRecord]| {
+        let mut buffers = vec![decode_header(page)?.u_page];
         for rec in records {
-            let lists: [(PageClass, ListRef); 2] =
-                [(|c| &mut c.x_lists, rec.x_list), (|c| &mut c.y_lists, rec.y_list)];
-            for (class, list) in lists {
-                list.pages(store)?.into_iter().try_for_each(|page| visit(class, page))?;
-            }
-            let caches: [(PageClass, BlockList<SEntry>); 2] =
-                [(|c| &mut c.a_caches, rec.child_a), (|c| &mut c.s_caches, rec.left_s)];
-            for (class, list) in caches {
-                list.block_pages(store)?.into_iter().try_for_each(|page| visit(class, page))?;
-            }
+            for_each_block(store, rec.x_list.head, |c| &mut c.x_lists, visit)?;
+            for_each_block(store, rec.y_list.head, |c| &mut c.y_lists, visit)?;
+            for_each_block(store, rec.child_a.head(), |c| &mut c.a_caches, visit)?;
+            for_each_block(store, rec.left_s.head(), |c| &mut c.s_caches, visit)?;
             buffers.push(rec.u_buf);
             inners.push((rec.inner_root, rec.inner_is_region));
         }
@@ -774,7 +624,7 @@ pub(crate) fn for_each_page(
         buffers.try_for_each(|page| visit(|c| &mut c.buffers, page))?;
         visit(|c| &mut c.skeletal, pid)
     })?;
-    inners.into_iter().try_for_each(|(root, is_region)| for_each_page(store, root, is_region, visit))
+    inners.into_iter().try_for_each(|(inner, nested)| for_each_page(store, inner, nested, visit))
 }
 
 /// Frees every page of the region tree (or basic PST) under `root`.
@@ -795,137 +645,48 @@ pub(crate) fn page_census(store: &PageStore, root: PageId, frame: Frame) -> Resu
     Ok(census)
 }
 
-/// The two-level recursive PST (Theorem 4.3): optimal `O(log_B n + t/B)`
-/// 2-sided queries in `O((n/B)·log log B)` disk blocks.
-pub struct TwoLevelPst {
-    root: InnerHandle,
-}
+static_pst!(
+    /// The two-level recursive PST (Theorem 4.3): optimal `O(log_B n + t/B)`
+    /// 2-sided queries in `O((n/B)·log log B)` disk blocks.
+    TwoLevelPst(),
+    |store, points, frame| {
+        build_region_tree(store, points, &region_caps(store.page_size(), 2, frame), frame)
+    }
+);
 
 impl TwoLevelPst {
-    /// Builds the structure over `points`, stored at the narrowest frame
-    /// that holds them.
-    pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
-        let frame = Frame::of(points);
-        let caps = region_caps(store.page_size(), 2, frame);
-        Ok(TwoLevelPst { root: build_region_tree(store, points, &caps, frame)? })
-    }
-
-    /// The widths the structure stores its points at.
-    pub fn frame(&self) -> Frame {
-        self.root.frame
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> u64 {
-        self.root.n
-    }
-
-    /// True when no points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.root.n == 0
-    }
-
     /// Counts the structure's pages by class.
     pub fn page_census(&self, store: &PageStore) -> Result<RegionCensus> {
         page_census(store, self.root.root, self.root.frame)
     }
-
-    /// Answers a 2-sided query.
-    pub fn query(&self, store: &PageStore, q: TwoSided) -> Result<Vec<Point>> {
-        Ok(self.query_counted(store, q)?.0)
-    }
-
-    /// Answers a 2-sided query with I/O counters.
-    pub fn query_counted(
-        &self,
-        store: &PageStore,
-        q: TwoSided,
-    ) -> Result<(Vec<Point>, QueryCounters)> {
-        query_handle(store, self.root, q)
-    }
 }
 
-struct TlCtx<'a> {
-    store: &'a PageStore,
-    frame: Frame,
+/// Takes skeletal page `id` in hand (one I/O, plus its `U` buffer's, whose
+/// updates go to `pending`). `on_path` marks a step of the corner path
+/// rather than of a descendant traversal.
+fn load_page(
+    walk: &mut Walk<'_>,
+    pending: &mut Vec<UpdateRec>,
+    id: PageId,
+    on_path: bool,
+) -> Result<()> {
+    walk.load(id, on_path.then_some(walk.counters.skeletal))?;
+    let u_page = decode_header(&walk.page)?.u_page;
+    if !u_page.is_null() {
+        pending.extend(decode_buffer(&walk.cache_page(u_page)?, walk.frame)?);
+    }
+    Ok(())
+}
+
+/// One region tree's part of a query: the walk, where buffered updates go,
+/// and the corner.
+struct TlCtx<'w, 'a> {
+    walk: &'w mut Walk<'a>,
+    pending: &'w mut Vec<UpdateRec>,
     q: TwoSided,
-    b: u64,
-    results: &'a mut Vec<Point>,
-    counters: &'a mut QueryCounters,
-    pending: &'a mut Vec<UpdateRec>,
-    /// The skeletal page in hand: regions on it are decoded from `page`
-    /// without another read of it or of its `U` buffer.
-    held: PageId,
-    page: Page,
 }
 
-impl TlCtx<'_> {
-    /// Takes skeletal page `id` in hand (one I/O, plus its `U` buffer's).
-    /// `on_path` marks a step of the corner path rather than of a
-    /// descendant traversal.
-    fn load(&mut self, id: PageId, on_path: bool) -> Result<()> {
-        {
-            let _lvl = on_path.then(|| pc_obs::span!("level", self.counters.skeletal));
-            self.page = self.store.read(id)?;
-        }
-        self.held = id;
-        self.counters.skeletal += 1;
-        let u_page = decode_header(&self.page)?.u_page;
-        if !u_page.is_null() {
-            self.counters.cache_blocks += 1;
-            self.pending.extend(read_buffer(self.store, self.frame, u_page)?);
-        }
-        Ok(())
-    }
-
-    /// Scans a list from block `start` on — an X-list (descending x) with
-    /// `keep` = `x >= x0`, a Y-list (descending y) with `y >= y0` — reporting
-    /// points up to the first that fails. Returns the number kept.
-    fn scan_prefix(&mut self, start: PageId, keep: impl Fn(&Point) -> bool) -> Result<u64> {
-        let _scan = pc_obs::span!(output: "list_scan");
-        let mut kept = 0u64;
-        let mut next = start;
-        'scan: while !next.is_null() {
-            let (points, after) = BlockList::<Point>::read_block(self.store, self.frame, next)?;
-            self.counters.node_blocks += 1;
-            for p in points {
-                if !keep(&p) {
-                    break 'scan;
-                }
-                self.results.push(p);
-                kept += 1;
-            }
-            next = after;
-        }
-        pc_obs::add_items(kept);
-        Ok(kept)
-    }
-
-    /// Drains one cache list over `sources` tagged sources: reports the
-    /// prefix that `keep`s and counts it per source depth.
-    fn drain_cache(
-        &mut self,
-        list: &BlockList<SEntry>,
-        sources: usize,
-        keep: impl Fn(&Point) -> bool,
-    ) -> Result<Vec<u64>> {
-        let _probe = pc_obs::span!("path_cache_probe");
-        let mut qualified = vec![0u64; sources];
-        let before = self.results.len();
-        'scan: for block in list.blocks(self.store, self.frame) {
-            self.counters.cache_blocks += 1;
-            for e in block? {
-                if !keep(&e.p) {
-                    break 'scan;
-                }
-                self.results.push(e.p);
-                qualified[e.depth as usize] += 1;
-            }
-        }
-        pc_obs::add_items((self.results.len() - before) as u64);
-        Ok(qualified)
-    }
-
+impl TlCtx<'_, '_> {
     /// Reads a region's A/S caches, applies the continuation rule, and
     /// runs the region-level descendant traversal below every sibling that
     /// lies wholly inside the query — and over `exit_sibling`, the right
@@ -939,136 +700,64 @@ impl TlCtx<'_> {
         sib: &[Option<Sibling>],
         exit_sibling: Option<NodeRef>,
     ) -> Result<()> {
-        let (x0, y0, b) = (self.q.x0, self.q.y0, self.b);
-        // A list continues past its cached first block if all of that block
-        // qualified and there is a second.
-        let continues = |cached: u64, len: u16, second: PageId| {
-            cached == u64::from(len).min(b) && !second.is_null()
-        };
+        let TwoSided { x0, y0 } = self.q;
+        let walk = &mut *self.walk;
         // A-cache: first blocks of ancestors' X-lists, descending x.
-        let cached = self.drain_cache(a_cache, anc.len(), |p| p.x >= x0)?;
+        let cached = walk.probe(|w| w.drain(a_cache, anc.len(), |p| p.x >= x0))?;
         for (&(second, len), cached) in anc.iter().zip(cached) {
-            if continues(cached, len, second) {
-                self.scan_prefix(second, |p| p.x >= x0)?;
+            if walk.continues(cached, len, second) {
+                walk.prefix(second, |p| p.x >= x0)?;
             }
         }
 
-        // S-cache: first blocks of siblings' Y-lists, descending y.
-        let mut inside: Vec<NodeRef> = Vec::new();
-        let cached = self.drain_cache(s_cache, sib.len(), |p| p.y >= y0)?;
+        // S-cache: first blocks of siblings' Y-lists, descending y. The
+        // traversal's seeds: (region, whether its own points are still to
+        // be reported).
+        let mut seeds: Vec<(NodeRef, bool)> = exit_sibling.map(|r| (r, true)).into_iter().collect();
+        let cached = walk.probe(|w| w.drain(s_cache, sib.len(), |p| p.y >= y0))?;
         for (sibling, cached) in sib.iter().zip(cached) {
             let Some((second, total, is_leaf, sref)) = *sibling else { continue };
             let mut qualified = cached;
-            if continues(cached, total, second) {
-                qualified += self.scan_prefix(second, |p| p.y >= y0)?;
+            if walk.continues(cached, total, second) {
+                qualified += walk.prefix(second, |p| p.y >= y0)?;
             }
             // Region fully inside the query: traverse its children.
             if qualified == u64::from(total) && !is_leaf {
-                inside.push(sref);
+                seeds.push((sref, false));
             }
         }
-        self.traverse(&inside, exit_sibling)
+        self.traverse(seeds)
     }
 
-    /// Region-level descendant traversal. `reported` regions have their
-    /// points in the output already and only launch their children; every
-    /// other region reports its Y-prefix and is descended into when all of
-    /// it qualified. Regions on the page in hand go first: a page is a
-    /// connected subtree entered through its slot 0 alone, so this order
-    /// reads each skeletal page once.
-    fn traverse(&mut self, reported: &[NodeRef], exit_sibling: Option<NodeRef>) -> Result<()> {
-        // (region, whether its own points are still to be reported)
-        let mut here: Vec<(NodeRef, bool)> = Vec::new();
-        let mut elsewhere: Vec<(NodeRef, bool)> = Vec::new();
-        elsewhere.extend(exit_sibling.map(|r| (r, true)));
-        for &r in reported {
-            (if r.page == self.held { &mut here } else { &mut elsewhere }).push((r, false));
-        }
-        loop {
-            let (nref, report) = match here.pop() {
-                Some(next) => next,
-                None => match elsewhere.pop() {
-                    Some(next) => {
-                        self.load(next.0.page, false)?;
-                        next
-                    }
-                    None => return Ok(()),
-                },
-            };
-            let rec = decode_record(&self.page, nref.slot)?;
-            if report {
-                let y0 = self.q.y0;
-                let kept = self.scan_prefix(rec.y_list.head, |p| p.y >= y0)?;
-                if kept < u64::from(rec.own_cnt) {
-                    continue;
-                }
+    /// Region-level descendant traversal. Regions whose points are in the
+    /// output already only launch their children; every other region
+    /// reports its Y-prefix and is descended into when all of it qualified.
+    fn traverse(&mut self, seeds: Vec<(NodeRef, bool)>) -> Result<()> {
+        let TlCtx { walk, pending, q } = self;
+        let y0 = q.y0;
+        walk.traverse(seeds, false, |&(at, _)| at.page, |walk, (at, report), below| {
+            if at.page != walk.held {
+                load_page(walk, pending, at.page, false)?;
+            }
+            let rec = RegionRecord::at(&walk.page, at.slot)?;
+            if report && walk.prefix(rec.y_list.head, |p| p.y >= y0)? < u64::from(rec.own_cnt) {
+                return Ok(());
             }
             // An empty child is still visited when it opens a page of its
             // own: that page's `U` buffer may hold inserts bound for it.
-            for child in [rec.left, rec.right] {
-                if child.page == self.held {
-                    here.push((child, true));
-                } else if !child.page.is_null() {
-                    elsewhere.push((child, true));
-                }
-            }
-        }
-    }
-}
-
-/// What the layout tests of this module and of `dynamic` share.
-#[cfg(test)]
-pub(crate) mod testutil {
-    use super::*;
-
-    /// For every record of skeletal page `page`, its in-page path from slot
-    /// 0: (ancestor's slot, whether the path went left there), top down.
-    pub(crate) fn in_page_paths(page: PageId, records: &[RegionRecord]) -> Vec<Vec<(usize, bool)>> {
-        let mut paths = vec![Vec::new(); records.len()];
-        // Slots are in breadth-first order: a parent's is below its children's.
-        for (slot, rec) in records.iter().enumerate() {
-            for (child, went_left) in [(rec.left, true), (rec.right, false)] {
-                if child.page == page {
-                    paths[child.slot as usize] = paths[slot].clone();
-                    paths[child.slot as usize].push((slot, went_left));
-                }
-            }
-        }
-        paths
+            let children = rec.children().into_iter().filter(|child| !child.page.is_null());
+            below.extend(children.map(|child| (child, true)));
+            Ok(())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::testutil::{distinct_points, LoggedStore, FRAMES};
-
-    fn xorshift(state: &mut u64, bound: i64) -> i64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        (*state % bound as u64) as i64
-    }
-
-    fn random_points(n: usize, domain: i64, seed: u64) -> Vec<Point> {
-        let mut s = seed;
-        (0..n)
-            .map(|id| Point::new(xorshift(&mut s, domain), xorshift(&mut s, domain), id as u64))
-            .collect()
-    }
-
-    fn brute(points: &[Point], q: TwoSided) -> Vec<u64> {
-        let mut ids: Vec<u64> =
-            points.iter().filter(|p| q.contains(p)).map(|p| p.id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn ids(mut pts: Vec<Point>) -> Vec<u64> {
-        let mut out: Vec<u64> = pts.drain(..).map(|p| p.id).collect();
-        out.sort_unstable();
-        out
-    }
+    use crate::testutil::{
+        brute, distinct_points, ids, in_page_paths, random_points, xorshift, LoggedStore, FRAMES,
+    };
 
     #[test]
     fn region_capacity_is_b_log_b() {
@@ -1159,7 +848,7 @@ mod tests {
     /// the same rule.
     #[test]
     fn one_block_unit_from_region_lists_to_inner_caches() {
-        use crate::build::testutil::{assert_block_sizes, assert_cache_blocks, check_core_caches};
+        use crate::testutil::{assert_block_sizes, assert_cache_blocks, check_core_caches};
         for (page_size, n, inner_nodes) in [(512, 5_000, 3), (4096, 150_000, 7)] {
             let pts = random_points(n, 1_000_000, 0x1b1b);
             let store = PageStore::in_memory(page_size);
@@ -1169,14 +858,14 @@ mod tests {
             let r_cap = region_caps(page_size, 2, frame)[0];
             assert_eq!(r_cap, inner_nodes * b);
             let (mut regions, mut full_regions) = (0, 0);
-            for_each_region_page(&store, pst.root.root, &mut |page, _, records| {
-                let paths = testutil::in_page_paths(page, records);
+            let root = pst.root.root;
+            for_each_skeletal_page(&store, root, &mut |page, _, records: &[RegionRecord]| {
+                let paths = in_page_paths(page, records);
                 for (rec, path) in records.iter().zip(paths) {
                     regions += 1;
                     let cnt = rec.own_cnt as usize;
                     for list in [rec.x_list, rec.y_list] {
-                        let sizes: Vec<usize> = list
-                            .pages(&store)
+                        let sizes: Vec<usize> = chain_pages(&store, list.head)
                             .unwrap()
                             .iter()
                             .map(|&page| {
@@ -1200,7 +889,7 @@ mod tests {
                     assert_cache_blocks(&store, frame, &rec.left_s, full, rest, "S-cache");
 
                     assert!(!rec.inner_is_region);
-                    let (nodes, full) = check_core_caches(&store, &rec.inner(frame).core());
+                    let (nodes, full) = check_core_caches(&store, &rec.inner(frame));
                     if cnt == r_cap {
                         full_regions += 1;
                         assert_eq!((nodes, full), (inner_nodes, inner_nodes), "full region's inner");
@@ -1270,7 +959,8 @@ mod tests {
             let store = &logged.store;
             let pst = TwoLevelPst::build(store, &distinct_points(n)).unwrap();
             let mut regions: Vec<(NodeRef, RegionRecord)> = Vec::new();
-            for_each_region_page(store, pst.root.root, &mut |page, _, records| {
+            let root = pst.root.root;
+            for_each_skeletal_page(store, root, &mut |page, _, records: &[RegionRecord]| {
                 let at = |slot: usize| NodeRef { page, slot: slot as u16 };
                 regions.extend(records.iter().enumerate().map(|(slot, r)| (at(slot), r.clone())));
                 Ok(())
@@ -1326,9 +1016,9 @@ mod tests {
                 let pts = distinct_points(3 * len);
                 let root_page = build_region_tree(store, &pts, &[len], frame).unwrap().root;
                 let page = store.read(root_page).unwrap();
-                let root = decode_record(&page, 0).unwrap();
-                let corner = decode_record(&page, root.left.slot).unwrap();
-                let sibling = decode_record(&page, root.right.slot).unwrap();
+                let root = RegionRecord::at(&page, 0).unwrap();
+                let corner = RegionRecord::at(&page, root.left.slot).unwrap();
+                let sibling = RegionRecord::at(&page, root.right.slot).unwrap();
                 assert_eq!(
                     [root.own_cnt, corner.own_cnt, sibling.own_cnt].map(usize::from),
                     [len; 3]
@@ -1336,15 +1026,16 @@ mod tests {
                 assert_eq!(root.right_y_list, sibling.y_list);
 
                 let handle =
-                    InnerHandle { root: root_page, n: pts.len() as u64, is_region: true, frame };
+                    PstHandle { root: root_page, n: pts.len() as u64, kind: Kind::Region, frame };
                 let q = TwoSided { x0: i64::MIN, y0: i64::MIN };
-                let ((hits, counters), log) = logged.reads_of(|s| query_handle(s, handle, q).unwrap());
+                let ((hits, _, counters), log) =
+                    logged.reads_of(|s| query_handle(s, handle, q).unwrap());
                 assert_eq!(ids(hits), (0..pts.len() as u64).collect::<Vec<_>>());
                 assert_eq!(counters.total(), log.len() as u64);
                 let reads_of = |page: PageId| log.iter().filter(|&&p| p == page).count();
                 assert!(log.iter().all(|&p| reads_of(p) == 1), "a page was read twice");
                 for list in [root.x_list, sibling.y_list] {
-                    let pages = list.pages(store).unwrap();
+                    let pages = chain_pages(store, list.head).unwrap();
                     assert_eq!(pages.len(), 1 + more_blocks);
                     assert_eq!(list.second, pages.get(1).copied().unwrap_or(NULL_PAGE));
                     let reads: Vec<usize> = pages.iter().map(|&p| reads_of(p)).collect();
@@ -1354,7 +1045,7 @@ mod tests {
                 }
                 // The skeletal page, one block of each cache, the
                 // continuations, and the corner region's inner structure.
-                let inner_reads = query_handle(store, corner.inner(frame), q).unwrap().1.total();
+                let inner_reads = query_handle(store, corner.inner(frame), q).unwrap().2.total();
                 assert_eq!(counters.total(), 3 + 2 * more_blocks as u64 + inner_reads);
             }
         }

@@ -329,7 +329,7 @@ fn target_error_response(stats: &ServeStats, id: u64, err: TargetError) -> Respo
 }
 
 fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queries.pop() {
+    while let Some(mut job) = shared.queries.pop() {
         shared.stats.queue_wait_ns.record(job.enqueued.elapsed().as_nanos() as u64);
         let resp = if job.deadline.is_some_and(|d| Instant::now() > d) {
             shared.stats.deadline_exceeded.fetch_add(1, Relaxed);
@@ -337,6 +337,13 @@ fn worker_loop(shared: &Shared) {
         } else {
             execute_query(shared, &job)
         };
+        // The answer is computed: release the epoch pin *before* the reply
+        // leaves. A peer that has its answer may scrape at once and must
+        // not find its own finished query still pinning an epoch — nor
+        // should a slow reader's socket hold back what GC may reclaim.
+        // (The batcher's replies need no such step: an update job never
+        // carries a snapshot.)
+        job.snapshot = None;
         shared.stats.query_latency_ns.record(job.enqueued.elapsed().as_nanos() as u64);
         shared.respond(&job.conn, &resp);
     }
@@ -779,11 +786,15 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) {
         Ok(()) => {
             shared.stats.admitted.fetch_add(1, Relaxed);
         }
-        Err(PushError::Full(_)) => {
+        // A shed job gives its pin back before its reply leaves, as an
+        // answered one does (`worker_loop`).
+        Err(PushError::Full(job)) => {
+            drop(job);
             shared.stats.overloaded.fetch_add(1, Relaxed);
             shared.respond(conn, &Response::error(id, ErrorCode::Overloaded, "queue full"));
         }
-        Err(PushError::Closed(_)) => {
+        Err(PushError::Closed(job)) => {
+            drop(job);
             shared.stats.shed_shutdown.fetch_add(1, Relaxed);
             shared.respond(conn, &Response::error(id, ErrorCode::ShuttingDown, "draining"));
         }
@@ -1085,7 +1096,63 @@ impl Drop for ServerHandle {
 
 #[cfg(test)]
 mod tests {
-    use super::{decode_commit_meta, encode_commit_meta};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
+
+    use pc_pagestore::{PageStore, Point};
+    use pc_pst::DynamicPst;
+
+    use super::*;
+    use crate::target::DynamicPstTarget;
+    use crate::wire::{Op, Request};
+
+    /// ROADMAP 3h: a worker used to drop its job — and the `Snapshot` in it
+    /// — after writing the reply, so a peer's next scrape could still count
+    /// the finished query's pin. The interleaving, forced: the test holds
+    /// the connection's write lock, so the worker that answered the query
+    /// cannot finish `respond`; once the query's latency is on record (the
+    /// step before the write) no epoch may be pinned any more.
+    #[test]
+    fn a_finished_query_holds_no_pin_while_its_reply_is_written() {
+        let store = Arc::new(PageStore::in_memory(512));
+        let points: Vec<Point> = (0..300).map(|i| Point::new(i, (i * 7) % 300, i as u64)).collect();
+        let mut registry = Registry::new();
+        let pst = DynamicPst::build(&store, &points).unwrap();
+        registry.register("dyn", Box::new(DynamicPstTarget::new(pst)));
+        let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
+        let handle = Server::spawn(Service { store, registry }, cfg).unwrap();
+        let shared = Arc::clone(&handle.shared);
+
+        // A connection of the test's own: the worker writes to `served`.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let conn = Arc::new(Conn { stream: listener.accept().unwrap().0, wlock: Mutex::new(()) });
+
+        let writing = conn.wlock.lock();
+        let op = Op::TwoSided { x0: 0, y0: 0 };
+        let req = Request { id: 1, target: 0, deadline_ms: 0, flags: 0, as_of: 0, op };
+        let job = Job {
+            req,
+            conn: Arc::clone(&conn),
+            enqueued: Instant::now(),
+            deadline: None,
+            sampled: false,
+            snapshot: Some(shared.versions.snapshot()),
+        };
+        assert_eq!(shared.versions.metrics().pinned, 1, "the admitted query pins its epoch");
+        assert!(shared.queries.try_push(job).is_ok());
+        let gave_up = Instant::now() + Duration::from_secs(30);
+        while shared.stats.query_latency_ns.snapshot().count == 0 {
+            assert!(Instant::now() < gave_up, "the worker never answered");
+            std::thread::yield_now();
+        }
+        // The worker is at (or blocked in) the write of the reply.
+        assert_eq!(shared.stats.queries_ok.load(Relaxed), 1);
+        assert_eq!(shared.versions.metrics().pinned, 0, "a pin outlived its query's answer");
+        drop(writing);
+        drop(peer);
+        handle.join();
+    }
 
     #[test]
     fn commit_meta_round_trips_and_rejects_garbage() {

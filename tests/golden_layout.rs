@@ -1,0 +1,278 @@
+//! A golden guard over the PST engines' layouts: pages, census, strict
+//! reads, the *order* of every answer and the I/O of updates, as literals.
+//!
+//! `tests/layout_bounds.rs` pins constants and sums; nothing else pins the
+//! order an engine reports its answers in or what an update reads and
+//! writes. This file does, for every PST at two geometries — 4 KiB pages
+//! over data the build stores at 3/3/3, and 512-byte pages over full-width
+//! data ([`Frame::WIDE`]) — so that a refactor of the engines either leaves
+//! every row alone or shows exactly which one it moved. Per structure: the
+//! store's live pages, the page census where the structure has one, and
+//! over 200 fixed queries (100 at t ≈ 16, 100 at t ≈ 4096) the sum of the
+//! strict store's reads and one order-sensitive hash of all answer vectors;
+//! for the two dynamic structures the same again after 2 000 mixed updates,
+//! with the strict reads and writes those updates cost.
+//!
+//! The rows were recorded at the commit before `crates/pst/src/region.rs`
+//! existed. A row moves only with the on-page layout, the traversal order
+//! or the update path — re-record it (the failing assertion prints the
+//! computed table) in the PR that means to move it, and say so there.
+
+use path_caching::{Frame, PageStore, Point, ThreeSided, TwoSided};
+use pc_bench::{two_sided_corners, Spread};
+use pc_pst::{
+    BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, PageCensus, RegionCensus,
+    SegmentedPst, ThreeSidedPst, TwoLevelPst,
+};
+use pc_rng::Rng;
+use pc_workloads::{gen_points, gen_three_sided, PointDist, RawPoint};
+
+/// Ids start here, so that 20-bit coordinates come with three-byte ids
+/// whatever `n` is: the narrowest frame of the unstretched data is 3/3/3.
+const ID_BASE: u64 = 70_000;
+const UPDATES: usize = 2_000;
+
+struct Geometry {
+    page_size: usize,
+    n: usize,
+    spread: Spread,
+    frame: Frame,
+}
+
+const GEOMETRIES: [Geometry; 2] = [
+    Geometry { page_size: 4096, n: 150_000, spread: Spread::Domain, frame: Frame::new(3, 3, 3) },
+    Geometry { page_size: 512, n: 20_000, spread: Spread::Full, frame: Frame::WIDE },
+];
+
+/// The recorded rows, one line per structure and phase, per geometry.
+const GOLDEN: [&str; 2] = [
+    "\
+4096 basic: pages=3361 reads=1952 answers=382952 hash=7d5b191b38b3d5f9\n\
+4096 segmented: pages=1553 reads=1992 answers=382952 hash=8677b96f5c19cc01\n\
+4096 multilevel(3): pages=2682 reads=2054 answers=382952 hash=eed8553d6a72a7e5\n\
+4096 two-level: pages=1932 reads=1839 answers=382952 hash=347c08ba8bfa3719\n\
+4096 two-level census: B=408 skeletal=29 x=377 y=377 a=45 s=33 inner: skeletal=63 points=441 caches=567; buffers=0\n\
+4096 dynamic: pages=1932 reads=1839 answers=382952 hash=347c08ba8bfa3719\n\
+4096 dynamic census: B=408 skeletal=29 x=377 y=377 a=45 s=33 inner: skeletal=63 points=441 caches=567; buffers=0\n\
+4096 dynamic churned: update_reads=10040 update_writes=10034\n\
+4096 dynamic churned: pages=2038 reads=2283 answers=384051 hash=b6a542df7040ed11\n\
+4096 dynamic churned census: B=408 skeletal=29 x=402 y=402 a=45 s=33 inner: skeletal=63 points=441 caches=567; buffers=56\n\
+4096 3-sided: pages=1758 reads=2307 answers=411214 hash=866fcabadb2e6413\n\
+4096 3-sided census: B=408 skeletal=33 y=377 a=1063 s=222 directories=63\n\
+4096 dynamic 3-sided: pages=1758 reads=2307 answers=411214 hash=866fcabadb2e6413\n\
+4096 dynamic 3-sided churned: update_reads=4298 update_writes=9038\n\
+4096 dynamic 3-sided churned: pages=1760 reads=2713 answers=412314 hash=9c6df804e990e331\n\
+",
+    "\
+512 basic: pages=7765 reads=26197 answers=379220 hash=aa24d4f18d8274bd\n\
+512 segmented: pages=2046 reads=26350 answers=379220 hash=7fead6ab11af7fe9\n\
+512 multilevel(3): pages=4595 reads=29858 answers=379220 hash=68f0e6326a2e1f51\n\
+512 two-level: pages=4595 reads=29858 answers=379220 hash=68f0e6326a2e1f51\n\
+512 two-level census: B=20 skeletal=341 x=1021 y=1021 a=85 s=85 inner: skeletal=511 points=1021 caches=510; buffers=0\n\
+512 dynamic: pages=4595 reads=29858 answers=379220 hash=68f0e6326a2e1f51\n\
+512 dynamic census: B=20 skeletal=341 x=1021 y=1021 a=85 s=85 inner: skeletal=511 points=1021 caches=510; buffers=0\n\
+512 dynamic churned: update_reads=17589 update_writes=12853\n\
+512 dynamic churned: pages=5378 reads=40163 answers=387670 hash=6205690d166da03c\n\
+512 dynamic churned census: B=20 skeletal=341 x=1163 y=1163 a=85 s=85 inner: skeletal=511 points=1021 caches=510; buffers=499\n\
+512 3-sided: pages=3574 reads=29362 answers=411203 hash=c2a5d9bea2d54d3e\n\
+512 3-sided census: B=20 skeletal=341 y=1021 a=1531 s=170 directories=511\n\
+512 dynamic 3-sided: pages=3574 reads=29362 answers=411203 hash=c2a5d9bea2d54d3e\n\
+512 dynamic 3-sided churned: update_reads=117375 update_writes=180858\n\
+512 dynamic 3-sided churned: pages=3582 reads=30123 answers=420027 hash=5ff80fa7d2b2f449\n\
+",
+];
+
+struct Data {
+    raw: Vec<RawPoint>,
+    points: Vec<Point>,
+    two_sided: Vec<TwoSided>,
+    three_sided: Vec<ThreeSided>,
+}
+
+fn data(g: &Geometry) -> Data {
+    let raw: Vec<RawPoint> = gen_points(g.n, PointDist::Uniform, 0x901d)
+        .into_iter()
+        .map(|(x, y, id)| (x, y, id + ID_BASE))
+        .collect();
+    let points = g.spread.points(&raw);
+    assert_eq!(Frame::of(&points), g.frame);
+    // Two corners of every three: top-right ones and deep ones alike.
+    let two_sided = [16, 4096]
+        .into_iter()
+        .flat_map(|t| {
+            let corners = two_sided_corners(&raw, t).into_iter().enumerate();
+            corners.filter(|(i, _)| i % 3 != 2).map(|(_, q)| g.spread.two_sided(q))
+        })
+        .collect();
+    let three_sided = [16, 4096]
+        .into_iter()
+        .flat_map(|t| gen_three_sided(&raw, 100, t, 0xfeed))
+        .map(|q| g.spread.three_sided(&q))
+        .collect();
+    Data { raw, points, two_sided, three_sided }
+}
+
+/// FNV-1a over the answers in the order they came, lengths included.
+struct OrderHash(u64);
+
+impl OrderHash {
+    fn new() -> OrderHash {
+        OrderHash(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, v: u64) {
+        for byte in v.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn answer(&mut self, hits: &[Point]) {
+        self.word(hits.len() as u64);
+        for p in hits {
+            self.word(p.x as u64);
+            self.word(p.y as u64);
+            self.word(p.id);
+        }
+    }
+}
+
+fn region_census(c: RegionCensus) -> String {
+    format!(
+        "B={} skeletal={} x={} y={} a={} s={} inner: skeletal={} points={} caches={}; buffers={}",
+        c.block_capacity,
+        c.skeletal,
+        c.x_lists,
+        c.y_lists,
+        c.a_caches,
+        c.s_caches,
+        c.inner_skeletal,
+        c.inner_points,
+        c.inner_caches,
+        c.buffers
+    )
+}
+
+fn three_sided_census(c: PageCensus) -> String {
+    format!(
+        "B={} skeletal={} y={} a={} s={} directories={}",
+        c.block_capacity, c.skeletal, c.y_lists, c.a_lists, c.s_lists, c.directories
+    )
+}
+
+/// `pages=… reads=… answers=… hash=…` of `queries` answered by `answer`
+/// on `store`, which holds the one structure.
+fn measured<Q: Copy>(store: &PageStore, queries: &[Q], answer: impl Fn(Q) -> Vec<Point>) -> String {
+    assert_eq!(queries.len(), 200);
+    let pages = store.live_pages();
+    let before = store.stats();
+    let (mut hash, mut answers) = (OrderHash::new(), 0);
+    for &q in queries {
+        let hits = answer(q);
+        answers += hits.len();
+        hash.answer(&hits);
+    }
+    let reads = (store.stats() - before).logical_reads();
+    format!("pages={pages} reads={reads} answers={answers} hash={:016x}", hash.0)
+}
+
+/// 2 000 updates, three inserts of a fresh point to two deletes of a live
+/// one, applied through `apply(point, is a delete)`; fresh ids and
+/// coordinates stay inside the built frame. Returns the updates' strict
+/// reads and writes.
+fn churn(g: &Geometry, store: &PageStore, d: &Data, mut apply: impl FnMut(Point, bool)) -> String {
+    let mut rng = Rng::seed_from_u64(0xc4u64 + g.page_size as u64);
+    let fresh: Vec<RawPoint> = gen_points(UPDATES, PointDist::Uniform, 0xf4e5)
+        .into_iter()
+        .map(|(x, y, id)| (x, y, id + ID_BASE + d.raw.len() as u64))
+        .collect();
+    let mut fresh = g.spread.points(&fresh).into_iter();
+    let mut live = d.points.clone();
+    let before = store.stats();
+    for _ in 0..UPDATES {
+        if rng.gen_range(0..5u64) < 3 {
+            let p = fresh.next().expect("a fresh point per update");
+            apply(p, false);
+            live.push(p);
+        } else {
+            let victim = live.swap_remove(rng.gen_range(0..live.len()));
+            apply(victim, true);
+        }
+    }
+    let cost = store.stats() - before;
+    format!("update_reads={} update_writes={}", cost.logical_reads(), cost.writes)
+}
+
+fn rows(g: &Geometry) -> Vec<String> {
+    let d = data(g);
+    let mut rows = Vec::new();
+    let mut row = |what: &str, line: String| rows.push(format!("{} {what}: {line}", g.page_size));
+
+    macro_rules! two_sided {
+        ($name:literal, $build:expr) => {{
+            let store = PageStore::in_memory(g.page_size);
+            let pst = $build(&store);
+            assert_eq!(pst.frame(), g.frame);
+            row($name, measured(&store, &d.two_sided, |q| pst.query(&store, q).unwrap()));
+            (store, pst)
+        }};
+    }
+    two_sided!("basic", |s| BasicPst::build(s, &d.points).unwrap());
+    two_sided!("segmented", |s| SegmentedPst::build(s, &d.points).unwrap());
+    two_sided!("multilevel(3)", |s| MultilevelPst::build(s, &d.points, 3).unwrap());
+    let (store, two_level) = two_sided!("two-level", |s| TwoLevelPst::build(s, &d.points).unwrap());
+    row("two-level census", region_census(two_level.page_census(&store).unwrap()));
+
+    let (store, mut dynamic) = two_sided!("dynamic", |s| DynamicPst::build(s, &d.points).unwrap());
+    row("dynamic census", region_census(dynamic.page_census(&store).unwrap()));
+    let cost = churn(g, &store, &d, |p, delete| {
+        if delete {
+            dynamic.delete(&store, p).unwrap()
+        } else {
+            dynamic.insert(&store, p).unwrap()
+        }
+    });
+    assert_eq!(dynamic.frame(), g.frame, "the updates were not to widen");
+    row("dynamic churned", cost);
+    row("dynamic churned", measured(&store, &d.two_sided, |q| dynamic.query(&store, q).unwrap()));
+    row("dynamic churned census", region_census(dynamic.page_census(&store).unwrap()));
+
+    let store = PageStore::in_memory(g.page_size);
+    let three_sided = ThreeSidedPst::build(&store, &d.points).unwrap();
+    assert_eq!(three_sided.frame(), g.frame);
+    row("3-sided", measured(&store, &d.three_sided, |q| three_sided.query(&store, q).unwrap()));
+    row("3-sided census", three_sided_census(three_sided.page_census(&store).unwrap()));
+
+    let store = PageStore::in_memory(g.page_size);
+    let mut dynamic = DynamicThreeSidedPst::build(&store, &d.points).unwrap();
+    let answer = |pst: &DynamicThreeSidedPst, q| pst.query(&store, q).unwrap();
+    row("dynamic 3-sided", measured(&store, &d.three_sided, |q| answer(&dynamic, q)));
+    let cost = churn(g, &store, &d, |p, delete| {
+        if delete {
+            dynamic.delete(&store, p).unwrap()
+        } else {
+            dynamic.insert(&store, p).unwrap()
+        }
+    });
+    row("dynamic 3-sided churned", cost);
+    row("dynamic 3-sided churned", measured(&store, &d.three_sided, |q| answer(&dynamic, q)));
+    rows
+}
+
+fn check(geometry: usize) {
+    let computed = rows(&GEOMETRIES[geometry]);
+    assert!(
+        computed.iter().map(String::as_str).eq(GOLDEN[geometry].lines()),
+        "the golden rows moved; computed:\n{}\n",
+        computed.join("\n")
+    );
+}
+
+#[test]
+fn layouts_answers_and_update_io_are_the_recorded_ones_at_4_kib_and_narrow_frames() {
+    check(0);
+}
+
+#[test]
+fn layouts_answers_and_update_io_are_the_recorded_ones_at_512_bytes_and_wide_frames() {
+    check(1);
+}

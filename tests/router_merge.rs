@@ -242,6 +242,45 @@ fn router_answers_bit_identical_across_shard_counts() {
     }
 }
 
+/// An inverted 3-sided band through the router: `ShardMap::shard_range`
+/// sends it to one shard, which is to answer empty — it used to lose a
+/// worker per frame to an assertion instead. One band more than a shard has
+/// workers, then a proper query through the same front-end connection, at
+/// one shard and at three.
+#[test]
+fn an_inverted_band_through_the_router_answers_empty() {
+    let points: Vec<Point> = gen_points(600, PointDist::Uniform, seed())
+        .iter()
+        .map(|&(x, y, id)| Point { x, y, id })
+        .collect();
+    for splits in [vec![], vec![DOMAIN / 3, 2 * DOMAIN / 3]] {
+        let map = ShardMap::new(splits.clone());
+        let handles: Vec<ServerHandle> =
+            map.partition_points(&points).iter().map(|part| spawn_shard(&[], &[], part)).collect();
+        let groups: Vec<_> = handles.iter().map(|handle| vec![handle.addr()]).collect();
+        let router =
+            Arc::new(Router::connect(&groups, splits.clone(), RouterConfig::default()).unwrap());
+        let frontend =
+            RouterFrontend::spawn(Arc::clone(&router), FrontendConfig::default()).unwrap();
+        let mut client = Client::connect(frontend.addr(), Duration::from_secs(10)).unwrap();
+        // `spawn_shard` runs two workers a shard; every band below lands on
+        // the shard that owns `DOMAIN / 2`.
+        for i in 0..3 {
+            let inverted = Op::ThreeSided { x1: DOMAIN / 2 + i, x2: DOMAIN / 2 - 1 - i, y0: 0 };
+            let got = client.call(3, 0, inverted).unwrap().body;
+            assert_eq!(got, Body::Points(Vec::new()), "{} shard(s)", map.shards());
+        }
+        let everything = Op::ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN };
+        match client.call(3, 0, everything).unwrap().body {
+            Body::Points(got) => assert_eq!(got.len(), points.len(), "{} shard(s)", map.shards()),
+            other => panic!("unexpected body {other:?}"),
+        }
+        router.shutdown();
+        handles.into_iter().for_each(ServerHandle::join);
+        frontend.join();
+    }
+}
+
 /// A target whose first query parks until released (it announces itself on
 /// the sender first); every later query answers empty at once.
 struct GateTarget(Mutex<Option<(Sender<()>, Receiver<()>)>>);

@@ -15,13 +15,15 @@ use std::time::Duration;
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
 use pc_pagestore::{Interval, PageStore, Point};
-use pc_pst::{DynamicPst, ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided};
+use pc_pst::{
+    DynamicPst, DynamicThreeSidedPst, ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
+};
 use pc_rng::Rng;
 use pc_segtree::CachedSegmentTree;
 use pc_serve::wire::{Body, Op};
 use pc_serve::{
-    BTreeTarget, Client, DynamicPstTarget, IntervalTreeTarget, PstTarget, Registry,
-    SegTreeTarget, Server, ServerConfig, Service, ThreeSidedTarget,
+    BTreeTarget, Client, DynamicPstTarget, DynamicThreeSidedTarget, IntervalTreeTarget, PstTarget,
+    Registry, SegTreeTarget, Server, ServerConfig, Service, ThreeSidedTarget,
 };
 use pc_workloads::{
     gen_intervals, gen_points, gen_range_1d, gen_stabbing, gen_three_sided, gen_two_sided,
@@ -191,5 +193,47 @@ fn socket_answers_are_bit_identical_to_in_process() {
     assert!(handle.io_stats().reads > 0);
     let mut admin = Client::connect(handle.addr(), Duration::from_secs(10)).unwrap();
     admin.shutdown_server().unwrap();
+    handle.join();
+}
+
+/// A 3-sided band whose bounds are out of order is a well-formed request —
+/// `ShardMap::shard_range` routes it expecting "it answers empty", as
+/// `BTree::range` does — and used to reach an assertion in the structure:
+/// one dead worker per frame, the dynamic target's mutex poisoned with it.
+/// One such band more than there are workers, against both 3-sided
+/// targets, then a proper query on the same connection.
+#[test]
+fn an_inverted_three_sided_band_answers_empty_and_costs_no_worker() {
+    let d = data();
+    let store = Arc::new(PageStore::in_memory(PAGE));
+    let mut registry = Registry::new();
+    registry.register(
+        "pst3",
+        Box::new(ThreeSidedTarget(ThreeSidedPst::build(&store, &d.points).unwrap())),
+    );
+    let dynamic = DynamicThreeSidedPst::build(&store, &d.points).unwrap();
+    registry.register("dyn3", Box::new(DynamicThreeSidedTarget::new(dynamic)));
+    let cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
+    let workers = cfg.workers;
+    let handle = Server::spawn(Service { store, registry }, cfg).unwrap();
+    let mut c = Client::connect(handle.addr(), Duration::from_secs(10)).unwrap();
+
+    let everything = Op::ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN };
+    for target in [0u16, 1] {
+        let reads = handle.io_stats().logical_reads();
+        for i in 0..=workers as i64 {
+            let inverted = Op::ThreeSided { x1: 500 + i, x2: 499 - i, y0: i64::MIN };
+            match c.call(target, 0, inverted).unwrap().body {
+                Body::Points(got) => assert!(got.is_empty(), "target {target}: {got:?}"),
+                other => panic!("target {target}: unexpected body {other:?}"),
+            }
+        }
+        assert_eq!(handle.io_stats().logical_reads(), reads, "an empty band reads nothing");
+        match c.call(target, 0, everything.clone()).unwrap().body {
+            Body::Points(got) => assert_eq!(got.len(), d.points.len(), "target {target}"),
+            other => panic!("target {target}: unexpected body {other:?}"),
+        }
+    }
+    c.shutdown_server().unwrap();
     handle.join();
 }
