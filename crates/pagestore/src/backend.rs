@@ -11,6 +11,7 @@
 use std::fs::{File, OpenOptions};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use pc_sync::RwLock;
 
@@ -84,6 +85,35 @@ pub trait Backend: Send + Sync {
     /// nothing; [`MirrorBackend`] rewrites bad replicas from good ones.
     fn scrub(&self) -> Result<ScrubReport> {
         Ok(ScrubReport::default())
+    }
+}
+
+/// A shared backend is a backend — a test keeps its `Arc` to see what the
+/// store left on the medium. Everything forwards, defaults included.
+impl<T: Backend + ?Sized> Backend for Arc<T> {
+    fn frame_size(&self) -> usize {
+        (**self).frame_size()
+    }
+    fn read_frame(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+        (**self).read_frame(id, buf)
+    }
+    fn write_frame(&self, id: PageId, buf: &[u8]) -> Result<()> {
+        (**self).write_frame(id, buf)
+    }
+    fn sync(&self) -> Result<()> {
+        (**self).sync()
+    }
+    fn frame_count(&self) -> u64 {
+        (**self).frame_count()
+    }
+    fn resilience_stats(&self) -> ResilienceStats {
+        (**self).resilience_stats()
+    }
+    fn reset_resilience_stats(&self) {
+        (**self).reset_resilience_stats()
+    }
+    fn scrub(&self) -> Result<ScrubReport> {
+        (**self).scrub()
     }
 }
 

@@ -27,7 +27,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pc_rng::mix64;
 use pc_sync::Mutex;
 
 use crate::backend::{Backend, MemBackend};
@@ -123,13 +122,7 @@ impl CrashController {
 
     /// One draw from the decision space `(seed, salt, a, b)`.
     fn draw(&self, salt: u64, a: u64, b: u64) -> u64 {
-        mix64(
-            self.0
-                .seed
-                .wrapping_add(mix64(salt))
-                .wrapping_add(mix64(a).rotate_left(17))
-                .wrapping_add(mix64(b).rotate_left(31)),
-        )
+        pc_rng::draw(self.0.seed, salt, a, b)
     }
 }
 
@@ -259,31 +252,6 @@ impl Backend for CrashBackend {
     }
 }
 
-/// Crash-matrix tests hand the store a `Box<Arc<CrashBackend>>` so they
-/// can still extract [`CrashBackend::surviving_frames`] after the store
-/// takes ownership.
-impl Backend for Arc<CrashBackend> {
-    fn frame_size(&self) -> usize {
-        (**self).frame_size()
-    }
-
-    fn read_frame(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
-        (**self).read_frame(id, buf)
-    }
-
-    fn write_frame(&self, id: PageId, buf: &[u8]) -> Result<()> {
-        (**self).write_frame(id, buf)
-    }
-
-    fn sync(&self) -> Result<()> {
-        (**self).sync()
-    }
-
-    fn frame_count(&self) -> u64 {
-        (**self).frame_count()
-    }
-}
-
 struct LogState {
     /// Synced log bytes: survive any crash verbatim.
     durable: Vec<u8>,
@@ -408,30 +376,6 @@ impl LogMedium for CrashLog {
         state.pending.clear();
         state.pending_reset = None;
         Ok(())
-    }
-}
-
-/// See the matching `Arc<CrashBackend>` impl: lets tests keep a handle for
-/// [`CrashLog::surviving_bytes`] after the store owns the log.
-impl LogMedium for Arc<CrashLog> {
-    fn read_all(&self) -> Result<Vec<u8>> {
-        (**self).read_all()
-    }
-
-    fn append(&self, buf: &[u8]) -> Result<()> {
-        (**self).append(buf)
-    }
-
-    fn sync(&self) -> Result<()> {
-        (**self).sync()
-    }
-
-    fn len(&self) -> Result<u64> {
-        (**self).len()
-    }
-
-    fn reset(&self, contents: &[u8]) -> Result<()> {
-        (**self).reset(contents)
     }
 }
 

@@ -29,7 +29,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pc_rng::mix64;
+use pc_rng::{draw, mix64};
 use pc_sync::Mutex;
 
 use crate::backend::{Backend, ResilienceStats, ScrubReport};
@@ -181,13 +181,8 @@ const SALT_LOSS: u64 = 0x10c0_57f0;
 
 /// One uniform draw in `[0, 1)` from the decision inputs.
 fn unit(seed: u64, salt: u64, id: u64, ordinal: u64) -> f64 {
-    let h = mix64(
-        seed.wrapping_add(mix64(salt))
-            .wrapping_add(mix64(id).rotate_left(17))
-            .wrapping_add(mix64(ordinal).rotate_left(31)),
-    );
     // Standard 53-bit mantissa trick: exact doubles, uniform in [0, 1).
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    (draw(seed, salt, id, ordinal) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Deterministic Bernoulli trial: fires iff the draw lands inside the

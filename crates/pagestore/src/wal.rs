@@ -30,6 +30,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 use pc_sync::Mutex;
 
@@ -77,6 +78,28 @@ pub trait LogMedium: Send + Sync {
     /// never a mixture. (Files implement this as write-temp + fsync +
     /// rename.)
     fn reset(&self, contents: &[u8]) -> Result<()>;
+}
+
+/// A shared medium is a medium (see the same impl for `Backend`).
+impl<T: LogMedium + ?Sized> LogMedium for Arc<T> {
+    fn read_all(&self) -> Result<Vec<u8>> {
+        (**self).read_all()
+    }
+    fn append(&self, buf: &[u8]) -> Result<()> {
+        (**self).append(buf)
+    }
+    fn sync(&self) -> Result<()> {
+        (**self).sync()
+    }
+    fn len(&self) -> Result<u64> {
+        (**self).len()
+    }
+    fn is_empty(&self) -> Result<bool> {
+        (**self).is_empty()
+    }
+    fn reset(&self, contents: &[u8]) -> Result<()> {
+        (**self).reset(contents)
+    }
 }
 
 /// File-backed log. `reset` is a write-to-temp / fsync / atomic-rename

@@ -73,7 +73,7 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 
-use pc_pagestore::codec::PageWriter;
+use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::{Frame, PageId, PageStore, Point, Result};
 
 use crate::build::{blocked, Kind, PstHandle};
@@ -697,6 +697,10 @@ pub struct DynamicThreeSidedPst {
     buffer_cap: usize,
 }
 
+/// Byte size of a [`DynamicThreeSidedPst::descriptor`] before its buffer
+/// page ids: root, point count, frame, `seq`, buffer capacity.
+const DESCRIPTOR3_FIXED: usize = 8 + 8 + 3 + 8 + 8;
+
 impl DynamicThreeSidedPst {
     /// Builds the structure over an initial point set.
     pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
@@ -713,6 +717,55 @@ impl DynamicThreeSidedPst {
             seq: 0,
             buffer_cap: b * log_b_n,
         })
+    }
+
+    /// Serializes the structure's handle: the static index's root page,
+    /// point count and frame, then the update sequence, the buffer capacity
+    /// and the id of every buffer page. With the store's pages that is the
+    /// whole structure, so a service that commits the descriptor with each
+    /// batch can reopen it with [`DynamicThreeSidedPst::open`] — after a
+    /// crash, or read-only at the epoch that installed the batch.
+    pub fn descriptor(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(DESCRIPTOR3_FIXED + 8 * self.buffer.len());
+        out.extend_from_slice(&self.inner.root_page.0.to_le_bytes());
+        out.extend_from_slice(&self.inner.n.to_le_bytes());
+        out.extend_from_slice(&self.inner.frame.widths());
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&(self.buffer_cap as u64).to_le_bytes());
+        for page in &self.buffer {
+            out.extend_from_slice(&page.0.to_le_bytes());
+        }
+        out
+    }
+
+    /// Reopens a structure from a [`DynamicThreeSidedPst::descriptor`]. The
+    /// root page and every buffer page are read here (the buffered updates
+    /// are mirrored in memory), so a descriptor pointing at garbage is a
+    /// typed error now rather than on the first query.
+    pub fn open(store: &PageStore, desc: &[u8]) -> Result<Self> {
+        if desc.len() < DESCRIPTOR3_FIXED || !(desc.len() - DESCRIPTOR3_FIXED).is_multiple_of(8) {
+            return Err(pc_pagestore::StoreError::Corrupt(format!(
+                "dynamic 3-sided PST descriptor is {DESCRIPTOR3_FIXED} bytes plus 8 per buffer \
+                 page, got {}",
+                desc.len()
+            )));
+        }
+        let mut r = PageReader::new(desc);
+        let root_page = PageId(r.get_u64()?);
+        let n = r.get_u64()?;
+        let frame = Frame::from_widths(r.get_bytes(3)?.try_into().expect("3 bytes"))?;
+        let seq = r.get_u64()?;
+        let buffer_cap = r.get_u64()? as usize;
+        let mut buffer = Vec::with_capacity(r.remaining() / 8);
+        let mut buffered = Vec::new();
+        while r.remaining() > 0 {
+            let page = PageId(r.get_u64()?);
+            buffered.extend(read_buffer(store, frame, page)?);
+            buffer.push(page);
+        }
+        store.read(root_page)?;
+        let inner = ThreeSidedPst { root_page, n, frame };
+        Ok(DynamicThreeSidedPst { inner, buffer, buffered, seq, buffer_cap })
     }
 
     /// Number of live points.
@@ -1323,8 +1376,23 @@ mod tests {
                     oracle.values().filter(|p| q.contains(p)).map(|p| p.id).collect();
                 want.sort_unstable();
                 assert_eq!(got, want, "step {step} {q:?}");
+                // The descriptor is the whole handle, whatever the buffer
+                // holds: a reopened structure answers in the same order.
+                let reopened = DynamicThreeSidedPst::open(&store, &pst.descriptor()).unwrap();
+                assert_eq!(reopened.len(), pst.len(), "step {step}");
+                assert_eq!(reopened.query(&store, q).unwrap(), pst.query(&store, q).unwrap());
             }
             assert_eq!(pst.len(), oracle.len() as u64, "step {step}");
         }
+        // Updates keep working through a reopened handle, and malformed
+        // descriptors are typed errors, not panics.
+        let desc = pst.descriptor();
+        assert!(desc.len() > DESCRIPTOR3_FIXED, "the run ends with a buffered tail");
+        let mut reopened = DynamicThreeSidedPst::open(&store, &desc).unwrap();
+        reopened.insert(&store, Point::new(1, 1, 99_999)).unwrap();
+        assert_eq!(reopened.len(), pst.len() + 1);
+        assert!(DynamicThreeSidedPst::open(&store, &desc[..DESCRIPTOR3_FIXED - 1]).is_err());
+        assert!(DynamicThreeSidedPst::open(&store, &desc[..desc.len() - 3]).is_err());
+        assert!(DynamicThreeSidedPst::open(&store, &vec![0xFF; desc.len()]).is_err());
     }
 }

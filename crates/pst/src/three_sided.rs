@@ -323,9 +323,9 @@ type PageClass = fn(&mut PageCensus) -> &mut u64;
 /// External PST for 3-sided queries: `O(log_B n + t/B)` I/Os,
 /// `O((n/B)·log² B)` blocks (Theorem 3.3).
 pub struct ThreeSidedPst {
-    root_page: PageId,
-    n: u64,
-    frame: Frame,
+    pub(crate) root_page: PageId,
+    pub(crate) n: u64,
+    pub(crate) frame: Frame,
 }
 
 impl ThreeSidedPst {

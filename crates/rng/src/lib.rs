@@ -49,6 +49,14 @@ pub fn mix64(x: u64) -> u64 {
     SplitMix64::new(x).next_u64()
 }
 
+/// One draw from the decision space `(seed, salt, a, b)`: how the seeded
+/// fault and crash plans decide per access, with no state to advance, so a
+/// decision depends on what is accessed and never on what else ran before.
+pub fn draw(seed: u64, salt: u64, a: u64, b: u64) -> u64 {
+    let (salt, a, b) = (mix64(salt), mix64(a).rotate_left(17), mix64(b).rotate_left(31));
+    mix64(seed.wrapping_add(salt).wrapping_add(a).wrapping_add(b))
+}
+
 /// Seeded xoshiro256** generator: the workspace-standard PRNG.
 #[derive(Debug, Clone)]
 pub struct Rng {

@@ -1,7 +1,7 @@
 //! # pc-router — the scatter-gather front-end of the shard fabric
 //!
 //! Connects to replica groups of `pc-shard` nodes, partitions the keyspace
-//! at the given split points, and serves the unchanged v2 wire protocol:
+//! at the given split points, and serves the unchanged wire protocol:
 //! clients talk to the router exactly as they would to a single node, and
 //! the router scatters reads across the shards each query overlaps, merges
 //! canonically, routes updates to the owning shard's whole replica group,
@@ -31,7 +31,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pc_serve::{FrontendConfig, Router, RouterConfig, RouterFrontend};
+use pc_serve::{Router, RouterConfig, RouterFrontend};
 
 const USAGE: &str = "usage: pc-router --shard ADDR[,ADDR...] [--shard ...] [--splits K1,K2,...] \
                      [--addr HOST:PORT] [--health-ms N] [--attempts N] [--seed S]";
@@ -127,11 +127,8 @@ fn run() -> Result<(), String> {
         Router::connect(&args.groups, args.splits.clone(), cfg)
             .map_err(|e| format!("connect fabric: {e}"))?,
     );
-    let frontend = RouterFrontend::spawn(
-        Arc::clone(&router),
-        FrontendConfig { addr: args.addr.clone(), ..FrontendConfig::default() },
-    )
-    .map_err(|e| format!("bind {}: {e}", args.addr))?;
+    let frontend = RouterFrontend::spawn(Arc::clone(&router), &args.addr)
+        .map_err(|e| format!("bind {}: {e}", args.addr))?;
     println!("pc-router listening on {}", frontend.addr());
     std::io::stdout().flush().ok();
     while !router.is_shutting_down() {

@@ -6,7 +6,7 @@
 //! [`ClientError::Closed`] on EOF), never a hang.
 
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -14,7 +14,7 @@ use pc_pagestore::Point;
 use pc_rng::Rng;
 
 use crate::wire::{
-    decode_response, read_frame, request_frame, write_frame, Op, Request, Response, MAX_FRAME,
+    decode_response, read_frame, request_frame, Op, Request, Response, MAX_FRAME,
 };
 
 /// Why a client call failed.
@@ -66,50 +66,27 @@ impl From<crate::wire::DecodeError> for ClientError {
 pub struct Client {
     stream: TcpStream,
     next_id: u64,
-    max_frame: usize,
 }
 
 impl Client {
     /// Connects with `timeout` applied to the connect itself and as the
-    /// initial read/write timeout.
+    /// read/write timeout of every later call.
     pub fn connect(addr: SocketAddr, timeout: Duration) -> io::Result<Client> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
-        Ok(Client { stream, next_id: 0, max_frame: MAX_FRAME })
-    }
-
-    /// Overrides the socket read/write timeout (`None` blocks forever —
-    /// only sensible in tests).
-    pub fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)
+        Ok(Client { stream, next_id: 0 })
     }
 
     /// Sends a request without waiting for the response (open-loop /
     /// pipelined use); returns the request id.
     pub fn send(&mut self, target: u16, deadline_ms: u32, op: Op) -> Result<u64, ClientError> {
-        self.send_flags(target, deadline_ms, 0, op)
-    }
-
-    /// Like [`Client::send`] with explicit per-request flag bits (e.g.
-    /// [`crate::wire::FLAG_TRACE`] to force a trace of this request).
-    pub fn send_flags(
-        &mut self,
-        target: u16,
-        deadline_ms: u32,
-        flags: u8,
-        op: Op,
-    ) -> Result<u64, ClientError> {
-        self.send_with(target, deadline_ms, flags, 0, op)
+        self.send_with(target, deadline_ms, 0, 0, op)
     }
 
     /// Fully general send: explicit flags *and* snapshot selector.
-    /// `as_of` 0 means "the latest epoch at admission"; any other value
-    /// addresses that installed epoch (time travel), and updates must
-    /// carry 0.
-    pub fn send_with(
+    fn send_with(
         &mut self,
         target: u16,
         deadline_ms: u32,
@@ -120,22 +97,23 @@ impl Client {
         self.next_id += 1;
         let id = self.next_id;
         let frame = request_frame(&Request { id, target, deadline_ms, flags, as_of, op });
-        write_frame(&mut &self.stream, &frame)?;
+        (&self.stream).write_all(&frame)?;
         Ok(id)
     }
 
     /// Receives the next response regardless of id (pipelined use).
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        let payload = read_frame(&mut &self.stream, self.max_frame)?.ok_or(ClientError::Closed)?;
+        let payload = read_frame(&mut &self.stream, MAX_FRAME)?.ok_or(ClientError::Closed)?;
         Ok(decode_response(&payload)?)
     }
 
     /// One request, one response (closed-loop use); checks the echoed id.
     pub fn call(&mut self, target: u16, deadline_ms: u32, op: Op) -> Result<Response, ClientError> {
-        self.call_flags(target, deadline_ms, 0, op)
+        self.call_with(target, deadline_ms, 0, 0, op)
     }
 
-    /// Like [`Client::call`] with explicit per-request flag bits.
+    /// Like [`Client::call`] with explicit per-request flag bits (e.g.
+    /// [`crate::wire::FLAG_TRACE`] to force a trace of this request).
     pub fn call_flags(
         &mut self,
         target: u16,
@@ -143,16 +121,12 @@ impl Client {
         flags: u8,
         op: Op,
     ) -> Result<Response, ClientError> {
-        let sent = self.send_flags(target, deadline_ms, flags, op)?;
-        let resp = self.recv()?;
-        if resp.id != sent {
-            return Err(ClientError::IdMismatch { sent, got: resp.id });
-        }
-        Ok(resp)
+        self.call_with(target, deadline_ms, flags, 0, op)
     }
 
     /// Closed-loop query against a pinned historical epoch: `as_of` names
-    /// the installed epoch sequence to read (see [`Client::send_with`]).
+    /// the installed epoch sequence to read; 0 means "the latest epoch at
+    /// admission", and updates must carry 0.
     pub fn call_as_of(
         &mut self,
         target: u16,
@@ -160,7 +134,18 @@ impl Client {
         as_of: u64,
         op: Op,
     ) -> Result<Response, ClientError> {
-        let sent = self.send_with(target, deadline_ms, 0, as_of, op)?;
+        self.call_with(target, deadline_ms, 0, as_of, op)
+    }
+
+    fn call_with(
+        &mut self,
+        target: u16,
+        deadline_ms: u32,
+        flags: u8,
+        as_of: u64,
+        op: Op,
+    ) -> Result<Response, ClientError> {
+        let sent = self.send_with(target, deadline_ms, flags, as_of, op)?;
         let resp = self.recv()?;
         if resp.id != sent {
             return Err(ClientError::IdMismatch { sent, got: resp.id });
@@ -216,8 +201,8 @@ impl Client {
     }
 }
 
-/// Retry tuning for [`RetryClient`] (and the router's per-replica
-/// failover): capped exponential backoff with full jitter. Attempt `k`
+/// Retry tuning for the router's per-replica failover: capped exponential
+/// backoff with full jitter. Attempt `k`
 /// sleeps a uniformly random duration in `[0, min(cap, base * 2^k)]` —
 /// the jitter is drawn from a seeded [`pc_rng::Rng`], so a test's retry
 /// schedule is exactly reproducible.
@@ -254,102 +239,5 @@ impl RetryPolicy {
     /// retried under this policy.
     pub fn should_retry(&self, attempt: u32) -> bool {
         attempt < self.attempts
-    }
-}
-
-/// A [`Client`] that survives a dropped socket: transport errors on
-/// **idempotent** operations (queries and admin reads — never
-/// `Insert`/`Delete`, which could double-apply) are retried under a
-/// [`RetryPolicy`], reconnecting to the same address between attempts.
-///
-/// Usable standalone (an operator tool that should ride out
-/// a server restart); the router builds its per-replica failover on the
-/// same policy.
-pub struct RetryClient {
-    addr: SocketAddr,
-    timeout: Duration,
-    policy: RetryPolicy,
-    rng: Rng,
-    inner: Option<Client>,
-}
-
-impl RetryClient {
-    /// Connects eagerly; the policy covers the initial connect too.
-    pub fn connect(
-        addr: SocketAddr,
-        timeout: Duration,
-        policy: RetryPolicy,
-        seed: u64,
-    ) -> Result<RetryClient, ClientError> {
-        let mut c = RetryClient { addr, timeout, policy, rng: Rng::seed_from_u64(seed), inner: None };
-        c.ensure_connected()?;
-        Ok(c)
-    }
-
-    /// The address every (re)connect targets.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// True when a live connection is currently held.
-    pub fn is_connected(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Drops the current connection (the next call reconnects). Used by
-    /// callers that detect staleness out of band.
-    pub fn disconnect(&mut self) {
-        self.inner = None;
-    }
-
-    fn ensure_connected(&mut self) -> Result<&mut Client, ClientError> {
-        if self.inner.is_none() {
-            let mut attempt = 1u32;
-            loop {
-                match Client::connect(self.addr, self.timeout) {
-                    Ok(c) => {
-                        self.inner = Some(c);
-                        break;
-                    }
-                    Err(_) if self.policy.should_retry(attempt) => {
-                        std::thread::sleep(self.policy.delay(attempt, &mut self.rng));
-                        attempt += 1;
-                    }
-                    Err(e) => return Err(ClientError::Io(e)),
-                }
-            }
-        }
-        Ok(self.inner.as_mut().expect("just connected"))
-    }
-
-    /// One idempotent request, retried across reconnects. Callers must not
-    /// pass `Insert`/`Delete` (debug-asserted): a connection that dies
-    /// after the send leaves the update's fate unknown, and a blind retry
-    /// could apply it twice.
-    pub fn call_idempotent(
-        &mut self,
-        target: u16,
-        deadline_ms: u32,
-        op: Op,
-    ) -> Result<Response, ClientError> {
-        debug_assert!(!op.is_update(), "call_idempotent must not carry updates");
-        let mut attempt = 1u32;
-        loop {
-            let r = self.ensure_connected().and_then(|c| c.call(target, deadline_ms, op.clone()));
-            match r {
-                Ok(resp) => return Ok(resp),
-                Err(e @ (ClientError::Io(_) | ClientError::Closed)) => {
-                    // Transport failure: the socket is dead either way.
-                    self.inner = None;
-                    if !self.policy.should_retry(attempt) {
-                        return Err(e);
-                    }
-                    std::thread::sleep(self.policy.delay(attempt, &mut self.rng));
-                    attempt += 1;
-                }
-                // Protocol-level surprises are not transient; surface them.
-                Err(e) => return Err(e),
-            }
-        }
     }
 }

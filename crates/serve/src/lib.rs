@@ -44,6 +44,7 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+mod front;
 pub mod obsplane;
 pub mod queue;
 pub mod router;
@@ -52,11 +53,11 @@ pub mod stats;
 pub mod target;
 pub mod wire;
 
-pub use client::{Client, ClientError, RetryClient, RetryPolicy};
+pub use client::{Client, ClientError, RetryPolicy};
 pub use obsplane::{TargetStats, TargetStatsSet};
 pub use router::{
-    canonicalize, FrontendConfig, FrontendHandle, Router, RouterConfig, RouterError,
-    RouterFrontend, ShardMap, ShardStats,
+    canonicalize, FrontendHandle, Router, RouterConfig, RouterError, RouterFrontend, ShardMap,
+    ShardStats,
 };
 pub use server::{
     decode_commit_meta, encode_commit_meta, Server, ServerConfig, ServerHandle, Service,

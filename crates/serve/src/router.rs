@@ -1,6 +1,6 @@
 //! The shard fabric: keyspace sharding by split points, a scatter-gather
 //! router over replica groups of `pc-serve` nodes, and a thin wire
-//! front-end so clients keep speaking the existing v2 protocol.
+//! front-end so clients keep speaking the existing protocol.
 //!
 //! The paper's structures are embarrassingly partitionable by key range:
 //! every query this workspace serves (1-d range, stabbing, 2-sided,
@@ -48,8 +48,8 @@
 //! replay and re-application are idempotent by point identity.
 
 use std::fmt;
-use std::io::{self};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -63,10 +63,8 @@ use pc_rng::Rng;
 use pc_sync::Mutex;
 
 use crate::client::{Client, ClientError, RetryPolicy};
-use crate::wire::{
-    decode_request, response_frame, Body, ErrorCode, FrameProgress, FrameReader, Op, Response,
-    MAX_FRAME,
-};
+use crate::front::{Conn, Front, Handler};
+use crate::wire::{Body, ErrorCode, Op, Request, Response};
 
 /// The keyspace partition: `splits` strictly increasing, shard `i` owning
 /// `[splits[i-1], splits[i])` with open ends (`shards() == splits.len() + 1`).
@@ -353,16 +351,10 @@ impl Replica {
         deadline_ms: u32,
         op: &Op,
     ) -> Result<Response, ClientError> {
-        let Some(mut client) = self.checkout(cfg.connect_timeout) else {
-            return Err(ClientError::Closed);
-        };
-        match client.call(target, deadline_ms, op.clone()) {
-            Ok(resp) => {
-                self.checkin(client, cfg.pool_per_replica);
-                Ok(resp)
-            }
-            Err(e) => Err(e),
-        }
+        let mut client = self.checkout(cfg.connect_timeout).ok_or(ClientError::Closed)?;
+        let resp = client.call(target, deadline_ms, op.clone())?;
+        self.checkin(client, cfg.pool_per_replica);
+        Ok(resp)
     }
 }
 
@@ -628,15 +620,14 @@ impl Router {
                     ack_body.get_or_insert(body);
                 }
                 Ok(Response { body: Body::Error { code, message }, .. }) => {
-                    if code.is_transient() {
-                        // Admission-level rejection: definitely not applied,
-                        // the replica's state is untouched — keep it live.
-                        typed.get_or_insert((code, message));
-                    } else {
-                        // Storage/other: the replica's fate is ambiguous.
-                        typed.get_or_insert((code, message));
+                    // A transient code is an admission-level rejection:
+                    // definitely not applied, the replica's state is
+                    // untouched — keep it live. Storage/other: the
+                    // replica's fate is ambiguous.
+                    if !code.is_transient() {
                         replica.mark_dead();
                     }
+                    typed.get_or_insert((code, message));
                 }
                 Ok(resp) => {
                     typed.get_or_insert((
@@ -967,154 +958,71 @@ pub fn canonicalize(body: Body) -> Body {
     }
 }
 
-/// Front-end tuning knobs for [`RouterFrontend::spawn`].
-#[derive(Debug, Clone)]
-pub struct FrontendConfig {
-    /// Listen address; port 0 picks an ephemeral port.
-    pub addr: String,
-    /// Read-timeout tick for the polling connection loops.
-    pub poll_tick: Duration,
-    /// Socket write timeout.
-    pub write_timeout: Duration,
-    /// Close a connection after this long without a complete frame.
-    pub idle_timeout: Duration,
-    /// Frame-size cap.
-    pub max_frame: usize,
-}
-
-impl Default for FrontendConfig {
-    fn default() -> FrontendConfig {
-        FrontendConfig {
-            addr: "127.0.0.1:0".to_string(),
-            poll_tick: Duration::from_millis(20),
-            write_timeout: Duration::from_secs(5),
-            idle_timeout: Duration::from_secs(30),
-            max_frame: MAX_FRAME,
-        }
-    }
-}
-
-/// The wire front-end: clients speak the unchanged v2 protocol to the
-/// router exactly as they would to a single node. Thin by design — the
-/// shards own admission control, batching, and deadlines; the front-end
-/// only frames, routes, and translates [`RouterError`]s into typed wire
-/// errors. ADMIN `Stats`/`Metrics` expose the `pc_shard_*` families;
-/// ADMIN `Shutdown` drains the router and fans out to the shards.
+/// The wire front-end: clients speak the unchanged protocol to the router
+/// exactly as they would to a single node. Thin by design — the shards own
+/// admission control, batching, and deadlines; the front-end is the shared
+/// TCP front (`front.rs`) with a handler that routes and translates
+/// [`RouterError`]s into typed wire errors. ADMIN `Stats`/`Metrics` expose
+/// the `pc_shard_*` families; ADMIN `Shutdown` drains the router and fans
+/// out to the shards. What it cannot do it refuses, typed `Unsupported`:
+/// the admin ops it does not serve, and any `as_of` other than 0 (each shard
+/// numbers its own epochs, so no one number addresses a fabric-wide state).
 pub struct RouterFrontend;
 
-impl RouterFrontend {
-    /// Binds `cfg.addr` and spawns the acceptor; one thread per connection.
-    pub fn spawn(router: Arc<Router>, cfg: FrontendConfig) -> io::Result<FrontendHandle> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let router = Arc::clone(&router);
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            let cfg = cfg.clone();
-            std::thread::spawn(move || {
-                while !stop.load(Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            let _ = stream.set_nodelay(true);
-                            let _ = stream.set_read_timeout(Some(cfg.poll_tick));
-                            let _ = stream.set_write_timeout(Some(cfg.write_timeout));
-                            let router = Arc::clone(&router);
-                            let stop = Arc::clone(&stop);
-                            let cfg = cfg.clone();
-                            let handle = std::thread::spawn(move || {
-                                frontend_conn_loop(&router, &stop, &cfg, stream)
-                            });
-                            let mut g = conns.lock();
-                            g.retain(|h| !h.is_finished());
-                            g.push(handle);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(cfg.poll_tick.min(Duration::from_millis(10)));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                    }
-                }
-            })
+/// How long an idle client connection is kept.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+struct FrontendState {
+    router: Arc<Router>,
+    /// Set by ADMIN `Shutdown` and by the handle's join: from then on
+    /// queries and updates are answered `ShuttingDown`.
+    stop: AtomicBool,
+}
+
+impl Handler for FrontendState {
+    fn request(&self, conn: &Arc<Conn>, req: Request) {
+        let unsupported = |what: String| {
+            Err((ErrorCode::Unsupported, format!("{what} is not served by the router")))
         };
-        Ok(FrontendHandle { addr, router, stop, acceptor: Some(acceptor), conns })
+        let answer = if req.op.is_admin() {
+            match &req.op {
+                Op::Ping => Ok(Body::Pong),
+                Op::Stats => Ok(Body::Stats(self.router.stat_pairs())),
+                Op::Metrics => Ok(Body::Metrics(self.router.render_metrics())),
+                Op::Shutdown => Ok(Body::ShutdownAck),
+                other => unsupported(format!("op {}", other.name())),
+            }
+        } else if self.stop.load(Relaxed) {
+            Err((ErrorCode::ShuttingDown, RouterError::ShuttingDown.to_string()))
+        } else if req.as_of != 0 {
+            unsupported("as_of (time travel)".into())
+        } else {
+            let routed = self.router.query(req.target, req.deadline_ms, &req.op);
+            routed.map_err(|e| (e.code(), e.to_string()))
+        };
+        let shutdown = matches!(answer, Ok(Body::ShutdownAck));
+        conn.respond(&match answer {
+            Ok(body) => Response { id: req.id, body },
+            Err((code, message)) => Response::error(req.id, code, message),
+        });
+        if shutdown {
+            self.stop.store(true, Relaxed);
+            self.router.shutdown();
+        }
+    }
+
+    fn draining(&self) -> bool {
+        self.stop.load(Relaxed)
     }
 }
 
-fn frontend_respond(stream: &TcpStream, resp: &Response) -> bool {
-    let frame = response_frame(resp);
-    let mut w = stream;
-    std::io::Write::write_all(&mut w, frame.as_slice()).is_ok()
-}
-
-fn frontend_conn_loop(
-    router: &Router,
-    stop: &AtomicBool,
-    cfg: &FrontendConfig,
-    stream: TcpStream,
-) {
-    let mut reader = FrameReader::new(cfg.max_frame);
-    let mut last_activity = Instant::now();
-    let mut seen_bytes = 0u64;
-    loop {
-        if stop.load(Relaxed) {
-            return;
-        }
-        match reader.poll(&mut (&stream)) {
-            Ok(FrameProgress::Frame(payload)) => {
-                last_activity = Instant::now();
-                let req = match decode_request(&payload) {
-                    Ok(req) => req,
-                    Err(e) => {
-                        let _ = frontend_respond(
-                            &stream,
-                            &Response::error(0, ErrorCode::BadRequest, e.to_string()),
-                        );
-                        return;
-                    }
-                };
-                let resp = match &req.op {
-                    Op::Ping => Response { id: req.id, body: Body::Pong },
-                    Op::Stats => Response { id: req.id, body: Body::Stats(router.stat_pairs()) },
-                    Op::Metrics => {
-                        Response { id: req.id, body: Body::Metrics(router.render_metrics()) }
-                    }
-                    Op::Shutdown => Response { id: req.id, body: Body::ShutdownAck },
-                    Op::SlowLog { .. } | Op::SetSampling { .. } => Response::error(
-                        req.id,
-                        ErrorCode::Unsupported,
-                        format!("op {} is not served by the router", req.op.name()),
-                    ),
-                    op => match router.query(req.target, req.deadline_ms, op) {
-                        Ok(body) => Response { id: req.id, body },
-                        Err(e) => Response::error(req.id, e.code(), e.to_string()),
-                    },
-                };
-                let shutdown = matches!(req.op, Op::Shutdown);
-                if !frontend_respond(&stream, &resp) {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
-                if shutdown {
-                    stop.store(true, Relaxed);
-                    router.shutdown();
-                    return;
-                }
-            }
-            Ok(FrameProgress::Pending) => {
-                if reader.bytes_read() != seen_bytes {
-                    seen_bytes = reader.bytes_read();
-                    last_activity = Instant::now();
-                } else if last_activity.elapsed() >= cfg.idle_timeout {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
-            }
-            Ok(FrameProgress::Eof) | Err(_) => return,
-        }
+impl RouterFrontend {
+    /// Binds `addr` (port 0 picks an ephemeral port) and starts serving;
+    /// one thread per connection.
+    pub fn spawn(router: Arc<Router>, addr: &str) -> io::Result<FrontendHandle> {
+        let state = Arc::new(FrontendState { router, stop: AtomicBool::new(false) });
+        let front = Front::spawn(addr, IDLE_TIMEOUT, Arc::clone(&state))?;
+        Ok(FrontendHandle { front, state })
     }
 }
 
@@ -1122,45 +1030,26 @@ fn frontend_conn_loop(
 /// and joins every connection thread (the router itself is shared and
 /// survives unless [`Router::shutdown`] ran).
 pub struct FrontendHandle {
-    addr: SocketAddr,
-    router: Arc<Router>,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    front: Front,
+    state: Arc<FrontendState>,
 }
 
 impl FrontendHandle {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
-    /// The routed fabric.
-    pub fn router(&self) -> &Arc<Router> {
-        &self.router
-    }
-
-    /// Stops accepting and drains connection threads; does not touch the
-    /// shards (use [`Router::shutdown`] — or the wire ADMIN op — for a
-    /// full fabric drain).
-    pub fn stop(&self) {
-        self.stop.store(true, Relaxed);
-    }
-
-    /// Stops and joins everything.
+    /// Stops and joins everything; does not touch the shards (use
+    /// [`Router::shutdown`] — or the wire ADMIN op — for a full fabric
+    /// drain).
     pub fn join(mut self) {
         self.join_inner();
     }
 
     fn join_inner(&mut self) {
-        self.stop.store(true, Relaxed);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        loop {
-            let Some(h) = self.conns.lock().pop() else { break };
-            let _ = h.join();
-        }
+        self.state.stop.store(true, Relaxed);
+        self.front.join();
     }
 }
 

@@ -1,37 +1,39 @@
-//! The server: acceptor, per-connection readers, a worker pool behind the
-//! admission-controlled query queue, and a dedicated update-batching stage.
+//! The server: a worker pool behind the admission-controlled query queue
+//! and a dedicated update-batching stage, behind the shared TCP front.
 //!
 //! Thread model (all plain `std::thread`, sized by [`ServerConfig`]):
 //!
-//! * **acceptor** — nonblocking accept loop; stops on shutdown.
-//! * **connection readers** (one per connection) — poll the socket with a
-//!   short read-timeout tick so they can notice shutdown and enforce the
-//!   idle timeout; decode frames; answer admin ops inline (they must stay
-//!   responsive under load); route queries/updates through
+//! * **acceptor and connection readers** — `front.rs`. Each decoded
+//!   request arrives at the server's `Handler::request` on its connection's
+//!   thread: admin ops ([`Op::is_admin`]) are answered inline (they must stay
+//!   responsive under load); queries and updates are routed through
 //!   [`crate::queue::Bounded::try_push`] — a full queue is answered
 //!   `Overloaded` *immediately*, which is the entire admission-control
 //!   policy.
 //! * **workers** — pop query jobs, enforce the per-request deadline, run
 //!   [`crate::target::QueryTarget::query`], write the response.
 //! * **batcher** — pops one update, then drains whatever else is already
-//!   queued (up to `batch_max`), groups by target, and applies each group
-//!   with a single [`crate::target::QueryTarget::apply_updates`] call — the
-//!   service-layer version of the paper's §5 buffered-update idea: the
-//!   structure pays its lock and root-path traffic once per batch.
+//!   queued (up to `BATCH_MAX`), groups by target, and applies each group
+//!   with a single [`crate::target::QueryTarget::apply_updates`] call inside
+//!   one copy-on-write session — the service-layer version of the paper's §5
+//!   buffered-update idea: the structure pays its lock and root-path
+//!   traffic once per batch. There is one update path: a target takes
+//!   updates exactly when it is versioned.
 //!
 //! Graceful drain-then-shutdown: the ADMIN `Shutdown` op (or
 //! [`ServerHandle::shutdown`]) flips one flag and closes both queues. New
-//! requests get `ShuttingDown` — a reader keeps answering so until its
-//! peer has nothing more on the wire, because closing over unread requests
-//! resets the connection; already-admitted jobs drain and their
-//! responses are written before the threads exit. Response frames are
-//! shared [`Page`]s, written under a per-connection mutex with a write
-//! timeout, so a stalled peer can never hang a worker.
+//! requests get `ShuttingDown` (the front keeps each connection answering
+//! so until its peer has nothing more on the wire); already-admitted jobs
+//! drain and their responses are written before the threads exit.
+//!
+//! What no binary, test or example ever set is a constant here, not a knob:
+//! `BATCH_MAX`, [`TRACE_SEED`], `SLOWLOG_K`, and in `front.rs` the
+//! poll tick and the write timeout, in [`crate::wire`] the frame cap.
 
-use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -40,18 +42,26 @@ use pc_obs::serve_metrics as names;
 use pc_obs::slowlog::{SlowLog, SlowQuery};
 use pc_obs::{QueryTrace, Sample};
 use pc_pagestore::{
-    decode_version_meta, IoStats, Page, PageStore, Snapshot, VersionConfig, VersionedStore,
+    decode_version_meta, IoStats, PageStore, Snapshot, VersionConfig, VersionedStore,
 };
-use pc_sync::Mutex;
 
+use crate::front::{Conn, ConnEvent, Front, Handler};
 use crate::obsplane::{store_samples, version_samples, TargetStatsSet};
 use crate::queue::{Bounded, PushError};
 use crate::stats::{io_stat_pairs, ServeStats};
 use crate::target::{FrozenView, QueryTarget, Registry, TargetError, UpdateOp};
 use crate::wire::{
-    decode_request, flatten_spans, response_frame, Body, ErrorCode, FrameProgress, FrameReader,
-    Op, Request, Response, SlowEntry, FLAG_TRACE, MAX_FRAME, RANKED_BY_LATENCY, RANKED_BY_WASTE,
+    flatten_spans, Body, ErrorCode, Op, Request, Response, SlowEntry, FLAG_TRACE,
+    RANKED_BY_LATENCY, RANKED_BY_WASTE,
 };
+
+/// Max updates coalesced into one batch.
+const BATCH_MAX: usize = 32;
+/// Seed of the deterministic trace sampler: the sampled set is a pure
+/// function of `(seed, request id)`, independent of worker scheduling.
+pub const TRACE_SEED: u64 = 0x7061_7468_6361_6368; // "pathcach"
+/// Slow-query-log retention per ranking (latency / wasteful I/O).
+const SLOWLOG_K: usize = 16;
 
 /// Everything a server instance serves: one shared page store and the
 /// registry of structures living in it.
@@ -73,26 +83,12 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Update queue capacity.
     pub update_queue_depth: usize,
-    /// Max updates coalesced into one batch.
-    pub batch_max: usize,
     /// Close a connection after this long without a complete frame.
     pub idle_timeout: Duration,
-    /// Socket write timeout (a stalled peer fails the write instead of
-    /// hanging a worker).
-    pub write_timeout: Duration,
-    /// Read-timeout tick for the polling reader loops.
-    pub poll_tick: Duration,
-    /// Frame-size cap (see [`MAX_FRAME`]).
-    pub max_frame: usize,
     /// Trace 1 in N requests (0 = off, 1 = everything). Runtime-retunable
     /// over the wire via the `SetSampling` ADMIN op; works in every build
     /// (the span layer is always compiled).
     pub trace_sample: u64,
-    /// Seed for the deterministic sampler: the sampled set is a pure
-    /// function of `(seed, request id)`, independent of worker scheduling.
-    pub trace_seed: u64,
-    /// Slow-query-log retention per ranking (latency / wasteful I/O).
-    pub slowlog_k: usize,
     /// How many unpinned epochs stay addressable by `as_of` (the
     /// time-travel window; see [`VersionConfig::retain`]). Pinned epochs
     /// are always retained regardless.
@@ -106,35 +102,10 @@ impl Default for ServerConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             queue_depth: 64,
             update_queue_depth: 64,
-            batch_max: 32,
             idle_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(5),
-            poll_tick: Duration::from_millis(20),
-            max_frame: MAX_FRAME,
             trace_sample: 0,
-            trace_seed: 0x7061_7468_6361_6368, // "pathcach"
-            slowlog_k: 16,
             version_retain: 8,
         }
-    }
-}
-
-/// One accepted connection's write half. Workers, the batcher, and the
-/// reader all send through this; the mutex serializes whole frames.
-struct Conn {
-    stream: TcpStream,
-    wlock: Mutex<()>,
-}
-
-impl Conn {
-    /// Writes one pre-encoded frame. On failure the socket is shut down so
-    /// the reader exits promptly instead of serving a half-dead peer.
-    fn send(&self, frame: &Page) -> io::Result<()> {
-        let _g = self.wlock.lock();
-        let mut w = &self.stream;
-        w.write_all(frame.as_slice()).inspect_err(|_| {
-            let _ = self.stream.shutdown(Shutdown::Both);
-        })
     }
 }
 
@@ -158,7 +129,6 @@ struct Shared {
     store: Arc<PageStore>,
     versions: Arc<VersionedStore>,
     registry: Registry,
-    cfg: ServerConfig,
     stats: ServeStats,
     queries: Bounded<Job>,
     updates: Bounded<Job>,
@@ -167,9 +137,6 @@ struct Shared {
     sampler: Sampler,
     slowlog: SlowLog,
     target_stats: TargetStatsSet,
-    /// Write halves of live connections, so [`ServerHandle::kill`] can cut
-    /// every socket at once. Weak: the reader/worker `Arc`s own them.
-    conn_socks: Mutex<Vec<Weak<Conn>>>,
 }
 
 impl Shared {
@@ -198,10 +165,63 @@ impl Shared {
         }
     }
 
-    fn respond(&self, conn: &Conn, resp: &Response) {
-        // A failed write means the peer is gone; the job is complete either
-        // way and the reader notices the shutdown socket on its next poll.
-        let _ = conn.send(&response_frame(resp));
+    /// Counts and sends one typed refusal.
+    fn refuse(
+        &self,
+        conn: &Conn,
+        id: u64,
+        counter: &AtomicU64,
+        code: ErrorCode,
+        message: impl Into<String>,
+    ) {
+        counter.fetch_add(1, Relaxed);
+        conn.respond(&Response::error(id, code, message));
+    }
+
+    /// Serves one admin op inline, on the connection's thread, so that it
+    /// stays responsive under overload.
+    fn admin(&self, conn: &Conn, req: &Request) {
+        let body = match &req.op {
+            Op::Ping => Body::Pong,
+            Op::Stats => {
+                let mut pairs = pc_obs::stat_pairs(&self.samples());
+                pairs.extend(io_stat_pairs(&self.store.stats()));
+                Body::Stats(pairs)
+            }
+            Op::Metrics => Body::Metrics(pc_obs::render_text(&self.samples())),
+            Op::SlowLog { k, .. } => Body::SlowLog(self.slow_entries(*k as usize)),
+            Op::SetSampling { every } => {
+                self.sampler.set_every(*every);
+                Body::Stats(vec![(names::TRACE_SAMPLE_EVERY.to_string(), *every)])
+            }
+            Op::Versions => {
+                let m = self.versions.metrics();
+                Body::Versions {
+                    current: m.current_seq,
+                    oldest: m.oldest_seq,
+                    installed: m.installed,
+                    reclaimed_pages: m.reclaimed_pages,
+                    pinned: m.pinned,
+                }
+            }
+            Op::Shutdown => Body::ShutdownAck,
+            other => {
+                let message = format!("op {} is not served by this server", other.name());
+                return self.refuse(
+                    conn,
+                    req.id,
+                    &self.stats.bad_requests,
+                    ErrorCode::Unsupported,
+                    message,
+                );
+            }
+        };
+        conn.respond(&Response { id: req.id, body });
+        match req.op {
+            Op::SlowLog { clear: true, .. } => self.slowlog.clear(),
+            Op::Shutdown => self.begin_shutdown(),
+            _ => {}
+        }
     }
 
     /// Folds a finished request-scoped trace into the observability plane:
@@ -328,15 +348,19 @@ fn target_error_response(stats: &ServeStats, id: u64, err: TargetError) -> Respo
     }
 }
 
+/// A popped job's time in the queue goes on record; if its deadline passed
+/// there, this is its answer (an expired update must not be applied).
+fn expired(shared: &Shared, job: &Job) -> Option<Response> {
+    shared.stats.queue_wait_ns.record(job.enqueued.elapsed().as_nanos() as u64);
+    job.deadline.is_some_and(|d| Instant::now() > d).then(|| {
+        shared.stats.deadline_exceeded.fetch_add(1, Relaxed);
+        Response::error(job.req.id, ErrorCode::DeadlineExceeded, "deadline passed in queue")
+    })
+}
+
 fn worker_loop(shared: &Shared) {
     while let Some(mut job) = shared.queries.pop() {
-        shared.stats.queue_wait_ns.record(job.enqueued.elapsed().as_nanos() as u64);
-        let resp = if job.deadline.is_some_and(|d| Instant::now() > d) {
-            shared.stats.deadline_exceeded.fetch_add(1, Relaxed);
-            Response::error(job.req.id, ErrorCode::DeadlineExceeded, "deadline passed in queue")
-        } else {
-            execute_query(shared, &job)
-        };
+        let resp = expired(shared, &job).unwrap_or_else(|| execute_query(shared, &job));
         // The answer is computed: release the epoch pin *before* the reply
         // leaves. A peer that has its answer may scrape at once and must
         // not find its own finished query still pinning an epoch — nor
@@ -345,7 +369,7 @@ fn worker_loop(shared: &Shared) {
         // carries a snapshot.)
         job.snapshot = None;
         shared.stats.query_latency_ns.record(job.enqueued.elapsed().as_nanos() as u64);
-        shared.respond(&job.conn, &resp);
+        job.conn.respond(&resp);
     }
 }
 
@@ -359,34 +383,21 @@ fn execute_query(shared: &Shared, job: &Job) -> Response {
     let started = Instant::now();
     let resp = {
         let _span = pc_obs::span!("serve_query", job.req.id);
-        match shared.registry.get(job.req.target) {
-            None => {
-                shared.stats.bad_requests.fetch_add(1, Relaxed);
-                Response::error(
-                    job.req.id,
-                    ErrorCode::BadRequest,
-                    format!("unknown target {}", job.req.target),
-                )
+        let target = shared.registry.get(job.req.target).expect("admission checked the target");
+        let result = match &job.snapshot {
+            // Versioned read: answer from the pinned epoch's frozen view —
+            // lock-free and bit-identical no matter how many epochs install
+            // while this query runs.
+            Some(snap) => query_at_snapshot(shared, target, job.req.target, snap, &job.req.op),
+            // Static targets are read in place.
+            None => target.query(&shared.store, &job.req.op),
+        };
+        match result {
+            Ok(body) => {
+                shared.stats.queries_ok.fetch_add(1, Relaxed);
+                Response { id: job.req.id, body }
             }
-            Some(target) => {
-                let result = match &job.snapshot {
-                    // Versioned read: answer from the pinned epoch's frozen
-                    // view — lock-free and bit-identical no matter how many
-                    // epochs install while this query runs.
-                    Some(snap) => query_at_snapshot(shared, target, job.req.target, snap, &job.req.op),
-                    // Unversioned path (static targets, the dynamic
-                    // 3-sided PST, updates): byte-for-byte the pre-MVCC
-                    // behavior.
-                    None => target.query(&shared.store, &job.req.op),
-                };
-                match result {
-                    Ok(body) => {
-                        shared.stats.queries_ok.fetch_add(1, Relaxed);
-                        Response { id: job.req.id, body }
-                    }
-                    Err(e) => target_error_response(&shared.stats, job.req.id, e),
-                }
-            }
+            Err(e) => target_error_response(&shared.stats, job.req.id, e),
         }
     };
     if let Some(ts) = shared.target_stats.get(job.req.target) {
@@ -471,13 +482,8 @@ fn apply_group(
     let started = Instant::now();
     let results = {
         let _span = pc_obs::span!("serve_update_batch", coalesced);
-        match shared.registry.get(tid) {
-            Some(target) => target.apply_updates(&shared.store, &ops),
-            None => ops
-                .iter()
-                .map(|_| Err(TargetError::Unsupported { op: "update", target: "missing" }))
-                .collect(),
-        }
+        let target = shared.registry.get(tid).expect("admission checked the target");
+        target.apply_updates(&shared.store, &ops)
     };
     let apply_ns = started.elapsed().as_nanos() as u64;
     if let (Some(capture), Some(rid)) = (capture, traced_id) {
@@ -499,9 +505,9 @@ fn apply_group(
 
 fn batcher_loop(shared: &Shared) {
     while let Some(first) = shared.updates.pop() {
-        // Coalesce: take whatever else is already queued, up to batch_max.
+        // Coalesce: take whatever else is already queued, up to BATCH_MAX.
         let mut batch = vec![first];
-        while batch.len() < shared.cfg.batch_max {
+        while batch.len() < BATCH_MAX {
             match shared.updates.try_pop() {
                 Some(job) => batch.push(job),
                 None => break,
@@ -509,26 +515,15 @@ fn batcher_loop(shared: &Shared) {
         }
         let seq = shared.batch_seq.fetch_add(1, Relaxed) + 1;
         shared.stats.batch_coalesce.record(batch.len() as u64);
-        for job in &batch {
-            shared.stats.queue_wait_ns.record(job.enqueued.elapsed().as_nanos() as u64);
-        }
-
-        // Expire deadlines now — an expired update must not be applied.
         let mut live = Vec::with_capacity(batch.len());
         for job in batch {
-            if job.deadline.is_some_and(|d| Instant::now() > d) {
-                shared.stats.deadline_exceeded.fetch_add(1, Relaxed);
-                shared.stats.update_latency_ns.record(job.enqueued.elapsed().as_nanos() as u64);
-                shared.respond(
-                    &job.conn,
-                    &Response::error(
-                        job.req.id,
-                        ErrorCode::DeadlineExceeded,
-                        "deadline passed in queue",
-                    ),
-                );
-            } else {
-                live.push(job);
+            match expired(shared, &job) {
+                Some(resp) => {
+                    let waited = job.enqueued.elapsed().as_nanos() as u64;
+                    shared.stats.update_latency_ns.record(waited);
+                    job.conn.respond(&resp);
+                }
+                None => live.push(job),
             }
         }
 
@@ -543,28 +538,16 @@ fn batcher_loop(shared: &Shared) {
         }
         let mut outcomes: Vec<(Job, std::result::Result<u32, TargetError>)> = Vec::new();
         if !groups.is_empty() {
-            // Targets without a reopen descriptor (the dynamic 3-sided
-            // PST) cannot be frozen per epoch, so their queries read live
-            // pages under their own lock. Their updates apply *outside*
-            // the CoW session — direct writes — so their pages never enter
-            // an epoch map where an un-guarded read would miss them.
-            let (versioned, direct): (Vec<_>, Vec<_>) = groups.into_iter().partition(|(tid, _)| {
-                shared.registry.get(*tid).is_some_and(|t| t.versioned_updates())
-            });
-            for (tid, jobs) in direct {
-                apply_group(shared, tid, jobs, &mut outcomes);
-            }
-
-            // Copy-on-write apply session for versioned targets: every
-            // write to a frozen page is redirected to a fresh one, so
-            // concurrent snapshot readers observe nothing until install.
+            // The copy-on-write apply session (admission lets an update
+            // through only to a versioned target): every write to a frozen
+            // page is redirected to a fresh one, so concurrent snapshot
+            // readers observe nothing until install.
             let session = shared.versions.begin_apply();
-            for (tid, jobs) in versioned {
+            for (tid, jobs) in groups {
                 apply_group(shared, tid, jobs, &mut outcomes);
             }
 
-            // Install the batch as the next epoch — for EVERY batch, even
-            // one with no versioned updates. On a durable store the
+            // Install the batch as the next epoch. On a durable store the
             // install is also the group commit (the lost-ack rule: no Ack
             // leaves before its batch is in the synced WAL), and it keeps
             // the durability invariant that every commit's metadata is
@@ -573,9 +556,7 @@ fn batcher_loop(shared: &Shared) {
             // payload carries each target's reopen descriptor, so both
             // recovery and historical `as_of` reads resolve structure
             // handles matching exactly this acknowledged state.
-            let descriptors: Vec<Option<Vec<u8>>> = (0..shared.registry.len() as u16)
-                .map(|tid| shared.registry.get(tid).and_then(|t| t.descriptor()))
-                .collect();
+            let descriptors = shared.registry.descriptors();
             match session.install_as(seq, &encode_commit_meta(seq, &descriptors)) {
                 Ok(_) => {
                     if shared.store.is_durable() {
@@ -616,275 +597,107 @@ fn batcher_loop(shared: &Shared) {
                 }
             };
             shared.stats.update_latency_ns.record(job.enqueued.elapsed().as_nanos() as u64);
-            shared.respond(&job.conn, &resp);
+            job.conn.respond(&resp);
         }
     }
 }
 
-/// Handles one decoded request on the reader thread: admin ops inline, the
-/// rest admitted to a queue or answered with a typed refusal.
-fn handle_request(shared: &Shared, conn: &Arc<Conn>, req: Request) {
-    shared.stats.requests.fetch_add(1, Relaxed);
-    let now = Instant::now();
+impl Handler for Shared {
+    /// Handles one decoded request on the reader thread: admin ops inline,
+    /// the rest admitted to a queue or answered with a typed refusal.
+    fn request(&self, conn: &Arc<Conn>, req: Request) {
+        let stats = &self.stats;
+        stats.requests.fetch_add(1, Relaxed);
+        let now = Instant::now();
+        if req.op.is_admin() {
+            return self.admin(conn, &req);
+        }
+        let id = req.id;
+        let refuse = |counter, code, message: String| self.refuse(conn, id, counter, code, message);
+        if self.shutdown.load(Relaxed) {
+            return refuse(&stats.shed_shutdown, ErrorCode::ShuttingDown, "draining".into());
+        }
 
-    // Admin ops are served inline so they stay responsive under overload.
-    match &req.op {
-        Op::Ping => {
-            shared.respond(conn, &Response { id: req.id, body: Body::Pong });
-            return;
+        // Route validation happens at admission so a bad request never occupies
+        // a queue slot.
+        let Some(target) = self.registry.get(req.target) else {
+            let message = format!("unknown target {}", req.target);
+            return refuse(&stats.bad_requests, ErrorCode::BadRequest, message);
+        };
+        let is_update = req.op.is_update();
+        let versioned = target.versioned_updates();
+        if is_update && !versioned {
+            let message = format!("target {} ({}) is read-only", req.target, target.kind());
+            return refuse(&stats.bad_requests, ErrorCode::Unsupported, message);
         }
-        Op::Stats => {
-            let mut pairs = pc_obs::stat_pairs(&shared.samples());
-            pairs.extend(io_stat_pairs(&shared.store.stats()));
-            shared.respond(conn, &Response { id: req.id, body: Body::Stats(pairs) });
-            return;
+        if let Some(ts) = self.target_stats.get(req.target) {
+            ts.requests.fetch_add(1, Relaxed);
         }
-        Op::Metrics => {
-            let text = pc_obs::render_text(&shared.samples());
-            shared.respond(conn, &Response { id: req.id, body: Body::Metrics(text) });
-            return;
-        }
-        Op::SlowLog { k, clear } => {
-            let entries = shared.slow_entries(*k as usize);
-            shared.respond(conn, &Response { id: req.id, body: Body::SlowLog(entries) });
-            if *clear {
-                shared.slowlog.clear();
+
+        // Snapshot-at-admission: a query against a versioned target pins its
+        // epoch here, on the reader thread, before it touches a queue — the
+        // answer is then bit-identical to the admitted state no matter how
+        // many batches install while the job waits or runs. This pin is the
+        // only versioning-state lock on the whole read path; the worker
+        // executes lock-free against the pinned epoch. Updates address the
+        // head; static targets have one state and are read in place.
+        let snapshot = match (is_update, versioned, req.as_of) {
+            (true, _, 0) | (false, false, 0) => None,
+            (true, _, _) => {
+                let message = "updates must address the current epoch (as_of must be 0)";
+                return refuse(&stats.bad_requests, ErrorCode::BadRequest, message.into());
             }
-            return;
-        }
-        Op::SetSampling { every } => {
-            shared.sampler.set_every(*every);
-            let pairs = vec![(names::TRACE_SAMPLE_EVERY.to_string(), *every)];
-            shared.respond(conn, &Response { id: req.id, body: Body::Stats(pairs) });
-            return;
-        }
-        Op::Versions => {
-            let m = shared.versions.metrics();
-            shared.respond(
-                conn,
-                &Response {
-                    id: req.id,
-                    body: Body::Versions {
-                        current: m.current_seq,
-                        oldest: m.oldest_seq,
-                        installed: m.installed,
-                        reclaimed_pages: m.reclaimed_pages,
-                        pinned: m.pinned,
-                    },
-                },
-            );
-            return;
-        }
-        Op::Shutdown => {
-            shared.respond(conn, &Response { id: req.id, body: Body::ShutdownAck });
-            shared.begin_shutdown();
-            return;
-        }
-        _ => {}
-    }
-
-    if shared.shutdown.load(Relaxed) {
-        shared.stats.shed_shutdown.fetch_add(1, Relaxed);
-        shared.respond(conn, &Response::error(req.id, ErrorCode::ShuttingDown, "draining"));
-        return;
-    }
-
-    // Route validation happens at admission so a bad request never occupies
-    // a queue slot.
-    let Some(target) = shared.registry.get(req.target) else {
-        shared.stats.bad_requests.fetch_add(1, Relaxed);
-        shared.respond(
-            conn,
-            &Response::error(req.id, ErrorCode::BadRequest, format!("unknown target {}", req.target)),
-        );
-        return;
-    };
-    let is_update = req.op.is_update();
-    if is_update && !target.supports_updates() {
-        shared.stats.bad_requests.fetch_add(1, Relaxed);
-        shared.respond(
-            conn,
-            &Response::error(
-                req.id,
-                ErrorCode::Unsupported,
-                format!("target {} ({}) is read-only", req.target, target.kind()),
-            ),
-        );
-        return;
-    }
-
-    if let Some(ts) = shared.target_stats.get(req.target) {
-        ts.requests.fetch_add(1, Relaxed);
-    }
-
-    // Snapshot-at-admission: a query against a versioned target pins its
-    // epoch here, on the reader thread, before it touches a queue — the
-    // answer is then bit-identical to the admitted state no matter how
-    // many batches install while the job waits or runs. This pin is the
-    // only versioning-state lock on the whole read path; the worker
-    // executes lock-free against the pinned epoch.
-    let snapshot = if is_update {
-        if req.as_of != 0 {
-            shared.stats.bad_requests.fetch_add(1, Relaxed);
-            shared.respond(
-                conn,
-                &Response::error(
-                    req.id,
-                    ErrorCode::BadRequest,
-                    "updates must address the current epoch (as_of must be 0)",
-                ),
-            );
-            return;
-        }
-        None
-    } else if target.versioned_updates() {
-        if req.as_of == 0 {
-            Some(shared.versions.snapshot())
-        } else {
-            match shared.versions.snapshot_at(req.as_of) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    // Outside the retained window (or never installed):
-                    // the typed error carries the addressable range.
-                    shared.stats.bad_requests.fetch_add(1, Relaxed);
-                    shared.respond(
-                        conn,
-                        &Response::error(req.id, ErrorCode::BadRequest, e.to_string()),
-                    );
-                    return;
-                }
-            }
-        }
-    } else if req.as_of != 0 {
-        shared.stats.bad_requests.fetch_add(1, Relaxed);
-        shared.respond(
-            conn,
-            &Response::error(
-                req.id,
-                ErrorCode::Unsupported,
-                format!(
+            (false, false, _) => {
+                let message = format!(
                     "target {} ({}) has no version history (as_of must be 0)",
                     req.target,
                     target.kind()
-                ),
-            ),
-        );
-        return;
-    } else {
-        None
-    };
+                );
+                return refuse(&stats.bad_requests, ErrorCode::Unsupported, message);
+            }
+            (false, true, 0) => Some(self.versions.snapshot()),
+            // Outside the retained window (or never installed): the typed
+            // error carries the addressable range.
+            (false, true, seq) => match self.versions.snapshot_at(seq) {
+                Ok(snapshot) => Some(snapshot),
+                Err(e) => return refuse(&stats.bad_requests, ErrorCode::BadRequest, e.to_string()),
+            },
+        };
 
-    let deadline = (req.deadline_ms > 0).then(|| now + Duration::from_millis(req.deadline_ms as u64));
-    let id = req.id;
-    // Sampling is decided once, at admission, from the request id alone —
-    // `FLAG_TRACE` forces it per request; otherwise the deterministic
-    // sampler makes the sampled set reproducible across runs.
-    let sampled = req.flags & FLAG_TRACE != 0 || shared.sampler.should_sample(req.id);
-    let job = Job { req, conn: Arc::clone(conn), enqueued: now, deadline, sampled, snapshot };
-    let queue = if is_update { &shared.updates } else { &shared.queries };
-    match queue.try_push(job) {
-        Ok(()) => {
-            shared.stats.admitted.fetch_add(1, Relaxed);
-        }
+        let deadline = (req.deadline_ms > 0).then(|| now + Duration::from_millis(req.deadline_ms as u64));
+        // Sampling is decided once, at admission, from the request id alone —
+        // `FLAG_TRACE` forces it per request; otherwise the deterministic
+        // sampler makes the sampled set reproducible across runs.
+        let sampled = req.flags & FLAG_TRACE != 0 || self.sampler.should_sample(req.id);
+        let job = Job { req, conn: Arc::clone(conn), enqueued: now, deadline, sampled, snapshot };
+        let queue = if is_update { &self.updates } else { &self.queries };
         // A shed job gives its pin back before its reply leaves, as an
         // answered one does (`worker_loop`).
-        Err(PushError::Full(job)) => {
-            drop(job);
-            shared.stats.overloaded.fetch_add(1, Relaxed);
-            shared.respond(conn, &Response::error(id, ErrorCode::Overloaded, "queue full"));
-        }
-        Err(PushError::Closed(job)) => {
-            drop(job);
-            shared.stats.shed_shutdown.fetch_add(1, Relaxed);
-            shared.respond(conn, &Response::error(id, ErrorCode::ShuttingDown, "draining"));
-        }
-    }
-}
-
-fn conn_loop(shared: &Shared, conn: Arc<Conn>) {
-    let mut reader = FrameReader::new(shared.cfg.max_frame);
-    let mut last_activity = Instant::now();
-    let mut seen_bytes = 0u64;
-    // When this reader first saw the server draining.
-    let mut draining_since: Option<Instant> = None;
-    loop {
-        if shared.shutdown.load(Relaxed) {
-            // Nothing is admitted any more, but what the peer sent before
-            // it could know is still read, and `handle_request` answers
-            // each with `ShuttingDown`. Closing the socket over unread
-            // requests makes the kernel reset the connection: the peer
-            // then gets an I/O error where the protocol promises a typed
-            // one, possibly ahead of admitted jobs' responses it has not
-            // read yet. The grace ends with the first quiet tick — or, for
-            // a peer that keeps sending, when a stalled write would.
-            let since = *draining_since.get_or_insert_with(Instant::now);
-            if since.elapsed() >= shared.cfg.write_timeout {
+        let (job, counter, code, message) = match queue.try_push(job) {
+            Ok(()) => {
+                stats.admitted.fetch_add(1, Relaxed);
                 return;
             }
-        }
-        match reader.poll(&mut (&conn.stream)) {
-            Ok(FrameProgress::Frame(payload)) => {
-                last_activity = Instant::now();
-                match decode_request(&payload) {
-                    Ok(req) => handle_request(shared, &conn, req),
-                    Err(e) => {
-                        // The framing survives a bad payload, but a peer
-                        // sending garbage gets one typed error and a close.
-                        shared.stats.bad_requests.fetch_add(1, Relaxed);
-                        shared.respond(&conn, &Response::error(0, ErrorCode::BadRequest, e.to_string()));
-                        return;
-                    }
-                }
+            Err(PushError::Full(job)) => (job, &stats.overloaded, ErrorCode::Overloaded, "queue full"),
+            Err(PushError::Closed(job)) => {
+                (job, &stats.shed_shutdown, ErrorCode::ShuttingDown, "draining")
             }
-            Ok(FrameProgress::Pending) => {
-                if draining_since.is_some() {
-                    // Admitted jobs still hold the Conn and write their
-                    // responses before the socket finally closes.
-                    return;
-                }
-                if reader.bytes_read() != seen_bytes {
-                    seen_bytes = reader.bytes_read();
-                    last_activity = Instant::now();
-                } else if last_activity.elapsed() >= shared.cfg.idle_timeout {
-                    // Peer went silent (possibly mid-frame): reclaim the
-                    // connection instead of leaking it.
-                    shared.stats.conns_idle_closed.fetch_add(1, Relaxed);
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                    return;
-                }
-            }
-            Ok(FrameProgress::Eof) | Err(_) => return,
-        }
+        };
+        drop(job);
+        refuse(counter, code, message.into());
     }
-}
 
-fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener, conns: &Mutex<Vec<JoinHandle<()>>>) {
-    while !shared.shutdown.load(Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared.stats.conns_accepted.fetch_add(1, Relaxed);
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(shared.cfg.poll_tick));
-                let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-                let conn = Arc::new(Conn { stream, wlock: Mutex::new(()) });
-                {
-                    let mut socks = shared.conn_socks.lock();
-                    socks.retain(|w| w.strong_count() > 0);
-                    socks.push(Arc::downgrade(&conn));
-                }
-                let shared = Arc::clone(shared);
-                let handle = std::thread::spawn(move || conn_loop(&shared, conn));
-                let mut g = conns.lock();
-                // Opportunistically reap finished readers so the vec stays
-                // bounded on long-lived servers.
-                g.retain(|h| !h.is_finished());
-                g.push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.cfg.poll_tick.min(Duration::from_millis(10)));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
+    fn draining(&self) -> bool {
+        self.shutdown.load(Relaxed)
+    }
+
+    fn event(&self, event: ConnEvent) {
+        let counter = match event {
+            ConnEvent::Accepted => &self.stats.conns_accepted,
+            ConnEvent::IdleClosed => &self.stats.conns_idle_closed,
+            ConnEvent::Undecodable => &self.stats.bad_requests,
+        };
+        counter.fetch_add(1, Relaxed);
     }
 }
 
@@ -895,15 +708,11 @@ pub struct Server;
 impl Server {
     /// Binds `config.addr`, spawns the thread pool, and returns a handle.
     pub fn spawn(service: Service, config: ServerConfig) -> io::Result<ServerHandle> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
-        let target_names: Vec<String> = service
-            .registry
-            .describe()
-            .into_iter()
-            .map(|(_, name, _, _)| name.to_string())
+        let registry = &service.registry;
+        let target_names: Vec<String> = (0..registry.len() as u16)
+            .filter_map(|tid| registry.name(tid))
+            .map(str::to_string)
             .collect();
         // The epoch manager. On a recovered durable store the last commit
         // metadata restores the exact committed epoch (seq + page map +
@@ -915,16 +724,11 @@ impl Server {
             Some(meta) => {
                 Arc::new(VersionedStore::open(Arc::clone(&service.store), Some(&meta), vcfg))
             }
-            None => {
-                let descriptors: Vec<Option<Vec<u8>>> = (0..service.registry.len() as u16)
-                    .map(|tid| service.registry.get(tid).and_then(|t| t.descriptor()))
-                    .collect();
-                Arc::new(VersionedStore::new(
-                    Arc::clone(&service.store),
-                    vcfg,
-                    &encode_commit_meta(0, &descriptors),
-                ))
-            }
+            None => Arc::new(VersionedStore::new(
+                Arc::clone(&service.store),
+                vcfg,
+                &encode_commit_meta(0, &registry.descriptors()),
+            )),
         };
         let shared = Arc::new(Shared {
             registry: service.registry,
@@ -937,19 +741,12 @@ impl Server {
             // recovered epoch rather than restarting at 0.
             batch_seq: AtomicU64::new(versions.current_seq()),
             versions,
-            sampler: Sampler::new(config.trace_sample, config.trace_seed),
-            slowlog: SlowLog::new(config.slowlog_k),
+            sampler: Sampler::new(config.trace_sample, TRACE_SEED),
+            slowlog: SlowLog::new(SLOWLOG_K),
             target_stats: TargetStatsSet::new(target_names),
-            conn_socks: Mutex::new(Vec::new()),
             store: service.store,
-            cfg: config,
         });
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conn_threads);
-            std::thread::spawn(move || acceptor_loop(&shared, listener, &conns))
-        };
+        let front = Front::spawn(&config.addr, config.idle_timeout, Arc::clone(&shared))?;
         let worker_handles = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -960,32 +757,23 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || batcher_loop(&shared))
         };
-        Ok(ServerHandle {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-            workers: worker_handles,
-            batcher: Some(batcher),
-            conn_threads,
-        })
+        Ok(ServerHandle { front, shared, workers: worker_handles, batcher: Some(batcher) })
     }
 }
 
 /// Owner handle for a running server. Dropping it shuts the server down
 /// and joins every thread.
 pub struct ServerHandle {
-    addr: SocketAddr,
+    front: Front,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     batcher: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl ServerHandle {
     /// The bound address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// Live service counters.
@@ -1010,12 +798,6 @@ impl ServerHandle {
         &self.shared.versions
     }
 
-    /// Per-target metric families (tests and embedding binaries read them
-    /// directly; remote scrapers use the ADMIN `Stats`/`Metrics` ops).
-    pub fn target_stats(&self) -> &TargetStatsSet {
-        &self.shared.target_stats
-    }
-
     /// The slow-query log (in-process view; `SlowLog` ADMIN op remotely).
     pub fn slow_log(&self) -> &SlowLog {
         &self.shared.slowlog
@@ -1024,11 +806,6 @@ impl ServerHandle {
     /// Current trace-sampling rate (1 in N; 0 = off).
     pub fn trace_sampling(&self) -> u64 {
         self.shared.sampler.every()
-    }
-
-    /// Retunes the trace-sampling rate live, same as the ADMIN op.
-    pub fn set_trace_sampling(&self, every: u64) {
-        self.shared.sampler.set_every(every);
     }
 
     /// True once shutdown has been requested (locally or over the wire).
@@ -1051,11 +828,7 @@ impl ServerHandle {
     /// sent only after its group commit.
     pub fn kill(&self) {
         self.shared.begin_shutdown();
-        for weak in self.shared.conn_socks.lock().iter() {
-            if let Some(conn) = weak.upgrade() {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-        }
+        self.front.cut_all();
     }
 
     /// Shuts down and joins every thread; admitted work is answered first.
@@ -1065,9 +838,6 @@ impl ServerHandle {
 
     fn join_inner(&mut self) {
         self.shared.begin_shutdown();
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -1081,10 +851,7 @@ impl ServerHandle {
             // the shutdown flavor of the lost-ack bug.
             let _ = self.shared.store.sync();
         }
-        loop {
-            let Some(h) = self.conn_threads.lock().pop() else { break };
-            let _ = h.join();
-        }
+        self.front.join();
     }
 }
 
@@ -1126,7 +893,7 @@ mod tests {
         // A connection of the test's own: the worker writes to `served`.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let conn = Arc::new(Conn { stream: listener.accept().unwrap().0, wlock: Mutex::new(()) });
+        let conn = Arc::new(Conn::new(listener.accept().unwrap().0));
 
         let writing = conn.wlock.lock();
         let op = Op::TwoSided { x0: 0, y0: 0 };

@@ -1,16 +1,24 @@
-//! The [`QueryTarget`] registry: the router's only view of a data
+//! The [`QueryTarget`] registry: the server's only view of a data
 //! structure.
 //!
 //! The server never matches on concrete structure types. Each served
 //! structure is registered as a boxed [`QueryTarget`] and addressed by its
-//! registry index ([`Request::target`]); the trait maps a wire [`Op`] to a
-//! wire [`Body`] (or a typed [`TargetError`]), so adding a new external
-//! structure to the server is one `impl` plus one `register` call — no
-//! router changes. Update-capable targets additionally accept a *slice* of
-//! updates: the batching stage hands over everything it coalesced so the
-//! target pays its lock acquisition and root-path traffic once per batch,
-//! not once per update (the Thm 5.1 buffering idea applied at the service
-//! boundary).
+//! registry index (`Request::target`); the trait maps a wire [`Op`] to a
+//! wire [`Body`] (or a typed [`TargetError`]).
+//!
+//! That mapping is written once. A structure says which queries it
+//! [`Answers`] — one method per read op, each absent by default — and
+//! `answer` holds the one arm per op that turns a wire op into the call and
+//! the result into its wire body. A structure that also takes [`Updates`]
+//! (insert, delete, a reopen descriptor) is served by [`Dynamic`], which
+//! holds the one insert/delete loop: the batching stage hands over everything
+//! it coalesced, so the structure pays its lock acquisition and root-path
+//! traffic once per batch, not once per update (the Thm 5.1 buffering idea
+//! applied at the service boundary). Because `Updates` demands the
+//! descriptor, every target that accepts an update is versioned and
+//! time-travelable: there is no second, unversioned update path. Adding a
+//! structure to the server is one `impl Answers` (plus `impl Updates`) and
+//! one `register` call.
 //!
 //! All registered structures share one [`PageStore`] (`&self` API, `Sync`),
 //! so worker threads query concurrently through the sharded buffer pool.
@@ -19,7 +27,7 @@ use std::fmt;
 
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pagestore::{PageStore, Point, StoreError};
+use pc_pagestore::{Interval, PageStore, Point, StoreError};
 use pc_pst::{
     DynamicPst, DynamicThreeSidedPst, NaivePst, ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
 };
@@ -76,14 +84,8 @@ pub trait QueryTarget: Send + Sync {
     /// Stable kind name for stats and error messages (e.g. `"btree"`).
     fn kind(&self) -> &'static str;
 
-    /// Serves one read op. Admin ops are never routed here.
+    /// Serves one read op; anything else is `Unsupported`.
     fn query(&self, store: &PageStore, op: &Op) -> Result<Body, TargetError>;
-
-    /// Whether [`QueryTarget::apply_updates`] can succeed; the router
-    /// rejects updates to static targets before they reach a queue.
-    fn supports_updates(&self) -> bool {
-        false
-    }
 
     /// Applies a coalesced batch of updates, returning one result per op in
     /// order. The default rejects everything (static structure).
@@ -94,24 +96,22 @@ pub trait QueryTarget: Send + Sync {
             .collect()
     }
 
-    /// Serialized reopen handle for this target's current state, if the
-    /// structure supports one (e.g. [`pc_pst::DynamicPst::descriptor`]).
-    /// On a durable store the batcher commits these with every group, so
-    /// after a crash the recovered store's `last_commit_meta` carries
-    /// exactly the handles matching the acknowledged state — see
-    /// [`crate::server::decode_commit_meta`].
+    /// Serialized reopen handle for this target's current state — `Some`
+    /// exactly when [`QueryTarget::versioned_updates`]. The batcher commits
+    /// these with every epoch, so after a crash the recovered store's
+    /// `last_commit_meta` carries exactly the handles matching the
+    /// acknowledged state (see [`crate::server::decode_commit_meta`]), and
+    /// an `as_of` read finds the handle of the epoch it addresses.
     fn descriptor(&self) -> Option<Vec<u8>> {
         None
     }
 
-    /// True when this target's updates run inside the versioning layer's
-    /// copy-on-write apply session, which requires a reopen handle: an
-    /// epoch snapshot answers queries from a [`QueryTarget::open_frozen`]
-    /// view built from the descriptor committed with that epoch. Targets
-    /// without a descriptor (e.g. the dynamic 3-sided PST) update the
-    /// live pages directly and are not time-travelable.
+    /// The one predicate for "this target takes updates": they run inside
+    /// the versioning layer's copy-on-write apply session, and its reads are
+    /// answered from a [`QueryTarget::open_frozen`] view of the epoch pinned
+    /// at admission. False for static targets, which are read in place.
     fn versioned_updates(&self) -> bool {
-        self.descriptor().is_some()
+        false
     }
 
     /// Reopens a read-only view of this target's state as captured by a
@@ -141,160 +141,236 @@ impl FrozenView {
     }
 }
 
-fn unsupported(op: &Op, target: &'static str) -> TargetError {
-    TargetError::Unsupported { op: op.name(), target }
+type Answer<T> = Option<Result<Vec<T>, StoreError>>;
+
+/// The queries a structure answers: one method per read op, `None` (the
+/// default) where the structure has no such query.
+pub trait Answers: Send + Sync {
+    /// Stable kind name (see [`QueryTarget::kind`]).
+    const KIND: &'static str;
+
+    /// 1-d key range `[lo, hi]`.
+    fn range1d(&self, _store: &PageStore, _lo: i64, _hi: i64) -> Answer<(i64, u64)> {
+        None
+    }
+    /// Stabbing query at `q`.
+    fn stab(&self, _store: &PageStore, _q: i64) -> Answer<Interval> {
+        None
+    }
+    /// 2-sided query.
+    fn two_sided(&self, _store: &PageStore, _q: TwoSided) -> Answer<Point> {
+        None
+    }
+    /// 3-sided query.
+    fn three_sided(&self, _store: &PageStore, _q: ThreeSided) -> Answer<Point> {
+        None
+    }
 }
 
-/// A read-only B-tree serving [`Op::Range1d`].
-pub struct BTreeTarget(pub BTree<i64, u64>);
-
-impl QueryTarget for BTreeTarget {
-    fn kind(&self) -> &'static str {
-        "btree"
-    }
-
-    fn query(&self, store: &PageStore, op: &Op) -> Result<Body, TargetError> {
-        match op {
-            Op::Range1d { lo, hi } => Ok(Body::Keys(self.0.range(store, lo, hi)?)),
-            other => Err(unsupported(other, self.kind())),
+/// The one body under every target's `query`: each read op's arm, once.
+fn answer<S: Answers>(
+    s: &S,
+    kind: &'static str,
+    store: &PageStore,
+    op: &Op,
+) -> Result<Body, TargetError> {
+    let body = match *op {
+        Op::Range1d { lo, hi } => s.range1d(store, lo, hi).map(|r| r.map(Body::Keys)),
+        Op::Stab { q } => s.stab(store, q).map(|r| r.map(Body::Intervals)),
+        Op::TwoSided { x0, y0 } => {
+            s.two_sided(store, TwoSided { x0, y0 }).map(|r| r.map(Body::Points))
         }
-    }
-}
-
-/// A path-cached segment tree serving [`Op::Stab`].
-pub struct SegTreeTarget(pub CachedSegmentTree);
-
-impl QueryTarget for SegTreeTarget {
-    fn kind(&self) -> &'static str {
-        "segtree"
-    }
-
-    fn query(&self, store: &PageStore, op: &Op) -> Result<Body, TargetError> {
-        match op {
-            Op::Stab { q } => Ok(Body::Intervals(self.0.stab(store, *q)?)),
-            other => Err(unsupported(other, self.kind())),
+        Op::ThreeSided { x1, x2, y0 } => {
+            s.three_sided(store, ThreeSided { x1, x2, y0 }).map(|r| r.map(Body::Points))
         }
+        _ => None,
+    };
+    match body {
+        Some(result) => Ok(result?),
+        None => Err(TargetError::Unsupported { op: op.name(), target: kind }),
     }
 }
 
-/// An external interval tree serving [`Op::Stab`].
-pub struct IntervalTreeTarget(pub ExternalIntervalTree);
-
-impl QueryTarget for IntervalTreeTarget {
-    fn kind(&self) -> &'static str {
-        "intervaltree"
-    }
-
-    fn query(&self, store: &PageStore, op: &Op) -> Result<Body, TargetError> {
-        match op {
-            Op::Stab { q } => Ok(Body::Intervals(self.0.stab(store, *q)?)),
-            other => Err(unsupported(other, self.kind())),
-        }
+impl Answers for BTree<i64, u64> {
+    const KIND: &'static str = "btree";
+    fn range1d(&self, store: &PageStore, lo: i64, hi: i64) -> Answer<(i64, u64)> {
+        Some(self.range(store, &lo, &hi))
     }
 }
 
-/// A static two-level PST serving [`Op::TwoSided`].
-pub struct PstTarget(pub TwoLevelPst);
-
-impl QueryTarget for PstTarget {
-    fn kind(&self) -> &'static str {
-        "pst"
+impl Answers for CachedSegmentTree {
+    const KIND: &'static str = "segtree";
+    fn stab(&self, store: &PageStore, q: i64) -> Answer<Interval> {
+        Some(CachedSegmentTree::stab(self, store, q))
     }
+}
 
-    fn query(&self, store: &PageStore, op: &Op) -> Result<Body, TargetError> {
-        match op {
-            Op::TwoSided { x0, y0 } => {
-                Ok(Body::Points(self.0.query(store, TwoSided { x0: *x0, y0: *y0 })?))
+impl Answers for ExternalIntervalTree {
+    const KIND: &'static str = "intervaltree";
+    fn stab(&self, store: &PageStore, q: i64) -> Answer<Interval> {
+        Some(ExternalIntervalTree::stab(self, store, q))
+    }
+}
+
+impl Answers for TwoLevelPst {
+    const KIND: &'static str = "pst";
+    fn two_sided(&self, store: &PageStore, q: TwoSided) -> Answer<Point> {
+        Some(self.query(store, q))
+    }
+}
+
+impl Answers for NaivePst {
+    const KIND: &'static str = "naive_pst";
+    fn two_sided(&self, store: &PageStore, q: TwoSided) -> Answer<Point> {
+        Some(self.query(store, q))
+    }
+}
+
+impl Answers for ThreeSidedPst {
+    const KIND: &'static str = "pst3";
+    fn three_sided(&self, store: &PageStore, q: ThreeSided) -> Answer<Point> {
+        Some(self.query(store, q))
+    }
+}
+
+impl Answers for DynamicPst {
+    const KIND: &'static str = "dynamic_pst";
+    fn two_sided(&self, store: &PageStore, q: TwoSided) -> Answer<Point> {
+        Some(self.query(store, q))
+    }
+}
+
+impl Answers for DynamicThreeSidedPst {
+    const KIND: &'static str = "dynamic_pst3";
+    fn three_sided(&self, store: &PageStore, q: ThreeSided) -> Answer<Point> {
+        Some(self.query(store, q))
+    }
+}
+
+/// A static target: a public newtype over a structure, read in place.
+macro_rules! static_target {
+    ($(#[$meta:meta])* $Target:ident($S:ty)) => {
+        $(#[$meta])*
+        pub struct $Target(pub $S);
+
+        impl QueryTarget for $Target {
+            fn kind(&self) -> &'static str {
+                <$S>::KIND
             }
-            other => Err(unsupported(other, self.kind())),
-        }
-    }
-}
-
-/// The paper's baseline: a naive externalized PST serving [`Op::TwoSided`]
-/// *without* path caching. It exists in the registry for live A/B
-/// comparison — its deep-corner queries are the Figure-3 pathology the
-/// slow-query log's wasteful-I/O ranking is built to catch.
-pub struct NaivePstTarget(pub NaivePst);
-
-impl QueryTarget for NaivePstTarget {
-    fn kind(&self) -> &'static str {
-        "naive_pst"
-    }
-
-    fn query(&self, store: &PageStore, op: &Op) -> Result<Body, TargetError> {
-        match op {
-            Op::TwoSided { x0, y0 } => {
-                Ok(Body::Points(self.0.query(store, TwoSided { x0: *x0, y0: *y0 })?))
+            fn query(&self, store: &PageStore, op: &Op) -> Result<Body, TargetError> {
+                answer(&self.0, <$S>::KIND, store, op)
             }
-            other => Err(unsupported(other, self.kind())),
         }
-    }
+    };
 }
 
-/// A static 3-sided PST serving [`Op::ThreeSided`].
-pub struct ThreeSidedTarget(pub ThreeSidedPst);
-
-impl QueryTarget for ThreeSidedTarget {
-    fn kind(&self) -> &'static str {
-        "pst3"
-    }
-
-    fn query(&self, store: &PageStore, op: &Op) -> Result<Body, TargetError> {
-        match op {
-            Op::ThreeSided { x1, x2, y0 } => Ok(Body::Points(self.0.query(
-                store,
-                ThreeSided { x1: *x1, x2: *x2, y0: *y0 },
-            )?)),
-            other => Err(unsupported(other, self.kind())),
-        }
-    }
+static_target! {
+    /// A read-only B-tree serving [`Op::Range1d`].
+    BTreeTarget(BTree<i64, u64>)
 }
+static_target! {
+    /// A path-cached segment tree serving [`Op::Stab`].
+    SegTreeTarget(CachedSegmentTree)
+}
+static_target! {
+    /// An external interval tree serving [`Op::Stab`].
+    IntervalTreeTarget(ExternalIntervalTree)
+}
+static_target! {
+    /// A static two-level PST serving [`Op::TwoSided`].
+    PstTarget(TwoLevelPst)
+}
+static_target! {
+    /// The paper's baseline: a naive externalized PST serving
+    /// [`Op::TwoSided`] *without* path caching. It exists in the registry for
+    /// live A/B comparison — its deep-corner queries are the Figure-3
+    /// pathology the slow-query log's wasteful-I/O ranking is built to catch.
+    NaivePstTarget(NaivePst)
+}
+static_target! {
+    /// A static 3-sided PST serving [`Op::ThreeSided`].
+    ThreeSidedTarget(ThreeSidedPst)
+}
+
+/// A structure that takes updates. The descriptor is part of the contract,
+/// so whatever [`Dynamic`] serves can be reopened — frozen at an epoch, or
+/// after a crash.
+pub trait Updates: Answers + Sized + 'static {
+    /// [`Answers::KIND`] of a frozen per-epoch view.
+    const FROZEN_KIND: &'static str;
+    /// Inserts a point.
+    fn insert(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError>;
+    /// Deletes a point.
+    fn delete(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError>;
+    /// The reopen handle of the current state.
+    fn descriptor(&self) -> Vec<u8>;
+    /// Reopens the state a descriptor names.
+    fn open(store: &PageStore, desc: &[u8]) -> Result<Self, StoreError>;
+}
+
+/// `Updates` for a structure whose inherent methods already are the contract.
+macro_rules! updates {
+    ($S:ty, frozen $kind:literal) => {
+        impl Updates for $S {
+            const FROZEN_KIND: &'static str = $kind;
+            fn insert(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError> {
+                <$S>::insert(self, store, p)
+            }
+            fn delete(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError> {
+                <$S>::delete(self, store, p)
+            }
+            fn descriptor(&self) -> Vec<u8> {
+                <$S>::descriptor(self).into()
+            }
+            fn open(store: &PageStore, desc: &[u8]) -> Result<Self, StoreError> {
+                <$S>::open(store, desc)
+            }
+        }
+    };
+}
+updates!(DynamicPst, frozen "dynamic_pst@epoch");
+updates!(DynamicThreeSidedPst, frozen "dynamic_pst3@epoch");
+
+/// An update-capable target. The mutex is held once per *batch*, which is
+/// exactly the coalescing win: the live structure is only ever touched by
+/// the batcher (and by embedders reading it directly); served reads go
+/// through [`QueryTarget::open_frozen`] views instead.
+pub struct Dynamic<S: Updates>(pub Mutex<S>);
 
 /// A dynamic PST serving [`Op::TwoSided`] plus batched inserts/deletes.
-/// The mutex is held once per *batch*, which is exactly the coalescing win:
-/// queries interleave between batches, not between individual updates.
-pub struct DynamicPstTarget(pub Mutex<DynamicPst>);
+pub type DynamicPstTarget = Dynamic<DynamicPst>;
+/// A dynamic 3-sided PST serving [`Op::ThreeSided`] plus batched updates.
+pub type DynamicThreeSidedTarget = Dynamic<DynamicThreeSidedPst>;
 
-impl DynamicPstTarget {
-    /// Wraps an already-built dynamic PST.
-    pub fn new(pst: DynamicPst) -> DynamicPstTarget {
-        DynamicPstTarget(Mutex::new(pst))
+impl<S: Updates> Dynamic<S> {
+    /// Wraps an already-built structure.
+    pub fn new(structure: S) -> Dynamic<S> {
+        Dynamic(Mutex::new(structure))
     }
 
-    /// Reopens from a committed [`DynamicPst::descriptor`] (crash
-    /// recovery: the handle comes out of the recovered store's
-    /// `last_commit_meta`).
-    pub fn open(store: &PageStore, desc: &[u8]) -> Result<DynamicPstTarget, TargetError> {
-        Ok(DynamicPstTarget::new(DynamicPst::open(store, desc)?))
+    /// Reopens from a committed descriptor (crash recovery: the handle
+    /// comes out of the recovered store's `last_commit_meta`).
+    pub fn open(store: &PageStore, desc: &[u8]) -> Result<Dynamic<S>, TargetError> {
+        Ok(Dynamic::new(S::open(store, desc)?))
     }
 }
 
-impl QueryTarget for DynamicPstTarget {
+impl<S: Updates> QueryTarget for Dynamic<S> {
     fn kind(&self) -> &'static str {
-        "dynamic_pst"
+        S::KIND
     }
 
     fn query(&self, store: &PageStore, op: &Op) -> Result<Body, TargetError> {
-        match op {
-            Op::TwoSided { x0, y0 } => {
-                Ok(Body::Points(self.0.lock().query(store, TwoSided { x0: *x0, y0: *y0 })?))
-            }
-            other => Err(unsupported(other, self.kind())),
-        }
-    }
-
-    fn supports_updates(&self) -> bool {
-        true
+        answer(&*self.0.lock(), S::KIND, store, op)
     }
 
     fn apply_updates(&self, store: &PageStore, ops: &[UpdateOp]) -> Vec<Result<(), TargetError>> {
-        let mut pst = self.0.lock();
+        let mut structure = self.0.lock();
         ops.iter()
             .map(|op| {
-                match op {
-                    UpdateOp::Insert(p) => pst.insert(store, *p),
-                    UpdateOp::Delete(p) => pst.delete(store, *p),
+                match *op {
+                    UpdateOp::Insert(p) => structure.insert(store, p),
+                    UpdateOp::Delete(p) => structure.delete(store, p),
                 }
                 .map_err(TargetError::from)
             })
@@ -302,7 +378,11 @@ impl QueryTarget for DynamicPstTarget {
     }
 
     fn descriptor(&self) -> Option<Vec<u8>> {
-        Some(self.0.lock().descriptor().to_vec())
+        Some(self.0.lock().descriptor())
+    }
+
+    fn versioned_updates(&self) -> bool {
+        true
     }
 
     fn open_frozen(
@@ -310,71 +390,23 @@ impl QueryTarget for DynamicPstTarget {
         store: &PageStore,
         desc: &[u8],
     ) -> Result<Box<dyn QueryTarget>, TargetError> {
-        Ok(Box::new(FrozenDynamicPst(DynamicPst::open(store, desc)?)))
+        Ok(Box::new(Frozen(S::open(store, desc)?)))
     }
 }
 
-/// Read-only reopen of a [`DynamicPst`] at a committed descriptor.
-/// `DynamicPst::query` is `&self`, so no mutex is needed: the state is
-/// immutable by construction (page reads resolve through the pinned
-/// epoch that produced the descriptor).
-struct FrozenDynamicPst(DynamicPst);
+/// Read-only reopen of a dynamic structure at a committed descriptor. Its
+/// queries are `&self`, so no mutex is needed: the state is immutable by
+/// construction (page reads resolve through the pinned epoch that produced
+/// the descriptor).
+struct Frozen<S: Updates>(S);
 
-impl QueryTarget for FrozenDynamicPst {
+impl<S: Updates> QueryTarget for Frozen<S> {
     fn kind(&self) -> &'static str {
-        "dynamic_pst@epoch"
+        S::FROZEN_KIND
     }
 
     fn query(&self, store: &PageStore, op: &Op) -> Result<Body, TargetError> {
-        match op {
-            Op::TwoSided { x0, y0 } => {
-                Ok(Body::Points(self.0.query(store, TwoSided { x0: *x0, y0: *y0 })?))
-            }
-            other => Err(unsupported(other, self.kind())),
-        }
-    }
-}
-
-/// A dynamic 3-sided PST serving [`Op::ThreeSided`] plus batched updates.
-pub struct DynamicThreeSidedTarget(pub Mutex<DynamicThreeSidedPst>);
-
-impl DynamicThreeSidedTarget {
-    /// Wraps an already-built dynamic 3-sided PST.
-    pub fn new(pst: DynamicThreeSidedPst) -> DynamicThreeSidedTarget {
-        DynamicThreeSidedTarget(Mutex::new(pst))
-    }
-}
-
-impl QueryTarget for DynamicThreeSidedTarget {
-    fn kind(&self) -> &'static str {
-        "dynamic_pst3"
-    }
-
-    fn query(&self, store: &PageStore, op: &Op) -> Result<Body, TargetError> {
-        match op {
-            Op::ThreeSided { x1, x2, y0 } => Ok(Body::Points(self.0.lock().query(
-                store,
-                ThreeSided { x1: *x1, x2: *x2, y0: *y0 },
-            )?)),
-            other => Err(unsupported(other, self.kind())),
-        }
-    }
-
-    fn supports_updates(&self) -> bool {
-        true
-    }
-
-    fn apply_updates(&self, store: &PageStore, ops: &[UpdateOp]) -> Vec<Result<(), TargetError>> {
-        let mut pst = self.0.lock();
-        ops.iter()
-            .map(|op| {
-                match op {
-                    UpdateOp::Insert(p) => pst.insert(store, *p),
-                    UpdateOp::Delete(p) => pst.delete(store, *p),
-                }
-                .map_err(TargetError::from)
-            })
-            .collect()
+        answer(&self.0, S::FROZEN_KIND, store, op)
     }
 }
 
@@ -417,13 +449,10 @@ impl Registry {
         self.targets.is_empty()
     }
 
-    /// `(id, name, kind, supports_updates)` for every target, for stats.
-    pub fn describe(&self) -> Vec<(u16, &str, &'static str, bool)> {
-        self.targets
-            .iter()
-            .enumerate()
-            .map(|(i, (n, t))| (i as u16, n.as_str(), t.kind(), t.supports_updates()))
-            .collect()
+    /// Every target's reopen descriptor, in registry order: what an epoch's
+    /// commit metadata carries (see [`crate::server::encode_commit_meta`]).
+    pub fn descriptors(&self) -> Vec<Option<Vec<u8>>> {
+        self.targets.iter().map(|(_, t)| t.descriptor()).collect()
     }
 }
 
@@ -474,9 +503,14 @@ mod tests {
         assert!(matches!(err, TargetError::Unsupported { .. }));
         assert!(err.to_string().contains("btree"));
 
-        // Static targets refuse updates; the dynamic one advertises them.
-        assert!(!reg.get(bt).unwrap().supports_updates());
-        assert!(reg.get(dy).unwrap().supports_updates());
+        // Static targets refuse updates; the dynamic one advertises them,
+        // and with them its descriptor.
+        assert!(!reg.get(bt).unwrap().versioned_updates());
+        assert!(reg.get(dy).unwrap().versioned_updates());
+        assert_eq!(
+            reg.descriptors().iter().map(Option::is_some).collect::<Vec<_>>(),
+            [false, false, false, false, true]
+        );
         let res = reg
             .get(bt)
             .unwrap()

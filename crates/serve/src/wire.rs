@@ -27,20 +27,32 @@
 //! Client and server ship from one workspace, so older frames are rejected
 //! with a typed `BadVersion` rather than down-negotiated.
 //!
+//! **One declaration per message.** Every type that crosses the wire has one
+//! form, its `Wire` impl: integers little-endian, `bool` a byte, a `String`
+//! a `u16` length and its bytes (`as Text`: a `u32` length, for bodies that
+//! outgrow 64 KiB), a `Vec` a `u32` count and its elements, structs and
+//! tuples their fields in order. A message's fields are written once — in
+//! the `wire_struct!` / `wire_enum!` tables below, next to the opcode,
+//! response kind or error code that selects them — and that one list yields
+//! the Rust type, its encoder, its decoder and `MIN_BYTES`, the fewest bytes a
+//! value can take.
+//!
 //! Decoding is total: any byte string — truncated, corrupted, or
 //! adversarial — produces either a value or a typed [`DecodeError`], never a
 //! panic and never an allocation larger than the frame that carried it
-//! (element counts are validated against the bytes actually present before
-//! any `Vec` is sized). That property is pinned by the `wire_proptest` suite.
+//! (an element count is validated against the bytes actually present, at
+//! the element type's `MIN_BYTES` each, before any `Vec` is sized). That property
+//! is pinned by the `wire_proptest` suite; the bytes themselves by
+//! `wire_golden`.
 //!
-//! Responses encode into a single exact-size buffer that includes the length
-//! prefix and is handed out as a [`Page`] (`Arc<[u8]>`): queueing, retrying,
-//! or multi-writer fan-out clones a refcount, not the result bytes, so a
-//! large `Points` result is materialized exactly once on its way to the
-//! socket.
+//! A frame is encoded in place behind a 4-byte placeholder for its length,
+//! so the payload is written once. A response frame is then moved into a
+//! [`Page`] (`Arc<[u8]>`, one more copy of the bytes — ROADMAP item 11 takes
+//! it out): queueing, retrying, or multi-writer fan-out clone a refcount,
+//! not the result.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 use pc_pagestore::{Interval, Page, Point};
 
@@ -51,168 +63,411 @@ pub const VERSION: u8 = 3;
 /// Hard cap on a frame payload; a larger announced length is rejected
 /// before any allocation (protects against corrupt/hostile prefixes).
 pub const MAX_FRAME: usize = 1 << 24;
-/// Conventional `target` value for admin ops (the field is ignored there).
-pub const ADMIN_TARGET: u16 = 0;
 
 /// Request flag: force a request-scoped trace for this request, bypassing
 /// the server's sampling rate (the trace lands in the slow-query log like
 /// any sampled trace). Unknown flag bits are preserved and ignored.
 pub const FLAG_TRACE: u8 = 1;
 
-// Request opcodes. Query/update ops are < 16; admin ops are >= 16.
-const OP_RANGE1D: u8 = 1;
-const OP_STAB: u8 = 2;
-const OP_TWO_SIDED: u8 = 3;
-const OP_THREE_SIDED: u8 = 4;
-const OP_INSERT: u8 = 5;
-const OP_DELETE: u8 = 6;
-const OP_PING: u8 = 16;
-const OP_STATS: u8 = 17;
-const OP_METRICS: u8 = 18;
-const OP_SHUTDOWN: u8 = 19;
-const OP_SLOW_LOG: u8 = 20;
-const OP_SET_SAMPLING: u8 = 21;
-const OP_VERSIONS: u8 = 22;
-
-// Response kinds.
-const RESP_POINTS: u8 = 1;
-const RESP_INTERVALS: u8 = 2;
-const RESP_KEYS: u8 = 3;
-const RESP_ACK: u8 = 4;
-const RESP_PONG: u8 = 5;
-const RESP_STATS: u8 = 6;
-const RESP_METRICS: u8 = 7;
-const RESP_SHUTDOWN_ACK: u8 = 8;
-const RESP_ERROR: u8 = 9;
-const RESP_SLOW_LOG: u8 = 10;
-const RESP_VERSIONS: u8 = 11;
-
-/// Minimum encoded size of a [`SlowEntry`] (empty strings, no spans), used
-/// as the per-element floor for count validation.
-const SLOW_ENTRY_MIN: usize = 8 + 2 + 2 + 1 + 5 * 8 + 4;
-/// Minimum encoded size of a [`WireSpan`] (empty name).
-const WIRE_SPAN_MIN: usize = 2 + 1 + 2 + 8 * 8;
-
-/// A typed operation carried by a [`Request`].
+/// Why a payload failed to decode. Every variant is a clean rejection of
+/// malformed input — the decoders never panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Op {
-    /// 1-d key range `[lo, hi]` against a B-tree target.
-    Range1d {
-        /// Inclusive lower key.
-        lo: i64,
-        /// Inclusive upper key.
-        hi: i64,
+pub enum DecodeError {
+    /// The payload ended before a field was complete.
+    Truncated {
+        /// Bytes the next field needed.
+        need: usize,
+        /// Bytes remaining.
+        have: usize,
     },
-    /// Stabbing query at `q` against an interval target.
-    Stab {
-        /// Stabbing point.
-        q: i64,
+    /// The request did not start with [`MAGIC`].
+    BadMagic(u16),
+    /// Unsupported protocol version.
+    BadVersion(u8),
+    /// Unknown request opcode.
+    UnknownOpcode(u8),
+    /// Unknown response kind byte.
+    UnknownResponseKind(u8),
+    /// Unknown [`ErrorCode`] wire value.
+    UnknownErrorCode(u8),
+    /// The payload was longer than its fields account for.
+    TrailingBytes(usize),
+    /// An announced element count does not fit in the bytes present.
+    CountTooLarge {
+        /// Announced element count.
+        count: u64,
+        /// Bytes remaining for those elements.
+        have: usize,
     },
-    /// 2-sided PST query (left bound `x0`, bottom bound `y0`; same
-    /// semantics as `pc_pst::TwoSided`).
-    TwoSided {
-        /// Left boundary (inclusive).
-        x0: i64,
-        /// Bottom boundary (inclusive).
-        y0: i64,
-    },
-    /// 3-sided PST query (`x1 ≤ x ≤ x2`, bottom bound `y0`; same semantics
-    /// as `pc_pst::ThreeSided`).
-    ThreeSided {
-        /// Left boundary (inclusive).
-        x1: i64,
-        /// Right boundary (inclusive).
-        x2: i64,
-        /// Bottom boundary (inclusive).
-        y0: i64,
-    },
-    /// Insert a point into a dynamic target.
-    Insert(Point),
-    /// Delete a point from a dynamic target.
-    Delete(Point),
-    /// Liveness probe (admin).
-    Ping,
-    /// Server + store counters as `(name, value)` pairs (admin).
-    Stats,
-    /// Prometheus-style metrics text (admin).
-    Metrics,
-    /// Graceful drain-then-shutdown (admin).
-    Shutdown,
-    /// Read (and optionally drain) the slow-query log (admin).
-    SlowLog {
-        /// Max entries wanted per ranking.
-        k: u32,
-        /// Also empty the log after reading (the drain half of the op).
-        clear: bool,
-    },
-    /// Retune the live trace-sampling rate: trace 1 in `every` requests
-    /// (0 = off, 1 = everything). Admin.
-    SetSampling {
-        /// The new rate.
-        every: u64,
-    },
-    /// Describe the server's retained snapshot window (admin): the current
-    /// and oldest addressable epoch, install/reclaim counters, and how many
-    /// snapshots are pinned right now.
-    Versions,
+    /// A text field was not valid UTF-8.
+    BadUtf8,
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::Truncated { need, have } => {
+                write!(f, "truncated payload: need {need} more bytes, have {have}")
+            }
+            DecodeError::BadMagic(m) => write!(f, "bad magic {m:#06x}"),
+            DecodeError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
+            DecodeError::UnknownOpcode(o) => write!(f, "unknown request opcode {o}"),
+            DecodeError::UnknownResponseKind(k) => write!(f, "unknown response kind {k}"),
+            DecodeError::UnknownErrorCode(c) => write!(f, "unknown error code {c}"),
+            DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after payload"),
+            DecodeError::CountTooLarge { count, have } => {
+                write!(f, "element count {count} exceeds the {have} bytes present")
+            }
+            DecodeError::BadUtf8 => write!(f, "text field is not valid UTF-8"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// Bounds-checked read cursor over a payload: what is left of it.
+struct Cur<'a>(&'a [u8]);
+
+impl<'a> Cur<'a> {
+    fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    fn truncated(&self, need: usize) -> DecodeError {
+        DecodeError::Truncated { need, have: self.remaining() }
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or_else(|| self.truncated(n))?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// The next `N` bytes, for `from_le_bytes`.
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, rest) = self.0.split_first_chunk().ok_or_else(|| self.truncated(N))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    /// Reads a `u32` element count and validates it against the bytes
+    /// actually remaining, at `elem_min` each, before any collection is
+    /// sized from it.
+    fn count(&mut self, elem_min: usize) -> Result<usize, DecodeError> {
+        let n = u32::take(self)? as u64;
+        let have = self.remaining();
+        if n.checked_mul(elem_min as u64).is_none_or(|bytes| bytes > have as u64) {
+            return Err(DecodeError::CountTooLarge { count: n, have });
+        }
+        Ok(n as usize)
+    }
+
+    fn text(&mut self, len: usize) -> Result<String, DecodeError> {
+        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| DecodeError::BadUtf8)
+    }
+}
+
+/// Decodes one whole payload: a value, and nothing after it.
+#[inline]
+fn decode<T>(
+    payload: &[u8],
+    take: impl FnOnce(&mut Cur<'_>) -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    let mut c = Cur(payload);
+    let value = take(&mut c)?;
+    match c.remaining() {
+        0 => Ok(value),
+        n => Err(DecodeError::TrailingBytes(n)),
+    }
+}
+
+/// A value with one wire form (the module header lists them).
+trait Wire: Sized {
+    /// Fewest bytes a value encodes to: the per-element floor a count is
+    /// validated against.
+    const MIN_BYTES: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(c: &mut Cur<'_>) -> Result<Self, DecodeError>;
+}
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn take(c: &mut Cur<'_>) -> Result<$t, DecodeError> {
+                Ok(<$t>::from_le_bytes(c.array()?))
+            }
+        }
+    )*};
+}
+wire_int!(u8, u16, u32, u64, i64);
+
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn take(c: &mut Cur<'_>) -> Result<bool, DecodeError> {
+        Ok(u8::take(c)? != 0)
+    }
+}
+
+/// Short text (names): a `u16` length.
+impl Wire for String {
+    const MIN_BYTES: usize = 2;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u16).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn take(c: &mut Cur<'_>) -> Result<String, DecodeError> {
+        let len = u16::take(c)? as usize;
+        c.text(len)
+    }
+}
+
+/// Long text (`field: String as Text`): a `u32` length, validated like a
+/// count.
+struct Text;
+
+impl Text {
+    fn put(s: &str, out: &mut Vec<u8>) {
+        (s.len() as u32).put(out);
+        out.extend_from_slice(s.as_bytes());
+    }
+    fn take(c: &mut Cur<'_>) -> Result<String, DecodeError> {
+        let len = c.count(1)?;
+        c.text(len)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.reserve(self.len() * T::MIN_BYTES);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn take(c: &mut Cur<'_>) -> Result<Vec<T>, DecodeError> {
+        let n = c.count(T::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(n);
+        // A cursor of the loop's own stays in registers; `c`, behind its
+        // reference, would be written back after every field.
+        let mut rest = Cur(c.0);
+        for _ in 0..n {
+            items.push(T::take(&mut rest)?);
+        }
+        c.0 = rest.0;
+        Ok(items)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn take(c: &mut Cur<'_>) -> Result<(A, B), DecodeError> {
+        Ok((A::take(c)?, B::take(c)?))
+    }
+}
+
+/// The form a declared field takes: its type's, or the one named after `as`.
+macro_rules! form {
+    ($t:ty) => { $t };
+    ($t:ty, $form:ident) => { $form };
+}
+
+/// `Wire` for a struct from its field list: the fields in order.
+macro_rules! wire_fields {
+    ($T:ident { $($f:ident : $t:ty),* $(,)? }) => {
+        impl Wire for $T {
+            const MIN_BYTES: usize = 0 $(+ <$t as Wire>::MIN_BYTES)*;
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$f.put(out);)*
+            }
+            #[inline]
+            fn take(c: &mut Cur<'_>) -> Result<$T, DecodeError> {
+                Ok($T { $($f: Wire::take(c)?),* })
+            }
+        }
+    };
+}
+wire_fields!(Point { x: i64, y: i64, id: u64 });
+wire_fields!(Interval { lo: i64, hi: i64, id: u64 });
+
+/// A struct that crosses the wire, declared once: the type and its `Wire`.
+macro_rules! wire_struct {
+    ($(#[$meta:meta])* pub struct $T:ident {
+        $($(#[$fmeta:meta])* pub $f:ident : $t:ty),* $(,)?
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct $T {
+            $($(#[$fmeta])* pub $f: $t),*
+        }
+        wire_fields!($T { $($f: $t),* });
+    };
+}
+
+/// An enum selected by a code byte, declared once. Each row is `code
+/// Variant fields [=> row]`: from it come the variant, `row()` (the code and
+/// whatever else the table says of the variant), `put_fields` and
+/// `take_fields(code)`. A code the table lacks decodes to the
+/// [`DecodeError`] variant named after `unknown`.
+macro_rules! wire_enum {
+    ($(#[$meta:meta])* pub enum $E:ident, unknown $unknown:ident $(, row $Row:ty)? {
+        $(
+            $(#[$vmeta:meta])*
+            $code:literal $V:ident
+                $({ $($(#[$fmeta:meta])* $f:ident : $t:ty $(as $form:ident)?),* $(,)? })?
+                $(($v:ident : $vt:ty $(as $vform:ident)?))?
+                $(=> $row:expr)?
+        ),* $(,)?
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum $E {
+            $($(#[$vmeta])* $V $({ $($(#[$fmeta])* $f: $t),* })? $(($vt))?),*
+        }
+
+        // A unit-only enum leaves `out` and `c` untouched; a single row type
+        // needs no parentheses.
+        #[allow(unused_variables, unused_parens, clippy::ptr_arg)]
+        impl $E {
+            fn row(&self) -> (u8, ($($Row)?)) {
+                match self {
+                    $($E::$V $({ $($f),* })? $(($v))? => ($code, ($($row)?))),*
+                }
+            }
+
+            fn put_fields(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($E::$V $({ $($f),* })? $(($v))? => {
+                        $($(<form!($t $(, $form)?)>::put($f, out);)*)?
+                        $(<form!($vt $(, $vform)?)>::put($v, out);)?
+                    })*
+                }
+            }
+
+            // Inlined into the one envelope that calls it: returned through
+            // memory, the variant is written field by field and then copied
+            // out whole, and that copy stalls on store forwarding
+            // (`decode_request` measured 52 ns so, 14 ns inlined).
+            #[inline(always)]
+            fn take_fields(code: u8, c: &mut Cur<'_>) -> Result<$E, DecodeError> {
+                Ok(match code {
+                    $($code => $E::$V
+                        $({ $($f: <form!($t $(, $form)?)>::take(c)?),* })?
+                        $((<form!($vt $(, $vform)?)>::take(c)?))?,)*
+                    other => return Err(DecodeError::$unknown(other)),
+                })
+            }
+        }
+    };
+}
+
+/// How the server treats an op (the third column of the [`Op`] table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// Answered by a target from a snapshot, through the query queue.
+    Read,
+    /// Applied by the batcher, through the update queue.
+    Update,
+    /// Answered inline by whoever terminates the connection; bypasses the
+    /// queues so it stays responsive under load.
+    Admin,
+}
+
+wire_enum! {
+    /// A typed operation carried by a [`Request`].
+    pub enum Op, unknown UnknownOpcode, row (&'static str, Class) {
+        /// 1-d key range `[lo, hi]` against a B-tree target.
+        1 Range1d {
+            /// Inclusive lower key.
+            lo: i64,
+            /// Inclusive upper key.
+            hi: i64,
+        } => ("range1d", Class::Read),
+        /// Stabbing query at `q` against an interval target.
+        2 Stab {
+            /// Stabbing point.
+            q: i64,
+        } => ("stab", Class::Read),
+        /// 2-sided PST query (left bound `x0`, bottom bound `y0`; same
+        /// semantics as `pc_pst::TwoSided`).
+        3 TwoSided {
+            /// Left boundary (inclusive).
+            x0: i64,
+            /// Bottom boundary (inclusive).
+            y0: i64,
+        } => ("two_sided", Class::Read),
+        /// 3-sided PST query (`x1 ≤ x ≤ x2`, bottom bound `y0`; same semantics
+        /// as `pc_pst::ThreeSided`).
+        4 ThreeSided {
+            /// Left boundary (inclusive).
+            x1: i64,
+            /// Right boundary (inclusive).
+            x2: i64,
+            /// Bottom boundary (inclusive).
+            y0: i64,
+        } => ("three_sided", Class::Read),
+        /// Insert a point into a dynamic target.
+        5 Insert(p: Point) => ("insert", Class::Update),
+        /// Delete a point from a dynamic target.
+        6 Delete(p: Point) => ("delete", Class::Update),
+        /// Liveness probe (admin).
+        16 Ping => ("ping", Class::Admin),
+        /// Server + store counters as `(name, value)` pairs (admin).
+        17 Stats => ("stats", Class::Admin),
+        /// Prometheus-style metrics text (admin).
+        18 Metrics => ("metrics", Class::Admin),
+        /// Graceful drain-then-shutdown (admin).
+        19 Shutdown => ("shutdown", Class::Admin),
+        /// Read (and optionally drain) the slow-query log (admin).
+        20 SlowLog {
+            /// Max entries wanted per ranking.
+            k: u32,
+            /// Also empty the log after reading (the drain half of the op).
+            clear: bool,
+        } => ("slow_log", Class::Admin),
+        /// Retune the live trace-sampling rate: trace 1 in `every` requests
+        /// (0 = off, 1 = everything). Admin.
+        21 SetSampling {
+            /// The new rate.
+            every: u64,
+        } => ("set_sampling", Class::Admin),
+        /// Describe the server's retained snapshot window (admin): the current
+        /// and oldest addressable epoch, install/reclaim counters, and how many
+        /// snapshots are pinned right now.
+        22 Versions => ("versions", Class::Admin),
+    }
 }
 
 impl Op {
-    /// True for admin ops (ping/stats/metrics/shutdown); these bypass the
-    /// work queues so they stay responsive under load.
+    /// True for admin ops: whoever terminates the connection (server or
+    /// router front-end) answers them inline, or refuses them `Unsupported`.
     pub fn is_admin(&self) -> bool {
-        matches!(
-            self,
-            Op::Ping
-                | Op::Stats
-                | Op::Metrics
-                | Op::Shutdown
-                | Op::SlowLog { .. }
-                | Op::SetSampling { .. }
-                | Op::Versions
-        )
+        self.row().1 .1 == Class::Admin
     }
 
     /// True for mutating ops, which route through the batching stage.
     pub fn is_update(&self) -> bool {
-        matches!(self, Op::Insert(_) | Op::Delete(_))
+        self.row().1 .1 == Class::Update
     }
 
     /// Stable lowercase name for logs and error messages.
     pub fn name(&self) -> &'static str {
-        match self {
-            Op::Range1d { .. } => "range1d",
-            Op::Stab { .. } => "stab",
-            Op::TwoSided { .. } => "two_sided",
-            Op::ThreeSided { .. } => "three_sided",
-            Op::Insert(_) => "insert",
-            Op::Delete(_) => "delete",
-            Op::Ping => "ping",
-            Op::Stats => "stats",
-            Op::Metrics => "metrics",
-            Op::Shutdown => "shutdown",
-            Op::SlowLog { .. } => "slow_log",
-            Op::SetSampling { .. } => "set_sampling",
-            Op::Versions => "versions",
-        }
-    }
-
-    fn opcode(&self) -> u8 {
-        match self {
-            Op::Range1d { .. } => OP_RANGE1D,
-            Op::Stab { .. } => OP_STAB,
-            Op::TwoSided { .. } => OP_TWO_SIDED,
-            Op::ThreeSided { .. } => OP_THREE_SIDED,
-            Op::Insert(_) => OP_INSERT,
-            Op::Delete(_) => OP_DELETE,
-            Op::Ping => OP_PING,
-            Op::Stats => OP_STATS,
-            Op::Metrics => OP_METRICS,
-            Op::Shutdown => OP_SHUTDOWN,
-            Op::SlowLog { .. } => OP_SLOW_LOG,
-            Op::SetSampling { .. } => OP_SET_SAMPLING,
-            Op::Versions => OP_VERSIONS,
-        }
+        self.row().1 .0
     }
 }
 
@@ -221,7 +476,7 @@ impl Op {
 pub struct Request {
     /// Caller-chosen id, echoed verbatim in the response.
     pub id: u64,
-    /// Registry index of the structure to query ([`ADMIN_TARGET`] for admin).
+    /// Registry index of the structure to query (ignored by admin ops).
     pub target: u16,
     /// Relative deadline in milliseconds from server receipt; 0 = none.
     pub deadline_ms: u32,
@@ -237,22 +492,25 @@ pub struct Request {
     pub op: Op,
 }
 
-/// Typed error codes carried in [`Body::Error`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// A bounded work queue was full; the request was shed immediately.
-    Overloaded,
-    /// The request's deadline passed before it was executed.
-    DeadlineExceeded,
-    /// Malformed request, unknown target, or an op the target cannot serve
-    /// was addressed at it with malformed intent (see also [`ErrorCode::Unsupported`]).
-    BadRequest,
-    /// The storage layer returned a typed error (checksum, quarantine, I/O).
-    Storage,
-    /// The server is draining; no new work is admitted.
-    ShuttingDown,
-    /// The target exists but does not implement this op.
-    Unsupported,
+wire_enum! {
+    /// Typed error codes carried in [`Body::Error`]. The table's second
+    /// column is [`ErrorCode::is_transient`].
+    #[derive(Copy)]
+    pub enum ErrorCode, unknown UnknownErrorCode, row (&'static str, bool) {
+        /// A bounded work queue was full; the request was shed immediately.
+        1 Overloaded => ("overloaded", true),
+        /// The request's deadline passed before it was executed.
+        2 DeadlineExceeded => ("deadline_exceeded", true),
+        /// Malformed request, unknown target, or an op the target cannot serve
+        /// was addressed at it with malformed intent (see also [`ErrorCode::Unsupported`]).
+        3 BadRequest => ("bad_request", false),
+        /// The storage layer returned a typed error (checksum, quarantine, I/O).
+        4 Storage => ("storage", false),
+        /// The server is draining; no new work is admitted.
+        5 ShuttingDown => ("shutting_down", true),
+        /// The target exists but does not implement this op.
+        6 Unsupported => ("unsupported", false),
+    }
 }
 
 impl ErrorCode {
@@ -273,78 +531,56 @@ impl ErrorCode {
     /// `Unsupported` / `Storage` would fail identically everywhere and are
     /// surfaced immediately.
     pub fn is_transient(self) -> bool {
-        matches!(
-            self,
-            ErrorCode::Overloaded | ErrorCode::DeadlineExceeded | ErrorCode::ShuttingDown
-        )
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            ErrorCode::Overloaded => 1,
-            ErrorCode::DeadlineExceeded => 2,
-            ErrorCode::BadRequest => 3,
-            ErrorCode::Storage => 4,
-            ErrorCode::ShuttingDown => 5,
-            ErrorCode::Unsupported => 6,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<ErrorCode, DecodeError> {
-        Ok(match v {
-            1 => ErrorCode::Overloaded,
-            2 => ErrorCode::DeadlineExceeded,
-            3 => ErrorCode::BadRequest,
-            4 => ErrorCode::Storage,
-            5 => ErrorCode::ShuttingDown,
-            6 => ErrorCode::Unsupported,
-            other => return Err(DecodeError::UnknownErrorCode(other)),
-        })
+        self.row().1 .1
     }
 }
 
 impl fmt::Display for ErrorCode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ErrorCode::Overloaded => "overloaded",
-            ErrorCode::DeadlineExceeded => "deadline_exceeded",
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::Storage => "storage",
-            ErrorCode::ShuttingDown => "shutting_down",
-            ErrorCode::Unsupported => "unsupported",
-        };
-        f.write_str(s)
+        f.write_str(self.row().1 .0)
     }
 }
 
-/// One span of a slow-query trace, flattened preorder for the wire (the
-/// tree shape is recoverable from `depth`). Field semantics match
-/// `pc_obs::SpanNode`; `wasteful` is precomputed server-side so a scraper
-/// needs no knowledge of the §3 formula.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireSpan {
-    /// Preorder depth (root = 0).
-    pub depth: u16,
-    /// True for an output-producing span (its excess reads are wasteful).
-    pub output: bool,
-    /// Static span name (`"level"`, `"path_cache_probe"`, ...).
-    pub name: String,
-    /// Numeric span argument (tree depth, request id, ...; 0 if unused).
-    pub arg: u64,
-    /// Subtree backend reads.
-    pub reads: u64,
-    /// Subtree backend writes.
-    pub writes: u64,
-    /// Subtree buffer-pool hits.
-    pub cache_hits: u64,
-    /// Reads attributed to this span itself.
-    pub self_reads: u64,
-    /// Output items this span reported.
-    pub items: u64,
-    /// Effective output block capacity `B`.
-    pub block_capacity: u64,
-    /// §3 wasteful transfers charged to this span alone.
-    pub wasteful: u64,
+impl Wire for ErrorCode {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.row().0);
+        self.put_fields(out);
+    }
+    fn take(c: &mut Cur<'_>) -> Result<ErrorCode, DecodeError> {
+        ErrorCode::take_fields(u8::take(c)?, c)
+    }
+}
+
+wire_struct! {
+    /// One span of a slow-query trace, flattened preorder for the wire (the
+    /// tree shape is recoverable from `depth`). Field semantics match
+    /// `pc_obs::SpanNode`; `wasteful` is precomputed server-side so a scraper
+    /// needs no knowledge of the §3 formula.
+    pub struct WireSpan {
+        /// Preorder depth (root = 0).
+        pub depth: u16,
+        /// True for an output-producing span (its excess reads are wasteful).
+        pub output: bool,
+        /// Static span name (`"level"`, `"path_cache_probe"`, ...).
+        pub name: String,
+        /// Numeric span argument (tree depth, request id, ...; 0 if unused).
+        pub arg: u64,
+        /// Subtree backend reads.
+        pub reads: u64,
+        /// Subtree backend writes.
+        pub writes: u64,
+        /// Subtree buffer-pool hits.
+        pub cache_hits: u64,
+        /// Reads attributed to this span itself.
+        pub self_reads: u64,
+        /// Output items this span reported.
+        pub items: u64,
+        /// Effective output block capacity `B`.
+        pub block_capacity: u64,
+        /// §3 wasteful transfers charged to this span alone.
+        pub wasteful: u64,
+    }
 }
 
 /// Ranking-membership bit: the entry is in the top-K by latency.
@@ -352,29 +588,30 @@ pub const RANKED_BY_LATENCY: u8 = 1;
 /// Ranking-membership bit: the entry is in the top-K by wasteful I/O.
 pub const RANKED_BY_WASTE: u8 = 2;
 
-/// One slow-query-log entry as carried by [`Body::SlowLog`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlowEntry {
-    /// Wire id of the offending request.
-    pub request_id: u64,
-    /// Op kind name (`"two_sided"`, `"update_batch"`, ...).
-    pub op: String,
-    /// Name the target was registered under (the tenant namespace).
-    pub target: String,
-    /// Which rankings retained it ([`RANKED_BY_LATENCY`] | [`RANKED_BY_WASTE`]).
-    pub rankings: u8,
-    /// Wall-clock execution time of the traced root span, nanoseconds.
-    pub latency_ns: u64,
-    /// Total transfers in the trace.
-    pub total_io: u64,
-    /// Search (navigation) reads in the trace.
-    pub search_ios: u64,
-    /// §3 wasteful transfers in the trace.
-    pub wasteful_ios: u64,
-    /// Output items the trace reported.
-    pub items: u64,
-    /// The span tree, flattened preorder.
-    pub spans: Vec<WireSpan>,
+wire_struct! {
+    /// One slow-query-log entry as carried by [`Body::SlowLog`].
+    pub struct SlowEntry {
+        /// Wire id of the offending request.
+        pub request_id: u64,
+        /// Op kind name (`"two_sided"`, `"update_batch"`, ...).
+        pub op: String,
+        /// Name the target was registered under (the tenant namespace).
+        pub target: String,
+        /// Which rankings retained it ([`RANKED_BY_LATENCY`] | [`RANKED_BY_WASTE`]).
+        pub rankings: u8,
+        /// Wall-clock execution time of the traced root span, nanoseconds.
+        pub latency_ns: u64,
+        /// Total transfers in the trace.
+        pub total_io: u64,
+        /// Search (navigation) reads in the trace.
+        pub search_ios: u64,
+        /// §3 wasteful transfers in the trace.
+        pub wasteful_ios: u64,
+        /// Output items the trace reported.
+        pub items: u64,
+        /// The span tree, flattened preorder.
+        pub spans: Vec<WireSpan>,
+    }
 }
 
 impl SlowEntry {
@@ -445,52 +682,53 @@ pub fn flatten_spans(root: &pc_obs::SpanNode) -> Vec<WireSpan> {
     out
 }
 
-/// Typed response body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Body {
-    /// Result of a 2-/3-sided query.
-    Points(Vec<Point>),
-    /// Result of a stabbing query.
-    Intervals(Vec<Interval>),
-    /// Result of a 1-d range query: `(key, value)` pairs.
-    Keys(Vec<(i64, u64)>),
-    /// An update was applied.
-    Ack {
-        /// Sequence number of the batch that carried this update.
-        batch: u64,
-        /// Number of updates coalesced into that batch (≥ 1).
-        coalesced: u32,
-    },
-    /// Reply to [`Op::Ping`].
-    Pong,
-    /// Reply to [`Op::Stats`]: `(name, value)` counter pairs.
-    Stats(Vec<(String, u64)>),
-    /// Reply to [`Op::Metrics`]: Prometheus-style text.
-    Metrics(String),
-    /// Reply to [`Op::Shutdown`]; the server drains and exits after this.
-    ShutdownAck,
-    /// Reply to [`Op::SlowLog`]: retained slow queries with full span trees.
-    SlowLog(Vec<SlowEntry>),
-    /// Reply to [`Op::Versions`]: the retained snapshot window.
-    Versions {
-        /// Newest installed epoch (what `as_of = 0` resolves to).
-        current: u64,
-        /// Oldest epoch still addressable via `as_of`.
-        oldest: u64,
-        /// Epochs installed over the server's lifetime.
-        installed: u64,
-        /// Copy-on-write pages reclaimed by epoch GC so far.
-        reclaimed_pages: u64,
-        /// Snapshots pinned by in-flight or held readers right now.
-        pinned: u64,
-    },
-    /// Typed failure.
-    Error {
-        /// Machine-readable code.
-        code: ErrorCode,
-        /// Human-readable detail.
-        message: String,
-    },
+wire_enum! {
+    /// Typed response body.
+    pub enum Body, unknown UnknownResponseKind {
+        /// Result of a 2-/3-sided query.
+        1 Points(points: Vec<Point>),
+        /// Result of a stabbing query.
+        2 Intervals(intervals: Vec<Interval>),
+        /// Result of a 1-d range query: `(key, value)` pairs.
+        3 Keys(pairs: Vec<(i64, u64)>),
+        /// An update was applied.
+        4 Ack {
+            /// Sequence number of the batch that carried this update.
+            batch: u64,
+            /// Number of updates coalesced into that batch (≥ 1).
+            coalesced: u32,
+        },
+        /// Reply to [`Op::Ping`].
+        5 Pong,
+        /// Reply to [`Op::Stats`]: `(name, value)` counter pairs.
+        6 Stats(pairs: Vec<(String, u64)>),
+        /// Reply to [`Op::Metrics`]: Prometheus-style text.
+        7 Metrics(text: String as Text),
+        /// Reply to [`Op::Shutdown`]; the server drains and exits after this.
+        8 ShutdownAck,
+        /// Typed failure.
+        9 Error {
+            /// Machine-readable code.
+            code: ErrorCode,
+            /// Human-readable detail.
+            message: String as Text,
+        },
+        /// Reply to [`Op::SlowLog`]: retained slow queries with full span trees.
+        10 SlowLog(entries: Vec<SlowEntry>),
+        /// Reply to [`Op::Versions`]: the retained snapshot window.
+        11 Versions {
+            /// Newest installed epoch (what `as_of = 0` resolves to).
+            current: u64,
+            /// Oldest epoch still addressable via `as_of`.
+            oldest: u64,
+            /// Epochs installed over the server's lifetime.
+            installed: u64,
+            /// Copy-on-write pages reclaimed by epoch GC so far.
+            reclaimed_pages: u64,
+            /// Snapshots pinned by in-flight or held readers right now.
+            pinned: u64,
+        },
+    }
 }
 
 /// One server response.
@@ -509,514 +747,115 @@ impl Response {
     }
 }
 
-/// Why a payload failed to decode. Every variant is a clean rejection of
-/// malformed input — the decoders never panic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The payload ended before a field was complete.
-    Truncated {
-        /// Bytes the next field needed.
-        need: usize,
-        /// Bytes remaining.
-        have: usize,
-    },
-    /// The request did not start with [`MAGIC`].
-    BadMagic(u16),
-    /// Unsupported protocol version.
-    BadVersion(u8),
-    /// Unknown request opcode.
-    UnknownOpcode(u8),
-    /// Unknown response kind byte.
-    UnknownResponseKind(u8),
-    /// Unknown [`ErrorCode`] wire value.
-    UnknownErrorCode(u8),
-    /// The payload was longer than its fields account for.
-    TrailingBytes(usize),
-    /// An announced element count does not fit in the bytes present.
-    CountTooLarge {
-        /// Announced element count.
-        count: u64,
-        /// Bytes remaining for those elements.
-        have: usize,
-    },
-    /// A text field was not valid UTF-8.
-    BadUtf8,
-}
+// The two envelopes: a header around an enum's code and fields.
+impl Wire for Request {
+    const MIN_BYTES: usize = 27;
 
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::Truncated { need, have } => {
-                write!(f, "truncated payload: need {need} more bytes, have {have}")
-            }
-            DecodeError::BadMagic(m) => write!(f, "bad magic {m:#06x}"),
-            DecodeError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
-            DecodeError::UnknownOpcode(o) => write!(f, "unknown request opcode {o}"),
-            DecodeError::UnknownResponseKind(k) => write!(f, "unknown response kind {k}"),
-            DecodeError::UnknownErrorCode(c) => write!(f, "unknown error code {c}"),
-            DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after payload"),
-            DecodeError::CountTooLarge { count, have } => {
-                write!(f, "element count {count} exceeds the {have} bytes present")
-            }
-            DecodeError::BadUtf8 => write!(f, "text field is not valid UTF-8"),
+    fn put(&self, out: &mut Vec<u8>) {
+        MAGIC.put(out);
+        VERSION.put(out);
+        self.op.row().0.put(out);
+        self.id.put(out);
+        self.target.put(out);
+        self.deadline_ms.put(out);
+        self.flags.put(out);
+        self.as_of.put(out);
+        self.op.put_fields(out);
+    }
+
+    #[inline]
+    fn take(c: &mut Cur<'_>) -> Result<Request, DecodeError> {
+        let magic = u16::take(c)?;
+        if magic != MAGIC {
+            return Err(DecodeError::BadMagic(magic));
         }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// Bounds-checked little-endian read cursor over a payload.
-struct Cur<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(b: &'a [u8]) -> Cur<'a> {
-        Cur { b, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.b.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.remaining() < n {
-            return Err(DecodeError::Truncated { need: n, have: self.remaining() });
+        let version = u8::take(c)?;
+        if version != VERSION {
+            return Err(DecodeError::BadVersion(version));
         }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(self.u64()? as i64)
-    }
-
-    /// Validates an element count against the bytes actually remaining
-    /// before any collection is sized from it.
-    fn count(&mut self, elem_size: usize) -> Result<usize, DecodeError> {
-        let n = self.u32()? as u64;
-        let have = self.remaining();
-        if n.checked_mul(elem_size as u64).is_none_or(|bytes| bytes > have as u64) {
-            return Err(DecodeError::CountTooLarge { count: n, have });
-        }
-        Ok(n as usize)
-    }
-
-    fn text(&mut self, len: usize) -> Result<String, DecodeError> {
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.remaining() != 0 {
-            return Err(DecodeError::TrailingBytes(self.remaining()));
-        }
-        Ok(())
+        let opcode = u8::take(c)?;
+        Ok(Request {
+            id: Wire::take(c)?,
+            target: Wire::take(c)?,
+            deadline_ms: Wire::take(c)?,
+            flags: Wire::take(c)?,
+            as_of: Wire::take(c)?,
+            op: Op::take_fields(opcode, c)?,
+        })
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl Wire for Response {
+    const MIN_BYTES: usize = 9;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.body.row().0.put(out);
+        self.id.put(out);
+        self.body.put_fields(out);
+    }
+
+    #[inline]
+    fn take(c: &mut Cur<'_>) -> Result<Response, DecodeError> {
+        let kind = u8::take(c)?;
+        Ok(Response { id: Wire::take(c)?, body: Body::take_fields(kind, c)? })
+    }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_point(out: &mut Vec<u8>, p: &Point) {
-    put_i64(out, p.x);
-    put_i64(out, p.y);
-    put_u64(out, p.id);
-}
-
-fn take_point(c: &mut Cur<'_>) -> Result<Point, DecodeError> {
-    Ok(Point { x: c.i64()?, y: c.i64()?, id: c.u64()? })
+fn encoded(message: &impl Wire, frame: bool) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    if frame {
+        out.extend_from_slice(&[0; 4]);
+    }
+    message.put(&mut out);
+    if frame {
+        let len = (out.len() - 4) as u32;
+        out[..4].copy_from_slice(&len.to_le_bytes());
+    }
+    out
 }
 
 /// Encodes a request payload (no length prefix).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    put_u16(&mut out, MAGIC);
-    out.push(VERSION);
-    out.push(req.op.opcode());
-    put_u64(&mut out, req.id);
-    put_u16(&mut out, req.target);
-    put_u32(&mut out, req.deadline_ms);
-    out.push(req.flags);
-    put_u64(&mut out, req.as_of);
-    match &req.op {
-        Op::Range1d { lo, hi } => {
-            put_i64(&mut out, *lo);
-            put_i64(&mut out, *hi);
-        }
-        Op::Stab { q } => put_i64(&mut out, *q),
-        Op::TwoSided { x0, y0 } => {
-            put_i64(&mut out, *x0);
-            put_i64(&mut out, *y0);
-        }
-        Op::ThreeSided { x1, x2, y0 } => {
-            put_i64(&mut out, *x1);
-            put_i64(&mut out, *x2);
-            put_i64(&mut out, *y0);
-        }
-        Op::Insert(p) | Op::Delete(p) => put_point(&mut out, p),
-        Op::Ping | Op::Stats | Op::Metrics | Op::Shutdown => {}
-        Op::SlowLog { k, clear } => {
-            put_u32(&mut out, *k);
-            out.push(u8::from(*clear));
-        }
-        Op::SetSampling { every } => put_u64(&mut out, *every),
-        Op::Versions => {}
-    }
-    out
+    encoded(req, false)
 }
 
-/// Encodes a full request frame (length prefix + payload).
+/// Encodes a full request frame: the payload, written once, behind its
+/// length.
 pub fn request_frame(req: &Request) -> Vec<u8> {
-    let payload = encode_request(req);
-    let mut out = Vec::with_capacity(4 + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
-    out
+    encoded(req, true)
 }
 
 /// Decodes a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
-    let mut c = Cur::new(payload);
-    let magic = c.u16()?;
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic(magic));
-    }
-    let version = c.u8()?;
-    if version != VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let opcode = c.u8()?;
-    let id = c.u64()?;
-    let target = c.u16()?;
-    let deadline_ms = c.u32()?;
-    let flags = c.u8()?;
-    let as_of = c.u64()?;
-    let op = match opcode {
-        OP_RANGE1D => Op::Range1d { lo: c.i64()?, hi: c.i64()? },
-        OP_STAB => Op::Stab { q: c.i64()? },
-        OP_TWO_SIDED => Op::TwoSided { x0: c.i64()?, y0: c.i64()? },
-        OP_THREE_SIDED => Op::ThreeSided { x1: c.i64()?, x2: c.i64()?, y0: c.i64()? },
-        OP_INSERT => Op::Insert(take_point(&mut c)?),
-        OP_DELETE => Op::Delete(take_point(&mut c)?),
-        OP_PING => Op::Ping,
-        OP_STATS => Op::Stats,
-        OP_METRICS => Op::Metrics,
-        OP_SHUTDOWN => Op::Shutdown,
-        OP_SLOW_LOG => Op::SlowLog { k: c.u32()?, clear: c.u8()? != 0 },
-        OP_SET_SAMPLING => Op::SetSampling { every: c.u64()? },
-        OP_VERSIONS => Op::Versions,
-        other => return Err(DecodeError::UnknownOpcode(other)),
-    };
-    c.finish()?;
-    Ok(Request { id, target, deadline_ms, flags, as_of, op })
+    decode(payload, Request::take)
 }
 
 /// Encodes a response payload (no length prefix).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    let kind = match &resp.body {
-        Body::Points(_) => RESP_POINTS,
-        Body::Intervals(_) => RESP_INTERVALS,
-        Body::Keys(_) => RESP_KEYS,
-        Body::Ack { .. } => RESP_ACK,
-        Body::Pong => RESP_PONG,
-        Body::Stats(_) => RESP_STATS,
-        Body::Metrics(_) => RESP_METRICS,
-        Body::ShutdownAck => RESP_SHUTDOWN_ACK,
-        Body::SlowLog(_) => RESP_SLOW_LOG,
-        Body::Versions { .. } => RESP_VERSIONS,
-        Body::Error { .. } => RESP_ERROR,
-    };
-    out.push(kind);
-    put_u64(&mut out, resp.id);
-    match &resp.body {
-        Body::Points(ps) => {
-            put_u32(&mut out, ps.len() as u32);
-            out.reserve(ps.len() * 24);
-            for p in ps {
-                put_point(&mut out, p);
-            }
-        }
-        Body::Intervals(ivs) => {
-            put_u32(&mut out, ivs.len() as u32);
-            out.reserve(ivs.len() * 24);
-            for iv in ivs {
-                put_i64(&mut out, iv.lo);
-                put_i64(&mut out, iv.hi);
-                put_u64(&mut out, iv.id);
-            }
-        }
-        Body::Keys(kvs) => {
-            put_u32(&mut out, kvs.len() as u32);
-            out.reserve(kvs.len() * 16);
-            for &(k, v) in kvs {
-                put_i64(&mut out, k);
-                put_u64(&mut out, v);
-            }
-        }
-        Body::Ack { batch, coalesced } => {
-            put_u64(&mut out, *batch);
-            put_u32(&mut out, *coalesced);
-        }
-        Body::Pong | Body::ShutdownAck => {}
-        Body::Stats(pairs) => {
-            put_u32(&mut out, pairs.len() as u32);
-            for (name, v) in pairs {
-                put_u16(&mut out, name.len() as u16);
-                out.extend_from_slice(name.as_bytes());
-                put_u64(&mut out, *v);
-            }
-        }
-        Body::Metrics(text) => {
-            put_u32(&mut out, text.len() as u32);
-            out.extend_from_slice(text.as_bytes());
-        }
-        Body::SlowLog(entries) => {
-            put_u32(&mut out, entries.len() as u32);
-            for e in entries {
-                put_u64(&mut out, e.request_id);
-                put_u16(&mut out, e.op.len() as u16);
-                out.extend_from_slice(e.op.as_bytes());
-                put_u16(&mut out, e.target.len() as u16);
-                out.extend_from_slice(e.target.as_bytes());
-                out.push(e.rankings);
-                put_u64(&mut out, e.latency_ns);
-                put_u64(&mut out, e.total_io);
-                put_u64(&mut out, e.search_ios);
-                put_u64(&mut out, e.wasteful_ios);
-                put_u64(&mut out, e.items);
-                put_u32(&mut out, e.spans.len() as u32);
-                for sp in &e.spans {
-                    put_u16(&mut out, sp.depth);
-                    out.push(u8::from(sp.output));
-                    put_u16(&mut out, sp.name.len() as u16);
-                    out.extend_from_slice(sp.name.as_bytes());
-                    put_u64(&mut out, sp.arg);
-                    put_u64(&mut out, sp.reads);
-                    put_u64(&mut out, sp.writes);
-                    put_u64(&mut out, sp.cache_hits);
-                    put_u64(&mut out, sp.self_reads);
-                    put_u64(&mut out, sp.items);
-                    put_u64(&mut out, sp.block_capacity);
-                    put_u64(&mut out, sp.wasteful);
-                }
-            }
-        }
-        Body::Versions { current, oldest, installed, reclaimed_pages, pinned } => {
-            put_u64(&mut out, *current);
-            put_u64(&mut out, *oldest);
-            put_u64(&mut out, *installed);
-            put_u64(&mut out, *reclaimed_pages);
-            put_u64(&mut out, *pinned);
-        }
-        Body::Error { code, message } => {
-            out.push(code.to_u8());
-            put_u32(&mut out, message.len() as u32);
-            out.extend_from_slice(message.as_bytes());
-        }
-    }
-    out
+    encoded(resp, false)
 }
 
-/// Encodes a full response frame (length prefix + payload) as a [`Page`].
-/// One exact-size allocation; cloning the returned `Page` shares the bytes.
+/// Encodes a full response frame (length prefix + payload, written once) and
+/// moves it into a [`Page`]; cloning the returned `Page` shares the bytes.
 pub fn response_frame(resp: &Response) -> Page {
-    let payload = encode_response(resp);
-    let mut out = Vec::with_capacity(4 + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
-    Page::from(out)
+    Page::from(encoded(resp, true))
 }
 
 /// Decodes a response payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
-    let mut c = Cur::new(payload);
-    let kind = c.u8()?;
-    let id = c.u64()?;
-    let body = match kind {
-        RESP_POINTS => {
-            let n = c.count(24)?;
-            let mut ps = Vec::with_capacity(n);
-            for _ in 0..n {
-                ps.push(take_point(&mut c)?);
-            }
-            Body::Points(ps)
-        }
-        RESP_INTERVALS => {
-            let n = c.count(24)?;
-            let mut ivs = Vec::with_capacity(n);
-            for _ in 0..n {
-                ivs.push(Interval { lo: c.i64()?, hi: c.i64()?, id: c.u64()? });
-            }
-            Body::Intervals(ivs)
-        }
-        RESP_KEYS => {
-            let n = c.count(16)?;
-            let mut kvs = Vec::with_capacity(n);
-            for _ in 0..n {
-                kvs.push((c.i64()?, c.u64()?));
-            }
-            Body::Keys(kvs)
-        }
-        RESP_ACK => Body::Ack { batch: c.u64()?, coalesced: c.u32()? },
-        RESP_PONG => Body::Pong,
-        RESP_STATS => {
-            // Names are variable-length; 10 bytes (len + value) is the
-            // per-element floor used for the count sanity check.
-            let n = c.count(10)?;
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let len = c.u16()? as usize;
-                let name = c.text(len)?;
-                pairs.push((name, c.u64()?));
-            }
-            Body::Stats(pairs)
-        }
-        RESP_METRICS => {
-            let len = c.count(1)?;
-            Body::Metrics(c.text(len)?)
-        }
-        RESP_SHUTDOWN_ACK => Body::ShutdownAck,
-        RESP_SLOW_LOG => {
-            let n = c.count(SLOW_ENTRY_MIN)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let request_id = c.u64()?;
-                let op_len = c.u16()? as usize;
-                let op = c.text(op_len)?;
-                let target_len = c.u16()? as usize;
-                let target = c.text(target_len)?;
-                let rankings = c.u8()?;
-                let latency_ns = c.u64()?;
-                let total_io = c.u64()?;
-                let search_ios = c.u64()?;
-                let wasteful_ios = c.u64()?;
-                let items = c.u64()?;
-                let nspans = c.count(WIRE_SPAN_MIN)?;
-                let mut spans = Vec::with_capacity(nspans);
-                for _ in 0..nspans {
-                    let depth = c.u16()?;
-                    let output = c.u8()? != 0;
-                    let name_len = c.u16()? as usize;
-                    let name = c.text(name_len)?;
-                    spans.push(WireSpan {
-                        depth,
-                        output,
-                        name,
-                        arg: c.u64()?,
-                        reads: c.u64()?,
-                        writes: c.u64()?,
-                        cache_hits: c.u64()?,
-                        self_reads: c.u64()?,
-                        items: c.u64()?,
-                        block_capacity: c.u64()?,
-                        wasteful: c.u64()?,
-                    });
-                }
-                entries.push(SlowEntry {
-                    request_id,
-                    op,
-                    target,
-                    rankings,
-                    latency_ns,
-                    total_io,
-                    search_ios,
-                    wasteful_ios,
-                    items,
-                    spans,
-                });
-            }
-            Body::SlowLog(entries)
-        }
-        RESP_VERSIONS => Body::Versions {
-            current: c.u64()?,
-            oldest: c.u64()?,
-            installed: c.u64()?,
-            reclaimed_pages: c.u64()?,
-            pinned: c.u64()?,
-        },
-        RESP_ERROR => {
-            let code = ErrorCode::from_u8(c.u8()?)?;
-            let len = c.count(1)?;
-            Body::Error { code, message: c.text(len)? }
-        }
-        other => return Err(DecodeError::UnknownResponseKind(other)),
-    };
-    c.finish()?;
-    Ok(Response { id, body })
+    decode(payload, Response::take)
 }
 
 /// Reads one length-prefixed frame from a blocking reader. Returns
 /// `Ok(None)` on a clean EOF at a frame boundary; a connection that dies
-/// mid-frame surfaces as `UnexpectedEof`, and a read timeout surfaces as
-/// the platform's `WouldBlock`/`TimedOut` error — callers treat both as a
-/// dead peer and bail out rather than hang.
+/// mid-frame surfaces as `UnexpectedEof`, and a read timeout as `TimedOut`
+/// — callers treat both as a dead peer and bail out rather than hang.
 pub fn read_frame(r: &mut impl Read, max: usize) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) => {
-                if got == 0 {
-                    return Ok(None);
-                }
-                return Err(io::ErrorKind::UnexpectedEof.into());
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+    match FrameReader::new(max).poll(r)? {
+        FrameProgress::Frame(payload) => Ok(Some(payload)),
+        FrameProgress::Eof => Ok(None),
+        FrameProgress::Pending => Err(io::ErrorKind::TimedOut.into()),
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > max {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap {max}"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        match r.read(&mut payload[filled..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(payload))
 }
 
 /// Progress report from [`FrameReader::poll`].
@@ -1031,24 +870,25 @@ pub enum FrameProgress {
     Pending,
 }
 
-/// Incremental frame reader for the server's polling read loop. The
-/// connection thread reads with a short `set_read_timeout` tick so it can
-/// check shutdown and idle-timeout state between reads; partial header or
-/// payload bytes survive across `Pending` returns.
+/// Incremental frame reader: the one loop that turns socket reads into
+/// frames. A connection thread reads with a short `set_read_timeout` tick
+/// so it can check shutdown and idle-timeout state between reads; partial
+/// header or payload bytes survive across `Pending` returns.
 #[derive(Debug)]
 pub struct FrameReader {
     max: usize,
     header: [u8; 4],
-    header_got: usize,
+    /// The payload being filled, once the header announced its length.
     payload: Option<Vec<u8>>,
-    payload_got: usize,
+    /// Bytes of the current part (header or payload) read so far.
+    got: usize,
     total_read: u64,
 }
 
 impl FrameReader {
     /// A reader enforcing the given frame-size cap.
     pub fn new(max: usize) -> FrameReader {
-        FrameReader { max, header: [0; 4], header_got: 0, payload: None, payload_got: 0, total_read: 0 }
+        FrameReader { max, header: [0; 4], payload: None, got: 0, total_read: 0 }
     }
 
     /// Cumulative bytes consumed; callers diff this across `Pending`
@@ -1061,50 +901,18 @@ impl FrameReader {
     /// (mid-frame EOF, oversized frame, or a real I/O error).
     pub fn poll(&mut self, r: &mut impl Read) -> io::Result<FrameProgress> {
         loop {
-            if self.payload.is_none() {
-                // Reading the 4-byte length prefix.
-                match r.read(&mut self.header[self.header_got..]) {
-                    Ok(0) => {
-                        if self.header_got == 0 {
-                            return Ok(FrameProgress::Eof);
-                        }
-                        return Err(io::ErrorKind::UnexpectedEof.into());
+            let part: &mut [u8] = match &mut self.payload {
+                Some(payload) => payload,
+                None => &mut self.header,
+            };
+            if self.got < part.len() {
+                match r.read(&mut part[self.got..]) {
+                    Ok(0) if self.payload.is_none() && self.got == 0 => {
+                        return Ok(FrameProgress::Eof)
                     }
-                    Ok(n) => {
-                        self.header_got += n;
-                        self.total_read += n as u64;
-                        if self.header_got == 4 {
-                            let len = u32::from_le_bytes(self.header) as usize;
-                            if len > self.max {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    format!("frame length {len} exceeds cap {}", self.max),
-                                ));
-                            }
-                            self.payload = Some(vec![0u8; len]);
-                            self.payload_got = 0;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        return Ok(FrameProgress::Pending);
-                    }
-                    Err(e) => return Err(e),
-                }
-            } else {
-                let buf = self.payload.as_mut().unwrap();
-                if self.payload_got == buf.len() {
-                    let frame = self.payload.take().unwrap();
-                    self.header_got = 0;
-                    return Ok(FrameProgress::Frame(frame));
-                }
-                match r.read(&mut buf[self.payload_got..]) {
                     Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
                     Ok(n) => {
-                        self.payload_got += n;
+                        self.got += n;
                         self.total_read += n as u64;
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -1116,15 +924,24 @@ impl FrameReader {
                     }
                     Err(e) => return Err(e),
                 }
+                continue;
             }
+            // The part is complete: a header opens its payload, a payload
+            // is the frame.
+            self.got = 0;
+            if let Some(frame) = self.payload.take() {
+                return Ok(FrameProgress::Frame(frame));
+            }
+            let len = u32::from_le_bytes(self.header) as usize;
+            if len > self.max {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("frame length {len} exceeds cap {}", self.max),
+                ));
+            }
+            self.payload = Some(vec![0u8; len]);
         }
     }
-}
-
-/// Writes a pre-encoded frame (prefix already included, e.g. from
-/// [`response_frame`]) to a blocking writer.
-pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
-    w.write_all(frame)
 }
 
 #[cfg(test)]
@@ -1150,11 +967,11 @@ mod tests {
         rt_req(Request { id: 2, target: 5, deadline_ms: 0, flags: 0, as_of: 0, op: Op::Insert(Point { x: 1, y: 2, id: 3 }) });
         rt_req(Request { id: 3, target: 5, deadline_ms: 0, flags: 0, as_of: 0, op: Op::Delete(Point { x: -1, y: -2, id: 9 }) });
         for op in [Op::Ping, Op::Stats, Op::Metrics, Op::Shutdown, Op::Versions] {
-            rt_req(Request { id: 4, target: ADMIN_TARGET, deadline_ms: 0, flags: 0, as_of: 0, op });
+            rt_req(Request { id: 4, target: 0, deadline_ms: 0, flags: 0, as_of: 0, op });
         }
         rt_req(Request {
             id: 5,
-            target: ADMIN_TARGET,
+            target: 0,
             deadline_ms: 0,
             flags: 0,
             as_of: 0,
@@ -1162,7 +979,7 @@ mod tests {
         });
         rt_req(Request {
             id: 6,
-            target: ADMIN_TARGET,
+            target: 0,
             deadline_ms: 0,
             flags: 0,
             as_of: 0,
@@ -1262,10 +1079,13 @@ mod tests {
     #[test]
     fn slow_log_decode_validates_span_and_entry_counts() {
         // An entry count with nothing behind it must be rejected cheaply.
-        let mut p = vec![RESP_SLOW_LOG];
-        p.extend_from_slice(&3u64.to_le_bytes());
-        p.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut p = encode_response(&Response { id: 3, body: Body::SlowLog(Vec::new()) });
+        let n = p.len();
+        p[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(decode_response(&p), Err(DecodeError::CountTooLarge { .. })));
+        // The floors a count is held to are the sums of the declared fields.
+        assert_eq!(SlowEntry::MIN_BYTES, 8 + 2 + 2 + 1 + 5 * 8 + 4);
+        assert_eq!(WireSpan::MIN_BYTES, 2 + 1 + 2 + 8 * 8);
 
         // A valid single entry whose span count lies about the bytes present.
         let resp = Response {
@@ -1355,9 +1175,9 @@ mod tests {
     fn decode_validates_counts_before_allocating() {
         // A Points response claiming u32::MAX elements with no bytes behind
         // it must be rejected without trying to reserve 96 GiB.
-        let mut p = vec![RESP_POINTS];
-        p.extend_from_slice(&7u64.to_le_bytes());
-        p.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut p = encode_response(&Response { id: 7, body: Body::Points(Vec::new()) });
+        let n = p.len();
+        p[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(decode_response(&p), Err(DecodeError::CountTooLarge { .. })));
     }
 

@@ -235,7 +235,7 @@ fn sampling_thins_retained_traces_but_not_aggregate_counters() {
 
     // The sampled set is the deterministic function of (seed, id) the
     // server's sampler computes — reproduce it exactly.
-    let sampler = Sampler::new(every, ServerConfig::default().trace_seed);
+    let sampler = Sampler::new(every, pc_serve::server::TRACE_SEED);
     let expected: u64 = ids_sampled.iter().filter(|&&id| sampler.should_sample(id)).count() as u64;
     assert_eq!(retained_sampled, expected);
     // ~N× fewer retained traces (loose band: the sampler is hash-based).

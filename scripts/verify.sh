@@ -37,6 +37,14 @@ done
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
+# The benchmark package imports a frozen surface of pc-serve, pc-pst and
+# pc-pagestore (ISSUE 22 lists it). Building it here makes a break of that
+# surface a compile error now, apart from the package's own tests — which
+# run last, and whose stale smoke assertion (ROADMAP 3f) still ends the
+# script red.
+echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
@@ -72,6 +80,11 @@ fi
 
 COUNT="$(printf '%s' "$METADATA" | python3 -c 'import json,sys; print(len(json.load(sys.stdin)["packages"]))')"
 echo "OK: all $COUNT packages are workspace-local and declare no feature; hermetic build verified"
+
+# The size gates of ISSUEs and CHANGES.md quote these two crates; printing
+# them here keeps a gate and its check one command.
+echo "==> scripts/loc.sh serve pst (non-test source lines)"
+scripts/loc.sh serve pst
 
 if [ "$RUN_CHAOS" = 1 ]; then
     # On failure, rerun the printed command to reproduce the exact

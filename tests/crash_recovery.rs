@@ -35,6 +35,11 @@ use pc_pst::{DynamicPst, DynamicThreeSidedPst, ThreeSidedPst, TwoLevelPst};
 use path_caching::intervaltree::ExternalIntervalTree;
 use path_caching::segtree::CachedSegmentTree;
 use path_caching::{Interval, Point, ThreeSided, TwoSided};
+use pc_serve::wire::{Body, Op};
+use pc_serve::{
+    canonicalize, decode_commit_meta, encode_commit_meta, DynamicPstTarget,
+    DynamicThreeSidedTarget, QueryTarget, TargetError, UpdateOp,
+};
 
 /// Logical state: every allocated page's id and payload bytes.
 type PageImage = Vec<(PageId, Vec<u8>)>;
@@ -523,67 +528,92 @@ fn version_wal_cfg() -> WalConfig {
     WalConfig { checkpoint_bytes: 6000 }
 }
 
-fn versioned_scan(pst: &DynamicPst, store: &PageStore) -> Vec<Point> {
-    let mut v = pst.query(store, TwoSided { x0: i64::MIN, y0: i64::MIN }).unwrap();
-    v.sort_unstable_by_key(|p| (p.x, p.y, p.id));
-    v
+type Opened = Result<Box<dyn QueryTarget>, TargetError>;
+
+/// One update-capable target kind as a shard serves it: built and
+/// registered, updated through `apply_updates` inside the batcher's session,
+/// its descriptor committed with every epoch, and — after a kill — reopened
+/// from the recovered store's commit metadata.
+struct Served {
+    name: &'static str,
+    build: fn(&PageStore, &[Point]) -> Opened,
+    reopen: fn(&PageStore, &[u8]) -> Opened,
+    /// The op that returns every point.
+    scan: Op,
+}
+
+const SERVED: [Served; 2] = [
+    Served {
+        name: "dynamic_pst",
+        build: |store, points| Ok(Box::new(DynamicPstTarget::new(DynamicPst::build(store, points)?))),
+        reopen: |store, desc| Ok(Box::new(DynamicPstTarget::open(store, desc)?)),
+        scan: Op::TwoSided { x0: i64::MIN, y0: i64::MIN },
+    },
+    Served {
+        name: "dynamic_pst3",
+        build: |store, points| {
+            Ok(Box::new(DynamicThreeSidedTarget::new(DynamicThreeSidedPst::build(store, points)?)))
+        },
+        reopen: |store, desc| Ok(Box::new(DynamicThreeSidedTarget::open(store, desc)?)),
+        scan: Op::ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN },
+    },
+];
+
+fn versioned_scan(kind: &Served, target: &dyn QueryTarget, store: &PageStore) -> Vec<Point> {
+    match canonicalize(target.query(store, &kind.scan).unwrap()) {
+        Body::Points(v) => v,
+        other => panic!("{}: scan answered {other:?}", kind.name),
+    }
 }
 
 /// Deterministic versioned workload: build + durable epoch-0 commit, then
 /// `V_BATCHES` copy-on-write apply sessions, each installed as the next
-/// epoch (which is what group-commits it). Stops at the first error — the
-/// crash — and returns how many epochs were acked (`install_as` returned
-/// `Ok`), plus, when `record` is set, the full scan at every epoch.
-fn versioned_workload(store: &Arc<PageStore>, record: bool) -> (u64, Vec<Vec<Point>>) {
+/// epoch (which is what group-commits it) with the target's descriptor as
+/// the batcher frames it. Stops at the first error — the crash — and
+/// returns how many epochs were acked (`install_as` returned `Ok`), plus,
+/// when `record` is set, the full scan at every epoch.
+fn versioned_workload(kind: &Served, store: &Arc<PageStore>, record: bool) -> (u64, Vec<Vec<Point>>) {
     let mut states: Vec<Vec<Point>> = Vec::new();
-    let setup = (|| -> pc_pagestore::Result<DynamicPst> {
-        let pst = DynamicPst::build(store, &points(60))?;
-        store.commit_with(&pst.descriptor())?;
-        Ok(pst)
+    let meta = |seq: u64, target: &dyn QueryTarget| encode_commit_meta(seq, &[target.descriptor()]);
+    let setup = (|| -> Opened {
+        let target = (kind.build)(store, &points(60))?;
+        store.commit_with(&meta(0, &*target))?;
+        Ok(target)
     })();
-    let Ok(mut pst) = setup else { return (0, states) };
-    let vs =
-        VersionedStore::new(Arc::clone(store), VersionConfig { retain: 3 }, &pst.descriptor());
+    let Ok(target) = setup else { return (0, states) };
+    let vs = VersionedStore::new(Arc::clone(store), VersionConfig { retain: 3 }, &meta(0, &*target));
     if record {
         let snap = vs.snapshot();
         let _g = snap.enter();
-        states.push(versioned_scan(&pst, store));
+        states.push(versioned_scan(kind, &*target, store));
     }
     let mut acked = 0u64;
     let initial = points(60);
     for b in 0..V_BATCHES {
         let session = vs.begin_apply();
-        let step = (|| -> pc_pagestore::Result<()> {
-            for i in 0..6i64 {
-                pst.insert(
-                    store,
-                    Point {
-                        x: 500 + b as i64 * 10 + i,
-                        y: (b as i64 * 31 + i * 7) % 97,
-                        id: 9000 + b * 10 + i as u64,
-                    },
-                )?;
-            }
-            pst.delete(store, initial[b as usize])?;
-            Ok(())
-        })();
-        let installed = match step {
-            Ok(()) => session.install_as(b + 1, &pst.descriptor()),
-            Err(e) => Err(e), // dropping the session aborts the batch
-        };
-        match installed {
-            Ok(_) => {
-                acked += 1;
-                if record {
-                    // Scans must run under the just-installed epoch's
-                    // snapshot: an untranslated read sees the frozen
-                    // name-lease slots, not the copy-on-write heads.
-                    let snap = vs.snapshot();
-                    let _g = snap.enter();
-                    states.push(versioned_scan(&pst, store));
-                }
-            }
-            Err(_) => break,
+        let mut ops: Vec<UpdateOp> = (0..6i64)
+            .map(|i| {
+                UpdateOp::Insert(Point {
+                    x: 500 + b as i64 * 10 + i,
+                    y: (b as i64 * 31 + i * 7) % 97,
+                    id: 9000 + b * 10 + i as u64,
+                })
+            })
+            .collect();
+        ops.push(UpdateOp::Delete(initial[b as usize]));
+        let applied = target.apply_updates(store, &ops).into_iter().all(|r| r.is_ok());
+        // Dropping the session aborts the batch.
+        if !applied || session.install_as(b + 1, &meta(b + 1, &*target)).is_err() {
+            break;
+        }
+        acked += 1;
+        if record {
+            // Scans must run under the just-installed epoch's snapshot: an
+            // untranslated read sees the frozen name-lease slots, not the
+            // copy-on-write heads.
+            let snap = vs.snapshot();
+            let _g = snap.enter();
+            states.push(versioned_scan(kind, &*target, store));
         }
     }
     (acked, states)
@@ -591,7 +621,12 @@ fn versioned_workload(store: &Arc<PageStore>, record: bool) -> (u64, Vec<Vec<Poi
 
 #[test]
 fn versioned_kill_point_matrix_recovers_last_committed_epoch() {
+    SERVED.iter().for_each(versioned_kill_point_matrix);
+}
+
+fn versioned_kill_point_matrix(kind: &Served) {
     let seed = 0xE70C_4B1Du64;
+    let name = kind.name;
 
     // Counting/reference pass: never killed; records the state per epoch.
     let ctrl = CrashController::new(CrashPlan::count_only(seed));
@@ -605,11 +640,11 @@ fn versioned_kill_point_matrix_recovers_last_committed_epoch() {
     )
     .unwrap();
     let store = Arc::new(store);
-    let (acked, states) = versioned_workload(&store, true);
-    assert_eq!(acked, V_BATCHES, "reference run must complete");
+    let (acked, states) = versioned_workload(kind, &store, true);
+    assert_eq!(acked, V_BATCHES, "{name}: reference run must complete");
     assert_eq!(states.len() as u64, V_BATCHES + 1);
     let total = ctrl.ops();
-    assert!(total > 40, "matrix too small to be interesting: {total} ops");
+    assert!(total > 40, "{name}: matrix too small to be interesting: {total} ops");
     drop(store);
 
     // Sample the matrix coarsely (every op would be minutes of rebuilds;
@@ -618,6 +653,7 @@ fn versioned_kill_point_matrix_recovers_last_committed_epoch() {
     let kill_points: Vec<u64> =
         (1..=total).filter(|k| *k <= 4 || *k + 4 > total || *k % 7 == 0).collect();
     for kill_at in kill_points {
+        let ctx = format!("{name} seed {seed:#x} kill_at {kill_at}");
         let ctrl = CrashController::new(CrashPlan::kill_at(seed, kill_at));
         let backend = Arc::new(CrashBackend::new(V_FRAME, ctrl.clone()));
         let log = Arc::new(CrashLog::new(ctrl.clone()));
@@ -627,10 +663,10 @@ fn versioned_kill_point_matrix_recovers_last_committed_epoch() {
             Box::new(Arc::clone(&log)),
             version_wal_cfg(),
         ) {
-            Ok((store, _)) => versioned_workload(&Arc::new(store), false).0,
+            Ok((store, _)) => versioned_workload(kind, &Arc::new(store), false).0,
             Err(_) => 0,
         };
-        assert!(ctrl.crashed(), "seed {seed:#x} kill_at {kill_at}: the store must die");
+        assert!(ctrl.crashed(), "{ctx}: the store must die");
 
         let (recovered, report) = PageStore::new_durable(
             durable_cfg(),
@@ -638,44 +674,41 @@ fn versioned_kill_point_matrix_recovers_last_committed_epoch() {
             Box::new(log.surviving_log()),
             WalConfig::default(),
         )
-        .unwrap_or_else(|e| {
-            panic!("seed {seed:#x} kill_at {kill_at}: recovery must never fail: {e}")
-        });
+        .unwrap_or_else(|e| panic!("{ctx}: recovery must never fail: {e}"));
         let recovered = Arc::new(recovered);
         let Some(meta) = recovered.last_commit_meta() else {
             // Killed before the epoch-0 commit became durable: recovery
             // must have erased the whole uncommitted build.
-            assert_eq!(acked, 0, "kill_at {kill_at}: acked an epoch with no durable meta");
+            assert_eq!(acked, 0, "{ctx}: acked an epoch with no durable meta");
             assert!(
                 recovered.allocated_pages().is_empty(),
-                "kill_at {kill_at}: uncommitted build survived (report: {report:?})"
+                "{ctx}: uncommitted build survived (report: {report:?})"
             );
             continue;
         };
 
-        // Reopen the epoch manager from the recovered commit meta, exactly
-        // as `Server::spawn` does on restart.
+        // Reopen the epoch manager and the target from the recovered commit
+        // meta, exactly as a restarting shard does before `Server::spawn`.
         let vs =
             VersionedStore::open(Arc::clone(&recovered), Some(&meta), VersionConfig { retain: 3 });
         let s = vs.current_seq();
         assert!(
             s >= acked && s <= acked + 1,
-            "kill_at {kill_at}: {acked} epochs acked but recovery exposes seq {s}"
+            "{ctx}: {acked} epochs acked but recovery exposes seq {s}"
         );
         // Exactly one epoch — the last committed one — is visible.
-        assert_eq!(vs.retained_range(), (s, s), "kill_at {kill_at}");
+        assert_eq!(vs.retained_range(), (s, s), "{ctx}");
         let snap = vs.snapshot_at(s).unwrap();
+        let (seq, descs) = decode_commit_meta(snap.user_meta()).expect("batcher-framed meta");
+        assert_eq!((seq, descs.len()), (s, 1), "{ctx}");
         let got = {
             let _g = snap.enter();
-            let pst = DynamicPst::open(&recovered, snap.user_meta()).unwrap_or_else(|e| {
-                panic!("kill_at {kill_at}: epoch {s} descriptor unusable: {e}")
-            });
-            versioned_scan(&pst, &recovered)
+            let desc = descs[0].as_ref().expect("a dynamic target's descriptor");
+            let target = (kind.reopen)(&recovered, desc)
+                .unwrap_or_else(|e| panic!("{ctx}: epoch {s} descriptor unusable: {e}"));
+            versioned_scan(kind, &*target, &recovered)
         };
-        assert_eq!(
-            got, states[s as usize],
-            "seed {seed:#x} kill_at {kill_at}: as_of({s}) diverged after recovery"
-        );
+        assert_eq!(got, states[s as usize], "{ctx}: as_of({s}) diverged after recovery");
     }
 }
 

@@ -28,7 +28,7 @@ use pc_rng::Rng;
 use pc_segtree::CachedSegmentTree;
 use pc_serve::wire::{Body, ErrorCode, Op};
 use pc_serve::{
-    canonicalize, BTreeTarget, Client, DynamicPstTarget, DynamicThreeSidedTarget, FrontendConfig,
+    canonicalize, BTreeTarget, Client, DynamicPstTarget, DynamicThreeSidedTarget,
     QueryTarget, Registry, RetryPolicy, Router, RouterConfig, RouterError, RouterFrontend,
     SegTreeTarget, Server, ServerConfig, ServerHandle, Service, ShardMap, TargetError,
 };
@@ -217,7 +217,7 @@ fn router_answers_bit_identical_across_shard_counts() {
         // the full client → frontend → scatter → merge → frame path is
         // covered, plus typed-error passthrough.
         let frontend =
-            RouterFrontend::spawn(Arc::clone(&router), FrontendConfig::default()).unwrap();
+            RouterFrontend::spawn(Arc::clone(&router), "127.0.0.1:0").unwrap();
         let mut client = Client::connect(frontend.addr(), Duration::from_secs(10)).unwrap();
         let raw_live: Vec<(i64, i64, u64)> = live.iter().map(|p| (p.x, p.y, p.id)).collect();
         for q in gen_two_sided(&raw_live, 5, 48, dseed ^ 7) {
@@ -261,7 +261,7 @@ fn an_inverted_band_through_the_router_answers_empty() {
         let router =
             Arc::new(Router::connect(&groups, splits.clone(), RouterConfig::default()).unwrap());
         let frontend =
-            RouterFrontend::spawn(Arc::clone(&router), FrontendConfig::default()).unwrap();
+            RouterFrontend::spawn(Arc::clone(&router), "127.0.0.1:0").unwrap();
         let mut client = Client::connect(frontend.addr(), Duration::from_secs(10)).unwrap();
         // `spawn_shard` runs two workers a shard; every band below lands on
         // the shard that owns `DOMAIN / 2`.
@@ -279,6 +279,71 @@ fn an_inverted_band_through_the_router_answers_empty() {
         handles.into_iter().for_each(ServerHandle::join);
         frontend.join();
     }
+}
+
+/// What the router front-end cannot do it refuses, typed: a time-travel
+/// read used to be answered from the head epoch (`as_of` was dropped on the
+/// way to the shards) with no error, and `Versions` was a `BadRequest` that
+/// told the client to target the router, which it had. "Admin" is
+/// `Op::is_admin`, here as in the server. After ADMIN `Shutdown` the
+/// front-end drains as a server does: what is already on the wire is
+/// answered `ShuttingDown`, not reset.
+#[test]
+fn the_router_refuses_time_travel_and_unserved_admin_ops_typed() {
+    let points: Vec<Point> = gen_points(300, PointDist::Uniform, seed() ^ 0xA5)
+        .iter()
+        .map(|&(x, y, id)| Point { x, y, id })
+        .collect();
+    let shard = spawn_shard(&[], &[], &points);
+    let router = Arc::new(
+        Router::connect(&[vec![shard.addr()]], Vec::new(), RouterConfig::default()).unwrap(),
+    );
+    let frontend = RouterFrontend::spawn(Arc::clone(&router), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(frontend.addr(), Duration::from_secs(10)).unwrap();
+    let scan = Op::TwoSided { x0: i64::MIN, y0: i64::MIN };
+    let unsupported = |body: Body, what: &str| match body {
+        Body::Error { code: ErrorCode::Unsupported, message } => {
+            assert!(message.contains("not served by the router"), "{what}: {message}")
+        }
+        other => panic!("{what} answered {other:?}"),
+    };
+
+    // Epoch 1 exists on the shard and holds one point fewer than the head.
+    let fresh = Point { x: 5, y: 5, id: 9_000_000 };
+    for p in [fresh, Point { id: 9_000_001, ..fresh }] {
+        assert!(matches!(client.call(2, 0, Op::Insert(p)).unwrap().body, Body::Ack { .. }));
+    }
+    unsupported(client.call_as_of(2, 0, 1, scan.clone()).unwrap().body, "as_of = 1");
+    match client.call(2, 0, scan.clone()).unwrap().body {
+        Body::Points(head) => assert_eq!(head.len(), points.len() + 2),
+        other => panic!("head scan answered {other:?}"),
+    }
+
+    for op in [Op::Versions, Op::SlowLog { k: 4, clear: false }, Op::SetSampling { every: 1 }] {
+        assert!(op.is_admin());
+        let what = op.name();
+        unsupported(client.call(0, 0, op).unwrap().body, what);
+    }
+    assert_eq!(client.ping().unwrap().body, Body::Pong);
+    assert!(matches!(client.stats().unwrap().body, Body::Stats(_)));
+
+    // Shutdown, with two more requests already on the wire behind it.
+    let ack = client.send(0, 0, Op::Shutdown).unwrap();
+    let late = [client.send(2, 0, scan).unwrap(), client.send(2, 0, Op::Insert(fresh)).unwrap()];
+    let resp = client.recv().unwrap();
+    assert_eq!((resp.id, resp.body), (ack, Body::ShutdownAck));
+    for id in late {
+        let resp = client.recv().expect("a typed refusal, not a reset");
+        assert_eq!(resp.id, id);
+        assert!(
+            matches!(resp.body, Body::Error { code: ErrorCode::ShuttingDown, .. }),
+            "{:?}",
+            resp.body
+        );
+    }
+    assert!(router.is_shutting_down());
+    shard.join();
+    frontend.join();
 }
 
 /// A target whose first query parks until released (it announces itself on

@@ -220,6 +220,9 @@ fn an_inverted_three_sided_band_answers_empty_and_costs_no_worker() {
 
     let everything = Op::ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN };
     for target in [0u16, 1] {
+        // The first read of an epoch opens the dynamic target's frozen view
+        // (its root page, once per epoch); the bands themselves read nothing.
+        c.call(target, 0, Op::ThreeSided { x1: 1, x2: 0, y0: 0 }).unwrap();
         let reads = handle.io_stats().logical_reads();
         for i in 0..=workers as i64 {
             let inverted = Op::ThreeSided { x1: 500 + i, x2: 499 - i, y0: i64::MIN };
