@@ -1,16 +1,20 @@
-//! The paper-experiment harness: one sub-command per experiment in
-//! DESIGN.md's index (E1–E20), each regenerating the measurements recorded
-//! in EXPERIMENTS.md.
+//! The paper-experiment harness, and the one source of every table: run with
+//! no argument it prints EXPERIMENTS.md — [`PREFACE`], then every section of
+//! [`SECTIONS`] (DESIGN.md's index, E1–E17) — and `scripts/verify.sh` diffs
+//! that output against the tracked file. With names it prints those sections.
 //!
 //! ```text
-//! cargo run --release -p pc-bench --bin experiments            # all
-//! cargo run --release -p pc-bench --bin experiments -- e7 e12  # subset
+//! cargo run --release -p pc-bench --bin experiments > EXPERIMENTS.md  # the document
+//! cargo run --release -p pc-bench --bin experiments -- e7 e12         # two sections
 //! ```
 //!
 //! All measurements are page-transfer counts in the strict I/O model
-//! (pool-less [`PageStore`]); the paper's bounds are printed alongside.
+//! (pool-less [`PageStore`]) over seeded data, so the output is the same
+//! bytes on every run and host; the paper's bounds are printed alongside.
+//! Exits 1 when a structure is past a `pc_bench::*_PINS` constant, 2 on a
+//! name that is not a section.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use pc_bench::{
     basic_constants, dynamic_churn_pages, f1, f2, interval_tree_constants, log_base,
@@ -19,14 +23,9 @@ use pc_bench::{
     DYNAMIC_CHURN_FACTOR, INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS, SEGMENTED_PINS,
     THREE_SIDED_PINS, TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES, TWO_LEVEL_SPACE_C, WIDE_PIN_SIZE,
 };
-use pc_pagestore::backend::MemBackend;
-use pc_pagestore::{
-    FaultBackend, FaultPlan, Frame, Interval, MirrorBackend, RetryPolicy, StoreConfig, StoreError,
-};
-use pc_rng::Rng;
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pagestore::{PageStore, Point};
+use pc_pagestore::{Frame, PageStore, Point};
 use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, SegmentedPst,
     ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
@@ -48,43 +47,78 @@ fn b_pst(frame: Frame) -> f64 {
     pc_pst::block_capacity(PAGE, frame) as f64
 }
 
+/// What EXPERIMENTS.md opens with, ahead of the sections.
+const PREFACE: &str = "\
+# EXPERIMENTS — paper claims vs. measured
+
+The standard output of `cargo run --release -p pc-bench --bin experiments`; `scripts/verify.sh`
+diffs the two: regenerate, never edit.
+
+The paper (PODS 1994) states theorems and four figures, no measured tables. Each section
+re-measures one stated bound in the strict I/O model: a pool-less `PageStore` (every page access
+is one I/O), 4096-byte pages, seeded `pc-workloads` generators, means over 30–100 queries. Every
+number is a count, so reruns are byte-identical. \"pages\" is `live_pages()` after the build.
+
+**`B` is stated per table.** The B-tree (254 16-byte entries a leaf) and the segment tree (170
+24-byte intervals) store fixed-width records; the PSTs and the interval tree store theirs at the
+narrowest `Frame` holding the data, so `B` is the structure's `block_capacity(page, frame)`: 408
+(PSTs) / 454 (interval tree) for the generators' 20-bit coordinates from 65 536 ids on, 454 / 510
+below. \"Full\" rows stretch the same data over all 64 bits (`Frame::WIDE`, `B` = 163 / 170).
+
+**Reading guide.** The claims are asymptotic and worst-case; the constants are ours. Per section:
+query I/O tracks `log_B n + t/B`, not `log₂ n + t/B`; space tracks the claimed factor's growth;
+the orderings between variants match. \"Pinned constants\" are `pc_bench::*_PINS`, 10% above the
+worst measurement: the binary exits 1 past one and `tests/layout_bounds.rs` asserts the same
+function. The systems claims (durability, fault masking, snapshots, throughput) are held by tests
+and `benchmark/`: DESIGN.md §5.
+
+";
+
+/// Every section in document order: the name the command line takes and the
+/// function that prints it. The list of valid names and the dispatch are
+/// this one table.
+const SECTIONS: [(&str, fn()); 16] = [
+    ("e1", e1_btree_baseline),
+    ("e2", e2_wasteful_ios),
+    ("e3", e3_segment_tree),
+    ("e4", e4_interval_tree),
+    ("e5", e5_basic_pst),
+    ("e6", e6_segmented_pst),
+    ("e7", e7_two_level_pst),
+    ("e8", e8_multilevel_space),
+    ("e9", e9_three_sided),
+    ("e10", e10_dynamic_pst),
+    ("e11", e11_dynamic_three_sided),
+    ("e12", e12_naive_vs_cached),
+    ("e13", e13_interval_management),
+    ("e14", e14_tradeoff_table),
+    ("e16", e16_buffer_pool),
+    ("e17", e17_page_size_ablation),
+];
+
+/// Set by [`past_pin`]: some structure measured past its pinned constant.
+static PAST_PIN: AtomicBool = AtomicBool::new(false);
+
+/// Reports a measurement past its pin on stderr; the process then exits 1.
+fn past_pin(what: std::fmt::Arguments<'_>) {
+    eprintln!("{what} (tests/layout_bounds.rs asserts the same pin)");
+    PAST_PIN.store(true, Ordering::Relaxed);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let all = [
-        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-        "e14", "e15", "e16", "e17", "e18", "e20",
-    ];
-    let selected: Vec<&str> = if args.is_empty() {
-        all.to_vec()
-    } else {
-        args.iter().map(|s| s.as_str()).collect()
-    };
-    let mut within_pins = true;
-    for exp in selected {
-        match exp {
-            "e1" => e1_btree_baseline(),
-            "e2" => e2_wasteful_ios(),
-            "e3" => e3_segment_tree(),
-            "e4" => within_pins &= e4_interval_tree(),
-            "e5" => within_pins &= e5_basic_pst(),
-            "e6" => within_pins &= e6_segmented_pst(),
-            "e7" => within_pins &= e7_two_level_pst(),
-            "e8" => within_pins &= e8_multilevel_space(),
-            "e9" => within_pins &= e9_three_sided(),
-            "e10" => within_pins &= e10_dynamic_pst(),
-            "e11" => e11_dynamic_three_sided(),
-            "e12" => e12_naive_vs_cached(),
-            "e13" => e13_interval_management(),
-            "e14" => within_pins &= e14_tradeoff_table(),
-            "e15" => e15_parallel_throughput(),
-            "e16" => e16_buffer_pool(),
-            "e17" => e17_page_size_ablation(),
-            "e18" => e18_chaos_resilience(),
-            "e20" => e20_crash_durability(),
-            other => eprintln!("unknown experiment {other}"),
-        }
+    let section = |name: &str| SECTIONS.iter().find(|(known, _)| *known == name);
+    if let Some(unknown) = args.iter().find(|name| section(name).is_none()) {
+        let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+        eprintln!("unknown experiment {unknown}; the experiments are: {}", names.join(" "));
+        std::process::exit(2);
     }
-    if !within_pins {
+    if args.is_empty() {
+        print!("{PREFACE}");
+        SECTIONS.iter().for_each(|(_, print)| print());
+    }
+    args.iter().filter_map(|name| section(name)).for_each(|(_, print)| print());
+    if PAST_PIN.load(Ordering::Relaxed) {
         std::process::exit(1);
     }
 }
@@ -94,7 +128,9 @@ fn main() {
 // ---------------------------------------------------------------------------
 fn e1_btree_baseline() {
     println!("## E1 — B+-tree: 1-d range search baseline (§1)\n");
-    println!("point/update I/O vs ceil(log_B n); range I/O vs log_B n + t/B\n");
+    println!("Claim: `O(log_B n + t/B)` range queries, `O(log_B n)` updates — the 1-d bar the");
+    println!("2-d structures must match. Point and update I/O are the tree height plus O(1);");
+    println!("range I/O is the descent plus `t/B` (`B` = 254).\n");
     let mut table = Table::new(&[
         "n", "log_B n", "point I/O", "update I/O", "t", "range I/O", "t/B",
     ]);
@@ -146,6 +182,9 @@ fn e1_btree_baseline() {
 // ---------------------------------------------------------------------------
 fn e2_wasteful_ios() {
     println!("## E2 — Figure 3: underfull cover-lists cause wasteful I/Os (§2)\n");
+    println!("Claim: underfull cover-lists cost the naive blocking one wasteful I/O per path");
+    println!("node; path caching coalesces them. Naive waste grows like the binary path length");
+    println!("(≈ log₂ n); cached waste is 1.6–3× lower (one per path *segment*), same answers.\n");
     let mut table = Table::new(&[
         "n", "variant", "search I/O", "useful I/O", "wasteful I/O", "t",
     ]);
@@ -188,7 +227,10 @@ fn e2_wasteful_ios() {
 // ---------------------------------------------------------------------------
 fn e3_segment_tree() {
     println!("## E3 — Theorem 3.4: path-cached segment tree\n");
-    println!("query O(log_B n + t/B); space O((n/B) log n) blocks\n");
+    println!("Claim: query `O(log_B n + t/B)`, space `O((n/B)·log n)` blocks (`B` = 170). Query");
+    println!("I/O is 2–4× the idealised bound, the per-segment cache reads. Space grows like");
+    println!("`n·log n` at ~10× the idealised count: the skeletal records and caches of a binary");
+    println!("tree's Θ(n) nodes are block overhead.\n");
     let mut table = Table::new(&[
         "n", "pages", "(n/B)·log2 n", "avg t", "avg query I/O", "log_B n + t/B",
     ]);
@@ -221,10 +263,11 @@ fn e3_segment_tree() {
 // ---------------------------------------------------------------------------
 // E4: Theorem 3.5 — external interval tree bounds
 // ---------------------------------------------------------------------------
-/// Returns whether the pinned geometries stayed within [`INTERVAL_TREE_PINS`].
-fn e4_interval_tree() -> bool {
+/// Exits non-zero past [`INTERVAL_TREE_PINS`].
+fn e4_interval_tree() {
     println!("## E4 — Theorem 3.5: path-cached interval tree\n");
-    println!("query O(log_B n + t/B); space O((n/B) log B) blocks\n");
+    println!("Claim: query `O(log_B n + t/B)`, space `O((n/B)·log B)` blocks. Space is 0.8–1.0×");
+    println!("the idealised `(n/B)·log₂ B`, linear in n; query I/O is 1.6–2.0× the ideal.\n");
     let mut table = Table::new(&[
         "n", "frame", "B", "pages", "(n/B)·log2 B", "avg t", "avg query I/O", "log_B n + t/B",
     ]);
@@ -256,22 +299,17 @@ fn e4_interval_tree() -> bool {
     }
     table.print();
 
-    println!(
-        "pinned constants at n = 40 000, on the generated data and on the same data \
-         stretched over all 64 bits: pages <= c·(n/B)·log2 B, \
-         every stab's reads <= c1·ceil(log_B n) + 2·ceil(t/B)\n"
-    );
+    println!("pinned constants at n = 40 000, worst of 300 stabs, on both spreads:");
+    println!("pages <= c·(n/B)·log2 B, reads <= c1·ceil(log_B n) + 2·ceil(t/B)\n");
     let mut table = Table::new(&["data", "B", "avg t", "pages", "c", "c pin", "c1", "c1 pin"]);
-    let mut within_pins = true;
     for spread in Spread::BOTH {
         for (t_mean, c_pin, c1_pin) in INTERVAL_TREE_PINS[spread as usize] {
             let (b, pages, c, c1) = interval_tree_constants(t_mean, spread);
             if c > c_pin || c1 > c1_pin {
-                eprintln!(
+                past_pin(format_args!(
                     "E4: at t ≈ {t_mean} ({spread:?}) the interval tree measures c = {c:.3}, \
-                     c1 = {c1:.3}, pinned at {c_pin} and {c1_pin} (tests/layout_bounds.rs)"
-                );
-                within_pins = false;
+                     c1 = {c1:.3}, pinned at {c_pin} and {c1_pin}"
+                ));
             }
             let mut row =
                 vec![format!("{spread:?}"), b.to_string(), t_mean.to_string(), pages.to_string()];
@@ -280,7 +318,6 @@ fn e4_interval_tree() -> bool {
         }
     }
     table.print();
-    within_pins
 }
 
 // ---------------------------------------------------------------------------
@@ -331,17 +368,16 @@ fn pst_experiment<P: TwoSidedPst>(
 }
 
 /// Prints a 2-sided structure's constants at the sizes its pins are the
-/// worst over, and returns whether they stayed within them.
+/// worst over; exits non-zero past them.
 fn pinned_two_sided(
     exp: &str,
     unit: &str,
     sizes: &[u64],
     pins: [TwoSidedPin; 2],
     measure: fn(u64, Spread) -> TwoSidedConstants,
-) -> bool {
-    println!("pinned constants (uniform, 4 KiB), on the generated data and, at one size, on");
-    println!("the same data stretched over all 64 bits: pages <= c·{unit} and reads <=");
-    println!("c1·ceil(log_B n) + 2·ceil(t/B), worst of 150 corners\n");
+) {
+    println!("pinned constants, worst of 150 corners, at the pinned sizes and one \"Full\" size:");
+    println!("pages <= c·{unit}, reads <= c1·ceil(log_B n) + 2·ceil(t/B)\n");
     let mut table = Table::new(&[
         "data", "n", "B", "pages", "c", "pin", "c1 t≈16", "pin", "c1 t≈4096", "pin",
     ]);
@@ -368,9 +404,8 @@ fn pinned_two_sided(
     }
     table.print();
     if !within {
-        eprintln!("{exp}: the structure passed its pinned constants (tests/layout_bounds.rs)");
+        past_pin(format_args!("{exp}: the structure passed its pinned constants"));
     }
-    within
 }
 
 /// A two-level or dynamic PST's pages by class, in the order of the
@@ -391,42 +426,54 @@ fn by_region_class(c: &pc_pst::RegionCensus) -> String {
     )
 }
 
-/// Returns whether the pinned geometries stayed within [`BASIC_PINS`].
-fn e5_basic_pst() -> bool {
+/// Exits non-zero past [`BASIC_PINS`].
+fn e5_basic_pst() {
     println!("## E5 — Lemma 3.1: basic PST, full-path A/S caches\n");
-    println!("query O(log_B n + t/B); space O((n/B) log n) blocks\n");
+    println!("Claim: query `O(log_B n + t/B)`, space `O((n/B)·log n)` blocks. E5–E7 are one space");
+    println!("ladder (log n → log B → loglog B) under identical answers (differentially tested),");
+    println!("each within 1.3–1.8× of the idealised `log_B n + t/B`.\n");
     pst_experiment::<BasicPst>("(n/B)·log2 n", |n, b| n / b * n.log2(), None);
-    pinned_two_sided("E5", "(n/B)·log2 n", &LADDER_PIN_SIZES, BASIC_PINS, basic_constants)
+    pinned_two_sided("E5", "(n/B)·log2 n", &LADDER_PIN_SIZES, BASIC_PINS, basic_constants);
 }
 
-/// Returns whether the pinned geometries stayed within [`SEGMENTED_PINS`].
-fn e6_segmented_pst() -> bool {
+/// Exits non-zero past [`SEGMENTED_PINS`].
+fn e6_segmented_pst() {
     println!("## E6 — Theorem 3.2: segmented PST, log B-sized cache segments\n");
-    println!("query O(log_B n + t/B); space O((n/B) log B) blocks\n");
+    println!("Claim: the same queries at space `O((n/B)·log B)` blocks: about half of E5's pages");
+    println!("at every size, the smallest rung measured.\n");
     pst_experiment::<SegmentedPst>("(n/B)·log2 B", |n, b| n / b * b.log2(), None);
-    pinned_two_sided("E6", "(n/B)·log2 B", &LADDER_PIN_SIZES, SEGMENTED_PINS, segmented_constants)
+    pinned_two_sided("E6", "(n/B)·log2 B", &LADDER_PIN_SIZES, SEGMENTED_PINS, segmented_constants);
 }
 
-/// Returns whether the pinned geometries stayed within [`TWO_LEVEL_PINS`].
-fn e7_two_level_pst() -> bool {
+/// Exits non-zero past [`TWO_LEVEL_PINS`].
+fn e7_two_level_pst() {
     println!("## E7 — Theorem 4.3: two-level recursive PST\n");
-    println!("query O(log_B n + t/B); space O((n/B) loglog B) blocks\n");
+    println!("Claim: the same queries at space `O((n/B)·loglog B)` blocks; the last column is");
+    println!("the page census. ⚠️ Constant-factor deviation from the asymptotic ladder: X- and");
+    println!("Y-lists are two more copies of the data, and every region has an inner PST, so at");
+    println!("`B` = 408 this is *above* E6 on space (a bigger block shrinks `log B` levels of");
+    println!("caches faster than two data copies), below E5, and reads the fewest pages");
+    println!("per large scan.\n");
     pst_experiment::<TwoLevelPst>(
         "(n/B)·loglog2 B",
         |n, b| n / b * b.log2().log2(),
         Some((REGION_CLASSES, |pst, store| by_region_class(&pst.page_census(store).unwrap()))),
     );
     let unit = "(n/B)·log2 log2 B";
-    pinned_two_sided("E7", unit, &TWO_LEVEL_PIN_SIZES, TWO_LEVEL_PINS, two_level_constants)
+    pinned_two_sided("E7", unit, &TWO_LEVEL_PIN_SIZES, TWO_LEVEL_PINS, two_level_constants);
 }
 
 // ---------------------------------------------------------------------------
 // E8: Theorem 4.4 — multilevel space scaling
 // ---------------------------------------------------------------------------
-/// Returns whether the pinned geometries stayed within [`MULTILEVEL_PINS`].
-fn e8_multilevel_space() -> bool {
+/// Exits non-zero past [`MULTILEVEL_PINS`].
+fn e8_multilevel_space() {
     println!("## E8 — Theorem 4.4: multilevel scheme, space vs level count\n");
-    println!("levels 1 (basic, log n) .. k (log^(k) B), saturating at log* B\n");
+    println!("Claim: k levels take `(n/B)·log^(k) B` blocks, saturating at `log* B`, and add");
+    println!("O(1) reads each. n = 200k. Space drops 1 → 2 and query I/O stays flat;");
+    println!("level 3 *rises* at this `B` (E7's effect: a 7-block region as three 3-block");
+    println!("regions with their lists and inner trees costs more than one 7-node tree) and");
+    println!("level 4 equals it: a third region level would be one block.\n");
     let n = 200_000usize;
     let raw = gen_points(n, PointDist::Uniform, 10);
     let points = to_points(&raw);
@@ -455,16 +502,20 @@ fn e8_multilevel_space() -> bool {
     }
     table.print();
     println!("three levels:");
-    pinned_two_sided("E8", "n/B", &LADDER_PIN_SIZES, MULTILEVEL_PINS, multilevel_constants)
+    pinned_two_sided("E8", "n/B", &LADDER_PIN_SIZES, MULTILEVEL_PINS, multilevel_constants);
 }
 
 // ---------------------------------------------------------------------------
 // E9: Theorem 3.3 — 3-sided queries
 // ---------------------------------------------------------------------------
-/// Returns whether the pinned geometry stayed within [`THREE_SIDED_PINS`].
-fn e9_three_sided() -> bool {
+/// Exits non-zero past [`THREE_SIDED_PINS`].
+fn e9_three_sided() {
     println!("## E9 — Theorem 3.3: 3-sided PST\n");
-    println!("query O(log_B n + t/B); space O((n/B) log^2 B) blocks\n");
+    println!("Claim: query `O(log_B n + t/B)`, space `O((n/B)·log² B)` blocks. Query I/O is");
+    println!("1.7–2.2× the idealised bound (two boundary walks); space lands far below the");
+    println!("`log² B` budget and above E6's and E7's — the paper's \"slightly higher");
+    println!("storage\" — and is a sawtooth in n (DESIGN.md §12). `c1` at t ≈ 4096 is what a");
+    println!("query pays per node it meets, in whole blocks, against few blocks of output.\n");
     let mut table = Table::new(&[
         "n",
         "frame",
@@ -512,11 +563,9 @@ fn e9_three_sided() -> bool {
     }
     table.print();
 
-    println!("pinned geometries (uniform, 4 KiB), on the generated data and, at its peak, on the");
-    println!("same data stretched over all 64 bits; the first size of either is the peak of its");
-    println!("space sawtooth, 15 full nodes and 16 leaves of one point: the constants of");
-    println!("pages <= c·(n/B)·log2²B and reads <= c1·ceil(log_B n) + 2·ceil(t/B),");
-    println!("worst of 150 queries\n");
+    println!("pinned constants, worst of 150 queries; the first size of either spread is the peak");
+    println!("of its space sawtooth, 15 full nodes and 16 leaves of one point:");
+    println!("pages <= c·(n/B)·log2²B, reads <= c1·ceil(log_B n) + 2·ceil(t/B)\n");
     let mut pinned = Table::new(&[
         "data", "n", "B", "pages", "skeletal/Y/A/S/directory", "c", "pin", "c1 t≈16", "pin",
         "c1 t≈4096", "pin",
@@ -544,18 +593,22 @@ fn e9_three_sided() -> bool {
     }
     pinned.print();
     if !within {
-        eprintln!("E9: the 3-sided PST passed its pinned constants");
+        past_pin(format_args!("E9: the 3-sided PST passed its pinned constants"));
     }
-    within
 }
 
 // ---------------------------------------------------------------------------
 // E10: Theorem 5.1 — dynamic PST
 // ---------------------------------------------------------------------------
-/// Returns whether the churn workload stayed within [`DYNAMIC_CHURN_FACTOR`].
-fn e10_dynamic_pst() -> bool {
+/// Exits non-zero past [`DYNAMIC_CHURN_FACTOR`].
+fn e10_dynamic_pst() {
     println!("## E10 — Theorem 5.1: dynamic two-level PST\n");
-    println!("amortized update O(log_B n); queries stay O(log_B n + t/B) under churn\n");
+    println!("Claim: amortised update `O(log_B n)`; queries stay `O(log_B n + t/B)` under churn;");
+    println!("space `O((n/B)·loglog B)`. Update I/O is flat in n from 100k on (≈ 5·log_B n:");
+    println!("per-flush list rebuilds amortised over a buffer page). Dirty queries are E7's plus");
+    println!("the buffer reads. `pages/(n/B)` follows the updates: an inner tree rebuilt near its");
+    println!("fullest takes more blocks than a fresh one (ROADMAP 6c), which the churn factor");
+    println!("below bounds. Fresh ids follow the initial ones: no insert widens a frame.\n");
     let mut table = Table::new(&[
         "n",
         "frame",
@@ -616,7 +669,6 @@ fn e10_dynamic_pst() -> bool {
     }
     table.print();
 
-    let mut within = true;
     for spread in Spread::BOTH {
         let pin = DYNAMIC_CHURN_FACTOR[spread as usize];
         let (b, after, fresh) = dynamic_churn_pages(spread);
@@ -626,13 +678,9 @@ fn e10_dynamic_pst() -> bool {
              {after} pages against {fresh} of a fresh build, factor {factor:.3}, pinned at {pin}\n"
         );
         if factor > pin {
-            eprintln!(
-                "E10: the dynamic PST drifted past its pinned churn factor (tests/layout_bounds.rs)"
-            );
+            past_pin(format_args!("E10: the dynamic PST drifted past its pinned churn factor"));
         }
-        within &= factor <= pin;
     }
-    within
 }
 
 // ---------------------------------------------------------------------------
@@ -640,7 +688,9 @@ fn e10_dynamic_pst() -> bool {
 // ---------------------------------------------------------------------------
 fn e11_dynamic_three_sided() {
     println!("## E11 — Theorem 5.2: dynamic 3-sided PST\n");
-    println!("queries optimal; amortized update cost reported (buffer+rebuild scheme)\n");
+    println!("Claim: optimal queries, amortised update `O(log_B n·log² B)`. Queries are E9's");
+    println!("plus the buffer's blocks. Updates are a buffer of `B·⌈log_B n⌉` and a full rebuild:");
+    println!("within the paper's budget at these sizes but growing with n (DESIGN.md §12).\n");
     let mut table =
         Table::new(&["n", "B", "update I/O", "query I/O", "avg t", "paper bound log_B n·log²B"]);
     for n in [20_000usize, 100_000] {
@@ -684,8 +734,11 @@ fn e11_dynamic_three_sided() {
 // ---------------------------------------------------------------------------
 fn e12_naive_vs_cached() {
     println!("## E12 — naive [IKO] vs path-cached PST: the log n vs log_B n gap\n");
-    println!("small-t queries at growing n; output terms cancel, navigation dominates");
-    println!("waste/q = per-query wasteful transfers (pc-obs span classifier)\n");
+    println!("Deep-corner queries with t = 0: pure navigation. The naive structure tracks");
+    println!("`log₂(n/B)`; the cached ones grow like `log_B n` with a per-segment constant,");
+    println!("ahead everywhere and by more as n grows — the paper's core claim. waste/q is the");
+    println!("mean `wasteful_ios` of a `pc_obs::begin_trace()` capture per query: naive waste");
+    println!("grows with the binary path (Figure 3), segmented waste is the corner's own block.\n");
     let mut table = Table::new(&[
         "n",
         "t",
@@ -752,7 +805,10 @@ fn e12_naive_vs_cached() {
 // ---------------------------------------------------------------------------
 fn e13_interval_management() {
     println!("## E13 — dynamic interval management: stabbing query shoot-out (§1)\n");
-    println!("PST reduction vs B-tree-on-lo scan vs full scan\n");
+    println!("n = 200k long-tail intervals, stabbed as 2-sided queries on (−lo, hi), §1's");
+    println!("reduction. The B-tree on lo scans every interval with `lo <= q`, most failing");
+    println!("`hi >= q`: why the paper calls B-trees \"inefficient for handling more general");
+    println!("problems\". The full scan is `n/B` at the PST's `B`.\n");
     let n = 200_000usize;
     let raw = gen_intervals(n, IntervalDist::LongTail, 21);
     let intervals = to_intervals(&raw);
@@ -805,9 +861,12 @@ fn e13_interval_management() {
 // ---------------------------------------------------------------------------
 // E14: the space/time trade-off table (§6)
 // ---------------------------------------------------------------------------
-/// Returns whether the two-level row stayed within [`TWO_LEVEL_SPACE_C`].
-fn e14_tradeoff_table() -> bool {
+/// Exits non-zero if the two-level row is past [`TWO_LEVEL_SPACE_C`].
+fn e14_tradeoff_table() {
     println!("## E14 — space/time trade-offs across all variants (§6)\n");
+    println!("n = 200k, one data set and so one `B`. The recursive rungs read a quarter fewer");
+    println!("pages than the single-level ones; on space, segmented < two-level < basic <");
+    println!("3-level. The two-level row is held to E7's space pin.\n");
     let n = 200_000usize;
     let raw = gen_points(n, PointDist::Uniform, 23);
     let points = to_points(&raw);
@@ -841,17 +900,15 @@ fn e14_tradeoff_table() -> bool {
         ("two-level (Thm 4.3)", "(n/B)·loglog B", measure::<TwoLevelPst>),
         ("3-level (Thm 4.4)", "(n/B)·log*B", measure::<MultilevelPst>),
     ];
-    let mut within_pin = true;
     for (label, paper, measure) in variants {
         let (pages, io, t_avg) = measure(&points, &queries);
         if label.starts_with("two-level") {
             let units = pages as f64 / (n as f64 / b * b.log2().log2());
             if units > TWO_LEVEL_SPACE_C {
-                eprintln!(
+                past_pin(format_args!(
                     "E14: two-level space is {units:.3} units of (n/B)·loglog B, \
-                     pinned at {TWO_LEVEL_SPACE_C} (tests/layout_bounds.rs)"
-                );
-                within_pin = false;
+                     pinned at {TWO_LEVEL_SPACE_C}"
+                ));
             }
         }
         table.row(vec![
@@ -864,50 +921,6 @@ fn e14_tradeoff_table() -> bool {
         ]);
     }
     table.print();
-    within_pin
-}
-
-// ---------------------------------------------------------------------------
-// E15: parallel query throughput (beyond the paper: the substrate is Sync)
-// ---------------------------------------------------------------------------
-fn e15_parallel_throughput() {
-    println!("## E15 — parallel query throughput (substrate extension)\n");
-    println!("the paper's model is single-threaded; this checks the engineering\n");
-    let n = 200_000usize;
-    let raw = gen_points(n, PointDist::Uniform, 25);
-    let points = to_points(&raw);
-    let store = PageStore::in_memory(PAGE);
-    let pst = TwoLevelPst::build(&store, &points).unwrap();
-    let queries = gen_two_sided(&raw, 256, n / 100, 26);
-    let mut table = Table::new(&["threads", "queries/s", "speedup"]);
-    let mut base = 0.0f64;
-    for threads in [1usize, 2, 4, 8] {
-        let start = std::time::Instant::now();
-        let rounds = 4usize;
-        std::thread::scope(|s| {
-            for tid in 0..threads {
-                let pst = &pst;
-                let store = &store;
-                let queries = &queries;
-                s.spawn(move || {
-                    for r in 0..rounds {
-                        for (i, q) in queries.iter().enumerate() {
-                            if (i + r + tid) % threads == tid {
-                                pst.query(store, TwoSided { x0: q.x0, y0: q.y0 }).unwrap();
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let total = (queries.len() * rounds) as f64;
-        let qps = total / start.elapsed().as_secs_f64();
-        if threads == 1 {
-            base = qps;
-        }
-        table.row(vec![threads.to_string(), f1(qps), f2(qps / base)]);
-    }
-    table.print();
 }
 
 // ---------------------------------------------------------------------------
@@ -915,7 +928,10 @@ fn e15_parallel_throughput() {
 // ---------------------------------------------------------------------------
 fn e16_buffer_pool() {
     println!("## E16 — buffer pool vs strict model (substrate extension)\n");
-    println!("hot pages (skeletal roots, caches) absorb backend reads\n");
+    println!("200 queries on a 200k-point segmented PST. A 64-page pool absorbs nearly every");
+    println!("read — the queries share the upper skeletal pages and cache blocks — which is why");
+    println!("every bound above is measured in the strict model: with a pool, I/O is locality,");
+    println!("not the structure's transfer count.\n");
     let n = 200_000usize;
     let raw = gen_points(n, PointDist::Uniform, 27);
     let points = to_points(&raw);
@@ -932,7 +948,8 @@ fn e16_buffer_pool() {
         let store = if pool == 0 {
             PageStore::in_memory(PAGE)
         } else {
-            PageStore::in_memory_pooled(PAGE, pool)
+            // A fixed shard count: the default follows the host's thread count.
+            PageStore::in_memory_pooled_sharded(PAGE, pool, 8)
         };
         let pst = SegmentedPst::build(&store, &points).unwrap();
         store.reset_stats();
@@ -963,9 +980,10 @@ fn e16_buffer_pool() {
 // ---------------------------------------------------------------------------
 fn e17_page_size_ablation() {
     println!("## E17 — ablation: page size B vs the naive/cached navigation gap\n");
-    println!("t = 0 deep-corner queries. naive pays ~log2(n/B); cached pays a few\n\
-              reads per skeletal segment, and segments hold ~log2(B) binary levels —\n\
-              so the cached advantage grows with B\n");
+    println!("t = 0 deep-corner queries, n = 200k. The naive structure pays ~`log₂(n/B)` block");
+    println!("reads; the cached one a small constant per skeletal *segment*, and a segment holds");
+    println!("~`log₂ B` binary levels — so the advantage of path caching grows with `B`, from");
+    println!("break-even at 512-byte pages: the large-`B` regime external memory cares about.\n");
     let n = 200_000usize;
     let raw = gen_points(n, PointDist::Uniform, 29);
     let points = to_points(&raw);
@@ -1000,446 +1018,4 @@ fn e17_page_size_ablation() {
         ]);
     }
     table.print();
-}
-
-// ---------------------------------------------------------------------------
-// E18: chaos — seeded fault injection across every structure
-// ---------------------------------------------------------------------------
-
-/// One structure's deterministic chaos workload: build + mutate + query,
-/// one canonical log line per completed operation. Randomness comes from
-/// the seed alone (never the store), so the op sequence is identical with
-/// and without faults and the fault-free log is a golden reference.
-type ChaosScenario = fn(&PageStore, u64, &mut Vec<String>) -> Result<(), StoreError>;
-
-fn chaos_ids(mut ids: Vec<u64>) -> String {
-    ids.sort_unstable();
-    format!("{ids:?}")
-}
-
-fn chaos_points(rng: &mut Rng, n: usize) -> Vec<Point> {
-    (0..n)
-        .map(|i| Point::new(rng.gen_range(0i64..400), rng.gen_range(0i64..400), i as u64))
-        .collect()
-}
-
-fn chaos_intervals(rng: &mut Rng, n: usize) -> Vec<Interval> {
-    (0..n)
-        .map(|i| {
-            let lo = rng.gen_range(0i64..400);
-            Interval::new(lo, lo + rng.gen_range(0i64..120), i as u64)
-        })
-        .collect()
-}
-
-fn chaos_btree(store: &PageStore, seed: u64, log: &mut Vec<String>) -> Result<(), StoreError> {
-    let mut rng = Rng::seed_from_u64(seed ^ 0xb7ee);
-    let mut entries: Vec<(i64, u64)> =
-        (0..300).map(|_| rng.gen_range(-500i64..500)).map(|k| (k, k.unsigned_abs())).collect();
-    entries.sort_unstable();
-    entries.dedup_by_key(|e| e.0);
-    let mut tree = BTree::bulk_build(store, &entries)?;
-    for _ in 0..50 {
-        let k = rng.gen_range(-600i64..600);
-        tree.insert(store, k, k.unsigned_abs())?;
-        log.push(format!("insert {k} len={}", tree.len()));
-    }
-    for _ in 0..15 {
-        let k = rng.gen_range(-600i64..600);
-        log.push(format!("delete {k}: {:?}", tree.delete(store, &k)?));
-    }
-    for _ in 0..15 {
-        let lo = rng.gen_range(-650i64..650);
-        let hi = lo + rng.gen_range(0i64..300);
-        log.push(format!("range {lo}..={hi}: {:?}", tree.range(store, &lo, &hi)?));
-    }
-    Ok(())
-}
-
-fn chaos_stab<T>(
-    build: impl FnOnce(&PageStore, &[Interval]) -> pc_pagestore::Result<T>,
-    stab: impl Fn(&T, &PageStore, i64) -> pc_pagestore::Result<Vec<Interval>>,
-    salt: u64,
-) -> impl FnOnce(&PageStore, u64, &mut Vec<String>) -> Result<(), StoreError> {
-    move |store, seed, log| {
-        let mut rng = Rng::seed_from_u64(seed ^ salt);
-        let intervals = chaos_intervals(&mut rng, 200);
-        let tree = build(store, &intervals)?;
-        for _ in 0..20 {
-            let q = rng.gen_range(-20i64..540);
-            let got = stab(&tree, store, q)?;
-            log.push(format!("stab {q}: {}", chaos_ids(got.iter().map(|iv| iv.id).collect())));
-        }
-        Ok(())
-    }
-}
-
-fn chaos_naive_segtree(s: &PageStore, seed: u64, l: &mut Vec<String>) -> Result<(), StoreError> {
-    chaos_stab(NaiveSegmentTree::build, |t, s, q| t.stab(s, q), 0x5e67)(s, seed, l)
-}
-
-fn chaos_cached_segtree(s: &PageStore, seed: u64, l: &mut Vec<String>) -> Result<(), StoreError> {
-    chaos_stab(CachedSegmentTree::build, |t, s, q| t.stab(s, q), 0xcac4)(s, seed, l)
-}
-
-fn chaos_interval_tree(s: &PageStore, seed: u64, l: &mut Vec<String>) -> Result<(), StoreError> {
-    chaos_stab(ExternalIntervalTree::build, |t, s, q| t.stab(s, q), 0x17ee)(s, seed, l)
-}
-
-fn chaos_two_sided<T>(
-    build: impl FnOnce(&PageStore, &[Point]) -> pc_pagestore::Result<T>,
-    query: impl Fn(&T, &PageStore, TwoSided) -> pc_pagestore::Result<Vec<Point>>,
-    salt: u64,
-) -> impl FnOnce(&PageStore, u64, &mut Vec<String>) -> Result<(), StoreError> {
-    move |store, seed, log| {
-        let mut rng = Rng::seed_from_u64(seed ^ salt);
-        let points = chaos_points(&mut rng, 300);
-        let pst = build(store, &points)?;
-        for _ in 0..20 {
-            let q = TwoSided { x0: rng.gen_range(-20i64..420), y0: rng.gen_range(-20i64..420) };
-            let got = query(&pst, store, q)?;
-            log.push(format!("{q:?}: {}", chaos_ids(got.iter().map(|p| p.id).collect())));
-        }
-        Ok(())
-    }
-}
-
-fn chaos_segmented_pst(s: &PageStore, seed: u64, l: &mut Vec<String>) -> Result<(), StoreError> {
-    chaos_two_sided(SegmentedPst::build, |t, s, q| t.query(s, q), 0x5e91)(s, seed, l)
-}
-
-fn chaos_two_level_pst(s: &PageStore, seed: u64, l: &mut Vec<String>) -> Result<(), StoreError> {
-    chaos_two_sided(TwoLevelPst::build, |t, s, q| t.query(s, q), 0x2011)(s, seed, l)
-}
-
-fn chaos_three_sided(store: &PageStore, seed: u64, log: &mut Vec<String>) -> Result<(), StoreError> {
-    let mut rng = Rng::seed_from_u64(seed ^ 0x3510);
-    let points = chaos_points(&mut rng, 300);
-    let pst = ThreeSidedPst::build(store, &points)?;
-    for _ in 0..20 {
-        let x1 = rng.gen_range(-20i64..420);
-        let q =
-            ThreeSided { x1, x2: x1 + rng.gen_range(0i64..200), y0: rng.gen_range(-20i64..420) };
-        let got = pst.query(store, q)?;
-        log.push(format!("{q:?}: {}", chaos_ids(got.iter().map(|p| p.id).collect())));
-    }
-    Ok(())
-}
-
-fn chaos_dynamic_pst(store: &PageStore, seed: u64, log: &mut Vec<String>) -> Result<(), StoreError> {
-    let mut rng = Rng::seed_from_u64(seed ^ 0xd12d);
-    let points = chaos_points(&mut rng, 240);
-    let (base, rest) = points.split_at(140);
-    let mut pst = DynamicPst::build(store, base)?;
-    for &p in rest {
-        pst.insert(store, p)?;
-    }
-    for p in points.iter().step_by(5) {
-        pst.delete(store, *p)?;
-    }
-    for _ in 0..15 {
-        let q = TwoSided { x0: rng.gen_range(-20i64..420), y0: rng.gen_range(-20i64..420) };
-        let got = pst.query(store, q)?;
-        log.push(format!("{q:?}: {}", chaos_ids(got.iter().map(|p| p.id).collect())));
-    }
-    Ok(())
-}
-
-fn chaos_dynamic_3s(store: &PageStore, seed: u64, log: &mut Vec<String>) -> Result<(), StoreError> {
-    let mut rng = Rng::seed_from_u64(seed ^ 0xd35d);
-    let points = chaos_points(&mut rng, 240);
-    let (base, rest) = points.split_at(140);
-    let mut pst = DynamicThreeSidedPst::build(store, base)?;
-    for &p in rest {
-        pst.insert(store, p)?;
-    }
-    for p in points.iter().step_by(7) {
-        pst.delete(store, *p)?;
-    }
-    for _ in 0..15 {
-        let x1 = rng.gen_range(-20i64..420);
-        let q =
-            ThreeSided { x1, x2: x1 + rng.gen_range(0i64..200), y0: rng.gen_range(-20i64..420) };
-        let got = pst.query(store, q)?;
-        log.push(format!("{q:?}: {}", chaos_ids(got.iter().map(|p| p.id).collect())));
-    }
-    Ok(())
-}
-
-/// Runs a chaos scenario, converting a panic into a counted outcome.
-#[allow(clippy::type_complexity)]
-fn chaos_run(
-    f: ChaosScenario,
-    store: &PageStore,
-    seed: u64,
-) -> (Vec<String>, Result<(), StoreError>, bool) {
-    let mut log = Vec::new();
-    match catch_unwind(AssertUnwindSafe(|| f(store, seed, &mut log))) {
-        Ok(outcome) => (log, outcome, false),
-        Err(_) => (log, Ok(()), true),
-    }
-}
-
-fn e18_chaos_resilience() {
-    println!("## E18 — chaos: seeded faults vs the retry/failover/repair layer (§9)\n");
-    println!(
-        "fixed seed {CHAOS_SEED:#x}; mirrored = 2 replicas, shared seed, phases 0.5 apart\n\
-         (transients 1%, torn writes 4%), retries<=6: must be bit-identical to fault-free.\n\
-         single = one backend, 1% each of transient/torn/rot faults, default retries: may\n\
-         abort, but only cleanly and only after a correct prefix. mismatch + panics stay 0\n"
-    );
-    const CHAOS_SEED: u64 = 0x00C0_FFEE;
-    let scenarios: &[(&str, ChaosScenario)] = &[
-        ("btree", chaos_btree),
-        ("naive-segtree", chaos_naive_segtree),
-        ("cached-segtree", chaos_cached_segtree),
-        ("interval-tree", chaos_interval_tree),
-        ("segmented-pst", chaos_segmented_pst),
-        ("two-level-pst", chaos_two_level_pst),
-        ("three-sided-pst", chaos_three_sided),
-        ("dynamic-pst", chaos_dynamic_pst),
-        ("dynamic-3s-pst", chaos_dynamic_3s),
-    ];
-    let mut table = Table::new(&[
-        "structure", "ops", "injected", "retries", "failovers", "repairs", "clean err",
-        "mismatch", "panics",
-    ]);
-    for &(name, f) in scenarios {
-        let golden_store = PageStore::in_memory(PAGE);
-        let (golden, outcome, panicked) = chaos_run(f, &golden_store, CHAOS_SEED);
-        assert!(outcome.is_ok() && !panicked, "fault-free golden run failed for {name}");
-
-        let (mut mismatches, mut panics) = (0u64, 0u64);
-
-        // Mirrored run: phased silent corruption must be fully masked.
-        let plan_a = FaultPlan {
-            read_transient_p: 0.01,
-            write_transient_p: 0.01,
-            torn_write_p: 0.04,
-            ..FaultPlan::none(CHAOS_SEED)
-        };
-        let ra = FaultBackend::new(Box::new(MemBackend::new(PAGE + 8)), plan_a);
-        let rb = FaultBackend::new(Box::new(MemBackend::new(PAGE + 8)), plan_a.with_phase(0.5));
-        let (ha, hb) = (ra.handle(), rb.handle());
-        let mirror = MirrorBackend::new(vec![Box::new(ra), Box::new(rb)]);
-        let store = PageStore::new(
-            StoreConfig::strict(PAGE).with_retry(RetryPolicy { max_attempts: 6, backoff: None }),
-            Box::new(mirror),
-        );
-        let (log, outcome, panicked) = chaos_run(f, &store, CHAOS_SEED);
-        panics += panicked as u64;
-        if outcome.is_err() || (!panicked && log != golden) {
-            mismatches += 1;
-        }
-        let s = store.stats();
-        let mut injected = ha.injected().total() + hb.injected().total();
-        let mut retries = s.retries;
-
-        // Single-backend run: faults may surface, but only as clean errors
-        // after a correct prefix.
-        let plan = FaultPlan {
-            read_transient_p: 0.01,
-            write_transient_p: 0.01,
-            torn_write_p: 0.01,
-            bit_rot_p: 0.01,
-            ..FaultPlan::none(CHAOS_SEED)
-        };
-        let single = FaultBackend::new(Box::new(MemBackend::new(PAGE + 8)), plan);
-        let h = single.handle();
-        let store = PageStore::new(
-            StoreConfig::strict(PAGE).with_retry(RetryPolicy::default()),
-            Box::new(single),
-        );
-        let (log, outcome, panicked) = chaos_run(f, &store, CHAOS_SEED);
-        panics += panicked as u64;
-        let clean_err = u64::from(!panicked && outcome.is_err());
-        let prefix_ok = log.len() <= golden.len() && log[..] == golden[..log.len()];
-        if !panicked && !prefix_ok {
-            mismatches += 1;
-        }
-        injected += h.injected().total();
-        retries += store.stats().retries;
-
-        table.row(vec![
-            name.to_string(),
-            golden.len().to_string(),
-            injected.to_string(),
-            retries.to_string(),
-            s.failovers.to_string(),
-            s.repairs.to_string(),
-            clean_err.to_string(),
-            mismatches.to_string(),
-            panics.to_string(),
-        ]);
-    }
-    table.print();
-}
-
-// ---------------------------------------------------------------------------
-// E20: crash durability — group-commit amortization + kill-point matrix
-// ---------------------------------------------------------------------------
-
-fn e20_crash_durability() {
-    use std::sync::Arc;
-
-    use pc_pagestore::{
-        CrashBackend, CrashController, CrashLog, CrashPlan, WalConfig,
-    };
-
-    println!("## E20 — crash durability: ARIES-lite WAL, group commit, recovery (§10)\n");
-
-    // Part 1: group commit amortizes one fsync over a whole update batch —
-    // the serve layer's Thm 5.1 buffering, applied to durability cost.
-    println!(
-        "group-commit amortization: 256 page updates on a durable store,\n\
-         committed in batches of k; fsyncs/update is the durability overhead\n"
-    );
-    let mut table = Table::new(&["batch k", "updates", "fsyncs", "fsyncs/update", "max group"]);
-    for k in [1u64, 4, 16, 64] {
-        let (store, _) = PageStore::in_memory_durable(PAGE);
-        let ids: Vec<_> = (0..8).map(|_| store.alloc().unwrap()).collect();
-        store.sync().unwrap();
-        let base = store.wal_stats().unwrap().fsyncs;
-        const UPDATES: u64 = 256;
-        for u in 0..UPDATES {
-            store.write(ids[(u % 8) as usize], &[u as u8; 128]).unwrap();
-            if (u + 1) % k == 0 {
-                store.commit_with(&u.to_le_bytes()).unwrap();
-            }
-        }
-        let ws = store.wal_stats().unwrap();
-        let fsyncs = ws.fsyncs - base;
-        table.row(vec![
-            k.to_string(),
-            UPDATES.to_string(),
-            fsyncs.to_string(),
-            f2(fsyncs as f64 / UPDATES as f64),
-            ws.max_group.to_string(),
-        ]);
-    }
-    table.print();
-
-    // Part 2: kill-point matrix. A mixed alloc/write/free workload commits
-    // six batches over crash-simulated media; we kill it at every durable
-    // I/O, recover from the seeded survivors, and check the recovered
-    // store equals a committed batch prefix covering every acked batch.
-    const SEED: u64 = 0x0dd5_eed5;
-    const KPAGE: usize = 64;
-    const KFRAME: usize = KPAGE + 8;
-    let wal_cfg = WalConfig { checkpoint_bytes: 800 };
-    let cfg = || StoreConfig::strict(KPAGE);
-    let payload = |b: u8, s: u8| {
-        let mut v = vec![b.wrapping_mul(16).wrapping_add(s); KPAGE];
-        (v[0], v[1]) = (b, s);
-        v
-    };
-    type PageImage = Vec<(pc_pagestore::PageId, Vec<u8>)>;
-    let snapshot = |store: &PageStore| -> PageImage {
-        store
-            .allocated_pages()
-            .into_iter()
-            .map(|id| (id, store.read(id).unwrap().to_vec()))
-            .collect()
-    };
-    let workload = |store: &PageStore, snaps: Option<&mut Vec<PageImage>>| -> u64 {
-        let mut live = Vec::new();
-        let mut acked = 0u64;
-        let mut snaps = snaps;
-        if let Some(s) = snaps.as_deref_mut() {
-            s.push(snapshot(store));
-        }
-        for b in 0..6u8 {
-            let step = || -> pc_pagestore::Result<()> {
-                for s in 0..2u8 {
-                    let id = store.alloc()?;
-                    store.write(id, &payload(b, s))?;
-                    live.push(id);
-                }
-                store.write(live[b as usize % live.len()], &payload(b, 0xF0))?;
-                if b % 2 == 1 && live.len() > 3 {
-                    store.free(live.remove(0))?;
-                }
-                store.commit_with(&[b])?;
-                Ok(())
-            }();
-            match step {
-                Ok(()) => {
-                    acked += 1;
-                    if let Some(s) = snaps.as_deref_mut() {
-                        s.push(snapshot(store));
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        acked
-    };
-
-    let media = |kill_at: u64| {
-        let ctrl = CrashController::new(CrashPlan { seed: SEED, kill_at });
-        let backend = Arc::new(CrashBackend::new(KFRAME, ctrl.clone()));
-        let log = Arc::new(CrashLog::new(ctrl.clone()));
-        (ctrl, backend, log)
-    };
-
-    // Counting + reference pass.
-    let (ctrl, backend, log) = media(0);
-    let (store, _) = PageStore::new_durable(
-        cfg(),
-        Box::new(Arc::clone(&backend)),
-        Box::new(Arc::clone(&log)),
-        wal_cfg,
-    )
-    .unwrap();
-    let mut snaps = Vec::new();
-    workload(&store, Some(&mut snaps));
-    let total = ctrl.ops();
-    drop(store);
-
-    let (mut recovered_ok, mut acked_survived, mut torn_tails, mut replayed) =
-        (0u64, 0u64, 0u64, 0u64);
-    for kill_at in 1..=total {
-        let (_, backend, log) = media(kill_at);
-        let acked = match PageStore::new_durable(
-            cfg(),
-            Box::new(Arc::clone(&backend)),
-            Box::new(Arc::clone(&log)),
-            wal_cfg,
-        ) {
-            Ok((store, _)) => workload(&store, None),
-            Err(_) => 0,
-        };
-        if let Ok((store, report)) = PageStore::new_durable(
-            cfg(),
-            Box::new(backend.surviving_backend()),
-            Box::new(log.surviving_log()),
-            wal_cfg,
-        ) {
-            recovered_ok += 1;
-            torn_tails += u64::from(report.torn_tail);
-            replayed += report.replayed_records();
-            let state = snapshot(&store);
-            if let Some(idx) = snaps.iter().position(|s| s == &state) {
-                if idx as u64 >= acked {
-                    acked_survived += 1;
-                }
-            }
-        }
-    }
-    println!(
-        "\nkill-point matrix: seed {SEED:#x}, {total} durable I/Os ⇒ {total} kill points\n"
-    );
-    let mut table = Table::new(&[
-        "kill points", "recovered", "acked survived", "torn WAL tails", "records replayed",
-    ]);
-    table.row(vec![
-        total.to_string(),
-        format!("{recovered_ok}/{total}"),
-        format!("{acked_survived}/{total}"),
-        torn_tails.to_string(),
-        replayed.to_string(),
-    ]);
-    table.print();
-    assert_eq!(recovered_ok, total, "recovery must succeed at every kill point");
-    assert_eq!(acked_survived, total, "every acked batch must survive every kill point");
 }

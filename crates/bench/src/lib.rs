@@ -1,4 +1,5 @@
-//! Shared utilities for the experiment harness and timing benches.
+//! Shared utilities of the experiment harness: data spreads, the pinned
+//! constants with their measurement functions, and the table printer.
 
 use pc_intervaltree::ExternalIntervalTree;
 use pc_pagestore::{Frame, Interval, PageStore, Point};

@@ -4,8 +4,9 @@
 //! Concurrency model: statistics are atomic counters, the allocation table
 //! sits behind a read-write lock (shared on the hot read path), and the
 //! backend itself is internally synchronized — so concurrent readers of a
-//! static structure scale across threads (experiment E15). The optional
-//! buffer pool is sharded ([`crate::pool::ShardedPool`]): an access locks
+//! static structure scale across threads (`tests/concurrency_and_pool.rs`
+//! holds the contract, `benchmark/`'s `throughput_ops_s` the rate). The
+//! optional buffer pool is sharded ([`crate::pool::ShardedPool`]): an access locks
 //! only the shard its page hashes to, so pooled readers of distinct pages
 //! scale too, and a pool hit hands back the resident `Arc` without copying
 //! payload bytes.
@@ -1257,6 +1258,24 @@ mod tests {
         assert_eq!(ws.commits, 1);
         assert_eq!(ws.fsyncs, 2, "open-time checkpoint + the commit");
         assert_eq!(ws.max_group, 2, "alloc + write in one group");
+
+        // A commit is one fsync however many writes it carries: 256 page
+        // writes committed every k cost 256 / k fsyncs. The eight allocs
+        // synced first are a group of their own, the largest while k < 8.
+        for (k, fsyncs, max_group) in [(1, 256, 8), (4, 64, 8), (16, 16, 16), (64, 4, 64)] {
+            let (store, _) = PageStore::in_memory_durable(4096);
+            let ids: Vec<_> = (0..8).map(|_| store.alloc().unwrap()).collect();
+            store.sync().unwrap();
+            let before = store.wal_stats().unwrap().fsyncs;
+            for u in 0..256u64 {
+                store.write(ids[(u % 8) as usize], &[u as u8; 128]).unwrap();
+                if (u + 1) % k == 0 {
+                    store.commit_with(&u.to_le_bytes()).unwrap();
+                }
+            }
+            let ws = store.wal_stats().unwrap();
+            assert_eq!((ws.fsyncs - before, ws.max_group), (fsyncs, max_group), "k = {k}");
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! variants (§3 of the paper), on the `region` substrate's [`Walk`].
 
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::search::partition_point;
 use pc_pagestore::{PageId, Point, Result};
 
 use crate::build::{CacheMode, PointsPage, SEntry, SkeletalRecord};
@@ -132,7 +131,7 @@ impl Ctx<'_, '_> {
         let before = walk.results.len();
         let pp = PointsPage::decode(&walk.node_page(rec.own_pts)?, walk.frame)?;
         // Points are descending by y-key, so the y-qualifiers are a prefix.
-        let cut = partition_point(&pp.points, |p| p.y >= q.y0);
+        let cut = pp.points.partition_point(|p| p.y >= q.y0);
         walk.results.extend(pp.points[..cut].iter().filter(|p| p.x >= q.x0));
         pc_obs::add_items((walk.results.len() - before) as u64);
         Ok(())
@@ -190,7 +189,7 @@ impl Ctx<'_, '_> {
         self.walk.traverse(seeds, true, |&(page, _)| page, |walk, (page, add), below| {
             let pp = PointsPage::decode(&walk.node_page(page)?, walk.frame)?;
             // Points are descending by y-key, so the y-qualifiers are a prefix.
-            let cut = partition_point(&pp.points, |p| p.y >= y0);
+            let cut = pp.points.partition_point(|p| p.y >= y0);
             if add {
                 walk.results.extend_from_slice(&pp.points[..cut]);
                 pc_obs::add_items(cut as u64);

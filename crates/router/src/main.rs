@@ -121,7 +121,6 @@ fn run() -> Result<(), String> {
         health_interval: Duration::from_millis(args.health_ms.max(1)),
         retry: pc_serve::RetryPolicy { attempts: args.attempts, ..Default::default() },
         seed: args.seed,
-        ..RouterConfig::default()
     };
     let router = Arc::new(
         Router::connect(&args.groups, args.splits.clone(), cfg)

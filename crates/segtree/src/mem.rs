@@ -83,8 +83,7 @@ impl MemTree {
     /// Slab index of an endpoint value that is known to be in
     /// `self.endpoints` (singleton slab `2j + 1`).
     fn slab_of_endpoint(&self, v: i64) -> u32 {
-        let j = pc_pagestore::search::binary_search_by_key(&self.endpoints, &v, |&e| e)
-            .expect("endpoint must exist");
+        let j = self.endpoints.binary_search(&v).expect("endpoint must exist");
         2 * j as u32 + 1
     }
 
@@ -92,7 +91,7 @@ impl MemTree {
     /// counterpart of the external endpoint-B-tree lookup).
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn slab_of_query(&self, q: i64) -> u32 {
-        match pc_pagestore::search::binary_search_by_key(&self.endpoints, &q, |&e| e) {
+        match self.endpoints.binary_search(&q) {
             Ok(j) => 2 * j as u32 + 1,
             // Insertion position j means e_{j-1} < q < e_j: open slab 2j.
             Err(j) => 2 * j as u32,

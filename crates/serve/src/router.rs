@@ -181,21 +181,12 @@ impl ShardMap {
 /// Router tuning knobs. `Default` suits tests and small clusters.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Per-replica TCP connect timeout.
-    pub connect_timeout: Duration,
-    /// Per-call socket read/write timeout (a dead peer surfaces as an
-    /// error, never a hang).
-    pub io_timeout: Duration,
     /// Per-shard read retry schedule (attempts × capped exponential
     /// backoff with seeded jitter); one "attempt" is a full cycle over the
     /// shard's replicas.
     pub retry: RetryPolicy,
     /// Background health-loop cadence (ping, reconnect, journal replay).
     pub health_interval: Duration,
-    /// Idle connections retained per replica. Calls check a connection out
-    /// of the pool (opening a new one when empty), so replica concurrency
-    /// tracks caller concurrency instead of serializing on one socket.
-    pub pool_per_replica: usize,
     /// Seed for backoff jitter (deterministic retry schedules in tests).
     pub seed: u64,
 }
@@ -203,15 +194,22 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> RouterConfig {
         RouterConfig {
-            connect_timeout: Duration::from_secs(1),
-            io_timeout: Duration::from_secs(5),
             retry: RetryPolicy::default(),
             health_interval: Duration::from_millis(50),
-            pool_per_replica: 8,
             seed: 0x5AFE_C10C,
         }
     }
 }
+
+/// A replica connection's connect timeout, and the read/write timeout of
+/// every call over it (a dead peer surfaces as an error, never a hang).
+const REPLICA_TIMEOUT: Duration = Duration::from_secs(1);
+/// Idle connections retained per replica. Calls check a connection out of
+/// the pool (opening a new one when empty), so replica concurrency tracks
+/// caller concurrency instead of serializing on one socket.
+const POOL_PER_REPLICA: usize = 8;
+/// How long the frontend keeps an idle client connection.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Why a routed request failed. Partial-failure aware: every variant names
 /// the shard that failed, and a typed per-shard error (`Overloaded`,
@@ -323,19 +321,19 @@ impl Replica {
     }
 
     /// Takes an idle connection, or opens a fresh one.
-    fn checkout(&self, connect_timeout: Duration) -> Option<Client> {
+    fn checkout(&self) -> Option<Client> {
         if let Some(c) = self.idle.lock().pop() {
             return Some(c);
         }
-        Client::connect(*self.addr.lock(), connect_timeout).ok()
+        Client::connect(*self.addr.lock(), REPLICA_TIMEOUT).ok()
     }
 
     /// Returns a connection after a successful call; dropped when the pool
     /// is full or the replica died meanwhile.
-    fn checkin(&self, client: Client, cap: usize) {
+    fn checkin(&self, client: Client) {
         if self.healthy.load(Relaxed) {
             let mut idle = self.idle.lock();
-            if idle.len() < cap {
+            if idle.len() < POOL_PER_REPLICA {
                 idle.push(client);
             }
         }
@@ -344,16 +342,10 @@ impl Replica {
     /// One request over a pooled connection. A transport failure consumes
     /// the connection and surfaces the error; the caller decides whether
     /// the replica is dead.
-    fn call(
-        &self,
-        cfg: &RouterConfig,
-        target: u16,
-        deadline_ms: u32,
-        op: &Op,
-    ) -> Result<Response, ClientError> {
-        let mut client = self.checkout(cfg.connect_timeout).ok_or(ClientError::Closed)?;
+    fn call(&self, target: u16, deadline_ms: u32, op: &Op) -> Result<Response, ClientError> {
+        let mut client = self.checkout().ok_or(ClientError::Closed)?;
         let resp = client.call(target, deadline_ms, op.clone())?;
-        self.checkin(client, cfg.pool_per_replica);
+        self.checkin(client);
         Ok(resp)
     }
 }
@@ -478,7 +470,7 @@ impl Router {
             let mut replicas = Vec::with_capacity(group.len());
             let mut any_up = false;
             for &addr in group {
-                let conn = Client::connect(addr, cfg.connect_timeout).ok();
+                let conn = Client::connect(addr, REPLICA_TIMEOUT).ok();
                 let up = conn.is_some();
                 any_up |= up;
                 replicas.push(Replica {
@@ -614,7 +606,7 @@ impl Router {
             if !replica.healthy.load(Relaxed) {
                 continue;
             }
-            match replica.call(&self.inner.cfg, target, deadline_ms, op) {
+            match replica.call(target, deadline_ms, op) {
                 Ok(Response { body: body @ Body::Ack { .. }, .. }) => {
                     acked.push(ri);
                     ack_body.get_or_insert(body);
@@ -702,7 +694,7 @@ impl Router {
                     shard.stats.failovers.fetch_add(1, Relaxed);
                 }
                 tried_any = true;
-                match replica.call(cfg, target, deadline_ms, op) {
+                match replica.call(target, deadline_ms, op) {
                     Ok(Response { body: Body::Error { code, message }, .. }) => {
                         typed.get_or_insert((code, message));
                         if !code.is_transient() {
@@ -807,7 +799,7 @@ impl Router {
         }
         for shard in &self.inner.shards {
             for replica in &shard.replicas {
-                if let Some(mut c) = replica.checkout(self.inner.cfg.connect_timeout) {
+                if let Some(mut c) = replica.checkout() {
                     let _ = c.shutdown_server();
                 }
                 replica.idle.lock().clear();
@@ -849,15 +841,15 @@ fn health_loop(inner: &Inner) {
                 }
                 if replica.healthy.load(Relaxed) {
                     // Liveness probe; admin ops bypass the shard's queues.
-                    let pong = replica.checkout(inner.cfg.connect_timeout).and_then(|mut c| {
+                    let pong = replica.checkout().and_then(|mut c| {
                         matches!(c.ping(), Ok(Response { body: Body::Pong, .. })).then_some(c)
                     });
                     match pong {
-                        Some(c) => replica.checkin(c, inner.cfg.pool_per_replica),
+                        Some(c) => replica.checkin(c),
                         None => replica.mark_dead(),
                     }
                 } else {
-                    revive_replica(inner, shard, replica);
+                    revive_replica(shard, replica);
                 }
             }
         }
@@ -867,9 +859,9 @@ fn health_loop(inner: &Inner) {
 /// Reconnect + catch-up for one dead replica. The final healthy flip
 /// happens under the journal lock, so an update fan-out can never observe
 /// a replica that is healthy yet behind.
-fn revive_replica(inner: &Inner, shard: &Shard, replica: &Replica) {
+fn revive_replica(shard: &Shard, replica: &Replica) {
     let addr = *replica.addr.lock();
-    let Ok(mut client) = Client::connect(addr, inner.cfg.connect_timeout) else {
+    let Ok(mut client) = Client::connect(addr, REPLICA_TIMEOUT) else {
         return;
     };
     if client.ping().is_err() {
@@ -968,9 +960,6 @@ pub fn canonicalize(body: Body) -> Body {
 /// the admin ops it does not serve, and any `as_of` other than 0 (each shard
 /// numbers its own epochs, so no one number addresses a fabric-wide state).
 pub struct RouterFrontend;
-
-/// How long an idle client connection is kept.
-const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 struct FrontendState {
     router: Arc<Router>,

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Hermetic verification gate.
 #
-# Proves the workspace builds and tests with the network disabled, passes
-# clippy with warnings denied, and that the dependency graph contains only
+# Proves the workspace builds and tests with the network disabled, that
+# EXPERIMENTS.md is what the `experiments` binary prints, passes clippy with
+# warnings denied, and that the dependency graph contains only
 # workspace-local crates — i.e. nothing resolves from crates.io or any
 # other registry. Run from anywhere; it cd's to the repo root.
 #
@@ -48,38 +49,59 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo build --offline --benches (bench harness compiles)"
-cargo build --offline --benches --workspace
+# EXPERIMENTS.md is the standard output of the `experiments` binary (every
+# number a page count over seeded data, so the same bytes on every run): a
+# layout change shows as the rows this diff prints, and lands by
+# regenerating the file. The binary also exits 1 past a `pc_bench::*_PINS`
+# constant. ~45 s.
+echo "==> experiments | diff - EXPERIMENTS.md"
+cargo run --release --offline --quiet -p pc-bench --bin experiments | diff - EXPERIMENTS.md
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> checking that the dependency graph is workspace-only and feature-free"
+echo "==> checking that the dependency graph is workspace-only, feature-free and used"
 # Every package in the resolved graph must come from a local path source
 # (cargo metadata reports `"source": null` for path dependencies). Any
-# registry/git source means the build is no longer hermetic. And no
-# package may declare a cargo feature: each one is a second build
-# configuration that every gate above would have to run again.
+# registry/git source means the build is no longer hermetic. No package
+# may declare a cargo feature: each one is a second build configuration
+# that every gate above would have to run again. And every declared
+# dependency's crate name must occur in the declaring package's sources,
+# so that the crate graph of DESIGN §3 is the real one — but for the two
+# edges `benchmark/Cargo.lock` records, which go in the PR that may change
+# that file (ROADMAP 3f).
 METADATA="$(cargo metadata --format-version 1 --offline)"
 BAD="$(
   printf '%s' "$METADATA" | python3 -c '
-import json, sys
+import glob, json, os, re, sys
 meta = json.load(sys.stdin)
+locked_by_benchmark = {("pc-pst", "pc-btree"), ("pc-intervaltree", "pc-btree")}
 for p in meta["packages"]:
     if p["source"] is not None:
         print("non-workspace package:", p["id"])
     for feature in p["features"]:
         print("cargo feature declared:", p["name"] + "/" + feature)
+    root = os.path.dirname(p["manifest_path"])
+    sources = "".join(
+        open(path).read()
+        for d in ("src", "tests", "examples")
+        for path in glob.glob(os.path.join(root, d, "**", "*.rs"), recursive=True)
+    )
+    for dep in p["dependencies"]:
+        if (p["name"], dep["name"]) in locked_by_benchmark:
+            continue
+        if not re.search(r"\b" + dep["name"].replace("-", "_") + r"\b", sources):
+            print("unused dependency:", p["name"], "->", dep["name"])
 '
 )"
 if [ -n "$BAD" ]; then
-    echo "ERROR: the dependency graph is not workspace-only and feature-free:" >&2
+    echo "ERROR: the dependency graph is not workspace-only, feature-free and used:" >&2
     echo "$BAD" >&2
     exit 1
 fi
 
 COUNT="$(printf '%s' "$METADATA" | python3 -c 'import json,sys; print(len(json.load(sys.stdin)["packages"]))')"
-echo "OK: all $COUNT packages are workspace-local and declare no feature; hermetic build verified"
+echo "OK: all $COUNT packages are workspace-local, declare no feature and use what they declare; hermetic build verified"
 
 # The size gates of ISSUEs and CHANGES.md quote these two crates; printing
 # them here keeps a gate and its check one command.

@@ -5,7 +5,7 @@
 //! buffer pool is sharded — an access locks only the shard its page hashes
 //! to — so a *static* index can be queried from many threads at once in
 //! both strict and pooled mode; these tests pin that contract down (and
-//! the E15 experiment measures throughput).
+//! `benchmark/`'s `throughput_ops_s` measures the throughput).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
