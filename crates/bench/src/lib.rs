@@ -342,20 +342,21 @@ pub type ThreeSidedPin = (u64, f64, [(usize, f64); 2]);
 /// it holds — so the sizes are its peak (15 full nodes and 16 leaves of one
 /// point: 47 686 at `B` = 454, 17 131 at `B` = 163), the small size E9 and
 /// E11 run at, and 100k, where the tree spans two levels of skeletal
-/// pages. Measured c 0.143 / 0.052 / 0.081 and c1 1.50 / 1.00 / 1.50 at t ≈
-/// 16, 6.50 / 6.50 / 5.00 at t ≈ 4096 — ten blocks of output from nodes of
-/// seven blocks each: what a query pays per node it meets weighs more the
-/// fewer blocks its answer is — and on full-width data, at its peak, c
-/// 0.206 and c1 1.50 / 1.00; the pins are 10% above.
-/// `tests/layout_bounds.rs` asserts them and the `experiments` binary's E9
-/// exits non-zero past them.
+/// pages. Measured c 0.143 / 0.050 / 0.079 and c1 1.50 / 0.50 / 1.50 at t ≈
+/// 16, 2.00 / −2.50 / 0.50 at t ≈ 4096 — ten blocks of output from nodes of
+/// seven blocks each, where a query pays per node it meets only the partial
+/// blocks its runs and Y-prefixes end in, and reads fewer than the `2·⌈t/B⌉`
+/// the form allows for its output — and on full-width data, at its peak, c
+/// 0.206 and c1 1.50 / −4.00; the pins are 10% above (of its size, for a
+/// negative `c1`). `tests/layout_bounds.rs` asserts them and the
+/// `experiments` binary's E9 exits non-zero past them.
 pub const THREE_SIDED_PINS: [&[ThreeSidedPin]; 2] = [
     &[
-        (47_686, 0.158, [(16, 1.65), (4096, 7.15)]),
-        (20_000, 0.058, [(16, 1.1), (4096, 7.15)]),
-        (100_000, 0.09, [(16, 1.65), (4096, 5.5)]),
+        (47_686, 0.158, [(16, 1.65), (4096, 2.2)]),
+        (20_000, 0.055, [(16, 0.55), (4096, -2.25)]),
+        (100_000, 0.087, [(16, 1.65), (4096, 0.55)]),
     ],
-    &[(17_131, 0.227, [(16, 1.65), (4096, 1.1)])],
+    &[(17_131, 0.227, [(16, 1.65), (4096, -3.6)])],
 ];
 
 /// Builds a pinned geometry — `n` uniform points, spread as `spread` says,

@@ -152,7 +152,7 @@ impl<K: Ord> Internal<K> {
     /// Index of the child subtree that covers `key`.
     pub fn child_index(&self, key: &K) -> usize {
         // partition_point: number of separators <= key
-        pc_pagestore::search::partition_point(&self.keys, |k| k <= key)
+        self.keys.partition_point(|k| k <= key)
     }
 }
 

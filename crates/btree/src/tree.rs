@@ -10,7 +10,6 @@
 //! These are the 1-d optimal bounds the paper cites for B+-trees (§1) and
 //! that experiment E1 validates empirically.
 
-use pc_pagestore::search;
 use pc_pagestore::{PageId, PageStore, Record, Result};
 
 use crate::node::{empty_leaf, Internal, Leaf, Node};
@@ -87,7 +86,7 @@ impl<K: Record + Ord + Clone, V: Record + Clone> BTree<K, V> {
     pub fn get(&self, store: &PageStore, key: &K) -> Result<Option<V>> {
         let _span = pc_obs::span!("btree_get");
         let (_, _, leaf) = self.descend(store, key)?;
-        let i = search::partition_point(&leaf.entries, |(k, _)| k < key);
+        let i = leaf.entries.partition_point(|(k, _)| k < key);
         Ok(leaf.entries.get(i).filter(|(k, _)| k == key).map(|(_, v)| v.clone()))
     }
 
@@ -96,7 +95,7 @@ impl<K: Record + Ord + Clone, V: Record + Clone> BTree<K, V> {
     pub fn pred(&self, store: &PageStore, key: &K) -> Result<Option<(K, V)>> {
         let _span = pc_obs::span!("btree_pred");
         let (_, _, leaf) = self.descend(store, key)?;
-        let idx = search::partition_point(&leaf.entries, |(k, _)| k <= key);
+        let idx = leaf.entries.partition_point(|(k, _)| k <= key);
         if idx > 0 {
             return Ok(Some(leaf.entries[idx - 1].clone()));
         }
@@ -173,7 +172,7 @@ impl<K: Record + Ord + Clone, V: Record + Clone> BTree<K, V> {
         let internal_cap = Node::<K, V>::internal_capacity(store.page_size());
 
         let (mut path, leaf_id, mut leaf) = self.descend(store, &key)?;
-        let i = search::partition_point(&leaf.entries, |(k, _)| k < &key);
+        let i = leaf.entries.partition_point(|(k, _)| k < &key);
         if leaf.entries.get(i).is_some_and(|(k, _)| *k == key) {
             let old = std::mem::replace(&mut leaf.entries[i].1, value);
             Node::Leaf(leaf).write(store, leaf_id)?;
@@ -243,7 +242,7 @@ impl<K: Record + Ord + Clone, V: Record + Clone> BTree<K, V> {
     pub fn delete(&mut self, store: &PageStore, key: &K) -> Result<Option<V>> {
         let _span = pc_obs::span!("btree_delete");
         let (mut path, leaf_id, mut leaf) = self.descend(store, key)?;
-        let i = search::partition_point(&leaf.entries, |(k, _)| k < key);
+        let i = leaf.entries.partition_point(|(k, _)| k < key);
         if leaf.entries.get(i).is_none_or(|(k, _)| k != key) {
             return Ok(None);
         }

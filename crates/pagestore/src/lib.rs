@@ -52,7 +52,6 @@ pub mod mirror;
 pub mod page;
 pub mod pool;
 pub mod recovery;
-pub mod search;
 pub mod stats;
 pub mod store;
 pub mod types;

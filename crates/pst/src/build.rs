@@ -604,7 +604,7 @@ mod tests {
             let store = PageStore::in_memory(page_size);
             let id = store.alloc().unwrap();
             let records: Vec<SkeletalRecord> = (0..cap as u64).map(rec).collect();
-            write_page(&store, id, |_| Ok(()), &records).unwrap();
+            write_page(&store, id, |_| Ok(()), &records, &[]).unwrap();
             let page = store.read(id).unwrap();
             assert_eq!(SkeletalRecord::all(&page).unwrap().len(), cap);
             for slot in [0, cap - 1] {

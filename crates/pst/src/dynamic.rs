@@ -588,7 +588,7 @@ impl DynamicPst {
             }
         }
 
-        write_page(store, page_id, |w| encode_header(w, &header), &records)?;
+        write_page(store, page_id, |w| encode_header(w, &header), &records, &[])?;
 
         // Patch the parent's view of this page's root if it changed.
         match parent {

@@ -13,7 +13,11 @@ use crate::region::{SkelRecord, Walk};
 pub struct QueryCounters {
     /// Skeletal page reads (navigation).
     pub skeletal: u64,
-    /// A-list / S-list block reads.
+    /// Reads for a 3-sided node's directory: its page of its own, or the
+    /// skeletal page it is on, read for it alone. A directory on a page the
+    /// walk reads anyway costs nothing here.
+    pub directories: u64,
+    /// A-list / S-list block reads (and update buffer pages).
     pub cache_blocks: u64,
     /// Region (points page) reads: corner, ancestors, siblings,
     /// descendants.
@@ -23,7 +27,7 @@ pub struct QueryCounters {
 impl QueryCounters {
     /// Total page reads.
     pub fn total(&self) -> u64 {
-        self.skeletal + self.cache_blocks + self.node_blocks
+        self.skeletal + self.directories + self.cache_blocks + self.node_blocks
     }
 }
 

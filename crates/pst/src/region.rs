@@ -110,13 +110,15 @@ pub(crate) fn write_with(
     store.write(id, &buf[..used])
 }
 
-/// Writes skeletal page `id`: the count, what `header` adds to it, and
-/// `records`, each in its [`SkelRecord::LEN`] bytes.
+/// Writes skeletal page `id`: the count, what `header` adds to it,
+/// `records`, each in its [`SkelRecord::LEN`] bytes, and `tail` flush with
+/// the page's end (what an engine keeps in the space the records leave).
 pub(crate) fn write_page<R: SkelRecord>(
     store: &PageStore,
     id: PageId,
     header: impl FnOnce(&mut PageWriter<'_>) -> Result<()>,
     records: &[R],
+    tail: &[u8],
 ) -> Result<()> {
     write_with(store, id, |w| {
         w.put_u16(records.len() as u16)?;
@@ -127,6 +129,11 @@ pub(crate) fn write_page<R: SkelRecord>(
             let end = R::HEADER + R::LEN * (slot + 1);
             assert!(w.position() <= end, "a skeletal record of more than {} bytes", R::LEN);
             w.skip(end - w.position())?;
+        }
+        if !tail.is_empty() {
+            let gap = w.remaining().checked_sub(tail.len()).expect("a page tail over the records");
+            w.skip(gap)?;
+            w.put_bytes(tail)?;
         }
         Ok(())
     })
@@ -176,11 +183,15 @@ pub(crate) fn paginate(mem: &MemPst, cap: usize) -> (Vec<Vec<usize>>, Vec<(usize
     (pages, node_loc)
 }
 
-/// A decomposition cut into skeletal pages, the pages allocated.
+/// A decomposition cut into skeletal pages, the pages allocated, and what
+/// an engine keeps in the space the records leave: per page, a tail flush
+/// with its end.
 pub(crate) struct Skeleton {
     pages: Vec<Vec<usize>>,
     loc: Vec<(usize, u16)>,
     ids: Vec<PageId>,
+    tails: Vec<Vec<u8>>,
+    page_size: usize,
 }
 
 impl Skeleton {
@@ -188,7 +199,8 @@ impl Skeleton {
     pub(crate) fn new(store: &PageStore, mem: &MemPst, cap: usize) -> Result<Skeleton> {
         let (pages, loc) = paginate(mem, cap);
         let ids = pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
-        Ok(Skeleton { pages, loc, ids })
+        let tails = vec![Vec::new(); pages.len()];
+        Ok(Skeleton { pages, loc, ids, tails, page_size: store.page_size() })
     }
 
     /// The page of the tree's root, which is its slot 0.
@@ -210,18 +222,45 @@ impl Skeleton {
         self.loc[a].0 == self.loc[b].0
     }
 
+    /// Every arena node, pages in order (a page before the pages below
+    /// it) and slots in order.
+    pub(crate) fn nodes(&self) -> Vec<usize> {
+        self.pages.concat()
+    }
+
+    /// Puts `bytes` in the tails of the pages of `nodes`, at one offset
+    /// from their ends, if each has that much room above its records of
+    /// `R::LEN` bytes; returns the offset.
+    pub(crate) fn place_tail<R: SkelRecord>(
+        &mut self,
+        nodes: &[usize],
+        bytes: &[u8],
+    ) -> Option<usize> {
+        let pages: Vec<usize> = nodes.iter().map(|&ni| self.loc[ni].0).collect();
+        let end = |p: usize| self.page_size - self.tails[p].len();
+        let offset = end(pages[0]).checked_sub(bytes.len())?;
+        let records = |p: usize| R::HEADER + R::LEN * self.pages[p].len();
+        if !pages.iter().all(|&p| end(p) == end(pages[0]) && records(p) <= offset) {
+            return None;
+        }
+        for p in pages {
+            self.tails[p].splice(0..0, bytes.iter().copied());
+        }
+        Some(offset)
+    }
+
     /// Writes every page: what `header` adds to the count for the page
-    /// whose root is the arena node it is given, and `record` of each
-    /// member.
+    /// whose root is the arena node it is given, `record` of each member,
+    /// and the page's tail.
     pub(crate) fn write<R: SkelRecord>(
         &self,
         store: &PageStore,
         header: impl Fn(usize, &mut PageWriter<'_>) -> Result<()>,
         record: impl Fn(usize) -> R,
     ) -> Result<()> {
-        for (members, &id) in self.pages.iter().zip(&self.ids) {
+        for ((members, &id), tail) in self.pages.iter().zip(&self.ids).zip(&self.tails) {
             let records: Vec<R> = members.iter().map(|&ni| record(ni)).collect();
-            write_page(store, id, |w| header(members[0], w), &records)?;
+            write_page(store, id, |w| header(members[0], w), &records, tail)?;
         }
         Ok(())
     }
@@ -374,10 +413,29 @@ impl<'a> Walk<'a> {
         Ok(())
     }
 
-    /// Reads a page that is neither skeletal nor a list block — a
-    /// directory, an update buffer — at the price of a cache block.
+    /// Reads skeletal page `id` as the next level of the walk without
+    /// taking it in hand: a walk that needs the page it continues into
+    /// before it has finished the one it holds.
+    pub(crate) fn fetch(&mut self, id: PageId) -> Result<Page> {
+        let _lvl = pc_obs::span!("level", self.counters.skeletal);
+        self.counters.skeletal += 1;
+        self.store.read(id)
+    }
+
+    /// Takes a skeletal page already read in hand.
+    pub(crate) fn hold(&mut self, id: PageId, page: Page) {
+        (self.held, self.page) = (id, page);
+    }
+
+    /// Reads an update buffer page, at the price of a cache block.
     pub(crate) fn cache_page(&mut self, id: PageId) -> Result<Page> {
         self.counters.cache_blocks += 1;
+        self.store.read(id)
+    }
+
+    /// Reads a page for a directory on it alone.
+    pub(crate) fn directory_page(&mut self, id: PageId) -> Result<Page> {
+        self.counters.directories += 1;
         self.store.read(id)
     }
 
@@ -393,17 +451,29 @@ impl<'a> Walk<'a> {
     /// record that fails. Returns the number kept.
     #[inline]
     pub(crate) fn prefix(&mut self, start: PageId, keep: impl Fn(&Point) -> bool) -> Result<u64> {
+        self.prefix_within(start, keep, |_| true)
+    }
+
+    /// [`Walk::prefix`] that reports only the kept records `report` takes
+    /// as well — a Y-list read by `y` and filtered by `x` — and returns
+    /// the number reported.
+    #[inline]
+    pub(crate) fn prefix_within(
+        &mut self,
+        start: PageId,
+        keep: impl Fn(&Point) -> bool,
+        report: impl Fn(&Point) -> bool,
+    ) -> Result<u64> {
         let _scan = pc_obs::span!(output: "list_scan");
         let before = self.results.len();
-        'scan: for block in BlockList::<Point>::blocks_from(self.store, self.frame, start) {
-            self.counters.node_blocks += 1;
-            for p in block? {
-                if !keep(&p) {
-                    break 'scan;
+        self.scan(start, |c| &mut c.node_blocks, |answer, p: Point| {
+            keep(&p) && {
+                if report(&p) {
+                    answer.push(p);
                 }
-                self.results.push(p);
+                true
             }
-        }
+        })?;
         let kept = (self.results.len() - before) as u64;
         pc_obs::add_items(kept);
         Ok(kept)
@@ -425,10 +495,23 @@ impl<'a> Walk<'a> {
     pub(crate) fn cache_scan<R: Framed>(
         &mut self,
         start: PageId,
+        take: impl FnMut(&mut Vec<Point>, R) -> bool,
+    ) -> Result<()> {
+        self.scan(start, |c| &mut c.cache_blocks, take)
+    }
+
+    /// Scans a list from block `start` on, each block read counted in
+    /// `class`, handing each record and the answer to `take` until it
+    /// declines one.
+    #[inline]
+    fn scan<R: Framed>(
+        &mut self,
+        start: PageId,
+        class: fn(&mut QueryCounters) -> &mut u64,
         mut take: impl FnMut(&mut Vec<Point>, R) -> bool,
     ) -> Result<()> {
         for block in BlockList::<R>::blocks_from(self.store, self.frame, start) {
-            self.counters.cache_blocks += 1;
+            *class(&mut self.counters) += 1;
             for rec in block? {
                 if !take(&mut self.results, rec) {
                     return Ok(());

@@ -4,13 +4,11 @@
 //! ## Query anatomy
 //!
 //! The two vertical boundaries trace two root paths that share a prefix up
-//! to the **split node** (the deepest region whose x-range contains both
-//! boundaries). Below the split, the left path is a 2-sided problem cut by
-//! `x = x1` (everything right of it is `<= x2` automatically) and the
-//! right path is its mirror; between them lie fully-contained subtrees.
-//! On the shared prefix, a node's qualifying points form a *middle run*
-//! `[x1, x2]` of its x-order — not a prefix — which is what costs the
-//! extra machinery relative to Theorem 3.2.
+//! to the **split node**. Below it the left path is a 2-sided problem cut
+//! by `x = x1` and the right path its mirror, with fully-contained subtrees
+//! between them; on the shared prefix a node's qualifying points are a
+//! *middle run* `[x1, x2]` of its x-order, not a prefix — the extra
+//! machinery relative to Theorem 3.2.
 //!
 //! ## Our instantiation of the Thm 3.3 space/time trade
 //!
@@ -24,13 +22,10 @@
 //!
 //! * **Y-list** — the node's points, once, descending y, blocked `B`. The
 //!   skeletal record names its first and its second block.
-//! * **One A-list with a directory, the node included.** The points of the
-//!   in-page ancestors *and of the node itself*, descending x, each tagged
-//!   with its source's in-page depth. A *directory* maps each block →
-//!   (smallest x, page id), so a query jumps straight to the start of its
-//!   run `[x1, x2]`; the run is the same set whichever boundary walks it,
-//!   so the left walk, the right walk and the shared prefix all scan this
-//!   one list, and no path node's points are read from anywhere else.
+//! * **One A-list, the node included.** The points of the in-page
+//!   ancestors *and of the node itself*, descending x, each tagged with its
+//!   source's in-page depth: the only place a path node's points are read
+//!   from, by either walk and by the shared prefix.
 //! * **Threshold-indexed S-lists over first blocks.** A sibling of a
 //!   *shared* node lies wholly outside the query band, so the S-cache must
 //!   exclude ancestors above the split. We store one S-list per possible
@@ -39,8 +34,15 @@
 //!   descending y) and the mirrored `S'_j` for left siblings. This family
 //!   of up to `h` lists per node, each up to `h` blocks, is the paper's
 //!   extra `log B` space factor: total space `O((n/B)·log² B)`.
-//! * **One directory page**: `[a_count u16][(x i64, page u64)*]`
-//!   `[s_count u16][(S_j 16, S'_j 16)*]`.
+//! * **A directory**: `[a_count u16][(x i64, page u64)*][y_count u16]
+//!   [y i64*][s_count u16][(S_j 16, S'_j 16)*]` — per A-block its last x
+//!   and page (a run starts with a jump), per Y-block its last y, the
+//!   S-family. It lives in the free tail of the skeletal page holding the
+//!   node's children (a leaf's own): a corner or a split finds it on the
+//!   page in hand, an exit on the page it continues into — on both child
+//!   pages, at one offset from the end, inline only where both have room.
+//!   Tails fill from the end, pages and slots in order, so an exit's comes
+//!   first; one that does not fit keeps a page of its own ([`DirAt`]).
 //!
 //! Skeletal pages hold complete subtrees ([`skeletal_capacity`] is a
 //! `2^h − 1`: 31 records at 4 KiB, 3 at 512 B), `MemPst`'s leaves differ in
@@ -55,41 +57,42 @@
 //! [split_x i64][min_y i64][y_list 16][y_second u64]
 //! [left 28][right 28]          child: [page u64][slot u16][y_head u64][cnt u16][top_y i64]
 //!                              (cnt's top bit: the child is a leaf)
-//! [a_list 16][dir u64]
+//! [a_list 16][dir u64]         dir: a page, or (top bit) an offset on the children's page
 //! ```
 //!
-//! ## The three query rules
+//! ## The query rules
 //!
-//! 1. **One run per page and walk.** Where a walk leaves a skeletal page —
-//!    at the corner, at an *exit* whose path child is on another page, or
-//!    at an exit whose path child has nothing at or above `y0` (its top y
-//!    is in the record, so a corner that can contribute nothing is never
-//!    opened) — it reads that node's directory and scans the A-run
-//!    `[x1, x2]`. Ancestors lie above `y0` entirely; at a corner the
-//!    node's own entries are filtered by `y >= y0` as well, which is the
-//!    one place a scan can pass over non-answers: up to `m − 1` blocks of
-//!    them, at most two corners per query. A split node whose children
-//!    share its page reports nothing itself: the first walk below it
-//!    reports the shared ancestors in its run, the other skips them by
-//!    their depth tags.
-//! 2. **Continuation.** The same stop drains `S_threshold`. A sibling
+//! 1. **One run per page and walk, each walk its half.** Where a walk
+//!    leaves a skeletal page — at the corner, at an *exit* whose path child
+//!    is on another page or has nothing at or above `y0` (its top y is in
+//!    the record, so such a corner is never opened) — it scans that node's
+//!    A-run; ancestors lie above `y0` entirely. Below a split whose
+//!    children share its page the left walk's run ends at `split_x` and the
+//!    right walk's starts there (a shared ancestor's entry at `split_x` is
+//!    the left walk's). Any other split runs its own A-list first.
+//! 2. **A corner reads the cheaper of two orders**: its A-run, its own
+//!    entries filtered by `y >= y0` (up to `m − 1` blocks of non-answers),
+//!    or its in-page parent's A-run (its in-page ancestors, all answers)
+//!    and its own Y-prefix filtered by x — priced exactly by the two
+//!    directories, the parent's on the page in hand; a tie keeps the run.
+//! 3. **Continuation.** The same stop drains `S_threshold`. A sibling
 //!    whose cached block qualified entirely continues in its own Y-list
 //!    *from the second block*; only a sibling whose whole Y-list qualified
 //!    is descended into.
-//! 3. **Descendants by Y-prefix.** A descendant is visited only below a
+//! 4. **Descendants by Y-prefix.** A descendant is visited only below a
 //!    wholly reported parent and only if its top y qualifies, and costs
 //!    its qualifying Y-prefix: `⌊c/B⌋ + 1` blocks for `c` answers. Its
 //!    record is needed only when all of it qualified and it has children
 //!    (its parent's record says so); the traversal keeps the skeletal page
 //!    in hand and finishes it before loading another.
 //!
-//! Per skeletal page on each path that is one directory page, the run
-//! blocks and one `S_j` prefix (all answers but the partial ends) — `O(1)`
-//! overhead per segment, hence `O(log_B n + t/B)` total.
+//! Per skeletal page on each path that is the run blocks, one `S_j` prefix
+//! (all answers but the partial ends) and a directory read only where one
+//! spilled — `O(1)` overhead per segment, hence `O(log_B n + t/B)` total.
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Frame, PageId, PageStore, Point, Record, Result, NULL_PAGE};
+use pc_pagestore::{Frame, Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::build::{blocked, points_capacity, SEntry};
 use crate::mem::{cmp_x, cmp_y, MemPst, NONE};
@@ -184,6 +187,37 @@ impl ChildLink {
     }
 }
 
+/// Where a node's [`NodeDir`] is (module doc).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DirAt {
+    /// Nowhere: the node's A-list is empty (an empty node at a page's root).
+    None,
+    /// At this byte offset of its children's pages (a leaf's own).
+    Inline(usize),
+    /// On a page of its own.
+    Page(PageId),
+}
+
+impl DirAt {
+    const INLINE: u64 = 1 << 63;
+
+    fn decode(v: u64) -> DirAt {
+        match v {
+            _ if v == NULL_PAGE.0 => DirAt::None,
+            _ if v & Self::INLINE != 0 => DirAt::Inline((v ^ Self::INLINE) as usize),
+            _ => DirAt::Page(PageId(v)),
+        }
+    }
+
+    fn encode(self) -> u64 {
+        match self {
+            DirAt::None => NULL_PAGE.0,
+            DirAt::Inline(offset) => Self::INLINE | offset as u64,
+            DirAt::Page(page) => page.0,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct TsRecord {
     /// Routing key: largest x of the left subtree's x-range.
@@ -199,9 +233,8 @@ struct TsRecord {
     /// In-page ancestors' and the node's own points, descending x-key,
     /// tagged with the source's in-page depth.
     pub a_list: BlockList<SEntry>,
-    /// The node's [`NodeDir`] page ([`NULL_PAGE`] when `a_list` is empty:
-    /// an empty node at the root of a page).
-    pub dir: PageId,
+    /// Where the node's [`NodeDir`] is.
+    pub dir: DirAt,
 }
 
 impl SkelRecord for TsRecord {
@@ -217,7 +250,7 @@ impl SkelRecord for TsRecord {
             left: ChildLink::decode(r)?,
             right: ChildLink::decode(r)?,
             a_list: BlockList::decode(r)?,
-            dir: PageId(r.get_u64()?),
+            dir: DirAt::decode(r.get_u64()?),
         })
     }
 
@@ -229,7 +262,7 @@ impl SkelRecord for TsRecord {
         self.left.encode(w)?;
         self.right.encode(w)?;
         self.a_list.encode(w)?;
-        w.put_u64(self.dir.0)
+        w.put_u64(self.dir.encode())
     }
 
     fn children(&self) -> [NodeRef; 2] {
@@ -250,43 +283,72 @@ impl TsRecord {
     }
 }
 
-/// A node's directory page: where each block of its A-list starts, and
-/// the handles of its S-family.
+/// A node's directory: where each block of its A-list starts, where each
+/// block of its Y-list ends, and the handles of its S-family.
 #[derive(Debug, Default)]
 struct NodeDir {
-    /// Per A-list block, in chain order: the x of the block's **last**
-    /// (smallest) entry and the block's page.
+    /// Per A-list block, in chain order: its last (smallest) x and page.
     pub a: Vec<(i64, PageId)>,
+    /// Per Y-list block, in chain order: its last (lowest) y.
+    pub y: Vec<i64>,
     /// Entry `j` holds (`S_j` right-siblings, `S'_j` left-siblings).
     pub s: Vec<(BlockList<SEntry>, BlockList<SEntry>)>,
 }
 
 impl NodeDir {
-    fn decode(page: &[u8]) -> Result<NodeDir> {
-        let mut r = PageReader::new(page);
+    fn decode(bytes: &[u8]) -> Result<NodeDir> {
+        let mut r = PageReader::new(bytes);
         let a = (0..r.get_u16()?)
             .map(|_| Ok((r.get_i64()?, PageId(r.get_u64()?))))
             .collect::<Result<_>>()?;
+        let y = (0..r.get_u16()?).map(|_| r.get_i64()).collect::<Result<_>>()?;
         let s = (0..r.get_u16()?)
             .map(|_| Ok((BlockList::decode(&mut r)?, BlockList::decode(&mut r)?)))
             .collect::<Result<_>>()?;
-        Ok(NodeDir { a, s })
+        Ok(NodeDir { a, y, s })
     }
 
-    fn write(&self, store: &PageStore, id: PageId) -> Result<()> {
-        write_with(store, id, |w| {
-            w.put_u16(self.a.len() as u16)?;
-            for &(x, page) in &self.a {
-                w.put_i64(x)?;
-                w.put_u64(page.0)?;
-            }
-            w.put_u16(self.s.len() as u16)?;
-            for (right_sibs, left_sibs) in &self.s {
-                right_sibs.encode(w)?;
-                left_sibs.encode(w)?;
-            }
-            Ok(())
-        })
+    fn encode(&self) -> Result<Vec<u8>> {
+        let mut bytes = vec![0; 6 + 16 * self.a.len() + 8 * self.y.len() + 32 * self.s.len()];
+        let mut w = PageWriter::new(&mut bytes);
+        w.put_u16(self.a.len() as u16)?;
+        for &(x, page) in &self.a {
+            w.put_i64(x)?;
+            w.put_u64(page.0)?;
+        }
+        w.put_u16(self.y.len() as u16)?;
+        for &y in &self.y {
+            w.put_i64(y)?;
+        }
+        w.put_u16(self.s.len() as u16)?;
+        for (right_sibs, left_sibs) in &self.s {
+            right_sibs.encode(&mut w)?;
+            left_sibs.encode(&mut w)?;
+        }
+        Ok(bytes)
+    }
+
+    /// The directory of `rec`, at `at` on `page`: there, on `ahead` (a page
+    /// of its children already read), or on a page `read` reads for it.
+    fn find(
+        rec: &TsRecord,
+        at: NodeRef,
+        page: &[u8],
+        ahead: Option<&Page>,
+        read: impl FnOnce(PageId) -> Result<Page>,
+    ) -> Result<NodeDir> {
+        // Inline, it is on its children's page (either one), a leaf's own.
+        let (offset, home) = match rec.dir {
+            DirAt::None => return Ok(NodeDir::default()),
+            DirAt::Page(id) => return Self::decode(&read(id)?),
+            DirAt::Inline(offset) if rec.left.at.page.is_null() => (offset, at.page),
+            DirAt::Inline(offset) => (offset, rec.left.at.page),
+        };
+        match ahead {
+            _ if home == at.page => Self::decode(&page[offset..]),
+            Some(ahead) => Self::decode(&ahead[offset..]),
+            None => Self::decode(&read(home)?[offset..]),
+        }
     }
 }
 
@@ -306,7 +368,7 @@ pub struct PageCensus {
     pub a_lists: u64,
     /// Blocks of the S-families.
     pub s_lists: u64,
-    /// Directory pages.
+    /// Pages of the directories that did not fit a skeletal page's tail.
     pub directories: u64,
 }
 
@@ -342,7 +404,7 @@ impl ThreeSidedPst {
         let b = points_capacity(page_size, frame);
         assert!(node_capacity(page_size, frame) < usize::from(ChildLink::LEAF_BIT));
         let mem = MemPst::build(points, node_capacity(page_size, frame));
-        let skel = Skeleton::new(store, &mem, skeletal_capacity(page_size))?;
+        let mut skel = Skeleton::new(store, &mem, skeletal_capacity(page_size))?;
 
         let n_nodes = mem.nodes.len();
         let mut y_list = Vec::with_capacity(n_nodes);
@@ -354,7 +416,8 @@ impl ThreeSidedPst {
             y_list.push(list);
         }
         let mut a_list = vec![BlockList::empty(); n_nodes];
-        let mut dir = vec![NULL_PAGE; n_nodes];
+        // Each node's directory, encoded; empty where its A-list is.
+        let mut dirs = vec![Vec::new(); n_nodes];
 
         // Within one page a chain is a path, so in-page depth uniquely names
         // the ancestor, and the query walk can reconstruct it without
@@ -371,10 +434,11 @@ impl ThreeSidedPst {
             }
             let (list, pages) = blocked(store, frame, &a)?;
             a_list[node] = list;
-            let mut node_dir = NodeDir::default();
-            for (chunk, page) in a.chunks(b).zip(pages) {
-                node_dir.a.push((chunk.last().expect("chunks are non-empty").p.x, page));
-            }
+            let mut node_dir = NodeDir {
+                a: a.chunks(b).map(|chunk| chunk[chunk.len() - 1].p.x).zip(pages).collect(),
+                y: points_of(node).chunks(b).map(|chunk| chunk[chunk.len() - 1].y).collect(),
+                s: Vec::new(),
+            };
             // Threshold-indexed S-families over the first blocks of the
             // siblings on one side, tagged with the depth of their parent.
             for j in 0..chain.len() {
@@ -389,9 +453,27 @@ impl ThreeSidedPst {
                 };
                 node_dir.s.push((family(true)?.0, family(false)?.0));
             }
-            dir[node] = store.alloc()?;
-            node_dir.write(store, dir[node])
+            dirs[node] = node_dir.encode()?;
+            Ok(())
         })?;
+
+        // Where each directory lives (module doc): on the pages of the
+        // node's children, or its own, pages and slots in order.
+        let mut dir_at = vec![DirAt::None; n_nodes];
+        for ni in skel.nodes().into_iter().filter(|&ni| !dirs[ni].is_empty()) {
+            let homes = match mem.children(ni) {
+                Some(children) if !skel.same_page(ni, children[0]) => children.to_vec(),
+                _ => vec![ni],
+            };
+            dir_at[ni] = match skel.place_tail::<TsRecord>(&homes, &dirs[ni]) {
+                Some(offset) => DirAt::Inline(offset),
+                None => {
+                    let id = store.alloc()?;
+                    write_with(store, id, |w| w.put_bytes(&dirs[ni]))?;
+                    DirAt::Page(id)
+                }
+            };
+        }
 
         let child = |ni: usize| match ni {
             NONE => ChildLink::NONE,
@@ -416,7 +498,7 @@ impl ThreeSidedPst {
                 left: child(node.left),
                 right: child(node.right),
                 a_list: a_list[ni],
-                dir: dir[ni],
+                dir: dir_at[ni],
             }
         })?;
         Ok(ThreeSidedPst { root_page: skel.root(), n: points.len() as u64, frame })
@@ -438,24 +520,27 @@ impl ThreeSidedPst {
     }
 
     /// Names every page of the structure once, with its class: skeletal
-    /// pages and, per node, its Y-list, A-list, directory page and the
-    /// S-family the directory indexes. A page is named after the pages
-    /// found through it have been read, so `visit` may free it.
+    /// pages and, per node, its Y-list, A-list, the S-family its directory
+    /// indexes and the directory's own page where it has one. A page is
+    /// named after the pages found through it have been read, so `visit`
+    /// may free it.
     fn for_each_page(
         &self,
         store: &PageStore,
         visit: &mut impl FnMut(PageClass, PageId) -> Result<()>,
     ) -> Result<()> {
-        for_each_skeletal_page(store, self.root_page, &mut |pid, _, records: &[TsRecord]| {
-            for rec in records {
+        for_each_skeletal_page(store, self.root_page, &mut |pid, page, records: &[TsRecord]| {
+            for (slot, rec) in (0..).zip(records) {
                 for_each_block(store, rec.y_list.head(), |c| &mut c.y_lists, visit)?;
                 for_each_block(store, rec.a_list.head(), |c| &mut c.a_lists, visit)?;
-                if !rec.dir.is_null() {
-                    for (right_sibs, left_sibs) in NodeDir::decode(&store.read(rec.dir)?)?.s {
-                        for_each_block(store, right_sibs.head(), |c| &mut c.s_lists, visit)?;
-                        for_each_block(store, left_sibs.head(), |c| &mut c.s_lists, visit)?;
-                    }
-                    visit(|c| &mut c.directories, rec.dir)?;
+                let at = NodeRef { page: pid, slot };
+                let dir = NodeDir::find(rec, at, page, None, |id| store.read(id))?;
+                for (right_sibs, left_sibs) in dir.s {
+                    for_each_block(store, right_sibs.head(), |c| &mut c.s_lists, visit)?;
+                    for_each_block(store, left_sibs.head(), |c| &mut c.s_lists, visit)?;
+                }
+                if let DirAt::Page(id) = rec.dir {
+                    visit(|c| &mut c.directories, id)?;
                 }
             }
             visit(|c| &mut c.skeletal, pid)
@@ -497,65 +582,20 @@ impl ThreeSidedPst {
         let _span = pc_obs::span!("pst3_query");
         let mut ctx = TsCtx { walk: Walk::new(store, self.frame), q };
         pc_obs::set_block_capacity(ctx.walk.b);
-
-        // --- Shared prefix -------------------------------------------------
-        let mut at = NodeRef { page: self.root_page, slot: 0 };
-        ctx.load(at.page)?;
-        let mut depth = 0u16;
-        loop {
-            let rec = TsRecord::at(&ctx.walk.page, at.slot)?;
-            if rec.is_corner(q.y0) {
-                // Everything below fails the y bound; the shared prefix is
-                // the whole relevant tree.
-                let dir = ctx.read_dir(&rec)?;
-                ctx.a_run(&dir, 0, Some(depth))?;
-                break;
-            }
-            // Routing keys: qx1 = (x1, -inf, -inf), qx2 = (x2, +inf, +inf).
-            let left1 = q.x1 <= rec.split_x;
-            let left2 = q.x2 < rec.split_x;
-            if left1 != left2 {
-                // Split node: walk each boundary that has anything below it.
-                // Children on this page take this page's run with them.
-                let same_page = rec.left.at.page == at.page;
-                let walks = [rec.left.reaches(q.y0), rec.right.reaches(q.y0)];
-                let threshold = if same_page { depth + 1 } else { 0 };
-                let mut a_min = 0;
-                if !same_page || walks == [false, false] {
-                    let dir = ctx.read_dir(&rec)?;
-                    ctx.a_run(&dir, 0, None)?;
-                    a_min = threshold;
-                }
-                let split_page = ctx.walk.page.clone();
-                if walks[0] {
-                    ctx.boundary_walk::<true>(rec.left.at, threshold, a_min)?;
-                    a_min = threshold;
-                }
-                if walks[1] {
-                    // The left walk may have left another page in hand.
-                    (ctx.walk.held, ctx.walk.page) = (at.page, split_page);
-                    ctx.boundary_walk::<false>(rec.right.at, threshold, a_min)?;
-                }
-                break;
-            }
-            let next = if left1 { rec.left } else { rec.right };
-            let reaches = next.reaches(q.y0);
-            if reaches && next.at.page == at.page {
-                depth += 1;
-            } else {
-                // Shared-segment exit: this page's middle contributions.
-                let dir = ctx.read_dir(&rec)?;
-                ctx.a_run(&dir, 0, None)?;
-                if !reaches {
-                    break;
-                }
-                ctx.load(next.at.page)?;
-                depth = 0;
-            }
-            at = next.at;
-        }
+        let root = NodeRef { page: self.root_page, slot: 0 };
+        ctx.path(None, root, 0, Band { lo: q.x1, hi: q.x2, tie: 0 }, DirAt::None)?;
         Ok((ctx.walk.results, ctx.walk.counters))
     }
+}
+
+/// The x-range a walk reports from the A-lists: `[lo, hi]`, but for an
+/// entry at `x == lo` from a source above in-page depth `tie` — a shared
+/// ancestor's, which the other walk reports (rule 1).
+#[derive(Debug, Clone, Copy)]
+struct Band {
+    lo: i64,
+    hi: i64,
+    tie: u16,
 }
 
 /// One query: the walk and the band.
@@ -565,38 +605,36 @@ struct TsCtx<'a> {
 }
 
 impl TsCtx<'_> {
-    /// Takes a skeletal page in hand, as one more level of the walk.
-    fn load(&mut self, id: PageId) -> Result<()> {
-        self.walk.load(id, Some(self.walk.counters.skeletal))
+    /// The directory of the record at `at` on the page in hand, reading first
+    /// the child page `next` the walk continues into (returned).
+    fn read_dir(
+        &mut self,
+        rec: &TsRecord,
+        at: NodeRef,
+        next: Option<PageId>,
+    ) -> Result<(NodeDir, Option<Page>)> {
+        let ahead = next.map(|id| self.walk.fetch(id)).transpose()?;
+        let page = self.walk.page.clone();
+        let dir = NodeDir::find(rec, at, &page, ahead.as_ref(), |id| self.walk.directory_page(id))?;
+        Ok((dir, ahead))
     }
 
-    /// Reads a node's directory page (one navigation I/O).
-    fn read_dir(&mut self, rec: &TsRecord) -> Result<NodeDir> {
-        if rec.dir.is_null() {
-            return Ok(NodeDir::default());
-        }
-        NodeDir::decode(&self.walk.cache_page(rec.dir)?)
-    }
-
-    /// Scans the run `[x1, x2]` of an A-list: directory-jump to the first
-    /// block containing `x <= x2`, then scan while `x >= x1`. Entries from
-    /// sources at in-page depth `< min_depth` (shared prefix, reported by
-    /// the other walk) are skipped; the entries of the source at depth
-    /// `corner`, the one node on the path that reaches below `y0`, are
-    /// filtered by `y >= y0`.
-    fn a_run(&mut self, dir: &NodeDir, min_depth: u16, corner: Option<u16>) -> Result<()> {
-        let ThreeSided { x1, x2, y0 } = self.q;
-        // boundary_x is the block's smallest x (descending list): the first
-        // block whose minimum is <= x2 can contain qualifying entries.
-        let Some(&(_, start)) = dir.a.iter().find(|&&(bx, _)| bx <= x2) else {
+    /// Scans the run of an A-list over `band`: directory-jump to the first
+    /// block containing `x <= hi`, then scan while `x >= lo`. The entries
+    /// of the source at depth `corner`, the one node on the path that
+    /// reaches below `y0`, are filtered by `y >= y0`.
+    fn a_run(&mut self, dir: &NodeDir, band: Band, corner: Option<u16>) -> Result<()> {
+        let y0 = self.q.y0;
+        let Some(&(_, start)) = dir.a.iter().find(|&&(bx, _)| bx <= band.hi) else {
             return Ok(());
         };
         self.walk.probe(|walk| {
             walk.cache_scan(start, |answer, e: SEntry| {
-                if e.p.x < x1 {
+                if e.p.x < band.lo {
                     return false;
                 }
-                if e.p.x <= x2 && e.depth >= min_depth && (Some(e.depth) != corner || e.p.y >= y0) {
+                let ours = e.p.x <= band.hi && (e.p.x != band.lo || e.depth >= band.tie);
+                if ours && (Some(e.depth) != corner || e.p.y >= y0) {
                     answer.push(e.p);
                 }
                 true
@@ -604,24 +642,96 @@ impl TsCtx<'_> {
         })
     }
 
-    /// Drains `S_threshold` of the node's S-family — a descending-y prefix
-    /// of the recorded siblings' first blocks — and continues every
-    /// sibling whose cached block qualified entirely in its own Y-list.
-    /// Returns the children to visit below the wholly reported siblings.
-    /// `sib[d]` is the slot, on the page in hand, of the inside sibling
-    /// recorded at in-page depth `d`.
-    fn drain_s<const LEFT: bool>(
+    /// Reports a corner's in-page ancestors and own points in `band`, in the
+    /// cheaper order (rule 2); `parent` is its in-page parent's directory.
+    fn corner(
         &mut self,
+        rec: &TsRecord,
+        dir: &NodeDir,
+        parent: DirAt,
+        depth: u16,
+        band: Band,
+    ) -> Result<()> {
+        let y0 = self.q.y0;
+        let ancestors = match parent {
+            DirAt::None => NodeDir::default(),
+            DirAt::Inline(offset) => NodeDir::decode(&self.walk.page[offset..])?,
+            DirAt::Page(_) => return self.a_run(dir, band, Some(depth)),
+        };
+        // Blocks read: a run from the first block whose last x is at most
+        // `hi` through the first whose last x is below `lo`, a Y-prefix
+        // through the first block whose last y is below `y0`.
+        let run = |dir: &NodeDir| {
+            let Some(first) = dir.a.iter().position(|&(x, _)| x <= band.hi) else { return 0 };
+            let rest = &dir.a[first..];
+            rest.iter().position(|&(x, _)| x < band.lo).map_or(rest.len(), |last| last + 1)
+        };
+        let prefix = dir.y.iter().position(|&y| y < y0).map_or(dir.y.len(), |last| last + 1);
+        if run(&ancestors) + prefix >= run(dir) {
+            return self.a_run(dir, band, Some(depth));
+        }
+        self.a_run(&ancestors, band, None)?;
+        let Band { lo, hi, .. } = band;
+        self.walk.prefix_within(rec.y_list.head(), |p| p.y >= y0, |p| lo <= p.x && p.x <= hi)?;
+        Ok(())
+    }
+
+    /// Below the split node `rec`, at `at` and in-page depth `depth`: walks
+    /// each boundary that has anything below it (rule 1).
+    fn split(&mut self, rec: &TsRecord, at: NodeRef, depth: u16) -> Result<()> {
+        let (q, children) = (self.q, [rec.left, rec.right]);
+        let walks = children.map(|c| c.reaches(q.y0));
+        let same_page = rec.left.at.page == at.page;
+        let split_page = self.walk.page.clone();
+        let (threshold, parent) = if same_page { (depth + 1, rec.dir) } else { (0, DirAt::None) };
+        let mut halves = [Band { lo: q.x1, hi: q.x2, tie: 0 }; 2];
+        if !same_page || walks == [false, false] {
+            // The split's page ends here: its run over the whole band, from
+            // the directory on the page the first walk continues into.
+            let first = children.into_iter().zip(walks).find_map(|(c, w)| w.then_some(c.at.page));
+            let (dir, ahead) = self.read_dir(rec, at, first)?;
+            self.a_run(&dir, halves[0], None)?;
+            if let (Some(id), Some(page)) = (first, ahead) {
+                self.walk.hold(id, page);
+            }
+        } else if walks == [true, true] {
+            // The split's page goes on below it: each walk reports its half.
+            halves[0].hi = rec.split_x;
+            halves[1] = Band { lo: rec.split_x, hi: q.x2, tie: threshold };
+        }
+        if walks[0] {
+            self.path(Some(true), rec.left.at, threshold, halves[0], parent)?;
+        }
+        if walks[1] {
+            if walks[0] {
+                // The left walk may have left another page in hand.
+                self.walk.hold(at.page, split_page);
+            }
+            self.path(Some(false), rec.right.at, threshold, halves[1], parent)?;
+        }
+        Ok(())
+    }
+
+    /// Drains `S_threshold` of the node's S-family on a boundary walk's
+    /// `side` — a descending-y prefix of the recorded siblings' first
+    /// blocks — and continues every sibling whose cached block qualified
+    /// entirely in its own Y-list. Returns the children to visit below the
+    /// wholly reported siblings. `sib[d]` is the slot, on the page in hand,
+    /// of the inside sibling recorded at in-page depth `d`.
+    fn drain_s(
+        &mut self,
+        side: Option<bool>,
         dir: &NodeDir,
         threshold: u16,
         sib: &[Option<u16>],
     ) -> Result<Vec<ChildLink>> {
         let (walk, y0) = (&mut self.walk, self.q.y0);
         let mut inside = Vec::new();
-        let Some(&(right_sibs, left_sibs)) = dir.s.get(threshold as usize) else {
+        let (Some(left), Some(&(right_sibs, left_sibs))) = (side, dir.s.get(threshold as usize))
+        else {
             return Ok(inside);
         };
-        let list = if LEFT { right_sibs } else { left_sibs };
+        let list = if left { right_sibs } else { left_sibs };
         let qualified = walk.probe(|walk| walk.drain(&list, sib.len(), |p| p.y >= y0))?;
         for (slot, cached) in sib.iter().zip(qualified) {
             if cached == 0 {
@@ -662,59 +772,69 @@ impl TsCtx<'_> {
         })
     }
 
-    /// Walks one boundary path below the split. `LEFT` walks the `x1`
-    /// boundary (right siblings are inside the band); `!LEFT` mirrors it.
-    /// On the split's page — in hand if `start` is on it — the walk starts
-    /// at in-page depth `threshold`, drains `S_threshold` and reports
-    /// A-entries from depth `a_min` on; both are 0 from the next page on.
-    fn boundary_walk<const LEFT: bool>(
+    /// Walks a root path from the record at `start`: the shared prefix
+    /// (`side` `None`) down to the split, or a boundary below it —
+    /// `Some(true)` the `x1` boundary, whose right siblings are inside the
+    /// band, `Some(false)` its mirror. On the split's page (in hand if
+    /// `start` is on it) a boundary walk starts at in-page depth
+    /// `threshold`, below the split whose directory is `parent`, drains
+    /// `S_threshold` and reports its half of `band`; from the next page on,
+    /// threshold and tie are 0.
+    fn path(
         &mut self,
+        side: Option<bool>,
         start: NodeRef,
         mut threshold: u16,
-        mut a_min: u16,
+        mut band: Band,
+        mut parent: DirAt,
     ) -> Result<()> {
-        let y0 = self.q.y0;
+        let q = self.q;
         let mut at = start;
         if at.page != self.walk.held {
-            self.load(at.page)?;
+            self.walk.load(at.page, Some(self.walk.counters.skeletal))?;
         }
         // Slot of the inside sibling recorded at each in-page depth so far,
         // matching the build-time S tags; `sib.len()` is the walk's depth.
         let mut sib: Vec<Option<u16>> = vec![None; threshold as usize];
         loop {
             let rec = TsRecord::at(&self.walk.page, at.slot)?;
-            if rec.is_corner(y0) {
-                let dir = self.read_dir(&rec)?;
-                self.a_run(&dir, a_min, Some(sib.len() as u16))?;
-                let inside = self.drain_s::<LEFT>(&dir, threshold, &sib)?;
+            if rec.is_corner(q.y0) {
+                let (dir, _) = self.read_dir(&rec, at, None)?;
+                self.corner(&rec, &dir, parent, sib.len() as u16, band)?;
+                let inside = self.drain_s(side, &dir, threshold, &sib)?;
                 return self.traverse(inside);
             }
-            // Route by this walk's boundary. The inside sibling is the
-            // right child on the left path when going left, the left child
-            // on the right path when going right.
-            let go_left = if LEFT { self.q.x1 <= rec.split_x } else { self.q.x2 < rec.split_x };
+            // Route by this walk's boundary, by both up to the split
+            // (routing keys qx1 = (x1, -inf, -inf), qx2 = (x2, +inf, +inf)).
+            // The inside sibling is the right child on the left path when
+            // going left, the left child on the right path when going right.
+            let (left1, left2) = (q.x1 <= rec.split_x, q.x2 < rec.split_x);
+            let go_left = match side {
+                None if left1 != left2 => return self.split(&rec, at, sib.len() as u16),
+                Some(false) => left2,
+                _ => left1,
+            };
             let (next, other) = if go_left { (rec.left, rec.right) } else { (rec.right, rec.left) };
-            let inside_sib = (go_left == LEFT && other.cnt > 0).then_some(other);
-            let reaches = next.reaches(y0);
+            let inside_sib = (side == Some(go_left) && other.cnt > 0).then_some(other);
+            let reaches = next.reaches(q.y0);
             if reaches && next.at.page == at.page {
                 sib.push(inside_sib.map(|s| s.at.slot));
-                at = next.at;
+                (at, parent) = (next.at, rec.dir);
                 continue;
             }
-            // Exit: settle this page. The exit's inside sibling belongs to
-            // no S-list below it.
-            let dir = self.read_dir(&rec)?;
-            self.a_run(&dir, a_min, None)?;
-            let mut inside = self.drain_s::<LEFT>(&dir, threshold, &sib)?;
-            inside.extend(inside_sib.filter(|s| s.reaches(y0)));
+            // Exit: settle this page, from the directory on the page the
+            // walk continues into — read first, and held across the
+            // traversal below, which may take other pages in hand. The
+            // exit's inside sibling belongs to no S-list below it.
+            let (dir, ahead) = self.read_dir(&rec, at, reaches.then_some(next.at.page))?;
+            self.a_run(&dir, band, None)?;
+            let mut inside = self.drain_s(side, &dir, threshold, &sib)?;
+            inside.extend(inside_sib.filter(|s| s.reaches(q.y0)));
             self.traverse(inside)?;
-            if !reaches {
-                return Ok(());
-            }
+            let Some(page) = ahead else { return Ok(()) };
+            self.walk.hold(next.at.page, page);
             sib.clear();
-            (threshold, a_min) = (0, 0);
-            at = next.at;
-            self.load(at.page)?;
+            (threshold, band.tie, parent, at) = (0, 0, DirAt::None, next.at);
         }
     }
 }
@@ -831,9 +951,10 @@ mod tests {
         let store = PageStore::in_memory(page_size);
         let pst = ThreeSidedPst::build(&store, points).unwrap();
         let mut xs = Vec::new();
-        for_each_skeletal_page(&store, pst.root_page, &mut |_, _, records: &[TsRecord]| {
-            for rec in records.iter().filter(|rec| !rec.dir.is_null()) {
-                let dir = NodeDir::decode(&store.read(rec.dir)?)?;
+        for_each_skeletal_page(&store, pst.root_page, &mut |page, bytes, records: &[TsRecord]| {
+            for (slot, rec) in (0..).zip(records) {
+                let at = NodeRef { page, slot };
+                let dir = NodeDir::find(rec, at, bytes, None, |id| store.read(id))?;
                 xs.extend(dir.a.iter().map(|&(x, _)| x));
             }
             Ok(())
@@ -934,8 +1055,8 @@ mod tests {
         }
 
         /// Checks the answer against brute force and returns the reads as
-        /// `(skeletal, cache blocks, Y-list blocks)`.
-        fn reads(&self, x1: i64, x2: i64, y0: i64) -> (u64, u64, u64) {
+        /// `(skeletal, directories, cache blocks, Y-list blocks)`.
+        fn reads(&self, x1: i64, x2: i64, y0: i64) -> (u64, u64, u64, u64) {
             let q = ThreeSided { x1, x2, y0 };
             let before = self.store.stats();
             let (res, c) = self.pst.query_counted(&self.store, q).unwrap();
@@ -947,7 +1068,7 @@ mod tests {
             let levels = (self.points.len() as f64).log(B as f64).ceil();
             let allowed = 4.4 * levels + 2.0 * want.len().div_ceil(B) as f64;
             assert!(c.total() as f64 <= allowed, "{q:?}: {c:?}, allowed {allowed}");
-            (c.skeletal, c.cache_blocks, c.node_blocks)
+            (c.skeletal, c.directories, c.cache_blocks, c.node_blocks)
         }
     }
 
@@ -956,29 +1077,29 @@ mod tests {
     #[test]
     fn a_node_of_three_blocks_and_one_point_more() {
         // 60 points are one node: a Y-list and an A-list of three blocks
-        // each, a directory. Any band reads the record, the directory and
-        // its run of the A-list, never the Y-list.
+        // each, and a 78-byte directory in its page's tail. Any band reads
+        // the record and its run of the A-list, never the Y-list (the
+        // whole Y-list costs the whole run, and a tie keeps the run).
         let one = Built::new(layered(CAP));
-        assert_eq!(
-            one.census(),
-            PageCensus { skeletal: 1, y_lists: 3, a_lists: 3, directories: 1, ..no_pages() }
-        );
-        assert_eq!(one.reads(i64::MIN, i64::MAX, EVERYTHING), (1, 1 + 3, 0));
+        assert_eq!(one.census(), PageCensus { skeletal: 1, y_lists: 3, a_lists: 3, ..no_pages() });
+        assert_eq!(one.reads(i64::MIN, i64::MAX, EVERYTHING), (1, 0, 3, 0));
         // The A-list's blocks are x = 59..=40, 39..=20, 19..=0. A run that
         // ends inside a block stops there; one that ends with the block
         // has to look at the next.
-        assert_eq!(one.reads(21, 39, EVERYTHING), (1, 1 + 1, 0));
-        assert_eq!(one.reads(20, 39, EVERYTHING), (1, 1 + 2, 0));
-        assert_eq!(one.reads(21, 40, EVERYTHING), (1, 1 + 2, 0));
-        assert_eq!(one.reads(40, 40, EVERYTHING), (1, 1 + 2, 0));
-        assert_eq!(one.reads(41, 41, layer_y(0, 41)), (1, 1 + 1, 0));
+        assert_eq!(one.reads(21, 39, EVERYTHING), (1, 0, 1, 0));
+        assert_eq!(one.reads(20, 39, EVERYTHING), (1, 0, 2, 0));
+        assert_eq!(one.reads(21, 40, EVERYTHING), (1, 0, 2, 0));
+        assert_eq!(one.reads(40, 40, EVERYTHING), (1, 0, 2, 0));
+        assert_eq!(one.reads(41, 41, layer_y(0, 41)), (1, 0, 1, 0));
         // The directory tells a band left of every x from one right of them.
-        assert_eq!(one.reads(60, 99, EVERYTHING), (1, 1 + 1, 0));
-        assert_eq!(one.reads(-9, -1, EVERYTHING), (1, 1, 0));
+        assert_eq!(one.reads(60, 99, EVERYTHING), (1, 0, 1, 0));
+        assert_eq!(one.reads(-9, -1, EVERYTHING), (1, 0, 0, 0));
 
         // The 61st point is the left child's only one; the right child is
         // empty. The children copy the root into their A-lists (4 and 3
-        // blocks), the right one's S'_0 copies the left one's block.
+        // blocks), the right one's S'_0 copies the left one's block. The
+        // root's directory takes 78 of the page's 150 free bytes; the
+        // children's (110 and 86) spill.
         let two = Built::new(layered(CAP + 1));
         assert_eq!(
             two.census(),
@@ -987,23 +1108,26 @@ mod tests {
                 y_lists: 3 + 1,
                 a_lists: 3 + 4 + 3,
                 s_lists: 1,
-                directories: 3,
+                directories: 2,
                 ..no_pages()
             }
         );
         // The root is the split and says nothing itself; only the left
         // child has anything, and its run carries the root's points.
-        assert_eq!(two.reads(i64::MIN, i64::MAX, EVERYTHING), (1, 1 + 4, 0));
+        assert_eq!(two.reads(i64::MIN, i64::MAX, EVERYTHING), (1, 1, 4, 0));
         // Above the child's one point the walk ends at the root, as an
         // exit: the child is never opened.
-        assert_eq!(two.reads(i64::MIN, i64::MAX, layer_y(0, 59)), (1, 1 + 3, 0));
+        assert_eq!(two.reads(i64::MIN, i64::MAX, layer_y(0, 59)), (1, 0, 3, 0));
     }
 
     /// Four levels, every leaf of `leaf` points: the root's page, and one
     /// page per grandchild holding it and its two leaves. A band over all
     /// xs splits at the root; each walk leaves the root's page at a child
     /// of the root (reading that child's other subtree by Y-lists) and ends
-    /// in a leaf whose sibling leaf is in its S-list.
+    /// in a leaf whose sibling leaf is in its S-list. A page has 150 bytes
+    /// free: the root's and the grandchildren's directories (78 bytes)
+    /// are in their own page's tail, the root's children's (158, an exit's)
+    /// and the leaves' (110 and more) spill.
     fn four_levels(leaf: usize) -> Built {
         let built = Built::new(layered(7 * CAP + 8 * leaf));
         let leaf_blocks = leaf.div_ceil(B) as u64;
@@ -1016,7 +1140,7 @@ mod tests {
                 a_lists: 5 * 3 + 2 * 6 + 8 * (3 + leaf_blocks),
                 // One first block each, for every node with a sibling on its page.
                 s_lists: 10,
-                directories: 15,
+                directories: 2 + 8,
                 ..no_pages()
             }
         );
@@ -1025,32 +1149,40 @@ mod tests {
 
     #[test]
     fn a_cached_sibling_continues_from_its_second_block() {
-        // Per walk and besides the Y-lists: two directories, a run of 6
-        // blocks at the exit, a run over parent and leaf at the corner and
-        // the S-block. Y-lists per walk: 3 blocks of the exit's sibling,
-        // then what its two leaves and the S-list's sibling take.
+        // Per walk and besides the Y-lists: two spilled directories (the
+        // exit's and the leaf's), a run of 5 blocks at the exit — its half
+        // of the root's points, and its own — the corner's points and the
+        // S-block. Y-lists per walk: 3 blocks of the exit's sibling, then
+        // what its two leaves and the S-list's sibling take.
         let whole = |pst: &Built, y0| pst.reads(i64::MIN, i64::MAX, y0);
 
         // A sibling of exactly one block is all in the cache: nothing to
-        // continue with, whether or not all of it qualifies.
+        // continue with, whether or not all of it qualifies. The corner's
+        // run over parent and leaf (4 blocks) costs what the parent's run
+        // and the leaf's one Y-block cost, and a tie keeps the run.
         let pst = four_levels(B);
-        assert_eq!(whole(&pst, layer_y(3, 19)), (5, 2 * (2 + 6 + 4 + 1), 2 * (3 + 1 + 1)));
-        assert_eq!(whole(&pst, layer_y(3, 18)), (5, 2 * (2 + 6 + 4 + 1), 2 * (3 + 1 + 1)));
+        assert_eq!(whole(&pst, layer_y(3, 19)), (5, 2 * 2, 2 * (5 + 4 + 1), 2 * (3 + 1 + 1)));
+        assert_eq!(whole(&pst, layer_y(3, 18)), (5, 2 * 2, 2 * (5 + 4 + 1), 2 * (3 + 1 + 1)));
 
         // One point more: a second block, read only when the first
-        // qualified entirely, and then without the first.
+        // qualified entirely, and then without the first. With 19 of the
+        // corner's 21 points qualifying, its first Y-block ends below `y0`:
+        // the parent's run and that block (3 + 1) beat its run (5).
         let pst = four_levels(B + 1);
-        assert_eq!(whole(&pst, layer_y(3, 18)), (5, 2 * (2 + 6 + 5 + 1), 2 * (3 + 1 + 1)));
-        assert_eq!(whole(&pst, layer_y(3, 19)), (5, 2 * (2 + 6 + 5 + 1), 2 * (3 + 2 + 2 + 1)));
-        assert_eq!(whole(&pst, layer_y(3, 20)), (5, 2 * (2 + 6 + 5 + 1), 2 * (3 + 2 + 2 + 1)));
+        assert_eq!(whole(&pst, layer_y(3, 18)), (5, 2 * 2, 2 * (5 + 3 + 1), 2 * (3 + 1 + 1 + 1)));
+        assert_eq!(whole(&pst, layer_y(3, 19)), (5, 2 * 2, 2 * (5 + 5 + 1), 2 * (3 + 2 + 2 + 1)));
+        assert_eq!(whole(&pst, layer_y(3, 20)), (5, 2 * 2, 2 * (5 + 5 + 1), 2 * (3 + 2 + 2 + 1)));
 
         // Three blocks: 45 qualifying points are the cached block, the
         // second block and a quarter of the third, where the scan stops.
+        // The corner's Y-prefix (1, 2, then 3 blocks) plus the parent's
+        // run (3) wins over its run (6) until it costs as much.
         let pst = four_levels(CAP);
-        assert_eq!(whole(&pst, layer_y(3, 18)), (5, 2 * (2 + 6 + 6 + 1), 2 * (3 + 1 + 1)));
-        assert_eq!(whole(&pst, layer_y(3, 19)), (5, 2 * (2 + 6 + 6 + 1), 2 * (3 + 2 + 2 + 1)));
-        assert_eq!(whole(&pst, layer_y(3, 44)), (5, 2 * (2 + 6 + 6 + 1), 2 * (3 + 3 + 3 + 2)));
-        assert_eq!(whole(&pst, EVERYTHING), (5, 2 * (2 + 6 + 6 + 1), 2 * (3 + 3 + 3 + 2)));
+        assert_eq!(whole(&pst, layer_y(3, 18)), (5, 2 * 2, 2 * (5 + 3 + 1), 2 * (3 + 1 + 1 + 1)));
+        let y_blocks = 2 * (3 + 2 + 2 + 1 + 2);
+        assert_eq!(whole(&pst, layer_y(3, 19)), (5, 2 * 2, 2 * (5 + 3 + 1), y_blocks));
+        assert_eq!(whole(&pst, layer_y(3, 44)), (5, 2 * 2, 2 * (5 + 6 + 1), 2 * (3 + 3 + 3 + 2)));
+        assert_eq!(whole(&pst, EVERYTHING), (5, 2 * 2, 2 * (5 + 6 + 1), 2 * (3 + 3 + 3 + 2)));
     }
 
     #[test]
@@ -1064,14 +1196,96 @@ mod tests {
         // would make the parent a split.)
         let (x1, x2) = (leaf[0].x, leaf[CAP - 2].x);
         // One above the leaf's top y: its parent is an exit, with a run
-        // over its own 60 points only.
+        // over its own 60 points only, from the directory in its page's
+        // tail. The root's child before it spilled its directory.
         let closed = pst.reads(x1, x2, layer_y(3, 0) + 1);
-        // At its top y the leaf is the corner: the run is over parent and
-        // leaf, and 58 of the leaf's 59 entries in it are no answers —
-        // three blocks (`m`) where a one-block node cost one.
+        // At its top y the leaf is the corner. Its run over parent and leaf
+        // would pass over 58 non-answers, five blocks; the parent's run
+        // (the closed case's) and the leaf's first Y-block are three — at
+        // the price of the leaf's spilled directory.
         let open = pst.reads(x1, x2, layer_y(3, 0));
-        assert_eq!(closed, (2, (1 + 2) + (1 + 2), 0));
-        assert_eq!(open, (2, (1 + 2) + (1 + 5), 0));
+        assert_eq!(closed, (2, 1, 2 + 2, 0));
+        assert_eq!(open, (2, 1 + 1, 2 + 2, 1));
+    }
+
+    /// Blocks a directory-jumped run over `[x1, x2]` reads of a list with
+    /// these xs blocked `B`, descending: from the block of the first x at
+    /// most `x2` through the block of the first x below `x1`, or the last.
+    fn run_cost(mut xs: Vec<i64>, x1: i64, x2: i64) -> u64 {
+        xs.sort_unstable_by(|a, b| b.cmp(a));
+        let Some(first) = xs.iter().position(|&x| x <= x2) else { return 0 };
+        let stop = xs.iter().position(|&x| x < x1).unwrap_or(xs.len() - 1);
+        (stop / B - first / B + 1) as u64
+    }
+
+    /// Blocks a Y-prefix at or above `y0` reads of a node with these ys.
+    fn prefix_cost(ys: &[i64], y0: i64) -> u64 {
+        let kept = ys.iter().filter(|&&y| y >= y0).count();
+        (if kept == ys.len() { kept.div_ceil(B) } else { kept / B + 1 }) as u64
+    }
+
+    #[test]
+    fn a_corner_reads_the_cheaper_of_its_two_orders() {
+        // Bands inside the leftmost leaf's xs: the shared prefix ends on
+        // the second page, at the leaf (the corner) or, one above its top
+        // y, at its parent (an exit, with a run over the parent's list).
+        let pst = four_levels(CAP);
+        let layer = |d| {
+            let ys = layer_y(d, CAP - 1)..=layer_y(d, 0);
+            pst.points.iter().filter(move |p| ys.contains(&p.y))
+        };
+        let leaf: Vec<Point> = layer(3).take(CAP).copied().collect();
+        let parent: Vec<i64> = layer(2).take(CAP).map(|p| p.x).collect();
+        let mut won = [false; 2];
+        let bands = [(0, CAP - 2, 0), (0, CAP - 2, 30), (0, CAP - 2, 50), (10, 14, CAP - 1)];
+        for (from, to, k) in bands {
+            let (x1, x2, y0) = (leaf[from].x, leaf[to].x, layer_y(3, k));
+            let closed = pst.reads(x1, x2, layer_y(3, 0) + 1);
+            // The corner's run over parent and leaf, against the parent's
+            // run and the leaf's Y-prefix, from the points alone.
+            let both = parent.iter().copied().chain(leaf.iter().map(|p| p.x)).collect();
+            let (run, parent_run) = (run_cost(both, x1, x2), run_cost(parent.clone(), x1, x2));
+            let ys: Vec<i64> = leaf.iter().map(|p| p.y).collect();
+            let prefix = prefix_cost(&ys, y0);
+            let by_prefix = parent_run + prefix < run;
+            won[usize::from(by_prefix)] = true;
+            // Either way the leaf's spilled directory is one read more.
+            let want = if by_prefix {
+                (2, closed.1 + 1, closed.2, prefix)
+            } else {
+                (2, closed.1 + 1, closed.2 - parent_run + run, 0)
+            };
+            assert_eq!(pst.reads(x1, x2, y0), want, "[{x1}, {x2}] from {y0}");
+        }
+        assert_eq!(won, [true, true], "each order wins once");
+    }
+
+    /// The half rule at x-ties: a split at `x = X` whose children share its
+    /// page, with a third of the points at `X` — in the split, in its
+    /// children on its page and in the nodes on the pages below, where
+    /// in-page depth starts again at 0. An entry at `X` of a shared
+    /// ancestor is the left walk's; keyed on depth alone past the split's
+    /// page, the right walk would drop its own entries at `X` there.
+    #[test]
+    fn x_ties_at_a_split_go_to_one_walk_on_every_page() {
+        const X: i64 = 500;
+        let mut s = 0x7e5u64;
+        let points = (0..3000)
+            .map(|i| {
+                let off = [-1, 1][i as usize % 2] * (1 + xorshift(&mut s, 400));
+                let x = if i % 3 == 0 { X } else { X + off };
+                Point::new(x, xorshift(&mut s, 100_000), i)
+            })
+            .collect();
+        let pst = Built::new(points);
+        let root = TsRecord::at(&pst.store.read(pst.pst.root_page).unwrap(), 0).unwrap();
+        assert_eq!((root.split_x, root.left.at.page), (X, pst.pst.root_page));
+        for y0 in [EVERYTHING, 50_000, 90_000] {
+            for (x1, x2) in [(X, X), (X - 3, X), (X, X + 3), (X - 30, X + 30)] {
+                let (skeletal, ..) = pst.reads(x1, x2, y0);
+                assert!(y0 != EVERYTHING || skeletal >= 3, "both walks leave the split's page");
+            }
+        }
     }
 
     #[test]
@@ -1083,7 +1297,7 @@ mod tests {
         // by their parents' records.
         let pst = Built::new(layered(31 * CAP));
         assert_eq!(pst.census().skeletal, 1 + 4 + 16);
-        let (skeletal, _, y_blocks) = pst.reads(i64::MIN, i64::MAX, EVERYTHING);
+        let (skeletal, _, _, y_blocks) = pst.reads(i64::MIN, i64::MAX, EVERYTHING);
         assert_eq!(skeletal, 1 + 4 + 2);
         // The 22 nodes off the two walks, by Y-list; an S-list holds the
         // first block of one of them per walk.
@@ -1094,7 +1308,8 @@ mod tests {
     /// in-page ancestors and the node itself, one directory entry per
     /// block; `S_j` copies the first blocks of the siblings at in-page
     /// depth `>= j`; every id a record keeps of another node's pages is
-    /// that node's. And the free-walk returns every page of it.
+    /// that node's; the census's directory pages are the directories that
+    /// spilled. And the free-walk returns every page of it.
     #[test]
     fn caches_are_whole_blocks_and_free_returns_every_page() {
         for (page_size, n) in [(512, 6_000), (4096, 200_000)] {
@@ -1111,7 +1326,7 @@ mod tests {
             // (right, left) sibling's cached count)
             let root = NodeRef { page: pst.root_page, slot: 0 };
             let mut stack = vec![(root, 0usize, Vec::<(usize, usize)>::new())];
-            let (mut deepest, mut second_blocks) = (0, 0);
+            let (mut deepest, mut second_blocks, mut spilled) = (0, 0, 0);
             while let Some((at, above, sibs)) = stack.pop() {
                 let rec = decode(at);
                 let cnt = rec.y_list.len() as usize;
@@ -1122,11 +1337,11 @@ mod tests {
                 second_blocks += y_pages.len().min(2) / 2;
                 let copied = above + cnt;
                 assert_cache_blocks(&store, frame, &rec.a_list, copied / b, copied % b, "A-list");
-                let dir = if rec.dir.is_null() {
-                    NodeDir::default()
-                } else {
-                    NodeDir::decode(&store.read(rec.dir).unwrap()).unwrap()
-                };
+                let page = store.read(at.page).unwrap();
+                let dir = NodeDir::find(&rec, at, &page, None, |id| store.read(id)).unwrap();
+                spilled += u64::from(matches!(rec.dir, DirAt::Page(_)));
+                let blocks = |len: usize| len.div_ceil(b);
+                assert_eq!(dir.y.len(), blocks(cnt), "one directory entry per Y-block");
                 assert_eq!(dir.a.len(), copied.div_ceil(b), "one directory entry per A-block");
                 assert_eq!(dir.s.len(), sibs.len(), "one S-pair per split depth");
                 for (j, (right_sibs, left_sibs)) in dir.s.iter().enumerate() {
@@ -1166,6 +1381,20 @@ mod tests {
             }
             assert_eq!(deepest, skeletal_capacity(page_size).ilog2() as usize);
             assert!(second_blocks >= 10, "only {second_blocks} Y-lists of two blocks or more");
+            assert_eq!(pst.page_census(&store).unwrap().directories, spilled);
+            if page_size == 4096 {
+                // Two levels of pages, the leaves on the second: every
+                // directory a walk that ends in leaves reads is on a page
+                // it reads anyway — a corner's on its own, an exit's on the
+                // page it continues into.
+                let mut s = 0x3c3cu64;
+                for _ in 0..50 {
+                    let x1 = xorshift(&mut s, 1_000_000);
+                    let q = ThreeSided { x1, x2: x1 + xorshift(&mut s, 200_000), y0: i64::MIN };
+                    let (_, c) = pst.query_counted(&store, q).unwrap();
+                    assert!(c.skeletal >= 2 && c.directories == 0, "{q:?}: {c:?}");
+                }
+            }
             pst.free(&store).unwrap();
             assert_eq!(store.live_pages(), 0, "free-walk left pages behind");
         }

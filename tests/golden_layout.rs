@@ -14,9 +14,11 @@
 //! with the strict reads and writes those updates cost.
 //!
 //! The rows were recorded at the commit before `crates/pst/src/region.rs`
-//! existed. A row moves only with the on-page layout, the traversal order
-//! or the update path — re-record it (the failing assertion prints the
-//! computed table) in the PR that means to move it, and say so there.
+//! existed; the 3-sided ones moved with PR 25's directories in skeletal
+//! page tails, half runs and corner orders. A row moves only with the
+//! on-page layout, the traversal order or the update path — re-record it
+//! (the failing assertion prints the computed table) in the PR that means
+//! to move it, and say so there.
 
 use path_caching::{Frame, PageStore, Point, ThreeSided, TwoSided};
 use pc_bench::{two_sided_corners, Spread};
@@ -57,11 +59,11 @@ const GOLDEN: [&str; 2] = [
 4096 dynamic churned: update_reads=10040 update_writes=10034\n\
 4096 dynamic churned: pages=2038 reads=2283 answers=384051 hash=b6a542df7040ed11\n\
 4096 dynamic churned census: B=408 skeletal=29 x=402 y=402 a=45 s=33 inner: skeletal=63 points=441 caches=567; buffers=56\n\
-4096 3-sided: pages=1758 reads=2307 answers=411214 hash=866fcabadb2e6413\n\
-4096 3-sided census: B=408 skeletal=33 y=377 a=1063 s=222 directories=63\n\
-4096 dynamic 3-sided: pages=1758 reads=2307 answers=411214 hash=866fcabadb2e6413\n\
-4096 dynamic 3-sided churned: update_reads=4298 update_writes=9038\n\
-4096 dynamic 3-sided churned: pages=1760 reads=2713 answers=412314 hash=9c6df804e990e331\n\
+4096 3-sided: pages=1709 reads=1972 answers=411214 hash=01f1255243728a3f\n\
+4096 3-sided census: B=408 skeletal=33 y=377 a=1063 s=222 directories=14\n\
+4096 dynamic 3-sided: pages=1709 reads=1972 answers=411214 hash=01f1255243728a3f\n\
+4096 dynamic 3-sided churned: update_reads=4212 update_writes=8842\n\
+4096 dynamic 3-sided churned: pages=1711 reads=2377 answers=412314 hash=3faa9f6311850db9\n\
 ",
     "\
 512 basic: pages=7765 reads=26197 answers=379220 hash=aa24d4f18d8274bd\n\
@@ -74,11 +76,11 @@ const GOLDEN: [&str; 2] = [
 512 dynamic churned: update_reads=17589 update_writes=12853\n\
 512 dynamic churned: pages=5378 reads=40163 answers=387670 hash=6205690d166da03c\n\
 512 dynamic churned census: B=20 skeletal=341 x=1163 y=1163 a=85 s=85 inner: skeletal=511 points=1021 caches=510; buffers=499\n\
-512 3-sided: pages=3574 reads=29362 answers=411203 hash=c2a5d9bea2d54d3e\n\
-512 3-sided census: B=20 skeletal=341 y=1021 a=1531 s=170 directories=511\n\
-512 dynamic 3-sided: pages=3574 reads=29362 answers=411203 hash=c2a5d9bea2d54d3e\n\
-512 dynamic 3-sided churned: update_reads=117375 update_writes=180858\n\
-512 dynamic 3-sided churned: pages=3582 reads=30123 answers=420027 hash=5ff80fa7d2b2f449\n\
+512 3-sided: pages=3105 reads=29164 answers=411203 hash=a06da2e18efdc652\n\
+512 3-sided census: B=20 skeletal=341 y=1021 a=1531 s=170 directories=42\n\
+512 dynamic 3-sided: pages=3105 reads=29164 answers=411203 hash=a06da2e18efdc652\n\
+512 dynamic 3-sided churned: update_reads=108700 update_writes=157408\n\
+512 dynamic 3-sided churned: pages=3113 reads=29938 answers=420027 hash=20fd101f07555b15\n\
 ",
 ];
 

@@ -298,8 +298,10 @@ fn wide_data_builds_the_fixed_width_three_sided_psts() {
         dyn_answers += dynamic.query(&dyn_store, q).unwrap().len();
     }
     assert_eq!(pst.frame(), Frame::WIDE);
-    assert_eq!((pages, reads, answers), (1630, 6517, 616_808));
-    assert_eq!((dyn_pages, dyn_store.stats().reads, dyn_answers), (1631, 6817, 618_051));
+    // Unlike the others, these literals are the 3-sided layout's own since
+    // it moved (directories in page tails, half runs, corner orders).
+    assert_eq!((pages, reads, answers), (1581, 5772, 616_808));
+    assert_eq!((dyn_pages, dyn_store.stats().reads, dyn_answers), (1582, 6072, 618_051));
 }
 
 #[test]
