@@ -860,11 +860,11 @@ impl DynamicThreeSidedPst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{ids, random_points, xorshift};
+    use crate::testutil::{canonical, in_page_paths, uniform_points};
     use crate::build::SEntry;
-    use crate::testutil::in_page_paths;
     use pc_pagestore::layout::chain_pages;
     use pc_pagestore::{PageStore, NULL_PAGE};
+    use pc_rng::Rng;
 
     fn check_against_oracle(
         store: &PageStore,
@@ -875,31 +875,25 @@ mod tests {
     ) {
         for &(x0, y0) in queries {
             let q = TwoSided { x0, y0 };
-            let res = pst.query(store, q).unwrap();
-            let mut got = ids(res.clone());
-            got.dedup();
-            assert_eq!(got.len(), res.len(), "{label}: duplicates at {q:?}");
-            let mut want: Vec<u64> =
-                oracle.values().filter(|p| q.contains(p)).map(|p| p.id).collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "{label}: {q:?}");
+            let want = canonical(oracle.values().copied().filter(|p| q.contains(p)).collect());
+            assert_eq!(canonical(pst.query(store, q).unwrap()), want, "{label}: {q:?}");
         }
     }
 
     #[test]
     fn inserts_become_visible_immediately() {
         let store = PageStore::in_memory(512);
-        let initial = random_points(500, 5000, 1);
+        let mut rng = Rng::seed_from_u64(1);
+        let initial = uniform_points(&mut rng, 500, 5000);
         let mut pst = DynamicPst::build(&store, &initial).unwrap();
         let mut oracle: HashMap<u64, Point> = initial.iter().map(|p| (p.id, *p)).collect();
-        let mut s = 0x42u64;
         for i in 0..300u64 {
-            let p = Point::new(xorshift(&mut s, 5000), xorshift(&mut s, 5000), 10_000 + i);
+            let p = Point::new(rng.gen_range(0..5000i64), rng.gen_range(0..5000i64), 10_000 + i);
             pst.insert(&store, p).unwrap();
             oracle.insert(p.id, p);
             if i % 37 == 0 {
-                let queries =
-                    [(xorshift(&mut s, 5000), xorshift(&mut s, 5000)), (0, 0), (4999, 0)];
+                let corner = (rng.gen_range(0..5000i64), rng.gen_range(0..5000i64));
+                let queries = [corner, (0, 0), (4999, 0)];
                 check_against_oracle(&store, &pst, &oracle, &queries, "insert phase");
             }
         }
@@ -909,24 +903,21 @@ mod tests {
     #[test]
     fn descriptor_round_trips_through_open() {
         let store = PageStore::in_memory(512);
-        let initial = random_points(400, 5000, 9);
+        let mut rng = Rng::seed_from_u64(9);
+        let initial = uniform_points(&mut rng, 400, 5000);
         let mut pst = DynamicPst::build(&store, &initial).unwrap();
-        let mut s = 0x99u64;
+        let mut three = DynamicThreeSidedPst::build(&store, &initial).unwrap();
         for i in 0..150u64 {
-            let p = Point::new(xorshift(&mut s, 5000), xorshift(&mut s, 5000), 20_000 + i);
+            let p = Point::new(rng.gen_range(0..5000i64), rng.gen_range(0..5000i64), 20_000 + i);
             pst.insert(&store, p).unwrap();
+            three.insert(&store, p).unwrap();
         }
         let desc = pst.descriptor();
         let reopened = DynamicPst::open(&store, &desc).unwrap();
         assert_eq!((reopened.len(), reopened.frame()), (pst.len(), pst.frame()));
         for q in [(0, 0), (2500, 2500), (4000, 100)] {
             let q = TwoSided { x0: q.0, y0: q.1 };
-            let mut a: Vec<u64> = pst.query(&store, q).unwrap().iter().map(|p| p.id).collect();
-            let mut b: Vec<u64> =
-                reopened.query(&store, q).unwrap().iter().map(|p| p.id).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "{q:?}");
+            assert_eq!(reopened.query(&store, q).unwrap(), pst.query(&store, q).unwrap(), "{q:?}");
         }
         // Updates keep working through the reopened handle.
         let mut reopened = reopened;
@@ -940,58 +931,36 @@ mod tests {
         let mut garbage_root = [0xFFu8; 27];
         garbage_root[24..].copy_from_slice(&desc[24..]);
         assert!(DynamicPst::open(&store, &garbage_root).is_err());
+
+        // The 3-sided structure's descriptor names its buffer pages too, and
+        // reopens with what they hold.
+        let desc = three.descriptor();
+        assert!(desc.len() > DESCRIPTOR3_FIXED, "a buffered tail");
+        let mut reopened = DynamicThreeSidedPst::open(&store, &desc).unwrap();
+        let q = ThreeSided { x1: 1000, x2: 4000, y0: 2000 };
+        assert_eq!(reopened.query(&store, q).unwrap(), three.query(&store, q).unwrap());
+        reopened.insert(&store, Point::new(1, 1, 99_999)).unwrap();
+        assert_eq!(reopened.len(), three.len() + 1);
+        assert!(DynamicThreeSidedPst::open(&store, &desc[..DESCRIPTOR3_FIXED - 1]).is_err());
+        assert!(DynamicThreeSidedPst::open(&store, &desc[..desc.len() - 3]).is_err());
+        assert!(DynamicThreeSidedPst::open(&store, &vec![0xFF; desc.len()]).is_err());
     }
 
     #[test]
     fn deletes_mask_and_flush() {
         let store = PageStore::in_memory(512);
-        let initial = random_points(800, 5000, 2);
+        let mut rng = Rng::seed_from_u64(2);
+        let initial = uniform_points(&mut rng, 800, 5000);
         let mut pst = DynamicPst::build(&store, &initial).unwrap();
         let mut oracle: HashMap<u64, Point> = initial.iter().map(|p| (p.id, *p)).collect();
-        let mut s = 0x77u64;
         for i in 0..400u64 {
-            let victim_id = (xorshift(&mut s, 800)) as u64;
-            if let Some(p) = oracle.remove(&victim_id) {
+            if let Some(p) = oracle.remove(&rng.gen_range(0..800u64)) {
                 pst.delete(&store, p).unwrap();
             }
             if i % 41 == 0 {
-                let queries = [(xorshift(&mut s, 5000), xorshift(&mut s, 5000)), (0, 0)];
+                let queries = [(rng.gen_range(0..5000i64), rng.gen_range(0..5000i64)), (0, 0)];
                 check_against_oracle(&store, &pst, &oracle, &queries, "delete phase");
             }
-        }
-    }
-
-    #[test]
-    fn mixed_workload_differential() {
-        let store = PageStore::in_memory(512);
-        let initial = random_points(1500, 20_000, 3);
-        let mut pst = DynamicPst::build(&store, &initial).unwrap();
-        let mut oracle: HashMap<u64, Point> = initial.iter().map(|p| (p.id, *p)).collect();
-        let mut s = 0x1010u64;
-        let mut next_id = 100_000u64;
-        for step in 0..2000u64 {
-            if xorshift(&mut s, 3) < 2 {
-                let p = Point::new(xorshift(&mut s, 20_000), xorshift(&mut s, 20_000), next_id);
-                next_id += 1;
-                pst.insert(&store, p).unwrap();
-                oracle.insert(p.id, p);
-            } else {
-                let keys: Vec<u64> = oracle.keys().copied().collect();
-                if !keys.is_empty() {
-                    let k = keys[(xorshift(&mut s, keys.len() as i64)) as usize];
-                    let p = oracle.remove(&k).unwrap();
-                    pst.delete(&store, p).unwrap();
-                }
-            }
-            if step % 97 == 0 {
-                let queries = [
-                    (xorshift(&mut s, 22_000) - 1000, xorshift(&mut s, 22_000) - 1000),
-                    (0, 0),
-                    (19_000, 19_000),
-                ];
-                check_against_oracle(&store, &pst, &oracle, &queries, "mixed");
-            }
-            assert_eq!(pst.len(), oracle.len() as u64, "step {step}");
         }
     }
 
@@ -1000,19 +969,16 @@ mod tests {
         // Insert/delete cycles must not leak pages: after heavy churn the
         // live page count stays proportional to the live point count.
         let store = PageStore::in_memory(512);
-        let initial = random_points(2000, 10_000, 4);
-        let mut pst = DynamicPst::build(&store, &initial).unwrap();
+        let mut rng = Rng::seed_from_u64(4);
+        let mut live = uniform_points(&mut rng, 2000, 10_000);
+        let mut pst = DynamicPst::build(&store, &live).unwrap();
         let baseline = store.live_pages();
-        let mut s = 0x5050u64;
-        let mut oracle: HashMap<u64, Point> = initial.iter().map(|p| (p.id, *p)).collect();
         for next_id in 1_000_000u64..1_003_000 {
             // One insert + one delete: n stays ~constant.
-            let p = Point::new(xorshift(&mut s, 10_000), xorshift(&mut s, 10_000), next_id);
+            let p = Point::new(rng.gen_range(0..10_000i64), rng.gen_range(0..10_000i64), next_id);
             pst.insert(&store, p).unwrap();
-            oracle.insert(p.id, p);
-            let keys: Vec<u64> = oracle.keys().copied().collect();
-            let k = keys[(xorshift(&mut s, keys.len() as i64)) as usize];
-            let victim = oracle.remove(&k).unwrap();
+            live.push(p);
+            let victim = live.swap_remove(rng.gen_range(0..live.len()));
             pst.delete(&store, victim).unwrap();
         }
         let after = store.live_pages();
@@ -1035,17 +1001,16 @@ mod tests {
         // Every buffer overflow rebuilds the static structure; the old one
         // must be freed, or the store grows by a whole structure each time.
         let store = PageStore::in_memory(512);
-        let initial = random_points(2000, 10_000, 14);
-        let mut pst = DynamicThreeSidedPst::build(&store, &initial).unwrap();
+        let mut rng = Rng::seed_from_u64(14);
+        let mut live = uniform_points(&mut rng, 2000, 10_000);
+        let mut pst = DynamicThreeSidedPst::build(&store, &live).unwrap();
         let baseline = store.live_pages();
-        let mut s = 0x6060u64;
-        let mut live: Vec<Point> = initial;
         // Ids the initial frame holds: no rebuild but the buffer's.
         for next_id in 10_000u64..11_500 {
-            let p = Point::new(xorshift(&mut s, 10_000), xorshift(&mut s, 10_000), next_id);
+            let p = Point::new(rng.gen_range(0..10_000i64), rng.gen_range(0..10_000i64), next_id);
             pst.insert(&store, p).unwrap();
             live.push(p);
-            let victim = live.swap_remove(xorshift(&mut s, live.len() as i64) as usize);
+            let victim = live.swap_remove(rng.gen_range(0..live.len()));
             pst.delete(&store, victim).unwrap();
         }
         // 3000 updates through a 142-update buffer (B = 71): 21 rebuilds.
@@ -1056,9 +1021,7 @@ mod tests {
             "page count grew from {baseline} to {after} under constant n"
         );
         let q = ThreeSided { x1: 0, x2: 10_000, y0: 0 };
-        let mut want: Vec<u64> = live.iter().map(|p| p.id).collect();
-        want.sort_unstable();
-        assert_eq!(ids(pst.query(&store, q).unwrap()), want);
+        assert_eq!(canonical(pst.query(&store, q).unwrap()), canonical(live));
     }
 
     #[test]
@@ -1067,7 +1030,7 @@ mod tests {
         // page, so the order in which they are traversed shows as well.
         for (page_size, n, domain) in [(512, 600, 5000), (4096, 40_000, 1_000_000)] {
             let store = PageStore::in_memory(page_size);
-            let initial = random_points(n, domain, 15);
+            let initial = uniform_points(&mut Rng::seed_from_u64(15), n, domain);
             let mut two = DynamicPst::build(&store, &initial).unwrap();
             let mut three = DynamicThreeSidedPst::build(&store, &initial).unwrap();
             // Ids the initial frame holds, so that all twelve stay buffered.
@@ -1223,7 +1186,7 @@ mod tests {
     fn selective_cache_rebuild_equals_a_rebuild_from_scratch() {
         for (page_size, n) in [(512usize, 2_000usize), (4096, 70_000)] {
             let store = PageStore::in_memory(page_size);
-            let initial = random_points(n, 1 << 40, 0x5e1ec7);
+            let initial = uniform_points(&mut Rng::seed_from_u64(0x5e1ec7), n, 1 << 40);
             let mut next_id = 10_000_000u64;
             // The twins' ids are wider than the initial ones: a frame that
             // holds both, or the first insert would rebuild the root away.
@@ -1316,24 +1279,22 @@ mod tests {
 
             // And the answers: everything, once.
             let got = pst.query(&store, TwoSided { x0: i64::MIN, y0: i64::MIN }).unwrap();
-            let mut want: Vec<u64> = initial.iter().map(|p| p.id).collect();
-            want.extend([quiet.id, below.id]);
-            want.sort_unstable();
-            assert_eq!(ids(got), want);
+            let want = [&initial[..], &[quiet, below]].concat();
+            assert_eq!(canonical(got), canonical(want));
         }
     }
 
     #[test]
     fn amortized_update_cost_is_logarithmic() {
         let store = PageStore::in_memory(512);
-        let initial = random_points(10_000, 100_000, 5);
+        let mut rng = Rng::seed_from_u64(5);
+        let initial = uniform_points(&mut rng, 10_000, 100_000);
         let mut pst = DynamicPst::build(&store, &initial).unwrap();
         store.reset_stats();
-        let mut s = 0x9090u64;
         let updates = 2000u64;
         for i in 0..updates {
-            let p =
-                Point::new(xorshift(&mut s, 100_000), xorshift(&mut s, 100_000), 500_000 + i);
+            let (x, y) = (rng.gen_range(0..100_000i64), rng.gen_range(0..100_000i64));
+            let p = Point::new(x, y, 500_000 + i);
             pst.insert(&store, p).unwrap();
         }
         let per_update = store.stats().total_io() as f64 / updates as f64;
@@ -1345,54 +1306,43 @@ mod tests {
     #[test]
     fn dynamic_three_sided_differential() {
         let store = PageStore::in_memory(512);
-        let initial = random_points(1000, 10_000, 6);
-        let mut pst = DynamicThreeSidedPst::build(&store, &initial).unwrap();
-        let mut oracle: HashMap<u64, Point> = initial.iter().map(|p| (p.id, *p)).collect();
-        let mut s = 0xa0a0u64;
+        let mut rng = Rng::seed_from_u64(6);
+        let mut live = uniform_points(&mut rng, 1000, 10_000);
+        let mut pst = DynamicThreeSidedPst::build(&store, &live).unwrap();
         let mut next_id = 50_000u64;
         for step in 0..1200u64 {
-            if xorshift(&mut s, 3) < 2 {
-                let p = Point::new(xorshift(&mut s, 10_000), xorshift(&mut s, 10_000), next_id);
+            if rng.gen_range(0..3u64) < 2 {
+                let (x, y) = (rng.gen_range(0..10_000i64), rng.gen_range(0..10_000i64));
+                let p = Point::new(x, y, next_id);
                 next_id += 1;
                 pst.insert(&store, p).unwrap();
-                oracle.insert(p.id, p);
-            } else {
-                let keys: Vec<u64> = oracle.keys().copied().collect();
-                if !keys.is_empty() {
-                    let k = keys[(xorshift(&mut s, keys.len() as i64)) as usize];
-                    let p = oracle.remove(&k).unwrap();
-                    pst.delete(&store, p).unwrap();
-                }
+                live.push(p);
+            } else if !live.is_empty() {
+                let victim = live.swap_remove(rng.gen_range(0..live.len()));
+                pst.delete(&store, victim).unwrap();
             }
             if step % 131 == 0 {
-                let a = xorshift(&mut s, 10_000);
+                let x1 = rng.gen_range(0..10_000i64);
                 let q = ThreeSided {
-                    x1: a,
-                    x2: a + xorshift(&mut s, 4000),
-                    y0: xorshift(&mut s, 10_000),
+                    x1,
+                    x2: x1 + rng.gen_range(0..4000i64),
+                    y0: rng.gen_range(0..10_000i64),
                 };
-                let got = ids(pst.query(&store, q).unwrap());
-                let mut want: Vec<u64> =
-                    oracle.values().filter(|p| q.contains(p)).map(|p| p.id).collect();
-                want.sort_unstable();
-                assert_eq!(got, want, "step {step} {q:?}");
+                let want = canonical(live.iter().copied().filter(|p| q.contains(p)).collect());
+                assert_eq!(canonical(pst.query(&store, q).unwrap()), want, "step {step} {q:?}");
                 // The descriptor is the whole handle, whatever the buffer
                 // holds: a reopened structure answers in the same order.
                 let reopened = DynamicThreeSidedPst::open(&store, &pst.descriptor()).unwrap();
                 assert_eq!(reopened.len(), pst.len(), "step {step}");
                 assert_eq!(reopened.query(&store, q).unwrap(), pst.query(&store, q).unwrap());
             }
-            assert_eq!(pst.len(), oracle.len() as u64, "step {step}");
+            assert_eq!(pst.len(), live.len() as u64, "step {step}");
         }
-        // Updates keep working through a reopened handle, and malformed
-        // descriptors are typed errors, not panics.
+        // Updates keep working through a handle reopened after the churn.
         let desc = pst.descriptor();
         assert!(desc.len() > DESCRIPTOR3_FIXED, "the run ends with a buffered tail");
         let mut reopened = DynamicThreeSidedPst::open(&store, &desc).unwrap();
         reopened.insert(&store, Point::new(1, 1, 99_999)).unwrap();
         assert_eq!(reopened.len(), pst.len() + 1);
-        assert!(DynamicThreeSidedPst::open(&store, &desc[..DESCRIPTOR3_FIXED - 1]).is_err());
-        assert!(DynamicThreeSidedPst::open(&store, &desc[..desc.len() - 3]).is_err());
-        assert!(DynamicThreeSidedPst::open(&store, &vec![0xFF; desc.len()]).is_err());
     }
 }

@@ -170,11 +170,12 @@ impl MemPst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{brute, random_points, xorshift};
+    use crate::testutil::{canonical, uniform_points};
+    use pc_rng::Rng;
 
     #[test]
     fn heap_property_holds() {
-        let pts = random_points(1000, 500, 1);
+        let pts = uniform_points(&mut Rng::seed_from_u64(1), 1000, 500);
         let pst = MemPst::build(&pts, 16);
         // Every child point must be y-below its parent's minimum.
         for (i, node) in pst.nodes.iter().enumerate() {
@@ -193,7 +194,7 @@ mod tests {
 
     #[test]
     fn x_division_is_clean() {
-        let pts = random_points(1000, 500, 2);
+        let pts = uniform_points(&mut Rng::seed_from_u64(2), 1000, 500);
         let pst = MemPst::build(&pts, 16);
         for node in &pst.nodes {
             if node.is_leaf() {
@@ -210,7 +211,7 @@ mod tests {
 
     #[test]
     fn node_points_sorted_descending_y() {
-        let pts = random_points(500, 300, 3);
+        let pts = uniform_points(&mut Rng::seed_from_u64(3), 500, 300);
         let pst = MemPst::build(&pts, 8);
         for node in &pst.nodes {
             for w in node.points.windows(2) {
@@ -221,7 +222,7 @@ mod tests {
 
     #[test]
     fn all_points_stored_exactly_once() {
-        let pts = random_points(777, 400, 4);
+        let pts = uniform_points(&mut Rng::seed_from_u64(4), 777, 400);
         let pst = MemPst::build(&pts, 10);
         let mut ids: Vec<u64> =
             pst.nodes.iter().flat_map(|n| n.points.iter().map(|p| p.id)).collect();
@@ -232,14 +233,13 @@ mod tests {
 
     #[test]
     fn oracle_matches_brute_force() {
-        let pts = random_points(800, 300, 5);
+        let mut rng = Rng::seed_from_u64(5);
+        let pts = uniform_points(&mut rng, 800, 300);
         let pst = MemPst::build(&pts, 8);
-        let mut s = 0x8888u64;
         for _ in 0..100 {
-            let q = TwoSided { x0: xorshift(&mut s, 350) - 20, y0: xorshift(&mut s, 350) - 20 };
-            let mut got: Vec<u64> = pst.query_oracle(q).iter().map(|p| p.id).collect();
-            got.sort_unstable();
-            assert_eq!(got, brute(&pts, q), "{q:?}");
+            let q = TwoSided { x0: rng.gen_range(-20..330i64), y0: rng.gen_range(-20..330i64) };
+            let want = canonical(pts.iter().copied().filter(|p| q.contains(p)).collect());
+            assert_eq!(canonical(pst.query_oracle(q)), want, "{q:?}");
         }
     }
 

@@ -43,37 +43,12 @@ impl MultilevelPst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{brute, ids, random_points, xorshift};
-
-    #[test]
-    fn all_level_counts_match_brute_force() {
-        // At these points' frame, 2/2/2, `B` is 71 and 583 and either page
-        // size has two region levels (7·B, 3·B): k = 3 nests a region tree
-        // in a region, k = 4 saturates.
-        for (page_size, n) in [(512, 4000), (4096, 30_000)] {
-            let pts = random_points(n, 15_000, 0x6161);
-            let store = PageStore::in_memory(page_size);
-            let psts: Vec<MultilevelPst> =
-                (1..=4).map(|k| MultilevelPst::build(&store, &pts, k).unwrap()).collect();
-            let mut s = 0x77u64;
-            for i in 0..80 {
-                let q = TwoSided {
-                    x0: xorshift(&mut s, 16_000) - 500,
-                    y0: xorshift(&mut s, 16_000) - 500,
-                };
-                let want = brute(&pts, q);
-                for pst in &psts {
-                    let res = pst.query(&store, q).unwrap();
-                    assert_eq!(res.len(), want.len(), "dup? k={} q{i}={q:?}", pst.levels());
-                    assert_eq!(ids(res), want, "k={} q{i}={q:?}", pst.levels());
-                }
-            }
-        }
-    }
+    use crate::testutil::{canonical, uniform_points};
+    use pc_rng::Rng;
 
     #[test]
     fn level_counts_saturate_at_log_star() {
-        let pts = random_points(3000, 10_000, 0x1212);
+        let pts = uniform_points(&mut Rng::seed_from_u64(0x1212), 3000, 10_000);
         // Levels beyond log* B produce the same capacity sequence, hence
         // the same structure sizes.
         let store_a = PageStore::in_memory(512);
@@ -92,7 +67,8 @@ mod tests {
         for x0 in [-1, 0, 3, 9, 10] {
             for y0 in [-1, 0, 6, 15, 16] {
                 let q = TwoSided { x0, y0 };
-                assert_eq!(ids(pst.query(&store, q).unwrap()), brute(&pts, q), "{q:?}");
+                let want = canonical(pts.iter().copied().filter(|p| q.contains(p)).collect());
+                assert_eq!(canonical(pst.query(&store, q).unwrap()), want, "{q:?}");
             }
         }
     }

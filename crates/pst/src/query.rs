@@ -211,35 +211,10 @@ impl Ctx<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{brute, ids, random_points, xorshift};
+    use crate::testutil::{canonical, uniform_points};
     use crate::build::{points_capacity, BasicPst, NaivePst, SegmentedPst};
     use pc_pagestore::PageStore;
-
-    #[test]
-    fn all_variants_match_brute_force() {
-        let pts = random_points(3000, 10_000, 0xc0ffee);
-        let store = PageStore::in_memory(512);
-        let naive = NaivePst::build(&store, &pts).unwrap();
-        let basic = BasicPst::build(&store, &pts).unwrap();
-        let seg = SegmentedPst::build(&store, &pts).unwrap();
-        let mut s = 0x77u64;
-        for i in 0..150 {
-            let q = TwoSided {
-                x0: xorshift(&mut s, 11_000) - 500,
-                y0: xorshift(&mut s, 11_000) - 500,
-            };
-            let want = brute(&pts, q);
-            let rn = naive.query(&store, q).unwrap();
-            assert_eq!(rn.len(), want.len(), "naive dup? q{i}={q:?}");
-            assert_eq!(ids(rn), want, "naive q{i}={q:?}");
-            let rb = basic.query(&store, q).unwrap();
-            assert_eq!(rb.len(), want.len(), "basic dup? q{i}={q:?}");
-            assert_eq!(ids(rb), want, "basic q{i}={q:?}");
-            let rs = seg.query(&store, q).unwrap();
-            assert_eq!(rs.len(), want.len(), "segmented dup? q{i}={q:?}");
-            assert_eq!(ids(rs), want, "segmented q{i}={q:?}");
-        }
-    }
+    use pc_rng::Rng;
 
     #[test]
     fn duplicate_heavy_input_is_exact() {
@@ -254,9 +229,9 @@ mod tests {
         for x0 in [-1, 0, 5, 10, 20, 21] {
             for y0 in [-1, 0, 10, 25, 40, 41] {
                 let q = TwoSided { x0, y0 };
-                let want = brute(&pts, q);
-                assert_eq!(ids(seg.query(&store, q).unwrap()), want, "{q:?}");
-                assert_eq!(ids(naive.query(&store, q).unwrap()), want, "{q:?}");
+                let want = canonical(pts.iter().copied().filter(|p| q.contains(p)).collect());
+                assert_eq!(canonical(seg.query(&store, q).unwrap()), want, "{q:?}");
+                assert_eq!(canonical(naive.query(&store, q).unwrap()), want, "{q:?}");
             }
         }
     }
@@ -276,18 +251,15 @@ mod tests {
 
     #[test]
     fn cached_variants_meet_optimal_io_bound() {
-        let pts = random_points(20_000, 100_000, 0xf00d);
+        let mut rng = Rng::seed_from_u64(0xf00d);
+        let pts = uniform_points(&mut rng, 20_000, 100_000);
         let store = PageStore::in_memory(512);
         let basic = BasicPst::build(&store, &pts).unwrap();
         let seg = SegmentedPst::build(&store, &pts).unwrap();
         let b = points_capacity(512, basic.frame()) as u64;
         // log_B n with B=20, n=20k: ~3.3 skeletal pages.
-        let mut s = 0xabcdu64;
         for _ in 0..60 {
-            let q = TwoSided {
-                x0: xorshift(&mut s, 100_000),
-                y0: xorshift(&mut s, 100_000),
-            };
+            let q = TwoSided { x0: rng.gen_range(0..100_000i64), y0: rng.gen_range(0..100_000i64) };
             for (name, (res, c)) in [
                 ("basic", basic.query_counted(&store, q).unwrap()),
                 ("segmented", seg.query_counted(&store, q).unwrap()),
@@ -311,16 +283,16 @@ mod tests {
         // while the segmented one touches ~3 reads per skeletal page
         // (log_B n pages). Requires pages large enough for the skeletal
         // height h to beat the per-segment constant (4096 => h = 5).
-        let pts = random_points(200_000, 1_000_000, 0xbeef);
+        let mut rng = Rng::seed_from_u64(0xbeef);
+        let pts = uniform_points(&mut rng, 200_000, 1_000_000);
         let store = PageStore::in_memory(4096);
         let naive = NaivePst::build(&store, &pts).unwrap();
         let seg = SegmentedPst::build(&store, &pts).unwrap();
-        let mut s = 0x1234u64;
         let mut naive_total = 0u64;
         let mut seg_total = 0u64;
         for _ in 0..20 {
             // Just beyond the domain: empty output, deepest corner.
-            let q = TwoSided { x0: 1_000_001 + xorshift(&mut s, 100), y0: 0 };
+            let q = TwoSided { x0: 1_000_001 + rng.gen_range(0..100i64), y0: 0 };
             let (rn, cn) = naive.query_counted(&store, q).unwrap();
             let (rs, cs) = seg.query_counted(&store, q).unwrap();
             assert!(rn.is_empty() && rs.is_empty());

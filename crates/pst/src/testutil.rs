@@ -1,7 +1,7 @@
 #![cfg(test)]
-//! What the test modules of this crate share: one seeded generator (every
-//! literal in the tests is a function of it), brute force, a strict store
-//! that logs its reads, and the layout walkers. The walkers
+//! What the test modules of this crate share: points drawn from `pc_rng`,
+//! the one answer order, a strict store that logs its reads, and the layout
+//! walkers. The walkers
 //! ([`check_core_caches`], [`in_page_paths`]) are written against the page
 //! bytes and the record formats alone, not against `region`: they are the
 //! reference the substrate is checked against.
@@ -12,54 +12,23 @@ use pc_pagestore::backend::{Backend, MemBackend};
 use pc_pagestore::layout::BlockList;
 use pc_pagestore::store::CHECKSUM_LEN;
 use pc_pagestore::{Frame, Framed, PageId, PageStore, Point, Result, StoreConfig};
+use pc_rng::Rng;
 
 use crate::build::{points_capacity, CacheMode, Kind, PstHandle, SkeletalRecord};
-use crate::mem::TwoSided;
 use crate::region::{NodeRef, SkelRecord};
-use crate::three_sided::ThreeSided;
 use crate::two_level::RegionRecord;
 
-pub(crate) fn xorshift(state: &mut u64, bound: i64) -> i64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    (*state % bound as u64) as i64
+/// `n` points with ids `0..n`, both coordinates uniform in `0..domain`.
+pub(crate) fn uniform_points(rng: &mut Rng, n: usize, domain: i64) -> Vec<Point> {
+    let mut coord = || rng.gen_range(0..domain);
+    (0..n as u64).map(|id| Point::new(coord(), coord(), id)).collect()
 }
 
-pub(crate) fn random_points(n: usize, domain: i64, seed: u64) -> Vec<Point> {
-    let mut s = seed;
-    (0..n)
-        .map(|id| Point::new(xorshift(&mut s, domain), xorshift(&mut s, domain), id as u64))
-        .collect()
-}
-
-/// A query a point either lies in or does not.
-pub(crate) trait Query {
-    fn holds(&self, p: &Point) -> bool;
-}
-
-impl Query for TwoSided {
-    fn holds(&self, p: &Point) -> bool {
-        self.contains(p)
-    }
-}
-
-impl Query for ThreeSided {
-    fn holds(&self, p: &Point) -> bool {
-        self.contains(p)
-    }
-}
-
-/// The ids of the points in `q`, ascending.
-pub(crate) fn brute(points: &[Point], q: impl Query) -> Vec<u64> {
-    ids(points.iter().filter(|p| q.holds(p)).copied().collect())
-}
-
-/// The ids of an answer, ascending.
-pub(crate) fn ids(pts: Vec<Point>) -> Vec<u64> {
-    let mut out: Vec<u64> = pts.into_iter().map(|p| p.id).collect();
-    out.sort_unstable();
-    out
+/// `points` in one order, `(x, y, id)`: answers compare as multisets of
+/// whole records.
+pub(crate) fn canonical(mut points: Vec<Point>) -> Vec<Point> {
+    points.sort_unstable_by_key(|p| (p.x, p.y, p.id));
+    points
 }
 
 struct LoggingBackend {

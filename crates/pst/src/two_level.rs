@@ -756,8 +756,9 @@ impl TlCtx<'_, '_> {
 mod tests {
     use super::*;
     use crate::testutil::{
-        brute, distinct_points, ids, in_page_paths, random_points, xorshift, LoggedStore, FRAMES,
+        canonical, distinct_points, in_page_paths, uniform_points, LoggedStore, FRAMES,
     };
+    use pc_rng::Rng;
 
     #[test]
     fn region_capacity_is_b_log_b() {
@@ -850,7 +851,7 @@ mod tests {
     fn one_block_unit_from_region_lists_to_inner_caches() {
         use crate::testutil::{assert_block_sizes, assert_cache_blocks, check_core_caches};
         for (page_size, n, inner_nodes) in [(512, 5_000, 3), (4096, 150_000, 7)] {
-            let pts = random_points(n, 1_000_000, 0x1b1b);
+            let pts = uniform_points(&mut Rng::seed_from_u64(0x1b1b), n, 1_000_000);
             let store = PageStore::in_memory(page_size);
             let pst = TwoLevelPst::build(&store, &pts).unwrap();
             let frame = pst.frame();
@@ -937,7 +938,7 @@ mod tests {
             assert_eq!(store.live_pages(), 0);
         }
         let store = PageStore::in_memory(4096);
-        let pts = random_points(30_000, 1 << 30, 0x7e57);
+        let pts = uniform_points(&mut Rng::seed_from_u64(0x7e57), 30_000, 1 << 30);
         let frame = Frame::of(&pts);
         let caps = region_caps(4096, 3, frame);
         assert_eq!(caps.len(), 2, "a nested build");
@@ -1030,7 +1031,7 @@ mod tests {
                 let q = TwoSided { x0: i64::MIN, y0: i64::MIN };
                 let ((hits, _, counters), log) =
                     logged.reads_of(|s| query_handle(s, handle, q).unwrap());
-                assert_eq!(ids(hits), (0..pts.len() as u64).collect::<Vec<_>>());
+                assert_eq!(canonical(hits), canonical(pts.clone()));
                 assert_eq!(counters.total(), log.len() as u64);
                 let reads_of = |page: PageId| log.iter().filter(|&&p| p == page).count();
                 assert!(log.iter().all(|&p| reads_of(p) == 1), "a page was read twice");
@@ -1052,24 +1053,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_brute_force() {
-        let pts = random_points(5000, 20_000, 0x2222);
-        let store = PageStore::in_memory(512);
-        let pst = TwoLevelPst::build(&store, &pts).unwrap();
-        let mut s = 0x55u64;
-        for i in 0..150 {
-            let q = TwoSided {
-                x0: xorshift(&mut s, 22_000) - 1000,
-                y0: xorshift(&mut s, 22_000) - 1000,
-            };
-            let res = pst.query(&store, q).unwrap();
-            let want = brute(&pts, q);
-            assert_eq!(res.len(), want.len(), "dup? q{i}={q:?}");
-            assert_eq!(ids(res), want, "q{i}={q:?}");
-        }
-    }
-
-    #[test]
     fn duplicates_and_edges() {
         let mut pts = Vec::new();
         for i in 0..1200u64 {
@@ -1080,7 +1063,8 @@ mod tests {
         for x0 in [-1, 0, 5, 15, 30, 31] {
             for y0 in [-1, 0, 25, 50, 51] {
                 let q = TwoSided { x0, y0 };
-                assert_eq!(ids(pst.query(&store, q).unwrap()), brute(&pts, q), "{q:?}");
+                let want = canonical(pts.iter().copied().filter(|p| q.contains(p)).collect());
+                assert_eq!(canonical(pst.query(&store, q).unwrap()), want, "{q:?}");
             }
         }
     }
@@ -1091,10 +1075,11 @@ mod tests {
         let pst = TwoLevelPst::build(&store, &[]).unwrap();
         assert!(pst.query(&store, TwoSided { x0: 0, y0: 0 }).unwrap().is_empty());
         // Fewer points than one region: everything sits in the root.
-        let pts = random_points(50, 100, 3);
+        let pts = uniform_points(&mut Rng::seed_from_u64(3), 50, 100);
         let pst = TwoLevelPst::build(&store, &pts).unwrap();
         let q = TwoSided { x0: 40, y0: 40 };
-        assert_eq!(ids(pst.query(&store, q).unwrap()), brute(&pts, q));
+        let want = canonical(pts.iter().copied().filter(|p| q.contains(p)).collect());
+        assert_eq!(canonical(pst.query(&store, q).unwrap()), want);
     }
 
     #[test]
@@ -1104,7 +1089,7 @@ mod tests {
         // two-level structure's constants (X+Y duplication, inner trees)
         // show its measured advantage against the basic scheme; the
         // experiment harness records the full picture (E14).
-        let pts = random_points(30_000, 500_000, 0x3333);
+        let pts = uniform_points(&mut Rng::seed_from_u64(0x3333), 30_000, 500_000);
         let store_basic = PageStore::in_memory(512);
         crate::build::BasicPst::build(&store_basic, &pts).unwrap();
         let store_two = PageStore::in_memory(512);
@@ -1119,16 +1104,13 @@ mod tests {
 
     #[test]
     fn query_io_is_optimal_shape() {
-        let pts = random_points(30_000, 500_000, 0x4444);
+        let mut rng = Rng::seed_from_u64(0x4444);
+        let pts = uniform_points(&mut rng, 30_000, 500_000);
         let store = PageStore::in_memory(512);
         let pst = TwoLevelPst::build(&store, &pts).unwrap();
         let b = block_capacity(512, pst.frame()) as u64;
-        let mut s = 0x66u64;
         for _ in 0..60 {
-            let q = TwoSided {
-                x0: xorshift(&mut s, 500_000),
-                y0: xorshift(&mut s, 500_000),
-            };
+            let q = TwoSided { x0: rng.gen_range(0..500_000i64), y0: rng.gen_range(0..500_000i64) };
             let (res, c) = pst.query_counted(&store, q).unwrap();
             let t = res.len() as u64;
             let allowed = 60 + 6 * (t / b + 1);

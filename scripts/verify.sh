@@ -13,14 +13,13 @@
 #
 # Usage: scripts/verify.sh [--chaos] [--crash]
 #   --chaos   additionally re-run the fault-injection and shard-fabric
-#             suites under a fresh random seed and a hard timeout (the
-#             fixed-seed runs are already part of the workspace tests
-#             above). The seed is printed so a failure can be reproduced
-#             verbatim with PC_CHAOS_SEED=<seed>.
-#   --crash   additionally run the crash-point suite (kill-point matrix,
-#             per-structure acked-survives, store durability, WAL codec
-#             properties) under a hard timeout — a recovery hang is a
-#             failure, not a stall.
+#             suites and the oracle under a fresh random seed and a hard
+#             timeout (the fixed-seed runs are already part of the
+#             workspace tests above). The seed is printed so a failure can
+#             be reproduced verbatim with PC_CHAOS_SEED=<seed>.
+#   --crash   additionally run the crash-point suite (kill-point matrices,
+#             store durability, WAL codec properties) under a hard timeout —
+#             a recovery hang is a failure, not a stall.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -114,18 +113,19 @@ if [ "$RUN_CHAOS" = 1 ]; then
     # journal replay into a failure instead of a stuck CI job.
     CHAOS_SEED="$(python3 -c 'import secrets; print(secrets.randbits(64))')"
     echo "==> chaos and shard-fabric suites under fresh seed $CHAOS_SEED"
-    echo "    (reproduce with: PC_CHAOS_SEED=$CHAOS_SEED cargo test -q --test chaos --test cluster_chaos --test router_merge)"
+    echo "    (reproduce with: PC_CHAOS_SEED=$CHAOS_SEED cargo test -q --test chaos --test cluster_chaos --test oracle)"
     PC_CHAOS_SEED="$CHAOS_SEED" timeout 300 cargo test -q --offline \
-        --test chaos --test cluster_chaos --test router_merge
+        --test chaos --test cluster_chaos --test oracle
     echo "OK: chaos suites green under seed $CHAOS_SEED"
 fi
 
 if [ "$RUN_CRASH" = 1 ]; then
-    # Kill-point matrix + per-structure acked-survives live in the
-    # workspace-level crash_recovery suite; the store-level durability and
-    # WAL-codec property suites live in pc-pagestore. The hard timeouts turn
-    # a recovery hang (a replay loop that never terminates, a lock held
-    # across a crash point) into a failure instead of a stuck CI job.
+    # The kill-point matrices live in the workspace-level crash_recovery
+    # suite (every structure's answers after a seeded kill are the oracle's,
+    # which --chaos reseeds); the store-level durability and WAL-codec
+    # property suites live in pc-pagestore. The hard timeouts turn a
+    # recovery hang (a replay loop that never terminates, a lock held across
+    # a crash point) into a failure instead of a stuck CI job.
     echo "==> crash-point suite (hard timeout)"
     timeout 300 cargo test -q --offline --test crash_recovery
     timeout 300 cargo test -q --offline -p pc-pagestore --test durability --test wal_proptest

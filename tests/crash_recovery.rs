@@ -1,7 +1,5 @@
-//! Seeded crash-point matrix for the durable page store, and the
-//! cross-structure "acked answers survive" check.
-//!
-//! Two layers:
+//! Seeded crash-point matrices for the durable page store, at the page
+//! level and at the level of the versioned serve path.
 //!
 //! 1. **Raw kill-point matrix** — a mixed alloc/write/free/commit workload
 //!    runs over crash-simulated media ([`CrashBackend`] + [`CrashLog`]).
@@ -14,27 +12,23 @@
 //!    `(seed, op ordinal)`, so a failure reproduces from its printed
 //!    `(seed, kill_at)` pair.
 //!
-//! 2. **Target kinds** — every query-structure kind the serve layer can
-//!    host (btree, segtree, intervaltree, static 2-sided and 3-sided PSTs,
-//!    dynamic 2-sided and 3-sided PSTs) is built (and, where supported,
-//!    mutated) on a durable store, synced, then scribbled on without a
-//!    commit and "crashed". After recovery the store must be bit-identical
-//!    to an uncrashed reference run — and the reference run's handle,
-//!    queried against the *recovered* store, must answer bit-identically.
+//! 2. **Versioned matrix** — each update-capable target kind, applied in
+//!    copy-on-write sessions and installed epoch by epoch as a shard does,
+//!    killed at a stride of its durable I/Os: recovery exposes exactly the
+//!    last committed epoch, bit-identical.
 //!
-//! `scripts/verify.sh --crash` runs this suite in both obs modes.
+//! That every structure *answers* as the model at the acked prefix after
+//! a seeded kill is `tests/oracle.rs`'s, one test per structure.
+//! `scripts/verify.sh --crash` runs this suite.
 
 use std::sync::Arc;
 
-use pc_btree::BTree;
 use pc_pagestore::{
     CrashBackend, CrashController, CrashLog, CrashPlan, PageId, PageStore, StoreConfig,
     VersionConfig, VersionedStore, WalConfig,
 };
-use pc_pst::{DynamicPst, DynamicThreeSidedPst, ThreeSidedPst, TwoLevelPst};
-use path_caching::intervaltree::ExternalIntervalTree;
-use path_caching::segtree::CachedSegmentTree;
-use path_caching::{Interval, Point, ThreeSided, TwoSided};
+use pc_pst::{DynamicPst, DynamicThreeSidedPst};
+use path_caching::Point;
 use pc_serve::wire::{Body, Op};
 use pc_serve::{
     canonicalize, decode_commit_meta, encode_commit_meta, DynamicPstTarget,
@@ -260,10 +254,6 @@ fn multi_crash_rounds_carry_survivors_forward() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// All target kinds answer bit-identically after crash recovery
-// ---------------------------------------------------------------------------
-
 const PAGE: usize = 512;
 
 fn durable_cfg() -> StoreConfig {
@@ -272,246 +262,6 @@ fn durable_cfg() -> StoreConfig {
 
 fn points(n: i64) -> Vec<Point> {
     (0..n).map(|i| Point { x: (i * 7) % 101, y: (i * 13) % 97, id: i as u64 }).collect()
-}
-
-fn intervals(n: i64) -> Vec<Interval> {
-    (0..n).map(|i| Interval { lo: i * 5, hi: i * 5 + 20 + (i % 13), id: i as u64 }).collect()
-}
-
-/// Builds a kind on `store`, mutates it (where supported), syncs, and
-/// returns the handle plus its canonical answers.
-///
-/// The harness then replays the same construction on crash media, adds
-/// *uncommitted* scribbles, dies, recovers, and checks the recovered store
-/// against the reference: identical pages, identical answers (queried
-/// through the reference handle — page ids line up because the build is
-/// deterministic).
-fn check_kind<H>(
-    name: &str,
-    build: impl Fn(&PageStore) -> H,
-    answer: impl Fn(&H, &PageStore) -> Vec<String>,
-) {
-    for (cp_name, checkpoint_bytes) in [("replay-only", u64::MAX), ("checkpointed", 4096)] {
-        let wal_cfg = WalConfig { checkpoint_bytes };
-
-        // Reference: plain durable in-memory store, never crashed.
-        let ctx = format!("{name}/{cp_name}");
-        let (ref_store, _) = PageStore::new_durable(
-            durable_cfg(),
-            Box::new(pc_pagestore::backend::MemBackend::new(PAGE + 8)),
-            Box::new(pc_pagestore::MemLog::new()),
-            wal_cfg,
-        )
-        .unwrap();
-        let handle = build(&ref_store);
-        ref_store.sync().unwrap();
-        let want_state = snapshot(&ref_store);
-        let want_answers = answer(&handle, &ref_store);
-        assert!(
-            want_answers.iter().any(|a| !a.is_empty()),
-            "{ctx}: queries must return something or the test is vacuous"
-        );
-
-        for seed in 0..4u64 {
-            let ctrl = CrashController::new(CrashPlan::count_only(seed));
-            let backend = Arc::new(CrashBackend::new(PAGE + 8, ctrl.clone()));
-            let log = Arc::new(CrashLog::new(ctrl));
-            let (store, _) = PageStore::new_durable(
-                durable_cfg(),
-                Box::new(Arc::clone(&backend)),
-                Box::new(Arc::clone(&log)),
-                wal_cfg,
-            )
-            .unwrap();
-            let _crash_handle = build(&store);
-            store.sync().unwrap();
-
-            // Unacknowledged tail: a fresh page plus an overwrite of a
-            // live one, never committed. Recovery must erase both.
-            let scratch = store.alloc().unwrap();
-            store.write(scratch, &[0xAB; 64]).unwrap();
-            if let Some(&victim) = store.allocated_pages().first() {
-                store.write(victim, &[0xCD; 64]).unwrap();
-            }
-
-            // "Die now": extract durable survivors and recover.
-            let (recovered, report) = PageStore::new_durable(
-                durable_cfg(),
-                Box::new(backend.surviving_backend()),
-                Box::new(log.surviving_log()),
-                WalConfig::default(),
-            )
-            .unwrap_or_else(|e| panic!("{ctx} seed {seed}: recovery failed: {e}"));
-            assert_eq!(
-                snapshot(&recovered),
-                want_state,
-                "{ctx} seed {seed}: recovered pages differ from the uncrashed run \
-                 (report: {report:?})"
-            );
-            assert_eq!(
-                answer(&handle, &recovered),
-                want_answers,
-                "{ctx} seed {seed}: answers over the recovered store diverge"
-            );
-        }
-    }
-}
-
-#[test]
-fn btree_answers_survive_crash_recovery() {
-    check_kind(
-        "btree",
-        |store| {
-            let mut t: BTree<i64, u64> = BTree::new(store).unwrap();
-            for i in 0..200i64 {
-                t.insert(store, (i * 17) % 251, i as u64).unwrap();
-            }
-            for i in 0..20i64 {
-                t.delete(store, &((i * 17) % 251)).unwrap();
-            }
-            t
-        },
-        |t, store| {
-            [(0, 50), (40, 120), (200, 250), (-10, 5)]
-                .iter()
-                .map(|&(lo, hi)| format!("{:?}", t.range(store, &lo, &hi).unwrap()))
-                .collect()
-        },
-    );
-}
-
-#[test]
-fn segtree_answers_survive_crash_recovery() {
-    check_kind(
-        "segtree",
-        |store| CachedSegmentTree::build(store, &intervals(80)).unwrap(),
-        |t, store| {
-            [3, 57, 111, 230, 399]
-                .iter()
-                .map(|&q| format!("{:?}", t.stab(store, q).unwrap()))
-                .collect()
-        },
-    );
-}
-
-#[test]
-fn intervaltree_answers_survive_crash_recovery() {
-    check_kind(
-        "intervaltree",
-        |store| ExternalIntervalTree::build(store, &intervals(80)).unwrap(),
-        |t, store| {
-            [3, 57, 111, 230, 399]
-                .iter()
-                .map(|&q| format!("{:?}", t.stab(store, q).unwrap()))
-                .collect()
-        },
-    );
-}
-
-#[test]
-fn static_pst_answers_survive_crash_recovery() {
-    check_kind(
-        "pst",
-        |store| TwoLevelPst::build(store, &points(300)).unwrap(),
-        |t, store| {
-            [(0, 0), (30, 40), (90, 90)]
-                .iter()
-                .map(|&(x0, y0)| format!("{:?}", t.query(store, TwoSided { x0, y0 }).unwrap()))
-                .collect()
-        },
-    );
-}
-
-#[test]
-fn static_pst3_answers_survive_crash_recovery() {
-    check_kind(
-        "pst3",
-        |store| ThreeSidedPst::build(store, &points(300)).unwrap(),
-        |t, store| {
-            [(0, 100, 0), (20, 60, 30), (50, 55, 80)]
-                .iter()
-                .map(|&(x1, x2, y0)| {
-                    format!("{:?}", t.query(store, ThreeSided { x1, x2, y0 }).unwrap())
-                })
-                .collect()
-        },
-    );
-}
-
-#[test]
-fn dynamic_pst_answers_survive_crash_recovery() {
-    check_kind(
-        "dynamic_pst",
-        |store| {
-            let mut t = DynamicPst::build(store, &points(100)).unwrap();
-            for i in 0..60i64 {
-                t.insert(store, Point { x: 200 + i, y: (i * 11) % 89, id: 5000 + i as u64 })
-                    .unwrap();
-                // Periodic group commits so the checkpointed variant
-                // actually checkpoints mid-workload.
-                if i % 16 == 15 {
-                    store.sync().unwrap();
-                }
-            }
-            for p in points(100).into_iter().take(15) {
-                t.delete(store, p).unwrap();
-            }
-            t
-        },
-        |t, store| {
-            [(0, 0), (150, 20), (220, 50)]
-                .iter()
-                .map(|&(x0, y0)| format!("{:?}", t.query(store, TwoSided { x0, y0 }).unwrap()))
-                .collect()
-        },
-    );
-}
-
-/// A structure built at 3/3/3 and widened twice — by an `x` of `i64::MAX`,
-/// then by an id of `u64::MAX`, each a rebuild of every page under a wider
-/// frame — with buffered updates before, between and after: the acked
-/// state survives, and the descriptor reopens it at the widened frame.
-#[test]
-fn widened_dynamic_pst_answers_survive_crash_recovery() {
-    use pc_pagestore::Frame;
-    check_kind(
-        "widened_dynamic_pst",
-        |store| {
-            let narrow: Vec<Point> = points(300)
-                .into_iter()
-                .map(|p| Point { x: p.x * 70_000, y: -p.y * 70_000, id: p.id + 70_000 })
-                .collect();
-            let mut t = DynamicPst::build(store, &narrow).unwrap();
-            assert_eq!(t.frame(), Frame::new(3, 3, 3));
-            let wide = [
-                (Point { x: i64::MAX, y: 1, id: 1 }, Frame::new(8, 3, 3)),
-                (Point { x: 2, y: -2, id: u64::MAX }, Frame::new(8, 3, 8)),
-            ];
-            let mut filler =
-                (0..45i64).map(|i| Point { x: 900 + i, y: -(i * 11) % 89, id: i as u64 + 2 });
-            for (p, frame) in wide {
-                filler.by_ref().take(15).for_each(|p| t.insert(store, p).unwrap());
-                store.sync().unwrap();
-                t.insert(store, p).unwrap();
-                assert_eq!(t.frame(), frame);
-            }
-            filler.for_each(|p| t.insert(store, p).unwrap());
-            t.delete(store, narrow[7]).unwrap();
-            t
-        },
-        |t, store| {
-            let reopened = DynamicPst::open(store, &t.descriptor()).unwrap();
-            assert_eq!(reopened.frame(), Frame::new(8, 3, 8));
-            [(i64::MIN, i64::MIN), (0, -3_000_000), (i64::MAX, 0), (1, -2)]
-                .iter()
-                .map(|&(x0, y0)| {
-                    let q = TwoSided { x0, y0 };
-                    assert_eq!(reopened.query(store, q).unwrap(), t.query(store, q).unwrap());
-                    format!("{:?}", t.query(store, q).unwrap())
-                })
-                .collect()
-        },
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -710,34 +460,4 @@ fn versioned_kill_point_matrix(kind: &Served) {
         };
         assert_eq!(got, states[s as usize], "{ctx}: as_of({s}) diverged after recovery");
     }
-}
-
-#[test]
-fn dynamic_pst3_answers_survive_crash_recovery() {
-    check_kind(
-        "dynamic_pst3",
-        |store| {
-            let mut t = DynamicThreeSidedPst::build(store, &points(100)).unwrap();
-            // The buffer holds B·log_B n = 20·2 updates at 512 B: 40 of
-            // these inserts force a rebuild, the last 10 stay buffered, so
-            // the answers below merge a non-empty buffer — and are compared
-            // as printed vectors, which holds only if the merge is ordered.
-            for i in 0..50i64 {
-                t.insert(store, Point { x: 300 + i, y: (i * 19) % 71, id: 7000 + i as u64 })
-                    .unwrap();
-                if i % 16 == 15 {
-                    store.sync().unwrap();
-                }
-            }
-            t
-        },
-        |t, store| {
-            [(0, 400, 0), (290, 340, 10)]
-                .iter()
-                .map(|&(x1, x2, y0)| {
-                    format!("{:?}", t.query(store, ThreeSided { x1, x2, y0 }).unwrap())
-                })
-                .collect()
-        },
-    );
 }

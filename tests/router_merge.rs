@@ -1,41 +1,27 @@
-//! Scatter-gather merge correctness: the router's answer over a sharded
-//! fabric must be **bit-identical** to a single-node reference over the
-//! same data, for every query kind, across shard counts 1–8 and random
-//! split points, with dynamic updates interleaved throughout.
-//!
-//! Each shard registers the same target layout (0 = B-tree keys,
-//! 1 = cached segment tree, 2 = dynamic PST, 3 = dynamic 3-sided PST)
-//! over its slice of the data: points and entries partitioned by x/key,
-//! intervals replicated onto every shard their span overlaps. The
-//! reference side is the raw structures over one unpartitioned store.
-//! Both answers go through [`pc_serve::canonicalize`] — the router's
-//! merge order contract — before comparison.
+//! What the router does besides answering — which `tests/oracle.rs` holds
+//! to the single-node model over 1–8 shards: an inverted band answers
+//! empty, what the front-end cannot serve it refuses typed, and a load
+//! skewed onto one shard sheds there and nowhere else.
 //!
 //! Seed comes from `PC_CHAOS_SEED` when set, so a failing run is
 //! reproducible exactly.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use pc_btree::BTree;
 use pc_obs::shard_metrics::{ERRORS, REQUESTS};
-use pc_pagestore::{Interval, PageStore, Point};
-use pc_pst::{DynamicPst, DynamicThreeSidedPst, ThreeSided, TwoSided};
-use pc_rng::Rng;
-use pc_segtree::CachedSegmentTree;
+use pc_pagestore::{PageStore, Point};
+use pc_pst::{DynamicPst, DynamicThreeSidedPst};
 use pc_serve::wire::{Body, ErrorCode, Op};
 use pc_serve::{
-    canonicalize, BTreeTarget, Client, DynamicPstTarget, DynamicThreeSidedTarget,
-    QueryTarget, Registry, RetryPolicy, Router, RouterConfig, RouterError, RouterFrontend,
-    SegTreeTarget, Server, ServerConfig, ServerHandle, Service, ShardMap, TargetError,
+    Client, DynamicPstTarget, DynamicThreeSidedTarget, QueryTarget, Registry, RetryPolicy, Router,
+    RouterConfig, RouterError, RouterFrontend, Server, ServerConfig, ServerHandle, Service,
+    ShardMap, TargetError,
 };
-use pc_workloads::{
-    gen_intervals, gen_points, gen_range_1d, gen_stabbing, gen_three_sided, gen_two_sided,
-    IntervalDist, PointDist, DOMAIN,
-};
+use pc_workloads::{gen_points, PointDist, DOMAIN};
 
 const PAGE: usize = 512;
 
@@ -43,30 +29,11 @@ fn seed() -> u64 {
     std::env::var("PC_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x4257_ED6E)
 }
 
-/// `count` distinct random split points — empty shards are legal and part
-/// of what this suite covers.
-fn random_splits(rng: &mut Rng, count: usize) -> Vec<i64> {
-    let mut set = BTreeSet::new();
-    while set.len() < count {
-        set.insert(rng.gen_range(1..DOMAIN));
-    }
-    set.into_iter().collect()
-}
-
-/// One shard node over its slice of the data; target wire ids are the
-/// registration order and identical on every shard.
-fn spawn_shard(
-    entries: &[(i64, u64)],
-    intervals: &[Interval],
-    points: &[Point],
-) -> ServerHandle {
+/// One shard node over its slice of the points: target 0 is a dynamic PST,
+/// target 1 a dynamic 3-sided PST.
+fn spawn_shard(points: &[Point]) -> ServerHandle {
     let store = Arc::new(PageStore::in_memory(PAGE));
     let mut registry = Registry::new();
-    registry.register("keys", Box::new(BTreeTarget(BTree::bulk_build(&store, entries).unwrap())));
-    registry.register(
-        "segtree",
-        Box::new(SegTreeTarget(CachedSegmentTree::build(&store, intervals).unwrap())),
-    );
     registry.register(
         "dyn",
         Box::new(DynamicPstTarget::new(DynamicPst::build(&store, points).unwrap())),
@@ -77,169 +44,6 @@ fn spawn_shard(
     );
     let cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
     Server::spawn(Service { store, registry }, cfg).unwrap()
-}
-
-#[test]
-fn router_answers_bit_identical_across_shard_counts() {
-    let seed = seed();
-    let mut rng = Rng::seed_from_u64(seed);
-
-    for shards in 1..=8usize {
-        // Fresh data per shard count (the dynamic reference mutates).
-        let dseed = seed ^ (shards as u64);
-        let points: Vec<Point> = gen_points(1_200, PointDist::Uniform, dseed)
-            .iter()
-            .map(|&(x, y, id)| Point { x, y, id })
-            .collect();
-        let intervals: Vec<Interval> = gen_intervals(400, IntervalDist::LongTail, dseed ^ 1)
-            .iter()
-            .map(|&(lo, hi, id)| Interval { lo, hi, id })
-            .collect();
-        let mut entries: Vec<(i64, u64)> = points.iter().map(|p| (p.x, p.id)).collect();
-        entries.sort_unstable();
-        entries.dedup_by_key(|e| e.0);
-
-        let splits = random_splits(&mut rng, shards - 1);
-        let map = ShardMap::new(splits.clone());
-        let e_parts = map.partition_entries(&entries);
-        let i_parts = map.partition_intervals(&intervals);
-        let p_parts = map.partition_points(&points);
-        let mut handles = Vec::new();
-        let mut groups = Vec::new();
-        for s in 0..map.shards() {
-            let handle = spawn_shard(&e_parts[s], &i_parts[s], &p_parts[s]);
-            groups.push(vec![handle.addr()]);
-            handles.push(handle);
-        }
-        let router = Arc::new(
-            Router::connect(
-                &groups,
-                splits.clone(),
-                RouterConfig {
-                    health_interval: Duration::from_millis(200),
-                    seed: seed ^ 0xF00,
-                    ..RouterConfig::default()
-                },
-            )
-            .unwrap(),
-        );
-
-        // The single-node reference: same data, one store, no service code.
-        let ref_store = PageStore::in_memory(PAGE);
-        let btree = BTree::bulk_build(&ref_store, &entries).unwrap();
-        let segtree = CachedSegmentTree::build(&ref_store, &intervals).unwrap();
-        let mut dynpst = DynamicPst::build(&ref_store, &points).unwrap();
-        let mut dyn3 = DynamicThreeSidedPst::build(&ref_store, &points).unwrap();
-
-        let keys: Vec<i64> = entries.iter().map(|&(k, _)| k).collect();
-        let raw_intervals: Vec<(i64, i64, u64)> =
-            intervals.iter().map(|iv| (iv.lo, iv.hi, iv.id)).collect();
-        let mut live: Vec<Point> = points.clone();
-        let mut next_id = 10_000_000u64;
-
-        for round in 0..4u64 {
-            let rseed = dseed ^ (round << 16);
-
-            for q in gen_range_1d(&keys, 6, 24, rseed ^ 2) {
-                let want = canonicalize(Body::Keys(
-                    btree.range(&ref_store, &q.lo, &q.hi).unwrap(),
-                ));
-                let got = router.query(0, 0, &Op::Range1d { lo: q.lo, hi: q.hi }).unwrap();
-                assert_eq!(got, want, "range {q:?} diverged at {shards} shard(s)");
-            }
-            for q in gen_stabbing(&raw_intervals, 6, rseed ^ 3) {
-                let want =
-                    canonicalize(Body::Intervals(segtree.stab(&ref_store, q.q).unwrap()));
-                let got = router.query(1, 0, &Op::Stab { q: q.q }).unwrap();
-                assert_eq!(got, want, "stab {q:?} diverged at {shards} shard(s)");
-            }
-            let raw_live: Vec<(i64, i64, u64)> =
-                live.iter().map(|p| (p.x, p.y, p.id)).collect();
-            for q in gen_two_sided(&raw_live, 6, 48, rseed ^ 4) {
-                let want = canonicalize(Body::Points(
-                    dynpst.query(&ref_store, TwoSided { x0: q.x0, y0: q.y0 }).unwrap(),
-                ));
-                let got = router.query(2, 0, &Op::TwoSided { x0: q.x0, y0: q.y0 }).unwrap();
-                assert_eq!(got, want, "2-sided {q:?} diverged at {shards} shard(s)");
-            }
-            for q in gen_three_sided(&raw_live, 6, 48, rseed ^ 5) {
-                let want = canonicalize(Body::Points(
-                    dyn3.query(&ref_store, ThreeSided { x1: q.x1, x2: q.x2, y0: q.y0 })
-                        .unwrap(),
-                ));
-                let got = router
-                    .query(3, 0, &Op::ThreeSided { x1: q.x1, x2: q.x2, y0: q.y0 })
-                    .unwrap();
-                assert_eq!(got, want, "3-sided {q:?} diverged at {shards} shard(s)");
-            }
-            // The everything-query scatters across every shard and merges
-            // the full live set — the hardest merge-order case.
-            let want_all = canonicalize(Body::Points(
-                dynpst.query(&ref_store, TwoSided { x0: i64::MIN, y0: i64::MIN }).unwrap(),
-            ));
-            let got_all =
-                router.query(2, 0, &Op::TwoSided { x0: i64::MIN, y0: i64::MIN }).unwrap();
-            assert_eq!(got_all, want_all, "full scan diverged at {shards} shard(s)");
-
-            // Interleaved dynamic updates through the router (routed to the
-            // owning shard) and applied to the reference in lockstep.
-            for _ in 0..12 {
-                next_id += 1;
-                let p = Point {
-                    x: rng.gen_range(0..=DOMAIN),
-                    y: rng.gen_range(0..=DOMAIN),
-                    id: next_id,
-                };
-                for target in [2u16, 3u16] {
-                    match router.update(target, 0, &Op::Insert(p)).unwrap() {
-                        Body::Ack { .. } => {}
-                        other => panic!("insert ack expected, got {other:?}"),
-                    }
-                }
-                dynpst.insert(&ref_store, p).unwrap();
-                dyn3.insert(&ref_store, p).unwrap();
-                live.push(p);
-            }
-            for _ in 0..6 {
-                let victim = live.swap_remove(rng.gen_range(0..live.len()));
-                for target in [2u16, 3u16] {
-                    match router.update(target, 0, &Op::Delete(victim)).unwrap() {
-                        Body::Ack { .. } => {}
-                        other => panic!("delete ack expected, got {other:?}"),
-                    }
-                }
-                dynpst.delete(&ref_store, victim).unwrap();
-                dyn3.delete(&ref_store, victim).unwrap();
-            }
-        }
-
-        // A sample of the same comparisons through the wire front-end, so
-        // the full client → frontend → scatter → merge → frame path is
-        // covered, plus typed-error passthrough.
-        let frontend =
-            RouterFrontend::spawn(Arc::clone(&router), "127.0.0.1:0").unwrap();
-        let mut client = Client::connect(frontend.addr(), Duration::from_secs(10)).unwrap();
-        let raw_live: Vec<(i64, i64, u64)> = live.iter().map(|p| (p.x, p.y, p.id)).collect();
-        for q in gen_two_sided(&raw_live, 5, 48, dseed ^ 7) {
-            let want = canonicalize(Body::Points(
-                dynpst.query(&ref_store, TwoSided { x0: q.x0, y0: q.y0 }).unwrap(),
-            ));
-            let got = client.call(2, 0, Op::TwoSided { x0: q.x0, y0: q.y0 }).unwrap().body;
-            assert_eq!(got, want, "wire 2-sided {q:?} diverged at {shards} shard(s)");
-        }
-        // A stab against the B-tree target is Unsupported on whatever shard
-        // owns it; the code must come back verbatim through the router.
-        match client.call(0, 0, Op::Stab { q: DOMAIN / 2 }).unwrap().body {
-            Body::Error { code, .. } => assert_eq!(code, ErrorCode::Unsupported),
-            other => panic!("expected typed error, got {other:?}"),
-        }
-
-        router.shutdown();
-        for handle in handles {
-            handle.join();
-        }
-        frontend.join();
-    }
 }
 
 /// An inverted 3-sided band through the router: `ShardMap::shard_range`
@@ -256,7 +60,7 @@ fn an_inverted_band_through_the_router_answers_empty() {
     for splits in [vec![], vec![DOMAIN / 3, 2 * DOMAIN / 3]] {
         let map = ShardMap::new(splits.clone());
         let handles: Vec<ServerHandle> =
-            map.partition_points(&points).iter().map(|part| spawn_shard(&[], &[], part)).collect();
+            map.partition_points(&points).iter().map(|part| spawn_shard(part)).collect();
         let groups: Vec<_> = handles.iter().map(|handle| vec![handle.addr()]).collect();
         let router =
             Arc::new(Router::connect(&groups, splits.clone(), RouterConfig::default()).unwrap());
@@ -267,11 +71,11 @@ fn an_inverted_band_through_the_router_answers_empty() {
         // the shard that owns `DOMAIN / 2`.
         for i in 0..3 {
             let inverted = Op::ThreeSided { x1: DOMAIN / 2 + i, x2: DOMAIN / 2 - 1 - i, y0: 0 };
-            let got = client.call(3, 0, inverted).unwrap().body;
+            let got = client.call(1, 0, inverted).unwrap().body;
             assert_eq!(got, Body::Points(Vec::new()), "{} shard(s)", map.shards());
         }
         let everything = Op::ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN };
-        match client.call(3, 0, everything).unwrap().body {
+        match client.call(1, 0, everything).unwrap().body {
             Body::Points(got) => assert_eq!(got.len(), points.len(), "{} shard(s)", map.shards()),
             other => panic!("unexpected body {other:?}"),
         }
@@ -294,7 +98,7 @@ fn the_router_refuses_time_travel_and_unserved_admin_ops_typed() {
         .iter()
         .map(|&(x, y, id)| Point { x, y, id })
         .collect();
-    let shard = spawn_shard(&[], &[], &points);
+    let shard = spawn_shard(&points);
     let router = Arc::new(
         Router::connect(&[vec![shard.addr()]], Vec::new(), RouterConfig::default()).unwrap(),
     );
@@ -311,10 +115,10 @@ fn the_router_refuses_time_travel_and_unserved_admin_ops_typed() {
     // Epoch 1 exists on the shard and holds one point fewer than the head.
     let fresh = Point { x: 5, y: 5, id: 9_000_000 };
     for p in [fresh, Point { id: 9_000_001, ..fresh }] {
-        assert!(matches!(client.call(2, 0, Op::Insert(p)).unwrap().body, Body::Ack { .. }));
+        assert!(matches!(client.call(0, 0, Op::Insert(p)).unwrap().body, Body::Ack { .. }));
     }
-    unsupported(client.call_as_of(2, 0, 1, scan.clone()).unwrap().body, "as_of = 1");
-    match client.call(2, 0, scan.clone()).unwrap().body {
+    unsupported(client.call_as_of(0, 0, 1, scan.clone()).unwrap().body, "as_of = 1");
+    match client.call(0, 0, scan.clone()).unwrap().body {
         Body::Points(head) => assert_eq!(head.len(), points.len() + 2),
         other => panic!("head scan answered {other:?}"),
     }
@@ -329,7 +133,7 @@ fn the_router_refuses_time_travel_and_unserved_admin_ops_typed() {
 
     // Shutdown, with two more requests already on the wire behind it.
     let ack = client.send(0, 0, Op::Shutdown).unwrap();
-    let late = [client.send(2, 0, scan).unwrap(), client.send(2, 0, Op::Insert(fresh)).unwrap()];
+    let late = [client.send(0, 0, scan).unwrap(), client.send(0, 0, Op::Insert(fresh)).unwrap()];
     let resp = client.recv().unwrap();
     assert_eq!((resp.id, resp.body), (ack, Body::ShutdownAck));
     for id in late {

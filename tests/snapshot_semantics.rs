@@ -7,61 +7,44 @@
 //!    update batches install new epochs — and its query path takes *zero*
 //!    exclusive lock acquisitions, measured with the `pc-sync` probe (the
 //!    lock-freedom analogue of the zero-alloc counting test).
-//! 2. **`as_of(v)` equals single-threaded replay**: querying any retained
-//!    epoch over the wire matches an in-memory reference that replayed the
-//!    same acked ops up to `v`, bit for bit.
-//! 3. **GC never reclaims a pinned epoch**: retention can evict an epoch
+//! 2. **GC never reclaims a pinned epoch**: retention can evict an epoch
 //!    from the `as_of` window while a pin holds it alive, and the pinned
 //!    reader stays bit-identical even as CoW-retired pages of *unpinned*
 //!    epochs are reclaimed underneath it.
-//! 4. **Seeded interleavings**: a pc-rng-driven mix of installs, pins,
-//!    drops, pinned reads and `as_of` reads upholds all of the above;
-//!    `PC_SNAPSHOT_SEED` reseeds the run.
+//! 3. **Seeded interleavings**: a pc-rng-driven mix of installs, pins,
+//!    drops, pinned reads and `as_of` reads upholds all of the above.
+//!
+//! That `as_of(v)` answers as the model at `v`'s prefix, for every retained
+//! `v` and both dynamic targets, is `tests/oracle.rs`'s `served` cell.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use pc_pagestore::{PageStore, Point, Snapshot, StoreError};
-use pc_pst::{DynamicPst, DynamicThreeSidedPst, TwoSided};
+use pc_pst::{DynamicPst, TwoSided};
 use pc_rng::Rng;
-use pc_serve::wire::{Body, ErrorCode, Op};
+use pc_serve::wire::{Body, Op};
 use pc_serve::{
-    canonicalize, decode_commit_meta, Client, DynamicPstTarget, DynamicThreeSidedTarget,
-    QueryTarget, Registry, Server, ServerConfig, ServerHandle, Service, UpdateOp,
+    canonicalize, decode_commit_meta, Client, DynamicPstTarget, Registry, Server, ServerConfig,
+    ServerHandle, Service,
 };
 use pc_workloads::{gen_points, PointDist, DOMAIN};
 
 const PAGE: usize = 512;
 
-fn seed() -> u64 {
-    std::env::var("PC_SNAPSHOT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x5EED_5A07)
-}
+const SEED: u64 = 0x5EED_5A07;
 
-/// A dynamic target over `points`, as a shard would register it.
-type BuildTarget = fn(&PageStore, &[Point]) -> Box<dyn QueryTarget>;
-
-fn dynamic_two_sided(store: &PageStore, points: &[Point]) -> Box<dyn QueryTarget> {
-    Box::new(DynamicPstTarget::new(DynamicPst::build(store, points).unwrap()))
-}
-
-fn dynamic_three_sided(store: &PageStore, points: &[Point]) -> Box<dyn QueryTarget> {
-    Box::new(DynamicThreeSidedTarget::new(DynamicThreeSidedPst::build(store, points).unwrap()))
-}
-
-/// Spawns a versioned single-target server over an in-memory store,
-/// returning the handle and the shared store (for frozen-view reads).
-fn spawn_with(build: BuildTarget, points: &[Point], retain: usize) -> (ServerHandle, Arc<PageStore>) {
+/// Spawns a versioned server over a dynamic PST (target 0) on an in-memory
+/// store, returning the handle and the shared store (for frozen-view reads).
+fn spawn(points: &[Point], retain: usize) -> (ServerHandle, Arc<PageStore>) {
     let store = Arc::new(PageStore::in_memory(PAGE));
     let mut registry = Registry::new();
-    registry.register("dyn", build(&store, points));
+    let target = DynamicPstTarget::new(DynamicPst::build(&store, points).unwrap());
+    registry.register("dyn", Box::new(target));
     let cfg = ServerConfig { workers: 2, version_retain: retain, ..ServerConfig::default() };
     let handle = Server::spawn(Service { store: Arc::clone(&store), registry }, cfg).unwrap();
     (handle, store)
-}
-
-fn spawn(points: &[Point], retain: usize) -> (ServerHandle, Arc<PageStore>) {
-    spawn_with(dynamic_two_sided, points, retain)
 }
 
 /// Opens the frozen view of target 0 as of `snap` — the library-level
@@ -101,7 +84,7 @@ fn initial_points(n: usize, seed: u64) -> Vec<Point> {
 /// recorded before the first install, and takes zero exclusive locks.
 #[test]
 fn pinned_snapshot_is_lock_free_and_bit_identical_across_installs() {
-    let seed = seed();
+    let seed = SEED;
     let initial = initial_points(300, seed);
     let (handle, store) = spawn(&initial, 8);
     let versions = Arc::clone(handle.versions());
@@ -196,121 +179,6 @@ fn pinned_snapshot_is_lock_free_and_bit_identical_across_installs() {
     handle.join();
 }
 
-/// `as_of(v)` over the wire equals a single-threaded replay of the same
-/// acked ops up to `v` — for every retained `v`; below the window it is a
-/// clean typed error. Returns, per epoch from 1 on, the length of the
-/// descriptor committed with it, and the oldest epoch the reads covered.
-fn as_of_replay(build: BuildTarget, scan: Op, batches: u64, retain: usize) -> (Vec<usize>, u64) {
-    let seed = seed();
-    let initial = initial_points(250, seed ^ 1);
-    let (handle, _store) = spawn_with(build, &initial, retain);
-    let mut client = Client::connect(handle.addr(), Duration::from_secs(5)).unwrap();
-
-    // Reference: an independent replica replaying the identical op stream.
-    let ref_store = PageStore::in_memory(PAGE);
-    let reference = build(&ref_store, &initial);
-    let scan_reference = || {
-        let Body::Points(v) = canonicalize(reference.query(&ref_store, &scan).unwrap()) else {
-            panic!("scan body")
-        };
-        v
-    };
-
-    let mut rng = Rng::seed_from_u64(seed ^ 0xA50F);
-    let mut live = initial.clone();
-    let mut states: Vec<(u64, Vec<Point>)> = Vec::new();
-    let mut descriptor_lens = Vec::new();
-    for i in 0..batches {
-        let op = if !live.is_empty() && rng.gen_bool(0.3) {
-            UpdateOp::Delete(live.swap_remove(rng.gen_range(0..live.len())))
-        } else {
-            let p = Point {
-                x: rng.gen_range(0..=DOMAIN),
-                y: rng.gen_range(0..=DOMAIN),
-                id: 40_000_000 + i,
-            };
-            live.push(p);
-            UpdateOp::Insert(p)
-        };
-        let wire_op = match op {
-            UpdateOp::Insert(p) => Op::Insert(p),
-            UpdateOp::Delete(p) => Op::Delete(p),
-        };
-        acked(client.call(0, 0, wire_op));
-        reference.apply_updates(&ref_store, &[op]).into_iter().for_each(|r| r.unwrap());
-        let Body::Versions { current, .. } = client.versions().unwrap().body else {
-            panic!("Versions body")
-        };
-        states.push((current, scan_reference()));
-        let head = handle.versions().snapshot();
-        let (_, descs) = decode_commit_meta(head.user_meta()).unwrap();
-        descriptor_lens.push(descs[0].as_ref().expect("a dynamic target's descriptor").len());
-    }
-
-    let Body::Versions { current, oldest, installed, .. } = client.versions().unwrap().body else {
-        panic!("Versions body")
-    };
-    assert_eq!(current, batches, "one epoch per acked single-op batch");
-    assert!(installed >= batches);
-
-    let mut checked = 0;
-    for (v, want) in &states {
-        if *v < oldest {
-            continue;
-        }
-        let resp = client.call_as_of(0, 0, *v, scan.clone()).unwrap();
-        let Body::Points(got) = canonicalize(resp.body) else { panic!("as_of body") };
-        assert_eq!(&got, want, "as_of({v}) diverged from single-threaded replay");
-        checked += 1;
-    }
-    assert!(checked >= 12, "retention must keep a real as_of window (checked {checked})");
-
-    // Below the retained window: typed rejection, not silence.
-    let evicted = oldest.checked_sub(1).expect("window moved past epoch 0");
-    let resp = client.call_as_of(0, 0, evicted, scan.clone()).unwrap();
-    match resp.body {
-        Body::Error { code: ErrorCode::BadRequest, message } => {
-            assert!(message.contains("not retained"), "unexpected message: {message}")
-        }
-        other => panic!("evicted as_of answered {other:?}"),
-    }
-    // And updates must address the head.
-    match client.call_as_of(0, 0, 3, Op::Insert(Point { x: 1, y: 1, id: 99 })).unwrap().body {
-        Body::Error { code: ErrorCode::BadRequest, .. } => {}
-        other => panic!("versioned update answered {other:?}"),
-    }
-
-    handle.shutdown();
-    handle.join();
-    (descriptor_lens, oldest)
-}
-
-#[test]
-fn as_of_matches_single_threaded_replay() {
-    let (lens, _) = as_of_replay(dynamic_two_sided, full_scan_op(), 24, 12);
-    assert!(lens.iter().all(|&len| len == 27), "a dynamic PST's descriptor is 27 bytes");
-}
-
-/// The dynamic 3-sided PST is versioned like the 2-sided one: every epoch
-/// of the window — those before the buffer overflowed and the structure was
-/// freed and rebuilt, and those after — answers as the replay did at it.
-#[test]
-fn as_of_matches_single_threaded_replay_on_the_dynamic_three_sided_pst() {
-    let scan = Op::ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN };
-    let (lens, oldest) = as_of_replay(dynamic_three_sided, scan, 200, 150);
-    // A descriptor names its buffer pages; one shorter than its predecessor
-    // is an epoch whose batch emptied the buffer into a rebuild. The first,
-    // early on, is the widening to the inserted ids; the one that matters is
-    // the overflow, inside the window the reads above covered.
-    let rebuilt: Vec<u64> =
-        (1..lens.len()).filter(|&i| lens[i] < lens[i - 1]).map(|i| i as u64 + 1).collect();
-    assert!(
-        rebuilt.iter().any(|&epoch| epoch > oldest + 1),
-        "no rebuild inside the window from {oldest}: rebuilt at {rebuilt:?}, lengths {lens:?}"
-    );
-    assert!(lens.iter().any(|&len| len > 35), "some epoch must carry buffered updates");
-}
-
 fn full_scan_op() -> Op {
     Op::TwoSided { x0: i64::MIN, y0: i64::MIN }
 }
@@ -323,7 +191,7 @@ fn full_scan_op() -> Op {
 #[test]
 fn a_snapshot_pinned_before_a_widening_keeps_its_frame_and_its_answers() {
     use pc_pagestore::Frame;
-    let seed = seed();
+    let seed = SEED;
     let mut initial = initial_points(400, seed ^ 7);
     initial.iter_mut().for_each(|p| p.id += 70_000);
     let (handle, store) = spawn(&initial[..400], 8);
@@ -375,7 +243,7 @@ fn a_snapshot_pinned_before_a_widening_keeps_its_frame_and_its_answers() {
 /// `collect`) lets the whole deferred backlog go at once.
 #[test]
 fn gc_never_reclaims_pinned_epochs() {
-    let seed = seed();
+    let seed = SEED;
     let initial = initial_points(300, seed ^ 2);
     let (handle, store) = spawn(&initial, 2);
     let versions = Arc::clone(handle.versions());
@@ -435,7 +303,7 @@ fn gc_never_reclaims_pinned_epochs() {
 /// reads — the property form of the three pinned contracts above.
 #[test]
 fn seeded_interleavings_preserve_snapshot_isolation() {
-    let base_seed = seed();
+    let base_seed = SEED;
     for round in 0..3u64 {
         let seed = base_seed ^ (round.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let initial = initial_points(150, seed ^ 3);
