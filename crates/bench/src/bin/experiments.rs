@@ -17,11 +17,12 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use pc_bench::{
-    basic_constants, dynamic_churn_pages, f1, f2, interval_tree_constants, log_base,
-    multilevel_constants, segmented_constants, three_sided_constants, to_intervals, to_points,
-    two_level_constants, Spread, Table, TwoSidedConstants, TwoSidedPin, TwoSidedPst, BASIC_PINS,
-    DYNAMIC_CHURN_FACTOR, INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS, SEGMENTED_PINS,
-    THREE_SIDED_PINS, TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES, TWO_LEVEL_SPACE_C, WIDE_PIN_SIZE,
+    basic_constants, btree_constants, dynamic_churn_pages, f1, f2, interval_tree_constants,
+    log_base, multilevel_constants, segmented_constants, three_sided_constants, to_intervals,
+    to_points, two_level_constants, Spread, Table, TwoSidedConstants, TwoSidedPin, TwoSidedPst,
+    BASIC_PINS, BTREE_PINS, DYNAMIC_CHURN_FACTOR, INTERVAL_TREE_PINS, LADDER_PIN_SIZES,
+    MULTILEVEL_PINS, SEGMENTED_PINS, THREE_SIDED_PINS, TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES,
+    TWO_LEVEL_SPACE_C, WIDE_PIN_SIZE,
 };
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
@@ -47,7 +48,8 @@ fn b_pst(frame: Frame) -> f64 {
     pc_pst::block_capacity(PAGE, frame) as f64
 }
 
-/// What EXPERIMENTS.md opens with, ahead of the sections.
+/// What EXPERIMENTS.md opens with, ahead of the sections; [`preface`] fills
+/// in the B-tree's `B` from the tree E1 builds.
 const PREFACE: &str = "\
 # EXPERIMENTS — paper claims vs. measured
 
@@ -59,11 +61,12 @@ re-measures one stated bound in the strict I/O model: a pool-less `PageStore` (e
 is one I/O), 4096-byte pages, seeded `pc-workloads` generators, means over 30–100 queries. Every
 number is a count, so reruns are byte-identical. \"pages\" is `live_pages()` after the build.
 
-**`B` is stated per table.** The B-tree (254 16-byte entries a leaf) and the segment tree (170
-24-byte intervals) store fixed-width records; the PSTs and the interval tree store theirs at the
-narrowest `Frame` holding the data, so `B` is the structure's `block_capacity(page, frame)`: 408
-(PSTs) / 454 (interval tree) for the generators' 20-bit coordinates from 65 536 ids on, 454 / 510
-below. \"Full\" rows stretch the same data over all 64 bits (`Frame::WIDE`, `B` = 163 / 170).
+**`B` is stated per table.** The segment tree stores fixed-width records (170 24-byte intervals);
+the B-tree, the PSTs and the interval tree store theirs at the narrowest `Frame` holding the data,
+so `B` is the structure's capacity at `(page, frame)`: {btree_b} (B-tree leaves, E1's million keys
+at {btree_frame}) / 408 (PSTs) / 454 (interval tree) for the generators' 20-bit coordinates from
+65 536 ids on, 454 / 510 for the PSTs and the interval tree below. \"Full\" rows stretch the same
+data over all 64 bits (`Frame::WIDE`, `B` = 254 / 163 / 170).
 
 **Reading guide.** The claims are asymptotic and worst-case; the constants are ours. Per section:
 query I/O tracks `log_B n + t/B`, not `log₂ n + t/B`; space tracks the claimed factor's growth;
@@ -114,7 +117,7 @@ fn main() {
         std::process::exit(2);
     }
     if args.is_empty() {
-        print!("{PREFACE}");
+        print!("{}", preface());
         SECTIONS.iter().for_each(|(_, print)| print());
     }
     args.iter().filter_map(|name| section(name)).for_each(|(_, print)| print());
@@ -130,15 +133,13 @@ fn e1_btree_baseline() {
     println!("## E1 — B+-tree: 1-d range search baseline (§1)\n");
     println!("Claim: `O(log_B n + t/B)` range queries, `O(log_B n)` updates — the 1-d bar the");
     println!("2-d structures must match. Point and update I/O are the tree height plus O(1);");
-    println!("range I/O is the descent plus `t/B` (`B` = 254).\n");
+    println!("range I/O is the descent plus `t/B`, `B` the leaf capacity at the tree's frame.\n");
     let mut table = Table::new(&[
-        "n", "log_B n", "point I/O", "update I/O", "t", "range I/O", "t/B",
+        "n", "frame", "B", "log_B n", "point I/O", "update I/O", "t", "range I/O", "t/B",
     ]);
     for n in [10_000usize, 100_000, 1_000_000] {
         let store = PageStore::in_memory(PAGE);
-        let keys: Vec<i64> = (0..n as i64).map(|k| k * 3).collect();
-        let entries: Vec<(i64, u64)> = keys.iter().map(|&k| (k, k as u64)).collect();
-        let mut tree = BTree::bulk_build(&store, &entries).unwrap();
+        let (keys, mut tree) = e1_tree(&store, n);
 
         let t_target = 20_000.min(n / 2);
         let queries = gen_range_1d(&keys, 50, t_target, 1);
@@ -162,19 +163,66 @@ fn e1_btree_baseline() {
         }
         let update_io = store.stats().total_io() as f64 / 50.0;
 
-        // Leaf entries are (i64, u64): B_leaf = (4096-19)/16 = 254.
-        let b_leaf = 254.0;
+        let b = pc_btree::leaf_capacity(PAGE, tree.frame());
         table.row(vec![
             n.to_string(),
-            f1(log_base(n as f64, b_leaf)),
+            tree.frame().to_string(),
+            b.to_string(),
+            f1(log_base(n as f64, b as f64)),
             f1(point_io),
             f1(update_io),
             f1(t_avg),
             f1(range_io),
-            f1(t_avg / b_leaf),
+            f1(t_avg / b as f64),
         ]);
     }
     table.print();
+
+    println!("pinned constants, worst of 150 ranges, on both spreads:");
+    println!("pages <= c·ceil(n/B), reads <= c1·ceil(log_B n) + ceil(t/B)\n");
+    let mut pinned = Table::new(&[
+        "data", "n", "B", "pages", "c", "pin", "c1 t≈16", "pin", "c1 t≈4096", "pin",
+    ]);
+    let mut within = true;
+    for (spread, &(n, c_pin, c1_pins)) in Spread::BOTH
+        .into_iter()
+        .flat_map(|s| BTREE_PINS[s as usize].iter().map(move |pin| (s, pin)))
+    {
+        let (b, pages, c, c1) = btree_constants(n, spread);
+        pinned.row(vec![
+            format!("{spread:?}"),
+            n.to_string(),
+            b.to_string(),
+            pages.to_string(),
+            format!("{c:.3}"),
+            format!("{c_pin:.3}"),
+            f2(c1[0]),
+            f2(c1_pins[0].1),
+            f2(c1[1]),
+            f2(c1_pins[1].1),
+        ]);
+        within &= c <= c_pin && c1.iter().zip(c1_pins).all(|(got, (_, pin))| *got <= pin);
+    }
+    pinned.print();
+    if !within {
+        past_pin(format_args!("E1: the B-tree passed its pinned constants"));
+    }
+}
+
+/// [`PREFACE`] with the leaf capacity and frame of E1's largest tree.
+fn preface() -> String {
+    let store = PageStore::in_memory(PAGE);
+    let frame = e1_tree(&store, 1_000_000).1.frame();
+    let b = pc_btree::leaf_capacity(PAGE, frame);
+    PREFACE.replace("{btree_b}", &b.to_string()).replace("{btree_frame}", &frame.to_string())
+}
+
+/// E1's tree of `n` keys `0, 3, 6, …`, each its own value, and the keys.
+fn e1_tree(store: &PageStore, n: usize) -> (Vec<i64>, BTree) {
+    let keys: Vec<i64> = (0..n as i64).map(|k| k * 3).collect();
+    let entries: Vec<(i64, u64)> = keys.iter().map(|&k| (k, k as u64)).collect();
+    let tree = BTree::bulk_build(store, &entries).unwrap();
+    (keys, tree)
 }
 
 // ---------------------------------------------------------------------------
@@ -823,7 +871,7 @@ fn e13_interval_management() {
     let points: Vec<Point> =
         intervals.iter().map(|iv| Point::new(-iv.lo, iv.hi, iv.id)).collect();
     let pst = SegmentedPst::build(&store, &points).unwrap();
-    // The PST's block; the B-tree's leaves hold 254 16-byte entries.
+    // The PST's block: the `t/B` of every row.
     let b = b_pst(pst.frame());
     store.reset_stats();
     let mut t_total = 0usize;
@@ -854,7 +902,10 @@ fn e13_interval_management() {
     // Full scan: n/B pages per query by definition.
     let scan_io = n as f64 / b;
 
-    println!("B = {b} (points stored at {})\n", pst.frame());
+    let (frame, tree_frame) = (pst.frame(), btree.frame());
+    let b_tree = pc_btree::leaf_capacity(PAGE, tree_frame);
+    println!("B = {b} (points stored at {frame}); the B-tree's leaves hold {b_tree} entries");
+    println!("(keys and values at {tree_frame}).\n");
     let mut table = Table::new(&["method", "avg stab I/O", "avg t", "t/B"]);
     table.row(vec!["path-cached PST".into(), f1(pst_io), f1(t_avg), f1(t_avg / b)]);
     table.row(vec!["B-tree on lo (scan+filter)".into(), f1(btree_io), f1(t_avg), f1(t_avg / b)]);

@@ -1,6 +1,7 @@
 //! Shared utilities of the experiment harness: data spreads, the pinned
 //! constants with their measurement functions, and the table printer.
 
+use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
 use pc_pagestore::{Frame, Interval, PageStore, Point};
 use pc_pst::{
@@ -8,8 +9,8 @@ use pc_pst::{
     ThreeSidedPst, TwoLevelPst, TwoSided,
 };
 use pc_workloads::{
-    gen_intervals, gen_points, gen_stabbing, gen_three_sided, gen_two_sided, IntervalDist,
-    PointDist, RawInterval, RawPoint,
+    gen_intervals, gen_points, gen_range_1d, gen_stabbing, gen_three_sided, gen_two_sided,
+    IntervalDist, PointDist, RawInterval, RawPoint,
 };
 
 /// Converts generator output to storage points.
@@ -383,6 +384,59 @@ pub fn three_sided_constants(n: u64, spread: Spread) -> (PageCensus, f64, [f64; 
     });
     let unit = n.div_ceil(b) as f64 * (b as f64).log2().powi(2);
     (census, census.total() as f64 / unit, c1)
+}
+
+/// One pinned size of [`BTREE_PINS`]: `(n, c, [(t, c1); 2])`.
+pub type BTreePin = (u64, f64, [(usize, f64); 2]);
+
+/// The B+-tree's pinned constants at 4 KiB pages (§1's bar), per [`Spread`]
+/// and per pinned size: `(n, c, [(t, c1); 2])` with `pages <= c·⌈n/B⌉` and
+/// every range query's `reads <= c1·⌈log_B n⌉ + ⌈t/B⌉` at mean output `t`,
+/// over [`btree_constants`]' data, `B` the tree's `pc_btree::leaf_capacity`
+/// at its frame. Measured c 1.077 / 1.007 / 1.003 (`B` = 815 at 10k, whose
+/// ranks take two bytes, then 679) and on full-width data 1.025 / 1.008 /
+/// 1.004 (`B` = 254), c1 1.00 at every size, spread and `t`: a bulk-built
+/// tree reads its descent and the leaves its output spans; the pins are 10%
+/// above. `tests/layout_bounds.rs` asserts the sizes up to 100 000 and the
+/// `experiments` binary's E1 exits non-zero past any of them.
+pub const BTREE_PINS: [&[BTreePin]; 2] = [
+    &[
+        (10_000, 1.185, [(16, 1.1), (4096, 1.1)]),
+        (100_000, 1.108, [(16, 1.1), (4096, 1.1)]),
+        (1_000_000, 1.104, [(16, 1.1), (4096, 1.1)]),
+    ],
+    &[
+        (10_000, 1.128, [(16, 1.1), (4096, 1.1)]),
+        (100_000, 1.109, [(16, 1.1), (4096, 1.1)]),
+        (1_000_000, 1.105, [(16, 1.1), (4096, 1.1)]),
+    ],
+];
+
+/// Bulk-builds a B-tree of `n` keys spaced evenly over the generators'
+/// domain, spread as `spread` says, each mapped to its rank, at 4 KiB pages,
+/// and measures `(B, pages, c, [c1; 2])` as [`BTREE_PINS`] defines them,
+/// each `c1` the worst of 150 ranges.
+pub fn btree_constants(n: u64, spread: Spread) -> (u64, u64, f64, [f64; 2]) {
+    let step = pc_workloads::DOMAIN / n as i64;
+    let keys: Vec<i64> = (0..n as i64).map(|i| spread.coord(i * step)).collect();
+    let entries: Vec<(i64, u64)> = keys.iter().zip(0..).map(|(&k, i)| (k, spread.id(i))).collect();
+    let store = PageStore::in_memory(4096);
+    let tree = BTree::bulk_build(&store, &entries).expect("in-memory build");
+    let b = pc_btree::leaf_capacity(4096, tree.frame()) as u64;
+    let pages = store.live_pages();
+    let levels = log_base(n as f64, b as f64).ceil();
+    let c1 = [16, 4096].map(|t| {
+        gen_range_1d(&keys, 150, t, 0xfeed)
+            .iter()
+            .map(|q| {
+                let before = store.stats();
+                let hits = tree.range(&store, &q.lo, &q.hi).expect("in-memory range");
+                let reads = (store.stats() - before).logical_reads();
+                (reads as f64 - (hits.len() as u64).div_ceil(b) as f64) / levels
+            })
+            .fold(f64::MIN, f64::max)
+    });
+    (b, pages, pages as f64 / n.div_ceil(b) as f64, c1)
 }
 
 /// Simple fixed-width markdown table printer.

@@ -5,27 +5,44 @@
 //! packed pages, which is how the experiments get clean `n/B` space
 //! measurements for the baseline.
 
-use pc_pagestore::{PageId, PageStore, Record, Result, NULL_PAGE};
+use pc_pagestore::{Frame, PageId, PageStore, Result, NULL_PAGE};
 
-use crate::node::{Internal, Leaf, Node};
-use crate::tree::BTree;
+use crate::node::{empty_leaf, internal_capacity, leaf_capacity, Internal, Leaf, Node};
+use crate::tree::{frame_of, BTree};
 
-impl<K: Record + Ord + Clone, V: Record + Clone> BTree<K, V> {
-    /// Builds a tree from entries that are **sorted by key and distinct**.
+impl BTree {
+    /// Builds a tree from entries that are **sorted by key and distinct**,
+    /// stored at the narrowest frame that holds them.
     ///
     /// # Panics
     ///
     /// Debug-asserts the sort/distinctness precondition.
-    pub fn bulk_build(store: &PageStore, entries: &[(K, V)]) -> Result<Self> {
+    pub fn bulk_build(store: &PageStore, entries: &[(i64, u64)]) -> Result<Self> {
+        // The keys are sorted, so the widest is at an end; the values' OR is
+        // as wide as the widest value.
+        let values = entries.iter().fold(0, |bits, &(_, v)| bits | v);
+        let ends = [entries.first(), entries.last()].into_iter().flatten();
+        let frame = ends.fold(frame_of(0, values), |f, &(k, _)| f.union(frame_of(k, 0)));
+        Self::build_framed(store, entries, frame)
+    }
+
+    /// [`BTree::bulk_build`] at `frame`, which must hold every entry.
+    pub(crate) fn build_framed(
+        store: &PageStore,
+        entries: &[(i64, u64)],
+        frame: Frame,
+    ) -> Result<Self> {
         debug_assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "bulk_build input must be sorted and distinct"
         );
         if entries.is_empty() {
-            return BTree::new(store);
+            let root = store.alloc()?;
+            empty_leaf().write(store, root, frame)?;
+            return Ok(BTree { root, height: 0, len: 0, frame });
         }
-        let leaf_cap = Node::<K, V>::leaf_capacity(store.page_size());
-        let internal_cap = Node::<K, V>::internal_capacity(store.page_size());
+        let leaf_cap = leaf_capacity(store.page_size(), frame);
+        let internal_cap = internal_capacity(store.page_size(), frame);
         let min_leaf = leaf_cap / 2;
 
         // Partition entries into leaf-sized chunks, keeping the tail >= min
@@ -33,7 +50,7 @@ impl<K: Record + Ord + Clone, V: Record + Clone> BTree<K, V> {
         let mut cuts = chunk_sizes(entries.len(), leaf_cap, min_leaf.max(1));
 
         // Write leaves left to right, linking the chain as we go.
-        let mut level: Vec<(K, PageId)> = Vec::with_capacity(cuts.len());
+        let mut level: Vec<(i64, PageId)> = Vec::with_capacity(cuts.len());
         let ids: Vec<PageId> = cuts.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
         let mut offset = 0usize;
         for (i, size) in cuts.drain(..).enumerate() {
@@ -44,8 +61,8 @@ impl<K: Record + Ord + Clone, V: Record + Clone> BTree<K, V> {
                 next: ids.get(i + 1).copied().unwrap_or(NULL_PAGE),
                 prev: if i == 0 { NULL_PAGE } else { ids[i - 1] },
             };
-            Node::Leaf(leaf).write(store, ids[i])?;
-            level.push((chunk[0].0.clone(), ids[i]));
+            Node::Leaf(leaf).write(store, ids[i], frame)?;
+            level.push((chunk[0].0, ids[i]));
         }
 
         // Build internal levels until a single node remains.
@@ -54,23 +71,23 @@ impl<K: Record + Ord + Clone, V: Record + Clone> BTree<K, V> {
         while level.len() > 1 {
             height += 1;
             let mut cuts = chunk_sizes(level.len(), internal_cap + 1, min_children);
-            let mut next_level: Vec<(K, PageId)> = Vec::with_capacity(cuts.len());
+            let mut next_level: Vec<(i64, PageId)> = Vec::with_capacity(cuts.len());
             let mut offset = 0usize;
             for size in cuts.drain(..) {
                 let group = &level[offset..offset + size];
                 offset += size;
                 let id = store.alloc()?;
                 let node = Internal {
-                    keys: group[1..].iter().map(|(k, _)| k.clone()).collect(),
-                    children: group.iter().map(|(_, id)| *id).collect(),
+                    keys: group[1..].iter().map(|&(k, _)| k).collect(),
+                    children: group.iter().map(|&(_, id)| id).collect(),
                 };
-                Node::<K, V>::Internal(node).write(store, id)?;
-                next_level.push((group[0].0.clone(), id));
+                Node::Internal(node).write(store, id, frame)?;
+                next_level.push((group[0].0, id));
             }
             level = next_level;
         }
 
-        Ok(BTree::from_parts(level[0].1, height, entries.len() as u64))
+        Ok(BTree { root: level[0].1, height, len: entries.len() as u64, frame })
     }
 }
 
@@ -131,8 +148,9 @@ mod tests {
     #[test]
     fn bulk_build_empty_and_tiny() {
         let store = PageStore::in_memory(256);
-        let t: BTree<i64, u64> = BTree::bulk_build(&store, &[]).unwrap();
+        let t = BTree::bulk_build(&store, &[]).unwrap();
         assert!(t.is_empty());
+        assert_eq!(t.frame(), Frame::default());
         let t = BTree::bulk_build(&store, &[(5i64, 50u64)]).unwrap();
         assert_eq!(t.get(&store, &5).unwrap(), Some(50));
         assert_eq!(t.height(), 0);
@@ -158,15 +176,20 @@ mod tests {
 
     #[test]
     fn bulk_build_space_is_near_optimal() {
-        let store = PageStore::in_memory(256);
-        let entries: Vec<(i64, u64)> = (0..10_000).map(|k| (k, k as u64)).collect();
-        let _t = BTree::bulk_build(&store, &entries).unwrap();
-        let leaf_cap = 14u64;
-        let optimal = 10_000u64.div_ceil(leaf_cap);
-        assert!(
-            store.live_pages() <= optimal + optimal / 10 + 3,
-            "bulk build used {} pages, optimal {optimal}",
-            store.live_pages()
-        );
+        // Keys and values of two, five and eight bytes: `B` is the leaf
+        // capacity at the frame the entries need, and a build fills its
+        // leaves to it.
+        let frames = [Frame::new(2, 1, 2), Frame::new(5, 1, 5), Frame::new(8, 1, 8)];
+        for (shift, frame) in [0, 20, 50].into_iter().zip(frames) {
+            let store = PageStore::in_memory(256);
+            let entries: Vec<(i64, u64)> =
+                (-5000..5000i64).map(|k| (k << shift, ((k + 5000) as u64) << shift)).collect();
+            let t = BTree::bulk_build(&store, &entries).unwrap();
+            assert_eq!(t.frame(), frame);
+            let leaves = 10_000u64.div_ceil(leaf_capacity(256, frame) as u64);
+            let internal = leaves.div_ceil(internal_capacity(256, frame) as u64);
+            assert!(store.live_pages() <= leaves + internal + 2, "at {frame}");
+            assert_eq!(t.scan_all(&store).unwrap(), entries);
+        }
     }
 }

@@ -9,7 +9,7 @@
 //!                  [right_page: u64][right_slot: u16]
 //!                  [bundle: u64][L head: u64][R head: u64][padding]
 //! leaf record:     [tag=1][bundle: u64][padding]
-//! mini leaf record: [tag=2][bundle: u64][mini: SegTreeHandle (36 B)][padding]
+//! mini leaf record: [tag=2][bundle: u64][mini: SegTreeHandle (39 B)][padding]
 //! ```
 //!
 //! A record is 64 bytes, so a page of `2^k` bytes holds `2^(k-6) − 1` of
@@ -36,7 +36,7 @@ use pc_segtree::{CachedSegmentTree, SegTreeHandle};
 
 use crate::bundle::{Bundle, CacheEntry};
 
-/// Byte size of one node record (a boundary node needs 53, a mini leaf 45).
+/// Byte size of one node record (a boundary node needs 53, a mini leaf 48).
 pub const RECORD_LEN: usize = 64;
 /// Byte offset of slot 0 within a page.
 pub const PAGE_HEADER: usize = 2;
@@ -377,7 +377,7 @@ mod tests {
         assert_eq!([512, 4096, 32768].map(page_capacity), [7, 63, 511]);
         // The largest record, a mini leaf, round-trips in its 64 bytes.
         let mut buf = vec![0u8; PAGE_HEADER + RECORD_LEN];
-        let mini = SegTreeHandle::decode(&mut PageReader::new(&[7u8; 36])).unwrap();
+        let mini = SegTreeHandle::decode(&mut PageReader::new(&[7u8; 39])).unwrap();
         let rec = NodeRecord::Leaf { mini: Some(mini), bundle: PageId(5) };
         encode_record(&mut PageWriter::new(&mut buf[PAGE_HEADER..]), &rec).unwrap();
         assert_eq!(format!("{:?}", decode_record(&buf, 0).unwrap()), format!("{rec:?}"));

@@ -187,6 +187,14 @@ impl<'a> PageReader<'a> {
         Ok(u64::from_le_bytes(bytes))
     }
 
+    /// Reads a little-endian two's-complement integer of `width` (1–8)
+    /// bytes, sign-extended: the signed fields of [`crate::types::Frame`].
+    #[inline]
+    pub fn get_int(&mut self, width: usize) -> Result<i64> {
+        let unused = 64 - 8 * width as u32;
+        Ok(((self.get_uint(width)? << unused) as i64) >> unused)
+    }
+
     /// Reads `len` raw bytes.
     pub fn get_bytes(&mut self, len: usize) -> Result<&'a [u8]> {
         self.chunk(len)
@@ -279,6 +287,7 @@ mod tests {
         w.put_bytes(b"xyz").unwrap();
         assert_eq!(w.position(), 1 + 2 + 4 + 8 + 8 + 3);
         w.put_uint(0x0102_0304_0506_0708, 3).unwrap();
+        w.put_uint(-5i64 as u64, 2).unwrap();
 
         let mut r = PageReader::new(&buf);
         assert_eq!(r.get_u8().unwrap(), 0xab);
@@ -288,6 +297,7 @@ mod tests {
         assert_eq!(r.get_i64().unwrap(), -42);
         assert_eq!(r.get_bytes(3).unwrap(), b"xyz");
         assert_eq!(r.get_uint(3).unwrap(), 0x06_0708);
+        assert_eq!(r.get_int(2).unwrap(), -5);
     }
 
     #[test]

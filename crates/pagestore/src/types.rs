@@ -9,8 +9,8 @@
 //! bundles — it stores each field at the byte width its [`Frame`] names,
 //! chosen once per structure instance from the records it holds, so a page
 //! holds more of them. [`Record`] is the fixed-width form (a [`Point`] or
-//! [`Interval`] at [`Frame::WIDE`], 24 bytes) that skeletal records,
-//! B+-tree entries and handles use.
+//! [`Interval`] at [`Frame::WIDE`], 24 bytes) that skeletal records and
+//! handles use.
 
 use crate::codec::{PageReader, PageWriter};
 use crate::error::{Result, StoreError};
@@ -147,11 +147,8 @@ impl Frame {
     /// Reads the three fields back.
     #[inline]
     pub fn decode(self, r: &mut PageReader<'_>) -> Result<(i64, i64, u64)> {
-        let mut signed = |width: u8| -> Result<i64> {
-            let unused = 64 - 8 * u32::from(width);
-            Ok(((r.get_uint(usize::from(width))? << unused) as i64) >> unused)
-        };
-        let (a, b) = (signed(self.a)?, signed(self.b)?);
+        let a = r.get_int(usize::from(self.a))?;
+        let b = r.get_int(usize::from(self.b))?;
         Ok((a, b, r.get_uint(usize::from(self.id))?))
     }
 }

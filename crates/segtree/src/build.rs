@@ -94,11 +94,12 @@ pub fn page_capacity(page_size: usize) -> usize {
 }
 
 /// Everything `ext` needs to run queries.
+#[derive(Clone, Copy)]
 pub struct BuiltTree {
     /// Page holding the binary root (slot 0).
     pub root_page: PageId,
     /// Maps an endpoint value to its index in the sorted endpoint array.
-    pub endpoint_tree: BTree<i64, u64>,
+    pub endpoint_tree: BTree,
     /// Number of input intervals.
     pub n: u64,
 }

@@ -14,33 +14,28 @@ use crate::build::{
 ///
 /// Lets other structures embed a whole (cached) segment tree inside one of
 /// their own page records — the external interval tree stores one per
-/// endpoint run. 36 bytes.
+/// endpoint run. 39 bytes: the root page, the endpoint B-tree's
+/// descriptor (its frame's widths included) and `n`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegTreeHandle {
     root_page: PageId,
-    ep_root: PageId,
-    ep_height: u32,
-    ep_len: u64,
+    endpoint_tree: BTree,
     n: u64,
 }
 
 impl Record for SegTreeHandle {
-    const ENCODED_LEN: usize = 36;
+    const ENCODED_LEN: usize = 16 + BTree::DESCRIPTOR_LEN;
 
     fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
         w.put_u64(self.root_page.0)?;
-        w.put_u64(self.ep_root.0)?;
-        w.put_u32(self.ep_height)?;
-        w.put_u64(self.ep_len)?;
+        w.put_bytes(&self.endpoint_tree.descriptor())?;
         w.put_u64(self.n)
     }
 
     fn decode(r: &mut PageReader<'_>) -> Result<Self> {
         Ok(SegTreeHandle {
             root_page: PageId(r.get_u64()?),
-            ep_root: PageId(r.get_u64()?),
-            ep_height: r.get_u32()?,
-            ep_len: r.get_u64()?,
+            endpoint_tree: BTree::open(r.get_bytes(BTree::DESCRIPTOR_LEN)?)?,
             n: r.get_u64()?,
         })
     }
@@ -240,24 +235,14 @@ macro_rules! segment_tree_variant {
             /// A compact, serializable reference to this tree, suitable for
             /// embedding in another structure's pages.
             pub fn handle(&self) -> SegTreeHandle {
-                SegTreeHandle {
-                    root_page: self.built.root_page,
-                    ep_root: self.built.endpoint_tree.root_page(),
-                    ep_height: self.built.endpoint_tree.height(),
-                    ep_len: self.built.endpoint_tree.len(),
-                    n: self.built.n,
-                }
+                let BuiltTree { root_page, endpoint_tree, n } = self.built;
+                SegTreeHandle { root_page, endpoint_tree, n }
             }
 
             /// Reconstructs the tree from a previously obtained handle.
             pub fn from_handle(h: SegTreeHandle) -> Self {
-                $name {
-                    built: BuiltTree {
-                        root_page: h.root_page,
-                        endpoint_tree: BTree::from_parts(h.ep_root, h.ep_height, h.ep_len),
-                        n: h.n,
-                    },
-                }
+                let SegTreeHandle { root_page, endpoint_tree, n } = h;
+                $name { built: BuiltTree { root_page, endpoint_tree, n } }
             }
         }
     };
@@ -404,7 +389,9 @@ mod tests {
                 "q={q}"
             );
         }
-        // And the handle round-trips through its Record encoding.
+        // And the handle round-trips through its Record encoding, the
+        // endpoint tree's frame with it.
+        assert_eq!(SegTreeHandle::ENCODED_LEN, 39);
         let mut buf = vec![0u8; SegTreeHandle::ENCODED_LEN];
         let mut w = PageWriter::new(&mut buf);
         handle.encode(&mut w).unwrap();

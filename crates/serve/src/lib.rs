@@ -64,9 +64,9 @@ pub use server::{
 };
 pub use stats::ServeStats;
 pub use target::{
-    BTreeTarget, DynamicPstTarget, DynamicThreeSidedTarget, FrozenView, IntervalTreeTarget,
-    NaivePstTarget, PstTarget, QueryTarget, Registry, SegTreeTarget, TargetError,
-    ThreeSidedTarget, UpdateOp,
+    BTreeTarget, DynamicBTreeTarget, DynamicPstTarget, DynamicThreeSidedTarget, FrozenView,
+    IntervalTreeTarget, NaivePstTarget, PstTarget, QueryTarget, Registry, SegTreeTarget,
+    TargetError, ThreeSidedTarget, UpdateOp,
 };
 pub use wire::{
     Body, DecodeError, ErrorCode, Op, Request, Response, SlowEntry, WireSpan, FLAG_TRACE,

@@ -191,7 +191,7 @@ fn answer<S: Answers>(
     }
 }
 
-impl Answers for BTree<i64, u64> {
+impl Answers for BTree {
     const KIND: &'static str = "btree";
     fn range1d(&self, store: &PageStore, lo: i64, hi: i64) -> Answer<(i64, u64)> {
         Some(self.range(store, &lo, &hi))
@@ -266,7 +266,7 @@ macro_rules! static_target {
 
 static_target! {
     /// A read-only B-tree serving [`Op::Range1d`].
-    BTreeTarget(BTree<i64, u64>)
+    BTreeTarget(BTree)
 }
 static_target! {
     /// A path-cached segment tree serving [`Op::Stab`].
@@ -331,6 +331,23 @@ macro_rules! updates {
 updates!(DynamicPst, frozen "dynamic_pst@epoch");
 updates!(DynamicThreeSidedPst, frozen "dynamic_pst3@epoch");
 
+/// A B-tree takes a point's `x` as the key and its `id` as the value.
+impl Updates for BTree {
+    const FROZEN_KIND: &'static str = "btree@epoch";
+    fn insert(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError> {
+        BTree::insert(self, store, p.x, p.id).map(drop)
+    }
+    fn delete(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError> {
+        BTree::delete(self, store, &p.x).map(drop)
+    }
+    fn descriptor(&self) -> Vec<u8> {
+        BTree::descriptor(self).into()
+    }
+    fn open(_store: &PageStore, desc: &[u8]) -> Result<Self, StoreError> {
+        BTree::open(desc)
+    }
+}
+
 /// An update-capable target. The mutex is held once per *batch*, which is
 /// exactly the coalescing win: the live structure is only ever touched by
 /// the batcher (and by embedders reading it directly); served reads go
@@ -341,6 +358,8 @@ pub struct Dynamic<S: Updates>(pub Mutex<S>);
 pub type DynamicPstTarget = Dynamic<DynamicPst>;
 /// A dynamic 3-sided PST serving [`Op::ThreeSided`] plus batched updates.
 pub type DynamicThreeSidedTarget = Dynamic<DynamicThreeSidedPst>;
+/// A B-tree serving [`Op::Range1d`] plus batched inserts/deletes.
+pub type DynamicBTreeTarget = Dynamic<BTree>;
 
 impl<S: Updates> Dynamic<S> {
     /// Wraps an already-built structure.

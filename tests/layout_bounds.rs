@@ -1,8 +1,9 @@
 //! The structures' footprint and per-query reads as assertions (the
-//! paper's table: Lemma 3.1, Theorems 3.2, 3.3, 3.5, 4.3, 4.4 and 5.1): at
-//! 4 KiB pages and a fixed seed, `pages <= c·(n/B)·f(B)` and `reads <=
-//! c1·ceil(log_B n) + 2·ceil(t/B)`, `B` the block capacity at the frame the
-//! build chose. `c` and `c1` are pinned 10% above what the layouts measure —
+//! paper's table: the B+-tree of §1, Lemma 3.1, Theorems 3.2, 3.3, 3.5,
+//! 4.3, 4.4 and 5.1): at 4 KiB pages and a fixed seed, `pages <=
+//! c·(n/B)·f(B)` and `reads <= c1·ceil(log_B n) + 2·ceil(t/B)` (the
+//! B-tree's: `c·ceil(n/B)` and one `ceil(t/B)`), `B` the block capacity at
+//! the frame the build chose. `c` and `c1` are pinned 10% above what the layouts measure —
 //! the worst over the sizes a structure is pinned at — so a layout
 //! regression fails here instead of moving a table. Every pin is held twice
 //! ([`Spread`]): on the generators' 20-bit data, which the structures store
@@ -14,11 +15,11 @@
 
 use path_caching::{Frame, PageStore, Point, TwoSided};
 use pc_bench::{
-    basic_constants, dynamic_churn_pages, interval_tree_constants, multilevel_constants,
-    segmented_constants, three_sided_constants, two_level_constants, two_sided_corners, Spread,
-    TwoSidedConstants, TwoSidedPin, TwoSidedPst, BASIC_PINS, DYNAMIC_CHURN_FACTOR,
-    INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS, SEGMENTED_PINS, THREE_SIDED_PINS,
-    TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES, WIDE_PIN_SIZE,
+    basic_constants, btree_constants, dynamic_churn_pages, interval_tree_constants,
+    multilevel_constants, segmented_constants, three_sided_constants, two_level_constants,
+    two_sided_corners, Spread, TwoSidedConstants, TwoSidedPin, TwoSidedPst, BASIC_PINS,
+    BTREE_PINS, DYNAMIC_CHURN_FACTOR, INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS,
+    SEGMENTED_PINS, THREE_SIDED_PINS, TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES, WIDE_PIN_SIZE,
 };
 use pc_intervaltree::ExternalIntervalTree;
 use pc_pst::{
@@ -33,6 +34,25 @@ const PAGE_SIZE: usize = 4096;
 /// `B` of the PSTs and of the interval tree at [`Frame::WIDE`]: what every
 /// structure measured before frames.
 const WIDE_B: (u64, u64) = (163, 170);
+
+/// The B+-tree's `log_B n + t/B` (§1) at its pinned sizes up to 100 000;
+/// E1 of the `experiments` binary exits non-zero past every size's pins.
+#[test]
+fn btree_space_and_range_reads_stay_within_pinned_constants() {
+    for spread in Spread::BOTH {
+        let small = BTREE_PINS[spread as usize].iter().filter(|pin| pin.0 <= 100_000);
+        for &(n, c_pin, c1_pins) in small {
+            let (b, pages, c, c1) = btree_constants(n, spread);
+            let what = format!("{spread:?}, B={b}, n={n}");
+            // Full-width entries are the fixed 16 bytes of the tree before frames.
+            assert!(spread != Spread::Full || b == 254, "{what}");
+            assert!(c <= c_pin, "{what}: {pages} pages is {c:.3}·ceil(n/B)");
+            for (c1, (t, c1_pin)) in c1.into_iter().zip(c1_pins) {
+                assert!(c1 <= c1_pin, "{what}, t≈{t}: a range needs c1 = {c1:.3}");
+            }
+        }
+    }
+}
 
 #[test]
 fn interval_tree_space_and_stab_reads_stay_within_pinned_constants() {

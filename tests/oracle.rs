@@ -30,7 +30,7 @@ use std::collections::BTreeSet;
 
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pagestore::Frame;
+use pc_pagestore::{Frame, PageStore};
 use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, NaivePst, SegmentedPst, ThreeSidedPst, TwoLevelPst,
 };
@@ -39,6 +39,7 @@ use pc_segtree::{CachedSegmentTree, NaiveSegmentTree};
 
 use driver::{cases, cell, drive, Subject};
 use gen::{Case, Shape, Spec};
+use model::Model;
 use paths::KINDS;
 use structures::{InProcess, Multilevel, Res, Structure};
 
@@ -89,7 +90,7 @@ macro_rules! structures {
 }
 
 structures! {
-    b_tree: BTree<i64, u64>, Range, NO_FRAME, 200;
+    b_tree: BTree, Range, FRAMES, 200;
     naive_segment_tree: NaiveSegmentTree, Stab, NO_FRAME, 0;
     cached_segment_tree: CachedSegmentTree, Stab, NO_FRAME, 0;
     interval_tree: ExternalIntervalTree, Stab, FRAMES, 0;
@@ -179,5 +180,29 @@ fn regression_widening_twice() {
     for seed in 0..4 {
         paths::recovered::<DynamicPst>(&case, seed)
             .unwrap_or_else(|e| panic!("widening, recovered (seed {seed}): {e}"));
+    }
+}
+
+/// In process at every page size — after the two widenings its pages are a
+/// fresh build's at the wide frame — served with every epoch read `as_of`,
+/// and after four seeded kills.
+#[test]
+fn regression_b_tree_widening_twice() {
+    let case = regressions::b_tree_widening_twice();
+    let live = structures::entries(&Model::after(&case, usize::MAX).records());
+    for page_size in PAGES {
+        let mut tree = InProcess::<BTree>::build(page_size, &case.build).unwrap();
+        assert_eq!(tree.frame(), Some(Frame::new(3, 1, 3)));
+        drive(&mut tree, &case).unwrap_or_else(|e| panic!("widening at {page_size} B: {e}"));
+        assert_eq!(tree.frame(), Some(Frame::new(8, 1, 8)), "at {page_size} B: widened twice");
+        let fresh = PageStore::in_memory(page_size);
+        BTree::bulk_build(&fresh, &live).unwrap();
+        assert_eq!(tree.store.live_pages(), fresh.live_pages(), "at {page_size} B");
+    }
+    let kind = KINDS.iter().find(|kind| kind.name == "dynamic B-tree").expect("a served kind");
+    paths::served(kind, &case).unwrap_or_else(|e| panic!("B-tree widening, served: {e}"));
+    for seed in 0..4 {
+        paths::recovered::<BTree>(&case, seed)
+            .unwrap_or_else(|e| panic!("B-tree widening, recovered (seed {seed}): {e}"));
     }
 }

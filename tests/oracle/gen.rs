@@ -285,15 +285,26 @@ impl<'a> Gen<'a> {
     }
 
     /// A record the frame does not hold: one field at the end of `i64` or
-    /// an id of eight bytes.
+    /// an id of eight bytes — for a B-tree entry, the key or the value.
     fn wide_record(&mut self) -> Option<Point> {
         let p = self.record()?;
-        let wide = match self.rng.gen_range(0..3u64) {
-            0 => Point { x: [i64::MIN, i64::MAX][self.rng.gen_range(0..2usize)], ..p },
-            1 => Point { y: [i64::MIN, i64::MAX][self.rng.gen_range(0..2usize)], ..p },
-            _ => Point { id: u64::MAX - self.rng.gen_range(0..1024u64), ..p },
-        };
-        self.ids.insert(wide.id).then_some(wide)
+        let range = self.spec.shape == Shape::Range;
+        match self.rng.gen_range(0..3u64) {
+            0 => {
+                let x = [i64::MIN, i64::MAX][self.rng.gen_range(0..2usize)];
+                // A key stays unique among the live ones.
+                let fresh = !range || (self.keys.remove(&p.x) && self.keys.insert(x));
+                fresh.then_some(Point { x, ..p })
+            }
+            1 if !range => {
+                let y = [i64::MIN, i64::MAX][self.rng.gen_range(0..2usize)];
+                Some(Point { y, ..p })
+            }
+            _ => {
+                let id = u64::MAX - self.rng.gen_range(0..1024u64);
+                self.ids.insert(id).then_some(Point { id, ..p })
+            }
+        }
     }
 
     /// A coordinate pair to aim a query at: a live record's, a fresh one,

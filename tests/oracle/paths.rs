@@ -18,10 +18,10 @@ use pc_rng::mix64;
 use pc_segtree::CachedSegmentTree;
 use pc_serve::wire::{Body, ErrorCode, Op as Request};
 use pc_serve::{
-    decode_commit_meta, encode_commit_meta, BTreeTarget, Client, DynamicPstTarget,
-    DynamicThreeSidedTarget, IntervalTreeTarget, NaivePstTarget, PstTarget, QueryTarget, Registry,
-    Router, RouterConfig, RouterFrontend, SegTreeTarget, Server, ServerConfig, ServerHandle,
-    Service, ShardMap, ThreeSidedTarget,
+    decode_commit_meta, encode_commit_meta, BTreeTarget, Client, DynamicBTreeTarget,
+    DynamicPstTarget, DynamicThreeSidedTarget, IntervalTreeTarget, NaivePstTarget, PstTarget,
+    QueryTarget, Registry, Router, RouterConfig, RouterFrontend, SegTreeTarget, Server,
+    ServerConfig, ServerHandle, Service, ShardMap, ThreeSidedTarget,
 };
 
 use crate::driver::{drive, same, Subject};
@@ -49,8 +49,8 @@ type Target = Box<dyn QueryTarget>;
 
 /// Every target kind, in one registry order.
 #[rustfmt::skip]
-pub const KINDS: [Kind; 8] = [
-    Kind { name: "B-tree", shape: Shape::Range, framed: false, dynamic: false,
+pub const KINDS: [Kind; 9] = [
+    Kind { name: "B-tree", shape: Shape::Range, framed: true, dynamic: false,
         build: |s, r| Ok(Box::new(BTreeTarget(BTree::bulk_build(s, &entries(r))?))) },
     Kind { name: "segment tree", shape: Shape::Stab, framed: false, dynamic: false,
         build: |s, r| Ok(Box::new(SegTreeTarget(CachedSegmentTree::build(s, &intervals(r))?))) },
@@ -69,6 +69,8 @@ pub const KINDS: [Kind; 8] = [
         build: |s, r| {
             Ok(Box::new(DynamicThreeSidedTarget::new(DynamicThreeSidedPst::build(s, r)?)))
         } },
+    Kind { name: "dynamic B-tree", shape: Shape::Range, framed: true, dynamic: true,
+        build: |s, r| Ok(Box::new(DynamicBTreeTarget::new(BTree::bulk_build(s, &entries(r))?))) },
 ];
 
 impl Kind {

@@ -23,7 +23,8 @@
 //!    Held by `crates/pagestore/tests/proptest_store.rs`, which found it.
 //! 7. **A sibling pair split across skeletal pages** —
 //!    [`odd_skeletal_capacity_at_1_kib`].
-//! 8. **A frame that must widen** — [`widening_twice`].
+//! 8. **A frame that must widen** — [`widening_twice`], and for the B-tree
+//!    [`b_tree_widening_twice`].
 
 use std::collections::HashSet;
 
@@ -124,4 +125,51 @@ pub fn widening_twice() -> Case {
     ops.extend(queries.take(10));
     ops.push(Op::Query(everything(Shape::TwoSided)));
     Case { shape: Shape::TwoSided, build, ops }
+}
+
+/// A B-tree built at 3/·/3 takes a key of `i64::MIN`, then a value of
+/// `u64::MAX`: each widens it once — gather, free, bulk-build with the new
+/// entry — to 8/·/3, then 8/·/8, with inserts and deletes before and
+/// between and a reopen after each. Only queries follow, so the tree ends
+/// as a fresh build of its entries at the wide frame. Widening came to the
+/// B-tree with its frame.
+pub fn b_tree_widening_twice() -> Case {
+    let mut rng = Rng::seed_from_u64(0xB7EE);
+    let frame = Frame::new(3, 3, 3);
+    let spec = Spec { shape: Shape::Range, frame, records: 800, updates: 0, queries: 40 };
+    let Case { build, ops: queries, .. } = gen::case(&mut rng, &spec);
+    assert!(build.len() >= 200, "a build of several leaves");
+    let mut queries = queries.into_iter().cycle();
+    let (lo, hi) = signed_range(3);
+    // Keys and ids never used before: a key stays unique among the live.
+    let mut used: (HashSet<i64>, HashSet<u64>) =
+        (build.iter().map(|p| p.x).collect(), build.iter().map(|p| p.id).collect());
+    let mut fresh = |rng: &mut Rng| loop {
+        let p = Point::new(rng.gen_range(lo..=hi), 0, rng.gen_range(1..1u64 << 24));
+        if !used.0.contains(&p.x) && !used.1.contains(&p.id) {
+            used.0.insert(p.x);
+            used.1.insert(p.id);
+            return p;
+        }
+    };
+    let mut live = build.clone();
+    let mut ops = Vec::new();
+    let (key, value) = (fresh(&mut rng), fresh(&mut rng));
+    for wide in [Point { x: i64::MIN, ..key }, Point { id: u64::MAX, ..value }] {
+        for i in 0..150 {
+            let p = fresh(&mut rng);
+            let victim = live.swap_remove(rng.gen_range(0..live.len()));
+            live.push(p);
+            ops.extend([Op::Insert(p), Op::Delete(victim)]);
+            if i % 10 == 0 {
+                ops.extend(queries.next());
+            }
+        }
+        ops.extend([Op::Insert(wide), Op::Query(everything(Shape::Range)), Op::Reopen]);
+        ops.extend(queries.by_ref().take(5));
+    }
+    ops.push(Op::Query(Query::Range(i64::MIN, lo)));
+    ops.extend(queries.take(10));
+    ops.push(Op::Query(everything(Shape::Range)));
+    Case { shape: Shape::Range, build, ops }
 }

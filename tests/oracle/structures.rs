@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pagestore::{Frame, Interval, PageId, PageStore, Point};
+use pc_pagestore::{Frame, Interval, PageStore, Point};
 use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, SegmentedPst, ThreeSided,
     ThreeSidedPst, TwoLevelPst, TwoSided,
@@ -159,8 +159,9 @@ macro_rules! stabbing {
 
 stabbing!(NaiveSegmentTree, CachedSegmentTree, ExternalIntervalTree: frame);
 
-/// A B-tree reopens from its root page, height and length.
-impl Structure for BTree<i64, u64> {
+/// A B-tree stores its keys in the frame's `a` and its values in `id`; its
+/// `b` stays 1, which a build set of the `Range` shape (every `y` 0) has too.
+impl Structure for BTree {
     fn build(store: &PageStore, records: &[Point]) -> Res<Self> {
         ok(BTree::bulk_build(store, &entries(records)))
     }
@@ -170,6 +171,9 @@ impl Structure for BTree<i64, u64> {
     }
     fn len(&self) -> u64 {
         BTree::len(self)
+    }
+    fn frame(&self) -> Option<Frame> {
+        Some(BTree::frame(self))
     }
     fn update(&mut self, store: &PageStore, op: &Op) -> Res<()> {
         match *op {
@@ -185,13 +189,10 @@ impl Structure for BTree<i64, u64> {
         }
     }
     fn descriptor(&self) -> Option<Vec<u8>> {
-        let (root, height, len) = (self.root_page().0, self.height(), BTree::len(self));
-        Some([root.to_le_bytes(), u64::from(height).to_le_bytes(), len.to_le_bytes()].concat())
+        Some(BTree::descriptor(self).to_vec())
     }
     fn open(_store: &PageStore, desc: &[u8]) -> Res<Self> {
-        let word =
-            |i: usize| u64::from_le_bytes(desc[8 * i..8 * i + 8].try_into().expect("8 bytes"));
-        Ok(BTree::from_parts(PageId(word(0)), word(1) as u32, word(2)))
+        ok(BTree::open(desc))
     }
 }
 
