@@ -18,11 +18,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use pc_bench::{
     basic_constants, btree_constants, dynamic_churn_pages, f1, f2, interval_tree_constants,
-    log_base, multilevel_constants, segmented_constants, three_sided_constants, to_intervals,
-    to_points, two_level_constants, Spread, Table, TwoSidedConstants, TwoSidedPin, TwoSidedPst,
-    BASIC_PINS, BTREE_PINS, DYNAMIC_CHURN_FACTOR, INTERVAL_TREE_PINS, LADDER_PIN_SIZES,
-    MULTILEVEL_PINS, SEGMENTED_PINS, THREE_SIDED_PINS, TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES,
-    TWO_LEVEL_SPACE_C, WIDE_PIN_SIZE,
+    log_base, multilevel_constants, segmented_constants, segtree_constants, three_sided_constants,
+    to_intervals, to_points, two_level_constants, BTreeConstants, SegTreeConstants, Spread, Table,
+    TwoSidedConstants, TwoSidedPin, TwoSidedPst, BASIC_PINS, BTREE_PINS, DYNAMIC_CHURN_FACTOR,
+    INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS, SEGMENTED_PINS, SEGTREE_PINS,
+    THREE_SIDED_PINS, TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES, TWO_LEVEL_SPACE_C, WIDE_PIN_SIZE,
 };
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
@@ -62,11 +62,12 @@ is one I/O), 4096-byte pages, seeded `pc-workloads` generators, means over 30–
 number is a count, so reruns are byte-identical. \"pages\" is `live_pages()` after the build.
 
 **`B` is stated per table.** The segment tree stores fixed-width records (170 24-byte intervals);
-the B-tree, the PSTs and the interval tree store theirs at the narrowest `Frame` holding the data,
-so `B` is the structure's capacity at `(page, frame)`: {btree_b} (B-tree leaves, E1's million keys
-at {btree_frame}) / 408 (PSTs) / 454 (interval tree) for the generators' 20-bit coordinates from
-65 536 ids on, 454 / 510 for the PSTs and the interval tree below. \"Full\" rows stretch the same
-data over all 64 bits (`Frame::WIDE`, `B` = 254 / 163 / 170).
+the PSTs and the interval tree store theirs at the narrowest `Frame` holding the data, so `B` is
+the structure's capacity at `(page, frame)`: 408 (PSTs) / 454 (interval tree) for the generators'
+20-bit coordinates from 65 536 ids on, 454 / 510 below. \"Full\" rows stretch the same data over
+all 64 bits (`Frame::WIDE`, `B` = 163 / 170). Each B-tree node stores its keys as gaps and its
+values as offsets at the bit widths of its own data, so the B-tree's `B` is entries per leaf as
+built: {btree_b} for E1's million keys.
 
 **Reading guide.** The claims are asymptotic and worst-case; the constants are ours. Per section:
 query I/O tracks `log_B n + t/B`, not `log₂ n + t/B`; space tracks the claimed factor's growth;
@@ -133,13 +134,16 @@ fn e1_btree_baseline() {
     println!("## E1 — B+-tree: 1-d range search baseline (§1)\n");
     println!("Claim: `O(log_B n + t/B)` range queries, `O(log_B n)` updates — the 1-d bar the");
     println!("2-d structures must match. Point and update I/O are the tree height plus O(1);");
-    println!("range I/O is the descent plus `t/B`, `B` the leaf capacity at the tree's frame.\n");
+    println!("range I/O is the descent plus `t/B`, `B` the entries per leaf as built: every node");
+    println!("stores its keys as gaps and its values as offsets at its own data's bit widths.\n");
     let mut table = Table::new(&[
-        "n", "frame", "B", "log_B n", "point I/O", "update I/O", "t", "range I/O", "t/B",
+        "n", "B", "leaves", "log_B n", "point I/O", "update I/O", "t", "range I/O", "t/B",
     ]);
     for n in [10_000usize, 100_000, 1_000_000] {
         let store = PageStore::in_memory(PAGE);
         let (keys, mut tree) = e1_tree(&store, n);
+        let census = tree.census(&store).unwrap();
+        let b = census.mean_leaf_fill;
 
         let t_target = 20_000.min(n / 2);
         let queries = gen_range_1d(&keys, 50, t_target, 1);
@@ -163,17 +167,16 @@ fn e1_btree_baseline() {
         }
         let update_io = store.stats().total_io() as f64 / 50.0;
 
-        let b = pc_btree::leaf_capacity(PAGE, tree.frame());
         table.row(vec![
             n.to_string(),
-            tree.frame().to_string(),
-            b.to_string(),
-            f1(log_base(n as f64, b as f64)),
+            format!("{b:.0}"),
+            census.leaves.to_string(),
+            f1(log_base(n as f64, b)),
             f1(point_io),
             f1(update_io),
             f1(t_avg),
             f1(range_io),
-            f1(t_avg / b as f64),
+            f1(t_avg / b),
         ]);
     }
     table.print();
@@ -188,7 +191,7 @@ fn e1_btree_baseline() {
         .into_iter()
         .flat_map(|s| BTREE_PINS[s as usize].iter().map(move |pin| (s, pin)))
     {
-        let (b, pages, c, c1) = btree_constants(n, spread);
+        let BTreeConstants { b, pages, c, c1 } = btree_constants(n, spread);
         pinned.row(vec![
             format!("{spread:?}"),
             n.to_string(),
@@ -209,12 +212,11 @@ fn e1_btree_baseline() {
     }
 }
 
-/// [`PREFACE`] with the leaf capacity and frame of E1's largest tree.
+/// [`PREFACE`] with the entries per leaf of E1's largest tree.
 fn preface() -> String {
     let store = PageStore::in_memory(PAGE);
-    let frame = e1_tree(&store, 1_000_000).1.frame();
-    let b = pc_btree::leaf_capacity(PAGE, frame);
-    PREFACE.replace("{btree_b}", &b.to_string()).replace("{btree_frame}", &frame.to_string())
+    let census = e1_tree(&store, 1_000_000).1.census(&store).unwrap();
+    PREFACE.replace("{btree_b}", &format!("{:.0}", census.mean_leaf_fill))
 }
 
 /// E1's tree of `n` keys `0, 3, 6, …`, each its own value, and the keys.
@@ -306,6 +308,34 @@ fn e3_segment_tree() {
         ]);
     }
     table.print();
+
+    println!("pinned constants, worst of 150 stabs, on both spreads:");
+    println!("pages <= c·(n/B)·log2 n, reads <= c1·ceil(log_B n) + 2·ceil(t/B)\n");
+    let mut pinned =
+        Table::new(&["data", "n", "pages", "c", "pin", "c1 t≈16", "pin", "c1 t≈500", "pin"]);
+    let mut within = true;
+    for (spread, &(n, c_pin, c1_pins)) in Spread::BOTH
+        .into_iter()
+        .flat_map(|s| SEGTREE_PINS[s as usize].iter().map(move |pin| (s, pin)))
+    {
+        let SegTreeConstants { pages, c, c1 } = segtree_constants(n, spread);
+        pinned.row(vec![
+            format!("{spread:?}"),
+            n.to_string(),
+            pages.to_string(),
+            format!("{c:.3}"),
+            format!("{c_pin:.3}"),
+            f2(c1[0]),
+            f2(c1_pins[0].1),
+            f2(c1[1]),
+            f2(c1_pins[1].1),
+        ]);
+        within &= c <= c_pin && c1.iter().zip(c1_pins).all(|(got, (_, pin))| *got <= pin);
+    }
+    pinned.print();
+    if !within {
+        past_pin(format_args!("E3: the segment tree passed its pinned constants"));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -902,10 +932,9 @@ fn e13_interval_management() {
     // Full scan: n/B pages per query by definition.
     let scan_io = n as f64 / b;
 
-    let (frame, tree_frame) = (pst.frame(), btree.frame());
-    let b_tree = pc_btree::leaf_capacity(PAGE, tree_frame);
-    println!("B = {b} (points stored at {frame}); the B-tree's leaves hold {b_tree} entries");
-    println!("(keys and values at {tree_frame}).\n");
+    let (frame, b_tree) = (pst.frame(), btree.census(&store2).unwrap().mean_leaf_fill);
+    println!("B = {b} (points stored at {frame}); the B-tree's leaves hold {b_tree:.0} entries on");
+    println!("average.\n");
     let mut table = Table::new(&["method", "avg stab I/O", "avg t", "t/B"]);
     table.row(vec!["path-cached PST".into(), f1(pst_io), f1(t_avg), f1(t_avg / b)]);
     table.row(vec!["B-tree on lo (scan+filter)".into(), f1(btree_io), f1(t_avg), f1(t_avg / b)]);

@@ -3,11 +3,13 @@
 
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
+use pc_pagestore::layout::BlockList;
 use pc_pagestore::{Frame, Interval, PageStore, Point};
 use pc_pst::{
     BasicPst, DynamicPst, MultilevelPst, NaivePst, PageCensus, SegmentedPst, ThreeSided,
     ThreeSidedPst, TwoLevelPst, TwoSided,
 };
+use pc_segtree::CachedSegmentTree;
 use pc_workloads::{
     gen_intervals, gen_points, gen_range_1d, gen_stabbing, gen_three_sided, gen_two_sided,
     IntervalDist, PointDist, RawInterval, RawPoint,
@@ -392,39 +394,57 @@ pub type BTreePin = (u64, f64, [(usize, f64); 2]);
 /// The B+-tree's pinned constants at 4 KiB pages (§1's bar), per [`Spread`]
 /// and per pinned size: `(n, c, [(t, c1); 2])` with `pages <= c·⌈n/B⌉` and
 /// every range query's `reads <= c1·⌈log_B n⌉ + ⌈t/B⌉` at mean output `t`,
-/// over [`btree_constants`]' data, `B` the tree's `pc_btree::leaf_capacity`
-/// at its frame. Measured c 1.077 / 1.007 / 1.003 (`B` = 815 at 10k, whose
-/// ranks take two bytes, then 679) and on full-width data 1.025 / 1.008 /
-/// 1.004 (`B` = 254), c1 1.00 at every size, spread and `t`: a bulk-built
-/// tree reads its descent and the leaves its output spans; the pins are 10%
-/// above. `tests/layout_bounds.rs` asserts the sizes up to 100 000 and the
-/// `experiments` binary's E1 exits non-zero past any of them.
+/// over [`btree_constants`]' data, `B` the tree's entries per leaf
+/// (`BTree::census`; so `⌈n/B⌉` is its leaves). Measured c 1.167 / 1.020 /
+/// 1.002 (`B` = 1 666 / 2 040 / 2 493: keys 100, 10 and 1 apart take 7, 4
+/// and 1 bits, ranks within a leaf 11–12; at 10k six leaves share one root)
+/// and on full-width data 1.053 / 1.006 / 1.003 (`B` = 526 / 558 / 590:
+/// gaps of 51, 48 and 45 bits), c1 at most 1.00 at every size, spread and
+/// `t`: a bulk-built tree reads its descent and the leaves its output
+/// spans; the pins are 10% above. `tests/layout_bounds.rs` asserts the
+/// sizes up to 100 000 and the `experiments` binary's E1 exits non-zero
+/// past any of them.
 pub const BTREE_PINS: [&[BTreePin]; 2] = [
     &[
-        (10_000, 1.185, [(16, 1.1), (4096, 1.1)]),
-        (100_000, 1.108, [(16, 1.1), (4096, 1.1)]),
-        (1_000_000, 1.104, [(16, 1.1), (4096, 1.1)]),
+        (10_000, 1.284, [(16, 1.1), (4096, 1.1)]),
+        (100_000, 1.122, [(16, 1.1), (4096, 1.1)]),
+        (1_000_000, 1.103, [(16, 1.1), (4096, 1.1)]),
     ],
     &[
-        (10_000, 1.128, [(16, 1.1), (4096, 1.1)]),
-        (100_000, 1.109, [(16, 1.1), (4096, 1.1)]),
-        (1_000_000, 1.105, [(16, 1.1), (4096, 1.1)]),
+        (10_000, 1.159, [(16, 1.1), (4096, 1.1)]),
+        (100_000, 1.107, [(16, 1.1), (4096, 1.1)]),
+        (1_000_000, 1.104, [(16, 1.1), (4096, 1.1)]),
     ],
 ];
 
+/// One measurement of [`BTREE_PINS`]: the tree's `B`, its pages, and `c`
+/// and `[c1; 2]` as the pins define them.
+#[derive(Debug, Clone, Copy)]
+pub struct BTreeConstants {
+    /// Entries per leaf (`BTree::census`), rounded down.
+    pub b: u64,
+    /// Live pages after the build.
+    pub pages: u64,
+    /// `pages / leaves`.
+    pub c: f64,
+    /// Worst `(reads − ⌈t/B⌉) / ⌈log_B n⌉` at t ≈ 16 and t ≈ 4096.
+    pub c1: [f64; 2],
+}
+
 /// Bulk-builds a B-tree of `n` keys spaced evenly over the generators'
 /// domain, spread as `spread` says, each mapped to its rank, at 4 KiB pages,
-/// and measures `(B, pages, c, [c1; 2])` as [`BTREE_PINS`] defines them,
-/// each `c1` the worst of 150 ranges.
-pub fn btree_constants(n: u64, spread: Spread) -> (u64, u64, f64, [f64; 2]) {
+/// and measures its [`BTreeConstants`], each `c1` the worst of 150 ranges.
+pub fn btree_constants(n: u64, spread: Spread) -> BTreeConstants {
     let step = pc_workloads::DOMAIN / n as i64;
     let keys: Vec<i64> = (0..n as i64).map(|i| spread.coord(i * step)).collect();
     let entries: Vec<(i64, u64)> = keys.iter().zip(0..).map(|(&k, i)| (k, spread.id(i))).collect();
     let store = PageStore::in_memory(4096);
     let tree = BTree::bulk_build(&store, &entries).expect("in-memory build");
-    let b = pc_btree::leaf_capacity(4096, tree.frame()) as u64;
+    let census = tree.census(&store).expect("in-memory walk");
+    let b = census.mean_leaf_fill;
     let pages = store.live_pages();
-    let levels = log_base(n as f64, b as f64).ceil();
+    assert_eq!(census.pages(), pages, "the census misses a page");
+    let levels = log_base(n as f64, b).ceil();
     let c1 = [16, 4096].map(|t| {
         gen_range_1d(&keys, 150, t, 0xfeed)
             .iter()
@@ -432,11 +452,71 @@ pub fn btree_constants(n: u64, spread: Spread) -> (u64, u64, f64, [f64; 2]) {
                 let before = store.stats();
                 let hits = tree.range(&store, &q.lo, &q.hi).expect("in-memory range");
                 let reads = (store.stats() - before).logical_reads();
-                (reads as f64 - (hits.len() as u64).div_ceil(b) as f64) / levels
+                (reads as f64 - (hits.len() as f64 / b).ceil()) / levels
             })
             .fold(f64::MIN, f64::max)
     });
-    (b, pages, pages as f64 / n.div_ceil(b) as f64, c1)
+    BTreeConstants { b: b as u64, pages, c: pages as f64 / census.leaves as f64, c1 }
+}
+
+/// One pinned size of [`SEGTREE_PINS`]: `(n, c, [(t, c1); 2])`.
+pub type SegTreePin = (u64, f64, [(i64, f64); 2]);
+
+/// The path-cached segment tree's pinned constants at 4 KiB pages (Theorem
+/// 3.4), per [`Spread`] and per pinned size: `(n, c, [(t, c1); 2])` with
+/// `pages <= c·(n/B)·log₂ n` and every stab's `reads <= c1·⌈log_B n⌉ +
+/// 2·⌈t/B⌉` at mean output `t`, over [`segtree_constants`]' data, `B` = 170
+/// the fixed 24-byte intervals a block holds; `c` is the worst of the two
+/// builds, the one at t ≈ 500. Measured c 13.433 / 10.756 at n = 10k / 50k
+/// — a binary tree's Θ(n) skeletal records and per-segment caches, E3's
+/// "~10×" — and c1 4.50 / 3.00 at t ≈ 16, 5.00 / 3.33 at t ≈ 500 (two and
+/// three levels of `log_B n`); on full-width data c 13.467 / 10.783 (the
+/// endpoint B-tree holds fewer of the wider keys a leaf) and the same c1.
+/// The pins are 10% above; `tests/layout_bounds.rs` asserts the 10 000 rows
+/// and the `experiments` binary's E3 exits non-zero past any of them.
+pub const SEGTREE_PINS: [&[SegTreePin]; 2] = [
+    &[(10_000, 14.777, [(16, 4.95), (500, 5.5)]), (50_000, 11.832, [(16, 3.3), (500, 3.667)])],
+    &[(10_000, 14.814, [(16, 4.95), (500, 5.5)]), (50_000, 11.862, [(16, 3.3), (500, 3.667)])],
+];
+
+/// One measurement of [`SEGTREE_PINS`]: the larger build's pages, and `c`
+/// and `[c1; 2]` as the pins define them.
+#[derive(Debug, Clone, Copy)]
+pub struct SegTreeConstants {
+    /// Live pages of the build at the larger `t`.
+    pub pages: u64,
+    /// Worst `pages / ((n/B)·log₂ n)` of the two builds.
+    pub c: f64,
+    /// Worst `(reads − 2·⌈t/B⌉) / ⌈log_B n⌉` at t ≈ 16 and t ≈ 500.
+    pub c1: [f64; 2],
+}
+
+/// Builds the pinned geometry twice — `n` uniform-length intervals meeting
+/// a stab 16 and then 500 at a time, spread as `spread` says, 4 KiB pages —
+/// and measures its [`SegTreeConstants`], each `c1` the worst of 150 stabs.
+pub fn segtree_constants(n: u64, spread: Spread) -> SegTreeConstants {
+    let b = BlockList::<Interval>::capacity(4096, Frame::WIDE) as f64;
+    let levels = log_base(n as f64, b).ceil();
+    let (mut pages, mut c) = (0, 0f64);
+    let c1 = [16, 500].map(|t_mean| {
+        let max_len = 2 * t_mean * pc_workloads::DOMAIN / n as i64;
+        let raw = gen_intervals(n as usize, IntervalDist::UniformLen { max_len }, 0x5eed);
+        let store = PageStore::in_memory(4096);
+        let tree =
+            CachedSegmentTree::build(&store, &spread.intervals(&raw)).expect("in-memory build");
+        pages = store.live_pages();
+        c = c.max(pages as f64 / (n as f64 / b * (n as f64).log2()));
+        gen_stabbing(&raw, 150, 0xfeed)
+            .iter()
+            .map(|stab| {
+                let before = store.stats();
+                let hits = tree.stab(&store, spread.coord(stab.q)).expect("in-memory stab");
+                let reads = (store.stats() - before).logical_reads();
+                (reads as f64 - 2.0 * (hits.len() as f64 / b).ceil()) / levels
+            })
+            .fold(f64::MIN, f64::max)
+    });
+    SegTreeConstants { pages, c, c1 }
 }
 
 /// Simple fixed-width markdown table printer.

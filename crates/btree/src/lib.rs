@@ -1,38 +1,36 @@
 //! # pc-btree — external B+-tree
 //!
-//! A disk-resident B+-tree over the [`pc_pagestore::PageStore`] substrate.
-//! In the paper's framing (§1) this is the structure whose 1-dimensional
-//! optimality — `O(log_B n + t/B)` range queries, `O(log_B n)` worst-case
-//! updates, `O(n/B)` space — sets the bar that path caching matches in two
-//! dimensions: baseline E1, and the segment tree's endpoint → rank map.
+//! A disk-resident B+-tree over the [`pc_pagestore::PageStore`] substrate:
+//! the structure whose 1-d optimality — `O(log_B n + t/B)` range queries,
+//! `O(log_B n)` worst-case updates, `O(n/B)` space — sets the bar that path
+//! caching matches in two dimensions (§1): baseline E1, and the segment
+//! tree's endpoint → rank map.
 //!
-//! Internal nodes hold separator keys and child pointers; entries live in
-//! doubly-linked leaves. A tree stores its `i64` keys and `u64` values at
-//! the widths of one [`pc_pagestore::Frame`] (key in `a`, value in `id`),
-//! the narrowest holding its entries, so `B` = [`leaf_capacity`] follows the
-//! data: 582 a 4 KiB leaf for 4-byte keys and 3-byte values, 254 at full
-//! width. An insert the frame cannot hold *widens* the tree — gathers the
-//! entries, frees every page and bulk-builds them under the wider frame,
-//! `O(n/B)` I/Os at most seven times a field — which the check, comparing
-//! widths, decides without a read.
+//! Each node stores its keys as gaps and its values (child ids) as offsets,
+//! bit-packed at the widths of its own data, so `B` follows the data node
+//! by node — 1 476 entries a 4 KiB leaf for the benchmark's keys and ranks —
+//! and an outlier widens only the nodes on its path. Nodes split and merge
+//! by encoded bytes; every non-root node keeps the 127 entries (128
+//! children) half a page holds at 64-bit columns. [`BTree::census`] reports
+//! the `B` a tree has.
 //!
 //! ```
 //! use pc_btree::BTree;
-//! use pc_pagestore::{Frame, PageStore};
+//! use pc_pagestore::PageStore;
 //!
 //! let store = PageStore::in_memory(4096);
 //! let mut tree = BTree::new(&store).unwrap();
 //! for k in 0..1000 {
 //!     tree.insert(&store, k, (k * k) as u64).unwrap();
 //! }
-//! assert_eq!(tree.frame(), Frame::new(2, 1, 3));
+//! tree.insert(&store, i64::MIN, u64::MAX).unwrap();
 //! assert_eq!(tree.get(&store, &31).unwrap(), Some(961));
-//! assert_eq!(tree.range(&store, &10, &15).unwrap().len(), 6);
+//! assert_eq!(tree.range(&store, &i64::MIN, &1).unwrap(), [(i64::MIN, u64::MAX), (0, 0), (1, 1)]);
+//! assert_eq!(tree.census(&store).unwrap().pages(), store.live_pages());
 //! ```
 
 mod bulk;
 mod node;
 mod tree;
 
-pub use node::{internal_capacity, leaf_capacity};
-pub use tree::BTree;
+pub use tree::{BTree, Census};

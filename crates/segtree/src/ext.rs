@@ -14,8 +14,8 @@ use crate::build::{
 ///
 /// Lets other structures embed a whole (cached) segment tree inside one of
 /// their own page records — the external interval tree stores one per
-/// endpoint run. 39 bytes: the root page, the endpoint B-tree's
-/// descriptor (its frame's widths included) and `n`.
+/// endpoint run. 36 bytes: the root page, the endpoint B-tree's
+/// descriptor and `n`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegTreeHandle {
     root_page: PageId,
@@ -390,8 +390,8 @@ mod tests {
             );
         }
         // And the handle round-trips through its Record encoding, the
-        // endpoint tree's frame with it.
-        assert_eq!(SegTreeHandle::ENCODED_LEN, 39);
+        // endpoint tree's descriptor with it.
+        assert_eq!(SegTreeHandle::ENCODED_LEN, 36);
         let mut buf = vec![0u8; SegTreeHandle::ENCODED_LEN];
         let mut w = PageWriter::new(&mut buf);
         handle.encode(&mut w).unwrap();

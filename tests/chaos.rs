@@ -96,11 +96,11 @@ fn btree_scenario(store: &PageStore, seed: u64, log: &mut Vec<String>) -> Result
         let prev = tree.insert(store, k, k.unsigned_abs().wrapping_mul(3))?;
         log.push(format!("insert {k}: prev={prev:?} len={}", tree.len()));
     }
-    // A key, then a value, the frame does not hold: each widens the tree —
-    // every page freed and written again — under the same faults.
+    // An outlier key, then an outlier value: each widens the nodes on its
+    // path — split, re-cut, relinked — under the same faults.
     for (k, v) in [(i64::MIN + 1, 5), (rng.gen_range(-600i64..600), u64::MAX)] {
         let prev = tree.insert(store, k, v)?;
-        log.push(format!("widen {k}: prev={prev:?} len={} at {}", tree.len(), tree.frame()));
+        log.push(format!("outlier {k}: prev={prev:?} len={} height={}", tree.len(), tree.height()));
     }
     for _ in 0..10 {
         let k = rng.gen_range(-600i64..600);

@@ -16,10 +16,11 @@
 use path_caching::{Frame, PageStore, Point, TwoSided};
 use pc_bench::{
     basic_constants, btree_constants, dynamic_churn_pages, interval_tree_constants,
-    multilevel_constants, segmented_constants, three_sided_constants, two_level_constants,
-    two_sided_corners, Spread, TwoSidedConstants, TwoSidedPin, TwoSidedPst, BASIC_PINS,
-    BTREE_PINS, DYNAMIC_CHURN_FACTOR, INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS,
-    SEGMENTED_PINS, THREE_SIDED_PINS, TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES, WIDE_PIN_SIZE,
+    multilevel_constants, segmented_constants, segtree_constants, three_sided_constants,
+    two_level_constants, two_sided_corners, BTreeConstants, SegTreeConstants, Spread,
+    TwoSidedConstants, TwoSidedPin, TwoSidedPst, BASIC_PINS, BTREE_PINS, DYNAMIC_CHURN_FACTOR,
+    INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS, SEGMENTED_PINS, SEGTREE_PINS,
+    THREE_SIDED_PINS, TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES, WIDE_PIN_SIZE,
 };
 use pc_intervaltree::ExternalIntervalTree;
 use pc_pst::{
@@ -42,13 +43,29 @@ fn btree_space_and_range_reads_stay_within_pinned_constants() {
     for spread in Spread::BOTH {
         let small = BTREE_PINS[spread as usize].iter().filter(|pin| pin.0 <= 100_000);
         for &(n, c_pin, c1_pins) in small {
-            let (b, pages, c, c1) = btree_constants(n, spread);
+            let BTreeConstants { b, pages, c, c1 } = btree_constants(n, spread);
             let what = format!("{spread:?}, B={b}, n={n}");
-            // Full-width entries are the fixed 16 bytes of the tree before frames.
-            assert!(spread != Spread::Full || b == 254, "{what}");
             assert!(c <= c_pin, "{what}: {pages} pages is {c:.3}·ceil(n/B)");
             for (c1, (t, c1_pin)) in c1.into_iter().zip(c1_pins) {
                 assert!(c1 <= c1_pin, "{what}, t≈{t}: a range needs c1 = {c1:.3}");
+            }
+        }
+    }
+}
+
+/// Theorem 3.4's `(n/B)·log n` space and `log_B n + t/B` stabs for the
+/// path-cached segment tree, at its pinned size of 10 000; E3 of the
+/// `experiments` binary exits non-zero past every size's pins.
+#[test]
+fn segment_tree_space_and_stab_reads_stay_within_pinned_constants() {
+    for spread in Spread::BOTH {
+        let small = SEGTREE_PINS[spread as usize].iter().filter(|pin| pin.0 <= 10_000);
+        for &(n, c_pin, c1_pins) in small {
+            let SegTreeConstants { pages, c, c1 } = segtree_constants(n, spread);
+            let what = format!("{spread:?}, n={n}");
+            assert!(c <= c_pin, "{what}: {pages} pages is {c:.3} units of (n/B)·log2 n");
+            for (c1, (t, c1_pin)) in c1.into_iter().zip(c1_pins) {
+                assert!(c1 <= c1_pin, "{what}, t≈{t}: a stab needs c1 = {c1:.3}");
             }
         }
     }

@@ -30,7 +30,7 @@ use std::collections::BTreeSet;
 
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pagestore::{Frame, PageStore};
+use pc_pagestore::Frame;
 use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, NaivePst, SegmentedPst, ThreeSidedPst, TwoLevelPst,
 };
@@ -39,7 +39,6 @@ use pc_segtree::{CachedSegmentTree, NaiveSegmentTree};
 
 use driver::{cases, cell, drive, Subject};
 use gen::{Case, Shape, Spec};
-use model::Model;
 use paths::KINDS;
 use structures::{InProcess, Multilevel, Res, Structure};
 
@@ -64,17 +63,26 @@ fn in_process<S: Structure>(page_size: usize, case: &Case) -> Res<()> {
 /// For every frame of `frames`: three cases in process at every page size,
 /// with builds of up to two records a byte of page (1 024 at 512 B, 8 192
 /// at 4 KiB), and two recovered after a seeded kill.
-fn structure<S: Structure>(name: &str, shape: Shape, frames: &[Frame], updates: usize) {
+fn structure<S: Structure>(
+    name: &str,
+    shape: Shape,
+    frames: &[Frame],
+    outliers: bool,
+    updates: usize,
+) {
+    let data = |frame: Frame| format!("{frame}{}", if outliers { " with outliers" } else { "" });
     for &frame in frames {
         for page_size in PAGES {
-            let spec = Spec { shape, frame, records: 2 * page_size, updates, queries: 60 };
-            cases(&format!("{name} at {page_size} B, {frame}"), 3, spec, |case| {
+            let records = 2 * page_size;
+            let spec = Spec { shape, frame, records, updates, queries: 60, outliers };
+            cases(&format!("{name} at {page_size} B, {}", data(frame)), 3, spec, |case| {
                 in_process::<S>(page_size, case)
             });
         }
-        let spec = Spec { shape, frame, records: 300, updates: updates.min(60), queries: 30 };
+        let updates = updates.min(60);
+        let spec = Spec { shape, frame, records: 300, updates, queries: 30, outliers };
         let case_and_kill = |rng: &mut Rng| (gen::case(rng, &spec), rng.next_u64());
-        cell(&format!("{name} recovered, {frame}"), 2, case_and_kill, |(case, kill)| {
+        cell(&format!("{name} recovered, {}", data(frame)), 2, case_and_kill, |(case, kill)| {
             paths::recovered::<S>(case, *kill)
         });
     }
@@ -84,13 +92,20 @@ macro_rules! structures {
     ($($test:ident: $S:ty, $shape:ident, $frames:ident, $updates:literal;)*) => {$(
         #[test]
         fn $test() {
-            structure::<$S>(stringify!($test), Shape::$shape, &$frames, $updates);
+            structure::<$S>(stringify!($test), Shape::$shape, &$frames, false, $updates);
         }
     )*};
 }
 
+/// The B-tree has no frame — every node stores its rows at the widths of
+/// its own data — so its one data set is narrow keys and values with
+/// outliers of every width mixed in.
+#[test]
+fn b_tree() {
+    structure::<BTree>("b_tree", Shape::Range, &[Frame::new(2, 1, 2)], true, 200);
+}
+
 structures! {
-    b_tree: BTree, Range, FRAMES, 200;
     naive_segment_tree: NaiveSegmentTree, Stab, NO_FRAME, 0;
     cached_segment_tree: CachedSegmentTree, Stab, NO_FRAME, 0;
     interval_tree: ExternalIntervalTree, Stab, FRAMES, 0;
@@ -104,12 +119,14 @@ structures! {
     dynamic_three_sided_pst: DynamicThreeSidedPst, ThreeSided, FRAMES, 300;
 }
 
-/// Kind `i`'s cases: at `FRAMES[i % 4]` where it has a frame.
+/// Kind `i`'s cases: at `FRAMES[i % 4]` where it has a frame, and the
+/// B-tree's with outliers.
 fn served_spec(i: usize, records: usize, updates: usize) -> Spec {
     let kind = &KINDS[i];
     let frame = if kind.framed { FRAMES[i % 4] } else { Frame::WIDE };
     let updates = if kind.dynamic { updates } else { 0 };
-    Spec { shape: kind.shape, frame, records, updates, queries: 40 }
+    let outliers = kind.shape == Shape::Range;
+    Spec { shape: kind.shape, frame, records, updates, queries: 40, outliers }
 }
 
 /// Every kind served, and read `as_of` every epoch.
@@ -183,26 +200,46 @@ fn regression_widening_twice() {
     }
 }
 
-/// In process at every page size — after the two widenings its pages are a
-/// fresh build's at the wide frame — served with every epoch read `as_of`,
-/// and after four seeded kills.
+/// A B-tree in process whose every update may write at most
+/// `2·(height + 1) + 2` pages: a split or settle on each level of its
+/// path, a sibling's back link and a new root.
+struct WritesBounded(InProcess<BTree>);
+
+impl Subject for WritesBounded {
+    fn update(&mut self, op: &gen::Op) -> Result<(), String> {
+        let before = self.0.store.stats().writes;
+        self.0.update(op)?;
+        let writes = self.0.store.stats().writes - before;
+        let bound = 2 * (u64::from(self.0.s.height()) + 1) + 2;
+        match writes <= bound {
+            true => Ok(()),
+            false => Err(format!("{writes} pages written, the bound is {bound}")),
+        }
+    }
+    fn answer(&mut self, q: &gen::Query) -> Result<Vec<pc_pagestore::Point>, String> {
+        self.0.answer(q)
+    }
+    fn len(&mut self) -> Option<u64> {
+        self.0.len()
+    }
+}
+
+/// In process at every page size with every update's writes bounded — the
+/// outliers widen the nodes on their paths, where a tree-wide frame
+/// rewrote the tree — served with every epoch read `as_of`, and after two
+/// seeded kills, one recovering through checkpoints.
 #[test]
-fn regression_b_tree_widening_twice() {
-    let case = regressions::b_tree_widening_twice();
-    let live = structures::entries(&Model::after(&case, usize::MAX).records());
+fn regression_b_tree_outliers() {
+    let case = regressions::b_tree_outliers();
     for page_size in PAGES {
-        let mut tree = InProcess::<BTree>::build(page_size, &case.build).unwrap();
-        assert_eq!(tree.frame(), Some(Frame::new(3, 1, 3)));
-        drive(&mut tree, &case).unwrap_or_else(|e| panic!("widening at {page_size} B: {e}"));
-        assert_eq!(tree.frame(), Some(Frame::new(8, 1, 8)), "at {page_size} B: widened twice");
-        let fresh = PageStore::in_memory(page_size);
-        BTree::bulk_build(&fresh, &live).unwrap();
-        assert_eq!(tree.store.live_pages(), fresh.live_pages(), "at {page_size} B");
+        let tree = InProcess::<BTree>::build(page_size, &case.build).unwrap();
+        drive(&mut WritesBounded(tree), &case)
+            .unwrap_or_else(|e| panic!("B-tree outliers at {page_size} B: {e}"));
     }
     let kind = KINDS.iter().find(|kind| kind.name == "dynamic B-tree").expect("a served kind");
-    paths::served(kind, &case).unwrap_or_else(|e| panic!("B-tree widening, served: {e}"));
-    for seed in 0..4 {
+    paths::served(kind, &case).unwrap_or_else(|e| panic!("B-tree outliers, served: {e}"));
+    for seed in [2, 3] {
         paths::recovered::<BTree>(&case, seed)
-            .unwrap_or_else(|e| panic!("B-tree widening, recovered (seed {seed}): {e}"));
+            .unwrap_or_else(|e| panic!("B-tree outliers, recovered (seed {seed}): {e}"));
     }
 }

@@ -7,7 +7,9 @@
 //! both signs. Two build records sit on the extremes of every field, so a
 //! build of two or more is stored at exactly the case's frame — `i64::MIN`,
 //! `i64::MAX` and `u64::MAX` themselves at `Frame::WIDE`. A dynamic
-//! sequence may widen its frame partway through.
+//! sequence may widen its frame partway through. With `outliers` one field
+//! in eight leaves the frame for anywhere in `i64` or `u64`, ends included:
+//! the B-tree's cases, whose nodes each store at their own widths.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -61,6 +63,8 @@ pub struct Spec {
     /// Inserts and deletes in the sequence; 0 for a static structure.
     pub updates: usize,
     pub queries: usize,
+    /// Fields outside the frame mixed in, one in eight.
+    pub outliers: bool,
 }
 
 /// A build set and the ops that follow it.
@@ -154,7 +158,19 @@ impl<'a> Gen<'a> {
         Gen { rng, spec: *spec, pools, ids, id_budget, keys, tower }
     }
 
+    /// Whether the next field is an outlier.
+    fn outlier(&mut self) -> bool {
+        self.spec.outliers && self.rng.gen_range(0..8u64) == 0
+    }
+
     fn coord(&mut self, axis: usize) -> i64 {
+        if self.outlier() {
+            return match self.rng.gen_range(0..4u64) {
+                0 => i64::MIN + self.rng.gen_range(0..4i64),
+                1 => i64::MAX - self.rng.gen_range(0..4i64),
+                _ => full(self.rng, 8),
+            };
+        }
         if self.rng.gen_bool(0.5) {
             *self.rng.choose(&self.pools[axis]).expect("a pool has a value")
         } else {
@@ -169,7 +185,11 @@ impl<'a> Gen<'a> {
         }
         let max = max_id(self.spec.frame.widths()[2]);
         loop {
-            let id = self.rng.gen_range(0..=max);
+            let id = match self.outlier() {
+                true if self.rng.gen_bool(0.5) => u64::MAX - self.rng.gen_range(0..4u64),
+                true => self.rng.next_u64(),
+                false => self.rng.gen_range(0..=max),
+            };
             if self.ids.insert(id) {
                 return Some(id);
             }

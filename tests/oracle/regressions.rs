@@ -23,8 +23,9 @@
 //!    Held by `crates/pagestore/tests/proptest_store.rs`, which found it.
 //! 7. **A sibling pair split across skeletal pages** —
 //!    [`odd_skeletal_capacity_at_1_kib`].
-//! 8. **A frame that must widen** — [`widening_twice`], and for the B-tree
-//!    [`b_tree_widening_twice`].
+//! 8. **A frame that must widen** — [`widening_twice`].
+//! 9. **An outlier that rewrote the whole B-tree** — [`b_tree_outliers`],
+//!    now a bound on the pages each of its updates writes.
 
 use std::collections::HashSet;
 
@@ -73,6 +74,7 @@ pub fn odd_skeletal_capacity_at_1_kib() -> Case {
         records: 8_000,
         updates: 3_000,
         queries: 150,
+        outliers: false,
     };
     gen::case(&mut Rng::seed_from_u64(1024), &spec)
 }
@@ -91,6 +93,7 @@ pub fn widening_twice() -> Case {
         records: 800,
         updates: 0,
         queries: 40,
+        outliers: false,
     };
     let Case { build, ops: queries, .. } = gen::case(&mut rng, &spec);
     assert!(build.len() >= 200, "a build of several regions");
@@ -127,49 +130,42 @@ pub fn widening_twice() -> Case {
     Case { shape: Shape::TwoSided, build, ops }
 }
 
-/// A B-tree built at 3/·/3 takes a key of `i64::MIN`, then a value of
-/// `u64::MAX`: each widens it once — gather, free, bulk-build with the new
-/// entry — to 8/·/3, then 8/·/8, with inserts and deletes before and
-/// between and a reopen after each. Only queries follow, so the tree ends
-/// as a fresh build of its entries at the wide frame. Widening came to the
-/// B-tree with its frame.
-pub fn b_tree_widening_twice() -> Case {
+/// A bulk-built B-tree of 100 000 entries shaped like the benchmark's —
+/// keys `i·1000 + r`, values the ranks — takes an insert at key
+/// `i64::MIN`, then one with value `u64::MAX`, then deletes of both, with
+/// queries at both and a reopen between. Under a tree-wide frame each of the
+/// inserts rewrote the whole tree (gather, free, rebuild wider); each node
+/// now stores at its own widths, and an outlier widens the nodes on its
+/// path: a few pages written an op.
+pub fn b_tree_outliers() -> Case {
     let mut rng = Rng::seed_from_u64(0xB7EE);
-    let frame = Frame::new(3, 3, 3);
-    let spec = Spec { shape: Shape::Range, frame, records: 800, updates: 0, queries: 40 };
-    let Case { build, ops: queries, .. } = gen::case(&mut rng, &spec);
-    assert!(build.len() >= 200, "a build of several leaves");
-    let mut queries = queries.into_iter().cycle();
-    let (lo, hi) = signed_range(3);
-    // Keys and ids never used before: a key stays unique among the live.
-    let mut used: (HashSet<i64>, HashSet<u64>) =
-        (build.iter().map(|p| p.x).collect(), build.iter().map(|p| p.id).collect());
-    let mut fresh = |rng: &mut Rng| loop {
-        let p = Point::new(rng.gen_range(lo..=hi), 0, rng.gen_range(1..1u64 << 24));
-        if !used.0.contains(&p.x) && !used.1.contains(&p.id) {
-            used.0.insert(p.x);
-            used.1.insert(p.id);
-            return p;
-        }
+    let build: Vec<Point> = (0..100_000u64)
+        .map(|i| Point::new(i as i64 * 1000 + rng.gen_range(0..1000i64), 0, i))
+        .collect();
+    // The middle's keys are i·1000 + r: one of a thousand between two of
+    // them is fresh.
+    let (before, after) = (build[50_000].x, build[50_001].x);
+    let low = Point::new(i64::MIN, 0, 100_000);
+    let wide = Point::new(before + 1 + rng.gen_range(0..after - before - 1), 0, u64::MAX);
+    let near = |p: Point| {
+        let at = p.x.max(0);
+        Op::Query(Query::Range(at.saturating_sub(20_000), at + 20_000))
     };
-    let mut live = build.clone();
-    let mut ops = Vec::new();
-    let (key, value) = (fresh(&mut rng), fresh(&mut rng));
-    for wide in [Point { x: i64::MIN, ..key }, Point { id: u64::MAX, ..value }] {
-        for i in 0..150 {
-            let p = fresh(&mut rng);
-            let victim = live.swap_remove(rng.gen_range(0..live.len()));
-            live.push(p);
-            ops.extend([Op::Insert(p), Op::Delete(victim)]);
-            if i % 10 == 0 {
-                ops.extend(queries.next());
-            }
-        }
-        ops.extend([Op::Insert(wide), Op::Query(everything(Shape::Range)), Op::Reopen]);
-        ops.extend(queries.by_ref().take(5));
-    }
-    ops.push(Op::Query(Query::Range(i64::MIN, lo)));
-    ops.extend(queries.take(10));
-    ops.push(Op::Query(everything(Shape::Range)));
+    let head = Op::Query(Query::Range(i64::MIN, 20_000));
+    let ops = vec![
+        Op::Query(everything(Shape::Range)),
+        Op::Insert(low),
+        head,
+        Op::Reopen,
+        Op::Insert(wide),
+        near(wide),
+        head,
+        Op::Delete(low),
+        head,
+        Op::Delete(wide),
+        near(wide),
+        Op::Reopen,
+        Op::Query(everything(Shape::Range)),
+    ];
     Case { shape: Shape::Range, build, ops }
 }

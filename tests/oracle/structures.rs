@@ -159,8 +159,8 @@ macro_rules! stabbing {
 
 stabbing!(NaiveSegmentTree, CachedSegmentTree, ExternalIntervalTree: frame);
 
-/// A B-tree stores its keys in the frame's `a` and its values in `id`; its
-/// `b` stays 1, which a build set of the `Range` shape (every `y` 0) has too.
+/// A B-tree entry is a record's key `x` and value `id` (every `y` 0); the
+/// tree has no frame, each node storing at its own widths.
 impl Structure for BTree {
     fn build(store: &PageStore, records: &[Point]) -> Res<Self> {
         ok(BTree::bulk_build(store, &entries(records)))
@@ -171,9 +171,6 @@ impl Structure for BTree {
     }
     fn len(&self) -> u64 {
         BTree::len(self)
-    }
-    fn frame(&self) -> Option<Frame> {
-        Some(BTree::frame(self))
     }
     fn update(&mut self, store: &PageStore, op: &Op) -> Res<()> {
         match *op {
