@@ -20,29 +20,24 @@ use crate::error::{Result, StoreError};
 use crate::store::PageId;
 
 pub use crate::fault::{FaultBackend, FaultHandle, FaultPlan, InjectionStats};
-pub use crate::mirror::MirrorBackend;
 
-/// Counters exposed by resilient backends. Plain backends report zeroes;
-/// [`MirrorBackend`] counts read failovers and replica repairs, and the
-/// store folds these into [`crate::IoStats`] on snapshot.
+/// Nothing in the workspace reads it; it goes with ROADMAP 3f.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
-    /// Reads the first replica could not serve that a later replica did.
+    /// Always 0.
     pub failovers: u64,
-    /// Replica frames rewritten from a known-good copy (read-repair or
-    /// [`Backend::scrub`]).
+    /// Always 0.
     pub repairs: u64,
 }
 
-/// Outcome of one [`Backend::scrub`] pass.
+/// Nothing in the workspace reads it; it goes with ROADMAP 3f.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubReport {
-    /// Frames examined (for a mirror: distinct frame ordinals, not
-    /// per-replica reads).
+    /// Always 0.
     pub frames_checked: u64,
-    /// Frames where at least one bad replica was rewritten from a good one.
+    /// Always 0.
     pub repaired: u64,
-    /// Frames where no replica held a valid copy; left untouched.
+    /// Always 0.
     pub unrecoverable: u64,
 }
 
@@ -71,26 +66,22 @@ pub trait Backend: Send + Sync {
     /// demand); used only for diagnostics.
     fn frame_count(&self) -> u64;
 
-    /// Failover/repair counters since construction (or the last
-    /// [`Backend::reset_resilience_stats`]). Zero for non-replicated
-    /// backends; decorators forward to their inner backend.
+    /// Nothing in the workspace calls it; it goes with ROADMAP 3f.
     fn resilience_stats(&self) -> ResilienceStats {
         ResilienceStats::default()
     }
 
-    /// Resets [`Backend::resilience_stats`] to zero.
+    /// Nothing in the workspace calls it; it goes with ROADMAP 3f.
     fn reset_resilience_stats(&self) {}
 
-    /// Verifies stored redundancy and repairs what it can. A plain backend
-    /// has no redundancy, so the default checks nothing and repairs
-    /// nothing; [`MirrorBackend`] rewrites bad replicas from good ones.
+    /// Nothing in the workspace calls it; it goes with ROADMAP 3f.
     fn scrub(&self) -> Result<ScrubReport> {
         Ok(ScrubReport::default())
     }
 }
 
 /// A shared backend is a backend — a test keeps its `Arc` to see what the
-/// store left on the medium. Everything forwards, defaults included.
+/// store left on the medium. Every method the store calls forwards.
 impl<T: Backend + ?Sized> Backend for Arc<T> {
     fn frame_size(&self) -> usize {
         (**self).frame_size()
@@ -106,15 +97,6 @@ impl<T: Backend + ?Sized> Backend for Arc<T> {
     }
     fn frame_count(&self) -> u64 {
         (**self).frame_count()
-    }
-    fn resilience_stats(&self) -> ResilienceStats {
-        (**self).resilience_stats()
-    }
-    fn reset_resilience_stats(&self) {
-        (**self).reset_resilience_stats()
-    }
-    fn scrub(&self) -> Result<ScrubReport> {
-        (**self).scrub()
     }
 }
 

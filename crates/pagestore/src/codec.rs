@@ -222,53 +222,19 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
     h
 }
 
-/// Integrity classification of a raw frame (payload + trailing 8-byte
-/// [`fnv1a64`] checksum), from [`classify_frame`].
-///
-/// The distinction between [`FrameState::Unwritten`] and
-/// [`FrameState::Corrupt`] matters: an all-zero frame is what backends
-/// return for never-written slots *by contract*, so it is not evidence of
-/// damage — but it is also not evidence of data. Consumers that can get a
-/// second opinion (a mirror replica, a WAL) must not let an `Unwritten`
-/// answer shadow a `Written` one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameState {
-    /// The stored checksum matches the payload: real written data.
-    Written,
-    /// All-zero payload and zero checksum: the backend's "never written"
-    /// state. Reads as a zero page, but carries no information.
-    Unwritten,
-    /// Non-zero contents whose checksum does not match (torn or rotted),
-    /// or a frame too short to carry a checksum at all.
-    Corrupt,
-}
-
-/// Classifies a raw frame; see [`FrameState`]. Frames shorter than the
-/// checksum trailer are [`FrameState::Corrupt`].
-///
-/// This is the one frame-validity rule in the workspace; the store's
-/// checksum verification and [`crate::backend::MirrorBackend`]'s read
-/// failover both delegate here so they can never disagree.
-pub fn classify_frame(frame: &[u8]) -> FrameState {
-    let Some(payload_len) = frame.len().checked_sub(8) else {
-        return FrameState::Corrupt;
-    };
-    let stored = u64::from_le_bytes(frame[payload_len..].try_into().unwrap());
-    if stored == 0 && frame[..payload_len].iter().all(|&b| b == 0) {
-        return FrameState::Unwritten;
-    }
-    if stored == fnv1a64(&frame[..payload_len]) {
-        FrameState::Written
-    } else {
-        FrameState::Corrupt
-    }
-}
-
-/// True if a raw frame is internally consistent — [`FrameState::Written`]
-/// or [`FrameState::Unwritten`]. Use [`classify_frame`] when the
-/// written/unwritten distinction matters.
+/// The one frame-validity rule: true when a raw frame (payload + trailing
+/// 8-byte [`fnv1a64`] checksum) is the backends' never-written state (all
+/// zero, checksum included) or its stored checksum matches its payload.
+/// The store's read path applies it to every frame it fetches (a failure
+/// is `ChecksumMismatch`). A frame too short to carry a checksum is
+/// invalid.
 pub fn frame_is_valid(frame: &[u8]) -> bool {
-    classify_frame(frame) != FrameState::Corrupt
+    let Some(payload_len) = frame.len().checked_sub(8) else {
+        return false;
+    };
+    let (payload, trailer) = frame.split_at(payload_len);
+    let stored = u64::from_le_bytes(trailer.try_into().unwrap());
+    (stored == 0 && payload.iter().all(|&b| b == 0)) || stored == fnv1a64(payload)
 }
 
 #[cfg(test)]
@@ -364,31 +330,41 @@ mod tests {
         frame[3] ^= 0x01;
         frame[30] ^= 0x01;
         assert!(!frame_is_valid(&frame));
-        // Zero payload with a checksum is still valid (a written zero page).
+        // Zero payload with a real checksum is valid too: a written zero
+        // page, not the never-written one.
         let mut zeroed = vec![0u8; 32];
         let sum = fnv1a64(&zeroed[..24]);
         zeroed[24..].copy_from_slice(&sum.to_le_bytes());
         assert!(frame_is_valid(&zeroed));
         // Too short to carry a checksum: invalid.
         assert!(!frame_is_valid(&[0u8; 7]));
+        assert!(!frame_is_valid(&[]));
     }
 
     #[test]
     fn classify_frame_distinguishes_unwritten_from_written_and_corrupt() {
-        assert_eq!(classify_frame(&[0u8; 32]), FrameState::Unwritten);
-        let mut frame = vec![7u8; 32];
-        let sum = fnv1a64(&frame[..24]);
-        frame[24..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(classify_frame(&frame), FrameState::Written);
-        frame[3] ^= 0x01;
-        assert_eq!(classify_frame(&frame), FrameState::Corrupt);
-        // A *written* zero page (zero payload, real checksum) is Written,
-        // not Unwritten: it carries information.
+        // Unwritten means zero everywhere, checksum included: that frame
+        // alone passes without a matching checksum.
+        assert!(frame_is_valid(&[0u8; 32]));
+        // A zero checksum does not excuse a non-zero payload ...
+        let mut frame = vec![0u8; 32];
+        frame[5] = 1;
+        assert_ne!(fnv1a64(&frame[..24]), 0);
+        assert!(!frame_is_valid(&frame));
+        // ... and a zero payload under a wrong non-zero checksum is corrupt,
+        // where the same payload under its real checksum is written.
         let mut zeroed = vec![0u8; 32];
         let sum = fnv1a64(&zeroed[..24]);
+        zeroed[24..].copy_from_slice(&(sum ^ 1).to_le_bytes());
+        assert!(!frame_is_valid(&zeroed));
         zeroed[24..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(classify_frame(&zeroed), FrameState::Written);
-        assert_eq!(classify_frame(&[0u8; 7]), FrameState::Corrupt);
-        assert_eq!(classify_frame(&[]), FrameState::Corrupt);
+        assert!(frame_is_valid(&zeroed));
+        // Written data: valid until a payload bit flips.
+        let mut written = vec![7u8; 32];
+        let sum = fnv1a64(&written[..24]);
+        written[24..].copy_from_slice(&sum.to_le_bytes());
+        assert!(frame_is_valid(&written));
+        written[3] ^= 0x01;
+        assert!(!frame_is_valid(&written));
     }
 }

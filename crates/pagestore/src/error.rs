@@ -65,8 +65,8 @@ impl StoreError {
     ///
     /// Everything else is *permanent* for the retry layer: allocation and
     /// size errors are caller bugs, checksum/layout corruption will not
-    /// heal by re-reading the same replica (mirror failover handles those
-    /// below the store), and quarantine is by definition sticky.
+    /// heal by re-reading the same frame (a router replica group reads
+    /// another replica instead), and quarantine is by definition sticky.
     pub fn is_transient(&self) -> bool {
         match self {
             StoreError::Io(e) => matches!(

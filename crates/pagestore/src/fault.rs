@@ -20,10 +20,12 @@
 //! | frame loss       | read  | sticky permanent `Err(Io)`; write heals   |
 //! | torn write       | write | silent `Ok`; prefix new + suffix old      |
 //! | bit rot at write | write | silent `Ok`; one flipped bit at rest      |
-//! | pending rot      | read  | armed via [`FaultHandle::rot_page`]       |
 //!
 //! Silent faults are exactly the ones the store's checksums must catch;
-//! loud faults are the ones its retry/failover layers must absorb.
+//! loud faults are the ones its retry layer must absorb. A torn write
+//! therefore never keeps the old frame whole, checksum included: no
+//! checksum tells that apart from a write never made (lost writes are
+//! outside the fault model, DESIGN §9).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,7 +34,7 @@ use std::sync::Arc;
 use pc_rng::{draw, mix64};
 use pc_sync::Mutex;
 
-use crate::backend::{Backend, ResilienceStats, ScrubReport};
+use crate::backend::Backend;
 use crate::error::Result;
 use crate::store::PageId;
 
@@ -43,20 +45,15 @@ pub struct FaultPlan {
     /// Seed for every injection decision. Two backends with the same plan
     /// and workload inject identical faults.
     pub seed: u64,
-    /// Phase offset in the unit interval (default `0.0`). Two plans with
-    /// the same seed but phases `p` apart fire on *disjoint* accesses (for
-    /// probabilities below their phase distance) — mirror tests exploit
-    /// this to guarantee no frame is ever corrupted on every replica at
-    /// once, making "replication masks silent faults" a certainty rather
-    /// than a likelihood.
-    pub phase: f64,
     /// Probability a read fails with a retryable I/O error.
     pub read_transient_p: f64,
     /// Probability a write fails with a retryable I/O error (nothing is
     /// written).
     pub write_transient_p: f64,
     /// Probability a write silently persists only a prefix of the frame,
-    /// keeping the old suffix (the classic torn page).
+    /// keeping the old suffix (the classic torn page). The cut falls after
+    /// the first byte the write changes and at or before the last, so the
+    /// frame at rest is neither the old one nor the new one.
     pub torn_write_p: f64,
     /// Probability a write silently flips one bit of the persisted frame.
     pub bit_rot_p: f64,
@@ -70,7 +67,6 @@ impl FaultPlan {
     pub fn none(seed: u64) -> Self {
         FaultPlan {
             seed,
-            phase: 0.0,
             read_transient_p: 0.0,
             write_transient_p: 0.0,
             torn_write_p: 0.0,
@@ -83,25 +79,6 @@ impl FaultPlan {
     /// everything this plan injects is absorbable by bounded retries.
     pub fn transient(seed: u64, p: f64) -> Self {
         FaultPlan { read_transient_p: p, write_transient_p: p, ..FaultPlan::none(seed) }
-    }
-
-    /// The chaos-harness default: the ISSUE's transient `p = 1e-3` on reads
-    /// and writes plus periodic torn writes and bit rot. No frame loss, so
-    /// a 2-way mirror with phased replicas can always recover.
-    pub fn chaos(seed: u64) -> Self {
-        FaultPlan {
-            read_transient_p: 1e-3,
-            write_transient_p: 1e-3,
-            torn_write_p: 2e-3,
-            bit_rot_p: 2e-3,
-            ..FaultPlan::none(seed)
-        }
-    }
-
-    /// This plan with a different phase offset (see [`FaultPlan::phase`]).
-    pub fn with_phase(mut self, phase: f64) -> Self {
-        self.phase = phase;
-        self
     }
 }
 
@@ -120,8 +97,6 @@ pub struct InjectionStats {
     pub bit_rots: u64,
     /// Frames that became permanently lost (until rewritten).
     pub frames_lost: u64,
-    /// Reads served with a pending-rot bit flip applied.
-    pub rotten_reads: u64,
     /// Targeted Nth-access triggers that fired.
     pub triggers_fired: u64,
 }
@@ -134,15 +109,14 @@ impl InjectionStats {
             + self.torn_writes
             + self.bit_rots
             + self.frames_lost
-            + self.rotten_reads
             + self.triggers_fired
     }
 }
 
 /// Mutable fault tables: per-page access ordinals (what makes "the Nth
 /// access" well-defined even under concurrency), armed triggers, and the
-/// sticky lost / pending-rot page sets. One mutex — fault injection is a
-/// test facility, not a hot path.
+/// sticky lost page set. One mutex — fault injection is a test facility,
+/// not a hot path.
 #[derive(Default)]
 struct Tables {
     reads: HashMap<u64, u64>,
@@ -150,7 +124,6 @@ struct Tables {
     read_triggers: HashSet<(u64, u64)>,
     write_triggers: HashSet<(u64, u64)>,
     lost: HashSet<u64>,
-    rotten: HashSet<u64>,
 }
 
 #[derive(Default)]
@@ -160,7 +133,6 @@ struct Counters {
     torn_writes: AtomicU64,
     bit_rots: AtomicU64,
     frames_lost: AtomicU64,
-    rotten_reads: AtomicU64,
     triggers_fired: AtomicU64,
 }
 
@@ -185,14 +157,9 @@ fn unit(seed: u64, salt: u64, id: u64, ordinal: u64) -> f64 {
     (draw(seed, salt, id, ordinal) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Deterministic Bernoulli trial: fires iff the draw lands inside the
-/// plan's `[phase, phase + p)` window (wrapping at 1.0).
+/// Deterministic Bernoulli trial: fires iff the draw lands below `p`.
 fn decide(plan: &FaultPlan, salt: u64, id: u64, ordinal: u64, p: f64) -> bool {
-    if p <= 0.0 {
-        return false;
-    }
-    let u = unit(plan.seed, salt, id, ordinal);
-    (u - plan.phase).rem_euclid(1.0) < p
+    p > 0.0 && unit(plan.seed, salt, id, ordinal) < p
 }
 
 fn transient_err(what: &str, id: PageId) -> crate::StoreError {
@@ -248,27 +215,6 @@ impl FaultHandle {
         self.0.tables.lock().write_triggers.insert((id.0, nth));
     }
 
-    /// Marks `id` permanently lost: reads fail with a non-retryable error
-    /// until the page is rewritten (or [`FaultHandle::heal_page`] is called).
-    pub fn lose_page(&self, id: PageId) {
-        self.0.tables.lock().lost.insert(id.0);
-    }
-
-    /// Arms pending rot on `id`: subsequent reads return the stored frame
-    /// with one deterministic bit flipped, until the page is rewritten.
-    /// This corrupts only *this* backend — through a mirror it models rot
-    /// on a single replica, which read-repair and scrub must heal.
-    pub fn rot_page(&self, id: PageId) {
-        self.0.tables.lock().rotten.insert(id.0);
-    }
-
-    /// Clears any lost / pending-rot marks on `id`.
-    pub fn heal_page(&self, id: PageId) {
-        let mut t = self.0.tables.lock();
-        t.lost.remove(&id.0);
-        t.rotten.remove(&id.0);
-    }
-
     /// Cumulative injection counts since construction.
     pub fn injected(&self) -> InjectionStats {
         let c = &self.0.counters;
@@ -278,7 +224,6 @@ impl FaultHandle {
             torn_writes: c.torn_writes.load(Ordering::Relaxed),
             bit_rots: c.bit_rots.load(Ordering::Relaxed),
             frames_lost: c.frames_lost.load(Ordering::Relaxed),
-            rotten_reads: c.rotten_reads.load(Ordering::Relaxed),
             triggers_fired: c.triggers_fired.load(Ordering::Relaxed),
         }
     }
@@ -330,7 +275,7 @@ impl Backend for FaultBackend {
             return self.inner.read_frame(id, buf);
         }
         let plan = *self.state.plan.lock();
-        let (ordinal, triggered, lost, rotten) = {
+        let (ordinal, triggered, lost) = {
             let mut t = self.state.tables.lock();
             let n = t.reads.entry(id.0).or_insert(0);
             *n += 1;
@@ -344,7 +289,7 @@ impl Backend for FaultBackend {
                 } else {
                     false
                 };
-            (ordinal, triggered, lost, t.rotten.contains(&id.0))
+            (ordinal, triggered, lost)
         };
         if triggered {
             self.bump(&self.state.counters.triggers_fired);
@@ -357,13 +302,7 @@ impl Backend for FaultBackend {
             self.bump(&self.state.counters.read_transients);
             return Err(transient_err("read", id));
         }
-        self.inner.read_frame(id, buf)?;
-        if rotten && !buf.is_empty() {
-            let bit = mix64(plan.seed ^ mix64(id.0 ^ SALT_ROT)) as usize % (buf.len() * 8);
-            buf[bit / 8] ^= 1 << (bit % 8);
-            self.bump(&self.state.counters.rotten_reads);
-        }
-        Ok(())
+        self.inner.read_frame(id, buf)
     }
 
     fn write_frame(&self, id: PageId, buf: &[u8]) -> Result<()> {
@@ -390,19 +329,26 @@ impl Backend for FaultBackend {
             return Err(transient_err("write", id));
         }
         // From here the write reaches media (possibly mangled), replacing
-        // whatever was stored: loss and pending rot are healed.
-        {
-            let mut t = self.state.tables.lock();
-            t.lost.remove(&id.0);
-            t.rotten.remove(&id.0);
-        }
-        if buf.len() >= 2 && decide(&plan, SALT_TORN, id.0, ordinal, plan.torn_write_p) {
-            self.bump(&self.state.counters.torn_writes);
+        // whatever was stored: a lost frame is healed.
+        self.state.tables.lock().lost.remove(&id.0);
+        if decide(&plan, SALT_TORN, id.0, ordinal, plan.torn_write_p) {
             let mut torn = vec![0u8; buf.len()];
             self.inner.read_frame(id, &mut torn)?; // old contents
-            let cut = 1 + mix64(plan.seed ^ mix64(id.0 ^ ordinal)) as usize % (buf.len() - 1);
-            torn[..cut].copy_from_slice(&buf[..cut]);
-            return self.inner.write_frame(id, &torn); // silent success
+            // Tear between the first and the last changed byte: the first
+            // lands, the last does not. A write that changes fewer than two
+            // bytes cannot be torn that way, and is not torn at all.
+            let differs = |(new, old): (&u8, &u8)| new != old;
+            let first = buf.iter().zip(&torn).position(differs);
+            let last = buf.iter().zip(&torn).rposition(differs);
+            if let (Some(first), Some(last)) = (first, last) {
+                if first < last {
+                    self.bump(&self.state.counters.torn_writes);
+                    let span = (last - first) as u64;
+                    let cut = first + 1 + (mix64(plan.seed ^ mix64(id.0 ^ ordinal)) % span) as usize;
+                    torn[..cut].copy_from_slice(&buf[..cut]);
+                    return self.inner.write_frame(id, &torn); // silent success
+                }
+            }
         }
         if !buf.is_empty() && decide(&plan, SALT_ROT, id.0, ordinal, plan.bit_rot_p) {
             self.bump(&self.state.counters.bit_rots);
@@ -421,18 +367,6 @@ impl Backend for FaultBackend {
 
     fn frame_count(&self) -> u64 {
         self.inner.frame_count()
-    }
-
-    fn resilience_stats(&self) -> ResilienceStats {
-        self.inner.resilience_stats()
-    }
-
-    fn reset_resilience_stats(&self) {
-        self.inner.reset_resilience_stats()
-    }
-
-    fn scrub(&self) -> Result<ScrubReport> {
-        self.inner.scrub()
     }
 }
 
@@ -535,52 +469,60 @@ mod tests {
     fn frame_loss_is_sticky_until_rewritten() {
         let (b, h) = fresh(FaultPlan::none(17));
         write_ok(&b, 2, 9);
-        h.lose_page(PageId(2));
+        h.set_plan(FaultPlan { frame_loss_p: 1.0, ..FaultPlan::none(17) });
         let mut buf = [0u8; 64];
+        assert!(!b.read_frame(PageId(2), &mut buf).unwrap_err().is_transient());
+        h.set_plan(FaultPlan::none(17));
         for _ in 0..3 {
             let err = b.read_frame(PageId(2), &mut buf).unwrap_err();
             assert!(!err.is_transient(), "loss must be permanent: {err}");
         }
-        assert_eq!(h.injected().total(), 0, "armed loss is not an injection event");
+        assert_eq!(h.injected().frames_lost, 1, "one loss, however often it is read");
         write_ok(&b, 2, 10); // rewrite heals
         b.read_frame(PageId(2), &mut buf).unwrap();
         assert_eq!(buf, [10u8; 64]);
     }
 
+    /// A torn write is never a lost write: over old/new frame pairs that
+    /// differ everywhere, in one payload byte, only in the payload's tail,
+    /// or from a never-written frame, the torn frame fails the store's
+    /// validity rule every time. A write that changes nothing is not torn.
     #[test]
-    fn pending_rot_corrupts_reads_until_rewrite() {
-        let (b, h) = fresh(FaultPlan::none(19));
-        write_ok(&b, 3, 0x55);
-        h.rot_page(PageId(3));
-        let mut buf = [0u8; 64];
-        b.read_frame(PageId(3), &mut buf).unwrap();
-        assert_ne!(buf, [0x55u8; 64], "rotten read must differ");
-        let diff: u32 = buf.iter().map(|x| (x ^ 0x55).count_ones()).sum();
-        assert_eq!(diff, 1, "by exactly one bit");
-        // Deterministic: the same bit every time.
-        let mut again = [0u8; 64];
-        b.read_frame(PageId(3), &mut again).unwrap();
-        assert_eq!(buf, again);
-        assert_eq!(h.injected().rotten_reads, 2);
-        write_ok(&b, 3, 0x66);
-        b.read_frame(PageId(3), &mut buf).unwrap();
-        assert_eq!(buf, [0x66u8; 64]);
-    }
-
-    #[test]
-    fn phased_plans_never_fire_on_the_same_access() {
-        // Same seed, phases 0.0 and 0.5: for every (page, ordinal) at most
-        // one of the two plans injects — the mirror-replica guarantee.
-        let pa = FaultPlan { torn_write_p: 0.3, bit_rot_p: 0.3, ..FaultPlan::none(23) };
-        let pb = pa.with_phase(0.5);
-        for id in 0..64u64 {
-            for ordinal in 1..=64u64 {
-                for salt in [SALT_TORN, SALT_ROT] {
-                    let fa = decide(&pa, salt, id, ordinal, 0.3);
-                    let fb = decide(&pb, salt, id, ordinal, 0.3);
-                    assert!(!(fa && fb), "phased plans overlapped at ({id}, {ordinal})");
-                }
+    fn every_torn_write_is_detectable() {
+        let framed = |payload: &[u8]| {
+            let mut frame = payload.to_vec();
+            frame.extend_from_slice(&crate::codec::fnv1a64(payload).to_le_bytes());
+            frame
+        };
+        let mut rng = pc_rng::Rng::seed_from_u64(29);
+        for i in 0..2_000u64 {
+            let mut old = vec![0u8; 56];
+            rng.fill_bytes(&mut old);
+            let mut new = old.clone();
+            match i % 4 {
+                0 => rng.fill_bytes(&mut new),
+                1 => new[rng.gen_range(0..56usize)] ^= 1 << (i % 8),
+                2 => new[rng.gen_range(48..56usize)..].iter_mut().for_each(|x| *x ^= 0x5a),
+                _ => new.fill(0),
             }
+            let (b, h) = fresh(FaultPlan::none(i));
+            if i % 8 != 3 {
+                b.write_frame(PageId(1), &framed(&old)).unwrap();
+            }
+            let torn = FaultPlan { torn_write_p: 1.0, ..FaultPlan::none(i) };
+            h.set_plan(torn);
+            let new = framed(&new);
+            b.write_frame(PageId(1), &new).unwrap();
+            assert_eq!(h.injected().torn_writes, 1, "pair {i} was not torn");
+            let mut buf = [0u8; 64];
+            b.read_frame(PageId(1), &mut buf).unwrap();
+            assert!(!crate::codec::frame_is_valid(&buf), "pair {i}: the tear went undetected");
+            h.set_plan(FaultPlan::none(i));
+            b.write_frame(PageId(1), &new).unwrap();
+            h.set_plan(torn);
+            b.write_frame(PageId(1), &new).unwrap();
+            b.read_frame(PageId(1), &mut buf).unwrap();
+            assert_eq!((h.injected().torn_writes, &buf[..]), (1, &new[..]), "pair {i}");
         }
     }
 

@@ -16,11 +16,11 @@
 //!   zero-copy `Arc` hand-out on hits (see DESIGN.md §"Buffer manager").
 //! * [`backend`] — where the bytes live: [`backend::MemBackend`] (RAM) or
 //!   [`backend::FileBackend`] (a real file, positional I/O).
-//! * [`fault`] / [`mirror`] — the failure-handling half: deterministic
-//!   seeded fault injection ([`FaultBackend`]) and N-way replication with
-//!   checksum-verified read failover and a scrub/repair pass
-//!   ([`MirrorBackend`]). The store layers bounded retries and a
-//!   quarantine set on top (see DESIGN.md §9 "Fault model & recovery").
+//! * [`fault`] — deterministic seeded fault injection ([`FaultBackend`]):
+//!   transient errors, frame loss, torn writes, bit rot. The store layers
+//!   checksums, bounded retries and a quarantine set on top (see DESIGN.md
+//!   §9 "Fault model & recovery"); replication is the router's replica
+//!   groups', one level up (DESIGN.md §15).
 //! * [`codec`] — bounds-checked little-endian cursors for page layouts.
 //! * [`layout`] — reusable on-page structures, most importantly
 //!   [`layout::BlockList`], the blocked linked list that implements every
@@ -48,7 +48,6 @@ pub mod crash;
 pub mod error;
 pub mod fault;
 pub mod layout;
-pub mod mirror;
 pub mod page;
 pub mod pool;
 pub mod recovery;
@@ -62,7 +61,6 @@ pub use backend::{ResilienceStats, ScrubReport};
 pub use crash::{CrashBackend, CrashController, CrashLog, CrashPlan};
 pub use error::{Result, StoreError};
 pub use fault::{FaultBackend, FaultHandle, FaultPlan, InjectionStats};
-pub use mirror::MirrorBackend;
 pub use page::Page;
 pub use pool::{BufferPool, ShardStats, ShardedPool};
 pub use recovery::RecoveryReport;

@@ -27,12 +27,6 @@ pub struct IoStats {
     /// Extra backend attempts issued by the retry layer after a transient
     /// fault (a fault-free run always reports 0).
     pub retries: u64,
-    /// Reads the primary replica could not serve that a mirror replica did
-    /// (0 unless the backend is a `MirrorBackend`).
-    pub failovers: u64,
-    /// Replica frames rewritten from a known-good copy, by read-repair or
-    /// `scrub()` (0 unless the backend is a `MirrorBackend`).
-    pub repairs: u64,
     /// Pages moved into the quarantine set after exhausting their retry
     /// budget (cumulative events, not the current set size).
     pub quarantined: u64,
@@ -100,8 +94,6 @@ impl Sub for IoStats {
             frees: self.frees.saturating_sub(rhs.frees),
             pool_evictions: self.pool_evictions.saturating_sub(rhs.pool_evictions),
             retries: self.retries.saturating_sub(rhs.retries),
-            failovers: self.failovers.saturating_sub(rhs.failovers),
-            repairs: self.repairs.saturating_sub(rhs.repairs),
             quarantined: self.quarantined.saturating_sub(rhs.quarantined),
         }
     }
@@ -112,7 +104,7 @@ impl fmt::Display for IoStats {
         write!(
             f,
             "reads={} writes={} hits={} allocs={} frees={} evictions={} \
-             retries={} failovers={} repairs={} quarantined={} hit_ratio={:.2}",
+             retries={} quarantined={} hit_ratio={:.2}",
             self.reads,
             self.writes,
             self.cache_hits,
@@ -120,8 +112,6 @@ impl fmt::Display for IoStats {
             self.frees,
             self.pool_evictions,
             self.retries,
-            self.failovers,
-            self.repairs,
             self.quarantined,
             self.hit_ratio()
         )
@@ -161,19 +151,17 @@ mod tests {
 
     #[test]
     fn resilience_counters_follow_saturating_delta_rules() {
-        // The four fault-layer counters obey the same snapshot/delta
+        // The two fault-layer counters obey the same snapshot/delta
         // semantics as the original six: exact deltas when monotonic,
         // clamped to 0 when snapshots interleave non-monotonically.
-        let a = IoStats { retries: 2, failovers: 1, repairs: 0, quarantined: 1, ..IoStats::default() };
-        let b = IoStats { retries: 7, failovers: 1, repairs: 3, quarantined: 1, ..IoStats::default() };
+        let a = IoStats { retries: 2, quarantined: 1, ..IoStats::default() };
+        let b = IoStats { retries: 7, quarantined: 3, ..IoStats::default() };
         let d = b - a;
         assert_eq!(d.retries, 5);
-        assert_eq!(d.failovers, 0);
-        assert_eq!(d.repairs, 3);
-        assert_eq!(d.quarantined, 0);
+        assert_eq!(d.quarantined, 2);
         let clamped = a - b;
         assert_eq!(clamped.retries, 0);
-        assert_eq!(clamped.repairs, 0);
+        assert_eq!(clamped.quarantined, 0);
     }
 
     #[test]
@@ -219,9 +207,7 @@ mod tests {
             frees: 5,
             pool_evictions: 6,
             retries: 7,
-            failovers: 8,
-            repairs: 9,
-            quarantined: 10,
+            quarantined: 8,
         }
         .to_string();
         for needle in [
@@ -232,9 +218,7 @@ mod tests {
             "frees=5",
             "evictions=6",
             "retries=7",
-            "failovers=8",
-            "repairs=9",
-            "quarantined=10",
+            "quarantined=8",
             "hit_ratio=0.75",
         ] {
             assert!(s.contains(needle), "{s} missing {needle}");

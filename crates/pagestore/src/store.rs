@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use pc_obs::IoEvent;
 use pc_sync::{Mutex, RwLock};
 
-use crate::backend::{Backend, FileBackend, MemBackend, ScrubReport};
-use crate::codec::fnv1a64;
+use crate::backend::{Backend, FileBackend, MemBackend};
+use crate::codec::{fnv1a64, frame_is_valid};
 use crate::error::{Result, StoreError};
 use crate::page::Page;
 use crate::pool::ShardedPool;
@@ -631,9 +631,10 @@ impl PageStore {
         let mut frame = vec![0u8; self.page_size + CHECKSUM_LEN];
         self.with_retry(id, || self.backend.read_frame(id, &mut frame))?;
         // Checksum failures are permanent (re-reading the same bytes cannot
-        // help; a mirror already exhausted its replicas below this point),
-        // so verification sits outside the retry loop.
-        verify_frame(&frame, self.page_size, id)?;
+        // help), so verification sits outside the retry loop.
+        if !frame_is_valid(&frame) {
+            return Err(StoreError::ChecksumMismatch(id));
+        }
         frame.truncate(self.page_size);
         Ok(Page::from(frame))
     }
@@ -774,21 +775,17 @@ impl PageStore {
             s.cache_hits = pool.hits();
             s.pool_evictions = pool.evictions();
         }
-        let rs = self.backend.resilience_stats();
-        s.failovers = rs.failovers;
-        s.repairs = rs.repairs;
         s
     }
 
-    /// Resets all I/O counters — including per-shard pool counters and the
-    /// backend's failover/repair counters — to zero (allocation state,
-    /// resident pages, and the quarantine set are untouched).
+    /// Resets all I/O counters — including per-shard pool counters — to
+    /// zero (allocation state, resident pages, and the quarantine set are
+    /// untouched).
     pub fn reset_stats(&self) {
         self.stats.reset();
         if let Some(pool) = &self.pool {
             pool.reset_stats();
         }
-        self.backend.reset_resilience_stats();
     }
 
     /// Number of buffer-pool shards (`0` in strict mode).
@@ -844,19 +841,15 @@ impl PageStore {
         self.quarantine_len.store(0, Ordering::Relaxed);
     }
 
-    /// Repair pass: flushes buffered dirty pages, asks the backend to
-    /// verify and repair its stored redundancy (a no-op for plain
-    /// backends; replica rewrite for [`crate::backend::MirrorBackend`]),
-    /// then clears the quarantine set — repaired pages get a fresh retry
-    /// budget.
-    pub fn scrub(&self) -> Result<ScrubReport> {
+    /// Flushes buffered dirty pages, then clears the quarantine set:
+    /// fenced pages get a fresh retry budget.
+    pub fn scrub(&self) -> Result<()> {
         let _span = pc_obs::span!("store.scrub");
         if let Some(pool) = &self.pool {
             pool.flush(|vid, vdata| self.backend_write(vid, vdata))?;
         }
-        let report = self.backend.scrub()?;
         self.clear_quarantine();
-        Ok(report)
+        Ok(())
     }
 
     /// Fault injection for tests: flips one byte of the stored frame for
@@ -886,18 +879,6 @@ impl PageStore {
         frame[byte_offset] ^= 0xff;
         self.backend.write_frame(id, &frame)
     }
-}
-
-fn verify_frame(frame: &[u8], page_size: usize, id: PageId) -> Result<()> {
-    let stored = u64::from_le_bytes(frame[page_size..page_size + CHECKSUM_LEN].try_into().unwrap());
-    if stored == 0 && frame[..page_size].iter().all(|&b| b == 0) {
-        // Never-written page: reads as zeroes by contract.
-        return Ok(());
-    }
-    if stored != fnv1a64(&frame[..page_size]) {
-        return Err(StoreError::ChecksumMismatch(id));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1164,40 +1145,9 @@ mod tests {
         handle.fail_nth_read(id, 1);
         handle.fail_nth_read(id, 2);
         assert!(matches!(store.read(id), Err(StoreError::Quarantined(_))));
-        let report = store.scrub().unwrap();
-        assert_eq!(report, ScrubReport::default(), "plain backend: nothing to scrub");
+        store.scrub().unwrap();
         assert!(store.quarantined_pages().is_empty());
         assert_eq!(&store.read(id).unwrap()[..6], b"healme");
-    }
-
-    #[test]
-    fn mirrored_store_masks_single_replica_corruption() {
-        let ra = crate::FaultBackend::new(
-            Box::new(MemBackend::new(64 + CHECKSUM_LEN)),
-            crate::FaultPlan::none(10),
-        );
-        let rb = crate::FaultBackend::new(
-            Box::new(MemBackend::new(64 + CHECKSUM_LEN)),
-            crate::FaultPlan::none(11),
-        );
-        let (ha, hb) = (ra.handle(), rb.handle());
-        let mirror = crate::MirrorBackend::new(vec![Box::new(ra), Box::new(rb)]);
-        let store = PageStore::new(StoreConfig::strict(64), Box::new(mirror));
-        let id = store.alloc().unwrap();
-        store.write(id, b"replicated").unwrap();
-        ha.rot_page(id);
-        let page = store.read(id).unwrap();
-        assert_eq!(&page[..10], b"replicated");
-        let s = store.stats();
-        assert_eq!((s.failovers, s.repairs), (1, 1));
-        assert_eq!(s.reads, 1, "failover is not an extra logical transfer");
-        // Both replicas rotten on a fresh write: corruption is *detected*.
-        store.write(id, b"again").unwrap();
-        ha.rot_page(id);
-        hb.rot_page(id);
-        assert!(matches!(store.read(id), Err(StoreError::ChecksumMismatch(_))));
-        store.reset_stats();
-        assert_eq!(store.stats(), IoStats::default(), "resilience counters reset too");
     }
 
     #[test]

@@ -104,7 +104,7 @@ fn pooled_store_quarantines_after_exhausted_fetch_retries() {
     // Fenced: no further backend traffic for a.
     assert!(matches!(store.read(a), Err(StoreError::Quarantined(_))));
     assert_eq!(store.stats().reads, s.reads, "quarantined reads are not transfers");
-    // scrub flushes the pool (b is dirty), repairs, and lifts the fence.
+    // scrub flushes the pool (b is dirty) and lifts the fence.
     store.scrub().unwrap();
     assert!(store.quarantined_pages().is_empty());
     assert_eq!(&store.read(a).unwrap()[..], &[3; PAGE]);

@@ -18,11 +18,16 @@
 //!
 //! * each logical shard is a **replica group** of ≥ 1 `pc-serve`
 //!   instances; reads go to one replica (round-robin) and **fail over**
-//!   to the next on a connection error, a deadline, or a transient typed
-//!   error ([`crate::wire::ErrorCode::is_transient`]);
+//!   to the next on a connection error, a deadline, a transient typed
+//!   error ([`crate::wire::ErrorCode::is_transient`]), or `Storage` — one
+//!   replica's page store failing, say a corrupt page. That replica stays
+//!   in the read path (it is caught up; its other pages serve). This is
+//!   the workspace's one replication mechanism: a corrupt page is masked
+//!   while one replica's copy is good, and is not repaired in place;
 //! * idempotent queries are **retried** under the seeded-jitter
 //!   [`RetryPolicy`] (capped exponential backoff) after a full cycle of
-//!   replicas failed;
+//!   replicas failed transiently; when every healthy replica answered
+//!   `Storage` the read fails at once, with that code;
 //! * updates are routed to the owning shard and fanned out to **every
 //!   healthy replica**; the update is acknowledged iff at least one
 //!   replica acked, and every replica that did *not* ack an acked update
@@ -696,12 +701,18 @@ impl Router {
                 tried_any = true;
                 match replica.call(target, deadline_ms, op) {
                     Ok(Response { body: Body::Error { code, message }, .. }) => {
-                        typed.get_or_insert((code, message));
-                        if !code.is_transient() {
+                        if !code.is_transient() && code != ErrorCode::Storage {
                             // Deterministic failure: identical everywhere.
+                            typed = Some((code, message));
                             break;
                         }
-                        // Transient: fail over to the next replica.
+                        // Transient, or this replica's page store failed
+                        // (`Storage`; the replica stays healthy): fail over.
+                        // A transient answer outranks `Storage` — it may
+                        // pass on a later cycle.
+                        if typed.as_ref().is_none_or(|(c, _)| !c.is_transient()) {
+                            typed = Some((code, message));
+                        }
                     }
                     Ok(resp) => {
                         shard.stats.latency_ns.record(started.elapsed().as_nanos() as u64);
@@ -713,9 +724,10 @@ impl Router {
                     }
                 }
             }
-            // A full replica cycle failed. Deterministic typed errors are
-            // final; transient conditions and dead groups go through the
-            // backoff schedule (queries are idempotent — safe to retry).
+            // A full replica cycle failed. Deterministic typed errors, and
+            // `Storage` from every replica that answered, are final;
+            // transient conditions and dead groups go through the backoff
+            // schedule (queries are idempotent — safe to retry).
             if let Some((code, _)) = typed {
                 if !code.is_transient() || !cfg.retry.should_retry(attempt) {
                     let (code, message) = typed.expect("just matched");

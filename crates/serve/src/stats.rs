@@ -112,8 +112,8 @@ impl ServeStats {
     }
 }
 
-/// The shared store's [`IoStats`] (the resilience counters included) as
-/// `io_*` pairs — carried by the ADMIN `Stats` body only.
+/// The shared store's [`IoStats`] (the retry and quarantine counters
+/// included) as `io_*` pairs — carried by the ADMIN `Stats` body only.
 pub fn io_stat_pairs(io: &IoStats) -> Vec<(String, u64)> {
     [
         ("io_reads", io.reads),
@@ -123,8 +123,6 @@ pub fn io_stat_pairs(io: &IoStats) -> Vec<(String, u64)> {
         ("io_frees", io.frees),
         ("io_pool_evictions", io.pool_evictions),
         ("io_retries", io.retries),
-        ("io_failovers", io.failovers),
-        ("io_repairs", io.repairs),
         ("io_quarantined", io.quarantined),
     ]
     .into_iter()

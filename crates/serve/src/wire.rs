@@ -527,9 +527,12 @@ impl ErrorCode {
     /// True for load-dependent conditions a caller may reasonably retry
     /// (elsewhere, or later, with backoff): the answer depends on *when*
     /// and *where* the request ran, not on the request itself. The router
-    /// fails reads over to another replica on these; `BadRequest` /
-    /// `Unsupported` / `Storage` would fail identically everywhere and are
-    /// surfaced immediately.
+    /// fails reads over to another replica on these and backs off after a
+    /// full cycle. `BadRequest` / `Unsupported` would fail identically
+    /// everywhere and are surfaced immediately. `Storage` is one node's
+    /// page store failing (a checksum, a quarantined page, I/O): the router
+    /// fails a read over on it too, since another replica's copy may serve,
+    /// but fails the read at once when every healthy replica answered it.
     pub fn is_transient(self) -> bool {
         self.row().1 .1
     }

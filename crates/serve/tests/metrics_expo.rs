@@ -269,12 +269,10 @@ fn spawn_durable() -> pc_serve::ServerHandle {
 const STATS_NAMES: &[&str] = &[
     "io_allocs",
     "io_cache_hits",
-    "io_failovers",
     "io_frees",
     "io_pool_evictions",
     "io_quarantined",
     "io_reads",
-    "io_repairs",
     "io_retries",
     "io_writes",
     "pc_serve_admitted_total",

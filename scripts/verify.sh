@@ -15,8 +15,9 @@
 #   --chaos   additionally re-run the fault-injection and shard-fabric
 #             suites and the oracle under a fresh random seed and a hard
 #             timeout (the fixed-seed runs are already part of the
-#             workspace tests above). The seed is printed so a failure can
-#             be reproduced verbatim with PC_CHAOS_SEED=<seed>.
+#             workspace tests above), and tests/chaos.rs at every seed
+#             1-64. The seed is printed so a failure can be reproduced
+#             verbatim with PC_CHAOS_SEED=<seed>.
 #   --crash   additionally run the crash-point suite (kill-point matrices,
 #             store durability, WAL codec properties) under a hard timeout —
 #             a recovery hang is a failure, not a stall.
@@ -104,8 +105,8 @@ echo "OK: all $COUNT packages are workspace-local, declare no feature and use wh
 
 # CHANGES.md quotes the size gates of these crates; printing them here
 # keeps a gate and its check one command.
-echo "==> scripts/loc.sh serve pst btree segtree (non-test source lines)"
-scripts/loc.sh serve pst btree segtree
+echo "==> scripts/loc.sh serve pst btree segtree pagestore (non-test source lines)"
+scripts/loc.sh serve pst btree segtree pagestore
 
 if [ "$RUN_CHAOS" = 1 ]; then
     # On failure, rerun the printed command to reproduce the exact
@@ -117,6 +118,15 @@ if [ "$RUN_CHAOS" = 1 ]; then
     PC_CHAOS_SEED="$CHAOS_SEED" timeout 300 cargo test -q --offline \
         --test chaos --test cluster_chaos --test oracle
     echo "OK: chaos suites green under seed $CHAOS_SEED"
+    # A fixed sweep as well: a fault class that only some seeds reach (a
+    # torn write that loses the write, found by sweeping by hand) shows
+    # here on every run, not on one fresh seed in twenty.
+    echo "==> tests/chaos.rs at PC_CHAOS_SEED 1..64"
+    for seed in $(seq 1 64); do
+        PC_CHAOS_SEED="$seed" timeout 120 cargo test -q --offline --test chaos >/dev/null \
+            || { echo "ERROR: tests/chaos.rs fails at PC_CHAOS_SEED=$seed" >&2; exit 1; }
+    done
+    echo "OK: tests/chaos.rs green at seeds 1..64"
 fi
 
 if [ "$RUN_CRASH" = 1 ]; then

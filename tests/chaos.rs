@@ -9,26 +9,32 @@
 //! - **transient-only faults + retries**: invisible — the full log matches
 //!   the golden one bit-for-bit, and so do the transfer counts (retries are
 //!   not transfers).
-//! - **2-way mirror under phased silent corruption**: invisible — the two
-//!   replicas share a seed but sit half a phase apart, so no frame is ever
-//!   torn on both at once and read-failover always finds a good copy.
 //! - **single backend under full chaos**: every completed operation matches
 //!   the golden prefix; the first failure (if any) is a clean `Err`.
+//! - **corruption walk**: a corrupt page is detected on one store, and
+//!   masked by a router replica group whose other replica holds it intact.
 //!
 //! Seeds are fixed by default; set `PC_CHAOS_SEED=<u64>` to explore fresh
-//! scenarios (`scripts/verify.sh --chaos` does both). Every assertion
-//! message carries the seed so a failure is reproducible verbatim.
+//! scenarios (`scripts/verify.sh --chaos` does both, and sweeps seeds
+//! 1–64). Every assertion message carries the seed so a failure is
+//! reproducible verbatim.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use pc_btree::BTree;
+use pc_obs::shard_metrics::FAILOVERS;
 use pc_pagestore::backend::MemBackend;
 use pc_pagestore::{
-    FaultBackend, FaultHandle, FaultPlan, MirrorBackend, PageStore, RetryPolicy, StoreConfig,
-    StoreError,
+    FaultBackend, FaultHandle, FaultPlan, PageStore, RetryPolicy, StoreConfig, StoreError,
 };
 use pc_pst::{DynamicPst, DynamicThreeSidedPst, SegmentedPst, ThreeSidedPst, TwoLevelPst};
 use pc_rng::Rng;
+use pc_serve::wire::{Body, ErrorCode, Op};
+use pc_serve::{
+    PstTarget, Registry, Router, RouterConfig, RouterError, Server, ServerConfig, ServerHandle,
+    Service,
+};
 
 use path_caching::intervaltree::ExternalIntervalTree;
 use path_caching::segtree::{CachedSegmentTree, NaiveSegmentTree};
@@ -337,57 +343,6 @@ fn transient_faults_are_fully_absorbed_by_retries() {
     assert!(total_retries > 0, "the transient plan never fired — chaos was a no-op (seed={seed})");
 }
 
-/// A 2-way mirror whose replicas share a seed but sit half a phase apart:
-/// torn writes land on at most one replica per operation, so failover and
-/// read-repair reconstruct the fault-free answers bit-for-bit.
-#[test]
-fn mirrored_chaos_is_bit_identical_to_fault_free() {
-    let seed = chaos_seed();
-    // One silent-corruption kind only: phase disjointness holds per fault
-    // kind (same salt), so mixing torn + rot across replicas could corrupt
-    // both copies of a frame in one operation. Torn-only keeps "the mirror
-    // always has a good copy" a certainty instead of a likelihood.
-    let plan_a = FaultPlan {
-        read_transient_p: 0.01,
-        write_transient_p: 0.01,
-        torn_write_p: 0.04,
-        ..FaultPlan::none(seed)
-    };
-    let plan_b = plan_a.with_phase(0.5);
-    let retry = RetryPolicy { max_attempts: 6, backoff: None };
-    let (mut injected, mut failovers, mut repairs) = (0, 0, 0);
-    for &(name, f) in SCENARIOS {
-        let (want, _) = golden(name, f, seed);
-        let ra = FaultBackend::new(Box::new(MemBackend::new(PAGE + 8)), plan_a);
-        let rb = FaultBackend::new(Box::new(MemBackend::new(PAGE + 8)), plan_b);
-        let (ha, hb) = (ra.handle(), rb.handle());
-        let mirror = MirrorBackend::new(vec![Box::new(ra), Box::new(rb)]);
-        let store =
-            PageStore::new(StoreConfig::strict(PAGE).with_retry(retry), Box::new(mirror));
-        let (got, outcome) = run_guarded(name, f, &store, seed);
-        if let Err(e) = outcome {
-            panic!("scenario {name}: mirrored run failed cleanly but failed (seed={seed}): {e}");
-        }
-        assert_eq!(got, want, "scenario {name}: mirror leaked corruption (seed={seed})");
-        injected += ha.injected().total() + hb.injected().total();
-        let s = store.stats();
-        failovers += s.failovers;
-        repairs += s.repairs;
-        // A final scrub leaves both replicas in agreement and repairs
-        // whatever torn frames were never read back.
-        let report = store.scrub().unwrap_or_else(|e| {
-            panic!("scenario {name}: scrub failed (seed={seed}): {e}")
-        });
-        assert_eq!(
-            report.unrecoverable, 0,
-            "scenario {name}: scrub found an unrecoverable frame (seed={seed})"
-        );
-    }
-    assert!(injected > 0, "the chaos plans never fired (seed={seed})");
-    assert!(failovers > 0, "no read ever failed over — mirror was never exercised (seed={seed})");
-    assert!(repairs > 0, "no replica was ever repaired (seed={seed})");
-}
-
 /// A single backend under full chaos (torn writes + bit rot + transients):
 /// silent corruption may surface, but only ever as a clean checksum error —
 /// every operation that completes matches the golden log, and nothing
@@ -436,11 +391,13 @@ fn single_backend_chaos_never_panics_or_lies() {
 }
 
 /// The corruption walk: corrupt every live page in turn. On a single
-/// backend each walk step either leaves the answers untouched (the page was
-/// not read) or surfaces `ChecksumMismatch` for exactly that page; on a
-/// 2-way mirror the answers never change at all.
+/// store each walk step either leaves the answers untouched (the page was
+/// not read) or surfaces `ChecksumMismatch` for exactly that page. Through
+/// a router over a two-replica shard with one replica's page corrupt the
+/// answers never change at all — the read fails over — and with every page
+/// corrupt on both replicas the answer is a typed `Storage` error.
 #[test]
-fn corruption_walk_is_detected_bare_and_masked_mirrored() {
+fn corruption_walk_is_detected_bare_and_masked_routed() {
     let seed = chaos_seed();
     let mut rng = Rng::seed_from_u64(seed ^ 0x3a1c);
     let points = gen_points(&mut rng, 250);
@@ -448,7 +405,7 @@ fn corruption_walk_is_detected_bare_and_masked_mirrored() {
         .map(|_| TwoSided { x0: rng.gen_range(-20i64..420), y0: rng.gen_range(-20i64..420) })
         .collect();
 
-    // Bare backend: corruption must be *detected* — never a panic, never a
+    // Bare store: corruption must be *detected* — never a panic, never a
     // silently different answer.
     let store = PageStore::in_memory(PAGE);
     let pst = TwoLevelPst::build(&store, &points).unwrap();
@@ -485,32 +442,53 @@ fn corruption_walk_is_detected_bare_and_masked_mirrored() {
     }
     assert!(detections > 0, "no corruption was ever read back — walk was a no-op (seed={seed})");
 
-    // Mirrored: the same walk (single-replica rot) must be fully *masked*.
-    let ra = FaultBackend::new(Box::new(MemBackend::new(PAGE + 8)), FaultPlan::none(1));
-    let rb = FaultBackend::new(Box::new(MemBackend::new(PAGE + 8)), FaultPlan::none(2));
-    let ha = ra.handle();
-    let mirror = MirrorBackend::new(vec![Box::new(ra), Box::new(rb)]);
-    let store = PageStore::new(
-        StoreConfig::strict(PAGE).with_retry(RetryPolicy::default()),
-        Box::new(mirror),
-    );
-    let pst = TwoLevelPst::build(&store, &points).unwrap();
-    let answer = |q: TwoSided| {
-        pst.query(&store, q).map(|got| fmt_ids(got.iter().map(|p| p.id).collect()))
+    // Routed: one shard, two replicas built alike (same pages, same ids).
+    let replicas: Vec<ServerHandle> = (0..2)
+        .map(|_| {
+            let store = Arc::new(PageStore::in_memory(PAGE));
+            let mut registry = Registry::new();
+            let pst = TwoLevelPst::build(&store, &points).unwrap();
+            registry.register("pst", Box::new(PstTarget(pst)));
+            Server::spawn(Service { store, registry }, ServerConfig::default()).unwrap()
+        })
+        .collect();
+    let group: Vec<_> = replicas.iter().map(ServerHandle::addr).collect();
+    let router = Router::connect(&[group], Vec::new(), RouterConfig::default()).unwrap();
+    let routed = |q: TwoSided| match router.query(0, 0, &Op::TwoSided { x0: q.x0, y0: q.y0 }) {
+        Ok(Body::Points(got)) => Ok(fmt_ids(got.iter().map(|p| p.id).collect())),
+        Ok(other) => panic!("routed query answered {other:?} (seed={seed})"),
+        Err(e) => Err(e),
     };
-    let golden: Vec<String> = queries.iter().map(|&q| answer(q).unwrap()).collect();
-    store.reset_stats();
-    for id in store.allocated_pages() {
-        ha.rot_page(id);
+    let stores: Vec<&Arc<PageStore>> = replicas.iter().map(ServerHandle::store).collect();
+    let pages = stores[0].allocated_pages();
+    assert_eq!(pages, stores[1].allocated_pages(), "replicas built differently (seed={seed})");
+    // Every page of replica 0 corrupt in turn: the group masks each one.
+    for &id in &pages {
+        stores[0].inject_corruption(id, 1).unwrap();
         for (i, &q) in queries.iter().enumerate() {
-            let got = answer(q).unwrap_or_else(|e| {
-                panic!("mirror failed to mask rot on page {id:?} (seed={seed}): {e}")
+            let got = routed(q).unwrap_or_else(|e| {
+                panic!("the group failed to mask page {id:?} of replica 0 (seed={seed}): {e}")
             });
-            assert_eq!(got, golden[i], "mirror changed an answer (page {id:?}, seed={seed})");
+            assert_eq!(got, golden[i], "routed answer changed (page {id:?}, seed={seed})");
         }
-        ha.heal_page(id);
+        stores[0].inject_corruption(id, 1).unwrap();
     }
-    let s = store.stats();
-    assert!(s.failovers > 0, "no query ever read a rotten page — walk was a no-op (seed={seed})");
-    assert!(s.repairs > 0, "read-repair never fired (seed={seed})");
+    let failovers = router
+        .stat_pairs()
+        .into_iter()
+        .find(|(name, _)| name == &format!("{FAILOVERS}{{shard=\"0\"}}"))
+        .map_or(0, |(_, v)| v);
+    assert!(failovers > 0, "no read ever failed over — walk was a no-op (seed={seed})");
+    // Every page corrupt on both replicas: a typed `Storage` error, at once.
+    for store in &stores {
+        pages.iter().for_each(|&id| store.inject_corruption(id, 1).unwrap());
+    }
+    for &q in &queries {
+        match routed(q) {
+            Err(RouterError::Shard { shard: 0, code: ErrorCode::Storage, .. }) => {}
+            other => panic!("expected a typed Storage error, got {other:?} (seed={seed})"),
+        }
+    }
+    router.shutdown();
+    replicas.into_iter().for_each(ServerHandle::join);
 }
