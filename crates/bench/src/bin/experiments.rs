@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use pc_bench::{
     basic_constants, btree_constants, dynamic_churn_pages, f1, f2, interval_tree_constants,
-    log_base, multilevel_constants, segmented_constants, segtree_constants, three_sided_constants,
+    log_base, multilevel_constants, points_block, segmented_constants, segtree_constants, three_sided_constants,
     to_intervals, to_points, two_level_constants, BTreeConstants, SegTreeConstants, Spread, Table,
     TwoSidedConstants, TwoSidedPin, TwoSidedPst, BASIC_PINS, BTREE_PINS, DYNAMIC_CHURN_FACTOR,
     INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS, SEGMENTED_PINS, SEGTREE_PINS,
@@ -26,7 +26,7 @@ use pc_bench::{
 };
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pagestore::{Frame, PageStore, Point};
+use pc_pagestore::{PageStore, Point};
 use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, SegmentedPst,
     ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
@@ -41,11 +41,10 @@ const PAGE: usize = 4096;
 /// Records per block at PAGE bytes in `pc-segtree`, which stores intervals
 /// at their full 24 bytes.
 const B: f64 = 170.0;
-/// The block unit at PAGE bytes of a PST storing its points at `frame`:
-/// cache entries per block, which is also the points per node (408 at 4 KiB
-/// for the generators' 20-bit data from 65 536 ids on, 163 at `Frame::WIDE`).
-fn b_pst(frame: Frame) -> f64 {
-    pc_pst::block_capacity(PAGE, frame) as f64
+/// The PSTs' `B` at PAGE bytes as `points` set it: their mean count a block
+/// of the block codec ([`points_block`]).
+fn b_pst(points: &[Point]) -> f64 {
+    points_block(points, PAGE) as f64
 }
 
 /// What EXPERIMENTS.md opens with, ahead of the sections; [`preface`] fills
@@ -61,13 +60,14 @@ re-measures one stated bound in the strict I/O model: a pool-less `PageStore` (e
 is one I/O), 4096-byte pages, seeded `pc-workloads` generators, means over 30–100 queries. Every
 number is a count, so reruns are byte-identical. \"pages\" is `live_pages()` after the build.
 
-**`B` is stated per table.** The segment tree stores fixed-width records (170 24-byte intervals);
-the PSTs and the interval tree store theirs at the narrowest `Frame` holding the data, so `B` is
-the structure's capacity at `(page, frame)`: 408 (PSTs) / 454 (interval tree) for the generators'
-20-bit coordinates from 65 536 ids on, 454 / 510 below. \"Full\" rows stretch the same data over
-all 64 bits (`Frame::WIDE`, `B` = 163 / 170). Each B-tree node stores its keys as gaps and its
-values as offsets at the bit widths of its own data, so the B-tree's `B` is entries per leaf as
-built: {btree_b} for E1's million keys.
+**`B` is stated per table, as the data set it.** Every list of records is stored in the block
+codec: each block holds a base, a bit width and an offset-or-gap coding per column, and as many
+records as fit its page. So the PSTs' `B` is the data's mean count a block (points blocked by
+descending y, or the structure's census) and the interval tree's the mean fill of its intervals
+blocked by `lo`; \"Full\" rows stretch the same data over all 64 bits. The segment tree's `B` is
+170, the 24-byte intervals its shared regions hold a page. Each B-tree node stores its keys as
+gaps and its values as offsets the same way, so the B-tree's `B` is entries per leaf as built:
+{btree_b} for E1's million keys.
 
 **Reading guide.** The claims are asymptotic and worst-case; the constants are ours. Per section:
 query I/O tracks `log_B n + t/B`, not `log₂ n + t/B`; space tracks the claimed factor's growth;
@@ -347,14 +347,14 @@ fn e4_interval_tree() {
     println!("Claim: query `O(log_B n + t/B)`, space `O((n/B)·log B)` blocks. Space is 0.8–1.0×");
     println!("the idealised `(n/B)·log₂ B`, linear in n; query I/O is 1.6–2.0× the ideal.\n");
     let mut table = Table::new(&[
-        "n", "frame", "B", "pages", "(n/B)·log2 B", "avg t", "avg query I/O", "log_B n + t/B",
+        "n", "B", "pages", "(n/B)·log2 B", "avg t", "avg query I/O", "log_B n + t/B",
     ]);
     for n in [10_000usize, 50_000, 200_000] {
         let raw = gen_intervals(n, IntervalDist::UniformLen { max_len: 20_000 }, 6);
         let intervals = to_intervals(&raw);
         let store = PageStore::in_memory(PAGE);
         let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
-        let b = pc_intervaltree::block_capacity(PAGE, tree.frame()) as f64;
+        let b = tree.block_capacity() as f64;
         let pages = store.live_pages();
         let stabs = gen_stabbing(&raw, 100, 7);
         store.reset_stats();
@@ -366,7 +366,6 @@ fn e4_interval_tree() {
         let t_avg = t_total as f64 / stabs.len() as f64;
         table.row(vec![
             n.to_string(),
-            tree.frame().to_string(),
             b.to_string(),
             pages.to_string(),
             f1(n as f64 / b * b.log2()),
@@ -411,7 +410,7 @@ fn pst_experiment<P: TwoSidedPst>(
     by_class: Option<ByClass<'_, P>>,
 ) {
     let mut headers =
-        vec!["n", "frame", "B", "pages", space_label, "avg t", "avg query I/O", "log_B n + t/B"];
+        vec!["n", "B", "pages", space_label, "avg t", "avg query I/O", "log_B n + t/B"];
     headers.extend(by_class.map(|(label, _)| label));
     let mut table = Table::new(&headers);
     for n in [20_000usize, 100_000, 400_000] {
@@ -419,7 +418,7 @@ fn pst_experiment<P: TwoSidedPst>(
         let points = to_points(&raw);
         let store = PageStore::in_memory(PAGE);
         let pst = P::build_on(&store, &points);
-        let b = b_pst(pst.stored_at());
+        let b = b_pst(&points);
         let pages = store.live_pages();
         let queries = gen_two_sided(&raw, 100, n / 50, 9);
         store.reset_stats();
@@ -431,7 +430,6 @@ fn pst_experiment<P: TwoSidedPst>(
         let t_avg = t_total as f64 / queries.len() as f64;
         let mut row = vec![
             n.to_string(),
-            pst.stored_at().to_string(),
             b.to_string(),
             pages.to_string(),
             f1(space_pred(n as f64, b)),
@@ -518,7 +516,7 @@ fn e5_basic_pst() {
 fn e6_segmented_pst() {
     println!("## E6 — Theorem 3.2: segmented PST, log B-sized cache segments\n");
     println!("Claim: the same queries at space `O((n/B)·log B)` blocks: about half of E5's pages");
-    println!("at every size, the smallest rung measured.\n");
+    println!("from 100k on (at 20k both trees are one segment), the smallest rung up to 100k.\n");
     pst_experiment::<SegmentedPst>("(n/B)·log2 B", |n, b| n / b * b.log2(), None);
     pinned_two_sided("E6", "(n/B)·log2 B", &LADDER_PIN_SIZES, SEGMENTED_PINS, segmented_constants);
 }
@@ -528,10 +526,10 @@ fn e7_two_level_pst() {
     println!("## E7 — Theorem 4.3: two-level recursive PST\n");
     println!("Claim: the same queries at space `O((n/B)·loglog B)` blocks; the last column is");
     println!("the page census. ⚠️ Constant-factor deviation from the asymptotic ladder: X- and");
-    println!("Y-lists are two more copies of the data, and every region has an inner PST, so at");
-    println!("`B` = 408 this is *above* E6 on space (a bigger block shrinks `log B` levels of");
-    println!("caches faster than two data copies), below E5, and reads the fewest pages");
-    println!("per large scan.\n");
+    println!("Y-lists are two more copies of the data, and every region has an inner PST, so up");
+    println!("to 100k this is *above* E6 on space (a bigger block shrinks `log B` levels of");
+    println!("caches faster than two data copies) and below it at 400k; below E5, and it reads");
+    println!("the fewest pages per large scan.\n");
     pst_experiment::<TwoLevelPst>(
         "(n/B)·loglog2 B",
         |n, b| n / b * b.log2().log2(),
@@ -561,7 +559,7 @@ fn e8_multilevel_space() {
     for levels in 1..=4u32 {
         let store = PageStore::in_memory(PAGE);
         let pst = MultilevelPst::build(&store, &points, levels).unwrap();
-        let b = b_pst(pst.frame());
+        let b = b_pst(&points);
         let pages = store.live_pages();
         store.reset_stats();
         let mut t_total = 0usize;
@@ -592,13 +590,12 @@ fn e9_three_sided() {
     println!("Claim: query `O(log_B n + t/B)`, space `O((n/B)·log² B)` blocks. Query I/O is");
     println!("1.2–1.9× the idealised bound (two boundary walks), by class of read: a directory");
     println!("costs one only where it spilled from its skeletal page's tail (n = 100k: corners on");
-    println!("the one full page). Space lands far below the `log² B` budget and above E6's and");
-    println!("E7's — the paper's \"slightly higher storage\" — and is a sawtooth in n (DESIGN.md");
+    println!("the one full page). Space lands far below the `log² B` budget and, up to 100k,");
+    println!("above E6's and E7's — the paper's \"slightly higher storage\" — a sawtooth in n (DESIGN.md");
     println!("§12). `c1` at t ≈ 4096 is what a query pays per node it meets, in whole blocks,");
     println!("against few blocks of output; below 0, less than the form's `2·⌈t/B⌉`.\n");
     let mut table = Table::new(&[
         "n",
-        "frame",
         "B",
         "pages",
         "skeletal/Y/A/S/directory",
@@ -632,7 +629,6 @@ fn e9_three_sided() {
         let t_avg = t_total as f64 / queries.len() as f64;
         table.row(vec![
             n.to_string(),
-            census.frame.to_string(),
             b.to_string(),
             pages.to_string(),
             by_class(&census),
@@ -645,8 +641,8 @@ fn e9_three_sided() {
     }
     table.print();
 
-    println!("pinned constants, worst of 150 queries; the first size of either spread is the peak");
-    println!("of its space sawtooth, 15 full nodes and 16 leaves of one point:");
+    println!("pinned constants, worst of 150 queries; the first size of either spread was the peak");
+    println!("of its space sawtooth at fixed-count blocks, 15 full nodes and 16 one-point leaves:");
     println!("pages <= c·(n/B)·log2²B, reads <= c1·ceil(log_B n) + 2·ceil(t/B)\n");
     let mut pinned = Table::new(&[
         "data", "n", "B", "pages", "skeletal/Y/A/S/directory", "c", "pin", "c1 t≈16", "pin",
@@ -677,6 +673,27 @@ fn e9_three_sided() {
     if !within {
         past_pin(format_args!("E9: the 3-sided PST passed its pinned constants"));
     }
+
+    // ROADMAP 10(i): reads are flat in n only while the directories ride in
+    // the skeletal pages' tails.
+    let n = 2_000_000usize;
+    let raw = gen_points(n, PointDist::Uniform, 11);
+    let store = PageStore::in_memory(PAGE);
+    let pst = ThreeSidedPst::build(&store, &to_points(&raw)).unwrap();
+    let reads = [16, 4096].map(|t| {
+        let queries = gen_three_sided(&raw, 500, t, 11);
+        store.reset_stats();
+        for q in &queries {
+            pst.query(&store, ThreeSided { x1: q.x1, x2: q.x2, y0: q.y0 }).unwrap();
+        }
+        store.stats().reads as f64 / queries.len() as f64
+    });
+    println!(
+        "n = 2M (seed 11, 500 queries a t): {} pages, {} reads a query at t ≈ 16, {} at t ≈ 4096\n",
+        store.live_pages(),
+        f2(reads[0]),
+        f1(reads[1])
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -686,14 +703,13 @@ fn e9_three_sided() {
 fn e10_dynamic_pst() {
     println!("## E10 — Theorem 5.1: dynamic two-level PST\n");
     println!("Claim: amortised update `O(log_B n)`; queries stay `O(log_B n + t/B)` under churn;");
-    println!("space `O((n/B)·loglog B)`. Update I/O is flat in n from 100k on (≈ 5·log_B n:");
+    println!("space `O((n/B)·loglog B)`. Update I/O is flat in n from 100k on (≈ 3·log_B n:");
     println!("per-flush list rebuilds amortised over a buffer page). Dirty queries are E7's plus");
     println!("the buffer reads. `pages/(n/B)` follows the updates: an inner tree rebuilt near its");
     println!("fullest takes more blocks than a fresh one (ROADMAP 6c), which the churn factor");
-    println!("below bounds. Fresh ids follow the initial ones: no insert widens a frame.\n");
+    println!("below bounds.\n");
     let mut table = Table::new(&[
         "n",
-        "frame",
         "B",
         "insert I/O",
         "delete I/O",
@@ -709,9 +725,6 @@ fn e10_dynamic_pst() {
         let store = PageStore::in_memory(PAGE);
         let mut pst = DynamicPst::build(&store, &points).unwrap();
 
-        // Fresh ids follow the initial ones: none needs a wider frame than
-        // the build chose (n = 20 000: two id bytes), so no update rebuilds
-        // the structure to widen it.
         let updates = (n / 10).clamp(1_000, 20_000);
         let extra = to_points(&gen_points(updates, PointDist::Uniform, 15));
         store.reset_stats();
@@ -738,7 +751,6 @@ fn e10_dynamic_pst() {
         let q_io = store.stats().reads as f64 / queries.len() as f64;
         table.row(vec![
             n.to_string(),
-            census.frame.to_string(),
             b.to_string(),
             f1(ins_io),
             f1(del_io),
@@ -780,8 +792,7 @@ fn e11_dynamic_three_sided() {
         let points = to_points(&raw);
         let store = PageStore::in_memory(PAGE);
         let mut pst = DynamicThreeSidedPst::build(&store, &points).unwrap();
-        // Fresh ids follow the initial ones, in the frame the build chose.
-        let b = b_pst(Frame::of(&points));
+        let b = b_pst(&points);
         let updates = 2_000usize;
         let extra = to_points(&gen_points(updates, PointDist::Uniform, 18));
         store.reset_stats();
@@ -840,7 +851,7 @@ fn e12_naive_vs_cached() {
         let naive = NaivePst::build(&store, &points).unwrap();
         let seg = SegmentedPst::build(&store, &points).unwrap();
         let two = TwoLevelPst::build(&store, &points).unwrap();
-        let b = b_pst(two.frame());
+        let b = b_pst(&points);
         // Deep corner, empty output: x0 beyond the domain, y0 = 0.
         let queries: Vec<TwoSided> =
             (0..30).map(|i| TwoSided { x0: 1_000_001 + i, y0: 0 }).collect();
@@ -902,7 +913,7 @@ fn e13_interval_management() {
         intervals.iter().map(|iv| Point::new(-iv.lo, iv.hi, iv.id)).collect();
     let pst = SegmentedPst::build(&store, &points).unwrap();
     // The PST's block: the `t/B` of every row.
-    let b = b_pst(pst.frame());
+    let b = b_pst(&points);
     store.reset_stats();
     let mut t_total = 0usize;
     for q in &stabs {
@@ -932,8 +943,8 @@ fn e13_interval_management() {
     // Full scan: n/B pages per query by definition.
     let scan_io = n as f64 / b;
 
-    let (frame, b_tree) = (pst.frame(), btree.census(&store2).unwrap().mean_leaf_fill);
-    println!("B = {b} (points stored at {frame}); the B-tree's leaves hold {b_tree:.0} entries on");
+    let b_tree = btree.census(&store2).unwrap().mean_leaf_fill;
+    println!("B = {b} (the points' mean a block); the B-tree's leaves hold {b_tree:.0} entries on");
     println!("average.\n");
     let mut table = Table::new(&["method", "avg stab I/O", "avg t", "t/B"]);
     table.row(vec!["path-cached PST".into(), f1(pst_io), f1(t_avg), f1(t_avg / b)]);
@@ -948,9 +959,9 @@ fn e13_interval_management() {
 /// Exits non-zero if the two-level row is past [`TWO_LEVEL_SPACE_C`].
 fn e14_tradeoff_table() {
     println!("## E14 — space/time trade-offs across all variants (§6)\n");
-    println!("n = 200k, one data set and so one `B`. The recursive rungs read a quarter fewer");
-    println!("pages than the single-level ones; on space, segmented < two-level < basic <");
-    println!("3-level. The two-level row is held to E7's space pin.\n");
+    println!("n = 200k, one data set and so one `B`. The recursive rungs read a tenth fewer");
+    println!("pages than the cached single-level ones; on space, two-level < segmented < 3-level");
+    println!("< basic. The two-level row is held to E7's space pin.\n");
     let n = 200_000usize;
     let raw = gen_points(n, PointDist::Uniform, 23);
     let points = to_points(&raw);
@@ -958,10 +969,9 @@ fn e14_tradeoff_table() {
         .iter()
         .map(|q| TwoSided { x0: q.x0, y0: q.y0 })
         .collect();
-    // One data set, so one frame and one B for every variant.
-    let frame = Frame::of(&points);
-    let b = b_pst(frame);
-    println!("points stored at {frame}: B = {b}\n");
+    // One data set, so one B for every variant.
+    let b = b_pst(&points);
+    println!("B = {b} (the points' mean a block)\n");
     let mut table = Table::new(&[
         "variant", "paper space", "pages", "blocks/point·B", "avg query I/O", "avg t",
     ]);
@@ -969,7 +979,6 @@ fn e14_tradeoff_table() {
     fn measure<P: TwoSidedPst>(points: &[Point], queries: &[TwoSided]) -> (u64, f64, f64) {
         let store = PageStore::in_memory(PAGE);
         let pst = P::build_on(&store, points);
-        assert_eq!(pst.stored_at(), Frame::of(points));
         let pages = store.live_pages();
         store.reset_stats();
         let t_total: usize = queries.iter().map(|q| pst.counted(&store, *q).0).sum();
@@ -1091,7 +1100,7 @@ fn e17_page_size_ablation() {
             seg.query(&seg_store, *q).unwrap();
         }
         let seg_io = seg_store.stats().reads as f64 / queries.len() as f64;
-        let b = pc_pst::block_capacity(page, seg.frame());
+        let b = points_block(&points, page);
         table.row(vec![
             page.to_string(),
             b.to_string(),

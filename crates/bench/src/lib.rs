@@ -3,8 +3,8 @@
 
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Frame, Interval, PageStore, Point};
+use pc_pagestore::layout::cut;
+use pc_pagestore::{Interval, PageStore, Point};
 use pc_pst::{
     BasicPst, DynamicPst, MultilevelPst, NaivePst, PageCensus, SegmentedPst, ThreeSided,
     ThreeSidedPst, TwoLevelPst, TwoSided,
@@ -25,13 +25,13 @@ pub fn to_intervals(raw: &[RawInterval]) -> Vec<Interval> {
     Spread::Domain.intervals(raw)
 }
 
-/// Where a pinned measurement's data lies. The structures store records at
-/// the narrowest [`Frame`] that holds them, so `B` follows the data:
-/// [`Spread::Domain`] is the generators' own 20-bit coordinates (3/3/3 from
-/// 65 536 ids on, `B` = 408 at 4 KiB); [`Spread::Full`] stretches the same
-/// data over the whole of `i64`, ids from 2⁶³ up — every comparison, and so
-/// every tree and answer, as before, at [`Frame::WIDE`] (`B` = 163, the
-/// fixed 24-byte records every PR before frames measured).
+/// Where a pinned measurement's data lies. The structures store records in
+/// the block codec, each block at its own bit widths, so `B` follows the
+/// data: [`Spread::Domain`] is the generators' own 20-bit coordinates
+/// (`B` ≈ 700 points at 4 KiB); [`Spread::Full`] stretches the same data
+/// over the whole of `i64`, ids from 2⁶³ up — every comparison, and so
+/// every tree and answer, as on the generators' data, at the widest blocks
+/// (`B` ≈ 190: the ids still differ in their low bits only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Spread {
     /// The generated data as it is.
@@ -87,13 +87,19 @@ impl Spread {
     }
 }
 
+/// `B` as `points` set it: their mean count a block of `page_size` bytes,
+/// blocked in descending `y` — a node's order.
+pub fn points_block(points: &[Point], page_size: usize) -> u64 {
+    let mut by_y = points.to_vec();
+    by_y.sort_unstable_by_key(|p| std::cmp::Reverse((p.y, p.x, p.id)));
+    (by_y.len() / cut(&by_y, page_size).len().max(1)).max(1) as u64
+}
+
 /// What the 2-sided PSTs have in common, for the measurements and tables
 /// they share.
 pub trait TwoSidedPst: Sized {
     /// Builds the structure over `points`.
     fn build_on(store: &PageStore, points: &[Point]) -> Self;
-    /// The widths the structure stores its points at.
-    fn stored_at(&self) -> Frame;
     /// Answers `q`: the answer's size and the page reads by the structure's
     /// own counters.
     fn counted(&self, store: &PageStore, q: TwoSided) -> (usize, u64);
@@ -104,9 +110,6 @@ macro_rules! two_sided_pst {
         impl TwoSidedPst for $t {
             fn build_on(store: &PageStore, points: &[Point]) -> Self {
                 <$t>::build(store, points $(, $levels)?).expect("in-memory build")
-            }
-            fn stored_at(&self) -> Frame {
-                self.frame()
             }
             fn counted(&self, store: &PageStore, q: TwoSided) -> (usize, u64) {
                 let (hits, counters) = self.query_counted(store, q).expect("in-memory query");
@@ -151,8 +154,8 @@ pub fn two_sided_corners(raw: &[RawPoint], t: usize) -> Vec<TwoSided> {
 /// A 2-sided PST's pinned constants at 4 KiB pages: `(c, [(t, c1); 2])`
 /// with `pages <= c·unit(n)`, `unit` the structure's space bound in blocks,
 /// and every query's `reads <= c1·⌈log_B n⌉ + 2·⌈t/B⌉` over
-/// [`two_sided_corners`] at mean output `t`, `B` the
-/// `pc_pst::block_capacity` of the frame the build chose — each the worst
+/// [`two_sided_corners`] at mean output `t`, `B` the data's
+/// ([`points_block`]) — each the worst
 /// over the sizes it is pinned at, 10% above the measurement (a tenth of a
 /// read per level where that is 0 or less). Every `*_PINS` holds one pin per
 /// [`Spread`], indexed by `spread as usize`; the [`Spread::Full`] ones are
@@ -175,37 +178,46 @@ pub const LADDER_PIN_SIZES: [u64; 2] = [20_000, 100_000];
 pub const TWO_LEVEL_PIN_SIZES: [u64; 5] = [20_000, 50_000, 100_000, 250_000, 500_000];
 
 /// Lemma 3.1, unit `(n/B)·log₂ n` ([`basic_constants`], E5). Measured c
-/// 0.474 (n = 20k, `B` = 454), c1 1.00 / 2.00; on full-width data c 0.731
-/// (n = 100k), c1 1.00 / 0.33.
+/// 0.736 (n = 100k, `B` = 740), c1 1.00 / 2.50; on full-width data (`B` =
+/// 243) c 0.626, c1 1.00 / 1.50. With the block codec `B` follows the data
+/// (E5's `B` was 454 / 163 at the fixed-count layout, c 0.474 / 0.731, c1
+/// 1.00 / 2.00 and 1.00 / 0.33): a unit of `n/B` blocks is fewer blocks,
+/// and a full-path cache merges its sources' records into blocks of its own
+/// (DESIGN §4.5).
 pub const BASIC_PINS: [TwoSidedPin; 2] =
-    [(0.522, [(16, 1.1), (4096, 2.2)]), (0.805, [(16, 1.1), (4096, 0.367)])];
+    [(0.81, [(16, 1.1), (4096, 2.75)]), (0.805, [(16, 1.1), (4096, 1.65)])];
 /// Theorem 3.2, unit `(n/B)·log₂ B` ([`segmented_constants`], E6). Measured
-/// c 0.446 (n = 20k), c1 2.00 / 2.00; on full-width data c 0.826 (n =
-/// 100k), c1 2.00 / 0.00.
+/// c 0.579 (n = 100k), c1 2.00 / 2.50; on full-width data c 0.491, c1
+/// 2.00 / 2.00 (at the fixed-count layout c 0.446 / 0.826, c1 2.00 / 2.00
+/// and 2.00 / 0.00).
 pub const SEGMENTED_PINS: [TwoSidedPin; 2] =
-    [(0.491, [(16, 2.2), (4096, 2.2)]), (0.91, [(16, 2.2), (4096, 0.1)])];
+    [(0.637, [(16, 2.2), (4096, 2.75)]), (0.91, [(16, 2.2), (4096, 2.2)])];
 /// The two-level PST's pinned space constant on the generators' data, in
 /// units of `(n/B)·log₂log₂ B` pages: [`TWO_LEVEL_PINS`]' `c` there, which
-/// E14's two-level row is held to as well. Measured 1.549 / 1.732 / 1.560 /
-/// 1.520 / 1.545 over [`TWO_LEVEL_PIN_SIZES`] (`B` = 454 up to 50k, then
-/// 408).
-pub const TWO_LEVEL_SPACE_C: f64 = 1.906;
+/// E14's two-level row is held to as well. Measured 1.711 / 1.689 / 1.797 /
+/// 1.923 / 1.936 over [`TWO_LEVEL_PIN_SIZES`] (`B` = 714 to 748; 1.549 /
+/// 1.732 / 1.560 / 1.520 / 1.545 at the fixed-count layout's 454 and 408,
+/// the pages falling by a quarter and `n/B` by two fifths).
+pub const TWO_LEVEL_SPACE_C: f64 = 2.13;
 /// Theorems 4.3 and 5.1, unit `(n/B)·log₂log₂ B` ([`two_level_constants`],
-/// E7). Measured c1 2.50 (n = 100k) / 0.00; on full-width data c 1.978 /
-/// 1.644 / 1.644 / 1.831 / 1.860, c1 2.67 (n = 500k) / −2.00 (n = 250k).
+/// E7). Measured c1 3.00 (n = 250k) / 1.50: `⌈log_B n⌉` is 2 levels where it
+/// was 3, so the same few reads past the output are more per level (2.50 /
+/// 0.00 at the fixed-count layout); on full-width data (`B` = 243) c 2.029,
+/// c1 1.50 / −1.50.
 pub const TWO_LEVEL_PINS: [TwoSidedPin; 2] =
-    [(TWO_LEVEL_SPACE_C, [(16, 2.75), (4096, 0.1)]), (2.176, [(16, 2.94), (4096, -1.8)])];
+    [(TWO_LEVEL_SPACE_C, [(16, 3.3), (4096, 1.65)]), (2.176, [(16, 2.94), (4096, -1.35)])];
 /// Theorem 4.4 at three levels, unit `n/B` ([`multilevel_constants`], E8).
-/// Measured c 7.667 (n = 20k), c1 3.00 / 0.00; on full-width data c 8.537
-/// (n = 20k), c1 3.00 / −2.00.
+/// Measured c 8.728 (n = 100k), c1 3.00 / 2.00; on full-width data c 8.494,
+/// c1 2.50 / −1.50 (at the fixed-count layout c 7.667 / 8.537, c1 3.00 /
+/// 0.00 and 3.00 / −2.00).
 pub const MULTILEVEL_PINS: [TwoSidedPin; 2] =
-    [(8.434, [(16, 3.3), (4096, 0.1)]), (9.391, [(16, 3.3), (4096, -1.8)])];
+    [(9.6, [(16, 3.3), (4096, 2.2)]), (9.391, [(16, 3.3), (4096, -1.35)])];
 
-/// One pinned measurement of a 2-sided PST: the `B` its build chose, its
-/// pages, and `c` and `[c1; 2]` as [`TwoSidedPin`] defines them.
+/// One pinned measurement of a 2-sided PST: the data's `B`, its pages, and
+/// `c` and `[c1; 2]` as [`TwoSidedPin`] defines them.
 #[derive(Debug, Clone, Copy)]
 pub struct TwoSidedConstants {
-    /// `pc_pst::block_capacity` at the structure's frame.
+    /// [`points_block`] of the data at 4 KiB.
     pub b: u64,
     /// Live pages after the build.
     pub pages: u64,
@@ -225,8 +237,9 @@ pub fn two_sided_constants<P: TwoSidedPst>(
 ) -> TwoSidedConstants {
     let raw = gen_points(n as usize, PointDist::Uniform, 0x5eed);
     let store = PageStore::in_memory(4096);
-    let pst = P::build_on(&store, &spread.points(&raw));
-    let b = pc_pst::block_capacity(4096, pst.stored_at()) as u64;
+    let points = spread.points(&raw);
+    let pst = P::build_on(&store, &points);
+    let b = points_block(&points, 4096);
     let pages = store.live_pages();
     let levels = log_base(n as f64, b as f64).ceil();
     let c1 = [16, 4096].map(|t| {
@@ -264,17 +277,17 @@ pub fn multilevel_constants(n: u64, spread: Spread) -> TwoSidedConstants {
 
 /// The dynamic PST's pinned space drift under churn, per [`Spread`]: after
 /// [`dynamic_churn_pages`]' workload the structure takes at most this many
-/// times the pages of a fresh build of what it then holds. Measured 1.316
-/// (921 pages against 700, `B` = 408) and on full-width data 1.395 (2 025
-/// against 1 452); the pins are 10% above. `tests/layout_bounds.rs` asserts
+/// times the pages of a fresh build of what it then holds. Measured 1.195
+/// (454 pages against 380, `B` = 685) and on full-width data 1.097 (1 202
+/// against 1 096); at the fixed-count layout 1.316 and 1.395, which the pins
+/// stay 10% above. `tests/layout_bounds.rs` asserts
 /// them and E10 exits non-zero past them.
 pub const DYNAMIC_CHURN_FACTOR: [f64; 2] = [1.448, 1.535];
 
 /// 20 000 insert/delete pairs on 50 000 uniform points at 4 KiB pages, the
 /// victims taken from anywhere in the set, old or new: `(B, pages after,
-/// pages of a fresh build of the same points)`. Ids start at 65 536 — three
-/// bytes for the initial points and the inserted ones alike — so that no
-/// insert widens the structure, which would rebuild the drift away.
+/// pages of a fresh build of the same points)`, `B` the fresh build's
+/// census's. Ids start at 65 536, the fresh ones after the initial ones.
 pub fn dynamic_churn_pages(spread: Spread) -> (u64, u64, u64) {
     let n = 50_000u64;
     let with_ids_from = |first: u64, raw: Vec<RawPoint>| -> Vec<Point> {
@@ -283,7 +296,6 @@ pub fn dynamic_churn_pages(spread: Spread) -> (u64, u64, u64) {
     let mut live = with_ids_from(1 << 16, gen_points(n as usize, PointDist::Uniform, 0x5eed));
     let store = PageStore::in_memory(4096);
     let mut pst = DynamicPst::build(&store, &live).expect("in-memory build");
-    let frame = pst.frame();
     let fresh = with_ids_from((1 << 16) + n, gen_points(20_000, PointDist::Uniform, 0xc0de));
     for (i, p) in fresh.into_iter().enumerate() {
         pst.insert(&store, p).expect("in-memory insert");
@@ -291,10 +303,10 @@ pub fn dynamic_churn_pages(spread: Spread) -> (u64, u64, u64) {
         let victim = live.swap_remove((i * 7919 + 13) % live.len());
         pst.delete(&store, victim).expect("in-memory delete");
     }
-    assert_eq!((pst.len(), pst.frame()), (n, frame), "lost points, or widened");
+    assert_eq!(pst.len(), n, "lost points");
     let rebuilt = PageStore::in_memory(4096);
-    DynamicPst::build(&rebuilt, &live).expect("in-memory build");
-    let b = pc_pst::block_capacity(4096, frame) as u64;
+    let fresh = DynamicPst::build(&rebuilt, &live).expect("in-memory build");
+    let b = fresh.page_census(&rebuilt).expect("in-memory walk").block_capacity;
     (b, store.live_pages(), rebuilt.live_pages())
 }
 
@@ -302,13 +314,14 @@ pub fn dynamic_churn_pages(spread: Spread) -> (u64, u64, u64) {
 /// per mean stab output `t`: `(t, c, c1)` with `pages <= c·(n/B)·log₂B` and
 /// every stab's `reads <= c1·⌈log_B n⌉ + 2·⌈t/B⌉` over
 /// [`interval_tree_constants`]' data, `B` the tree's
-/// `pc_intervaltree::block_capacity`. Measured c 0.515 / 1.058 and c1 1.00
-/// / 2.00 (`B` = 510: the same 3 and 6 reads past the output over two
-/// levels, not three) and on full-width data (`B` = 170) c 0.555 / 0.979
-/// and c1 0.667 / 1.333; the pins are 10% above. `tests/layout_bounds.rs`
+/// `ExternalIntervalTree::block_capacity`. Measured c 0.525 / 1.012 and c1
+/// 1.00 / 2.00 (`B` = 816 / 800: the same 3 and 6 reads past the output over
+/// two levels, not three) and on full-width data (`B` = 259 / 254) c 0.531 /
+/// 0.977 and c1 1.00 / 2.00 — two levels where the fixed 170-interval blocks
+/// took three (c1 0.667 / 1.333); the pins are 10% above. `tests/layout_bounds.rs`
 /// asserts them and the `experiments` binary's E4 exits non-zero past them.
 pub const INTERVAL_TREE_PINS: [[(i64, f64, f64); 2]; 2] =
-    [[(16, 0.567, 1.1), (500, 1.165, 2.2)], [(16, 0.611, 0.734), (500, 1.08, 1.467)]];
+    [[(16, 0.567, 1.1), (500, 1.165, 2.2)], [(16, 0.611, 1.1), (500, 1.08, 2.2)]];
 
 /// Builds the pinned geometry — 40 000 uniform-length intervals meeting a
 /// stab `t_mean` at a time, 4 KiB pages — and measures `(B, pages, c, c1)`
@@ -320,7 +333,7 @@ pub fn interval_tree_constants(t_mean: i64, spread: Spread) -> (u64, u64, f64, f
     let store = PageStore::in_memory(4096);
     let tree =
         ExternalIntervalTree::build(&store, &spread.intervals(&raw)).expect("in-memory build");
-    let b = pc_intervaltree::block_capacity(4096, tree.frame()) as u64;
+    let b = tree.block_capacity() as u64;
     let levels = log_base(n as f64, b as f64).ceil();
     let c1 = gen_stabbing(&raw, 300, 0xfeed)
         .iter()
@@ -342,22 +355,22 @@ pub type ThreeSidedPin = (u64, f64, [(usize, f64); 2]);
 /// and every query's `reads <= c1·⌈log_B n⌉ + 2·⌈t/B⌉` at mean output `t`,
 /// over [`three_sided_constants`]' data, `B` the census's. Space is a
 /// sawtooth in `n` — a node costs its ancestors' blocks however few points
-/// it holds — so the sizes are its peak (15 full nodes and 16 leaves of one
-/// point: 47 686 at `B` = 454, 17 131 at `B` = 163), the small size E9 and
-/// E11 run at, and 100k, where the tree spans two levels of skeletal
-/// pages. Measured c 0.143 / 0.050 / 0.079 and c1 1.50 / 0.50 / 1.50 at t ≈
-/// 16, 2.00 / −2.50 / 0.50 at t ≈ 4096 — ten blocks of output from nodes of
-/// seven blocks each, where a query pays per node it meets only the partial
-/// blocks its runs and Y-prefixes end in, and reads fewer than the `2·⌈t/B⌉`
-/// the form allows for its output — and on full-width data, at its peak, c
-/// 0.206 and c1 1.50 / −4.00; the pins are 10% above (of its size, for a
-/// negative `c1`). `tests/layout_bounds.rs` asserts them and the
-/// `experiments` binary's E9 exits non-zero past them.
+/// it holds — so the sizes were its peak at the fixed-count layout (15 full
+/// nodes and 16 leaves of one point: 47 686 at `B` = 454, 17 131 at `B` =
+/// 163), the small size E9 and E11 run at, and 100k. Measured with the
+/// block codec (`B` = 690–734 and 235) c 0.085 / 0.063 / 0.114 and c1
+/// 1.50 / 0.50 / 1.50 at t ≈ 16, 1.00 / 0.00 / 1.50 at t ≈ 4096 — fewer
+/// blocks of output from nodes of seven blocks each, where a query pays per
+/// node it meets only the partial blocks its runs and Y-prefixes end in —
+/// and on full-width data c 0.114 and c1 1.00 / −5.00; the pins are 10%
+/// above (a tenth of a read per level at 0), and the ones the measurement
+/// stays under are the fixed-count layout's. `tests/layout_bounds.rs`
+/// asserts them and the `experiments` binary's E9 exits non-zero past them.
 pub const THREE_SIDED_PINS: [&[ThreeSidedPin]; 2] = [
     &[
         (47_686, 0.158, [(16, 1.65), (4096, 2.2)]),
-        (20_000, 0.055, [(16, 0.55), (4096, -2.25)]),
-        (100_000, 0.087, [(16, 1.65), (4096, 0.55)]),
+        (20_000, 0.069, [(16, 0.55), (4096, 0.1)]),
+        (100_000, 0.125, [(16, 1.65), (4096, 1.65)]),
     ],
     &[(17_131, 0.227, [(16, 1.65), (4096, -3.6)])],
 ];
@@ -495,7 +508,7 @@ pub struct SegTreeConstants {
 /// a stab 16 and then 500 at a time, spread as `spread` says, 4 KiB pages —
 /// and measures its [`SegTreeConstants`], each `c1` the worst of 150 stabs.
 pub fn segtree_constants(n: u64, spread: Spread) -> SegTreeConstants {
-    let b = BlockList::<Interval>::capacity(4096, Frame::WIDE) as f64;
+    let b = pc_segtree::block_capacity(4096) as f64;
     let levels = log_base(n as f64, b).ceil();
     let (mut pages, mut c) = (0, 0f64);
     let c1 = [16, 500].map(|t_mean| {

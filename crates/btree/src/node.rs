@@ -18,7 +18,8 @@
 //! outlier widens only its own node. Queries decode a page in place
 //! ([`View`], a field per 8-byte window load); updates decode a [`Node`].
 
-use pc_pagestore::{codec::PageReader, PageId, PageStore, Result, StoreError, NULL_PAGE};
+use pc_pagestore::codec::{get_bits, put_bits, PageReader};
+use pc_pagestore::{PageId, PageStore, Result, StoreError, NULL_PAGE};
 
 const TAG_INTERNAL: u8 = 0;
 const TAG_LEAF: u8 = 1;
@@ -271,41 +272,6 @@ pub fn set_prev(store: &PageStore, id: PageId, prev: PageId) -> Result<()> {
     View::parse(&page)?;
     page[PREV_AT..PREV_AT + 8].copy_from_slice(&prev.0.to_le_bytes());
     store.write(id, &page)
-}
-
-/// ORs the low `width` bits of `v` into `buf` from bit `bit` on.
-fn put_bits(buf: &mut [u8], bit: usize, v: u64, width: u32) {
-    let (at, shift) = (bit / 8, bit % 8);
-    let shifted = u128::from(v) << shift;
-    let len = (shift + width as usize).div_ceil(8);
-    for (i, byte) in buf[at..at + len].iter_mut().enumerate() {
-        *byte |= (shifted >> (8 * i)) as u8;
-    }
-}
-
-/// The `width` (0–64) bits of `page` from bit `bit` on: an 8-byte window
-/// load, a shift and a mask, and a ninth byte for a field of 58 bits or more.
-#[inline]
-fn get_bits(page: &[u8], bit: usize, width: u32) -> u64 {
-    let (at, shift) = (bit / 8, (bit % 8) as u32);
-    let word = match page.get(at..at + 8) {
-        Some(word) => u64::from_le_bytes(word.try_into().expect("an 8-byte slice")),
-        None => tail_word(page, at),
-    };
-    let mut v = word >> shift;
-    if shift + width > 64 {
-        v |= u64::from(page.get(at + 8).copied().unwrap_or(0)) << (64 - shift);
-    }
-    v & u64::MAX.checked_shr(64 - width).unwrap_or(0)
-}
-
-/// The bytes of `page` from `at` on, zero-padded (out of line, like `PageReader`'s overrun).
-#[cold]
-fn tail_word(page: &[u8], at: usize) -> u64 {
-    let rest = page.get(at..).unwrap_or(&[]);
-    let mut word = [0u8; 8];
-    word[..rest.len()].copy_from_slice(rest);
-    u64::from_le_bytes(word)
 }
 
 /// A node read in place: each column's base, bit width and first bit, the

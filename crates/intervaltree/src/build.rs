@@ -24,14 +24,14 @@
 //! whose heads its record holds, and at a leaf (many intervals sharing
 //! few endpoints) a mini segment tree. Which it is follows from the
 //! input, not from a setting — and so does the block itself: intervals are
-//! stored at the narrowest [`Frame`] that holds the input, which the
-//! tree's handle carries, and a block is what a page holds of them.
+//! stored in the block codec, and `B` (endpoints per run, intervals per
+//! block) is the mean fill of the input blocked by `lo`.
 
 use std::collections::VecDeque;
 
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Frame, Interval, PageId, PageStore, Record, Result, StoreError, NULL_PAGE};
+use pc_pagestore::layout::{cut, fill_blocks, min_records, BlockList};
+use pc_pagestore::{Interval, PageId, PageStore, Record, Result, StoreError, NULL_PAGE};
 use pc_segtree::{CachedSegmentTree, SegTreeHandle};
 
 use crate::bundle::{Bundle, CacheEntry};
@@ -160,23 +160,24 @@ fn build_bst(nodes: &mut Vec<MemNode>, boundaries: &[i64], rlo: usize, rhi: usiz
 pub struct ExternalIntervalTree {
     pub(crate) root_page: PageId,
     n: u64,
-    pub(crate) frame: Frame,
+    block: usize,
 }
 
-/// `B` for a tree storing its intervals at `frame`: intervals per block,
-/// endpoints per run.
-pub fn block_capacity(page_size: usize, frame: Frame) -> usize {
-    BlockList::<Interval>::capacity(page_size, frame)
+/// `B` for a tree over `intervals`: the mean fill of their blocks in `lo`
+/// order, and at least the block codec's count at 64-bit columns.
+fn block_capacity(page_size: usize, intervals: &[Interval]) -> usize {
+    let mut by_lo = intervals.to_vec();
+    by_lo.sort_unstable_by_key(|iv| (iv.lo, iv.hi, iv.id));
+    let blocks = if by_lo.is_empty() { 1 } else { cut(&by_lo, page_size).len() };
+    (by_lo.len() / blocks).max(min_records::<Interval>(page_size))
 }
 
 impl ExternalIntervalTree {
-    /// Builds the tree over `intervals` in `store`, stored at the narrowest
-    /// frame that holds them.
+    /// Builds the tree over `intervals` in `store`.
     pub fn build(store: &PageStore, intervals: &[Interval]) -> Result<Self> {
         let page_size = store.page_size();
-        let frame = Frame::of(intervals);
         // Θ(B): endpoints per run, intervals per block.
-        let block = block_capacity(page_size, frame);
+        let block = block_capacity(page_size, intervals);
 
         // Distinct endpoints → runs → boundaries.
         let mut endpoints: Vec<i64> = Vec::with_capacity(intervals.len() * 2);
@@ -238,22 +239,24 @@ impl ExternalIntervalTree {
             pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
 
         // Per boundary node: its intervals as `[L, R]` and, when they are
-        // more than a block, the two lists themselves: the heads go into
-        // its record, the second blocks are where the copies in its
-        // descendants' bundles continue.
+        // more than a block (in `L` order they do not fit one), the two
+        // lists themselves: the heads go into its record, the second blocks
+        // are where the copies in its descendants' bundles continue.
         let mut sorted: Vec<[Vec<Interval>; 2]> = Vec::with_capacity(nodes.len());
         let mut heads = vec![[NULL_PAGE; 2]; nodes.len()];
-        let mut conts = vec![[NULL_PAGE; 2]; nodes.len()];
+        // Per side, the second block and the first block's count.
+        let mut conts = vec![[(NULL_PAGE, 0); 2]; nodes.len()];
         for (ni, node) in nodes.iter().enumerate() {
             let items = if node.split.is_some() { &node.items[..] } else { &[] };
             let (mut l, mut r) = (items.to_vec(), items.to_vec());
             l.sort_unstable_by_key(|iv| (iv.lo, iv.hi, iv.id));
             r.sort_unstable_by_key(|iv| (std::cmp::Reverse(iv.hi), iv.lo, iv.id));
-            if l.len() > block {
+            if fill_blocks(&l, 1, page_size) < l.len() {
                 for (side, list) in [&l, &r].into_iter().enumerate() {
-                    let (list, pages) = BlockList::build_blocked(store, frame, list, block)?;
+                    let (list, blocks) = BlockList::build_blocks(store, list)?;
                     heads[ni][side] = list.head();
-                    conts[ni][side] = pages[1];
+                    let second = blocks.get(1).map_or(NULL_PAGE, |&(page, _)| page);
+                    conts[ni][side] = (second, blocks[0].1 as u16);
                 }
             }
             sorted.push([l, r]);
@@ -280,18 +283,30 @@ impl ExternalIntervalTree {
                     continue;
                 }
                 let src = table.len() as u8;
-                let copies = sorted[a][side].iter().take(block);
+                let (cont, first) = conts[a][side];
+                let copied =
+                    if cont.is_null() { sorted[a][side].len() } else { usize::from(first) };
+                let copies = sorted[a][side][..copied].iter();
                 anc[side].extend(copies.map(|&iv| CacheEntry { iv, src }));
-                table.push(conts[a][side]);
+                table.push((cont, copied as u16));
             }
             anc[0].sort_unstable_by_key(|e| (e.iv.lo, e.iv.hi, e.iv.id));
             anc[1].sort_unstable_by_key(|e| (std::cmp::Reverse(e.iv.hi), e.iv.lo, e.iv.id));
-            // A block's worth of intervals lies flat in the bundle, to be
-            // filtered: no read beyond the bundle's. More of them are a
-            // boundary node's two lists, or a leaf's mini tree.
+            // A block's worth of intervals lies flat in the bundle by `lo`,
+            // to be filtered up to the first `lo` past the stab: no read
+            // beyond the bundle's. More of them are a boundary node's two
+            // lists, or a leaf's mini tree.
             let MemNode { split, items } = &nodes[node];
-            let own = if items.len() <= block { &items[..] } else { &[] };
-            let bundle = Bundle::write(store, frame, table, anc, own)?;
+            let own = match split {
+                Some(_) if heads[node][0].is_null() => sorted[node][0].clone(),
+                None if items.len() <= block => {
+                    let mut own = items.clone();
+                    own.sort_unstable_by_key(|iv| (iv.lo, iv.hi, iv.id));
+                    own
+                }
+                _ => Vec::new(),
+            };
+            let bundle = Bundle::write(store, table, anc, &own)?;
             records[node] = Some(match *split {
                 None => {
                     let mini = (items.len() > block).then(|| CachedSegmentTree::build(store, items));
@@ -327,12 +342,12 @@ impl ExternalIntervalTree {
             store.write(*page_id, &buf[..used])?;
         }
 
-        Ok(ExternalIntervalTree { root_page: page_ids[0], n: intervals.len() as u64, frame })
+        Ok(ExternalIntervalTree { root_page: page_ids[0], n: intervals.len() as u64, block })
     }
 
-    /// The widths the tree stores its intervals at.
-    pub fn frame(&self) -> Frame {
-        self.frame
+    /// `B` as the data set it: endpoints per run, intervals per block.
+    pub fn block_capacity(&self) -> usize {
+        self.block
     }
 
     /// Number of indexed intervals.
@@ -410,7 +425,7 @@ mod tests {
         let before = store.live_pages();
         let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
         let pages = store.live_pages() - before;
-        let b = block_capacity(512, tree.frame()) as u64;
+        let b = tree.block_capacity() as u64;
         let bound = 3 * (n as u64).div_ceil(b) * (64 - b.leading_zeros() as u64 + 4);
         assert!(pages <= bound, "space {pages} pages exceeds O(n/B log B) ~ {bound}");
     }

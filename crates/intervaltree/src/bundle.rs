@@ -2,17 +2,15 @@
 //! skeletal page, coalesced into one chain.
 //!
 //! ```text
-//! bundle page: [n_src: u8][chain mask: u8][ancL, ancR, own counts: 3 × u16]
+//! bundle page: [n_src: u8][chain mask: u8][ancL, ancR, own bytes: 3 × u16]
 //!              [chain: u64] per mask bit     (rest of ancL, rest of ancR,
 //!                                             own block)
-//!              [continuation: u64] × n_src   (the source table)
-//!              [ancL entries][ancR entries]  (interval + source byte)
-//!              [own intervals]
+//!              [continuation: u64][copied: u16] × n_src  (the source table)
+//!              [ancL block][ancR block]      (interval + source column)
+//!              [own block]
 //! ```
 //!
-//! Intervals lie at the widths of the tree's [`Frame`] — 24 bytes at
-//! [`Frame::WIDE`], 25 with the source byte — which the tree's handle
-//! carries, not the page.
+//! Each section is one block of the block codec, at its own bit widths.
 //!
 //! Three sections: `ancL` merges the first blocks of `L(a)` over the
 //! in-page strict ancestors `a` the path leaves to the left (ascending
@@ -20,13 +18,14 @@
 //! node's *own* intervals — a leaf's flat run, or a boundary node's list
 //! of at most a block.
 //! An `anc` entry names its source by its row in the table, and the row is
-//! where that source's list goes on: its second block, or null when the
-//! first was all of it. A continuation exists exactly when a whole block
-//! was copied, so the copied count is not stored — a source continues when
-//! a block's worth of its entries qualified.
+//! where that source's list goes on — its second block, or null when the
+//! first was all of it — and how many entries were copied, the first
+//! block's count: a source continues when that many of its entries
+//! qualified.
 //!
-//! Own intervals are stored once and filtered with [`Interval::contains`];
-//! a boundary node holding more than a block keeps its two sorted
+//! Own intervals are stored once, ascending `lo`, and filtered with
+//! [`Interval::contains`] up to the first that starts past the stab; a
+//! boundary node holding more than a block keeps its two sorted
 //! [`BlockList`]s, whose heads lie in its skeletal record, not here.
 //!
 //! What does not fit beside the rest keeps a blocked tail. The own
@@ -38,16 +37,34 @@
 //! the read-count argument against separate lists).
 
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Frame, Framed, Interval, PageId, PageStore, Result, NULL_PAGE};
+use pc_pagestore::layout::{
+    encode_block, fill_blocks, signed_of, BlockList, Columns, Fill, MAX_COLUMNS,
+};
+use pc_pagestore::{Interval, PageId, PageStore, Result, NULL_PAGE};
 
-/// `[n_src][chain mask][3 × count]`.
+/// `[n_src][chain mask][3 × bytes]`.
 const HEADER: usize = 8;
+/// Bytes of a row of the source table.
+const ROW: usize = 8 + 2;
 
-/// Record widths of the three sections.
-fn widths(frame: Frame) -> [usize; 3] {
-    let entry = frame.record_len::<CacheEntry>();
-    [entry, entry, frame.record_len::<Interval>()]
+/// Encoded bytes of `records` as a section: none for none.
+fn section_len<R: Columns>(records: &[R]) -> usize {
+    let mut fill = Fill::new(R::COLUMNS);
+    records.iter().for_each(|rec| fill.add(rec));
+    if records.is_empty() {
+        0
+    } else {
+        fill.bytes()
+    }
+}
+
+/// The encoding of `records` as a section.
+fn section<R: Columns>(records: &[R]) -> Vec<u8> {
+    if records.is_empty() {
+        Vec::new()
+    } else {
+        encode_block(records, NULL_PAGE)
+    }
 }
 
 /// A copied interval tagged with its source's row in the bundle's table,
@@ -60,19 +77,21 @@ pub struct CacheEntry {
     pub src: u8,
 }
 
-impl Framed for CacheEntry {
-    const TAG: usize = 1;
+impl Columns for CacheEntry {
+    const COLUMNS: usize = 4;
 
-    fn fields(&self) -> (i64, i64, u64) {
-        self.iv.fields()
+    #[inline]
+    fn column(&self, c: usize) -> u64 {
+        match c {
+            3 => u64::from(self.src),
+            c => self.iv.column(c),
+        }
     }
 
-    fn pack_tag(&self, w: &mut PageWriter<'_>) -> Result<()> {
-        w.put_u8(self.src)
-    }
-
-    fn unpack_tagged((lo, hi, id): (i64, i64, u64), r: &mut PageReader<'_>) -> Result<Self> {
-        Ok(CacheEntry { iv: Interval { lo, hi, id }, src: r.get_u8()? })
+    #[inline]
+    fn from_columns(c: &[u64; MAX_COLUMNS]) -> Self {
+        let iv = Interval { lo: signed_of(c[0]), hi: signed_of(c[1]), id: c[2] };
+        CacheEntry { iv, src: c[3] as u8 }
     }
 }
 
@@ -80,23 +99,16 @@ impl Framed for CacheEntry {
 /// stab decodes no more of a section than the prefix it reports.
 pub struct Bundle<'a> {
     /// The source table: per contributing ancestor, the second block of
-    /// the list its entries were copied from.
-    pub conts: Vec<PageId>,
+    /// the list its entries were copied from and how many were copied.
+    pub conts: Vec<(PageId, u16)>,
     /// The chains holding what the page does not, null where there is
     /// none: the rest of `ancL`, the rest of `ancR`, the block of own
     /// intervals.
     pub chains: [PageId; 3],
-    /// The records on the page: the heads of `ancL` and `ancR`
-    /// ([`CacheEntry`]), and the node's own [`Interval`]s, all or none.
+    /// The blocks on the page (empty where a section has no record): the
+    /// heads of `ancL` and `ancR` ([`CacheEntry`]), and the node's own
+    /// [`Interval`]s, all or none.
     pub sections: [&'a [u8]; 3],
-}
-
-/// The encoding of `records`, back to back.
-fn encoded<R: Framed>(frame: Frame, records: &[R]) -> Result<Vec<u8>> {
-    let mut buf = vec![0u8; records.len() * frame.record_len::<R>()];
-    let mut w = PageWriter::new(&mut buf);
-    records.iter().try_for_each(|rec| rec.pack(frame, &mut w))?;
-    Ok(buf)
 }
 
 impl<'a> Bundle<'a> {
@@ -105,78 +117,81 @@ impl<'a> Bundle<'a> {
     /// page, null for a node with nothing.
     pub fn write(
         store: &PageStore,
-        frame: Frame,
-        conts: Vec<PageId>,
+        conts: Vec<(PageId, u16)>,
         mut anc: [Vec<CacheEntry>; 2],
         mut own: &[Interval],
     ) -> Result<PageId> {
         if anc[0].is_empty() && anc[1].is_empty() && own.is_empty() {
             return Ok(NULL_PAGE);
         }
-        let [entry_len, _, own_len] = widths(frame);
         let mut chains = [NULL_PAGE; 3];
-        let mut free = store.page_size() - HEADER - 8 * conts.len();
+        let mut free = store.page_size() - HEADER - ROW * conts.len();
         // A chain pointer for each ancestor section that may yet spill.
         let mut spill = 8 * anc.iter().filter(|s| !s.is_empty()).count();
-        if own.len() * own_len + spill > free {
-            chains[2] = BlockList::build(store, frame, own)?.head();
+        if section_len(own) + spill > free {
+            chains[2] = BlockList::build(store, own)?.head();
             own = &[];
             free -= 8;
         }
-        free -= own.len() * own_len;
+        free -= section_len(own);
         let smaller = usize::from(anc[1].len() < anc[0].len());
         for i in [smaller, 1 - smaller] {
             if anc[i].is_empty() {
                 continue;
             }
             spill -= 8;
-            if anc[i].len() * entry_len + spill > free {
+            if section_len(&anc[i]) + spill > free {
                 free -= 8;
-                let fit = (free - spill) / entry_len;
-                chains[i] = BlockList::build(store, frame, &anc[i][fit..])?.head();
+                let fit = fill_blocks(&anc[i], 1, free - spill);
+                chains[i] = BlockList::build(store, &anc[i][fit..])?.head();
                 anc[i].truncate(fit);
             }
-            free -= anc[i].len() * entry_len;
+            free -= section_len(&anc[i]);
         }
-        let bytes = [encoded(frame, &anc[0])?, encoded(frame, &anc[1])?, encoded(frame, own)?];
+        let bytes = [section(&anc[0]), section(&anc[1]), section(own)];
         let page = store.alloc()?;
         let sections = bytes.each_ref().map(|b| &b[..]);
-        Bundle { conts, chains, sections }.write_at(store, frame, page)?;
+        Bundle { conts, chains, sections }.write_at(store, page)?;
         Ok(page)
     }
 
     /// Encodes the bundle into `page` of `store`.
-    fn write_at(&self, store: &PageStore, frame: Frame, page: PageId) -> Result<()> {
+    fn write_at(&self, store: &PageStore, page: PageId) -> Result<()> {
         let mut buf = vec![0u8; store.page_size()];
         let mut w = PageWriter::new(&mut buf);
         let held = self.chains.iter().filter(|c| !c.is_null());
         let mask = (0..3).filter(|&i| !self.chains[i].is_null()).fold(0, |m, i| m | 1u8 << i);
         w.put_u8(self.conts.len() as u8)?;
         w.put_u8(mask)?;
-        for (section, width) in self.sections.iter().zip(widths(frame)) {
-            w.put_u16((section.len() / width) as u16)?;
+        for section in &self.sections {
+            w.put_u16(section.len() as u16)?;
         }
-        held.chain(&self.conts).try_for_each(|page| w.put_u64(page.0))?;
+        held.copied().try_for_each(|page| w.put_u64(page.0))?;
+        for &(cont, copied) in &self.conts {
+            w.put_u64(cont.0)?;
+            w.put_u16(copied)?;
+        }
         self.sections.iter().try_for_each(|section| w.put_bytes(section))?;
         let used = w.position();
         store.write(page, &buf[..used])
     }
 
-    /// Decodes a bundle page of a tree stored at `frame`.
-    pub fn decode(page: &'a [u8], frame: Frame) -> Result<Self> {
+    /// Decodes a bundle page.
+    pub fn decode(page: &'a [u8]) -> Result<Self> {
         let mut r = PageReader::new(page);
         let (n_src, mask) = (r.get_u8()?, r.get_u8()?);
-        let counts = [r.get_u16()?, r.get_u16()?, r.get_u16()?];
+        let lens = [r.get_u16()?, r.get_u16()?, r.get_u16()?];
         let mut chains = [NULL_PAGE; 3];
         for (i, chain) in chains.iter_mut().enumerate() {
             if mask & 1 << i != 0 {
                 *chain = PageId(r.get_u64()?);
             }
         }
-        let conts = (0..n_src).map(|_| Ok(PageId(r.get_u64()?))).collect::<Result<_>>()?;
+        let conts =
+            (0..n_src).map(|_| Ok((PageId(r.get_u64()?), r.get_u16()?))).collect::<Result<_>>()?;
         let mut sections = [&page[..0]; 3];
-        for ((section, count), width) in sections.iter_mut().zip(counts).zip(widths(frame)) {
-            *section = r.get_bytes(count as usize * width)?;
+        for (section, len) in sections.iter_mut().zip(lens) {
+            *section = r.get_bytes(usize::from(len))?;
         }
         Ok(Bundle { conts, chains, sections })
     }
@@ -185,14 +200,69 @@ impl<'a> Bundle<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pc_pagestore::layout::Block;
+
+    /// The records of a section and of the chain after it, in order.
+    fn section_and_chain<R: Columns>(store: &PageStore, section: &[u8], chain: PageId) -> Vec<R> {
+        let mut out = if section.is_empty() {
+            Vec::new()
+        } else {
+            Block::parse::<R>(section).unwrap().to_vec()
+        };
+        out.extend(BlockList::<R>::blocks_from(store, chain).flat_map(|block| block.unwrap()));
+        out
+    }
+
+    /// A bundle of nothing is no page. Sections that fit beside each other
+    /// are one page, to the most copies that fit beside four own
+    /// intervals; one copy more spills the ancestor section's tail into a
+    /// chain — the head as long as there is room for, the entries in order
+    /// across both, the own intervals still on the page.
+    #[test]
+    fn sections_fit_one_page_and_one_entry_more_spills_a_tail() {
+        let store = PageStore::in_memory(512);
+        assert_eq!(Bundle::write(&store, vec![], [vec![], vec![]], &[]).unwrap(), NULL_PAGE);
+        let own: Vec<Interval> =
+            (0..4).map(|i| Interval::new(i * 3, i * 3 + 9, 1_000 + i as u64)).collect();
+        let copies = |k: i64| -> Vec<CacheEntry> {
+            let iv = |i: i64| Interval::new(i * 5, 100_000 - i * 37 % 1000, (i * 7919) as u64);
+            (0..k).map(|i| CacheEntry { iv: iv(i), src: 0 }).collect()
+        };
+        let table = vec![(NULL_PAGE, 0)];
+        let write = |k: i64| {
+            let page = Bundle::write(&store, table.clone(), [copies(k), vec![]], &own).unwrap();
+            store.read(page).unwrap()
+        };
+        let one_page = |k: i64| Bundle::decode(&write(k)).unwrap().chains == [NULL_PAGE; 3];
+        let most = (1..2_000).take_while(|&k| one_page(k)).last().unwrap();
+        assert!(most > 50, "{most} copies");
+        let page = write(most);
+        let bundle = Bundle::decode(&page).unwrap();
+        let copied: Vec<CacheEntry> = section_and_chain(&store, bundle.sections[0], NULL_PAGE);
+        assert_eq!(copied, copies(most));
+        assert_eq!(section_and_chain::<Interval>(&store, bundle.sections[2], NULL_PAGE), own);
+
+        let page = write(most + 1);
+        let Bundle { conts, chains, sections } = Bundle::decode(&page).unwrap();
+        assert_eq!(conts, table);
+        assert!(!chains[0].is_null() && chains[1..] == [NULL_PAGE; 2], "{chains:?}");
+        let head = Block::parse::<CacheEntry>(sections[0]).unwrap().count;
+        assert!(head > 0 && head <= most as usize, "a head of {head}");
+        let copied: Vec<CacheEntry> = section_and_chain(&store, sections[0], chains[0]);
+        assert_eq!(copied, copies(most + 1));
+        assert_eq!(section_and_chain::<Interval>(&store, sections[2], NULL_PAGE), own);
+    }
 
     #[test]
     fn cache_entry_roundtrip() {
-        let e = CacheEntry { iv: Interval::new(-3, 9, 77), src: 4 };
-        for (frame, len) in [(Frame::WIDE, 25), (Frame::of(&[e]), 4)] {
-            let buf = encoded(frame, &[e]).unwrap();
-            assert_eq!(buf.len(), len);
-            assert_eq!(CacheEntry::unpack(frame, &mut PageReader::new(&buf)).unwrap(), e);
-        }
+        use pc_pagestore::layout::Block;
+        let entries = [
+            CacheEntry { iv: Interval::new(-3, 9, 77), src: 4 },
+            CacheEntry { iv: Interval::new(i64::MIN, i64::MAX, u64::MAX), src: 255 },
+        ];
+        let buf = section(&entries);
+        assert_eq!(buf.len(), section_len(&entries));
+        assert_eq!(Block::parse::<CacheEntry>(&buf).unwrap().to_vec::<CacheEntry>(), entries);
+        assert!(section::<CacheEntry>(&[]).is_empty() && section_len::<CacheEntry>(&[]) == 0);
     }
 }

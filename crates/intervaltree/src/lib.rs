@@ -60,4 +60,4 @@ mod build;
 mod bundle;
 mod query;
 
-pub use build::{block_capacity, ExternalIntervalTree};
+pub use build::ExternalIntervalTree;

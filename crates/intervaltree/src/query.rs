@@ -1,11 +1,10 @@
 //! Stabbing queries over the external interval tree.
 
-use pc_pagestore::codec::PageReader;
-use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Frame, Framed, Interval, PageId, PageStore, Result};
+use pc_pagestore::layout::{Block, Columns};
+use pc_pagestore::{Interval, PageId, PageStore, Result};
 use pc_segtree::CachedSegmentTree;
 
-use crate::build::{block_capacity, decode_record, ExternalIntervalTree, NodeRecord};
+use crate::build::{decode_record, ExternalIntervalTree, NodeRecord};
 use crate::bundle::{Bundle, CacheEntry};
 
 impl ExternalIntervalTree {
@@ -20,8 +19,7 @@ impl ExternalIntervalTree {
     pub fn stab_with_ios(&self, store: &PageStore, q: i64) -> Result<(Vec<Interval>, u64)> {
         let _span = pc_obs::span!("ivtree_stab");
         let before = store.stats();
-        let frame = self.frame;
-        pc_obs::set_block_capacity(block_capacity(store.page_size(), frame) as u64);
+        pc_obs::set_block_capacity(self.block_capacity() as u64);
         let mut results = Vec::new();
 
         let mut cur_page = self.root_page;
@@ -45,10 +43,10 @@ impl ExternalIntervalTree {
                     // contributions. On a hit every interval of this node
                     // contains q, as `lo <= q` finds, and nothing below
                     // can (left subtree: hi < q; right subtree: lo > q).
-                    drain_bundle(store, frame, q, bundle, &mut results)?;
+                    drain_bundle(store, q, bundle, &mut results)?;
                     let side = usize::from(q > boundary);
                     if !lists[side].is_null() {
-                        scan_list(store, frame, lists[side], side, q, &mut results)?;
+                        scan_list(store, lists[side], side, q, &mut results)?;
                     }
                     if q == boundary {
                         break;
@@ -60,7 +58,7 @@ impl ExternalIntervalTree {
                     slot = next.slot;
                 }
                 NodeRecord::Leaf { mini, bundle } => {
-                    drain_bundle(store, frame, q, bundle, &mut results)?;
+                    drain_bundle(store, q, bundle, &mut results)?;
                     if let Some(mini) = mini {
                         results.extend(CachedSegmentTree::from_handle(mini).stab(store, q)?);
                     }
@@ -89,7 +87,6 @@ fn qualifies(side: usize, q: i64, iv: &Interval) -> bool {
 /// qualified, from its second block on, and the node's own intervals.
 fn drain_bundle(
     store: &PageStore,
-    frame: Frame,
     q: i64,
     bundle: PageId,
     results: &mut Vec<Interval>,
@@ -97,19 +94,16 @@ fn drain_bundle(
     if bundle.is_null() {
         return Ok(());
     }
-    let page_size = store.page_size();
-    let block = block_capacity(page_size, frame);
     // One probe per bundle: the page, both ancestor sections, their tails.
     let probe = pc_obs::span!("path_cache_probe");
-    pc_obs::set_block_capacity(BlockList::<CacheEntry>::capacity(page_size, frame) as u64);
     let page = store.read(bundle)?;
     let Bundle { conts, chains: [rest_l, rest_r, own_rest], sections: [anc_l, anc_r, own] } =
-        Bundle::decode(&page, frame)?;
+        Bundle::decode(&page)?;
     let mut continued = Vec::new();
     for (side, (head, rest)) in [(anc_l, rest_l), (anc_r, rest_r)].into_iter().enumerate() {
         let mut qualified = vec![0usize; conts.len()];
         let before = results.len();
-        scan(store, frame, head, rest, |e: CacheEntry| {
+        scan(store, head, rest, |e: CacheEntry| {
             qualifies(side, q, &e.iv) && {
                 results.push(e.iv);
                 qualified[e.src as usize] += 1;
@@ -117,21 +111,24 @@ fn drain_bundle(
             }
         })?;
         pc_obs::add_items((results.len() - before) as u64);
-        let whole = conts.iter().zip(qualified).filter(|(c, n)| *n == block && !c.is_null());
-        continued.extend(whole.map(|(cont, _)| (*cont, side)));
+        let whole = conts.iter().zip(qualified);
+        let whole =
+            whole.filter(|((cont, copied), n)| *n == usize::from(*copied) && !cont.is_null());
+        continued.extend(whole.map(|((cont, _), _)| (*cont, side)));
     }
     drop(probe);
     for (cont, side) in continued {
-        scan_list(store, frame, cont, side, q, results)?;
+        scan_list(store, cont, side, q, results)?;
     }
-    // At most a block, on the page or in `own_rest`, in no useful order.
+    // At most a block, on the page or in `own_rest`, by `lo`: none past
+    // the first that starts right of `q` contains it.
     let _scan = pc_obs::span!(output: "run_block");
     let before = results.len();
-    scan(store, frame, own, own_rest, |iv: Interval| {
+    scan(store, own, own_rest, |iv: Interval| {
         if iv.contains(q) {
             results.push(iv);
         }
-        true
+        iv.lo <= q
     })?;
     pc_obs::add_items((results.len() - before) as u64);
     Ok(())
@@ -141,7 +138,6 @@ fn drain_bundle(
 /// whose chain starts at `page`.
 fn scan_list(
     store: &PageStore,
-    frame: Frame,
     page: PageId,
     side: usize,
     q: i64,
@@ -149,7 +145,7 @@ fn scan_list(
 ) -> Result<()> {
     let _span = pc_obs::span!(output: "list_scan");
     let before = results.len();
-    let r = scan(store, frame, &[], page, |iv: Interval| {
+    let r = scan(store, &[], page, |iv: Interval| {
         qualifies(side, q, &iv) && {
             results.push(iv);
             true
@@ -159,26 +155,25 @@ fn scan_list(
     r
 }
 
-/// Hands `visit` the records encoded in `head`, then those of the chain
-/// starting at `next` block by block, and stops decoding and reading when
-/// it declines one.
-fn scan<R: Framed>(
+/// Hands `visit` the records of the block `head` (none if it is empty),
+/// then those of the chain starting at `next` block by block, and stops
+/// decoding and reading when it declines one.
+fn scan<R: Columns>(
     store: &PageStore,
-    frame: Frame,
     head: &[u8],
-    next: PageId,
+    mut next: PageId,
     mut visit: impl FnMut(R) -> bool,
 ) -> Result<()> {
-    let mut r = PageReader::new(head);
-    while r.remaining() > 0 {
-        if !visit(R::unpack(frame, &mut r)?) {
-            return Ok(());
-        }
+    if !head.is_empty() && !Block::parse::<R>(head)?.each(&mut visit) {
+        return Ok(());
     }
-    for block in BlockList::<R>::blocks_from(store, frame, next) {
-        if !block?.into_iter().all(&mut visit) {
+    while !next.is_null() {
+        let page = store.read(next)?;
+        let block = Block::parse::<R>(&page)?;
+        if !block.each(&mut visit) {
             return Ok(());
         }
+        next = block.next;
     }
     Ok(())
 }
@@ -186,7 +181,78 @@ fn scan<R: Framed>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pc_pagestore::PageStore;
+    use std::sync::{Arc, Mutex};
+
+    use pc_pagestore::backend::{Backend, MemBackend};
+    use pc_pagestore::layout::{fill_blocks, next_of};
+    use pc_pagestore::store::CHECKSUM_LEN;
+    use pc_pagestore::{PageStore, StoreConfig};
+
+    /// A memory backend that logs the page of every read.
+    struct Logging(MemBackend, Arc<Mutex<Vec<PageId>>>);
+
+    impl Backend for Logging {
+        fn frame_size(&self) -> usize {
+            self.0.frame_size()
+        }
+        fn read_frame(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+            self.1.lock().unwrap().push(id);
+            self.0.read_frame(id, buf)
+        }
+        fn write_frame(&self, id: PageId, buf: &[u8]) -> Result<()> {
+            self.0.write_frame(id, buf)
+        }
+        fn sync(&self) -> Result<()> {
+            self.0.sync()
+        }
+        fn frame_count(&self) -> u64 {
+            self.0.frame_count()
+        }
+    }
+
+    /// The tower of `k` nested intervals `[c − i, c + i]`, `i` = 1..=k.
+    fn tower(k: i64) -> Vec<Interval> {
+        (1..=k).map(|i| Interval::new(5_000 - i, 5_000 + i, i as u64)).collect()
+    }
+
+    /// A tower is all at the root: its intervals hold `2k` endpoints, and
+    /// the root's boundary is the middle one. The most of them one block
+    /// holds in `L` order lie flat in the bundle, and the copies below
+    /// them have no continuation; one interval more and the root keeps `L`
+    /// and `R` as lists, the copies below are the first block, the table
+    /// names the second, and a stab that takes every copy reads on there —
+    /// never the first block again.
+    #[test]
+    fn a_source_of_one_block_ends_and_one_more_continues_from_the_table() {
+        let most = (1..2_000).take_while(|&k| fill_blocks(&tower(k), 1, 512) == k as usize).last();
+        let most = most.unwrap();
+        for k in [most, most + 1] {
+            let intervals = tower(k);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let backend = Logging(MemBackend::new(512 + CHECKSUM_LEN), Arc::clone(&log));
+            let store = PageStore::new(StoreConfig::strict(512), Box::new(backend));
+            let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
+            let root = decode_record(&store.read(tree.root_page).unwrap(), 0).unwrap();
+            let NodeRecord::Internal { boundary, lists, .. } = root else { panic!("a leaf root") };
+            assert!(intervals.iter().all(|iv| iv.contains(boundary)), "the tower is at the root");
+            assert_eq!(lists[0].is_null(), k == most, "k = {k}: lists {lists:?}");
+            let second = match lists[0].is_null() {
+                true => None,
+                false => Some(next_of(&store.read(lists[0]).unwrap()).unwrap()),
+            };
+            log.lock().unwrap().clear();
+            // Left of the boundary and inside every interval: every copy
+            // of `L`'s first block qualifies.
+            let got = tree.stab(&store, boundary - 1).unwrap();
+            assert_eq!(got.len(), intervals.len());
+            let log = log.lock().unwrap();
+            let reads = |page: PageId| log.iter().filter(|&&p| p == page).count();
+            if let Some(second) = second {
+                assert!(!second.is_null(), "L takes two blocks");
+                assert_eq!((reads(lists[0]), reads(second)), (0, 1), "k = {k}");
+            }
+        }
+    }
 
     fn iv(lo: i64, hi: i64, id: u64) -> Interval {
         Interval::new(lo, hi, id)
@@ -249,7 +315,7 @@ mod tests {
         let store = PageStore::in_memory(512);
         let intervals = random_intervals(8000, 200_000, 4000, 0x7777);
         let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
-        let b = block_capacity(512, tree.frame()) as u64;
+        let b = tree.block_capacity() as u64;
         let mut s = 0x4242u64;
         for _ in 0..60 {
             let q = xorshift(&mut s, 200_000);
@@ -275,9 +341,14 @@ mod tests {
 
     #[test]
     fn run_of_one_block_is_flat_and_one_more_is_a_mini_tree() {
-        // These intervals' frame is 1/1/1 up to 256 of them, 1/1/2 beyond.
-        let cap = block_capacity(512, Frame::new(1, 1, 1));
-        assert!(cap < 256);
+        // The most of these intervals one block holds, blocked by `lo`.
+        let one_block = |n: usize| {
+            let mut by_lo = shared_endpoint_intervals(n);
+            by_lo.sort_unstable_by_key(|iv| (iv.lo, iv.hi, iv.id));
+            pc_pagestore::layout::cut(&by_lo, 512).len() == 1
+        };
+        let cap = (1..2000).take_while(|&n| one_block(n)).last().unwrap();
+        assert!(cap > 36, "{cap}: more than the endpoint pairs");
         let queries: Vec<i64> = (-1..=8).collect();
         for (n, kinds) in [(0, (1, 0)), (1, (1, 0)), (cap, (1, 0)), (cap + 1, (0, 1))] {
             let intervals = shared_endpoint_intervals(n);
@@ -285,10 +356,14 @@ mod tests {
             let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
             assert_eq!(crate::build::leaf_kinds(&tree, &store), kinds, "n={n}");
             if kinds.0 == 1 {
-                // The skeletal page plus the leaf's bundle, if it has one.
-                assert_eq!(store.live_pages(), 1 + n.min(1) as u64, "n={n}");
+                // The skeletal page plus the leaf's bundle, if it has one,
+                // and the block its own intervals take where the bundle's
+                // header leaves them too little room.
+                let pages = store.live_pages();
+                assert!(pages <= 1 + 2 * n.min(1) as u64, "n={n}: {pages} pages");
+                assert_eq!(pages == 3, n == cap && pages > 2, "n={n}");
                 let (_, ios) = tree.stab_with_ios(&store, 3).unwrap();
-                assert_eq!(ios, store.live_pages(), "n={n}");
+                assert_eq!(ios, pages, "n={n}");
             }
             check_against_brute(&intervals, &queries, 512);
         }
@@ -296,16 +371,15 @@ mod tests {
 
     #[test]
     fn many_intervals_over_few_endpoints_take_the_mini_tree_within_the_bound() {
-        let b = block_capacity(512, Frame::new(1, 1, 2));
-        let intervals = shared_endpoint_intervals(4 * b);
         let store = PageStore::in_memory(512);
+        let b = ExternalIntervalTree::build(&store, &shared_endpoint_intervals(500)).unwrap();
+        let intervals = shared_endpoint_intervals(4 * b.block_capacity());
         let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
-        assert_eq!(tree.frame(), Frame::new(1, 1, 2));
         assert_eq!(crate::build::leaf_kinds(&tree, &store), (0, 1));
         let log_b_n = 2; // ceil(log_B 4B)
-        // The mini tree is a `pc-segtree`, which stores full-width intervals:
-        // its output term is in that crate's blocks of 20, not in `b`.
-        let segtree_block = block_capacity(512, Frame::WIDE);
+                         // The mini tree is a `pc-segtree`, whose shared regions hold 24-byte
+                         // intervals: its output term is in that crate's blocks of 20.
+        let segtree_block = pc_segtree::block_capacity(512);
         for q in -1..=8 {
             let (res, ios) = tree.stab_with_ios(&store, q).unwrap();
             assert_eq!(ids(res.clone()), brute(&intervals, q), "q={q}");
@@ -345,7 +419,7 @@ mod tests {
         let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
         let (res, ios) = tree.stab_with_ios(&store, 0).unwrap();
         assert_eq!(res.len(), n);
-        let b = block_capacity(512, tree.frame()) as u64;
+        let b = tree.block_capacity() as u64;
         assert!(
             ios <= 4 * (n as u64 / b) + 40,
             "ios={ios} for t=n={n} (t/B = {})",

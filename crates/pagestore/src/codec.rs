@@ -77,17 +77,6 @@ impl<'a> PageWriter<'a> {
         Ok(())
     }
 
-    /// Writes the low `width` (1–8) bytes of `v`, little-endian: the field
-    /// encoding of [`crate::types::Frame`]. Byte stores, not a copy of
-    /// variable length: a block is hundreds of these.
-    #[inline]
-    pub fn put_uint(&mut self, v: u64, width: usize) -> Result<()> {
-        for (i, byte) in self.chunk(width)?.iter_mut().enumerate() {
-            *byte = (v >> (8 * i)) as u8;
-        }
-        Ok(())
-    }
-
     /// Writes raw bytes verbatim.
     pub fn put_bytes(&mut self, v: &[u8]) -> Result<()> {
         self.chunk(v.len())?.copy_from_slice(v);
@@ -170,31 +159,6 @@ impl<'a> PageReader<'a> {
         Ok(i64::from_le_bytes(self.chunk(8)?.try_into().unwrap()))
     }
 
-    /// Reads a little-endian unsigned integer of `width` (1–8) bytes, zero-
-    /// extended: the field decoding of [`crate::types::Frame`]. Where a
-    /// whole word is left in the buffer it is one load and a mask; only a
-    /// field in the buffer's last seven bytes is copied out.
-    #[inline]
-    pub fn get_uint(&mut self, width: usize) -> Result<u64> {
-        debug_assert!((1..=8).contains(&width));
-        if let Some(word) = self.buf.get(self.pos..self.pos + 8) {
-            self.pos += width;
-            let word = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
-            return Ok(word & (u64::MAX >> (64 - 8 * width)));
-        }
-        let mut bytes = [0u8; 8];
-        bytes[..width].copy_from_slice(self.chunk(width)?);
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    /// Reads a little-endian two's-complement integer of `width` (1–8)
-    /// bytes, sign-extended: the signed fields of [`crate::types::Frame`].
-    #[inline]
-    pub fn get_int(&mut self, width: usize) -> Result<i64> {
-        let unused = 64 - 8 * width as u32;
-        Ok(((self.get_uint(width)? << unused) as i64) >> unused)
-    }
-
     /// Reads `len` raw bytes.
     pub fn get_bytes(&mut self, len: usize) -> Result<&'a [u8]> {
         self.chunk(len)
@@ -205,6 +169,52 @@ impl<'a> PageReader<'a> {
         self.chunk(len)?;
         Ok(())
     }
+}
+
+/// ORs the low `width` (0–64) bits of `v` into `buf` from bit `bit` on,
+/// low bit first: the store of every bit-packed column (B-tree nodes and
+/// data blocks). The bits must be zero and inside `buf`, and `v` no wider
+/// than `width`.
+pub fn put_bits(buf: &mut [u8], bit: usize, v: u64, width: u32) {
+    let (at, shift) = (bit / 8, bit % 8);
+    let shifted = u128::from(v) << shift;
+    // One 16-byte window where the buffer has one, else byte by byte.
+    if let Some(window) = buf.get_mut(at..at + 16) {
+        let word = u128::from_le_bytes((&*window).try_into().expect("a 16-byte slice")) | shifted;
+        window.copy_from_slice(&word.to_le_bytes());
+        return;
+    }
+    let len = (shift + width as usize).div_ceil(8);
+    for (i, byte) in buf[at..at + len].iter_mut().enumerate() {
+        *byte |= (shifted >> (8 * i)) as u8;
+    }
+}
+
+/// The `width` (0–64) bits of `page` from bit `bit` on: an 8-byte window
+/// load, a shift and a mask, and a ninth byte for a field of 58 bits or
+/// more. Bits past the page read as zero.
+#[inline]
+pub fn get_bits(page: &[u8], bit: usize, width: u32) -> u64 {
+    let (at, shift) = (bit / 8, (bit % 8) as u32);
+    let word = match page.get(at..at + 8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("an 8-byte slice")),
+        None => tail_word(page, at),
+    };
+    let mut v = word >> shift;
+    if shift + width > 64 {
+        v |= u64::from(page.get(at + 8).copied().unwrap_or(0)) << (64 - shift);
+    }
+    v & u64::MAX.checked_shr(64 - width).unwrap_or(0)
+}
+
+/// The bytes of `page` from `at` on, zero-padded (out of line, like
+/// [`PageReader`]'s overrun).
+#[cold]
+fn tail_word(page: &[u8], at: usize) -> u64 {
+    let rest = page.get(at..).unwrap_or(&[]);
+    let mut word = [0u8; 8];
+    word[..rest.len()].copy_from_slice(rest);
+    u64::from_le_bytes(word)
 }
 
 /// FNV-1a 64-bit hash, used for page checksums.
@@ -252,8 +262,6 @@ mod tests {
         w.put_i64(-42).unwrap();
         w.put_bytes(b"xyz").unwrap();
         assert_eq!(w.position(), 1 + 2 + 4 + 8 + 8 + 3);
-        w.put_uint(0x0102_0304_0506_0708, 3).unwrap();
-        w.put_uint(-5i64 as u64, 2).unwrap();
 
         let mut r = PageReader::new(&buf);
         assert_eq!(r.get_u8().unwrap(), 0xab);
@@ -262,22 +270,43 @@ mod tests {
         assert_eq!(r.get_u64().unwrap(), 0x0123_4567_89ab_cdef);
         assert_eq!(r.get_i64().unwrap(), -42);
         assert_eq!(r.get_bytes(3).unwrap(), b"xyz");
-        assert_eq!(r.get_uint(3).unwrap(), 0x06_0708);
-        assert_eq!(r.get_int(2).unwrap(), -5);
     }
 
     #[test]
     fn uint_fields_of_every_width_round_trip_up_to_the_last_byte() {
-        // 36 bytes exactly: the last fields lie in the buffer's last seven
-        // bytes, where no whole word is left to load.
-        let mut buf = [0xEEu8; 36];
-        let mut w = PageWriter::new(&mut buf);
-        let value = |width: usize| 0xF1E2_D3C4_B5A6_9788u64 >> (64 - 8 * width);
-        (1..=8).for_each(|width| w.put_uint(value(width), width).unwrap());
-        assert!(w.put_uint(1, 1).is_err());
-        let mut r = PageReader::new(&buf);
-        (1..=8).for_each(|width| assert_eq!(r.get_uint(width).unwrap(), value(width)));
-        assert_eq!((r.remaining(), r.get_uint(1).is_err()), (0, true));
+        // Every width 0–64 at every bit offset 0–7, packed back to back into
+        // a buffer that ends on the last field's last bit, with a field of
+        // all ones and one of a lone high bit: a 9-byte window at the end.
+        let total: usize = (0..8).map(|lead| lead + 2 * (0..=64).sum::<usize>()).sum();
+        let mut buf = vec![0u8; total.div_ceil(8)];
+        let (ones, high) = (
+            |w: u32| u64::MAX.checked_shr(64 - w).unwrap_or(0),
+            |w: u32| {
+                if w == 0 {
+                    0
+                } else {
+                    1u64 << (w - 1)
+                }
+            },
+        );
+        let mut fields = Vec::new();
+        let mut bit = buf.len() * 8 - total;
+        for lead in 0..8 {
+            bit += lead;
+            for width in 0..=64u32 {
+                for v in [ones(width), high(width)] {
+                    put_bits(&mut buf, bit, v, width);
+                    fields.push((bit, width, v));
+                    bit += width as usize;
+                }
+            }
+        }
+        assert_eq!(bit, buf.len() * 8, "the last field ends on the buffer's last bit");
+        for (bit, width, v) in fields {
+            assert_eq!(get_bits(&buf, bit, width), v, "{width} bits at bit {bit}");
+        }
+        // The last field is a lone high bit: the page's last bit, then zeros.
+        assert_eq!(get_bits(&buf, buf.len() * 8 - 3, 64), 0b100, "past the end reads zero");
     }
 
     #[test]

@@ -22,12 +22,13 @@
 //!   §9 "Fault model & recovery"); replication is the router's replica
 //!   groups', one level up (DESIGN.md §15).
 //! * [`codec`] — bounds-checked little-endian cursors for page layouts.
-//! * [`layout`] — reusable on-page structures, most importantly
+//! * [`layout`] — the self-describing block codec every list of data
+//!   records is stored in (a base, a bit width and an offset-or-gap mode
+//!   per column and block, so `B` follows the data block by block), and
 //!   [`layout::BlockList`], the blocked linked list that implements every
 //!   cover-list, cache, A/S/X/Y list in the paper.
 //! * [`types`] — the geometric records ([`types::Point`],
-//!   [`types::Interval`]) shared by all index crates, and [`types::Frame`],
-//!   the per-structure field widths they are stored at.
+//!   [`types::Interval`]) shared by all index crates.
 //!
 //! ## Example
 //!
@@ -66,7 +67,7 @@ pub use pool::{BufferPool, ShardStats, ShardedPool};
 pub use recovery::RecoveryReport;
 pub use stats::IoStats;
 pub use store::{PageId, PageStore, RetryPolicy, StoreConfig, WalConfig, NULL_PAGE};
-pub use types::{Frame, Framed, Interval, Point, Record};
+pub use types::{Interval, Point, Record};
 pub use version::{
     decode_version_meta, encode_version_meta, ApplyGuard, Snapshot, SnapshotGuard, VersionConfig,
     VersionMeta, VersionMetrics, VersionedStore,

@@ -6,14 +6,14 @@
 //!
 //! A data record is two coordinates and an id. Where a structure stores
 //! them as data — blocked lists, points pages, caches, update buffers,
-//! bundles — it stores each field at the byte width its [`Frame`] names,
-//! chosen once per structure instance from the records it holds, so a page
-//! holds more of them. [`Record`] is the fixed-width form (a [`Point`] or
-//! [`Interval`] at [`Frame::WIDE`], 24 bytes) that skeletal records and
-//! handles use.
+//! bundles — the block codec of [`crate::layout`] stores them column by
+//! column at each block's own bit widths ([`Columns`]). [`Record`] is the
+//! fixed-width form (24 bytes for a [`Point`] or [`Interval`]) that
+//! skeletal records and handles use.
 
 use crate::codec::{PageReader, PageWriter};
-use crate::error::{Result, StoreError};
+use crate::error::Result;
+use crate::layout::{key_of, signed_of, Columns, MAX_COLUMNS};
 
 /// A fixed-size record that can be embedded in pages and tree nodes.
 pub trait Record: Sized + Clone {
@@ -27,166 +27,25 @@ pub trait Record: Sized + Clone {
     fn decode(r: &mut PageReader<'_>) -> Result<Self>;
 }
 
-/// A data record — two coordinates and an id, then [`Framed::TAG`] bytes of
-/// its own — stored at the field widths of its structure's [`Frame`].
-pub trait Framed: Sized + Clone {
-    /// Bytes the record takes after the frame's three fields.
-    const TAG: usize;
-
-    /// The two coordinates and the id the frame has to hold.
-    fn fields(&self) -> (i64, i64, u64);
-
-    /// Writes the record's `TAG` bytes.
-    fn pack_tag(&self, w: &mut PageWriter<'_>) -> Result<()>;
-
-    /// The record of these fields, its `TAG` bytes next under `r`.
-    fn unpack_tagged(fields: (i64, i64, u64), r: &mut PageReader<'_>) -> Result<Self>;
-
-    /// Serializes into `w`: `frame.record_len::<Self>()` bytes.
-    #[inline]
-    fn pack(&self, frame: Frame, w: &mut PageWriter<'_>) -> Result<()> {
-        frame.encode(self.fields(), w)?;
-        self.pack_tag(w)
-    }
-
-    /// Deserializes from `r` (inlined across crates, as is everything
-    /// below it: a scan spends its time decoding).
-    #[inline]
-    fn unpack(frame: Frame, r: &mut PageReader<'_>) -> Result<Self> {
-        Self::unpack_tagged(frame.decode(r)?, r)
-    }
-}
-
-/// The byte widths, 1–8 each, at which one structure instance stores its
-/// records' two coordinates (two's complement, sign-extended on decode) and
-/// their id (unsigned). Every capacity — the paper's `B` — is a function of
-/// the page size and the frame; the frame lives in the structure's handle or
-/// descriptor, never on the pages, so [`Frame::WIDE`] costs no byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Frame {
-    a: u8,
-    b: u8,
-    id: u8,
-}
-
-/// Bytes of the narrowest two's-complement form of `v`.
-fn signed_width(v: i64) -> u8 {
-    // `v ^ (v >> 63)` clears the sign: its bits plus one sign bit.
-    (65 - (v ^ (v >> 63)).leading_zeros()).div_ceil(8) as u8
-}
-
-impl Frame {
-    /// Full-width fields: the 24-byte form every record has as a [`Record`].
-    pub const WIDE: Frame = Frame { a: 8, b: 8, id: 8 };
-
-    /// A frame of the given widths; panics unless each is in `1..=8`.
-    pub const fn new(a: u8, b: u8, id: u8) -> Frame {
-        let in_range = a.wrapping_sub(1) < 8 && b.wrapping_sub(1) < 8 && id.wrapping_sub(1) < 8;
-        assert!(in_range, "frame width outside 1..=8");
-        Frame { a, b, id }
-    }
-
-    /// The narrowest frame that holds the fields `(a, b, id)`.
-    fn of_fields((a, b, id): (i64, i64, u64)) -> Frame {
-        let id_width = (64 - id.leading_zeros()).div_ceil(8).max(1) as u8;
-        Frame { a: signed_width(a), b: signed_width(b), id: id_width }
-    }
-
-    /// The narrowest frame that holds every one of `records` (1/1/1 for
-    /// none).
-    pub fn of<R: Framed>(records: &[R]) -> Frame {
-        let widen = |frame: Frame, rec: &R| frame.union(Frame::of_fields(rec.fields()));
-        records.iter().fold(Frame::default(), widen)
-    }
-
-    /// The narrowest frame that holds whatever `self` or `other` holds.
-    pub fn union(self, other: Frame) -> Frame {
-        Frame { a: self.a.max(other.a), b: self.b.max(other.b), id: self.id.max(other.id) }
-    }
-
-    /// True if `rec` survives [`Frame::encode`] → [`Frame::decode`].
-    pub fn holds<R: Framed>(self, rec: &R) -> bool {
-        self.holds_fields(rec.fields())
-    }
-
-    fn holds_fields(self, fields: (i64, i64, u64)) -> bool {
-        self.union(Frame::of_fields(fields)) == self
-    }
-
-    /// The widths of the two coordinates and the id: the frame's three
-    /// bytes in a descriptor ([`Frame::from_widths`] reads them back).
-    pub fn widths(self) -> [u8; 3] {
-        [self.a, self.b, self.id]
-    }
-
-    /// The frame a descriptor names; an error unless each width is in `1..=8`.
-    pub fn from_widths(widths: [u8; 3]) -> Result<Frame> {
-        if widths.iter().any(|w| !(1..=8).contains(w)) {
-            return Err(StoreError::Corrupt(format!("frame widths {widths:?} outside 1..=8")));
-        }
-        Ok(Frame { a: widths[0], b: widths[1], id: widths[2] })
-    }
-
-    /// Encoded size of one `R` under this frame.
-    pub fn record_len<R: Framed>(self) -> usize {
-        usize::from(self.a + self.b + self.id) + R::TAG
-    }
-
-    /// Writes the three fields at the frame's widths, little-endian. Panics
-    /// on fields the frame does not hold: a structure widens before it
-    /// stores such a record, so they show a bug, and dropping their high
-    /// bytes would store a different record.
-    pub fn encode(self, fields: (i64, i64, u64), w: &mut PageWriter<'_>) -> Result<()> {
-        assert!(self.holds_fields(fields), "frame {self} cannot hold {fields:?}");
-        let (a, b, id) = fields;
-        w.put_uint(a as u64, usize::from(self.a))?;
-        w.put_uint(b as u64, usize::from(self.b))?;
-        w.put_uint(id, usize::from(self.id))
-    }
-
-    /// Reads the three fields back.
-    #[inline]
-    pub fn decode(self, r: &mut PageReader<'_>) -> Result<(i64, i64, u64)> {
-        let a = r.get_int(usize::from(self.a))?;
-        let b = r.get_int(usize::from(self.b))?;
-        Ok((a, b, r.get_uint(usize::from(self.id))?))
-    }
-}
-
-impl Default for Frame {
-    /// The frame of no records, 1/1/1: [`Frame::union`]'s identity.
-    fn default() -> Frame {
-        Frame { a: 1, b: 1, id: 1 }
-    }
-}
-
-impl std::fmt::Display for Frame {
-    /// `3/3/3`: the form the censuses, tables and DESIGN name a frame by.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}/{}", self.a, self.b, self.id)
-    }
-}
-
 /// The two record shapes — `(a, b, id)` with named coordinates — as
-/// [`Framed`] data and, at [`Frame::WIDE`], as a fixed [`Record`].
+/// three [`Columns`] and as a fixed 24-byte [`Record`].
 macro_rules! coordinate_record {
     ($t:ident, $a:ident, $b:ident) => {
-        impl Framed for $t {
-            const TAG: usize = 0;
+        impl Columns for $t {
+            const COLUMNS: usize = 3;
 
             #[inline]
-            fn fields(&self) -> (i64, i64, u64) {
-                (self.$a, self.$b, self.id)
-            }
-
-            fn pack_tag(&self, _: &mut PageWriter<'_>) -> Result<()> {
-                Ok(())
+            fn column(&self, c: usize) -> u64 {
+                match c {
+                    0 => key_of(self.$a),
+                    1 => key_of(self.$b),
+                    _ => self.id,
+                }
             }
 
             #[inline]
-            fn unpack_tagged(fields: (i64, i64, u64), _: &mut PageReader<'_>) -> Result<Self> {
-                let ($a, $b, id) = fields;
-                Ok($t { $a, $b, id })
+            fn from_columns(c: &[u64; MAX_COLUMNS]) -> Self {
+                $t { $a: signed_of(c[0]), $b: signed_of(c[1]), id: c[2] }
             }
         }
 
@@ -194,11 +53,13 @@ macro_rules! coordinate_record {
             const ENCODED_LEN: usize = 24;
 
             fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
-                self.pack(Frame::WIDE, w)
+                w.put_i64(self.$a)?;
+                w.put_i64(self.$b)?;
+                w.put_u64(self.id)
             }
 
             fn decode(r: &mut PageReader<'_>) -> Result<Self> {
-                Self::unpack(Frame::WIDE, r)
+                Ok($t { $a: r.get_i64()?, $b: r.get_i64()?, id: r.get_u64()? })
             }
         }
     };
@@ -272,32 +133,6 @@ impl Interval {
 
 coordinate_record!(Interval, lo, hi);
 
-/// A bare `u64`, used where lists store page ids or record ids.
-impl Record for u64 {
-    const ENCODED_LEN: usize = 8;
-
-    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
-        w.put_u64(*self)
-    }
-
-    fn decode(r: &mut PageReader<'_>) -> Result<Self> {
-        r.get_u64()
-    }
-}
-
-/// A bare `i64` key record.
-impl Record for i64 {
-    const ENCODED_LEN: usize = 8;
-
-    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
-        w.put_i64(*self)
-    }
-
-    fn decode(r: &mut PageReader<'_>) -> Result<Self> {
-        r.get_i64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,8 +150,6 @@ mod tests {
     fn record_roundtrips() {
         roundtrip(Point::new(-5, 9, 42));
         roundtrip(Interval::new(-10, 10, 7));
-        roundtrip(123_456_789u64);
-        roundtrip(-987_654_321i64);
     }
 
     /// A value of exactly `width` bytes (or fewer, one time in four).
@@ -328,9 +161,27 @@ mod tests {
         if rng.gen_bool(0.5) { magnitude as i64 } else { !(magnitude as i64) }
     }
 
+    /// Each block header is its records' frame: a block of points of random
+    /// widths holds exactly what round-trips, and takes the narrowest coding
+    /// of every column — offsets from its smallest value, or gaps where it
+    /// is monotone, whichever is fewer bits — to the byte.
     #[test]
     fn frame_holds_exactly_what_round_trips_and_of_is_the_narrowest() {
+        use crate::layout::{encode_block, key_of, Block};
         use pc_rng::check::{check, no_shrink, Config};
+        let bits = |v: u64| (u64::BITS - v.leading_zeros()) as usize;
+        let narrowest = |values: &[u64]| {
+            let (lo, hi) = (values.iter().min().unwrap(), values.iter().max().unwrap());
+            let mut best = values.len() * bits(hi - lo);
+            let pairs = || values.windows(2).map(|w| (w[0], w[1]));
+            let up = pairs().map(|(a, b)| b.checked_sub(a)).collect::<Option<Vec<u64>>>();
+            let down = pairs().map(|(a, b)| a.checked_sub(b)).collect::<Option<Vec<u64>>>();
+            for gaps in [up, down].into_iter().flatten() {
+                let widest = gaps.iter().copied().max().unwrap_or(0);
+                best = best.min((values.len() - 1) * bits(widest));
+            }
+            best
+        };
         check(
             &Config::with_cases(400),
             |rng| {
@@ -341,58 +192,46 @@ mod tests {
                         Point::new(gen_signed(rng, widths[0]), gen_signed(rng, widths[1]), id)
                     })
                     .collect();
-                // The extremes of every width, so `of` has to find them.
-                let shift = widths.map(|w| 64 - 8 * w);
-                let (x, y, id) = (i64::MIN >> shift[0], i64::MAX >> shift[1], u64::MAX >> shift[2]);
-                points.push(Point::new(x, y, id));
-                (widths, points)
+                if rng.gen_bool(0.5) {
+                    points.sort_unstable_by_key(|p| (p.x, p.y, p.id));
+                }
+                points
             },
             no_shrink,
-            |(widths, points)| {
-                let frame = Frame::of(points);
-                assert_eq!(frame.widths(), *widths, "of() is the generated frame");
-                assert_eq!(Frame::from_widths(*widths).unwrap(), frame, "widths round-trip");
-                let mut buf = [0u8; 24];
-                for p in points {
-                    assert!(frame.holds(p), "{frame} holds {p:?}");
-                    let mut w = PageWriter::new(&mut buf);
-                    p.pack(frame, &mut w).unwrap();
-                    assert_eq!(w.position(), frame.record_len::<Point>(), "packed length");
-                    let back = Point::unpack(frame, &mut PageReader::new(&buf)).unwrap();
-                    assert_eq!(back, *p, "round trip");
-                }
-                // No narrower frame holds them all: each field has a witness.
-                for field in 0..3 {
-                    let mut narrower = *widths;
-                    narrower[field] -= 1;
-                    let Ok(narrower) = Frame::from_widths(narrower) else { continue };
-                    assert!(points.iter().any(|p| !narrower.holds(p)), "{narrower} holds all");
-                    assert_eq!(narrower.union(frame), frame, "union with a narrower frame");
-                }
+            |points| {
+                let block = encode_block(points, crate::store::NULL_PAGE);
+                let back = Block::parse::<Point>(&block).unwrap().to_vec::<Point>();
+                assert_eq!(&back, points, "round trip");
+                let column = |f: fn(&Point) -> u64| points.iter().map(f).collect::<Vec<u64>>();
+                let columns = [column(|p| key_of(p.x)), column(|p| key_of(p.y)), column(|p| p.id)];
+                let fields: usize = columns.iter().map(|c| narrowest(c)).sum();
+                assert_eq!(block.len(), 40 + fields.div_ceil(8), "the narrowest coding");
                 Ok(())
             },
         );
     }
 
+    /// The extremes of every field round-trip in a block and in the wide
+    /// form, the fixed 24-byte record skeletal pages and handles use; the
+    /// codec's key of a signed field keeps its order.
     #[test]
     fn frame_extremes_and_the_wide_form() {
+        use crate::layout::{encode_block, key_of, signed_of, Block};
         let extremes = [
             Point::new(i64::MIN, i64::MAX, u64::MAX),
             Point::new(-1, 0, 0),
             Point::new(127, -128, 255),
-            Point::new(128, -129, 256),
+            Point::new(i64::MAX, i64::MIN, 1),
         ];
-        assert_eq!(extremes.map(|p| Frame::of(&[p]).widths()), [[8; 3], [1; 3], [1; 3], [2; 3]]);
-        assert_eq!(Frame::of::<Point>(&[]), Frame::new(1, 1, 1));
-        assert_eq!(Frame::WIDE.record_len::<Point>(), Point::ENCODED_LEN);
-        assert_eq!(Frame::new(2, 5, 8).to_string(), "2/5/8");
-        assert!(Frame::from_widths([0, 3, 3]).is_err() && Frame::from_widths([3, 9, 3]).is_err());
-        // A record is its WIDE packing, byte for byte.
-        let (mut a, mut b) = ([0u8; 24], [0u8; 24]);
-        let iv = Interval::new(-7, 1 << 40, 99);
-        Record::encode(&iv, &mut PageWriter::new(&mut a)).unwrap();
-        iv.pack(Frame::WIDE, &mut PageWriter::new(&mut b)).unwrap();
-        assert_eq!(a, b);
+        let block = encode_block(&extremes, crate::store::NULL_PAGE);
+        assert_eq!(Block::parse::<Point>(&block).unwrap().to_vec::<Point>(), extremes);
+        for p in extremes {
+            roundtrip(p);
+            roundtrip(Interval::new(p.x.min(p.y), p.x.max(p.y), p.id));
+        }
+        let ordered = [i64::MIN, -1, 0, 1, i64::MAX];
+        assert!(ordered.windows(2).all(|w| key_of(w[0]) < key_of(w[1])));
+        assert!(ordered.iter().all(|&v| signed_of(key_of(v)) == v));
     }
 
     #[test]

@@ -33,25 +33,22 @@
 //!
 //! ## The block unit
 //!
-//! One number per structure instance, [`points_capacity`] of the page size
-//! and the structure's [`Frame`], is the paper's `B` for the whole crate:
-//! the entries a path-cache block holds. The frame — the byte widths the
-//! instance's points are stored at — is chosen once, in `build`, as the
-//! narrowest that holds them ([`Frame::of`]), and travels in the handle
-//! ([`PstHandle`]), never on a page. A node holds `B` points and every list
-//! that is copied into a cache, or is one, is blocked `B` to a page
-//! ([`blocked`]), so a cache over `k` full nodes is exactly `k` blocks.
-//! `B` is the smaller of the points-page and `BlockList<SEntry>`
-//! capacities (a `BlockList<Point>` page always holds more); the few bytes
-//! the roomier layouts leave unused cost less than the extra block every
-//! cache paid while a node held more points than a cache block. Skeletal
-//! records are fixed-width whatever the frame.
+//! Every list of points is stored in the block codec of
+//! `pc_pagestore::layout`: each block carries a base, a bit width and a
+//! coding per column, and holds as many records as fit its page. So `B`
+//! follows the data block by block; the guaranteed `B` every bound is
+//! stated at is the block codec's `min_records`, the count at 64-bit
+//! columns. A node is one block: [`node_fill`] gives it its top points
+//! while they fit a points page. A cache copies whole nodes, blocked anew,
+//! so its blocks follow the merged records, not the nodes' (DESIGN §4.5);
+//! the descent rule asks a sibling's record whether it has children, not
+//! whether it is full. Skeletal records are fixed-width.
 
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::layout::{unpack_records, BlockList};
-use pc_pagestore::{Frame, Framed, PageId, PageStore, Point, Record, Result, NULL_PAGE};
+use pc_pagestore::layout::{encode_block, signed_of, Block, BlockList, Columns, MAX_COLUMNS};
+use pc_pagestore::{PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
-use crate::mem::{cmp_x, cmp_y, MemPst, TwoSided};
+use crate::mem::{cmp_x, cmp_y, MemPst, NodeFill, TwoSided, NONE};
 use crate::query::QueryCounters;
 use crate::region::{
     for_each_cache_owner, merge_tagged, write_with, NodeRef, SkelRecord, Skeleton,
@@ -81,49 +78,36 @@ pub struct SEntry {
     pub depth: u16,
 }
 
-impl Framed for SEntry {
-    /// The tag is one byte on the page: the decomposition halves its
-    /// x-range at every level, so depths stay below 64.
-    const TAG: usize = 1;
+impl Columns for SEntry {
+    const COLUMNS: usize = 4;
 
-    fn fields(&self) -> (i64, i64, u64) {
-        self.p.fields()
+    #[inline]
+    fn column(&self, c: usize) -> u64 {
+        match c {
+            3 => u64::from(self.depth),
+            c => self.p.column(c),
+        }
     }
 
-    fn pack_tag(&self, w: &mut PageWriter<'_>) -> Result<()> {
-        w.put_u8(u8::try_from(self.depth).expect("path depths stay below 64"))
-    }
-
-    fn unpack_tagged((x, y, id): (i64, i64, u64), r: &mut PageReader<'_>) -> Result<Self> {
-        Ok(SEntry { p: Point { x, y, id }, depth: u16::from(r.get_u8()?) })
+    #[inline]
+    fn from_columns(c: &[u64; MAX_COLUMNS]) -> Self {
+        let p = Point { x: signed_of(c[0]), y: signed_of(c[1]), id: c[2] };
+        SEntry { p, depth: c[3] as u16 }
     }
 }
 
 /// Byte size of one skeletal record.
-pub const RECORD_LEN: usize = 24 + 24 + 10 + 10 + 8 + 2 + 8 + 2 + 8 + 2 + 16 + 16;
+pub const RECORD_LEN: usize = 24 + 24 + 10 + 10 + 8 + 2 + 8 + 2 + 8 + 2 + 1 + 16 + 16;
 /// Skeletal page header size.
 pub const PAGE_HEADER: usize = 2;
-/// Points-page header size.
-pub const POINTS_HEADER: usize = 2 + 8 + 8 + 2 + 2;
+/// Bytes of a points page before its block: the children's pages and
+/// counts.
+pub const POINTS_PREFIX: usize = 8 + 8 + 2 + 2;
 
-/// The block unit `B` of a structure storing its points at `frame`: points
-/// per node, and entries per block of every A-, S-, X- and Y-list (see the
-/// module header).
-pub fn points_capacity(page_size: usize, frame: Frame) -> usize {
-    let cap = ((page_size - POINTS_HEADER) / frame.record_len::<Point>())
-        .min(BlockList::<SEntry>::capacity(page_size, frame));
-    assert!(cap >= 2, "page size {page_size} too small for a PST points page");
-    cap
-}
-
-/// Builds a list blocked [`points_capacity`] records to a page; also
-/// returns the blocks' pages in chain order.
-pub(crate) fn blocked<R: Framed>(
-    store: &PageStore,
-    frame: Frame,
-    records: &[R],
-) -> Result<(BlockList<R>, Vec<PageId>)> {
-    BlockList::build_blocked(store, frame, records, points_capacity(store.page_size(), frame))
+/// What a node of a single-level PST holds: its top points while they fit
+/// one points page.
+pub(crate) fn node_fill(page_size: usize) -> NodeFill {
+    NodeFill { blocks: 1, budget: page_size - POINTS_PREFIX, inner: None }
 }
 
 /// Skeletal records per page.
@@ -159,6 +143,8 @@ pub struct SkeletalRecord {
     pub right_pts: PageId,
     /// Right child's point count.
     pub right_cnt: u16,
+    /// True if the right child has no children.
+    pub right_leaf: bool,
     /// The children's A-list: the covered ancestors' points and this
     /// node's, descending x-key. Empty where no child continues the segment.
     pub child_a: BlockList<Point>,
@@ -184,6 +170,7 @@ impl SkelRecord for SkeletalRecord {
             left_cnt: r.get_u16()?,
             right_pts: PageId(r.get_u64()?),
             right_cnt: r.get_u16()?,
+            right_leaf: r.get_u8()? != 0,
             child_a: BlockList::decode(r)?,
             left_s: BlockList::decode(r)?,
         })
@@ -202,6 +189,7 @@ impl SkelRecord for SkeletalRecord {
             w.put_u64(pts.0)?;
             w.put_u16(cnt)?;
         }
+        w.put_u8(u8::from(self.right_leaf))?;
         self.child_a.encode(w)?;
         self.left_s.encode(w)
     }
@@ -211,11 +199,11 @@ impl SkelRecord for SkeletalRecord {
     }
 }
 
-/// A decoded points page.
-#[derive(Debug, Clone)]
-pub struct PointsPage {
+/// A points page read in place.
+#[derive(Debug, Clone, Copy)]
+pub struct PointsPage<'a> {
     /// The node's points, descending y-key.
-    pub points: Vec<Point>,
+    pub points: Block<'a>,
     /// Left child points page ([`NULL_PAGE`] for leaves).
     pub left_pts: PageId,
     /// Right child points page.
@@ -226,16 +214,16 @@ pub struct PointsPage {
     pub right_cnt: u16,
 }
 
-impl PointsPage {
-    /// Decodes a points page whose points are stored at `frame`.
-    pub fn decode(page: &[u8], frame: Frame) -> Result<PointsPage> {
+impl PointsPage<'_> {
+    /// Parses a points page: `[left_pts u64][right_pts u64][left_cnt
+    /// u16][right_cnt u16]`, then the node's points as one block.
+    pub fn parse(page: &[u8]) -> Result<PointsPage<'_>> {
         let mut r = PageReader::new(page);
-        let count = r.get_u16()? as usize;
         let left_pts = PageId(r.get_u64()?);
         let right_pts = PageId(r.get_u64()?);
         let left_cnt = r.get_u16()?;
         let right_cnt = r.get_u16()?;
-        let points = unpack_records(frame, &mut r, count)?;
+        let points = Block::parse::<Point>(&page[POINTS_PREFIX..])?;
         Ok(PointsPage { points, left_pts, right_pts, left_cnt, right_cnt })
     }
 }
@@ -249,8 +237,7 @@ pub(crate) enum Kind {
 }
 
 /// Handle to a built static 2-sided structure — a whole one, or the inner
-/// structure of a region — and the frame of the structure it is part of
-/// (the outermost handle carries it in; no record stores it).
+/// structure of a region.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PstHandle {
     /// Skeletal page holding the root record at slot 0.
@@ -258,24 +245,20 @@ pub(crate) struct PstHandle {
     /// Number of indexed points.
     pub(crate) n: u64,
     pub(crate) kind: Kind,
-    /// The widths its points are stored at.
-    pub(crate) frame: Frame,
 }
 
-/// Builds the external structure, its points stored at `frame`, from an
-/// in-memory decomposition whose region capacity equals
-/// [`points_capacity`].
+/// Builds the external structure from an in-memory decomposition whose
+/// nodes are of [`node_fill`].
 pub(crate) fn build_external(
     store: &PageStore,
     mem: &MemPst,
     mode: CacheMode,
-    frame: Frame,
 ) -> Result<PstHandle> {
     let page_size = store.page_size();
-    assert_eq!(mem.cap, points_capacity(page_size, frame), "a node is one block unit");
+    assert_eq!(mem.fill, node_fill(page_size), "a node is one points page");
 
     // Points pages (allocated up front for child links).
-    let pts_of = write_points_pages(store, mem, frame)?;
+    let pts_of = write_points_pages(store, mem)?;
     let skel = Skeleton::new(store, mem, skeletal_capacity(page_size))?;
 
     // The children's lists, per internal node: whole nodes, the S-entries
@@ -287,14 +270,14 @@ pub(crate) fn build_external(
         let points = |ni: usize| &mem.nodes[ni].points[..];
         for_each_cache_owner(0, |ni| mem.children(ni), covered, |node, depth, path| {
             let segment_top = depth + 1 - path.len() as u16;
-            let a = merge_tagged(path.iter().map(|step| (points(step.node), 0)), usize::MAX, cmp_x);
+            let a = merge_tagged(path.iter().map(|step| (points(step.node), 0)), cmp_x);
             let sibs = path.iter().filter(|step| step.went_left).map(|step| {
                 (points(mem.nodes[step.node].right), segment_top + step.depth)
             });
-            let s = merge_tagged(sibs, usize::MAX, cmp_y);
+            let s = merge_tagged(sibs, cmp_y);
             let a: Vec<Point> = a.into_iter().map(|e| e.p).collect();
-            child_a[node] = blocked(store, frame, &a)?.0;
-            left_s[node] = blocked(store, frame, &s)?.0;
+            child_a[node] = BlockList::build(store, &a)?;
+            left_s[node] = BlockList::build(store, &s)?;
             Ok(())
         })?;
     }
@@ -315,17 +298,18 @@ pub(crate) fn build_external(
             left_cnt,
             right_pts,
             right_cnt,
+            right_leaf: node.right != NONE && mem.nodes[node.right].is_leaf(),
             child_a: child_a[ni],
             left_s: left_s[ni],
         }
     })?;
     let n = mem.nodes[0].subtree_size;
-    Ok(PstHandle { root: skel.root(), n, kind: Kind::Basic(mode), frame })
+    Ok(PstHandle { root: skel.root(), n, kind: Kind::Basic(mode) })
 }
 
 /// Writes one points page per region (child links included) and returns
 /// each region's `(page, point count)`, indexed by arena position.
-fn write_points_pages(store: &PageStore, mem: &MemPst, frame: Frame) -> Result<Vec<(PageId, u16)>> {
+fn write_points_pages(store: &PageStore, mem: &MemPst) -> Result<Vec<(PageId, u16)>> {
     let mut pts_of = Vec::with_capacity(mem.nodes.len());
     for node in &mem.nodes {
         pts_of.push((store.alloc()?, node.points.len() as u16));
@@ -333,28 +317,27 @@ fn write_points_pages(store: &PageStore, mem: &MemPst, frame: Frame) -> Result<V
     let link = |ni: usize| pts_of.get(ni).copied().unwrap_or((NULL_PAGE, 0));
     for (node, &(page, count)) in mem.nodes.iter().zip(&pts_of) {
         let ((left_pts, left_cnt), (right_pts, right_cnt)) = (link(node.left), link(node.right));
+        debug_assert_eq!(usize::from(count), node.points.len());
         write_with(store, page, |w| {
-            w.put_u16(count)?;
             w.put_u64(left_pts.0)?;
             w.put_u64(right_pts.0)?;
             w.put_u16(left_cnt)?;
             w.put_u16(right_cnt)?;
-            node.points.iter().try_for_each(|p| p.pack(frame, w))
+            w.put_bytes(&encode_block(&node.points, NULL_PAGE))
         })?;
     }
     Ok(pts_of)
 }
 
 /// A static 2-sided PST: the type, its `build` — `$build` is what makes a
-/// [`PstHandle`] of the store, the points and their narrowest frame (and
-/// `$arg…`), under the names the caller gives them — and the accessors and
-/// queries every one of them answers from that handle. Expands where
-/// `PageStore`, `Point`, `Frame`, `Result`, `TwoSided` and `QueryCounters`
-/// are in scope.
+/// [`PstHandle`] of the store and the points (and `$arg…`), under the names
+/// the caller gives them — and the accessors and queries every one of them
+/// answers from that handle. Expands where `PageStore`, `Point`, `Result`,
+/// `TwoSided` and `QueryCounters` are in scope.
 macro_rules! static_pst {
     (
         $(#[$doc:meta])* $name:ident($($arg:ident: $ty:ty),*),
-        |$store:ident, $points:ident, $frame:ident| $build:expr
+        |$store:ident, $points:ident| $build:expr
     ) => {
         $(#[$doc])*
         pub struct $name {
@@ -363,16 +346,9 @@ macro_rules! static_pst {
         }
 
         impl $name {
-            /// Builds the structure over `points`, stored at the narrowest
-            /// frame that holds them.
+            /// Builds the structure over `points`.
             pub fn build($store: &PageStore, $points: &[Point] $(, $arg: $ty)*) -> Result<Self> {
-                let $frame = Frame::of($points);
                 Ok($name { root: $build? $(, $arg)* })
-            }
-
-            /// The widths the structure stores its points at.
-            pub fn frame(&self) -> Frame {
-                self.root.frame
             }
 
             /// Number of indexed points.
@@ -404,15 +380,14 @@ macro_rules! static_pst {
     };
 }
 
-/// Builds a single-level PST over `points`, stored at `frame`.
+/// Builds a single-level PST over `points`.
 pub(crate) fn build_single_level(
     store: &PageStore,
     points: &[Point],
     mode: CacheMode,
-    frame: Frame,
 ) -> Result<PstHandle> {
-    let mem = MemPst::build(points, points_capacity(store.page_size(), frame));
-    build_external(store, &mem, mode, frame)
+    let mem = MemPst::build(points, node_fill(store.page_size()));
+    build_external(store, &mem, mode)
 }
 
 static_pst!(
@@ -421,14 +396,14 @@ static_pst!(
     /// `O(log n + t/B)` query I/Os. This is the structure path caching
     /// improves on (experiment E12).
     NaivePst(),
-    |store, points, frame| build_single_level(store, points, CacheMode::None, frame)
+    |store, points| build_single_level(store, points, CacheMode::None)
 );
 
 static_pst!(
     /// Lemma 3.1: A/S caches over the **full** root path at every region.
     /// Optimal `O(log_B n + t/B)` queries; `O((n/B) log n)` space.
     BasicPst(),
-    |store, points, frame| build_single_level(store, points, CacheMode::FullPath, frame)
+    |store, points| build_single_level(store, points, CacheMode::FullPath)
 );
 
 static_pst!(
@@ -436,7 +411,7 @@ static_pst!(
     /// (one skeletal page); queries read one A/S pair per segment.
     /// Optimal `O(log_B n + t/B)` queries; `O((n/B) log B)` space.
     SegmentedPst(),
-    |store, points, frame| build_single_level(store, points, CacheMode::InPage, frame)
+    |store, points| build_single_level(store, points, CacheMode::InPage)
 );
 
 #[cfg(test)]
@@ -445,55 +420,62 @@ mod tests {
 
     use super::*;
     use crate::region::{for_each_skeletal_page, paginate, write_page};
-    use crate::testutil::{check_core_caches, distinct_points, LoggedStore, FRAMES};
+    use crate::testutil::{block_sizes, check_core_caches, distinct_points, wide, LoggedStore};
     use crate::two_level::query_handle;
+    use pc_pagestore::layout::{fill_blocks, min_records};
 
-    /// The default path: the narrowest frame that holds `pts`.
+    /// The default path.
     fn build_core(store: &PageStore, pts: &[Point], mode: CacheMode) -> (MemPst, PstHandle) {
-        let frame = Frame::of(pts);
-        let mem = MemPst::build(pts, points_capacity(store.page_size(), frame));
-        let core = build_external(store, &mem, mode, frame).unwrap();
+        let mem = MemPst::build(pts, node_fill(store.page_size()));
+        let core = build_external(store, &mem, mode).unwrap();
         (mem, core)
     }
 
+    /// A cache over `k` whole nodes copies their points in at most
+    /// `k + ⌈k/8⌉` blocks (DESIGN §4.5), on narrow data and on data spread
+    /// over all 64 bits.
     #[test]
     fn caches_over_k_full_nodes_are_k_blocks() {
         for (page_size, n) in [(512, 6_000), (4096, 40_000)] {
-            let pts = distinct_points(n);
-            for mode in [CacheMode::FullPath, CacheMode::InPage] {
-                let store = PageStore::in_memory(page_size);
-                let (mem, core) = build_core(&store, &pts, mode);
-                let (nodes, full) = check_core_caches(&store, &core);
-                assert_eq!(nodes, mem.nodes.len());
-                assert!(full * 2 >= nodes - 1, "{full} full nodes of {nodes}");
+            for pts in [distinct_points(n), wide(&distinct_points(n))] {
+                for mode in [CacheMode::FullPath, CacheMode::InPage] {
+                    let store = PageStore::in_memory(page_size);
+                    let (mem, core) = build_core(&store, &pts, mode);
+                    let (nodes, full) = check_core_caches(&store, &core);
+                    assert_eq!(nodes, mem.nodes.len());
+                    assert!(full * 2 >= nodes - 1, "{full} full nodes of {nodes}");
+                }
             }
         }
     }
 
-    /// Every distinct list once, and one owner each: the page count of a
-    /// complete tree with full-path caches, and a free walk that knows no
-    /// aliasing rule and returns every page.
+    /// Every distinct list once, and one owner each: the pages of a tree
+    /// with full-path caches are its points pages, its skeletal pages and
+    /// the blocks of every record's two lists, counted from their heads —
+    /// a list two records shared would count twice — and a free walk that
+    /// knows no aliasing rule returns every page.
     #[test]
     fn each_cache_list_is_written_once_and_freed_once() {
-        for (page_size, levels, frame) in
-            FRAMES.into_iter().flat_map(|frame| [(512usize, 3usize, frame), (4096, 4, frame)])
-        {
-            let b = points_capacity(page_size, frame);
-            let nodes = (1 << levels) - 1;
-            let store = PageStore::in_memory(page_size);
-            let mem = MemPst::build(&distinct_points(nodes * b), b);
-            assert_eq!(mem.nodes.len(), nodes);
-            assert!(mem.nodes.iter().all(|node| node.points.len() == b));
-            let core = build_external(&store, &mem, CacheMode::FullPath, frame).unwrap();
-            // The 2^d internal nodes at depth d: a child_a of d + 1 blocks
-            // each; a left_s of one block for the right child and one per
-            // left step above, d/2 on average.
-            let a_blocks: usize = (0..levels - 1).map(|d| (d + 1) << d).sum();
-            let s_blocks: usize = (0..levels - 1).map(|d| (1 << d) + (d << d) / 2).sum();
-            let skeletal = paginate(&mem, skeletal_capacity(page_size)).0.len();
-            assert_eq!(store.live_pages() as usize, nodes + skeletal + a_blocks + s_blocks);
-            crate::two_level::free_pages(&store, core.root, false).unwrap();
-            assert_eq!(store.live_pages(), 0);
+        for (page_size, n) in [(512usize, 1_000usize), (4096, 20_000)] {
+            for pts in [distinct_points(n), wide(&distinct_points(n))] {
+                let store = PageStore::in_memory(page_size);
+                let (mem, core) = build_core(&store, &pts, CacheMode::FullPath);
+                assert!(mem.nodes.len() >= 7, "{} nodes", mem.nodes.len());
+                let mut cache_blocks = 0;
+                for_each_skeletal_page(&store, core.root, &mut |_, _, recs: &[SkeletalRecord]| {
+                    for rec in recs {
+                        cache_blocks += block_sizes(&store, &rec.child_a).len();
+                        cache_blocks += block_sizes(&store, &rec.left_s).len();
+                    }
+                    Ok(())
+                })
+                .unwrap();
+                let skeletal = paginate(&mem, skeletal_capacity(page_size)).0.len();
+                let pages = mem.nodes.len() + skeletal + cache_blocks;
+                assert_eq!(store.live_pages() as usize, pages);
+                crate::two_level::free_pages(&store, core.root, false).unwrap();
+                assert_eq!(store.live_pages(), 0);
+            }
         }
     }
 
@@ -502,7 +484,7 @@ mod tests {
     /// meet the same cache lists, compared by the pages of their heads.
     #[test]
     fn siblings_drain_the_same_lists() {
-        for (page_size, n) in [(512, 3_000), (4096, 30_000)] {
+        for (page_size, n) in [(512, 6_000), (4096, 60_000)] {
             for mode in [CacheMode::FullPath, CacheMode::InPage] {
                 let logged = LoggedStore::new(page_size);
                 let store = &logged.store;
@@ -524,7 +506,7 @@ mod tests {
                 let met = |at: NodeRef| {
                     let rec = &records.iter().find(|(r, _)| *r == at).expect("a record").1;
                     let own = store.read(rec.own_pts).unwrap();
-                    let own = PointsPage::decode(&own, core.frame).unwrap().points;
+                    let own: Vec<Point> = PointsPage::parse(&own).unwrap().points.to_vec();
                     let q = TwoSided { x0: own[0].x, y0: rec.min_y.y + 1 };
                     let (_, log) = logged.reads_of(|s| query_handle(s, core, q).unwrap());
                     let of = |heads: &HashSet<PageId>| -> Vec<PageId> {
@@ -552,32 +534,40 @@ mod tests {
 
     #[test]
     fn geometry() {
-        assert_eq!(RECORD_LEN, 130);
-        // The block unit: min(points page, cache block of entries one tag
-        // byte longer than a point). Wide, 24 and 25 bytes:
-        let wide = |page_size| points_capacity(page_size, Frame::WIDE);
-        assert_eq!(Frame::WIDE.record_len::<SEntry>(), 25);
-        assert_eq!(wide(512), 20); // (512 - 22) / 24 = (512 - 10) / 25
-        assert_eq!(wide(4096), 163); // (4096 - 10) / 25 < (4096 - 22) / 24 = 169
-        assert_eq!(wide(256), 9); // (256 - 22) / 24 < (256 - 10) / 25 = 9.84
-        // 20-bit data, 9 and 10 bytes; the narrowest frame, 3 and 4.
-        assert_eq!(points_capacity(4096, Frame::new(3, 3, 3)), 408); // (4096 - 10) / 10
-        assert_eq!(points_capacity(512, Frame::new(3, 3, 3)), 50);
-        assert_eq!(points_capacity(4096, Frame::new(1, 1, 1)), 1021);
-        assert_eq!(points_capacity(4096, Frame::new(2, 5, 8)), 255); // (4096 - 10) / 16
+        assert_eq!(RECORD_LEN, 131);
         assert_eq!(skeletal_capacity(512), 3);
         assert_eq!(skeletal_capacity(4096), 31);
+        // A node is its top points while they fit a points page: at least
+        // the block codec's count at 64-bit columns, on any data.
+        assert_eq!(node_fill(4096), NodeFill { blocks: 1, budget: 4076, inner: None });
+        assert_eq!(min_records::<Point>(4076), 168); // (4076 - 40)·8 / 192
+        for (page_size, n) in [(512, 2_000), (4096, 40_000)] {
+            for pts in [distinct_points(n), wide(&distinct_points(n))] {
+                let store = PageStore::in_memory(page_size);
+                let (mem, core) = build_core(&store, &pts, CacheMode::None);
+                let fill = node_fill(page_size);
+                for node in mem.nodes.iter().filter(|node| !node.is_leaf()) {
+                    assert!(node.points.len() >= min_records::<Point>(fill.budget));
+                    assert_eq!(fill_blocks(&node.points, 1, fill.budget), node.points.len());
+                }
+                let root = SkeletalRecord::at(&store.read(core.root).unwrap(), 0).unwrap();
+                let page = store.read(root.own_pts).unwrap();
+                assert!(page.len() <= page_size);
+                let points: Vec<Point> = PointsPage::parse(&page).unwrap().points.to_vec();
+                assert_eq!(points, mem.nodes[0].points);
+            }
+        }
     }
 
     #[test]
     fn sentry_roundtrip() {
-        let e = SEntry { p: Point::new(3, -4, 9), depth: 7 };
-        for frame in [Frame::WIDE, Frame::of(&[e])] {
-            let mut buf = vec![0u8; frame.record_len::<SEntry>()];
-            let mut w = PageWriter::new(&mut buf);
-            e.pack(frame, &mut w).unwrap();
-            assert_eq!(w.position(), buf.len());
-            assert_eq!(SEntry::unpack(frame, &mut PageReader::new(&buf)).unwrap(), e);
+        let entries = [
+            SEntry { p: Point::new(3, -4, 9), depth: 7 },
+            SEntry { p: Point::new(i64::MIN, i64::MAX, u64::MAX), depth: 63 },
+        ];
+        for list in [&entries[..1], &entries[..]] {
+            let block = pc_pagestore::layout::encode_block(list, NULL_PAGE);
+            assert_eq!(Block::parse::<SEntry>(&block).unwrap().to_vec::<SEntry>(), list);
         }
     }
 
@@ -598,6 +588,7 @@ mod tests {
                 left_cnt: 4,
                 right_pts: PageId(50 + k),
                 right_cnt: 5,
+                right_leaf: k % 2 == 1,
                 child_a: BlockList::decode(&mut PageReader::new(&[k as u8 + 1; 16])).unwrap(),
                 left_s: BlockList::decode(&mut PageReader::new(&[k as u8 + 2; 16])).unwrap(),
             };
@@ -636,7 +627,7 @@ mod tests {
         assert!(sizes[0] < sizes[1], "naive {} !< segmented {}", sizes[0], sizes[1]);
         assert!(sizes[1] < sizes[2], "segmented {} !< full {}", sizes[1], sizes[2]);
         // Naive is O(n/B): within a small constant of 2n/B.
-        let b = points_capacity(512, Frame::of(&pts)) as u64;
+        let b = min_records::<Point>(512) as u64;
         assert!(sizes[0] <= 4 * 20_000 / b, "naive size {} not linear", sizes[0]);
     }
 }

@@ -9,9 +9,11 @@
 //! * An update is logged in the root page's `U` (`O(1)` I/Os). When `U`
 //!   overflows, its updates trickle one level of pages down: each is either
 //!   applied to the in-page region that contains its coordinates or
-//!   forwarded to a child page's `U`, cascading. A flush rewrites the X/Y
-//!   lists of the regions it touched — the record takes the new lists'
-//!   first *and second* block from the build — and, of the page's caches,
+//!   forwarded to a child page's `U`, cascading. A buffer is one block of
+//!   the block codec and holds as many updates as fit it. A flush rewrites
+//!   the X/Y lists of the regions it touched — the record takes the new
+//!   lists' first *and second* block, and the first's count, from the
+//!   build — and, of the page's caches,
 //!   those with a source whose *first* X- (Y-) block moved: a cache copies
 //!   nothing else, and an applied point's rank in both orders is known
 //!   when it is applied. A cache list lives once, in the record of the
@@ -40,11 +42,11 @@
 //! live points below the page, resolve pending ops by stamp, free the old
 //! subtree — every list has one owner, so one walk names each page once —
 //! rebuild statically, splice into the parent, whose record copies the new
-//! root's count and the `(head, second)` of its Y-list). A rebuild restores
+//! root's count and the handle of its Y-list). A rebuild restores
 //! the perfect decomposition, which subsumes re-division and rebalancing.
 //! Rebuilds are also triggered eagerly by two rare invariant hazards (a
 //! region emptied by deletes while it still has children, or a region
-//! growing past twice its capacity); an adversarially targeted delete
+//! whose Y-list grew past twice its blocks); an adversarially targeted delete
 //! stream can therefore exceed the amortized bound — the trade-off is noted
 //! in EXPERIMENTS.md.
 //!
@@ -59,25 +61,18 @@
 //! Both structures append the buffered inserts a query accepts in `seq`
 //! order: one query on one store returns one vector, call after call.
 //!
-//! ## Widening
-//!
-//! A structure stores its points at one [`Frame`], chosen at `build` and
-//! used by every later list, cache, buffer and subtree rebuild — never a
-//! narrower one, so `B` is one number for the structure's life. An update
-//! naming a point the frame does not hold *widens* first: the live points
-//! are gathered, the pages freed and the structure rebuilt under `frame ∪
-//! Frame::of(p)`. A frame has three fields of at most seven steps each, so
-//! there are at most 21 such rebuilds however long the structure lives,
-//! and Thm 5.1's amortisation stands. The check reads nothing.
+//! Every block describes its own widths, so an update of any coordinates
+//! costs the bytes it needs in the blocks it lands in, and nothing else.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::{Frame, PageId, PageStore, Point, Result};
+use pc_pagestore::layout::{fill_blocks, min_records, BlockList};
+use pc_pagestore::{PageId, PageStore, Point, Result};
 
-use crate::build::{blocked, Kind, PstHandle};
-use crate::mem::{cmp_x, cmp_y, TwoSided};
+use crate::build::{Kind, PstHandle};
+use crate::mem::{cmp_x, cmp_y, TwoSided, MAX_NODE_POINTS};
 use crate::query::QueryCounters;
 use crate::region::{
     for_each_cache_owner, for_each_skeletal_page, merge_tagged, patch_record, write_page, NodeRef,
@@ -85,9 +80,9 @@ use crate::region::{
 };
 use crate::three_sided::{ThreeSided, ThreeSidedPst};
 use crate::two_level::{
-    block_capacity, buffer_capacity, build_region_tree, decode_header, encode_header, free_pages,
-    page_census, query_handle, read_buffer, region_caps, write_buffer, ListRef, PageHeaderInfo,
-    RegionCensus, RegionRecord, UpdateRec, PAGE_HEADER,
+    buffer_room, build_region_tree, decode_header, encode_header, free_pages, page_census,
+    query_handle, read_buffer, region_blocks, write_buffer, ListRef, PageHeaderInfo, RegionCensus,
+    RegionRecord, UpdateRec, PAGE_HEADER,
 };
 
 /// Outcome of a page flush: either the page was rewritten in place, or
@@ -102,19 +97,21 @@ enum FlushOutcome {
 struct Touched {
     /// The updates applied to the region, in `seq` order.
     ops: Vec<UpdateRec>,
-    /// An applied point was among the first `B` of the region's X-list
-    /// (resp. Y-list) — the block the page's A- (resp. S-) caches copy.
+    /// An applied point was in the first block of the region's X-list
+    /// (resp. Y-list) — the block the page's A- (resp. S-) caches copy. A
+    /// block is the greedy fill of its list's prefix, so a point that lands
+    /// past it leaves it alone.
     x_first: bool,
     y_first: bool,
 }
 
 impl Touched {
     /// Records `op`, applied to a point of y-rank `y_rank` in the region
-    /// whose other points are `rest`.
-    fn apply(&mut self, op: UpdateRec, p: &Point, y_rank: usize, rest: &[Point], b: usize) {
+    /// `r` whose other points are `rest`.
+    fn apply(&mut self, op: UpdateRec, p: &Point, y_rank: usize, rest: &[Point], r: &RegionRecord) {
         let x_rank = rest.iter().filter(|o| cmp_x(o, p) == Ordering::Greater).count();
-        self.x_first |= x_rank < b;
-        self.y_first |= y_rank < b;
+        self.x_first |= x_rank <= usize::from(r.x_list.first);
+        self.y_first |= y_rank <= usize::from(r.y_list.first);
         self.ops.push(op);
     }
 }
@@ -152,46 +149,35 @@ fn merge_buffered(
 /// `O((n/B)·log log B)` space plus one buffer block per super node.
 pub struct DynamicPst {
     root: PageId,
-    frame: Frame,
     caps: Vec<usize>,
     seq: u64,
     live: u64,
 }
 
 /// Byte size of a [`DynamicPst::descriptor`].
-const DESCRIPTOR_LEN: usize = 27;
+const DESCRIPTOR_LEN: usize = 24;
 
 impl DynamicPst {
     /// Builds the structure over an initial point set (ids must be unique
-    /// among live points; updates preserve this invariant), stored at the
-    /// narrowest frame that holds it.
+    /// among live points; updates preserve this invariant).
     pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
-        Self::build_framed(store, points, Frame::of(points))
-    }
-
-    /// Builds the structure over `points`, stored at `frame`, which holds
-    /// them.
-    pub(crate) fn build_framed(store: &PageStore, points: &[Point], frame: Frame) -> Result<Self> {
-        let caps = region_caps(store.page_size(), 2, frame);
+        let caps = region_blocks(store.page_size(), 2);
         assert!(!caps.is_empty(), "page too small for the two-level scheme");
-        let handle = build_region_tree(store, points, &caps, frame)?;
-        Ok(DynamicPst { root: handle.root, frame, caps, seq: 0, live: points.len() as u64 })
+        let handle = build_region_tree(store, points, &caps)?;
+        Ok(DynamicPst { root: handle.root, caps, seq: 0, live: points.len() as u64 })
     }
 
     /// Serializes the structure's handle — root page, update sequence,
-    /// live count, frame — as a fixed 27-byte descriptor. Everything else
-    /// (`caps`) is a pure function of the store's page size and the frame,
-    /// so the descriptor plus the store's pages is the whole structure: a
-    /// service that commits the descriptor with each durable batch can
-    /// reopen the PST after a crash with [`DynamicPst::open`], and an epoch
-    /// installed before a widening keeps the frame its pages were written
-    /// at.
+    /// live count — as a fixed 24-byte descriptor. Everything else (`caps`)
+    /// is a pure function of the store's page size, so the descriptor plus
+    /// the store's pages is the whole structure: a service that commits the
+    /// descriptor with each durable batch can reopen the PST after a crash
+    /// with [`DynamicPst::open`].
     pub fn descriptor(&self) -> [u8; DESCRIPTOR_LEN] {
         let mut out = [0u8; DESCRIPTOR_LEN];
         out[0..8].copy_from_slice(&self.root.0.to_le_bytes());
         out[8..16].copy_from_slice(&self.seq.to_le_bytes());
         out[16..24].copy_from_slice(&self.live.to_le_bytes());
-        out[24..27].copy_from_slice(&self.frame.widths());
         out
     }
 
@@ -208,16 +194,10 @@ impl DynamicPst {
         }
         let word = |i: usize| u64::from_le_bytes(desc[i..i + 8].try_into().expect("8 bytes"));
         let root = PageId(word(0));
-        let frame = Frame::from_widths(desc[24..27].try_into().expect("3 bytes"))?;
-        let caps = region_caps(store.page_size(), 2, frame);
+        let caps = region_blocks(store.page_size(), 2);
         assert!(!caps.is_empty(), "page too small for the two-level scheme");
         decode_header(&store.read(root)?)?;
-        Ok(DynamicPst { root, frame, caps, seq: word(8), live: word(16) })
-    }
-
-    /// The widths the structure stores its points at.
-    pub fn frame(&self) -> Frame {
-        self.frame
+        Ok(DynamicPst { root, caps, seq: word(8), live: word(16) })
     }
 
     /// Number of live points (settled plus buffered).
@@ -232,7 +212,7 @@ impl DynamicPst {
 
     /// Counts the structure's pages by class, update buffers included.
     pub fn page_census(&self, store: &PageStore) -> Result<RegionCensus> {
-        page_census(store, self.root, self.frame)
+        page_census(store, self.root, self.live)
     }
 
     /// Update records applied since the initial build — the `seq` word of
@@ -260,7 +240,6 @@ impl DynamicPst {
 
     /// Stamps an update and logs it in the root page's `U`.
     fn log(&mut self, store: &PageStore, p: Point, is_delete: bool) -> Result<()> {
-        self.widen_for(store, &p)?;
         self.seq += 1;
         let rec = UpdateRec { is_delete, seq: self.seq, p };
         self.push_updates(store, self.root, vec![rec], None)
@@ -279,29 +258,14 @@ impl DynamicPst {
     ) -> Result<(Vec<Point>, QueryCounters)> {
         // The root span: the merge below reports into it.
         let _span = pc_obs::span!("dynpst_query");
-        let (root, frame) = (self.root, self.frame);
-        let handle = PstHandle { root, n: self.live.max(1), kind: Kind::Region, frame };
+        let handle = PstHandle { root: self.root, n: self.live.max(1), kind: Kind::Region };
         let (static_res, pending, counters) = query_handle(store, handle, q)?;
         Ok((merge_buffered(static_res, pending, |p| q.contains(p)), counters))
     }
 
-    /// Rebuilds the structure under `frame ∪ Frame::of(p)` if the frame does
-    /// not hold `p` (see the module header); reads nothing otherwise.
-    fn widen_for(&mut self, store: &PageStore, p: &Point) -> Result<()> {
-        if self.frame.holds(p) {
-            return Ok(());
-        }
-        let points = gather_live(store, self.frame, self.root, Vec::new())?;
-        free_pages(store, self.root, true)?;
-        let wider = self.frame.union(Frame::of(std::slice::from_ref(p)));
-        let rebuilt = Self::build_framed(store, &points, wider)?;
-        *self = DynamicPst { seq: self.seq, live: self.live, ..rebuilt };
-        Ok(())
-    }
-
     /// Pushes updates into a page's `U` buffer, flushing the page whenever
-    /// the buffer fills. `parent` is `(page, slot, child_is_right)` for
-    /// splice patching on rebuild (`None` at the root).
+    /// the buffer cannot take the next. `parent` is `(page, slot,
+    /// child_is_right)` for splice patching on rebuild (`None` at the root).
     fn push_updates(
         &mut self,
         store: &PageStore,
@@ -309,27 +273,25 @@ impl DynamicPst {
         mut ops: Vec<UpdateRec>,
         parent: Option<(PageId, u16, bool)>,
     ) -> Result<()> {
-        let frame = self.frame;
-        let cap = buffer_capacity(store.page_size(), frame);
+        let page_size = store.page_size();
         loop {
             let page = store.read(page_id)?;
             let mut header = decode_header(&page)?;
             let mut buffered = if header.u_page.is_null() {
                 Vec::new()
             } else {
-                read_buffer(store, frame, header.u_page)?
+                read_buffer(store, header.u_page)?
             };
-            let space = cap.saturating_sub(buffered.len());
-            let take = space.min(ops.len());
+            let take = buffer_room(page_size, &buffered, &ops);
             buffered.extend(ops.drain(..take));
             if header.u_page.is_null() {
                 header.u_page = store.alloc()?;
-                write_buffer(store, frame, header.u_page, &buffered)?;
+                write_buffer(store, header.u_page, &buffered)?;
                 patch_header(store, page_id, &header)?;
             } else {
-                write_buffer(store, frame, header.u_page, &buffered)?;
+                write_buffer(store, header.u_page, &buffered)?;
             }
-            if buffered.len() >= cap {
+            if !ops.is_empty() {
                 // A flush may rebuild the subtree under a fresh page; keep
                 // appending the remaining ops to the new root.
                 if let FlushOutcome::Rebuilt(new_page) =
@@ -359,27 +321,24 @@ impl DynamicPst {
         if header.u_page.is_null() {
             return Ok(FlushOutcome::InPlace);
         }
-        let frame = self.frame;
-        let mut ops = read_buffer(store, frame, header.u_page)?;
+        let mut ops = read_buffer(store, header.u_page)?;
         if ops.is_empty() {
             return Ok(FlushOutcome::InPlace);
         }
         ops.sort_unstable_by_key(|o| o.seq);
         // Clear the buffer up front (the page itself is kept for reuse).
-        write_buffer(store, frame, header.u_page, &[])?;
+        write_buffer(store, header.u_page, &[])?;
 
         // Materialize all in-page regions.
         let records = RegionRecord::all(&page)?;
         let count = records.len();
         let mut points: Vec<Vec<Point>> = Vec::with_capacity(count);
         for rec in &records {
-            let mut pts = rec.x_list.read_all(store, frame)?;
+            let mut pts = rec.x_list.read_all(store)?;
             pts.sort_unstable_by(|a, b| cmp_y(b, a));
             points.push(pts);
         }
 
-        let region_cap = self.caps[0];
-        let b = block_capacity(store.page_size(), frame);
         // Per-child-page forwards: (child ref, parent slot, is_right, ops),
         // flushed in page-id order so that every run allocates alike.
         let mut forwards: BTreeMap<u64, (NodeRef, u16, bool, Vec<UpdateRec>)> = BTreeMap::new();
@@ -419,7 +378,7 @@ impl DynamicPst {
                         if op.is_delete {
                             if let Some(i) = points[slot].iter().position(|x| x.id == op.p.id) {
                                 let gone = points[slot].remove(i);
-                                touched[slot].apply(*op, &gone, i, &points[slot], b);
+                                touched[slot].apply(*op, &gone, i, &points[slot], rec);
                                 done = true;
                             }
                             // Not found on this branch: other tie branches
@@ -428,11 +387,8 @@ impl DynamicPst {
                             let pos = points[slot].partition_point(|x| {
                                 cmp_y(x, &op.p) == Ordering::Greater
                             });
-                            touched[slot].apply(*op, &op.p, pos, &points[slot], b);
+                            touched[slot].apply(*op, &op.p, pos, &points[slot], rec);
                             points[slot].insert(pos, op.p);
-                            if points[slot].len() > 2 * region_cap {
-                                hazard = true;
-                            }
                             done = true;
                         }
                         break;
@@ -467,12 +423,20 @@ impl DynamicPst {
             }
         }
 
+        // A region grown past twice its points' bound or its Y-list's blocks.
+        let (page_size, blocks) = (store.page_size(), 2 * self.caps[0]);
+        hazard |= points.iter().zip(&touched).any(|(pts, t)| {
+            !t.ops.is_empty()
+                && (pts.len() > 2 * MAX_NODE_POINTS
+                    || fill_blocks(pts, blocks, page_size) < pts.len())
+        });
         let applied: usize = touched.iter().map(|t| t.ops.len()).sum();
         header.churn += applied as u32;
         header.subtree_n = (header.subtree_n as i64 + net).max(0) as u64;
 
-        let rebuild_threshold =
-            (header.subtree_n / 2).max(4 * buffer_capacity(store.page_size(), frame) as u64);
+        // The churn threshold counts in the fewest updates a buffer holds.
+        let buffer = min_records::<UpdateRec>(store.page_size()) as u64;
+        let rebuild_threshold = (header.subtree_n / 2).max(4 * buffer);
         if hazard || u64::from(header.churn) > rebuild_threshold {
             // The on-disk lists were not rewritten, so *every* op of this
             // flush — applied in memory or queued for forwarding — must be
@@ -512,9 +476,7 @@ impl DynamicPst {
         parent: Option<(PageId, u16, bool)>,
     ) -> Result<()> {
         let count = records.len();
-        let frame = self.frame;
-        let b = block_capacity(store.page_size(), frame);
-        let u_cap = buffer_capacity(store.page_size(), frame);
+        let page_size = store.page_size();
 
         // Rebuild X/Y lists and region buffers of touched regions.
         let mut x_sorted: Vec<Vec<Point>> = Vec::with_capacity(count);
@@ -527,29 +489,32 @@ impl DynamicPst {
             }
             records[slot].x_list.free(store)?;
             records[slot].y_list.free(store)?;
-            records[slot].x_list = ListRef::build(store, frame, &x_sorted[slot])?;
-            records[slot].y_list = ListRef::build(store, frame, &points[slot])?;
+            records[slot].x_list = ListRef::build(store, &x_sorted[slot])?;
+            records[slot].y_list = ListRef::build(store, &points[slot])?;
             records[slot].own_cnt = points[slot].len() as u16;
             records[slot].min_y_y = points[slot].last().map(|p| p.y).unwrap_or(0);
 
-            // Log into the region's `u`; rebuild the inner PST on overflow.
+            // Log into the region's `u`; rebuild the inner PST once the
+            // updates no longer fit it.
             let mut u_ops = if records[slot].u_buf.is_null() {
                 Vec::new()
             } else {
-                read_buffer(store, frame, records[slot].u_buf)?
+                read_buffer(store, records[slot].u_buf)?
             };
-            u_ops.extend(touched[slot].ops.iter().copied());
-            if u_ops.len() >= u_cap {
+            let ops = &touched[slot].ops;
+            if buffer_room(page_size, &u_ops, ops) < ops.len() {
                 free_pages(store, records[slot].inner_root, records[slot].inner_is_region)?;
-                let inner = build_region_tree(store, &points[slot], &self.caps[1..], frame)?;
-                (records[slot].inner_root, records[slot].inner_n) = (inner.root, inner.n);
+                let inner = build_region_tree(store, &points[slot], &self.caps[1..])?;
+                (records[slot].inner_root, records[slot].inner_n) = (inner.root, inner.n as u32);
                 records[slot].inner_is_region = inner.kind == Kind::Region;
                 u_ops.clear();
+            } else {
+                u_ops.extend(ops.iter().copied());
             }
             if records[slot].u_buf.is_null() {
                 records[slot].u_buf = store.alloc()?;
             }
-            write_buffer(store, frame, records[slot].u_buf, &u_ops)?;
+            write_buffer(store, records[slot].u_buf, &u_ops)?;
         }
 
         // Refresh intra-page parent-side metadata.
@@ -573,18 +538,24 @@ impl DynamicPst {
             paths[slot] = Some(path.to_vec());
             Ok(())
         })?;
+        let firsts: Vec<(usize, usize)> = records
+            .iter()
+            .map(|rec| (usize::from(rec.x_list.first), usize::from(rec.y_list.first)))
+            .collect();
+        let first_x = |slot: usize| &x_sorted[slot][..firsts[slot].0];
+        let first_y = |slot: usize| &points[slot][..firsts[slot].1];
         for (rec, path) in records.iter_mut().zip(paths) {
             let Some(path) = path else { continue };
             if path.iter().any(|step| touched[step.node].x_first) {
                 rec.child_a.free(store)?;
-                let sources = path.iter().map(|step| (&x_sorted[step.node][..], step.depth));
-                rec.child_a = blocked(store, frame, &merge_tagged(sources, b, cmp_x))?.0;
+                let sources = path.iter().map(|step| (first_x(step.node), step.depth));
+                rec.child_a = BlockList::build(store, &merge_tagged(sources, cmp_x))?;
             }
             let sibs = || path.iter().filter(|s| s.went_left).map(|s| (right_of[s.node], s.depth));
             if sibs().any(|(sib, _)| touched[sib].y_first) {
                 rec.left_s.free(store)?;
-                let sources = sibs().map(|(sib, depth)| (&points[sib][..], depth));
-                rec.left_s = blocked(store, frame, &merge_tagged(sources, b, cmp_y))?.0;
+                let sources = sibs().map(|(sib, depth)| (first_y(sib), depth));
+                rec.left_s = BlockList::build(store, &merge_tagged(sources, cmp_y))?;
             }
         }
 
@@ -608,9 +579,9 @@ impl DynamicPst {
         parent: Option<(PageId, u16, bool)>,
         extra: Vec<UpdateRec>,
     ) -> Result<PageId> {
-        let points = gather_live(store, self.frame, page_id, extra)?;
+        let points = gather_live(store, page_id, extra)?;
         free_pages(store, page_id, true)?;
-        let handle = build_region_tree(store, &points, &self.caps, self.frame)?;
+        let handle = build_region_tree(store, &points, &self.caps)?;
         let at = NodeRef { page: handle.root, slot: 0 };
         match parent {
             None => self.root = handle.root,
@@ -647,25 +618,20 @@ fn patch_parent(
     patch_record(store, NodeRef { page, slot }, &rec)
 }
 
-/// The live points of the subtree rooted at `page_id`, stored at `frame`:
-/// those of the X-lists with the pending buffered ops, and `extra` ops not
-/// yet buffered, applied in stamp order. Region `u` contents are *not*
-/// collected: those ops are already reflected in the X-lists.
-fn gather_live(
-    store: &PageStore,
-    frame: Frame,
-    page_id: PageId,
-    extra: Vec<UpdateRec>,
-) -> Result<Vec<Point>> {
+/// The live points of the subtree rooted at `page_id`: those of the
+/// X-lists with the pending buffered ops, and `extra` ops not yet buffered,
+/// applied in stamp order. Region `u` contents are *not* collected: those
+/// ops are already reflected in the X-lists.
+fn gather_live(store: &PageStore, page_id: PageId, extra: Vec<UpdateRec>) -> Result<Vec<Point>> {
     let mut live: HashMap<u64, Point> = HashMap::new();
     let mut ops = extra;
     for_each_skeletal_page(store, page_id, &mut |_, page, records: &[RegionRecord]| {
         let u_page = decode_header(page)?.u_page;
         if !u_page.is_null() {
-            ops.extend(read_buffer(store, frame, u_page)?);
+            ops.extend(read_buffer(store, u_page)?);
         }
         for rec in records {
-            live.extend(rec.x_list.read_all(store, frame)?.into_iter().map(|p| (p.id, p)));
+            live.extend(rec.x_list.read_all(store)?.into_iter().map(|p| (p.id, p)));
         }
         Ok(())
     })?;
@@ -693,19 +659,21 @@ pub struct DynamicThreeSidedPst {
     inner: ThreeSidedPst,
     buffer: Vec<PageId>,
     buffered: Vec<UpdateRec>,
+    /// Where the last buffer page's updates start in `buffered`.
+    last_start: usize,
     seq: u64,
     buffer_cap: usize,
 }
 
 /// Byte size of a [`DynamicThreeSidedPst::descriptor`] before its buffer
-/// page ids: root, point count, frame, `seq`, buffer capacity.
-const DESCRIPTOR3_FIXED: usize = 8 + 8 + 3 + 8 + 8;
+/// page ids: root, point count, `seq`, buffer capacity.
+const DESCRIPTOR3_FIXED: usize = 8 + 8 + 8 + 8;
 
 impl DynamicThreeSidedPst {
     /// Builds the structure over an initial point set.
     pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
         let inner = ThreeSidedPst::build(store, points)?;
-        let b = block_capacity(store.page_size(), inner.frame());
+        let b = min_records::<Point>(store.page_size());
         let n = points.len().max(b);
         // B * log_B n buffered updates keep the query overhead at
         // O(log_B n) block reads.
@@ -714,14 +682,15 @@ impl DynamicThreeSidedPst {
             inner,
             buffer: Vec::new(),
             buffered: Vec::new(),
+            last_start: 0,
             seq: 0,
             buffer_cap: b * log_b_n,
         })
     }
 
-    /// Serializes the structure's handle: the static index's root page,
-    /// point count and frame, then the update sequence, the buffer capacity
-    /// and the id of every buffer page. With the store's pages that is the
+    /// Serializes the structure's handle: the static index's root page and
+    /// point count, then the update sequence, the buffer capacity and the id
+    /// of every buffer page. With the store's pages that is the
     /// whole structure, so a service that commits the descriptor with each
     /// batch can reopen it with [`DynamicThreeSidedPst::open`] — after a
     /// crash, or read-only at the epoch that installed the batch.
@@ -729,7 +698,6 @@ impl DynamicThreeSidedPst {
         let mut out = Vec::with_capacity(DESCRIPTOR3_FIXED + 8 * self.buffer.len());
         out.extend_from_slice(&self.inner.root_page.0.to_le_bytes());
         out.extend_from_slice(&self.inner.n.to_le_bytes());
-        out.extend_from_slice(&self.inner.frame.widths());
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&(self.buffer_cap as u64).to_le_bytes());
         for page in &self.buffer {
@@ -753,19 +721,19 @@ impl DynamicThreeSidedPst {
         let mut r = PageReader::new(desc);
         let root_page = PageId(r.get_u64()?);
         let n = r.get_u64()?;
-        let frame = Frame::from_widths(r.get_bytes(3)?.try_into().expect("3 bytes"))?;
         let seq = r.get_u64()?;
         let buffer_cap = r.get_u64()? as usize;
         let mut buffer = Vec::with_capacity(r.remaining() / 8);
-        let mut buffered = Vec::new();
+        let (mut buffered, mut last_start) = (Vec::new(), 0);
         while r.remaining() > 0 {
             let page = PageId(r.get_u64()?);
-            buffered.extend(read_buffer(store, frame, page)?);
+            last_start = buffered.len();
+            buffered.extend(read_buffer(store, page)?);
             buffer.push(page);
         }
         store.read(root_page)?;
-        let inner = ThreeSidedPst { root_page, n, frame };
-        Ok(DynamicThreeSidedPst { inner, buffer, buffered, seq, buffer_cap })
+        let inner = ThreeSidedPst { root_page, n };
+        Ok(DynamicThreeSidedPst { inner, buffer, buffered, last_start, seq, buffer_cap })
     }
 
     /// Number of live points.
@@ -797,20 +765,15 @@ impl DynamicThreeSidedPst {
         // (appending costs the read-modify-write the experiments measure).
         self.seq += 1;
         let rec = UpdateRec { is_delete, seq: self.seq, p };
-        self.buffered.push(rec);
-        let frame = self.inner.frame();
-        if !frame.holds(&rec) {
-            // The buffer pages are at the structure's frame: widen both now.
-            return self.rebuild(store);
-        }
-        let per_page = buffer_capacity(store.page_size(), frame);
-        let need_pages = self.buffered.len().div_ceil(per_page);
-        while self.buffer.len() < need_pages {
+        // The last buffer page takes it while it fits; else a new one does.
+        let held = &self.buffered[self.last_start..];
+        if self.buffer.is_empty() || buffer_room(store.page_size(), held, &[rec]) == 0 {
             self.buffer.push(store.alloc()?);
+            self.last_start = self.buffered.len();
         }
-        let last = self.buffer[need_pages - 1];
-        let start = (need_pages - 1) * per_page;
-        write_buffer(store, frame, last, &self.buffered[start..])?;
+        self.buffered.push(rec);
+        let last = *self.buffer.last().expect("a buffer page");
+        write_buffer(store, last, &self.buffered[self.last_start..])?;
 
         if self.buffered.len() >= self.buffer_cap {
             self.rebuild(store)?;
@@ -819,8 +782,6 @@ impl DynamicThreeSidedPst {
     }
 
     fn rebuild(&mut self, store: &PageStore) -> Result<()> {
-        // The frame only ever widens: what held the old points, and the buffer.
-        let frame = self.inner.frame().union(Frame::of(&self.buffered));
         // Collect the full live set: existing structure points + buffer.
         let everything =
             self.inner.query(store, ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN })?;
@@ -830,7 +791,8 @@ impl DynamicThreeSidedPst {
             store.free(page)?;
         }
         self.inner.free(store)?;
-        self.inner = ThreeSidedPst::build_framed(store, &points, frame)?;
+        self.inner = ThreeSidedPst::build(store, &points)?;
+        self.last_start = 0;
         Ok(())
     }
 
@@ -850,7 +812,7 @@ impl DynamicThreeSidedPst {
         {
             let _buf = pc_obs::span!("update_buffer");
             for &page in &self.buffer {
-                ops.extend(read_buffer(store, self.inner.frame(), page)?);
+                ops.extend(read_buffer(store, page)?);
             }
         }
         Ok(merge_buffered(static_res, ops, |p| q.contains(p)))
@@ -860,9 +822,9 @@ impl DynamicThreeSidedPst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{canonical, in_page_paths, uniform_points};
     use crate::build::SEntry;
-    use pc_pagestore::layout::chain_pages;
+    use crate::testutil::{canonical, in_page_paths, uniform_points};
+    use pc_pagestore::layout::{chain_pages, BlockList};
     use pc_pagestore::{PageStore, NULL_PAGE};
     use pc_rng::Rng;
 
@@ -914,7 +876,7 @@ mod tests {
         }
         let desc = pst.descriptor();
         let reopened = DynamicPst::open(&store, &desc).unwrap();
-        assert_eq!((reopened.len(), reopened.frame()), (pst.len(), pst.frame()));
+        assert_eq!(reopened.len(), pst.len());
         for q in [(0, 0), (2500, 2500), (4000, 100)] {
             let q = TwoSided { x0: q.0, y0: q.1 };
             assert_eq!(reopened.query(&store, q).unwrap(), pst.query(&store, q).unwrap(), "{q:?}");
@@ -926,10 +888,11 @@ mod tests {
 
         // Malformed descriptors are typed errors, not panics.
         assert!(DynamicPst::open(&store, &[0u8; 7]).is_err());
-        assert!(DynamicPst::open(&store, &desc[..24]).is_err(), "a descriptor without a frame");
-        assert!(DynamicPst::open(&store, &[0xFFu8; 27]).is_err(), "widths of 255");
-        let mut garbage_root = [0xFFu8; 27];
-        garbage_root[24..].copy_from_slice(&desc[24..]);
+        assert!(DynamicPst::open(&store, &desc[..23]).is_err(), "a short descriptor");
+        let framed = [&desc[..], &[3, 3, 3]].concat();
+        assert!(DynamicPst::open(&store, &framed).is_err(), "a descriptor with frame bytes");
+        let mut garbage_root = desc;
+        garbage_root[..8].copy_from_slice(&[0xFF; 8]);
         assert!(DynamicPst::open(&store, &garbage_root).is_err());
 
         // The 3-sided structure's descriptor names its buffer pages too, and
@@ -1005,7 +968,6 @@ mod tests {
         let mut live = uniform_points(&mut rng, 2000, 10_000);
         let mut pst = DynamicThreeSidedPst::build(&store, &live).unwrap();
         let baseline = store.live_pages();
-        // Ids the initial frame holds: no rebuild but the buffer's.
         for next_id in 10_000u64..11_500 {
             let p = Point::new(rng.gen_range(0..10_000i64), rng.gen_range(0..10_000i64), next_id);
             pst.insert(&store, p).unwrap();
@@ -1013,8 +975,9 @@ mod tests {
             let victim = live.swap_remove(rng.gen_range(0..live.len()));
             pst.delete(&store, victim).unwrap();
         }
-        // 3000 updates through a 142-update buffer (B = 71): 21 rebuilds.
-        assert_eq!((pst.inner.frame(), pst.buffer_cap), (Frame::new(2, 2, 2), 142));
+        // 3000 updates through a 57-update buffer (B = 19 and log_B n = 3
+        // at 512 B): 52 rebuilds.
+        assert_eq!(pst.buffer_cap, 57);
         let after = store.live_pages();
         assert!(
             after <= baseline + baseline / 10 + 10,
@@ -1033,7 +996,6 @@ mod tests {
             let initial = uniform_points(&mut Rng::seed_from_u64(15), n, domain);
             let mut two = DynamicPst::build(&store, &initial).unwrap();
             let mut three = DynamicThreeSidedPst::build(&store, &initial).unwrap();
-            // Ids the initial frame holds, so that all twelve stay buffered.
             let first_id = n as u64;
             for i in 0..12u64 {
                 let p = Point::new(100 + 7 * i as i64, domain - 11 * i as i64, first_id + i);
@@ -1061,19 +1023,22 @@ mod tests {
     /// query that leaves the segment beside it must read that page.
     #[test]
     fn buffered_insert_under_an_empty_leaf_page_is_found() {
-        let store = PageStore::in_memory(512);
-        let frame = Frame::WIDE;
-        let cap = region_caps(512, 2, frame)[0] as i64;
-        // root: cap points, then cap + 1 on each side: cap, one and none.
-        let n = 3 * cap + 2;
-        let pts: Vec<Point> =
-            (0..n).map(|i| Point::new(10 * i, (i * 37) % n, i as u64)).collect();
-        let mut pst = DynamicPst::build_framed(&store, &pts, frame).unwrap();
-        let page = store.read(pst.root).unwrap();
-        let root = RegionRecord::at(&page, 0).unwrap();
-        let left = RegionRecord::at(&page, root.left.slot).unwrap();
-        assert_eq!(root.left.page, pst.root);
-        assert!(left.right_cnt == 0 && left.right.page != pst.root, "geometry moved: {left:?}");
+        // The first size whose root's left region holds all but one point of
+        // its subtree: that one and none below it, on a page of their own.
+        let points = |n: i64| -> Vec<Point> {
+            (0..n).map(|i| Point::new(10 * i, (i * 37) % n, i as u64)).collect()
+        };
+        let geometry = (100..3_000).find_map(|n| {
+            let store = PageStore::in_memory(512);
+            let pst = DynamicPst::build(&store, &points(n)).unwrap();
+            let page = store.read(pst.root).unwrap();
+            let root = RegionRecord::at(&page, 0).unwrap();
+            let left = RegionRecord::at(&page, root.left.slot).ok()?;
+            let shape = root.left.page == pst.root && left.right_cnt == 0;
+            (shape && !left.right.page.is_null() && left.right.page != pst.root)
+                .then_some((n, store, pst, root, left))
+        });
+        let (n, store, mut pst, root, left) = geometry.expect("a size of that shape");
         assert!(left.split_x < root.split_x);
 
         // Right of the left child's split, below its band: bound for the
@@ -1088,16 +1053,12 @@ mod tests {
 
     /// From-scratch `child_a` / `left_s` contents of every region of one
     /// page, taken from the page's X/Y lists alone.
-    fn rebuilt_caches(
-        store: &PageStore,
-        frame: Frame,
-        page_id: PageId,
-    ) -> Vec<(Vec<SEntry>, Vec<SEntry>)> {
+    fn rebuilt_caches(store: &PageStore, page_id: PageId) -> Vec<(Vec<SEntry>, Vec<SEntry>)> {
         let recs = page_records(store, page_id);
-        let b = block_capacity(store.page_size(), frame);
         let first = |list: &ListRef, depth: usize| -> Vec<SEntry> {
-            let all = list.read_all(store, frame).unwrap();
-            all.into_iter().take(b).map(|p| SEntry { p, depth: depth as u16 }).collect()
+            let all = list.read_all(store).unwrap();
+            let first = usize::from(list.first);
+            all.into_iter().take(first).map(|p| SEntry { p, depth: depth as u16 }).collect()
         };
         let paths = in_page_paths(page_id, &recs);
         paths
@@ -1127,24 +1088,30 @@ mod tests {
         RegionRecord::all(&store.read(page_id).unwrap()).unwrap()
     }
 
-    fn assert_caches_match_a_rebuild(store: &PageStore, frame: Frame, page_id: PageId, what: &str) {
-        let want = rebuilt_caches(store, frame, page_id);
+    fn assert_caches_match_a_rebuild(store: &PageStore, page_id: PageId, what: &str) {
+        let want = rebuilt_caches(store, page_id);
         let recs = page_records(store, page_id);
         for (slot, (rec, (a, s))) in recs.iter().zip(want).enumerate() {
-            let child_a = rec.child_a.read_all(store, frame).unwrap();
-            let left_s = rec.left_s.read_all(store, frame).unwrap();
+            let child_a = rec.child_a.read_all(store).unwrap();
+            let left_s = rec.left_s.read_all(store).unwrap();
             assert_eq!(child_a, a, "{what}: child_a of slot {slot}");
             assert_eq!(left_s, s, "{what}: left_s of slot {slot}");
-            let mut by_x = rec.y_list.read_all(store, frame).unwrap();
+            let mut by_x = rec.y_list.read_all(store).unwrap();
             assert_eq!(by_x.len(), rec.own_cnt as usize, "{what}: count of slot {slot}");
             by_x.sort_unstable_by(|x, y| cmp_x(y, x));
-            let xs = rec.x_list.read_all(store, frame).unwrap();
+            let xs = rec.x_list.read_all(store).unwrap();
             assert_eq!(xs, by_x, "{what}: X/Y of slot {slot}");
-            // The record names the second block of each list, and of its
-            // right child's Y-list, as the chains have them.
+            // The record names the second block of each list and the first's
+            // count, and those of its right child's Y-list, as the chains
+            // have them.
             for list in [rec.x_list, rec.y_list] {
-                let second = chain_pages(store, list.head).unwrap().get(1).copied().unwrap_or(NULL_PAGE);
+                let pages = chain_pages(store, list.head).unwrap();
+                let second = pages.get(1).copied().unwrap_or(NULL_PAGE);
                 assert_eq!(list.second, second, "{what}: second block of slot {slot}");
+                let first = pages.first().map_or(0, |&page| {
+                    BlockList::<Point>::read_block(store, page).unwrap().0.len()
+                });
+                assert_eq!(usize::from(list.first), first, "{what}: first count of slot {slot}");
             }
             if rec.right.page == page_id {
                 let right = &recs[rec.right.slot as usize];
@@ -1155,24 +1122,20 @@ mod tests {
     }
 
     /// A twin (same coordinates, fresh id) of a point of `rec`'s region
-    /// chosen by whether it is among the region's first `B` by x and by y:
-    /// the twin takes the rank next to its original in both orders.
-    fn twin(
-        store: &PageStore,
-        frame: Frame,
-        rec: &RegionRecord,
-        (top_x, top_y): (bool, bool),
-        id: u64,
-    ) -> Point {
-        let b = block_capacity(store.page_size(), frame);
-        let xs = rec.x_list.read_all(store, frame).unwrap();
-        let ys = rec.y_list.read_all(store, frame).unwrap();
+    /// chosen by whether it lands in the first block of the region's X-list
+    /// and of its Y-list — at a rank of at most the block's count, which
+    /// the block would take in — or past it: the twin takes the rank of
+    /// its original in both orders.
+    fn twin(store: &PageStore, rec: &RegionRecord, (top_x, top_y): (bool, bool), id: u64) -> Point {
+        let xs = rec.x_list.read_all(store).unwrap();
+        let ys = rec.y_list.read_all(store).unwrap();
+        let (first_x, first_y) = (usize::from(rec.x_list.first), usize::from(rec.y_list.first));
         let e = xs
             .iter()
             .enumerate()
             .find(|&(xi, e)| {
                 let yi = ys.iter().position(|p| p.id == e.id).unwrap();
-                (xi < b) == top_x && (yi < b) == top_y
+                (xi <= first_x) == top_x && (yi <= first_y) == top_y
             })
             .expect("a region of several blocks has a point of every kind")
             .1;
@@ -1188,12 +1151,9 @@ mod tests {
             let store = PageStore::in_memory(page_size);
             let initial = uniform_points(&mut Rng::seed_from_u64(0x5e1ec7), n, 1 << 40);
             let mut next_id = 10_000_000u64;
-            // The twins' ids are wider than the initial ones: a frame that
-            // holds both, or the first insert would rebuild the root away.
-            let frame = Frame::of(&initial).union(Frame::of(&[Point::new(0, 0, next_id + 100)]));
-            let mut pst = DynamicPst::build_framed(&store, &initial, frame).unwrap();
+            let mut pst = DynamicPst::build(&store, &initial).unwrap();
             let root = pst.root;
-            assert_caches_match_a_rebuild(&store, frame, root, "fresh build");
+            assert_caches_match_a_rebuild(&store, root, "fresh build");
             let flush_root = |pst: &mut DynamicPst, p: Point, delete: bool| -> u64 {
                 if delete {
                     pst.delete(&store, p).unwrap();
@@ -1214,7 +1174,7 @@ mod tests {
 
             // 1. Neither first block moves: no cache is rewritten.
             next_id += 1;
-            let quiet = twin(&store, frame, &recs[right_of_root], (false, false), next_id);
+            let quiet = twin(&store, &recs[right_of_root], (false, false), next_id);
             let handles = |store: &PageStore| -> Vec<(PageId, u64, PageId, u64)> {
                 page_records(store, root)
                     .iter()
@@ -1224,26 +1184,26 @@ mod tests {
             let before = handles(&store);
             let w_quiet = flush_root(&mut pst, quiet, false);
             assert_eq!(handles(&store), before, "a quiet flush moved a cache");
-            assert_caches_match_a_rebuild(&store, frame, root, "quiet insert");
+            assert_caches_match_a_rebuild(&store, root, "quiet insert");
 
             // 2. Only a Y-first block moves (insert, then the delete back).
             next_id += 1;
             let recs = page_records(&store, root);
-            let y_only = twin(&store, frame, &recs[right_of_root], (false, true), next_id);
+            let y_only = twin(&store, &recs[right_of_root], (false, true), next_id);
             let w_y = flush_root(&mut pst, y_only, false);
-            assert_caches_match_a_rebuild(&store, frame, root, "Y-first insert");
+            assert_caches_match_a_rebuild(&store, root, "Y-first insert");
             flush_root(&mut pst, y_only, true);
-            assert_caches_match_a_rebuild(&store, frame, root, "Y-first delete");
+            assert_caches_match_a_rebuild(&store, root, "Y-first delete");
 
             // 3. Only an X-first block moves — the page root's, which every
             //    child_a of the page copies.
             next_id += 1;
             let recs = page_records(&store, root);
-            let x_only = twin(&store, frame, &recs[0], (true, false), next_id);
+            let x_only = twin(&store, &recs[0], (true, false), next_id);
             let w_x = flush_root(&mut pst, x_only, false);
-            assert_caches_match_a_rebuild(&store, frame, root, "X-first insert");
+            assert_caches_match_a_rebuild(&store, root, "X-first insert");
             flush_root(&mut pst, x_only, true);
-            assert_caches_match_a_rebuild(&store, frame, root, "X-first delete");
+            assert_caches_match_a_rebuild(&store, root, "X-first delete");
             assert!(w_quiet < w_y && w_quiet < w_x, "writes: {w_quiet} quiet, {w_y} Y, {w_x} X");
 
             // 4. The root region of a child page changes: its own caches,
@@ -1257,16 +1217,16 @@ mod tests {
                 .expect("the root page has child pages");
             next_id += 1;
             let child_root = RegionRecord::at(&store.read(child.page).unwrap(), 0).unwrap();
-            let below = twin(&store, frame, &child_root, (true, true), next_id);
+            let below = twin(&store, &child_root, (true, true), next_id);
             flush_root(&mut pst, below, false);
-            assert_caches_match_a_rebuild(&store, frame, root, "forwarding flush");
+            assert_caches_match_a_rebuild(&store, root, "forwarding flush");
             let parent = Some((root, pslot as u16, is_right));
             assert!(matches!(
                 pst.flush_page(&store, child.page, parent).unwrap(),
                 FlushOutcome::InPlace
             ));
-            assert_caches_match_a_rebuild(&store, frame, child.page, "child page root");
-            assert_caches_match_a_rebuild(&store, frame, root, "parent of the flushed page");
+            assert_caches_match_a_rebuild(&store, child.page, "child page root");
+            assert_caches_match_a_rebuild(&store, root, "parent of the flushed page");
             let child_root = RegionRecord::at(&store.read(child.page).unwrap(), 0).unwrap();
             let up = &page_records(&store, root)[pslot];
             let (cnt, y_list) = if is_right {

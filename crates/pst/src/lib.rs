@@ -71,7 +71,7 @@ pub use dynamic::{DynamicPst, DynamicThreeSidedPst};
 pub use mem::TwoSided;
 pub use multilevel::MultilevelPst;
 pub use three_sided::{PageCensus, ThreeSided, ThreeSidedPst};
-pub use two_level::{block_capacity, RegionCensus, TwoLevelPst};
+pub use two_level::{RegionCensus, TwoLevelPst};
 
 #[cfg(test)]
 mod testutil;

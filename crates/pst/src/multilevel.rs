@@ -7,18 +7,18 @@
 //! time `O(log_B n + t/B + log* B)` (each level adds `O(1)` I/Os).
 //!
 //! This is a thin wrapper over the shared region-tree engine in
-//! [`crate::two_level`], parameterized by the iterated-log capacity
-//! sequence of [`crate::two_level::region_caps`] (`7·B`, then `3·B` at
-//! 4 KiB; `3·B` alone at 512 bytes and full-width records, where `B` = 20).
+//! [`crate::two_level`], parameterized by the iterated-log sequence of
+//! [`crate::two_level::region_blocks`] (regions of 7 blocks, then of 3, at
+//! 4 KiB; of 3 alone at 512 bytes).
 //! The recursion
 //! saturates naturally once the iterated log reaches 1, so asking for more
 //! levels than `log* B` is safe.
 
-use pc_pagestore::{Frame, PageStore, Point, Result};
+use pc_pagestore::{PageStore, Point, Result};
 
 use crate::mem::TwoSided;
 use crate::query::QueryCounters;
-use crate::two_level::{build_region_tree, region_caps};
+use crate::two_level::{build_region_tree, region_blocks};
 
 static_pst!(
     /// The multilevel recursive PST (Theorem 4.4), `levels` deep.
@@ -27,9 +27,9 @@ static_pst!(
     /// two-level scheme (Theorem 4.3); higher values iterate §4.2. Values
     /// past `log* B` saturate.
     MultilevelPst(levels: u32),
-    |store, points, frame| {
+    |store, points| {
         assert!(levels >= 1, "at least one level required");
-        build_region_tree(store, points, &region_caps(store.page_size(), levels, frame), frame)
+        build_region_tree(store, points, &region_blocks(store.page_size(), levels))
     }
 );
 

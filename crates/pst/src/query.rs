@@ -44,14 +44,14 @@ pub(crate) fn run_two_sided(
         CacheMode::FullPath => "pst2_fullpath",
         CacheMode::InPage => "pst2_segmented",
     });
-    pc_obs::set_block_capacity(walk.b);
+    walk.set_block_capacity();
     // Levels count from this structure's root, which a region's walk may
     // have reached after skeletal pages of its own.
     let above = walk.counters.skeletal;
     let mut ctx = Ctx { walk, q };
     // Per path depth, the right sibling left behind there, if any:
-    // (points page, count).
-    let mut sib: Vec<Option<(PageId, u16)>> = Vec::new();
+    // (points page, count, whether it has children).
+    let mut sib: Vec<Option<(PageId, u16, bool)>> = Vec::new();
     // The A- and S-list of the node in hand, picked up from its ancestors'
     // records on the way down (see the `region` module header).
     let mut cur_a: BlockList<Point> = BlockList::empty();
@@ -73,7 +73,8 @@ pub(crate) fn run_two_sided(
         // v is a proper ancestor of the corner: all its points satisfy
         // y >= y0, and the path continues below.
         let go_left = q.x0 <= rec.split.x;
-        sib.push((go_left && rec.right_cnt > 0).then_some((rec.right_pts, rec.right_cnt)));
+        let right = (rec.right_pts, rec.right_cnt, !rec.right_leaf);
+        sib.push((go_left && rec.right_cnt > 0).then_some(right));
         let next = if go_left { rec.left } else { rec.right };
         let crosses_page = next.page != ctx.walk.held;
 
@@ -133,10 +134,14 @@ impl Ctx<'_, '_> {
         };
         let (walk, q) = (&mut *self.walk, self.q);
         let before = walk.results.len();
-        let pp = PointsPage::decode(&walk.node_page(rec.own_pts)?, walk.frame)?;
+        let page = walk.node_page(rec.own_pts)?;
         // Points are descending by y-key, so the y-qualifiers are a prefix.
-        let cut = pp.points.partition_point(|p| p.y >= q.y0);
-        walk.results.extend(pp.points[..cut].iter().filter(|p| p.x >= q.x0));
+        PointsPage::parse(&page)?.points.each(|p: Point| {
+            if p.y >= q.y0 && p.x >= q.x0 {
+                walk.results.push(p);
+            }
+            p.y >= q.y0
+        });
         pc_obs::add_items((walk.results.len() - before) as u64);
         Ok(())
     }
@@ -148,7 +153,7 @@ impl Ctx<'_, '_> {
         &mut self,
         a_list: &BlockList<Point>,
         s_list: &BlockList<SEntry>,
-        sib: &[Option<(PageId, u16)>],
+        sib: &[Option<(PageId, u16, bool)>],
     ) -> Result<()> {
         let TwoSided { x0, y0 } = self.q;
         // A-list: descending x; prefix with x >= x0 qualifies (covered
@@ -166,13 +171,10 @@ impl Ctx<'_, '_> {
             walk.drain(s_list, sib.len(), |p| p.y >= y0)
         })?;
         // Descend into a sibling's children only when its region is fully
-        // inside the query (§3's paid-for rule). Underfull nodes are leaves
-        // by construction, so only full blocks can have children.
+        // inside the query (§3's paid-for rule) and it has children.
         for (sibling, cnt) in sib.iter().zip(qualified) {
             match *sibling {
-                Some((pts, total)) if cnt == u64::from(total) && cnt == self.walk.b => {
-                    self.traverse(pts, false)?
-                }
+                Some((pts, total, true)) if cnt == u64::from(total) => self.traverse(pts, false)?,
                 _ => {}
             }
         }
@@ -191,14 +193,21 @@ impl Ctx<'_, '_> {
         // No points page is the skeletal page in hand: last in, first out.
         let seeds = vec![(pts_page, add)];
         self.walk.traverse(seeds, true, |&(page, _)| page, |walk, (page, add), below| {
-            let pp = PointsPage::decode(&walk.node_page(page)?, walk.frame)?;
+            let page = walk.node_page(page)?;
+            let pp = PointsPage::parse(&page)?;
             // Points are descending by y-key, so the y-qualifiers are a prefix.
-            let cut = pp.points.partition_point(|p| p.y >= y0);
+            let mut cut = 0;
+            let all = pp.points.each(|p: Point| {
+                if p.y >= y0 && add {
+                    walk.results.push(p);
+                }
+                cut += u64::from(p.y >= y0);
+                p.y >= y0
+            });
             if add {
-                walk.results.extend_from_slice(&pp.points[..cut]);
-                pc_obs::add_items(cut as u64);
+                pc_obs::add_items(cut);
             }
-            if cut == pp.points.len() && cut > 0 {
+            if all && cut > 0 {
                 let children = [(pp.left_pts, pp.left_cnt), (pp.right_pts, pp.right_cnt)];
                 let children = children.into_iter().filter(|&(p, cnt)| !p.is_null() && cnt > 0);
                 below.extend(children.map(|(p, _)| (p, true)));
@@ -211,8 +220,9 @@ impl Ctx<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::{BasicPst, NaivePst, SegmentedPst};
     use crate::testutil::{canonical, uniform_points};
-    use crate::build::{points_capacity, BasicPst, NaivePst, SegmentedPst};
+    use pc_pagestore::layout::min_records;
     use pc_pagestore::PageStore;
     use pc_rng::Rng;
 
@@ -256,8 +266,8 @@ mod tests {
         let store = PageStore::in_memory(512);
         let basic = BasicPst::build(&store, &pts).unwrap();
         let seg = SegmentedPst::build(&store, &pts).unwrap();
-        let b = points_capacity(512, basic.frame()) as u64;
-        // log_B n with B=20, n=20k: ~3.3 skeletal pages.
+        let b = min_records::<Point>(512) as u64;
+        // log_B n with B = 19, n = 20k: ~3.4 skeletal pages.
         for _ in 0..60 {
             let q = TwoSided { x0: rng.gen_range(0..100_000i64), y0: rng.gen_range(0..100_000i64) };
             for (name, (res, c)) in [

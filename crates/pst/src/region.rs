@@ -26,25 +26,25 @@
 //!   drains it at the corner and at every segment exit. The 3-sided PST
 //!   needs middle runs, not prefixes, and keeps node-owned lists; it takes
 //!   the same chains from [`for_each_in_segment`].
-//! * **What a cache copies.** [`merge_tagged`]: the first `limit` records
-//!   of each source, tagged with the source's depth, in one sorted list. A
-//!   first block is `B` entries and so is a cache block, so a cache over
-//!   `k` full sources is `k` blocks.
+//! * **What a cache copies.** [`merge_tagged`]: the records the caller
+//!   slices from each source — a whole node, or a list's first block, whose
+//!   count its owner's record names — tagged with the source's depth, in
+//!   one sorted list, blocked anew by the block codec (DESIGN §4.5).
 //! * **The walk** ([`Walk`]): the skeletal page in hand, every counted
 //!   read, every list scan and cache drain with its span, the continuation
 //!   rule ([`Walk::continues`]: a source is read on *from its second block*,
-//!   which its owner's record names, iff all of its cached block
-//!   qualified), and the page-first descendant schedule
+//!   which its owner's record names with its first block's count, iff all
+//!   of its cached block qualified), and the page-first descendant schedule
 //!   ([`Walk::traverse`]). `QueryCounters`, the span tree and the strict
 //!   store's reads agree because one function produces all three.
 
 use std::cmp::Ordering;
 
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::layout::{chain_pages, BlockList};
-use pc_pagestore::{Frame, Framed, Page, PageId, PageStore, Point, Result, NULL_PAGE};
+use pc_pagestore::layout::{chain_pages, min_records, Block, BlockList, Columns};
+use pc_pagestore::{Page, PageId, PageStore, Point, Result, NULL_PAGE};
 
-use crate::build::{points_capacity, SEntry};
+use crate::build::SEntry;
 use crate::mem::MemPst;
 use crate::query::QueryCounters;
 
@@ -357,16 +357,14 @@ pub(crate) fn for_each_cache_owner(
     })
 }
 
-/// What a cache copies: the first `limit` records of each `(source, tag)`,
-/// tagged, in one list sorted descending by `order` (a function item, so
-/// that the sort a build spends its time in compares inline).
+/// What a cache copies: the records of each `(source, tag)`, tagged, in
+/// one list sorted descending by `order` (a function item, so that the sort
+/// a build spends its time in compares inline).
 pub(crate) fn merge_tagged<'p>(
     sources: impl IntoIterator<Item = (&'p [Point], u16)>,
-    limit: usize,
     order: impl Fn(&Point, &Point) -> Ordering,
 ) -> Vec<SEntry> {
-    let first = |(points, depth): (&'p [Point], u16)| (&points[..points.len().min(limit)], depth);
-    let sources: Vec<(&[Point], u16)> = sources.into_iter().map(first).collect();
+    let sources: Vec<(&[Point], u16)> = sources.into_iter().collect();
     let mut merged = Vec::with_capacity(sources.iter().map(|(points, _)| points.len()).sum());
     for (points, depth) in sources {
         merged.extend(points.iter().map(|&p| SEntry { p, depth }));
@@ -380,9 +378,6 @@ pub(crate) fn merge_tagged<'p>(
 /// `page` without another read.
 pub(crate) struct Walk<'a> {
     pub(crate) store: &'a PageStore,
-    pub(crate) frame: Frame,
-    /// The block unit `B` at `frame`.
-    pub(crate) b: u64,
     pub(crate) results: Vec<Point>,
     pub(crate) counters: QueryCounters,
     pub(crate) held: PageId,
@@ -390,16 +385,21 @@ pub(crate) struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    pub(crate) fn new(store: &'a PageStore, frame: Frame) -> Walk<'a> {
+    pub(crate) fn new(store: &'a PageStore) -> Walk<'a> {
         Walk {
             store,
-            frame,
-            b: points_capacity(store.page_size(), frame) as u64,
             results: Vec::new(),
             counters: QueryCounters::default(),
             held: NULL_PAGE,
             page: Page::from(Vec::new()),
         }
+    }
+
+    /// Names the guaranteed `B` — the block codec's count at 64-bit
+    /// columns — as the block capacity of the span just opened: every
+    /// bound the walk meets holds at it.
+    pub(crate) fn set_block_capacity(&self) {
+        pc_obs::set_block_capacity(min_records::<Point>(self.store.page_size()) as u64);
     }
 
     /// Takes skeletal page `id` in hand (one navigation I/O) — as level
@@ -492,7 +492,7 @@ impl<'a> Walk<'a> {
     /// Scans a cache list from block `start` on, handing each record and
     /// the answer to `take` until it declines one.
     #[inline]
-    pub(crate) fn cache_scan<R: Framed>(
+    pub(crate) fn cache_scan<R: Columns>(
         &mut self,
         start: PageId,
         take: impl FnMut(&mut Vec<Point>, R) -> bool,
@@ -502,21 +502,23 @@ impl<'a> Walk<'a> {
 
     /// Scans a list from block `start` on, each block read counted in
     /// `class`, handing each record and the answer to `take` until it
-    /// declines one.
+    /// declines one; a block is decoded little past that record.
     #[inline]
-    fn scan<R: Framed>(
+    fn scan<R: Columns>(
         &mut self,
         start: PageId,
         class: fn(&mut QueryCounters) -> &mut u64,
         mut take: impl FnMut(&mut Vec<Point>, R) -> bool,
     ) -> Result<()> {
-        for block in BlockList::<R>::blocks_from(self.store, self.frame, start) {
+        let mut next = start;
+        while !next.is_null() {
             *class(&mut self.counters) += 1;
-            for rec in block? {
-                if !take(&mut self.results, rec) {
-                    return Ok(());
-                }
+            let page = self.store.read(next)?;
+            let block = Block::parse::<R>(&page)?;
+            if !block.each(|rec| take(&mut self.results, rec)) {
+                return Ok(());
             }
+            next = block.next;
         }
         Ok(())
     }
@@ -541,11 +543,11 @@ impl<'a> Walk<'a> {
         Ok(qualified)
     }
 
-    /// The continuation rule: a list of `len` records continues past its
-    /// cached first block if all of that block qualified and there is a
+    /// The continuation rule: a list continues past its cached first block
+    /// of `first` records if all of that block qualified and there is a
     /// second.
-    pub(crate) fn continues(&self, cached: u64, len: u16, second: PageId) -> bool {
-        cached == u64::from(len).min(self.b) && !second.is_null()
+    pub(crate) fn continues(cached: u64, first: u16, second: PageId) -> bool {
+        cached == u64::from(first) && !second.is_null()
     }
 
     /// The page-first schedule of a descendant traversal: `visit` is handed

@@ -13,15 +13,15 @@
 //! ## Our instantiation of the Thm 3.3 space/time trade
 //!
 //! The extended abstract defers the construction. We build it on §4's
-//! **regions**: a node holds `m·B` points, `m = 2^h − 1 <= ⌈log₂ B⌉`
-//! ([`node_capacity`]: `7·B` at 4 KiB, `3·B` at 512 B and full-width
-//! records — the 2-sided scheme's `region_caps` rule and the same `B`, a
-//! function of the page size and the structure's [`Frame`]), so there are `m` times
-//! fewer nodes to hang caches on, and a cache copies only each sibling's
-//! *first* block. Per node:
+//! **regions**: a node holds its top points while its Y-list fills `m`
+//! blocks of the block codec, `m = 2^h − 1 <= ⌈log₂ B⌉` at the guaranteed
+//! `B` (7 at 4 KiB, 3 at 512 B — the 2-sided scheme's `region_blocks`
+//! rule), so there are `m` times fewer nodes to hang caches on, and a cache
+//! copies only each sibling's *first* block. Per node:
 //!
-//! * **Y-list** — the node's points, once, descending y, blocked `B`. The
-//!   skeletal record names its first and its second block.
+//! * **Y-list** — the node's points, once, descending y, in blocks. The
+//!   skeletal record names its first and its second block and the first's
+//!   count.
 //! * **One A-list, the node included.** The points of the in-page
 //!   ancestors *and of the node itself*, descending x, each tagged with its
 //!   source's in-page depth: the only place a path node's points are read
@@ -51,10 +51,10 @@
 //! (≤ 4 at 4 KiB: an A-list is at most `5·m` blocks, its directory 35
 //! entries), both children of a node are on its page or both are roots of
 //! pages of their own, and a sibling the S-list names always has its
-//! record on the page in hand. The 120-byte record:
+//! record on the page in hand. The 122-byte record:
 //!
 //! ```text
-//! [split_x i64][min_y i64][y_list 16][y_second u64]
+//! [split_x i64][min_y i64][y_list 16][y_second u64][y_first u16]
 //! [left 28][right 28]          child: [page u64][slot u16][y_head u64][cnt u16][top_y i64]
 //!                              (cnt's top bit: the child is a leaf)
 //! [a_list 16][dir u64]         dir: a page, or (top bit) an offset on the children's page
@@ -81,7 +81,7 @@
 //!    is descended into.
 //! 4. **Descendants by Y-prefix.** A descendant is visited only below a
 //!    wholly reported parent and only if its top y qualifies, and costs
-//!    its qualifying Y-prefix: `⌊c/B⌋ + 1` blocks for `c` answers. Its
+//!    its qualifying Y-prefix: at most `⌊c/B⌋ + 1` blocks for `c` answers. Its
 //!    record is needed only when all of it qualified and it has children
 //!    (its parent's record says so); the traversal keeps the skeletal page
 //!    in hand and finishes it before loading another.
@@ -92,16 +92,16 @@
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Frame, Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
+use pc_pagestore::{Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
-use crate::build::{blocked, points_capacity, SEntry};
-use crate::mem::{cmp_x, cmp_y, MemPst, NONE};
+use crate::build::SEntry;
+use crate::mem::{cmp_x, cmp_y, MemPst, NodeFill, NONE};
 use crate::query::QueryCounters;
 use crate::region::{
     for_each_block, for_each_in_segment, for_each_skeletal_page, merge_tagged, write_with, NodeRef,
     SkelRecord, Skeleton, Walk,
 };
-use crate::two_level::{complete_tree_nodes, region_caps};
+use crate::two_level::{complete_tree_nodes, region_blocks, region_fill};
 
 /// A 3-sided query: report points with `x1 <= x <= x2 && y >= y0`
 /// (Figure 1).
@@ -124,7 +124,7 @@ impl ThreeSided {
 
 const CHILD_LEN: usize = 10 + 8 + 2 + 8;
 /// Byte size of one 3-sided skeletal record.
-pub const RECORD_LEN: usize = 8 + 8 + 16 + 8 + 2 * CHILD_LEN + 16 + 8;
+pub const RECORD_LEN: usize = 8 + 8 + 16 + 8 + 2 + 2 * CHILD_LEN + 16 + 8;
 const PAGE_HEADER: usize = 2;
 
 /// Records per skeletal page: the node count of the tallest complete
@@ -135,9 +135,9 @@ pub fn skeletal_capacity(page_size: usize) -> usize {
     complete_tree_nodes(fit)
 }
 
-/// Points per node: the top-level region capacity of the 2-sided scheme.
-pub fn node_capacity(page_size: usize, frame: Frame) -> usize {
-    region_caps(page_size, 2, frame)[0]
+/// What a node holds: a top-level region of the 2-sided scheme.
+pub(crate) fn node_fill(page_size: usize) -> NodeFill {
+    region_fill(page_size, region_blocks(page_size, 2)[0], false)
 }
 
 /// A child as its parent's record describes it: enough to read the child's
@@ -228,6 +228,8 @@ struct TsRecord {
     pub y_list: BlockList<Point>,
     /// Second block of `y_list` ([`NULL_PAGE`] when it has one block).
     pub y_second: PageId,
+    /// Records in the first block of `y_list`: what an S-list copies.
+    pub y_first: u16,
     pub left: ChildLink,
     pub right: ChildLink,
     /// In-page ancestors' and the node's own points, descending x-key,
@@ -247,6 +249,7 @@ impl SkelRecord for TsRecord {
             min_y: r.get_i64()?,
             y_list: BlockList::decode(r)?,
             y_second: PageId(r.get_u64()?),
+            y_first: r.get_u16()?,
             left: ChildLink::decode(r)?,
             right: ChildLink::decode(r)?,
             a_list: BlockList::decode(r)?,
@@ -259,6 +262,7 @@ impl SkelRecord for TsRecord {
         w.put_i64(self.min_y)?;
         self.y_list.encode(w)?;
         w.put_u64(self.y_second.0)?;
+        w.put_u16(self.y_first)?;
         self.left.encode(w)?;
         self.right.encode(w)?;
         self.a_list.encode(w)?;
@@ -352,13 +356,12 @@ impl NodeDir {
     }
 }
 
-/// A built [`ThreeSidedPst`]'s pages by class, and the `B` they were built
-/// at.
+/// A built [`ThreeSidedPst`]'s pages by class, and the `B` its data came
+/// to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PageCensus {
-    /// The widths the structure stores its points at.
-    pub frame: Frame,
-    /// `B`: [`points_capacity`] of the store's pages at `frame`.
+    /// `B` as the data set it: the structure's points over the blocks of
+    /// its Y-lists, rounded (the block codec fills each block in bytes).
     pub block_capacity: u64,
     /// Skeletal pages.
     pub skeletal: u64,
@@ -387,34 +390,34 @@ type PageClass = fn(&mut PageCensus) -> &mut u64;
 pub struct ThreeSidedPst {
     pub(crate) root_page: PageId,
     pub(crate) n: u64,
-    pub(crate) frame: Frame,
+}
+
+/// The last of each run of `records` the block sizes `blocks` cut, mapped.
+fn block_ends<R, T>(records: &[R], blocks: &[(PageId, usize)], key: impl Fn(&R) -> T) -> Vec<T> {
+    let ends = blocks.iter().scan(0, |end, &(_, count)| {
+        *end += count;
+        Some(*end - 1)
+    });
+    ends.map(|end| key(&records[end])).collect()
 }
 
 impl ThreeSidedPst {
-    /// Builds the structure over `points`, stored at the narrowest frame
-    /// that holds them.
+    /// Builds the structure over `points`.
     pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
-        Self::build_framed(store, points, Frame::of(points))
-    }
-
-    /// Builds the structure over `points`, stored at `frame`, which holds
-    /// them: the dynamic structure rebuilds under the frame it has.
-    pub(crate) fn build_framed(store: &PageStore, points: &[Point], frame: Frame) -> Result<Self> {
         let page_size = store.page_size();
-        let b = points_capacity(page_size, frame);
-        assert!(node_capacity(page_size, frame) < usize::from(ChildLink::LEAF_BIT));
-        let mem = MemPst::build(points, node_capacity(page_size, frame));
+        let mem = MemPst::build(points, node_fill(page_size));
         let mut skel = Skeleton::new(store, &mem, skeletal_capacity(page_size))?;
 
         let n_nodes = mem.nodes.len();
         let mut y_list = Vec::with_capacity(n_nodes);
-        let mut y_second = Vec::with_capacity(n_nodes);
+        let mut y_blocks = Vec::with_capacity(n_nodes);
         for node in &mem.nodes {
             // Node points are already descending by y-key.
-            let (list, pages) = blocked(store, frame, &node.points)?;
-            y_second.push(pages.get(1).copied().unwrap_or(NULL_PAGE));
+            let (list, blocks) = BlockList::build_blocks(store, &node.points)?;
             y_list.push(list);
+            y_blocks.push(blocks);
         }
+        let y_first = |ni: usize| y_blocks[ni].first().map_or(0, |&(_, count)| count);
         let mut a_list = vec![BlockList::empty(); n_nodes];
         // Each node's directory, encoded; empty where its A-list is.
         let mut dirs = vec![Vec::new(); n_nodes];
@@ -428,30 +431,32 @@ impl ThreeSidedPst {
             // The node's own points and its in-page ancestors', whole.
             let sources = chain.iter().map(|step| (points_of(step.node), step.depth));
             let own = (points_of(node), chain.len() as u16);
-            let a = merge_tagged(sources.chain([own]), usize::MAX, cmp_x);
+            let a = merge_tagged(sources.chain([own]), cmp_x);
             if a.is_empty() {
                 return Ok(());
             }
-            let (list, pages) = blocked(store, frame, &a)?;
+            let (list, blocks) = BlockList::build_blocks(store, &a)?;
             a_list[node] = list;
+            let pages = blocks.iter().map(|&(page, _)| page);
             let mut node_dir = NodeDir {
-                a: a.chunks(b).map(|chunk| chunk[chunk.len() - 1].p.x).zip(pages).collect(),
-                y: points_of(node).chunks(b).map(|chunk| chunk[chunk.len() - 1].y).collect(),
+                a: block_ends(&a, &blocks, |e| e.p.x).into_iter().zip(pages).collect(),
+                y: block_ends(points_of(node), &y_blocks[node], |p| p.y),
                 s: Vec::new(),
             };
             // Threshold-indexed S-families over the first blocks of the
             // siblings on one side, tagged with the depth of their parent.
             for j in 0..chain.len() {
                 let family = |went_left: bool| {
-                    let steps = chain[j..].iter().filter(move |step| step.went_left == went_left);
+                    let steps =
+                        chain[j..].iter().filter(move |step| step.went_left == went_left);
                     let sibs = steps.map(|step| {
                         let parent = &mem.nodes[step.node];
                         let sib = if went_left { parent.right } else { parent.left };
-                        (points_of(sib), step.depth)
+                        (&points_of(sib)[..y_first(sib)], step.depth)
                     });
-                    blocked(store, frame, &merge_tagged(sibs, b, cmp_y))
+                    BlockList::build(store, &merge_tagged(sibs, cmp_y))
                 };
-                node_dir.s.push((family(true)?.0, family(false)?.0));
+                node_dir.s.push((family(true)?, family(false)?));
             }
             dirs[node] = node_dir.encode()?;
             Ok(())
@@ -494,19 +499,15 @@ impl ThreeSidedPst {
                 split_x: node.split.x,
                 min_y: node.points.last().map_or(0, |p| p.y),
                 y_list: y_list[ni],
-                y_second: y_second[ni],
+                y_second: y_blocks[ni].get(1).map_or(NULL_PAGE, |&(page, _)| page),
+                y_first: y_first(ni) as u16,
                 left: child(node.left),
                 right: child(node.right),
                 a_list: a_list[ni],
                 dir: dir_at[ni],
             }
         })?;
-        Ok(ThreeSidedPst { root_page: skel.root(), n: points.len() as u64, frame })
-    }
-
-    /// The widths the structure stores its points at.
-    pub fn frame(&self) -> Frame {
-        self.frame
+        Ok(ThreeSidedPst { root_page: skel.root(), n: points.len() as u64 })
     }
 
     /// Number of indexed points.
@@ -555,12 +556,12 @@ impl ThreeSidedPst {
 
     /// Counts the structure's pages by class (one read per page).
     pub fn page_census(&self, store: &PageStore) -> Result<PageCensus> {
-        let block_capacity = points_capacity(store.page_size(), self.frame) as u64;
-        let mut census = PageCensus { frame: self.frame, block_capacity, ..PageCensus::default() };
+        let mut census = PageCensus::default();
         self.for_each_page(store, &mut |class, _| {
             *class(&mut census) += 1;
             Ok(())
         })?;
+        census.block_capacity = (self.n as f64 / census.y_lists.max(1) as f64).round() as u64;
         Ok(census)
     }
 
@@ -580,8 +581,8 @@ impl ThreeSidedPst {
             return Ok((Vec::new(), QueryCounters::default()));
         }
         let _span = pc_obs::span!("pst3_query");
-        let mut ctx = TsCtx { walk: Walk::new(store, self.frame), q };
-        pc_obs::set_block_capacity(ctx.walk.b);
+        let mut ctx = TsCtx { walk: Walk::new(store), q };
+        ctx.walk.set_block_capacity();
         let root = NodeRef { page: self.root_page, slot: 0 };
         ctx.path(None, root, 0, Band { lo: q.x1, hi: q.x2, tie: 0 }, DirAt::None)?;
         Ok((ctx.walk.results, ctx.walk.counters))
@@ -740,7 +741,7 @@ impl TsCtx<'_> {
             let slot = slot.expect("S entries come from recorded siblings");
             let rec = TsRecord::at(&walk.page, slot)?;
             let total = rec.y_list.len();
-            if cached < total.min(walk.b) {
+            if cached < u64::from(rec.y_first) {
                 continue;
             }
             if cached + walk.prefix(rec.y_second, |p| p.y >= y0)? == total {
@@ -841,7 +842,10 @@ impl TsCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{assert_cache_blocks, canonical, uniform_points};
+    use crate::testutil::{
+        assert_cache_blocks, block_sizes, canonical, uniform_points, LoggedStore,
+    };
+    use pc_pagestore::layout::min_records;
     use pc_rng::Rng;
 
     fn check(points: &[Point], queries: &[ThreeSided], page_size: usize) {
@@ -855,12 +859,13 @@ mod tests {
 
     #[test]
     fn geometry() {
-        assert_eq!(RECORD_LEN, 120);
-        // 4 KiB fits 34 records, 512 B fits 4: the complete trees below.
+        assert_eq!(RECORD_LEN, 122);
+        // 4 KiB fits 33 records, 512 B fits 4: the complete trees below.
         assert_eq!([512, 1024, 4096].map(skeletal_capacity), [3, 7, 31]);
-        let caps = |frame| [512, 1024, 4096].map(|page_size| node_capacity(page_size, frame));
-        assert_eq!(caps(Frame::WIDE), [3 * 20, 3 * 40, 7 * 163]);
-        assert_eq!(caps(Frame::new(3, 3, 3)), [3 * 50, 7 * 101, 7 * 408]);
+        // A node is a region of the 2-sided scheme: 3 blocks, then 7.
+        let blocks = [512, 1024, 4096].map(|page_size| node_fill(page_size).blocks);
+        assert_eq!(blocks, [3, 3, 7]);
+        assert!([512, 4096].iter().all(|&page| node_fill(page).inner.is_none()));
     }
 
     #[test]
@@ -923,8 +928,8 @@ mod tests {
     fn x_ties_and_bands_ending_on_block_boundaries() {
         let mut rng = Rng::seed_from_u64(0x71e5);
         let mut y = || rng.gen_range(0..500i64);
-        let tied: Vec<Point> = (0..3000).map(|i| Point::new((i * 7 % 75) as i64, y(), i)).collect();
-        let distinct: Vec<Point> = (0..3000).map(|i| Point::new(i as i64 * 3, y(), i)).collect();
+        let tied: Vec<Point> = (0..6000).map(|i| Point::new((i * 7 % 75) as i64, y(), i)).collect();
+        let distinct: Vec<Point> = (0..6000).map(|i| Point::new(i as i64 * 3, y(), i)).collect();
         for pts in [tied, distinct] {
             let xs = block_boundary_xs(&pts, 512);
             assert!(xs.len() > 20, "only {} block boundaries", xs.len());
@@ -940,270 +945,353 @@ mod tests {
         }
     }
 
-    // --- Cut-overs at 512 B and full-width records: a block is 20 entries,
-    // a node 3 blocks, a skeletal page a node and its two children. ---------
+    // --- Cut-overs at 512 B: a node is three blocks, a skeletal page a
+    // node and its two children. [`layered`] builds point sets whose
+    // decomposition is known by construction; the blocks each list came to
+    // are read off the built structure. ----------------------------------
 
-    const B: usize = 20;
-    const CAP: usize = 3 * B;
-
-    /// The census the cut-overs fill in: `B` = 20 at [`Frame::WIDE`].
-    fn no_pages() -> PageCensus {
-        PageCensus { frame: Frame::WIDE, block_capacity: B as u64, ..PageCensus::default() }
-    }
+    const PAGE: usize = 512;
 
     /// y of the `k`-th point, in x-order, of a [`layered`] node at `depth`.
     fn layer_y(depth: usize, k: usize) -> i64 {
-        1000 * (10 - depth as i64) - k as i64
+        100_000 * (10 - depth as i64) - k as i64
+    }
+
+    /// The `c` points a [`layered`] node at `depth` over the xs `xs` takes:
+    /// spread evenly over them, the `k`-th at `layer_y(depth, k)`.
+    fn layer(xs: &[usize], depth: usize, c: usize) -> Vec<Point> {
+        let x = |k: usize| xs[k * xs.len() / c];
+        (0..c).map(|k| Point::new(x(k) as i64, layer_y(depth, k), x(k) as u64)).collect()
+    }
+
+    /// How many points a [`layered`] node over `xs` takes: the most whose
+    /// layer fits the node's blocks (fewer, more widely spaced points take
+    /// more bits each, so the fill's fixed point).
+    fn layer_cap(xs: &[usize], depth: usize) -> usize {
+        let fill = node_fill(PAGE);
+        let mut c = xs.len();
+        loop {
+            let fits = fill.take(&layer(xs, depth, c));
+            if fits >= c {
+                return c;
+            }
+            c = fits;
+        }
     }
 
     /// `n` points at x = 0, 1, 2, … whose decomposition is known without
-    /// building it: every node takes 60 points spread evenly over its
-    /// x-range (a leaf, all there are), the `k`-th of them in x-order at
-    /// `layer_y(depth, k)`. A node's Y-list is its points in ascending x,
-    /// and `y0 = layer_y(d, k)` takes the first `k + 1` points of every
-    /// node at depth `d`, all of the nodes above and none of those below.
+    /// building it: every node takes [`layer_cap`] points spread evenly
+    /// over its x-range (a leaf, all there are), the `k`-th of them in
+    /// x-order at `layer_y(depth, k)`. A node's Y-list is its points in
+    /// ascending x, and `y0 = layer_y(d, k)` takes the first `k + 1` points
+    /// of every node at depth `d`, all of the nodes above and none of those
+    /// below.
     fn layered(n: usize) -> Vec<Point> {
-        fn assign(xs: &[usize], depth: usize, ys: &mut [i64]) {
-            let (mut own, mut rest) = (0, Vec::new());
-            for (i, &x) in xs.iter().enumerate() {
-                if xs.len() <= CAP || (own < CAP && i == own * xs.len() / CAP) {
-                    ys[x] = layer_y(depth, own);
-                    own += 1;
-                } else {
-                    rest.push(x);
-                }
-            }
-            if !rest.is_empty() {
-                let (left, right) = rest.split_at((rest.len() / 2).max(1));
-                assign(left, depth + 1, ys);
-                assign(right, depth + 1, ys);
-            }
-        }
         let mut ys = vec![0; n];
         assign(&(0..n).collect::<Vec<_>>(), 0, &mut ys);
         ys.iter().enumerate().map(|(x, &y)| Point::new(x as i64, y, x as u64)).collect()
     }
 
+    /// Gives the nodes of [`layered`] over `xs`, at `depth` on, their ys;
+    /// returns the depths of its leaves.
+    fn assign(xs: &[usize], depth: usize, ys: &mut [i64]) -> Vec<usize> {
+        let c = layer_cap(xs, depth);
+        let (mut own, mut rest) = (0, Vec::new());
+        for (i, &x) in xs.iter().enumerate() {
+            if own < c && i == own * xs.len() / c {
+                ys[x] = layer_y(depth, own);
+                own += 1;
+            } else {
+                rest.push(x);
+            }
+        }
+        if rest.is_empty() {
+            return vec![depth];
+        }
+        let (left, right) = rest.split_at((rest.len() / 2).max(1));
+        [assign(left, depth + 1, ys), assign(right, depth + 1, ys)].concat()
+    }
+
+    /// [`layered`] points of a complete tree of `levels` levels whose
+    /// leaves are about three quarters full: between the least and the most
+    /// points of such a tree, in steps of half a node.
+    fn complete(levels: usize) -> Built {
+        let node = layer_cap(&(0..1 << 20).collect::<Vec<_>>(), 0);
+        let complete = |n: &usize| {
+            let depths = assign(&(0..*n).collect::<Vec<_>>(), 0, &mut vec![0; *n]);
+            depths.len() == 1 << (levels - 1) && depths.iter().all(|&d| d == levels - 1)
+        };
+        let mut sizes = (0..).map(|i| ((1 << levels) - 1) * node + i * node / 2);
+        let least = sizes.find(complete).unwrap();
+        let most = sizes.take_while(complete).last().unwrap_or(least);
+        Built::layered(least + (most - least) * 3 / 4)
+    }
+
+    /// The layer a [`layered`] y lies in.
+    fn layer_of(y: i64) -> i64 {
+        (y + 99_999) / 100_000
+    }
+
     struct Built {
         points: Vec<Point>,
-        store: PageStore,
+        logged: LoggedStore,
         pst: ThreeSidedPst,
     }
 
     impl Built {
         fn new(points: Vec<Point>) -> Built {
-            let store = PageStore::in_memory(512);
-            let pst = ThreeSidedPst::build_framed(&store, &points, Frame::WIDE).unwrap();
-            Built { points, store, pst }
+            let logged = LoggedStore::new(PAGE);
+            let pst = ThreeSidedPst::build(&logged.store, &points).unwrap();
+            Built { points, logged, pst }
+        }
+
+        /// [`Built::new`] over [`layered`] points, checking that every
+        /// node holds one layer: the decomposition the data was made for.
+        fn layered(n: usize) -> Built {
+            let built = Built::new(layered(n));
+            for (_, rec) in built.nodes() {
+                let ys: Vec<i64> =
+                    rec.y_list.read_all(&built.logged.store).unwrap().iter().map(|p| p.y).collect();
+                assert!(ys.iter().all(|&y| layer_of(y) == layer_of(ys[0])), "a node of two layers");
+            }
+            built
+        }
+
+        fn store(&self) -> &PageStore {
+            &self.logged.store
         }
 
         fn census(&self) -> PageCensus {
-            let census = self.pst.page_census(&self.store).unwrap();
-            assert_eq!(census.total(), self.store.live_pages());
+            let census = self.pst.page_census(self.store()).unwrap();
+            assert_eq!(census.total(), self.store().live_pages());
             census
         }
 
+        /// Every record, in page and slot order, with where it is.
+        fn nodes(&self) -> Vec<(NodeRef, TsRecord)> {
+            let mut out = Vec::new();
+            let store = self.store();
+            for_each_skeletal_page(store, self.pst.root_page, &mut |page, _, recs: &[TsRecord]| {
+                out.extend(
+                    (0..).zip(recs).map(|(slot, rec)| (NodeRef { page, slot }, rec.clone())),
+                );
+                Ok(())
+            })
+            .unwrap();
+            out.sort_by_key(|(at, _)| (at.page, at.slot));
+            out
+        }
+
+        /// The directory of the record at `at`.
+        fn dir(&self, at: NodeRef, rec: &TsRecord) -> NodeDir {
+            let page = self.store().read(at.page).unwrap();
+            NodeDir::find(rec, at, &page, None, |id| self.store().read(id)).unwrap()
+        }
+
         /// Checks the answer against brute force and returns the reads as
-        /// `(skeletal, directories, cache blocks, Y-list blocks)`.
-        fn reads(&self, x1: i64, x2: i64, y0: i64) -> (u64, u64, u64, u64) {
+        /// `(skeletal, directories, cache blocks, Y-list blocks)` and the
+        /// pages read, in order.
+        fn logged_reads(&self, x1: i64, x2: i64, y0: i64) -> ((u64, u64, u64, u64), Vec<PageId>) {
             let q = ThreeSided { x1, x2, y0 };
-            let before = self.store.stats();
-            let (res, c) = self.pst.query_counted(&self.store, q).unwrap();
-            assert_eq!((self.store.stats() - before).logical_reads(), c.total(), "{q:?}");
+            let ((res, c), log) =
+                self.logged.reads_of(|store| self.pst.query_counted(store, q).unwrap());
+            assert_eq!(log.len() as u64, c.total(), "{q:?}");
             let want = canonical(self.points.iter().copied().filter(|p| q.contains(p)).collect());
             assert_eq!(canonical(res), want, "{q:?}");
-            // Theorem 3.3 with the old pin of `tests/layout_bounds.rs`.
-            let levels = (self.points.len() as f64).log(B as f64).ceil();
-            let allowed = 4.4 * levels + 2.0 * want.len().div_ceil(B) as f64;
+            // Theorem 3.3 at the guaranteed B.
+            let b = min_records::<Point>(PAGE);
+            let levels = (self.points.len() as f64).log(b as f64).ceil();
+            let allowed = 6.0 * levels + 2.0 * want.len().div_ceil(b) as f64;
             assert!(c.total() as f64 <= allowed, "{q:?}: {c:?}, allowed {allowed}");
-            (c.skeletal, c.directories, c.cache_blocks, c.node_blocks)
+            ((c.skeletal, c.directories, c.cache_blocks, c.node_blocks), log)
+        }
+
+        fn reads(&self, x1: i64, x2: i64, y0: i64) -> (u64, u64, u64, u64) {
+            self.logged_reads(x1, x2, y0).0
         }
     }
 
     const EVERYTHING: i64 = i64::MIN;
 
-    #[test]
-    fn a_node_of_three_blocks_and_one_point_more() {
-        // 60 points are one node: a Y-list and an A-list of three blocks
-        // each, and a 78-byte directory in its page's tail. Any band reads
-        // the record and its run of the A-list, never the Y-list (the
-        // whole Y-list costs the whole run, and a tie keeps the run).
-        let one = Built::new(layered(CAP));
-        assert_eq!(one.census(), PageCensus { skeletal: 1, y_lists: 3, a_lists: 3, ..no_pages() });
-        assert_eq!(one.reads(i64::MIN, i64::MAX, EVERYTHING), (1, 0, 3, 0));
-        // The A-list's blocks are x = 59..=40, 39..=20, 19..=0. A run that
-        // ends inside a block stops there; one that ends with the block
-        // has to look at the next.
-        assert_eq!(one.reads(21, 39, EVERYTHING), (1, 0, 1, 0));
-        assert_eq!(one.reads(20, 39, EVERYTHING), (1, 0, 2, 0));
-        assert_eq!(one.reads(21, 40, EVERYTHING), (1, 0, 2, 0));
-        assert_eq!(one.reads(40, 40, EVERYTHING), (1, 0, 2, 0));
-        assert_eq!(one.reads(41, 41, layer_y(0, 41)), (1, 0, 1, 0));
-        // The directory tells a band left of every x from one right of them.
-        assert_eq!(one.reads(60, 99, EVERYTHING), (1, 0, 1, 0));
-        assert_eq!(one.reads(-9, -1, EVERYTHING), (1, 0, 0, 0));
-
-        // The 61st point is the left child's only one; the right child is
-        // empty. The children copy the root into their A-lists (4 and 3
-        // blocks), the right one's S'_0 copies the left one's block. The
-        // root's directory takes 78 of the page's 150 free bytes; the
-        // children's (110 and 86) spill.
-        let two = Built::new(layered(CAP + 1));
-        assert_eq!(
-            two.census(),
-            PageCensus {
-                skeletal: 1,
-                y_lists: 3 + 1,
-                a_lists: 3 + 4 + 3,
-                s_lists: 1,
-                directories: 2,
-                ..no_pages()
-            }
-        );
-        // The root is the split and says nothing itself; only the left
-        // child has anything, and its run carries the root's points.
-        assert_eq!(two.reads(i64::MIN, i64::MAX, EVERYTHING), (1, 1, 4, 0));
-        // Above the child's one point the walk ends at the root, as an
-        // exit: the child is never opened.
-        assert_eq!(two.reads(i64::MIN, i64::MAX, layer_y(0, 59)), (1, 0, 3, 0));
+    /// Blocks a directory-jumped run over `[x1, x2]` reads of an A-list
+    /// whose blocks end at `ends` (descending x): from the first block
+    /// ending at most at `x2` through the first ending below `x1`, or the
+    /// last.
+    fn run_cost(ends: &[i64], x1: i64, x2: i64) -> u64 {
+        let Some(first) = ends.iter().position(|&x| x <= x2) else { return 0 };
+        let rest = &ends[first..];
+        rest.iter().position(|&x| x < x1).map_or(rest.len(), |last| last + 1) as u64
     }
 
-    /// Four levels, every leaf of `leaf` points: the root's page, and one
-    /// page per grandchild holding it and its two leaves. A band over all
-    /// xs splits at the root; each walk leaves the root's page at a child
-    /// of the root (reading that child's other subtree by Y-lists) and ends
-    /// in a leaf whose sibling leaf is in its S-list. A page has 150 bytes
-    /// free: the root's and the grandchildren's directories (78 bytes)
-    /// are in their own page's tail, the root's children's (158, an exit's)
-    /// and the leaves' (110 and more) spill.
-    fn four_levels(leaf: usize) -> Built {
-        let built = Built::new(layered(7 * CAP + 8 * leaf));
-        let leaf_blocks = leaf.div_ceil(B) as u64;
-        assert_eq!(
-            built.census(),
-            PageCensus {
-                skeletal: 5,
-                y_lists: 7 * 3 + 8 * leaf_blocks,
-                // Page roots copy themselves, the others their parent too.
-                a_lists: 5 * 3 + 2 * 6 + 8 * (3 + leaf_blocks),
-                // One first block each, for every node with a sibling on its page.
-                s_lists: 10,
-                directories: 2 + 8,
-                ..no_pages()
+    #[test]
+    fn a_node_of_three_blocks_and_one_point_more() {
+        // One node: a Y-list of three blocks and an A-list of its own, and
+        // the directory in its page's tail. The whole plane reads the
+        // cheaper of the two lists (its depth tags make the A-list the
+        // longer here); a band reads the record and its run of the A-list.
+        // The most points one node holds.
+        let one_node = |n: usize| layer_cap(&(0..n).collect::<Vec<_>>(), 0) == n;
+        let (mut lo, mut hi) = (1usize, 1 << 16);
+        while lo + 1 < hi {
+            let mid = (lo + hi) / 2;
+            if one_node(mid) {
+                lo = mid
+            } else {
+                hi = mid
             }
-        );
+        }
+        let n = lo;
+        let one = Built::layered(n);
+        let census = one.census();
+        let (at, rec) = one.nodes()[0].clone();
+        assert!(rec.left.at.page.is_null(), "one node");
+        let ends: Vec<i64> = one.dir(at, &rec).a.iter().map(|&(x, _)| x).collect();
+        let a_blocks = ends.len() as u64;
+        assert_eq!((census.skeletal, census.a_lists, census.directories), (1, a_blocks, 0));
+        assert!(census.y_lists == 3 && a_blocks >= 3, "{census:?}");
+        let whole = if census.y_lists < a_blocks { (0, 3) } else { (a_blocks, 0) };
+        assert_eq!(one.reads(i64::MIN, i64::MAX, EVERYTHING), (1, 0, whole.0, whole.1));
+        // Block `i` of the A-list holds the xs below block `i − 1`'s last
+        // through its own last. A run that ends inside a block stops there;
+        // one that ends with the block has to look at the next.
+        for i in 1..ends.len() - 1 {
+            let (above, end) = (ends[i - 1], ends[i]);
+            assert_eq!(one.reads(end + 1, above - 1, EVERYTHING), (1, 0, 1, 0));
+            assert_eq!(one.reads(end, above - 1, EVERYTHING), (1, 0, 2, 0));
+        }
+        // The directory tells a band left of every x from one right of them.
+        assert_eq!(one.reads(n as i64, n as i64 + 40, EVERYTHING), (1, 0, 1, 0));
+        assert_eq!(one.reads(-9, -1, EVERYTHING), (1, 0, 0, 0));
+
+        // Points past what one node holds: the root is the split, and above
+        // its children's top y the walk ends at the root, as an exit: no
+        // child is opened.
+        let two = Built::layered(n + n / 2);
+        let nodes = two.nodes();
+        let root = &nodes[0].1;
+        assert!(!root.left.at.page.is_null() && two.census().skeletal == 1);
+        let top = root.left.top_y.max(root.right.top_y);
+        let (skeletal, _, _, y_blocks) = two.reads(i64::MIN, i64::MAX, top + 1);
+        assert_eq!((skeletal, y_blocks), (1, 0));
+    }
+
+    /// Four levels: the root's page, and one page per grandchild holding
+    /// it and its two leaves. A band over all xs splits at the root; each
+    /// walk ends in a leaf whose sibling leaf is in its S-list.
+    fn four_levels() -> Built {
+        let built = complete(4);
+        assert_eq!(built.census().skeletal, 5);
         built
     }
 
     #[test]
     fn a_cached_sibling_continues_from_its_second_block() {
-        // Per walk and besides the Y-lists: two spilled directories (the
-        // exit's and the leaf's), a run of 5 blocks at the exit — its half
-        // of the root's points, and its own — the corner's points and the
-        // S-block. Y-lists per walk: 3 blocks of the exit's sibling, then
-        // what its two leaves and the S-list's sibling take.
-        let whole = |pst: &Built, y0| pst.reads(i64::MIN, i64::MAX, y0);
-
-        // A sibling of exactly one block is all in the cache: nothing to
-        // continue with, whether or not all of it qualifies. The corner's
-        // run over parent and leaf (4 blocks) costs what the parent's run
-        // and the leaf's one Y-block cost, and a tie keeps the run.
-        let pst = four_levels(B);
-        assert_eq!(whole(&pst, layer_y(3, 19)), (5, 2 * 2, 2 * (5 + 4 + 1), 2 * (3 + 1 + 1)));
-        assert_eq!(whole(&pst, layer_y(3, 18)), (5, 2 * 2, 2 * (5 + 4 + 1), 2 * (3 + 1 + 1)));
-
-        // One point more: a second block, read only when the first
-        // qualified entirely, and then without the first. With 19 of the
-        // corner's 21 points qualifying, its first Y-block ends below `y0`:
-        // the parent's run and that block (3 + 1) beat its run (5).
-        let pst = four_levels(B + 1);
-        assert_eq!(whole(&pst, layer_y(3, 18)), (5, 2 * 2, 2 * (5 + 3 + 1), 2 * (3 + 1 + 1 + 1)));
-        assert_eq!(whole(&pst, layer_y(3, 19)), (5, 2 * 2, 2 * (5 + 5 + 1), 2 * (3 + 2 + 2 + 1)));
-        assert_eq!(whole(&pst, layer_y(3, 20)), (5, 2 * 2, 2 * (5 + 5 + 1), 2 * (3 + 2 + 2 + 1)));
-
-        // Three blocks: 45 qualifying points are the cached block, the
-        // second block and a quarter of the third, where the scan stops.
-        // The corner's Y-prefix (1, 2, then 3 blocks) plus the parent's
-        // run (3) wins over its run (6) until it costs as much.
-        let pst = four_levels(CAP);
-        assert_eq!(whole(&pst, layer_y(3, 18)), (5, 2 * 2, 2 * (5 + 3 + 1), 2 * (3 + 1 + 1 + 1)));
-        let y_blocks = 2 * (3 + 2 + 2 + 1 + 2);
-        assert_eq!(whole(&pst, layer_y(3, 19)), (5, 2 * 2, 2 * (5 + 3 + 1), y_blocks));
-        assert_eq!(whole(&pst, layer_y(3, 44)), (5, 2 * 2, 2 * (5 + 6 + 1), 2 * (3 + 3 + 3 + 2)));
-        assert_eq!(whole(&pst, EVERYTHING), (5, 2 * 2, 2 * (5 + 6 + 1), 2 * (3 + 3 + 3 + 2)));
+        // A walk that ends in a leaf drains its S-list, which holds the
+        // sibling leaf's first Y-block: the sibling's head is never read,
+        // and its list is read on from the second block only when all of
+        // the cached block qualified — then as far as its prefix reaches.
+        let pst = four_levels();
+        let nodes = pst.nodes();
+        let leaves: Vec<&TsRecord> =
+            nodes.iter().map(|(_, rec)| rec).filter(|rec| rec.left.at.page.is_null()).collect();
+        let (left_sib, right_sib) = (leaves[1], leaves[leaves.len() - 2]);
+        let mut continued = 0;
+        for sib in [left_sib, right_sib] {
+            let blocks = block_sizes(pst.store(), &sib.y_list);
+            let pages = sib.y_list.block_pages(pst.store()).unwrap();
+            assert_eq!(blocks[0], usize::from(sib.y_first));
+            assert!(blocks.len() >= 2, "a sibling of {blocks:?}");
+            let first = usize::from(sib.y_first);
+            for qualifying in [first - 1, first, first + 1, blocks[0] + blocks[1], usize::MAX] {
+                let y0 =
+                    if qualifying == usize::MAX { EVERYTHING } else { layer_y(3, qualifying - 1) };
+                let (_, log) = pst.logged_reads(i64::MIN, i64::MAX, y0);
+                let reads: Vec<usize> =
+                    pages.iter().map(|p| log.iter().filter(|&&q| q == *p).count()).collect();
+                let kept = qualifying.min(sib.y_list.len() as usize);
+                // Blocks past the first a prefix of `kept` reads.
+                let mut want = vec![0; pages.len()];
+                if kept >= first {
+                    let mut end = first;
+                    for (i, &size) in blocks.iter().enumerate().skip(1) {
+                        want[i] = 1;
+                        end += size;
+                        if kept < end {
+                            break;
+                        }
+                    }
+                    continued += 1;
+                }
+                assert_eq!(reads, want, "{kept} of {blocks:?} qualify");
+            }
+        }
+        assert!(continued >= 4);
     }
 
     #[test]
     fn a_corner_that_holds_no_answer_is_not_opened() {
-        // A band over the leftmost leaf's xs. The shared prefix leaves the
-        // root's page at the root's left child and ends on the next page.
-        let pst = four_levels(CAP);
-        let leaf: Vec<&Point> =
-            pst.points.iter().filter(|p| p.y <= layer_y(3, 0)).take(CAP).collect();
+        // A band over the leftmost leaf's xs. One above the leaf's top y
+        // its parent is an exit: none of the leaf's lists is read. At its
+        // top y the leaf is the corner, and a list of it is.
+        let pst = four_levels();
+        let nodes = pst.nodes();
+        let leaf = nodes.iter().map(|(_, rec)| rec).find(|rec| rec.left.at.page.is_null()).unwrap();
+        let points = leaf.y_list.read_all(pst.store()).unwrap();
+        let mut xs: Vec<i64> = points.iter().map(|p| p.x).collect();
+        xs.sort_unstable();
         // (Its largest x is the parent's routing key; a band up to there
         // would make the parent a split.)
-        let (x1, x2) = (leaf[0].x, leaf[CAP - 2].x);
-        // One above the leaf's top y: its parent is an exit, with a run
-        // over its own 60 points only, from the directory in its page's
-        // tail. The root's child before it spilled its directory.
-        let closed = pst.reads(x1, x2, layer_y(3, 0) + 1);
-        // At its top y the leaf is the corner. Its run over parent and leaf
-        // would pass over 58 non-answers, five blocks; the parent's run
-        // (the closed case's) and the leaf's first Y-block are three — at
-        // the price of the leaf's spilled directory.
-        let open = pst.reads(x1, x2, layer_y(3, 0));
-        assert_eq!(closed, (2, 1, 2 + 2, 0));
-        assert_eq!(open, (2, 1 + 1, 2 + 2, 1));
-    }
-
-    /// Blocks a directory-jumped run over `[x1, x2]` reads of a list with
-    /// these xs blocked `B`, descending: from the block of the first x at
-    /// most `x2` through the block of the first x below `x1`, or the last.
-    fn run_cost(mut xs: Vec<i64>, x1: i64, x2: i64) -> u64 {
-        xs.sort_unstable_by(|a, b| b.cmp(a));
-        let Some(first) = xs.iter().position(|&x| x <= x2) else { return 0 };
-        let stop = xs.iter().position(|&x| x < x1).unwrap_or(xs.len() - 1);
-        (stop / B - first / B + 1) as u64
-    }
-
-    /// Blocks a Y-prefix at or above `y0` reads of a node with these ys.
-    fn prefix_cost(ys: &[i64], y0: i64) -> u64 {
-        let kept = ys.iter().filter(|&&y| y >= y0).count();
-        (if kept == ys.len() { kept.div_ceil(B) } else { kept / B + 1 }) as u64
+        let (x1, x2) = (xs[0], xs[xs.len() - 2]);
+        let top = points[0].y;
+        let mut lists = leaf.y_list.block_pages(pst.store()).unwrap();
+        lists.extend(leaf.a_list.block_pages(pst.store()).unwrap());
+        let touched = |log: &[PageId]| lists.iter().any(|page| log.contains(page));
+        let (closed, log) = pst.logged_reads(x1, x2, top + 1);
+        assert!(!touched(&log) && closed.3 == 0, "{closed:?}");
+        let (open, log) = pst.logged_reads(x1, x2, top);
+        assert!(touched(&log), "{open:?}");
+        assert_eq!(open.0, closed.0, "the same skeletal pages");
     }
 
     #[test]
     fn a_corner_reads_the_cheaper_of_its_two_orders() {
-        // Bands inside the leftmost leaf's xs: the shared prefix ends on
-        // the second page, at the leaf (the corner) or, one above its top
-        // y, at its parent (an exit, with a run over the parent's list).
-        let pst = four_levels(CAP);
-        let layer = |d| {
-            let ys = layer_y(d, CAP - 1)..=layer_y(d, 0);
-            pst.points.iter().filter(move |p| ys.contains(&p.y))
-        };
-        let leaf: Vec<Point> = layer(3).take(CAP).copied().collect();
-        let parent: Vec<i64> = layer(2).take(CAP).map(|p| p.x).collect();
+        // Bands inside the leftmost leaf's xs end at the leaf (the corner):
+        // it reads its A-run over parent and leaf, or its in-page parent's
+        // run and its own Y-prefix filtered by x — priced by the two
+        // directories; a tie keeps the run.
+        let pst = four_levels();
+        let nodes = pst.nodes();
+        let (leaf_at, leaf) =
+            nodes.iter().find(|(_, rec)| rec.left.at.page.is_null()).cloned().unwrap();
+        let (parent_at, parent) = nodes
+            .iter()
+            .find(|(_, rec)| rec.left.at == leaf_at)
+            .cloned()
+            .expect("the leaf's parent");
+        assert_eq!(parent_at.page, leaf_at.page);
+        let (leaf_dir, parent_dir) = (pst.dir(leaf_at, &leaf), pst.dir(parent_at, &parent));
+        let ends = |dir: &NodeDir| dir.a.iter().map(|&(x, _)| x).collect::<Vec<i64>>();
+        let points = leaf.y_list.read_all(pst.store()).unwrap();
+        let mut xs: Vec<i64> = points.iter().map(|p| p.x).collect();
+        xs.sort_unstable();
+        let n = xs.len();
         let mut won = [false; 2];
-        let bands = [(0, CAP - 2, 0), (0, CAP - 2, 30), (0, CAP - 2, 50), (10, 14, CAP - 1)];
-        for (from, to, k) in bands {
-            let (x1, x2, y0) = (leaf[from].x, leaf[to].x, layer_y(3, k));
+        for (from, to, k) in
+            [(0, n - 2, 0), (0, n - 2, n / 2), (0, n - 2, n - 5), (n / 5, n / 5 + 4, n - 1)]
+        {
+            let (x1, x2, y0) = (xs[from], xs[to], layer_y(3, k));
             let closed = pst.reads(x1, x2, layer_y(3, 0) + 1);
-            // The corner's run over parent and leaf, against the parent's
-            // run and the leaf's Y-prefix, from the points alone.
-            let both = parent.iter().copied().chain(leaf.iter().map(|p| p.x)).collect();
-            let (run, parent_run) = (run_cost(both, x1, x2), run_cost(parent.clone(), x1, x2));
-            let ys: Vec<i64> = leaf.iter().map(|p| p.y).collect();
-            let prefix = prefix_cost(&ys, y0);
-            let by_prefix = parent_run + prefix < run;
+            let run = run_cost(&ends(&leaf_dir), x1, x2);
+            let parent_run = run_cost(&ends(&parent_dir), x1, x2);
+            let prefix =
+                leaf_dir.y.iter().position(|&y| y < y0).map_or(leaf_dir.y.len(), |i| i + 1);
+            let by_prefix = parent_run + (prefix as u64) < run;
             won[usize::from(by_prefix)] = true;
-            // Either way the leaf's spilled directory is one read more.
-            let want = if by_prefix {
-                (2, closed.1 + 1, closed.2, prefix)
-            } else {
-                (2, closed.1 + 1, closed.2 - parent_run + run, 0)
-            };
-            assert_eq!(pst.reads(x1, x2, y0), want, "[{x1}, {x2}] from {y0}");
+            let got = pst.reads(x1, x2, y0);
+            assert_eq!(got.0, closed.0, "[{x1}, {x2}] from {y0}");
+            let want = if by_prefix { (parent_run, prefix as u64) } else { (run, 0) };
+            // The caches the closed walk drained besides the parent's run.
+            assert_eq!((got.2 - (closed.2 - parent_run), got.3), want, "[{x1}, {x2}] from {y0}");
         }
         assert_eq!(won, [true, true], "each order wins once");
     }
@@ -1226,7 +1314,7 @@ mod tests {
             })
             .collect();
         let pst = Built::new(points);
-        let root = TsRecord::at(&pst.store.read(pst.pst.root_page).unwrap(), 0).unwrap();
+        let root = TsRecord::at(&pst.store().read(pst.pst.root_page).unwrap(), 0).unwrap();
         assert_eq!((root.split_x, root.left.at.page), (X, pst.pst.root_page));
         for y0 in [EVERYTHING, 50_000, 90_000] {
             for (x1, x2) in [(X, X), (X - 3, X), (X, X + 3), (X - 30, X + 30)] {
@@ -1238,18 +1326,40 @@ mod tests {
 
     #[test]
     fn a_wholly_reported_leaf_is_not_looked_up() {
-        // Five full levels: the 16 leaves are full nodes and the roots of
-        // skeletal pages of their own. The whole plane reads the root's
-        // page, the four grandchild pages and the two leaves the walks end
-        // in; the 14 leaves between them are told from nodes with children
-        // by their parents' records.
-        let pst = Built::new(layered(31 * CAP));
+        // Five levels: the 16 leaves are the roots of skeletal pages of
+        // their own. The whole plane reads the root's page, the four
+        // grandchild pages and the two leaves the walks end in; the 14
+        // leaves between them are told from nodes with children by their
+        // parents' records.
+        let pst = complete(5);
         assert_eq!(pst.census().skeletal, 1 + 4 + 16);
         let (skeletal, _, _, y_blocks) = pst.reads(i64::MIN, i64::MAX, EVERYTHING);
         assert_eq!(skeletal, 1 + 4 + 2);
-        // The 22 nodes off the two walks, by Y-list; an S-list holds the
-        // first block of one of them per walk.
-        assert_eq!(y_blocks, (31 - 9) * 3 - 2);
+        // The 22 nodes off the two walks (the leftmost and the rightmost
+        // path), by Y-list; an S-list holds the first block of one of them
+        // per walk.
+        let nodes = pst.nodes();
+        let record = |at: NodeRef| &nodes.iter().find(|(node, _)| *node == at).unwrap().1;
+        let mut walks = vec![nodes[0].0];
+        for go_left in [true, false] {
+            let mut at = nodes[0].0;
+            while let Some(next) =
+                Some(record(at)).map(|rec| if go_left { rec.left } else { rec.right })
+            {
+                if next.at.page.is_null() {
+                    break;
+                }
+                walks.push(next.at);
+                at = next.at;
+            }
+        }
+        assert_eq!(walks.len(), 9);
+        let off_walks: usize = nodes
+            .iter()
+            .filter(|(at, _)| !walks.contains(at))
+            .map(|(_, rec)| block_sizes(pst.store(), &rec.y_list).len())
+            .sum();
+        assert_eq!(y_blocks as usize, off_walks - 2);
     }
 
     /// A node's Y-list is its points in whole blocks; its A-list copies the
@@ -1265,45 +1375,49 @@ mod tests {
             let pts = uniform_points(&mut rng, n, 1_000_000);
             let store = PageStore::in_memory(page_size);
             let pst = ThreeSidedPst::build(&store, &pts).unwrap();
-            let frame = pst.frame();
-            let b = points_capacity(page_size, frame);
-            let cap = node_capacity(page_size, frame);
+            let (m, blocks) = (min_records::<Point>(page_size), node_fill(page_size).blocks);
             let decode = |at: NodeRef| {
                 TsRecord::at(&store.read(at.page).unwrap(), at.slot).unwrap()
             };
-            // (node, points of the in-page ancestors, per in-page ancestor:
+            // (node, in-page ancestors: their points, per in-page ancestor:
             // (right, left) sibling's cached count)
             let root = NodeRef { page: pst.root_page, slot: 0 };
-            let mut stack = vec![(root, 0usize, Vec::<(usize, usize)>::new())];
+            let mut stack = vec![(root, (0usize, 0usize), Vec::<(usize, usize)>::new())];
             let (mut deepest, mut second_blocks, mut spilled) = (0, 0, 0);
             while let Some((at, above, sibs)) = stack.pop() {
                 let rec = decode(at);
                 let cnt = rec.y_list.len() as usize;
                 deepest = deepest.max(sibs.len());
-                assert_cache_blocks(&store, frame, &rec.y_list, cnt / b, cnt % b, "Y-list");
+                let y_sizes = block_sizes(&store, &rec.y_list);
+                assert_eq!(y_sizes.iter().sum::<usize>(), cnt, "Y-list");
+                assert!(y_sizes.iter().rev().skip(1).all(|&size| size >= m), "{y_sizes:?}");
+                assert!(y_sizes.len() <= blocks, "a node of {y_sizes:?}");
+                assert_eq!(usize::from(rec.y_first), y_sizes.first().copied().unwrap_or(0));
                 let y_pages = rec.y_list.block_pages(&store).unwrap();
                 assert_eq!(rec.y_second, y_pages.get(1).copied().unwrap_or(NULL_PAGE));
                 second_blocks += y_pages.len().min(2) / 2;
-                let copied = above + cnt;
-                assert_cache_blocks(&store, frame, &rec.a_list, copied / b, copied % b, "A-list");
+                let (copied, sources) = (above.0 + cnt, above.1 + y_sizes.len());
+                assert_cache_blocks(&store, &rec.a_list, copied, sources, "A-list");
                 let page = store.read(at.page).unwrap();
                 let dir = NodeDir::find(&rec, at, &page, None, |id| store.read(id)).unwrap();
                 spilled += u64::from(matches!(rec.dir, DirAt::Page(_)));
-                let blocks = |len: usize| len.div_ceil(b);
-                assert_eq!(dir.y.len(), blocks(cnt), "one directory entry per Y-block");
-                assert_eq!(dir.a.len(), copied.div_ceil(b), "one directory entry per A-block");
+                assert_eq!(dir.y.len(), y_sizes.len(), "one directory entry per Y-block");
+                let a_blocks = block_sizes(&store, &rec.a_list).len();
+                assert_eq!(dir.a.len(), a_blocks, "one directory entry per A-block");
                 assert_eq!(dir.s.len(), sibs.len(), "one S-pair per split depth");
                 for (j, (right_sibs, left_sibs)) in dir.s.iter().enumerate() {
-                    let right: usize = sibs[j..].iter().map(|&(r, _)| r).sum();
-                    let left: usize = sibs[j..].iter().map(|&(_, l)| l).sum();
-                    assert_cache_blocks(&store, frame, right_sibs, right / b, right % b, "S_j");
-                    assert_cache_blocks(&store, frame, left_sibs, left / b, left % b, "S'_j");
+                    let right: Vec<usize> =
+                        sibs[j..].iter().map(|&(r, _)| r).filter(|&r| r > 0).collect();
+                    let left: Vec<usize> =
+                        sibs[j..].iter().map(|&(_, l)| l).filter(|&l| l > 0).collect();
+                    let (r, l) = (right.iter().sum(), left.iter().sum());
+                    assert_cache_blocks(&store, right_sibs, r, right.len(), "S_j");
+                    assert_cache_blocks(&store, left_sibs, l, left.len(), "S'_j");
                 }
                 if rec.left.at.page.is_null() {
-                    assert!(cnt <= cap);
                     continue;
                 }
-                assert_eq!(cnt, cap, "a node with children is full");
+                assert!(y_sizes.len() >= blocks - 1, "a node with children is about full");
                 assert_eq!(rec.left.at.page == at.page, rec.right.at.page == at.page);
                 for (child, other, went_left) in
                     [(rec.left, rec.right, true), (rec.right, rec.left, false)]
@@ -1313,19 +1427,19 @@ mod tests {
                     assert_eq!(u64::from(child.cnt), child_rec.y_list.len());
                     assert_eq!(child.leaf, child_rec.left.at.page.is_null());
                     if child.cnt > 0 {
-                        let top = child_rec.y_list.blocks(&store, frame).next().unwrap().unwrap()[0];
+                        let top = child_rec.y_list.blocks(&store).next().unwrap().unwrap()[0];
                         assert_eq!(child.top_y, top.y);
                         assert!(top.y <= rec.min_y);
                     }
                     if child.at.page != at.page {
                         assert_eq!(child.at.slot, 0, "a page is entered through its root");
-                        stack.push((child.at, 0, Vec::new()));
+                        stack.push((child.at, (0, 0), Vec::new()));
                         continue;
                     }
                     let mut sibs = sibs.clone();
-                    let cached = usize::from(other.cnt).min(b);
+                    let cached = usize::from(decode(other.at).y_first) * usize::from(other.cnt > 0);
                     sibs.push(if went_left { (cached, 0) } else { (0, cached) });
-                    stack.push((child.at, above + cnt, sibs));
+                    stack.push((child.at, (above.0 + cnt, above.1 + y_sizes.len()), sibs));
                 }
             }
             assert_eq!(deepest, skeletal_capacity(page_size).ilog2() as usize);
@@ -1377,7 +1491,7 @@ mod tests {
         let pts = uniform_points(&mut rng, 20_000, 100_000);
         let store = PageStore::in_memory(512);
         let pst = ThreeSidedPst::build(&store, &pts).unwrap();
-        let b = points_capacity(512, pst.frame()) as u64;
+        let b = min_records::<Point>(512) as u64;
         let pages_on_a_path = 5;
         for i in 0..200 {
             let a = rng.gen_range(0..100_000i64);
@@ -1396,7 +1510,7 @@ mod tests {
         let before = store.live_pages();
         let pst = ThreeSidedPst::build(&store, &pts).unwrap();
         let pages = store.live_pages() - before;
-        let b = points_capacity(512, pst.frame()) as u64;
+        let b = pst.page_census(&store).unwrap().block_capacity;
         let log_b = 5u64;
         let bound = (20_000 / b) * log_b * log_b / 2;
         assert!(pages <= bound, "space {pages} exceeds O(n/B log^2 B) ~ {bound}");

@@ -40,7 +40,7 @@
 use pc_btree::BTree;
 use pc_pagestore::codec::PageWriter;
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Frame, Interval, PageId, PageStore, Record, Result, NULL_PAGE};
+use pc_pagestore::{Interval, PageId, PageStore, Record, Result, NULL_PAGE};
 
 use crate::mem::{MemTree, NONE};
 
@@ -84,6 +84,15 @@ pub struct NodeRecord {
     pub above_off: u32,
     /// Length of the segment-cache slice.
     pub above_len: u32,
+}
+
+/// `B`: the 24-byte intervals a page holds beside a block header (170 at
+/// 4 KiB, 20 at 512 B). A cover-list of at least this many is blocked on
+/// its own, in the block codec (a block holds at least 169 intervals at
+/// 4 KiB, 19 at 512 B, and more the narrower they are); a shorter one, and
+/// every cache, lies in a shared region.
+pub fn block_capacity(page_size: usize) -> usize {
+    (page_size - 10) / Interval::ENCODED_LEN
 }
 
 /// Number of records that fit in one skeletal page.
@@ -156,7 +165,7 @@ pub fn build_external(
     // Allocate page ids up front so child references can be absolute.
     let page_ids: Vec<PageId> = pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
 
-    let cap_b = BlockList::<Interval>::capacity(store.page_size(), Frame::WIDE);
+    let cap_b = block_capacity(store.page_size());
     // Full (>= one block) cover-lists get their own blocked list; short
     // ones are packed into the page's shared region (naive variant only —
     // the cached variant serves them from caches and drops the originals).
@@ -167,7 +176,7 @@ pub fn build_external(
     let mut shared: Vec<Vec<Interval>> = vec![Vec::new(); pages.len()];
     for (ni, node) in mem.nodes.iter().enumerate() {
         if node.cover.len() >= cap_b {
-            cover_full[ni] = BlockList::build(store, Frame::WIDE, &node.cover)?;
+            cover_full[ni] = BlockList::build(store, &node.cover)?;
         } else if !node.cover.is_empty() && !cached {
             let region = &mut shared[node_loc[ni].0];
             shared_slice[ni] = (region.len() as u32, node.cover.len() as u32);

@@ -3,11 +3,11 @@
 use pc_btree::BTree;
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::{Frame, Interval, PageId, PageStore, Record, Result};
+use pc_pagestore::{Interval, PageId, PageStore, Record, Result};
 
 use crate::build::{
-    build_external, decode_record, decode_shared_dir_id, read_shared_dir, read_shared_range,
-    shared_page_capacity, BuiltTree,
+    block_capacity, build_external, decode_record, decode_shared_dir_id, read_shared_dir,
+    read_shared_range, shared_page_capacity, BuiltTree,
 };
 
 /// A serializable, copyable reference to a built segment tree.
@@ -87,12 +87,12 @@ impl Engine<'_> {
 
     /// Reads a whole block list, classifying each block as useful/wasteful.
     fn drain_list(&self, list: &BlockList<Interval>, profile: &mut QueryProfile) -> Result<()> {
-        let cap = BlockList::<Interval>::capacity(self.store.page_size(), Frame::WIDE);
+        let cap = block_capacity(self.store.page_size());
         let _span = pc_obs::span!(output: "cover_list");
         pc_obs::set_block_capacity(cap as u64);
-        for block in list.blocks(self.store, Frame::WIDE) {
+        for block in list.blocks(self.store) {
             let block = block?;
-            if block.len() == cap {
+            if block.len() >= cap {
                 profile.useful_ios += 1;
             } else {
                 profile.wasteful_ios += 1;
@@ -353,7 +353,7 @@ mod tests {
         let store = PageStore::in_memory(512);
         let intervals = random_intervals(5000, 0x5eed);
         let tree = CachedSegmentTree::build(&store, &intervals).unwrap();
-        let cap = BlockList::<Interval>::capacity(512, Frame::WIDE) as u64;
+        let cap = block_capacity(512) as u64;
         let mut s = 0x3333u64;
         for _ in 0..50 {
             let q = xorshift(&mut s, 10_000);

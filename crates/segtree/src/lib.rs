@@ -58,4 +58,5 @@ mod build;
 mod ext;
 mod mem;
 
+pub use build::block_capacity;
 pub use ext::{CachedSegmentTree, NaiveSegmentTree, QueryProfile, SegTreeHandle};

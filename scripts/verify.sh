@@ -105,8 +105,8 @@ echo "OK: all $COUNT packages are workspace-local, declare no feature and use wh
 
 # CHANGES.md quotes the size gates of these crates; printing them here
 # keeps a gate and its check one command.
-echo "==> scripts/loc.sh serve pst btree segtree pagestore (non-test source lines)"
-scripts/loc.sh serve pst btree segtree pagestore
+echo "==> scripts/loc.sh serve pst btree segtree pagestore intervaltree (non-test source lines)"
+scripts/loc.sh serve pst btree segtree pagestore intervaltree
 
 if [ "$RUN_CHAOS" = 1 ]; then
     # On failure, rerun the printed command to reproduce the exact

@@ -4,8 +4,8 @@
 //! `tests/layout_bounds.rs` pins constants and sums; nothing else pins the
 //! order an engine reports its answers in or what an update reads and
 //! writes. This file does, for every PST at two geometries — 4 KiB pages
-//! over data the build stores at 3/3/3, and 512-byte pages over full-width
-//! data ([`Frame::WIDE`]) — so that a refactor of the engines either leaves
+//! over the generators' 20-bit data, and 512-byte pages over the same data
+//! stretched over all 64 bits — so that a refactor of the engines either leaves
 //! every row alone or shows exactly which one it moved. Per structure: the
 //! store's live pages, the page census where the structure has one, and
 //! over 200 fixed queries (100 at t ≈ 16, 100 at t ≈ 4096) the sum of the
@@ -15,12 +15,14 @@
 //!
 //! The rows were recorded at the commit before `crates/pst/src/region.rs`
 //! existed; the 3-sided ones moved with PR 25's directories in skeletal
-//! page tails, half runs and corner orders. A row moves only with the
+//! page tails, half runs and corner orders, and every row with the block
+//! codec (each block at its own bit widths, fill judged in bytes). A row
+//! moves only with the
 //! on-page layout, the traversal order or the update path — re-record it
 //! (the failing assertion prints the computed table) in the PR that means
 //! to move it, and say so there.
 
-use path_caching::{Frame, PageStore, Point, ThreeSided, TwoSided};
+use path_caching::{PageStore, Point, ThreeSided, TwoSided};
 use pc_bench::{two_sided_corners, Spread};
 use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, PageCensus, RegionCensus,
@@ -29,8 +31,7 @@ use pc_pst::{
 use pc_rng::Rng;
 use pc_workloads::{gen_points, gen_three_sided, PointDist, RawPoint};
 
-/// Ids start here, so that 20-bit coordinates come with three-byte ids
-/// whatever `n` is: the narrowest frame of the unstretched data is 3/3/3.
+/// Ids start here: 20-bit coordinates come with 17-bit ids and more.
 const ID_BASE: u64 = 70_000;
 const UPDATES: usize = 2_000;
 
@@ -38,49 +39,48 @@ struct Geometry {
     page_size: usize,
     n: usize,
     spread: Spread,
-    frame: Frame,
 }
 
 const GEOMETRIES: [Geometry; 2] = [
-    Geometry { page_size: 4096, n: 150_000, spread: Spread::Domain, frame: Frame::new(3, 3, 3) },
-    Geometry { page_size: 512, n: 20_000, spread: Spread::Full, frame: Frame::WIDE },
+    Geometry { page_size: 4096, n: 150_000, spread: Spread::Domain },
+    Geometry { page_size: 512, n: 20_000, spread: Spread::Full },
 ];
 
 /// The recorded rows, one line per structure and phase, per geometry.
 const GOLDEN: [&str; 2] = [
     "\
-4096 basic: pages=3361 reads=1952 answers=382952 hash=7d5b191b38b3d5f9\n\
-4096 segmented: pages=1553 reads=1992 answers=382952 hash=8677b96f5c19cc01\n\
-4096 multilevel(3): pages=2682 reads=2054 answers=382952 hash=eed8553d6a72a7e5\n\
-4096 two-level: pages=1932 reads=1839 answers=382952 hash=347c08ba8bfa3719\n\
-4096 two-level census: B=408 skeletal=29 x=377 y=377 a=45 s=33 inner: skeletal=63 points=441 caches=567; buffers=0\n\
-4096 dynamic: pages=1932 reads=1839 answers=382952 hash=347c08ba8bfa3719\n\
-4096 dynamic census: B=408 skeletal=29 x=377 y=377 a=45 s=33 inner: skeletal=63 points=441 caches=567; buffers=0\n\
-4096 dynamic churned: update_reads=10040 update_writes=10034\n\
-4096 dynamic churned: pages=2038 reads=2283 answers=384051 hash=b6a542df7040ed11\n\
-4096 dynamic churned census: B=408 skeletal=29 x=402 y=402 a=45 s=33 inner: skeletal=63 points=441 caches=567; buffers=56\n\
-4096 3-sided: pages=1709 reads=1972 answers=411214 hash=01f1255243728a3f\n\
-4096 3-sided census: B=408 skeletal=33 y=377 a=1063 s=222 directories=14\n\
-4096 dynamic 3-sided: pages=1709 reads=1972 answers=411214 hash=01f1255243728a3f\n\
-4096 dynamic 3-sided churned: update_reads=4212 update_writes=8842\n\
-4096 dynamic 3-sided churned: pages=1711 reads=2377 answers=412314 hash=3faa9f6311850db9\n\
+4096 basic: pages=1667 reads=1315 answers=382952 hash=e89bae17b32246d1\n\
+4096 segmented: pages=767 reads=1331 answers=382952 hash=fa63af5c9e536035\n\
+4096 multilevel(3): pages=1833 reads=1810 answers=382952 hash=015bc7c8bc8bedc5\n\
+4096 two-level: pages=1162 reads=1474 answers=382952 hash=c8b825a322c329d1\n\
+4096 two-level census: B=691 skeletal=5 x=228 y=217 a=54 s=42 inner: skeletal=31 points=217 caches=368; buffers=0\n\
+4096 dynamic: pages=1162 reads=1474 answers=382952 hash=c8b825a322c329d1\n\
+4096 dynamic census: B=691 skeletal=5 x=228 y=217 a=54 s=42 inner: skeletal=31 points=217 caches=368; buffers=0\n\
+4096 dynamic churned: update_reads=6149 update_writes=5023\n\
+4096 dynamic churned: pages=1196 reads=1877 answers=384051 hash=8ff75eedfeb65385\n\
+4096 dynamic churned census: B=693 skeletal=5 x=230 y=217 a=54 s=42 inner: skeletal=31 points=217 caches=368; buffers=32\n\
+4096 3-sided: pages=1571 reads=1284 answers=411214 hash=d7b92831334610eb\n\
+4096 3-sided census: B=691 skeletal=1 y=217 a=957 s=366 directories=30\n\
+4096 dynamic 3-sided: pages=1571 reads=1284 answers=411214 hash=d7b92831334610eb\n\
+4096 dynamic 3-sided churned: update_reads=5393 update_writes=11434\n\
+4096 dynamic 3-sided churned: pages=1573 reads=1488 answers=412314 hash=e65a44a28f916929\n\
 ",
     "\
-512 basic: pages=7765 reads=26197 answers=379220 hash=aa24d4f18d8274bd\n\
-512 segmented: pages=2046 reads=26350 answers=379220 hash=7fead6ab11af7fe9\n\
-512 multilevel(3): pages=4595 reads=29858 answers=379220 hash=68f0e6326a2e1f51\n\
-512 two-level: pages=4595 reads=29858 answers=379220 hash=68f0e6326a2e1f51\n\
-512 two-level census: B=20 skeletal=341 x=1021 y=1021 a=85 s=85 inner: skeletal=511 points=1021 caches=510; buffers=0\n\
-512 dynamic: pages=4595 reads=29858 answers=379220 hash=68f0e6326a2e1f51\n\
-512 dynamic census: B=20 skeletal=341 x=1021 y=1021 a=85 s=85 inner: skeletal=511 points=1021 caches=510; buffers=0\n\
-512 dynamic churned: update_reads=17589 update_writes=12853\n\
-512 dynamic churned: pages=5378 reads=40163 answers=387670 hash=6205690d166da03c\n\
-512 dynamic churned census: B=20 skeletal=341 x=1163 y=1163 a=85 s=85 inner: skeletal=511 points=1021 caches=510; buffers=499\n\
-512 3-sided: pages=3105 reads=29164 answers=411203 hash=a06da2e18efdc652\n\
-512 3-sided census: B=20 skeletal=341 y=1021 a=1531 s=170 directories=42\n\
-512 dynamic 3-sided: pages=3105 reads=29164 answers=411203 hash=a06da2e18efdc652\n\
-512 dynamic 3-sided churned: update_reads=108700 update_writes=157408\n\
-512 dynamic 3-sided churned: pages=3113 reads=29938 answers=420027 hash=20fd101f07555b15\n\
+512 basic: pages=7784 reads=24430 answers=379220 hash=d86f4420bf5c0d29\n\
+512 segmented: pages=2046 reads=24559 answers=379220 hash=97ce41894a9b5761\n\
+512 multilevel(3): pages=3471 reads=19252 answers=379220 hash=b3814e11a02bab79\n\
+512 two-level: pages=3471 reads=19252 answers=379220 hash=b3814e11a02bab79\n\
+512 two-level census: B=26 skeletal=85 x=765 y=765 a=168 s=158 inner: skeletal=255 points=765 caches=510; buffers=0\n\
+512 dynamic: pages=3471 reads=19252 answers=379220 hash=b3814e11a02bab79\n\
+512 dynamic census: B=26 skeletal=85 x=765 y=765 a=168 s=158 inner: skeletal=255 points=765 caches=510; buffers=0\n\
+512 dynamic churned: update_reads=11545 update_writes=8346\n\
+512 dynamic churned: pages=3656 reads=22456 answers=387670 hash=220d2fa473ec991c\n\
+512 dynamic churned census: B=27 skeletal=85 x=766 y=766 a=167 s=158 inner: skeletal=255 points=765 caches=510; buffers=184\n\
+512 3-sided: pages=2755 reads=20130 answers=411203 hash=e529619e6ef7b316\n\
+512 3-sided census: B=26 skeletal=85 y=765 a=1402 s=333 directories=170\n\
+512 dynamic 3-sided: pages=2755 reads=20130 answers=411203 hash=e529619e6ef7b316\n\
+512 dynamic 3-sided churned: update_reads=94192 update_writes=145288\n\
+512 dynamic 3-sided churned: pages=2752 reads=20564 answers=420027 hash=7b53c1a53f608299\n\
 ",
 ];
 
@@ -97,7 +97,6 @@ fn data(g: &Geometry) -> Data {
         .map(|(x, y, id)| (x, y, id + ID_BASE))
         .collect();
     let points = g.spread.points(&raw);
-    assert_eq!(Frame::of(&points), g.frame);
     // Two corners of every three: top-right ones and deep ones alike.
     let two_sided = [16, 4096]
         .into_iter()
@@ -178,9 +177,8 @@ fn measured<Q: Copy>(store: &PageStore, queries: &[Q], answer: impl Fn(Q) -> Vec
 }
 
 /// 2 000 updates, three inserts of a fresh point to two deletes of a live
-/// one, applied through `apply(point, is a delete)`; fresh ids and
-/// coordinates stay inside the built frame. Returns the updates' strict
-/// reads and writes.
+/// one, applied through `apply(point, is a delete)`; fresh ids follow the
+/// built ones. Returns the updates' strict reads and writes.
 fn churn(g: &Geometry, store: &PageStore, d: &Data, mut apply: impl FnMut(Point, bool)) -> String {
     let mut rng = Rng::seed_from_u64(0xc4u64 + g.page_size as u64);
     let fresh: Vec<RawPoint> = gen_points(UPDATES, PointDist::Uniform, 0xf4e5)
@@ -213,7 +211,6 @@ fn rows(g: &Geometry) -> Vec<String> {
         ($name:literal, $build:expr) => {{
             let store = PageStore::in_memory(g.page_size);
             let pst = $build(&store);
-            assert_eq!(pst.frame(), g.frame);
             row($name, measured(&store, &d.two_sided, |q| pst.query(&store, q).unwrap()));
             (store, pst)
         }};
@@ -233,14 +230,12 @@ fn rows(g: &Geometry) -> Vec<String> {
             dynamic.insert(&store, p).unwrap()
         }
     });
-    assert_eq!(dynamic.frame(), g.frame, "the updates were not to widen");
     row("dynamic churned", cost);
     row("dynamic churned", measured(&store, &d.two_sided, |q| dynamic.query(&store, q).unwrap()));
     row("dynamic churned census", region_census(dynamic.page_census(&store).unwrap()));
 
     let store = PageStore::in_memory(g.page_size);
     let three_sided = ThreeSidedPst::build(&store, &d.points).unwrap();
-    assert_eq!(three_sided.frame(), g.frame);
     row("3-sided", measured(&store, &d.three_sided, |q| three_sided.query(&store, q).unwrap()));
     row("3-sided census", three_sided_census(three_sided.page_census(&store).unwrap()));
 

@@ -2,18 +2,17 @@
 //! paper's table: the B+-tree of §1, Lemma 3.1, Theorems 3.2, 3.3, 3.5,
 //! 4.3, 4.4 and 5.1): at 4 KiB pages and a fixed seed, `pages <=
 //! c·(n/B)·f(B)` and `reads <= c1·ceil(log_B n) + 2·ceil(t/B)` (the
-//! B-tree's: `c·ceil(n/B)` and one `ceil(t/B)`), `B` the block capacity at
-//! the frame the build chose. `c` and `c1` are pinned 10% above what the layouts measure —
-//! the worst over the sizes a structure is pinned at — so a layout
-//! regression fails here instead of moving a table. Every pin is held twice
-//! ([`Spread`]): on the generators' 20-bit data, which the structures store
-//! at three bytes a field, and on the same data stretched over all 64 bits,
-//! which must still meet the pins — and the exact page and read counts — of
-//! the fixed 24-byte records. The pins and the measurements are
+//! B-tree's: `c·ceil(n/B)` and one `ceil(t/B)`), `B` as the data set it
+//! (every block holds what fits it). `c` and `c1` are pinned 10% above what
+//! the layouts measure — the worst over the sizes a structure is pinned at —
+//! so a layout regression fails here instead of moving a table. Every pin
+//! is held twice ([`Spread`]): on the generators' 20-bit data and on the
+//! same data stretched over all 64 bits, whose exact page and read counts
+//! are pinned below as well. The pins and the measurements are
 //! `pc_bench`'s, which the `experiments` binary prints and exits non-zero
 //! past.
 
-use path_caching::{Frame, PageStore, Point, TwoSided};
+use path_caching::{PageStore, Point, TwoSided};
 use pc_bench::{
     basic_constants, btree_constants, dynamic_churn_pages, interval_tree_constants,
     multilevel_constants, segmented_constants, segtree_constants, three_sided_constants,
@@ -32,9 +31,6 @@ use pc_workloads::{
 };
 
 const PAGE_SIZE: usize = 4096;
-/// `B` of the PSTs and of the interval tree at [`Frame::WIDE`]: what every
-/// structure measured before frames.
-const WIDE_B: (u64, u64) = (163, 170);
 
 /// The B+-tree's `log_B n + t/B` (§1) at its pinned sizes up to 100 000;
 /// E1 of the `experiments` binary exits non-zero past every size's pins.
@@ -80,7 +76,6 @@ fn interval_tree_space_and_stab_reads_stay_within_pinned_constants() {
         for (t_mean, c_pin, c1_pin) in INTERVAL_TREE_PINS[spread as usize] {
             let (b, pages, c, c1) = interval_tree_constants(t_mean, spread);
             let what = format!("{spread:?}, B={b}, t≈{t_mean}");
-            assert!(spread != Spread::Full || b == WIDE_B.1, "{what}");
             assert!(c <= c_pin, "{what}: {pages} pages is {c:.3} units of (n/B)·log2 B");
             assert!(c1 <= c1_pin, "{what}: a stab needs c1 = {c1:.3}");
         }
@@ -101,7 +96,6 @@ fn three_sided_pst_space_and_query_reads_stay_within_pinned_constants() {
     for spread in Spread::BOTH {
         for &(n, c_pin, c1_pins) in THREE_SIDED_PINS[spread as usize] {
             let (census, c, c1) = three_sided_constants(n, spread);
-            assert!(spread != Spread::Full || census.block_capacity == WIDE_B.0, "{census:?}");
             assert!(c <= c_pin, "n={n}: {census:?} is {c:.3} units of (n/B)·log2² B");
             for (c1, (t, c1_pin)) in c1.into_iter().zip(c1_pins) {
                 let what = format!("{spread:?}, n={n}, t≈{t}");
@@ -123,7 +117,6 @@ fn assert_two_sided_within(
         for &n in sizes {
             let TwoSidedConstants { b, pages, c, c1 } = measure(n, spread);
             let what = format!("{what}, {spread:?}, B={b}, n={n}");
-            assert!(spread != Spread::Full || b == WIDE_B.0, "{what}");
             assert!(c <= c_pin, "{what}: {pages} pages is {c:.3} units of its space bound");
             for (c1, (t, c1_pin)) in c1.into_iter().zip(c1_pins) {
                 assert!(c1 <= c1_pin, "{what}, t≈{t}: a 2-sided query needs c1 = {c1:.3}");
@@ -159,7 +152,7 @@ fn two_level_pst_space_and_query_reads_stay_within_pinned_constants() {
     assert_eq!(dyn_store.live_pages(), store.live_pages(), "one layout, static or dynamic");
     let census = pst.page_census(&store).unwrap();
     assert_eq!(dynamic.page_census(&dyn_store).unwrap(), census);
-    assert_eq!((census.frame, census.block_capacity), (Frame::new(3, 3, 3), 408));
+    assert_eq!(census.block_capacity, 667, "{census:?}");
     for t in [16, 4096] {
         for q in two_sided_corners(&raw, t) {
             let (hits, counters) = pst.query_counted(&store, q).unwrap();
@@ -212,14 +205,11 @@ fn query_counters_equal_the_strict_stores_reads_on(spread: Spread) {
     let mut dynamic_three_sided = DynamicThreeSidedPst::build(&store, &points).unwrap();
     // Non-empty update buffers: a query reads those too, and answers from
     // them.
-    let frame = dynamic.frame();
-    assert_eq!(frame, [Frame::new(3, 3, 3), Frame::WIDE][spread as usize]);
     for (i, p) in points.iter().step_by(997).enumerate() {
         let p = Point::new(p.y, p.x, spread.id(n + i as u64));
         dynamic.insert(&store, p).unwrap();
         dynamic_three_sided.insert(&store, p).unwrap();
     }
-    assert_eq!(dynamic.frame(), frame, "the inserts were to stay buffered, not to widen");
     macro_rules! two_sided {
         ($pst:ident) => {
             (stringify!($pst), &|q| {
@@ -265,12 +255,26 @@ fn query_counters_equal_the_strict_stores_reads_on(spread: Spread) {
     }
 }
 
-// --- Full-width data is the fixed-width layout, to the page and the read:
-// 50 000 uniform points (intervals) stretched over all 64 bits build what
-// the 24-byte records of the commit before frames built over the unstretched
-// data — `(pages, reads, answers)` below are that commit's, the reads and
-// answers summed over the pinned query sets at t ≈ 16 and t ≈ 4096. One test
-// per engine; the wide case is the same code, so these move only with it. ---
+// --- Full-width data, to the page and the read: 50 000 uniform points
+// (intervals) stretched over all 64 bits, `(pages, reads, answers)` the
+// reads and answers summed over the pinned query sets at t ≈ 16 and t ≈
+// 4096. One test per engine; the wide case is the same code, so these move
+// only with it.
+//
+// History. While every record was 24 bytes (25 in a cache), these were
+// that layout's counts: basic 3361 / 5855, segmented 1553 / 5911,
+// two-level 1452 / 5138, 3-level 2234 / 5402, dynamic 1562 / 6056, 3-sided
+// 1581 / 5772 (dynamic 1582 / 6072), interval tree 1186 / 600 and 2824 /
+// 1225 (pages / reads). Storing each structure at one byte width per field
+// (a frame) held full-width data to exactly those counts; on the
+// benchmark (seed 11) it took `page_reads_per_query` on `scan_warm` from
+// 29.47 to 18.59, on the point workloads from 4.95 to 4.53, `space_amp`
+// from 4.10 to 1.61, `pst.dyn_pages` / `pst.three_sided_pages` /
+// `intervaltree.pages` from 16 420 / 17 694 / 2 916 to 5 904 / 6 430 /
+// 1 038. Now each block carries its own bit widths (the block codec), and
+// full-width data, whose ids still differ in their low bits
+// only, holds ~240–260 records a block where 163–170 fit: the counts below
+// are the codec's. ---
 
 const WIDE_N: u64 = 50_000;
 
@@ -279,7 +283,6 @@ fn wide_two_sided<P: TwoSidedPst>(settle: impl Fn(&PageStore, &mut P), want: (u6
     let store = PageStore::in_memory(PAGE_SIZE);
     let mut pst = P::build_on(&store, &points);
     settle(&store, &mut pst);
-    assert_eq!(pst.stored_at(), Frame::WIDE);
     let pages = store.live_pages();
     let (mut reads, mut answers) = (0, 0);
     for q in [16, 4096].into_iter().flat_map(|t| two_sided_corners(&raw, t)) {
@@ -297,14 +300,14 @@ fn wide_inserts(count: usize) -> Vec<Point> {
 
 #[test]
 fn wide_data_builds_the_fixed_width_single_level_psts() {
-    wide_two_sided::<BasicPst>(|_, _| (), (3361, 5855, 567_930));
-    wide_two_sided::<SegmentedPst>(|_, _| (), (1553, 5911, 567_930));
+    wide_two_sided::<BasicPst>(|_, _| (), (1657, 4985, 567_930));
+    wide_two_sided::<SegmentedPst>(|_, _| (), (702, 5025, 567_930));
 }
 
 #[test]
 fn wide_data_builds_the_fixed_width_region_trees() {
-    wide_two_sided::<TwoLevelPst>(|_, _| (), (1452, 5138, 567_930));
-    wide_two_sided::<MultilevelPst>(|_, _| (), (2234, 5402, 567_930));
+    wide_two_sided::<TwoLevelPst>(|_, _| (), (1087, 4001, 567_930));
+    wide_two_sided::<MultilevelPst>(|_, _| (), (1761, 4245, 567_930));
 }
 
 #[test]
@@ -313,7 +316,7 @@ fn wide_data_builds_the_fixed_width_dynamic_pst() {
     let settle = |store: &PageStore, pst: &mut DynamicPst| {
         wide_inserts(1_000).into_iter().for_each(|p| pst.insert(store, p).unwrap());
     };
-    wide_two_sided::<DynamicPst>(settle, (1562, 6056, 579_874));
+    wide_two_sided::<DynamicPst>(settle, (1125, 4701, 579_874));
 }
 
 #[test]
@@ -334,21 +337,17 @@ fn wide_data_builds_the_fixed_width_three_sided_psts() {
         (reads, answers) = (reads + counters.total(), answers + hits.len());
         dyn_answers += dynamic.query(&dyn_store, q).unwrap().len();
     }
-    assert_eq!(pst.frame(), Frame::WIDE);
-    // Unlike the others, these literals are the 3-sided layout's own since
-    // it moved (directories in page tails, half runs, corner orders).
-    assert_eq!((pages, reads, answers), (1581, 5772, 616_808));
-    assert_eq!((dyn_pages, dyn_store.stats().reads, dyn_answers), (1582, 6072, 618_051));
+    assert_eq!((pages, reads, answers), (1531, 3895, 616_808));
+    assert_eq!((dyn_pages, dyn_store.stats().reads, dyn_answers), (1532, 4195, 618_051));
 }
 
 #[test]
 fn wide_data_builds_the_fixed_width_interval_tree() {
-    for (t, want) in [(16, (1186, 600, 2_630)), (500, (2824, 1225, 74_957))] {
+    for (t, want) in [(16, (798, 600, 2_630)), (500, (1365, 1051, 74_957))] {
         let max_len = 2 * t * pc_workloads::DOMAIN / WIDE_N as i64;
         let raw = gen_intervals(WIDE_N as usize, IntervalDist::UniformLen { max_len }, 0x5eed);
         let store = PageStore::in_memory(PAGE_SIZE);
         let tree = ExternalIntervalTree::build(&store, &Spread::Full.intervals(&raw)).unwrap();
-        assert_eq!(tree.frame(), Frame::WIDE);
         let pages = store.live_pages();
         let (mut reads, mut answers) = (0, 0);
         for stab in gen_stabbing(&raw, 150, 0xfeed) {
@@ -398,7 +397,6 @@ fn cached_queries_waste_less_than_naive() {
 fn dynamic_pst_space_stays_near_a_fresh_build_under_churn() {
     for spread in Spread::BOTH {
         let (b, after, fresh) = dynamic_churn_pages(spread);
-        assert!(spread != Spread::Full || b == WIDE_B.0);
         let factor = after as f64 / fresh as f64;
         assert!(
             factor <= DYNAMIC_CHURN_FACTOR[spread as usize],

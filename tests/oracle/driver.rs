@@ -5,7 +5,7 @@
 
 use std::fmt::Debug;
 
-use pc_pagestore::{Frame, Point};
+use pc_pagestore::Point;
 use pc_rng::check::{check, no_shrink, Config};
 use pc_rng::{mix64, Rng};
 
@@ -20,10 +20,6 @@ pub trait Subject {
     fn answer(&mut self, q: &Query) -> Result<Vec<Point>, String>;
     /// The live count, where the path reports one.
     fn len(&mut self) -> Option<u64> {
-        None
-    }
-    /// The frame the records are stored at, where the structure has one.
-    fn frame(&mut self) -> Option<Frame> {
         None
     }
 }

@@ -4,17 +4,19 @@
 //! Coordinates come half from a tie-heavy pool (a few values a case, so
 //! that splits, block boundaries and query bounds land on shared
 //! coordinates) and half from the whole field range, every magnitude and
-//! both signs. Two build records sit on the extremes of every field, so a
-//! build of two or more is stored at exactly the case's frame — `i64::MIN`,
-//! `i64::MAX` and `u64::MAX` themselves at `Frame::WIDE`. A dynamic
-//! sequence may widen its frame partway through. With `outliers` one field
-//! in eight leaves the frame for anywhere in `i64` or `u64`, ends included:
-//! the B-tree's cases, whose nodes each store at their own widths.
+//! both signs. A case is drawn from one data class ([`Widths`]): two build
+//! records sit on the extremes of every field, so a build of two or more
+//! spans exactly the class's widths — `i64::MIN`, `i64::MAX` and `u64::MAX`
+//! themselves in [`Widths::WIDE`]. A dynamic sequence may take a record
+//! past them partway through. With `outliers` one field in eight leaves the
+//! class for anywhere in `i64` or `u64`, ends included. Every structure
+//! stores each block (B-tree node) at the widths of its own records, so a
+//! class is a shape of the data, not a setting of the structure.
 
 use std::collections::HashSet;
 use std::fmt;
 
-use pc_pagestore::{Frame, Point};
+use pc_pagestore::Point;
 use pc_pst::{ThreeSided, TwoSided};
 use pc_rng::Rng;
 
@@ -52,18 +54,44 @@ pub enum Op {
     Reopen,
 }
 
+/// A data class: the byte widths (1–8) the two coordinates and the id of a
+/// case's build set span, signed and unsigned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Widths(pub [u8; 3]);
+
+impl Widths {
+    /// Every field at full width.
+    pub const WIDE: Widths = Widths([8; 3]);
+
+    /// The narrowest class that holds every one of `records` (1/1/1 for
+    /// none).
+    pub fn of(records: &[Point]) -> Widths {
+        // `v ^ (v >> 63)` clears the sign: its bits plus one sign bit.
+        let signed = |v: i64| (65 - (v ^ (v >> 63)).leading_zeros()).div_ceil(8) as u8;
+        let unsigned = |v: u64| (64 - v.leading_zeros()).div_ceil(8).max(1) as u8;
+        let widths = |p: &Point| [signed(p.x), signed(p.y), unsigned(p.id)];
+        Widths(records.iter().map(widths).fold([1; 3], |a, b| [0, 1, 2].map(|i| a[i].max(b[i]))))
+    }
+}
+
+impl fmt::Display for Widths {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}/{}", self.0[0], self.0[1], self.0[2])
+    }
+}
+
 /// What to generate.
 #[derive(Clone, Copy, Debug)]
 pub struct Spec {
     pub shape: Shape,
-    /// The build set's frame; `Frame::WIDE` for a structure that has none.
-    pub frame: Frame,
+    /// The build set's data class.
+    pub widths: Widths,
     /// Build sets run up to this many records.
     pub records: usize,
     /// Inserts and deletes in the sequence; 0 for a static structure.
     pub updates: usize,
     pub queries: usize,
-    /// Fields outside the frame mixed in, one in eight.
+    /// Fields outside the class mixed in, one in eight.
     pub outliers: bool,
 }
 
@@ -93,9 +121,9 @@ impl Case {
 /// A summary: the failure message names the op, and the seed rebuilds all.
 impl fmt::Debug for Case {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let frame = Frame::of(&self.build);
+        let widths = Widths::of(&self.build);
         let (n, ops, updates) = (self.build.len(), self.ops.len(), self.updates().count());
-        write!(f, "{:?} case: {n} records at {frame}, {ops} ops ({updates} updates)", self.shape)
+        write!(f, "{:?} case: {n} records at {widths}, {ops} ops ({updates} updates)", self.shape)
     }
 }
 
@@ -145,7 +173,7 @@ struct Gen<'a> {
 
 impl<'a> Gen<'a> {
     fn new(rng: &'a mut Rng, spec: &Spec) -> Gen<'a> {
-        let [a, b, id] = spec.frame.widths();
+        let Widths([a, b, id]) = spec.widths;
         let mut pool = |width| {
             let n = rng.gen_range(1..=8usize);
             (0..n).map(|_| full(rng, width)).collect()
@@ -174,16 +202,16 @@ impl<'a> Gen<'a> {
         if self.rng.gen_bool(0.5) {
             *self.rng.choose(&self.pools[axis]).expect("a pool has a value")
         } else {
-            full(self.rng, self.spec.frame.widths()[axis])
+            full(self.rng, self.spec.widths.0[axis])
         }
     }
 
-    /// A fresh id the frame holds, or `None` once the width is used up.
+    /// A fresh id the class holds, or `None` once the width is used up.
     fn fresh_id(&mut self) -> Option<u64> {
         if self.ids.len() >= self.id_budget {
             return None;
         }
-        let max = max_id(self.spec.frame.widths()[2]);
+        let max = max_id(self.spec.widths.0[2]);
         loop {
             let id = match self.outlier() {
                 true if self.rng.gen_bool(0.5) => u64::MAX - self.rng.gen_range(0..4u64),
@@ -196,13 +224,13 @@ impl<'a> Gen<'a> {
         }
     }
 
-    /// A fresh record the frame holds, or `None` when no id or key is left.
+    /// A fresh record the class holds, or `None` when no id or key is left.
     fn record(&mut self) -> Option<Point> {
         let (x, y) = match (self.spec.shape, self.tower) {
             (Shape::Range, _) => (self.fresh_key()?, 0),
             (_, Some(centre)) => {
                 let reach = self.coord(0).unsigned_abs().min(i64::MAX as u64) as i64;
-                let [a, b, _] = self.spec.frame.widths();
+                let Widths([a, b, _]) = self.spec.widths;
                 let lo = centre.saturating_sub(reach).max(signed_range(a).0);
                 (lo, centre.saturating_add(reach).min(signed_range(b).1))
             }
@@ -242,7 +270,7 @@ impl<'a> Gen<'a> {
             0 => self.rng.gen_range(0..=most.min(4)),
             _ => self.rng.gen_range(most / 4..=most),
         };
-        let [a, b, id] = self.spec.frame.widths();
+        let Widths([a, b, id]) = self.spec.widths;
         let ((x_lo, x_hi), (y_lo, y_hi)) = (signed_range(a), signed_range(b));
         let mut build = Vec::with_capacity(n);
         if n >= 2 {
@@ -256,18 +284,18 @@ impl<'a> Gen<'a> {
                 None => break,
             }
         }
-        if build.len() >= 2 && self.spec.shape != Shape::Range {
-            assert_eq!(Frame::of(&build), self.spec.frame, "the build set sits at the frame");
+        if build.len() >= 2 && !self.spec.outliers {
+            assert_eq!(Widths::of(&build), self.spec.widths, "the build set spans its class");
         }
         self.rng.shuffle(&mut build);
         build
     }
 
     fn ops(&mut self, build: &[Point]) -> Vec<Op> {
-        let Spec { shape, updates, queries, frame, .. } = self.spec;
+        let Spec { shape, updates, queries, widths, .. } = self.spec;
         let mut live = build.to_vec();
         let mut ops = vec![Op::Query(everything(shape))];
-        let widen_at = (updates > 0 && frame != Frame::WIDE && self.rng.gen_bool(0.5))
+        let wide_at = (updates > 0 && widths != Widths::WIDE && self.rng.gen_bool(0.5))
             .then(|| self.rng.gen_range(0..updates));
         let (mut updates_left, mut queries_left) = (updates, queries);
         while updates_left + queries_left > 0 {
@@ -282,7 +310,7 @@ impl<'a> Gen<'a> {
                 ops.push(Op::Reopen);
             }
             let insert = live.is_empty() || self.rng.gen_bool(0.55);
-            let fresh = match (insert, widen_at == Some(updates_left)) {
+            let fresh = match (insert, wide_at == Some(updates_left)) {
                 (false, _) => None,
                 (true, false) => self.record(),
                 (true, true) => self.wide_record(),
@@ -304,8 +332,8 @@ impl<'a> Gen<'a> {
         ops
     }
 
-    /// A record the frame does not hold: one field at the end of `i64` or
-    /// an id of eight bytes — for a B-tree entry, the key or the value.
+    /// A record past the class: one field at the end of `i64` or an id of
+    /// eight bytes — for a B-tree entry, the key or the value.
     fn wide_record(&mut self) -> Option<Point> {
         let p = self.record()?;
         let range = self.spec.shape == Shape::Range;

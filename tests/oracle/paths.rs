@@ -36,11 +36,12 @@ use crate::structures::{
 const PAGE: usize = 512;
 
 /// A target kind a `pc-serve` node registers: what it stores, whether its
-/// records have a frame, whether it takes updates, and its build.
+/// cases come from every data class (the segment tree's from the wide one
+/// alone), whether it takes updates, and its build.
 pub struct Kind {
     pub name: &'static str,
     pub shape: Shape,
-    pub framed: bool,
+    pub classed: bool,
     pub dynamic: bool,
     build: fn(&PageStore, &[Point]) -> pc_pagestore::Result<Target>,
 }
@@ -50,26 +51,26 @@ type Target = Box<dyn QueryTarget>;
 /// Every target kind, in one registry order.
 #[rustfmt::skip]
 pub const KINDS: [Kind; 9] = [
-    Kind { name: "B-tree", shape: Shape::Range, framed: true, dynamic: false,
+    Kind { name: "B-tree", shape: Shape::Range, classed: true, dynamic: false,
         build: |s, r| Ok(Box::new(BTreeTarget(BTree::bulk_build(s, &entries(r))?))) },
-    Kind { name: "segment tree", shape: Shape::Stab, framed: false, dynamic: false,
+    Kind { name: "segment tree", shape: Shape::Stab, classed: false, dynamic: false,
         build: |s, r| Ok(Box::new(SegTreeTarget(CachedSegmentTree::build(s, &intervals(r))?))) },
-    Kind { name: "interval tree", shape: Shape::Stab, framed: true, dynamic: false, build: |s, r| {
+    Kind { name: "interval tree", shape: Shape::Stab, classed: true, dynamic: false, build: |s, r| {
         Ok(Box::new(IntervalTreeTarget(ExternalIntervalTree::build(s, &intervals(r))?)))
     } },
-    Kind { name: "two-level PST", shape: Shape::TwoSided, framed: true, dynamic: false,
+    Kind { name: "two-level PST", shape: Shape::TwoSided, classed: true, dynamic: false,
         build: |s, r| Ok(Box::new(PstTarget(TwoLevelPst::build(s, r)?))) },
-    Kind { name: "naive PST", shape: Shape::TwoSided, framed: true, dynamic: false,
+    Kind { name: "naive PST", shape: Shape::TwoSided, classed: true, dynamic: false,
         build: |s, r| Ok(Box::new(NaivePstTarget(NaivePst::build(s, r)?))) },
-    Kind { name: "3-sided PST", shape: Shape::ThreeSided, framed: true, dynamic: false,
+    Kind { name: "3-sided PST", shape: Shape::ThreeSided, classed: true, dynamic: false,
         build: |s, r| Ok(Box::new(ThreeSidedTarget(ThreeSidedPst::build(s, r)?))) },
-    Kind { name: "dynamic PST", shape: Shape::TwoSided, framed: true, dynamic: true,
+    Kind { name: "dynamic PST", shape: Shape::TwoSided, classed: true, dynamic: true,
         build: |s, r| Ok(Box::new(DynamicPstTarget::new(DynamicPst::build(s, r)?))) },
-    Kind { name: "dynamic 3-sided PST", shape: Shape::ThreeSided, framed: true, dynamic: true,
+    Kind { name: "dynamic 3-sided PST", shape: Shape::ThreeSided, classed: true, dynamic: true,
         build: |s, r| {
             Ok(Box::new(DynamicThreeSidedTarget::new(DynamicThreeSidedPst::build(s, r)?)))
         } },
-    Kind { name: "dynamic B-tree", shape: Shape::Range, framed: true, dynamic: true,
+    Kind { name: "dynamic B-tree", shape: Shape::Range, classed: true, dynamic: true,
         build: |s, r| Ok(Box::new(DynamicBTreeTarget::new(BTree::bulk_build(s, &entries(r))?))) },
 ];
 

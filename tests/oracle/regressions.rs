@@ -23,17 +23,21 @@
 //!    Held by `crates/pagestore/tests/proptest_store.rs`, which found it.
 //! 7. **A sibling pair split across skeletal pages** —
 //!    [`odd_skeletal_capacity_at_1_kib`].
-//! 8. **A frame that must widen** — [`widening_twice`].
+//! 8. **An outlier that rebuilt the whole PST** — under a structure-wide
+//!    frame an update of a record the frame did not hold widened it:
+//!    gather, free and rebuild every page, and `B` stayed low for good.
+//!    [`outlier_costs_bytes_not_a_rebuild`] now bounds the pages such an
+//!    update writes.
 //! 9. **An outlier that rewrote the whole B-tree** — [`b_tree_outliers`],
 //!    now a bound on the pages each of its updates writes.
 
 use std::collections::HashSet;
 
-use pc_pagestore::{Frame, Point};
-use pc_pst::TwoSided;
+use pc_pagestore::Point;
+use pc_pst::{ThreeSided, TwoSided};
 use pc_rng::Rng;
 
-use crate::gen::{self, everything, signed_range, Case, Op, Query, Shape, Spec};
+use crate::gen::{self, everything, signed_range, Case, Op, Query, Shape, Spec, Widths};
 
 /// Records carry only a split's x value, while the canonical division
 /// orders by the full `(x, y, id)` key: on an x-tie a point may live on
@@ -70,7 +74,7 @@ pub fn x_tie_deletes() -> Case {
 pub fn odd_skeletal_capacity_at_1_kib() -> Case {
     let spec = Spec {
         shape: Shape::TwoSided,
-        frame: Frame::new(3, 3, 3),
+        widths: Widths([3, 3, 3]),
         records: 8_000,
         updates: 3_000,
         queries: 150,
@@ -79,26 +83,31 @@ pub fn odd_skeletal_capacity_at_1_kib() -> Case {
     gen::case(&mut Rng::seed_from_u64(1024), &spec)
 }
 
-/// A structure built at 3/3/3 takes an x of `i64::MAX`, then an id of
-/// `u64::MAX`: each widens it once — gather, free, rebuild every page —
-/// to 8/3/3, then 8/3/8, with flushed regions and buffered updates before,
-/// between and after, a reopen after each, and both wide points deleted at
-/// the end, after which the frame stays wide. Widening came with
-/// frame-width records: a frame only widens.
-pub fn widening_twice() -> Case {
+/// A dynamic PST of `shape` over `n` records of the served benchmark's
+/// data class (20-bit coordinates and ids; 50 000 are several hundred
+/// regions at 512 B) takes an x of `i64::MAX`, then an id of `u64::MAX`, each after
+/// a reopen and before any update fills a buffer, with queries at both,
+/// churn after, and both deleted at the end. Until each block carried its
+/// own widths, each of the two inserts gathered, freed and rebuilt every
+/// page of the structure.
+pub fn outlier_costs_bytes_not_a_rebuild(shape: Shape, n: u64) -> Case {
     let mut rng = Rng::seed_from_u64(0x71DF);
+    // Queries of the shape, drawn over a small case of the class.
     let spec = Spec {
-        shape: Shape::TwoSided,
-        frame: Frame::new(3, 3, 3),
+        shape,
+        widths: Widths([3, 3, 3]),
         records: 800,
         updates: 0,
         queries: 40,
         outliers: false,
     };
-    let Case { build, ops: queries, .. } = gen::case(&mut rng, &spec);
-    assert!(build.len() >= 200, "a build of several regions");
-    let mut queries = queries.into_iter().cycle();
+    let Case { ops: queries, .. } = gen::case(&mut rng, &spec);
     let (lo, hi) = signed_range(3);
+    // A 3-sided structure rebuilds whole when its buffer fills.
+    let pairs = if shape == Shape::TwoSided { 150 } else { 30 };
+    let build: Vec<Point> =
+        (0..n).map(|id| Point::new(rng.gen_range(lo..=hi), rng.gen_range(lo..=hi), id)).collect();
+    let mut queries = queries.into_iter().cycle();
     let mut ids: HashSet<u64> = build.iter().map(|p| p.id).collect();
     let mut fresh = |rng: &mut Rng| loop {
         let id = rng.gen_range(1..1u64 << 24);
@@ -106,28 +115,30 @@ pub fn widening_twice() -> Case {
             return id;
         }
     };
+    let wide = [Point::new(i64::MAX, -5, fresh(&mut rng)), Point::new(-6, 6, u64::MAX)];
+    let at_the_outlier = |p: Point| match shape {
+        Shape::TwoSided => Query::Two(TwoSided { x0: p.x, y0: i64::MIN }),
+        _ => Query::Three(ThreeSided { x1: p.x, x2: p.x, y0: i64::MIN }),
+    };
     let mut live = build.clone();
     let mut ops = Vec::new();
-    let wide_id = fresh(&mut rng);
-    let wide = [Point::new(i64::MAX, -5, wide_id), Point::new(-6, 6, u64::MAX)];
     for wide in wide {
-        for i in 0..150 {
-            let p = Point::new(rng.gen_range(lo..=hi), rng.gen_range(lo..=hi), fresh(&mut rng));
-            let victim = live.swap_remove(rng.gen_range(0..live.len()));
-            live.push(p);
-            ops.extend([Op::Insert(p), Op::Delete(victim)]);
-            if i % 10 == 0 {
-                ops.extend(queries.next());
-            }
-        }
-        ops.extend([Op::Insert(wide), Op::Query(everything(Shape::TwoSided)), Op::Reopen]);
+        ops.extend([Op::Reopen, Op::Insert(wide), Op::Query(at_the_outlier(wide)), Op::Reopen]);
         ops.extend(queries.by_ref().take(5));
     }
-    let corner = Query::Two(TwoSided { x0: i64::MAX, y0: i64::MIN });
-    ops.extend([Op::Query(corner), Op::Delete(wide[0]), Op::Delete(wide[1]), Op::Query(corner)]);
+    for i in 0..pairs {
+        let p = Point::new(rng.gen_range(lo..=hi), rng.gen_range(lo..=hi), fresh(&mut rng));
+        let victim = live.swap_remove(rng.gen_range(0..live.len()));
+        live.push(p);
+        ops.extend([Op::Insert(p), Op::Delete(victim)]);
+        if i % 10 == 0 {
+            ops.extend(queries.next());
+        }
+    }
+    ops.extend([Op::Delete(wide[0]), Op::Query(at_the_outlier(wide[0])), Op::Delete(wide[1])]);
     ops.extend(queries.take(10));
-    ops.push(Op::Query(everything(Shape::TwoSided)));
-    Case { shape: Shape::TwoSided, build, ops }
+    ops.push(Op::Query(everything(shape)));
+    Case { shape, build, ops }
 }
 
 /// A bulk-built B-tree of 100 000 entries shaped like the benchmark's —

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pagestore::{Frame, Interval, PageStore, Point};
+use pc_pagestore::{Interval, PageStore, Point};
 use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, SegmentedPst, ThreeSided,
     ThreeSidedPst, TwoLevelPst, TwoSided,
@@ -27,9 +27,6 @@ pub trait Structure: Sized {
     fn build(store: &PageStore, records: &[Point]) -> Res<Self>;
     fn answer(&self, store: &PageStore, q: &Query) -> Res<Vec<Point>>;
     fn len(&self) -> u64;
-    fn frame(&self) -> Option<Frame> {
-        None
-    }
     fn update(&mut self, _store: &PageStore, op: &Op) -> Res<()> {
         Err(format!("a static structure was sent {op:?}"))
     }
@@ -98,9 +95,6 @@ macro_rules! static_pst {
             fn len(&self) -> u64 {
                 $S::len(self)
             }
-            fn frame(&self) -> Option<Frame> {
-                Some($S::frame(self))
-            }
         }
     )*};
 }
@@ -133,13 +127,10 @@ impl Structure for Multilevel {
     fn len(&self) -> u64 {
         self.0[0].len()
     }
-    fn frame(&self) -> Option<Frame> {
-        Some(self.0[0].frame())
-    }
 }
 
 macro_rules! stabbing {
-    ($($S:ident $(: $frame:ident)?),* $(,)?) => {$(
+    ($($S:ident),* $(,)?) => {$(
         impl Structure for $S {
             fn build(store: &PageStore, records: &[Point]) -> Res<Self> {
                 ok($S::build(store, &intervals(records)))
@@ -150,17 +141,13 @@ macro_rules! stabbing {
             fn len(&self) -> u64 {
                 $S::len(self)
             }
-            $(fn frame(&self) -> Option<Frame> {
-                Some($S::$frame(self))
-            })?
         }
     )*};
 }
 
-stabbing!(NaiveSegmentTree, CachedSegmentTree, ExternalIntervalTree: frame);
+stabbing!(NaiveSegmentTree, CachedSegmentTree, ExternalIntervalTree);
 
-/// A B-tree entry is a record's key `x` and value `id` (every `y` 0); the
-/// tree has no frame, each node storing at its own widths.
+/// A B-tree entry is a record's key `x` and value `id` (every `y` 0).
 impl Structure for BTree {
     fn build(store: &PageStore, records: &[Point]) -> Res<Self> {
         ok(BTree::bulk_build(store, &entries(records)))
@@ -194,7 +181,7 @@ impl Structure for BTree {
 }
 
 macro_rules! dynamic {
-    ($($S:ident: $query:ident $(, $frame:ident)?);* $(;)?) => {$(
+    ($($S:ident: $query:ident);* $(;)?) => {$(
         impl Structure for $S {
             fn build(store: &PageStore, records: &[Point]) -> Res<Self> {
                 ok($S::build(store, records))
@@ -205,9 +192,6 @@ macro_rules! dynamic {
             fn len(&self) -> u64 {
                 $S::len(self)
             }
-            $(fn frame(&self) -> Option<Frame> {
-                Some($S::$frame(self))
-            })?
             fn update(&mut self, store: &PageStore, op: &Op) -> Res<()> {
                 match *op {
                     Op::Insert(p) => ok(self.insert(store, p)),
@@ -225,7 +209,7 @@ macro_rules! dynamic {
     )*};
 }
 
-dynamic!(DynamicPst: two, frame; DynamicThreeSidedPst: three);
+dynamic!(DynamicPst: two; DynamicThreeSidedPst: three);
 
 /// A structure over its own store, driven directly.
 pub struct InProcess<S> {
@@ -258,8 +242,5 @@ impl<S: Structure> Subject for InProcess<S> {
     }
     fn len(&mut self) -> Option<u64> {
         Some(self.s.len())
-    }
-    fn frame(&mut self) -> Option<Frame> {
-        self.s.frame()
     }
 }
