@@ -28,8 +28,8 @@ use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
 use pc_pagestore::{PageStore, Point};
 use pc_pst::{
-    BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, SegmentedPst,
-    ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
+    BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, QueryCounters,
+    SegmentedPst, ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
 };
 use pc_segtree::{CachedSegmentTree, NaiveSegmentTree};
 use pc_workloads::{
@@ -411,7 +411,9 @@ fn pst_experiment<P: TwoSidedPst>(
 ) {
     let mut headers =
         vec!["n", "B", "pages", space_label, "avg t", "avg query I/O", "log_B n + t/B"];
-    headers.extend(by_class.map(|(label, _)| label));
+    if let Some((label, _)) = by_class {
+        headers.extend([READ_CLASSES, label]);
+    }
     let mut table = Table::new(&headers);
     for n in [20_000usize, 100_000, 400_000] {
         let raw = gen_points(n, PointDist::Uniform, 8);
@@ -422,9 +424,11 @@ fn pst_experiment<P: TwoSidedPst>(
         let pages = store.live_pages();
         let queries = gen_two_sided(&raw, 100, n / 50, 9);
         store.reset_stats();
-        let mut t_total = 0usize;
+        let (mut t_total, mut reads) = (0usize, [0u64; 3]);
         for q in &queries {
-            t_total += pst.counted(&store, TwoSided { x0: q.x0, y0: q.y0 }).0;
+            let (hits, counters) = pst.counted(&store, TwoSided { x0: q.x0, y0: q.y0 });
+            t_total += hits;
+            add_read_classes(&mut reads, &counters);
         }
         let io = store.stats().reads as f64 / queries.len() as f64;
         let t_avg = t_total as f64 / queries.len() as f64;
@@ -437,7 +441,9 @@ fn pst_experiment<P: TwoSidedPst>(
             f1(io),
             f1(log_base(n as f64, b) + t_avg / b),
         ];
-        row.extend(by_class.map(|(_, describe)| describe(&pst, &store)));
+        if let Some((_, describe)) = by_class {
+            row.extend([mean_classes(reads, queries.len()), describe(&pst, &store)]);
+        }
         table.row(row);
     }
     table.print();
@@ -482,6 +488,20 @@ fn pinned_two_sided(
     if !within {
         past_pin(format_args!("{exp}: the structure passed its pinned constants"));
     }
+}
+
+/// A 2-sided query's reads by class, in the order of this column label.
+const READ_CLASSES: &str = "skeletal/cache/node reads";
+
+/// Adds a query's reads to `sums`, class by class ([`READ_CLASSES`]).
+fn add_read_classes(sums: &mut [u64; 3], c: &QueryCounters) {
+    let classes = [c.skeletal, c.cache_blocks, c.node_blocks];
+    sums.iter_mut().zip(classes).for_each(|(sum, class)| *sum += class);
+}
+
+/// `sums` over `queries` queries, per query.
+fn mean_classes(sums: [u64; 3], queries: usize) -> String {
+    sums.map(|sum| f2(sum as f64 / queries as f64)).join("/")
 }
 
 /// A two-level or dynamic PST's pages by class, in the order of the
@@ -529,7 +549,8 @@ fn e7_two_level_pst() {
     println!("Y-lists are two more copies of the data, and every region has an inner PST, so up");
     println!("to 100k this is *above* E6 on space (a bigger block shrinks `log B` levels of");
     println!("caches faster than two data copies) and below it at 400k; below E5, and it reads");
-    println!("the fewest pages per large scan.\n");
+    println!("the fewest pages per large scan. A corner region answers from the first block of");
+    println!("its X- or Y-list where that block holds every candidate, else by its inner tree.\n");
     pst_experiment::<TwoLevelPst>(
         "(n/B)·loglog2 B",
         |n, b| n / b * b.log2().log2(),
@@ -705,9 +726,10 @@ fn e10_dynamic_pst() {
     println!("Claim: amortised update `O(log_B n)`; queries stay `O(log_B n + t/B)` under churn;");
     println!("space `O((n/B)·loglog B)`. Update I/O is flat in n from 100k on (≈ 3·log_B n:");
     println!("per-flush list rebuilds amortised over a buffer page). Dirty queries are E7's plus");
-    println!("the buffer reads. `pages/(n/B)` follows the updates: an inner tree rebuilt near its");
-    println!("fullest takes more blocks than a fresh one (ROADMAP 6c), which the churn factor");
-    println!("below bounds.\n");
+    println!("the pages' `U` buffers, read as cache blocks; a corner answered from one block of");
+    println!("its lists reads no `u`, which the lists hold. `pages/(n/B)` follows the updates: an");
+    println!("inner tree rebuilt near its fullest takes more blocks than a fresh one (ROADMAP");
+    println!("6c), which the churn factor below bounds.\n");
     let mut table = Table::new(&[
         "n",
         "B",
@@ -715,6 +737,7 @@ fn e10_dynamic_pst() {
         "delete I/O",
         "log_B n",
         "query I/O (dirty)",
+        READ_CLASSES,
         "avg t",
         "pages/(n/B)",
         REGION_CLASSES,
@@ -744,9 +767,11 @@ fn e10_dynamic_pst() {
         // Queries against the churned structure (buffers non-empty).
         let queries = gen_two_sided(&raw, 60, n / 50, 16);
         store.reset_stats();
-        let mut t_total = 0usize;
+        let (mut t_total, mut reads) = (0usize, [0u64; 3]);
         for q in &queries {
-            t_total += pst.query(&store, TwoSided { x0: q.x0, y0: q.y0 }).unwrap().len();
+            let (hits, counters) = pst.counted(&store, TwoSided { x0: q.x0, y0: q.y0 });
+            t_total += hits;
+            add_read_classes(&mut reads, &counters);
         }
         let q_io = store.stats().reads as f64 / queries.len() as f64;
         table.row(vec![
@@ -756,6 +781,7 @@ fn e10_dynamic_pst() {
             f1(del_io),
             f1(log_base(n as f64, b)),
             f1(q_io),
+            mean_classes(reads, queries.len()),
             f1(t_total as f64 / queries.len() as f64),
             f2(store.live_pages() as f64 / (n as f64 / b)),
             by_region_class(&census),

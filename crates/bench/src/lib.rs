@@ -6,8 +6,8 @@ use pc_intervaltree::ExternalIntervalTree;
 use pc_pagestore::layout::cut;
 use pc_pagestore::{Interval, PageStore, Point};
 use pc_pst::{
-    BasicPst, DynamicPst, MultilevelPst, NaivePst, PageCensus, SegmentedPst, ThreeSided,
-    ThreeSidedPst, TwoLevelPst, TwoSided,
+    BasicPst, DynamicPst, MultilevelPst, NaivePst, PageCensus, QueryCounters, SegmentedPst,
+    ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
 };
 use pc_segtree::CachedSegmentTree;
 use pc_workloads::{
@@ -101,8 +101,8 @@ pub trait TwoSidedPst: Sized {
     /// Builds the structure over `points`.
     fn build_on(store: &PageStore, points: &[Point]) -> Self;
     /// Answers `q`: the answer's size and the page reads by the structure's
-    /// own counters.
-    fn counted(&self, store: &PageStore, q: TwoSided) -> (usize, u64);
+    /// own counters, class by class.
+    fn counted(&self, store: &PageStore, q: TwoSided) -> (usize, QueryCounters);
 }
 
 macro_rules! two_sided_pst {
@@ -111,9 +111,9 @@ macro_rules! two_sided_pst {
             fn build_on(store: &PageStore, points: &[Point]) -> Self {
                 <$t>::build(store, points $(, $levels)?).expect("in-memory build")
             }
-            fn counted(&self, store: &PageStore, q: TwoSided) -> (usize, u64) {
+            fn counted(&self, store: &PageStore, q: TwoSided) -> (usize, QueryCounters) {
                 let (hits, counters) = self.query_counted(store, q).expect("in-memory query");
-                (hits.len(), counters.total())
+                (hits.len(), counters)
             }
         }
     };
@@ -200,18 +200,21 @@ pub const SEGMENTED_PINS: [TwoSidedPin; 2] =
 /// the pages falling by a quarter and `n/B` by two fifths).
 pub const TWO_LEVEL_SPACE_C: f64 = 2.13;
 /// Theorems 4.3 and 5.1, unit `(n/B)·log₂log₂ B` ([`two_level_constants`],
-/// E7). Measured c1 3.00 (n = 250k) / 1.50: `⌈log_B n⌉` is 2 levels where it
+/// E7). Measured c1 2.00 (n = 250k) / 1.50: `⌈log_B n⌉` is 2 levels where it
 /// was 3, so the same few reads past the output are more per level (2.50 /
 /// 0.00 at the fixed-count layout); on full-width data (`B` = 243) c 2.029,
-/// c1 1.50 / −1.50.
+/// c1 0.50 / −1.50. A corner region answers from one block of its lists
+/// where that block holds every candidate: t ≈ 16's c1 was 3.00 / 1.50
+/// when every corner asked its inner tree.
 pub const TWO_LEVEL_PINS: [TwoSidedPin; 2] =
-    [(TWO_LEVEL_SPACE_C, [(16, 3.3), (4096, 1.65)]), (2.176, [(16, 2.94), (4096, -1.35)])];
+    [(TWO_LEVEL_SPACE_C, [(16, 2.2), (4096, 1.65)]), (2.176, [(16, 0.55), (4096, -1.35)])];
 /// Theorem 4.4 at three levels, unit `n/B` ([`multilevel_constants`], E8).
-/// Measured c 8.728 (n = 100k), c1 3.00 / 2.00; on full-width data c 8.494,
-/// c1 2.50 / −1.50 (at the fixed-count layout c 7.667 / 8.537, c1 3.00 /
-/// 0.00 and 3.00 / −2.00).
+/// Measured c 8.684 (n = 100k), c1 1.50 / 2.00; on full-width data c 8.494,
+/// c1 0.50 / −1.50 (3.00 and 2.50 at t ≈ 16 before a corner region answered
+/// from one block of its lists; at the fixed-count layout c 7.667 / 8.537,
+/// c1 3.00 / 0.00 and 3.00 / −2.00).
 pub const MULTILEVEL_PINS: [TwoSidedPin; 2] =
-    [(9.6, [(16, 3.3), (4096, 2.2)]), (9.391, [(16, 3.3), (4096, -1.35)])];
+    [(9.6, [(16, 1.65), (4096, 2.2)]), (9.391, [(16, 0.55), (4096, -1.35)])];
 
 /// One pinned measurement of a 2-sided PST: the data's `B`, its pages, and
 /// `c` and `[c1; 2]` as [`TwoSidedPin`] defines them.
@@ -247,7 +250,7 @@ pub fn two_sided_constants<P: TwoSidedPst>(
             .into_iter()
             .map(|q| {
                 let (hits, reads) = pst.counted(&store, spread.two_sided(q));
-                (reads as f64 - 2.0 * (hits as u64).div_ceil(b) as f64) / levels
+                (reads.total() as f64 - 2.0 * (hits as u64).div_ceil(b) as f64) / levels
             })
             .fold(f64::MIN, f64::max)
     });

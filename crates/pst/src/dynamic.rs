@@ -24,7 +24,8 @@
 //!   **inner PST is rebuilt only when `u` overflows** (`O(log B · log log
 //!   B)` per `B` updates — §5's accounting).
 //! * Queries run the static §4.1 algorithm, reading the `U` buffer of
-//!   every page they visit and the corner's `u`, then merge: buffered
+//!   every page they visit and, where the corner asks its inner PST (not
+//!   its lists, which hold `u`'s ops), the corner's `u`; then merge: buffered
 //!   deletes mask stale results, buffered inserts that satisfy the query
 //!   are added. Sequence stamps resolve op order across buffer levels.
 //!   The merge costs one extra I/O per visited page — `O(log_B n)` — and
@@ -80,9 +81,9 @@ use crate::region::{
 };
 use crate::three_sided::{ThreeSided, ThreeSidedPst};
 use crate::two_level::{
-    buffer_room, build_region_tree, decode_header, encode_header, free_pages, page_census,
-    query_handle, read_buffer, region_blocks, write_buffer, ListRef, PageHeaderInfo, RegionCensus,
-    RegionRecord, UpdateRec, PAGE_HEADER,
+    buffer_room, build_inner, build_region_tree, decode_header, encode_header, free_pages,
+    page_census, query_handle, read_buffer, region_blocks, write_buffer, ListRef, PageHeaderInfo,
+    RegionCensus, RegionRecord, UpdateRec, PAGE_HEADER,
 };
 
 /// Outcome of a page flush: either the page was rewritten in place, or
@@ -489,8 +490,10 @@ impl DynamicPst {
             }
             records[slot].x_list.free(store)?;
             records[slot].y_list.free(store)?;
-            records[slot].x_list = ListRef::build(store, &x_sorted[slot])?;
-            records[slot].y_list = ListRef::build(store, &points[slot])?;
+            (records[slot].x_list, records[slot].x_edge) =
+                ListRef::build(store, &x_sorted[slot], |p| p.x)?;
+            (records[slot].y_list, records[slot].y_edge) =
+                ListRef::build(store, &points[slot], |p| p.y)?;
             records[slot].own_cnt = points[slot].len() as u16;
             records[slot].min_y_y = points[slot].last().map(|p| p.y).unwrap_or(0);
 
@@ -504,8 +507,8 @@ impl DynamicPst {
             let ops = &touched[slot].ops;
             if buffer_room(page_size, &u_ops, ops) < ops.len() {
                 free_pages(store, records[slot].inner_root, records[slot].inner_is_region)?;
-                let inner = build_region_tree(store, &points[slot], &self.caps[1..])?;
-                (records[slot].inner_root, records[slot].inner_n) = (inner.root, inner.n as u32);
+                let inner = build_inner(store, &points[slot], &self.caps[1..])?;
+                records[slot].inner_root = inner.root;
                 records[slot].inner_is_region = inner.kind == Kind::Region;
                 u_ops.clear();
             } else {
@@ -823,7 +826,7 @@ impl DynamicThreeSidedPst {
 mod tests {
     use super::*;
     use crate::build::SEntry;
-    use crate::testutil::{canonical, in_page_paths, uniform_points};
+    use crate::testutil::{canonical, corner_cost, in_page_paths, uniform_points, LoggedStore};
     use pc_pagestore::layout::{chain_pages, BlockList};
     use pc_pagestore::{PageStore, NULL_PAGE};
     use pc_rng::Rng;
@@ -1104,14 +1107,18 @@ mod tests {
             // The record names the second block of each list and the first's
             // count, and those of its right child's Y-list, as the chains
             // have them.
-            for list in [rec.x_list, rec.y_list] {
+            let keys: [fn(&Point) -> i64; 2] = [|p| p.x, |p| p.y];
+            let lists = [(rec.x_list, rec.x_edge), (rec.y_list, rec.y_edge)];
+            for ((list, edge), key) in lists.into_iter().zip(keys) {
                 let pages = chain_pages(store, list.head).unwrap();
                 let second = pages.get(1).copied().unwrap_or(NULL_PAGE);
                 assert_eq!(list.second, second, "{what}: second block of slot {slot}");
-                let first = pages.first().map_or(0, |&page| {
-                    BlockList::<Point>::read_block(store, page).unwrap().0.len()
+                let first = pages.first().map_or(Vec::new(), |&page| {
+                    BlockList::<Point>::read_block(store, page).unwrap().0
                 });
-                assert_eq!(usize::from(list.first), first, "{what}: first count of slot {slot}");
+                let count = first.len();
+                assert_eq!(usize::from(list.first), count, "{what}: first count of slot {slot}");
+                assert_eq!(edge, first.last().map_or(0, key), "{what}: edge of slot {slot}");
             }
             if rec.right.page == page_id {
                 let right = &recs[rec.right.slot as usize];
@@ -1241,6 +1248,45 @@ mod tests {
             let got = pst.query(&store, TwoSided { x0: i64::MIN, y0: i64::MIN }).unwrap();
             let want = [&initial[..], &[quiet, below]].concat();
             assert_eq!(canonical(got), canonical(want));
+        }
+    }
+
+    /// The corner rule never costs a dynamic query a read
+    /// ([`corner_cost`]): after churn, a corner that answers from one block
+    /// of its lists reads neither its inner tree nor its `u` — which the
+    /// lists hold — where that path read two pages or more, and every other
+    /// corner reads what it read.
+    #[test]
+    fn a_dynamic_corner_from_one_block_never_costs_more() {
+        for (page_size, n, updates) in [(512, 4_000, 1_500), (4096, 20_000, 4_000)] {
+            let logged = LoggedStore::new(page_size);
+            let store = &logged.store;
+            let mut rng = Rng::seed_from_u64(0xd1);
+            let mut live = uniform_points(&mut rng, n, 1 << 30);
+            let mut pst = DynamicPst::build(store, &live).unwrap();
+            for id in 0..updates as u64 {
+                if rng.gen_range(0..3u64) < 2 {
+                    let (x, y) = (rng.gen_range(0..1i64 << 30), rng.gen_range(0..1i64 << 30));
+                    let p = Point::new(x, y, n as u64 + id);
+                    pst.insert(store, p).unwrap();
+                    live.push(p);
+                } else {
+                    let victim = live.swap_remove(rng.gen_range(0..live.len()));
+                    pst.delete(store, victim).unwrap();
+                }
+            }
+            let (mut seen, mut past_u) = ([0; 2], 0);
+            for _ in 0..200 {
+                let (a, b) = (rng.choose(&live).unwrap(), rng.choose(&live).unwrap());
+                let q = TwoSided { x0: a.x, y0: b.y };
+                let query = |s: &PageStore| drop(pst.query(s, q).unwrap());
+                if let Some((fired, corner)) = corner_cost(&logged, pst.root, q, query) {
+                    seen[usize::from(fired)] += 1;
+                    past_u += usize::from(fired && !corner.u_buf.is_null());
+                }
+            }
+            assert!(seen.iter().all(|&k| k >= 20), "{page_size} B: inner / block {seen:?}");
+            assert!(past_u >= 10, "{page_size} B: {past_u} corners answered past a `u`");
         }
     }
 

@@ -156,7 +156,7 @@ pub(crate) fn patch_record<R: SkelRecord>(store: &PageStore, at: NodeRef, rec: &
 /// capacity that is not `2^h − 1` cuts a level in two, and the cut-off
 /// part and whatever lies below the last full page height become pages
 /// of a few records each. At 4 KiB the 4 095 regions of a complete
-/// 12-level two-level PST (27 records a page) take 813 skeletal pages, 576
+/// 12-level two-level PST (25 records a page) take 703 skeletal pages, 400
 /// of them of 3 records (DESIGN §12, "Skeletal pagination"); the 3-sided
 /// PST passes a `2^h − 1` and gets complete subtrees.
 /// Returns the per-page member lists (arena indices, slot order) and each

@@ -15,8 +15,9 @@ use pc_pagestore::{PageId, PageStore, Point, Result, StoreConfig};
 use pc_rng::Rng;
 
 use crate::build::{CacheMode, Kind, PstHandle, SkeletalRecord};
+use crate::mem::TwoSided;
 use crate::region::{NodeRef, SkelRecord};
-use crate::two_level::RegionRecord;
+use crate::two_level::{query_handle, ListRef, RegionRecord};
 
 /// `n` points with ids `0..n`, both coordinates uniform in `0..domain`.
 pub(crate) fn uniform_points(rng: &mut Rng, n: usize, domain: i64) -> Vec<Point> {
@@ -182,4 +183,61 @@ pub(crate) fn in_page_paths(page: PageId, records: &[RegionRecord]) -> Vec<Vec<(
         }
     }
     paths
+}
+
+/// The corner region of `q` in the region tree under `root` — by the walk's
+/// rule, from the records alone — checked against what it cost when every
+/// corner asked its inner structure, `query` being `q` asked of the whole
+/// tree on the store it is given. `None` for an empty corner, which reads
+/// nothing; else whether the corner answered from one block of its lists
+/// (judged by the lists' own blocks, not by the record's edges). Where it
+/// did, that block is the last page `query` reads and the path it replaced
+/// — the corner's `u` and `query_handle` on its inner structure — reads at
+/// least two pages (one, a `u` alone, where the inner tree is empty and its
+/// points are all in `u`); where not, `query`'s reads end with that path's.
+pub(crate) fn corner_cost(
+    logged: &LoggedStore,
+    root: PageId,
+    q: TwoSided,
+    query: impl FnOnce(&PageStore),
+) -> Option<(bool, RegionRecord)> {
+    let store = &logged.store;
+    let mut at = NodeRef { page: root, slot: 0 };
+    let corner = loop {
+        let rec = RegionRecord::at(&store.read(at.page).unwrap(), at.slot).unwrap();
+        if rec.own_cnt == 0 || rec.min_y_y < q.y0 || rec.left.page.is_null() {
+            break rec;
+        }
+        at = if q.x0 <= rec.split_x { rec.left } else { rec.right };
+    };
+    let first_block = |list: ListRef| BlockList::<Point>::read_block(store, list.head).unwrap().0;
+    let holds_all = |list: ListRef, key: fn(&Point) -> i64, bound: i64| {
+        list.second.is_null() || first_block(list).last().is_some_and(|p| key(p) < bound)
+    };
+    let block = match corner.own_cnt {
+        0 => None,
+        _ if holds_all(corner.x_list, |p| p.x, q.x0) => Some(corner.x_list.head),
+        _ => holds_all(corner.y_list, |p| p.y, q.y0).then_some(corner.y_list.head),
+    };
+    let mut replaced = Vec::from_iter([corner.u_buf].into_iter().filter(|u| !u.is_null()));
+    replaced.extend(logged.reads_of(|s| query_handle(s, corner.inner(), q).unwrap()).1);
+    let ((), log) = logged.reads_of(query);
+    let inner_pages = [corner.u_buf, corner.inner_root].into_iter().filter(|p| !p.is_null());
+    if corner.own_cnt == 0 || block.is_some() {
+        assert!(inner_pages.clone().all(|page| !log.contains(&page)), "the inner path was read");
+    }
+    match block {
+        _ if corner.own_cnt == 0 => {
+            let lists = [corner.x_list.head, corner.y_list.head];
+            assert!(lists.iter().all(|head| !log.contains(head)), "an empty corner read a list");
+            return None;
+        }
+        Some(head) => {
+            assert_eq!(log.last(), Some(&head), "the corner's one block is read last");
+            let floor = if corner.inner_root.is_null() { 1 } else { 2 };
+            assert!(replaced.len() >= floor, "the inner path read {replaced:?}");
+        }
+        None => assert!(log.ends_with(&replaced), "{log:?} ends otherwise than {replaced:?}"),
+    }
+    Some((block.is_some(), corner))
 }

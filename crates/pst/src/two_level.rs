@@ -28,11 +28,11 @@
 //!
 //! The query (§4.1) drains them at the corner and where the path leaves a
 //! page: `O(log_B n)` A/S caches in all, each source continued in its own
-//! list by the substrate's continuation rule. The corner region is queried
-//! through its inner structure; descendants of fully-inside siblings are
+//! list by the substrate's continuation rule. The corner region answers
+//! from one block of its lists, or through its inner structure where no
+//! block holds every candidate; descendants of fully-inside siblings are
 //! traversed region by region, paid for by their parents' full output,
-//! each skeletal page read once however many of its regions the traversal
-//! visits.
+//! each skeletal page read once however many of its regions it visits.
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::{
@@ -54,16 +54,16 @@ use crate::region::{
 /// ```text
 /// [split_x i64][min_y_y i64][left u64+u16][right u64+u16]
 /// [own_cnt u16][left_cnt u16][right_cnt u16][flags u8]
-/// [x_list 18][y_list 18][right_y_list 18][child_a 16][left_s 16]
-/// [inner_root u64][inner_n u32][u_buf u64]
+/// [x_list 18][x_edge i64][y_list 18][y_edge i64][right_y_list 18]
+/// [child_a 16][left_s 16][inner_root u64][u_buf u64]
 /// ```
 ///
-/// `flags` holds, low bit first, whether each child is a leaf and whether
-/// the inner structure is a region tree. `x_list`, `y_list` and
-/// `right_y_list` (the right child's Y-list) are [`ListRef`]s, `[head
-/// u64][second u64][first u16]`: their lengths are `own_cnt`, `own_cnt` and
-/// `right_cnt`. `child_a` and `left_s` are `BlockList` handles, `[head
-/// u64][len u64]`.
+/// 161 bytes. `flags` holds, low bit first, whether each child is a leaf
+/// and whether the inner structure (none, at a null root, when empty) is a
+/// region tree. `x_list`, `y_list`, `right_y_list` (the right child's) are
+/// [`ListRef`]s, `[head u64][second u64][first u16]`, of `own_cnt`,
+/// `own_cnt`, `right_cnt` points; the edges are the last x (y) of the first
+/// X- (Y-) block; `child_a`, `left_s` are `BlockList`s, `[head u64][len u64]`.
 ///
 /// The page header carries the dynamic-structure state (all zero for
 /// static builds):
@@ -71,7 +71,7 @@ use crate::region::{
 /// ```text
 /// [count u16][pad u16][churn u32][subtree_n u64][u_page u64][pad to 24]
 /// ```
-pub const RECORD_LEN: usize = 8 + 8 + 10 + 10 + 2 + 2 + 2 + 1 + 18 * 3 + 16 * 2 + 8 + 4 + 8;
+pub const RECORD_LEN: usize = 8 + 8 + 10 + 10 + 2 + 2 + 2 + 1 + (18 + 8) * 2 + 18 + 16 * 2 + 8 + 8;
 pub(crate) const PAGE_HEADER: usize = 24;
 
 /// Region records per skeletal page: the largest odd count that fits, a
@@ -123,6 +123,9 @@ pub(crate) fn region_fill(page_size: usize, blocks: usize, basic: bool) -> NodeF
     NodeFill { blocks, budget: page_size, inner }
 }
 
+/// The key a list is sorted by, descending: x or y.
+pub(crate) type Key = fn(&Point) -> i64;
+
 /// A region's X- or Y-list as a record names it: the pages of its first
 /// two blocks ([`NULL_PAGE`] where the list has none), so that a scan can
 /// start at either, and the first block's count — what a cache copies of
@@ -138,12 +141,13 @@ pub(crate) struct ListRef {
 impl ListRef {
     pub(crate) const EMPTY: ListRef = ListRef { head: NULL_PAGE, second: NULL_PAGE, first: 0 };
 
-    /// Writes `points`, in the order given, in blocks.
-    pub(crate) fn build(store: &PageStore, points: &[Point]) -> Result<ListRef> {
+    /// Writes `points`, in order, in blocks: the list, and its edge (0 if none).
+    pub(crate) fn build(store: &PageStore, points: &[Point], key: Key) -> Result<(ListRef, i64)> {
         let blocks = BlockList::build_blocks(store, points)?.1;
         let page = |i: usize| blocks.get(i).map_or(NULL_PAGE, |&(page, _)| page);
         let first = blocks.first().map_or(0, |&(_, count)| count as u16);
-        Ok(ListRef { head: page(0), second: page(1), first })
+        let edge = usize::from(first).checked_sub(1).map_or(0, |last| key(&points[last]));
+        Ok((ListRef { head: page(0), second: page(1), first }, edge))
     }
 
     /// The list's points, in order (one read per block).
@@ -184,7 +188,9 @@ pub(crate) struct RegionRecord {
     pub(crate) left_is_leaf: bool,
     pub(crate) right_is_leaf: bool,
     pub(crate) x_list: ListRef,
+    pub(crate) x_edge: i64,
     pub(crate) y_list: ListRef,
+    pub(crate) y_edge: i64,
     /// The right child's `y_list`, whichever page that child is on.
     pub(crate) right_y_list: ListRef,
     /// The children's A-list; empty where they are on other pages.
@@ -192,17 +198,31 @@ pub(crate) struct RegionRecord {
     /// The left child's S-list; the right child uses this region's.
     pub(crate) left_s: BlockList<SEntry>,
     pub(crate) inner_root: PageId,
-    pub(crate) inner_n: u32,
     pub(crate) inner_is_region: bool,
     pub(crate) u_buf: PageId,
 }
 
 impl RegionRecord {
-    /// The region's inner structure.
+    /// The region's inner structure (`n` says only whether it is empty).
     pub(crate) fn inner(&self) -> PstHandle {
         let kind =
             if self.inner_is_region { Kind::Region } else { Kind::Basic(CacheMode::FullPath) };
-        PstHandle { root: self.inner_root, n: u64::from(self.inner_n), kind }
+        let n = if self.inner_root.is_null() { 0 } else { u64::from(self.own_cnt) };
+        PstHandle { root: self.inner_root, n, kind }
+    }
+
+    /// The corner rule: the first block of the X- (else Y-) list, its key and
+    /// `q`'s bound on it, where no record past the block (the orders are
+    /// strict) reaches the bound. An empty list has no block to read.
+    pub(crate) fn corner_block(&self, q: TwoSided) -> Option<(PageId, Key, i64)> {
+        let holds_all = |list: ListRef, edge, bound| list.second.is_null() || edge < bound;
+        if holds_all(self.x_list, self.x_edge, q.x0) {
+            Some((self.x_list.head, |p| p.x, q.x0))
+        } else if holds_all(self.y_list, self.y_edge, q.y0) {
+            Some((self.y_list.head, |p| p.y, q.y0))
+        } else {
+            None
+        }
     }
 
     /// Copies what this record keeps of its `right` (else left) child from
@@ -242,12 +262,13 @@ impl SkelRecord for RegionRecord {
             right_is_leaf: flags & 2 != 0,
             inner_is_region: flags & 4 != 0,
             x_list: ListRef::decode(r)?,
+            x_edge: r.get_i64()?,
             y_list: ListRef::decode(r)?,
+            y_edge: r.get_i64()?,
             right_y_list: ListRef::decode(r)?,
             child_a: BlockList::decode(r)?,
             left_s: BlockList::decode(r)?,
             inner_root: PageId(r.get_u64()?),
-            inner_n: r.get_u32()?,
             u_buf: PageId(r.get_u64()?),
         })
     }
@@ -262,13 +283,14 @@ impl SkelRecord for RegionRecord {
         w.put_u16(self.right_cnt)?;
         let flags = [self.left_is_leaf, self.right_is_leaf, self.inner_is_region];
         w.put_u8(flags.iter().rev().fold(0, |bits, &flag| bits << 1 | u8::from(flag)))?;
-        for list in [self.x_list, self.y_list, self.right_y_list] {
+        for (list, edge) in [(self.x_list, self.x_edge), (self.y_list, self.y_edge)] {
             list.encode(w)?;
+            w.put_i64(edge)?;
         }
+        self.right_y_list.encode(w)?;
         self.child_a.encode(w)?;
         self.left_s.encode(w)?;
         w.put_u64(self.inner_root.0)?;
-        w.put_u32(self.inner_n)?;
         w.put_u64(self.u_buf.0)
     }
 
@@ -382,10 +404,10 @@ pub(crate) fn build_region_tree(
     let mut y_lists = Vec::with_capacity(n_nodes);
     let mut inners: Vec<PstHandle> = Vec::with_capacity(n_nodes);
     for (node, xs) in mem.nodes.iter().zip(&x_sorted) {
-        x_lists.push(ListRef::build(store, xs)?);
+        x_lists.push(ListRef::build(store, xs, |p| p.x)?);
         // Node points are already descending by y-key.
-        y_lists.push(ListRef::build(store, &node.points)?);
-        inners.push(build_region_tree(store, &node.points, inner_caps)?);
+        y_lists.push(ListRef::build(store, &node.points, |p| p.y)?);
+        inners.push(build_inner(store, &node.points, inner_caps)?);
     }
 
     // The children's caches, per region with children on its page: first
@@ -394,8 +416,8 @@ pub(crate) fn build_region_tree(
     let mut child_a: Vec<BlockList<SEntry>> = vec![BlockList::empty(); n_nodes];
     let mut left_s: Vec<BlockList<SEntry>> = vec![BlockList::empty(); n_nodes];
     let same_page = |parent, child| skel.same_page(parent, child);
-    let first_x = |ni: usize| &x_sorted[ni][..usize::from(x_lists[ni].first)];
-    let first_y = |ni: usize| &mem.nodes[ni].points[..usize::from(y_lists[ni].first)];
+    let first_x = |ni: usize| &x_sorted[ni][..usize::from(x_lists[ni].0.first)];
+    let first_y = |ni: usize| &mem.nodes[ni].points[..usize::from(y_lists[ni].0.first)];
     for_each_cache_owner(0, |ni| mem.children(ni), same_page, |node, _, path| {
         let a = merge_tagged(path.iter().map(|s| (first_x(s.node), s.depth)), cmp_x);
         let sibs = path.iter().filter(|s| s.went_left);
@@ -428,18 +450,28 @@ pub(crate) fn build_region_tree(
             right_cnt,
             left_is_leaf,
             right_is_leaf,
-            x_list: x_lists[ni],
-            y_list: y_lists[ni],
-            right_y_list: if node.is_leaf() { ListRef::EMPTY } else { y_lists[node.right] },
+            x_list: x_lists[ni].0,
+            x_edge: x_lists[ni].1,
+            y_list: y_lists[ni].0,
+            y_edge: y_lists[ni].1,
+            right_y_list: if node.is_leaf() { ListRef::EMPTY } else { y_lists[node.right].0 },
             child_a: child_a[ni],
             left_s: left_s[ni],
             inner_root: inners[ni].root,
-            inner_n: inners[ni].n as u32,
             inner_is_region: inners[ni].kind == Kind::Region,
             u_buf: NULL_PAGE,
         }
     })?;
     Ok(PstHandle { root: skel.root(), n: points.len() as u64, kind: Kind::Region })
+}
+
+/// A region's inner structure, [`region_blocks`] `caps` deep: none, at a
+/// null root, over no points.
+pub(crate) fn build_inner(store: &PageStore, pts: &[Point], caps: &[usize]) -> Result<PstHandle> {
+    match pts {
+        [] => Ok(PstHandle { root: NULL_PAGE, n: 0, kind: Kind::Basic(CacheMode::FullPath) }),
+        _ => build_region_tree(store, pts, caps),
+    }
 }
 
 /// A right sibling the corner path left behind: its Y-list, its point
@@ -479,10 +511,15 @@ fn run_region_query(
         if is_corner {
             ctx.drain_caches_and_seed(&cur_a, &cur_s, &anc, &sib, None)?;
             let TlCtx { walk, pending, .. } = ctx;
+            // The corner region: from one block of its lists, which hold the
+            // ops of a dynamic region's `u`, or by its inner structure and `u`.
+            if let Some((head, key, bound)) = rec.corner_block(q) {
+                walk.prefix_within(head, |p| key(p) >= bound, |p| q.contains(p))?;
+                return Ok(());
+            }
             if !rec.u_buf.is_null() {
                 pending.extend(decode_buffer(&walk.cache_page(rec.u_buf)?)?);
             }
-            // The corner region itself is answered by its inner structure.
             return query_on(walk, pending, rec.inner(), q);
         }
 
@@ -602,6 +639,9 @@ pub(crate) fn for_each_page(
     is_region: bool,
     visit: &mut impl FnMut(PageClass, PageId) -> Result<()>,
 ) -> Result<()> {
+    if root.is_null() {
+        return Ok(());
+    }
     if !is_region {
         return for_each_skeletal_page(store, root, &mut |pid, _, records: &[SkeletalRecord]| {
             for rec in records {
@@ -757,8 +797,8 @@ impl TlCtx<'_, '_> {
 mod tests {
     use super::*;
     use crate::testutil::{
-        assert_cache_blocks, canonical, check_core_caches, distinct_points, in_page_paths,
-        uniform_points, wide, LoggedStore,
+        assert_cache_blocks, canonical, check_core_caches, corner_cost, distinct_points,
+        in_page_paths, uniform_points, wide, LoggedStore,
     };
     use pc_rng::Rng;
 
@@ -813,7 +853,7 @@ mod tests {
     fn skeletal_pages_hold_a_root_and_whole_sibling_pairs() {
         // 1 KiB fits 6 records; the sixth would be half a sibling pair.
         let caps: Vec<usize> = [512, 1024, 2048, 4096].map(skeletal_capacity).to_vec();
-        assert_eq!(caps, vec![3, 5, 13, 27]);
+        assert_eq!(caps, vec![3, 5, 11, 25]);
     }
 
     #[test]
@@ -854,20 +894,25 @@ mod tests {
                     let paths = in_page_paths(page, records);
                     for (rec, path) in records.iter().zip(paths) {
                         let cnt = rec.own_cnt as usize;
-                        for list in [rec.x_list, rec.y_list] {
-                            let sizes: Vec<usize> = chain_pages(&store, list.head)
+                        let keys: [fn(&Point) -> i64; 2] = [|p| p.x, |p| p.y];
+                        let lists = [(rec.x_list, rec.x_edge), (rec.y_list, rec.y_edge)];
+                        for ((list, edge), key) in lists.into_iter().zip(keys) {
+                            let blocks: Vec<Vec<Point>> = chain_pages(&store, list.head)
                                 .unwrap()
                                 .iter()
                                 .map(|&page| {
-                                    BlockList::<Point>::read_block(&store, page).unwrap().0.len()
+                                    BlockList::<Point>::read_block(&store, page).unwrap().0
                                 })
                                 .collect();
+                            let sizes: Vec<usize> = blocks.iter().map(Vec::len).collect();
                             assert_eq!(sizes.iter().sum::<usize>(), cnt, "X/Y-list");
                             assert!(sizes.iter().rev().skip(1).all(|&size| size >= m), "{sizes:?}");
                             assert_eq!(
                                 usize::from(list.first),
                                 sizes.first().copied().unwrap_or(0)
                             );
+                            let last = blocks.first().and_then(|block| block.last());
+                            assert_eq!(edge, last.map_or(0, key), "the edge");
                         }
                         // The region and its in-page ancestors' first X-blocks;
                         // the right siblings' first Y-blocks.
@@ -885,6 +930,10 @@ mod tests {
                         assert_cache_blocks(&store, &rec.left_s, s.0, s.1, "S-cache");
 
                         assert!(!rec.inner_is_region);
+                        assert_eq!(rec.inner_root.is_null(), cnt == 0, "an empty inner tree");
+                        if cnt == 0 {
+                            continue;
+                        }
                         let (nodes, _) = check_core_caches(&store, &rec.inner());
                         if !rec.left.page.is_null() {
                             parents += 1;
@@ -979,7 +1028,7 @@ mod tests {
     /// its blocks; its head is never read, and no page twice.
     #[test]
     fn a_continued_list_starts_at_its_second_block() {
-        let mut longest = 0;
+        let (mut longest, mut corners) = (0, [0; 2]);
         for (page_size, blocks) in [(512, 1), (512, 3), (4096, 1), (4096, 3), (4096, 7)] {
             for spread in [wide, |p: &[Point]| p.to_vec()] {
                 let fill = region_fill(page_size, blocks, true);
@@ -1023,15 +1072,110 @@ mod tests {
                     longest = longest.max(pages.len());
                 }
                 // The skeletal page, each cache (all of it qualifies), the
-                // continuations, and the corner region's inner structure.
+                // continuations, and the corner region: the one block of a
+                // list of one, else its inner structure.
                 let caches = chain_pages(store, root.child_a.head()).unwrap().len()
                     + chain_pages(store, root.left_s.head()).unwrap().len();
-                let inner_reads = query_handle(store, corner.inner(), q).unwrap().2.total();
-                let want = 1 + caches as u64 + more_blocks as u64 + inner_reads;
+                let corner_reads = match corner.corner_block(q) {
+                    Some((head, ..)) => {
+                        assert_eq!(log.last(), Some(&head));
+                        1
+                    }
+                    None => query_handle(store, corner.inner(), q).unwrap().2.total(),
+                };
+                corners[usize::from(corner_reads > 1)] += 1;
+                let want = 1 + caches as u64 + more_blocks as u64 + corner_reads;
                 assert_eq!(counters.total(), want);
             }
         }
         assert!(longest >= 3, "a list of {longest} blocks at most");
+        assert!(corners.iter().all(|&seen| seen > 0), "corners from a block / inner: {corners:?}");
+    }
+
+    /// The corner rule never costs a read ([`corner_cost`]): over random
+    /// corners of a two- and a three-level tree at 512 B and 4 KiB, on
+    /// narrow and full-width data, a corner that answers from a block reads
+    /// that block alone where its inner path read two pages or more, and
+    /// every other corner reads what its inner path read.
+    #[test]
+    fn a_corner_from_one_block_never_costs_more() {
+        for (page_size, n) in [(512, 10_000), (4096, 40_000)] {
+            let narrow = uniform_points(&mut Rng::seed_from_u64(0xc0), n, 1 << 30);
+            for (pts, levels) in [(wide(&narrow), 2), (narrow.clone(), 2), (narrow, 3)] {
+                let logged = LoggedStore::new(page_size);
+                let caps = region_blocks(page_size, levels);
+                let handle = build_region_tree(&logged.store, &pts, &caps).unwrap();
+                let mut rng = Rng::seed_from_u64(0xc1);
+                let mut seen = [0; 2];
+                for _ in 0..200 {
+                    let (a, b) = (rng.choose(&pts).unwrap(), rng.choose(&pts).unwrap());
+                    let q = TwoSided { x0: a.x, y0: b.y };
+                    let query = |s: &PageStore| drop(query_handle(s, handle, q).unwrap());
+                    if let Some((fired, _)) = corner_cost(&logged, handle.root, q, query) {
+                        seen[usize::from(fired)] += 1;
+                    }
+                }
+                assert!(seen.iter().all(|&k| k >= 20), "{page_size} B: inner / block {seen:?}");
+            }
+        }
+    }
+
+    /// A first block that ends inside a run of equal keys: the next block
+    /// starts with the record's edge, and a corner whose bound is that edge
+    /// asks its inner tree — the rule fires on an edge strictly below the
+    /// bound. (The scan stops at the first record below the bound, so an
+    /// edge read wrongly would cost reads, not answers.) Every region of a
+    /// tree whose x (y) comes in runs is the corner of a query at its X-
+    /// (Y-) edge.
+    #[test]
+    fn a_corner_at_its_edge_asks_its_inner_tree() {
+        for page_size in [512, 4096] {
+            for by_y in [false, true] {
+                let mut rng = Rng::seed_from_u64(0xed9e);
+                let runs = [30, 90, 150, 230, 330].iter().cycle().take(page_size / 10).enumerate();
+                let pts: Vec<Point> = runs
+                    .flat_map(|(k, &len)| (0..len).map(move |_| 10 * k as i64))
+                    .enumerate()
+                    .map(|(id, run)| {
+                        let other = rng.gen_range(0..1_000_000i64);
+                        let (x, y) = if by_y { (other, run) } else { (run, other) };
+                        Point::new(x, y, id as u64)
+                    })
+                    .collect();
+                let logged = LoggedStore::new(page_size);
+                let store = &logged.store;
+                let handle = build_region_tree(store, &pts, &region_blocks(page_size, 2)).unwrap();
+                let mut regions = Vec::new();
+                for_each_skeletal_page(store, handle.root, &mut |_, _, recs: &[RegionRecord]| {
+                    regions.extend(recs.iter().cloned());
+                    Ok(())
+                })
+                .unwrap();
+                let (mut straddles, mut asked) = (0, 0);
+                for rec in regions.iter().filter(|rec| !rec.x_list.second.is_null()) {
+                    let (list, edge) =
+                        if by_y { (rec.y_list, rec.y_edge) } else { (rec.x_list, rec.x_edge) };
+                    let key = |p: &Point| if by_y { p.y } else { p.x };
+                    let second = BlockList::<Point>::read_block(store, list.second).unwrap().0;
+                    straddles += usize::from(key(&second[0]) == edge);
+                    // The region's lowest x (y) is the other bound: the walk
+                    // reaches the region, and the other list cannot fire.
+                    let lowest = |list: ListRef| *list.read_all(store).unwrap().last().unwrap();
+                    let q = match by_y {
+                        false => TwoSided { x0: edge, y0: rec.min_y_y + 1 },
+                        true => TwoSided { x0: lowest(rec.x_list).x, y0: edge },
+                    };
+                    let query = |s: &PageStore| drop(query_handle(s, handle, q).unwrap());
+                    let (fired, corner) =
+                        corner_cost(&logged, handle.root, q, query).expect("a corner");
+                    if corner.x_list == rec.x_list {
+                        assert!(!fired, "{page_size} B: a corner at its edge read one block");
+                        asked += 1;
+                    }
+                }
+                assert!(straddles >= 10 && asked >= 10, "{page_size} B: {straddles} / {asked}");
+            }
+        }
     }
 
     #[test]

@@ -274,7 +274,10 @@ fn query_counters_equal_the_strict_stores_reads_on(spread: Spread) {
 // 1 038. Now each block carries its own bit widths (the block codec), and
 // full-width data, whose ids still differ in their low bits
 // only, holds ~240–260 records a block where 163–170 fit: the counts below
-// are the codec's. ---
+// are the codec's. A region tree's corner then came to answer from one
+// block of its lists where that block holds every candidate, on 25-record
+// skeletal pages: two-level 1087 / 4001, 3-level 1761 / 4245 and dynamic
+// 1125 / 4701 before. ---
 
 const WIDE_N: u64 = 50_000;
 
@@ -287,7 +290,7 @@ fn wide_two_sided<P: TwoSidedPst>(settle: impl Fn(&PageStore, &mut P), want: (u6
     let (mut reads, mut answers) = (0, 0);
     for q in [16, 4096].into_iter().flat_map(|t| two_sided_corners(&raw, t)) {
         let (hits, counted) = pst.counted(&store, Spread::Full.two_sided(q));
-        (reads, answers) = (reads + counted, answers + hits);
+        (reads, answers) = (reads + counted.total(), answers + hits);
     }
     assert_eq!((pages, reads, answers), want);
 }
@@ -306,8 +309,8 @@ fn wide_data_builds_the_fixed_width_single_level_psts() {
 
 #[test]
 fn wide_data_builds_the_fixed_width_region_trees() {
-    wide_two_sided::<TwoLevelPst>(|_, _| (), (1087, 4001, 567_930));
-    wide_two_sided::<MultilevelPst>(|_, _| (), (1761, 4245, 567_930));
+    wide_two_sided::<TwoLevelPst>(|_, _| (), (1081, 3664, 567_930));
+    wide_two_sided::<MultilevelPst>(|_, _| (), (1755, 3576, 567_930));
 }
 
 #[test]
@@ -316,7 +319,7 @@ fn wide_data_builds_the_fixed_width_dynamic_pst() {
     let settle = |store: &PageStore, pst: &mut DynamicPst| {
         wide_inserts(1_000).into_iter().for_each(|p| pst.insert(store, p).unwrap());
     };
-    wide_two_sided::<DynamicPst>(settle, (1125, 4701, 579_874));
+    wide_two_sided::<DynamicPst>(settle, (1119, 4180, 579_874));
 }
 
 #[test]

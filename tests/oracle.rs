@@ -166,6 +166,68 @@ fn routed() {
     }
 }
 
+/// A corner-rule input (`regressions::corner_*`) at the page sizes it is
+/// for: the two-level and every multilevel PST over its build and queries
+/// and the dynamic PST over all of it, in process; served — the dynamic PST
+/// with every epoch read `as_of` — and routed over one shard, at 512 B.
+fn corner_regression(what: &str, case: &Case, pages: &[usize]) {
+    let queries = Case {
+        shape: case.shape,
+        build: case.build.clone(),
+        ops: case.queries().map(|q| gen::Op::Query(*q)).collect(),
+    };
+    for &page_size in pages {
+        let at = |path: &str, e: String| panic!("{what}, {path} at {page_size} B: {e}");
+        in_process::<TwoLevelPst>(page_size, &queries).unwrap_or_else(|e| at("two-level", e));
+        in_process::<Multilevel>(page_size, &queries).unwrap_or_else(|e| at("multilevel", e));
+        in_process::<DynamicPst>(page_size, case).unwrap_or_else(|e| at("dynamic", e));
+    }
+    let kinds = KINDS.iter().filter(|kind| kind.shape == case.shape);
+    for kind in kinds.clone() {
+        let case = if kind.dynamic { case } else { &queries };
+        paths::served(kind, case).unwrap_or_else(|e| panic!("{what}, served {}: {e}", kind.name));
+    }
+    let nothing = |shape| Case { shape, build: Vec::new(), ops: Vec::new() };
+    let cases: Vec<Case> = KINDS
+        .iter()
+        .map(|kind| match kind.shape == case.shape {
+            true if kind.dynamic => case.clone(),
+            true => queries.clone(),
+            false => nothing(kind.shape),
+        })
+        .collect();
+    paths::routed(&cases, &[], 0).unwrap_or_else(|e| panic!("{what}, routed: {e}"));
+}
+
+#[test]
+fn regression_corner_edge_runs() {
+    for by_y in [false, true] {
+        let case = regressions::corner_edge_runs(by_y);
+        let what = if by_y { "runs of equal y" } else { "runs of equal x" };
+        corner_regression(what, &case, &PAGES);
+    }
+}
+
+#[test]
+fn regression_corner_one_block_and_emptied() {
+    for big in [false, true] {
+        let case = regressions::corner_one_block_and_emptied(big);
+        corner_regression("regions of one block, emptied", &case, &PAGES);
+    }
+}
+
+#[test]
+fn regression_corner_u_holds_first_block_ops() {
+    let case = regressions::corner_u_holds_first_block_ops();
+    corner_regression("first-block ops in `u`", &case, &PAGES);
+}
+
+#[test]
+fn regression_corner_at_the_inner_region_level() {
+    let case = regressions::corner_at_the_inner_region_level();
+    corner_regression("the inner region level", &case, &[2048, 4096]);
+}
+
 #[test]
 fn regression_x_tie_deletes() {
     let case = regressions::x_tie_deletes();

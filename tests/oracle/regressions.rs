@@ -30,6 +30,17 @@
 //!    update writes.
 //! 9. **An outlier that rewrote the whole B-tree** — [`b_tree_outliers`],
 //!    now a bound on the pages each of its updates writes.
+//!
+//! A 2-sided corner region answers from the first block of its X- or
+//! Y-list where the record's edge — that block's last key — is below the
+//! query's bound, or the list has one block, and asks its inner tree
+//! otherwise; a dynamic one then reads no `u`. The inputs that hold the
+//! answers at the rule's edges, each run by `tests/oracle.rs`'
+//! `regression_corner_*` in process, served with every epoch read `as_of`,
+//! and routed: [`corner_edge_runs`], [`corner_one_block_and_emptied`],
+//! [`corner_u_holds_first_block_ops`] and
+//! [`corner_at_the_inner_region_level`]. What the rule reads is held in
+//! `pc-pst` (`two_level::tests::a_corner_*`, `testutil::corner_cost`).
 
 use std::collections::HashSet;
 
@@ -179,4 +190,171 @@ pub fn b_tree_outliers() -> Case {
         Op::Query(everything(Shape::Range)),
     ];
     Case { shape: Shape::Range, build, ops }
+}
+
+/// Points whose `x` (`y` with `by_y`) comes in runs of equal values, 30 to
+/// 330 long, so that at every page size some first X- (Y-) block ends inside
+/// a run: the record's edge is that run's value and the next block starts
+/// with it, so a corner at the edge asks its inner tree (the rule fires on
+/// an edge strictly below the bound). Queries sit at every run's value
+/// against the other coordinate's top quantiles — corners at the root
+/// region and below it — and at `i64::MIN`, where only the list of the runs
+/// can fire; then 60 inserts into the runs, at the top of the other
+/// coordinate, and 60 deletes, and the queries again.
+pub fn corner_edge_runs(by_y: bool) -> Case {
+    const RUNS: [usize; 5] = [30, 90, 150, 230, 330];
+    let mut rng = Rng::seed_from_u64(0xED6E + u64::from(by_y));
+    let at = |run: i64, other: i64, id: u64| match by_y {
+        false => Point::new(run, other, id),
+        true => Point::new(other, run, id),
+    };
+    let values: Vec<i64> = (0..14).map(|k| 10 * k).collect();
+    let mut build = Vec::new();
+    for (&v, &len) in values.iter().zip(RUNS.iter().cycle()) {
+        for _ in 0..len {
+            build.push(at(v, rng.gen_range(0..1_000_000i64), build.len() as u64));
+        }
+    }
+    let mut others: Vec<i64> = build.iter().map(|p| if by_y { p.x } else { p.y }).collect();
+    others.sort_unstable_by(|a, b| b.cmp(a));
+    let quantiles = [20, 60, 200].map(|per_mille| others[others.len() * per_mille / 1000]);
+    let bounds: Vec<i64> = [i64::MIN].into_iter().chain(quantiles).collect();
+    let queries: Vec<Op> = values
+        .iter()
+        .flat_map(|&v| bounds.iter().map(move |&b| at(v, b, 0)))
+        .map(|q| Op::Query(Query::Two(TwoSided { x0: q.x, y0: q.y })))
+        .collect();
+    let mut ops = queries.clone();
+    let mut live = build.clone();
+    for i in 0..60u64 {
+        let p = at(*rng.choose(&values).unwrap(), others[0] + 1 + i as i64, 10_000 + i);
+        let victim = live.swap_remove(rng.gen_range(0..live.len()));
+        ops.extend([Op::Insert(p), Op::Delete(victim)]);
+    }
+    ops.extend(queries);
+    ops.push(Op::Query(everything(Shape::TwoSided)));
+    Case { shape: Shape::TwoSided, build, ops }
+}
+
+/// 2-sided queries at every `x0` of `xs` and `y0` of `ys`.
+fn grid(xs: &[i64], ys: &[i64]) -> Vec<Op> {
+    let corner = |x0, y0| Op::Query(Query::Two(TwoSided { x0, y0 }));
+    xs.iter().flat_map(|&x0| ys.iter().map(move |&y0| corner(x0, y0))).collect()
+}
+
+/// The values of `key` over `points` at the given thousandths from the top.
+fn from_top(points: &[Point], key: fn(&Point) -> i64, per_mille: &[usize]) -> Vec<i64> {
+    let mut keys: Vec<i64> = points.iter().map(key).collect();
+    keys.sort_unstable_by(|a, b| b.cmp(a));
+    per_mille.iter().map(|&m| keys[(keys.len() * m / 1000).min(keys.len() - 1)]).collect()
+}
+
+/// `n` points of the served benchmark's class: 20-bit coordinates, ids
+/// from `first_id`.
+fn points(rng: &mut Rng, n: usize, first_id: u64) -> Vec<Point> {
+    let mut coordinate = || rng.gen_range(0..1i64 << 20);
+    (0..n as u64).map(|i| Point::new(coordinate(), coordinate(), first_id + i)).collect()
+}
+
+/// A region of one block as the corner — the whole tree of 40 points at
+/// every page size, then the leaves of 2 000 points — and emptied ones
+/// (`own_cnt` 0): the 40 deleted, the whole tree rebuilt empty by its
+/// churn, then 150 fresh points each inserted and deleted again; and the
+/// 2 000's lowest 600 by y deleted lowest first, which empties the leaves
+/// that hold the lowest points, their deletes in `u` above an inner tree
+/// that still holds them (at 512 B). Queries sweep the leaves as the
+/// corner. An empty corner reads nothing; a region of one block answers
+/// from it.
+pub fn corner_one_block_and_emptied(big: bool) -> Case {
+    let mut rng = Rng::seed_from_u64(0x1B10C);
+    let build = points(&mut rng, if big { 2_000 } else { 40 }, 0);
+    let sweep = |pts: &[Point], ys: &[i64]| -> Vec<Op> {
+        let xs = [i64::MIN].into_iter().chain(from_top(pts, |p| p.x, &[0, 2, 5, 10, 20, 40]));
+        let xs: Vec<i64> = xs.chain((1..20).map(|k| (1 << 20) * k / 20)).collect();
+        grid(&xs, ys)
+    };
+    if big {
+        let mut ops = sweep(&build, &[i64::MIN, 1 << 19]);
+        let mut by_y = build.clone();
+        by_y.sort_unstable_by_key(|p| p.y);
+        for (i, &p) in by_y[..600].iter().enumerate() {
+            ops.push(Op::Delete(p));
+            if i % 100 == 99 {
+                ops.extend(sweep(&by_y[i + 1..], &[i64::MIN]));
+            }
+        }
+        return Case { shape: Shape::TwoSided, build, ops };
+    }
+    let mut ops = sweep(&build, &[i64::MIN, 1 << 10, 1 << 19]);
+    for (i, &p) in build.iter().enumerate() {
+        ops.push(Op::Delete(p));
+        if i % 5 == 0 {
+            ops.push(Op::Query(everything(Shape::TwoSided)));
+        }
+    }
+    for p in points(&mut rng, 150, 1_000) {
+        ops.extend([Op::Insert(p), Op::Query(Query::Two(TwoSided { x0: p.x, y0: i64::MIN }))]);
+        ops.extend([Op::Delete(p), Op::Query(everything(Shape::TwoSided))]);
+    }
+    let fresh = points(&mut rng, 30, 2_000);
+    ops.extend(fresh.iter().map(|&p| Op::Insert(p)));
+    ops.extend(sweep(&fresh, &[i64::MIN, 1 << 19]));
+    Case { shape: Shape::TwoSided, build, ops }
+}
+
+/// A dynamic corner whose `u` holds an insert and a delete of points of its
+/// lists' first blocks: the root region takes a point above and right of
+/// every other and loses the rightmost of the top 20 by y, and 100 inserts
+/// below everything then flush the root page's `U` (at 512 B), which applies
+/// both to the root region — its lists rewritten, its inner tree not — and
+/// forwards the rest. Queries at the root region's corners answer from its
+/// lists' first blocks, `u` unread, before and after a reopen, and after
+/// the inserted point is deleted again.
+pub fn corner_u_holds_first_block_ops() -> Case {
+    let mut rng = Rng::seed_from_u64(0xF1B0);
+    let build = points(&mut rng, 2_000, 0);
+    let top = Point::new(1 << 20, 1 << 20, 5_000);
+    let mut by_y = build.clone();
+    by_y.sort_unstable_by_key(|p| std::cmp::Reverse(p.y));
+    let gone = *by_y[..20].iter().max_by_key(|p| p.x).expect("20 points");
+    let mut xs = vec![top.x, gone.x, gone.x + 1];
+    xs.extend(from_top(&build, |p| p.x, &[10, 50, 100, 300]));
+    let queries = grid(&xs, &from_top(&build, |p| p.y, &[10, 30, 60, 100]));
+    let mut ops = queries.clone();
+    ops.extend([Op::Insert(top), Op::Delete(gone)]);
+    ops.extend(queries.iter().copied());
+    for (i, p) in points(&mut rng, 100, 6_000).into_iter().enumerate() {
+        ops.push(Op::Insert(Point::new(p.x, -1 - i as i64, p.id)));
+        if i % 20 == 19 {
+            ops.extend(queries.iter().step_by(3).copied());
+        }
+    }
+    ops.extend(queries.iter().copied());
+    ops.push(Op::Reopen);
+    ops.extend(queries.iter().copied());
+    ops.push(Op::Delete(top));
+    ops.extend(queries);
+    ops.push(Op::Query(everything(Shape::TwoSided)));
+    Case { shape: Shape::TwoSided, build, ops }
+}
+
+/// 12 000 points: at 4 KiB and 2 KiB a 3-level tree's corner region that
+/// no first block holds all of asks its inner region tree, whose own corner
+/// answers by the same rule. Queries over a grid of quantiles of both
+/// coordinates, then 20 updates and the grid again.
+pub fn corner_at_the_inner_region_level() -> Case {
+    let mut rng = Rng::seed_from_u64(0x3EE1);
+    let build = points(&mut rng, 12_000, 0);
+    let per_mille = [5, 30, 100, 200, 350, 600, 900];
+    let (xs, ys) = (from_top(&build, |p| p.x, &per_mille), from_top(&build, |p| p.y, &per_mille));
+    let queries = grid(&xs, &ys);
+    let mut ops = queries.clone();
+    let mut live = build.clone();
+    for p in points(&mut rng, 10, 30_000) {
+        let victim = live.swap_remove(rng.gen_range(0..live.len()));
+        ops.extend([Op::Insert(p), Op::Delete(victim)]);
+    }
+    ops.extend(queries);
+    ops.push(Op::Query(everything(Shape::TwoSided)));
+    Case { shape: Shape::TwoSided, build, ops }
 }
