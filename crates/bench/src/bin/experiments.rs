@@ -11,8 +11,9 @@
 //! All measurements are page-transfer counts in the strict I/O model
 //! (pool-less [`PageStore`]) over seeded data, so the output is the same
 //! bytes on every run and host; the paper's bounds are printed alongside.
-//! Exits 1 when a structure is past a `pc_bench::*_PINS` constant, 2 on a
-//! name that is not a section.
+//! Exits 1 when a structure is past a `pc_bench::*_PINS` constant or a
+//! section's reads by class do not sum to the store's reads, 2 on a name
+//! that is not a section.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -26,10 +27,11 @@ use pc_bench::{
 };
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
+use pc_obs::ReadClass;
 use pc_pagestore::{PageStore, Point};
 use pc_pst::{
-    BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, QueryCounters,
-    SegmentedPst, ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
+    BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, SegmentedPst,
+    ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
 };
 use pc_segtree::{CachedSegmentTree, NaiveSegmentTree};
 use pc_workloads::{
@@ -100,13 +102,45 @@ const SECTIONS: [(&str, fn()); 16] = [
     ("e17", e17_page_size_ablation),
 ];
 
-/// Set by [`past_pin`]: some structure measured past its pinned constant.
-static PAST_PIN: AtomicBool = AtomicBool::new(false);
+/// Set by [`past_pin`] and [`Classes::mean`]: some structure measured past
+/// its pinned constant, or read a page no class named.
+static FAILED: AtomicBool = AtomicBool::new(false);
 
 /// Reports a measurement past its pin on stderr; the process then exits 1.
 fn past_pin(what: std::fmt::Arguments<'_>) {
     eprintln!("{what} (tests/layout_bounds.rs asserts the same pin)");
-    PAST_PIN.store(true, Ordering::Relaxed);
+    FAILED.store(true, Ordering::Relaxed);
+}
+
+/// A section's reads by class, summed over its queries from one capture
+/// each ([`pc_obs::traced`]).
+#[derive(Default)]
+struct Classes {
+    sums: [u64; ReadClass::COUNT],
+    queries: usize,
+}
+
+impl Classes {
+    /// Runs one query inside a capture and adds its reads by class.
+    fn traced<T>(&mut self, query: impl FnOnce() -> T) -> T {
+        let (out, trace) = pc_obs::traced(query);
+        self.sums.iter_mut().zip(trace.reads_by_class).for_each(|(sum, reads)| *sum += reads);
+        self.queries += 1;
+        out
+    }
+
+    /// The reads a query of each of `classes`, `/`-joined, once the sums
+    /// are held to `reads`, the store's reads over the same queries: a read
+    /// no class named fails the run, like a broken pin.
+    fn mean(&self, section: &str, reads: u64, classes: &[ReadClass]) -> String {
+        let named: u64 = self.sums.iter().sum();
+        if named != reads {
+            eprintln!("{section}: the reads by class sum to {named}, the store read {reads}");
+            FAILED.store(true, Ordering::Relaxed);
+        }
+        let mean = |class: &ReadClass| f2(self.sums[*class as usize] as f64 / self.queries as f64);
+        classes.iter().map(mean).collect::<Vec<_>>().join("/")
+    }
 }
 
 fn main() {
@@ -122,7 +156,7 @@ fn main() {
         SECTIONS.iter().for_each(|(_, print)| print());
     }
     args.iter().filter_map(|name| section(name)).for_each(|(_, print)| print());
-    if PAST_PIN.load(Ordering::Relaxed) {
+    if FAILED.load(Ordering::Relaxed) {
         std::process::exit(1);
     }
 }
@@ -137,7 +171,8 @@ fn e1_btree_baseline() {
     println!("range I/O is the descent plus `t/B`, `B` the entries per leaf as built: every node");
     println!("stores its keys as gaps and its values as offsets at its own data's bit widths.\n");
     let mut table = Table::new(&[
-        "n", "B", "leaves", "log_B n", "point I/O", "update I/O", "t", "range I/O", "t/B",
+        "n", "B", "leaves", "log_B n", "point I/O", "update I/O", "t", "range I/O",
+        "skeletal/node reads", "t/B",
     ]);
     for n in [10_000usize, 100_000, 1_000_000] {
         let store = PageStore::in_memory(PAGE);
@@ -148,11 +183,13 @@ fn e1_btree_baseline() {
         let t_target = 20_000.min(n / 2);
         let queries = gen_range_1d(&keys, 50, t_target, 1);
         store.reset_stats();
-        let mut t_total = 0usize;
+        let (mut t_total, mut classes) = (0usize, Classes::default());
         for q in &queries {
-            t_total += tree.range(&store, &q.lo, &q.hi).unwrap().len();
+            t_total += classes.traced(|| tree.range(&store, &q.lo, &q.hi).unwrap()).len();
         }
         let range_io = store.stats().reads as f64 / queries.len() as f64;
+        let by_class = [ReadClass::Skeletal, ReadClass::Node];
+        let range_classes = classes.mean("E1", store.stats().logical_reads(), &by_class);
         let t_avg = t_total as f64 / queries.len() as f64;
 
         store.reset_stats();
@@ -176,6 +213,7 @@ fn e1_btree_baseline() {
             f1(update_io),
             f1(t_avg),
             f1(range_io),
+            range_classes,
             f1(t_avg / b),
         ]);
     }
@@ -248,15 +286,14 @@ fn e2_wasteful_ios() {
         for (label, is_cached) in [("naive", false), ("cached", true)] {
             let (mut search, mut useful, mut wasteful, mut t) = (0u64, 0u64, 0u64, 0usize);
             for q in &stabs {
-                let p = if is_cached {
-                    cached.stab_profiled(&store, q.q).unwrap()
-                } else {
-                    naive.stab_profiled(&store, q.q).unwrap()
-                };
-                search += p.search_ios;
-                useful += p.useful_ios;
-                wasteful += p.wasteful_ios;
-                t += p.results.len();
+                let (hits, trace) = pc_obs::traced(|| match is_cached {
+                    true => cached.stab(&store, q.q).unwrap(),
+                    false => naive.stab(&store, q.q).unwrap(),
+                });
+                search += trace.search_ios;
+                useful += trace.total_io - trace.search_ios - trace.wasteful_ios;
+                wasteful += trace.wasteful_ios;
+                t += hits.len();
             }
             let nq = stabs.len() as f64;
             table.row(vec![
@@ -282,7 +319,7 @@ fn e3_segment_tree() {
     println!("`n·log n` at ~10× the idealised count: the skeletal records and caches of a binary");
     println!("tree's Θ(n) nodes are block overhead.\n");
     let mut table = Table::new(&[
-        "n", "pages", "(n/B)·log2 n", "avg t", "avg query I/O", "log_B n + t/B",
+        "n", "pages", "(n/B)·log2 n", "avg t", "avg query I/O", ALL_READ_CLASSES, "log_B n + t/B",
     ]);
     for n in [10_000usize, 50_000, 200_000] {
         let raw = gen_intervals(n, IntervalDist::UniformLen { max_len: 20_000 }, 4);
@@ -292,9 +329,9 @@ fn e3_segment_tree() {
         let pages = store.live_pages();
         let stabs = gen_stabbing(&raw, 100, 5);
         store.reset_stats();
-        let mut t_total = 0usize;
+        let (mut t_total, mut classes) = (0usize, Classes::default());
         for q in &stabs {
-            t_total += tree.stab(&store, q.q).unwrap().len();
+            t_total += classes.traced(|| tree.stab(&store, q.q).unwrap()).len();
         }
         let io = store.stats().reads as f64 / stabs.len() as f64;
         let t_avg = t_total as f64 / stabs.len() as f64;
@@ -304,6 +341,7 @@ fn e3_segment_tree() {
             f1(n as f64 / B * (n as f64).log2()),
             f1(t_avg),
             f1(io),
+            classes.mean("E3", store.stats().logical_reads(), &ALL_CLASSES),
             f1(log_base(n as f64, B) + t_avg / B),
         ]);
     }
@@ -347,7 +385,7 @@ fn e4_interval_tree() {
     println!("Claim: query `O(log_B n + t/B)`, space `O((n/B)·log B)` blocks. Space is 0.8–1.0×");
     println!("the idealised `(n/B)·log₂ B`, linear in n; query I/O is 1.6–2.0× the ideal.\n");
     let mut table = Table::new(&[
-        "n", "B", "pages", "(n/B)·log2 B", "avg t", "avg query I/O", "log_B n + t/B",
+        "n", "B", "pages", "(n/B)·log2 B", "avg t", "avg query I/O", READ_CLASSES, "log_B n + t/B",
     ]);
     for n in [10_000usize, 50_000, 200_000] {
         let raw = gen_intervals(n, IntervalDist::UniformLen { max_len: 20_000 }, 6);
@@ -358,9 +396,9 @@ fn e4_interval_tree() {
         let pages = store.live_pages();
         let stabs = gen_stabbing(&raw, 100, 7);
         store.reset_stats();
-        let mut t_total = 0usize;
+        let (mut t_total, mut classes) = (0usize, Classes::default());
         for q in &stabs {
-            t_total += tree.stab(&store, q.q).unwrap().len();
+            t_total += classes.traced(|| tree.stab(&store, q.q).unwrap()).len();
         }
         let io = store.stats().reads as f64 / stabs.len() as f64;
         let t_avg = t_total as f64 / stabs.len() as f64;
@@ -371,6 +409,7 @@ fn e4_interval_tree() {
             f1(n as f64 / b * b.log2()),
             f1(t_avg),
             f1(io),
+            classes.mean("E4", store.stats().logical_reads(), &THREE_CLASSES),
             f1(log_base(n as f64, b) + t_avg / b),
         ]);
     }
@@ -424,13 +463,12 @@ fn pst_experiment<P: TwoSidedPst>(
         let pages = store.live_pages();
         let queries = gen_two_sided(&raw, 100, n / 50, 9);
         store.reset_stats();
-        let (mut t_total, mut reads) = (0usize, [0u64; 3]);
+        let (mut t_total, mut classes) = (0usize, Classes::default());
         for q in &queries {
-            let (hits, counters) = pst.counted(&store, TwoSided { x0: q.x0, y0: q.y0 });
-            t_total += hits;
-            add_read_classes(&mut reads, &counters);
+            t_total += classes.traced(|| pst.answers(&store, TwoSided { x0: q.x0, y0: q.y0 }));
         }
         let io = store.stats().reads as f64 / queries.len() as f64;
+        let reads = classes.mean("E5–E7", store.stats().logical_reads(), &THREE_CLASSES);
         let t_avg = t_total as f64 / queries.len() as f64;
         let mut row = vec![
             n.to_string(),
@@ -442,7 +480,7 @@ fn pst_experiment<P: TwoSidedPst>(
             f1(log_base(n as f64, b) + t_avg / b),
         ];
         if let Some((_, describe)) = by_class {
-            row.extend([mean_classes(reads, queries.len()), describe(&pst, &store)]);
+            row.extend([reads, describe(&pst, &store)]);
         }
         table.row(row);
     }
@@ -490,19 +528,14 @@ fn pinned_two_sided(
     }
 }
 
-/// A 2-sided query's reads by class, in the order of this column label.
+/// A query's reads by class, in the order of this column label, for the
+/// structures that have no directory reads.
 const READ_CLASSES: &str = "skeletal/cache/node reads";
-
-/// Adds a query's reads to `sums`, class by class ([`READ_CLASSES`]).
-fn add_read_classes(sums: &mut [u64; 3], c: &QueryCounters) {
-    let classes = [c.skeletal, c.cache_blocks, c.node_blocks];
-    sums.iter_mut().zip(classes).for_each(|(sum, class)| *sum += class);
-}
-
-/// `sums` over `queries` queries, per query.
-fn mean_classes(sums: [u64; 3], queries: usize) -> String {
-    sums.map(|sum| f2(sum as f64 / queries as f64)).join("/")
-}
+const THREE_CLASSES: [ReadClass; 3] = [ReadClass::Skeletal, ReadClass::Cache, ReadClass::Node];
+/// Every class, in the order of this label's and of E9's.
+const ALL_READ_CLASSES: &str = "skeletal/directory/cache/node reads";
+const ALL_CLASSES: [ReadClass; ReadClass::COUNT] =
+    [ReadClass::Skeletal, ReadClass::Directory, ReadClass::Cache, ReadClass::Node];
 
 /// A two-level or dynamic PST's pages by class, in the order of the
 /// `REGION_CLASSES` column label.
@@ -638,15 +671,14 @@ fn e9_three_sided() {
         let census = pst.page_census(&store).unwrap();
         let b = census.block_capacity as f64;
         let queries = gen_three_sided(&raw, 100, n / 50, 13);
-        let (mut t_total, mut reads) = (0usize, [0u64; 4]);
+        store.reset_stats();
+        let (mut t_total, mut classes) = (0usize, Classes::default());
         for q in &queries {
             let q = ThreeSided { x1: q.x1, x2: q.x2, y0: q.y0 };
-            let (hits, c) = pst.query_counted(&store, q).unwrap();
-            t_total += hits.len();
-            let classes = [c.skeletal, c.directories, c.cache_blocks, c.node_blocks];
-            reads.iter_mut().zip(classes).for_each(|(sum, class)| *sum += class);
+            t_total += classes.traced(|| pst.query(&store, q).unwrap()).len();
         }
-        let per_query = reads.map(|sum| sum as f64 / queries.len() as f64);
+        let io = store.stats().reads as f64 / queries.len() as f64;
+        let reads = classes.mean("E9", store.stats().logical_reads(), &ALL_CLASSES);
         let t_avg = t_total as f64 / queries.len() as f64;
         table.row(vec![
             n.to_string(),
@@ -655,8 +687,8 @@ fn e9_three_sided() {
             by_class(&census),
             f1(n as f64 / b * b.log2() * b.log2()),
             f1(t_avg),
-            f1(per_query.iter().sum()),
-            per_query.map(f2).join("/"),
+            f1(io),
+            reads,
             f1(log_base(n as f64, b) + t_avg / b),
         ]);
     }
@@ -767,13 +799,12 @@ fn e10_dynamic_pst() {
         // Queries against the churned structure (buffers non-empty).
         let queries = gen_two_sided(&raw, 60, n / 50, 16);
         store.reset_stats();
-        let (mut t_total, mut reads) = (0usize, [0u64; 3]);
+        let (mut t_total, mut classes) = (0usize, Classes::default());
         for q in &queries {
-            let (hits, counters) = pst.counted(&store, TwoSided { x0: q.x0, y0: q.y0 });
-            t_total += hits;
-            add_read_classes(&mut reads, &counters);
+            t_total += classes.traced(|| pst.answers(&store, TwoSided { x0: q.x0, y0: q.y0 }));
         }
         let q_io = store.stats().reads as f64 / queries.len() as f64;
+        let reads = classes.mean("E10", store.stats().logical_reads(), &THREE_CLASSES);
         table.row(vec![
             n.to_string(),
             b.to_string(),
@@ -781,7 +812,7 @@ fn e10_dynamic_pst() {
             f1(del_io),
             f1(log_base(n as f64, b)),
             f1(q_io),
-            mean_classes(reads, queries.len()),
+            reads,
             f1(t_total as f64 / queries.len() as f64),
             f2(store.live_pages() as f64 / (n as f64 / b)),
             by_region_class(&census),
@@ -886,18 +917,18 @@ fn e12_naive_vs_cached() {
         let mut t_avg = 0.0;
         type Run<'a> = &'a dyn Fn(TwoSided) -> usize;
         let runs: [Run<'_>; 3] = [
-            &|q| naive.counted(&store, q).0,
-            &|q| seg.counted(&store, q).0,
-            &|q| two.counted(&store, q).0,
+            &|q| naive.answers(&store, q),
+            &|q| seg.answers(&store, q),
+            &|q| two.answers(&store, q),
         ];
         for run in runs {
             store.reset_stats();
             let mut waste = 0u64;
             let mut t_total = 0usize;
             for q in &queries {
-                let capture = pc_obs::begin_trace();
-                t_total += run(*q);
-                waste += capture.finish().map_or(0, |trace| trace.wasteful_ios);
+                let (t, trace) = pc_obs::traced(|| run(*q));
+                t_total += t;
+                waste += trace.wasteful_ios;
             }
             ios.push(store.stats().reads as f64 / queries.len() as f64);
             wastes.push(waste as f64 / queries.len() as f64);
@@ -1007,7 +1038,7 @@ fn e14_tradeoff_table() {
         let pst = P::build_on(&store, points);
         let pages = store.live_pages();
         store.reset_stats();
-        let t_total: usize = queries.iter().map(|q| pst.counted(&store, *q).0).sum();
+        let t_total: usize = queries.iter().map(|q| pst.answers(&store, *q)).sum();
         let nq = queries.len() as f64;
         (pages, store.stats().reads as f64 / nq, t_total as f64 / nq)
     }

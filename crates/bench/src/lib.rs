@@ -6,8 +6,8 @@ use pc_intervaltree::ExternalIntervalTree;
 use pc_pagestore::layout::cut;
 use pc_pagestore::{Interval, PageStore, Point};
 use pc_pst::{
-    BasicPst, DynamicPst, MultilevelPst, NaivePst, PageCensus, QueryCounters, SegmentedPst,
-    ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
+    BasicPst, DynamicPst, MultilevelPst, NaivePst, PageCensus, SegmentedPst, ThreeSided,
+    ThreeSidedPst, TwoLevelPst, TwoSided,
 };
 use pc_segtree::CachedSegmentTree;
 use pc_workloads::{
@@ -95,14 +95,21 @@ pub fn points_block(points: &[Point], page_size: usize) -> u64 {
     (by_y.len() / cut(&by_y, page_size).len().max(1)).max(1) as u64
 }
 
+/// What `f` returns, with the reads it cost `store` (pool hits included):
+/// the totals every pin is stated in, taken from the store itself.
+pub fn reads_of<T>(store: &PageStore, f: impl FnOnce() -> T) -> (T, u64) {
+    let before = store.stats();
+    let out = f();
+    (out, (store.stats() - before).logical_reads())
+}
+
 /// What the 2-sided PSTs have in common, for the measurements and tables
 /// they share.
 pub trait TwoSidedPst: Sized {
     /// Builds the structure over `points`.
     fn build_on(store: &PageStore, points: &[Point]) -> Self;
-    /// Answers `q`: the answer's size and the page reads by the structure's
-    /// own counters, class by class.
-    fn counted(&self, store: &PageStore, q: TwoSided) -> (usize, QueryCounters);
+    /// Answers `q`: the answer's size.
+    fn answers(&self, store: &PageStore, q: TwoSided) -> usize;
 }
 
 macro_rules! two_sided_pst {
@@ -111,9 +118,8 @@ macro_rules! two_sided_pst {
             fn build_on(store: &PageStore, points: &[Point]) -> Self {
                 <$t>::build(store, points $(, $levels)?).expect("in-memory build")
             }
-            fn counted(&self, store: &PageStore, q: TwoSided) -> (usize, QueryCounters) {
-                let (hits, counters) = self.query_counted(store, q).expect("in-memory query");
-                (hits.len(), counters)
+            fn answers(&self, store: &PageStore, q: TwoSided) -> usize {
+                self.query(store, q).expect("in-memory query").len()
             }
         }
     };
@@ -249,8 +255,8 @@ pub fn two_sided_constants<P: TwoSidedPst>(
         two_sided_corners(&raw, t)
             .into_iter()
             .map(|q| {
-                let (hits, reads) = pst.counted(&store, spread.two_sided(q));
-                (reads.total() as f64 - 2.0 * (hits as u64).div_ceil(b) as f64) / levels
+                let (hits, reads) = reads_of(&store, || pst.answers(&store, spread.two_sided(q)));
+                (reads as f64 - 2.0 * (hits as u64).div_ceil(b) as f64) / levels
             })
             .fold(f64::MIN, f64::max)
     });
@@ -341,8 +347,8 @@ pub fn interval_tree_constants(t_mean: i64, spread: Spread) -> (u64, u64, f64, f
     let c1 = gen_stabbing(&raw, 300, 0xfeed)
         .iter()
         .map(|stab| {
-            let (hits, reads) =
-                tree.stab_with_ios(&store, spread.coord(stab.q)).expect("in-memory stab");
+            let (hits, reads) = reads_of(&store, || tree.stab(&store, spread.coord(stab.q)));
+            let hits = hits.expect("in-memory stab");
             (reads as f64 - 2.0 * (hits.len() as u64).div_ceil(b) as f64) / levels
         })
         .fold(f64::MIN, f64::max);
@@ -394,9 +400,9 @@ pub fn three_sided_constants(n: u64, spread: Spread) -> (PageCensus, f64, [f64; 
             .iter()
             .map(|q| {
                 let q = spread.three_sided(q);
-                let (hits, counters) = pst.query_counted(&store, q).expect("in-memory query");
-                let output = 2.0 * (hits.len() as u64).div_ceil(b) as f64;
-                (counters.total() as f64 - output) / levels
+                let (hits, reads) = reads_of(&store, || pst.query(&store, q));
+                let output = 2.0 * (hits.expect("in-memory query").len() as u64).div_ceil(b) as f64;
+                (reads as f64 - output) / levels
             })
             .fold(f64::MIN, f64::max)
     });
@@ -465,9 +471,8 @@ pub fn btree_constants(n: u64, spread: Spread) -> BTreeConstants {
         gen_range_1d(&keys, 150, t, 0xfeed)
             .iter()
             .map(|q| {
-                let before = store.stats();
-                let hits = tree.range(&store, &q.lo, &q.hi).expect("in-memory range");
-                let reads = (store.stats() - before).logical_reads();
+                let (hits, reads) = reads_of(&store, || tree.range(&store, &q.lo, &q.hi));
+                let hits = hits.expect("in-memory range");
                 (reads as f64 - (hits.len() as f64 / b).ceil()) / levels
             })
             .fold(f64::MIN, f64::max)
@@ -525,9 +530,8 @@ pub fn segtree_constants(n: u64, spread: Spread) -> SegTreeConstants {
         gen_stabbing(&raw, 150, 0xfeed)
             .iter()
             .map(|stab| {
-                let before = store.stats();
-                let hits = tree.stab(&store, spread.coord(stab.q)).expect("in-memory stab");
-                let reads = (store.stats() - before).logical_reads();
+                let (hits, reads) = reads_of(&store, || tree.stab(&store, spread.coord(stab.q)));
+                let hits = hits.expect("in-memory stab");
                 (reads as f64 - 2.0 * (hits.len() as f64 / b).ceil()) / levels
             })
             .fold(f64::MIN, f64::max)

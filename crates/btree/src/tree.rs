@@ -4,6 +4,7 @@
 //! bytes — the 1-d optimal bounds the paper cites (§1) and E1 validates,
 //! `B` at least [`node::min_rows`] (127 at 4 KiB) whatever the data.
 
+use pc_obs::ReadClass;
 use pc_pagestore::{codec::PageReader, Page, PageId, PageStore, Result, StoreError};
 
 use crate::node::{self, Kind, Node, View};
@@ -93,14 +94,19 @@ impl BTree {
         Ok(Census { leaves, internal, mean_leaf_fill: self.len as f64 / leaves as f64 })
     }
 
-    /// The leaf page covering `key`, reading the path in place.
-    fn leaf_page(&self, store: &PageStore, key: i64) -> Result<Page> {
+    /// The leaf page covering `key`, reading the path in place: internal
+    /// nodes are skeletal reads, the leaf a read of class `leaf` — a node
+    /// read where a range scans it, navigation where a lookup ends in it.
+    fn leaf_page(&self, store: &PageStore, key: i64, leaf: ReadClass) -> Result<Page> {
         let mut page = store.read(self.root)?;
         loop {
-            match View::parse(&page)? {
-                view if view.kind == Kind::Internal => page = store.read(view.child_for(key))?,
-                _ => return Ok(page),
+            let view = View::parse(&page)?;
+            if view.kind != Kind::Internal {
+                pc_obs::record_read(leaf);
+                return Ok(page);
             }
+            pc_obs::record_read(ReadClass::Skeletal);
+            page = store.read(view.child_for(key))?;
         }
     }
 
@@ -122,7 +128,7 @@ impl BTree {
     /// Point lookup: the value stored under `key`, if any. `O(log_B n)`.
     pub fn get(&self, store: &PageStore, key: &i64) -> Result<Option<u64>> {
         let _span = pc_obs::span!("btree_get");
-        let page = self.leaf_page(store, *key)?;
+        let page = self.leaf_page(store, *key, ReadClass::Skeletal)?;
         let leaf = View::parse(&page)?;
         let at = leaf.keys().enumerate().find(|&(_, k)| k >= *key);
         Ok(at.filter(|&(_, k)| k == *key).map(|(i, _)| leaf.value(i)))
@@ -132,7 +138,7 @@ impl BTree {
     /// `O(log_B n)` — at most one extra I/O to hop to the previous leaf.
     pub fn pred(&self, store: &PageStore, key: &i64) -> Result<Option<(i64, u64)>> {
         let _span = pc_obs::span!("btree_pred");
-        let page = self.leaf_page(store, *key)?;
+        let page = self.leaf_page(store, *key, ReadClass::Skeletal)?;
         let leaf = View::parse(&page)?;
         if let Some((i, k)) = leaf.keys().take_while(|&k| k <= *key).enumerate().last() {
             return Ok(Some((k, leaf.value(i))));
@@ -141,6 +147,7 @@ impl BTree {
         if prev.is_null() {
             return Ok(None);
         }
+        pc_obs::record_read(ReadClass::Skeletal);
         let page = store.read(prev)?;
         let prev = View::parse(&page)?;
         Ok(prev.keys().last().map(|k| (k, prev.value(prev.rows - 1))))
@@ -154,7 +161,7 @@ impl BTree {
         if lo > hi {
             return Ok(out);
         }
-        let mut page = self.leaf_page(store, *lo)?;
+        let mut page = self.leaf_page(store, *lo, ReadClass::Node)?;
         pc_obs::set_block_capacity(View::parse(&page)?.rows as u64);
         let _scan = pc_obs::span!(output: "leaf_scan");
         loop {
@@ -174,6 +181,7 @@ impl BTree {
             if past_hi || next.is_null() {
                 return Ok(out);
             }
+            pc_obs::record_read(ReadClass::Node);
             page = store.read(next)?;
         }
     }

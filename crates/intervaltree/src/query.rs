@@ -1,5 +1,6 @@
 //! Stabbing queries over the external interval tree.
 
+use pc_obs::ReadClass;
 use pc_pagestore::layout::{Block, Columns};
 use pc_pagestore::{Interval, PageId, PageStore, Result};
 use pc_segtree::CachedSegmentTree;
@@ -11,14 +12,7 @@ impl ExternalIntervalTree {
     /// Stabbing query: every interval containing `q`, in `O(log_B n + t/B)`
     /// I/Os.
     pub fn stab(&self, store: &PageStore, q: i64) -> Result<Vec<Interval>> {
-        Ok(self.stab_with_ios(store, q)?.0)
-    }
-
-    /// Stabbing query returning `(results, page_reads)` for the experiment
-    /// harness.
-    pub fn stab_with_ios(&self, store: &PageStore, q: i64) -> Result<(Vec<Interval>, u64)> {
         let _span = pc_obs::span!("ivtree_stab");
-        let before = store.stats();
         pc_obs::set_block_capacity(self.block_capacity() as u64);
         let mut results = Vec::new();
 
@@ -26,6 +20,7 @@ impl ExternalIntervalTree {
         let mut skeletal_depth = 0u64;
         let mut page = {
             let _lvl = pc_obs::span!("level", skeletal_depth);
+            pc_obs::record_read(ReadClass::Skeletal);
             store.read(cur_page)?
         };
         let mut slot = 0u16;
@@ -54,6 +49,7 @@ impl ExternalIntervalTree {
                     cur_page = next.page;
                     skeletal_depth += 1;
                     let _lvl = pc_obs::span!("level", skeletal_depth);
+                    pc_obs::record_read(ReadClass::Skeletal);
                     page = store.read(cur_page)?;
                     slot = next.slot;
                 }
@@ -66,7 +62,7 @@ impl ExternalIntervalTree {
                 }
             }
         }
-        Ok((results, (store.stats() - before).logical_reads()))
+        Ok(results)
     }
 }
 
@@ -96,6 +92,7 @@ fn drain_bundle(
     }
     // One probe per bundle: the page, both ancestor sections, their tails.
     let probe = pc_obs::span!("path_cache_probe");
+    pc_obs::record_read(ReadClass::Cache);
     let page = store.read(bundle)?;
     let Bundle { conts, chains: [rest_l, rest_r, own_rest], sections: [anc_l, anc_r, own] } =
         Bundle::decode(&page)?;
@@ -103,7 +100,7 @@ fn drain_bundle(
     for (side, (head, rest)) in [(anc_l, rest_l), (anc_r, rest_r)].into_iter().enumerate() {
         let mut qualified = vec![0usize; conts.len()];
         let before = results.len();
-        scan(store, head, rest, |e: CacheEntry| {
+        scan(store, head, rest, ReadClass::Cache, |e: CacheEntry| {
             qualifies(side, q, &e.iv) && {
                 results.push(e.iv);
                 qualified[e.src as usize] += 1;
@@ -124,7 +121,7 @@ fn drain_bundle(
     // the first that starts right of `q` contains it.
     let _scan = pc_obs::span!(output: "run_block");
     let before = results.len();
-    scan(store, own, own_rest, |iv: Interval| {
+    scan(store, own, own_rest, ReadClass::Node, |iv: Interval| {
         if iv.contains(q) {
             results.push(iv);
         }
@@ -145,7 +142,7 @@ fn scan_list(
 ) -> Result<()> {
     let _span = pc_obs::span!(output: "list_scan");
     let before = results.len();
-    let r = scan(store, &[], page, |iv: Interval| {
+    let r = scan(store, &[], page, ReadClass::Node, |iv: Interval| {
         qualifies(side, q, &iv) && {
             results.push(iv);
             true
@@ -156,18 +153,20 @@ fn scan_list(
 }
 
 /// Hands `visit` the records of the block `head` (none if it is empty),
-/// then those of the chain starting at `next` block by block, and stops
-/// decoding and reading when it declines one.
+/// then those of the chain starting at `next` block by block, each a read
+/// of `class`, and stops decoding and reading when it declines one.
 fn scan<R: Columns>(
     store: &PageStore,
     head: &[u8],
     mut next: PageId,
+    class: ReadClass,
     mut visit: impl FnMut(R) -> bool,
 ) -> Result<()> {
     if !head.is_empty() && !Block::parse::<R>(head)?.each(&mut visit) {
         return Ok(());
     }
     while !next.is_null() {
+        pc_obs::record_read(class);
         let page = store.read(next)?;
         let block = Block::parse::<R>(&page)?;
         if !block.each(&mut visit) {
@@ -187,6 +186,13 @@ mod tests {
     use pc_pagestore::layout::{fill_blocks, next_of};
     use pc_pagestore::store::CHECKSUM_LEN;
     use pc_pagestore::{PageStore, StoreConfig};
+
+    /// `tree.stab` and the reads it cost the store, pool hits included.
+    fn stab_reads(tree: &ExternalIntervalTree, store: &PageStore, q: i64) -> (Vec<Interval>, u64) {
+        let before = store.stats();
+        let res = tree.stab(store, q).unwrap();
+        (res, (store.stats() - before).logical_reads())
+    }
 
     /// A memory backend that logs the page of every read.
     struct Logging(MemBackend, Arc<Mutex<Vec<PageId>>>);
@@ -319,7 +325,7 @@ mod tests {
         let mut s = 0x4242u64;
         for _ in 0..60 {
             let q = xorshift(&mut s, 200_000);
-            let (res, ios) = tree.stab_with_ios(&store, q).unwrap();
+            let (res, ios) = stab_reads(&tree, &store, q);
             let t = res.len() as u64;
             // Generous constants: c1 * log_B n + c2 * (t/B + 1).
             let allowed = 8 * 4 + 4 * (t / b + 1);
@@ -362,7 +368,7 @@ mod tests {
                 let pages = store.live_pages();
                 assert!(pages <= 1 + 2 * n.min(1) as u64, "n={n}: {pages} pages");
                 assert_eq!(pages == 3, n == cap && pages > 2, "n={n}");
-                let (_, ios) = tree.stab_with_ios(&store, 3).unwrap();
+                let (_, ios) = stab_reads(&tree, &store, 3);
                 assert_eq!(ios, pages, "n={n}");
             }
             check_against_brute(&intervals, &queries, 512);
@@ -381,7 +387,7 @@ mod tests {
                          // intervals: its output term is in that crate's blocks of 20.
         let segtree_block = pc_segtree::block_capacity(512);
         for q in -1..=8 {
-            let (res, ios) = tree.stab_with_ios(&store, q).unwrap();
+            let (res, ios) = stab_reads(&tree, &store, q);
             assert_eq!(ids(res.clone()), brute(&intervals, q), "q={q}");
             assert_eq!(res.len(), brute(&intervals, q).len(), "duplicates at q={q}");
             let allowed = 3 * log_b_n + 2 * res.len().div_ceil(segtree_block);
@@ -401,8 +407,8 @@ mod tests {
         for _ in 0..40 {
             let q = xorshift(&mut s, 52_000);
             let before = pooled.stats();
-            let (_, strict_ios) = a.stab_with_ios(&strict, q).unwrap();
-            let (_, pooled_ios) = b.stab_with_ios(&pooled, q).unwrap();
+            let (_, strict_ios) = stab_reads(&a, &strict, q);
+            let (_, pooled_ios) = stab_reads(&b, &pooled, q);
             assert_eq!(pooled_ios, strict_ios, "q={q}");
             hits += (pooled.stats() - before).cache_hits;
         }
@@ -417,7 +423,7 @@ mod tests {
         let intervals: Vec<Interval> =
             (0..n).map(|i| iv(-(i as i64) - 1, i as i64 + 1, i as u64)).collect();
         let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
-        let (res, ios) = tree.stab_with_ios(&store, 0).unwrap();
+        let (res, ios) = stab_reads(&tree, &store, 0);
         assert_eq!(res.len(), n);
         let b = tree.block_capacity() as u64;
         assert!(

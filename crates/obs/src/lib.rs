@@ -17,11 +17,12 @@
 //!    navigation (their reads are *search* I/Os), `Output` spans report how
 //!    many result items they produced via [`add_items`], and any read beyond
 //!    the full blocks those items account for is classified *wasteful*
-//!    ([`wasteful_transfers`]). Spans do work only while the thread is
-//!    inside a [`begin_trace`] capture, which hands the finished
-//!    [`QueryTrace`] back to whoever opened it; outside one a span is a
-//!    thread-local load and a branch (the `zero_alloc` test pins that it
-//!    allocates nothing).
+//!    ([`wasteful_transfers`]); each read names its class ([`record_read`])
+//!    beside them: one account of a query's cost. Spans do work only while
+//!    the thread is inside a [`begin_trace`] capture ([`traced`]), which
+//!    hands the finished [`QueryTrace`] back to whoever opened it; outside
+//!    one a span is a thread-local load and a branch (the `zero_alloc` test
+//!    pins that it allocates nothing).
 //! 2. **Sampling and retention** — a [`sample::Sampler`] picks 1-in-N
 //!    requests for the serve layer to capture, and a [`slowlog::SlowLog`]
 //!    keeps the worst of them by latency and by wasteful I/O.
@@ -77,6 +78,25 @@ impl IoEvent {
     }
 }
 
+/// What a read fetched, as the structure names it where it reads
+/// ([`record_read`]); [`QueryTrace::reads_by_class`] is indexed by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadClass {
+    /// A skeletal page or a B-tree's internal node: navigation.
+    Skeletal,
+    /// A directory read for itself alone (spilled 3-sided, shared region).
+    Directory,
+    /// A path cache's block (A/S lists, bundles, shared regions) or a buffer.
+    Cache,
+    /// A node's own data: points pages, lists, run and cover blocks, leaves.
+    Node,
+}
+
+impl ReadClass {
+    /// Number of classes.
+    pub const COUNT: usize = 4;
+}
+
 /// The I/O events observed inside one span (the per-span `IoStats` delta).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoDelta {
@@ -126,10 +146,11 @@ impl fmt::Display for IoDelta {
 }
 
 /// How a span's reads are classified in the paper's I/O taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SpanKind {
     /// Navigation: this span's own reads are *search* I/Os (paid to find
     /// output, never wasteful — e.g. a root-to-leaf descent).
+    #[default]
     Nav,
     /// Output production: this span reports result items via [`add_items`];
     /// its own reads beyond `ceil`-free full blocks (`items / B`) are
@@ -150,7 +171,7 @@ pub fn wasteful_transfers(reads: u64, items: u64, block_capacity: u64) -> u64 {
 }
 
 /// One finished span, with its subtree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SpanNode {
     /// Static span name (e.g. `"level"`, `"path_cache_probe"`).
     pub name: &'static str,
@@ -250,6 +271,9 @@ pub struct QueryTrace {
     pub wasteful_ios: u64,
     /// Output items reported by the whole query.
     pub items: u64,
+    /// Reads by [`ReadClass`] (`class as usize`): they sum to the root's
+    /// logical reads, `io.reads + io.cache_hits`, when every read is named.
+    pub reads_by_class: [u64; ReadClass::COUNT],
     /// The full span tree.
     pub root: SpanNode,
 }
@@ -527,7 +551,8 @@ mod trace;
 
 pub use hist::{Counter, Histogram};
 pub use metrics::{render_text, stat_pairs, Sample, Summary, Value};
-pub use trace::{add_items, begin_trace, record_io, set_block_capacity, Span, TraceCapture};
+pub use trace::{add_items, begin_trace, record_io, record_read, set_block_capacity, traced};
+pub use trace::{Span, TraceCapture};
 
 #[cfg(test)]
 mod tests {

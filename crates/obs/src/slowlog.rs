@@ -176,6 +176,7 @@ mod tests {
             search_ios: 0,
             wasteful_ios: wasteful,
             items: 0,
+            reads_by_class: [0; crate::ReadClass::COUNT],
             root,
         }
     }

@@ -16,12 +16,13 @@
 //! [`begin_trace`]/[`TraceCapture::finish`] capture the next finished
 //! *root* span on this thread as a [`QueryTrace`] and hand it back to the
 //! caller — that is the per-request trace context: the caller owns the
-//! tree, with no detour through process-global state.
+//! tree, with no detour through process-global state ([`traced`] runs a
+//! closure inside one). [`record_read`] counts reads by class per root.
 
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
-use crate::{IoDelta, IoEvent, QueryTrace, SpanKind, SpanNode};
+use crate::{IoDelta, IoEvent, QueryTrace, ReadClass, SpanKind, SpanNode};
 
 struct Frame {
     name: &'static str,
@@ -36,14 +37,16 @@ struct Frame {
     /// Capacity set via [`set_block_capacity`] on this frame, if any.
     block_capacity: Option<u64>,
     children: Vec<SpanNode>,
-    /// Set only on root frames, for the latency measurement.
-    opened_at: Option<Instant>,
+    /// Root frames only: when it opened, and the thread's reads by class.
+    root: Option<(Instant, [u64; ReadClass::COUNT])>,
 }
 
 #[derive(Default)]
 struct Tracer {
     /// Thread-cumulative per-kind event counts (monotonic).
     io: [u64; IoEvent::COUNT],
+    /// Thread-cumulative reads by class (monotonic).
+    reads: [u64; ReadClass::COUNT],
     stack: Vec<Frame>,
 }
 
@@ -98,6 +101,16 @@ impl Drop for TraceCapture {
     }
 }
 
+/// Runs `query` inside one capture and returns what it returns with its
+/// trace: the root span `query` opened, so `name` is the structure's own.
+/// A query that opened no span read nothing and gets an empty trace.
+pub fn traced<T>(query: impl FnOnce() -> T) -> (T, QueryTrace) {
+    let capture = begin_trace();
+    let out = query();
+    let trace = capture.finish();
+    (out, trace.unwrap_or_else(|| trace_of(SpanNode::default(), 0, [0; ReadClass::COUNT])))
+}
+
 /// Reports one page-store event to the tracing layer. Called by the
 /// `pc-pagestore` observer hook; purely observational (never alters store
 /// behavior or its own `IoStats`).
@@ -107,6 +120,15 @@ pub fn record_io(ev: IoEvent) {
         return;
     }
     TRACER.with(|t| t.borrow_mut().io[ev.index()] += 1);
+}
+
+/// Names the class of one page read, at the place the structure makes it.
+/// Purely observational, and a no-op outside a capture, like [`record_io`].
+#[inline]
+pub fn record_read(class: ReadClass) {
+    if tracing_live() {
+        TRACER.with(|t| t.borrow_mut().reads[class as usize] += 1);
+    }
 }
 
 /// Adds `n` to the innermost open span's output-item count. No-op when no
@@ -157,7 +179,7 @@ impl Span {
         }
         TRACER.with(|t| {
             let mut t = t.borrow_mut();
-            let opened_at = if t.stack.is_empty() { Some(Instant::now()) } else { None };
+            let root = t.stack.is_empty().then(|| (Instant::now(), t.reads));
             let start = t.io;
             t.stack.push(Frame {
                 name,
@@ -168,7 +190,7 @@ impl Span {
                 items: 0,
                 block_capacity: None,
                 children: Vec::new(),
-                opened_at,
+                root,
             });
         });
         Span { live: true }
@@ -205,14 +227,14 @@ impl Drop for Span {
                     None
                 }
                 None => {
-                    let ns =
-                        frame.opened_at.map(|t0| t0.elapsed().as_nanos() as u64).unwrap_or(0);
-                    Some((node, ns))
+                    let (t0, reads) = frame.root.expect("a root frame records its start");
+                    let by_class = std::array::from_fn(|i| tr.reads[i] - reads[i]);
+                    Some((node, t0.elapsed().as_nanos() as u64, by_class))
                 }
             }
         });
-        if let Some((root, latency_ns)) = finished {
-            finalize(root, latency_ns);
+        if let Some((root, latency_ns, by_class)) = finished {
+            finalize(trace_of(root, latency_ns, by_class));
         }
     }
 }
@@ -220,20 +242,23 @@ impl Drop for Span {
 /// Delivers a finished root span to the open capture slot. A root that
 /// outlives its capture (the guard was opened inside one and dropped after
 /// it) has nobody waiting for it and is dropped.
-fn finalize(root: SpanNode, latency_ns: u64) {
-    if !CAPTURING.with(Cell::get) {
-        return;
+fn finalize(trace: QueryTrace) {
+    if CAPTURING.with(Cell::get) {
+        CAPTURED.with(|c| *c.borrow_mut() = Some(trace));
     }
-    let trace = QueryTrace {
+}
+
+fn trace_of(root: SpanNode, latency_ns: u64, by_class: [u64; ReadClass::COUNT]) -> QueryTrace {
+    QueryTrace {
         name: root.name,
         latency_ns,
         total_io: root.io.total_io(),
         search_ios: root.search_ios(),
         wasteful_ios: root.wasteful_ios(),
         items: root.output_items(),
+        reads_by_class: by_class,
         root,
-    };
-    CAPTURED.with(|c| *c.borrow_mut() = Some(trace));
+    }
 }
 
 #[cfg(test)]
@@ -277,6 +302,41 @@ mod tests {
         assert_eq!(probe.self_reads, 3);
         assert_eq!(probe.block_capacity, 4, "capacity inherited from root");
         assert_eq!(probe.wasteful(), 1);
+    }
+
+    /// `n` reads of `class`, each named and reported as the store would.
+    fn class_reads(class: ReadClass, n: u64) {
+        for _ in 0..n {
+            record_read(class);
+            record_io(IoEvent::Read);
+        }
+    }
+
+    #[test]
+    fn reads_by_class_sum_to_the_captures_reads_through_nested_spans() {
+        let ((), t) = traced(|| {
+            let _root = crate::span!("query");
+            class_reads(ReadClass::Skeletal, 2);
+            {
+                let _lvl = crate::span!("level", 1u64);
+                class_reads(ReadClass::Directory, 1);
+                let _scan = crate::span!(output: "list_scan");
+                class_reads(ReadClass::Node, 3);
+            }
+            class_reads(ReadClass::Cache, 4);
+        });
+        assert_eq!(t.name, "query");
+        assert_eq!(t.reads_by_class, [2, 1, 4, 3]);
+        assert_eq!(t.reads_by_class.iter().sum::<u64>(), t.total_io);
+        // The next capture starts from zero, and a query that opened no
+        // span has an empty trace.
+        let ((), t) = traced(|| {
+            let _root = crate::span!("again");
+            class_reads(ReadClass::Node, 1);
+        });
+        assert_eq!((t.reads_by_class, t.total_io), ([0, 0, 0, 1], 1));
+        let ((), t) = traced(|| class_reads(ReadClass::Skeletal, 1));
+        assert_eq!((t.name, t.reads_by_class, t.total_io), ("", [0; ReadClass::COUNT], 0));
     }
 
     #[test]

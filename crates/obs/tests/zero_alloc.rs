@@ -138,9 +138,11 @@ mod alloc_counting {
             }
             let _root = pc_obs::span!("serve_query", key);
             pc_obs::set_block_capacity(4);
+            pc_obs::record_read(pc_obs::ReadClass::Skeletal);
             pc_obs::record_io(pc_obs::IoEvent::Read);
             {
                 let _child = pc_obs::span!(output: "node_block");
+                pc_obs::record_read(pc_obs::ReadClass::Node);
                 pc_obs::record_io(pc_obs::IoEvent::Read);
                 pc_obs::add_items(3);
             }

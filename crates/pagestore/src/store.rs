@@ -557,7 +557,10 @@ impl PageStore {
             // checkpointed; the data backend is allowed to be stale for
             // those pages (no-steal), so the table must be checked first.
             if let Some(page) = ws.dirty.lock().get(&id.0) {
+                // A capture sees a hit; `IoStats` does not, the WAL's
+                // `dirty_hits` counts it.
                 ws.wal.note_dirty_hit();
+                pc_obs::record_io(IoEvent::CacheHit);
                 return Ok(page.clone());
             }
             return self.backend_read(id);
@@ -1175,6 +1178,22 @@ mod tests {
         assert_eq!(ws.dirty_hits, 1);
         assert_eq!(ws.appends, 3, "open-time checkpoint + alloc + page write");
         assert_eq!(ws.commits, 0);
+    }
+
+    #[test]
+    fn a_capture_sees_a_dirty_table_read_as_a_hit_and_io_stats_do_not_move() {
+        let (store, _) = PageStore::in_memory_durable(64);
+        let id = store.alloc().unwrap();
+        store.write(id, b"logged").unwrap();
+        let before = store.stats();
+        let (page, trace) = pc_obs::traced(|| {
+            let _span = pc_obs::span!("read");
+            store.read(id).unwrap()
+        });
+        assert_eq!(&page[..6], b"logged");
+        assert_eq!((trace.root.io.cache_hits, trace.root.io.reads), (1, 0));
+        assert_eq!(store.stats(), before, "the WAL's dirty_hits counts it, IoStats does not");
+        assert_eq!(store.wal_stats().unwrap().dirty_hits, 1);
     }
 
     #[test]

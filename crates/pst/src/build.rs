@@ -49,7 +49,6 @@ use pc_pagestore::layout::{encode_block, signed_of, Block, BlockList, Columns, M
 use pc_pagestore::{PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::mem::{cmp_x, cmp_y, MemPst, NodeFill, TwoSided, NONE};
-use crate::query::QueryCounters;
 use crate::region::{
     for_each_cache_owner, merge_tagged, write_with, NodeRef, SkelRecord, Skeleton,
 };
@@ -332,8 +331,8 @@ fn write_points_pages(store: &PageStore, mem: &MemPst) -> Result<Vec<(PageId, u1
 /// A static 2-sided PST: the type, its `build` — `$build` is what makes a
 /// [`PstHandle`] of the store and the points (and `$arg…`), under the names
 /// the caller gives them — and the accessors and queries every one of them
-/// answers from that handle. Expands where `PageStore`, `Point`, `Result`,
-/// `TwoSided` and `QueryCounters` are in scope.
+/// answers from that handle. Expands where `PageStore`, `Point`, `Result`
+/// and `TwoSided` are in scope.
 macro_rules! static_pst {
     (
         $(#[$doc:meta])* $name:ident($($arg:ident: $ty:ty),*),
@@ -363,18 +362,7 @@ macro_rules! static_pst {
 
             /// Answers a 2-sided query.
             pub fn query(&self, store: &PageStore, q: TwoSided) -> Result<Vec<Point>> {
-                Ok(self.query_counted(store, q)?.0)
-            }
-
-            /// Answers a 2-sided query, also returning I/O counters for the
-            /// experiment harness.
-            pub fn query_counted(
-                &self,
-                store: &PageStore,
-                q: TwoSided,
-            ) -> Result<(Vec<Point>, QueryCounters)> {
-                let (hits, _, counters) = $crate::two_level::query_handle(store, self.root, q)?;
-                Ok((hits, counters))
+                Ok($crate::two_level::query_handle(store, self.root, q)?.0)
             }
         }
     };

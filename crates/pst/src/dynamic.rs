@@ -74,7 +74,6 @@ use pc_pagestore::{PageId, PageStore, Point, Result};
 
 use crate::build::{Kind, PstHandle};
 use crate::mem::{cmp_x, cmp_y, TwoSided, MAX_NODE_POINTS};
-use crate::query::QueryCounters;
 use crate::region::{
     for_each_cache_owner, for_each_skeletal_page, merge_tagged, patch_record, write_page, NodeRef,
     SkelRecord,
@@ -248,20 +247,11 @@ impl DynamicPst {
 
     /// Answers a 2-sided query, merging buffered updates.
     pub fn query(&self, store: &PageStore, q: TwoSided) -> Result<Vec<Point>> {
-        Ok(self.query_counted(store, q)?.0)
-    }
-
-    /// Answers a 2-sided query with I/O counters.
-    pub fn query_counted(
-        &self,
-        store: &PageStore,
-        q: TwoSided,
-    ) -> Result<(Vec<Point>, QueryCounters)> {
         // The root span: the merge below reports into it.
         let _span = pc_obs::span!("dynpst_query");
         let handle = PstHandle { root: self.root, n: self.live.max(1), kind: Kind::Region };
-        let (static_res, pending, counters) = query_handle(store, handle, q)?;
-        Ok((merge_buffered(static_res, pending, |p| q.contains(p)), counters))
+        let (static_res, pending) = query_handle(store, handle, q)?;
+        Ok(merge_buffered(static_res, pending, |p| q.contains(p)))
     }
 
     /// Pushes updates into a page's `U` buffer, flushing the page whenever
@@ -815,6 +805,7 @@ impl DynamicThreeSidedPst {
         {
             let _buf = pc_obs::span!("update_buffer");
             for &page in &self.buffer {
+                pc_obs::record_read(pc_obs::ReadClass::Cache);
                 ops.extend(read_buffer(store, page)?);
             }
         }

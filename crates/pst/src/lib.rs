@@ -70,7 +70,6 @@ pub use build::{BasicPst, NaivePst, SegmentedPst};
 pub use dynamic::{DynamicPst, DynamicThreeSidedPst};
 pub use mem::TwoSided;
 pub use multilevel::MultilevelPst;
-pub use query::QueryCounters;
 pub use three_sided::{PageCensus, ThreeSided, ThreeSidedPst};
 pub use two_level::{RegionCensus, TwoLevelPst};
 

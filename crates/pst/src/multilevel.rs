@@ -17,7 +17,6 @@
 use pc_pagestore::{PageStore, Point, Result};
 
 use crate::mem::TwoSided;
-use crate::query::QueryCounters;
 use crate::two_level::{build_region_tree, region_blocks};
 
 static_pst!(

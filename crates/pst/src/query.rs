@@ -8,29 +8,6 @@ use crate::build::{CacheMode, PointsPage, SEntry, SkeletalRecord};
 use crate::mem::TwoSided;
 use crate::region::{SkelRecord, Walk};
 
-/// I/O breakdown of one query, in page reads.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueryCounters {
-    /// Skeletal page reads (navigation).
-    pub skeletal: u64,
-    /// Reads for a 3-sided node's directory: its page of its own, or the
-    /// skeletal page it is on, read for it alone. A directory on a page the
-    /// walk reads anyway costs nothing here.
-    pub directories: u64,
-    /// A-list / S-list block reads (and update buffer pages).
-    pub cache_blocks: u64,
-    /// Region (points page) reads: corner, ancestors, siblings,
-    /// descendants.
-    pub node_blocks: u64,
-}
-
-impl QueryCounters {
-    /// Total page reads.
-    pub fn total(&self) -> u64 {
-        self.skeletal + self.directories + self.cache_blocks + self.node_blocks
-    }
-}
-
 /// Runs a 2-sided query against the single-level structure under
 /// `root_page`, built with the caches of `mode`, appending to `walk`.
 pub(crate) fn run_two_sided(
@@ -47,7 +24,7 @@ pub(crate) fn run_two_sided(
     walk.set_block_capacity();
     // Levels count from this structure's root, which a region's walk may
     // have reached after skeletal pages of its own.
-    let above = walk.counters.skeletal;
+    let above = walk.levels;
     let mut ctx = Ctx { walk, q };
     // Per path depth, the right sibling left behind there, if any:
     // (points page, count, whether it has children).
@@ -96,7 +73,7 @@ pub(crate) fn run_two_sided(
         }
 
         if crosses_page {
-            ctx.walk.load(next.page, Some(ctx.walk.counters.skeletal - above))?;
+            ctx.walk.load(next.page, Some(ctx.walk.levels - above))?;
         }
         if crosses_page && mode == CacheMode::InPage {
             (cur_a, cur_s) = (BlockList::empty(), BlockList::empty());
@@ -271,16 +248,17 @@ mod tests {
         for _ in 0..60 {
             let q = TwoSided { x0: rng.gen_range(0..100_000i64), y0: rng.gen_range(0..100_000i64) };
             for (name, (res, c)) in [
-                ("basic", basic.query_counted(&store, q).unwrap()),
-                ("segmented", seg.query_counted(&store, q).unwrap()),
+                ("basic", pc_obs::traced(|| basic.query(&store, q).unwrap())),
+                ("segmented", pc_obs::traced(|| seg.query(&store, q).unwrap())),
             ] {
                 let t = res.len() as u64;
                 let logb_n = 5u64;
                 let allowed = 6 * logb_n + 5 * (t / b + 1);
                 assert!(
-                    c.total() <= allowed,
-                    "{name}: io={} t={t} allowed={allowed} ({c:?})",
-                    c.total()
+                    c.total_io <= allowed,
+                    "{name}: io={} t={t} allowed={allowed} ({:?})",
+                    c.total_io,
+                    c.reads_by_class
                 );
             }
         }
@@ -303,11 +281,11 @@ mod tests {
         for _ in 0..20 {
             // Just beyond the domain: empty output, deepest corner.
             let q = TwoSided { x0: 1_000_001 + rng.gen_range(0..100i64), y0: 0 };
-            let (rn, cn) = naive.query_counted(&store, q).unwrap();
-            let (rs, cs) = seg.query_counted(&store, q).unwrap();
+            let (rn, cn) = pc_obs::traced(|| naive.query(&store, q).unwrap());
+            let (rs, cs) = pc_obs::traced(|| seg.query(&store, q).unwrap());
             assert!(rn.is_empty() && rs.is_empty());
-            naive_total += cn.total();
-            seg_total += cs.total();
+            naive_total += cn.total_io;
+            seg_total += cs.total_io;
         }
         assert!(
             naive_total > seg_total + seg_total / 3,

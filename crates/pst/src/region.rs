@@ -30,23 +30,23 @@
 //!   slices from each source — a whole node, or a list's first block, whose
 //!   count its owner's record names — tagged with the source's depth, in
 //!   one sorted list, blocked anew by the block codec (DESIGN §4.5).
-//! * **The walk** ([`Walk`]): the skeletal page in hand, every counted
-//!   read, every list scan and cache drain with its span, the continuation
+//! * **The walk** ([`Walk`]): the skeletal page in hand, every read with
+//!   its class, every list scan and cache drain with its span, the continuation
 //!   rule ([`Walk::continues`]: a source is read on *from its second block*,
 //!   which its owner's record names with its first block's count, iff all
 //!   of its cached block qualified), and the page-first descendant schedule
-//!   ([`Walk::traverse`]). `QueryCounters`, the span tree and the strict
-//!   store's reads agree because one function produces all three.
+//!   ([`Walk::traverse`]). A capture's reads by class, its span tree and
+//!   the strict store's reads agree: [`Walk::read`] makes every read.
 
 use std::cmp::Ordering;
 
+use pc_obs::ReadClass;
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::{chain_pages, min_records, Block, BlockList, Columns};
 use pc_pagestore::{Page, PageId, PageStore, Point, Result, NULL_PAGE};
 
 use crate::build::SEntry;
 use crate::mem::MemPst;
-use crate::query::QueryCounters;
 
 /// Reference to a skeletal record: its page and its slot there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -373,26 +373,28 @@ pub(crate) fn merge_tagged<'p>(
     merged
 }
 
-/// One query's walk over one store: the answer so far, the reads so far by
-/// class, and the skeletal page in hand — records on it are decoded from
-/// `page` without another read.
+/// One query's walk over one store: the answer so far, the skeletal pages
+/// loaded so far (the `level` spans count them), and the skeletal page in
+/// hand — records on it are decoded from `page` without another read.
 pub(crate) struct Walk<'a> {
     pub(crate) store: &'a PageStore,
     pub(crate) results: Vec<Point>,
-    pub(crate) counters: QueryCounters,
+    pub(crate) levels: u64,
     pub(crate) held: PageId,
     pub(crate) page: Page,
 }
 
 impl<'a> Walk<'a> {
     pub(crate) fn new(store: &'a PageStore) -> Walk<'a> {
-        Walk {
-            store,
-            results: Vec::new(),
-            counters: QueryCounters::default(),
-            held: NULL_PAGE,
-            page: Page::from(Vec::new()),
-        }
+        let page = Page::from(Vec::new());
+        Walk { store, results: Vec::new(), levels: 0, held: NULL_PAGE, page }
+    }
+
+    /// The walk's one read: page `id`, named as a read of `class`.
+    #[inline]
+    fn read(&self, id: PageId, class: ReadClass) -> Result<Page> {
+        pc_obs::record_read(class);
+        self.store.read(id)
     }
 
     /// Names the guaranteed `B` — the block codec's count at 64-bit
@@ -407,9 +409,9 @@ impl<'a> Walk<'a> {
     /// open.
     pub(crate) fn load(&mut self, id: PageId, level: Option<u64>) -> Result<()> {
         let _lvl = level.map(|level| pc_obs::span!("level", level));
-        self.page = self.store.read(id)?;
+        self.page = self.read(id, ReadClass::Skeletal)?;
         self.held = id;
-        self.counters.skeletal += 1;
+        self.levels += 1;
         Ok(())
     }
 
@@ -417,9 +419,9 @@ impl<'a> Walk<'a> {
     /// taking it in hand: a walk that needs the page it continues into
     /// before it has finished the one it holds.
     pub(crate) fn fetch(&mut self, id: PageId) -> Result<Page> {
-        let _lvl = pc_obs::span!("level", self.counters.skeletal);
-        self.counters.skeletal += 1;
-        self.store.read(id)
+        let _lvl = pc_obs::span!("level", self.levels);
+        self.levels += 1;
+        self.read(id, ReadClass::Skeletal)
     }
 
     /// Takes a skeletal page already read in hand.
@@ -428,21 +430,18 @@ impl<'a> Walk<'a> {
     }
 
     /// Reads an update buffer page, at the price of a cache block.
-    pub(crate) fn cache_page(&mut self, id: PageId) -> Result<Page> {
-        self.counters.cache_blocks += 1;
-        self.store.read(id)
+    pub(crate) fn cache_page(&self, id: PageId) -> Result<Page> {
+        self.read(id, ReadClass::Cache)
     }
 
     /// Reads a page for a directory on it alone.
-    pub(crate) fn directory_page(&mut self, id: PageId) -> Result<Page> {
-        self.counters.directories += 1;
-        self.store.read(id)
+    pub(crate) fn directory_page(&self, id: PageId) -> Result<Page> {
+        self.read(id, ReadClass::Directory)
     }
 
     /// Reads a node's own page of points.
-    pub(crate) fn node_page(&mut self, id: PageId) -> Result<Page> {
-        self.counters.node_blocks += 1;
-        self.store.read(id)
+    pub(crate) fn node_page(&self, id: PageId) -> Result<Page> {
+        self.read(id, ReadClass::Node)
     }
 
     /// Scans a list of points from block `start` on, reporting the prefix
@@ -466,7 +465,7 @@ impl<'a> Walk<'a> {
     ) -> Result<u64> {
         let _scan = pc_obs::span!(output: "list_scan");
         let before = self.results.len();
-        self.scan(start, |c| &mut c.node_blocks, |answer, p: Point| {
+        self.scan(start, ReadClass::Node, |answer, p: Point| {
             keep(&p) && {
                 if report(&p) {
                     answer.push(p);
@@ -497,23 +496,22 @@ impl<'a> Walk<'a> {
         start: PageId,
         take: impl FnMut(&mut Vec<Point>, R) -> bool,
     ) -> Result<()> {
-        self.scan(start, |c| &mut c.cache_blocks, take)
+        self.scan(start, ReadClass::Cache, take)
     }
 
-    /// Scans a list from block `start` on, each block read counted in
-    /// `class`, handing each record and the answer to `take` until it
-    /// declines one; a block is decoded little past that record.
+    /// Scans a list from block `start` on, each block a read of `class`,
+    /// handing each record and the answer to `take` until it declines one;
+    /// a block is decoded little past that record.
     #[inline]
     fn scan<R: Columns>(
         &mut self,
         start: PageId,
-        class: fn(&mut QueryCounters) -> &mut u64,
+        class: ReadClass,
         mut take: impl FnMut(&mut Vec<Point>, R) -> bool,
     ) -> Result<()> {
         let mut next = start;
         while !next.is_null() {
-            *class(&mut self.counters) += 1;
-            let page = self.store.read(next)?;
+            let page = self.read(next, class)?;
             let block = Block::parse::<R>(&page)?;
             if !block.each(|rec| take(&mut self.results, rec)) {
                 return Ok(());

@@ -96,7 +96,6 @@ use pc_pagestore::{Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::build::SEntry;
 use crate::mem::{cmp_x, cmp_y, MemPst, NodeFill, NONE};
-use crate::query::QueryCounters;
 use crate::region::{
     for_each_block, for_each_in_segment, for_each_skeletal_page, merge_tagged, write_with, NodeRef,
     SkelRecord, Skeleton, Walk,
@@ -565,27 +564,18 @@ impl ThreeSidedPst {
         Ok(census)
     }
 
-    /// Answers a 3-sided query.
+    /// Answers a 3-sided query. A band whose bounds are out of order holds
+    /// no point: the empty answer, at no read.
     pub fn query(&self, store: &PageStore, q: ThreeSided) -> Result<Vec<Point>> {
-        Ok(self.query_counted(store, q)?.0)
-    }
-
-    /// Answers a 3-sided query with I/O counters. A band whose bounds are
-    /// out of order holds no point: the empty answer, at no read.
-    pub fn query_counted(
-        &self,
-        store: &PageStore,
-        q: ThreeSided,
-    ) -> Result<(Vec<Point>, QueryCounters)> {
         if q.x1 > q.x2 {
-            return Ok((Vec::new(), QueryCounters::default()));
+            return Ok(Vec::new());
         }
         let _span = pc_obs::span!("pst3_query");
         let mut ctx = TsCtx { walk: Walk::new(store), q };
         ctx.walk.set_block_capacity();
         let root = NodeRef { page: self.root_page, slot: 0 };
         ctx.path(None, root, 0, Band { lo: q.x1, hi: q.x2, tie: 0 }, DirAt::None)?;
-        Ok((ctx.walk.results, ctx.walk.counters))
+        Ok(ctx.walk.results)
     }
 }
 
@@ -766,7 +756,7 @@ impl TsCtx<'_> {
                 if node.leaf {
                     return Ok(());
                 }
-                walk.load(node.at.page, Some(walk.counters.skeletal))?;
+                walk.load(node.at.page, Some(walk.levels))?;
             }
             below.extend(TsRecord::at(&walk.page, node.at.slot)?.reaching_children(y0));
             Ok(())
@@ -792,7 +782,7 @@ impl TsCtx<'_> {
         let q = self.q;
         let mut at = start;
         if at.page != self.walk.held {
-            self.walk.load(at.page, Some(self.walk.counters.skeletal))?;
+            self.walk.load(at.page, Some(self.walk.levels))?;
         }
         // Slot of the inside sibling recorded at each in-page depth so far,
         // matching the build-time S tags; `sib.len()` is the walk's depth.
@@ -1093,17 +1083,20 @@ mod tests {
         /// pages read, in order.
         fn logged_reads(&self, x1: i64, x2: i64, y0: i64) -> ((u64, u64, u64, u64), Vec<PageId>) {
             let q = ThreeSided { x1, x2, y0 };
-            let ((res, c), log) =
-                self.logged.reads_of(|store| self.pst.query_counted(store, q).unwrap());
-            assert_eq!(log.len() as u64, c.total(), "{q:?}");
+            let ((res, trace), log) =
+                self.logged.reads_of(|store| pc_obs::traced(|| self.pst.query(store, q).unwrap()));
+            let c = trace.reads_by_class;
+            let [skeletal, directories, cache_blocks, node_blocks] = c;
+            let total = c.iter().sum::<u64>();
+            assert_eq!(log.len() as u64, total, "{q:?}");
             let want = canonical(self.points.iter().copied().filter(|p| q.contains(p)).collect());
             assert_eq!(canonical(res), want, "{q:?}");
             // Theorem 3.3 at the guaranteed B.
             let b = min_records::<Point>(PAGE);
             let levels = (self.points.len() as f64).log(b as f64).ceil();
             let allowed = 6.0 * levels + 2.0 * want.len().div_ceil(b) as f64;
-            assert!(c.total() as f64 <= allowed, "{q:?}: {c:?}, allowed {allowed}");
-            ((c.skeletal, c.directories, c.cache_blocks, c.node_blocks), log)
+            assert!(total as f64 <= allowed, "{q:?}: {c:?}, allowed {allowed}");
+            ((skeletal, directories, cache_blocks, node_blocks), log)
         }
 
         fn reads(&self, x1: i64, x2: i64, y0: i64) -> (u64, u64, u64, u64) {
@@ -1453,8 +1446,10 @@ mod tests {
                 for _ in 0..50 {
                     let x1 = rng.gen_range(0..1_000_000i64);
                     let q = ThreeSided { x1, x2: x1 + rng.gen_range(0..200_000i64), y0: i64::MIN };
-                    let (_, c) = pst.query_counted(&store, q).unwrap();
-                    assert!(c.skeletal >= 2 && c.directories == 0, "{q:?}: {c:?}");
+                    let (_, trace) = pc_obs::traced(|| pst.query(&store, q).unwrap());
+                    let c = trace.reads_by_class;
+                    let [skeletal, directories, ..] = c;
+                    assert!(skeletal >= 2 && directories == 0, "{q:?}: {c:?}");
                 }
             }
             pst.free(&store).unwrap();
@@ -1497,9 +1492,10 @@ mod tests {
             let a = rng.gen_range(0..100_000i64);
             let w = [30, 300, 3_000, 30_000][i % 4];
             let q = ThreeSided { x1: a, x2: a + w, y0: rng.gen_range(0..100_000i64) };
-            let (res, c) = pst.query_counted(&store, q).unwrap();
+            let (res, c) = pc_obs::traced(|| pst.query(&store, q).unwrap());
             let allowed = 44 * pages_on_a_path / 10 + 2 * (res.len() as u64).div_ceil(b);
-            assert!(c.total() <= allowed, "io={} t={} ({c:?})", c.total(), res.len());
+            let classes = c.reads_by_class;
+            assert!(c.total_io <= allowed, "io={} t={} ({classes:?})", c.total_io, res.len());
         }
     }
 

@@ -43,7 +43,7 @@ use pc_pagestore::{PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::build::{build_single_level, CacheMode, Kind, PstHandle, SEntry, SkeletalRecord};
 use crate::mem::{cmp_x, cmp_y, MemPst, NodeFill, TwoSided, NONE};
-use crate::query::{run_two_sided, QueryCounters};
+use crate::query::run_two_sided;
 use crate::region::{
     for_each_block, for_each_cache_owner, for_each_skeletal_page, merge_tagged, NodeRef,
     SkelRecord, Skeleton, Walk,
@@ -568,17 +568,17 @@ fn query_on(
     }
 }
 
-/// Queries a [`PstHandle`] (region tree or single-level PST): the answer,
-/// any buffered updates encountered for the caller to merge, the reads.
+/// Queries a [`PstHandle`] (region tree or single-level PST): the answer
+/// and any buffered updates encountered, for the caller to merge.
 pub(crate) fn query_handle(
     store: &PageStore,
     handle: PstHandle,
     q: TwoSided,
-) -> Result<(Vec<Point>, Vec<UpdateRec>, QueryCounters)> {
+) -> Result<(Vec<Point>, Vec<UpdateRec>)> {
     let mut walk = Walk::new(store);
     let mut pending = Vec::new();
     query_on(&mut walk, &mut pending, handle, q)?;
-    Ok((walk.results, pending, walk.counters))
+    Ok((walk.results, pending))
 }
 
 /// A built [`TwoLevelPst`]'s or [`crate::DynamicPst`]'s pages by class, and
@@ -711,7 +711,7 @@ fn load_page(
     id: PageId,
     on_path: bool,
 ) -> Result<()> {
-    walk.load(id, on_path.then_some(walk.counters.skeletal))?;
+    walk.load(id, on_path.then_some(walk.levels))?;
     let u_page = decode_header(&walk.page)?.u_page;
     if !u_page.is_null() {
         pending.extend(decode_buffer(&walk.cache_page(u_page)?)?);
@@ -1054,10 +1054,11 @@ mod tests {
 
                 let handle = PstHandle { root: root_page, n: pts.len() as u64, kind: Kind::Region };
                 let q = TwoSided { x0: i64::MIN, y0: i64::MIN };
-                let ((hits, _, counters), log) =
-                    logged.reads_of(|s| query_handle(s, handle, q).unwrap());
+                let (((hits, _), trace), log) =
+                    logged.reads_of(|s| pc_obs::traced(|| query_handle(s, handle, q).unwrap()));
                 assert_eq!(canonical(hits), canonical(pts.clone()));
-                assert_eq!(counters.total(), log.len() as u64);
+                let total: u64 = trace.reads_by_class.iter().sum();
+                assert_eq!(total, log.len() as u64);
                 let reads_of = |page: PageId| log.iter().filter(|&&p| p == page).count();
                 assert!(log.iter().all(|&p| reads_of(p) == 1), "a page was read twice");
                 let mut more_blocks = 0;
@@ -1081,11 +1082,11 @@ mod tests {
                         assert_eq!(log.last(), Some(&head));
                         1
                     }
-                    None => query_handle(store, corner.inner(), q).unwrap().2.total(),
+                    None => logged.reads_of(|s| query_handle(s, corner.inner(), q)).1.len() as u64,
                 };
                 corners[usize::from(corner_reads > 1)] += 1;
                 let want = 1 + caches as u64 + more_blocks as u64 + corner_reads;
-                assert_eq!(counters.total(), want);
+                assert_eq!(total, want);
             }
         }
         assert!(longest >= 3, "a list of {longest} blocks at most");
@@ -1237,10 +1238,10 @@ mod tests {
         let b = min_records::<Point>(512) as u64;
         for _ in 0..60 {
             let q = TwoSided { x0: rng.gen_range(0..500_000i64), y0: rng.gen_range(0..500_000i64) };
-            let (res, c) = pst.query_counted(&store, q).unwrap();
+            let (res, c) = pc_obs::traced(|| pst.query(&store, q).unwrap());
             let t = res.len() as u64;
             let allowed = 60 + 6 * (t / b + 1);
-            assert!(c.total() <= allowed, "io={} t={t} ({c:?})", c.total());
+            assert!(c.total_io <= allowed, "io={} t={t} ({:?})", c.total_io, c.reads_by_class);
         }
     }
 }

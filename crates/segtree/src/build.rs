@@ -266,9 +266,10 @@ fn write_shared_region(store: &PageStore, region: &[Interval]) -> Result<PageId>
     Ok(dir)
 }
 
-/// Reads the page-id directory of a shared region.
+/// Reads the page-id directory of a shared region (a directory read).
 pub fn read_shared_dir(store: &PageStore, dir: PageId) -> Result<Vec<PageId>> {
     use pc_pagestore::codec::PageReader;
+    pc_obs::record_read(pc_obs::ReadClass::Directory);
     let page = store.read(dir)?;
     let mut r = PageReader::new(&page);
     let count = r.get_u16()? as usize;
@@ -279,23 +280,24 @@ pub fn read_shared_dir(store: &PageStore, dir: PageId) -> Result<Vec<PageId>> {
     Ok(out)
 }
 
-/// Reads `len` intervals starting at entry `off` of a shared region,
-/// returning the intervals and the number of region pages read.
+/// Reads `len` intervals starting at entry `off` of a shared region, a
+/// cache read a page.
 pub fn read_shared_range(
     store: &PageStore,
     dir: &[PageId],
     off: u32,
     len: u32,
-) -> Result<(Vec<Interval>, u64)> {
+) -> Result<Vec<Interval>> {
     use pc_pagestore::codec::PageReader;
     if len == 0 {
-        return Ok((Vec::new(), 0));
+        return Ok(Vec::new());
     }
     let cap = shared_page_capacity(store.page_size());
     let first = off as usize / cap;
     let last = (off as usize + len as usize - 1) / cap;
     let mut out = Vec::with_capacity(len as usize);
     for (page_idx, &page_id) in dir.iter().enumerate().take(last + 1).skip(first) {
+        pc_obs::record_read(pc_obs::ReadClass::Cache);
         let page = store.read(page_id)?;
         let start_entry = if page_idx == first { off as usize % cap } else { 0 };
         let end_entry =
@@ -306,7 +308,7 @@ pub fn read_shared_range(
             out.push(Interval::decode(&mut r)?);
         }
     }
-    Ok((out, (last - first + 1) as u64))
+    Ok(out)
 }
 
 /// DFS computing, for every entry node, the underfull cover-list entries

@@ -1,6 +1,7 @@
 //! External segment-tree queries: naive vs path-cached.
 
 use pc_btree::BTree;
+use pc_obs::ReadClass;
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
 use pc_pagestore::{Interval, PageId, PageStore, Record, Result};
@@ -41,32 +42,9 @@ impl Record for SegTreeHandle {
     }
 }
 
-/// Per-query I/O profile, the measured quantity of experiment E2.
-///
-/// Output I/Os are classified exactly as in §2 of the paper: a block read
-/// that returns a full block of result intervals is *useful*; one returning
-/// fewer is *wasteful*. Navigation I/Os (skeletal pages, endpoint B-tree)
-/// are reported separately as `search_ios`.
-#[derive(Debug, Clone, Default)]
-pub struct QueryProfile {
-    /// The reported intervals (each contains the query point).
-    pub results: Vec<Interval>,
-    /// Root-to-leaf navigation page reads (`O(log_B n)`).
-    pub search_ios: u64,
-    /// Output block reads returning a full block.
-    pub useful_ios: u64,
-    /// Output block reads returning a partial block.
-    pub wasteful_ios: u64,
-}
-
-impl QueryProfile {
-    /// Total page reads for the query.
-    pub fn total_ios(&self) -> u64 {
-        self.search_ios + self.useful_ios + self.wasteful_ios
-    }
-}
-
-/// Shared query engine; `CACHED` selects the §2 path-cached read strategy.
+/// Shared query engine; `cached` selects the §2 path-cached read strategy.
+/// Its spans are E2's measure: navigation is search I/O, and an output
+/// span's reads past the full blocks its intervals fill are wasteful (§3).
 struct Engine<'a> {
     store: &'a PageStore,
     tree: &'a BuiltTree,
@@ -85,60 +63,50 @@ impl Engine<'_> {
         })
     }
 
-    /// Reads a whole block list, classifying each block as useful/wasteful.
-    fn drain_list(&self, list: &BlockList<Interval>, profile: &mut QueryProfile) -> Result<()> {
-        let cap = block_capacity(self.store.page_size());
+    /// Reads a whole cover list, a node read a block.
+    fn drain_list(&self, list: &BlockList<Interval>, results: &mut Vec<Interval>) -> Result<()> {
         let _span = pc_obs::span!(output: "cover_list");
-        pc_obs::set_block_capacity(cap as u64);
+        pc_obs::set_block_capacity(block_capacity(self.store.page_size()) as u64);
         for block in list.blocks(self.store) {
+            pc_obs::record_read(ReadClass::Node);
             let block = block?;
-            if block.len() >= cap {
-                profile.useful_ios += 1;
-            } else {
-                profile.wasteful_ios += 1;
-            }
             pc_obs::add_items(block.len() as u64);
-            profile.results.extend(block);
+            results.extend(block);
         }
         Ok(())
     }
 
     /// Reads a slice of the current page's shared region, lazily loading
-    /// the region directory (the directory read lands in `search_ios`).
+    /// the region directory (a navigation read).
     fn drain_shared(
         &self,
         page: &[u8],
         dir_cache: &mut Option<Vec<PageId>>,
         off: u32,
         len: u32,
-        profile: &mut QueryProfile,
+        results: &mut Vec<Interval>,
     ) -> Result<()> {
         if len == 0 {
             return Ok(());
         }
         if dir_cache.is_none() {
             // Loaded before the output span opens: the directory read is a
-            // navigation I/O, exactly as `search_ios` classifies it.
+            // navigation I/O.
             let dir_id = decode_shared_dir_id(page)?;
             *dir_cache = Some(read_shared_dir(self.store, dir_id)?);
         }
         let dir = dir_cache.as_ref().expect("just loaded");
-        let cap = shared_page_capacity(self.store.page_size()) as u64;
         let _span = pc_obs::span!(output: "shared_scan");
-        pc_obs::set_block_capacity(cap);
-        let (entries, blocks) = read_shared_range(self.store, dir, off, len)?;
+        pc_obs::set_block_capacity(shared_page_capacity(self.store.page_size()) as u64);
+        let entries = read_shared_range(self.store, dir, off, len)?;
         pc_obs::add_items(entries.len() as u64);
-        let useful = u64::from(len) / cap;
-        profile.useful_ios += useful;
-        profile.wasteful_ios += blocks - useful;
-        profile.results.extend(entries);
+        results.extend(entries);
         Ok(())
     }
 
-    fn stab(&self, q: i64) -> Result<QueryProfile> {
+    fn stab(&self, q: i64) -> Result<Vec<Interval>> {
         let _span = pc_obs::span!("segtree_stab");
-        let mut profile = QueryProfile::default();
-        let before = self.store.stats();
+        let mut out = Vec::new();
         let target = self.slab_of_query(q)?;
 
         let mut cur_page = self.tree.root_page;
@@ -149,30 +117,31 @@ impl Engine<'_> {
         let mut skeletal_depth = 0u64;
         let mut page = {
             let _lvl = pc_obs::span!("level", skeletal_depth);
+            pc_obs::record_read(ReadClass::Skeletal);
             self.store.read(cur_page)?
         };
-        let mut dir_cache: Option<Vec<PageId>> = None;
+        let mut dirs: Option<Vec<PageId>> = None;
         loop {
             let rec = decode_record(&page, cur_slot)?;
             if self.cached && cur_slot == entry_slot && rec.above_len > 0 {
                 // Page entry: the previous page's segment cache.
-                self.drain_shared(&page, &mut dir_cache, rec.above_off, rec.above_len, &mut profile)?;
+                self.drain_shared(&page, &mut dirs, rec.above_off, rec.above_len, &mut out)?;
             }
             if !rec.cover_full.is_empty() {
                 // Full cover-lists are read directly in both variants.
-                self.drain_list(&rec.cover_full, &mut profile)?;
+                self.drain_list(&rec.cover_full, &mut out)?;
             }
             if !self.cached && rec.shared_len > 0 {
                 // Naive: the underfull cover-list, packed in the shared
                 // region — still a dedicated read per path node.
-                self.drain_shared(&page, &mut dir_cache, rec.shared_off, rec.shared_len, &mut profile)?;
+                self.drain_shared(&page, &mut dirs, rec.shared_off, rec.shared_len, &mut out)?;
             }
             if rec.left.page.is_null() {
                 // Binary leaf reached.
                 if self.cached {
                     // The bottom page's own segment: the leaf's in-page
                     // cache slice.
-                    self.drain_shared(&page, &mut dir_cache, rec.shared_off, rec.shared_len, &mut profile)?;
+                    self.drain_shared(&page, &mut dirs, rec.shared_off, rec.shared_len, &mut out)?;
                 }
                 break;
             }
@@ -181,21 +150,14 @@ impl Engine<'_> {
                 cur_page = next.page;
                 skeletal_depth += 1;
                 let _lvl = pc_obs::span!("level", skeletal_depth);
+                pc_obs::record_read(ReadClass::Skeletal);
                 page = self.store.read(cur_page)?;
-                dir_cache = None;
+                dirs = None;
                 entry_slot = next.slot;
             }
             cur_slot = next.slot;
         }
-
-        // Saturating: on a durable store, reads served from the WAL dirty
-        // table are not backend transfers, so the output-block counts can
-        // exceed the read delta. The paper's exact accounting holds in the
-        // volatile stores the experiments use, strict or pooled.
-        let total_reads = (self.store.stats() - before).logical_reads();
-        profile.search_ios =
-            total_reads.saturating_sub(profile.useful_ios + profile.wasteful_ios);
-        Ok(profile)
+        Ok(out)
     }
 }
 
@@ -224,11 +186,6 @@ macro_rules! segment_tree_variant {
 
             /// Stabbing query: all intervals containing `q`.
             pub fn stab(&self, store: &PageStore, q: i64) -> Result<Vec<Interval>> {
-                Ok(self.stab_profiled(store, q)?.results)
-            }
-
-            /// Stabbing query with a full I/O profile (experiment E2).
-            pub fn stab_profiled(&self, store: &PageStore, q: i64) -> Result<QueryProfile> {
                 Engine { store, tree: &self.built, cached: $cached }.stab(q)
             }
 
@@ -329,9 +286,9 @@ mod tests {
         let mut queries = 0;
         for _ in 0..50 {
             let q = xorshift(&mut s, 10_000);
-            let pn = naive.stab_profiled(&store, q).unwrap();
-            let pc = cached.stab_profiled(&store, q).unwrap();
-            assert_eq!(ids(pn.results.clone()), ids(pc.results.clone()));
+            let (rn, pn) = pc_obs::traced(|| naive.stab(&store, q).unwrap());
+            let (rc, pc) = pc_obs::traced(|| cached.stab(&store, q).unwrap());
+            assert_eq!(ids(rn), ids(rc));
             naive_wasteful += pn.wasteful_ios;
             cached_wasteful += pc.wasteful_ios;
             queries += 1;
@@ -357,18 +314,16 @@ mod tests {
         let mut s = 0x3333u64;
         for _ in 0..50 {
             let q = xorshift(&mut s, 10_000);
-            let p = tree.stab_profiled(&store, q).unwrap();
-            let t = p.results.len() as u64;
+            let (results, p) = pc_obs::traced(|| tree.stab(&store, q).unwrap());
+            let t = results.len() as u64;
             // O(log_B n) navigation (skeletal pages + endpoint B-tree +
             // one shared-region directory per visited page).
             assert!(p.search_ios <= 18, "search {} too high", p.search_ios);
             // Output cost <= 2 t/B + O(log_B n): one partially-filled
             // cache slice per page crossing plus partial list tails.
-            assert!(
-                p.useful_ios + p.wasteful_ios <= 2 * (t / cap) + 12,
-                "output ios {} for t={t}",
-                p.useful_ios + p.wasteful_ios
-            );
+            let output = p.total_io - p.search_ios;
+            assert!(output <= 2 * (t / cap) + 12, "output ios {output} for t={t}");
+            assert_eq!(p.reads_by_class.iter().sum::<u64>(), p.total_io, "{q}");
         }
     }
 

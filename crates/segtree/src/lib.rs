@@ -59,4 +59,4 @@ mod ext;
 mod mem;
 
 pub use build::block_capacity;
-pub use ext::{CachedSegmentTree, NaiveSegmentTree, QueryProfile, SegTreeHandle};
+pub use ext::{CachedSegmentTree, NaiveSegmentTree, SegTreeHandle};

@@ -215,6 +215,7 @@ mod tests {
             search_ios: 0,
             wasteful_ios: root.wasteful(),
             items: 4,
+            reads_by_class: [9, 0, 0, 0],
             root,
         };
         let s = set.get(0).unwrap();

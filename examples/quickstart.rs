@@ -4,9 +4,9 @@
 //! Run with: `cargo run --example quickstart`
 //!
 //! It ends by asking *why* the deepest corner query cost what it did: the
-//! query runs inside a `pc_obs::begin_trace()` capture and the span tree is
-//! printed — every read attributed to a level, a cache probe or a list
-//! scan, with §3's wasteful transfers counted per span.
+//! query runs inside a `pc_obs::traced` capture, which prints its reads by
+//! class and its span tree — every read attributed to a level, a cache
+//! probe or a list scan, with §3's wasteful transfers counted per span.
 
 use path_caching::{PageStore, Point, PointIndex, TwoSided, Variant};
 
@@ -65,10 +65,12 @@ pub fn main() -> path_caching::Result<()> {
 
     // Why did the deepest corner cost what it did? Any query can be run
     // inside a capture; the finished span tree comes back to the caller.
-    let capture = pc_obs::begin_trace();
-    index.query(&store, TwoSided { x0: 999_000, y0: 999_000 })?;
-    if let Some(trace) = capture.finish() {
-        println!("\nwhere the reads went:\n{}", trace.render());
-    }
+    let q = TwoSided { x0: 999_000, y0: 999_000 };
+    let (hits, trace) = pc_obs::traced(|| index.query(&store, q));
+    hits?;
+    let [skeletal, directory, cache, node] = trace.reads_by_class;
+    let by_class = format!("{skeletal} skeletal, {directory} directory, {cache} cache");
+    println!("\nreads by class: {by_class}, {node} node");
+    println!("where the reads went:\n{}", trace.render());
     Ok(())
 }

@@ -75,17 +75,19 @@ pub fn main() -> path_caching::Result<()> {
     let naive = NaiveSegmentTree::build(&store, &intervals)?;
     let cached = CachedSegmentTree::build(&store, &intervals)?;
     let stabs: Vec<i64> = (0..200).map(|_| xorshift(&mut s, 1_000_000)).collect();
-    for (label, profiled) in [("naive", false), ("path-cached", true)] {
+    for (label, is_cached) in [("naive", false), ("path-cached", true)] {
         let (mut useful, mut wasteful, mut search) = (0u64, 0u64, 0u64);
         for &q in &stabs {
-            let p = if profiled {
-                cached.stab_profiled(&store, q)?
-            } else {
-                naive.stab_profiled(&store, q)?
-            };
-            useful += p.useful_ios;
-            wasteful += p.wasteful_ios;
-            search += p.search_ios;
+            // One capture a stab: its span tree splits the reads into
+            // search, and output reads useful or wasteful against t/B.
+            let (hits, trace) = pc_obs::traced(|| match is_cached {
+                true => cached.stab(&store, q),
+                false => naive.stab(&store, q),
+            });
+            hits?;
+            useful += trace.total_io - trace.search_ios - trace.wasteful_ios;
+            wasteful += trace.wasteful_ios;
+            search += trace.search_ios;
         }
         let nq = stabs.len() as u64;
         println!(

@@ -15,7 +15,7 @@
 use path_caching::{PageStore, Point, TwoSided};
 use pc_bench::{
     basic_constants, btree_constants, dynamic_churn_pages, interval_tree_constants,
-    multilevel_constants, segmented_constants, segtree_constants, three_sided_constants,
+    multilevel_constants, reads_of, segmented_constants, segtree_constants, three_sided_constants,
     two_level_constants, two_sided_corners, BTreeConstants, SegTreeConstants, Spread,
     TwoSidedConstants, TwoSidedPin, TwoSidedPst, BASIC_PINS, BTREE_PINS, DYNAMIC_CHURN_FACTOR,
     INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS, SEGMENTED_PINS, SEGTREE_PINS,
@@ -155,37 +155,35 @@ fn two_level_pst_space_and_query_reads_stay_within_pinned_constants() {
     assert_eq!(census.block_capacity, 667, "{census:?}");
     for t in [16, 4096] {
         for q in two_sided_corners(&raw, t) {
-            let (hits, counters) = pst.query_counted(&store, q).unwrap();
-            let (dyn_hits, dyn_counters) = dynamic.query_counted(&dyn_store, q).unwrap();
-            assert_eq!((dyn_hits.len(), dyn_counters.total()), (hits.len(), counters.total()));
+            let (hits, reads) = reads_of(&store, || pst.query(&store, q).unwrap());
+            let (dyn_hits, dyn_reads) =
+                reads_of(&dyn_store, || dynamic.query(&dyn_store, q).unwrap());
+            assert_eq!((dyn_hits.len(), dyn_reads), (hits.len(), reads));
         }
     }
 }
 
-/// What `query_counted` and `stab_with_ios` report is what the store saw,
-/// and so is what a `begin_trace` capture reports: every structure's
-/// counters and span tree against the strict store's own read count, query
-/// by query, at small and at many-block outputs — and the tree's `items`
-/// against the answer's length, since §3's waste is computed from both.
+/// What a `pc_obs::traced` capture reports is what the store saw: every
+/// structure's reads by class and span tree against the strict store's own
+/// read count, query by query, at small and at many-block outputs — and
+/// the tree's `items` against the answer's length, since §3's waste is
+/// computed from both.
 #[test]
-fn query_counters_equal_the_strict_stores_reads() {
-    Spread::BOTH.into_iter().for_each(query_counters_equal_the_strict_stores_reads_on);
+fn captures_equal_the_strict_stores_reads() {
+    Spread::BOTH.into_iter().for_each(captures_equal_the_strict_stores_reads_on);
 }
 
-fn query_counters_equal_the_strict_stores_reads_on(spread: Spread) {
+fn captures_equal_the_strict_stores_reads_on(spread: Spread) {
     let n = 100_000u64;
     let (raw, points) = uniform_points(n, spread);
     let store = PageStore::in_memory(PAGE_SIZE);
-    // `run` answers with (t, reads the structure's own counters report).
-    let counted = |what: &str, run: &dyn Fn() -> (usize, Option<u64>)| {
-        let before = store.stats();
-        let capture = pc_obs::begin_trace();
-        let (t, reported) = run();
-        let trace = capture.finish().unwrap_or_else(|| panic!("{what}: no trace came back"));
-        let seen = (store.stats() - before).logical_reads();
-        if let Some(reported) = reported {
-            assert_eq!(reported, seen, "{what}: t={t}, counters say {reported}, the store {seen}");
-        }
+    // `run` answers with t.
+    let counted = |what: &str, run: &dyn Fn() -> usize| {
+        let ((t, trace), seen) = reads_of(&store, || pc_obs::traced(run));
+        assert!(!trace.name.is_empty(), "{what}: no trace came back");
+        let classes = trace.reads_by_class;
+        let named: u64 = classes.iter().sum();
+        assert_eq!(named, seen, "{what}: t={t}, the classes say {classes:?}, the store {seen}");
         assert_eq!(trace.total_io, seen, "{what}: t={t}, the span tree's reads");
         assert_eq!(trace.items, t as u64, "{what}: the span tree's items, {seen} reads");
         assert!(
@@ -212,13 +210,10 @@ fn query_counters_equal_the_strict_stores_reads_on(spread: Spread) {
     }
     macro_rules! two_sided {
         ($pst:ident) => {
-            (stringify!($pst), &|q| {
-                let (hits, counters) = $pst.query_counted(&store, q).unwrap();
-                (hits.len(), Some(counters.total()))
-            })
+            (stringify!($pst), &|q| $pst.query(&store, q).unwrap().len())
         };
     }
-    type Counted<'a> = &'a dyn Fn(TwoSided) -> (usize, Option<u64>);
+    type Counted<'a> = &'a dyn Fn(TwoSided) -> usize;
     let two_sided: [(&str, Counted<'_>); 5] = [
         two_sided!(basic),
         two_sided!(segmented),
@@ -234,23 +229,14 @@ fn query_counters_equal_the_strict_stores_reads_on(spread: Spread) {
         }
         for q in gen_three_sided(&raw, 150, t, 0xfeed) {
             let q = spread.three_sided(&q);
-            counted("3-sided", &|| {
-                let (hits, counters) = three_sided.query_counted(&store, q).unwrap();
-                (hits.len(), Some(counters.total()))
-            });
-            // No counters of its own: the span tree against the store.
-            counted("dynamic 3-sided", &|| {
-                (dynamic_three_sided.query(&store, q).unwrap().len(), None)
-            });
+            counted("3-sided", &|| three_sided.query(&store, q).unwrap().len());
+            counted("dynamic 3-sided", &|| dynamic_three_sided.query(&store, q).unwrap().len());
         }
         let max_len = 2 * t as i64 * pc_workloads::DOMAIN / n as i64;
         let raw = gen_intervals(n as usize, IntervalDist::UniformLen { max_len }, 0x5eed);
         let tree = ExternalIntervalTree::build(&store, &spread.intervals(&raw)).unwrap();
         for stab in gen_stabbing(&raw, 150, 0xfeed) {
-            counted("interval tree", &|| {
-                let (hits, reads) = tree.stab_with_ios(&store, spread.coord(stab.q)).unwrap();
-                (hits.len(), Some(reads))
-            });
+            counted("interval tree", &|| tree.stab(&store, spread.coord(stab.q)).unwrap().len());
         }
     }
 }
@@ -289,8 +275,8 @@ fn wide_two_sided<P: TwoSidedPst>(settle: impl Fn(&PageStore, &mut P), want: (u6
     let pages = store.live_pages();
     let (mut reads, mut answers) = (0, 0);
     for q in [16, 4096].into_iter().flat_map(|t| two_sided_corners(&raw, t)) {
-        let (hits, counted) = pst.counted(&store, Spread::Full.two_sided(q));
-        (reads, answers) = (reads + counted.total(), answers + hits);
+        let (hits, read) = reads_of(&store, || pst.answers(&store, Spread::Full.two_sided(q)));
+        (reads, answers) = (reads + read, answers + hits);
     }
     assert_eq!((pages, reads, answers), want);
 }
@@ -336,8 +322,8 @@ fn wide_data_builds_the_fixed_width_three_sided_psts() {
     let (mut reads, mut answers, mut dyn_answers) = (0, 0, 0);
     for q in [16, 4096].into_iter().flat_map(|t| gen_three_sided(&raw, 150, t, 0xfeed)) {
         let q = Spread::Full.three_sided(&q);
-        let (hits, counters) = pst.query_counted(&store, q).unwrap();
-        (reads, answers) = (reads + counters.total(), answers + hits.len());
+        let (hits, read) = reads_of(&store, || pst.query(&store, q).unwrap());
+        (reads, answers) = (reads + read, answers + hits.len());
         dyn_answers += dynamic.query(&dyn_store, q).unwrap().len();
     }
     assert_eq!((pages, reads, answers), (1531, 3895, 616_808));
@@ -354,7 +340,8 @@ fn wide_data_builds_the_fixed_width_interval_tree() {
         let pages = store.live_pages();
         let (mut reads, mut answers) = (0, 0);
         for stab in gen_stabbing(&raw, 150, 0xfeed) {
-            let (hits, ios) = tree.stab_with_ios(&store, Spread::Full.coord(stab.q)).unwrap();
+            let (hits, ios) = reads_of(&store, || tree.stab(&store, Spread::Full.coord(stab.q)));
+            let hits = hits.unwrap();
             (reads, answers) = (reads + ios, answers + hits.len());
         }
         assert_eq!((pages, reads, answers), want, "t≈{t}");
@@ -375,17 +362,15 @@ fn cached_queries_waste_less_than_naive() {
         // Just beyond the domain: empty output, deepest corner.
         (0..20)
             .map(|i| {
-                let capture = pc_obs::begin_trace();
-                run(TwoSided { x0: pc_workloads::DOMAIN + 1 + i, y0: 0 });
-                let trace = capture.finish().unwrap_or_else(|| panic!("{what}: no trace"));
+                let q = TwoSided { x0: pc_workloads::DOMAIN + 1 + i, y0: 0 };
+                let ((), trace) = pc_obs::traced(|| run(q));
                 assert_eq!(trace.name, what);
                 trace.wasteful_ios
             })
             .sum()
     };
-    let naive_waste = waste("pst2_naive", &|q| drop(naive.query_counted(&store, q).unwrap()));
-    let segmented_waste =
-        waste("pst2_segmented", &|q| drop(segmented.query_counted(&store, q).unwrap()));
+    let naive_waste = waste("pst2_naive", &|q| drop(naive.query(&store, q).unwrap()));
+    let segmented_waste = waste("pst2_segmented", &|q| drop(segmented.query(&store, q).unwrap()));
     assert!(
         naive_waste > 4 * segmented_waste.max(1),
         "naive wasteful I/O ({naive_waste}) should dwarf path-cached ({segmented_waste})"
