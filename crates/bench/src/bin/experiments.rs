@@ -40,9 +40,11 @@ use pc_workloads::{
 };
 
 const PAGE: usize = 4096;
-/// Records per block at PAGE bytes in `pc-segtree`, which stores intervals
-/// at their full 24 bytes.
-const B: f64 = 170.0;
+/// The segment tree's `B` at PAGE bytes: the 24-byte intervals a block of
+/// its shared regions holds.
+fn b_segtree() -> f64 {
+    pc_segtree::block_capacity(PAGE) as f64
+}
 /// The PSTs' `B` at PAGE bytes as `points` set it: their mean count a block
 /// of the block codec ([`points_block`]).
 fn b_pst(points: &[Point]) -> f64 {
@@ -67,9 +69,9 @@ codec: each block holds a base, a bit width and an offset-or-gap coding per colu
 records as fit its page. So the PSTs' `B` is the data's mean count a block (points blocked by
 descending y, or the structure's census) and the interval tree's the mean fill of its intervals
 blocked by `lo`; \"Full\" rows stretch the same data over all 64 bits. The segment tree's `B` is
-170, the 24-byte intervals its shared regions hold a page. Each B-tree node stores its keys as
-gaps and its values as offsets the same way, so the B-tree's `B` is entries per leaf as built:
-{btree_b} for E1's million keys.
+{segtree_b}, the 24-byte intervals its shared regions hold a page. Each B-tree node is one such
+block of `(key, value)` rows, so the B-tree's `B` is entries per leaf as built: {btree_b} for E1's
+million keys.
 
 **Reading guide.** The claims are asymptotic and worst-case; the constants are ours. Per section:
 query I/O tracks `log_B n + t/B`, not `log₂ n + t/B`; space tracks the claimed factor's growth;
@@ -169,7 +171,7 @@ fn e1_btree_baseline() {
     println!("Claim: `O(log_B n + t/B)` range queries, `O(log_B n)` updates — the 1-d bar the");
     println!("2-d structures must match. Point and update I/O are the tree height plus O(1);");
     println!("range I/O is the descent plus `t/B`, `B` the entries per leaf as built: every node");
-    println!("stores its keys as gaps and its values as offsets at its own data's bit widths.\n");
+    println!("is one block of the block codec, at its own data's bit widths.\n");
     let mut table = Table::new(&[
         "n", "B", "leaves", "log_B n", "point I/O", "update I/O", "t", "range I/O",
         "skeletal/node reads", "t/B",
@@ -250,11 +252,14 @@ fn e1_btree_baseline() {
     }
 }
 
-/// [`PREFACE`] with the entries per leaf of E1's largest tree.
+/// [`PREFACE`] with the entries per leaf of E1's largest tree and the
+/// segment tree's `B`.
 fn preface() -> String {
     let store = PageStore::in_memory(PAGE);
     let census = e1_tree(&store, 1_000_000).1.census(&store).unwrap();
-    PREFACE.replace("{btree_b}", &format!("{:.0}", census.mean_leaf_fill))
+    PREFACE
+        .replace("{btree_b}", &format!("{:.0}", census.mean_leaf_fill))
+        .replace("{segtree_b}", &b_segtree().to_string())
 }
 
 /// E1's tree of `n` keys `0, 3, 6, …`, each its own value, and the keys.
@@ -314,7 +319,8 @@ fn e2_wasteful_ios() {
 // ---------------------------------------------------------------------------
 fn e3_segment_tree() {
     println!("## E3 — Theorem 3.4: path-cached segment tree\n");
-    println!("Claim: query `O(log_B n + t/B)`, space `O((n/B)·log n)` blocks (`B` = 170). Query");
+    let b = b_segtree();
+    println!("Claim: query `O(log_B n + t/B)`, space `O((n/B)·log n)` blocks (`B` = {b}). Query");
     println!("I/O is 2–4× the idealised bound, the per-segment cache reads. Space grows like");
     println!("`n·log n` at ~10× the idealised count: the skeletal records and caches of a binary");
     println!("tree's Θ(n) nodes are block overhead.\n");
@@ -338,11 +344,11 @@ fn e3_segment_tree() {
         table.row(vec![
             n.to_string(),
             pages.to_string(),
-            f1(n as f64 / B * (n as f64).log2()),
+            f1(n as f64 / b * (n as f64).log2()),
             f1(t_avg),
             f1(io),
             classes.mean("E3", store.stats().logical_reads(), &ALL_CLASSES),
-            f1(log_base(n as f64, B) + t_avg / B),
+            f1(log_base(n as f64, b) + t_avg / b),
         ]);
     }
     table.print();

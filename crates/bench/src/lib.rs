@@ -417,18 +417,18 @@ pub type BTreePin = (u64, f64, [(usize, f64); 2]);
 /// and per pinned size: `(n, c, [(t, c1); 2])` with `pages <= c·⌈n/B⌉` and
 /// every range query's `reads <= c1·⌈log_B n⌉ + ⌈t/B⌉` at mean output `t`,
 /// over [`btree_constants`]' data, `B` the tree's entries per leaf
-/// (`BTree::census`; so `⌈n/B⌉` is its leaves). Measured c 1.167 / 1.020 /
-/// 1.002 (`B` = 1 666 / 2 040 / 2 493: keys 100, 10 and 1 apart take 7, 4
-/// and 1 bits, ranks within a leaf 11–12; at 10k six leaves share one root)
-/// and on full-width data 1.053 / 1.006 / 1.003 (`B` = 526 / 558 / 590:
-/// gaps of 51, 48 and 45 bits), c1 at most 1.00 at every size, spread and
-/// `t`: a bulk-built tree reads its descent and the leaves its output
-/// spans; the pins are 10% above. `tests/layout_bounds.rs` asserts the
-/// sizes up to 100 000 and the `experiments` binary's E1 exits non-zero
-/// past any of them.
+/// (`BTree::census`; so `⌈n/B⌉` is its leaves). Each node is one block of
+/// the block codec: measured c 1.333 / 1.062 / 1.016 (`B` = 3 333 / 6 250 /
+/// 16 129: keys 100, 10 and 1 apart take 7, 4 and 1 bits, rank gaps 1; at
+/// 10k three leaves share one root) and on full-width data 1.062 / 1.007 /
+/// 1.003 (`B` = 625 / 662 / 705: key gaps of 51, 48 and 45 bits), c1 at
+/// most 1.00 at every size, spread and `t`: a bulk-built tree reads its
+/// descent and the leaves its output spans; the pins are 10% above.
+/// `tests/layout_bounds.rs` asserts the sizes up to 100 000 and the
+/// `experiments` binary's E1 exits non-zero past any of them.
 pub const BTREE_PINS: [&[BTreePin]; 2] = [
     &[
-        (10_000, 1.284, [(16, 1.1), (4096, 1.1)]),
+        (10_000, 1.467, [(16, 1.1), (4096, 1.1)]),
         (100_000, 1.122, [(16, 1.1), (4096, 1.1)]),
         (1_000_000, 1.103, [(16, 1.1), (4096, 1.1)]),
     ],
@@ -488,10 +488,10 @@ pub type SegTreePin = (u64, f64, [(i64, f64); 2]);
 /// `pages <= c·(n/B)·log₂ n` and every stab's `reads <= c1·⌈log_B n⌉ +
 /// 2·⌈t/B⌉` at mean output `t`, over [`segtree_constants`]' data, `B` = 170
 /// the fixed 24-byte intervals a block holds; `c` is the worst of the two
-/// builds, the one at t ≈ 500. Measured c 13.433 / 10.756 at n = 10k / 50k
+/// builds, the one at t ≈ 500. Measured c 13.384 / 10.737 at n = 10k / 50k
 /// — a binary tree's Θ(n) skeletal records and per-segment caches, E3's
 /// "~10×" — and c1 4.50 / 3.00 at t ≈ 16, 5.00 / 3.33 at t ≈ 500 (two and
-/// three levels of `log_B n`); on full-width data c 13.467 / 10.783 (the
+/// three levels of `log_B n`); on full-width data c 13.432 / 10.767 (the
 /// endpoint B-tree holds fewer of the wider keys a leaf) and the same c1.
 /// The pins are 10% above; `tests/layout_bounds.rs` asserts the 10 000 rows
 /// and the `experiments` binary's E3 exits non-zero past any of them.

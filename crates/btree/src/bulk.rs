@@ -8,7 +8,7 @@
 
 use pc_pagestore::{PageId, PageStore, Result};
 
-use crate::node::{self, Kind};
+use crate::node::{self, Kind, Row};
 use crate::tree::BTree;
 
 impl BTree {
@@ -18,19 +18,17 @@ impl BTree {
     ///
     /// Debug-asserts the sort/distinctness precondition.
     pub fn bulk_build(store: &PageStore, entries: &[(i64, u64)]) -> Result<Self> {
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "bulk_build input must be sorted and distinct"
-        );
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "unsorted or repeated keys");
         // Leaves, then internal levels until a single node remains, each
         // level on fresh pages left to right: `(first key, page)` rows for
         // the one above.
-        let level = |kind, rows: &[(i64, u64)]| -> Result<Vec<(i64, u64)>> {
+        let level = |kind, rows: &[Row]| -> Result<Vec<Row>> {
             let starts = node::pack(kind, rows, store.page_size());
             let ids: Vec<PageId> = starts.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
             node::write_pieces(store, kind, rows, &starts, &ids)
         };
-        let (mut rows, mut height) = (level(Kind::LEAF, entries)?, 0);
+        let leaves: Vec<Row> = entries.iter().map(|&(k, v)| Row(k, v)).collect();
+        let (mut rows, mut height) = (level(Kind::LEAF, &leaves)?, 0);
         while rows.len() > 1 {
             rows = level(Kind::Internal, &rows)?;
             height += 1;
@@ -67,7 +65,7 @@ mod tests {
         // `min_rows`; all but the last two are full — the next entry would
         // not fit — and the last is at least half a page, like the rest.
         for page_size in [128, 256] {
-            let m = min_rows(Kind::LEAF, page_size);
+            let m = min_rows(page_size);
             for total in 1..400i64 {
                 let store = PageStore::in_memory(page_size);
                 let entries: Vec<(i64, u64)> = (0..total).map(|k| (k * 5, k as u64)).collect();
@@ -146,15 +144,15 @@ mod tests {
         // Keys 1, 2⁴⁰ and 2⁵⁰ apart (gaps of 1, 41 and 51 bits) mapped to
         // their ranks: a build fills every leaf to the page, so it takes the
         // fewest leaves the entries' widths allow — a leaf of r rows is
-        // r − 1 gaps and r offsets of `bits(r − 1)` after a 37-byte header.
-        let bits = |v: usize| (usize::BITS - v.leading_zeros()) as usize;
+        // r − 1 key gaps and r − 1 rank gaps of 1 bit after a 39-byte
+        // header (prefix 9, block 10, columns 2 × 10).
         for shift in [0, 40, 50] {
             let store = PageStore::in_memory(256);
             let entries: Vec<(i64, u64)> =
                 (0..10_000u64).map(|k| (i64::MIN.wrapping_add((k << shift) as i64), k)).collect();
             let t = BTree::bulk_build(&store, &entries).unwrap();
             let census = t.census(&store).unwrap();
-            let fits = |r: usize| (r - 1) * (shift + 1) + r * bits(r - 1) <= 8 * (256 - 37);
+            let fits = |r: usize| (r - 1) * (shift + 2) <= 8 * (256 - 39);
             let most = (1..).take_while(|&r| fits(r)).last().unwrap() as u64;
             assert_eq!(census.leaves, 10_000u64.div_ceil(most), "gaps of {} bits", shift + 1);
             assert_eq!(census.pages(), store.live_pages());

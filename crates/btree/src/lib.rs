@@ -6,13 +6,12 @@
 //! caching matches in two dimensions (§1): baseline E1, and the segment
 //! tree's endpoint → rank map.
 //!
-//! Each node stores its keys as gaps and its values (child ids) as offsets,
-//! bit-packed at the widths of its own data, so `B` follows the data node
-//! by node — 1 476 entries a 4 KiB leaf for the benchmark's keys and ranks —
-//! and an outlier widens only the nodes on its path. Nodes split and merge
-//! by encoded bytes; every non-root node keeps the 127 entries (128
-//! children) half a page holds at 64-bit columns. [`BTree::census`] reports
-//! the `B` a tree has.
+//! Each node is one block of the block codec ([`pc_pagestore::layout`]) of
+//! `(key, value)` rows, so `B` follows the data node by node — ~2 700
+//! entries a 4 KiB leaf for the benchmark's keys and ranks — and an outlier
+//! widens only the nodes on its path. Nodes split and merge by encoded
+//! bytes; every non-root node keeps the 127 rows half a page holds at
+//! 64-bit columns. [`BTree::census`] reports the `B` a tree has.
 //!
 //! ```
 //! use pc_btree::BTree;

@@ -1,32 +1,27 @@
-//! On-page node layout for the external B+-tree: every node is its own
-//! codec.
+//! On-page node layout for the external B+-tree: a fixed prefix, then one
+//! block of the block codec ([`pc_pagestore::layout`]).
 //!
 //! ```text
-//! internal: [tag=0][count:u16][sep base:i64][sep width:u8][child base:u64][child width:u8]
-//!           [separator gaps: (count − 1) × sep width][child offsets: (count + 1) × child width]
-//! leaf:     [tag=1][count:u16][next:u64][prev:u64][key base:i64][key width:u8]
-//!           [value base:u64][value width:u8][key gaps: (count − 1) × key width]
-//!           [value offsets: count × value width]
+//! [tag u8][prev u64] then a block of (key, value) rows whose next is a leaf's next
 //! ```
 //!
-//! A node is a run of *rows* `(key, value)`: a leaf's entries, or an
-//! internal node's `(separator, child id)` pairs, whose first key is its
-//! separator in the parent, not stored here. Keys are gaps from the previous
-//! one (the first is the base), values offsets from the node's smallest,
-//! bit-packed low bit first at the header's widths (0–64): a 4 KiB leaf
-//! holds 1 476 of the benchmark's entries (11-bit gaps and offsets), and an
-//! outlier widens only its own node. Queries decode a page in place
-//! ([`View`], a field per 8-byte window load); updates decode a [`Node`].
+//! A node is a run of *rows*: a leaf's entries, or an internal node's
+//! `(separator, child id)` pairs, whose first key — its separator in the
+//! parent — the block stores as row 1's (a 0 gap) and the node decodes as
+//! `i64::MIN`. Columns take the widths of the node's own data: a 4 KiB leaf
+//! holds ~2 700 of the benchmark's entries. Queries decode a page in place
+//! ([`View::each`], stopping past their bound); updates decode a [`Node`].
 
-use pc_pagestore::codec::{get_bits, put_bits, PageReader};
+use std::borrow::Cow;
+
+use pc_pagestore::codec::PageReader;
+use pc_pagestore::layout::{self, key_of, signed_of, Block, Columns, Fill, MAX_COLUMNS};
 use pc_pagestore::{PageId, PageStore, Result, StoreError, NULL_PAGE};
 
 const TAG_INTERNAL: u8 = 0;
 const TAG_LEAF: u8 = 1;
-/// Where a leaf's `prev` id sits.
-const PREV_AT: usize = 11;
-/// The most rows a node holds: the `u16` count.
-const MAX_ROWS: usize = u16::MAX as usize;
+/// Bytes before a node's block: its tag and a leaf's `prev` id.
+const PREFIX: usize = 1 + 8;
 
 /// What a node is; a leaf with its neighbours in key order ([`NULL_PAGE`]
 /// at either end of the chain).
@@ -39,19 +34,23 @@ pub enum Kind {
 impl Kind {
     /// An unlinked leaf.
     pub const LEAF: Kind = Kind::Leaf { next: NULL_PAGE, prev: NULL_PAGE };
+}
 
-    /// Tag, count, a leaf's sibling ids, a base and a width per column.
-    fn header(self) -> usize {
-        if self == Kind::Internal {
-            21
-        } else {
-            37
-        }
+/// A row: a leaf's `(key, value)`, an internal node's `(separator, child)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row(pub i64, pub u64);
+
+impl Columns for Row {
+    const COLUMNS: usize = 2;
+
+    #[inline]
+    fn column(&self, c: usize) -> u64 {
+        [key_of(self.0), self.1][c]
     }
 
-    /// Leading rows whose key is not stored: an internal node's first.
-    fn unkeyed(self) -> usize {
-        usize::from(self == Kind::Internal)
+    #[inline]
+    fn from_columns(c: &[u64; MAX_COLUMNS]) -> Row {
+        Row(signed_of(c[0]), c[1])
     }
 }
 
@@ -61,125 +60,72 @@ pub struct Node {
     pub kind: Kind,
     /// Sorted by key, keys distinct; an internal node's row `i` holds the
     /// keys from its own to row `i + 1`'s, and its row 0 decodes `i64::MIN`.
-    pub rows: Vec<(i64, u64)>,
+    pub rows: Vec<Row>,
 }
 
-/// The bits `v` takes: 0 for 0.
-fn bits(v: u64) -> u32 {
-    u64::BITS - v.leading_zeros()
+/// `rows` as the block of a node of `kind` stores them: an internal node's
+/// first key is row 1's.
+fn stored(kind: Kind, rows: &[Row]) -> Cow<'_, [Row]> {
+    let mut stored = Cow::from(rows);
+    if let (Kind::Internal, [_, second, ..]) = (kind, rows) {
+        stored.to_mut()[0].0 = second.0;
+    }
+    stored
 }
 
-/// The gap from row `i − 1`'s key to row `i`'s.
-fn gap(rows: &[(i64, u64)], i: usize) -> u64 {
-    rows[i].0.wrapping_sub(rows[i - 1].0) as u64
+/// The page bytes of a node of every prefix of `rows`, shortest first; past
+/// the count, more than any page. A block's bytes do not depend on its order.
+fn prefix_bytes<'r>(rows: impl Iterator<Item = &'r Row>) -> Vec<usize> {
+    let mut fill = Fill::new(Row::COLUMNS);
+    let mut out = vec![PREFIX + fill.bytes()];
+    for row in rows {
+        fill.add(row);
+        out.push(PREFIX.saturating_add(fill.bytes()));
+    }
+    out
 }
 
-/// What a contiguous run of rows needs — its count, widest stored gap and
-/// value span — grown a row at a time, so every cut is priced in one pass.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    rows: usize,
-    gap: u64,
-    lo: u64,
-    hi: u64,
-}
-
-impl Run {
-    const EMPTY: Run = Run { rows: 0, gap: 0, lo: u64::MAX, hi: 0 };
-
-    /// Adds a row of `value` whose key adds `gap` to the stored ones.
-    fn add(&mut self, value: u64, gap: Option<u64>) {
-        self.rows += 1;
-        (self.lo, self.hi) = (self.lo.min(value), self.hi.max(value));
-        self.gap = self.gap.max(gap.unwrap_or(0));
-    }
-
-    fn of(kind: Kind, rows: &[(i64, u64)]) -> Run {
-        let mut run = Run::EMPTY;
-        for (i, &(_, value)) in rows.iter().enumerate() {
-            run.add(value, (i > kind.unkeyed()).then(|| gap(rows, i)));
-        }
-        run
-    }
-
-    /// The bit widths of its key gaps and of its value offsets.
-    fn widths(&self) -> (u32, u32) {
-        (bits(self.gap), bits(self.hi.saturating_sub(self.lo)))
-    }
-
-    /// Encoded bytes as a node of `kind`; past the count, more than any page.
-    fn bytes(&self, kind: Kind) -> usize {
-        let (gap, value) = self.widths();
-        let gaps = self.rows.saturating_sub(kind.unkeyed() + 1);
-        let bits = gaps * gap as usize + self.rows * value as usize;
-        if self.rows > MAX_ROWS {
-            usize::MAX
-        } else {
-            kind.header() + bits.div_ceil(8)
-        }
-    }
-
-    fn fits(&self, kind: Kind, page_size: usize) -> bool {
-        self.bytes(kind) <= page_size
-    }
-}
-
-/// The fewest rows a non-root node of `kind` holds: the most `m` for which
-/// any `2m − 1` rows fit a page at 64-bit columns — 127 entries a leaf and
-/// 128 children at 4 KiB, 3 and 4 at 128 B. A node past its page has `2m`
-/// rows and cuts into pieces of `m`; one short of `m` merges with one at `m`.
-pub fn min_rows(kind: Kind, page_size: usize) -> usize {
-    // header + 8·(2·(2m − 1) − unkeyed − 1) <= page
-    let m = (page_size + 24 + 8 * kind.unkeyed()).saturating_sub(kind.header()) / 32;
+/// The fewest rows a non-root node holds: the most `m` for which any
+/// `2m − 1` rows fit a page at 64-bit columns ([`layout::min_records`]) —
+/// 127 at 4 KiB, 3 at 128 B. A node past its page has `2m` rows and cuts
+/// into pieces of `m`; one short of `m` merges with one at `m`.
+pub fn min_rows(page_size: usize) -> usize {
+    let m = layout::min_records::<Row>(page_size.saturating_sub(PREFIX)).div_ceil(2);
     assert!(m >= 2, "{page_size}-byte pages give a node fewer than 2 rows at full width");
-    m.min(MAX_ROWS.div_ceil(2))
+    m
 }
 
 /// Where `rows` are cut into nodes of `kind` that fit `page_size` (the start
-/// of every piece): greedily, each the longest run that fits, then the last
-/// two at their most even cut ([`balance`]). Past one page every piece holds
-/// [`min_rows`]: a run the next row overflows holds `2m − 1`.
-pub fn pack(kind: Kind, rows: &[(i64, u64)], page_size: usize) -> Vec<usize> {
-    let mut starts = vec![0];
-    let mut run = Run::EMPTY;
-    for i in 0..rows.len() {
-        let mut grown = run;
-        grown.add(rows[i].1, (i > starts[starts.len() - 1] + kind.unkeyed()).then(|| gap(rows, i)));
-        if grown.fits(kind, page_size) {
-            run = grown;
-        } else {
-            starts.push(i);
-            run = Run::EMPTY;
-            run.add(rows[i].1, None);
-        }
-    }
+/// of every piece): [`layout::cut`], each the longest run that fits, then
+/// the last two at their most even cut ([`balance`]). Past one page every
+/// piece holds [`min_rows`]. An internal piece after the first is priced
+/// with its own first key, not row 1's: never under what it takes.
+pub fn pack(kind: Kind, rows: &[Row], page_size: usize) -> Vec<usize> {
+    let mut starts = layout::cut(&stored(kind, rows), page_size - PREFIX);
     if let &[.., before, last] = &starts[..] {
         let cut = balance(kind, &rows[before..], page_size).unwrap_or(last - before);
         *starts.last_mut().expect("two pieces") = before + cut;
+    }
+    if starts.is_empty() {
+        starts.push(0); // an empty leaf
     }
     starts
 }
 
 /// The most even cut, by encoded bytes, of `rows` into two nodes of `kind`
-/// that fit `page_size` and hold at least [`min_rows`] each, if any.
-pub fn balance(kind: Kind, rows: &[(i64, u64)], page_size: usize) -> Option<usize> {
-    let (n, m, unkeyed) = (rows.len(), min_rows(kind, page_size), kind.unkeyed());
+/// that fit `page_size` and hold at least [`min_rows`] each, if any, priced
+/// as [`pack`] prices.
+pub fn balance(kind: Kind, rows: &[Row], page_size: usize) -> Option<usize> {
+    let (n, m, rows) = (rows.len(), min_rows(page_size), stored(kind, rows));
     if n < 2 * m {
         return None;
     }
-    // The bytes of rows[..s] and rows[s..]; [a, b) stores gaps a + unkeyed + 1 .. b.
-    let (mut left, mut right) = (vec![usize::MAX; n + 1], vec![usize::MAX; n + 1]);
-    let (mut head, mut tail) = (Run::EMPTY, Run::EMPTY);
-    for s in 0..n {
-        head.add(rows[s].1, (s > unkeyed).then(|| gap(rows, s)));
-        left[s + 1] = head.bytes(kind);
-        let (t, stored) = (n - 1 - s, n + unkeyed - s);
-        tail.add(rows[t].1, (stored < n).then(|| gap(rows, stored)));
-        right[t] = tail.bytes(kind);
-    }
+    // The bytes of rows[..s] and of rows[s..].
+    let (left, right) = (prefix_bytes(rows.iter()), prefix_bytes(rows.iter().rev()));
+    let halves = |s: usize| (left[s], right[n - s]);
     (m..=n - m)
-        .filter(|&s| left[s].max(right[s]) <= page_size)
-        .min_by_key(|&s| left[s].abs_diff(right[s]))
+        .filter(|&s| halves(s).0.max(halves(s).1) <= page_size)
+        .min_by_key(|&s| halves(s).0.abs_diff(halves(s).1))
 }
 
 impl Node {
@@ -188,20 +134,25 @@ impl Node {
         Ok(View::parse(&store.read(id)?)?.to_node())
     }
 
+    /// The bytes [`write`] puts on its page; past the count, more than any
+    /// page.
+    pub fn bytes(&self) -> usize {
+        prefix_bytes(stored(self.kind, &self.rows).iter())[self.rows.len()]
+    }
+
     pub fn fits(&self, page_size: usize) -> bool {
-        Run::of(self.kind, &self.rows).fits(self.kind, page_size)
+        self.bytes() <= page_size
     }
 
     /// Under half a page or under [`min_rows`]: after a delete, a non-root
     /// node settles with a sibling.
     pub fn under(&self, page_size: usize) -> bool {
-        let bytes = Run::of(self.kind, &self.rows).bytes(self.kind);
-        2 * bytes < page_size || self.rows.len() < min_rows(self.kind, page_size)
+        self.bytes().saturating_mul(2) < page_size || self.rows.len() < min_rows(page_size)
     }
 
     /// Index of the row (child) whose keys cover `key`.
     pub fn child_index(&self, key: i64) -> usize {
-        self.rows[1..].partition_point(|&(k, _)| k <= key)
+        self.rows[1..].partition_point(|row| row.0 <= key)
     }
 }
 
@@ -211,10 +162,10 @@ impl Node {
 pub fn write_pieces(
     store: &PageStore,
     kind: Kind,
-    rows: &[(i64, u64)],
+    rows: &[Row],
     starts: &[usize],
     ids: &[PageId],
-) -> Result<Vec<(i64, u64)>> {
+) -> Result<Vec<Row>> {
     let ends = starts[1..].iter().copied().chain([rows.len()]);
     for (j, (start, end)) in starts.iter().copied().zip(ends).enumerate() {
         let kind = match kind {
@@ -226,41 +177,26 @@ pub fn write_pieces(
         };
         write(store, ids[j], kind, &rows[start..end])?;
     }
-    let first = |start: usize| rows.get(start).map_or(i64::MIN, |&(k, _)| k);
-    Ok(starts.iter().zip(ids).map(|(&start, id)| (first(start), id.0)).collect())
+    let first = |start: usize| rows.get(start).map_or(i64::MIN, |row| row.0);
+    Ok(starts.iter().zip(ids).map(|(&start, id)| Row(first(start), id.0)).collect())
+}
+
+/// `rows` as a node of `kind`: the prefix, then the block.
+pub fn encode(kind: Kind, rows: &[Row]) -> Vec<u8> {
+    let (tag, next, prev) = match kind {
+        Kind::Internal => (TAG_INTERNAL, NULL_PAGE, NULL_PAGE),
+        Kind::Leaf { next, prev } => (TAG_LEAF, next, prev),
+    };
+    let block = layout::encode_block(&stored(kind, rows), next);
+    [&[tag][..], &prev.0.to_le_bytes(), &block].concat()
 }
 
 /// Encodes `rows` as a node of `kind` and writes it to `id` (one I/O).
 /// Panics if they do not fit a page: every caller cuts first.
-pub fn write(store: &PageStore, id: PageId, kind: Kind, rows: &[(i64, u64)]) -> Result<()> {
-    let run = Run::of(kind, rows);
-    assert!(run.fits(kind, store.page_size()), "{} rows do not fit one page", rows.len());
-    let ((gap_width, value_width), lo) = (run.widths(), run.lo.min(run.hi));
-    let keyed = &rows[kind.unkeyed().min(rows.len())..];
-    let (tag, links) = match kind {
-        Kind::Internal => (TAG_INTERNAL, vec![]),
-        Kind::Leaf { next, prev } => (TAG_LEAF, [next.0, prev.0].map(u64::to_le_bytes).concat()),
-    };
-    let base = keyed.first().map_or(0, |&(k, _)| k).to_le_bytes();
-    let count = (keyed.len() as u16).to_le_bytes();
-    let fields: [&[u8]; 7] = [
-        &[tag],
-        &count,
-        &links,
-        &base,
-        &[gap_width as u8],
-        &lo.to_le_bytes(),
-        &[value_width as u8],
-    ];
-    let mut buf = fields.concat();
-    let mut bit = 8 * buf.len();
-    buf.resize(run.bytes(kind), 0);
-    let gaps = (1..keyed.len()).map(|i| (gap(keyed, i), gap_width));
-    for (v, width) in gaps.chain(rows.iter().map(|&(_, v)| (v - lo, value_width))) {
-        put_bits(&mut buf, bit, v, width);
-        bit += width as usize;
-    }
-    store.write(id, &buf)
+pub fn write(store: &PageStore, id: PageId, kind: Kind, rows: &[Row]) -> Result<()> {
+    let page = encode(kind, rows);
+    assert!(page.len() <= store.page_size(), "{} rows do not fit one page", rows.len());
+    store.write(id, &page)
 }
 
 /// Points the leaf at `id`, if there is one, back at `prev` in place.
@@ -270,85 +206,74 @@ pub fn set_prev(store: &PageStore, id: PageId, prev: PageId) -> Result<()> {
     }
     let mut page = store.read(id)?.to_vec();
     View::parse(&page)?;
-    page[PREV_AT..PREV_AT + 8].copy_from_slice(&prev.0.to_le_bytes());
+    page[1..PREFIX].copy_from_slice(&prev.0.to_le_bytes());
     store.write(id, &page)
 }
 
-/// A node read in place: each column's base, bit width and first bit, the
-/// fields decoded one at a time with no per-node vectors.
+/// A node read in place: its kind and its block, the rows decoded a few at
+/// a time with no per-node vectors.
 #[derive(Debug, Clone, Copy)]
 pub struct View<'a> {
-    page: &'a [u8],
     pub kind: Kind,
-    /// A leaf's entries, an internal node's children.
-    pub rows: usize,
-    keys: (u64, u32, usize),
-    values: (u64, u32, usize),
+    block: Block<'a>,
 }
 
 impl<'a> View<'a> {
-    /// The node `page` holds; its columns must lie inside the page.
+    /// The node `page` holds: a typed [`StoreError::Corrupt`] for an
+    /// unknown tag or a block whose columns run past the page.
     pub fn parse(page: &'a [u8]) -> Result<View<'a>> {
         let mut r = PageReader::new(page);
-        let (tag, count) = (r.get_u8()?, usize::from(r.get_u16()?));
+        let (tag, prev) = (r.get_u8()?, PageId(r.get_u64()?));
+        let block = Block::parse::<Row>(&page[PREFIX..])?;
         let kind = match tag {
             TAG_INTERNAL => Kind::Internal,
-            TAG_LEAF => Kind::Leaf { next: PageId(r.get_u64()?), prev: PageId(r.get_u64()?) },
+            TAG_LEAF => Kind::Leaf { next: block.next, prev },
             tag => return Err(StoreError::Corrupt(format!("unknown b+tree node tag {tag}"))),
         };
-        let (key_base, key_width) = (r.get_u64()?, u32::from(r.get_u8()?));
-        let (value_base, value_width) = (r.get_u64()?, u32::from(r.get_u8()?));
-        let rows = count + kind.unkeyed();
-        let widest = |width: u32| u64::MAX.checked_shr(64 - width).unwrap_or(0);
-        let bytes = |gap, hi| Run { rows, gap, lo: 0, hi }.bytes(kind);
-        if key_width.max(value_width) > 64
-            || bytes(widest(key_width), widest(value_width)) > page.len()
-        {
-            return Err(StoreError::Corrupt("b+tree node columns past the page".into()));
-        }
-        let start = 8 * r.position();
-        let values =
-            (value_base, value_width, start + count.saturating_sub(1) * key_width as usize);
-        Ok(View { page, kind, rows, keys: (key_base, key_width, start), values })
+        Ok(View { kind, block })
     }
 
-    /// The stored keys in order: a leaf's every key, an internal node's
-    /// separators (row `i + 1`'s key is the `i`-th).
-    pub fn keys(&self) -> impl Iterator<Item = i64> + 'a {
-        let (page, (base, width, start)) = (self.page, self.keys);
-        (0..self.rows - self.kind.unkeyed()).scan(base as i64, move |key, i| {
-            let k = *key;
-            // Past the last key this reads what follows the column, unused.
-            *key = k.wrapping_add(get_bits(page, start + i * width as usize, width) as i64);
-            Some(k)
+    /// A leaf's entries, an internal node's children.
+    pub fn rows(&self) -> usize {
+        self.block.count
+    }
+
+    /// Hands `take` the rows in key order, an internal node's first key as
+    /// `i64::MIN`, until it declines one (then false): a scan that stops
+    /// early decodes little past the row it stops at.
+    #[inline]
+    pub fn each(&self, mut take: impl FnMut(Row) -> bool) -> bool {
+        let mut first = self.kind == Kind::Internal;
+        self.block.each(|Row(key, value)| {
+            take(Row(if std::mem::take(&mut first) { i64::MIN } else { key }, value))
         })
     }
 
-    /// Row `i`'s value: a leaf's value, an internal node's child id.
-    #[inline]
-    pub fn value(&self, i: usize) -> u64 {
-        let (base, width, start) = self.values;
-        base.wrapping_add(get_bits(self.page, start + i * width as usize, width))
-    }
-
-    /// The child of an internal node whose keys cover `key`.
-    pub fn child_for(&self, key: i64) -> PageId {
-        PageId(self.value(self.keys().take_while(|&k| k <= key).count()))
+    /// The last row whose key is at most `key`, if any: in an internal
+    /// node, the child whose keys cover `key`.
+    pub fn last_to(&self, key: i64) -> Option<(i64, u64)> {
+        let mut last = None;
+        self.each(|Row(k, v)| {
+            last = (k <= key).then_some((k, v)).or(last);
+            k <= key
+        });
+        last
     }
 
     /// A leaf's neighbours `(next, prev)`.
     pub fn links(&self) -> (PageId, PageId) {
-        match self.kind {
-            Kind::Leaf { next, prev } => (next, prev),
-            Kind::Internal => (NULL_PAGE, NULL_PAGE),
-        }
+        let Kind::Leaf { next, prev } = self.kind else { return (NULL_PAGE, NULL_PAGE) };
+        (next, prev)
     }
 
     /// The whole node, decoded.
     pub fn to_node(self) -> Node {
-        let first = (self.kind == Kind::Internal).then_some(i64::MIN);
-        let keys = first.into_iter().chain(self.keys());
-        Node { kind: self.kind, rows: keys.enumerate().map(|(i, k)| (k, self.value(i))).collect() }
+        let mut rows = Vec::with_capacity(self.rows());
+        self.each(|row| {
+            rows.push(row);
+            true
+        });
+        Node { kind: self.kind, rows }
     }
 }
 
@@ -358,25 +283,34 @@ mod tests {
 
     const PAGES: [usize; 2] = [128, 4096];
 
-    fn roundtrip(store: &PageStore, kind: Kind, rows: &[(i64, u64)]) -> Node {
+    fn roundtrip(store: &PageStore, kind: Kind, rows: &[Row]) -> Node {
         let id = store.alloc().unwrap();
         write(store, id, kind, rows).unwrap();
         let page = store.read(id).unwrap();
         let view = View::parse(&page).unwrap();
-        assert_eq!(view.rows, rows.len());
+        assert_eq!(view.rows(), rows.len());
         let back = view.to_node();
         assert_eq!(back.kind, kind);
         assert_eq!(back.rows.len(), rows.len());
         for (i, (&got, &want)) in back.rows.iter().zip(rows).enumerate() {
-            let keyed = i >= kind.unkeyed();
+            let keyed = i > 0 || kind != Kind::Internal;
             assert_eq!((keyed.then_some(got.0), got.1), (keyed.then_some(want.0), want.1));
         }
         back
     }
 
+    /// The widths of the key and value columns a node of `rows` stores.
+    fn widths(kind: Kind, rows: &[Row]) -> (u8, u8) {
+        let page = encode(kind, rows);
+        // Each column's header: base u64, width u8, mode u8, after the
+        // block's count u16 and next u64.
+        let column = |c: usize| page[PREFIX + 10 + 10 * c + 8];
+        (column(0), column(1))
+    }
+
     /// Two rows `gap` apart from `base` with values `lo` and `lo + span`.
-    fn pair(base: i64, gap: u64, lo: u64, span: u64) -> [(i64, u64); 2] {
-        [(base, lo), (base.wrapping_add(gap as i64), lo + span)]
+    fn pair(base: i64, gap: u64, lo: u64, span: u64) -> [Row; 2] {
+        [Row(base, lo), Row(base.wrapping_add(gap as i64), lo + span)]
     }
 
     #[test]
@@ -392,12 +326,12 @@ mod tests {
                     // Width 0 is a lone entry's: no gap, one value.
                     let rows = if width == 0 { &rows[..1] } else { &rows[..] };
                     let node = roundtrip(&store, links, rows);
-                    assert_eq!(Run::of(links, &node.rows).widths(), (width, width));
+                    assert_eq!(widths(links, &node.rows), (width as u8, width as u8));
                 }
             }
             roundtrip(&store, links, &[]);
-            roundtrip(&store, Kind::LEAF, &[(i64::MIN, u64::MAX)]);
-            roundtrip(&store, Kind::LEAF, &[(i64::MIN, 0), (i64::MAX, u64::MAX)]);
+            roundtrip(&store, Kind::LEAF, &[Row(i64::MIN, u64::MAX)]);
+            roundtrip(&store, Kind::LEAF, &[Row(i64::MIN, 0), Row(i64::MAX, u64::MAX)]);
         }
     }
 
@@ -408,35 +342,38 @@ mod tests {
             for width in 1..=64u32 {
                 let top = u64::MAX.checked_shr(64 - width).unwrap_or(0);
                 let [a, b] = pair(i64::MIN, top, u64::MAX - top, top);
-                let node = roundtrip(&store, Kind::Internal, &[(i64::MIN, u64::MAX - top), a, b]);
-                assert_eq!(Run::of(Kind::Internal, &node.rows).widths(), (width, width));
-                roundtrip(&store, Kind::Internal, &[(0, top), (i64::MAX, 0)]);
+                // Row 0 stores row 1's key: it widens neither column.
+                let rows = [Row(i64::MIN, u64::MAX - top), a, b];
+                let node = roundtrip(&store, Kind::Internal, &rows);
+                assert_eq!(widths(Kind::Internal, &node.rows), (width as u8, width as u8));
+                roundtrip(&store, Kind::Internal, &[Row(0, top), Row(i64::MAX, 0)]);
             }
             // One child: a root about to shrink.
-            roundtrip(&store, Kind::Internal, &[(i64::MIN, u64::MAX)]);
+            roundtrip(&store, Kind::Internal, &[Row(i64::MIN, u64::MAX)]);
         }
     }
 
     #[test]
     fn a_full_page_decodes_to_its_last_bit() {
-        // 65-bit rows (a 1-bit gap, 64-bit values) packed to the page's end:
-        // the last value straddles a ninth byte of its window.
-        let store = PageStore::in_memory(4096);
-        let n = (8 * (4096 - Kind::LEAF.header()) + 1) / 65;
-        let rows: Vec<(i64, u64)> = (0..n)
-            .map(|i| (i as i64, if i % 2 == 0 { u64::MAX - i as u64 } else { i as u64 }))
+        // 65-bit rows (a 1-bit key gap, 64-bit value offsets) packed to the
+        // page's end: 64 gaps and 65 values end on the page's last bit.
+        let page = PREFIX + 10 + 2 * 10 + 8 + 65 * 8;
+        let store = PageStore::in_memory(page);
+        let rows: Vec<Row> = (0..65)
+            .map(|i| Row(i as i64, if i % 2 == 0 { u64::MAX - i as u64 } else { i as u64 }))
             .collect();
-        assert!(Run::of(Kind::LEAF, &rows).fits(Kind::LEAF, 4096));
+        assert_eq!(Node { kind: Kind::LEAF, rows: rows.clone() }.bytes(), page);
         let back = roundtrip(&store, Kind::LEAF, &rows);
         assert_eq!(back.rows, rows);
         let mut one_more = rows.clone();
-        one_more.push((n as i64, 0));
-        assert!(!Run::of(Kind::LEAF, &one_more).fits(Kind::LEAF, 4096));
+        one_more.push(Row(65, 0));
+        assert!(!Node { kind: Kind::LEAF, rows: one_more }.fits(page));
     }
 
     #[test]
     fn child_index_routes_by_separator() {
-        let n = Node { kind: Kind::Internal, rows: vec![(i64::MIN, 0), (10, 1), (20, 2), (30, 3)] };
+        let rows = vec![Row(i64::MIN, 0), Row(10, 1), Row(20, 2), Row(30, 3)];
+        let n = Node { kind: Kind::Internal, rows };
         assert_eq!(n.child_index(5), 0);
         assert_eq!(n.child_index(10), 1, "separator key goes right");
         assert_eq!(n.child_index(15), 1);
@@ -449,23 +386,22 @@ mod tests {
         let page = store.read(id).unwrap();
         let view = View::parse(&page).unwrap();
         for key in [i64::MIN, 5, 10, 15, 29, 30, 99] {
-            assert_eq!(view.child_for(key), PageId(n.child_index(key) as u64), "{key}");
+            assert_eq!(view.last_to(key).unwrap().1, n.child_index(key) as u64, "{key}");
         }
     }
 
     #[test]
     fn capacities_are_sane() {
         // The benchmark's data: keys i·1000 + r (gaps under 2 000, 11 bits)
-        // mapped to their ranks (11 bits within a leaf).
-        let rows: Vec<(i64, u64)> =
-            (0..5000).map(|i| (i * 1000 + (i * 7919) % 1000, i as u64)).collect();
+        // mapped to their ranks (gaps of 1, 1 bit).
+        let rows: Vec<Row> =
+            (0..10_000).map(|i| Row(i * 1000 + (i * 7919) % 1000, i as u64)).collect();
         let starts = pack(Kind::LEAF, &rows, 4096);
-        assert_eq!(starts[1], 1476, "22-bit entries in 4 059 bytes");
+        assert_eq!(starts[1], 2705, "12 bits a row after the first in 4 057 bytes");
         // At the widest columns a half page holds `m` rows, any 2m − 1 fit.
-        assert_eq!(PAGES.map(|p| min_rows(Kind::LEAF, p)), [3, 127]);
-        assert_eq!(PAGES.map(|p| min_rows(Kind::Internal, p)), [4, 128]);
-        // `n` rows at 64-bit columns: one gap across i64, values 0 and MAX.
-        let wide = |n: usize| -> Vec<(i64, u64)> {
+        assert_eq!(PAGES.map(min_rows), [3, 127]);
+        // `n` rows at 64-bit columns: keys across i64, values 0 and MAX.
+        let wide = |n: usize| -> Vec<Row> {
             let key = |i: usize| {
                 if i + 1 == n {
                     i64::MAX
@@ -473,17 +409,18 @@ mod tests {
                     i64::MIN + i as i64
                 }
             };
-            (0..n).map(|i| (key(i), [0, u64::MAX][i % 2])).collect()
+            (0..n).map(|i| Row(key(i), [0, u64::MAX][i % 2])).collect()
         };
         for page_size in PAGES {
             for kind in [Kind::LEAF, Kind::Internal] {
-                let m = min_rows(kind, page_size);
-                assert!(Run::of(kind, &wide(2 * m - 1)).fits(kind, page_size));
-                assert!(!Run::of(kind, &wide(2 * m + 1)).fits(kind, page_size), "m is the most");
+                let m = min_rows(page_size);
+                assert!(Node { kind, rows: wide(2 * m - 1) }.fits(page_size));
+                let more = Node { kind, rows: wide(2 * m + 1) };
+                assert!(!more.fits(page_size), "m is the most");
             }
         }
         // Narrow rows stop at the u16 count.
-        let ones: Vec<(i64, u64)> = (0..200_000).map(|i| (i, 0)).collect();
+        let ones: Vec<Row> = (0..200_000).map(|i| Row(i, 0)).collect();
         assert_eq!(pack(Kind::LEAF, &ones, 1 << 16)[1], usize::from(u16::MAX));
     }
 
@@ -491,10 +428,10 @@ mod tests {
     fn pack_and_balance_keep_every_piece_fitting_and_at_least_m() {
         for page_size in PAGES {
             for kind in [Kind::LEAF, Kind::Internal] {
-                let m = min_rows(kind, page_size);
+                let m = min_rows(page_size);
                 // Narrow runs with outlier keys and values at the ends and
                 // inside.
-                let mut rows: Vec<(i64, u64)> = (0..3000).map(|i| (i * 3, i as u64)).collect();
+                let mut rows: Vec<Row> = (0..3000).map(|i| Row(i * 3, i as u64)).collect();
                 rows[0].0 = i64::MIN;
                 rows[1500].1 = u64::MAX;
                 rows[2999].0 = i64::MAX;
@@ -502,9 +439,35 @@ mod tests {
                 let ends = starts[1..].iter().copied().chain([rows.len()]);
                 for (a, b) in starts.iter().copied().zip(ends) {
                     assert!(b - a >= m, "{kind:?} at {page_size}: {a}..{b}");
-                    assert!(Run::of(kind, &rows[a..b]).fits(kind, page_size));
+                    assert!(Node { kind, rows: rows[a..b].to_vec() }.fits(page_size));
                 }
                 assert_eq!(balance(kind, &rows[..2 * m - 1], page_size), None);
+            }
+        }
+    }
+
+    /// What `write` puts on the page is what `fits` priced, byte for byte,
+    /// whatever the kind, the row-0 key of an internal node, or the widths.
+    #[test]
+    fn the_bytes_written_are_the_bytes_priced() {
+        let store = PageStore::in_memory(4096);
+        let id = store.alloc().unwrap();
+        let narrow: Vec<Row> = (0..200).map(|i| Row(i * 7, 1000 - i as u64)).collect();
+        let mut outliers = narrow.clone();
+        (outliers[0].0, outliers[100].1, outliers[199].0) = (i64::MIN, u64::MAX, i64::MAX);
+        for rows in [&narrow[..], &outliers[..], &narrow[..1], &narrow[..2], &[][..]] {
+            let links = Kind::Leaf { next: PageId(3), prev: PageId(u64::MAX) };
+            for kind in [Kind::Internal, Kind::LEAF, links] {
+                if kind == Kind::Internal && rows.is_empty() {
+                    continue;
+                }
+                let page = encode(kind, rows);
+                let priced = Node { kind, rows: rows.to_vec() }.bytes();
+                assert_eq!(page.len(), priced, "{kind:?}, {} rows", rows.len());
+                write(&store, id, kind, rows).unwrap();
+                let written = store.read(id).unwrap();
+                assert_eq!(&written[..page.len()], &page[..]);
+                assert!(written[page.len()..].iter().all(|&b| b == 0));
             }
         }
     }
@@ -517,9 +480,10 @@ mod tests {
         let page = store.read(id).unwrap();
         assert!(matches!(View::parse(&page), Err(StoreError::Corrupt(_))));
         // A count whose columns would run past the page.
-        store.write(id, &[TAG_LEAF, 255, 255]).unwrap();
+        write(&store, id, Kind::LEAF, &[Row(1, 2), Row(5, 9)]).unwrap();
         let mut bytes = store.read(id).unwrap().to_vec();
-        bytes[Kind::LEAF.header() - 10] = 64;
+        bytes[PREFIX..PREFIX + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+        bytes[PREFIX + 10 + 8] = 64;
         store.write(id, &bytes).unwrap();
         let page = store.read(id).unwrap();
         assert!(matches!(View::parse(&page), Err(StoreError::Corrupt(_))));

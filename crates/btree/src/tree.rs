@@ -5,9 +5,9 @@
 //! `B` at least [`node::min_rows`] (127 at 4 KiB) whatever the data.
 
 use pc_obs::ReadClass;
-use pc_pagestore::{codec::PageReader, Page, PageId, PageStore, Result, StoreError};
+use pc_pagestore::{codec::PageReader, Page, PageId, PageStore, Result, StoreError, NULL_PAGE};
 
-use crate::node::{self, Kind, Node, View};
+use crate::node::{self, Kind, Node, Row, View};
 
 /// An internal node on a descent: its page, its rows, and the row taken.
 type Step = (PageId, Node, usize);
@@ -84,9 +84,7 @@ impl BTree {
             internal += level.len() as u64;
             let mut below = Vec::new();
             for id in level {
-                let page = store.read(id)?;
-                let view = View::parse(&page)?;
-                below.extend((0..view.rows).map(|i| PageId(view.value(i))));
+                below.extend(Node::read(store, id)?.rows.iter().map(|row| PageId(row.1)));
             }
             level = below;
         }
@@ -106,7 +104,7 @@ impl BTree {
                 return Ok(page);
             }
             pc_obs::record_read(ReadClass::Skeletal);
-            page = store.read(view.child_for(key))?;
+            page = store.read(view.last_to(key).map_or(NULL_PAGE, |(_, child)| PageId(child)))?;
         }
     }
 
@@ -119,9 +117,8 @@ impl BTree {
                 return Ok((path, id, node));
             }
             let idx = node.child_index(key);
-            let child = PageId(node.rows[idx].1);
-            path.push((id, node, idx));
-            id = child;
+            let parent = std::mem::replace(&mut id, PageId(node.rows[idx].1));
+            path.push((parent, node, idx));
         }
     }
 
@@ -129,9 +126,8 @@ impl BTree {
     pub fn get(&self, store: &PageStore, key: &i64) -> Result<Option<u64>> {
         let _span = pc_obs::span!("btree_get");
         let page = self.leaf_page(store, *key, ReadClass::Skeletal)?;
-        let leaf = View::parse(&page)?;
-        let at = leaf.keys().enumerate().find(|&(_, k)| k >= *key);
-        Ok(at.filter(|&(_, k)| k == *key).map(|(i, _)| leaf.value(i)))
+        let last = View::parse(&page)?.last_to(*key);
+        Ok(last.filter(|&(k, _)| k == *key).map(|(_, v)| v))
     }
 
     /// Predecessor lookup: the entry with the greatest key `<= key`.
@@ -140,21 +136,17 @@ impl BTree {
         let _span = pc_obs::span!("btree_pred");
         let page = self.leaf_page(store, *key, ReadClass::Skeletal)?;
         let leaf = View::parse(&page)?;
-        if let Some((i, k)) = leaf.keys().take_while(|&k| k <= *key).enumerate().last() {
-            return Ok(Some((k, leaf.value(i))));
-        }
-        let prev = leaf.links().1;
-        if prev.is_null() {
-            return Ok(None);
+        let (last, prev) = (leaf.last_to(*key), leaf.links().1);
+        if last.is_some() || prev.is_null() {
+            return Ok(last);
         }
         pc_obs::record_read(ReadClass::Skeletal);
         let page = store.read(prev)?;
-        let prev = View::parse(&page)?;
-        Ok(prev.keys().last().map(|k| (k, prev.value(prev.rows - 1))))
+        Ok(View::parse(&page)?.last_to(i64::MAX))
     }
 
     /// Range scan over `lo..=hi` in key order: a descent, then the leaf
-    /// chain, decoding keys until one passes `hi` and values for answers.
+    /// chain, each leaf decoded in place until a key passes `hi`.
     pub fn range(&self, store: &PageStore, lo: &i64, hi: &i64) -> Result<Vec<(i64, u64)>> {
         let _span = pc_obs::span!("btree_range");
         let mut out = Vec::new();
@@ -162,20 +154,17 @@ impl BTree {
             return Ok(out);
         }
         let mut page = self.leaf_page(store, *lo, ReadClass::Node)?;
-        pc_obs::set_block_capacity(View::parse(&page)?.rows as u64);
+        pc_obs::set_block_capacity(View::parse(&page)?.rows() as u64);
         let _scan = pc_obs::span!(output: "leaf_scan");
         loop {
             let leaf = View::parse(&page)?;
-            let (before, mut past_hi) = (out.len(), false);
-            for (i, k) in leaf.keys().enumerate() {
-                if k > *hi {
-                    past_hi = true;
-                    break;
+            let before = out.len();
+            let past_hi = !leaf.each(|Row(k, v)| {
+                if *lo <= k && k <= *hi {
+                    out.push((k, v));
                 }
-                if k >= *lo {
-                    out.push((k, leaf.value(i)));
-                }
-            }
+                k <= *hi
+            });
             pc_obs::add_items((out.len() - before) as u64);
             let next = leaf.links().0;
             if past_hi || next.is_null() {
@@ -196,11 +185,11 @@ impl BTree {
     pub fn insert(&mut self, store: &PageStore, key: i64, value: u64) -> Result<Option<u64>> {
         let _span = pc_obs::span!("btree_insert");
         let (path, leaf_id, mut leaf) = self.descend(store, key)?;
-        let i = leaf.rows.partition_point(|&(k, _)| k < key);
+        let i = leaf.rows.partition_point(|row| row.0 < key);
         let old = match leaf.rows.get_mut(i) {
-            Some((k, v)) if *k == key => Some(std::mem::replace(v, value)),
+            Some(Row(k, v)) if *k == key => Some(std::mem::replace(v, value)),
             _ => {
-                leaf.rows.insert(i, (key, value));
+                leaf.rows.insert(i, Row(key, value));
                 self.len += 1;
                 None
             }
@@ -212,10 +201,21 @@ impl BTree {
     /// Removes `key`, returning its value if present. `O(log_B n)` worst
     /// case: a descent, merges on the way up.
     pub fn delete(&mut self, store: &PageStore, key: &i64) -> Result<Option<u64>> {
+        self.delete_if(store, *key, |_| true)
+    }
+
+    /// [`BTree::delete`] of `key` only if its value passes `matches`, which
+    /// is asked in the leaf the descent reads: no extra I/O.
+    pub fn delete_if(
+        &mut self,
+        store: &PageStore,
+        key: i64,
+        matches: impl FnOnce(u64) -> bool,
+    ) -> Result<Option<u64>> {
         let _span = pc_obs::span!("btree_delete");
-        let (path, leaf_id, mut leaf) = self.descend(store, *key)?;
-        let i = leaf.rows.partition_point(|(k, _)| k < key);
-        if leaf.rows.get(i).is_none_or(|(k, _)| k != key) {
+        let (path, leaf_id, mut leaf) = self.descend(store, key)?;
+        let i = leaf.rows.partition_point(|row| row.0 < key);
+        if leaf.rows.get(i).is_none_or(|&Row(k, v)| k != key || !matches(v)) {
             return Ok(None);
         }
         let removed = leaf.rows.remove(i).1;
@@ -253,7 +253,7 @@ impl BTree {
         }
         if !node.fits(page_size) {
             // The root split: the tree grows a level.
-            let mut rows = vec![(i64::MIN, id.0)];
+            let mut rows = vec![Row(i64::MIN, id.0)];
             rows.extend(self.split(store, id, node)?);
             (self.root, self.height) = (store.alloc()?, self.height + 1);
             node::write(store, self.root, Kind::Internal, &rows)
@@ -269,18 +269,15 @@ impl BTree {
 
     /// Cuts `node` into pieces that fit ([`node::pack`]), the first at `id`;
     /// returns the rows the others enter in the parent.
-    fn split(&self, store: &PageStore, id: PageId, node: Node) -> Result<Vec<(i64, u64)>> {
+    fn split(&self, store: &PageStore, id: PageId, node: Node) -> Result<Vec<Row>> {
         let starts = node::pack(node.kind, &node.rows, store.page_size());
-        let mut ids = vec![id];
-        for _ in 1..starts.len() {
-            ids.push(store.alloc()?);
-        }
+        let more = (1..starts.len()).map(|_| store.alloc());
+        let ids: Vec<PageId> = std::iter::once(Ok(id)).chain(more).collect::<Result<_>>()?;
         let mut rows = node::write_pieces(store, node.kind, &node.rows, &starts, &ids)?;
         if let Kind::Leaf { next, .. } = node.kind {
             node::set_prev(store, next, ids[ids.len() - 1])?;
         }
-        rows.remove(0);
-        Ok(rows)
+        Ok(rows.split_off(1))
     }
 
     /// Settles `node`, child `idx` of `parent` at `id`, with its left
@@ -297,7 +294,7 @@ impl BTree {
         node: Node,
     ) -> Result<bool> {
         let page_size = store.page_size();
-        let short = node.rows.len() < node::min_rows(node.kind, page_size);
+        let short = node.rows.len() < node::min_rows(page_size);
         let i = idx.saturating_sub(1); // the pair: rows i and i + 1
         let (left_id, right_id) = (PageId(parent.rows[i].1), PageId(parent.rows[i + 1].1));
         let sibling = Node::read(store, if left_id == id { right_id } else { left_id })?;
@@ -338,17 +335,17 @@ mod tests {
     use pc_pagestore::PageStore;
     use std::collections::BTreeMap;
 
-    /// Small pages force deep trees: a 128-byte leaf holds a few dozen of
-    /// these tests' narrow entries and an internal node a few dozen
-    /// children, so a few thousand keys give height >= 2.
+    /// Small pages force deep trees: a 128-byte node holds 3 rows at 64-bit
+    /// columns and a few hundred of the narrowest, so a few thousand keys
+    /// give height >= 2 where values or keys are wide.
     fn small_store() -> PageStore {
         PageStore::in_memory(128)
     }
 
-    /// Every node of `t` against the invariants: each fits its page, each
-    /// non-root one holds at least `min_rows`, the keys under a child lie
-    /// between its separators, the leaf chain runs through every leaf in
-    /// key order, and the entries are `want`'s.
+    /// Every node of `t` against the invariants: each fits its page as
+    /// priced, each non-root one holds at least `min_rows`, the keys under
+    /// a child lie between its separators, the leaf chain runs through
+    /// every leaf in key order, and the entries are `want`'s.
     fn audit(t: &BTree, store: &PageStore, want: &[(i64, u64)]) {
         let page_size = store.page_size();
         let mut leaves = Vec::new();
@@ -358,8 +355,14 @@ mod tests {
             for (id, lo, hi) in level {
                 let node = Node::read(store, id).unwrap();
                 assert!(node.fits(page_size), "{id:?} past its page");
+                // The page holds the bytes `fits` priced, and zeros after.
+                let (page, written) =
+                    (store.read(id).unwrap(), node::encode(node.kind, &node.rows));
+                assert_eq!(written.len(), node.bytes(), "{id:?}");
+                assert_eq!(&page[..written.len()], &written[..], "{id:?}");
+                assert!(page[written.len()..].iter().all(|&b| b == 0), "{id:?}");
                 if id != t.root {
-                    assert!(node.rows.len() >= min_rows(node.kind, page_size), "{id:?} underfull");
+                    assert!(node.rows.len() >= min_rows(page_size), "{id:?} underfull");
                 }
                 assert_eq!(
                     node.kind == Kind::Internal,
@@ -368,10 +371,10 @@ mod tests {
                 );
                 let keyed = &node.rows[usize::from(node.kind == Kind::Internal)..];
                 assert!(keyed.windows(2).all(|w| w[0].0 < w[1].0), "{id:?} unsorted");
-                assert!(keyed.iter().all(|&(k, _)| lo <= k && hi.is_none_or(|hi| k < hi)));
+                assert!(keyed.iter().all(|&Row(k, _)| lo <= k && hi.is_none_or(|hi| k < hi)));
                 match node.kind {
                     Kind::Internal => {
-                        for (j, &(k, child)) in node.rows.iter().enumerate() {
+                        for (j, &Row(k, child)) in node.rows.iter().enumerate() {
                             let low = if j == 0 { lo } else { k };
                             let high = node.rows.get(j + 1).map(|r| r.0).or(hi);
                             below.push((PageId(child), low, high));
@@ -387,7 +390,8 @@ mod tests {
             assert_eq!(prev, if j == 0 { pc_pagestore::NULL_PAGE } else { leaves[j - 1].0 });
             assert_eq!(next, leaves.get(j + 1).map_or(pc_pagestore::NULL_PAGE, |l| l.0), "{id:?}");
         }
-        let got: Vec<(i64, u64)> = leaves.into_iter().flat_map(|(_, l)| l.rows).collect();
+        let got: Vec<(i64, u64)> =
+            leaves.into_iter().flat_map(|(_, l)| l.rows).map(|Row(k, v)| (k, v)).collect();
         assert_eq!(got, want);
         assert_eq!(t.len(), want.len() as u64);
         assert_eq!(t.census(store).unwrap().pages(), store.live_pages(), "a page leaked");
@@ -395,15 +399,17 @@ mod tests {
 
     #[test]
     fn insert_get_roundtrip() {
+        // Values spread over u64 (64-bit offsets) keep the leaves small.
+        let value = |k: i64| (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let store = small_store();
         let mut t = BTree::new(&store).unwrap();
         for k in 0..3000i64 {
-            assert_eq!(t.insert(&store, k * 3, (k * 3) as u64).unwrap(), None);
+            assert_eq!(t.insert(&store, k * 3, value(k)).unwrap(), None);
         }
         assert_eq!(t.len(), 3000);
         assert!(t.height() >= 2, "tree should be multi-level, got {}", t.height());
         for k in 0..3000i64 {
-            assert_eq!(t.get(&store, &(k * 3)).unwrap(), Some((k * 3) as u64));
+            assert_eq!(t.get(&store, &(k * 3)).unwrap(), Some(value(k)));
             assert_eq!(t.get(&store, &(k * 3 + 1)).unwrap(), None);
         }
     }

@@ -16,7 +16,7 @@
 //!   (`x ∈ [x1,x2] ∧ y ≥ y0`), Theorem 3.3.
 //! * [`DynamicPointIndex`] — fully dynamic 2-sided queries, Theorem 5.1.
 //! * [`IntervalStore`] — dynamic interval management (stabbing queries)
-//!   via the [KRV] reduction to diagonal-corner/2-sided queries; the
+//!   via the \[KRV\] reduction to diagonal-corner/2-sided queries; the
 //!   paper's §1 headline application for temporal and constraint
 //!   databases.
 //! * [`ClassIndex`] — indexing class hierarchies (the paper's §1

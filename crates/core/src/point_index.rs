@@ -11,7 +11,7 @@ use pc_pst::{
 /// trade-off dial of §3–§4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
-    /// [IKO] baseline: `O(n/B)` space, `O(log n + t/B)` queries.
+    /// \[IKO\] baseline: `O(n/B)` space, `O(log n + t/B)` queries.
     Naive,
     /// Lemma 3.1: optimal queries, `O((n/B)·log n)` space.
     Basic,
@@ -141,7 +141,7 @@ impl PointIndex {
 
 /// A diagonal-corner query (Figure 1): a 2-sided query whose corner
 /// `(q, q)` lies on the main diagonal — the special case that dynamic
-/// interval management reduces to ([KRV]). Reported points satisfy
+/// interval management reduces to (\[KRV\]). Reported points satisfy
 /// `x <= q && y >= q`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiagonalCorner {

@@ -172,10 +172,10 @@ impl<'a> PageReader<'a> {
 }
 
 /// ORs the low `width` (0–64) bits of `v` into `buf` from bit `bit` on,
-/// low bit first: the store of every bit-packed column (B-tree nodes and
-/// data blocks). The bits must be zero and inside `buf`, and `v` no wider
-/// than `width`.
-pub fn put_bits(buf: &mut [u8], bit: usize, v: u64, width: u32) {
+/// low bit first: the store of every bit-packed column (the block codec's,
+/// [`crate::layout`]). The bits must be zero and inside `buf`, and `v` no
+/// wider than `width`.
+pub(crate) fn put_bits(buf: &mut [u8], bit: usize, v: u64, width: u32) {
     let (at, shift) = (bit / 8, bit % 8);
     let shifted = u128::from(v) << shift;
     // One 16-byte window where the buffer has one, else byte by byte.
@@ -194,7 +194,7 @@ pub fn put_bits(buf: &mut [u8], bit: usize, v: u64, width: u32) {
 /// load, a shift and a mask, and a ninth byte for a field of 58 bits or
 /// more. Bits past the page read as zero.
 #[inline]
-pub fn get_bits(page: &[u8], bit: usize, width: u32) -> u64 {
+pub(crate) fn get_bits(page: &[u8], bit: usize, width: u32) -> u64 {
     let (at, shift) = (bit / 8, (bit % 8) as u32);
     let word = match page.get(at..at + 8) {
         Some(word) => u64::from_le_bytes(word.try_into().expect("an 8-byte slice")),

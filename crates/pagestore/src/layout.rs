@@ -277,7 +277,7 @@ struct Column {
 }
 
 /// A block read in place: its count, its next page and each column's
-/// coding; the records are decoded one at a time ([`Block::records`]).
+/// coding; the records are decoded one at a time ([`Block::each`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Block<'a> {
     page: &'a [u8],

@@ -122,7 +122,7 @@ impl Interval {
         self.lo <= q && q <= self.hi
     }
 
-    /// The [KRV] reduction: interval `[lo, hi]` as the point `(lo, hi)`.
+    /// The \[KRV\] reduction: interval `[lo, hi]` as the point `(lo, hi)`.
     /// A stabbing query at `q` becomes the 2-sided query `x ≤ q ∧ y ≥ q`
     /// (a diagonal-corner query, since the corner `(q, q)` lies on the
     /// diagonal).

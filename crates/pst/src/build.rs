@@ -379,7 +379,7 @@ pub(crate) fn build_single_level(
 }
 
 static_pst!(
-    /// The [IKO]-style baseline: linear space but no caches, so every
+    /// The \[IKO\]-style baseline: linear space but no caches, so every
     /// ancestor and sibling block on the corner path is read individually —
     /// `O(log n + t/B)` query I/Os. This is the structure path caching
     /// improves on (experiment E12).

@@ -7,7 +7,7 @@
 //!
 //! | type | paper ref | query I/O | space (blocks) |
 //! |------|-----------|-----------|----------------|
-//! | [`NaivePst`] | [IKO] baseline | `O(log n + t/B)` | `O(n/B)` |
+//! | [`NaivePst`] | \[IKO\] baseline | `O(log n + t/B)` | `O(n/B)` |
 //! | [`BasicPst`] | Lemma 3.1 | `O(log_B n + t/B)` | `O((n/B)·log n)` |
 //! | [`SegmentedPst`] | Theorem 3.2 | `O(log_B n + t/B)` | `O((n/B)·log B)` |
 //! | [`TwoLevelPst`] | Theorem 4.3 | `O(log_B n + t/B)` | `O((n/B)·log log B)` |
@@ -17,7 +17,7 @@
 //!
 //! ## The heap-of-regions decomposition (Figure 4)
 //!
-//! Following [IKO] and §3, the root holds the top `B` points by `y`; the
+//! Following \[IKO\] and §3, the root holds the top `B` points by `y`; the
 //! rest are split at the median `x` into two halves, recursively. Each node
 //! is one disk block; the tree as a whole decomposes the plane into
 //! `O(n/B)` rectangular regions. For a query with corner `(x₀, y₀)`:

@@ -337,8 +337,10 @@ impl Updates for BTree {
     fn insert(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError> {
         BTree::insert(self, store, p.x, p.id).map(drop)
     }
+    /// Deletes the entry `p.x → p.id` only: another point's insert may
+    /// have replaced the value under `p.x` since.
     fn delete(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError> {
-        BTree::delete(self, store, &p.x).map(drop)
+        BTree::delete_if(self, store, p.x, |id| id == p.id).map(drop)
     }
     fn descriptor(&self) -> Vec<u8> {
         BTree::descriptor(self).into()
@@ -535,6 +537,25 @@ mod tests {
             .unwrap()
             .apply_updates(&store, &[UpdateOp::Insert(Point { x: 0, y: 0, id: 0 })]);
         assert!(matches!(res[0], Err(TargetError::Unsupported { .. })));
+    }
+
+    #[test]
+    fn a_served_b_tree_deletes_only_the_point_it_names() {
+        let store = PageStore::in_memory(PAGE);
+        let target = DynamicBTreeTarget::new(BTree::new(&store).unwrap());
+        let point = |x, y, id| Point { x, y, id };
+        let ops = [
+            UpdateOp::Insert(point(10, 0, 1)),
+            UpdateOp::Insert(point(10, 5, 2)),
+            UpdateOp::Delete(point(10, 0, 1)),
+        ];
+        assert!(target.apply_updates(&store, &ops).iter().all(|r| r.is_ok()));
+        let body = target.query(&store, &Op::Range1d { lo: 0, hi: 100 }).unwrap();
+        assert!(matches!(body, Body::Keys(ref kvs) if kvs[..] == [(10, 2)]), "{body:?}");
+        let ops = [UpdateOp::Delete(point(10, 5, 2))];
+        assert!(target.apply_updates(&store, &ops).iter().all(|r| r.is_ok()));
+        let body = target.query(&store, &Op::Range1d { lo: 0, hi: 100 }).unwrap();
+        assert!(matches!(body, Body::Keys(ref kvs) if kvs.is_empty()), "{body:?}");
     }
 
     #[test]

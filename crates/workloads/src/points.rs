@@ -18,7 +18,7 @@ pub enum PointDist {
         radius: i64,
     },
     /// Points near the main diagonal (`y ≈ x`), within `width`. This is the
-    /// distribution induced by the [KRV] interval reduction when intervals
+    /// distribution induced by the \[KRV\] interval reduction when intervals
     /// are short: `(lo, hi)` with `hi - lo` small.
     Diagonal {
         /// Maximum distance from the diagonal.

@@ -60,6 +60,11 @@ cargo run --release --offline --quiet -p pc-bench --bin experiments | diff - EXP
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# A doc link to a renamed item, or a citation like `[KRV]` that rustdoc
+# parses as a link, fails here rather than rendering as dead text.
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> checking that the dependency graph is workspace-only, feature-free and used"
 # Every package in the resolved graph must come from a local path source
 # (cargo metadata reports `"source": null` for path dependencies). Any
