@@ -486,18 +486,20 @@ pub type SegTreePin = (u64, f64, [(i64, f64); 2]);
 /// The path-cached segment tree's pinned constants at 4 KiB pages (Theorem
 /// 3.4), per [`Spread`] and per pinned size: `(n, c, [(t, c1); 2])` with
 /// `pages <= c·(n/B)·log₂ n` and every stab's `reads <= c1·⌈log_B n⌉ +
-/// 2·⌈t/B⌉` at mean output `t`, over [`segtree_constants`]' data, `B` = 170
-/// the fixed 24-byte intervals a block holds; `c` is the worst of the two
-/// builds, the one at t ≈ 500. Measured c 13.384 / 10.737 at n = 10k / 50k
-/// — a binary tree's Θ(n) skeletal records and per-segment caches, E3's
-/// "~10×" — and c1 4.50 / 3.00 at t ≈ 16, 5.00 / 3.33 at t ≈ 500 (two and
-/// three levels of `log_B n`); on full-width data c 13.432 / 10.767 (the
-/// endpoint B-tree holds fewer of the wider keys a leaf) and the same c1.
-/// The pins are 10% above; `tests/layout_bounds.rs` asserts the 10 000 rows
-/// and the `experiments` binary's E3 exits non-zero past any of them.
+/// 2·⌈t/B⌉` at mean output `t`, over [`segtree_constants`]' data, `B` = 169
+/// the full-width intervals a block guarantees
+/// (`pc_segtree::block_capacity`); `c` is the worst of the two builds, the
+/// one at t ≈ 500. Measured c 3.771 / 3.330 at n = 10k / 50k — a binary
+/// tree's Θ(n) skeletal records, its caches packed into one stream of
+/// blocks — and c1 3.50 / 2.33 at t ≈ 16, 3.50 / 1.67 at t ≈ 500 (two and
+/// three levels of `log_B n`); on full-width data c 7.693 / 7.079 (a block
+/// holds fewer of the wider intervals) and c1 4.00 / 2.67 at t ≈ 16, the
+/// same at t ≈ 500. The pins are 10% above; `tests/layout_bounds.rs`
+/// asserts the 10 000 rows and the `experiments` binary's E3 exits non-zero
+/// past any of them.
 pub const SEGTREE_PINS: [&[SegTreePin]; 2] = [
-    &[(10_000, 14.777, [(16, 4.95), (500, 5.5)]), (50_000, 11.832, [(16, 3.3), (500, 3.667)])],
-    &[(10_000, 14.814, [(16, 4.95), (500, 5.5)]), (50_000, 11.862, [(16, 3.3), (500, 3.667)])],
+    &[(10_000, 4.149, [(16, 3.85), (500, 3.85)]), (50_000, 3.663, [(16, 2.567), (500, 1.834)])],
+    &[(10_000, 8.463, [(16, 4.4), (500, 3.85)]), (50_000, 7.787, [(16, 2.934), (500, 1.834)])],
 ];
 
 /// One measurement of [`SEGTREE_PINS`]: the larger build's pages, and `c`

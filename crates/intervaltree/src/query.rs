@@ -383,8 +383,8 @@ mod tests {
         let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
         assert_eq!(crate::build::leaf_kinds(&tree, &store), (0, 1));
         let log_b_n = 2; // ceil(log_B 4B)
-                         // The mini tree is a `pc-segtree`, whose shared regions hold 24-byte
-                         // intervals: its output term is in that crate's blocks of 20.
+                         // The mini tree is a `pc-segtree`: its output term is in that
+                         // crate's `B`, the 19 intervals a block holds at the least.
         let segtree_block = pc_segtree::block_capacity(512);
         for q in -1..=8 {
             let (res, ios) = stab_reads(&tree, &store, q);

@@ -84,9 +84,10 @@ impl IoEvent {
 pub enum ReadClass {
     /// A skeletal page or a B-tree's internal node: navigation.
     Skeletal,
-    /// A directory read for itself alone (spilled 3-sided, shared region).
+    /// A directory read for itself alone (a spilled 3-sided directory).
     Directory,
-    /// A path cache's block (A/S lists, bundles, shared regions) or a buffer.
+    /// A path cache's block (A/S lists, bundles, a segment tree's stream) or
+    /// a buffer.
     Cache,
     /// A node's own data: points pages, lists, run and cover blocks, leaves.
     Node,

@@ -434,14 +434,12 @@ impl<R: Columns> BlockList<R> {
         if records.is_empty() {
             return Ok((Self::empty(), Vec::new()));
         }
-        let mut runs = Vec::new();
-        while let Some(rest) = records.get(runs.iter().map(|(run, _)| run).sum::<usize>()..) {
-            if rest.is_empty() {
-                break;
-            }
-            let (run, fill) = fill_one(rest, store.page_size());
+        let (mut runs, mut taken) = (Vec::new(), 0);
+        while taken < records.len() {
+            let (run, fill) = fill_one(&records[taken..], store.page_size());
             assert!(run > 0, "{}-byte blocks hold no record", store.page_size());
             runs.push((run, fill));
+            taken += run;
         }
         let ids: Vec<PageId> = runs.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
         let (mut blocks, mut start) = (Vec::with_capacity(runs.len()), 0);

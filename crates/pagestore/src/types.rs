@@ -8,8 +8,8 @@
 //! them as data — blocked lists, points pages, caches, update buffers,
 //! bundles — the block codec of [`crate::layout`] stores them column by
 //! column at each block's own bit widths ([`Columns`]). [`Record`] is the
-//! fixed-width form (24 bytes for a [`Point`] or [`Interval`]) that
-//! skeletal records and handles use.
+//! fixed-width form (24 bytes for a [`Point`]) that skeletal records and
+//! handles use; an [`Interval`] is only ever data.
 
 use crate::codec::{PageReader, PageWriter};
 use crate::error::Result;
@@ -28,7 +28,7 @@ pub trait Record: Sized + Clone {
 }
 
 /// The two record shapes — `(a, b, id)` with named coordinates — as
-/// three [`Columns`] and as a fixed 24-byte [`Record`].
+/// three [`Columns`].
 macro_rules! coordinate_record {
     ($t:ident, $a:ident, $b:ident) => {
         impl Columns for $t {
@@ -46,20 +46,6 @@ macro_rules! coordinate_record {
             #[inline]
             fn from_columns(c: &[u64; MAX_COLUMNS]) -> Self {
                 $t { $a: signed_of(c[0]), $b: signed_of(c[1]), id: c[2] }
-            }
-        }
-
-        impl Record for $t {
-            const ENCODED_LEN: usize = 24;
-
-            fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
-                w.put_i64(self.$a)?;
-                w.put_i64(self.$b)?;
-                w.put_u64(self.id)
-            }
-
-            fn decode(r: &mut PageReader<'_>) -> Result<Self> {
-                Ok($t { $a: r.get_i64()?, $b: r.get_i64()?, id: r.get_u64()? })
             }
         }
     };
@@ -98,6 +84,21 @@ impl Point {
 }
 
 coordinate_record!(Point, x, y);
+
+/// A point as skeletal records and handles embed it: 24 bytes.
+impl Record for Point {
+    const ENCODED_LEN: usize = 24;
+
+    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
+        w.put_i64(self.x)?;
+        w.put_i64(self.y)?;
+        w.put_u64(self.id)
+    }
+
+    fn decode(r: &mut PageReader<'_>) -> Result<Self> {
+        Ok(Point { x: r.get_i64()?, y: r.get_i64()?, id: r.get_u64()? })
+    }
+}
 
 /// A closed interval `[lo, hi]` on the line with an opaque payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -149,7 +150,6 @@ mod tests {
     #[test]
     fn record_roundtrips() {
         roundtrip(Point::new(-5, 9, 42));
-        roundtrip(Interval::new(-10, 10, 7));
     }
 
     /// A value of exactly `width` bytes (or fewer, one time in four).
@@ -227,7 +227,6 @@ mod tests {
         assert_eq!(Block::parse::<Point>(&block).unwrap().to_vec::<Point>(), extremes);
         for p in extremes {
             roundtrip(p);
-            roundtrip(Interval::new(p.x.min(p.y), p.x.max(p.y), p.id));
         }
         let ordered = [i64::MIN, -1, 0, 1, i64::MAX];
         assert!(ordered.windows(2).all(|w| key_of(w[0]) < key_of(w[1])));

@@ -4,12 +4,13 @@
 //! ## On-page layout
 //!
 //! ```text
-//! page:   [count: u16][shared_dir: u64][record * count]
+//! page:   [count: u16][record * count]
 //! record: [split: u32]
 //!         [left_page: u64][left_slot: u16][right_page: u64][right_slot: u16]
 //!         [cover_full: BlockList (16 B)]
-//!         [shared_off: u32][shared_len: u32]      // leaf cache / naive cover
-//!         [above_off: u32][above_len: u32]        // entry segment cache
+//!         [shared: Slice (14 B)]      // leaf cache / naive cover
+//!         [above: Slice (14 B)]       // entry segment cache
+//! slice:  [page: u64][skip: u16][len: u32]
 //! ```
 //!
 //! A page may hold several disjoint subtrees (packed to capacity); a node
@@ -22,35 +23,58 @@
 //! Child references are absolute `(page, slot)` pairs; leaves use
 //! [`NULL_PAGE`].
 //!
-//! ## Shared regions: why small lists are packed
+//! ## The stream: why small lists are packed
 //!
 //! The paper's space accounting (`O((n/B) log n)` blocks) assumes lists
 //! are *densely blocked* — a one-interval cover-list must not burn a whole
 //! disk block, or the `Σ ceil(len_i/B)` bound degenerates to one block per
-//! allocation node. We therefore pack, per skeletal page, every short list
-//! into one contiguous **shared region** (an array of raw pages plus a
-//! one-page directory of their ids); records address their slice with
-//! `(shared_off, shared_len)`. In the naive variant the region holds the
-//! underfull cover-lists; in the cached variant underfull cover-lists are
-//! not stored at all (their entries live in the caches) and the region
-//! holds the per-leaf in-page caches. Reading a slice costs one directory
-//! I/O per page visit plus `ceil(len/B)` block reads — every block full of
-//! answers except the boundaries.
+//! allocation node. Every short list therefore lies in one *shared region*
+//! per skeletal page, and the regions, concatenated in page order, are one
+//! block list of the block codec: the tree's *stream*. A record addresses
+//! its run of the stream as a [`Slice`]: the block it starts in, the
+//! records to skip there, and its length. In the naive variant the regions
+//! hold the underfull cover-lists; in the cached variant underfull
+//! cover-lists are not stored at all (their entries live in the caches) and
+//! the regions hold the per-leaf in-page and per-entry segment caches.
+//! Reading a slice costs one block read per block it spans — every block
+//! full of answers except the boundaries.
 
 use pc_btree::BTree;
-use pc_pagestore::codec::PageWriter;
-use pc_pagestore::layout::BlockList;
+use pc_pagestore::codec::{PageReader, PageWriter};
+use pc_pagestore::layout::{min_records, BlockList};
 use pc_pagestore::{Interval, PageId, PageStore, Record, Result, NULL_PAGE};
 
 use crate::mem::{MemTree, NONE};
 
 /// Byte size of one node record.
-pub const RECORD_LEN: usize = 4 + 10 + 10 + 16 + 4 + 4 + 4 + 4;
+pub const RECORD_LEN: usize = 4 + 10 + 10 + 16 + 2 * Slice::ENCODED_LEN;
 /// Byte offset of slot 0 within a page.
-pub const PAGE_HEADER: usize = 2 + 8;
-/// Interval records per raw shared-region page (no per-page header).
-pub fn shared_page_capacity(page_size: usize) -> usize {
-    page_size / Interval::ENCODED_LEN
+pub const PAGE_HEADER: usize = 2;
+
+/// A run of the stream: `len` intervals from the `skip`-th of the block on
+/// `page` on, through the blocks chained after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slice {
+    /// The block the run starts in ([`NULL_PAGE`] when empty).
+    pub page: PageId,
+    /// Intervals of that block before the run.
+    pub skip: u16,
+    /// Intervals in the run.
+    pub len: u32,
+}
+
+impl Record for Slice {
+    const ENCODED_LEN: usize = 8 + 2 + 4;
+
+    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
+        w.put_u64(self.page.0)?;
+        w.put_u16(self.skip)?;
+        w.put_u32(self.len)
+    }
+
+    fn decode(r: &mut PageReader<'_>) -> Result<Self> {
+        Ok(Slice { page: PageId(r.get_u64()?), skip: r.get_u16()?, len: r.get_u32()? })
+    }
 }
 
 /// Reference to a node: `(page, slot)`.
@@ -74,25 +98,20 @@ pub struct NodeRecord {
     /// This node's cover-list when it holds at least one full block;
     /// empty otherwise.
     pub cover_full: BlockList<Interval>,
-    /// Slice of the page's shared region: the underfull cover-list (naive
-    /// variant) or the leaf's in-page cache (cached variant).
-    pub shared_off: u32,
-    /// Length of the shared-region slice.
-    pub shared_len: u32,
-    /// Entry nodes only: slice holding the underfull cover-lists of the
-    /// path segment inside the parent page (cached variant).
-    pub above_off: u32,
-    /// Length of the segment-cache slice.
-    pub above_len: u32,
+    /// The underfull cover-list (naive variant) or the leaf's in-page cache
+    /// (cached variant).
+    pub shared: Slice,
+    /// Entry nodes only: the underfull cover-lists of the path segment
+    /// inside the parent page (cached variant).
+    pub above: Slice,
 }
 
-/// `B`: the 24-byte intervals a page holds beside a block header (170 at
-/// 4 KiB, 20 at 512 B). A cover-list of at least this many is blocked on
-/// its own, in the block codec (a block holds at least 169 intervals at
-/// 4 KiB, 19 at 512 B, and more the narrower they are); a shorter one, and
-/// every cache, lies in a shared region.
+/// `B`: the fewest intervals a block of the block codec holds, at 64-bit
+/// columns (169 at 4 KiB, 19 at 512 B; more the narrower they are). A
+/// cover-list of at least this many is blocked on its own; a shorter one,
+/// and every cache, lies in the stream.
 pub fn block_capacity(page_size: usize) -> usize {
-    (page_size - 10) / Interval::ENCODED_LEN
+    min_records::<Interval>(page_size)
 }
 
 /// Number of records that fit in one skeletal page.
@@ -191,11 +210,27 @@ pub fn build_external(
         build_caches(&mem, &node_loc, cap_b, &mut above_slice, &mut shared, &mut shared_slice);
     }
 
-    // Write the shared regions and their directories.
-    let mut shared_dirs: Vec<PageId> = Vec::with_capacity(pages.len());
-    for region in &shared {
-        shared_dirs.push(write_shared_region(store, region)?);
+    // The regions in page order are the stream; a region-relative slice
+    // becomes the block it starts in and its offset there.
+    let mut region_start = Vec::with_capacity(pages.len());
+    let mut stream = Vec::with_capacity(shared.iter().map(Vec::len).sum());
+    for region in shared {
+        region_start.push(stream.len());
+        stream.extend(region);
     }
+    let (_, blocks) = BlockList::build_blocks(store, &stream)?;
+    let block_start: Vec<usize> = blocks
+        .iter()
+        .scan(0, |at, &(_, count)| Some(std::mem::replace(at, *at + count)))
+        .collect();
+    let slice = |ni: usize, (off, len): (u32, u32)| {
+        if len == 0 {
+            return Slice { page: NULL_PAGE, skip: 0, len };
+        }
+        let at = region_start[node_loc[ni].0] + off as usize;
+        let b = block_start.partition_point(|&start| start <= at) - 1;
+        Slice { page: blocks[b].0, skip: (at - block_start[b]) as u16, len }
+    };
 
     // Serialize pages.
     let mut buf = vec![0u8; store.page_size()];
@@ -203,7 +238,6 @@ pub fn build_external(
         let used = {
             let mut w = PageWriter::new(&mut buf);
             w.put_u16(members.len() as u16)?;
-            w.put_u64(shared_dirs[page_idx].0)?;
             for &ni in members {
                 let node = &mem.nodes[ni];
                 w.put_u32(node.split)?;
@@ -218,10 +252,8 @@ pub fn build_external(
                     }
                 }
                 cover_full[ni].encode(&mut w)?;
-                w.put_u32(shared_slice[ni].0)?;
-                w.put_u32(shared_slice[ni].1)?;
-                w.put_u32(above_slice[ni].0)?;
-                w.put_u32(above_slice[ni].1)?;
+                slice(ni, shared_slice[ni]).encode(&mut w)?;
+                slice(ni, above_slice[ni]).encode(&mut w)?;
             }
             w.position()
         };
@@ -229,86 +261,6 @@ pub fn build_external(
     }
 
     Ok(BuiltTree { root_page: page_ids[0], endpoint_tree, n: intervals.len() as u64 })
-}
-
-/// Writes `region` as raw full pages plus a directory page
-/// (`[count u16][page id u64 *]`); returns the directory id or
-/// [`NULL_PAGE`] when empty.
-fn write_shared_region(store: &PageStore, region: &[Interval]) -> Result<PageId> {
-    if region.is_empty() {
-        return Ok(NULL_PAGE);
-    }
-    let cap = shared_page_capacity(store.page_size());
-    let mut ids = Vec::with_capacity(region.len().div_ceil(cap));
-    let mut buf = vec![0u8; store.page_size()];
-    for chunk in region.chunks(cap) {
-        let id = store.alloc()?;
-        let used = {
-            let mut w = PageWriter::new(&mut buf);
-            for iv in chunk {
-                iv.encode(&mut w)?;
-            }
-            w.position()
-        };
-        store.write(id, &buf[..used])?;
-        ids.push(id);
-    }
-    let dir = store.alloc()?;
-    let used = {
-        let mut w = PageWriter::new(&mut buf);
-        w.put_u16(ids.len() as u16)?;
-        for id in &ids {
-            w.put_u64(id.0)?;
-        }
-        w.position()
-    };
-    store.write(dir, &buf[..used])?;
-    Ok(dir)
-}
-
-/// Reads the page-id directory of a shared region (a directory read).
-pub fn read_shared_dir(store: &PageStore, dir: PageId) -> Result<Vec<PageId>> {
-    use pc_pagestore::codec::PageReader;
-    pc_obs::record_read(pc_obs::ReadClass::Directory);
-    let page = store.read(dir)?;
-    let mut r = PageReader::new(&page);
-    let count = r.get_u16()? as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(PageId(r.get_u64()?));
-    }
-    Ok(out)
-}
-
-/// Reads `len` intervals starting at entry `off` of a shared region, a
-/// cache read a page.
-pub fn read_shared_range(
-    store: &PageStore,
-    dir: &[PageId],
-    off: u32,
-    len: u32,
-) -> Result<Vec<Interval>> {
-    use pc_pagestore::codec::PageReader;
-    if len == 0 {
-        return Ok(Vec::new());
-    }
-    let cap = shared_page_capacity(store.page_size());
-    let first = off as usize / cap;
-    let last = (off as usize + len as usize - 1) / cap;
-    let mut out = Vec::with_capacity(len as usize);
-    for (page_idx, &page_id) in dir.iter().enumerate().take(last + 1).skip(first) {
-        pc_obs::record_read(pc_obs::ReadClass::Cache);
-        let page = store.read(page_id)?;
-        let start_entry = if page_idx == first { off as usize % cap } else { 0 };
-        let end_entry =
-            ((off as usize + len as usize) - page_idx * cap).min(cap);
-        let mut r = PageReader::new(&page);
-        r.skip(start_entry * Interval::ENCODED_LEN)?;
-        for _ in start_entry..end_entry {
-            out.push(Interval::decode(&mut r)?);
-        }
-    }
-    Ok(out)
 }
 
 /// DFS computing, for every entry node, the underfull cover-list entries
@@ -379,7 +331,6 @@ fn build_caches(
 
 /// Decodes the record at `slot` from raw page bytes.
 pub fn decode_record(page: &[u8], slot: u16) -> Result<NodeRecord> {
-    use pc_pagestore::codec::PageReader;
     let offset = PAGE_HEADER + RECORD_LEN * slot as usize;
     let mut r = PageReader::new(&page[offset..offset + RECORD_LEN]);
     Ok(NodeRecord {
@@ -387,19 +338,9 @@ pub fn decode_record(page: &[u8], slot: u16) -> Result<NodeRecord> {
         left: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
         right: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
         cover_full: BlockList::decode(&mut r)?,
-        shared_off: r.get_u32()?,
-        shared_len: r.get_u32()?,
-        above_off: r.get_u32()?,
-        above_len: r.get_u32()?,
+        shared: Slice::decode(&mut r)?,
+        above: Slice::decode(&mut r)?,
     })
-}
-
-/// Decodes a page's shared-region directory id.
-pub fn decode_shared_dir_id(page: &[u8]) -> Result<PageId> {
-    use pc_pagestore::codec::PageReader;
-    let mut r = PageReader::new(page);
-    let _count = r.get_u16()?;
-    Ok(PageId(r.get_u64()?))
 }
 
 #[cfg(test)]
@@ -408,11 +349,32 @@ mod tests {
 
     #[test]
     fn page_geometry() {
-        // 512-byte page: (512 - 26) / 56 = 8 records, height 3 (7 nodes).
-        assert_eq!(page_capacity(512), 8);
-        // 4096-byte page: 72 records, height 6 (63 nodes).
-        assert_eq!(page_capacity(4096), 72);
-        assert_eq!(shared_page_capacity(512), 21);
+        // 512-byte page: (512 - 2) / 68 = 7 records, height 3 (7 nodes).
+        assert_eq!(RECORD_LEN, 68);
+        assert_eq!(page_capacity(512), 7);
+        // 4096-byte page: 60 records.
+        assert_eq!(page_capacity(4096), 60);
+        // `B`: full-width intervals a block holds.
+        assert_eq!(block_capacity(512), 19);
+        assert_eq!(block_capacity(4096), 169);
+    }
+
+    /// A cover-list of `B` intervals counts as full: it is one block even
+    /// when every field takes all 64 bits, and one more is two.
+    #[test]
+    fn a_full_cover_list_is_one_block() {
+        for page in [512, 4096] {
+            let store = PageStore::in_memory(page);
+            let b = block_capacity(page);
+            let wide: Vec<Interval> = (0..=b)
+                .map(|i| match i % 2 {
+                    0 => Interval::new(i64::MIN, i64::MIN, 0),
+                    _ => Interval::new(i64::MAX, i64::MAX, u64::MAX),
+                })
+                .collect();
+            let blocks = |len| BlockList::build_blocks(&store, &wide[..len]).unwrap().1.len();
+            assert_eq!((blocks(b), blocks(b + 1)), (1, 2), "{page}-byte pages, B = {b}");
+        }
     }
 
     #[test]

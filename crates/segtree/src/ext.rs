@@ -6,10 +6,7 @@ use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
 use pc_pagestore::{Interval, PageId, PageStore, Record, Result};
 
-use crate::build::{
-    block_capacity, build_external, decode_record, decode_shared_dir_id, read_shared_dir,
-    read_shared_range, shared_page_capacity, BuiltTree,
-};
+use crate::build::{block_capacity, build_external, decode_record, BuiltTree, Slice};
 
 /// A serializable, copyable reference to a built segment tree.
 ///
@@ -76,31 +73,25 @@ impl Engine<'_> {
         Ok(())
     }
 
-    /// Reads a slice of the current page's shared region, lazily loading
-    /// the region directory (a navigation read).
-    fn drain_shared(
-        &self,
-        page: &[u8],
-        dir_cache: &mut Option<Vec<PageId>>,
-        off: u32,
-        len: u32,
-        results: &mut Vec<Interval>,
-    ) -> Result<()> {
-        if len == 0 {
+    /// Reads a slice of the stream, a cache read a block it spans.
+    fn drain_shared(&self, slice: Slice, results: &mut Vec<Interval>) -> Result<()> {
+        if slice.len == 0 {
             return Ok(());
         }
-        if dir_cache.is_none() {
-            // Loaded before the output span opens: the directory read is a
-            // navigation I/O.
-            let dir_id = decode_shared_dir_id(page)?;
-            *dir_cache = Some(read_shared_dir(self.store, dir_id)?);
-        }
-        let dir = dir_cache.as_ref().expect("just loaded");
         let _span = pc_obs::span!(output: "shared_scan");
-        pc_obs::set_block_capacity(shared_page_capacity(self.store.page_size()) as u64);
-        let entries = read_shared_range(self.store, dir, off, len)?;
-        pc_obs::add_items(entries.len() as u64);
-        results.extend(entries);
+        pc_obs::set_block_capacity(block_capacity(self.store.page_size()) as u64);
+        let (mut skip, mut left) = (slice.skip as usize, slice.len as usize);
+        for block in BlockList::<Interval>::blocks_from(self.store, slice.page) {
+            pc_obs::record_read(ReadClass::Cache);
+            let block = block?;
+            let taken = &block[skip..block.len().min(skip + left)];
+            pc_obs::add_items(taken.len() as u64);
+            results.extend_from_slice(taken);
+            (skip, left) = (0, left - taken.len());
+            if left == 0 {
+                break;
+            }
+        }
         Ok(())
     }
 
@@ -120,28 +111,27 @@ impl Engine<'_> {
             pc_obs::record_read(ReadClass::Skeletal);
             self.store.read(cur_page)?
         };
-        let mut dirs: Option<Vec<PageId>> = None;
         loop {
             let rec = decode_record(&page, cur_slot)?;
-            if self.cached && cur_slot == entry_slot && rec.above_len > 0 {
+            if self.cached && cur_slot == entry_slot {
                 // Page entry: the previous page's segment cache.
-                self.drain_shared(&page, &mut dirs, rec.above_off, rec.above_len, &mut out)?;
+                self.drain_shared(rec.above, &mut out)?;
             }
             if !rec.cover_full.is_empty() {
                 // Full cover-lists are read directly in both variants.
                 self.drain_list(&rec.cover_full, &mut out)?;
             }
-            if !self.cached && rec.shared_len > 0 {
-                // Naive: the underfull cover-list, packed in the shared
-                // region — still a dedicated read per path node.
-                self.drain_shared(&page, &mut dirs, rec.shared_off, rec.shared_len, &mut out)?;
+            if !self.cached {
+                // Naive: the underfull cover-list, packed in the stream —
+                // still a dedicated read per path node.
+                self.drain_shared(rec.shared, &mut out)?;
             }
             if rec.left.page.is_null() {
                 // Binary leaf reached.
                 if self.cached {
                     // The bottom page's own segment: the leaf's in-page
                     // cache slice.
-                    self.drain_shared(&page, &mut dirs, rec.shared_off, rec.shared_len, &mut out)?;
+                    self.drain_shared(rec.shared, &mut out)?;
                 }
                 break;
             }
@@ -152,7 +142,6 @@ impl Engine<'_> {
                 let _lvl = pc_obs::span!("level", skeletal_depth);
                 pc_obs::record_read(ReadClass::Skeletal);
                 page = self.store.read(cur_page)?;
-                dirs = None;
                 entry_slot = next.slot;
             }
             cur_slot = next.slot;
@@ -316,14 +305,43 @@ mod tests {
             let q = xorshift(&mut s, 10_000);
             let (results, p) = pc_obs::traced(|| tree.stab(&store, q).unwrap());
             let t = results.len() as u64;
-            // O(log_B n) navigation (skeletal pages + endpoint B-tree +
-            // one shared-region directory per visited page).
+            // O(log_B n) navigation (skeletal pages + endpoint B-tree).
             assert!(p.search_ios <= 18, "search {} too high", p.search_ios);
             // Output cost <= 2 t/B + O(log_B n): one partially-filled
             // cache slice per page crossing plus partial list tails.
             let output = p.total_io - p.search_ios;
             assert!(output <= 2 * (t / cap) + 12, "output ios {output} for t={t}");
             assert_eq!(p.reads_by_class.iter().sum::<u64>(), p.total_io, "{q}");
+        }
+    }
+
+    /// A slice that starts mid-block and runs into later blocks returns
+    /// exactly its intervals, in order, at one cache read a block it spans;
+    /// one that ends with its block reads no further.
+    #[test]
+    fn a_slice_reads_each_block_it_spans_once() {
+        let store = PageStore::in_memory(512);
+        let tree = CachedSegmentTree::build(&store, &[]).unwrap();
+        let stream: Vec<Interval> = (0..100u64)
+            .map(|i| {
+                let a = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) as i64;
+                iv(a.min(!a), a.max(!a), !i)
+            })
+            .collect();
+        let (_, blocks) = BlockList::build_blocks(&store, &stream).unwrap();
+        assert!(blocks.len() >= 3, "{blocks:?}");
+        let skip = blocks[0].1 / 2;
+        let engine = Engine { store: &store, tree: &tree.built, cached: true };
+        for (len, spans) in [(blocks[0].1 - skip + blocks[1].1 + 1, 3), (blocks[0].1 - skip, 1)] {
+            let slice = Slice { page: blocks[0].0, skip: skip as u16, len: len as u32 };
+            let (got, trace) = pc_obs::traced(|| {
+                let mut out = Vec::new();
+                engine.drain_shared(slice, &mut out).unwrap();
+                out
+            });
+            assert_eq!(got, stream[skip..skip + len], "{slice:?}");
+            assert_eq!(trace.reads_by_class[ReadClass::Cache as usize], spans, "{slice:?}");
+            assert_eq!(trace.total_io, spans, "{slice:?}");
         }
     }
 

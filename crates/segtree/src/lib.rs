@@ -29,18 +29,20 @@
 //!
 //! The extended abstract defers the space-optimized construction to the
 //! full version; we implement the following well-defined variant. The
-//! binary tree is blocked into skeletal pages of height `h ≈ log₂ B`
-//! (Figure 2). For each **bottom page** `P` we store one *above-path
-//! cache*: the concatenated underfull cover-lists of all binary nodes from
-//! the root to `P`'s subtree root (this path is shared by every leaf in
-//! `P`, so there are only `O(n/B)` such caches of `O(log n)` blocks each —
-//! optimization (1) of §2). For the residual in-page path we store a
-//! per-binary-leaf *in-page cache* of the `< h` underfull in-page lists
-//! (optimization (2): the query reads `O(1)` small caches instead of
-//! `log n` lists). Space is `O((n/B)·log n)` blocks for cover lists and
-//! above-path caches, plus an in-page-cache term that is `O(n/B)` blocks on
-//! non-adversarial inputs (worst case `O(n)` when many intervals align
-//! exactly with page subtree slabs — see DESIGN.md).
+//! binary tree is packed breadth-first into skeletal pages of 68-byte
+//! records (Figure 2; a page may hold several subtrees). Every *entry
+//! node* — one whose parent lies on another page — carries a *segment
+//! cache*: the underfull cover-lists of the path portion inside the parent
+//! page. Every binary leaf carries an *in-page cache* of the underfull
+//! lists on its own page's path portion. A stab reads one segment cache
+//! per page crossing and one in-page cache (optimization (2) of §2: `O(1)`
+//! small caches a page instead of `log n` lists), plus the full cover-lists
+//! (at least `B` intervals) on its path. Every cache, and in the naive
+//! variant every underfull list, is a slice of one block list of the block
+//! codec, the tree's *stream*, so short lists share blocks and space stays
+//! `O((n/B)·log n)` blocks on non-adversarial inputs (worst case `O(n)`
+//! when many intervals align exactly with page subtree slabs — see
+//! DESIGN.md).
 //!
 //! ```
 //! use pc_pagestore::{Interval, PageStore};

@@ -26,6 +26,7 @@ use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, SegmentedPst,
     ThreeSidedPst, TwoLevelPst,
 };
+use pc_segtree::{CachedSegmentTree, NaiveSegmentTree};
 use pc_workloads::{
     gen_intervals, gen_points, gen_stabbing, gen_three_sided, IntervalDist, PointDist, RawPoint,
 };
@@ -52,6 +53,17 @@ fn btree_space_and_range_reads_stay_within_pinned_constants() {
 /// Theorem 3.4's `(n/B)·log n` space and `log_B n + t/B` stabs for the
 /// path-cached segment tree, at its pinned size of 10 000; E3 of the
 /// `experiments` binary exits non-zero past every size's pins.
+///
+/// History. Before the stream, each skeletal page's short lists and caches
+/// lay in a shared region of raw pages of 24-byte intervals (170 a 4 KiB
+/// page) behind a one-page directory of their ids, a node record (56
+/// bytes, 72 a page) addressed its two runs as `(offset, len)` pairs, and
+/// `B` was `(page − 10) / 24`, 170. E3 measured 6 601 / 49 302 / 220 909
+/// pages at n = 10k / 50k / 200k — at 200k 18 244 skeletal pages, 182 686
+/// raw region pages and 18 182 directories for 29.4 M cached entries —
+/// and 9.0 / 11.2 / 16.0 reads a stab, 1.19 / 1.48 / 2.09 of them
+/// directory reads. The pins were c 14.777 / 11.832 at 10k / 50k (Full
+/// 14.814 / 11.862) and c1 4.95 / 3.3 at t ≈ 16, 5.5 / 3.667 at t ≈ 500.
 #[test]
 fn segment_tree_space_and_stab_reads_stay_within_pinned_constants() {
     for spread in Spread::BOTH {
@@ -167,7 +179,8 @@ fn two_level_pst_space_and_query_reads_stay_within_pinned_constants() {
 /// structure's reads by class and span tree against the strict store's own
 /// read count, query by query, at small and at many-block outputs — and
 /// the tree's `items` against the answer's length, since §3's waste is
-/// computed from both.
+/// computed from both. The segment trees run at their pinned geometry,
+/// where caching must also lower the naive tree's waste (E2's gate).
 #[test]
 fn captures_equal_the_strict_stores_reads() {
     Spread::BOTH.into_iter().for_each(captures_equal_the_strict_stores_reads_on);
@@ -177,7 +190,7 @@ fn captures_equal_the_strict_stores_reads_on(spread: Spread) {
     let n = 100_000u64;
     let (raw, points) = uniform_points(n, spread);
     let store = PageStore::in_memory(PAGE_SIZE);
-    // `run` answers with t.
+    // `run` answers with t; the query's wasteful reads come back.
     let counted = |what: &str, run: &dyn Fn() -> usize| {
         let ((t, trace), seen) = reads_of(&store, || pc_obs::traced(run));
         assert!(!trace.name.is_empty(), "{what}: no trace came back");
@@ -193,6 +206,7 @@ fn captures_equal_the_strict_stores_reads_on(spread: Spread) {
             trace.wasteful_ios,
             trace.total_io
         );
+        trace.wasteful_ios
     };
     let basic = BasicPst::build(&store, &points).unwrap();
     let segmented = SegmentedPst::build(&store, &points).unwrap();
@@ -238,6 +252,22 @@ fn captures_equal_the_strict_stores_reads_on(spread: Spread) {
         for stab in gen_stabbing(&raw, 150, 0xfeed) {
             counted("interval tree", &|| tree.stab(&store, spread.coord(stab.q)).unwrap().len());
         }
+    }
+    let n = 10_000u64;
+    for t in [16i64, 500] {
+        let max_len = 2 * t * pc_workloads::DOMAIN / n as i64;
+        let raw = gen_intervals(n as usize, IntervalDist::UniformLen { max_len }, 0x5eed);
+        let intervals = spread.intervals(&raw);
+        let naive = NaiveSegmentTree::build(&store, &intervals).unwrap();
+        let cached = CachedSegmentTree::build(&store, &intervals).unwrap();
+        let mut waste = [0u64; 2];
+        for stab in gen_stabbing(&raw, 150, 0xfeed) {
+            let q = spread.coord(stab.q);
+            waste[0] += counted("naive segment tree", &|| naive.stab(&store, q).unwrap().len());
+            waste[1] += counted("cached segment tree", &|| cached.stab(&store, q).unwrap().len());
+        }
+        let [naive, cached] = waste;
+        assert!(cached < naive, "{spread:?}, t≈{t}: cached waste {cached}, naive {naive}");
     }
 }
 
