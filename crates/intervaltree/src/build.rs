@@ -27,10 +27,8 @@
 //! stored in the block codec, and `B` (endpoints per run, intervals per
 //! block) is the mean fill of the input blocked by `lo`.
 
-use std::collections::VecDeque;
-
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::layout::{cut, fill_blocks, min_records, BlockList};
+use pc_pagestore::layout::{cut, fill_blocks, min_records, paginate, BlockList};
 use pc_pagestore::{Interval, PageId, PageStore, Record, Result, StoreError, NULL_PAGE};
 use pc_segtree::{CachedSegmentTree, SegTreeHandle};
 
@@ -212,29 +210,9 @@ impl ExternalIntervalTree {
             nodes[cur].items.push(*iv);
         }
 
-        // Paginate: BFS-fill to record capacity (see pc-pst's paginate for
-        // why capacity-fill beats fixed-height chunking).
-        let cap = page_capacity(page_size);
-        let mut node_loc: Vec<(usize, u16)> = vec![(usize::MAX, 0); nodes.len()];
-        let mut pages: Vec<Vec<usize>> = Vec::new();
-        let mut page_roots = VecDeque::from([0usize]);
-        while let Some(root) = page_roots.pop_front() {
-            let page_idx = pages.len();
-            let mut members = Vec::new();
-            let mut queue = VecDeque::from([root]);
-            while let Some(ni) = queue.pop_front() {
-                if members.len() == cap {
-                    page_roots.push_back(ni);
-                    continue;
-                }
-                node_loc[ni] = (page_idx, members.len() as u16);
-                members.push(ni);
-                if let Some((_, left, right)) = nodes[ni].split {
-                    queue.extend([left, right]);
-                }
-            }
-            pages.push(members);
-        }
+        let (pages, node_loc) = paginate(nodes.len(), page_capacity(page_size), |ni| {
+            nodes[ni].split.map(|(_, left, right)| [left, right]).into_iter().flatten()
+        });
         let page_ids: Vec<PageId> =
             pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
 

@@ -515,8 +515,6 @@ pub mod store_metrics {
     pub const WAL_REPLAYED: &str = "pc_store_wal_replayed_records_total";
     /// Gauge: current log length in bytes.
     pub const WAL_LOG_BYTES: &str = "pc_store_wal_log_bytes";
-    /// Gauge: pages dirty since the last checkpoint.
-    pub const WAL_DIRTY_PAGES: &str = "pc_store_wal_dirty_pages";
     /// Histogram of records made durable per group commit.
     pub const WAL_GROUP_COMMIT_RECORDS: &str = "pc_store_wal_group_commit_records";
     /// Gauge (scaled ×10⁶): buffer-pool hit ratio `hits / (hits + reads)`.

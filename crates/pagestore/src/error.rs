@@ -25,6 +25,11 @@ pub enum StoreError {
     },
     /// A page-layout decode failed (truncated or malformed on-page data).
     Corrupt(String),
+    /// A durable store refused a write to a page the last commit holds: a
+    /// committed page is never overwritten. Write a page allocated since the
+    /// last commit, or write inside a version apply session, which moves a
+    /// frozen page to a fresh one.
+    CommittedPage(PageId),
     /// The page exhausted its transient-fault retry budget and is held in
     /// the store's quarantine set; access is refused until the backend is
     /// repaired (e.g. via [`crate::PageStore::scrub`]) or the set is
@@ -32,7 +37,7 @@ pub enum StoreError {
     Quarantined(PageId),
     /// A partial (torn) trailing write was detected in a backing file: the
     /// file ends mid-frame or mid-record. A WAL-backed open recovers by
-    /// truncating the tail and replaying the log
+    /// truncating the tail, which only an uncommitted group can own
     /// ([`crate::PageStore::file_durable`]); without a log the damage is
     /// surfaced rather than silently dropped.
     TornWrite {
@@ -90,13 +95,16 @@ impl fmt::Display for StoreError {
                 write!(f, "payload of {payload} bytes exceeds page size {page_size}")
             }
             StoreError::Corrupt(msg) => write!(f, "corrupt page layout: {msg}"),
+            StoreError::CommittedPage(id) => {
+                write!(f, "page {id:?} is committed and cannot be overwritten")
+            }
             StoreError::Quarantined(id) => {
                 write!(f, "page {id:?} is quarantined after exhausting its retry budget")
             }
             StoreError::TornWrite { complete, trailing_bytes } => write!(
                 f,
                 "torn trailing write: {trailing_bytes} dangling bytes after {complete} \
-                 complete units (recoverable via WAL replay)"
+                 complete units (recoverable via WAL recovery)"
             ),
             StoreError::Crashed => write!(f, "store killed at an injected crash point"),
             StoreError::VersionNotRetained { requested, oldest, current } => write!(

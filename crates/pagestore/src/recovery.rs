@@ -1,29 +1,27 @@
-//! Crash recovery: replaying a scanned WAL onto a backend.
+//! Crash recovery: rebuilding the allocation table from a scanned WAL.
 //!
-//! Recovery is redo-only. The scan ([`crate::wal::scan`]) already dropped
-//! any torn tail; this module replays the surviving records *up to the
-//! last commit* — records after it are intact but unacknowledged, so they
-//! are discarded (counted in the report), never applied. Applying them
-//! would resurrect half of a structural update (an insert touches many
-//! pages) and hand back a corrupt tree; stopping at the last commit lands
-//! the store exactly on the most recent acknowledged consistency point.
+//! The scan ([`crate::wal::scan`]) already dropped any torn tail; this
+//! module replays the surviving records *up to the last commit* — records
+//! after it are intact but unacknowledged, so they are discarded (counted
+//! in the report), never applied. Stopping at the last commit lands the
+//! store exactly on the most recent acknowledged consistency point.
 //!
-//! Replay writes full checksummed frames straight to the backend (the
-//! same layout [`crate::PageStore`] writes), reconstructs the allocation
-//! table from the last checkpoint snapshot plus the replayed
-//! alloc/free records, and reports what it did in a [`RecoveryReport`].
+//! Recovery writes no frame. A durable store never overwrites a committed
+//! page and syncs the data backend before each commit record, so the data
+//! file already holds every committed page as it was committed. What
+//! remains is the allocation table: the last checkpoint snapshot plus the
+//! replayed alloc/free records, with the free list in the order the live
+//! store built it. Frames an uncommitted group wrote sit on pages the
+//! recovered table calls free or has never handed out; the store zeroes
+//! such a page when it allocates it.
 
-use crate::backend::Backend;
-use crate::codec::fnv1a64;
-use crate::error::{Result, StoreError};
-use crate::store::CHECKSUM_LEN;
+use std::collections::HashSet;
+
 use crate::wal::{AllocSnapshot, ScanOutcome, WalRecord};
 
 /// What recovery found and did while reopening a durable store.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Page images rewritten into the data backend.
-    pub replayed_writes: u64,
     /// Allocation records replayed into the allocation table.
     pub replayed_allocs: u64,
     /// Free records replayed into the allocation table.
@@ -48,9 +46,9 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Total records replayed (writes + allocs + frees + commits).
+    /// Total records replayed (allocs + frees + commits).
     pub fn replayed_records(&self) -> u64 {
-        self.replayed_writes + self.replayed_allocs + self.replayed_frees + self.commits
+        self.replayed_allocs + self.replayed_frees + self.commits
     }
 
     /// True when recovery had nothing to do: no replay, no torn tail, no
@@ -63,114 +61,82 @@ impl RecoveryReport {
     }
 }
 
-/// Applies an alloc record to a snapshot: the id leaves the free list (its
-/// relative order otherwise preserved — recycling pops from the back, and
-/// replay re-applies operations in their original order) or extends the
-/// never-allocated frontier.
-fn apply_alloc(snap: &mut AllocSnapshot, id: u64) {
-    if let Some(pos) = snap.free_list.iter().rposition(|&f| f == id) {
-        snap.free_list.remove(pos);
-    }
-    if id >= snap.next_id {
-        snap.next_id = id + 1;
-    }
-}
-
-/// Replays `outcome` onto `backend`, stopping at the last commit record.
+/// Replays `outcome`'s allocation records, stopping at the last commit.
 ///
-/// Returns the report plus the reconstructed allocation snapshot. The
-/// caller owns durability sequencing: it must `sync` the backend and then
-/// install a fresh checkpoint so the replayed records are never needed
-/// again. `backend` must have frame size `page_size + 8`.
-pub fn replay(
-    backend: &dyn Backend,
-    page_size: usize,
-    outcome: &ScanOutcome,
-) -> Result<(RecoveryReport, AllocSnapshot)> {
-    debug_assert_eq!(backend.frame_size(), page_size + CHECKSUM_LEN);
+/// Returns the report plus the reconstructed allocation snapshot. As in
+/// the live store, a page freed in the group that allocated it is free at
+/// once, and any other freed page joins the free list at its group's
+/// commit, so the free list comes back in the live store's order.
+pub fn replay(outcome: &ScanOutcome) -> (RecoveryReport, AllocSnapshot) {
     let mut report = RecoveryReport { torn_tail: outcome.torn_bytes > 0, ..Default::default() };
 
-    // The replayable range: after the last checkpoint (its records are
-    // already in the data file), up to and including the last commit.
+    // The replayable range: after the last checkpoint (a snapshot of
+    // everything before it), up to and including the last commit.
     let ckpt = outcome
         .records
         .iter()
         .rposition(|r| matches!(r, WalRecord::Checkpoint { .. }));
-    let mut snap = match ckpt {
-        Some(i) => match &outcome.records[i] {
-            WalRecord::Checkpoint { alloc, meta, .. } => {
-                // The checkpoint re-embeds the commit metadata that was
-                // current when it was installed; without it, a crash after
-                // a checkpoint (with no later commit) would forget which
-                // acknowledged batch the store sits on. A later commit in
-                // the replay range overrides this.
-                if !meta.is_empty() {
-                    report.last_commit_meta = Some(meta.clone());
-                }
-                alloc.clone()
+    let mut snap = match ckpt.map(|i| &outcome.records[i]) {
+        Some(WalRecord::Checkpoint { alloc, meta, .. }) => {
+            // The checkpoint re-embeds the commit metadata that was
+            // current when it was installed; without it, a crash after a
+            // checkpoint (with no later commit) would forget which
+            // acknowledged batch the store sits on. A later commit in the
+            // replay range overrides this.
+            if !meta.is_empty() {
+                report.last_commit_meta = Some(meta.clone());
             }
-            _ => unreachable!(),
-        },
-        None => AllocSnapshot::default(),
+            alloc.clone()
+        }
+        _ => AllocSnapshot::default(),
     };
     let start = ckpt.map(|i| i + 1).unwrap_or(0);
-    let last_commit = outcome.records[start..]
+    let end = outcome.records[start..]
         .iter()
         .rposition(|r| matches!(r, WalRecord::Commit { .. }))
-        .map(|i| start + i);
-
-    let end = match last_commit {
-        Some(i) => i + 1,
         // No commit since the checkpoint: nothing is acknowledged, so
         // nothing is replayed and everything pending is discarded.
-        None => start,
-    };
+        .map_or(start, |i| start + i + 1);
     report.discarded_records = (outcome.records.len() - end) as u64;
 
-    let mut frame = vec![0u8; page_size + CHECKSUM_LEN];
+    // The open group, as the live store tracks it.
+    let mut fresh: HashSet<u64> = HashSet::new();
+    let mut held: Vec<u64> = Vec::new();
     for rec in &outcome.records[start..end] {
         match rec {
-            WalRecord::PageWrite { page, data, .. } => {
-                if data.len() > page_size {
-                    return Err(StoreError::Corrupt(format!(
-                        "WAL page image of {} bytes exceeds page size {page_size}",
-                        data.len()
-                    )));
-                }
-                frame.fill(0);
-                frame[..data.len()].copy_from_slice(data);
-                let checksum = fnv1a64(&frame[..page_size]);
-                frame[page_size..].copy_from_slice(&checksum.to_le_bytes());
-                backend.write_frame(*page, &frame)?;
-                report.replayed_writes += 1;
-            }
             WalRecord::Alloc { page, .. } => {
-                apply_alloc(&mut snap, page.0);
+                let id = page.0;
+                if let Some(pos) = snap.free_list.iter().rposition(|&f| f == id) {
+                    snap.free_list.remove(pos);
+                }
+                snap.next_id = snap.next_id.max(id + 1);
+                fresh.insert(id);
                 report.replayed_allocs += 1;
             }
             WalRecord::Free { page, .. } => {
-                snap.free_list.push(page.0);
+                if fresh.contains(&page.0) {
+                    snap.free_list.push(page.0);
+                } else {
+                    held.push(page.0);
+                }
                 report.replayed_frees += 1;
             }
             WalRecord::Commit { meta, .. } => {
+                fresh.clear();
+                snap.free_list.append(&mut held);
                 report.commits += 1;
                 report.last_commit_meta = Some(meta.clone());
             }
-            // A checkpoint inside the replay range cannot happen (the
-            // range starts after the last one), but tolerate it: it is a
-            // full snapshot, so adopting it is always correct.
-            WalRecord::Checkpoint { alloc, .. } => {
-                snap = alloc.clone();
-            }
+            // The range starts after the last checkpoint.
+            WalRecord::Checkpoint { .. } => unreachable!("checkpoint inside the replay range"),
         }
     }
-    Ok((report, snap))
+    (report, snap)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MemBackend;
     use crate::store::PageId;
     use crate::wal::{encode_header, scan};
 
@@ -182,45 +148,32 @@ mod tests {
         scan(&bytes, page_size).unwrap()
     }
 
-    fn read_payload(backend: &dyn Backend, page: PageId, page_size: usize) -> Vec<u8> {
-        let mut frame = vec![0u8; page_size + CHECKSUM_LEN];
-        backend.read_frame(page, &mut frame).unwrap();
-        let stored = u64::from_le_bytes(frame[page_size..].try_into().unwrap());
-        assert_eq!(stored, fnv1a64(&frame[..page_size]), "replayed frame must be checksummed");
-        frame.truncate(page_size);
-        frame
-    }
-
     #[test]
     fn replay_stops_at_the_last_commit() {
-        let backend = MemBackend::new(64 + CHECKSUM_LEN);
         let recs = vec![
             WalRecord::Alloc { lsn: 1, page: PageId(0) },
-            WalRecord::PageWrite { lsn: 2, page: PageId(0), data: b"acked".to_vec() },
+            WalRecord::Alloc { lsn: 2, page: PageId(1) },
             WalRecord::Commit { lsn: 3, meta: vec![1] },
-            WalRecord::PageWrite { lsn: 4, page: PageId(0), data: b"UNACKED".to_vec() },
-            WalRecord::Alloc { lsn: 5, page: PageId(1) },
+            WalRecord::Free { lsn: 4, page: PageId(0) },
+            WalRecord::Alloc { lsn: 5, page: PageId(2) },
         ];
-        let (report, snap) = replay(&backend, 64, &scan_of(&recs, 64)).unwrap();
-        assert_eq!(report.replayed_writes, 1);
-        assert_eq!(report.replayed_allocs, 1);
+        let (report, snap) = replay(&scan_of(&recs, 64));
+        assert_eq!(report.replayed_allocs, 2);
+        assert_eq!(report.replayed_frees, 0);
         assert_eq!(report.commits, 1);
         assert_eq!(report.discarded_records, 2, "records past the commit are dropped");
         assert_eq!(report.last_commit_meta.as_deref(), Some(&[1u8][..]));
         assert!(!report.torn_tail);
         assert!(!report.clean());
-        assert_eq!(snap, AllocSnapshot { next_id: 1, free_list: vec![] });
-        assert_eq!(&read_payload(&backend, PageId(0), 64)[..5], b"acked");
+        assert_eq!(snap, AllocSnapshot { next_id: 2, free_list: vec![] });
     }
 
     #[test]
     fn replay_starts_after_the_last_checkpoint() {
-        let backend = MemBackend::new(64 + CHECKSUM_LEN);
         let recs = vec![
-            // Pre-checkpoint history must NOT be replayed (it is already
-            // in the data file; rewriting page 7 here would be wrong if
-            // the post-checkpoint state differs).
-            WalRecord::PageWrite { lsn: 1, page: PageId(7), data: b"stale".to_vec() },
+            // Pre-checkpoint history must NOT be replayed: the checkpoint's
+            // snapshot already holds it.
+            WalRecord::Alloc { lsn: 1, page: PageId(7) },
             WalRecord::Commit { lsn: 2, meta: vec![] },
             WalRecord::Checkpoint {
                 lsn: 3,
@@ -228,11 +181,10 @@ mod tests {
                 meta: b"ckpt-era".to_vec(),
             },
             WalRecord::Alloc { lsn: 4, page: PageId(2) },
-            WalRecord::PageWrite { lsn: 5, page: PageId(2), data: b"fresh".to_vec() },
-            WalRecord::Commit { lsn: 6, meta: vec![9] },
+            WalRecord::Commit { lsn: 5, meta: vec![9] },
         ];
-        let (report, snap) = replay(&backend, 64, &scan_of(&recs, 64)).unwrap();
-        assert_eq!(report.replayed_writes, 1, "only the post-checkpoint write");
+        let (report, snap) = replay(&scan_of(&recs, 64));
+        assert_eq!(report.replayed_allocs, 1, "only the post-checkpoint alloc");
         assert_eq!(report.commits, 1, "only the post-checkpoint commit");
         assert_eq!(
             report.last_commit_meta.as_deref(),
@@ -240,33 +192,23 @@ mod tests {
             "a commit after the checkpoint overrides the checkpoint's re-embedded metadata"
         );
         assert_eq!(snap, AllocSnapshot { next_id: 3, free_list: vec![] });
-        // Page 7 untouched: still reads as never-written zeroes.
-        let mut frame = vec![0u8; 64 + CHECKSUM_LEN];
-        backend.read_frame(PageId(7), &mut frame).unwrap();
-        assert!(frame.iter().all(|&b| b == 0));
-        assert_eq!(&read_payload(&backend, PageId(2), 64)[..5], b"fresh");
     }
 
     #[test]
     fn no_commit_means_nothing_replays() {
-        let backend = MemBackend::new(64 + CHECKSUM_LEN);
         let recs = vec![
             WalRecord::Alloc { lsn: 1, page: PageId(0) },
-            WalRecord::PageWrite { lsn: 2, page: PageId(0), data: b"pending".to_vec() },
+            WalRecord::Alloc { lsn: 2, page: PageId(1) },
         ];
-        let (report, snap) = replay(&backend, 64, &scan_of(&recs, 64)).unwrap();
+        let (report, snap) = replay(&scan_of(&recs, 64));
         assert_eq!(report.replayed_records(), 0);
         assert_eq!(report.discarded_records, 2);
         assert_eq!(report.last_commit_meta, None);
         assert_eq!(snap, AllocSnapshot::default());
-        let mut frame = vec![0u8; 64 + CHECKSUM_LEN];
-        backend.read_frame(PageId(0), &mut frame).unwrap();
-        assert!(frame.iter().all(|&b| b == 0), "unacked write never reaches the backend");
     }
 
     #[test]
     fn alloc_and_free_replay_preserves_recycling_order() {
-        let backend = MemBackend::new(64 + CHECKSUM_LEN);
         // Start from a checkpoint with free list [5, 3] (3 recycles first:
         // alloc pops from the back).
         let recs = vec![
@@ -276,26 +218,31 @@ mod tests {
                 meta: vec![],
             },
             WalRecord::Alloc { lsn: 2, page: PageId(3) },
+            // Page 0 was committed: it joins the free list at the commit.
             WalRecord::Free { lsn: 3, page: PageId(0) },
             WalRecord::Alloc { lsn: 4, page: PageId(6) },
-            WalRecord::Commit { lsn: 5, meta: vec![] },
+            // Page 6 was allocated in this group: free at once.
+            WalRecord::Free { lsn: 5, page: PageId(6) },
+            WalRecord::Commit { lsn: 6, meta: vec![] },
+            // Page 3 was allocated by the previous group: committed.
+            WalRecord::Free { lsn: 7, page: PageId(3) },
+            WalRecord::Commit { lsn: 8, meta: vec![] },
         ];
-        let (report, snap) = replay(&backend, 64, &scan_of(&recs, 64)).unwrap();
+        let (report, snap) = replay(&scan_of(&recs, 64));
         assert_eq!(report.replayed_allocs, 2);
-        assert_eq!(report.replayed_frees, 1);
-        assert_eq!(snap, AllocSnapshot { next_id: 7, free_list: vec![5, 0] });
+        assert_eq!(report.replayed_frees, 3);
+        assert_eq!(snap, AllocSnapshot { next_id: 7, free_list: vec![5, 6, 0, 3] });
     }
 
     #[test]
     fn clean_log_reports_clean() {
-        let backend = MemBackend::new(64 + CHECKSUM_LEN);
         // Exactly what a checkpointed, cleanly-closed store leaves behind.
         let recs = vec![WalRecord::Checkpoint {
             lsn: 1,
             alloc: AllocSnapshot { next_id: 2, free_list: vec![] },
             meta: b"sticky".to_vec(),
         }];
-        let (report, snap) = replay(&backend, 64, &scan_of(&recs, 64)).unwrap();
+        let (report, snap) = replay(&scan_of(&recs, 64));
         assert!(report.clean(), "{report:?}");
         assert_eq!(
             report.last_commit_meta.as_deref(),
@@ -304,19 +251,8 @@ mod tests {
         );
         assert_eq!(snap.next_id, 2);
         // An empty log is clean too.
-        let (report, snap) = replay(&backend, 64, &ScanOutcome::default()).unwrap();
+        let (report, snap) = replay(&ScanOutcome::default());
         assert!(report.clean());
         assert_eq!(snap, AllocSnapshot::default());
-    }
-
-    #[test]
-    fn oversized_page_image_is_corrupt() {
-        let backend = MemBackend::new(64 + CHECKSUM_LEN);
-        let recs = vec![
-            WalRecord::PageWrite { lsn: 1, page: PageId(0), data: vec![1u8; 65] },
-            WalRecord::Commit { lsn: 2, meta: vec![] },
-        ];
-        let err = replay(&backend, 64, &scan_of(&recs, 64)).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt(_)), "got {err}");
     }
 }

@@ -56,15 +56,20 @@
 //!
 //! ## Durability
 //!
-//! On a durable store, [`ApplyGuard::install`] frames the caller's commit
-//! metadata with the new epoch's seq, full map, and pending retirement
-//! queue ([`encode_version_meta`]), and group-commits it — so crash
-//! recovery's `last_commit_meta` *is* the epoch. [`VersionedStore::open`]
-//! decodes it, resumes from exactly the last committed epoch, and frees
-//! the now-orphaned retirement queue (history is memory-only; only the
-//! current epoch survives a crash). A kill mid-install loses only the
-//! uncommitted CoW pages, which recovery discards — the previous epoch
-//! remains the visible version, bit-identical.
+//! The copy-on-write above is also how a durable store keeps its rule
+//! that a committed page is never overwritten (see the `wal` module
+//! docs): every write in a session lands on a page allocated since the
+//! last commit. On a durable store, [`ApplyGuard::install`] frames the
+//! caller's commit metadata with the new epoch's seq, full map, and
+//! pending retirement queue ([`encode_version_meta`]), and group-commits
+//! it — so crash recovery's `last_commit_meta` *is* the epoch; the GC
+//! frees it makes wait in the allocator until that commit is durable.
+//! [`VersionedStore::open`] decodes it, resumes from exactly the last
+//! committed epoch, and frees the now-orphaned retirement queue (history
+//! is memory-only; only the current epoch survives a crash). A kill
+//! mid-install loses only the uncommitted CoW pages, whose ids the
+//! recovered allocator calls free or has never handed out — the previous
+//! epoch remains the visible version, bit-identical.
 
 use std::any::Any;
 use std::cell::RefCell;

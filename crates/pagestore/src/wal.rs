@@ -1,30 +1,29 @@
-//! ARIES-lite write-ahead log for the page store.
+//! Write-ahead log for the page store's shadow paging.
 //!
 //! The log is an append-only sequence of checksummed, LSN-stamped records
 //! over a pluggable [`LogMedium`] (a real file, a memory buffer for tests,
-//! or the crash-injected medium in [`crate::crash`]). The store follows a
-//! **redo-only, no-steal** discipline:
+//! or the crash-injected medium in [`crate::crash`]). It carries no page
+//! contents: a durable store never overwrites a committed page, so each
+//! page reaches the data file once, and the log only has to say which
+//! pages exist.
 //!
-//! * every page write is logged as a full page image *before* it becomes
-//!   visible anywhere ([`WalRecord::PageWrite`]); allocation-table changes
-//!   are logged as [`WalRecord::Alloc`]/[`WalRecord::Free`];
+//! * allocation-table changes are logged as [`WalRecord::Alloc`] /
+//!   [`WalRecord::Free`], one per call;
 //! * a [`WalRecord::Commit`] marks a *consistency point*: the group-commit
 //!   boundary at which the caller's structures are internally consistent.
-//!   [`Wal::commit`] appends it, flushes, and `fsync`s — one fsync per
-//!   batch, however many records it carries (group commit);
-//! * the data file is written **only** during a checkpoint (or recovery),
-//!   both of which run at consistency points — so the classic WAL-before-
-//!   data rule holds by construction and no undo log is ever needed;
+//!   The store syncs the data backend first; [`Wal::commit`] then appends
+//!   the record, flushes, and `fsync`s — one log fsync per batch, however
+//!   many records it carries (group commit);
 //! * a checkpoint ([`Wal::install_checkpoint`]) atomically replaces the
 //!   whole log with a fresh one holding a single [`WalRecord::Checkpoint`]
 //!   (an allocation-table snapshot), which bounds replay work to the
 //!   records of one checkpoint interval.
 //!
 //! Recovery ([`crate::recovery`]) scans the log, drops a torn tail at the
-//! first invalid record, replays everything between the last checkpoint and
-//! the last commit, and discards intact-but-uncommitted records after it —
-//! so a reopened store lands exactly on the most recent durable consistency
-//! point.
+//! first invalid record, replays the allocation records between the last
+//! checkpoint and the last commit, and discards intact-but-uncommitted
+//! records after it — so a reopened store lands exactly on the most recent
+//! durable consistency point without writing a frame.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -38,8 +37,8 @@ use crate::codec::fnv1a64;
 use crate::error::{Result, StoreError};
 use crate::store::PageId;
 
-/// Magic bytes opening every WAL (version 1).
-pub const WAL_MAGIC: &[u8; 8] = b"PCWAL001";
+/// Magic bytes opening every WAL (version 2: no page images).
+pub const WAL_MAGIC: &[u8; 8] = b"PCWAL002";
 /// Header length: magic plus the little-endian page size.
 pub const WAL_HEADER_LEN: usize = 16;
 
@@ -51,7 +50,6 @@ const REC_CRC: usize = 8;
 /// make the scanner chase gigabytes.
 pub const MAX_RECORD_PAYLOAD: usize = 1 << 26;
 
-const K_WRITE: u8 = 1;
 const K_ALLOC: u8 = 2;
 const K_FREE: u8 = 3;
 const K_COMMIT: u8 = 4;
@@ -265,16 +263,6 @@ impl AllocSnapshot {
 /// One decoded log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// Full image of one page write (the payload as handed to
-    /// [`crate::PageStore::write`]; replay zero-pads to the page size).
-    PageWrite {
-        /// Record sequence number.
-        lsn: u64,
-        /// Target page.
-        page: PageId,
-        /// Page payload (`<= page_size` bytes).
-        data: Vec<u8>,
-    },
     /// A page was allocated.
     Alloc {
         /// Record sequence number.
@@ -320,8 +308,7 @@ impl WalRecord {
     /// The record's LSN.
     pub fn lsn(&self) -> u64 {
         match self {
-            WalRecord::PageWrite { lsn, .. }
-            | WalRecord::Alloc { lsn, .. }
+            WalRecord::Alloc { lsn, .. }
             | WalRecord::Free { lsn, .. }
             | WalRecord::Commit { lsn, .. }
             | WalRecord::Checkpoint { lsn, .. } => *lsn,
@@ -332,7 +319,6 @@ impl WalRecord {
     /// crc`, crc over kind..payload) to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let (kind, page, payload): (u8, u64, Vec<u8>) = match self {
-            WalRecord::PageWrite { page, data, .. } => (K_WRITE, page.0, data.clone()),
             WalRecord::Alloc { page, .. } => (K_ALLOC, page.0, Vec::new()),
             WalRecord::Free { page, .. } => (K_FREE, page.0, Vec::new()),
             WalRecord::Commit { meta, .. } => (K_COMMIT, 0, meta.clone()),
@@ -356,7 +342,6 @@ impl WalRecord {
     /// Encoded length in bytes.
     pub fn encoded_len(&self) -> usize {
         let payload = match self {
-            WalRecord::PageWrite { data, .. } => data.len(),
             WalRecord::Alloc { .. } | WalRecord::Free { .. } => 0,
             WalRecord::Commit { meta, .. } => meta.len(),
             WalRecord::Checkpoint { alloc, meta, .. } => {
@@ -392,7 +377,6 @@ pub fn decode_record(buf: &[u8]) -> Option<(WalRecord, usize)> {
     let page = u64::from_le_bytes(buf[13..21].try_into().unwrap());
     let payload = &buf[REC_FIXED..REC_FIXED + len];
     let rec = match kind {
-        K_WRITE => WalRecord::PageWrite { lsn, page: PageId(page), data: payload.to_vec() },
         K_ALLOC if len == 0 => WalRecord::Alloc { lsn, page: PageId(page) },
         K_FREE if len == 0 => WalRecord::Free { lsn, page: PageId(page) },
         K_COMMIT => WalRecord::Commit { lsn, meta: payload.to_vec() },
@@ -484,9 +468,11 @@ pub struct WalStats {
     pub max_group: u64,
     /// Current log length in bytes (appended, including unsynced).
     pub log_bytes: u64,
-    /// Pages currently buffered in the store's dirty table.
+    /// Always 0: a durable store buffers no write. Kept so readers of
+    /// these counters still build.
     pub dirty_pages: u64,
-    /// Reads served from the dirty table (no backend transfer).
+    /// Always 0: every durable read counts in `IoStats::reads`. Kept so
+    /// readers of these counters still build.
     pub dirty_hits: u64,
 }
 
@@ -520,7 +506,6 @@ pub struct Wal {
     /// Records made durable per commit — the distribution behind
     /// `max_group` (see [`Wal::group_sizes`]).
     group_sizes: pc_obs::Histogram,
-    dirty_hits: AtomicU64,
 }
 
 impl Wal {
@@ -547,18 +532,13 @@ impl Wal {
             replayed: AtomicU64::new(0),
             max_group: AtomicU64::new(0),
             group_sizes: pc_obs::Histogram::default(),
-            dirty_hits: AtomicU64::new(0),
         };
         Ok((wal, outcome))
     }
 
-    /// The page size this log was opened with.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    fn append_record(&self, make: impl FnOnce(u64) -> WalRecord) -> Result<u64> {
-        let mut inner = self.inner.lock();
+    /// Appends the record `make` builds for the next LSN (caller holds
+    /// `inner`); returns that LSN.
+    fn push(&self, inner: &mut WalInner, make: impl FnOnce(u64) -> WalRecord) -> Result<u64> {
         let lsn = inner.next_lsn;
         let rec = make(lsn);
         let mut buf =
@@ -568,15 +548,16 @@ impl Wal {
         self.medium.append(&buf)?;
         inner.needs_header = false;
         inner.next_lsn += 1;
-        inner.uncommitted += 1;
         inner.log_bytes += buf.len() as u64;
         self.appends.fetch_add(1, Relaxed);
         Ok(lsn)
     }
 
-    /// Logs a full page image. Must precede any visibility of the write.
-    pub fn append_write(&self, page: PageId, data: &[u8]) -> Result<u64> {
-        self.append_record(|lsn| WalRecord::PageWrite { lsn, page, data: data.to_vec() })
+    fn append_record(&self, make: impl FnOnce(u64) -> WalRecord) -> Result<u64> {
+        let mut inner = self.inner.lock();
+        let lsn = self.push(&mut inner, make)?;
+        inner.uncommitted += 1;
+        Ok(lsn)
     }
 
     /// Logs a page allocation.
@@ -599,19 +580,9 @@ impl Wal {
             return Ok(0);
         }
         let group = inner.uncommitted;
-        let lsn = inner.next_lsn;
-        let rec = WalRecord::Commit { lsn, meta: meta.to_vec() };
-        let mut buf =
-            if inner.needs_header { encode_header(self.page_size) } else { Vec::new() };
-        buf.reserve(rec.encoded_len());
-        rec.encode_into(&mut buf);
-        self.medium.append(&buf)?;
-        inner.needs_header = false;
-        inner.next_lsn += 1;
-        inner.log_bytes += buf.len() as u64;
+        self.push(&mut inner, |lsn| WalRecord::Commit { lsn, meta: meta.to_vec() })?;
         self.medium.sync()?;
         inner.uncommitted = 0;
-        self.appends.fetch_add(1, Relaxed);
         self.commits.fetch_add(1, Relaxed);
         self.fsyncs.fetch_add(1, Relaxed);
         self.max_group.fetch_max(group, Relaxed);
@@ -620,8 +591,8 @@ impl Wal {
     }
 
     /// Atomically replaces the log with a fresh generation holding only a
-    /// checkpoint of `alloc`. All earlier records must already be applied
-    /// to a durably synced data file — the caller's job. `meta` is the
+    /// checkpoint of `alloc`. Every earlier record must be committed, and
+    /// the data file synced — the caller's job. `meta` is the
     /// last committed caller metadata, re-embedded in the checkpoint so it
     /// survives the log swap (pass `&[]` when there has been none).
     pub fn install_checkpoint(&self, alloc: &AllocSnapshot, meta: &[u8]) -> Result<()> {
@@ -656,19 +627,13 @@ impl Wal {
         self.replayed.fetch_add(n, Relaxed);
     }
 
-    /// Notes one read served from the store's dirty table (stats only).
-    pub fn note_dirty_hit(&self) {
-        self.dirty_hits.fetch_add(1, Relaxed);
-    }
-
     /// Distribution of records made durable per group commit (empty
     /// commits issue no fsync and are not recorded).
     pub fn group_sizes(&self) -> pc_obs::HistogramSnapshot {
         self.group_sizes.snapshot()
     }
 
-    /// Snapshot of the log's counters. `dirty_pages` is filled in by the
-    /// store, which owns the dirty table.
+    /// Snapshot of the log's counters.
     pub fn stats(&self) -> WalStats {
         WalStats {
             appends: self.appends.load(Relaxed),
@@ -678,8 +643,7 @@ impl Wal {
             replayed: self.replayed.load(Relaxed),
             max_group: self.max_group.load(Relaxed),
             log_bytes: self.inner.lock().log_bytes,
-            dirty_pages: 0,
-            dirty_hits: self.dirty_hits.load(Relaxed),
+            ..WalStats::default()
         }
     }
 }
@@ -696,10 +660,10 @@ mod tests {
                 meta: b"carried".to_vec(),
             },
             WalRecord::Alloc { lsn: 2, page: PageId(0) },
-            WalRecord::PageWrite { lsn: 3, page: PageId(0), data: b"hello".to_vec() },
+            WalRecord::Alloc { lsn: 3, page: PageId(5) },
             WalRecord::Free { lsn: 4, page: PageId(0) },
             WalRecord::Commit { lsn: 5, meta: vec![9, 9] },
-            WalRecord::PageWrite { lsn: 6, page: PageId(3), data: vec![] },
+            WalRecord::Free { lsn: 6, page: PageId(3) },
         ]
     }
 
@@ -742,12 +706,12 @@ mod tests {
     fn corrupt_record_stops_the_scan_there() {
         let recs = sample_records();
         let mut bytes = encode_all(&recs, 128);
-        // Flip a byte inside the third record's payload region.
+        // Flip a byte inside the third record's page field.
         let mut pos = WAL_HEADER_LEN;
         for r in &recs[..2] {
             pos += r.encoded_len();
         }
-        bytes[pos + REC_FIXED] ^= 0xff;
+        bytes[pos + REC_FIXED - 1] ^= 0xff;
         let out = scan(&bytes, 128).unwrap();
         assert_eq!(out.records, recs[..2]);
         assert!(out.torn_bytes > 0);
@@ -782,7 +746,7 @@ mod tests {
         let (wal, out) = Wal::open(Box::new(MemLog::new()), 64).unwrap();
         assert!(out.records.is_empty());
         for i in 0..5u64 {
-            wal.append_write(PageId(i), &[i as u8]).unwrap();
+            wal.append_alloc(PageId(i)).unwrap();
         }
         assert_eq!(wal.uncommitted(), 5);
         assert_eq!(wal.commit(b"batch-1").unwrap(), 5);
@@ -793,14 +757,14 @@ mod tests {
         assert_eq!(s.max_group, 5);
         // One group of 5; the empty commit is not an observation.
         assert_eq!(wal.group_sizes().buckets, vec![(7, 1)]);
-        assert_eq!(s.appends, 6, "5 writes + 1 commit");
+        assert_eq!(s.appends, 6, "5 allocs + 1 commit");
     }
 
     #[test]
     fn install_checkpoint_resets_the_log_generation() {
         let medium = Box::new(MemLog::new());
         let (wal, _) = Wal::open(medium, 64).unwrap();
-        wal.append_write(PageId(0), b"x").unwrap();
+        wal.append_alloc(PageId(0)).unwrap();
         wal.commit(&[]).unwrap();
         let before = wal.log_bytes();
         let snap = AllocSnapshot { next_id: 1, free_list: vec![] };

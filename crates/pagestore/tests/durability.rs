@@ -1,8 +1,9 @@
 //! Store-level durability integration tests: reopen after a clean
-//! shutdown, WAL replay of committed-but-unflushed state, torn-tail
-//! handling in both the data file and the log, and checkpointing bounding
-//! replay. The exhaustive kill-point matrix lives in `crash_recovery.rs`;
-//! these tests pin the individual behaviors it composes.
+//! shutdown, recovery that writes no frame, a group killed between its data
+//! sync and its commit record, torn-tail handling in both the data file and
+//! the log, and checkpointing bounding replay. The exhaustive kill-point
+//! matrix lives in `crash_recovery.rs`; these tests pin the individual
+//! behaviors it composes.
 
 use std::sync::Arc;
 
@@ -65,9 +66,9 @@ fn file_store_reopen_after_clean_shutdown_restores_every_page() {
 }
 
 #[test]
-fn committed_but_unflushed_writes_survive_via_wal_replay() {
-    // No checkpoint ever runs (huge threshold), so the data file never sees
-    // the writes — recovery must rebuild them from the log alone.
+fn committed_pages_are_on_the_medium_and_recovery_writes_no_frame() {
+    // No checkpoint ever runs (huge threshold): the commit alone must have
+    // put every page in the data file.
     let ctrl = CrashController::new(CrashPlan::count_only(11));
     let backend = Arc::new(CrashBackend::new(FRAME, ctrl.clone()));
     let log = Arc::new(CrashLog::new(ctrl));
@@ -82,28 +83,91 @@ fn committed_but_unflushed_writes_survive_via_wal_replay() {
     let mut want = Vec::new();
     for i in 0..5u8 {
         let id = store.alloc().unwrap();
-        let data = payload(0xBB, i);
+        let mut data = payload(0xBB, i);
         store.write(id, &data).unwrap();
+        data.resize(PAGE, 0);
         want.push((id, data));
     }
     store.commit_with(b"batch-1").unwrap();
 
-    // "Die now": extract what durable media hold and recover from them.
-    let (store2, report) = PageStore::new_durable(
-        cfg(),
-        Box::new(backend.surviving_backend()),
-        Box::new(log.surviving_log()),
-        WalConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(report.replayed_writes, 5, "all committed writes replay: {report:?}");
+    // "Die now", and recover with the data medium on a controller of its
+    // own, which counts every frame write and sync recovery issues.
+    let data_ctrl = CrashController::new(CrashPlan::count_only(12));
+    let data = CrashBackend::with_frames(FRAME, data_ctrl.clone(), backend.surviving_frames());
+    let (store2, report) =
+        PageStore::new_durable(cfg(), Box::new(data), Box::new(log.surviving_log()), wal_cfg)
+            .unwrap();
+    assert_eq!(data_ctrl.ops(), 0, "recovery touches the data medium not once: {report:?}");
+    assert_eq!(report.replayed_allocs, 5, "{report:?}");
     assert_eq!(report.last_commit_meta.as_deref(), Some(&b"batch-1"[..]));
-    for (id, data) in &want {
-        let mut padded = data.clone();
-        padded.resize(PAGE, 0);
-        assert_eq!(&store2.read(*id).unwrap()[..], &padded[..]);
+    assert_eq!(snapshot(&store2), want);
+}
+
+#[test]
+fn a_group_killed_between_its_data_sync_and_commit_record_leaves_zeroed_ids() {
+    let mut lost = 0;
+    for seed in 0..32u64 {
+        let media = |kill_at| {
+            let ctrl = CrashController::new(CrashPlan::kill_at(seed, kill_at));
+            let backend = Arc::new(CrashBackend::new(FRAME, ctrl.clone()));
+            let log = Arc::new(CrashLog::new(ctrl.clone()));
+            let (store, _) = PageStore::new_durable(
+                cfg(),
+                Box::new(Arc::clone(&backend)),
+                Box::new(Arc::clone(&log)),
+                WalConfig::default(),
+            )
+            .unwrap();
+            (ctrl, backend, log, store)
+        };
+        let acked = |store: &PageStore| {
+            let a = store.alloc().unwrap();
+            store.write(a, &payload(0xAC, 0)).unwrap();
+            store.commit_with(b"acked").unwrap();
+        };
+        let doomed = |store: &PageStore| -> pc_pagestore::Result<PageId> {
+            let b = store.alloc()?;
+            store.write(b, &payload(0xDE, 1))?;
+            store.commit_with(b"doomed")?;
+            Ok(b)
+        };
+        // Counting run: the commit's first durable I/O is the data sync,
+        // the next the commit record's append.
+        let (ctrl, _, _, store) = media(0);
+        acked(&store);
+        let b = store.alloc().unwrap();
+        store.write(b, &payload(0xDE, 1)).unwrap();
+        let kill_at = ctrl.ops() + 2;
+
+        let (ctrl, backend, log, store) = media(kill_at);
+        acked(&store);
+        assert!(doomed(&store).is_err(), "seed {seed}: the commit record's append kills");
+        assert!(ctrl.crashed());
+        let frames = backend.surviving_frames();
+        let (store2, report) = PageStore::new_durable(
+            cfg(),
+            Box::new(backend.surviving_backend()),
+            Box::new(log.surviving_log()),
+            WalConfig::default(),
+        )
+        .unwrap();
+        if report.last_commit_meta.as_deref() == Some(&b"doomed"[..]) {
+            // The record survived the tear whole: the group committed.
+            assert_eq!(&store2.read(b).unwrap()[..PAGE / 2 + 1], &payload(0xDE, 1)[..]);
+            continue;
+        }
+        lost += 1;
+        assert_eq!(report.last_commit_meta.as_deref(), Some(&b"acked"[..]), "seed {seed}");
+        // The data sync ran, so the lost group's page is on the medium...
+        let frame = frames.iter().find(|(id, _)| *id == b).map(|(_, f)| &f[..PAGE / 2 + 1]);
+        assert_eq!(frame, Some(&payload(0xDE, 1)[..]), "seed {seed}: data synced first");
+        // ...and the reopened store hands its id out again, reading zeros.
+        assert_eq!(store2.allocated_pages().len(), 1, "seed {seed}");
+        let fresh = store2.alloc().unwrap();
+        assert_eq!(fresh, b, "seed {seed}: the lost id is the frontier");
+        assert!(store2.read(fresh).unwrap().iter().all(|&x| x == 0), "seed {seed}: stale bytes");
     }
-    assert_eq!(store2.allocated_pages().len(), 5);
+    assert!(lost > 0, "no seed lost the commit record: the test never ran its check");
 }
 
 #[test]
@@ -125,10 +189,13 @@ fn uncommitted_tail_is_discarded_and_acked_state_kept() {
         store.commit_with(b"acked").unwrap();
         let committed = snapshot(&store);
 
-        // Past the commit: more writes, some on fresh pages, never synced.
-        store.write(id, &payload(0xDD, 1)).unwrap();
-        let id2 = store.alloc().unwrap();
-        store.write(id2, &payload(0xEE, 2)).unwrap();
+        // Past the commit: a free of the committed page and fresh pages
+        // written, never synced.
+        store.free(id).unwrap();
+        for i in 1..3u8 {
+            let fresh = store.alloc().unwrap();
+            store.write(fresh, &payload(0xDD, i)).unwrap();
+        }
 
         let (store2, report) = PageStore::new_durable(
             cfg(),
@@ -148,7 +215,7 @@ fn uncommitted_tail_is_discarded_and_acked_state_kept() {
 }
 
 #[test]
-fn checkpoint_moves_state_to_the_data_file_and_empties_replay() {
+fn checkpoint_leaves_nothing_to_replay() {
     let ctrl = CrashController::new(CrashPlan::count_only(7));
     let backend = Arc::new(CrashBackend::new(FRAME, ctrl.clone()));
     let log = Arc::new(CrashLog::new(ctrl));
@@ -165,8 +232,6 @@ fn checkpoint_moves_state_to_the_data_file_and_empties_replay() {
     }
     store.checkpoint().unwrap();
     let committed = snapshot(&store);
-    let ws = store.wal_stats().unwrap();
-    assert_eq!(ws.dirty_pages, 0, "checkpoint drains the dirty table");
 
     let (store2, report) = PageStore::new_durable(
         cfg(),
@@ -175,7 +240,7 @@ fn checkpoint_moves_state_to_the_data_file_and_empties_replay() {
         WalConfig::default(),
     )
     .unwrap();
-    assert_eq!(report.replayed_writes, 0, "nothing left to replay: {report:?}");
+    assert_eq!(report.replayed_records(), 0, "nothing left to replay: {report:?}");
     assert_eq!(snapshot(&store2), committed);
 }
 
@@ -186,11 +251,19 @@ fn auto_checkpoint_keeps_the_log_bounded_across_reopens() {
     let before;
     {
         let (store, _) = PageStore::file_durable(&path, PAGE, wal_cfg).unwrap();
-        let ids: Vec<PageId> = (0..6).map(|_| store.alloc().unwrap()).collect();
+        let mut ids: Vec<PageId> = Vec::new();
         for round in 0..20u8 {
-            for (i, &id) in ids.iter().enumerate() {
-                store.write(id, &payload(round, i as u8)).unwrap();
+            // Each round replaces the six pages of the last: new pages
+            // written, the old ones freed.
+            for i in 0..6u8 {
+                let id = store.alloc().unwrap();
+                store.write(id, &payload(round, i)).unwrap();
+                if let Some(old) = ids.get(i as usize).copied() {
+                    store.free(old).unwrap();
+                }
+                ids.push(id);
             }
+            ids.drain(..ids.len() - 6);
             store.commit_with(&[round]).unwrap();
         }
         let ws = store.wal_stats().unwrap();
@@ -281,6 +354,14 @@ fn recycled_free_alloc_cycle_survives_recovery() {
     assert_eq!(c, a, "strict stores recycle the freed id");
     store.write(c, &payload(0x03, 2)).unwrap();
     store.commit_with(b"cycle").unwrap();
+    // A committed page freed: it waits for the next commit, so the group's
+    // alloc takes a new id and the free list order is the commit's.
+    store.free(b).unwrap();
+    let e = store.alloc().unwrap();
+    assert!(e != b && e != c, "a committed page is not reused before the next commit");
+    store.write(e, &payload(0x04, 3)).unwrap();
+    store.free(c).unwrap();
+    store.commit_with(b"cycle-2").unwrap();
     let committed = snapshot(&store);
 
     let (store2, _) = PageStore::new_durable(

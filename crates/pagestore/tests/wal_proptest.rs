@@ -23,16 +23,10 @@ use pc_rng::Rng;
 const PAGE: usize = 64;
 
 fn gen_record(rng: &mut Rng, lsn: u64) -> WalRecord {
-    match rng.gen_range(0..5u64) {
-        0 => {
-            let len = rng.gen_range(0..=PAGE);
-            let mut data = vec![0u8; len];
-            rng.fill_bytes(&mut data);
-            WalRecord::PageWrite { lsn, page: PageId(rng.gen_range(0..64u64)), data }
-        }
-        1 => WalRecord::Alloc { lsn, page: PageId(rng.gen_range(0..64u64)) },
-        2 => WalRecord::Free { lsn, page: PageId(rng.gen_range(0..64u64)) },
-        3 => {
+    match rng.gen_range(0..4u64) {
+        0 => WalRecord::Alloc { lsn, page: PageId(rng.gen_range(0..64u64)) },
+        1 => WalRecord::Free { lsn, page: PageId(rng.gen_range(0..64u64)) },
+        2 => {
             let len = rng.gen_range(0..16usize);
             let mut meta = vec![0u8; len];
             rng.fill_bytes(&mut meta);

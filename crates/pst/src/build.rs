@@ -407,10 +407,10 @@ mod tests {
     use std::collections::HashSet;
 
     use super::*;
-    use crate::region::{for_each_skeletal_page, paginate, write_page};
+    use crate::region::{for_each_skeletal_page, write_page};
     use crate::testutil::{block_sizes, check_core_caches, distinct_points, wide, LoggedStore};
     use crate::two_level::query_handle;
-    use pc_pagestore::layout::{fill_blocks, min_records};
+    use pc_pagestore::layout::{fill_blocks, min_records, paginate};
 
     /// The default path.
     fn build_core(store: &PageStore, pts: &[Point], mode: CacheMode) -> (MemPst, PstHandle) {
@@ -458,7 +458,9 @@ mod tests {
                     Ok(())
                 })
                 .unwrap();
-                let skeletal = paginate(&mem, skeletal_capacity(page_size)).0.len();
+                let children = |ni| mem.children(ni).into_iter().flatten();
+                let cap = skeletal_capacity(page_size);
+                let skeletal = paginate(mem.nodes.len(), cap, children).0.len();
                 let pages = mem.nodes.len() + skeletal + cache_blocks;
                 assert_eq!(store.live_pages() as usize, pages);
                 crate::two_level::free_pages(&store, core.root, false).unwrap();

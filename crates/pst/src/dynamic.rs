@@ -66,7 +66,7 @@
 //! costs the bytes it needs in the blocks it lands in, and nothing else.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::{fill_blocks, min_records, BlockList};
@@ -116,26 +116,26 @@ impl Touched {
     }
 }
 
-/// Applies buffered updates to a static answer: the latest op per point id
-/// wins (a buffer can be met along several traversal arms), deletes mask,
-/// and inserts the query `contains` are appended in `seq` order, so one
-/// query on one store always returns the same vector. Those inserts are
-/// output the static spans never saw, so they are reported to the caller's
-/// open span.
+/// Applies buffered updates to a static answer: the latest op per point
+/// (its whole `(x, y, id)`) wins (a buffer can be met along several
+/// traversal arms), deletes mask, and inserts the query `contains` are
+/// appended in `seq` order, so one query on one store always returns the
+/// same vector. Those inserts are output the static spans never saw, so
+/// they are reported to the caller's open span.
 fn merge_buffered(
     static_res: Vec<Point>,
     pending: Vec<UpdateRec>,
     contains: impl Fn(&Point) -> bool,
 ) -> Vec<Point> {
-    let mut latest: HashMap<u64, UpdateRec> = HashMap::new();
+    let mut latest: HashMap<Point, UpdateRec> = HashMap::new();
     for op in pending {
-        let e = latest.entry(op.p.id).or_insert(op);
+        let e = latest.entry(op.p).or_insert(op);
         if op.seq > e.seq {
             *e = op;
         }
     }
     let mut results: Vec<Point> =
-        static_res.into_iter().filter(|p| !latest.contains_key(&p.id)).collect();
+        static_res.into_iter().filter(|p| !latest.contains_key(p)).collect();
     let mut inserts: Vec<UpdateRec> =
         latest.into_values().filter(|op| !op.is_delete && contains(&op.p)).collect();
     inserts.sort_unstable_by_key(|op| op.seq);
@@ -200,7 +200,9 @@ impl DynamicPst {
         Ok(DynamicPst { root, caps, seq: word(8), live: word(16) })
     }
 
-    /// Number of live points (settled plus buffered).
+    /// Number of live points (settled plus buffered). A delete counts
+    /// even when it matched no live point: knowing would cost a read per
+    /// delete.
     pub fn len(&self) -> u64 {
         self.live
     }
@@ -367,7 +369,7 @@ impl DynamicPst {
                     };
                     if in_band || !has_children {
                         if op.is_delete {
-                            if let Some(i) = points[slot].iter().position(|x| x.id == op.p.id) {
+                            if let Some(i) = points[slot].iter().position(|x| *x == op.p) {
                                 let gone = points[slot].remove(i);
                                 touched[slot].apply(*op, &gone, i, &points[slot], rec);
                                 done = true;
@@ -616,7 +618,7 @@ fn patch_parent(
 /// applied in stamp order. Region `u` contents are *not* collected: those
 /// ops are already reflected in the X-lists.
 fn gather_live(store: &PageStore, page_id: PageId, extra: Vec<UpdateRec>) -> Result<Vec<Point>> {
-    let mut live: HashMap<u64, Point> = HashMap::new();
+    let mut live: HashSet<Point> = HashSet::new();
     let mut ops = extra;
     for_each_skeletal_page(store, page_id, &mut |_, page, records: &[RegionRecord]| {
         let u_page = decode_header(page)?.u_page;
@@ -624,24 +626,25 @@ fn gather_live(store: &PageStore, page_id: PageId, extra: Vec<UpdateRec>) -> Res
             ops.extend(read_buffer(store, u_page)?);
         }
         for rec in records {
-            live.extend(rec.x_list.read_all(store)?.into_iter().map(|p| (p.id, p)));
+            live.extend(rec.x_list.read_all(store)?);
         }
         Ok(())
     })?;
     Ok(replayed(live, ops))
 }
 
-/// The points of `live` after `ops`, applied in stamp order.
-fn replayed(mut live: HashMap<u64, Point>, mut ops: Vec<UpdateRec>) -> Vec<Point> {
+/// The points of `live` after `ops`, applied in stamp order; a delete
+/// removes only the whole point it names.
+fn replayed(mut live: HashSet<Point>, mut ops: Vec<UpdateRec>) -> Vec<Point> {
     ops.sort_unstable_by_key(|o| o.seq);
     for op in ops {
         if op.is_delete {
-            live.remove(&op.p.id);
+            live.remove(&op.p);
         } else {
-            live.insert(op.p.id, op.p);
+            live.insert(op.p);
         }
     }
-    live.into_values().collect()
+    live.into_iter().collect()
 }
 
 /// Dynamic 3-sided structure (Theorem 5.2): the static Theorem 3.3 index
@@ -729,7 +732,8 @@ impl DynamicThreeSidedPst {
         Ok(DynamicThreeSidedPst { inner, buffer, buffered, last_start, seq, buffer_cap })
     }
 
-    /// Number of live points.
+    /// Number of live points. A buffered delete counts even when it
+    /// matches no live point: knowing would cost a read per delete.
     pub fn len(&self) -> u64 {
         let buffered: i64 =
             self.buffered.iter().map(|op| if op.is_delete { -1i64 } else { 1 }).sum();
@@ -778,8 +782,7 @@ impl DynamicThreeSidedPst {
         // Collect the full live set: existing structure points + buffer.
         let everything =
             self.inner.query(store, ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN })?;
-        let live: HashMap<u64, Point> = everything.into_iter().map(|p| (p.id, p)).collect();
-        let points = replayed(live, std::mem::take(&mut self.buffered));
+        let points = replayed(everything.into_iter().collect(), std::mem::take(&mut self.buffered));
         for page in self.buffer.drain(..) {
             store.free(page)?;
         }

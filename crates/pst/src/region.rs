@@ -4,8 +4,9 @@
 //! `two_level`, `three_sided`, `dynamic` — keep their record formats and
 //! their own walks; what they share lives here:
 //!
-//! * **Skeletal pages** (Figure 2). [`paginate`] cuts a decomposition into
-//!   pages of connected subtrees, [`Skeleton`] allocates them and writes
+//! * **Skeletal pages** (Figure 2). `pc_pagestore::layout::paginate` cuts
+//!   a decomposition into pages of connected subtrees, [`Skeleton`]
+//!   allocates them and writes
 //!   `[count u16][header][record × count]` with fixed-width records
 //!   ([`SkelRecord`], [`write_page`], [`patch_record`]), and
 //!   [`for_each_skeletal_page`] is the one walker under every free, census
@@ -42,7 +43,7 @@ use std::cmp::Ordering;
 
 use pc_obs::ReadClass;
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::layout::{chain_pages, min_records, Block, BlockList, Columns};
+use pc_pagestore::layout::{chain_pages, min_records, paginate, Block, BlockList, Columns};
 use pc_pagestore::{Page, PageId, PageStore, Point, Result, NULL_PAGE};
 
 use crate::build::SEntry;
@@ -147,42 +148,6 @@ pub(crate) fn patch_record<R: SkelRecord>(store: &PageStore, at: NodeRef, rec: &
     store.write(at.page, &bytes)
 }
 
-/// Groups the binary tree into skeletal pages (Figure 2): starting from
-/// each page root, nodes are added in BFS order until the page's record
-/// capacity is reached; overflowing children seed new pages. Filling by
-/// capacity rather than by a fixed height avoids the worst of a
-/// fixed-height chunking, whose ragged bottom level becomes near-empty
-/// pages, but it does not make the page count `O(#nodes / capacity)`: a
-/// capacity that is not `2^h − 1` cuts a level in two, and the cut-off
-/// part and whatever lies below the last full page height become pages
-/// of a few records each. At 4 KiB the 4 095 regions of a complete
-/// 12-level two-level PST (25 records a page) take 703 skeletal pages, 400
-/// of them of 3 records (DESIGN §12, "Skeletal pagination"); the 3-sided
-/// PST passes a `2^h − 1` and gets complete subtrees.
-/// Returns the per-page member lists (arena indices, slot order) and each
-/// node's `(page, slot)`; a page's subtree root is always slot 0.
-pub(crate) fn paginate(mem: &MemPst, cap: usize) -> (Vec<Vec<usize>>, Vec<(usize, u16)>) {
-    let mut node_loc: Vec<(usize, u16)> = vec![(usize::MAX, 0); mem.nodes.len()];
-    let mut pages: Vec<Vec<usize>> = Vec::new();
-    let mut page_roots = std::collections::VecDeque::from([0usize]);
-    while let Some(root) = page_roots.pop_front() {
-        let page_idx = pages.len();
-        let mut members = Vec::new();
-        let mut queue = std::collections::VecDeque::from([root]);
-        while let Some(ni) = queue.pop_front() {
-            if members.len() == cap {
-                page_roots.push_back(ni);
-                continue;
-            }
-            node_loc[ni] = (page_idx, members.len() as u16);
-            members.push(ni);
-            queue.extend(mem.children(ni).into_iter().flatten());
-        }
-        pages.push(members);
-    }
-    (pages, node_loc)
-}
-
 /// A decomposition cut into skeletal pages, the pages allocated, and what
 /// an engine keeps in the space the records leave: per page, a tail flush
 /// with its end.
@@ -197,7 +162,8 @@ pub(crate) struct Skeleton {
 impl Skeleton {
     /// [`paginate`]s `mem` at `cap` records a page and allocates the pages.
     pub(crate) fn new(store: &PageStore, mem: &MemPst, cap: usize) -> Result<Skeleton> {
-        let (pages, loc) = paginate(mem, cap);
+        let children = |ni| mem.children(ni).into_iter().flatten();
+        let (pages, loc) = paginate(mem.nodes.len(), cap, children);
         let ids = pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
         let tails = vec![Vec::new(); pages.len()];
         Ok(Skeleton { pages, loc, ids, tails, page_size: store.page_size() })

@@ -46,7 +46,8 @@
 //!
 //! Skeletal pages hold complete subtrees ([`skeletal_capacity`] is a
 //! `2^h − 1`: 31 records at 4 KiB, 3 at 512 B), `MemPst`'s leaves differ in
-//! depth by at most one, and [`paginate`] fills breadth first — so a page
+//! depth by at most one, and [`paginate`](pc_pagestore::layout::paginate)
+//! fills breadth first — so a page
 //! is the top `h` levels under its root, in-page depth stays below `h`
 //! (≤ 4 at 4 KiB: an A-list is at most `5·m` blocks, its directory 35
 //! entries), both children of a node are on its page or both are roots of

@@ -114,7 +114,7 @@ impl TargetStatsSet {
 
 /// Buffer-pool hit ratio in parts-per-million: `hits / (hits + reads)`.
 /// PPM keeps the exposition integer-only (the wire `Stats` body carries
-/// `u64`s); 1_000_000 means every access hit the pool or dirty table.
+/// `u64`s); 1_000_000 means every access hit the pool.
 pub fn pool_hit_ratio_ppm(cache_hits: u64, reads: u64) -> u64 {
     // u128 throughout: the counters (and their sum) can overflow u64 math
     // on long runs.
@@ -141,7 +141,6 @@ pub fn store_samples(store: &PageStore, out: &mut Vec<Sample>) {
         Sample::counter(store_metrics::WAL_CHECKPOINTS, w.checkpoints),
         Sample::counter(store_metrics::WAL_REPLAYED, w.replayed),
         Sample::gauge(store_metrics::WAL_LOG_BYTES, w.log_bytes),
-        Sample::gauge(store_metrics::WAL_DIRTY_PAGES, w.dirty_pages),
         Sample::histogram(
             store_metrics::WAL_GROUP_COMMIT_RECORDS,
             groups,
@@ -241,7 +240,7 @@ mod tests {
         store.write(id, &vec![7u8; 256]).unwrap();
         store.commit_with(b"t").unwrap();
         let snap = store.wal_group_sizes().expect("durable store");
-        assert_eq!((snap.count, snap.sum), (1, 2), "one commit of alloc + write");
+        assert_eq!((snap.count, snap.sum), (1, 1), "one commit of the alloc alone");
         // An empty commit (nothing pending) must not be recorded.
         store.commit_with(b"t").unwrap();
         assert_eq!(store.wal_group_sizes().unwrap().count, 1);

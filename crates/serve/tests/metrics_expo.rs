@@ -307,7 +307,6 @@ const STATS_NAMES: &[&str] = &[
     "pc_store_wal_appends_total",
     "pc_store_wal_checkpoints_total",
     "pc_store_wal_commits_total",
-    "pc_store_wal_dirty_pages",
     "pc_store_wal_fsyncs_total",
     "pc_store_wal_group_commit_records_count",
     "pc_store_wal_group_commit_records_p50",

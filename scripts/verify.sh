@@ -20,7 +20,9 @@
 #             verbatim with PC_CHAOS_SEED=<seed>.
 #   --crash   additionally run the crash-point suite (kill-point matrices,
 #             store durability, WAL codec properties) under a hard timeout —
-#             a recovery hang is a failure, not a stall.
+#             a recovery hang is a failure, not a stall — then the
+#             kill-point matrices once more under a fresh random seed,
+#             printed so a failure reproduces with PC_CHAOS_SEED=<seed>.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -144,7 +146,11 @@ if [ "$RUN_CRASH" = 1 ]; then
     echo "==> crash-point suite (hard timeout)"
     timeout 300 cargo test -q --offline --test crash_recovery
     timeout 300 cargo test -q --offline -p pc-pagestore --test durability --test wal_proptest
-    echo "OK: crash-point suite green"
+    CRASH_SEED="$(python3 -c 'import secrets; print(secrets.randbits(64))')"
+    echo "==> kill-point matrices under fresh seed $CRASH_SEED"
+    echo "    (reproduce with: PC_CHAOS_SEED=$CRASH_SEED cargo test -q --test crash_recovery)"
+    PC_CHAOS_SEED="$CRASH_SEED" timeout 300 cargo test -q --offline --test crash_recovery
+    echo "OK: crash-point suite green (fixed seeds and seed $CRASH_SEED)"
 fi
 
 # The benchmark package stands outside the workspace and carries its own

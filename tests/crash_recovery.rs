@@ -2,13 +2,15 @@
 //! level and at the level of the versioned serve path.
 //!
 //! 1. **Raw kill-point matrix** — a mixed alloc/write/free/commit workload
+//!    of fresh pages (a durable store never overwrites a committed page)
 //!    runs over crash-simulated media ([`CrashBackend`] + [`CrashLog`]).
 //!    A counting pass learns how many durable I/Os the workload issues
 //!    (log appends, log fsyncs, checkpoint log swaps, data-frame writes,
 //!    data fsyncs); the matrix then re-runs it dying at *every* one of
-//!    them, extracts what durable media would hold, reopens, recovers, and
-//!    asserts the recovered store equals a committed batch prefix that
-//!    contains every acknowledged batch. Every decision derives from
+//!    them, extracts what durable media would hold, and asserts that every
+//!    frame of a committed batch prefix holding every acknowledged batch is
+//!    intact on the medium; then it reopens, recovers, and asserts the
+//!    store equals that prefix. Every decision derives from
 //!    `(seed, op ordinal)`, so a failure reproduces from its printed
 //!    `(seed, kill_at)` pair.
 //!
@@ -19,10 +21,13 @@
 //!
 //! That every structure *answers* as the model at the acked prefix after
 //! a seeded kill is `tests/oracle.rs`'s, one test per structure.
-//! `scripts/verify.sh --crash` runs this suite.
+//! The three seeds are fixed; `PC_CHAOS_SEED=<u64>` moves them all.
+//! `scripts/verify.sh --crash` runs this suite at the fixed seeds and once
+//! at a fresh one.
 
 use std::sync::Arc;
 
+use pc_pagestore::codec::frame_is_valid;
 use pc_pagestore::{
     CrashBackend, CrashController, CrashLog, CrashPlan, PageId, PageStore, StoreConfig,
     VersionConfig, VersionedStore, WalConfig,
@@ -46,6 +51,21 @@ fn snapshot(store: &PageStore) -> PageImage {
         .collect()
 }
 
+/// A matrix's seed: `fixed`, or, when `PC_CHAOS_SEED` is set, that seed
+/// mixed with `fixed` so the matrices still draw apart.
+fn seed(fixed: u64) -> u64 {
+    match std::env::var("PC_CHAOS_SEED") {
+        Ok(s) => {
+            let chaos: u64 = s
+                .trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("PC_CHAOS_SEED must parse as u64, got {s:?}"));
+            chaos ^ fixed
+        }
+        Err(_) => fixed,
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Raw kill-point matrix
 // ---------------------------------------------------------------------------
@@ -59,10 +79,10 @@ fn raw_cfg() -> StoreConfig {
 }
 
 /// Small checkpoint threshold so the six batches cross it several times —
-/// the matrix must include kill points inside checkpoints (data-frame
-/// writes, data fsync, log swap), not just log appends.
+/// the matrix must include kill points inside checkpoints (the log swap),
+/// not just inside commits.
 fn raw_wal_cfg() -> WalConfig {
-    WalConfig { checkpoint_bytes: 800 }
+    WalConfig { checkpoint_bytes: 400 }
 }
 
 fn batch_payload(batch: u8, slot: u8) -> Vec<u8> {
@@ -91,10 +111,15 @@ fn raw_workload(store: &PageStore, record: bool) -> (u64, Vec<PageImage>) {
                 store.write(id, &batch_payload(b, slot))?;
                 live.push(id);
             }
-            // Overwrite one existing page so replay must apply the *last*
-            // image, not the first.
-            let target = live[b as usize % live.len()];
-            store.write(target, &batch_payload(b, 0xF0))?;
+            // Replace one committed page by hand, as a copy-on-write does:
+            // a fresh page written twice (the second image is the one that
+            // must survive) and the old one freed, which the allocator
+            // holds until this batch commits.
+            let i = b as usize % live.len();
+            let moved = store.alloc()?;
+            store.write(moved, &batch_payload(b, 0xE0))?;
+            store.write(moved, &batch_payload(b, 0xF0))?;
+            store.free(std::mem::replace(&mut live[i], moved))?;
             // Free one page every other batch so Alloc/Free records and
             // free-list order are part of the matrix.
             if b % 2 == 1 && live.len() > 3 {
@@ -124,9 +149,22 @@ fn crash_media(seed: u64, kill_at: u64) -> (CrashController, Arc<CrashBackend>, 
     (ctrl, backend, log)
 }
 
+/// Asserts that every page of `state` sits on the crashed medium as a
+/// whole, valid frame with exactly the committed bytes.
+fn assert_frames_intact(frames: &[(PageId, Vec<u8>)], state: &PageImage, ctx: &str) {
+    for (id, bytes) in state {
+        let frame = frames.iter().find(|(f, _)| f == id).map(|(_, f)| f);
+        let Some(frame) = frame else { panic!("{ctx}: committed page {id:?} has no frame") };
+        assert!(
+            frame_is_valid(frame) && frame[..RAW_PAGE] == bytes[..],
+            "{ctx}: the medium's frame of committed page {id:?} differs from its commit"
+        );
+    }
+}
+
 #[test]
 fn kill_point_matrix_every_acked_batch_survives() {
-    let seed = 0x9e37_79b9_7f4a_7c15u64;
+    let seed = seed(0x9e37_79b9_7f4a_7c15);
 
     // Counting pass: same media, never killed. Doubles as the reference
     // run for the committed-prefix snapshots.
@@ -144,7 +182,7 @@ fn kill_point_matrix_every_acked_batch_survives() {
     assert!(
         ws.checkpoints >= 2,
         "workload must cross the checkpoint threshold so the matrix covers \
-         data writes, data fsyncs and log swaps: {ws:?}"
+         log swaps: {ws:?}"
     );
     let total = ctrl.ops();
     assert!(total > 30, "matrix too small to be interesting: {total} ops");
@@ -163,6 +201,8 @@ fn kill_point_matrix_every_acked_batch_survives() {
             Err(_) => 0,
         };
         assert!(ctrl.crashed(), "seed {seed:#x} kill_at {kill_at}: the store must die");
+        let ctx = format!("seed {seed:#x} kill_at {kill_at}");
+        let frames = backend.surviving_frames();
 
         let (recovered, report) = PageStore::new_durable(
             raw_cfg(),
@@ -186,6 +226,9 @@ fn kill_point_matrix_every_acked_batch_survives() {
             "seed {seed:#x} kill_at {kill_at}: {acked} batches were acked but recovery \
              restored only {idx}; report: {report:?}"
         );
+        // Recovery writes no frame, so the medium itself must hold the
+        // state it restored, every acked batch included.
+        assert_frames_intact(&frames, &snaps[idx], &ctx);
         // The commit meta the recovery reports must agree with the state
         // it restored (meta is the batch index the workload committed).
         if idx > 0 {
@@ -202,7 +245,18 @@ fn multi_crash_rounds_carry_survivors_forward() {
     // durability must compose across rounds. The second round's media are
     // pre-seeded with the first round's surviving bytes via
     // `with_frames`/`with_bytes`.
-    let seed = 0x5bd1_e995u64;
+    let seed = seed(0x5bd1_e995);
+    let (_, backend, log) = crash_media(seed, 0);
+    let (store, _) = PageStore::new_durable(
+        raw_cfg(),
+        Box::new(Arc::clone(&backend)),
+        Box::new(Arc::clone(&log)),
+        raw_wal_cfg(),
+    )
+    .unwrap();
+    let (_, snaps) = raw_workload(&store, true);
+    drop(store);
+
     let (_, backend, log) = crash_media(seed, 23);
     let first_acked = match PageStore::new_durable(
         raw_cfg(),
@@ -230,7 +284,13 @@ fn multi_crash_rounds_carry_survivors_forward() {
         raw_wal_cfg(),
     ) {
         // Whatever round one acked must already be here.
-        assert!(report.clean() || report.replayed_records() > 0 || report.torn_tail);
+        let state = snapshot(&store);
+        let idx = snaps.iter().position(|s| s == &state);
+        assert!(
+            idx.is_some_and(|i| i as u64 >= first_acked),
+            "seed {seed:#x}: round two opened on {idx:?}, not a prefix of round one's \
+             {first_acked} acked batches; report: {report:?}"
+        );
         second_acked = raw_workload(&store, false).0;
     }
 
@@ -375,7 +435,7 @@ fn versioned_kill_point_matrix_recovers_last_committed_epoch() {
 }
 
 fn versioned_kill_point_matrix(kind: &Served) {
-    let seed = 0xE70C_4B1Du64;
+    let seed = seed(0xE70C_4B1D);
     let name = kind.name;
 
     // Counting/reference pass: never killed; records the state per epoch.

@@ -234,6 +234,34 @@ fn regression_x_tie_deletes() {
     in_process::<DynamicPst>(512, &case).unwrap_or_else(|e| panic!("x-tie deletes: {e}"));
 }
 
+/// A subject that does not report its len: `len()` counts a delete that
+/// matched nothing.
+struct LenUnchecked<S>(InProcess<S>);
+
+impl<S: Structure> Subject for LenUnchecked<S> {
+    fn update(&mut self, op: &gen::Op) -> Result<(), String> {
+        self.0.update(op)
+    }
+    fn answer(&mut self, q: &gen::Query) -> Result<Vec<Point>, String> {
+        self.0.answer(q)
+    }
+}
+
+#[test]
+fn regression_delete_matches_the_whole_point() {
+    fn run<S: Structure>(shape: Shape) -> Res<()> {
+        let (case, ghosts) = regressions::delete_matches_the_whole_point(shape);
+        let mut subject = LenUnchecked(InProcess::<S>::build(512, &case.build)?);
+        for ghost in ghosts {
+            subject.update(&gen::Op::Delete(ghost))?;
+        }
+        drive(&mut subject, &case)
+    }
+    run::<DynamicPst>(Shape::TwoSided).unwrap_or_else(|e| panic!("dynamic PST: {e}"));
+    run::<DynamicThreeSidedPst>(Shape::ThreeSided)
+        .unwrap_or_else(|e| panic!("dynamic 3-sided PST: {e}"));
+}
+
 #[test]
 fn regression_odd_skeletal_capacity_at_1_kib() {
     let case = regressions::odd_skeletal_capacity_at_1_kib();

@@ -30,6 +30,8 @@
 //!    update writes.
 //! 9. **An outlier that rewrote the whole B-tree** — [`b_tree_outliers`],
 //!    now a bound on the pages each of its updates writes.
+//! 10. **A buffered delete matched by id alone** —
+//!     [`delete_matches_the_whole_point`].
 //!
 //! A 2-sided corner region answers from the first block of its X- or
 //! Y-list where the record's edge — that block's last key — is below the
@@ -74,6 +76,34 @@ pub fn x_tie_deletes() -> Case {
     }
     ops.push(Op::Query(everything(Shape::TwoSided)));
     Case { shape: Shape::TwoSided, build, ops }
+}
+
+/// A delete matches the whole `(x, y, id)` point. While one was buffered,
+/// both dynamic PSTs matched it by id alone: a delete naming a live id at
+/// another x hid the live point from every query until flushes trickled
+/// the delete down its own x-path, where it matched nothing and the point
+/// came back; one at another y reached the point's region and removed it
+/// for good, and a 3-sided rebuild, replaying by id, removed it either way.
+/// Here, at 512-byte pages over `(i, 7i mod 1000, i)`, the two deletes of
+/// `ghosts` name the live `(3, 21, 3)` at other coordinates, and 5 000
+/// inserts after them force flushes (2-sided) and rebuilds (3-sided), with
+/// queries before, between and after. The model never applies the deletes:
+/// the subject is built, sent `ghosts`, then driven through `ops`.
+pub fn delete_matches_the_whole_point(shape: Shape) -> (Case, [Point; 2]) {
+    let build: Vec<Point> = (0..1000).map(|i| Point::new(i, 7 * i % 1000, i as u64)).collect();
+    let near = match shape {
+        Shape::TwoSided => Query::Two(TwoSided { x0: 0, y0: 20 }),
+        _ => Query::Three(ThreeSided { x1: 0, x2: 10, y0: 0 }),
+    };
+    let queries = [Op::Query(everything(shape)), Op::Query(near)];
+    let mut ops = queries.to_vec();
+    for i in 0..5000i64 {
+        ops.push(Op::Insert(Point::new(37 * i % 1000, 91 * i % 1000, 1000 + i as u64)));
+        if i % 500 == 499 {
+            ops.extend(queries);
+        }
+    }
+    (Case { shape, build, ops }, [Point::new(500, 21, 3), Point::new(3, 4, 3)])
 }
 
 /// At 1 KiB a skeletal page of the region tree would hold six records, an

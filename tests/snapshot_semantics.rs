@@ -35,10 +35,10 @@ const PAGE: usize = 512;
 
 const SEED: u64 = 0x5EED_5A07;
 
-/// Spawns a versioned server over a dynamic PST (target 0) on an in-memory
-/// store, returning the handle and the shared store (for frozen-view reads).
-fn spawn(points: &[Point], retain: usize) -> (ServerHandle, Arc<PageStore>) {
-    let store = Arc::new(PageStore::in_memory(PAGE));
+/// Spawns a versioned server over a dynamic PST (target 0) on `store`,
+/// returning the handle and the shared store (for frozen-view reads).
+fn spawn(store: PageStore, points: &[Point], retain: usize) -> (ServerHandle, Arc<PageStore>) {
+    let store = Arc::new(store);
     let mut registry = Registry::new();
     let target = DynamicPstTarget::new(DynamicPst::build(&store, points).unwrap());
     registry.register("dyn", Box::new(target));
@@ -81,12 +81,19 @@ fn initial_points(n: usize, seed: u64) -> Vec<Point> {
 
 /// Acceptance pin: a reader holds one snapshot across many concurrent
 /// batch installs; every probed read round is bit-identical to the answers
-/// recorded before the first install, and takes zero exclusive locks.
+/// recorded before the first install, and takes zero exclusive locks — on a
+/// volatile store and on a durable one, whose installs are group commits.
 #[test]
 fn pinned_snapshot_is_lock_free_and_bit_identical_across_installs() {
+    pinned_snapshot_round(PageStore::in_memory(PAGE));
+    pinned_snapshot_round(PageStore::in_memory_durable(PAGE).0);
+}
+
+fn pinned_snapshot_round(store: PageStore) {
     let seed = SEED;
+    let durable = store.is_durable();
     let initial = initial_points(300, seed);
-    let (handle, store) = spawn(&initial, 8);
+    let (handle, store) = spawn(store, &initial, 8);
     let versions = Arc::clone(handle.versions());
 
     let snap = versions.snapshot();
@@ -147,7 +154,8 @@ fn pinned_snapshot_is_lock_free_and_bit_identical_across_installs() {
         assert_eq!(
             pc_sync::exclusive_acquisitions(),
             locks_before,
-            "pinned-snapshot query path acquired an exclusive lock (round {rounds})"
+            "pinned-snapshot query path acquired an exclusive lock \
+             (round {rounds}, durable: {durable})"
         );
         rounds += 1;
         if finished {
@@ -191,7 +199,7 @@ fn a_snapshot_pinned_before_an_outlier_keeps_its_answers() {
     let seed = SEED;
     let mut initial = initial_points(400, seed ^ 7);
     initial.iter_mut().for_each(|p| p.id += 70_000);
-    let (handle, store) = spawn(&initial[..400], 8);
+    let (handle, store) = spawn(PageStore::in_memory(PAGE), &initial[..400], 8);
     let versions = Arc::clone(handle.versions());
     let mut client = Client::connect(handle.addr(), Duration::from_secs(5)).unwrap();
 
@@ -242,7 +250,7 @@ fn a_snapshot_pinned_before_an_outlier_keeps_its_answers() {
 fn gc_never_reclaims_pinned_epochs() {
     let seed = SEED;
     let initial = initial_points(300, seed ^ 2);
-    let (handle, store) = spawn(&initial, 2);
+    let (handle, store) = spawn(PageStore::in_memory(PAGE), &initial, 2);
     let versions = Arc::clone(handle.versions());
 
     let snap = versions.snapshot();
@@ -304,7 +312,7 @@ fn seeded_interleavings_preserve_snapshot_isolation() {
     for round in 0..3u64 {
         let seed = base_seed ^ (round.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let initial = initial_points(150, seed ^ 3);
-        let (handle, store) = spawn(&initial, 8);
+        let (handle, store) = spawn(PageStore::in_memory(PAGE), &initial, 8);
         let versions = Arc::clone(handle.versions());
         let mut client = Client::connect(handle.addr(), Duration::from_secs(5)).unwrap();
 
