@@ -12,8 +12,6 @@
 //! `(x = class preorder, y = attribute)` — answered in optimal
 //! `O(log_B n + t/B)` I/Os by [`pc_pst::ThreeSidedPst`] (Theorem 3.3).
 
-use std::collections::HashMap;
-
 use pc_pagestore::{PageStore, Point, Result};
 use pc_pst::{ThreeSided, ThreeSidedPst};
 
@@ -181,15 +179,10 @@ impl ClassIndex {
     }
 }
 
-/// Testing aid kept out of the public surface.
-#[allow(dead_code)]
-fn _assert_class_id_small() {
-    let _ = HashMap::<ClassId, ()>::new();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn xorshift(state: &mut u64, bound: i64) -> i64 {
         *state ^= *state << 13;

@@ -503,7 +503,8 @@ pub mod shard_metrics {
 /// the shared `PageStore`: its `IoStats`, its `WalStats` and the WAL's
 /// group-commit size histogram.
 pub mod store_metrics {
-    /// WAL records appended (all kinds).
+    /// WAL group entries made (one per durable alloc or free) plus records
+    /// appended.
     pub const WAL_APPENDS: &str = "pc_store_wal_appends_total";
     /// Successful group commits.
     pub const WAL_COMMITS: &str = "pc_store_wal_commits_total";
@@ -511,11 +512,11 @@ pub mod store_metrics {
     pub const WAL_FSYNCS: &str = "pc_store_wal_fsyncs_total";
     /// Checkpoints installed.
     pub const WAL_CHECKPOINTS: &str = "pc_store_wal_checkpoints_total";
-    /// Records replayed by recovery on open.
+    /// Entries and commits replayed by recovery on open.
     pub const WAL_REPLAYED: &str = "pc_store_wal_replayed_records_total";
     /// Gauge: current log length in bytes.
     pub const WAL_LOG_BYTES: &str = "pc_store_wal_log_bytes";
-    /// Histogram of records made durable per group commit.
+    /// Histogram of entries made durable per group commit.
     pub const WAL_GROUP_COMMIT_RECORDS: &str = "pc_store_wal_group_commit_records";
     /// Gauge (scaled ×10⁶): buffer-pool hit ratio `hits / (hits + reads)`.
     pub const POOL_HIT_RATIO_PPM: &str = "pc_store_pool_hit_ratio_ppm";

@@ -25,6 +25,14 @@ pub enum StoreError {
     },
     /// A page-layout decode failed (truncated or malformed on-page data).
     Corrupt(String),
+    /// A log record's payload exceeds what the log's scanner accepts
+    /// ([`crate::wal::MAX_RECORD_PAYLOAD`]); nothing was written.
+    LogRecordTooLarge {
+        /// Size of the refused payload in bytes.
+        payload: usize,
+        /// Largest payload a record may carry.
+        max: usize,
+    },
     /// A durable store refused a write to a page the last commit holds: a
     /// committed page is never overwritten. Write a page allocated since the
     /// last commit, or write inside a version apply session, which moves a
@@ -95,6 +103,9 @@ impl fmt::Display for StoreError {
                 write!(f, "payload of {payload} bytes exceeds page size {page_size}")
             }
             StoreError::Corrupt(msg) => write!(f, "corrupt page layout: {msg}"),
+            StoreError::LogRecordTooLarge { payload, max } => {
+                write!(f, "log record payload of {payload} bytes exceeds the {max}-byte limit")
+            }
             StoreError::CommittedPage(id) => {
                 write!(f, "page {id:?} is committed and cannot be overwritten")
             }
@@ -142,6 +153,8 @@ mod tests {
         let e = StoreError::PayloadTooLarge { payload: 5000, page_size: 4096 };
         assert!(e.to_string().contains("5000"));
         assert!(e.to_string().contains("4096"));
+        let e = StoreError::LogRecordTooLarge { payload: 70_000_000, max: 1 << 26 };
+        assert!(e.to_string().contains("70000000"));
         let e = StoreError::Corrupt("bad header".into());
         assert!(e.to_string().contains("bad header"));
     }

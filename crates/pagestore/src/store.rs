@@ -10,6 +10,11 @@
 //! only the shard its page hashes to, so pooled readers of distinct pages
 //! scale too, and a pool hit hands back the resident `Arc` without copying
 //! payload bytes.
+//!
+//! A durable store's open group lives in memory: each `alloc` and `free`
+//! notes the free-list operation it made ([`Entry`]), and a commit logs the
+//! group as one record. A freed page the last commit holds joins the free
+//! list at the commit, after the other entries; this is decided here alone.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -25,7 +30,7 @@ use crate::page::Page;
 use crate::pool::ShardedPool;
 use crate::recovery::RecoveryReport;
 use crate::stats::IoStats;
-use crate::wal::{AllocSnapshot, FileLog, LogMedium, MemLog, Wal, WalStats};
+use crate::wal::{AllocSnapshot, Entry, FileLog, LogMedium, MemLog, Wal, WalStats};
 
 /// Identifier of a page within one [`PageStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -181,9 +186,11 @@ impl Recent {
     }
 }
 
-/// Pages of the group since the last commit.
+/// The open group: what the next commit record carries.
 #[derive(Default)]
 struct Group {
+    /// The free-list operations made since the last commit, in order.
+    entries: Vec<Entry>,
     /// Ids allocated since the last commit: the only pages a write may
     /// touch (if still allocated), and freed pages that may be reused at
     /// once.
@@ -233,8 +240,7 @@ impl AtomicStats {
 #[derive(Default)]
 struct AllocState {
     allocated: Vec<bool>,
-    free_list: Vec<u64>,
-    next_id: u64,
+    table: AllocSnapshot,
 }
 
 /// A simulated (or file-backed) disk of fixed-size pages.
@@ -299,8 +305,8 @@ impl PageStore {
     /// Opens a **durable** store: a write-ahead log over `log` protects
     /// every acked mutation against crashes of the process or the machine
     /// (see the `wal` module docs for the protocol). Runs recovery first —
-    /// scanning the log, truncating any torn tail, replaying the
-    /// allocation records up to the last commit — and returns the
+    /// scanning the log, truncating any torn tail, applying the entries of
+    /// every commit since the last checkpoint — and returns the
     /// [`RecoveryReport`] alongside the store.
     ///
     /// Durable stores are strict (`pool_pages` must be 0): a commit syncs
@@ -319,7 +325,7 @@ impl PageStore {
         );
         let mut store = PageStore::new(config, backend);
         let (wal, outcome) = Wal::open(log, store.page_size)?;
-        let (report, snap) = crate::recovery::replay(&outcome);
+        let (report, snap) = crate::recovery::replay(&outcome)?;
         // Retire the old log: the data file already holds every committed
         // frame. The recovered commit metadata rides into the fresh
         // generation so another crash before the next commit still
@@ -333,8 +339,7 @@ impl PageStore {
                 *slot = false;
             }
         }
-        let next_id = snap.next_id;
-        store.alloc = RwLock::new(AllocState { allocated, free_list: snap.free_list, next_id });
+        store.alloc = RwLock::new(AllocState { allocated, table: snap });
         store.wal = Some(WalState {
             wal,
             group: Mutex::default(),
@@ -424,9 +429,8 @@ impl PageStore {
     /// Allocates a fresh (or recycled) page. The page reads as all-zero
     /// until first written; recycled pages are zeroed on reuse (one write
     /// I/O), so no stale contents ever leak across a free/alloc cycle.
-    /// Durable stores log the allocation so recovery reconstructs the
-    /// allocation table exactly, and also zero a fresh id whose frame a
-    /// group that never committed may have left behind.
+    /// Durable stores note it in the open group, and also zero a fresh id
+    /// whose frame a group that never committed may have left behind.
     pub fn alloc(&self) -> Result<PageId> {
         self.alloc_page(true)
     }
@@ -437,14 +441,8 @@ impl PageStore {
         let mut group = self.wal.as_ref().map(|ws| ws.group.lock());
         let (id, recycled) = {
             let mut a = self.alloc.write();
-            let (id, recycled) = match a.free_list.pop() {
-                Some(id) => (id, true),
-                None => {
-                    let id = a.next_id;
-                    a.next_id += 1;
-                    (id, false)
-                }
-            };
+            let recycled = !a.table.free_list.is_empty();
+            let id = a.table.take();
             let idx = id as usize;
             if idx >= a.allocated.len() {
                 a.allocated.resize(idx + 1, false);
@@ -454,7 +452,8 @@ impl PageStore {
         };
         let mut stale = recycled;
         if let (Some(ws), Some(group)) = (&self.wal, group.as_mut()) {
-            ws.wal.append_alloc(PageId(id))?;
+            ws.wal.count_entry();
+            group.entries.push(Entry::Take(id));
             group.fresh.insert(id);
             stale |= id < ws.stale_frames;
         }
@@ -488,7 +487,7 @@ impl PageStore {
             a.allocated[id.0 as usize] = false;
         }
         if let Some(ws) = &self.wal {
-            ws.wal.append_free(id)?;
+            ws.wal.count_entry();
             ws.recent.write().forget(id.0);
         }
         if let Some(pool) = &self.pool {
@@ -508,7 +507,12 @@ impl PageStore {
         // before, a crash would recover it allocated, over foreign bytes.
         match group.as_mut() {
             Some(g) if !g.fresh.contains(&id.0) => g.held.push(id.0),
-            _ => self.alloc.write().free_list.push(id.0),
+            g => {
+                if let Some(g) = g {
+                    g.entries.push(Entry::Push(id.0));
+                }
+                self.alloc.write().table.free_list.push(id.0)
+            }
         }
         self.stats.frees.fetch_add(1, Ordering::Relaxed);
         pc_obs::record_io(IoEvent::Free);
@@ -698,13 +702,13 @@ impl PageStore {
     }
 
     /// Group commit on a durable store: syncs the data backend, then
-    /// appends a commit record carrying the caller's opaque `meta` (e.g. a
-    /// batch sequence number — recovery hands back the last one it
-    /// restored) and fsyncs the log once for all records since the
-    /// previous commit. Returns the group size; `0` means nothing was
-    /// pending and no sync was issued. After a successful commit, every
-    /// mutation in the group is crash-durable — this is the "Ack means
-    /// durable" point for the serve layer.
+    /// appends one commit record carrying the group's entries and the
+    /// caller's opaque `meta` (e.g. a batch sequence number — recovery
+    /// hands back the last one it restored) and fsyncs the log once.
+    /// Returns the group's entry count; `0` means nothing was pending and
+    /// no sync was issued. After a successful commit, every mutation in
+    /// the group is crash-durable — this is the "Ack means durable" point
+    /// for the serve layer. A failed commit leaves the group open.
     ///
     /// Commits mark consistency points, so a commit whose log has outgrown
     /// [`WalConfig::checkpoint_bytes`] also installs a checkpoint. On a
@@ -734,23 +738,26 @@ impl PageStore {
     /// Commit with sticky metadata (caller holds the group lock): an empty
     /// `meta` re-stamps the last non-empty payload rather than erasing it;
     /// a non-empty one becomes the new sticky payload once durable. The
-    /// data backend is synced before the commit record is written, and the
-    /// group's held pages join the free list only after.
+    /// data backend is synced before the commit record is written; the
+    /// held pages are its last entries and join the free list after it.
     fn commit_locked(&self, ws: &WalState, group: &mut Group, meta: &[u8]) -> Result<u64> {
-        // Every write is to a page whose `Alloc` record is still pending,
-        // so an empty log group means no frame awaits a sync either.
-        if ws.wal.uncommitted() == 0 {
+        // Every write is to a page the group allocated, so an empty group
+        // means no frame awaits a sync either.
+        if group.entries.is_empty() && group.held.is_empty() {
             return Ok(0);
         }
         self.backend.sync()?;
         let mut last = ws.last_meta.lock();
         let effective = if meta.is_empty() { &last[..] } else { meta };
-        let size = ws.wal.commit(effective)?;
+        let held = group.held.iter().map(|&id| Entry::Push(id));
+        let entries: Vec<Entry> = group.entries.iter().copied().chain(held).collect();
+        let size = ws.wal.commit(&entries, effective)?;
         if !meta.is_empty() {
             *last = meta.to_vec();
         }
+        group.entries.clear();
         group.fresh.clear();
-        self.alloc.write().free_list.append(&mut group.held);
+        self.alloc.write().table.free_list.append(&mut group.held);
         Ok(size)
     }
 
@@ -781,15 +788,16 @@ impl PageStore {
     }
 
     /// Checkpoint body; caller holds the group lock and has just committed
-    /// (the WAL has no uncommitted records, and the commit synced the data
-    /// backend), so the checkpoint is the log swap alone.
+    /// (the group is empty, and the commit synced the data backend), so
+    /// the checkpoint is the log swap alone.
     fn checkpoint_locked(&self, ws: &WalState) -> Result<()> {
-        debug_assert_eq!(ws.wal.uncommitted(), 0, "checkpoint off a commit boundary");
-        let snap = {
-            let a = self.alloc.read();
-            AllocSnapshot { next_id: a.next_id, free_list: a.free_list.clone() }
-        };
-        ws.wal.install_checkpoint(&snap, &ws.last_meta.lock())
+        ws.wal.install_checkpoint(&self.alloc_snapshot(), &ws.last_meta.lock())
+    }
+
+    /// The allocation table as a checkpoint records it. Between durable
+    /// commits it holds the open group's entries, not its held frees.
+    pub fn alloc_snapshot(&self) -> AllocSnapshot {
+        self.alloc.read().table.clone()
     }
 
     /// Snapshot of cumulative I/O counters. Per-shard pool counters are

@@ -425,9 +425,9 @@ impl VersionedStore {
                 let vs = Self::with_epoch0(base, cfg, m.seq, m.map, m.user, Vec::new());
                 let mut freed = 0u64;
                 for p in orphans {
-                    // The frees are re-logged and ride the next commit; a
-                    // crash before it discards them, and the next open
-                    // frees the same (still-pending) queue again.
+                    // The frees ride the next commit; a crash before it
+                    // loses them, and the next open frees the same
+                    // (still-pending) queue again.
                     if vs.base.free(PageId(p)).is_ok() {
                         freed += 1;
                     }
@@ -657,8 +657,8 @@ impl ApplyGuard<'_> {
             (to_free, meta_bytes)
         };
         vs.installed.fetch_add(1, Relaxed);
-        // Free before committing so the Free records and the epoch commit
-        // land in one durable group, matching the persisted pending queue.
+        // Free before committing so the frees and the epoch commit land
+        // in one durable group, matching the persisted pending queue.
         vs.free_all(&to_free)?;
         if let Some(meta) = meta_bytes {
             vs.base.commit_with(&meta)?;

@@ -1,29 +1,30 @@
 //! Write-ahead log for the page store's shadow paging.
 //!
-//! The log is an append-only sequence of checksummed, LSN-stamped records
-//! over a pluggable [`LogMedium`] (a real file, a memory buffer for tests,
-//! or the crash-injected medium in [`crate::crash`]). It carries no page
-//! contents: a durable store never overwrites a committed page, so each
-//! page reaches the data file once, and the log only has to say which
-//! pages exist.
+//! The log is an append-only sequence of checksummed records over a
+//! pluggable [`LogMedium`] (a real file, a memory buffer for tests, or the
+//! crash-injected medium in [`crate::crash`]). It carries no page contents:
+//! a durable store never overwrites a committed page, so the log only has
+//! to say which pages exist.
 //!
-//! * allocation-table changes are logged as [`WalRecord::Alloc`] /
-//!   [`WalRecord::Free`], one per call;
-//! * a [`WalRecord::Commit`] marks a *consistency point*: the group-commit
-//!   boundary at which the caller's structures are internally consistent.
-//!   The store syncs the data backend first; [`Wal::commit`] then appends
-//!   the record, flushes, and `fsync`s — one log fsync per batch, however
-//!   many records it carries (group commit);
+//! * a [`WalRecord::Commit`] is one whole group: the free-list operations
+//!   ([`Entry`]) its allocs and frees made, in order, and the caller's
+//!   metadata. The store syncs the data backend, then [`Wal::commit`]
+//!   appends the record and `fsync`s once (group commit). The open group
+//!   lives in the store's memory: `alloc` and `free` do no log I/O;
 //! * a checkpoint ([`Wal::install_checkpoint`]) atomically replaces the
 //!   whole log with a fresh one holding a single [`WalRecord::Checkpoint`]
-//!   (an allocation-table snapshot), which bounds replay work to the
-//!   records of one checkpoint interval.
+//!   (an allocation-table snapshot), which bounds replay work.
 //!
-//! Recovery ([`crate::recovery`]) scans the log, drops a torn tail at the
-//! first invalid record, replays the allocation records between the last
-//! checkpoint and the last commit, and discards intact-but-uncommitted
-//! records after it — so a reopened store lands exactly on the most recent
+//! Recovery ([`crate::recovery`]) drops a torn tail and applies the entries
+//! of every commit after the last checkpoint, landing exactly on the last
 //! durable consistency point without writing a frame.
+//!
+//! A record is `len: u32 | kind: u8 | payload | crc: u64` (the checksum
+//! covers kind and payload); a payload is a counted list of 8-byte words,
+//! then the metadata. The writer refuses a payload over
+//! [`MAX_RECORD_PAYLOAD`] before a byte reaches the medium, so one commit
+//! carries at most `(MAX_RECORD_PAYLOAD - 8 - meta) / 8` entries: 8 388 607
+//! with empty metadata.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -35,23 +36,20 @@ use pc_sync::Mutex;
 
 use crate::codec::fnv1a64;
 use crate::error::{Result, StoreError};
-use crate::store::PageId;
 
-/// Magic bytes opening every WAL (version 2: no page images).
-pub const WAL_MAGIC: &[u8; 8] = b"PCWAL002";
+/// Magic bytes opening every WAL (version 3: one record per commit).
+pub const WAL_MAGIC: &[u8; 8] = b"PCWAL003";
 /// Header length: magic plus the little-endian page size.
 pub const WAL_HEADER_LEN: usize = 16;
 
-/// Fixed part of a record: `len: u32, kind: u8, lsn: u64, page: u64`.
-const REC_FIXED: usize = 4 + 1 + 8 + 8;
+/// Fixed part of a record: `len: u32, kind: u8`.
+const REC_FIXED: usize = 4 + 1;
 /// Trailing checksum length.
 const REC_CRC: usize = 8;
 /// Upper bound on one record's payload; a torn length field must never
 /// make the scanner chase gigabytes.
 pub const MAX_RECORD_PAYLOAD: usize = 1 << 26;
 
-const K_ALLOC: u8 = 2;
-const K_FREE: u8 = 3;
 const K_COMMIT: u8 = 4;
 const K_CHECKPOINT: u8 = 5;
 
@@ -232,124 +230,117 @@ pub struct AllocSnapshot {
 }
 
 impl AllocSnapshot {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.next_id.to_le_bytes());
-        out.extend_from_slice(&(self.free_list.len() as u64).to_le_bytes());
-        for id in &self.free_list {
-            out.extend_from_slice(&id.to_le_bytes());
+    /// Takes the id the next allocation gets: the top of the free list,
+    /// else `next_id`.
+    pub fn take(&mut self) -> u64 {
+        self.free_list.pop().unwrap_or_else(|| {
+            self.next_id += 1;
+            self.next_id - 1
+        })
+    }
+
+    /// A checkpoint's words: `next_id`, then the free list.
+    fn words(&self) -> std::vec::IntoIter<u64> {
+        [&[self.next_id][..], &self.free_list].concat().into_iter()
+    }
+}
+
+/// One free-list operation of a group, as its commit record carries it: a
+/// word holding the id, its top bit set for a push.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Entry {
+    /// An allocation took this id: [`AllocSnapshot::take`]'s.
+    Take(u64),
+    /// This id went onto the free list.
+    Push(u64),
+}
+
+const PUSH: u64 = 1 << 63;
+
+impl Entry {
+    fn word(self) -> u64 {
+        match self {
+            Entry::Take(id) => id,
+            Entry::Push(id) => id | PUSH,
         }
     }
 
-    /// Decodes a snapshot from the front of `buf`, returning it and any
-    /// trailing bytes (a checkpoint record's re-embedded commit metadata).
-    fn decode_prefix(buf: &[u8]) -> Option<(AllocSnapshot, &[u8])> {
-        if buf.len() < 16 {
-            return None;
-        }
-        let next_id = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        let n = u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize;
-        let end = 16usize.checked_add(n.checked_mul(8)?)?;
-        if buf.len() < end {
-            return None;
-        }
-        let free_list = buf[16..end]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Some((AllocSnapshot { next_id, free_list }, &buf[end..]))
+    fn from_word(word: u64) -> Entry {
+        if word & PUSH == 0 { Entry::Take(word) } else { Entry::Push(word & !PUSH) }
     }
 }
 
 /// One decoded log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// A page was allocated.
-    Alloc {
-        /// Record sequence number.
-        lsn: u64,
-        /// Allocated page.
-        page: PageId,
-    },
-    /// A page was freed.
-    Free {
-        /// Record sequence number.
-        lsn: u64,
-        /// Freed page.
-        page: PageId,
-    },
-    /// Group-commit boundary: everything up to here is a consistent,
-    /// acknowledged state. Carries an opaque caller payload (e.g. a batch
-    /// sequence number) that recovery hands back.
+    /// One committed group: everything up to here is a consistent,
+    /// acknowledged state.
     Commit {
-        /// Record sequence number.
-        lsn: u64,
-        /// Opaque caller metadata.
+        /// The group's free-list operations, in the order they were made.
+        entries: Vec<Entry>,
+        /// Opaque caller metadata that recovery hands back.
         meta: Vec<u8>,
     },
     /// Allocation-table snapshot; everything before it is already in the
     /// data file and durable.
     Checkpoint {
-        /// Record sequence number.
-        lsn: u64,
         /// Allocation state at the checkpoint.
         alloc: AllocSnapshot,
-        /// The most recent *committed* caller metadata at checkpoint time
-        /// (empty = none yet). A checkpoint discards every earlier record,
-        /// including the commit that carried this payload — re-embedding it
-        /// here keeps [`crate::RecoveryReport::last_commit_meta`] exact
-        /// after a crash that follows a checkpoint with no further commit
-        /// (the versioning layer stores its epoch map in this payload, so
-        /// losing it would silently roll the visible version back).
+        /// The last committed caller metadata (empty = none yet), which
+        /// the swap would otherwise lose: the version layer's epoch map
+        /// lives there, so [`crate::RecoveryReport::last_commit_meta`]
+        /// must survive a crash after a checkpoint.
         meta: Vec<u8>,
     },
 }
 
 impl WalRecord {
-    /// The record's LSN.
-    pub fn lsn(&self) -> u64 {
+    /// Appends the encoded record to `out`, or refuses one whose payload
+    /// the scanner would reject, leaving `out` as it was.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
         match self {
-            WalRecord::Alloc { lsn, .. }
-            | WalRecord::Free { lsn, .. }
-            | WalRecord::Commit { lsn, .. }
-            | WalRecord::Checkpoint { lsn, .. } => *lsn,
+            WalRecord::Commit { entries, meta } => {
+                put_record(out, K_COMMIT, entries.iter().map(|e| e.word()), meta)
+            }
+            WalRecord::Checkpoint { alloc, meta } => {
+                put_record(out, K_CHECKPOINT, alloc.words(), meta)
+            }
         }
     }
+}
 
-    /// Appends the encoded record (`len | kind | lsn | page | payload |
-    /// crc`, crc over kind..payload) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let (kind, page, payload): (u8, u64, Vec<u8>) = match self {
-            WalRecord::Alloc { page, .. } => (K_ALLOC, page.0, Vec::new()),
-            WalRecord::Free { page, .. } => (K_FREE, page.0, Vec::new()),
-            WalRecord::Commit { meta, .. } => (K_COMMIT, 0, meta.clone()),
-            WalRecord::Checkpoint { alloc, meta, .. } => {
-                let mut p = Vec::new();
-                alloc.encode_into(&mut p);
-                p.extend_from_slice(meta);
-                (K_CHECKPOINT, 0, p)
-            }
-        };
-        let start = out.len();
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.push(kind);
-        out.extend_from_slice(&self.lsn().to_le_bytes());
-        out.extend_from_slice(&page.to_le_bytes());
-        out.extend_from_slice(&payload);
-        let crc = fnv1a64(&out[start + 4..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+/// Appends one record whose payload is the counted list of `words`, then
+/// `meta`.
+fn put_record(
+    out: &mut Vec<u8>,
+    kind: u8,
+    words: impl ExactSizeIterator<Item = u64>,
+    meta: &[u8],
+) -> Result<()> {
+    let payload = (1 + words.len()) * 8 + meta.len();
+    if payload > MAX_RECORD_PAYLOAD {
+        return Err(StoreError::LogRecordTooLarge { payload, max: MAX_RECORD_PAYLOAD });
     }
+    let start = out.len();
+    out.reserve(REC_FIXED + payload + REC_CRC);
+    out.extend_from_slice(&(payload as u32).to_le_bytes());
+    out.push(kind);
+    out.extend_from_slice(&(words.len() as u64).to_le_bytes());
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    out.extend_from_slice(meta);
+    let crc = fnv1a64(&out[start + 4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
 
-    /// Encoded length in bytes.
-    pub fn encoded_len(&self) -> usize {
-        let payload = match self {
-            WalRecord::Alloc { .. } | WalRecord::Free { .. } => 0,
-            WalRecord::Commit { meta, .. } => meta.len(),
-            WalRecord::Checkpoint { alloc, meta, .. } => {
-                16 + alloc.free_list.len() * 8 + meta.len()
-            }
-        };
-        REC_FIXED + payload + REC_CRC
-    }
+/// Splits the counted list of words off the front of a payload.
+fn take_words(buf: &[u8]) -> Option<(Vec<u64>, &[u8])> {
+    let n = u64::from_le_bytes(buf.get(..8)?.try_into().unwrap()) as usize;
+    let end = 8usize.checked_add(n.checked_mul(8)?)?;
+    let words = buf.get(8..end)?.chunks_exact(8);
+    Some((words.map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect(), &buf[end..]))
 }
 
 /// Tries to decode one record at the front of `buf`. Returns the record
@@ -367,22 +358,20 @@ pub fn decode_record(buf: &[u8]) -> Option<(WalRecord, usize)> {
     if buf.len() < total {
         return None;
     }
-    let body = &buf[4..REC_FIXED + len];
     let stored = u64::from_le_bytes(buf[REC_FIXED + len..total].try_into().unwrap());
-    if stored != fnv1a64(body) {
+    if stored != fnv1a64(&buf[4..REC_FIXED + len]) {
         return None;
     }
-    let kind = buf[4];
-    let lsn = u64::from_le_bytes(buf[5..13].try_into().unwrap());
-    let page = u64::from_le_bytes(buf[13..21].try_into().unwrap());
-    let payload = &buf[REC_FIXED..REC_FIXED + len];
-    let rec = match kind {
-        K_ALLOC if len == 0 => WalRecord::Alloc { lsn, page: PageId(page) },
-        K_FREE if len == 0 => WalRecord::Free { lsn, page: PageId(page) },
-        K_COMMIT => WalRecord::Commit { lsn, meta: payload.to_vec() },
-        K_CHECKPOINT => {
-            let (alloc, meta) = AllocSnapshot::decode_prefix(payload)?;
-            WalRecord::Checkpoint { lsn, alloc, meta: meta.to_vec() }
+    let (words, meta) = take_words(&buf[REC_FIXED..REC_FIXED + len])?;
+    let meta = meta.to_vec();
+    let rec = match (buf[4], words.split_first()) {
+        (K_COMMIT, _) => {
+            let entries = words.iter().map(|&w| Entry::from_word(w)).collect();
+            WalRecord::Commit { entries, meta }
+        }
+        (K_CHECKPOINT, Some((&next_id, free))) => {
+            let alloc = AllocSnapshot { next_id, free_list: free.to_vec() };
+            WalRecord::Checkpoint { alloc, meta }
         }
         _ => return None,
     };
@@ -454,7 +443,8 @@ pub fn scan(bytes: &[u8], page_size: usize) -> Result<ScanOutcome> {
 /// serve layer renders them as the `pc_store_wal_*` families.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// Records appended (all kinds, commits and checkpoints included).
+    /// Entries made (one per durable `alloc` or `free`, counted when it
+    /// runs) plus records appended (commits and checkpoints).
     pub appends: u64,
     /// Commit records written (= successful group commits).
     pub commits: u64,
@@ -462,9 +452,9 @@ pub struct WalStats {
     pub fsyncs: u64,
     /// Checkpoints installed (log swaps).
     pub checkpoints: u64,
-    /// Records replayed by recovery at open.
+    /// Entries and commits replayed by recovery at open.
     pub replayed: u64,
-    /// Largest number of records made durable by one commit.
+    /// Largest number of entries one commit made durable.
     pub max_group: u64,
     /// Current log length in bytes (appended, including unsynced).
     pub log_bytes: u64,
@@ -477,17 +467,14 @@ pub struct WalStats {
 }
 
 struct WalInner {
-    /// Encoded records appended to the medium but not yet fsynced count
-    /// toward `uncommitted`; the buffer itself is flushed eagerly so the
-    /// mutex hold is short.
-    next_lsn: u64,
-    /// Records appended since the last commit record.
-    uncommitted: u64,
     /// Appended log length in bytes (header included).
     log_bytes: u64,
     /// The medium is empty (fresh log): the header rides along with the
     /// first append so an append-only medium is never headerless.
     needs_header: bool,
+    /// A failed append left bytes on the medium, or a failed fsync a
+    /// record of unknown fate: no record follows until a checkpoint.
+    broken: bool,
 }
 
 /// The write-ahead log: serialized appends over a [`LogMedium`], group
@@ -503,7 +490,7 @@ pub struct Wal {
     checkpoints: AtomicU64,
     replayed: AtomicU64,
     max_group: AtomicU64,
-    /// Records made durable per commit — the distribution behind
+    /// Entries made durable per commit — the distribution behind
     /// `max_group` (see [`Wal::group_sizes`]).
     group_sizes: pc_obs::Histogram,
 }
@@ -515,15 +502,13 @@ impl Wal {
     pub fn open(medium: Box<dyn LogMedium>, page_size: usize) -> Result<(Wal, ScanOutcome)> {
         let bytes = medium.read_all()?;
         let outcome = scan(&bytes, page_size)?;
-        let next_lsn = outcome.records.last().map(|r| r.lsn() + 1).unwrap_or(1);
         let wal = Wal {
             medium,
             page_size,
             inner: Mutex::new(WalInner {
-                next_lsn,
-                uncommitted: 0,
                 log_bytes: bytes.len() as u64,
                 needs_header: bytes.is_empty(),
+                broken: false,
             }),
             appends: AtomicU64::new(0),
             commits: AtomicU64::new(0),
@@ -536,53 +521,37 @@ impl Wal {
         Ok((wal, outcome))
     }
 
-    /// Appends the record `make` builds for the next LSN (caller holds
-    /// `inner`); returns that LSN.
-    fn push(&self, inner: &mut WalInner, make: impl FnOnce(u64) -> WalRecord) -> Result<u64> {
-        let lsn = inner.next_lsn;
-        let rec = make(lsn);
+    /// Counts one entry of the open group in [`WalStats::appends`]; the
+    /// entry itself reaches the log with its commit.
+    pub fn count_entry(&self) {
+        self.appends.fetch_add(1, Relaxed);
+    }
+
+    /// Group commit: appends one [`WalRecord::Commit`] of `entries` and
+    /// `meta` and `fsync`s the log once. Returns the number of entries
+    /// made durable. On an error before the append nothing reached the
+    /// medium, and a retry may follow.
+    pub fn commit(&self, entries: &[Entry], meta: &[u8]) -> Result<u64> {
+        let mut inner = self.inner.lock();
+        if inner.broken {
+            let e = std::io::Error::other("an earlier log write failed; reopen the store");
+            return Err(e.into());
+        }
         let mut buf =
             if inner.needs_header { encode_header(self.page_size) } else { Vec::new() };
-        buf.reserve(rec.encoded_len());
-        rec.encode_into(&mut buf);
-        self.medium.append(&buf)?;
+        put_record(&mut buf, K_COMMIT, entries.iter().map(|e| e.word()), meta)?;
+        if let Err(e) = self.medium.append(&buf) {
+            inner.broken = self.medium.len().map_or(true, |len| len != inner.log_bytes);
+            return Err(e);
+        }
         inner.needs_header = false;
-        inner.next_lsn += 1;
         inner.log_bytes += buf.len() as u64;
         self.appends.fetch_add(1, Relaxed);
-        Ok(lsn)
-    }
-
-    fn append_record(&self, make: impl FnOnce(u64) -> WalRecord) -> Result<u64> {
-        let mut inner = self.inner.lock();
-        let lsn = self.push(&mut inner, make)?;
-        inner.uncommitted += 1;
-        Ok(lsn)
-    }
-
-    /// Logs a page allocation.
-    pub fn append_alloc(&self, page: PageId) -> Result<u64> {
-        self.append_record(|lsn| WalRecord::Alloc { lsn, page })
-    }
-
-    /// Logs a page free.
-    pub fn append_free(&self, page: PageId) -> Result<u64> {
-        self.append_record(|lsn| WalRecord::Free { lsn, page })
-    }
-
-    /// Group commit: if any records were appended since the last commit,
-    /// appends a [`WalRecord::Commit`] carrying `meta` and `fsync`s the
-    /// log — one fsync for the whole group. Returns the number of records
-    /// the commit made durable (0 = nothing pending, no fsync issued).
-    pub fn commit(&self, meta: &[u8]) -> Result<u64> {
-        let mut inner = self.inner.lock();
-        if inner.uncommitted == 0 {
-            return Ok(0);
+        if let Err(e) = self.medium.sync() {
+            inner.broken = true;
+            return Err(e);
         }
-        let group = inner.uncommitted;
-        self.push(&mut inner, |lsn| WalRecord::Commit { lsn, meta: meta.to_vec() })?;
-        self.medium.sync()?;
-        inner.uncommitted = 0;
+        let group = entries.len() as u64;
         self.commits.fetch_add(1, Relaxed);
         self.fsyncs.fetch_add(1, Relaxed);
         self.max_group.fetch_max(group, Relaxed);
@@ -591,21 +560,17 @@ impl Wal {
     }
 
     /// Atomically replaces the log with a fresh generation holding only a
-    /// checkpoint of `alloc`. Every earlier record must be committed, and
+    /// checkpoint of `alloc`. Every earlier group must be committed, and
     /// the data file synced — the caller's job. `meta` is the
     /// last committed caller metadata, re-embedded in the checkpoint so it
-    /// survives the log swap (pass `&[]` when there has been none).
+    /// survives the log swap (pass `&[]` when there has been none). A
+    /// checkpoint too large for one record keeps the old log.
     pub fn install_checkpoint(&self, alloc: &AllocSnapshot, meta: &[u8]) -> Result<()> {
         let mut inner = self.inner.lock();
-        let lsn = inner.next_lsn;
-        let rec = WalRecord::Checkpoint { lsn, alloc: alloc.clone(), meta: meta.to_vec() };
         let mut contents = encode_header(self.page_size);
-        rec.encode_into(&mut contents);
+        put_record(&mut contents, K_CHECKPOINT, alloc.words(), meta)?;
         self.medium.reset(&contents)?;
-        inner.next_lsn += 1;
-        inner.uncommitted = 0;
-        inner.log_bytes = contents.len() as u64;
-        inner.needs_header = false;
+        *inner = WalInner { log_bytes: contents.len() as u64, needs_header: false, broken: false };
         self.appends.fetch_add(1, Relaxed);
         self.checkpoints.fetch_add(1, Relaxed);
         self.fsyncs.fetch_add(1, Relaxed);
@@ -617,18 +582,13 @@ impl Wal {
         self.inner.lock().log_bytes
     }
 
-    /// Records appended since the last commit.
-    pub fn uncommitted(&self) -> u64 {
-        self.inner.lock().uncommitted
-    }
-
-    /// Notes `n` records replayed by recovery (stats only).
+    /// Notes `n` entries and commits replayed by recovery (stats only).
     pub fn note_replayed(&self, n: u64) {
         self.replayed.fetch_add(n, Relaxed);
     }
 
-    /// Distribution of records made durable per group commit (empty
-    /// commits issue no fsync and are not recorded).
+    /// Distribution of entries made durable per group commit (empty
+    /// groups write no record and are not recorded).
     pub fn group_sizes(&self) -> pc_obs::HistogramSnapshot {
         self.group_sizes.snapshot()
     }
@@ -655,22 +615,22 @@ mod tests {
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::Checkpoint {
-                lsn: 1,
                 alloc: AllocSnapshot { next_id: 4, free_list: vec![2, 0] },
                 meta: b"carried".to_vec(),
             },
-            WalRecord::Alloc { lsn: 2, page: PageId(0) },
-            WalRecord::Alloc { lsn: 3, page: PageId(5) },
-            WalRecord::Free { lsn: 4, page: PageId(0) },
-            WalRecord::Commit { lsn: 5, meta: vec![9, 9] },
-            WalRecord::Free { lsn: 6, page: PageId(3) },
+            WalRecord::Commit {
+                entries: vec![Entry::Take(0), Entry::Take(2), Entry::Push(0)],
+                meta: vec![9, 9],
+            },
+            WalRecord::Commit { entries: vec![], meta: vec![] },
+            WalRecord::Commit { entries: vec![Entry::Take(4), Entry::Push(3)], meta: vec![1] },
         ]
     }
 
     fn encode_all(recs: &[WalRecord], page_size: usize) -> Vec<u8> {
         let mut out = encode_header(page_size);
         for r in recs {
-            r.encode_into(&mut out);
+            r.encode_into(&mut out).unwrap();
         }
         out
     }
@@ -683,6 +643,8 @@ mod tests {
         assert_eq!(out.records, recs);
         assert_eq!(out.valid_len, bytes.len() as u64);
         assert_eq!(out.torn_bytes, 0);
+        let entries = [Entry::Take(7), Entry::Push(7), Entry::Push(PUSH - 1)];
+        assert_eq!(entries.map(|e| Entry::from_word(e.word())), entries);
     }
 
     #[test]
@@ -706,14 +668,11 @@ mod tests {
     fn corrupt_record_stops_the_scan_there() {
         let recs = sample_records();
         let mut bytes = encode_all(&recs, 128);
-        // Flip a byte inside the third record's page field.
-        let mut pos = WAL_HEADER_LEN;
-        for r in &recs[..2] {
-            pos += r.encoded_len();
-        }
-        bytes[pos + REC_FIXED - 1] ^= 0xff;
+        // Flip a byte inside the second record's first entry.
+        let pos = encode_all(&recs[..1], 128).len() + REC_FIXED + 8;
+        bytes[pos] ^= 0xff;
         let out = scan(&bytes, 128).unwrap();
-        assert_eq!(out.records, recs[..2]);
+        assert_eq!(out.records, recs[..1]);
         assert!(out.torn_bytes > 0);
     }
 
@@ -745,29 +704,42 @@ mod tests {
     fn wal_group_commit_fsyncs_once_per_batch() {
         let (wal, out) = Wal::open(Box::new(MemLog::new()), 64).unwrap();
         assert!(out.records.is_empty());
-        for i in 0..5u64 {
-            wal.append_alloc(PageId(i)).unwrap();
-        }
-        assert_eq!(wal.uncommitted(), 5);
-        assert_eq!(wal.commit(b"batch-1").unwrap(), 5);
-        assert_eq!(wal.commit(b"empty").unwrap(), 0, "empty commit is free");
+        let entries: Vec<Entry> = (0..5).map(Entry::Take).collect();
+        entries.iter().for_each(|_| wal.count_entry());
+        assert_eq!(wal.commit(&entries, b"batch-1").unwrap(), 5);
         let s = wal.stats();
         assert_eq!(s.commits, 1);
         assert_eq!(s.fsyncs, 1);
         assert_eq!(s.max_group, 5);
-        // One group of 5; the empty commit is not an observation.
         assert_eq!(wal.group_sizes().buckets, vec![(7, 1)]);
-        assert_eq!(s.appends, 6, "5 allocs + 1 commit");
+        assert_eq!(s.appends, 6, "5 entries + 1 commit");
+        let out = scan(&wal.medium.read_all().unwrap(), 64).unwrap();
+        assert_eq!(out.records, [WalRecord::Commit { entries, meta: b"batch-1".to_vec() }]);
+    }
+
+    #[test]
+    fn oversized_records_are_refused_before_the_medium_sees_a_byte() {
+        let (wal, _) = Wal::open(Box::new(MemLog::new()), 64).unwrap();
+        let snap = AllocSnapshot { next_id: 1, free_list: vec![] };
+        wal.install_checkpoint(&snap, b"old").unwrap();
+        let before = wal.medium.read_all().unwrap();
+        let huge = vec![0u8; MAX_RECORD_PAYLOAD];
+        let too_large =
+            |e: Option<StoreError>| matches!(e, Some(StoreError::LogRecordTooLarge { .. }));
+        assert!(too_large(wal.commit(&[], &huge).err()), "8 + MAX bytes");
+        assert!(too_large(wal.install_checkpoint(&snap, &huge).err()), "16 + MAX bytes");
+        assert_eq!(wal.medium.read_all().unwrap(), before, "the old log stays");
+        assert_eq!(wal.stats().commits, 0);
     }
 
     #[test]
     fn install_checkpoint_resets_the_log_generation() {
         let medium = Box::new(MemLog::new());
         let (wal, _) = Wal::open(medium, 64).unwrap();
-        wal.append_alloc(PageId(0)).unwrap();
-        wal.commit(&[]).unwrap();
+        wal.commit(&[Entry::Take(0)], &[]).unwrap();
+        wal.commit(&[Entry::Take(1)], &[]).unwrap();
         let before = wal.log_bytes();
-        let snap = AllocSnapshot { next_id: 1, free_list: vec![] };
+        let snap = AllocSnapshot { next_id: 2, free_list: vec![] };
         wal.install_checkpoint(&snap, b"last-meta").unwrap();
         assert!(wal.log_bytes() < before);
         assert_eq!(wal.stats().checkpoints, 1);
@@ -775,14 +747,8 @@ mod tests {
         // commit metadata.
         let bytes = wal.medium.read_all().unwrap();
         let out = scan(&bytes, 64).unwrap();
-        assert_eq!(out.records.len(), 1);
-        match &out.records[0] {
-            WalRecord::Checkpoint { alloc, meta, .. } => {
-                assert_eq!(alloc, &snap);
-                assert_eq!(meta, b"last-meta");
-            }
-            other => panic!("expected checkpoint, got {other:?}"),
-        }
+        let want = WalRecord::Checkpoint { alloc: snap, meta: b"last-meta".to_vec() };
+        assert_eq!(out.records, [want]);
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Store-level durability integration tests: reopen after a clean
 //! shutdown, recovery that writes no frame, a group killed between its data
 //! sync and its commit record, torn-tail handling in both the data file and
-//! the log, and checkpointing bounding replay. The exhaustive kill-point
-//! matrix lives in `crash_recovery.rs`; these tests pin the individual
-//! behaviors it composes.
+//! the log, checkpointing bounding replay, a log that refuses appends or
+//! fsyncs, a record too large for the log, and a log of the previous
+//! format. The exhaustive kill-point matrix lives in `crash_recovery.rs`;
+//! these tests pin the individual behaviors it composes.
 
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
+use pc_pagestore::backend::MemBackend;
+use pc_pagestore::wal::MAX_RECORD_PAYLOAD;
 use pc_pagestore::{
-    CrashBackend, CrashController, CrashLog, CrashPlan, PageId, PageStore, StoreConfig,
-    WalConfig,
+    CrashBackend, CrashController, CrashLog, CrashPlan, LogMedium, MemLog, PageId, PageStore,
+    StoreConfig, StoreError, WalConfig,
 };
 
 const PAGE: usize = 64;
@@ -98,7 +102,7 @@ fn committed_pages_are_on_the_medium_and_recovery_writes_no_frame() {
         PageStore::new_durable(cfg(), Box::new(data), Box::new(log.surviving_log()), wal_cfg)
             .unwrap();
     assert_eq!(data_ctrl.ops(), 0, "recovery touches the data medium not once: {report:?}");
-    assert_eq!(report.replayed_allocs, 5, "{report:?}");
+    assert_eq!((report.replayed_entries, report.commits), (5, 1), "{report:?}");
     assert_eq!(report.last_commit_meta.as_deref(), Some(&b"batch-1"[..]));
     assert_eq!(snapshot(&store2), want);
 }
@@ -372,9 +376,141 @@ fn recycled_free_alloc_cycle_survives_recovery() {
     )
     .unwrap();
     assert_eq!(snapshot(&store2), committed);
-    // The free list is state too: the next alloc must pick the same id a
-    // continued run would have.
-    let d1 = store.alloc().unwrap();
-    let d2 = store2.alloc().unwrap();
-    assert_eq!(d1, d2, "recovered allocator must continue identically");
+    // The free list is state too, order included: the recovered allocator
+    // must continue as the live one would.
+    assert_eq!(store2.alloc_snapshot(), store.alloc_snapshot());
+    assert_eq!(store2.alloc_snapshot().free_list, [b.0, c.0], "b at the commit, after c");
+}
+
+/// A log medium whose appends, or fsyncs, fail while their flag is set.
+#[derive(Default)]
+struct RefusingLog {
+    log: MemLog,
+    refuse_append: AtomicBool,
+    refuse_sync: AtomicBool,
+}
+
+impl LogMedium for RefusingLog {
+    fn read_all(&self) -> pc_pagestore::Result<Vec<u8>> {
+        self.log.read_all()
+    }
+    fn append(&self, buf: &[u8]) -> pc_pagestore::Result<()> {
+        if self.refuse_append.load(Relaxed) {
+            return Err(std::io::Error::other("log append refused").into());
+        }
+        self.log.append(buf)
+    }
+    fn sync(&self) -> pc_pagestore::Result<()> {
+        if self.refuse_sync.load(Relaxed) {
+            return Err(std::io::Error::other("log fsync refused").into());
+        }
+        self.log.sync()
+    }
+    fn len(&self) -> pc_pagestore::Result<u64> {
+        self.log.len()
+    }
+    fn reset(&self, contents: &[u8]) -> pc_pagestore::Result<()> {
+        self.log.reset(contents)
+    }
+}
+
+/// A durable store over `log` and a shared in-memory data medium.
+fn store_over(backend: &Arc<MemBackend>, log: Box<dyn LogMedium>) -> PageStore {
+    PageStore::new_durable(cfg(), Box::new(Arc::clone(backend)), log, WalConfig::default())
+        .unwrap()
+        .0
+}
+
+#[test]
+fn alloc_and_free_do_no_log_io() {
+    let backend = Arc::new(MemBackend::new(FRAME));
+    let log = Arc::new(RefusingLog::default());
+    let store = store_over(&backend, Box::new(Arc::clone(&log)));
+    let a = store.alloc().unwrap();
+    store.write(a, &payload(0x0A, 0)).unwrap();
+    store.commit_with(b"first").unwrap();
+
+    log.refuse_append.store(true, Relaxed);
+    let b = store.alloc().unwrap();
+    store.write(b, &payload(0x0B, 1)).unwrap();
+    let c = store.alloc().unwrap();
+    store.free(c).unwrap();
+    store.free(a).unwrap();
+    let (live, table) = (store.live_pages(), store.alloc_snapshot());
+    assert!(store.commit_with(b"second").is_err(), "the commit record's append fails");
+    assert_eq!(store.live_pages(), live, "the group stays open");
+    assert_eq!(store.alloc_snapshot(), table, "a failed commit releases no held page");
+    assert_eq!(store.alloc().unwrap(), c, "the group's own free is reused, the held one is not");
+    store.free(c).unwrap();
+
+    log.refuse_append.store(false, Relaxed);
+    // Take b, take c, push c, take c, push c, then the held push of a.
+    assert_eq!(store.commit_with(b"second").unwrap(), 6);
+    let committed = (snapshot(&store), store.alloc_snapshot());
+    drop(store);
+    let reopened = store_over(&backend, Box::new(MemLog::from_bytes(log.read_all().unwrap())));
+    assert_eq!(reopened.last_commit_meta().as_deref(), Some(&b"second"[..]));
+    assert_eq!((snapshot(&reopened), reopened.alloc_snapshot()), committed);
+}
+
+#[test]
+fn after_a_failed_log_fsync_no_commit_is_logged_until_reopen() {
+    let backend = Arc::new(MemBackend::new(FRAME));
+    let log = Arc::new(RefusingLog::default());
+    let store = store_over(&backend, Box::new(Arc::clone(&log)));
+    let a = store.alloc().unwrap();
+    store.write(a, &payload(0x2A, 0)).unwrap();
+    log.refuse_sync.store(true, Relaxed);
+    assert!(store.commit_with(b"unknown").is_err(), "the fsync fails");
+    // The record is on the medium, durable or not: logged again, its
+    // takes would replay twice.
+    log.refuse_sync.store(false, Relaxed);
+    assert!(store.commit_with(b"unknown").is_err(), "the log takes no record");
+    let bytes = log.read_all().unwrap();
+    drop(store);
+    let reopened = store_over(&backend, Box::new(MemLog::from_bytes(bytes)));
+    assert_eq!(reopened.last_commit_meta().as_deref(), Some(&b"unknown"[..]));
+    assert_eq!(snapshot(&reopened).len(), 1);
+    // The reopened store's checkpoint replaced the log: commits resume.
+    reopened.alloc().unwrap();
+    reopened.commit_with(b"next").unwrap();
+}
+
+#[test]
+fn a_commit_too_large_for_the_log_is_refused_and_the_previous_one_kept() {
+    let backend = Arc::new(MemBackend::new(FRAME));
+    let log = Arc::new(MemLog::new());
+    let store = store_over(&backend, Box::new(Arc::clone(&log)));
+    let a = store.alloc().unwrap();
+    store.write(a, &payload(0x1A, 0)).unwrap();
+    store.commit_with(b"kept").unwrap();
+    let committed = snapshot(&store);
+
+    store.alloc().unwrap();
+    // `vec![0; n]` maps zeroed memory lazily, and nothing reads it.
+    let huge = vec![0u8; MAX_RECORD_PAYLOAD + 1];
+    let err = store.commit_with(&huge).unwrap_err();
+    assert!(matches!(err, StoreError::LogRecordTooLarge { max: MAX_RECORD_PAYLOAD, .. }), "{err}");
+    assert_eq!(store.live_pages(), 2, "the group stays open");
+    drop(store);
+    let reopened = store_over(&backend, Box::new(MemLog::from_bytes(log.read_all().unwrap())));
+    assert_eq!(reopened.last_commit_meta().as_deref(), Some(&b"kept"[..]));
+    assert_eq!(snapshot(&reopened), committed);
+}
+
+#[test]
+fn a_log_of_the_previous_format_is_refused_not_replayed() {
+    // A `PCWAL002` header and one of its commit records (`len | kind | lsn
+    // | page | crc`): its records are not this format's.
+    let mut old = b"PCWAL002".to_vec();
+    old.extend_from_slice(&(PAGE as u64).to_le_bytes());
+    old.extend_from_slice(&[0, 0, 0, 0, 4]);
+    old.extend_from_slice(&[0; 24]);
+    let opened = PageStore::new_durable(
+        cfg(),
+        Box::new(MemBackend::new(FRAME)),
+        Box::new(MemLog::from_bytes(old)),
+        WalConfig::default(),
+    );
+    assert!(matches!(opened, Err(StoreError::Corrupt(_))), "{:?}", opened.err());
 }

@@ -1,7 +1,7 @@
 //! Property tests for the WAL record codec and scanner, driven by the
-//! `pc-rng` shrinking harness.
+//! `pc-rng` shrinking harness, and for recovery of the allocation table.
 //!
-//! Three properties, matching how a log actually fails:
+//! Four properties, matching how a log actually fails:
 //!
 //! - **round-trip**: any record sequence encodes, scans back identical,
 //!   with `valid_len` covering every byte and no torn tail;
@@ -11,26 +11,34 @@
 //! - **corruption**: flipping any byte inside the record region never
 //!   yields a record that wasn't written: the scan result is a prefix of
 //!   the original sequence (the CRC catches the damage and the scanner
-//!   stops there).
+//!   stops there);
+//! - **recovery**: a durable store killed after any mix of allocs, frees
+//!   and commits reopens with the allocation table of its last commit,
+//!   free-list order included.
 
+use pc_pagestore::backend::MemBackend;
 use pc_pagestore::wal::{
-    decode_record, encode_header, scan, WalRecord, MAX_RECORD_PAYLOAD, WAL_HEADER_LEN,
+    decode_record, encode_header, scan, Entry, WalRecord, MAX_RECORD_PAYLOAD, WAL_HEADER_LEN,
 };
-use pc_pagestore::{AllocSnapshot, PageId};
+use pc_pagestore::{AllocSnapshot, LogMedium, MemLog, PageStore, StoreConfig, WalConfig};
 use pc_rng::check::{check, no_shrink, shrink_vec, Config};
 use pc_rng::Rng;
 
 const PAGE: usize = 64;
 
-fn gen_record(rng: &mut Rng, lsn: u64) -> WalRecord {
-    match rng.gen_range(0..4u64) {
-        0 => WalRecord::Alloc { lsn, page: PageId(rng.gen_range(0..64u64)) },
-        1 => WalRecord::Free { lsn, page: PageId(rng.gen_range(0..64u64)) },
-        2 => {
+fn gen_record(rng: &mut Rng) -> WalRecord {
+    match rng.gen_range(0..3u64) {
+        0 | 1 => {
+            let entries = (0..rng.gen_range(0..8usize))
+                .map(|_| {
+                    let id = rng.gen_range(0..64u64);
+                    if rng.gen_range(0..2u64) == 0 { Entry::Take(id) } else { Entry::Push(id) }
+                })
+                .collect();
             let len = rng.gen_range(0..16usize);
             let mut meta = vec![0u8; len];
             rng.fill_bytes(&mut meta);
-            WalRecord::Commit { lsn, meta }
+            WalRecord::Commit { entries, meta }
         }
         _ => {
             let frees = rng.gen_range(0..6usize);
@@ -39,7 +47,6 @@ fn gen_record(rng: &mut Rng, lsn: u64) -> WalRecord {
             let mut meta = vec![0u8; meta_len];
             rng.fill_bytes(&mut meta);
             WalRecord::Checkpoint {
-                lsn,
                 alloc: AllocSnapshot { next_id: rng.gen_range(0..128u64), free_list },
                 meta,
             }
@@ -49,11 +56,10 @@ fn gen_record(rng: &mut Rng, lsn: u64) -> WalRecord {
 
 fn gen_records(rng: &mut Rng) -> Vec<WalRecord> {
     let n = rng.gen_range(0..24usize);
-    (0..n).map(|i| gen_record(rng, i as u64 + 1)).collect()
+    (0..n).map(|_| gen_record(rng)).collect()
 }
 
-/// Drop-front/drop-back/drop-one shrinking; records keep their (now
-/// non-contiguous) LSNs, which the codec must not care about.
+/// Drop-front/drop-back/drop-one shrinking.
 fn shrink_records(recs: &[WalRecord]) -> Vec<Vec<WalRecord>> {
     shrink_vec(recs, |_| Vec::new())
 }
@@ -61,7 +67,7 @@ fn shrink_records(recs: &[WalRecord]) -> Vec<Vec<WalRecord>> {
 fn encode_log(records: &[WalRecord]) -> Vec<u8> {
     let mut bytes = encode_header(PAGE);
     for r in records {
-        r.encode_into(&mut bytes);
+        r.encode_into(&mut bytes).unwrap();
     }
     bytes
 }
@@ -89,12 +95,6 @@ fn prop_record_sequences_round_trip_through_scan() {
                     bytes.len(),
                     out.torn_bytes
                 ));
-            }
-            // encoded_len must agree with what encode_into produced.
-            let sum: usize =
-                records.iter().map(WalRecord::encoded_len).sum::<usize>() + WAL_HEADER_LEN;
-            if sum != bytes.len() {
-                return Err(format!("encoded_len sums to {sum}, stream is {}", bytes.len()));
             }
             Ok(())
         },
@@ -151,7 +151,7 @@ fn prop_corruption_never_fabricates_records() {
         |rng| {
             let mut records = gen_records(rng);
             if records.is_empty() {
-                records.push(gen_record(rng, 1));
+                records.push(gen_record(rng));
             }
             (records, rng.next_u64(), rng.gen_range(1..=255u64) as u8)
         },
@@ -216,11 +216,58 @@ fn oversized_length_field_is_rejected_not_allocated() {
     // over MAX_RECORD_PAYLOAD is treated as torn.
     let mut bytes = encode_header(PAGE);
     let rec_start = bytes.len();
-    WalRecord::Commit { lsn: 1, meta: vec![7; 4] }.encode_into(&mut bytes);
+    WalRecord::Commit { entries: vec![Entry::Take(0)], meta: vec![7; 4] }
+        .encode_into(&mut bytes)
+        .unwrap();
     bytes[rec_start..rec_start + 4]
         .copy_from_slice(&((MAX_RECORD_PAYLOAD as u32) + 1).to_le_bytes());
     let out = scan(&bytes, PAGE).unwrap();
     assert!(out.records.is_empty());
     assert_eq!(out.valid_len, WAL_HEADER_LEN as u64);
     assert_eq!(out.torn_bytes, (bytes.len() - WAL_HEADER_LEN) as u64);
+}
+
+#[test]
+fn prop_recovery_restores_the_last_commits_allocation_table() {
+    // Each byte is one op: alloc, free of a live page, or commit; the ops
+    // after the last commit are the group a crash loses.
+    check(
+        &Config::with_cases(200),
+        |rng| {
+            let n = rng.gen_range(0..80usize);
+            (0..n).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>()
+        },
+        |ops| shrink_vec(ops, |_| Vec::new()),
+        |ops| {
+            let log = std::sync::Arc::new(MemLog::new());
+            // A small threshold, so runs cross checkpoints too.
+            let wal_cfg = WalConfig { checkpoint_bytes: 300 };
+            let open = |log: Box<dyn LogMedium>| {
+                let backend = Box::new(MemBackend::new(PAGE + 8));
+                PageStore::new_durable(StoreConfig::strict(PAGE), backend, log, wal_cfg)
+            };
+            let (store, _) = open(Box::new(log.clone())).map_err(|e| e.to_string())?;
+            let mut live = Vec::new();
+            let mut committed = store.alloc_snapshot();
+            for &op in ops {
+                let done = match op % 4 {
+                    0 | 1 => store.alloc().map(|id| live.push(id)),
+                    2 if !live.is_empty() => store.free(live.swap_remove(op as usize % live.len())),
+                    2 => Ok(()),
+                    _ => store.commit_with(&[op]).map(|_| committed = store.alloc_snapshot()),
+                };
+                done.map_err(|e| format!("op {op}: {e}"))?;
+            }
+            let bytes = log.read_all().map_err(|e| e.to_string())?;
+            let (reopened, _) =
+                open(Box::new(MemLog::from_bytes(bytes))).map_err(|e| format!("reopen: {e}"))?;
+            if reopened.alloc_snapshot() != committed {
+                return Err(format!(
+                    "recovered {:?}, last commit left {committed:?}",
+                    reopened.alloc_snapshot()
+                ));
+            }
+            Ok(())
+        },
+    );
 }

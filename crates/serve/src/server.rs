@@ -298,11 +298,10 @@ pub fn encode_commit_meta(seq: u64, descriptors: &[Option<Vec<u8>>]) -> Vec<u8> 
 }
 
 /// Decodes [`encode_commit_meta`] output; total (returns `None` on any
-/// malformed input). A bare 8-byte sequence — the pre-descriptor format —
-/// decodes as a commit with no descriptors. On a versioned server every
-/// durable commit is version-framed (the epoch map wraps the batch meta);
-/// a frame is transparently unwrapped so recovery callers see the inner
-/// batch payload either way.
+/// malformed input). On a versioned server every durable commit is
+/// version-framed (the epoch map wraps the batch meta); a frame is
+/// transparently unwrapped so recovery callers see the inner batch payload
+/// either way.
 pub fn decode_commit_meta(meta: &[u8]) -> Option<(u64, Vec<Option<Vec<u8>>>)> {
     if let Some(vm) = decode_version_meta(meta) {
         return decode_commit_meta(&vm.user);
@@ -311,9 +310,6 @@ pub fn decode_commit_meta(meta: &[u8]) -> Option<(u64, Vec<Option<Vec<u8>>>)> {
         return None;
     }
     let seq = u64::from_le_bytes(meta[0..8].try_into().ok()?);
-    if meta.len() == 8 {
-        return Some((seq, Vec::new()));
-    }
     let count = u16::from_le_bytes(meta.get(8..10)?.try_into().ok()?) as usize;
     let mut at = 10usize;
     let mut out = Vec::with_capacity(count);
@@ -927,8 +923,6 @@ mod tests {
         let meta = encode_commit_meta(42, &descs);
         assert_eq!(decode_commit_meta(&meta), Some((42, descs)));
 
-        // The pre-descriptor format (bare sequence) still decodes.
-        assert_eq!(decode_commit_meta(&7u64.to_le_bytes()), Some((7, Vec::new())));
 
         // Truncations and trailing garbage are clean rejections.
         assert_eq!(decode_commit_meta(&[]), None);

@@ -119,7 +119,7 @@ if [ "$RUN_CHAOS" = 1 ]; then
     # On failure, rerun the printed command to reproduce the exact
     # scenario. The hard timeout turns a wedged failover, health loop or
     # journal replay into a failure instead of a stuck CI job.
-    CHAOS_SEED="$(python3 -c 'import secrets; print(secrets.randbits(64))')"
+    CHAOS_SEED="$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')"
     echo "==> chaos and shard-fabric suites under fresh seed $CHAOS_SEED"
     echo "    (reproduce with: PC_CHAOS_SEED=$CHAOS_SEED cargo test -q --test chaos --test cluster_chaos --test oracle)"
     PC_CHAOS_SEED="$CHAOS_SEED" timeout 300 cargo test -q --offline \
@@ -146,7 +146,7 @@ if [ "$RUN_CRASH" = 1 ]; then
     echo "==> crash-point suite (hard timeout)"
     timeout 300 cargo test -q --offline --test crash_recovery
     timeout 300 cargo test -q --offline -p pc-pagestore --test durability --test wal_proptest
-    CRASH_SEED="$(python3 -c 'import secrets; print(secrets.randbits(64))')"
+    CRASH_SEED="$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')"
     echo "==> kill-point matrices under fresh seed $CRASH_SEED"
     echo "    (reproduce with: PC_CHAOS_SEED=$CRASH_SEED cargo test -q --test crash_recovery)"
     PC_CHAOS_SEED="$CRASH_SEED" timeout 300 cargo test -q --offline --test crash_recovery

@@ -10,14 +10,16 @@
 //!    them, extracts what durable media would hold, and asserts that every
 //!    frame of a committed batch prefix holding every acknowledged batch is
 //!    intact on the medium; then it reopens, recovers, and asserts the
-//!    store equals that prefix. Every decision derives from
+//!    store equals that prefix, its allocation table (free-list order
+//!    included) too. Every decision derives from
 //!    `(seed, op ordinal)`, so a failure reproduces from its printed
 //!    `(seed, kill_at)` pair.
 //!
 //! 2. **Versioned matrix** — each update-capable target kind, applied in
 //!    copy-on-write sessions and installed epoch by epoch as a shard does,
 //!    killed at a stride of its durable I/Os: recovery exposes exactly the
-//!    last committed epoch, bit-identical.
+//!    last committed epoch, bit-identical, over the allocation table that
+//!    epoch's commit left.
 //!
 //! That every structure *answers* as the model at the acked prefix after
 //! a seeded kill is `tests/oracle.rs`'s, one test per structure.
@@ -29,8 +31,8 @@ use std::sync::Arc;
 
 use pc_pagestore::codec::frame_is_valid;
 use pc_pagestore::{
-    CrashBackend, CrashController, CrashLog, CrashPlan, PageId, PageStore, StoreConfig,
-    VersionConfig, VersionedStore, WalConfig,
+    AllocSnapshot, CrashBackend, CrashController, CrashLog, CrashPlan, PageId, PageStore,
+    StoreConfig, VersionConfig, VersionedStore, WalConfig,
 };
 use pc_pst::{DynamicPst, DynamicThreeSidedPst};
 use path_caching::Point;
@@ -49,6 +51,12 @@ fn snapshot(store: &PageStore) -> PageImage {
         .into_iter()
         .map(|id| (id, store.read(id).unwrap().to_vec()))
         .collect()
+}
+
+/// [`snapshot`] plus the allocation table: what a continued run allocates
+/// next is committed state too.
+fn state(store: &PageStore) -> (PageImage, AllocSnapshot) {
+    (snapshot(store), store.alloc_snapshot())
 }
 
 /// A matrix's seed: `fixed`, or, when `PC_CHAOS_SEED` is set, that seed
@@ -82,7 +90,7 @@ fn raw_cfg() -> StoreConfig {
 /// the matrix must include kill points inside checkpoints (the log swap),
 /// not just inside commits.
 fn raw_wal_cfg() -> WalConfig {
-    WalConfig { checkpoint_bytes: 400 }
+    WalConfig { checkpoint_bytes: 160 }
 }
 
 fn batch_payload(batch: u8, slot: u8) -> Vec<u8> {
@@ -95,12 +103,12 @@ fn batch_payload(batch: u8, slot: u8) -> Vec<u8> {
 /// Runs the deterministic mixed workload. Stops at the first error (the
 /// crash) and returns how many batches were acknowledged (committed).
 /// When `record` is set (reference run; never crashes) also returns the
-/// committed snapshot after each batch, with the initial empty state at
+/// committed state after each batch, with the initial empty state at
 /// index 0.
-fn raw_workload(store: &PageStore, record: bool) -> (u64, Vec<PageImage>) {
+fn raw_workload(store: &PageStore, record: bool) -> (u64, Vec<(PageImage, AllocSnapshot)>) {
     let mut snaps = Vec::new();
     if record {
-        snaps.push(snapshot(store));
+        snaps.push(state(store));
     }
     let mut live: Vec<PageId> = Vec::new();
     let mut acked = 0u64;
@@ -120,8 +128,8 @@ fn raw_workload(store: &PageStore, record: bool) -> (u64, Vec<PageImage>) {
             store.write(moved, &batch_payload(b, 0xE0))?;
             store.write(moved, &batch_payload(b, 0xF0))?;
             store.free(std::mem::replace(&mut live[i], moved))?;
-            // Free one page every other batch so Alloc/Free records and
-            // free-list order are part of the matrix.
+            // Free one page every other batch so frees and free-list
+            // order are part of the matrix.
             if b % 2 == 1 && live.len() > 3 {
                 let victim = live.remove(0);
                 store.free(victim)?;
@@ -133,7 +141,7 @@ fn raw_workload(store: &PageStore, record: bool) -> (u64, Vec<PageImage>) {
             Ok(()) => {
                 acked += 1;
                 if record {
-                    snaps.push(snapshot(store));
+                    snaps.push(state(store));
                 }
             }
             Err(_) => break,
@@ -185,7 +193,7 @@ fn kill_point_matrix_every_acked_batch_survives() {
          log swaps: {ws:?}"
     );
     let total = ctrl.ops();
-    assert!(total > 30, "matrix too small to be interesting: {total} ops");
+    assert!(total > 30, "matrix too small to be interesting: {total} ops: {ws:?}");
     drop(store);
 
     for kill_at in 1..=total {
@@ -213,12 +221,13 @@ fn kill_point_matrix_every_acked_batch_survives() {
         .unwrap_or_else(|e| {
             panic!("seed {seed:#x} kill_at {kill_at}: recovery must never fail: {e}")
         });
-        let state = snapshot(&recovered);
+        let state = state(&recovered);
         let idx = snaps.iter().position(|s| s == &state).unwrap_or_else(|| {
             panic!(
-                "seed {seed:#x} kill_at {kill_at}: recovered state ({} pages) matches \
+                "seed {seed:#x} kill_at {kill_at}: recovered state ({} pages, {:?}) matches \
                  no committed batch prefix; report: {report:?}",
-                state.len()
+                state.0.len(),
+                state.1
             )
         });
         assert!(
@@ -228,7 +237,7 @@ fn kill_point_matrix_every_acked_batch_survives() {
         );
         // Recovery writes no frame, so the medium itself must hold the
         // state it restored, every acked batch included.
-        assert_frames_intact(&frames, &snaps[idx], &ctx);
+        assert_frames_intact(&frames, &snaps[idx].0, &ctx);
         // The commit meta the recovery reports must agree with the state
         // it restored (meta is the batch index the workload committed).
         if idx > 0 {
@@ -284,7 +293,7 @@ fn multi_crash_rounds_carry_survivors_forward() {
         raw_wal_cfg(),
     ) {
         // Whatever round one acked must already be here.
-        let state = snapshot(&store);
+        let state = state(&store);
         let idx = snaps.iter().position(|s| s == &state);
         assert!(
             idx.is_some_and(|i| i as u64 >= first_acked),
@@ -335,7 +344,7 @@ const V_BATCHES: u64 = 5;
 fn version_wal_cfg() -> WalConfig {
     // Small threshold so the matrix includes kills inside checkpoints of
     // version-framed meta, not just inside epoch commits.
-    WalConfig { checkpoint_bytes: 6000 }
+    WalConfig { checkpoint_bytes: 400 }
 }
 
 type Opened = Result<Box<dyn QueryTarget>, TargetError>;
@@ -381,9 +390,14 @@ fn versioned_scan(kind: &Served, target: &dyn QueryTarget, store: &PageStore) ->
 /// epoch (which is what group-commits it) with the target's descriptor as
 /// the batcher frames it. Stops at the first error — the crash — and
 /// returns how many epochs were acked (`install_as` returned `Ok`), plus,
-/// when `record` is set, the full scan at every epoch.
-fn versioned_workload(kind: &Served, store: &Arc<PageStore>, record: bool) -> (u64, Vec<Vec<Point>>) {
-    let mut states: Vec<Vec<Point>> = Vec::new();
+/// when `record` is set, the full scan and the allocation table at every
+/// epoch.
+fn versioned_workload(
+    kind: &Served,
+    store: &Arc<PageStore>,
+    record: bool,
+) -> (u64, Vec<(Vec<Point>, AllocSnapshot)>) {
+    let mut states = Vec::new();
     let meta = |seq: u64, target: &dyn QueryTarget| encode_commit_meta(seq, &[target.descriptor()]);
     let setup = (|| -> Opened {
         let target = (kind.build)(store, &points(60))?;
@@ -395,7 +409,7 @@ fn versioned_workload(kind: &Served, store: &Arc<PageStore>, record: bool) -> (u
     if record {
         let snap = vs.snapshot();
         let _g = snap.enter();
-        states.push(versioned_scan(kind, &*target, store));
+        states.push((versioned_scan(kind, &*target, store), store.alloc_snapshot()));
     }
     let mut acked = 0u64;
     let initial = points(60);
@@ -423,7 +437,7 @@ fn versioned_workload(kind: &Served, store: &Arc<PageStore>, record: bool) -> (u
             // copy-on-write heads.
             let snap = vs.snapshot();
             let _g = snap.enter();
-            states.push(versioned_scan(kind, &*target, store));
+            states.push((versioned_scan(kind, &*target, store), store.alloc_snapshot()));
         }
     }
     (acked, states)
@@ -453,6 +467,12 @@ fn versioned_kill_point_matrix(kind: &Served) {
     let (acked, states) = versioned_workload(kind, &store, true);
     assert_eq!(acked, V_BATCHES, "{name}: reference run must complete");
     assert_eq!(states.len() as u64, V_BATCHES + 1);
+    let ws = store.wal_stats().unwrap();
+    assert!(
+        ws.checkpoints >= 2,
+        "{name}: workload must cross the checkpoint threshold so the matrix covers \
+         log swaps: {ws:?}"
+    );
     let total = ctrl.ops();
     assert!(total > 40, "{name}: matrix too small to be interesting: {total} ops");
     drop(store);
@@ -486,6 +506,7 @@ fn versioned_kill_point_matrix(kind: &Served) {
         )
         .unwrap_or_else(|e| panic!("{ctx}: recovery must never fail: {e}"));
         let recovered = Arc::new(recovered);
+        let table = recovered.alloc_snapshot();
         let Some(meta) = recovered.last_commit_meta() else {
             // Killed before the epoch-0 commit became durable: recovery
             // must have erased the whole uncommitted build.
@@ -518,6 +539,7 @@ fn versioned_kill_point_matrix(kind: &Served) {
                 .unwrap_or_else(|e| panic!("{ctx}: epoch {s} descriptor unusable: {e}"));
             versioned_scan(kind, &*target, &recovered)
         };
-        assert_eq!(got, states[s as usize], "{ctx}: as_of({s}) diverged after recovery");
+        assert_eq!(got, states[s as usize].0, "{ctx}: as_of({s}) diverged after recovery");
+        assert_eq!(table, states[s as usize].1, "{ctx}: epoch {s}'s allocation table");
     }
 }
