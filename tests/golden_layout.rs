@@ -11,7 +11,10 @@
 //! over 200 fixed queries (100 at t ≈ 16, 100 at t ≈ 4096) the sum of the
 //! strict store's reads and one order-sensitive hash of all answer vectors;
 //! for the two dynamic structures the same again after 2 000 mixed updates,
-//! with the strict reads and writes those updates cost.
+//! with the strict reads and writes those updates cost. The interval tree
+//! and both segment trees have the same row over 200 fixed stabs of one
+//! interval set at each geometry: two populations side by side, one met
+//! about 16 at a time and one about 4 096 at a time, 100 stabs in each.
 //!
 //! The rows were recorded at the commit before `crates/pst/src/region.rs`
 //! existed; the 3-sided ones moved with PR 25's directories in skeletal
@@ -27,12 +30,18 @@
 
 use path_caching::{PageStore, Point, ThreeSided, TwoSided};
 use pc_bench::{two_sided_corners, Spread};
+use pc_intervaltree::ExternalIntervalTree;
+use pc_pagestore::Interval;
 use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, PageCensus, RegionCensus,
     SegmentedPst, ThreeSidedPst, TwoLevelPst,
 };
 use pc_rng::Rng;
-use pc_workloads::{gen_points, gen_three_sided, PointDist, RawPoint};
+use pc_segtree::{CachedSegmentTree, NaiveSegmentTree};
+use pc_workloads::{
+    gen_intervals, gen_points, gen_stabbing, gen_three_sided, IntervalDist, PointDist, RawInterval,
+    RawPoint, DOMAIN,
+};
 
 /// Ids start here: 20-bit coordinates come with 17-bit ids and more.
 const ID_BASE: u64 = 70_000;
@@ -42,11 +51,13 @@ struct Geometry {
     page_size: usize,
     n: usize,
     spread: Spread,
+    /// Intervals of each of the two populations.
+    intervals: usize,
 }
 
 const GEOMETRIES: [Geometry; 2] = [
-    Geometry { page_size: 4096, n: 150_000, spread: Spread::Domain },
-    Geometry { page_size: 512, n: 20_000, spread: Spread::Full },
+    Geometry { page_size: 4096, n: 150_000, spread: Spread::Domain, intervals: 10_000 },
+    Geometry { page_size: 512, n: 20_000, spread: Spread::Full, intervals: 5_000 },
 ];
 
 /// The recorded rows, one line per structure and phase, per geometry.
@@ -67,6 +78,9 @@ const GOLDEN: [&str; 2] = [
 4096 dynamic 3-sided: pages=1571 reads=1284 answers=411214 hash=d7b92831334610eb\n\
 4096 dynamic 3-sided churned: update_reads=5393 update_writes=11434\n\
 4096 dynamic 3-sided churned: pages=1573 reads=1488 answers=412314 hash=e65a44a28f916929\n\
+4096 interval tree: pages=221 reads=1146 answers=337863 hash=451695569c27a934\n\
+4096 cached segment tree: pages=3982 reads=2022 answers=337863 hash=cb8d7031bc381a2c\n\
+4096 naive segment tree: pages=2675 reads=2997 answers=337863 hash=3060cdbfcab2e44c\n\
 ",
     "\
 512 basic: pages=7784 reads=24430 answers=379220 hash=d86f4420bf5c0d29\n\
@@ -84,6 +98,9 @@ const GOLDEN: [&str; 2] = [
 512 dynamic 3-sided: pages=2755 reads=20130 answers=411203 hash=e529619e6ef7b316\n\
 512 dynamic 3-sided churned: update_reads=94192 update_writes=145288\n\
 512 dynamic 3-sided churned: pages=2752 reads=20564 answers=420027 hash=7b53c1a53f608299\n\
+512 interval tree: pages=1975 reads=8065 answers=276846 hash=a33d61578b0c710b\n\
+512 cached segment tree: pages=17231 reads=11081 answers=276846 hash=1a14ddcea07f6747\n\
+512 naive segment tree: pages=12737 reads=11654 answers=276846 hash=a56fc0d64527bb07\n\
 ",
 ];
 
@@ -92,6 +109,28 @@ struct Data {
     points: Vec<Point>,
     two_sided: Vec<TwoSided>,
     three_sided: Vec<ThreeSided>,
+    intervals: Vec<Interval>,
+    stabs: Vec<i64>,
+}
+
+/// The interval set and its stabs: per output size `t`, `g.intervals`
+/// uniform-length intervals meeting a stab about `t` at a time, squeezed
+/// into their own half of the domain, and 100 stabs among them.
+fn interval_data(g: &Geometry) -> (Vec<Interval>, Vec<i64>) {
+    let (mut raw, mut stabs): (Vec<RawInterval>, Vec<i64>) = (Vec::new(), Vec::new());
+    for (k, t) in [16, 4096].into_iter().enumerate() {
+        let max_len = 2 * t * DOMAIN / g.intervals as i64;
+        let dist = IntervalDist::UniformLen { max_len };
+        let (offset, first) = (k as i64 * DOMAIN / 2, ID_BASE + (k * g.intervals) as u64);
+        let half: Vec<RawInterval> = gen_intervals(g.intervals, dist, 0x1e7 + k as u64)
+            .into_iter()
+            .map(|(lo, hi, id)| (offset + lo / 2, offset + hi / 2, first + id))
+            .collect();
+        stabs.extend(gen_stabbing(&half, 100, 0x57ab + k as u64).iter().map(|s| s.q));
+        raw.extend(half);
+    }
+    let stabs = stabs.into_iter().map(|q| g.spread.coord(q)).collect();
+    (g.spread.intervals(&raw), stabs)
 }
 
 fn data(g: &Geometry) -> Data {
@@ -113,7 +152,25 @@ fn data(g: &Geometry) -> Data {
         .flat_map(|t| gen_three_sided(&raw, 100, t, 0xfeed))
         .map(|q| g.spread.three_sided(&q))
         .collect();
-    Data { raw, points, two_sided, three_sided }
+    let (intervals, stabs) = interval_data(g);
+    Data { raw, points, two_sided, three_sided, intervals, stabs }
+}
+
+/// What an answer is hashed by: a record's three fields.
+trait Fields {
+    fn fields(&self) -> [u64; 3];
+}
+
+impl Fields for Point {
+    fn fields(&self) -> [u64; 3] {
+        [self.x as u64, self.y as u64, self.id]
+    }
+}
+
+impl Fields for Interval {
+    fn fields(&self) -> [u64; 3] {
+        [self.lo as u64, self.hi as u64, self.id]
+    }
 }
 
 /// FNV-1a over the answers in the order they came, lengths included.
@@ -130,12 +187,10 @@ impl OrderHash {
         }
     }
 
-    fn answer(&mut self, hits: &[Point]) {
+    fn answer<T: Fields>(&mut self, hits: &[T]) {
         self.word(hits.len() as u64);
-        for p in hits {
-            self.word(p.x as u64);
-            self.word(p.y as u64);
-            self.word(p.id);
+        for hit in hits {
+            hit.fields().into_iter().for_each(|v| self.word(v));
         }
     }
 }
@@ -165,7 +220,11 @@ fn three_sided_census(c: PageCensus) -> String {
 
 /// `pages=… reads=… answers=… hash=…` of `queries` answered by `answer`
 /// on `store`, which holds the one structure.
-fn measured<Q: Copy>(store: &PageStore, queries: &[Q], answer: impl Fn(Q) -> Vec<Point>) -> String {
+fn measured<Q: Copy, T: Fields>(
+    store: &PageStore,
+    queries: &[Q],
+    answer: impl Fn(Q) -> Vec<T>,
+) -> String {
     assert_eq!(queries.len(), 200);
     let pages = store.live_pages();
     let before = store.stats();
@@ -255,6 +314,17 @@ fn rows(g: &Geometry) -> Vec<String> {
     });
     row("dynamic 3-sided churned", cost);
     row("dynamic 3-sided churned", measured(&store, &d.three_sided, |q| answer(&dynamic, q)));
+
+    macro_rules! stabbing {
+        ($name:literal, $tree:ty) => {{
+            let store = PageStore::in_memory(g.page_size);
+            let tree = <$tree>::build(&store, &d.intervals).unwrap();
+            row($name, measured(&store, &d.stabs, |q| tree.stab(&store, q).unwrap()));
+        }};
+    }
+    stabbing!("interval tree", ExternalIntervalTree);
+    stabbing!("cached segment tree", CachedSegmentTree);
+    stabbing!("naive segment tree", NaiveSegmentTree);
     rows
 }
 
