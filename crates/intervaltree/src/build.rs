@@ -12,11 +12,13 @@
 //! mini leaf record: [tag=2][bundle: u64][mini: SegTreeHandle (36 B)][padding]
 //! ```
 //!
-//! A record is 64 bytes, so a page of `2^k` bytes holds `2^(k-6) − 1` of
-//! them — 63 at 4 KiB, 7 at 512 B — and BFS-fill makes every page one
-//! complete subtree of `k − 6` levels wherever the tree below its root is
-//! that deep. A node so has at most `k − 7` strict ancestors in its page
-//! (5 at 4 KiB), which bounds the sources of its bundle. Everything a node
+//! A record is a 64-byte [`SkelRecord`] of `pc_pagestore::skeleton`,
+//! written from zeroed bytes (its padding is zero), so a page of `2^k`
+//! bytes holds `2^(k-6) − 1` of them — 63 at 4 KiB, 7 at 512 B — and
+//! BFS-fill makes every page one complete subtree of `k − 6` levels
+//! wherever the tree below its root is that deep. A node so has at most
+//! `k − 7` strict ancestors in its page (5 at 4 KiB), which bounds the
+//! sources of its bundle. Everything a node
 //! owns of at most a block hangs off that one exit bundle (see
 //! [`crate::bundle`]): the copies of its in-page ancestors' first blocks
 //! and its own intervals, a leaf's run included. More than a block of
@@ -28,25 +30,12 @@
 //! block) is the mean fill of the input blocked by `lo`.
 
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::layout::{cut, fill_blocks, min_records, paginate, BlockList};
+use pc_pagestore::layout::{cut, fill_blocks, min_records, BlockList};
+use pc_pagestore::skeleton::{NodeRef, SkelRecord, Skeleton};
 use pc_pagestore::{Interval, PageId, PageStore, Record, Result, StoreError, NULL_PAGE};
 use pc_segtree::{CachedSegmentTree, SegTreeHandle};
 
 use crate::bundle::{Bundle, CacheEntry};
-
-/// Byte size of one node record (a boundary node needs 53, a mini leaf 48).
-pub const RECORD_LEN: usize = 64;
-/// Byte offset of slot 0 within a page.
-pub const PAGE_HEADER: usize = 2;
-
-/// Reference to a node: `(page, slot)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeRef {
-    /// Page holding the record.
-    pub page: PageId,
-    /// Slot index within the page.
-    pub slot: u16,
-}
 
 /// A decoded node record.
 #[derive(Debug, Clone)]
@@ -75,58 +64,52 @@ pub enum NodeRecord {
     },
 }
 
-/// Number of records per skeletal page.
-pub fn page_capacity(page_size: usize) -> usize {
-    let cap = (page_size - PAGE_HEADER) / RECORD_LEN;
-    assert!(cap >= 3, "page size {page_size} too small for an interval-tree page");
-    cap
-}
+impl SkelRecord for NodeRecord {
+    const HEADER: usize = 2;
+    /// A boundary node needs 53 bytes, a mini leaf 45.
+    const LEN: usize = 64;
 
-/// Decodes the record at `slot` from raw page bytes.
-pub fn decode_record(page: &[u8], slot: u16) -> Result<NodeRecord> {
-    let offset = PAGE_HEADER + RECORD_LEN * slot as usize;
-    let mut r = PageReader::new(&page[offset..offset + RECORD_LEN]);
-    match r.get_u8()? {
-        0 => Ok(NodeRecord::Internal {
-            boundary: r.get_i64()?,
-            left: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
-            right: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
-            bundle: PageId(r.get_u64()?),
-            lists: [PageId(r.get_u64()?), PageId(r.get_u64()?)],
-        }),
-        1 => Ok(NodeRecord::Leaf { mini: None, bundle: PageId(r.get_u64()?) }),
-        2 => Ok(NodeRecord::Leaf {
-            bundle: PageId(r.get_u64()?),
-            mini: Some(SegTreeHandle::decode(&mut r)?),
-        }),
-        tag => Err(StoreError::Corrupt(format!("unknown interval-tree node tag {tag}"))),
-    }
-}
-
-/// Encodes `rec` into `w`, padded to [`RECORD_LEN`].
-fn encode_record(w: &mut PageWriter<'_>, rec: &NodeRecord) -> Result<()> {
-    let start = w.position();
-    match rec {
-        NodeRecord::Internal { boundary, left, right, bundle, lists } => {
-            w.put_u8(0)?;
-            w.put_i64(*boundary)?;
-            for child in [left, right] {
-                w.put_u64(child.page.0)?;
-                w.put_u16(child.slot)?;
-            }
-            for page in [bundle, &lists[0], &lists[1]] {
-                w.put_u64(page.0)?;
-            }
+    fn decode(r: &mut PageReader<'_>) -> Result<NodeRecord> {
+        match r.get_u8()? {
+            0 => Ok(NodeRecord::Internal {
+                boundary: r.get_i64()?,
+                left: NodeRef::decode(r)?,
+                right: NodeRef::decode(r)?,
+                bundle: PageId(r.get_u64()?),
+                lists: [PageId(r.get_u64()?), PageId(r.get_u64()?)],
+            }),
+            1 => Ok(NodeRecord::Leaf { mini: None, bundle: PageId(r.get_u64()?) }),
+            2 => Ok(NodeRecord::Leaf {
+                bundle: PageId(r.get_u64()?),
+                mini: Some(SegTreeHandle::decode(r)?),
+            }),
+            tag => Err(StoreError::Corrupt(format!("unknown interval-tree node tag {tag}"))),
         }
-        NodeRecord::Leaf { mini, bundle } => {
-            w.put_u8(1 + u8::from(mini.is_some()))?;
-            w.put_u64(bundle.0)?;
-            if let Some(mini) = mini {
-                mini.encode(w)?;
+    }
+
+    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
+        match self {
+            NodeRecord::Internal { boundary, left, right, bundle, lists } => {
+                w.put_u8(0)?;
+                w.put_i64(*boundary)?;
+                left.encode(w)?;
+                right.encode(w)?;
+                [bundle, &lists[0], &lists[1]].iter().try_for_each(|page| w.put_u64(page.0))
+            }
+            NodeRecord::Leaf { mini, bundle } => {
+                w.put_u8(1 + u8::from(mini.is_some()))?;
+                w.put_u64(bundle.0)?;
+                mini.map_or(Ok(()), |mini| mini.encode(w))
             }
         }
     }
-    w.skip(RECORD_LEN - (w.position() - start))
+
+    fn children(&self) -> [NodeRef; 2] {
+        match self {
+            NodeRecord::Internal { left, right, .. } => [*left, *right],
+            NodeRecord::Leaf { .. } => [NodeRef::NULL; 2],
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -210,11 +193,9 @@ impl ExternalIntervalTree {
             nodes[cur].items.push(*iv);
         }
 
-        let (pages, node_loc) = paginate(nodes.len(), page_capacity(page_size), |ni| {
+        let skel = Skeleton::new(store, nodes.len(), NodeRecord::fit(page_size), |ni| {
             nodes[ni].split.map(|(_, left, right)| [left, right]).into_iter().flatten()
-        });
-        let page_ids: Vec<PageId> =
-            pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
+        })?;
 
         // Per boundary node: its intervals as `[L, R]` and, when they are
         // more than a block (in `L` order they do not fit one), the two
@@ -244,10 +225,6 @@ impl ExternalIntervalTree {
         // ancestors as (arena idx, whether the path turns right there):
         // children in the same page extend the chain, children in a new
         // page start afresh (bundles are per-page segments).
-        let node_ref = |ni: usize| {
-            let (p, slot) = node_loc[ni];
-            NodeRef { page: page_ids[p], slot }
-        };
         let mut records: Vec<Option<NodeRecord>> = vec![None; nodes.len()];
         let mut stack = vec![(0usize, Vec::<(usize, bool)>::new())];
         while let Some((node, chain)) = stack.pop() {
@@ -293,34 +270,23 @@ impl ExternalIntervalTree {
                 Some((boundary, left, right)) => {
                     for (child, turns_right) in [(left, false), (right, true)] {
                         let mut below = Vec::new();
-                        if node_loc[child].0 == node_loc[node].0 {
+                        if skel.same_page(child, node) {
                             below.clone_from(&chain);
                             below.push((node, turns_right));
                         }
                         stack.push((child, below));
                     }
-                    let (left, right, lists) = (node_ref(left), node_ref(right), heads[node]);
+                    let (left, right) = (skel.node_ref(left), skel.node_ref(right));
+                    let lists = heads[node];
                     NodeRecord::Internal { boundary, left, right, bundle, lists }
                 }
             });
         }
 
-        // Serialize pages.
-        let mut buf = vec![0u8; page_size];
-        for (members, page_id) in pages.iter().zip(&page_ids) {
-            let used = {
-                let mut w = PageWriter::new(&mut buf);
-                w.put_u16(members.len() as u16)?;
-                for &ni in members {
-                    let rec = records[ni].as_ref().expect("the DFS visits every node");
-                    encode_record(&mut w, rec)?;
-                }
-                w.position()
-            };
-            store.write(*page_id, &buf[..used])?;
-        }
-
-        Ok(ExternalIntervalTree { root_page: page_ids[0], n: intervals.len() as u64, block })
+        skel.write(store, |_, _| Ok(()), |ni| {
+            records[ni].clone().expect("the DFS visits every node")
+        })?;
+        Ok(ExternalIntervalTree { root_page: skel.root(), n: intervals.len() as u64, block })
     }
 
     /// `B` as the data set it: endpoints per run, intervals per block.
@@ -343,37 +309,63 @@ impl ExternalIntervalTree {
 #[cfg(test)]
 pub(crate) fn leaf_kinds(tree: &ExternalIntervalTree, store: &PageStore) -> (usize, usize) {
     let (mut flat, mut mini) = (0, 0);
-    let mut stack = vec![tree.root_page];
-    while let Some(pid) = stack.pop() {
-        let page = store.read(pid).unwrap();
-        let count = PageReader::new(&page).get_u16().unwrap();
-        for slot in 0..count {
-            match decode_record(&page, slot).unwrap() {
-                NodeRecord::Internal { left, right, .. } => {
-                    stack.extend([left, right].iter().filter(|c| c.page != pid).map(|c| c.page));
-                }
+    let root = tree.root_page;
+    pc_pagestore::skeleton::for_each_skeletal_page(store, root, &mut |_, _, recs: &[NodeRecord]| {
+        for rec in recs {
+            match rec {
+                NodeRecord::Internal { .. } => {}
                 NodeRecord::Leaf { mini: None, .. } => flat += 1,
                 NodeRecord::Leaf { mini: Some(_), .. } => mini += 1,
             }
         }
-    }
+        Ok(())
+    })
+    .unwrap();
     (flat, mini)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pc_pagestore::skeleton::{for_each_skeletal_page, write_page};
 
     #[test]
     fn record_geometry() {
         // One complete subtree per page: 3, 6 and 9 levels' worth.
-        assert_eq!([512, 4096, 32768].map(page_capacity), [7, 63, 511]);
+        assert_eq!([512, 4096, 32768].map(NodeRecord::fit), [7, 63, 511]);
         // The largest record, a mini leaf, round-trips in its 64 bytes.
-        let mut buf = vec![0u8; PAGE_HEADER + RECORD_LEN];
+        let mut buf = vec![0u8; NodeRecord::HEADER + NodeRecord::LEN];
         let mini = SegTreeHandle::decode(&mut PageReader::new(&[7u8; 36])).unwrap();
         let rec = NodeRecord::Leaf { mini: Some(mini), bundle: PageId(5) };
-        encode_record(&mut PageWriter::new(&mut buf[PAGE_HEADER..]), &rec).unwrap();
-        assert_eq!(format!("{:?}", decode_record(&buf, 0).unwrap()), format!("{rec:?}"));
+        rec.encode(&mut PageWriter::new(&mut buf[NodeRecord::HEADER..])).unwrap();
+        assert_eq!(format!("{:?}", NodeRecord::at(&buf, 0).unwrap()), format!("{rec:?}"));
+    }
+
+    /// A skeletal page is exactly what its records encode: `write_page` of
+    /// the records decoded from it gives back its bytes, padding included.
+    #[test]
+    fn skeletal_pages_are_what_their_records_encode() {
+        let intervals: Vec<Interval> = (0..20_000i64)
+            .map(|i| {
+                let lo = i.wrapping_mul(7_919) % 100_003;
+                Interval::new(lo, lo + i % 97 + (i % 13) * 1_000, i as u64)
+            })
+            .collect();
+        for page_size in [512, 4096] {
+            let store = PageStore::in_memory(page_size);
+            let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
+            let rewritten = PageStore::in_memory(page_size);
+            let mut pages = 0;
+            for_each_skeletal_page(&store, tree.root_page, &mut |_, page, records: &[NodeRecord]| {
+                let id = rewritten.alloc()?;
+                write_page(&rewritten, id, |_| Ok(()), records, &[])?;
+                assert_eq!(rewritten.read(id)?[..], page[..], "{page_size}-byte page {pages}");
+                pages += 1;
+                Ok(())
+            })
+            .unwrap();
+            assert!(pages > 1, "{page_size}: {pages} skeletal pages");
+        }
     }
 
     #[test]

@@ -29,7 +29,10 @@
 //!   by the number of intervals it holds, nothing else.
 //! * **Skeletal paging.** The boundary BST is blocked into pages of 64-byte
 //!   records (Figure 2): 63 to a 4 KiB page, one complete six-level
-//!   subtree, giving `O(log_B n)` navigation.
+//!   subtree, giving `O(log_B n)` navigation. The pages are the
+//!   workspace's one skeletal-page kit, `pc_pagestore::skeleton`: a node
+//!   record is a `SkelRecord`, cut and written by `Skeleton`, and every
+//!   list a stab reads on is scanned by `pc_pagestore::layout::scan_chain`.
 //! * **Path caches, themselves path-cached.** As in Thm 3.2's `log B`
 //!   segments, every node `v` carries copies of the first blocks of its
 //!   strict ancestors' lists *within its own skeletal page* — `L(a)` where

@@ -1,11 +1,12 @@
 //! Stabbing queries over the external interval tree.
 
 use pc_obs::ReadClass;
-use pc_pagestore::layout::{Block, Columns};
+use pc_pagestore::layout::{scan_chain, Block};
+use pc_pagestore::skeleton::SkelRecord;
 use pc_pagestore::{Interval, PageId, PageStore, Result};
 use pc_segtree::CachedSegmentTree;
 
-use crate::build::{decode_record, ExternalIntervalTree, NodeRecord};
+use crate::build::{ExternalIntervalTree, NodeRecord};
 use crate::bundle::{Bundle, CacheEntry};
 
 impl ExternalIntervalTree {
@@ -25,7 +26,7 @@ impl ExternalIntervalTree {
         };
         let mut slot = 0u16;
         loop {
-            match decode_record(&page, slot)? {
+            match NodeRecord::at(&page, slot)? {
                 NodeRecord::Internal { boundary, left, right, bundle, lists } => {
                     let next = if q < boundary { left } else { right };
                     if q != boundary && next.page == cur_page {
@@ -100,13 +101,16 @@ fn drain_bundle(
     for (side, (head, rest)) in [(anc_l, rest_l), (anc_r, rest_r)].into_iter().enumerate() {
         let mut qualified = vec![0usize; conts.len()];
         let before = results.len();
-        scan(store, head, rest, ReadClass::Cache, |e: CacheEntry| {
+        let mut take = |e: CacheEntry| {
             qualifies(side, q, &e.iv) && {
                 results.push(e.iv);
                 qualified[e.src as usize] += 1;
                 true
             }
-        })?;
+        };
+        if head.is_empty() || Block::parse::<CacheEntry>(head)?.each(&mut take) {
+            scan_chain(store, rest, ReadClass::Cache, take)?;
+        }
         pc_obs::add_items((results.len() - before) as u64);
         let whole = conts.iter().zip(qualified);
         let whole =
@@ -121,12 +125,15 @@ fn drain_bundle(
     // the first that starts right of `q` contains it.
     let _scan = pc_obs::span!(output: "run_block");
     let before = results.len();
-    scan(store, own, own_rest, ReadClass::Node, |iv: Interval| {
+    let mut take = |iv: Interval| {
         if iv.contains(q) {
             results.push(iv);
         }
         iv.lo <= q
-    })?;
+    };
+    if own.is_empty() || Block::parse::<Interval>(own)?.each(&mut take) {
+        scan_chain(store, own_rest, ReadClass::Node, take)?;
+    }
     pc_obs::add_items((results.len() - before) as u64);
     Ok(())
 }
@@ -142,7 +149,7 @@ fn scan_list(
 ) -> Result<()> {
     let _span = pc_obs::span!(output: "list_scan");
     let before = results.len();
-    let r = scan(store, &[], page, ReadClass::Node, |iv: Interval| {
+    let r = scan_chain(store, page, ReadClass::Node, |iv: Interval| {
         qualifies(side, q, &iv) && {
             results.push(iv);
             true
@@ -150,31 +157,6 @@ fn scan_list(
     });
     pc_obs::add_items((results.len() - before) as u64);
     r
-}
-
-/// Hands `visit` the records of the block `head` (none if it is empty),
-/// then those of the chain starting at `next` block by block, each a read
-/// of `class`, and stops decoding and reading when it declines one.
-fn scan<R: Columns>(
-    store: &PageStore,
-    head: &[u8],
-    mut next: PageId,
-    class: ReadClass,
-    mut visit: impl FnMut(R) -> bool,
-) -> Result<()> {
-    if !head.is_empty() && !Block::parse::<R>(head)?.each(&mut visit) {
-        return Ok(());
-    }
-    while !next.is_null() {
-        pc_obs::record_read(class);
-        let page = store.read(next)?;
-        let block = Block::parse::<R>(&page)?;
-        if !block.each(&mut visit) {
-            return Ok(());
-        }
-        next = block.next;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -238,7 +220,7 @@ mod tests {
             let backend = Logging(MemBackend::new(512 + CHECKSUM_LEN), Arc::clone(&log));
             let store = PageStore::new(StoreConfig::strict(512), Box::new(backend));
             let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
-            let root = decode_record(&store.read(tree.root_page).unwrap(), 0).unwrap();
+            let root = NodeRecord::at(&store.read(tree.root_page).unwrap(), 0).unwrap();
             let NodeRecord::Internal { boundary, lists, .. } = root else { panic!("a leaf root") };
             assert!(intervals.iter().all(|iv| iv.contains(boundary)), "the tower is at the root");
             assert_eq!(lists[0].is_null(), k == most, "k = {k}: lists {lists:?}");

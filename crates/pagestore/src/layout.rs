@@ -14,11 +14,12 @@
 //! the base), at 0–64 bits. So a block's `B` is what its own records need,
 //! and an outlier costs bytes in the blocks it lands in, not a rebuild.
 //! Fill is judged in bytes ([`cut`]), never below [`min_records`], the
-//! guaranteed `B`. [`BlockList`] chains blocks, one a page. [`paginate`]
-//! cuts a binary tree into pages of records.
+//! guaranteed `B`. [`BlockList`] chains blocks, one a page, and
+//! [`scan_chain`] is the one loop a query reads a chain of blocks with.
 
-use std::collections::VecDeque;
 use std::marker::PhantomData;
+
+use pc_obs::ReadClass;
 
 use crate::codec::{get_bits, put_bits, PageReader, PageWriter};
 use crate::error::{Result, StoreError};
@@ -404,6 +405,29 @@ pub fn chain_pages(store: &PageStore, head: PageId) -> Result<Vec<PageId>> {
     Ok(out)
 }
 
+/// Scans the chain of blocks from page `start` on, each block one read
+/// named `class`, handing its records to `take` until it returns false: no
+/// block is decoded far, or read at all, past that record.
+#[inline]
+pub fn scan_chain<R: Columns>(
+    store: &PageStore,
+    start: PageId,
+    class: ReadClass,
+    mut take: impl FnMut(R) -> bool,
+) -> Result<()> {
+    let mut next = start;
+    while !next.is_null() {
+        pc_obs::record_read(class);
+        let page = store.read(next)?;
+        let block = Block::parse::<R>(&page)?;
+        if !block.each(&mut take) {
+            return Ok(());
+        }
+        next = block.next;
+    }
+    Ok(())
+}
+
 /// Handle to a blocked, immutable-once-built list of records.
 ///
 /// The handle itself is 16 bytes (head page id + length) and implements
@@ -533,49 +557,6 @@ impl<R: Columns> Record for BlockList<R> {
     fn decode(r: &mut PageReader<'_>) -> Result<Self> {
         Ok(BlockList { head: PageId(r.get_u64()?), len: r.get_u64()?, _marker: PhantomData })
     }
-}
-
-/// Groups a binary tree into skeletal pages (the paper's Figure 2):
-/// starting from each page root, nodes are added in BFS order until the
-/// page holds `cap` records; overflowing children seed new pages. The tree
-/// has `nodes` nodes, node 0 its root, and `children(i)` yields node `i`'s.
-///
-/// Filling by capacity rather than by a fixed height avoids the worst of a
-/// fixed-height chunking, whose ragged bottom level becomes near-empty
-/// pages, but it does not make the page count `O(#nodes / cap)`: a
-/// capacity that is not `2^h − 1` cuts a level in two, and the cut-off
-/// part and whatever lies below the last full page height become pages of
-/// a few records each. At 4 KiB the 4 095 regions of a complete 12-level
-/// two-level PST (25 records a page) take 703 skeletal pages, 400 of them
-/// of 3 records (DESIGN §12, "Skeletal pagination"); the 3-sided PST
-/// passes a `2^h − 1` and gets complete subtrees.
-///
-/// Returns the per-page member lists (node indices, slot order) and each
-/// node's `(page, slot)`; a page's subtree root is always slot 0.
-pub fn paginate<I: IntoIterator<Item = usize>>(
-    nodes: usize,
-    cap: usize,
-    children: impl Fn(usize) -> I,
-) -> (Vec<Vec<usize>>, Vec<(usize, u16)>) {
-    let mut node_loc: Vec<(usize, u16)> = vec![(usize::MAX, 0); nodes];
-    let mut pages: Vec<Vec<usize>> = Vec::new();
-    let mut page_roots = VecDeque::from([0usize]);
-    while let Some(root) = page_roots.pop_front() {
-        let page_idx = pages.len();
-        let mut members = Vec::new();
-        let mut queue = VecDeque::from([root]);
-        while let Some(ni) = queue.pop_front() {
-            if members.len() == cap {
-                page_roots.push_back(ni);
-                continue;
-            }
-            node_loc[ni] = (page_idx, members.len() as u16);
-            members.push(ni);
-            queue.extend(children(ni));
-        }
-        pages.push(members);
-    }
-    (pages, node_loc)
 }
 
 #[cfg(test)]

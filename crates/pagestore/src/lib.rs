@@ -26,7 +26,11 @@
 //!   records is stored in (a base, a bit width and an offset-or-gap mode
 //!   per column and block, so `B` follows the data block by block), and
 //!   [`layout::BlockList`], the blocked linked list that implements every
-//!   cover-list, cache, A/S/X/Y list in the paper.
+//!   cover-list, cache, A/S/X/Y list in the paper; [`layout::scan_chain`]
+//!   is the one loop a query reads a chain of blocks with.
+//! * [`skeleton`] — skeletal pages (Figure 2): the fixed-width record
+//!   format every tree's navigation pages share, its writer and walker,
+//!   and the pagination of a binary tree into them.
 //! * [`types`] — the geometric records ([`types::Point`],
 //!   [`types::Interval`]) shared by all index crates.
 //!
@@ -52,6 +56,7 @@ pub mod layout;
 pub mod page;
 pub mod pool;
 pub mod recovery;
+pub mod skeleton;
 pub mod stats;
 pub mod store;
 pub mod types;

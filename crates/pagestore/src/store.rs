@@ -48,7 +48,9 @@ impl PageId {
 }
 
 /// Bounded-retry policy for transient backend faults (see
-/// [`StoreError::is_transient`]). Permanent errors are never retried.
+/// [`StoreError::is_transient`]). Permanent errors are never retried, and
+/// a transient one is re-attempted at once, which keeps fault runs
+/// deterministic.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Total attempts per logical backend op, the first included; `1`
@@ -56,23 +58,18 @@ pub struct RetryPolicy {
     /// [`IoStats`] — *not* an extra read/write, so strict-mode transfer
     /// accounting is untouched by the retry layer.
     pub max_attempts: u32,
-    /// Called before each re-attempt with the attempt number (1-based).
-    /// `None` retries immediately — the right choice for simulated
-    /// backends, and what keeps fault runs deterministic. A plain `fn`
-    /// pointer (not a closure) so the config stays `Copy`/comparable.
-    pub backoff: Option<fn(u32)>,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy { max_attempts: 3, backoff: None }
+        RetryPolicy { max_attempts: 3 }
     }
 }
 
 impl RetryPolicy {
     /// Policy that never retries (the pre-fault-layer behavior).
     pub fn none() -> Self {
-        RetryPolicy { max_attempts: 1, backoff: None }
+        RetryPolicy { max_attempts: 1 }
     }
 }
 
@@ -564,9 +561,6 @@ impl PageStore {
                     }
                     attempt += 1;
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    if let Some(backoff) = self.retry.backoff {
-                        backoff(attempt - 1);
-                    }
                 }
                 Err(e) => return Err(e),
             }
@@ -1111,25 +1105,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_backoff_hook_runs_once_per_reattempt() {
-        use std::sync::atomic::AtomicU32;
-        static CALLS: AtomicU32 = AtomicU32::new(0);
-        fn backoff(attempt: u32) {
-            CALLS.fetch_add(attempt, Ordering::Relaxed);
-        }
-        let (store, handle) = faulty_store(
-            crate::FaultPlan::none(2),
-            RetryPolicy { max_attempts: 3, backoff: Some(backoff) },
-        );
-        let id = store.alloc().unwrap();
-        store.write(id, b"x").unwrap();
-        handle.fail_nth_read(id, 1);
-        handle.fail_nth_read(id, 2);
-        store.read(id).unwrap();
-        assert_eq!(CALLS.load(Ordering::Relaxed), 1 + 2, "backoff(1) then backoff(2)");
-    }
-
-    #[test]
     fn exhausted_retries_quarantine_the_page() {
         let (store, handle) =
             faulty_store(crate::FaultPlan::transient(3, 1.0), RetryPolicy::default());
@@ -1167,7 +1142,7 @@ mod tests {
     #[test]
     fn scrub_clears_quarantine_and_restores_service() {
         let (store, handle) =
-            faulty_store(crate::FaultPlan::none(4), RetryPolicy { max_attempts: 2, backoff: None });
+            faulty_store(crate::FaultPlan::none(4), RetryPolicy { max_attempts: 2 });
         let id = store.alloc().unwrap();
         store.write(id, b"healme").unwrap();
         handle.fail_nth_read(id, 1);

@@ -46,12 +46,11 @@
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::{encode_block, signed_of, Block, BlockList, Columns, MAX_COLUMNS};
+use pc_pagestore::skeleton::{write_with, NodeRef, SkelRecord, Skeleton};
 use pc_pagestore::{PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::mem::{cmp_x, cmp_y, MemPst, NodeFill, TwoSided, NONE};
-use crate::region::{
-    for_each_cache_owner, merge_tagged, write_with, NodeRef, SkelRecord, Skeleton,
-};
+use crate::region::{for_each_cache_owner, merge_tagged};
 
 /// Which path segments the per-node A/S caches cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,10 +94,6 @@ impl Columns for SEntry {
     }
 }
 
-/// Byte size of one skeletal record.
-pub const RECORD_LEN: usize = 24 + 24 + 10 + 10 + 8 + 2 + 8 + 2 + 8 + 2 + 1 + 16 + 16;
-/// Skeletal page header size.
-pub const PAGE_HEADER: usize = 2;
 /// Bytes of a points page before its block: the children's pages and
 /// counts.
 pub const POINTS_PREFIX: usize = 8 + 8 + 2 + 2;
@@ -107,13 +102,6 @@ pub const POINTS_PREFIX: usize = 8 + 8 + 2 + 2;
 /// one points page.
 pub(crate) fn node_fill(page_size: usize) -> NodeFill {
     NodeFill { blocks: 1, budget: page_size - POINTS_PREFIX, inner: None }
-}
-
-/// Skeletal records per page.
-pub fn skeletal_capacity(page_size: usize) -> usize {
-    let cap = (page_size - PAGE_HEADER) / RECORD_LEN;
-    assert!(cap >= 3, "page size {page_size} too small for a PST skeletal page");
-    cap
 }
 
 /// A decoded skeletal record.
@@ -154,8 +142,8 @@ pub struct SkeletalRecord {
 }
 
 impl SkelRecord for SkeletalRecord {
-    const HEADER: usize = PAGE_HEADER;
-    const LEN: usize = RECORD_LEN;
+    const HEADER: usize = 2;
+    const LEN: usize = 24 + 24 + 10 + 10 + 8 + 2 + 8 + 2 + 8 + 2 + 1 + 16 + 16;
 
     fn decode(r: &mut PageReader<'_>) -> Result<SkeletalRecord> {
         Ok(SkeletalRecord {
@@ -258,7 +246,8 @@ pub(crate) fn build_external(
 
     // Points pages (allocated up front for child links).
     let pts_of = write_points_pages(store, mem)?;
-    let skel = Skeleton::new(store, mem, skeletal_capacity(page_size))?;
+    let children = |ni| mem.children(ni).into_iter().flatten();
+    let skel = Skeleton::new(store, mem.nodes.len(), SkeletalRecord::fit(page_size), children)?;
 
     // The children's lists, per internal node: whole nodes, the S-entries
     // tagged with the path node's depth in the tree.
@@ -407,10 +396,10 @@ mod tests {
     use std::collections::HashSet;
 
     use super::*;
-    use crate::region::{for_each_skeletal_page, write_page};
+    use pc_pagestore::skeleton::{for_each_skeletal_page, paginate, write_page};
     use crate::testutil::{block_sizes, check_core_caches, distinct_points, wide, LoggedStore};
     use crate::two_level::query_handle;
-    use pc_pagestore::layout::{fill_blocks, min_records, paginate};
+    use pc_pagestore::layout::{fill_blocks, min_records};
 
     /// The default path.
     fn build_core(store: &PageStore, pts: &[Point], mode: CacheMode) -> (MemPst, PstHandle) {
@@ -459,7 +448,7 @@ mod tests {
                 })
                 .unwrap();
                 let children = |ni| mem.children(ni).into_iter().flatten();
-                let cap = skeletal_capacity(page_size);
+                let cap = SkeletalRecord::fit(page_size);
                 let skeletal = paginate(mem.nodes.len(), cap, children).0.len();
                 let pages = mem.nodes.len() + skeletal + cache_blocks;
                 assert_eq!(store.live_pages() as usize, pages);
@@ -524,9 +513,8 @@ mod tests {
 
     #[test]
     fn geometry() {
-        assert_eq!(RECORD_LEN, 131);
-        assert_eq!(skeletal_capacity(512), 3);
-        assert_eq!(skeletal_capacity(4096), 31);
+        assert_eq!(SkeletalRecord::LEN, 131);
+        assert_eq!([512, 4096].map(SkeletalRecord::fit), [3, 31]);
         // A node is its top points while they fit a points page: at least
         // the block codec's count at 64-bit columns, on any data.
         assert_eq!(node_fill(4096), NodeFill { blocks: 1, budget: 4076, inner: None });
@@ -566,7 +554,7 @@ mod tests {
     #[test]
     fn skeletal_records_round_trip_at_the_first_and_the_last_slot() {
         for page_size in [512, 4096] {
-            let cap = skeletal_capacity(page_size);
+            let cap = SkeletalRecord::fit(page_size);
             let rec = |k: u64| SkeletalRecord {
                 split: Point::new(i64::MIN + k as i64, -7, u64::MAX - k),
                 min_y: Point::new(5, i64::MAX, k),

@@ -70,14 +70,14 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::{fill_blocks, min_records, BlockList};
+use pc_pagestore::skeleton::{
+    for_each_skeletal_page, patch_record, write_page, NodeRef, SkelRecord,
+};
 use pc_pagestore::{PageId, PageStore, Point, Result};
 
 use crate::build::{Kind, PstHandle};
 use crate::mem::{cmp_x, cmp_y, TwoSided, MAX_NODE_POINTS};
-use crate::region::{
-    for_each_cache_owner, for_each_skeletal_page, merge_tagged, patch_record, write_page, NodeRef,
-    SkelRecord,
-};
+use crate::region::{for_each_cache_owner, merge_tagged};
 use crate::three_sided::{ThreeSided, ThreeSidedPst};
 use crate::two_level::{
     buffer_room, build_inner, build_region_tree, decode_header, encode_header, free_pages,

@@ -2,11 +2,12 @@
 //! variants (§3 of the paper), on the `region` substrate's [`Walk`].
 
 use pc_pagestore::layout::BlockList;
+use pc_pagestore::skeleton::SkelRecord;
 use pc_pagestore::{PageId, Point, Result};
 
 use crate::build::{CacheMode, PointsPage, SEntry, SkeletalRecord};
 use crate::mem::TwoSided;
-use crate::region::{SkelRecord, Walk};
+use crate::region::Walk;
 
 /// Runs a 2-sided query against the single-level structure under
 /// `root_page`, built with the caches of `mode`, appending to `walk`.

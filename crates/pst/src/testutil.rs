@@ -10,13 +10,13 @@ use std::sync::{Arc, Mutex};
 
 use pc_pagestore::backend::{Backend, MemBackend};
 use pc_pagestore::layout::{BlockList, Columns};
+use pc_pagestore::skeleton::{NodeRef, SkelRecord};
 use pc_pagestore::store::CHECKSUM_LEN;
 use pc_pagestore::{PageId, PageStore, Point, Result, StoreConfig};
 use pc_rng::Rng;
 
 use crate::build::{CacheMode, Kind, PstHandle, SkeletalRecord};
 use crate::mem::TwoSided;
-use crate::region::{NodeRef, SkelRecord};
 use crate::two_level::{query_handle, ListRef, RegionRecord};
 
 /// `n` points with ids `0..n`, both coordinates uniform in `0..domain`.

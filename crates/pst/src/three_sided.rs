@@ -46,7 +46,7 @@
 //!
 //! Skeletal pages hold complete subtrees ([`skeletal_capacity`] is a
 //! `2^h − 1`: 31 records at 4 KiB, 3 at 512 B), `MemPst`'s leaves differ in
-//! depth by at most one, and [`paginate`](pc_pagestore::layout::paginate)
+//! depth by at most one, and [`paginate`](pc_pagestore::skeleton::paginate)
 //! fills breadth first — so a page
 //! is the top `h` levels under its root, in-page depth stays below `h`
 //! (≤ 4 at 4 KiB: an A-list is at most `5·m` blocks, its directory 35
@@ -93,14 +93,14 @@
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
+use pc_pagestore::skeleton::{
+    for_each_skeletal_page, write_with, NodeRef, SkelRecord, Skeleton,
+};
 use pc_pagestore::{Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::build::SEntry;
 use crate::mem::{cmp_x, cmp_y, MemPst, NodeFill, NONE};
-use crate::region::{
-    for_each_block, for_each_in_segment, for_each_skeletal_page, merge_tagged, write_with, NodeRef,
-    SkelRecord, Skeleton, Walk,
-};
+use crate::region::{for_each_block, for_each_in_segment, merge_tagged, Walk};
 use crate::two_level::{complete_tree_nodes, region_blocks, region_fill};
 
 /// A 3-sided query: report points with `x1 <= x <= x2 && y >= y0`
@@ -123,16 +123,11 @@ impl ThreeSided {
 }
 
 const CHILD_LEN: usize = 10 + 8 + 2 + 8;
-/// Byte size of one 3-sided skeletal record.
-pub const RECORD_LEN: usize = 8 + 8 + 16 + 8 + 2 + 2 * CHILD_LEN + 16 + 8;
-const PAGE_HEADER: usize = 2;
 
 /// Records per skeletal page: the node count of the tallest complete
 /// binary tree that fits.
 pub fn skeletal_capacity(page_size: usize) -> usize {
-    let fit = (page_size - PAGE_HEADER) / RECORD_LEN;
-    assert!(fit >= 3, "page size {page_size} too small for a 3-sided PST page");
-    complete_tree_nodes(fit)
+    complete_tree_nodes(TsRecord::fit(page_size))
 }
 
 /// What a node holds: a top-level region of the 2-sided scheme.
@@ -240,8 +235,8 @@ struct TsRecord {
 }
 
 impl SkelRecord for TsRecord {
-    const HEADER: usize = PAGE_HEADER;
-    const LEN: usize = RECORD_LEN;
+    const HEADER: usize = 2;
+    const LEN: usize = 8 + 8 + 16 + 8 + 2 + 2 * CHILD_LEN + 16 + 8;
 
     fn decode(r: &mut PageReader<'_>) -> Result<TsRecord> {
         Ok(TsRecord {
@@ -406,7 +401,9 @@ impl ThreeSidedPst {
     pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
         let page_size = store.page_size();
         let mem = MemPst::build(points, node_fill(page_size));
-        let mut skel = Skeleton::new(store, &mem, skeletal_capacity(page_size))?;
+        let children = |ni| mem.children(ni).into_iter().flatten();
+        let mut skel =
+            Skeleton::new(store, mem.nodes.len(), skeletal_capacity(page_size), children)?;
 
         let n_nodes = mem.nodes.len();
         let mut y_list = Vec::with_capacity(n_nodes);
@@ -850,7 +847,7 @@ mod tests {
 
     #[test]
     fn geometry() {
-        assert_eq!(RECORD_LEN, 122);
+        assert_eq!(TsRecord::LEN, 122);
         // 4 KiB fits 33 records, 512 B fits 4: the complete trees below.
         assert_eq!([512, 1024, 4096].map(skeletal_capacity), [3, 7, 31]);
         // A node is a region of the 2-sided scheme: 3 blocks, then 7.

@@ -39,15 +39,13 @@ use pc_pagestore::layout::{
     chain_pages, decode_block, encode_block, fill_blocks, min_records, signed_of, BlockList,
     Columns, MAX_COLUMNS,
 };
+use pc_pagestore::skeleton::{for_each_skeletal_page, NodeRef, SkelRecord, Skeleton};
 use pc_pagestore::{PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::build::{build_single_level, CacheMode, Kind, PstHandle, SEntry, SkeletalRecord};
 use crate::mem::{cmp_x, cmp_y, MemPst, NodeFill, TwoSided, NONE};
 use crate::query::run_two_sided;
-use crate::region::{
-    for_each_block, for_each_cache_owner, for_each_skeletal_page, merge_tagged, NodeRef,
-    SkelRecord, Skeleton, Walk,
-};
+use crate::region::{for_each_block, for_each_cache_owner, merge_tagged, Walk};
 
 /// Byte size of one region record.
 ///
@@ -79,9 +77,7 @@ pub(crate) const PAGE_HEADER: usize = 24;
 /// 1 KiB) leaves the last sibling pair split across two pages, and the
 /// dynamic structure's S-cache rebuild only sees siblings of its own page.
 pub fn skeletal_capacity(page_size: usize) -> usize {
-    let fit = (page_size - PAGE_HEADER) / RECORD_LEN;
-    assert!(fit >= 3, "page size {page_size} too small for a region-tree page");
-    (fit - 1) | 1
+    (RegionRecord::fit(page_size) - 1) | 1
 }
 
 /// `⌈log₂ v⌉`, at least 1.
@@ -390,7 +386,8 @@ pub(crate) fn build_region_tree(
     };
     let page_size = store.page_size();
     let mem = MemPst::build(points, region_fill(page_size, blocks, inner_caps.is_empty()));
-    let skel = Skeleton::new(store, &mem, skeletal_capacity(page_size))?;
+    let children = |ni| mem.children(ni).into_iter().flatten();
+    let skel = Skeleton::new(store, mem.nodes.len(), skeletal_capacity(page_size), children)?;
 
     // Per-region lists and inner structures.
     let n_nodes = mem.nodes.len();
@@ -826,7 +823,7 @@ mod tests {
             let blocks: Vec<String> =
                 region_blocks(page_size, 9).iter().map(|m| m.to_string()).collect();
             let skeletal = [
-                crate::build::skeletal_capacity(page_size),
+                SkeletalRecord::fit(page_size),
                 skeletal_capacity(page_size),
                 crate::three_sided::skeletal_capacity(page_size),
             ]

@@ -20,8 +20,8 @@
 //! the leaf's in-page cache at the bottom — `O(log_B n)` cache slices
 //! whose union is exactly the underfull content of the whole path (the
 //! paper's optimization (2): many small caches instead of one long one).
-//! Child references are absolute `(page, slot)` pairs; leaves use
-//! [`NULL_PAGE`].
+//! Child references are absolute [`NodeRef`]s ([`NodeRef::NULL`] below a
+//! leaf), and a record is a [`SkelRecord`] written by [`write_page`].
 //!
 //! ## The stream: why small lists are packed
 //!
@@ -42,14 +42,10 @@
 use pc_btree::BTree;
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::{min_records, BlockList};
+use pc_pagestore::skeleton::{write_page, NodeRef, SkelRecord};
 use pc_pagestore::{Interval, PageId, PageStore, Record, Result, NULL_PAGE};
 
 use crate::mem::{MemTree, NONE};
-
-/// Byte size of one node record.
-pub const RECORD_LEN: usize = 4 + 10 + 10 + 16 + 2 * Slice::ENCODED_LEN;
-/// Byte offset of slot 0 within a page.
-pub const PAGE_HEADER: usize = 2;
 
 /// A run of the stream: `len` intervals from the `skip`-th of the block on
 /// `page` on, through the blocks chained after it.
@@ -77,15 +73,6 @@ impl Record for Slice {
     }
 }
 
-/// Reference to a node: `(page, slot)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeRef {
-    /// Page holding the record.
-    pub page: PageId,
-    /// Slot index within the page.
-    pub slot: u16,
-}
-
 /// A fully decoded node record.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeRecord {
@@ -106,19 +93,41 @@ pub struct NodeRecord {
     pub above: Slice,
 }
 
+impl SkelRecord for NodeRecord {
+    const HEADER: usize = 2;
+    const LEN: usize = 4 + 10 + 10 + 16 + 2 * Slice::ENCODED_LEN;
+
+    fn decode(r: &mut PageReader<'_>) -> Result<NodeRecord> {
+        Ok(NodeRecord {
+            split: r.get_u32()?,
+            left: NodeRef::decode(r)?,
+            right: NodeRef::decode(r)?,
+            cover_full: BlockList::decode(r)?,
+            shared: Slice::decode(r)?,
+            above: Slice::decode(r)?,
+        })
+    }
+
+    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
+        w.put_u32(self.split)?;
+        self.left.encode(w)?;
+        self.right.encode(w)?;
+        self.cover_full.encode(w)?;
+        self.shared.encode(w)?;
+        self.above.encode(w)
+    }
+
+    fn children(&self) -> [NodeRef; 2] {
+        [self.left, self.right]
+    }
+}
+
 /// `B`: the fewest intervals a block of the block codec holds, at 64-bit
 /// columns (169 at 4 KiB, 19 at 512 B; more the narrower they are). A
 /// cover-list of at least this many is blocked on its own; a shorter one,
 /// and every cache, lies in the stream.
 pub fn block_capacity(page_size: usize) -> usize {
     min_records::<Interval>(page_size)
-}
-
-/// Number of records that fit in one skeletal page.
-pub fn page_capacity(page_size: usize) -> usize {
-    let cap = (page_size - PAGE_HEADER) / RECORD_LEN;
-    assert!(cap >= 3, "page size {page_size} too small for a skeletal page");
-    cap
 }
 
 /// Everything `ext` needs to run queries.
@@ -151,7 +160,7 @@ pub fn build_external(
     // frontier goes back to the pending queue. Pages therefore hold
     // several disjoint subtrees; every node whose parent lies elsewhere is
     // an entry node.
-    let cap = page_capacity(store.page_size());
+    let cap = NodeRecord::fit(store.page_size());
     let mut node_loc: Vec<(usize, u16)> = vec![(usize::MAX, 0); mem.nodes.len()];
     let mut pages: Vec<Vec<usize>> = Vec::new(); // arena indices per page, slot order
     let mut page_roots = std::collections::VecDeque::new();
@@ -232,32 +241,23 @@ pub fn build_external(
         Slice { page: blocks[b].0, skip: (at - block_start[b]) as u16, len }
     };
 
-    // Serialize pages.
-    let mut buf = vec![0u8; store.page_size()];
-    for (page_idx, members) in pages.iter().enumerate() {
-        let used = {
-            let mut w = PageWriter::new(&mut buf);
-            w.put_u16(members.len() as u16)?;
-            for &ni in members {
-                let node = &mem.nodes[ni];
-                w.put_u32(node.split)?;
-                for child in [node.left, node.right] {
-                    if child == NONE {
-                        w.put_u64(NULL_PAGE.0)?;
-                        w.put_u16(0)?;
-                    } else {
-                        let (p, s) = node_loc[child];
-                        w.put_u64(page_ids[p].0)?;
-                        w.put_u16(s)?;
-                    }
-                }
-                cover_full[ni].encode(&mut w)?;
-                slice(ni, shared_slice[ni]).encode(&mut w)?;
-                slice(ni, above_slice[ni]).encode(&mut w)?;
-            }
-            w.position()
-        };
-        store.write(page_ids[page_idx], &buf[..used])?;
+    let node_ref = |ni: usize| match ni {
+        NONE => NodeRef::NULL,
+        _ => NodeRef { page: page_ids[node_loc[ni].0], slot: node_loc[ni].1 },
+    };
+    for (members, &id) in pages.iter().zip(&page_ids) {
+        let records: Vec<NodeRecord> = members
+            .iter()
+            .map(|&ni| NodeRecord {
+                split: mem.nodes[ni].split,
+                left: node_ref(mem.nodes[ni].left),
+                right: node_ref(mem.nodes[ni].right),
+                cover_full: cover_full[ni],
+                shared: slice(ni, shared_slice[ni]),
+                above: slice(ni, above_slice[ni]),
+            })
+            .collect();
+        write_page(store, id, |_| Ok(()), &records, &[])?;
     }
 
     Ok(BuiltTree { root_page: page_ids[0], endpoint_tree, n: intervals.len() as u64 })
@@ -329,20 +329,6 @@ fn build_caches(
     }
 }
 
-/// Decodes the record at `slot` from raw page bytes.
-pub fn decode_record(page: &[u8], slot: u16) -> Result<NodeRecord> {
-    let offset = PAGE_HEADER + RECORD_LEN * slot as usize;
-    let mut r = PageReader::new(&page[offset..offset + RECORD_LEN]);
-    Ok(NodeRecord {
-        split: r.get_u32()?,
-        left: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
-        right: NodeRef { page: PageId(r.get_u64()?), slot: r.get_u16()? },
-        cover_full: BlockList::decode(&mut r)?,
-        shared: Slice::decode(&mut r)?,
-        above: Slice::decode(&mut r)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,10 +336,10 @@ mod tests {
     #[test]
     fn page_geometry() {
         // 512-byte page: (512 - 2) / 68 = 7 records, height 3 (7 nodes).
-        assert_eq!(RECORD_LEN, 68);
-        assert_eq!(page_capacity(512), 7);
+        assert_eq!(NodeRecord::LEN, 68);
+        assert_eq!(NodeRecord::fit(512), 7);
         // 4096-byte page: 60 records.
-        assert_eq!(page_capacity(4096), 60);
+        assert_eq!(NodeRecord::fit(4096), 60);
         // `B`: full-width intervals a block holds.
         assert_eq!(block_capacity(512), 19);
         assert_eq!(block_capacity(4096), 169);
@@ -384,7 +370,7 @@ mod tests {
             (0..50).map(|i| Interval::new(i, i + 5, i as u64)).collect();
         let built = build_external(&store, &intervals, true).unwrap();
         let page = store.read(built.root_page).unwrap();
-        let rec = decode_record(&page, 0).unwrap();
+        let rec = NodeRecord::at(&page, 0).unwrap();
         // Root of a 50-interval tree is internal: children exist.
         assert!(!rec.left.page.is_null());
         assert!(!rec.right.page.is_null());

@@ -3,10 +3,11 @@
 use pc_btree::BTree;
 use pc_obs::ReadClass;
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::layout::BlockList;
+use pc_pagestore::layout::{scan_chain, BlockList};
+use pc_pagestore::skeleton::SkelRecord;
 use pc_pagestore::{Interval, PageId, PageStore, Record, Result};
 
-use crate::build::{block_capacity, build_external, decode_record, BuiltTree, Slice};
+use crate::build::{block_capacity, build_external, BuiltTree, NodeRecord, Slice};
 
 /// A serializable, copyable reference to a built segment tree.
 ///
@@ -64,12 +65,12 @@ impl Engine<'_> {
     fn drain_list(&self, list: &BlockList<Interval>, results: &mut Vec<Interval>) -> Result<()> {
         let _span = pc_obs::span!(output: "cover_list");
         pc_obs::set_block_capacity(block_capacity(self.store.page_size()) as u64);
-        for block in list.blocks(self.store) {
-            pc_obs::record_read(ReadClass::Node);
-            let block = block?;
-            pc_obs::add_items(block.len() as u64);
-            results.extend(block);
-        }
+        let before = results.len();
+        scan_chain(self.store, list.head(), ReadClass::Node, |iv| {
+            results.push(iv);
+            true
+        })?;
+        pc_obs::add_items((results.len() - before) as u64);
         Ok(())
     }
 
@@ -80,18 +81,17 @@ impl Engine<'_> {
         }
         let _span = pc_obs::span!(output: "shared_scan");
         pc_obs::set_block_capacity(block_capacity(self.store.page_size()) as u64);
-        let (mut skip, mut left) = (slice.skip as usize, slice.len as usize);
-        for block in BlockList::<Interval>::blocks_from(self.store, slice.page) {
-            pc_obs::record_read(ReadClass::Cache);
-            let block = block?;
-            let taken = &block[skip..block.len().min(skip + left)];
-            pc_obs::add_items(taken.len() as u64);
-            results.extend_from_slice(taken);
-            (skip, left) = (0, left - taken.len());
-            if left == 0 {
-                break;
+        let (mut skip, mut left) = (slice.skip, slice.len);
+        scan_chain(self.store, slice.page, ReadClass::Cache, |iv| {
+            if skip > 0 {
+                skip -= 1;
+                return true;
             }
-        }
+            results.push(iv);
+            left -= 1;
+            left > 0
+        })?;
+        pc_obs::add_items(u64::from(slice.len));
         Ok(())
     }
 
@@ -112,7 +112,7 @@ impl Engine<'_> {
             self.store.read(cur_page)?
         };
         loop {
-            let rec = decode_record(&page, cur_slot)?;
+            let rec = NodeRecord::at(&page, cur_slot)?;
             if self.cached && cur_slot == entry_slot {
                 // Page entry: the previous page's segment cache.
                 self.drain_shared(rec.above, &mut out)?;

@@ -30,7 +30,10 @@
 //! The extended abstract defers the space-optimized construction to the
 //! full version; we implement the following well-defined variant. The
 //! binary tree is packed breadth-first into skeletal pages of 68-byte
-//! records (Figure 2; a page may hold several subtrees). Every *entry
+//! records (Figure 2; a page may hold several subtrees). A record is a
+//! `SkelRecord` of `pc_pagestore::skeleton`, the workspace's one
+//! skeletal-page format, written by its `write_page`; the packing is this
+//! crate's own, since `skeleton::paginate` puts one subtree on a page. Every *entry
 //! node* — one whose parent lies on another page — carries a *segment
 //! cache*: the underfull cover-lists of the path portion inside the parent
 //! page. Every binary leaf carries an *in-page cache* of the underfull
@@ -39,7 +42,8 @@
 //! small caches a page instead of `log n` lists), plus the full cover-lists
 //! (at least `B` intervals) on its path. Every cache, and in the naive
 //! variant every underfull list, is a slice of one block list of the block
-//! codec, the tree's *stream*, so short lists share blocks and space stays
+//! codec, the tree's *stream* (read, like the full cover lists, by
+//! `pc_pagestore::layout::scan_chain`), so short lists share blocks and space stays
 //! `O((n/B)·log n)` blocks on non-adversarial inputs (worst case `O(n)`
 //! when many intervals align exactly with page subtree slabs — see
 //! DESIGN.md).

@@ -76,30 +76,28 @@ echo "==> checking that the dependency graph is workspace-only, feature-free and
 # dependency's crate name must occur in the declaring package's sources,
 # so that the crate graph of DESIGN §3 is the real one — but for the two
 # edges `benchmark/Cargo.lock` records, which go in the PR that may change
-# that file (ROADMAP 3f).
+# that file (ROADMAP 3f). `jq` reads the metadata and `grep -w` finds the
+# uses, so the script needs nothing past bash, coreutils, grep and jq.
 METADATA="$(cargo metadata --format-version 1 --offline)"
+LOCKED_BY_BENCHMARK=" pc-pst>pc-btree pc-intervaltree>pc-btree "
 BAD="$(
-  printf '%s' "$METADATA" | python3 -c '
-import glob, json, os, re, sys
-meta = json.load(sys.stdin)
-locked_by_benchmark = {("pc-pst", "pc-btree"), ("pc-intervaltree", "pc-btree")}
-for p in meta["packages"]:
-    if p["source"] is not None:
-        print("non-workspace package:", p["id"])
-    for feature in p["features"]:
-        print("cargo feature declared:", p["name"] + "/" + feature)
-    root = os.path.dirname(p["manifest_path"])
-    sources = "".join(
-        open(path).read()
-        for d in ("src", "tests", "examples")
-        for path in glob.glob(os.path.join(root, d, "**", "*.rs"), recursive=True)
-    )
-    for dep in p["dependencies"]:
-        if (p["name"], dep["name"]) in locked_by_benchmark:
-            continue
-        if not re.search(r"\b" + dep["name"].replace("-", "_") + r"\b", sources):
-            print("unused dependency:", p["name"], "->", dep["name"])
-'
+  printf '%s' "$METADATA" | jq -r '.packages[] | select(.source != null)
+      | "non-workspace package: \(.id)"'
+  printf '%s' "$METADATA" | jq -r '.packages[] | .name as $p | .features | keys[]
+      | "cargo feature declared: \($p)/\(.)"'
+  printf '%s' "$METADATA" | jq -r '.packages[]
+      | (.manifest_path | sub("/Cargo.toml$"; "")) as $root | .name as $p
+      | .dependencies[] | "\($p) \(.name) \($root)"' |
+  while read -r pkg dep root; do
+      case "$LOCKED_BY_BENCHMARK" in *" $pkg>$dep "*) continue ;; esac
+      dirs=()
+      for d in src tests examples; do
+          if [ -d "$root/$d" ]; then dirs+=("$root/$d"); fi
+      done
+      if [ "${#dirs[@]}" -eq 0 ] || ! grep -rqw --include='*.rs' "${dep//-/_}" "${dirs[@]}"; then
+          echo "unused dependency: $pkg -> $dep"
+      fi
+  done
 )"
 if [ -n "$BAD" ]; then
     echo "ERROR: the dependency graph is not workspace-only, feature-free and used:" >&2
@@ -107,7 +105,7 @@ if [ -n "$BAD" ]; then
     exit 1
 fi
 
-COUNT="$(printf '%s' "$METADATA" | python3 -c 'import json,sys; print(len(json.load(sys.stdin)["packages"]))')"
+COUNT="$(printf '%s' "$METADATA" | jq '.packages | length')"
 echo "OK: all $COUNT packages are workspace-local, declare no feature and use what they declare; hermetic build verified"
 
 # CHANGES.md quotes the size gates of these crates; printing them here

@@ -321,7 +321,7 @@ fn transient_faults_are_fully_absorbed_by_retries() {
     let seed = chaos_seed();
     // p = 0.02 per access with a 10-attempt budget: the chance of ever
     // exhausting it is ~1e-17 per access — negligible for any seed.
-    let retry = RetryPolicy { max_attempts: 10, backoff: None };
+    let retry = RetryPolicy { max_attempts: 10 };
     let mut total_retries = 0;
     for &(name, f) in SCENARIOS {
         let (want, clean_stats) = golden(name, f, seed);

@@ -112,7 +112,7 @@ fn transient_store_faults_are_invisible_over_the_wire() {
     clean.join();
 
     // Same plan as tests/chaos.rs: p=0.02 per access, 10-attempt budget.
-    let retry = RetryPolicy { max_attempts: 10, backoff: None };
+    let retry = RetryPolicy { max_attempts: 10 };
     let backend = FaultBackend::new(Box::new(MemBackend::new(PAGE + 8)), FaultPlan::transient(seed, 0.02));
     let store = PageStore::new(StoreConfig::strict(PAGE).with_retry(retry), Box::new(backend));
     let faulty = spawn_over(store, seed);
