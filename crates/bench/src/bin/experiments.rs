@@ -394,8 +394,8 @@ fn e3_segment_tree() {
 /// Exits non-zero past [`INTERVAL_TREE_PINS`].
 fn e4_interval_tree() {
     println!("## E4 — Theorem 3.5: path-cached interval tree\n");
-    println!("Claim: query `O(log_B n + t/B)`, space `O((n/B)·log B)` blocks. Space is 0.8–1.0×");
-    println!("the idealised `(n/B)·log₂ B`, linear in n; query I/O is 1.6–2.0× the ideal.\n");
+    println!("Claim: query `O(log_B n + t/B)`, space `O((n/B)·log B)` blocks. Space is 0.6–0.8×");
+    println!("the idealised `(n/B)·log₂ B`, linear in n; query I/O is 1.3–1.8× the ideal.\n");
     let mut table = Table::new(&[
         "n", "B", "pages", "(n/B)·log2 B", "avg t", "avg query I/O", READ_CLASSES, "log_B n + t/B",
     ]);

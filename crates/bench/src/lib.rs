@@ -323,14 +323,15 @@ pub fn dynamic_churn_pages(spread: Spread) -> (u64, u64, u64) {
 /// per mean stab output `t`: `(t, c, c1)` with `pages <= c·(n/B)·log₂B` and
 /// every stab's `reads <= c1·⌈log_B n⌉ + 2·⌈t/B⌉` over
 /// [`interval_tree_constants`]' data, `B` the tree's
-/// `ExternalIntervalTree::block_capacity`. Measured c 0.525 / 1.012 and c1
-/// 1.00 / 2.00 (`B` = 816 / 800: the same 3 and 6 reads past the output over
-/// two levels, not three) and on full-width data (`B` = 259 / 254) c 0.531 /
-/// 0.977 and c1 1.00 / 2.00 — two levels where the fixed 170-interval blocks
-/// took three (c1 0.667 / 1.333); the pins are 10% above. `tests/layout_bounds.rs`
-/// asserts them and the `experiments` binary's E4 exits non-zero past them.
+/// `ExternalIntervalTree::block_capacity`. Measured, with bundles in the
+/// tails of the skeletal pages stabs read anyway, c 0.263 / 0.751 and c1
+/// 0.50 / 1.50 (`B` = 816 / 800) and on full-width data (`B` = 259 / 254)
+/// c 0.367 / 0.912 and c1 0.50 / 2.00; the pins are 10% above. With a page
+/// for every bundle they were c 0.525 / 1.012 / 0.531 / 0.977 and c1 1.00 /
+/// 2.00 on both spreads. `tests/layout_bounds.rs` asserts them and the
+/// `experiments` binary's E4 exits non-zero past them.
 pub const INTERVAL_TREE_PINS: [[(i64, f64, f64); 2]; 2] =
-    [[(16, 0.567, 1.1), (500, 1.165, 2.2)], [(16, 0.611, 1.1), (500, 1.08, 2.2)]];
+    [[(16, 0.29, 0.55), (500, 0.827, 1.65)], [(16, 0.404, 0.55), (500, 1.004, 2.2)]];
 
 /// Builds the pinned geometry — 40 000 uniform-length intervals meeting a
 /// stab `t_mean` at a time, 4 KiB pages — and measures `(B, pages, c, c1)`

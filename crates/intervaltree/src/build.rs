@@ -3,7 +3,8 @@
 //! ## On-page layout
 //!
 //! ```text
-//! skeletal page:   [count: u16][record * count]          (64-byte records)
+//! skeletal page:   [count: u16][record * count] … [bundle * m]
+//!                  (64-byte records; the bundles flush with the page's end)
 //! internal record: [tag=0][boundary: i64]
 //!                  [left_page: u64][left_slot: u16]
 //!                  [right_page: u64][right_slot: u16]
@@ -11,6 +12,11 @@
 //! leaf record:     [tag=1][bundle: u64][padding]
 //! mini leaf record: [tag=2][bundle: u64][mini: SegTreeHandle (36 B)][padding]
 //! ```
+//!
+//! `bundle` is a kit `TailAt`: none, an offset in a page tail, or a page of
+//! its own. A page's tail holds, from its end down, the bundle of the exit
+//! above it (both child pages hold it at one offset), then its leaves' and
+//! its other nodes' where they fit (`Skeleton::place`).
 //!
 //! A record is a 64-byte [`SkelRecord`] of `pc_pagestore::skeleton`,
 //! written from zeroed bytes (its padding is zero), so a page of `2^k`
@@ -31,7 +37,7 @@
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::{cut, fill_blocks, min_records, BlockList};
-use pc_pagestore::skeleton::{NodeRef, SkelRecord, Skeleton};
+use pc_pagestore::skeleton::{NodeRef, SkelRecord, Skeleton, TailAt};
 use pc_pagestore::{Interval, PageId, PageStore, Record, Result, StoreError, NULL_PAGE};
 use pc_segtree::{CachedSegmentTree, SegTreeHandle};
 
@@ -48,8 +54,8 @@ pub enum NodeRecord {
         left: NodeRef,
         /// Right child.
         right: NodeRef,
-        /// The node's exit bundle (null when it has nothing to report).
-        bundle: PageId,
+        /// The node's exit bundle (none when it has nothing to report).
+        bundle: TailAt,
         /// Heads of the node's own `L` and `R` when it holds more than a
         /// block of intervals (null otherwise: they lie in the bundle).
         lists: [PageId; 2],
@@ -60,7 +66,7 @@ pub enum NodeRecord {
         /// most `B` endpoints); a shorter run lies flat in the bundle.
         mini: Option<SegTreeHandle>,
         /// The leaf's exit bundle.
-        bundle: PageId,
+        bundle: TailAt,
     },
 }
 
@@ -75,12 +81,12 @@ impl SkelRecord for NodeRecord {
                 boundary: r.get_i64()?,
                 left: NodeRef::decode(r)?,
                 right: NodeRef::decode(r)?,
-                bundle: PageId(r.get_u64()?),
+                bundle: TailAt::decode(r.get_u64()?),
                 lists: [PageId(r.get_u64()?), PageId(r.get_u64()?)],
             }),
-            1 => Ok(NodeRecord::Leaf { mini: None, bundle: PageId(r.get_u64()?) }),
+            1 => Ok(NodeRecord::Leaf { mini: None, bundle: TailAt::decode(r.get_u64()?) }),
             2 => Ok(NodeRecord::Leaf {
-                bundle: PageId(r.get_u64()?),
+                bundle: TailAt::decode(r.get_u64()?),
                 mini: Some(SegTreeHandle::decode(r)?),
             }),
             tag => Err(StoreError::Corrupt(format!("unknown interval-tree node tag {tag}"))),
@@ -94,11 +100,12 @@ impl SkelRecord for NodeRecord {
                 w.put_i64(*boundary)?;
                 left.encode(w)?;
                 right.encode(w)?;
-                [bundle, &lists[0], &lists[1]].iter().try_for_each(|page| w.put_u64(page.0))
+                w.put_u64(bundle.encode())?;
+                lists.iter().try_for_each(|page| w.put_u64(page.0))
             }
             NodeRecord::Leaf { mini, bundle } => {
                 w.put_u8(1 + u8::from(mini.is_some()))?;
-                w.put_u64(bundle.0)?;
+                w.put_u64(bundle.encode())?;
                 mini.map_or(Ok(()), |mini| mini.encode(w))
             }
         }
@@ -193,8 +200,9 @@ impl ExternalIntervalTree {
             nodes[cur].items.push(*iv);
         }
 
-        let skel = Skeleton::new(store, nodes.len(), NodeRecord::fit(page_size), |ni| {
-            nodes[ni].split.map(|(_, left, right)| [left, right]).into_iter().flatten()
+        let children = |ni: usize| nodes[ni].split.map(|(_, left, right)| [left, right]);
+        let mut skel = Skeleton::new(store, nodes.len(), NodeRecord::fit(page_size), |ni| {
+            children(ni).into_iter().flatten()
         })?;
 
         // Per boundary node: its intervals as `[L, R]` and, when they are
@@ -221,11 +229,13 @@ impl ExternalIntervalTree {
             sorted.push([l, r]);
         }
 
-        // One bundle and record per node. DFS carrying the in-page strict
-        // ancestors as (arena idx, whether the path turns right there):
-        // children in the same page extend the chain, children in a new
-        // page start afresh (bundles are per-page segments).
-        let mut records: Vec<Option<NodeRecord>> = vec![None; nodes.len()];
+        // One bundle per node, and a leaf's mini tree. DFS carrying the
+        // in-page strict ancestors as (arena idx, whether the path turns
+        // right there): children in the same page extend the chain,
+        // children in a new page start afresh (bundles are per-page
+        // segments).
+        let mut bundles = vec![Vec::new(); nodes.len()];
+        let mut minis = vec![None; nodes.len()];
         let mut stack = vec![(0usize, Vec::<(usize, bool)>::new())];
         while let Some((node, chain)) = stack.pop() {
             let mut table = Vec::new();
@@ -261,13 +271,13 @@ impl ExternalIntervalTree {
                 }
                 _ => Vec::new(),
             };
-            let bundle = Bundle::write(store, table, anc, &own)?;
-            records[node] = Some(match *split {
-                None => {
-                    let mini = (items.len() > block).then(|| CachedSegmentTree::build(store, items));
-                    NodeRecord::Leaf { mini: mini.transpose()?.map(|tree| tree.handle()), bundle }
+            bundles[node] = Bundle::encode(store, table, anc, &own)?;
+            match *split {
+                None if items.len() > block => {
+                    minis[node] = Some(CachedSegmentTree::build(store, items)?.handle());
                 }
-                Some((boundary, left, right)) => {
+                None => {}
+                Some((_, left, right)) => {
                     for (child, turns_right) in [(left, false), (right, true)] {
                         let mut below = Vec::new();
                         if skel.same_page(child, node) {
@@ -276,16 +286,37 @@ impl ExternalIntervalTree {
                         }
                         stack.push((child, below));
                     }
-                    let (left, right) = (skel.node_ref(left), skel.node_ref(right));
-                    let lists = heads[node];
-                    NodeRecord::Internal { boundary, left, right, bundle, lists }
                 }
-            });
+            }
         }
 
-        skel.write(store, |_, _| Ok(()), |ni| {
-            records[ni].clone().expect("the DFS visits every node")
-        })?;
+        // Bundles go into page tails in order of how many stabs read them:
+        // an exit's, read by every stab leaving the page there, then a
+        // leaf's, read by every stab ending there, then the rest, read only
+        // by a stab on their boundary; each pass pages and slots in order.
+        let readers = |ni: usize| match children(ni) {
+            Some([left, _]) if !skel.same_page(ni, left) => 0,
+            None => 1,
+            Some(_) => 2,
+        };
+        let mut order = skel.nodes();
+        order.sort_by_key(|&ni| readers(ni));
+        let mut at = vec![TailAt::None; nodes.len()];
+        for ni in order {
+            at[ni] = skel.place::<NodeRecord>(store, ni, children(ni), &bundles[ni])?;
+        }
+
+        let record = |ni: usize| match nodes[ni].split {
+            None => NodeRecord::Leaf { mini: minis[ni], bundle: at[ni] },
+            Some((boundary, left, right)) => NodeRecord::Internal {
+                boundary,
+                left: skel.node_ref(left),
+                right: skel.node_ref(right),
+                bundle: at[ni],
+                lists: heads[ni],
+            },
+        };
+        skel.write(store, |_, _| Ok(()), record)?;
         Ok(ExternalIntervalTree { root_page: skel.root(), n: intervals.len() as u64, block })
     }
 
@@ -327,7 +358,11 @@ pub(crate) fn leaf_kinds(tree: &ExternalIntervalTree, store: &PageStore) -> (usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    use pc_pagestore::layout::Block;
     use pc_pagestore::skeleton::{for_each_skeletal_page, write_page};
+    use pc_pagestore::Page;
 
     #[test]
     fn record_geometry() {
@@ -336,35 +371,105 @@ mod tests {
         // The largest record, a mini leaf, round-trips in its 64 bytes.
         let mut buf = vec![0u8; NodeRecord::HEADER + NodeRecord::LEN];
         let mini = SegTreeHandle::decode(&mut PageReader::new(&[7u8; 36])).unwrap();
-        let rec = NodeRecord::Leaf { mini: Some(mini), bundle: PageId(5) };
+        let rec = NodeRecord::Leaf { mini: Some(mini), bundle: TailAt::Inline(4_000) };
         rec.encode(&mut PageWriter::new(&mut buf[NodeRecord::HEADER..])).unwrap();
         assert_eq!(format!("{:?}", NodeRecord::at(&buf, 0).unwrap()), format!("{rec:?}"));
     }
 
-    /// A skeletal page is exactly what its records encode: `write_page` of
-    /// the records decoded from it gives back its bytes, padding included.
-    #[test]
-    fn skeletal_pages_are_what_their_records_encode() {
-        let intervals: Vec<Interval> = (0..20_000i64)
+    /// Every skeletal page of `tree` with its records, and the offsets of
+    /// the bundles that ride in its tail (an exit's on both child pages).
+    fn pages_and_tails(
+        tree: &ExternalIntervalTree,
+        store: &PageStore,
+    ) -> Vec<(Page, Vec<NodeRecord>, Vec<usize>)> {
+        let mut pages = Vec::new();
+        let mut tails: HashMap<PageId, Vec<usize>> = HashMap::new();
+        for_each_skeletal_page(store, tree.root_page, &mut |pid, page, records: &[NodeRecord]| {
+            for rec in records {
+                let (bundle, homes) = match *rec {
+                    NodeRecord::Internal { bundle, left, right, .. } if left.page != pid => {
+                        (bundle, vec![left.page, right.page])
+                    }
+                    NodeRecord::Internal { bundle, .. } | NodeRecord::Leaf { bundle, .. } => {
+                        (bundle, vec![pid])
+                    }
+                };
+                if let TailAt::Inline(offset) = bundle {
+                    homes.into_iter().for_each(|home| tails.entry(home).or_default().push(offset));
+                }
+            }
+            pages.push((pid, page.clone(), records.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        let tails_of = |pid| tails.get(&pid).cloned().unwrap_or_default();
+        pages.into_iter().map(|(pid, page, records)| (page, records, tails_of(pid))).collect()
+    }
+
+    fn spread_intervals() -> Vec<Interval> {
+        (0..20_000i64)
             .map(|i| {
                 let lo = i.wrapping_mul(7_919) % 100_003;
                 Interval::new(lo, lo + i % 97 + (i % 13) * 1_000, i as u64)
             })
-            .collect();
+            .collect()
+    }
+
+    /// A skeletal page is exactly what its records and its tail encode:
+    /// `write_page` of the records decoded from it, with its bytes from the
+    /// first bundle riding there on, gives back its bytes, padding included.
+    #[test]
+    fn skeletal_pages_are_what_their_records_encode() {
         for page_size in [512, 4096] {
             let store = PageStore::in_memory(page_size);
-            let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
+            let tree = ExternalIntervalTree::build(&store, &spread_intervals()).unwrap();
             let rewritten = PageStore::in_memory(page_size);
-            let mut pages = 0;
-            for_each_skeletal_page(&store, tree.root_page, &mut |_, page, records: &[NodeRecord]| {
-                let id = rewritten.alloc()?;
-                write_page(&rewritten, id, |_| Ok(()), records, &[])?;
-                assert_eq!(rewritten.read(id)?[..], page[..], "{page_size}-byte page {pages}");
-                pages += 1;
-                Ok(())
-            })
-            .unwrap();
-            assert!(pages > 1, "{page_size}: {pages} skeletal pages");
+            let pages = pages_and_tails(&tree, &store);
+            for (i, (page, records, tails)) in pages.iter().enumerate() {
+                let tail = &page[tails.iter().copied().min().unwrap_or(page_size)..];
+                let id = rewritten.alloc().unwrap();
+                write_page(&rewritten, id, |_| Ok(()), records, tail).unwrap();
+                assert_eq!(rewritten.read(id).unwrap()[..], page[..], "{page_size}-byte page {i}");
+            }
+            assert!(pages.len() > 1, "{page_size}: {} skeletal pages", pages.len());
+        }
+    }
+
+    /// Every bundle that rides in a tail lies above its page's records and
+    /// decodes, and the bundles of a page tile its tail to the page's end.
+    #[test]
+    fn inline_bundles_lie_above_the_records_and_decode() {
+        for page_size in [512, 4096] {
+            let store = PageStore::in_memory(page_size);
+            let tree = ExternalIntervalTree::build(&store, &spread_intervals()).unwrap();
+            let pages = pages_and_tails(&tree, &store);
+            let mut inline = 0;
+            for (i, (page, records, mut tails)) in pages.into_iter().enumerate() {
+                let what = format!("{page_size}-byte page {i}");
+                tails.sort_unstable();
+                let records = NodeRecord::HEADER + NodeRecord::LEN * records.len();
+                let mut end = None;
+                for offset in tails {
+                    match end {
+                        None => assert!(offset >= records, "{what}: a bundle at {offset}"),
+                        Some(end) => assert_eq!(offset, end, "{what}: bundles tile the tail"),
+                    }
+                    let Bundle { conts, chains, sections: [anc_l, anc_r, own] } =
+                        Bundle::decode(&page[offset..]).unwrap();
+                    for anc in [anc_l, anc_r].into_iter().filter(|s| !s.is_empty()) {
+                        Block::parse::<CacheEntry>(anc).unwrap();
+                    }
+                    if !own.is_empty() {
+                        Block::parse::<Interval>(own).unwrap();
+                    }
+                    let chains = chains.iter().filter(|c| !c.is_null()).count();
+                    let sections = anc_l.len() + anc_r.len() + own.len();
+                    end = Some(offset + 8 + 8 * chains + 10 * conts.len() + sections);
+                    inline += 1;
+                }
+                assert!(end.is_none_or(|end| end == page_size), "{what}: bundles end at {end:?}");
+            }
+            assert!(inline > 0, "{page_size}: no bundle rides in a tail");
         }
     }
 

@@ -1,8 +1,11 @@
 //! The exit bundle: everything a stab reads at one node besides the
-//! skeletal page, coalesced into one chain.
+//! skeletal page, coalesced into at most a page of bytes. Where they fit,
+//! they ride in the tail of a skeletal page the stab reads anyway (an
+//! exit's on the pages it goes on to, a leaf's on its own), else they
+//! take a page of their own (`Skeleton::place`).
 //!
 //! ```text
-//! bundle page: [n_src: u8][chain mask: u8][ancL, ancR, own bytes: 3 × u16]
+//! bundle:      [n_src: u8][chain mask: u8][ancL, ancR, own bytes: 3 × u16]
 //!              [chain: u64] per mask bit     (rest of ancL, rest of ancR,
 //!                                             own block)
 //!              [continuation: u64][copied: u16] × n_src  (the source table)
@@ -29,11 +32,11 @@
 //! [`BlockList`]s, whose heads lie in its skeletal record, not here.
 //!
 //! What does not fit beside the rest keeps a blocked tail. The own
-//! intervals go on the page first (every exit reads all of them) or else
+//! intervals go in the bundle first (every exit reads all of them) or else
 //! into a block of their own; then the smaller `anc` section, then the
 //! larger, each whole if it fits and otherwise as long a head as there is
 //! room for, the rest in a chain read only if the whole head qualified.
-//! Sections totalling at most a page are exactly one page (DESIGN §12 has
+//! Sections totalling at most a page are exactly one bundle (DESIGN §12 has
 //! the read-count argument against separate lists).
 
 use pc_pagestore::codec::{PageReader, PageWriter};
@@ -95,34 +98,35 @@ impl Columns for CacheEntry {
     }
 }
 
-/// A bundle page: its pointers decoded, its sections still encoded, so a
-/// stab decodes no more of a section than the prefix it reports.
+/// A bundle: its pointers decoded, its sections still encoded, so a stab
+/// decodes no more of a section than the prefix it reports.
 pub struct Bundle<'a> {
     /// The source table: per contributing ancestor, the second block of
     /// the list its entries were copied from and how many were copied.
     pub conts: Vec<(PageId, u16)>,
-    /// The chains holding what the page does not, null where there is
+    /// The chains holding what the bundle does not, null where there is
     /// none: the rest of `ancL`, the rest of `ancR`, the block of own
     /// intervals.
     pub chains: [PageId; 3],
-    /// The blocks on the page (empty where a section has no record): the
+    /// The blocks in the bundle (empty where a section has no record): the
     /// heads of `ancL` and `ancR` ([`CacheEntry`]), and the node's own
     /// [`Interval`]s, all or none.
     pub sections: [&'a [u8]; 3],
 }
 
 impl<'a> Bundle<'a> {
-    /// Lays out one node's sections (in the module docs' order) and writes
-    /// them. `own` is at most a block of intervals. Returns the bundle
-    /// page, null for a node with nothing.
-    pub fn write(
+    /// Lays out one node's sections (in the module docs' order) in at
+    /// most a page, writing the chains of what does not fit. `own` is at
+    /// most a block of intervals. Returns the bundle's bytes, none for a
+    /// node with nothing.
+    pub fn encode(
         store: &PageStore,
         conts: Vec<(PageId, u16)>,
         mut anc: [Vec<CacheEntry>; 2],
         mut own: &[Interval],
-    ) -> Result<PageId> {
+    ) -> Result<Vec<u8>> {
         if anc[0].is_empty() && anc[1].is_empty() && own.is_empty() {
-            return Ok(NULL_PAGE);
+            return Ok(Vec::new());
         }
         let mut chains = [NULL_PAGE; 3];
         let mut free = store.page_size() - HEADER - ROW * conts.len();
@@ -148,35 +152,26 @@ impl<'a> Bundle<'a> {
             }
             free -= section_len(&anc[i]);
         }
-        let bytes = [section(&anc[0]), section(&anc[1]), section(own)];
-        let page = store.alloc()?;
-        let sections = bytes.each_ref().map(|b| &b[..]);
-        Bundle { conts, chains, sections }.write_at(store, page)?;
-        Ok(page)
-    }
-
-    /// Encodes the bundle into `page` of `store`.
-    fn write_at(&self, store: &PageStore, page: PageId) -> Result<()> {
-        let mut buf = vec![0u8; store.page_size()];
-        let mut w = PageWriter::new(&mut buf);
-        let held = self.chains.iter().filter(|c| !c.is_null());
-        let mask = (0..3).filter(|&i| !self.chains[i].is_null()).fold(0, |m, i| m | 1u8 << i);
-        w.put_u8(self.conts.len() as u8)?;
+        let sections = [section(&anc[0]), section(&anc[1]), section(own)];
+        let mut bytes = vec![0u8; store.page_size()];
+        let mut w = PageWriter::new(&mut bytes);
+        let mask = (0..3).filter(|&i| !chains[i].is_null()).fold(0, |m, i| m | 1u8 << i);
+        w.put_u8(conts.len() as u8)?;
         w.put_u8(mask)?;
-        for section in &self.sections {
+        for section in &sections {
             w.put_u16(section.len() as u16)?;
         }
-        held.copied().try_for_each(|page| w.put_u64(page.0))?;
-        for &(cont, copied) in &self.conts {
+        chains.iter().filter(|c| !c.is_null()).try_for_each(|page| w.put_u64(page.0))?;
+        for &(cont, copied) in &conts {
             w.put_u64(cont.0)?;
             w.put_u16(copied)?;
         }
-        self.sections.iter().try_for_each(|section| w.put_bytes(section))?;
+        sections.iter().try_for_each(|section| w.put_bytes(section))?;
         let used = w.position();
-        store.write(page, &buf[..used])
+        Ok(bytes[..used].to_vec())
     }
 
-    /// Decodes a bundle page.
+    /// Decodes a bundle from its first byte on.
     pub fn decode(page: &'a [u8]) -> Result<Self> {
         let mut r = PageReader::new(page);
         let (n_src, mask) = (r.get_u8()?, r.get_u8()?);
@@ -213,15 +208,15 @@ mod tests {
         out
     }
 
-    /// A bundle of nothing is no page. Sections that fit beside each other
-    /// are one page, to the most copies that fit beside four own
+    /// A bundle of nothing is no bytes. Sections that fit beside each other
+    /// are at most a page, to the most copies that fit beside four own
     /// intervals; one copy more spills the ancestor section's tail into a
     /// chain — the head as long as there is room for, the entries in order
-    /// across both, the own intervals still on the page.
+    /// across both, the own intervals still in the bundle.
     #[test]
     fn sections_fit_one_page_and_one_entry_more_spills_a_tail() {
         let store = PageStore::in_memory(512);
-        assert_eq!(Bundle::write(&store, vec![], [vec![], vec![]], &[]).unwrap(), NULL_PAGE);
+        assert!(Bundle::encode(&store, vec![], [vec![], vec![]], &[]).unwrap().is_empty());
         let own: Vec<Interval> =
             (0..4).map(|i| Interval::new(i * 3, i * 3 + 9, 1_000 + i as u64)).collect();
         let copies = |k: i64| -> Vec<CacheEntry> {
@@ -230,8 +225,9 @@ mod tests {
         };
         let table = vec![(NULL_PAGE, 0)];
         let write = |k: i64| {
-            let page = Bundle::write(&store, table.clone(), [copies(k), vec![]], &own).unwrap();
-            store.read(page).unwrap()
+            let bytes = Bundle::encode(&store, table.clone(), [copies(k), vec![]], &own).unwrap();
+            assert!(bytes.len() <= 512, "{} bytes", bytes.len());
+            bytes
         };
         let one_page = |k: i64| Bundle::decode(&write(k)).unwrap().chains == [NULL_PAGE; 3];
         let most = (1..2_000).take_while(|&k| one_page(k)).last().unwrap();

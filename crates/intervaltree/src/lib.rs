@@ -44,6 +44,11 @@
 //!   `R` as lists, their heads in its record). Its table says where each source list goes on:
 //!   when a whole first block qualified the query continues at the second
 //!   block directly — the X-list continuation rule of §4.1.
+//! * **Bundles in the pages a stab reads anyway** (§3's rule once more):
+//!   an exit's bundle rides in the tails of both its child pages, a leaf's
+//!   in its own (`Skeleton::place`; exits' first, then leaves'). Only one
+//!   that does not fit keeps a page of its own, so a benchmark stab reads
+//!   two skeletal pages and at most its leaf's bundle: `⌈log_B n⌉ + 1`.
 //!
 //! Totals: `O(log_B n + t/B)` query I/Os and `O((n/B)·log B)` disk blocks —
 //! the Theorem 3.5 bounds.

@@ -2,8 +2,8 @@
 
 use pc_obs::ReadClass;
 use pc_pagestore::layout::{scan_chain, Block};
-use pc_pagestore::skeleton::SkelRecord;
-use pc_pagestore::{Interval, PageId, PageStore, Result};
+use pc_pagestore::skeleton::{NodeRef, SkelRecord};
+use pc_pagestore::{Interval, PageId, PageStore, Result, NULL_PAGE};
 use pc_segtree::CachedSegmentTree;
 
 use crate::build::{ExternalIntervalTree, NodeRecord};
@@ -16,46 +16,55 @@ impl ExternalIntervalTree {
         let _span = pc_obs::span!("ivtree_stab");
         pc_obs::set_block_capacity(self.block_capacity() as u64);
         let mut results = Vec::new();
-
-        let mut cur_page = self.root_page;
-        let mut skeletal_depth = 0u64;
-        let mut page = {
-            let _lvl = pc_obs::span!("level", skeletal_depth);
+        let skeletal = |page: PageId, depth: u64| {
+            let _lvl = pc_obs::span!("level", depth);
             pc_obs::record_read(ReadClass::Skeletal);
-            store.read(cur_page)?
+            store.read(page)
         };
-        let mut slot = 0u16;
+        // A bundle that does not ride on a page in hand.
+        let cache = |page: PageId| {
+            pc_obs::record_read(ReadClass::Cache);
+            store.read(page)
+        };
+
+        let mut at = NodeRef { page: self.root_page, slot: 0 };
+        let mut skeletal_depth = 0u64;
+        let mut page = skeletal(at.page, skeletal_depth)?;
         loop {
-            match NodeRecord::at(&page, slot)? {
+            match NodeRecord::at(&page, at.slot)? {
                 NodeRecord::Internal { boundary, left, right, bundle, lists } => {
                     let next = if q < boundary { left } else { right };
-                    if q != boundary && next.page == cur_page {
+                    if q != boundary && next.page == at.page {
                         // Mid-segment node: its lists are served by the
                         // bundle of the node the path leaves the page at.
-                        slot = next.slot;
+                        at = next;
                         continue;
                     }
                     // Page exit or boundary hit: settle this page's
                     // contributions. On a hit every interval of this node
                     // contains q, as `lo <= q` finds, and nothing below
                     // can (left subtree: hi < q; right subtree: lo > q).
-                    drain_bundle(store, q, bundle, &mut results)?;
+                    // An exit reads the page it goes on to first: its
+                    // bundle rides in that page's tail where it fits.
+                    skeletal_depth += 1;
+                    let ahead = (q != boundary).then(|| skeletal(next.page, skeletal_depth));
+                    let ahead = ahead.transpose()?;
+                    if let Some(holder) =
+                        bundle.holder(at.page, left.page, &page, ahead.as_ref(), cache)?
+                    {
+                        drain_bundle(store, q, bundle.bytes(&holder)?, &mut results)?;
+                    }
                     let side = usize::from(q > boundary);
                     if !lists[side].is_null() {
                         scan_list(store, lists[side], side, q, &mut results)?;
                     }
-                    if q == boundary {
-                        break;
-                    }
-                    cur_page = next.page;
-                    skeletal_depth += 1;
-                    let _lvl = pc_obs::span!("level", skeletal_depth);
-                    pc_obs::record_read(ReadClass::Skeletal);
-                    page = store.read(cur_page)?;
-                    slot = next.slot;
+                    let Some(ahead) = ahead else { break };
+                    (page, at) = (ahead, next);
                 }
                 NodeRecord::Leaf { mini, bundle } => {
-                    drain_bundle(store, q, bundle, &mut results)?;
+                    if let Some(holder) = bundle.holder(at.page, NULL_PAGE, &page, None, cache)? {
+                        drain_bundle(store, q, bundle.bytes(&holder)?, &mut results)?;
+                    }
                     if let Some(mini) = mini {
                         results.extend(CachedSegmentTree::from_handle(mini).stab(store, q)?);
                     }
@@ -78,25 +87,20 @@ fn qualifies(side: usize, q: i64, iv: &Interval) -> bool {
     }
 }
 
-/// Reads an exit node's bundle and reports from its sections: the
-/// qualifying prefix of each merged ancestor section, then — the §4.1
+/// Reports from a node's bundle, its bytes on whichever page holds them:
+/// the qualifying prefix of each merged ancestor section, then — the §4.1
 /// continuation rule — every source list whose whole first block
 /// qualified, from its second block on, and the node's own intervals.
 fn drain_bundle(
     store: &PageStore,
     q: i64,
-    bundle: PageId,
+    bundle: &[u8],
     results: &mut Vec<Interval>,
 ) -> Result<()> {
-    if bundle.is_null() {
-        return Ok(());
-    }
-    // One probe per bundle: the page, both ancestor sections, their tails.
+    // One probe per bundle: both ancestor sections and their tails.
     let probe = pc_obs::span!("path_cache_probe");
-    pc_obs::record_read(ReadClass::Cache);
-    let page = store.read(bundle)?;
     let Bundle { conts, chains: [rest_l, rest_r, own_rest], sections: [anc_l, anc_r, own] } =
-        Bundle::decode(&page)?;
+        Bundle::decode(bundle)?;
     let mut continued = Vec::new();
     for (side, (head, rest)) in [(anc_l, rest_l), (anc_r, rest_r)].into_iter().enumerate() {
         let mut qualified = vec![0usize; conts.len()];
@@ -166,6 +170,7 @@ mod tests {
 
     use pc_pagestore::backend::{Backend, MemBackend};
     use pc_pagestore::layout::{fill_blocks, next_of};
+    use pc_pagestore::skeleton::TailAt;
     use pc_pagestore::store::CHECKSUM_LEN;
     use pc_pagestore::{PageStore, StoreConfig};
 
@@ -414,4 +419,158 @@ mod tests {
             n as u64 / b
         );
     }
+
+    /// The records a stab at `q` walks through, each with whether its
+    /// children are off its page: to the node whose boundary is `q`, or to
+    /// a leaf.
+    fn path(tree: &ExternalIntervalTree, store: &PageStore, q: i64) -> Vec<(NodeRecord, bool)> {
+        let mut at = NodeRef { page: tree.root_page, slot: 0 };
+        let mut path = Vec::new();
+        loop {
+            let rec = NodeRecord::at(&store.read(at.page).unwrap(), at.slot).unwrap();
+            let NodeRecord::Internal { boundary, left, right, .. } = rec else {
+                path.push((rec, false));
+                return path;
+            };
+            path.push((rec, left.page != at.page));
+            if boundary == q {
+                return path;
+            }
+            at = if q < boundary { left } else { right };
+        }
+    }
+
+    fn bundle_of(rec: &NodeRecord) -> TailAt {
+        match *rec {
+            NodeRecord::Internal { bundle, .. } | NodeRecord::Leaf { bundle, .. } => bundle,
+        }
+    }
+
+    /// An exit's bundle at its cut-over, at 512 B and at 4 KiB. The first
+    /// exit of the root page, at boundary `b`, holds `k` of `spare`
+    /// intervals `[b, b]` flat in its bundle; the others lie at the next
+    /// endpoint, in the leaf right of `b`, so `B` and the tree stay as they
+    /// are. Up to the most that fit, the bundle rides on both child pages,
+    /// and a stab just left of `b` reads its two skeletal pages and, where
+    /// it has a page of its own, its leaf's bundle: at most `⌈log_B n⌉ + 1`. One interval more and the exit's bundle keeps a page
+    /// of its own, one read more, as every exit's did before bundles rode in
+    /// tails. A stab at `b` reads the bundle from the left child's page, or
+    /// from its own page: one read either way.
+    #[test]
+    fn an_exit_bundle_rides_on_its_child_pages_up_to_the_most_that_fit() {
+        // Intervals of 20-bit and of 62-bit coordinates, so that a root
+        // page's exit has child pages of one record at 512 B and of a few
+        // at 4 KiB: room for every bundle but the largest.
+        let geometries = [(512, 250, 1 << 20, 64, 200), (4096, 32_000, 1 << 62, 1 << 40, 580)];
+        for (page_size, n, domain, len, spare) in geometries {
+            let base = random_intervals(n, domain, len, 0xb0 + page_size as u64);
+            let build = |intervals: &[Interval]| {
+                let store = PageStore::in_memory(page_size);
+                let tree = ExternalIntervalTree::build(&store, intervals).unwrap();
+                (store, tree)
+            };
+            // The boundary of the root page's first exit: a fixed point, as
+            // the spares move `B`.
+            let first_exit = |intervals: &[Interval]| {
+                let (store, tree) = build(intervals);
+                let exit = path(&tree, &store, i64::MIN).into_iter().find(|&(_, exit)| exit);
+                match exit {
+                    Some((NodeRecord::Internal { boundary, .. }, _)) => boundary,
+                    _ => panic!("{page_size}: one skeletal page"),
+                }
+            };
+            let endpoints = || base.iter().flat_map(|iv| [iv.lo, iv.hi]);
+            let with = |k: usize, b: i64| {
+                let next = endpoints().filter(|&e| e > b).min().unwrap();
+                let at = |i: usize| if i < k { b } else { next };
+                let extra = (0..spare).map(|i| Interval::new(at(i), at(i), (n + i) as u64));
+                base.iter().copied().chain(extra).collect::<Vec<_>>()
+            };
+            let mut b = first_exit(&base);
+            while first_exit(&with(0, b)) != b {
+                b = first_exit(&with(0, b));
+            }
+            assert!(!endpoints().any(|e| e == b - 1), "{page_size}: b − 1 is an endpoint");
+            let with = |k: usize| with(k, b);
+            let block = build(&with(0)).1.block_capacity();
+            let levels = ((n + spare) as f64).log(block as f64).ceil() as u64;
+            // The exit's bundle and the reads of a stab at `b − 1` and at `b`.
+            let probe = |k: usize| {
+                let intervals = with(k);
+                let (store, tree) = build(&intervals);
+                let what = format!("{page_size} B, k = {k}");
+                assert_eq!(tree.block_capacity(), block, "{what}: B moved");
+                let exit = path(&tree, &store, b).pop().unwrap();
+                assert!(exit.1, "{what}: {b} is not an exit");
+                let leaf = path(&tree, &store, b - 1).pop().unwrap().0;
+                let reads = [b - 1, b].map(|q| {
+                    let (got, reads) = stab_reads(&tree, &store, q);
+                    assert_eq!(ids(got), brute(&intervals, q), "{what}, q = {q}");
+                    reads
+                });
+                let paged = |rec: &NodeRecord| u64::from(matches!(bundle_of(rec), TailAt::Page(_)));
+                assert_eq!(reads[0], 2 + paged(&exit.0) + paged(&leaf), "{what}, q = b − 1");
+                assert_eq!(reads[1], 2, "{what}, q = b");
+                bundle_of(&exit.0)
+            };
+            let (none, all) = (probe(0), probe(spare));
+            assert!(matches!(none, TailAt::Inline(_)), "{page_size}: {none:?} at k = 0");
+            assert!(matches!(all, TailAt::Page(_)), "{page_size}: {all:?} at k = {spare}");
+            let (mut fits, mut over) = (0, spare);
+            while over - fits > 1 {
+                let mid = (fits + over) / 2;
+                match probe(mid) {
+                    TailAt::Page(_) => over = mid,
+                    _ => fits = mid,
+                }
+            }
+            assert!(3 <= levels + 1, "{page_size}: B = {block}, ⌈log_B n⌉ = {levels}");
+        }
+    }
+
+    /// A leaf's bundle rides on its own page up to the most intervals that
+    /// fit above its record, at 512 B and at 4 KiB, and a stab there reads
+    /// that one page; one interval more and the bundle keeps a page of its
+    /// own, one read more.
+    #[test]
+    fn a_leaf_bundle_on_its_own_page_saves_a_read() {
+        for page_size in [512, 4096] {
+            // A root leaf of `k` intervals over 8 endpoints, with ids of 64
+            // bits, so a block is full to within a few bytes.
+            let leaf = |k: usize| -> Vec<Interval> {
+                let wide =
+                    |iv: Interval| Interval { id: iv.id.wrapping_mul(0x9e37_79b9_7f4a_7c15), ..iv };
+                shared_endpoint_intervals(k).into_iter().map(wide).collect()
+            };
+            // Its stab's reads and its pages.
+            let stab = |k: usize| {
+                let intervals = leaf(k);
+                let store = PageStore::in_memory(page_size);
+                let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
+                assert_eq!(crate::build::leaf_kinds(&tree, &store), (1, 0), "k = {k}: flat");
+                let (got, reads) = stab_reads(&tree, &store, 3);
+                assert_eq!(ids(got), brute(&intervals, 3), "k = {k}");
+                (reads, store.live_pages())
+            };
+            let one_block = |k: usize| {
+                let mut by_lo = leaf(k);
+                by_lo.sort_unstable_by_key(|iv| (iv.lo, iv.hi, iv.id));
+                pc_pagestore::layout::cut(&by_lo, page_size).len() == 1
+            };
+            let (mut fits, mut over) = (1, (1..).take_while(|&k| one_block(k)).last().unwrap());
+            assert_eq!(stab(fits), (1, 1), "{page_size}: one interval");
+            assert_eq!(stab(over), (2, 2), "{page_size}: a block of intervals");
+            while over - fits > 1 {
+                let mid = (fits + over) / 2;
+                let at = stab(mid);
+                if at == (1, 1) {
+                    fits = mid;
+                } else {
+                    assert_eq!(at, (2, 2), "{page_size}, k = {mid}");
+                    over = mid;
+                }
+            }
+        }
+    }
+
 }

@@ -4,13 +4,16 @@
 //! tree into pages of connected subtrees, [`Skeleton`] allocates and
 //! writes them, [`write_page`] writes a page from zeroed bytes (so it is
 //! exactly what it encodes) and [`patch_record`] one record in place, and
-//! [`for_each_skeletal_page`] walks them. The segment tree packs several
-//! subtrees a page, so it writes its records with [`write_page`] alone.
+//! [`for_each_skeletal_page`] walks them. [`Skeleton::place`] keeps a
+//! node's bytes in a page tail where there is room, else on a page of its
+//! own, and [`TailAt`] says where. The segment tree packs several subtrees
+//! a page, so it writes its records with [`write_page`] alone.
 
 use std::collections::VecDeque;
 
 use crate::codec::{PageReader, PageWriter};
-use crate::error::Result;
+use crate::error::{Result, StoreError};
+use crate::page::Page;
 use crate::store::{PageId, PageStore, NULL_PAGE};
 
 /// Reference to a skeletal record: its page and its slot there.
@@ -63,15 +66,86 @@ pub trait SkelRecord: Sized {
         fit
     }
 
-    /// The record at `slot` of a skeletal page.
+    /// The record at `slot` of a skeletal page; `Corrupt` past its end.
     fn at(page: &[u8], slot: u16) -> Result<Self> {
         let offset = Self::HEADER + Self::LEN * slot as usize;
-        Self::decode(&mut PageReader::new(&page[offset..offset + Self::LEN]))
+        let bytes = page.get(offset..offset + Self::LEN).ok_or_else(|| {
+            StoreError::Corrupt(format!("skeletal slot {slot} past a {}-byte page", page.len()))
+        })?;
+        Self::decode(&mut PageReader::new(bytes))
     }
 
     /// Every record of a skeletal page, in slot order.
     fn all(page: &[u8]) -> Result<Vec<Self>> {
         (0..PageReader::new(page).get_u16()?).map(|slot| Self::at(page, slot)).collect()
+    }
+}
+
+/// Where the bytes a tree keeps for a node are ([`Skeleton::place`]). On
+/// a record it is a `u64`: [`NULL_PAGE`], the offset with the top bit set,
+/// or the page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TailAt {
+    /// Nowhere: the node keeps nothing.
+    None,
+    /// At this byte offset of its children's pages (either one), or of its
+    /// own page where its children share it or it has none.
+    Inline(usize),
+    /// On a page of its own.
+    Page(PageId),
+}
+
+impl TailAt {
+    const INLINE: u64 = 1 << 63;
+
+    /// Reads a [`TailAt::encode`]d value.
+    pub fn decode(v: u64) -> TailAt {
+        match v {
+            _ if v == NULL_PAGE.0 => TailAt::None,
+            _ if v & Self::INLINE != 0 => TailAt::Inline((v ^ Self::INLINE) as usize),
+            _ => TailAt::Page(PageId(v)),
+        }
+    }
+
+    /// The value a record stores.
+    pub fn encode(self) -> u64 {
+        match self {
+            TailAt::None => NULL_PAGE.0,
+            TailAt::Inline(offset) => Self::INLINE | offset as u64,
+            TailAt::Page(page) => page.0,
+        }
+    }
+
+    /// The page holding the bytes of the node on page `own` (in hand as
+    /// `page`) whose left child is on `left` (null for none): `page` where
+    /// they are inline and `left` is null or `own`, else a child's page —
+    /// `ahead` where a walk has read one, else `read` of the left one — or
+    /// `read` of their own page. `None` where the node keeps nothing.
+    pub fn holder(
+        self,
+        own: PageId,
+        left: PageId,
+        page: &Page,
+        ahead: Option<&Page>,
+        read: impl FnOnce(PageId) -> Result<Page>,
+    ) -> Result<Option<Page>> {
+        Ok(Some(match (self, ahead) {
+            (TailAt::None, _) => return Ok(None),
+            (TailAt::Page(id), _) => read(id)?,
+            (TailAt::Inline(_), _) if left.is_null() || left == own => page.clone(),
+            (TailAt::Inline(_), Some(ahead)) => ahead.clone(),
+            (TailAt::Inline(_), None) => read(left)?,
+        }))
+    }
+
+    /// The bytes on `holder`, the page [`TailAt::holder`] gave: from the
+    /// offset on, or all of a page of their own. `Corrupt` for an offset
+    /// past the page.
+    pub fn bytes(self, holder: &[u8]) -> Result<&[u8]> {
+        let TailAt::Inline(offset) = self else { return Ok(holder) };
+        holder.get(offset..).ok_or_else(|| {
+            StoreError::Corrupt(format!("a tail at {offset} past a {}-byte page", holder.len()))
+        })
     }
 }
 
@@ -221,21 +295,42 @@ impl Skeleton {
         self.pages.concat()
     }
 
-    /// Puts `bytes` in the tails of the pages of `nodes`, at one offset
-    /// from their ends, if each has that much room above its records of
-    /// `R::LEN` bytes; returns the offset.
-    pub fn place_tail<R: SkelRecord>(&mut self, nodes: &[usize], bytes: &[u8]) -> Option<usize> {
-        let pages: Vec<usize> = nodes.iter().map(|&ni| self.loc[ni].0).collect();
-        let end = |p: usize| self.page_size - self.tails[p].len();
-        let offset = end(pages[0]).checked_sub(bytes.len())?;
-        let records = |p: usize| R::HEADER + R::LEN * self.pages[p].len();
-        if !pages.iter().all(|&p| end(p) == end(pages[0]) && records(p) <= offset) {
-            return None;
+    /// Keeps `bytes` for node `ni`, whose children are `children`, where a
+    /// walk reads them with a page it reads anyway: a node whose children
+    /// are off its page on both child pages, at one offset from their ends
+    /// (a walk leaving the page reads them with the page it goes on to),
+    /// any other node on its own page. Bytes that do not fit above the
+    /// records of `R::LEN` bytes and the tails placed before take a page of
+    /// their own; no bytes are kept nowhere.
+    pub fn place<R: SkelRecord>(
+        &mut self,
+        store: &PageStore,
+        ni: usize,
+        children: Option<[usize; 2]>,
+        bytes: &[u8],
+    ) -> Result<TailAt> {
+        if bytes.is_empty() {
+            return Ok(TailAt::None);
         }
+        let homes = match children {
+            Some([left, right]) if !self.same_page(ni, left) => vec![left, right],
+            _ => vec![ni],
+        };
+        let mut pages: Vec<usize> = homes.into_iter().map(|ni| self.loc[ni].0).collect();
+        pages.dedup();
+        let end = |p: usize| self.page_size - self.tails[p].len();
+        let records = |p: usize| R::HEADER + R::LEN * self.pages[p].len();
+        let offset = end(pages[0]).checked_sub(bytes.len());
+        let fits = |offset| pages.iter().all(|&p| end(p) == end(pages[0]) && records(p) <= offset);
+        let Some(offset) = offset.filter(|&offset| fits(offset)) else {
+            let id = store.alloc()?;
+            write_with(store, id, |w| w.put_bytes(bytes))?;
+            return Ok(TailAt::Page(id));
+        };
         for p in pages {
             self.tails[p].splice(0..0, bytes.iter().copied());
         }
-        Some(offset)
+        Ok(TailAt::Inline(offset))
     }
 
     /// Writes every page: what `header` adds to the count for the page
@@ -262,7 +357,7 @@ impl Skeleton {
 pub fn for_each_skeletal_page<R: SkelRecord>(
     store: &PageStore,
     root: PageId,
-    visit: &mut impl FnMut(PageId, &[u8], &[R]) -> Result<()>,
+    visit: &mut impl FnMut(PageId, &Page, &[R]) -> Result<()>,
 ) -> Result<()> {
     let mut stack = vec![root];
     while let Some(pid) = stack.pop() {
@@ -322,6 +417,82 @@ mod tests {
     #[should_panic(expected = "86-byte pages hold 2 skeletal records")]
     fn a_page_of_fewer_than_three_records_is_refused() {
         Rec::fit(86);
+    }
+
+    /// A count that runs past its page is `Corrupt`, as a block's is, not a
+    /// panic; so is a tail that starts past its page.
+    #[test]
+    fn a_count_or_a_tail_past_the_page_is_corrupt() {
+        let mut page = vec![0u8; 128];
+        page[..2].copy_from_slice(&1000u16.to_le_bytes());
+        assert!(matches!(Rec::all(&page), Err(StoreError::Corrupt(_))));
+        assert!(matches!(Rec::at(&page, 4), Err(StoreError::Corrupt(_))));
+        assert!(Rec::at(&page, 3).is_ok(), "the last slot that ends on the page");
+        assert!(TailAt::Inline(128).bytes(&page).unwrap().is_empty());
+        assert!(matches!(TailAt::Inline(129).bytes(&page), Err(StoreError::Corrupt(_))));
+    }
+
+    #[test]
+    fn tail_at_round_trips_through_its_u64() {
+        let all = [TailAt::None, TailAt::Inline(0), TailAt::Inline(4_000), TailAt::Page(PageId(7))];
+        assert!(all.iter().all(|&at| TailAt::decode(at.encode()) == at));
+        assert_eq!(TailAt::None.encode(), NULL_PAGE.0);
+    }
+
+    /// `place` keeps an exit's bytes on both its child pages at one offset,
+    /// any other node's on its own page, filling tails from the end; bytes
+    /// that do not fit take a page of their own, and none are kept nowhere.
+    /// `holder` and `bytes` find each where it went.
+    #[test]
+    fn place_keeps_bytes_on_the_pages_a_walk_reads() {
+        // 15 nodes, 3 to a 128-byte page — {0, 1, 2}, {3, 7, 8}, {4, 9, 10},
+        // {5, 11, 12}, {6, 13, 14} — so 87 bytes of records and 41 of tail.
+        let store = PageStore::in_memory(128);
+        let children = |ni: usize| (ni < 7).then_some([2 * ni + 1, 2 * ni + 2]);
+        let mut skel =
+            Skeleton::new(&store, 15, 3, |ni| children(ni).into_iter().flatten()).unwrap();
+        // Where each node's bytes go, `None` for a page of their own.
+        let wants = [
+            (1, 10, Some(TailAt::Inline(118))), // an exit: the pages of 3 and 4
+            (0, 10, Some(TailAt::Inline(118))), // children on its page: its own
+            (7, 20, Some(TailAt::Inline(98))),  // a leaf, below 1's on 3's page
+            (3, 11, Some(TailAt::Inline(87))),  // 3's page full to its records
+            (8, 1, None),                       // no room left on 3's page
+            (13, 0, Some(TailAt::None)),        // nothing, kept nowhere
+        ];
+        let mut placed = Vec::new();
+        for (i, &(ni, len, want)) in wants.iter().enumerate() {
+            let bytes = vec![i as u8 + 1; len];
+            let at = skel.place::<Rec>(&store, ni, children(ni), &bytes).unwrap();
+            match want {
+                Some(want) => assert_eq!(at, want, "node {ni}"),
+                None => assert!(matches!(at, TailAt::Page(_)), "node {ni}: {at:?}"),
+            }
+            placed.push((ni, bytes, at));
+        }
+        let record = |ni: usize| Rec {
+            key: ni as u32,
+            children: children(ni).map_or([NodeRef::NULL; 2], |c| c.map(|c| skel.node_ref(c))),
+        };
+        skel.write(&store, |_, w| w.put_u32(0), record).unwrap();
+        let read = |id: PageId| store.read(id);
+        for (ni, bytes, at) in placed {
+            let own = skel.node_ref(ni).page;
+            let kids = children(ni).map(|c| c.map(|c| skel.node_ref(c).page));
+            let left = kids.map_or(NULL_PAGE, |kids| kids[0]);
+            let page = read(own).unwrap();
+            let mut aheads = vec![None];
+            aheads.extend(kids.into_iter().flatten().filter(|&p| p != own).map(Some));
+            for ahead in aheads {
+                let ahead = ahead.map(|id| read(id).unwrap());
+                let holder = at.holder(own, left, &page, ahead.as_ref(), read).unwrap();
+                let Some(holder) = holder else {
+                    assert!(bytes.is_empty(), "node {ni}");
+                    continue;
+                };
+                assert_eq!(at.bytes(&holder).unwrap()[..bytes.len()], bytes, "node {ni}");
+            }
+        }
     }
 
     /// `write_page` writes what `SkelRecord::at` indexes — the header, every

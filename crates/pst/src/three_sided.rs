@@ -42,7 +42,7 @@
 //!   page in hand, an exit on the page it continues into — on both child
 //!   pages, at one offset from the end, inline only where both have room.
 //!   Tails fill from the end, pages and slots in order, so an exit's comes
-//!   first; one that does not fit keeps a page of its own ([`DirAt`]).
+//!   first; one that does not fit keeps a page of its own (`Skeleton::place`).
 //!
 //! Skeletal pages hold complete subtrees ([`skeletal_capacity`] is a
 //! `2^h − 1`: 31 records at 4 KiB, 3 at 512 B), `MemPst`'s leaves differ in
@@ -93,9 +93,7 @@
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::skeleton::{
-    for_each_skeletal_page, write_with, NodeRef, SkelRecord, Skeleton,
-};
+use pc_pagestore::skeleton::{for_each_skeletal_page, NodeRef, SkelRecord, Skeleton, TailAt};
 use pc_pagestore::{Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::build::SEntry;
@@ -182,37 +180,6 @@ impl ChildLink {
     }
 }
 
-/// Where a node's [`NodeDir`] is (module doc).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DirAt {
-    /// Nowhere: the node's A-list is empty (an empty node at a page's root).
-    None,
-    /// At this byte offset of its children's pages (a leaf's own).
-    Inline(usize),
-    /// On a page of its own.
-    Page(PageId),
-}
-
-impl DirAt {
-    const INLINE: u64 = 1 << 63;
-
-    fn decode(v: u64) -> DirAt {
-        match v {
-            _ if v == NULL_PAGE.0 => DirAt::None,
-            _ if v & Self::INLINE != 0 => DirAt::Inline((v ^ Self::INLINE) as usize),
-            _ => DirAt::Page(PageId(v)),
-        }
-    }
-
-    fn encode(self) -> u64 {
-        match self {
-            DirAt::None => NULL_PAGE.0,
-            DirAt::Inline(offset) => Self::INLINE | offset as u64,
-            DirAt::Page(page) => page.0,
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct TsRecord {
     /// Routing key: largest x of the left subtree's x-range.
@@ -231,7 +198,7 @@ struct TsRecord {
     /// tagged with the source's in-page depth.
     pub a_list: BlockList<SEntry>,
     /// Where the node's [`NodeDir`] is.
-    pub dir: DirAt,
+    pub dir: TailAt,
 }
 
 impl SkelRecord for TsRecord {
@@ -248,7 +215,7 @@ impl SkelRecord for TsRecord {
             left: ChildLink::decode(r)?,
             right: ChildLink::decode(r)?,
             a_list: BlockList::decode(r)?,
-            dir: DirAt::decode(r.get_u64()?),
+            dir: TailAt::decode(r.get_u64()?),
         })
     }
 
@@ -332,21 +299,13 @@ impl NodeDir {
     fn find(
         rec: &TsRecord,
         at: NodeRef,
-        page: &[u8],
+        page: &Page,
         ahead: Option<&Page>,
         read: impl FnOnce(PageId) -> Result<Page>,
     ) -> Result<NodeDir> {
-        // Inline, it is on its children's page (either one), a leaf's own.
-        let (offset, home) = match rec.dir {
-            DirAt::None => return Ok(NodeDir::default()),
-            DirAt::Page(id) => return Self::decode(&read(id)?),
-            DirAt::Inline(offset) if rec.left.at.page.is_null() => (offset, at.page),
-            DirAt::Inline(offset) => (offset, rec.left.at.page),
-        };
-        match ahead {
-            _ if home == at.page => Self::decode(&page[offset..]),
-            Some(ahead) => Self::decode(&ahead[offset..]),
-            None => Self::decode(&read(home)?[offset..]),
+        match rec.dir.holder(at.page, rec.left.at.page, page, ahead, read)? {
+            Some(holder) => Self::decode(rec.dir.bytes(&holder)?),
+            None => Ok(NodeDir::default()),
         }
     }
 }
@@ -459,22 +418,10 @@ impl ThreeSidedPst {
             Ok(())
         })?;
 
-        // Where each directory lives (module doc): on the pages of the
-        // node's children, or its own, pages and slots in order.
-        let mut dir_at = vec![DirAt::None; n_nodes];
-        for ni in skel.nodes().into_iter().filter(|&ni| !dirs[ni].is_empty()) {
-            let homes = match mem.children(ni) {
-                Some(children) if !skel.same_page(ni, children[0]) => children.to_vec(),
-                _ => vec![ni],
-            };
-            dir_at[ni] = match skel.place_tail::<TsRecord>(&homes, &dirs[ni]) {
-                Some(offset) => DirAt::Inline(offset),
-                None => {
-                    let id = store.alloc()?;
-                    write_with(store, id, |w| w.put_bytes(&dirs[ni]))?;
-                    DirAt::Page(id)
-                }
-            };
+        // Where each directory lives (module doc), pages and slots in order.
+        let mut dir_at = vec![TailAt::None; n_nodes];
+        for ni in skel.nodes() {
+            dir_at[ni] = skel.place::<TsRecord>(store, ni, mem.children(ni), &dirs[ni])?;
         }
 
         let child = |ni: usize| match ni {
@@ -537,7 +484,7 @@ impl ThreeSidedPst {
                     for_each_block(store, right_sibs.head(), |c| &mut c.s_lists, visit)?;
                     for_each_block(store, left_sibs.head(), |c| &mut c.s_lists, visit)?;
                 }
-                if let DirAt::Page(id) = rec.dir {
+                if let TailAt::Page(id) = rec.dir {
                     visit(|c| &mut c.directories, id)?;
                 }
             }
@@ -572,7 +519,7 @@ impl ThreeSidedPst {
         let mut ctx = TsCtx { walk: Walk::new(store), q };
         ctx.walk.set_block_capacity();
         let root = NodeRef { page: self.root_page, slot: 0 };
-        ctx.path(None, root, 0, Band { lo: q.x1, hi: q.x2, tie: 0 }, DirAt::None)?;
+        ctx.path(None, root, 0, Band { lo: q.x1, hi: q.x2, tie: 0 }, TailAt::None)?;
         Ok(ctx.walk.results)
     }
 }
@@ -637,15 +584,15 @@ impl TsCtx<'_> {
         &mut self,
         rec: &TsRecord,
         dir: &NodeDir,
-        parent: DirAt,
+        parent: TailAt,
         depth: u16,
         band: Band,
     ) -> Result<()> {
         let y0 = self.q.y0;
         let ancestors = match parent {
-            DirAt::None => NodeDir::default(),
-            DirAt::Inline(offset) => NodeDir::decode(&self.walk.page[offset..])?,
-            DirAt::Page(_) => return self.a_run(dir, band, Some(depth)),
+            TailAt::None => NodeDir::default(),
+            TailAt::Inline(_) => NodeDir::decode(parent.bytes(&self.walk.page)?)?,
+            TailAt::Page(_) => return self.a_run(dir, band, Some(depth)),
         };
         // Blocks read: a run from the first block whose last x is at most
         // `hi` through the first whose last x is below `lo`, a Y-prefix
@@ -672,7 +619,7 @@ impl TsCtx<'_> {
         let walks = children.map(|c| c.reaches(q.y0));
         let same_page = rec.left.at.page == at.page;
         let split_page = self.walk.page.clone();
-        let (threshold, parent) = if same_page { (depth + 1, rec.dir) } else { (0, DirAt::None) };
+        let (threshold, parent) = if same_page { (depth + 1, rec.dir) } else { (0, TailAt::None) };
         let mut halves = [Band { lo: q.x1, hi: q.x2, tie: 0 }; 2];
         if !same_page || walks == [false, false] {
             // The split's page ends here: its run over the whole band, from
@@ -775,7 +722,7 @@ impl TsCtx<'_> {
         start: NodeRef,
         mut threshold: u16,
         mut band: Band,
-        mut parent: DirAt,
+        mut parent: TailAt,
     ) -> Result<()> {
         let q = self.q;
         let mut at = start;
@@ -823,7 +770,7 @@ impl TsCtx<'_> {
             let Some(page) = ahead else { return Ok(()) };
             self.walk.hold(next.at.page, page);
             sib.clear();
-            (threshold, band.tie, parent, at) = (0, 0, DirAt::None, next.at);
+            (threshold, band.tie, parent, at) = (0, 0, TailAt::None, next.at);
         }
     }
 }
@@ -1391,7 +1338,7 @@ mod tests {
                 assert_cache_blocks(&store, &rec.a_list, copied, sources, "A-list");
                 let page = store.read(at.page).unwrap();
                 let dir = NodeDir::find(&rec, at, &page, None, |id| store.read(id)).unwrap();
-                spilled += u64::from(matches!(rec.dir, DirAt::Page(_)));
+                spilled += u64::from(matches!(rec.dir, TailAt::Page(_)));
                 assert_eq!(dir.y.len(), y_sizes.len(), "one directory entry per Y-block");
                 let a_blocks = block_sizes(&store, &rec.a_list).len();
                 assert_eq!(dir.a.len(), a_blocks, "one directory entry per A-block");

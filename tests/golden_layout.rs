@@ -78,7 +78,7 @@ const GOLDEN: [&str; 2] = [
 4096 dynamic 3-sided: pages=1571 reads=1284 answers=411214 hash=d7b92831334610eb\n\
 4096 dynamic 3-sided churned: update_reads=5393 update_writes=11434\n\
 4096 dynamic 3-sided churned: pages=1573 reads=1488 answers=412314 hash=e65a44a28f916929\n\
-4096 interval tree: pages=221 reads=1146 answers=337863 hash=451695569c27a934\n\
+4096 interval tree: pages=188 reads=982 answers=337863 hash=451695569c27a934\n\
 4096 cached segment tree: pages=3982 reads=2022 answers=337863 hash=cb8d7031bc381a2c\n\
 4096 naive segment tree: pages=2675 reads=2997 answers=337863 hash=3060cdbfcab2e44c\n\
 ",
@@ -98,7 +98,7 @@ const GOLDEN: [&str; 2] = [
 512 dynamic 3-sided: pages=2755 reads=20130 answers=411203 hash=e529619e6ef7b316\n\
 512 dynamic 3-sided churned: update_reads=94192 update_writes=145288\n\
 512 dynamic 3-sided churned: pages=2752 reads=20564 answers=420027 hash=7b53c1a53f608299\n\
-512 interval tree: pages=1975 reads=8065 answers=276846 hash=a33d61578b0c710b\n\
+512 interval tree: pages=1583 reads=7926 answers=276846 hash=a33d61578b0c710b\n\
 512 cached segment tree: pages=17231 reads=11081 answers=276846 hash=1a14ddcea07f6747\n\
 512 naive segment tree: pages=12737 reads=11654 answers=276846 hash=a56fc0d64527bb07\n\
 ",

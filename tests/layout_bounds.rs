@@ -362,7 +362,7 @@ fn wide_data_builds_the_fixed_width_three_sided_psts() {
 
 #[test]
 fn wide_data_builds_the_fixed_width_interval_tree() {
-    for (t, want) in [(16, (798, 600, 2_630)), (500, (1365, 1051, 74_957))] {
+    for (t, want) in [(16, (592, 449, 2_630)), (500, (1303, 1031, 74_957))] {
         let max_len = 2 * t * pc_workloads::DOMAIN / WIDE_N as i64;
         let raw = gen_intervals(WIDE_N as usize, IntervalDist::UniformLen { max_len }, 0x5eed);
         let store = PageStore::in_memory(PAGE_SIZE);

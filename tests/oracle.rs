@@ -229,6 +229,15 @@ fn regression_corner_at_the_inner_region_level() {
 }
 
 #[test]
+fn regression_stabs_on_exit_boundaries() {
+    let case = regressions::stabs_on_exit_boundaries();
+    for page_size in [512, 4096] {
+        in_process::<ExternalIntervalTree>(page_size, &case)
+            .unwrap_or_else(|e| panic!("stabs on exit boundaries at {page_size} B: {e}"));
+    }
+}
+
+#[test]
 fn regression_x_tie_deletes() {
     let case = regressions::x_tie_deletes();
     in_process::<DynamicPst>(512, &case).unwrap_or_else(|e| panic!("x-tie deletes: {e}"));

@@ -43,6 +43,12 @@
 //! [`corner_u_holds_first_block_ops`] and
 //! [`corner_at_the_inner_region_level`]. What the rule reads is held in
 //! `pc-pst` (`two_level::tests::a_corner_*`, `testutil::corner_cost`).
+//!
+//! An interval-tree bundle rides in the tail of a skeletal page the stab
+//! reads anyway: an exit's on both its child pages. A stab exactly on an
+//! exit's boundary reads it from the left child's page and goes no further:
+//! [`stabs_on_exit_boundaries`]. What the cut-overs read is held in
+//! `pc-intervaltree` (`query::tests::an_exit_bundle_*`, `a_leaf_bundle_*`).
 
 use std::collections::HashSet;
 
@@ -387,4 +393,29 @@ pub fn corner_at_the_inner_region_level() -> Case {
     ops.extend(queries);
     ops.push(Op::Query(everything(Shape::TwoSided)));
     Case { shape: Shape::TwoSided, build, ops }
+}
+
+/// Stabs on every endpoint of 4 000 intervals of 62-bit coordinates and
+/// 64-bit ids, each shorter than 2^40: every boundary of the interval tree
+/// is an endpoint, so every exit's boundary is met exactly. The tree is
+/// two levels of skeletal pages at 4 KiB and more at 512 B, and most of its
+/// exits' bundles ride on their child pages, so a stab on such a boundary
+/// reads the bundle from the left child's page. Ten copies `[e, e]` of
+/// every hundredth endpoint give some nodes more than the one interval
+/// that ends there.
+pub fn stabs_on_exit_boundaries() -> Case {
+    let mut rng = Rng::seed_from_u64(0xb0b0);
+    let mut build: Vec<Point> = (0..4_000)
+        .map(|_| {
+            let lo = rng.gen_range(-(1i64 << 61)..1i64 << 61);
+            Point::new(lo, lo + rng.gen_range(0..1i64 << 40), rng.gen_range(0..u64::MAX))
+        })
+        .collect();
+    let mut endpoints: Vec<i64> = build.iter().flat_map(|p| [p.x, p.y]).collect();
+    endpoints.sort_unstable();
+    for &e in endpoints.iter().step_by(100) {
+        build.extend((0..10).map(|_| Point::new(e, e, rng.gen_range(0..u64::MAX))));
+    }
+    let stabs = endpoints.into_iter().map(|q| Op::Query(Query::Stab(q)));
+    Case { shape: Shape::Stab, build, ops: stabs.collect() }
 }
