@@ -44,13 +44,15 @@ struct Slot {
 /// Fixed-capacity page cache with CLOCK (second-chance) eviction.
 ///
 /// One shard of a [`ShardedPool`]; usable standalone as the classic
-/// single-lock buffer pool.
+/// single-lock buffer pool. Its bookkeeping grows with the pages it holds:
+/// a slot is made when an insert finds no empty one, up to `capacity`.
 pub struct BufferPool {
     capacity: usize,
     slots: Vec<Option<Slot>>,
     map: HashMap<u64, usize>,
     hand: usize,
-    /// Empty slot indices. Fills and discards go through this stack, so an
+    /// Emptied slot indices. Discards push here and inserts pop here first,
+    /// then make slots `slots.len()`, `slots.len() + 1`, … in order, so an
     /// insert never scans `slots` looking for a hole.
     free: Vec<usize>,
 }
@@ -61,14 +63,7 @@ impl BufferPool {
     /// entirely).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "buffer pool capacity must be nonzero");
-        BufferPool {
-            capacity,
-            slots: (0..capacity).map(|_| None).collect(),
-            map: HashMap::with_capacity(capacity),
-            hand: 0,
-            // Reversed so pops hand out slots 0, 1, 2, … in order.
-            free: (0..capacity).rev().collect(),
-        }
+        BufferPool { capacity, slots: Vec::new(), map: HashMap::new(), hand: 0, free: Vec::new() }
     }
 
     /// Maximum number of resident pages.
@@ -189,17 +184,22 @@ impl BufferPool {
     }
 }
 
-/// CLOCK victim selection. Free-standing (rather than a method) so the
+/// CLOCK victim selection: an emptied slot, else a new one while there is
+/// room, else the hand's. Free-standing (rather than a method) so the
 /// borrows of `slots`/`hand`/`free` stay disjoint from `map`'s inside
 /// [`BufferPool::insert`].
 fn find_victim(
-    slots: &mut [Option<Slot>],
+    slots: &mut Vec<Option<Slot>>,
     hand: &mut usize,
     free: &mut Vec<usize>,
     capacity: usize,
 ) -> usize {
     if let Some(idx) = free.pop() {
         return idx;
+    }
+    if slots.len() < capacity {
+        slots.push(None);
+        return slots.len() - 1;
     }
     loop {
         let idx = *hand;
@@ -643,5 +643,54 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.evictions), (1, 3, 1));
         pool.reset_stats();
         assert_eq!(pool.shard_stats()[0], ShardStats::default());
+    }
+
+    #[test]
+    fn a_pool_holds_no_slot_before_its_first_insert() {
+        let mut pool = BufferPool::new(1 << 20);
+        let held =
+            |pool: &BufferPool| (pool.slots.capacity(), pool.free.capacity(), pool.map.capacity());
+        assert_eq!(held(&pool), (0, 0, 0));
+        pool.insert(PageId(3), pg(3, 4), false, |_, _| Ok(())).unwrap();
+        assert_eq!(pool.slots.len(), 1);
+        assert!(held(&pool).0 < 1 << 10 && held(&pool).2 < 1 << 10);
+    }
+
+    /// A fixed run of inserts, hits, discards and evictions over a pool of
+    /// 8 frames and 16 page ids: the victims, in order, and the hit and miss
+    /// counts are the ones a pool with every frame's bookkeeping allocated
+    /// up front gave.
+    #[test]
+    fn a_scripted_run_evicts_the_recorded_victims() {
+        let mut pool = BufferPool::new(8);
+        let (mut hits, mut misses, mut victims) = (0, 0, Vec::new());
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..100u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (id, op) = (PageId((state >> 33) % 16), (state >> 59) % 8);
+            if op == 7 {
+                pool.discard(id);
+                continue;
+            }
+            if op < 5 && pool.get(id).is_some() {
+                hits += 1;
+                continue;
+            }
+            misses += u64::from(op < 5);
+            let resident: Vec<u64> = (0..16).filter(|&p| pool.contains(PageId(p))).collect();
+            let evicted = pool.insert(id, pg(step as u8, 4), op >= 5, |_, _| Ok(())).unwrap();
+            let gone: Vec<u64> =
+                resident.into_iter().filter(|&p| !pool.contains(PageId(p))).collect();
+            assert_eq!(evicted, !gone.is_empty());
+            victims.extend(gone);
+        }
+        let recorded = [
+            3, 7, 4, 2, 14, 8, 11, 12, 13, 10, 6, 5, 2, 9, 14, 15, 3, 11, 8, 13, 5, 12, 6, 10, 3,
+            2, 12, 11, 13, 9, 4, 14, 15, 8, 1, 7, 2, 10, 5, 4, 14, 13, 3, 15,
+        ];
+        assert_eq!(victims, recorded);
+        assert_eq!((hits, misses, pool.len()), (27, 39, 7));
     }
 }

@@ -255,7 +255,7 @@ pub(crate) fn build_external(
     let mut left_s: Vec<BlockList<SEntry>> = vec![BlockList::empty(); mem.nodes.len()];
     if mode != CacheMode::None {
         let covered = |parent, child| mode == CacheMode::FullPath || skel.same_page(parent, child);
-        let points = |ni: usize| &mem.nodes[ni].points[..];
+        let points = |ni: usize| mem.points(ni);
         for_each_cache_owner(0, |ni| mem.children(ni), covered, |node, depth, path| {
             let segment_top = depth + 1 - path.len() as u16;
             let a = merge_tagged(path.iter().map(|step| (points(step.node), 0)), cmp_x);
@@ -277,7 +277,7 @@ pub(crate) fn build_external(
             (pts_of(ni), pts_of(node.left), pts_of(node.right));
         SkeletalRecord {
             split: node.split,
-            min_y: node.points.last().copied().unwrap_or(Point::new(0, 0, 0)),
+            min_y: mem.points(ni).last().copied().unwrap_or(Point::new(0, 0, 0)),
             left: skel.node_ref(node.left),
             right: skel.node_ref(node.right),
             own_pts,
@@ -299,19 +299,18 @@ pub(crate) fn build_external(
 /// each region's `(page, point count)`, indexed by arena position.
 fn write_points_pages(store: &PageStore, mem: &MemPst) -> Result<Vec<(PageId, u16)>> {
     let mut pts_of = Vec::with_capacity(mem.nodes.len());
-    for node in &mem.nodes {
-        pts_of.push((store.alloc()?, node.points.len() as u16));
+    for ni in 0..mem.nodes.len() {
+        pts_of.push((store.alloc()?, mem.points(ni).len() as u16));
     }
     let link = |ni: usize| pts_of.get(ni).copied().unwrap_or((NULL_PAGE, 0));
-    for (node, &(page, count)) in mem.nodes.iter().zip(&pts_of) {
+    for (ni, (node, &(page, _))) in mem.nodes.iter().zip(&pts_of).enumerate() {
         let ((left_pts, left_cnt), (right_pts, right_cnt)) = (link(node.left), link(node.right));
-        debug_assert_eq!(usize::from(count), node.points.len());
         write_with(store, page, |w| {
             w.put_u64(left_pts.0)?;
             w.put_u64(right_pts.0)?;
             w.put_u16(left_cnt)?;
             w.put_u16(right_cnt)?;
-            w.put_bytes(&encode_block(&node.points, NULL_PAGE))
+            w.put_bytes(&encode_block(mem.points(ni), NULL_PAGE))
         })?;
     }
     Ok(pts_of)
@@ -524,15 +523,16 @@ mod tests {
                 let store = PageStore::in_memory(page_size);
                 let (mem, core) = build_core(&store, &pts, CacheMode::None);
                 let fill = node_fill(page_size);
-                for node in mem.nodes.iter().filter(|node| !node.is_leaf()) {
-                    assert!(node.points.len() >= min_records::<Point>(fill.budget));
-                    assert_eq!(fill_blocks(&node.points, 1, fill.budget), node.points.len());
+                for ni in (0..mem.nodes.len()).filter(|&ni| !mem.nodes[ni].is_leaf()) {
+                    let own = mem.points(ni);
+                    assert!(own.len() >= min_records::<Point>(fill.budget));
+                    assert_eq!(fill_blocks(own, 1, fill.budget), own.len());
                 }
                 let root = SkeletalRecord::at(&store.read(core.root).unwrap(), 0).unwrap();
                 let page = store.read(root.own_pts).unwrap();
                 assert!(page.len() <= page_size);
                 let points: Vec<Point> = PointsPage::parse(&page).unwrap().points.to_vec();
-                assert_eq!(points, mem.nodes[0].points);
+                assert_eq!(points, mem.points(0));
             }
         }
     }

@@ -367,9 +367,9 @@ impl ThreeSidedPst {
         let n_nodes = mem.nodes.len();
         let mut y_list = Vec::with_capacity(n_nodes);
         let mut y_blocks = Vec::with_capacity(n_nodes);
-        for node in &mem.nodes {
+        for ni in 0..n_nodes {
             // Node points are already descending by y-key.
-            let (list, blocks) = BlockList::build_blocks(store, &node.points)?;
+            let (list, blocks) = BlockList::build_blocks(store, mem.points(ni))?;
             y_list.push(list);
             y_blocks.push(blocks);
         }
@@ -381,7 +381,7 @@ impl ThreeSidedPst {
         // Within one page a chain is a path, so in-page depth uniquely names
         // the ancestor, and the query walk can reconstruct it without
         // knowing absolute depths.
-        let points_of = |ni: usize| &mem.nodes[ni].points[..];
+        let points_of = |ni: usize| mem.points(ni);
         let same_page = |parent, child| skel.same_page(parent, child);
         for_each_in_segment(0, |ni| mem.children(ni), same_page, |node, _, chain| {
             // The node's own points and its in-page ancestors', whole.
@@ -427,7 +427,7 @@ impl ThreeSidedPst {
         let child = |ni: usize| match ni {
             NONE => ChildLink::NONE,
             _ => {
-                let pts = &mem.nodes[ni].points;
+                let pts = mem.points(ni);
                 ChildLink {
                     at: skel.node_ref(ni),
                     y_head: y_list[ni].head(),
@@ -441,7 +441,7 @@ impl ThreeSidedPst {
             let node = &mem.nodes[ni];
             TsRecord {
                 split_x: node.split.x,
-                min_y: node.points.last().map_or(0, |p| p.y),
+                min_y: mem.points(ni).last().map_or(0, |p| p.y),
                 y_list: y_list[ni],
                 y_second: y_blocks[ni].get(1).map_or(NULL_PAGE, |&(page, _)| page),
                 y_first: y_first(ni) as u16,
@@ -906,7 +906,7 @@ mod tests {
         let fill = node_fill(PAGE);
         let mut c = xs.len();
         loop {
-            let fits = fill.take(&layer(xs, depth, c));
+            let fits = fill.take(&layer(xs, depth, c)).0;
             if fits >= c {
                 return c;
             }

@@ -42,7 +42,9 @@ use pc_pagestore::layout::{
 use pc_pagestore::skeleton::{for_each_skeletal_page, NodeRef, SkelRecord, Skeleton};
 use pc_pagestore::{PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
-use crate::build::{build_single_level, CacheMode, Kind, PstHandle, SEntry, SkeletalRecord};
+use crate::build::{
+    build_external, build_single_level, CacheMode, Kind, PstHandle, SEntry, SkeletalRecord,
+};
 use crate::mem::{cmp_x, cmp_y, MemPst, NodeFill, TwoSided, NONE};
 use crate::query::run_two_sided;
 use crate::region::{for_each_block, for_each_cache_owner, merge_tagged, Walk};
@@ -385,26 +387,34 @@ pub(crate) fn build_region_tree(
         return build_single_level(store, points, CacheMode::FullPath);
     };
     let page_size = store.page_size();
-    let mem = MemPst::build(points, region_fill(page_size, blocks, inner_caps.is_empty()));
+    let mut mem = MemPst::build(points, region_fill(page_size, blocks, inner_caps.is_empty()));
     let children = |ni| mem.children(ni).into_iter().flatten();
     let skel = Skeleton::new(store, mem.nodes.len(), skeletal_capacity(page_size), children)?;
 
-    // Per-region lists and inner structures.
+    // Per-region lists and inner structures. Of an X-list only its first
+    // block is read again, by the caches.
     let n_nodes = mem.nodes.len();
-    let mut x_sorted: Vec<Vec<Point>> = Vec::with_capacity(n_nodes);
-    for node in &mem.nodes {
-        let mut xs = node.points.clone();
-        xs.sort_unstable_by(|a, c| cmp_x(c, a));
-        x_sorted.push(xs);
-    }
     let mut x_lists = Vec::with_capacity(n_nodes);
+    let mut x_firsts: Vec<Vec<Point>> = Vec::with_capacity(n_nodes);
     let mut y_lists = Vec::with_capacity(n_nodes);
     let mut inners: Vec<PstHandle> = Vec::with_capacity(n_nodes);
-    for (node, xs) in mem.nodes.iter().zip(&x_sorted) {
-        x_lists.push(ListRef::build(store, xs, |p| p.x)?);
+    let mut xs = Vec::new();
+    for ni in 0..n_nodes {
+        let inner = mem.nodes[ni].inner.take();
+        let pts = mem.points(ni);
+        xs.clear();
+        xs.extend_from_slice(pts);
+        xs.sort_unstable_by(|a, c| cmp_x(c, a));
+        let x_list = ListRef::build(store, &xs, |p| p.x)?;
+        x_firsts.push(xs[..usize::from(x_list.0.first)].to_vec());
+        x_lists.push(x_list);
         // Node points are already descending by y-key.
-        y_lists.push(ListRef::build(store, &node.points, |p| p.y)?);
-        inners.push(build_inner(store, &node.points, inner_caps)?);
+        y_lists.push(ListRef::build(store, pts, |p| p.y)?);
+        inners.push(match inner {
+            // A basic inner tree over the decomposition the fill found.
+            Some(inner) if !pts.is_empty() => build_external(store, &inner, CacheMode::FullPath)?,
+            _ => build_inner(store, pts, inner_caps)?,
+        });
     }
 
     // The children's caches, per region with children on its page: first
@@ -413,8 +423,8 @@ pub(crate) fn build_region_tree(
     let mut child_a: Vec<BlockList<SEntry>> = vec![BlockList::empty(); n_nodes];
     let mut left_s: Vec<BlockList<SEntry>> = vec![BlockList::empty(); n_nodes];
     let same_page = |parent, child| skel.same_page(parent, child);
-    let first_x = |ni: usize| &x_sorted[ni][..usize::from(x_lists[ni].0.first)];
-    let first_y = |ni: usize| &mem.nodes[ni].points[..usize::from(y_lists[ni].0.first)];
+    let first_x = |ni: usize| &x_firsts[ni][..];
+    let first_y = |ni: usize| &mem.points(ni)[..usize::from(y_lists[ni].0.first)];
     for_each_cache_owner(0, |ni| mem.children(ni), same_page, |node, _, path| {
         let a = merge_tagged(path.iter().map(|s| (first_x(s.node), s.depth)), cmp_x);
         let sibs = path.iter().filter(|s| s.went_left);
@@ -427,7 +437,7 @@ pub(crate) fn build_region_tree(
     // What a parent's record says of a child: (point count, is a leaf).
     let child_info = |ni: usize| match ni {
         NONE => (0, true),
-        _ => (mem.nodes[ni].points.len() as u16, mem.nodes[ni].is_leaf()),
+        _ => (mem.points(ni).len() as u16, mem.nodes[ni].is_leaf()),
     };
     let header = |root: usize, w: &mut PageWriter<'_>| {
         let subtree_n = mem.nodes[root].subtree_size;
@@ -439,10 +449,10 @@ pub(crate) fn build_region_tree(
             (child_info(node.left), child_info(node.right));
         RegionRecord {
             split_x: node.split.x,
-            min_y_y: node.points.last().map_or(0, |p| p.y),
+            min_y_y: mem.points(ni).last().map_or(0, |p| p.y),
             left: skel.node_ref(node.left),
             right: skel.node_ref(node.right),
-            own_cnt: node.points.len() as u16,
+            own_cnt: mem.points(ni).len() as u16,
             left_cnt,
             right_cnt,
             left_is_leaf,
@@ -1032,7 +1042,7 @@ mod tests {
                 // A root region over two leaves, all about full.
                 let mut by_y = spread(&distinct_points(1 << 16));
                 by_y.sort_unstable_by(|a, b| cmp_y(b, a));
-                let region = fill.take(&by_y);
+                let region = fill.take(&by_y).0;
                 let sizes = (20..=30).map(|tenths| region * tenths / 10);
                 let Some(pts) = sizes.map(|n| spread(&distinct_points(n))).find(|pts| {
                     let mem = MemPst::build(pts, fill);

@@ -19,9 +19,9 @@
 //!   not read yet. The grace ends with the first quiet tick — or, for a peer
 //!   that keeps sending, after [`WRITE_TIMEOUT`], when a stalled write would.
 //!
-//! Response frames are shared [`Page`]s written under a per-connection
-//! mutex with a write timeout, so a stalled peer can never hang whoever
-//! answers it.
+//! Response frames are written, as encoded, under a per-connection mutex
+//! with a write timeout, so a stalled peer can never hang whoever answers
+//! it.
 
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -29,7 +29,6 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pc_pagestore::Page;
 use pc_sync::Mutex;
 
 use crate::wire::{
@@ -61,10 +60,10 @@ impl Conn {
 
     /// Writes one pre-encoded frame. On failure the socket is shut down so
     /// the reader exits promptly instead of serving a half-dead peer.
-    fn send(&self, frame: &Page) -> io::Result<()> {
+    fn send(&self, frame: &[u8]) -> io::Result<()> {
         let _g = self.wlock.lock();
         let mut w = &self.stream;
-        w.write_all(frame.as_slice()).inspect_err(|_| self.cut())
+        w.write_all(frame).inspect_err(|_| self.cut())
     }
 
     /// Encodes and writes one response. A failed write means the peer is

@@ -46,15 +46,14 @@
 //! `wire_golden`.
 //!
 //! A frame is encoded in place behind a 4-byte placeholder for its length,
-//! so the payload is written once. A response frame is then moved into a
-//! [`Page`] (`Arc<[u8]>`, one more copy of the bytes — ROADMAP item 11 takes
-//! it out): queueing, retrying, or multi-writer fan-out clone a refcount,
-//! not the result.
+//! so the payload is written once, and a response frame goes to the socket
+//! as it was written. A response whose body is a list of fixed-width
+//! records is encoded into a buffer of its exact size.
 
 use std::fmt;
 use std::io::{self, Read};
 
-use pc_pagestore::{Interval, Page, Point};
+use pc_pagestore::{Interval, Point};
 
 /// First two payload bytes of every request ("PC", little-endian).
 pub const MAGIC: u16 = 0x4350;
@@ -804,8 +803,10 @@ impl Wire for Response {
     }
 }
 
-fn encoded(message: &impl Wire, frame: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+/// `message` encoded into a buffer of `reserve` bytes, behind its length
+/// with `frame`.
+fn encoded(message: &impl Wire, frame: bool, reserve: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(reserve);
     if frame {
         out.extend_from_slice(&[0; 4]);
     }
@@ -819,13 +820,13 @@ fn encoded(message: &impl Wire, frame: bool) -> Vec<u8> {
 
 /// Encodes a request payload (no length prefix).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    encoded(req, false)
+    encoded(req, false, 64)
 }
 
 /// Encodes a full request frame: the payload, written once, behind its
 /// length.
 pub fn request_frame(req: &Request) -> Vec<u8> {
-    encoded(req, true)
+    encoded(req, true, 64)
 }
 
 /// Decodes a request payload.
@@ -833,15 +834,31 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
     decode(payload, Request::take)
 }
 
-/// Encodes a response payload (no length prefix).
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    encoded(resp, false)
+/// Bytes a response's payload takes where its body is a list of
+/// fixed-width records — its exact size — else a guess to grow from.
+fn response_bytes(resp: &Response) -> usize {
+    fn list<T: Wire>(items: &[T]) -> usize {
+        Vec::<T>::MIN_BYTES + items.len() * T::MIN_BYTES
+    }
+    Response::MIN_BYTES
+        + match &resp.body {
+            Body::Points(points) => list(points),
+            Body::Intervals(intervals) => list(intervals),
+            Body::Keys(pairs) => list(pairs),
+            _ => 64,
+        }
 }
 
-/// Encodes a full response frame (length prefix + payload, written once) and
-/// moves it into a [`Page`]; cloning the returned `Page` shares the bytes.
-pub fn response_frame(resp: &Response) -> Page {
-    Page::from(encoded(resp, true))
+/// Encodes a response payload (no length prefix).
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    encoded(resp, false, response_bytes(resp))
+}
+
+/// Encodes a full response frame: the length prefix and the payload,
+/// written once into a buffer reserved at its size, to go to the socket
+/// as it is.
+pub fn response_frame(resp: &Response) -> Vec<u8> {
+    encoded(resp, true, 4 + response_bytes(resp))
 }
 
 /// Decodes a response payload.
@@ -1205,8 +1222,7 @@ mod tests {
         assert!(read_frame(&mut cursor, MAX_FRAME).unwrap().is_none());
 
         let resp = Response { id: 11, body: Body::Intervals(vec![Interval { lo: 1, hi: 9, id: 4 }]) };
-        let page = response_frame(&resp);
-        let mut cursor = io::Cursor::new(page.as_slice().to_vec());
+        let mut cursor = io::Cursor::new(response_frame(&resp));
         let payload = read_frame(&mut cursor, MAX_FRAME).unwrap().unwrap();
         assert_eq!(decode_response(&payload).unwrap(), resp);
     }

@@ -260,15 +260,12 @@ fn fully_random_bytes_never_panic_and_rarely_decode() {
 }
 
 #[test]
-fn response_frame_shares_bytes_zero_copy() {
-    // The zero-copy satellite: a response frame is one Page; cloning it for
-    // retry/fan-out must share the allocation, not copy the result set.
-    let big = Response {
-        id: 1,
-        body: Body::Points((0..10_000).map(|i| Point { x: i, y: -i, id: i as u64 }).collect()),
-    };
+fn response_frame_is_written_once_at_its_size() {
+    // A frame goes to the socket as encoded: one buffer, reserved at the
+    // exact size of a list body, so encoding neither grows nor copies it.
+    let points = (0..10_000).map(|i| Point { x: i, y: -i, id: i as u64 }).collect();
+    let big = Response { id: 1, body: Body::Points(points) };
     let frame = pc_serve::wire::response_frame(&big);
-    let clone = frame.clone();
-    assert!(frame.ptr_eq(&clone), "cloned frame must share the same Arc allocation");
     assert_eq!(frame.len(), 4 + encode_response(&big).len());
+    assert_eq!(frame.capacity(), frame.len(), "reserved at its size");
 }
