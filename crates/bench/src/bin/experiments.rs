@@ -35,8 +35,8 @@ use pc_pst::{
 };
 use pc_segtree::{CachedSegmentTree, NaiveSegmentTree};
 use pc_workloads::{
-    gen_intervals, gen_points, gen_range_1d, gen_stabbing, gen_three_sided, gen_two_sided,
-    IntervalDist, PointDist,
+    gen_intervals, gen_points, gen_range_1d, gen_stabbing, gen_temporal, gen_three_sided,
+    gen_two_sided, IntervalDist, PointDist, TemporalOp,
 };
 
 const PAGE: usize = 4096;
@@ -770,10 +770,12 @@ fn e10_dynamic_pst() {
     println!("Claim: amortised update `O(log_B n)`; queries stay `O(log_B n + t/B)` under churn;");
     println!("space `O((n/B)·loglog B)`. Update I/O is flat in n from 100k on (≈ 3·log_B n:");
     println!("per-flush list rebuilds amortised over a buffer page). Dirty queries are E7's plus");
-    println!("the pages' `U` buffers, read as cache blocks; a corner answered from one block of");
-    println!("its lists reads no `u`, which the lists hold. `pages/(n/B)` follows the updates: an");
-    println!("inner tree rebuilt near its fullest takes more blocks than a fresh one (ROADMAP");
-    println!("6c), which the churn factor below bounds.\n");
+    println!("the pages' `U` buffers, read as cache blocks: the root page's only where a step of");
+    println!("the staircase in its tail lies in the corner, as it does in these large ones. A");
+    println!("corner answered from one block of its lists reads no `u`, which the lists hold.");
+    println!("`pages/(n/B)` follows the updates: an inner tree rebuilt near its fullest takes");
+    println!("more blocks than a fresh one (ROADMAP 6c), which the churn factor below bounds. The");
+    println!("last line replays the benchmark's `mixed_durable` pass: no corner meets a step.\n");
     let mut table = Table::new(&[
         "n",
         "B",
@@ -844,6 +846,50 @@ fn e10_dynamic_pst() {
             past_pin(format_args!("E10: the dynamic PST drifted past its pinned churn factor"));
         }
     }
+    e10_served_pass();
+}
+
+/// The served benchmark's seed of stream `stream` under `--seed seed`: its
+/// generators' inputs, as `benchmark/src/data.rs` derives them.
+fn sub_seed(seed: u64, stream: u64) -> u64 {
+    pc_rng::mix64(seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// E10's line for the served benchmark's `mixed_durable` counted pass, in
+/// process: its seed-11 points, corners (in its order) and writer stream,
+/// a burst of 16 updates before each 16 corners.
+fn e10_served_pass() {
+    let (n, seed, burst) = (500_000usize, 11, 16);
+    let raw = gen_points(n, PointDist::Uniform, sub_seed(seed, 1));
+    let store = PageStore::in_memory(PAGE);
+    let mut pst = DynamicPst::build(&store, &to_points(&raw)).unwrap();
+    let mut queries = gen_two_sided(&raw, 5_000, 16, sub_seed(seed, 10));
+    pc_rng::Rng::seed_from_u64(sub_seed(seed, 14)).shuffle(&mut queries);
+    let stream = gen_temporal(400_000, 4_096, PointDist::Uniform, n as u64, sub_seed(seed, 20));
+    let mut bursts = stream.chunks_exact(burst);
+    let (mut reads, mut classes) = (0, Classes::default());
+    for corners in queries.chunks(burst) {
+        for op in bursts.next().into_iter().flatten() {
+            match *op {
+                TemporalOp::Insert((x, y, id)) => pst.insert(&store, Point::new(x, y, id)),
+                TemporalOp::Expire((x, y, id)) => pst.delete(&store, Point::new(x, y, id)),
+            }
+            .unwrap();
+        }
+        store.reset_stats();
+        for q in corners {
+            classes.traced(|| pst.answers(&store, TwoSided { x0: q.x0, y0: q.y0 }));
+        }
+        reads += store.stats().logical_reads();
+    }
+    let by_class = classes.mean("E10", reads, &THREE_CLASSES);
+    println!(
+        "The served benchmark's `mixed_durable` pass in process (n = 500k, seed 11: {} t ≈ 16 \
+         corners, a burst of {burst} updates of its sliding-window stream before each {burst}): \
+         {} reads a query, {by_class} by class\n",
+        queries.len(),
+        f2(reads as f64 / queries.len() as f64)
+    );
 }
 
 // ---------------------------------------------------------------------------

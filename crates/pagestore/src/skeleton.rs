@@ -3,7 +3,8 @@
 //! [tail]`, each record a fixed-width [`SkelRecord`]. [`paginate`] cuts a
 //! tree into pages of connected subtrees, [`Skeleton`] allocates and
 //! writes them, [`write_page`] writes a page from zeroed bytes (so it is
-//! exactly what it encodes) and [`patch_record`] one record in place, and
+//! exactly what it encodes), [`patch_record`] one record in place and
+//! [`patch_page`] the header and tail around them, and
 //! [`for_each_skeletal_page`] walks them. [`Skeleton::place`] keeps a
 //! node's bytes in a page tail where there is room, else on a page of its
 //! own, and [`TailAt`] says where. The segment tree packs several subtrees
@@ -198,6 +199,25 @@ pub fn patch_record<R: SkelRecord>(store: &PageStore, at: NodeRef, rec: &R) -> R
     let start = R::HEADER + R::LEN * at.slot as usize;
     rec.encode(&mut PageWriter::new(&mut bytes[start..start + R::LEN]))?;
     store.write(at.page, &bytes)
+}
+
+/// Rewrites skeletal page `id` around its records, in place (one read, one
+/// write): what `header` adds to the count, and `tail` flush with the
+/// page's end, as [`write_page`] puts them; an empty `tail` leaves the
+/// page's own alone.
+pub fn patch_page<R: SkelRecord>(
+    store: &PageStore,
+    id: PageId,
+    header: impl FnOnce(&mut PageWriter<'_>) -> Result<()>,
+    tail: &[u8],
+) -> Result<()> {
+    let mut bytes = store.read(id)?.to_vec();
+    header(&mut PageWriter::new(&mut bytes[2..R::HEADER]))?;
+    let records = R::HEADER + R::LEN * usize::from(PageReader::new(&bytes).get_u16()?);
+    let start = bytes.len().checked_sub(tail.len()).filter(|&start| start >= records);
+    let start = start.expect("a page tail over the records");
+    bytes[start..].copy_from_slice(tail);
+    store.write(id, &bytes)
 }
 
 /// Groups a binary tree into skeletal pages (the paper's Figure 2):
@@ -522,6 +542,20 @@ mod tests {
             let slot_start = Rec::HEADER + Rec::LEN * last;
             assert_eq!(patched[..slot_start], page[..slot_start]);
             assert_eq!(patched[slot_start + Rec::LEN..], page[slot_start + Rec::LEN..]);
+
+            // `patch_page` rewrites the header and a tail, and an empty tail
+            // keeps the page's own; the count and the records stay.
+            let header = |v: u32| move |w: &mut PageWriter<'_>| w.put_u32(v);
+            patch_page::<Rec>(&store, id, header(0xbeef), &[0x5a; 9]).unwrap();
+            let moved = store.read(id).unwrap();
+            assert_eq!(PageReader::new(&moved[2..]).get_u32().unwrap(), 0xbeef);
+            assert_eq!(Rec::all(&moved).unwrap(), Rec::all(&patched).unwrap());
+            assert_eq!(moved[page_size - 9..], [0x5a; 9]);
+            assert_eq!(moved[Rec::HEADER..page_size - 9], patched[Rec::HEADER..page_size - 9]);
+            patch_page::<Rec>(&store, id, header(0xfeed), &[]).unwrap();
+            let kept = store.read(id).unwrap();
+            assert_eq!(PageReader::new(&kept[2..]).get_u32().unwrap(), 0xfeed);
+            assert_eq!(kept[Rec::HEADER..], moved[Rec::HEADER..]);
         }
     }
 

@@ -24,14 +24,22 @@
 //!   **inner PST is rebuilt only when `u` overflows** (`O(log B · log log
 //!   B)` per `B` updates — §5's accounting).
 //! * Queries run the static §4.1 algorithm, reading the `U` buffer of
-//!   every page they visit and, where the corner asks its inner PST (not
-//!   its lists, which hold `u`'s ops), the corner's `u`; then merge: buffered
-//!   deletes mask stale results, buffered inserts that satisfy the query
-//!   are added. Sequence stamps resolve op order across buffer levels.
-//!   The merge costs one extra I/O per visited page — `O(log_B n)` — and
-//!   can remove at most one block's worth of points per super node, which
-//!   is the paper's "for every `B log B` points we collect we can lose at
-//!   most `B`" argument.
+//!   every page they visit that may hold an op in the corner and, where
+//!   the corner asks its inner PST (not its lists, which hold `u`'s ops),
+//!   the corner's `u`; then merge: buffered deletes mask stale results,
+//!   buffered inserts that satisfy the query are added. Sequence stamps
+//!   resolve op order across buffer levels. The merge costs one extra I/O
+//!   per visited page — `O(log_B n)` — and can remove at most one block's
+//!   worth of points per super node, which is the paper's "for every
+//!   `B log B` points we collect we can lose at most `B`" argument.
+//! * The root page keeps the staircase of its `U` — the ops' maximal
+//!   points, coarsened to fit — in its tail ([`crate::staircase`]), and a
+//!   query whose corner holds no step leaves that `U` unread: an op outside
+//!   the corner neither adds to the answer nor masks one, and the query
+//!   reads the page anyway. A push rewrites the page only where the
+//!   staircase moved; a flush empties it. Pages below the root keep none:
+//!   each takes its ops a flush above at a time, so a staircase there would
+//!   cost a page write per such flush, for corners that seldom reach it.
 //!
 //! ## Substitution (documented in DESIGN.md)
 //!
@@ -68,21 +76,22 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use pc_pagestore::codec::{PageReader, PageWriter};
+use pc_pagestore::codec::PageReader;
 use pc_pagestore::layout::{fill_blocks, min_records, BlockList};
 use pc_pagestore::skeleton::{
-    for_each_skeletal_page, patch_record, write_page, NodeRef, SkelRecord,
+    for_each_skeletal_page, patch_page, patch_record, write_page, NodeRef, SkelRecord,
 };
 use pc_pagestore::{PageId, PageStore, Point, Result};
 
 use crate::build::{Kind, PstHandle};
 use crate::mem::{cmp_x, cmp_y, TwoSided, MAX_NODE_POINTS};
 use crate::region::{for_each_cache_owner, merge_tagged};
+use crate::staircase::{self, staircase, Step};
 use crate::three_sided::{ThreeSided, ThreeSidedPst};
 use crate::two_level::{
     buffer_room, build_inner, build_region_tree, decode_header, encode_header, free_pages,
     page_census, query_handle, read_buffer, region_blocks, write_buffer, ListRef, PageHeaderInfo,
-    RegionCensus, RegionRecord, UpdateRec, PAGE_HEADER,
+    RegionCensus, RegionRecord, UpdateRec,
 };
 
 /// Outcome of a page flush: either the page was rewritten in place, or
@@ -267,22 +276,37 @@ impl DynamicPst {
         parent: Option<(PageId, u16, bool)>,
     ) -> Result<()> {
         let page_size = store.page_size();
+        let budget = stairs_budget(page_size, parent);
         loop {
             let page = store.read(page_id)?;
             let mut header = decode_header(&page)?;
-            let mut buffered = if header.u_page.is_null() {
-                Vec::new()
-            } else {
-                read_buffer(store, header.u_page)?
-            };
+            let fresh = header.u_page.is_null();
+            let mut buffered = if fresh { Vec::new() } else { read_buffer(store, header.u_page)? };
             let take = buffer_room(page_size, &buffered, &ops);
+            let held = buffered.len();
             buffered.extend(ops.drain(..take));
-            if header.u_page.is_null() {
+            if fresh {
                 header.u_page = store.alloc()?;
-                write_buffer(store, header.u_page, &buffered)?;
-                patch_header(store, page_id, &header)?;
-            } else {
-                write_buffer(store, header.u_page, &buffered)?;
+            }
+            write_buffer(store, header.u_page, &buffered)?;
+            // `U`'s staircase: the page's steps with the ops `U` took, or
+            // all of `U` where the page keeps none. The page is rewritten
+            // where it moved, so that it covers `U` at every write.
+            let kept = match header.stairs {
+                true => Some(staircase::decode(staircase::tail(&page))?),
+                false => None,
+            };
+            let stairs = (budget > 0).then(|| {
+                let (steps, taken) = match &kept {
+                    Some(steps) => (&steps[..], &buffered[held..]),
+                    None => (&[][..], &buffered[..]),
+                };
+                staircase(steps.iter().copied().chain(taken.iter().map(Step::of)), budget)
+            });
+            if fresh || stairs != kept {
+                header.stairs = stairs.is_some();
+                let tail = stairs.map_or(Vec::new(), |steps| staircase::encode(&steps, page_size));
+                patch_page::<RegionRecord>(store, page_id, |w| encode_header(w, &header), &tail)?;
             }
             if !ops.is_empty() {
                 // A flush may rebuild the subtree under a fresh page; keep
@@ -435,7 +459,7 @@ impl DynamicPst {
             // flush — applied in memory or queued for forwarding — must be
             // replayed by the rebuild's gather (the U buffer was already
             // cleared above).
-            patch_header(store, page_id, &header)?;
+            patch_page::<RegionRecord>(store, page_id, |w| encode_header(w, &header), &[])?;
             let new_page = self.rebuild_subtree(store, page_id, parent, ops)?;
             return Ok(FlushOutcome::Rebuilt(new_page));
         }
@@ -455,14 +479,14 @@ impl DynamicPst {
     /// rebuilds on `u` overflow, a fresh `child_a` (`left_s`) for every
     /// region whose children's A-list (left child's S-list) has a source
     /// whose first X- (Y-) block moved — the other caches still hold exactly
-    /// what a rebuild would write — and a parent patch for the page root's
-    /// metadata.
+    /// what a rebuild would write — an empty staircase, `U` being empty, and
+    /// a parent patch for the page root's metadata.
     #[allow(clippy::too_many_arguments)]
     fn rewrite_page(
         &mut self,
         store: &PageStore,
         page_id: PageId,
-        header: PageHeaderInfo,
+        mut header: PageHeaderInfo,
         mut records: Vec<RegionRecord>,
         points: Vec<Vec<Point>>,
         touched: &[Touched],
@@ -554,7 +578,9 @@ impl DynamicPst {
             }
         }
 
-        write_page(store, page_id, |w| encode_header(w, &header), &records, &[])?;
+        header.stairs = stairs_budget(page_size, parent) > 0;
+        let tail = if header.stairs { staircase::encode(&[], page_size) } else { Vec::new() };
+        write_page(store, page_id, |w| encode_header(w, &header), &records, &tail)?;
 
         // Patch the parent's view of this page's root if it changed.
         match parent {
@@ -589,11 +615,17 @@ impl DynamicPst {
     }
 }
 
-/// Rewrites just the header of a page, preserving its records.
-fn patch_header(store: &PageStore, page_id: PageId, header: &PageHeaderInfo) -> Result<()> {
-    let mut bytes = store.read(page_id)?.to_vec();
-    encode_header(&mut PageWriter::new(&mut bytes[2..PAGE_HEADER]), header)?;
-    store.write(page_id, &bytes)
+/// Bytes of the staircase tail of the region page whose parent record is
+/// `parent`: the root page's ([`staircase::tail_len`]), which every query
+/// reads, and none below it. A page below takes its ops a flush of the page
+/// above at a time, and a staircase there would cost it a write per such
+/// flush for queries that seldom reach it (DESIGN §12).
+fn stairs_budget(page_size: usize, parent: Option<(PageId, u16, bool)>) -> usize {
+    if parent.is_none() {
+        staircase::tail_len(page_size)
+    } else {
+        0
+    }
 }
 
 /// Updates the record `(page, slot)` of the parent of a page whose root
@@ -821,7 +853,7 @@ mod tests {
     use super::*;
     use crate::build::SEntry;
     use crate::testutil::{canonical, corner_cost, in_page_paths, uniform_points, LoggedStore};
-    use pc_pagestore::layout::{chain_pages, BlockList};
+    use pc_pagestore::layout::{chain_pages, encode_block, BlockList};
     use pc_pagestore::{PageStore, NULL_PAGE};
     use pc_rng::Rng;
 
@@ -1281,6 +1313,196 @@ mod tests {
             }
             assert!(seen.iter().all(|&k| k >= 20), "{page_size} B: inner / block {seen:?}");
             assert!(past_u >= 10, "{page_size} B: {past_u} corners answered past a `u`");
+        }
+    }
+
+    /// 20-bit coordinates, the benchmark's.
+    const DOMAIN: i64 = 1 << 20;
+
+    /// A dynamic PST over `n` uniform points at 4 KiB and, beside it, the
+    /// same build left clean; then `inserts` fresh uniform points, the
+    /// oldest deleted again once 256 are live, as the served benchmark's
+    /// sliding window does. The stream stays in the root page's `U`. Returns
+    /// the two stores and structures and the live points.
+    fn dirty_and_clean(n: usize, inserts: u64) -> [(PageStore, DynamicPst, Vec<Point>); 2] {
+        let mut rng = Rng::seed_from_u64(0x57a1);
+        let points = uniform_points(&mut rng, n, DOMAIN);
+        let [dirty, clean] = [(), ()].map(|_| {
+            let store = PageStore::in_memory(4096);
+            let pst = DynamicPst::build(&store, &points).unwrap();
+            (store, pst, points.clone())
+        });
+        let (store, mut pst, mut live) = dirty;
+        let mut window = std::collections::VecDeque::new();
+        for id in 0..inserts {
+            let p = Point::new(rng.gen_range(0..DOMAIN), rng.gen_range(0..DOMAIN), n as u64 + id);
+            pst.insert(&store, p).unwrap();
+            live.push(p);
+            window.push_back(p);
+            if window.len() > 256 {
+                let gone = window.pop_front().unwrap();
+                pst.delete(&store, gone).unwrap();
+                live.retain(|q| *q != gone);
+            }
+        }
+        let census = pst.page_census(&store).unwrap();
+        assert_eq!(census.buffers, 1, "the stream stays in the root page's `U`");
+        [(store, pst, live), clean]
+    }
+
+    /// The root page's `U` and its staircase.
+    fn root_buffer(store: &PageStore, pst: &DynamicPst) -> (Vec<UpdateRec>, Vec<Step>) {
+        let page = store.read(pst.root).unwrap();
+        let header = decode_header(&page).unwrap();
+        assert!(header.stairs, "a 4 KiB root page keeps its staircase");
+        let steps = staircase::decode(staircase::tail(&page)).unwrap();
+        (read_buffer(store, header.u_page).unwrap(), steps)
+    }
+
+    /// Reads by class of `q` on `pst`, and its answer in [`canonical`] order.
+    fn counted(store: &PageStore, pst: &DynamicPst, q: TwoSided) -> ([u64; 4], Vec<Point>) {
+        let (answer, trace) = pc_obs::traced(|| pst.query(store, q).unwrap());
+        (trace.reads_by_class, canonical(answer))
+    }
+
+    /// A `Cache` read more than `reads`.
+    fn plus_a_cache_read(mut reads: [u64; 4]) -> [u64; 4] {
+        reads[pc_obs::ReadClass::Cache as usize] += 1;
+        reads
+    }
+
+    /// The staircase costs no read and hides no op: over 50k uniform
+    /// points at 4 KiB and a stream in the root page's `U`, a corner that
+    /// holds no step reads what it reads on the clean build, and a corner
+    /// on an op — which holds that op — reads `U` too, one `Cache` read
+    /// more. The benchmark's kind of corner, about 16 points, holds no op
+    /// of a few hundred and no step either.
+    #[test]
+    fn a_dirty_corner_reads_u_only_where_a_step_lies_in_it() {
+        let [(store, pst, live), (clean_store, clean, _)] = dirty_and_clean(50_000, 400);
+        let (ops, steps) = root_buffer(&store, &pst);
+        assert!(ops.len() > 400 && (2..=8).contains(&steps.len()), "{} ops, {steps:?}", ops.len());
+        let holds = |q: TwoSided, x: i64, y: i64| x >= q.x0 && y >= q.y0;
+        let want =
+            |q: TwoSided| canonical(live.iter().copied().filter(|p| q.contains(p)).collect());
+        let mut rng = Rng::seed_from_u64(0xc0);
+        let mut small = 0;
+        for _ in 0..300 {
+            let mut side = || DOMAIN - rng.gen_range(0..DOMAIN / 40);
+            let q = TwoSided { x0: side(), y0: side() };
+            let (reads, answer) = counted(&store, &pst, q);
+            assert_eq!(answer, want(q), "{q:?}");
+            assert!(!ops.iter().any(|op| holds(q, op.p.x, op.p.y)), "{q:?} holds an op");
+            assert!(!steps.iter().any(|s| holds(q, s.x, s.y)), "{q:?} holds a step");
+            assert_eq!(reads, counted(&clean_store, &clean, q).0, "{q:?}");
+            small += usize::from(answer.len() <= 64);
+        }
+        assert!(small >= 150, "{small} corners of at most 64 points");
+        for op in &ops {
+            let q = TwoSided { x0: op.p.x, y0: op.p.y };
+            let (reads, answer) = counted(&store, &pst, q);
+            assert_eq!(answer, want(q), "{q:?}");
+            assert_eq!(reads, plus_a_cache_read(counted(&clean_store, &clean, q).0), "{q:?}");
+        }
+    }
+
+    /// A page without [`staircase::STAIRS`] — one too small for a
+    /// staircase, or one written before staircases — reads its `U` as it
+    /// always did: clearing the flag of a dirty root page costs a corner
+    /// that holds no step one `Cache` read and no answer, and the next
+    /// update writes the staircase of all of `U` again. The staircase is
+    /// part of the committed page: a durable store reopened from its files
+    /// answers every corner as before, at the same reads.
+    #[test]
+    fn a_page_without_the_staircase_flag_reads_u_and_a_reopened_store_keeps_it() {
+        let [(store, mut pst, _), _] = dirty_and_clean(20_000, 300);
+        let corners: Vec<TwoSided> = (1..=16)
+            .map(|k| TwoSided { x0: DOMAIN - k * k * 2_000, y0: DOMAIN - k * k * 1_800 })
+            .collect();
+        let (_, steps) = root_buffer(&store, &pst);
+        let unread = |q: &&TwoSided| !steps.iter().any(|s| s.x >= q.x0 && s.y >= q.y0);
+        let q = *corners.iter().find(unread).expect("a corner past the staircase");
+        let (reads, answer) = counted(&store, &pst, q);
+        let mut header = decode_header(&store.read(pst.root).unwrap()).unwrap();
+        header.stairs = false;
+        patch_page::<RegionRecord>(&store, pst.root, |w| encode_header(w, &header), &[]).unwrap();
+        assert_eq!(counted(&store, &pst, q), (plus_a_cache_read(reads), answer.clone()));
+        pst.insert(&store, Point::new(0, 0, 1 << 40)).unwrap();
+        let (ops, again) = root_buffer(&store, &pst);
+        let budget = staircase::tail_len(4096);
+        assert_eq!(again, staircase(ops.iter().map(Step::of), budget), "all of `U`'s");
+        assert!(!again.iter().any(|s| s.x >= q.x0 && s.y >= q.y0), "{q:?} holds a step");
+        assert_eq!(counted(&store, &pst, q), (reads, answer));
+
+        let dir = std::env::temp_dir().join(format!("pc-pst-stairs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("dyn.db");
+        let wal = pc_pagestore::WalConfig::default();
+        let (durable, _) = PageStore::file_durable(&path, 4096, wal).unwrap();
+        let points = uniform_points(&mut Rng::seed_from_u64(3), 20_000, DOMAIN);
+        let mut pst = DynamicPst::build(&durable, &points).unwrap();
+        for id in 0..300 {
+            let mut rng = Rng::seed_from_u64(id);
+            let p = Point::new(rng.gen_range(0..DOMAIN), rng.gen_range(0..DOMAIN), 1 << 32 | id);
+            pst.insert(&durable, p).unwrap();
+        }
+        let desc = pst.descriptor();
+        durable.commit_with(&desc).unwrap();
+        let before: Vec<_> = corners.iter().map(|&q| counted(&durable, &pst, q)).collect();
+        assert!(before.iter().any(|(reads, _)| reads[pc_obs::ReadClass::Cache as usize] == 0));
+        drop((pst, durable));
+        let (durable, _) = PageStore::file_durable(&path, 4096, wal).unwrap();
+        let pst = DynamicPst::open(&durable, &desc).unwrap();
+        let after: Vec<_> = corners.iter().map(|&q| counted(&durable, &pst, q)).collect();
+        assert_eq!(after, before);
+        drop(durable);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Over random op sets — uniform, on an anti-diagonal (every op a
+    /// maximal point), at 20 and 64 bits — and byte budgets from one step's
+    /// to room for all: the staircase is strictly `x`-descending and
+    /// `y`-ascending, every op lies at or below and left of a step, the
+    /// block fits the budget, and a budget that holds every maximal point
+    /// keeps exactly those.
+    #[test]
+    fn a_coarsened_staircase_dominates_every_op_and_fits_its_budget() {
+        let mut rng = Rng::seed_from_u64(0x5ca1e);
+        let budgets = [30, 45, 47, 64, 195, 253, 4096];
+        for round in 0..200 {
+            let n = rng.gen_range(1..300usize);
+            let bits = if round % 2 == 0 { 20 } else { 63 };
+            let mut coord = || rng.gen_range(-(1i64 << (bits - 1))..1i64 << (bits - 1));
+            let ops: Vec<Step> = match round % 3 {
+                0 => (0..n).map(|_| Step { x: coord(), y: coord() }).collect(),
+                _ => {
+                    let mut xs: Vec<i64> = (0..n).map(|_| coord()).collect();
+                    xs.sort_unstable();
+                    xs.iter().rev().map(|&x| Step { x, y: -x }).collect()
+                }
+            };
+            let maximal: Vec<Step> = {
+                let mut out: Vec<Step> = ops
+                    .iter()
+                    .filter(|p| !ops.iter().any(|q| q != *p && q.x >= p.x && q.y >= p.y))
+                    .copied()
+                    .collect();
+                out.sort_unstable_by_key(|s| std::cmp::Reverse(s.x));
+                out.dedup();
+                out
+            };
+            for budget in budgets {
+                let steps = staircase(ops.iter().copied(), budget);
+                assert!(steps.windows(2).all(|w| w[0].x > w[1].x && w[0].y < w[1].y), "{steps:?}");
+                for op in &ops {
+                    assert!(steps.iter().any(|s| s.x >= op.x && s.y >= op.y), "{op:?} uncovered");
+                }
+                let bytes = encode_block(&steps, NULL_PAGE).len();
+                assert!(bytes <= budget, "{bytes} bytes over a budget of {budget}");
+                if encode_block(&maximal, NULL_PAGE).len() <= budget {
+                    assert_eq!(steps, maximal, "nothing to coarsen at {budget} bytes");
+                }
+            }
         }
     }
 

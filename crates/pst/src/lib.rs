@@ -63,6 +63,7 @@ mod mem;
 mod multilevel;
 mod query;
 mod region;
+mod staircase;
 mod three_sided;
 mod two_level;
 

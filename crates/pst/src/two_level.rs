@@ -48,6 +48,7 @@ use crate::build::{
 use crate::mem::{cmp_x, cmp_y, MemPst, NodeFill, TwoSided, NONE};
 use crate::query::run_two_sided;
 use crate::region::{for_each_block, for_each_cache_owner, merge_tagged, Walk};
+use crate::staircase::{self, STAIRS};
 
 /// Byte size of one region record.
 ///
@@ -69,8 +70,11 @@ use crate::region::{for_each_block, for_each_cache_owner, merge_tagged, Walk};
 /// static builds):
 ///
 /// ```text
-/// [count u16][pad u16][churn u32][subtree_n u64][u_page u64][pad to 24]
+/// [count u16][flags u16][churn u32][subtree_n u64][u_page u64][pad to 24]
 /// ```
+///
+/// `flags` holds [`crate::staircase::STAIRS`]: the page's tail holds the
+/// staircase of its `U`.
 pub const RECORD_LEN: usize = 8 + 8 + 10 + 10 + 2 + 2 + 2 + 1 + (18 + 8) * 2 + 18 + 16 * 2 + 8 + 8;
 pub(crate) const PAGE_HEADER: usize = 24;
 
@@ -301,6 +305,8 @@ impl SkelRecord for RegionRecord {
 /// dynamic structure's bookkeeping.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PageHeaderInfo {
+    /// The page's tail holds its `U`'s staircase ([`crate::staircase`]).
+    pub(crate) stairs: bool,
     pub(crate) churn: u32,
     pub(crate) subtree_n: u64,
     pub(crate) u_page: PageId,
@@ -308,14 +314,15 @@ pub(crate) struct PageHeaderInfo {
 
 pub(crate) fn decode_header(page: &[u8]) -> Result<PageHeaderInfo> {
     let mut r = PageReader::new(page);
-    r.skip(2 + 2)?;
+    r.skip(2)?;
+    let stairs = r.get_u16()? & STAIRS != 0;
     let (churn, subtree_n) = (r.get_u32()?, r.get_u64()?);
-    Ok(PageHeaderInfo { churn, subtree_n, u_page: PageId(r.get_u64()?) })
+    Ok(PageHeaderInfo { stairs, churn, subtree_n, u_page: PageId(r.get_u64()?) })
 }
 
 /// Writes the header's bytes after the count.
 pub(crate) fn encode_header(w: &mut PageWriter<'_>, h: &PageHeaderInfo) -> Result<()> {
-    w.put_u16(0)?;
+    w.put_u16(if h.stairs { STAIRS } else { 0 })?;
     w.put_u32(h.churn)?;
     w.put_u64(h.subtree_n)?;
     w.put_u64(h.u_page.0)?;
@@ -441,7 +448,7 @@ pub(crate) fn build_region_tree(
     };
     let header = |root: usize, w: &mut PageWriter<'_>| {
         let subtree_n = mem.nodes[root].subtree_size;
-        encode_header(w, &PageHeaderInfo { churn: 0, subtree_n, u_page: NULL_PAGE })
+        encode_header(w, &PageHeaderInfo { stairs: false, churn: 0, subtree_n, u_page: NULL_PAGE })
     };
     skel.write(store, header, |ni| {
         let node = &mem.nodes[ni];
@@ -487,9 +494,10 @@ type Sibling = (ListRef, u16, bool, NodeRef);
 
 /// Runs a 2-sided query against a region tree rooted at `root_page`,
 /// appending to `walk` (recursive across levels). Buffered updates
-/// encountered along the way (super-node `U` buffers on visited pages, the
-/// corner region's `u` buffer) are appended to `pending` for the caller to
-/// merge; static structures have no buffers, so it stays empty for them.
+/// encountered along the way (super-node `U` buffers on visited pages whose
+/// staircase meets the corner, the corner region's `u` buffer) are appended
+/// to `pending` for the caller to merge; static structures have no buffers,
+/// so it stays empty for them.
 fn run_region_query(
     walk: &mut Walk<'_>,
     pending: &mut Vec<UpdateRec>,
@@ -509,7 +517,7 @@ fn run_region_query(
     let mut cur_s: BlockList<SEntry> = BlockList::empty();
 
     let mut ctx = TlCtx { walk, pending, q };
-    load_page(ctx.walk, ctx.pending, root_page, true)?;
+    load_page(ctx.walk, ctx.pending, root_page, true, q)?;
     let mut slot = 0u16;
     loop {
         let rec = RegionRecord::at(&ctx.walk.page, slot)?;
@@ -544,7 +552,7 @@ fn run_region_query(
             anc.clear();
             sib.clear();
             (cur_a, cur_s) = (BlockList::empty(), BlockList::empty());
-            load_page(ctx.walk, ctx.pending, next.page, true)?;
+            load_page(ctx.walk, ctx.pending, next.page, true, q)?;
             continue;
         }
         anc.push(rec.x_list);
@@ -710,19 +718,24 @@ impl TwoLevelPst {
 }
 
 /// Takes skeletal page `id` in hand (one I/O, plus its `U` buffer's, whose
-/// updates go to `pending`). `on_path` marks a step of the corner path
-/// rather than of a descendant traversal.
+/// updates go to `pending`, unless the page's staircase shows no op of `U`
+/// in `q`'s corner). `on_path` marks a step of the corner path rather than
+/// of a descendant traversal.
 fn load_page(
     walk: &mut Walk<'_>,
     pending: &mut Vec<UpdateRec>,
     id: PageId,
     on_path: bool,
+    q: TwoSided,
 ) -> Result<()> {
     walk.load(id, on_path.then_some(walk.levels))?;
-    let u_page = decode_header(&walk.page)?.u_page;
-    if !u_page.is_null() {
-        pending.extend(decode_buffer(&walk.cache_page(u_page)?)?);
+    let header = decode_header(&walk.page)?;
+    if header.u_page.is_null()
+        || header.stairs && !staircase::meets(staircase::tail(&walk.page), q)?
+    {
+        return Ok(());
     }
+    pending.extend(decode_buffer(&walk.cache_page(header.u_page)?)?);
     Ok(())
 }
 
@@ -785,7 +798,7 @@ impl TlCtx<'_, '_> {
         let y0 = q.y0;
         walk.traverse(seeds, false, |&(at, _)| at.page, |walk, (at, report), below| {
             if at.page != walk.held {
-                load_page(walk, pending, at.page, false)?;
+                load_page(walk, pending, at.page, false, *q)?;
             }
             let rec = RegionRecord::at(&walk.page, at.slot)?;
             if report && walk.prefix(rec.y_list.head, |p| p.y >= y0)? < u64::from(rec.own_cnt) {

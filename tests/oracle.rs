@@ -166,8 +166,8 @@ fn routed() {
     }
 }
 
-/// A corner-rule input (`regressions::corner_*`) at the page sizes it is
-/// for: the two-level and every multilevel PST over its build and queries
+/// A corner-rule or staircase input (`regressions::corner_*`,
+/// `regressions::staircase_*`) at the page sizes it is for: the two-level and every multilevel PST over its build and queries
 /// and the dynamic PST over all of it, in process; served — the dynamic PST
 /// with every epoch read `as_of` — and routed over one shard, at 512 B.
 fn corner_regression(what: &str, case: &Case, pages: &[usize]) {
@@ -226,6 +226,24 @@ fn regression_corner_u_holds_first_block_ops() {
 fn regression_corner_at_the_inner_region_level() {
     let case = regressions::corner_at_the_inner_region_level();
     corner_regression("the inner region level", &case, &[2048, 4096]);
+}
+
+#[test]
+fn regression_staircase_ops_on_the_boundary() {
+    let case = regressions::staircase_ops_on_the_boundary();
+    corner_regression("ops on the staircase's corners", &case, &[512, 4096]);
+}
+
+#[test]
+fn regression_staircase_coarsened() {
+    let case = regressions::staircase_coarsened();
+    corner_regression("a coarsened staircase", &case, &[512, 4096]);
+}
+
+#[test]
+fn regression_staircase_delete_masks_a_static_answer() {
+    let case = regressions::staircase_delete_masks_a_static_answer();
+    corner_regression("deletes on the staircase", &case, &[512, 4096]);
 }
 
 #[test]

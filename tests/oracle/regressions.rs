@@ -44,6 +44,16 @@
 //! [`corner_at_the_inner_region_level`]. What the rule reads is held in
 //! `pc-pst` (`two_level::tests::a_corner_*`, `testutil::corner_cost`).
 //!
+//! A dynamic region page keeps the staircase of its `U` buffer — the ops'
+//! maximal points, coarsened to outer corners where they do not fit — in
+//! its tail, and a query whose corner holds no step leaves `U` unread (at
+//! 4 KiB; a 512-byte page has no room and reads `U` as before). The inputs
+//! at the staircase's edges, run by `tests/oracle.rs`' `regression_
+//! staircase_*` like the corner inputs: [`staircase_ops_on_the_boundary`],
+//! [`staircase_coarsened`] and [`staircase_delete_masks_a_static_answer`].
+//! What a staircase costs a query is held in `pc-pst`
+//! (`dynamic::tests::a_dirty_corner_*`).
+//!
 //! An interval-tree bundle rides in the tail of a skeletal page the stab
 //! reads anyway: an exit's on both its child pages. A stab exactly on an
 //! exit's boundary reads it from the left child's page and goes no further:
@@ -390,6 +400,96 @@ pub fn corner_at_the_inner_region_level() -> Case {
         let victim = live.swap_remove(rng.gen_range(0..live.len()));
         ops.extend([Op::Insert(p), Op::Delete(victim)]);
     }
+    ops.extend(queries);
+    ops.push(Op::Query(everything(Shape::TwoSided)));
+    Case { shape: Shape::TwoSided, build, ops }
+}
+
+/// Corners on, and one unit past, the point of each of `ops`: the corner
+/// is inclusive, so one exactly on an op's point holds it.
+fn around(ops: &[Point]) -> Vec<Op> {
+    let corner = |x0, y0| Op::Query(Query::Two(TwoSided { x0, y0 }));
+    let near = |p: &Point| [(p.x, p.y), (p.x + 1, p.y), (p.x, p.y + 1), (p.x - 1, p.y - 1)];
+    ops.iter().flat_map(near).map(|(x0, y0)| corner(x0, y0)).collect()
+}
+
+/// Three inserts in the top right of 2 000 points, none above and right of
+/// another, so each is a step of the root page's staircase; queries with a
+/// corner exactly on each (it holds the op: `U` is read) and one unit right
+/// of or above it (it holds none), before and after a reopen, and after 800
+/// inserts flush the root page's `U` at 4 KiB and rebuild its staircase.
+pub fn staircase_ops_on_the_boundary() -> Case {
+    let mut rng = Rng::seed_from_u64(0x57A1);
+    let build = points(&mut rng, 2_000, 0);
+    let top = 1i64 << 20;
+    let steps = [(100, 3_000), (2_000, 1_500), (3_500, 200)];
+    let ops: Vec<Point> = steps
+        .iter()
+        .zip(5_000..)
+        .map(|(&(dx, dy), id)| Point::new(top - dx, top - dy, id))
+        .collect();
+    let queries = around(&ops);
+    let mut out = queries.clone();
+    out.extend(ops.iter().map(|&p| Op::Insert(p)));
+    out.extend(queries.iter().copied());
+    out.push(Op::Reopen);
+    out.extend(queries.iter().copied());
+    out.extend(points(&mut rng, 800, 6_000).into_iter().map(Op::Insert));
+    out.extend(queries);
+    out.push(Op::Query(everything(Shape::TwoSided)));
+    Case { shape: Shape::TwoSided, build, ops: out }
+}
+
+/// Twelve inserts on an anti-diagonal through the top right of 2 000
+/// points: every one is a step, and at 4 KiB their block does not fit the
+/// page's tail, so adjacent pairs give way to their outer corners.
+/// Queries at every outer corner `(x_i, y_j)` of the twelve — each holds no
+/// op, and those the coarsening kept as steps read `U` — and on each op.
+pub fn staircase_coarsened() -> Case {
+    let mut rng = Rng::seed_from_u64(0xC0A5);
+    let build = points(&mut rng, 2_000, 0);
+    let (top, d) = (1i64 << 20, 20_000);
+    let ops: Vec<Point> = (0..12)
+        .map(|k| Point::new(top - 1_000 - k * d, top - 1_000 - (12 - k) * d, 5_000 + k as u64))
+        .collect();
+    let mut queries = around(&ops);
+    for (i, a) in ops.iter().enumerate() {
+        for b in &ops[i + 1..] {
+            queries.push(Op::Query(Query::Two(TwoSided { x0: a.x, y0: b.y })));
+        }
+    }
+    let mut out = queries.clone();
+    out.extend(ops.iter().map(|&p| Op::Insert(p)));
+    out.extend(queries.iter().copied());
+    out.push(Op::Reopen);
+    out.extend(queries);
+    out.push(Op::Query(everything(Shape::TwoSided)));
+    Case { shape: Shape::TwoSided, build, ops: out }
+}
+
+/// Deletes of the built points no other built point lies above and right
+/// of: each delete, in `U`, is a step, and masks its point, which the
+/// static structure still reports, in every corner that holds it. Queries
+/// on and around every deleted point, then the points inserted again (the
+/// later op wins) and the queries again.
+pub fn staircase_delete_masks_a_static_answer() -> Case {
+    let mut rng = Rng::seed_from_u64(0xDE1A);
+    let build = points(&mut rng, 2_000, 0);
+    let mut by_x = build.clone();
+    by_x.sort_unstable_by_key(|p| std::cmp::Reverse(p.x));
+    let mut maximal: Vec<Point> = Vec::new();
+    for p in by_x {
+        if maximal.last().is_none_or(|top| p.y > top.y) {
+            maximal.push(p);
+        }
+    }
+    let queries = around(&maximal);
+    let mut ops = queries.clone();
+    ops.extend(maximal.iter().map(|&p| Op::Delete(p)));
+    ops.extend(queries.iter().copied());
+    ops.push(Op::Reopen);
+    ops.extend(queries.iter().copied());
+    ops.extend(maximal.iter().map(|&p| Op::Insert(p)));
     ops.extend(queries);
     ops.push(Op::Query(everything(Shape::TwoSided)));
     Case { shape: Shape::TwoSided, build, ops }
