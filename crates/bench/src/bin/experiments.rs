@@ -135,12 +135,19 @@ impl Classes {
     /// are held to `reads`, the store's reads over the same queries: a read
     /// no class named fails the run, like a broken pin.
     fn mean(&self, section: &str, reads: u64, classes: &[ReadClass]) -> String {
+        self.mean_to(section, reads, classes, 2)
+    }
+
+    /// [`Classes::mean`] to `places` decimals.
+    fn mean_to(&self, section: &str, reads: u64, classes: &[ReadClass], places: usize) -> String {
         let named: u64 = self.sums.iter().sum();
         if named != reads {
             eprintln!("{section}: the reads by class sum to {named}, the store read {reads}");
             FAILED.store(true, Ordering::Relaxed);
         }
-        let mean = |class: &ReadClass| f2(self.sums[*class as usize] as f64 / self.queries as f64);
+        let mean = |class: &ReadClass| {
+            format!("{:.*}", places, self.sums[*class as usize] as f64 / self.queries as f64)
+        };
         classes.iter().map(mean).collect::<Vec<_>>().join("/")
     }
 }
@@ -659,7 +666,9 @@ fn e9_three_sided() {
     println!("the one full page). Space lands far below the `log² B` budget and, up to 100k,");
     println!("above E6's and E7's — the paper's \"slightly higher storage\" — a sawtooth in n (DESIGN.md");
     println!("§12). `c1` at t ≈ 4096 is what a query pays per node it meets, in whole blocks,");
-    println!("against few blocks of output; below 0, less than the form's `2·⌈t/B⌉`.\n");
+    println!("against few blocks of output; below 0, less than the form's `2·⌈t/B⌉`. A lower page");
+    println!("whose root has its children on it carries its entry exit's A-entries in the root's");
+    println!("route, so a corner there reads one A-run, not two (from 400k; the last line).\n");
     let mut table = Table::new(&[
         "n",
         "B",
@@ -758,6 +767,33 @@ fn e9_three_sided() {
         store.live_pages(),
         f2(reads[0]),
         f1(reads[1])
+    );
+    e9_served_pass();
+}
+
+/// E9's line for the served benchmark's 3-sided queries, in process: its
+/// seed-11 points, and the t ≈ 16 and t ≈ 4096 queries of its `point_warm`
+/// and `scan_warm` passes; pages and reads a query by class.
+fn e9_served_pass() {
+    let raw = gen_points(500_000, PointDist::Uniform, sub_seed(11, 1));
+    let store = PageStore::in_memory(PAGE);
+    let pst = ThreeSidedPst::build(&store, &to_points(&raw)).unwrap();
+    let c = pst.page_census(&store).unwrap();
+    let reads = [(6_000, 16), (1_500, 4096)].map(|(count, t)| {
+        let queries = gen_three_sided(&raw, count, t, sub_seed(11, 11));
+        let mut classes = Classes::default();
+        store.reset_stats();
+        for q in &queries {
+            let q = ThreeSided { x1: q.x1, x2: q.x2, y0: q.y0 };
+            classes.traced(|| pst.query(&store, q).unwrap());
+        }
+        classes.mean_to("E9", store.stats().logical_reads(), &ALL_CLASSES, 3)
+    });
+    println!(
+        "The served benchmark's 3-sided queries in process (n = 500k, seed 11: 6 000 at t ≈ 16, \
+         1 500 at t ≈ 4096): {}/{}/{}/{}/{} pages (skeletal/Y/A/S/directory), {} and {} reads a \
+         query (skeletal/directory/cache/node)\n",
+        c.skeletal, c.y_lists, c.a_lists, c.s_lists, c.directories, reads[0], reads[1]
     );
 }
 

@@ -193,25 +193,32 @@ pub fn write_page<R: SkelRecord>(
     })
 }
 
-/// Rewrites the one record `at` names, in place (one read, one write).
-pub fn patch_record<R: SkelRecord>(store: &PageStore, at: NodeRef, rec: &R) -> Result<()> {
-    let mut bytes = store.read(at.page)?.to_vec();
+/// Rewrites the one record `at` names, in place, over `page`: the bytes of
+/// `at.page` its caller holds (one write, no read).
+pub fn patch_record<R: SkelRecord>(
+    store: &PageStore,
+    at: NodeRef,
+    page: &[u8],
+    rec: &R,
+) -> Result<()> {
+    let mut bytes = page.to_vec();
     let start = R::HEADER + R::LEN * at.slot as usize;
     rec.encode(&mut PageWriter::new(&mut bytes[start..start + R::LEN]))?;
     store.write(at.page, &bytes)
 }
 
-/// Rewrites skeletal page `id` around its records, in place (one read, one
-/// write): what `header` adds to the count, and `tail` flush with the
-/// page's end, as [`write_page`] puts them; an empty `tail` leaves the
-/// page's own alone.
+/// Rewrites skeletal page `id` around its records, in place, over `page`:
+/// the bytes of `id` its caller holds (one write, no read). What `header`
+/// adds to the count, and `tail` flush with the page's end, as
+/// [`write_page`] puts them; an empty `tail` leaves the page's own alone.
 pub fn patch_page<R: SkelRecord>(
     store: &PageStore,
     id: PageId,
+    page: &[u8],
     header: impl FnOnce(&mut PageWriter<'_>) -> Result<()>,
     tail: &[u8],
 ) -> Result<()> {
-    let mut bytes = store.read(id)?.to_vec();
+    let mut bytes = page.to_vec();
     header(&mut PageWriter::new(&mut bytes[2..R::HEADER]))?;
     let records = R::HEADER + R::LEN * usize::from(PageReader::new(&bytes).get_u16()?);
     let start = bytes.len().checked_sub(tail.len()).filter(|&start| start >= records);
@@ -535,8 +542,11 @@ mod tests {
             let pad = |slot: usize| &page[Rec::HEADER + Rec::LEN * slot + 25..][..2];
             assert!((0..records.len()).all(|slot| pad(slot) == [0, 0]), "padding is zero");
 
+            // Both patch the bytes they are handed: neither reads the page.
             let last = records.len() - 1;
-            patch_record(&store, NodeRef { page: id, slot: last as u16 }, &rec(99)).unwrap();
+            let reads = store.stats().reads;
+            patch_record(&store, NodeRef { page: id, slot: last as u16 }, &page, &rec(99)).unwrap();
+            assert_eq!(store.stats().reads, reads, "a patch reads nothing");
             let patched = store.read(id).unwrap();
             assert_eq!(Rec::at(&patched, last as u16).unwrap(), rec(99));
             let slot_start = Rec::HEADER + Rec::LEN * last;
@@ -546,13 +556,15 @@ mod tests {
             // `patch_page` rewrites the header and a tail, and an empty tail
             // keeps the page's own; the count and the records stay.
             let header = |v: u32| move |w: &mut PageWriter<'_>| w.put_u32(v);
-            patch_page::<Rec>(&store, id, header(0xbeef), &[0x5a; 9]).unwrap();
+            let reads = store.stats().reads;
+            patch_page::<Rec>(&store, id, &patched, header(0xbeef), &[0x5a; 9]).unwrap();
+            assert_eq!(store.stats().reads, reads, "a patch reads nothing");
             let moved = store.read(id).unwrap();
             assert_eq!(PageReader::new(&moved[2..]).get_u32().unwrap(), 0xbeef);
             assert_eq!(Rec::all(&moved).unwrap(), Rec::all(&patched).unwrap());
             assert_eq!(moved[page_size - 9..], [0x5a; 9]);
             assert_eq!(moved[Rec::HEADER..page_size - 9], patched[Rec::HEADER..page_size - 9]);
-            patch_page::<Rec>(&store, id, header(0xfeed), &[]).unwrap();
+            patch_page::<Rec>(&store, id, &moved, header(0xfeed), &[]).unwrap();
             let kept = store.read(id).unwrap();
             assert_eq!(PageReader::new(&kept[2..]).get_u32().unwrap(), 0xfeed);
             assert_eq!(kept[Rec::HEADER..], moved[Rec::HEADER..]);

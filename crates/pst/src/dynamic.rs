@@ -306,7 +306,13 @@ impl DynamicPst {
             if fresh || stairs != kept {
                 header.stairs = stairs.is_some();
                 let tail = stairs.map_or(Vec::new(), |steps| staircase::encode(&steps, page_size));
-                patch_page::<RegionRecord>(store, page_id, |w| encode_header(w, &header), &tail)?;
+                patch_page::<RegionRecord>(
+                    store,
+                    page_id,
+                    &page,
+                    |w| encode_header(w, &header),
+                    &tail,
+                )?;
             }
             if !ops.is_empty() {
                 // A flush may rebuild the subtree under a fresh page; keep
@@ -459,7 +465,7 @@ impl DynamicPst {
             // flush — applied in memory or queued for forwarding — must be
             // replayed by the rebuild's gather (the U buffer was already
             // cleared above).
-            patch_page::<RegionRecord>(store, page_id, |w| encode_header(w, &header), &[])?;
+            patch_page::<RegionRecord>(store, page_id, &page, |w| encode_header(w, &header), &[])?;
             let new_page = self.rebuild_subtree(store, page_id, parent, ops)?;
             return Ok(FlushOutcome::Rebuilt(new_page));
         }
@@ -637,12 +643,13 @@ fn patch_parent(
     moved_to: Option<NodeRef>,
     child_root: &RegionRecord,
 ) -> Result<()> {
-    let mut rec = RegionRecord::at(&store.read(page)?, slot)?;
+    let bytes = store.read(page)?;
+    let mut rec = RegionRecord::at(&bytes, slot)?;
     if let Some(at) = moved_to {
         *(if is_right { &mut rec.right } else { &mut rec.left }) = at;
     }
     rec.set_child(is_right, child_root);
-    patch_record(store, NodeRef { page, slot }, &rec)
+    patch_record(store, NodeRef { page, slot }, &bytes, &rec)
 }
 
 /// The live points of the subtree rooted at `page_id`: those of the
@@ -1423,9 +1430,11 @@ mod tests {
         let unread = |q: &&TwoSided| !steps.iter().any(|s| s.x >= q.x0 && s.y >= q.y0);
         let q = *corners.iter().find(unread).expect("a corner past the staircase");
         let (reads, answer) = counted(&store, &pst, q);
-        let mut header = decode_header(&store.read(pst.root).unwrap()).unwrap();
+        let page = store.read(pst.root).unwrap();
+        let mut header = decode_header(&page).unwrap();
         header.stairs = false;
-        patch_page::<RegionRecord>(&store, pst.root, |w| encode_header(w, &header), &[]).unwrap();
+        patch_page::<RegionRecord>(&store, pst.root, &page, |w| encode_header(w, &header), &[])
+            .unwrap();
         assert_eq!(counted(&store, &pst, q), (plus_a_cache_read(reads), answer.clone()));
         pst.insert(&store, Point::new(0, 0, 1 << 40)).unwrap();
         let (ops, again) = root_buffer(&store, &pst);

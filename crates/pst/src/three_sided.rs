@@ -25,7 +25,15 @@
 //! * **One A-list, the node included.** The points of the in-page
 //!   ancestors *and of the node itself*, descending x, each tagged with its
 //!   source's in-page depth: the only place a path node's points are read
-//!   from, by either walk and by the shared prefix.
+//!   from, by either walk and by the shared prefix. A lower page whose
+//!   root has its children on it is *carrying*: the segment starts one
+//!   level down. Its root's A-list holds the root's points and the entries
+//!   of its entry exit's A-list (on the page above) whose x lies in the
+//!   root's *route* — the x-range `[lo, hi]` of the keys the splits above
+//!   send to it, closed at both ends since x-ties straddle a split — the
+//!   copies under the exit's tags, its own points one deeper; no node
+//!   below copies the root. The root page and a lower page of one record
+//!   keep the plain lists.
 //! * **Threshold-indexed S-lists over first blocks.** A sibling of a
 //!   *shared* node lies wholly outside the query band, so the S-cache must
 //!   exclude ancestors above the split. We store one S-list per possible
@@ -50,7 +58,9 @@
 //! fills breadth first — so a page
 //! is the top `h` levels under its root, in-page depth stays below `h`
 //! (≤ 4 at 4 KiB: an A-list is at most `5·m` blocks, its directory 35
-//! entries), both children of a node are on its page or both are roots of
+//! entries; a carrying root's is its own `m` and, the ancestors' shares of
+//! its route falling geometrically, about one node's worth of copies),
+//! both children of a node are on its page or both are roots of
 //! pages of their own, and a sibling the S-list names always has its
 //! record on the page in hand. The 122-byte record:
 //!
@@ -70,12 +80,20 @@
 //!    A-run; ancestors lie above `y0` entirely. Below a split whose
 //!    children share its page the left walk's run ends at `split_x` and the
 //!    right walk's starts there (a shared ancestor's entry at `split_x` is
-//!    the left walk's). Any other split runs its own A-list first.
+//!    the left walk's). At an exit into a carrying page the run covers the
+//!    band outside the root's route only, and the root reads its A-run
+//!    over the rest first thing: on the shared prefix the band lies inside
+//!    the route, so the exit reads nothing and a corner at the root reads
+//!    one run where there were two. A split whose children are roots of
+//!    pages runs its own A-list over each half no carrying child takes,
+//!    and the right half's tie at `split_x` holds on the copies.
 //! 2. **A corner reads the cheaper of two orders**: its A-run, its own
 //!    entries filtered by `y >= y0` (up to `m − 1` blocks of non-answers),
 //!    or its in-page parent's A-run (its in-page ancestors, all answers)
 //!    and its own Y-prefix filtered by x — priced exactly by the two
 //!    directories, the parent's on the page in hand; a tie keeps the run.
+//!    A carrying root prices its entry exit's run over its route's part
+//!    of the band; a corner just below it has its parent's run for free.
 //! 3. **Continuation.** The same stop drains `S_threshold`. A sibling
 //!    whose cached block qualified entirely continues in its own Y-list
 //!    *from the second block*; only a sibling whose whole Y-list qualified
@@ -383,11 +401,42 @@ impl ThreeSidedPst {
         // knowing absolute depths.
         let points_of = |ni: usize| mem.points(ni);
         let same_page = |parent, child| skel.same_page(parent, child);
+        // A lower page whose root has its children on it: the root carries
+        // its entry exit's A-entries in its route, and no node below copies
+        // it (module doc).
+        let carries =
+            |ni: usize| ni != 0 && mem.children(ni).is_some_and(|[left, _]| same_page(ni, left));
+        let mut route = vec![Route::ALL; n_nodes];
+        let mut parent = vec![NONE; n_nodes];
+        // Each node's A-list sources, `(node, tag)`, the node's own last.
+        let mut sources = vec![Vec::new(); n_nodes];
         for_each_in_segment(0, |ni| mem.children(ni), same_page, |node, _, chain| {
-            // The node's own points and its in-page ancestors', whole.
-            let sources = chain.iter().map(|step| (points_of(step.node), step.depth));
-            let own = (points_of(node), chain.len() as u16);
-            let a = merge_tagged(sources.chain([own]), cmp_x);
+            if let Some(kids) = mem.children(node) {
+                let split_x = mem.nodes[node].split.x;
+                for (child, left) in kids.into_iter().zip([true, false]) {
+                    (route[child], parent[child]) = (route[node].child(split_x, left), node);
+                }
+            }
+            // The node's own points and its in-page ancestors', whole — but
+            // a carrying root's — or a carrying root's own and its entry
+            // exit's sources, one tag deeper, where they lie in its route.
+            let carried = chain.is_empty() && carries(node);
+            let mut from: Vec<(usize, u16)> = if carried {
+                sources[parent[node]].clone()
+            } else {
+                let skip = usize::from(chain.first().is_some_and(|step| carries(step.node)));
+                chain[skip..].iter().map(|step| (step.node, step.depth)).collect()
+            };
+            let own = match from.last() {
+                Some(&(_, exit)) if carried => exit + 1,
+                _ => chain.len() as u16,
+            };
+            from.push((node, own));
+            let mut a = merge_tagged(from.iter().map(|&(ni, tag)| (points_of(ni), tag)), cmp_x);
+            if carried {
+                a.retain(|e| route[node].holds(e.p.x));
+            }
+            sources[node] = from;
             if a.is_empty() {
                 return Ok(());
             }
@@ -518,9 +567,34 @@ impl ThreeSidedPst {
         let _span = pc_obs::span!("pst3_query");
         let mut ctx = TsCtx { walk: Walk::new(store), q };
         ctx.walk.set_block_capacity();
-        let root = NodeRef { page: self.root_page, slot: 0 };
-        ctx.path(None, root, 0, Band { lo: q.x1, hi: q.x2, tie: 0 }, TailAt::None)?;
+        let root = Stop::root(NodeRef { page: self.root_page, slot: 0 }, Route::ALL);
+        ctx.path(None, root, 0, Band { lo: q.x1, hi: q.x2, tie: 0 })?;
         Ok(ctx.walk.results)
+    }
+}
+
+/// The x-range of the keys that route to a node: `[lo, hi]`, closed at both
+/// ends, since a split's x-ties lie on either side of it.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    lo: i64,
+    hi: i64,
+}
+
+impl Route {
+    const ALL: Route = Route { lo: i64::MIN, hi: i64::MAX };
+
+    /// The route of the child a split at `split_x` sends to its `left`.
+    fn child(self, split_x: i64, left: bool) -> Route {
+        if left {
+            Route { hi: split_x, ..self }
+        } else {
+            Route { lo: split_x, ..self }
+        }
+    }
+
+    fn holds(self, x: i64) -> bool {
+        self.lo <= x && x <= self.hi
     }
 }
 
@@ -534,6 +608,49 @@ struct Band {
     tie: u16,
 }
 
+impl Band {
+    /// The band's part in `route`, empty or not: the tie holds where the
+    /// low end stays.
+    fn within(self, route: Route) -> Band {
+        let tie = if self.lo >= route.lo { self.tie } else { 0 };
+        Band { lo: self.lo.max(route.lo), hi: self.hi.min(route.hi), tie }
+    }
+
+    /// The band's non-empty parts below `route` and above it: what an
+    /// exit's run reads where the page below carries the part in between.
+    fn outside(self, route: Route) -> [Option<Band>; 2] {
+        let below = route.lo.checked_sub(1).map(|hi| Route { lo: i64::MIN, hi });
+        let above = route.hi.checked_add(1).map(|lo| Route { lo, hi: i64::MAX });
+        [below, above].map(|part| part.map(|part| self.within(part)).filter(|b| b.lo <= b.hi))
+    }
+}
+
+/// A node a walk stands on: its record, the keys that route to it, and the
+/// directory its rule 2 prices against — its in-page parent's, or at a
+/// carrying page root its entry exit's.
+#[derive(Debug, Clone, Copy)]
+struct Stop {
+    at: NodeRef,
+    route: Route,
+    parent: TailAt,
+    /// At a carrying page root: the tag of its own A-entries, one past its
+    /// entry exit's in-page depth.
+    carried: Option<u16>,
+}
+
+impl Stop {
+    /// A page's root entered plainly: no parent run to price against.
+    fn root(at: NodeRef, route: Route) -> Stop {
+        Stop { at, route, parent: TailAt::None, carried: None }
+    }
+}
+
+/// True if the lower page `page`, entered through its root at `id`, is a
+/// carrying page: its root's children share it.
+fn carries(page: &Page, id: PageId) -> Result<bool> {
+    Ok(TsRecord::at(page, 0)?.left.at.page == id)
+}
+
 /// One query: the walk and the band.
 struct TsCtx<'a> {
     walk: Walk<'a>,
@@ -541,26 +658,19 @@ struct TsCtx<'a> {
 }
 
 impl TsCtx<'_> {
-    /// The directory of the record at `at` on the page in hand, reading first
-    /// the child page `next` the walk continues into (returned).
-    fn read_dir(
-        &mut self,
-        rec: &TsRecord,
-        at: NodeRef,
-        next: Option<PageId>,
-    ) -> Result<(NodeDir, Option<Page>)> {
-        let ahead = next.map(|id| self.walk.fetch(id)).transpose()?;
-        let page = self.walk.page.clone();
-        let dir = NodeDir::find(rec, at, &page, ahead.as_ref(), |id| self.walk.directory_page(id))?;
-        Ok((dir, ahead))
+    /// The directory of the record at `at` on the page in hand, or on
+    /// `ahead`, a page of its children already read.
+    fn dir(&self, rec: &TsRecord, at: NodeRef, ahead: Option<&Page>) -> Result<NodeDir> {
+        NodeDir::find(rec, at, &self.walk.page, ahead, |id| self.walk.directory_page(id))
     }
 
     /// Scans the run of an A-list over `band`: directory-jump to the first
     /// block containing `x <= hi`, then scan while `x >= lo`. The entries
-    /// of the source at depth `corner`, the one node on the path that
+    /// of the source tagged `corner`, the one node on the path that
     /// reaches below `y0`, are filtered by `y >= y0`.
     fn a_run(&mut self, dir: &NodeDir, band: Band, corner: Option<u16>) -> Result<()> {
         let y0 = self.q.y0;
+        debug_assert!(band.lo <= band.hi, "a run over an empty band: {band:?}");
         let Some(&(_, start)) = dir.a.iter().find(|&&(bx, _)| bx <= band.hi) else {
             return Ok(());
         };
@@ -578,21 +688,23 @@ impl TsCtx<'_> {
         })
     }
 
-    /// Reports a corner's in-page ancestors and own points in `band`, in the
-    /// cheaper order (rule 2); `parent` is its in-page parent's directory.
+    /// Reports a corner's ancestors and own points in `band`, in the
+    /// cheaper order (rule 2); `parent` is the directory of its in-page
+    /// parent or, at a carrying root, of its entry exit, and `tag` its own
+    /// entries' tag.
     fn corner(
         &mut self,
         rec: &TsRecord,
         dir: &NodeDir,
         parent: TailAt,
-        depth: u16,
+        tag: u16,
         band: Band,
     ) -> Result<()> {
         let y0 = self.q.y0;
         let ancestors = match parent {
             TailAt::None => NodeDir::default(),
             TailAt::Inline(_) => NodeDir::decode(parent.bytes(&self.walk.page)?)?,
-            TailAt::Page(_) => return self.a_run(dir, band, Some(depth)),
+            TailAt::Page(_) => return self.a_run(dir, band, Some(tag)),
         };
         // Blocks read: a run from the first block whose last x is at most
         // `hi` through the first whose last x is below `lo`, a Y-prefix
@@ -604,7 +716,7 @@ impl TsCtx<'_> {
         };
         let prefix = dir.y.iter().position(|&y| y < y0).map_or(dir.y.len(), |last| last + 1);
         if run(&ancestors) + prefix >= run(dir) {
-            return self.a_run(dir, band, Some(depth));
+            return self.a_run(dir, band, Some(tag));
         }
         self.a_run(&ancestors, band, None)?;
         let Band { lo, hi, .. } = band;
@@ -612,38 +724,84 @@ impl TsCtx<'_> {
         Ok(())
     }
 
-    /// Below the split node `rec`, at `at` and in-page depth `depth`: walks
-    /// each boundary that has anything below it (rule 1).
-    fn split(&mut self, rec: &TsRecord, at: NodeRef, depth: u16) -> Result<()> {
-        let (q, children) = (self.q, [rec.left, rec.right]);
+    /// Below the split node `rec` at `stop` and in-page depth `depth`, whose
+    /// own run is `read` already (a carrying root's): walks each boundary
+    /// that has anything below it (rule 1).
+    fn split(&mut self, rec: &TsRecord, stop: Stop, depth: u16, read: bool) -> Result<()> {
+        let (q, at, children) = (self.q, stop.at, [rec.left, rec.right]);
         let walks = children.map(|c| c.reaches(q.y0));
-        let same_page = rec.left.at.page == at.page;
-        let split_page = self.walk.page.clone();
-        let (threshold, parent) = if same_page { (depth + 1, rec.dir) } else { (0, TailAt::None) };
-        let mut halves = [Band { lo: q.x1, hi: q.x2, tie: 0 }; 2];
-        if !same_page || walks == [false, false] {
-            // The split's page ends here: its run over the whole band, from
-            // the directory on the page the first walk continues into.
-            let first = children.into_iter().zip(walks).find_map(|(c, w)| w.then_some(c.at.page));
-            let (dir, ahead) = self.read_dir(rec, at, first)?;
-            self.a_run(&dir, halves[0], None)?;
-            if let (Some(id), Some(page)) = (first, ahead) {
-                self.walk.hold(id, page);
+        let band = Band { lo: q.x1, hi: q.x2, tie: 0 };
+        let right = Band { lo: rec.split_x, tie: depth + 1, ..band };
+        let halves = [Band { hi: rec.split_x, ..band }, right];
+        let routes = [true, false].map(|left| stop.route.child(rec.split_x, left));
+        if rec.left.at.page != at.page {
+            return self.split_off_page(rec, at, depth, walks, halves, routes);
+        }
+        // The split's page goes on below it: a walk reports the split and
+        // its ancestors from its A-lists, each walk its half.
+        let parent = if read { TailAt::None } else { rec.dir };
+        let child = |i: usize| Stop { at: children[i].at, route: routes[i], parent, carried: None };
+        match walks {
+            [false, false] if !read => {
+                let dir = self.dir(rec, at, None)?;
+                self.a_run(&dir, band, None)
             }
-        } else if walks == [true, true] {
-            // The split's page goes on below it: each walk reports its half.
-            halves[0].hi = rec.split_x;
-            halves[1] = Band { lo: rec.split_x, hi: q.x2, tie: threshold };
-        }
-        if walks[0] {
-            self.path(Some(true), rec.left.at, threshold, halves[0], parent)?;
-        }
-        if walks[1] {
-            if walks[0] {
+            [false, false] => Ok(()),
+            [true, true] => {
+                let split_page = self.walk.page.clone();
+                self.path(Some(true), child(0), depth + 1, halves[0])?;
                 // The left walk may have left another page in hand.
                 self.walk.hold(at.page, split_page);
+                self.path(Some(false), child(1), depth + 1, halves[1])
             }
-            self.path(Some(false), rec.right.at, threshold, halves[1], parent)?;
+            [left, _] => {
+                let i = usize::from(!left);
+                self.path(Some(left), child(i), depth + 1, band)
+            }
+        }
+    }
+
+    /// A split whose children are roots of pages of their own: reads each
+    /// walking child's page ahead, then the split's run over every half no
+    /// carrying child takes, from the directory on one of those pages.
+    fn split_off_page(
+        &mut self,
+        rec: &TsRecord,
+        at: NodeRef,
+        depth: u16,
+        walks: [bool; 2],
+        halves: [Band; 2],
+        routes: [Route; 2],
+    ) -> Result<()> {
+        let children = [rec.left, rec.right];
+        let (mut pages, mut carry) = ([None, None], [false; 2]);
+        for i in 0..2 {
+            if walks[i] {
+                let page = self.walk.fetch(children[i].at.page)?;
+                carry[i] = carries(&page, children[i].at.page)?;
+                pages[i] = Some(page);
+            }
+        }
+        let run = match carry {
+            [false, false] => Some(Band { hi: halves[1].hi, ..halves[0] }),
+            [false, true] => Some(halves[0]),
+            [true, false] => Some(halves[1]),
+            [true, true] => None,
+        };
+        if let Some(run) = run {
+            let dir = self.dir(rec, at, pages.iter().flatten().next())?;
+            self.a_run(&dir, run, None)?;
+        }
+        for (i, page) in pages.into_iter().enumerate() {
+            let Some(page) = page else { continue };
+            self.walk.hold(children[i].at.page, page);
+            let below = Stop::root(children[i].at, routes[i]);
+            let stop = match carry[i] {
+                true => Stop { parent: rec.dir, carried: Some(depth + 1), ..below },
+                false => below,
+            };
+            let half = if carry[i] { halves[i] } else { Band { tie: 0, ..halves[i] } };
+            self.path(Some(i == 0), stop, 0, half)?;
         }
         Ok(())
     }
@@ -708,69 +866,98 @@ impl TsCtx<'_> {
         })
     }
 
-    /// Walks a root path from the record at `start`: the shared prefix
-    /// (`side` `None`) down to the split, or a boundary below it —
-    /// `Some(true)` the `x1` boundary, whose right siblings are inside the
-    /// band, `Some(false)` its mirror. On the split's page (in hand if
-    /// `start` is on it) a boundary walk starts at in-page depth
-    /// `threshold`, below the split whose directory is `parent`, drains
+    /// Walks a root path from `stop`: the shared prefix (`side` `None`)
+    /// down to the split, or a boundary below it — `Some(true)` the `x1`
+    /// boundary, whose right siblings are inside the band, `Some(false)`
+    /// its mirror. On the split's page (in hand if `stop` is on it) a
+    /// boundary walk starts at in-page depth `threshold`, drains
     /// `S_threshold` and reports its half of `band`; from the next page on,
-    /// threshold and tie are 0.
+    /// threshold and tie are 0 (but for a carrying root's copies).
     fn path(
         &mut self,
         side: Option<bool>,
-        start: NodeRef,
+        mut stop: Stop,
         mut threshold: u16,
         mut band: Band,
-        mut parent: TailAt,
     ) -> Result<()> {
         let q = self.q;
-        let mut at = start;
-        if at.page != self.walk.held {
-            self.walk.load(at.page, Some(self.walk.levels))?;
+        if stop.at.page != self.walk.held {
+            self.walk.load(stop.at.page, Some(self.walk.levels))?;
         }
         // Slot of the inside sibling recorded at each in-page depth so far,
         // matching the build-time S tags; `sib.len()` is the walk's depth.
         let mut sib: Vec<Option<u16>> = vec![None; threshold as usize];
         loop {
+            let at = stop.at;
             let rec = TsRecord::at(&self.walk.page, at.slot)?;
+            // A carrying root reads the band's part in its route from its
+            // own A-list first: as the corner, in the cheaper order.
+            let own = stop.carried.map(|tag| (tag, band.within(stop.route)));
             if rec.is_corner(q.y0) {
-                let (dir, _) = self.read_dir(&rec, at, None)?;
-                self.corner(&rec, &dir, parent, sib.len() as u16, band)?;
+                let dir = self.dir(&rec, at, None)?;
+                let (tag, band) = own.unwrap_or((sib.len() as u16, band));
+                self.corner(&rec, &dir, stop.parent, tag, band)?;
                 let inside = self.drain_s(side, &dir, threshold, &sib)?;
                 return self.traverse(inside);
             }
+            if let Some((_, own)) = own {
+                let dir = self.dir(&rec, at, None)?;
+                self.a_run(&dir, own, None)?;
+                band.tie = 0;
+            }
+            let read = own.is_some();
             // Route by this walk's boundary, by both up to the split
             // (routing keys qx1 = (x1, -inf, -inf), qx2 = (x2, +inf, +inf)).
             // The inside sibling is the right child on the left path when
             // going left, the left child on the right path when going right.
             let (left1, left2) = (q.x1 <= rec.split_x, q.x2 < rec.split_x);
             let go_left = match side {
-                None if left1 != left2 => return self.split(&rec, at, sib.len() as u16),
+                None if left1 != left2 => return self.split(&rec, stop, sib.len() as u16, read),
                 Some(false) => left2,
                 _ => left1,
             };
             let (next, other) = if go_left { (rec.left, rec.right) } else { (rec.right, rec.left) };
             let inside_sib = (side == Some(go_left) && other.cnt > 0).then_some(other);
             let reaches = next.reaches(q.y0);
+            let route = stop.route.child(rec.split_x, go_left);
             if reaches && next.at.page == at.page {
                 sib.push(inside_sib.map(|s| s.at.slot));
-                (at, parent) = (next.at, rec.dir);
+                let parent = if read { TailAt::None } else { rec.dir };
+                stop = Stop { at: next.at, route, parent, carried: None };
                 continue;
             }
             // Exit: settle this page, from the directory on the page the
             // walk continues into — read first, and held across the
             // traversal below, which may take other pages in hand. The
-            // exit's inside sibling belongs to no S-list below it.
-            let (dir, ahead) = self.read_dir(&rec, at, reaches.then_some(next.at.page))?;
-            self.a_run(&dir, band, None)?;
+            // exit's inside sibling belongs to no S-list below it; a
+            // carrying page below reports the band's part in its route.
+            let ahead = reaches.then(|| self.walk.fetch(next.at.page)).transpose()?;
+            let carry = ahead.as_ref().map_or(Ok(false), |page| carries(page, next.at.page))?;
+            let runs = match (read, carry) {
+                (true, _) => [None, None],
+                (false, true) => band.outside(route),
+                (false, false) => [Some(band), None],
+            };
+            let mut dir = NodeDir::default();
+            if !read && (side.is_some() || runs.iter().any(Option::is_some)) {
+                dir = self.dir(&rec, at, ahead.as_ref())?;
+            }
+            for run in runs.into_iter().flatten() {
+                self.a_run(&dir, run, None)?;
+            }
             let mut inside = self.drain_s(side, &dir, threshold, &sib)?;
             inside.extend(inside_sib.filter(|s| s.reaches(q.y0)));
             self.traverse(inside)?;
             let Some(page) = ahead else { return Ok(()) };
             self.walk.hold(next.at.page, page);
+            let (parent, carried) = match carry {
+                true => (rec.dir, Some(sib.len() as u16 + 1)),
+                false => (TailAt::None, None),
+            };
             sib.clear();
-            (threshold, band.tie, parent, at) = (0, 0, TailAt::None, next.at);
+            threshold = 0;
+            band.tie = if carry { band.tie } else { 0 };
+            stop = Stop { at: next.at, route, parent, carried };
         }
     }
 }
@@ -975,7 +1162,11 @@ mod tests {
 
     impl Built {
         fn new(points: Vec<Point>) -> Built {
-            let logged = LoggedStore::new(PAGE);
+            Built::at(points, PAGE)
+        }
+
+        fn at(points: Vec<Point>, page_size: usize) -> Built {
+            let logged = LoggedStore::new(page_size);
             let pst = ThreeSidedPst::build(&logged.store, &points).unwrap();
             Built { points, logged, pst }
         }
@@ -1037,7 +1228,7 @@ mod tests {
             let want = canonical(self.points.iter().copied().filter(|p| q.contains(p)).collect());
             assert_eq!(canonical(res), want, "{q:?}");
             // Theorem 3.3 at the guaranteed B.
-            let b = min_records::<Point>(PAGE);
+            let b = min_records::<Point>(self.store().page_size());
             let levels = (self.points.len() as f64).log(b as f64).ceil();
             let allowed = 6.0 * levels + 2.0 * want.len().div_ceil(b) as f64;
             assert!(total as f64 <= allowed, "{q:?}: {c:?}, allowed {allowed}");
@@ -1191,47 +1382,104 @@ mod tests {
         assert_eq!(open.0, closed.0, "the same skeletal pages");
     }
 
+    /// At 512 B × 20k and 1 KiB × 50k, whose lower pages hold three and
+    /// seven records: a shared-prefix query whose corner is a lower page's
+    /// carrying root reads one A-run per lower page on its path, each the
+    /// page root's — one in all where the corner's page is below the root
+    /// page, where the exit's run and the corner's were two. The A-lists
+    /// take fewer blocks than when every page started its lists anew: 442
+    /// and 650 then.
+    #[test]
+    fn a_corner_at_a_carrying_root_reads_one_run_a_lower_page() {
+        for (page_size, n, a_lists) in [(512, 20_000, 344), (1024, 50_000, 529)] {
+            let points = uniform_points(&mut Rng::seed_from_u64(0x3b3b), n, 1_000_000);
+            let built = Built::at(points, page_size);
+            assert_eq!(built.census().a_lists, a_lists, "{page_size} B");
+            let nodes = built.nodes();
+            let record = |at: NodeRef| &nodes.iter().find(|(node, _)| *node == at).unwrap().1;
+            // Each A-list block's owner and place in its chain.
+            let mut a_blocks = std::collections::HashMap::new();
+            for (at, rec) in &nodes {
+                let pages = rec.a_list.block_pages(built.store()).unwrap();
+                a_blocks.extend(pages.into_iter().enumerate().map(|(i, page)| (page, (*at, i))));
+            }
+            let lower = |at: &NodeRef| at.slot == 0 && at.page != built.pst.root_page;
+            let mut one_run = 0;
+            let carrying = nodes.iter().filter(|(at, r)| lower(at) && r.left.at.page == at.page);
+            for (at, rec) in carrying {
+                // A band inside the root's own xs, down to its median y.
+                let points = rec.y_list.read_all(built.store()).unwrap();
+                let mut xs: Vec<i64> = points.iter().map(|p| p.x).collect();
+                xs.sort_unstable();
+                let (x1, x2) = (xs[xs.len() / 3], xs[xs.len() / 3 + 8]);
+                let y0 = points[points.len() / 2].y;
+                // The lower pages' roots on the path, top down.
+                let mut roots = vec![];
+                let mut node = NodeRef { page: built.pst.root_page, slot: 0 };
+                while node != *at {
+                    let rec = record(node);
+                    node = if x1 <= rec.split_x { rec.left.at } else { rec.right.at };
+                    roots.extend(lower(&node).then_some(node));
+                }
+                let ((_, _, cache, _), log) = built.logged_reads(x1, x2, y0);
+                let run: Vec<(NodeRef, usize)> =
+                    log.iter().filter_map(|page| a_blocks.get(page).copied()).collect();
+                assert_eq!(run.len() as u64, cache, "every cache read an A-block: {run:?}");
+                let mut owners: Vec<NodeRef> = run.iter().map(|&(owner, _)| owner).collect();
+                owners.dedup();
+                let runs = run.windows(2).filter(|w| w[0].0 != w[1].0 || w[1].1 != w[0].1 + 1);
+                assert_eq!(runs.count() + 1, owners.len(), "[{x1}, {x2}] from {y0}: {run:?}");
+                assert_eq!(owners, roots, "[{x1}, {x2}] from {y0}");
+                one_run += usize::from(roots.len() == 1);
+            }
+            assert!(one_run >= 4, "{one_run} carrying roots below the root page at {page_size} B");
+        }
+    }
+
     #[test]
     fn a_corner_reads_the_cheaper_of_its_two_orders() {
-        // Bands inside the leftmost leaf's xs end at the leaf (the corner):
-        // it reads its A-run over parent and leaf, or its in-page parent's
-        // run and its own Y-prefix filtered by x — priced by the two
-        // directories; a tie keeps the run.
+        // Bands inside a node's own xs end at it (the corner): it reads its
+        // A-run, or its in-page parent's run and its own Y-prefix filtered
+        // by x — priced by the two directories; a tie keeps the run. On a
+        // lower page whose root carries, that root's run is read on the way
+        // down: a corner just below it pays nothing for its parent's run.
         let pst = four_levels();
         let nodes = pst.nodes();
-        let (leaf_at, leaf) =
-            nodes.iter().find(|(_, rec)| rec.left.at.page.is_null()).cloned().unwrap();
-        let (parent_at, parent) = nodes
-            .iter()
-            .find(|(_, rec)| rec.left.at == leaf_at)
-            .cloned()
-            .expect("the leaf's parent");
-        assert_eq!(parent_at.page, leaf_at.page);
-        let (leaf_dir, parent_dir) = (pst.dir(leaf_at, &leaf), pst.dir(parent_at, &parent));
+        let record = |at: NodeRef| nodes.iter().find(|(node, _)| *node == at).unwrap().1.clone();
+        let root = &nodes[0].1;
+        let leaf_at = nodes.iter().find(|(_, rec)| rec.left.at.page.is_null()).unwrap().0;
+        let carrying = nodes.iter().find(|(_, rec)| rec.left.at == leaf_at).unwrap();
+        assert_eq!((carrying.0.slot, carrying.0.page), (0, leaf_at.page), "a carrying root");
+        // (corner, its depth, the parent's directory where its run is paid)
+        let cases = [(root.left.at, 1, Some(pst.dir(nodes[0].0, root))), (leaf_at, 3, None)];
         let ends = |dir: &NodeDir| dir.a.iter().map(|&(x, _)| x).collect::<Vec<i64>>();
-        let points = leaf.y_list.read_all(pst.store()).unwrap();
-        let mut xs: Vec<i64> = points.iter().map(|p| p.x).collect();
-        xs.sort_unstable();
-        let n = xs.len();
-        let mut won = [false; 2];
-        for (from, to, k) in
-            [(0, n - 2, 0), (0, n - 2, n / 2), (0, n - 2, n - 5), (n / 5, n / 5 + 4, n - 1)]
-        {
-            let (x1, x2, y0) = (xs[from], xs[to], layer_y(3, k));
-            let closed = pst.reads(x1, x2, layer_y(3, 0) + 1);
-            let run = run_cost(&ends(&leaf_dir), x1, x2);
-            let parent_run = run_cost(&ends(&parent_dir), x1, x2);
-            let prefix =
-                leaf_dir.y.iter().position(|&y| y < y0).map_or(leaf_dir.y.len(), |i| i + 1);
-            let by_prefix = parent_run + (prefix as u64) < run;
-            won[usize::from(by_prefix)] = true;
-            let got = pst.reads(x1, x2, y0);
-            assert_eq!(got.0, closed.0, "[{x1}, {x2}] from {y0}");
-            let want = if by_prefix { (parent_run, prefix as u64) } else { (run, 0) };
-            // The caches the closed walk drained besides the parent's run.
-            assert_eq!((got.2 - (closed.2 - parent_run), got.3), want, "[{x1}, {x2}] from {y0}");
+        for (at, depth, parent_dir) in cases {
+            let rec = record(at);
+            let dir = pst.dir(at, &rec);
+            let points = rec.y_list.read_all(pst.store()).unwrap();
+            let mut xs: Vec<i64> = points.iter().map(|p| p.x).collect();
+            xs.sort_unstable();
+            let n = xs.len();
+            let mut won = [false; 2];
+            for (from, to, k) in
+                [(0, n - 2, 0), (0, n - 2, n / 2), (0, n - 2, n - 5), (n / 5, n / 5 + 4, n - 1)]
+            {
+                let (x1, x2, y0) = (xs[from], xs[to], layer_y(depth, k));
+                let closed = pst.reads(x1, x2, layer_y(depth, 0) + 1);
+                let run = run_cost(&ends(&dir), x1, x2);
+                let parent_run = parent_dir.as_ref().map_or(0, |p| run_cost(&ends(p), x1, x2));
+                let prefix = dir.y.iter().position(|&y| y < y0).map_or(dir.y.len(), |i| i + 1);
+                let by_prefix = parent_run + (prefix as u64) < run;
+                won[usize::from(by_prefix)] = true;
+                let got = pst.reads(x1, x2, y0);
+                assert_eq!(got.0, closed.0, "[{x1}, {x2}] from {y0}");
+                let want = if by_prefix { (parent_run, prefix as u64) } else { (run, 0) };
+                // The caches the closed walk drained besides the parent's run.
+                let own = got.2 - (closed.2 - parent_run);
+                assert_eq!((own, got.3), want, "depth {depth}: [{x1}, {x2}] from {y0}");
+            }
+            assert_eq!(won, [true, true], "each order wins once at depth {depth}");
         }
-        assert_eq!(won, [true, true], "each order wins once");
     }
 
     /// The half rule at x-ties: a split at `x = X` whose children share its
@@ -1301,14 +1549,16 @@ mod tests {
     }
 
     /// A node's Y-list is its points in whole blocks; its A-list copies the
-    /// in-page ancestors and the node itself, one directory entry per
+    /// in-page ancestors and the node itself — on a lower page, those below
+    /// the page's root, and that root, where its children share its page,
+    /// its entry exit's A-entries in its route — one directory entry per
     /// block; `S_j` copies the first blocks of the siblings at in-page
     /// depth `>= j`; every id a record keeps of another node's pages is
     /// that node's; the census's directory pages are the directories that
     /// spilled. And the free-walk returns every page of it.
     #[test]
     fn caches_are_whole_blocks_and_free_returns_every_page() {
-        for (page_size, n) in [(512, 6_000), (4096, 200_000)] {
+        for (page_size, n) in [(512, 6_000), (1024, 50_000), (4096, 200_000)] {
             let mut rng = Rng::seed_from_u64(0x3b3b);
             let pts = uniform_points(&mut rng, n, 1_000_000);
             let store = PageStore::in_memory(page_size);
@@ -1317,12 +1567,13 @@ mod tests {
             let decode = |at: NodeRef| {
                 TsRecord::at(&store.read(at.page).unwrap(), at.slot).unwrap()
             };
-            // (node, in-page ancestors: their points, per in-page ancestor:
-            // (right, left) sibling's cached count)
+            // (node, its route, what its A-list copies of others: (points,
+            // source blocks), per in-page ancestor: (right, left) sibling's
+            // cached count)
             let root = NodeRef { page: pst.root_page, slot: 0 };
-            let mut stack = vec![(root, (0usize, 0usize), Vec::<(usize, usize)>::new())];
-            let (mut deepest, mut second_blocks, mut spilled) = (0, 0, 0);
-            while let Some((at, above, sibs)) = stack.pop() {
+            let mut stack = vec![(root, Route::ALL, (0, 0), Vec::<(usize, usize)>::new())];
+            let (mut deepest, mut second_blocks, mut spilled, mut carrying) = (0, 0, 0, 0);
+            while let Some((at, route, above, sibs)) = stack.pop() {
                 let rec = decode(at);
                 let cnt = rec.y_list.len() as usize;
                 deepest = deepest.max(sibs.len());
@@ -1357,10 +1608,14 @@ mod tests {
                 }
                 assert!(y_sizes.len() >= blocks - 1, "a node with children is about full");
                 assert_eq!(rec.left.at.page == at.page, rec.right.at.page == at.page);
+                // No node on a lower page copies the page's root.
+                let root_of_lower = at.slot == 0 && at.page != pst.root_page;
+                carrying += usize::from(root_of_lower && rec.left.at.page == at.page);
                 for (child, other, went_left) in
                     [(rec.left, rec.right, true), (rec.right, rec.left, false)]
                 {
                     let child_rec = decode(child.at);
+                    let route = route.child(rec.split_x, went_left);
                     assert_eq!(child.y_head, child_rec.y_list.head());
                     assert_eq!(u64::from(child.cnt), child_rec.y_list.len());
                     assert_eq!(child.leaf, child_rec.left.at.page.is_null());
@@ -1371,16 +1626,35 @@ mod tests {
                     }
                     if child.at.page != at.page {
                         assert_eq!(child.at.slot, 0, "a page is entered through its root");
-                        stack.push((child.at, (0, 0), Vec::new()));
+                        // A root with its children on its page copies this
+                        // node's A-entries in its route.
+                        let mut copies = (0, 0);
+                        for block in rec.a_list.blocks(&store).filter(|_| !child.leaf) {
+                            let entries = block.unwrap();
+                            let held = entries.iter().filter(|e| route.holds(e.p.x)).count();
+                            copies = (copies.0 + held, copies.1 + usize::from(held > 0));
+                        }
+                        stack.push((child.at, route, copies, Vec::new()));
                         continue;
                     }
                     let mut sibs = sibs.clone();
                     let cached = usize::from(decode(other.at).y_first) * usize::from(other.cnt > 0);
                     sibs.push(if went_left { (cached, 0) } else { (0, cached) });
-                    stack.push((child.at, (above.0 + cnt, above.1 + y_sizes.len()), sibs));
+                    let above = match root_of_lower {
+                        true => (0, 0),
+                        false => (above.0 + cnt, above.1 + y_sizes.len()),
+                    };
+                    stack.push((child.at, route, above, sibs));
                 }
             }
             assert_eq!(deepest, skeletal_capacity(page_size).ilog2() as usize);
+            // At 4 KiB the pages below the root's are one-record leaves.
+            let want = match page_size {
+                512 => 4,
+                1024 => 8,
+                _ => 0,
+            };
+            assert_eq!(carrying, want, "carrying pages");
             assert!(second_blocks >= 10, "only {second_blocks} Y-lists of two blocks or more");
             assert_eq!(pst.page_census(&store).unwrap().directories, spilled);
             if page_size == 4096 {

@@ -255,6 +255,37 @@ fn regression_stabs_on_exit_boundaries() {
     }
 }
 
+/// A carried-run input (`regressions::carried_*`) over the 3-sided PST in
+/// process at 512 B and 4 KiB.
+fn carried_regression(what: &str, case: impl Fn(usize) -> Case) {
+    for page_size in [512, 4096] {
+        in_process::<ThreeSidedPst>(page_size, &case(page_size))
+            .unwrap_or_else(|e| panic!("{what} at {page_size} B: {e}"));
+    }
+}
+
+#[test]
+fn regression_carried_ties_on_route_edges() {
+    let case = regressions::carried_ties_on_route_edges;
+    carried_regression("x-ties on a carrying root's route edge", case);
+}
+
+#[test]
+fn regression_carried_boundary_walks() {
+    carried_regression("boundary walks into carrying pages", regressions::carried_boundary_walks);
+}
+
+#[test]
+fn regression_carried_one_record_pages() {
+    carried_regression("one-record lower pages", regressions::carried_one_record_pages);
+}
+
+#[test]
+fn regression_carried_corners_below_the_root() {
+    let case = regressions::carried_corners_below_the_root;
+    carried_regression("corners at and below a carrying root", case);
+}
+
 #[test]
 fn regression_x_tie_deletes() {
     let case = regressions::x_tie_deletes();

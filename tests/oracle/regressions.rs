@@ -59,6 +59,17 @@
 //! exit's boundary reads it from the left child's page and goes no further:
 //! [`stabs_on_exit_boundaries`]. What the cut-overs read is held in
 //! `pc-intervaltree` (`query::tests::an_exit_bundle_*`, `a_leaf_bundle_*`).
+//!
+//! A 3-sided PST's lower skeletal page whose root has its children on it
+//! carries, in the root's A-list, its entry exit's A-entries in the root's
+//! route; no node below the root copies it, and the exit's run reads only
+//! the band outside that route. The inputs at the rule's edges, each over
+//! [`two_widths`] records whose lower pages are of one record on one side
+//! and carrying on the other, run by `tests/oracle.rs`' `regression_
+//! carried_*` at 512 B and 4 KiB: [`carried_ties_on_route_edges`],
+//! [`carried_boundary_walks`], [`carried_one_record_pages`] and
+//! [`carried_corners_below_the_root`]. What the rule reads is held in
+//! `pc-pst` (`three_sided::tests::a_corner_at_a_carrying_root_*`).
 
 use std::collections::HashSet;
 
@@ -518,4 +529,131 @@ pub fn stabs_on_exit_boundaries() -> Case {
     }
     let stabs = endpoints.into_iter().map(|q| Op::Query(Query::Stab(q)));
     Case { shape: Shape::Stab, build, ops: stabs.collect() }
+}
+
+/// `n` records, half of 20-bit x and id, half of x and id past `2^40` and
+/// `2^62`, every y 64-bit: the narrow half's nodes hold about twice the
+/// records, so its subtrees end a level higher. At 512 B (2 000 records)
+/// and 4 KiB (80 000) the pages below the root's are then one-record leaves
+/// on the narrow side and carrying pages of three records on the wide one.
+/// With `xs`, every x is one of `xs` values a side.
+pub fn two_widths(rng: &mut Rng, n: usize, xs: Option<usize>) -> Vec<Point> {
+    let sides = [0..1i64 << 20, 1i64 << 40..i64::MAX];
+    let values = sides.clone().map(|side| {
+        (0..xs.unwrap_or(0)).map(|_| rng.gen_range(side.clone())).collect::<Vec<i64>>()
+    });
+    (0..n)
+        .map(|i| {
+            let y = rng.gen_range(i64::MIN..i64::MAX);
+            let x = match rng.choose(&values[i % 2]) {
+                Some(&x) => x,
+                None => rng.gen_range(sides[i % 2].clone()),
+            };
+            let id = if i % 2 == 0 { i as u64 } else { rng.gen_range(1u64 << 62..u64::MAX) };
+            Point::new(x, y, id)
+        })
+        .collect()
+}
+
+/// How many [`two_widths`] records give a page size its two kinds of lower
+/// pages.
+fn carried_records(page_size: usize) -> usize {
+    if page_size >= 4096 {
+        80_000
+    } else {
+        2_000
+    }
+}
+
+/// 3-sided queries over the bands `bands`, each at the y bounds `ys`.
+fn bands_at(bands: &[(i64, i64)], ys: &[i64]) -> Vec<Op> {
+    let three = |(x1, x2), y0| Op::Query(Query::Three(ThreeSided { x1, x2, y0 }));
+    bands.iter().flat_map(|&band| ys.iter().map(move |&y0| three(band, y0))).collect()
+}
+
+/// Every x about 200-fold (`n/400` values a side: 200 at 4 KiB, 5 at
+/// 512 B), so that routing keys are tied xs and entries at a carrying
+/// root's route edge lie in its A-list and in its sibling's: the copies at
+/// a split's x belong to the left walk, where the right one's tie drops
+/// them. Bands start at every x and end there or up to three xs on, from
+/// three y bounds.
+pub fn carried_ties_on_route_edges(page_size: usize) -> Case {
+    let mut rng = Rng::seed_from_u64(0x7E5E);
+    let n = carried_records(page_size);
+    let build = two_widths(&mut rng, n, Some(n / 400));
+    let mut xs: Vec<i64> = build.iter().map(|p| p.x).collect();
+    xs.sort_unstable();
+    xs.dedup();
+    let bands: Vec<(i64, i64)> = xs
+        .windows(4)
+        .flat_map(|w| [(w[0], w[0]), (w[0], w[1]), (w[0], w[2]), (w[0], w[3]), (w[0] + 1, w[2])])
+        .collect();
+    let ys = from_top(&build, |p| p.y, &[300, 700, 1000]);
+    let ops = bands.iter().enumerate().map(|(i, &band)| bands_at(&[band], &ys[i % 3..][..1]));
+    Case { shape: Shape::ThreeSided, build, ops: ops.flatten().collect() }
+}
+
+/// Bands between two records' xs, down to low y bounds: both boundary
+/// walks leave the root's page, each exit's run reading the band outside
+/// the route of the carrying root below it and that root the rest. Then
+/// bands of a thousandth of the records around every 64th quantile of x,
+/// which hold the splits whose children are pages' roots, from high y
+/// bounds to low: one walk or both below such a split, into a carrying
+/// page or a leaf's.
+pub fn carried_boundary_walks(page_size: usize) -> Case {
+    let mut rng = Rng::seed_from_u64(0xB0B1);
+    let build = two_widths(&mut rng, carried_records(page_size), None);
+    let ys = from_top(&build, |p| p.y, &[400, 800, 950, 1000]);
+    let mut ops = Vec::new();
+    for i in 0..160 {
+        let (a, b) = (rng.choose(&build).unwrap().x, rng.choose(&build).unwrap().x);
+        let (x1, x2) = (a.min(b), a.max(b));
+        let band = [(x1, x2), (x1 + 1, x2), (x1, x2 - 1)][i % 3];
+        ops.extend(bands_at(&[band], &ys[i % 4..][..1]));
+    }
+    let mut xs: Vec<i64> = build.iter().map(|p| p.x).collect();
+    xs.sort_unstable();
+    let (n, reach) = (xs.len(), xs.len() / 1000 + 1);
+    let bands: Vec<(i64, i64)> =
+        (1..64).map(|k| k * n / 64).map(|at| (xs[at - reach], xs[at + reach])).collect();
+    ops.extend(bands_at(&bands, &from_top(&build, |p| p.y, &[2, 10, 40, 150, 500])));
+    ops.push(Op::Query(everything(Shape::ThreeSided)));
+    Case { shape: Shape::ThreeSided, build, ops }
+}
+
+/// Narrow bands in the narrow half, where the pages below the root's are
+/// one-record leaves that keep their own lists, and bands across the two
+/// halves, whose walks end on a leaf page and on a carrying one; y bounds
+/// from the top to the bottom.
+pub fn carried_one_record_pages(page_size: usize) -> Case {
+    let mut rng = Rng::seed_from_u64(0x1EAF);
+    let build = two_widths(&mut rng, carried_records(page_size), None);
+    let mut xs: Vec<i64> = build.iter().map(|p| p.x).collect();
+    xs.sort_unstable();
+    let half = xs.len() / 2;
+    let mut bands = Vec::new();
+    for k in 0..40 {
+        let at = k * half / 40;
+        bands.push((xs[at], xs[at + 5]));
+        bands.push((xs[half - 1 - k * 7], xs[half + k * 7]));
+    }
+    let ys = from_top(&build, |p| p.y, &[50, 500, 1000]);
+    let mut ops = bands_at(&bands, &ys);
+    ops.push(Op::Query(Query::Three(ThreeSided { x1: i64::MIN, x2: xs[half - 1], y0: i64::MIN })));
+    Case { shape: Shape::ThreeSided, build, ops }
+}
+
+/// Bands of a few records each, at y bounds from the top thousandth down to
+/// half the records: the corner is a carrying root (priced against its
+/// entry exit's run and its own Y-prefix), a node one level below it
+/// (whose parent's run the walk has read), or deeper.
+pub fn carried_corners_below_the_root(page_size: usize) -> Case {
+    let mut rng = Rng::seed_from_u64(0xC0C0);
+    let build = two_widths(&mut rng, carried_records(page_size), None);
+    let mut xs: Vec<i64> = build.iter().map(|p| p.x).collect();
+    xs.sort_unstable();
+    let bands: Vec<(i64, i64)> =
+        (0..40).map(|_| rng.gen_range(0..xs.len() - 4)).map(|at| (xs[at], xs[at + 3])).collect();
+    let ys = from_top(&build, |p| p.y, &[1, 3, 10, 30, 60, 100, 200, 350, 500]);
+    Case { shape: Shape::ThreeSided, build, ops: bands_at(&bands, &ys) }
 }
