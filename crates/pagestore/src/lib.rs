@@ -9,11 +9,13 @@
 //! ## Components
 //!
 //! * [`PageStore`] — allocation, checksummed page frames, I/O statistics,
-//!   and an optional buffer pool. With the pool disabled (the default) the
-//!   store implements the *strict* I/O model used by every experiment: each
-//!   logical page read/write is one backend transfer. The pool is a
-//!   [`ShardedPool`]: per-shard CLOCK rings behind independent locks, with
-//!   zero-copy `Arc` hand-out on hits (see DESIGN.md §"Buffer manager").
+//!   and an optional buffer pool. With the pool disabled (the volatile
+//!   default) the store implements the *strict* I/O model used by every
+//!   experiment: each logical page read/write is one backend transfer. The
+//!   pool is a [`ShardedPool`]: per-shard CLOCK rings behind independent
+//!   read-write locks, with zero-copy `Arc` hand-out on hits taken under a
+//!   shared lock (see DESIGN.md §"Buffer manager"). A durable store always
+//!   reads through one, and counts its hits as `cache_hits`.
 //! * [`backend`] — where the bytes live: [`backend::MemBackend`] (RAM) or
 //!   [`backend::FileBackend`] (a real file, positional I/O).
 //! * [`fault`] — deterministic seeded fault injection ([`FaultBackend`]):
@@ -68,7 +70,7 @@ pub use crash::{CrashBackend, CrashController, CrashLog, CrashPlan};
 pub use error::{Result, StoreError};
 pub use fault::{FaultBackend, FaultHandle, FaultPlan, InjectionStats};
 pub use page::Page;
-pub use pool::{BufferPool, ShardStats, ShardedPool};
+pub use pool::{ShardStats, ShardedPool};
 pub use recovery::RecoveryReport;
 pub use stats::IoStats;
 pub use store::{PageId, PageStore, RetryPolicy, StoreConfig, WalConfig, NULL_PAGE};

@@ -10,12 +10,15 @@
 //!
 //! [`ShardedPool`] splits its frame budget over N independent
 //! [`BufferPool`] CLOCK rings (N a power of two), each behind its own
-//! mutex. A page's shard is fixed by a Fibonacci hash of its [`PageId`], so
-//! concurrent readers of distinct pages contend only when their pages
-//! collide on a shard — the single global lock of the classic design is the
-//! N = 1 special case. Per-shard hit/miss/eviction counters are plain
-//! relaxed atomics; [`crate::PageStore`] folds them into its
-//! [`crate::IoStats`] snapshot so the paper's transfer accounting stays
+//! read-write lock. A page's shard is fixed by a Fibonacci hash of its
+//! [`PageId`], so concurrent accesses to distinct pages contend only when
+//! their pages collide on a shard — the single global lock of the classic
+//! design is the N = 1 special case. A hit takes its shard's lock shared
+//! (the CLOCK reference bit is an atomic), so readers of resident pages
+//! never exclude each other, and a miss reads the backend with no lock
+//! held (see [`ShardedPool::read_through`]). Per-shard hit/miss/eviction
+//! counters are plain relaxed atomics; [`crate::PageStore`] folds them into
+//! its [`crate::IoStats`] snapshot so the paper's transfer accounting stays
 //! exact in pooled mode.
 //!
 //! ## Zero-copy hits
@@ -26,9 +29,9 @@
 //! reader keeps an immutable snapshot of the page as of its read.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use pc_sync::Mutex;
+use pc_sync::RwLock;
 
 use crate::error::Result;
 use crate::page::Page;
@@ -38,7 +41,9 @@ struct Slot {
     id: PageId,
     data: Page,
     dirty: bool,
-    referenced: bool,
+    /// Set by hits under the shared lock, cleared by the hand under the
+    /// exclusive one.
+    referenced: AtomicBool,
 }
 
 /// Fixed-capacity page cache with CLOCK (second-chance) eviction.
@@ -66,45 +71,20 @@ impl BufferPool {
         BufferPool { capacity, slots: Vec::new(), map: HashMap::new(), hand: 0, free: Vec::new() }
     }
 
-    /// Maximum number of resident pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of pages currently resident.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no pages are resident.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// True if `id` is resident. Does not touch the reference bit.
     pub fn contains(&self, id: PageId) -> bool {
         self.map.contains_key(&id.0)
     }
 
     /// Looks up a resident page, marking it recently used. A hit clones the
-    /// page's `Arc` — no payload bytes are copied.
-    pub fn get(&mut self, id: PageId) -> Option<Page> {
-        let &slot_idx = self.map.get(&id.0)?;
-        match self.slots[slot_idx].as_mut() {
-            Some(slot) => {
-                slot.referenced = true;
-                Some(slot.data.clone())
-            }
-            None => {
-                // A mapping to an empty slot should be unreachable, but if
-                // an invariant ever breaks the pool must degrade to a miss,
-                // not take the whole store down — drop the dangling entry,
-                // reclaim the slot, and report "not resident".
-                self.map.remove(&id.0);
-                self.free.push(slot_idx);
-                None
-            }
-        }
+    /// page's `Arc` — no payload bytes are copied. Takes `&self`, so hits
+    /// share their shard's lock. A mapping to an empty slot should be
+    /// unreachable, but if an invariant ever breaks the pool degrades to a
+    /// miss, not a panic; the miss's [`BufferPool::insert`] heals it.
+    pub fn get(&self, id: PageId) -> Option<Page> {
+        let slot = self.slots[*self.map.get(&id.0)?].as_ref()?;
+        slot.referenced.store(true, Ordering::Relaxed);
+        Some(slot.data.clone())
     }
 
     /// Inserts a page, evicting a victim if full; returns `true` when a
@@ -131,11 +111,11 @@ impl BufferPool {
                 Some(slot) => {
                     slot.data = data;
                     slot.dirty |= dirty;
-                    slot.referenced = true;
+                    *slot.referenced.get_mut() = true;
                     return Ok(false);
                 }
                 None => {
-                    // Same degraded-state healing as `get`: drop the
+                    // The degraded state `get` reports as a miss: drop the
                     // dangling mapping and fall through to a fresh insert.
                     self.map.remove(&id.0);
                     self.free.push(slot_idx);
@@ -158,7 +138,7 @@ impl BufferPool {
         } else {
             false
         };
-        self.slots[victim_idx] = Some(Slot { id, data, dirty, referenced: true });
+        self.slots[victim_idx] = Some(Slot { id, data, dirty, referenced: AtomicBool::new(true) });
         self.map.insert(id.0, victim_idx);
         Ok(evicted)
     }
@@ -207,8 +187,8 @@ fn find_victim(
         if *hand == capacity {
             *hand = 0;
         }
-        match &mut slots[idx] {
-            Some(slot) if slot.referenced => slot.referenced = false,
+        match &slots[idx] {
+            Some(slot) if slot.referenced.swap(false, Ordering::Relaxed) => {}
             _ => return idx,
         }
     }
@@ -226,10 +206,22 @@ pub struct ShardStats {
 }
 
 struct Shard {
-    pool: Mutex<BufferPool>,
+    pool: RwLock<BufferPool>,
+    /// Writes and discards so far. Changed only under the exclusive lock and
+    /// read under the lock, so the lock orders it: a miss installs the page
+    /// it fetched only if this did not move since its look-up.
+    changes: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+}
+
+impl Shard {
+    fn hit(&self, page: Page) -> Page {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        pc_obs::record_io(pc_obs::IoEvent::CacheHit);
+        page
+    }
 }
 
 /// Multiplicative (Fibonacci) hash constant: ⌊2⁶⁴/φ⌋, odd, so sequential
@@ -241,7 +233,6 @@ pub struct ShardedPool {
     shards: Box<[Shard]>,
     /// `shard count - 1`; the shard index masks the mixed hash.
     mask: usize,
-    capacity: usize,
 }
 
 impl ShardedPool {
@@ -258,13 +249,14 @@ impl ShardedPool {
         let extra = pool_pages % shards;
         let shards: Box<[Shard]> = (0..shards)
             .map(|i| Shard {
-                pool: Mutex::new(BufferPool::new(base + usize::from(i < extra))),
+                pool: RwLock::new(BufferPool::new(base + usize::from(i < extra))),
+                changes: AtomicU64::new(0),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 evictions: AtomicU64::new(0),
             })
             .collect();
-        ShardedPool { mask: shards.len() - 1, shards, capacity: pool_pages }
+        ShardedPool { mask: shards.len() - 1, shards }
     }
 
     /// Turns a requested shard count into a valid one: rounds up to a power
@@ -289,39 +281,23 @@ impl ShardedPool {
         self.shards.len()
     }
 
-    /// Total frame capacity across all shards.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The shard index page `id` maps to (stable for the pool's lifetime).
     pub fn shard_of(&self, id: PageId) -> usize {
         ((id.0.wrapping_mul(FIB_HASH) >> 33) as usize) & self.mask
     }
 
-    /// Number of pages currently resident across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.pool.lock().len()).sum()
-    }
-
-    /// True when no pages are resident.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.pool.lock().is_empty())
-    }
-
-    /// True if `id` is resident. Does not touch reference bits or counters.
-    pub fn is_resident(&self, id: PageId) -> bool {
-        self.shards[self.shard_of(id)].pool.lock().contains(id)
-    }
-
     /// Reads `id` through the pool: a hit clones the resident `Arc` (zero
-    /// payload copies); a miss runs `fetch` and installs the result,
-    /// writing back a dirty victim via `write_back` if one is evicted.
+    /// payload copies) under the shard's lock taken shared; a miss runs
+    /// `fetch` with no lock held, then installs the result under the
+    /// exclusive lock, writing back a dirty victim via `write_back` if one
+    /// is evicted.
     ///
-    /// The shard lock is held across `fetch`, so a miss serializes only
-    /// against accesses to the *same shard* — this is what keeps a racing
-    /// write to the same page linearized, exactly as the old global lock
-    /// did, without serializing the other shards.
+    /// A write or discard that reaches the shard while `fetch` runs may
+    /// have made the fetched bytes stale (a dirty frame written back and
+    /// evicted meanwhile), so the miss then returns them without installing
+    /// them, and a page another access installed meanwhile wins. A frame
+    /// therefore never goes back behind a write, and no lock is held across
+    /// a backend read: a pread on a miss does not stall the shard's hits.
     pub fn read_through(
         &self,
         id: PageId,
@@ -329,14 +305,22 @@ impl ShardedPool {
         write_back: impl FnMut(PageId, &[u8]) -> Result<()>,
     ) -> Result<Page> {
         let shard = &self.shards[self.shard_of(id)];
-        let mut pool = shard.pool.lock();
-        if let Some(page) = pool.get(id) {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            pc_obs::record_io(pc_obs::IoEvent::CacheHit);
-            return Ok(page);
-        }
+        let seen = {
+            let pool = shard.pool.read();
+            if let Some(page) = pool.get(id) {
+                return Ok(shard.hit(page));
+            }
+            shard.changes.load(Ordering::Relaxed)
+        };
         shard.misses.fetch_add(1, Ordering::Relaxed);
         let page = fetch()?;
+        let mut pool = shard.pool.write();
+        if let Some(resident) = pool.get(id) {
+            return Ok(resident);
+        }
+        if shard.changes.load(Ordering::Relaxed) != seen {
+            return Ok(page);
+        }
         if pool.insert(id, page.clone(), false, write_back)? {
             shard.evictions.fetch_add(1, Ordering::Relaxed);
             pc_obs::record_io(pc_obs::IoEvent::PoolEvict);
@@ -344,16 +328,20 @@ impl ShardedPool {
         Ok(page)
     }
 
-    /// Installs `data` as the dirty contents of `id`, deferring the backend
-    /// write until eviction or [`ShardedPool::flush`].
+    /// Installs `data` as the contents of `id`. A `dirty` frame defers the
+    /// backend write until eviction or [`ShardedPool::flush`]; a clean one
+    /// is a copy of what the backend already holds.
     pub fn write(
         &self,
         id: PageId,
         data: Page,
+        dirty: bool,
         write_back: impl FnMut(PageId, &[u8]) -> Result<()>,
     ) -> Result<()> {
         let shard = &self.shards[self.shard_of(id)];
-        if shard.pool.lock().insert(id, data, true, write_back)? {
+        let mut pool = shard.pool.write();
+        shard.changes.fetch_add(1, Ordering::Relaxed);
+        if pool.insert(id, data, dirty, write_back)? {
             shard.evictions.fetch_add(1, Ordering::Relaxed);
             pc_obs::record_io(pc_obs::IoEvent::PoolEvict);
         }
@@ -362,14 +350,17 @@ impl ShardedPool {
 
     /// Drops a page from its shard without write-back (used by `free`).
     pub fn discard(&self, id: PageId) {
-        self.shards[self.shard_of(id)].pool.lock().discard(id);
+        let shard = &self.shards[self.shard_of(id)];
+        let mut pool = shard.pool.write();
+        shard.changes.fetch_add(1, Ordering::Relaxed);
+        pool.discard(id);
     }
 
     /// Writes every dirty resident page through `write_back` and marks them
     /// clean, one shard at a time in shard order. Pages stay resident.
     pub fn flush(&self, mut write_back: impl FnMut(PageId, &[u8]) -> Result<()>) -> Result<()> {
         for shard in self.shards.iter() {
-            shard.pool.lock().flush(&mut write_back)?;
+            shard.pool.write().flush(&mut write_back)?;
         }
         Ok(())
     }
@@ -447,7 +438,7 @@ mod tests {
             .unwrap());
         // Page 2 was clean: if it was the victim nothing is written.
         // Page 1 was dirty: if it was the victim it must be written.
-        assert_eq!(pool.len(), 2);
+        assert_eq!((1..=3).filter(|&id| pool.contains(PageId(id))).count(), 2);
         if pool.get(PageId(1)).is_none() {
             assert_eq!(written, vec![1]);
         } else {
@@ -493,7 +484,7 @@ mod tests {
         assert_eq!(flushed, 1, "only page 5 is still resident+dirty");
         // The freed slot is reused: inserting a new page evicts nothing.
         assert!(!pool.insert(PageId(6), pg(3, 4), false, |_, _| Ok(())).unwrap());
-        assert_eq!(pool.len(), 2);
+        assert!(pool.contains(PageId(5)) && pool.contains(PageId(6)));
     }
 
     #[test]
@@ -527,7 +518,7 @@ mod tests {
             Err(crate::StoreError::Io(std::io::Error::other("disk on fire")))
         });
         assert!(err.is_err());
-        assert_eq!(pool.len(), 1);
+        assert!(pool.contains(PageId(1)) && !pool.contains(PageId(2)));
         assert_eq!(&pool.get(PageId(1)).unwrap()[..], &[1, 1, 1, 1]);
         assert!(pool.get(PageId(2)).is_none());
         let mut flushed = Vec::new();
@@ -552,17 +543,14 @@ mod tests {
         let idx = pool.map[&7];
         pool.slots[idx] = None; // simulate the torn state
         assert!(pool.get(PageId(7)).is_none(), "degrades to a miss");
-        assert!(!pool.map.contains_key(&7), "dangling entry dropped");
-        // Break it again for the insert path (undoing the first heal's
-        // slot reclaim so the torn state is exactly "mapped but empty").
-        pool.free.retain(|&s| s != idx);
-        pool.slots[idx] = None;
-        pool.map.insert(7, idx);
+        // The miss's insert drops the dangling entry and reuses its slot.
         pool.insert(PageId(7), pg(8, 4), false, |_, _| Ok(())).unwrap();
+        assert_eq!(pool.map[&7], idx);
         assert_eq!(&pool.get(PageId(7)).unwrap()[..], &[8, 8, 8, 8]);
         // The pool is fully functional afterwards.
         pool.insert(PageId(9), pg(9, 4), false, |_, _| Ok(())).unwrap();
-        assert_eq!(pool.len(), 2);
+        assert!(pool.contains(PageId(7)) && pool.contains(PageId(9)));
+        assert_eq!(pool.slots.len(), 2);
     }
 
     #[test]
@@ -570,7 +558,7 @@ mod tests {
         let mut pool = BufferPool::new(4);
         pool.insert(PageId(1), pg(1, 4), false, |_, _| Ok(())).unwrap();
         pool.insert(PageId(1), pg(2, 4), true, |_, _| Ok(())).unwrap();
-        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.slots.iter().flatten().count(), 1);
         assert_eq!(&pool.get(PageId(1)).unwrap()[..], &[2, 2, 2, 2]);
     }
 
@@ -593,10 +581,9 @@ mod tests {
     fn sharded_capacity_splits_exactly() {
         // 10 frames over 4 shards: 3+3+2+2.
         let pool = ShardedPool::new(10, 4);
-        assert_eq!(pool.capacity(), 10);
         assert_eq!(pool.shard_count(), 4);
-        let caps: usize = pool.shards.iter().map(|s| s.pool.lock().capacity()).sum();
-        assert_eq!(caps, 10);
+        let caps: Vec<usize> = pool.shards.iter().map(|s| s.pool.read().capacity).collect();
+        assert_eq!(caps, [3, 3, 2, 2]);
     }
 
     #[test]
@@ -631,10 +618,10 @@ mod tests {
             pool.read_through(PageId(id), fetch, |_, _| Ok(())).unwrap();
         }
         // Third fill evicted one of the first two.
-        let resident = [1u64, 2].iter().filter(|&&id| pool.is_resident(PageId(id))).count();
-        assert_eq!(resident, 1);
+        let resident = |id| pool.shards[0].pool.read().contains(PageId(id));
+        assert_eq!([1, 2].into_iter().filter(|&id| resident(id)).count(), 1);
         // Hit on the survivor.
-        let hot = if pool.is_resident(PageId(1)) { 1 } else { 2 };
+        let hot = if resident(1) { 1 } else { 2 };
         pool.read_through(PageId(hot), || unreachable!("resident page must not fetch"), |_, _| {
             Ok(())
         })
@@ -643,6 +630,33 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.evictions), (1, 3, 1));
         pool.reset_stats();
         assert_eq!(pool.shard_stats()[0], ShardStats::default());
+    }
+
+    #[test]
+    fn a_miss_installs_nothing_a_write_overtook() {
+        let ok = |_, _: &[u8]| Ok(());
+        // While a miss of page 1 reads the backend, a write of page 1 lands
+        // and is evicted by a write of page 2: the fetched bytes are stale.
+        let pool = ShardedPool::new(1, 1);
+        let fetched = pool.read_through(
+            PageId(1),
+            || {
+                pool.write(PageId(1), pg(2, 4), true, ok)?;
+                pool.write(PageId(2), pg(3, 4), true, ok)?;
+                Ok(pg(1, 4))
+            },
+            ok,
+        );
+        assert_eq!(fetched.unwrap()[0], 1, "the read overlapped the write");
+        assert!(!pool.shards[0].pool.read().contains(PageId(1)), "the stale bytes stay out");
+        // A write that stays resident wins over the fetched bytes.
+        let pool = ShardedPool::new(2, 1);
+        let read = pool.read_through(
+            PageId(1),
+            || pool.write(PageId(1), pg(2, 4), true, ok).map(|()| pg(1, 4)),
+            ok,
+        );
+        assert_eq!(read.unwrap()[0], 2);
     }
 
     #[test]
@@ -691,6 +705,7 @@ mod tests {
             2, 12, 11, 13, 9, 4, 14, 15, 8, 1, 7, 2, 10, 5, 4, 14, 13, 3, 15,
         ];
         assert_eq!(victims, recorded);
-        assert_eq!((hits, misses, pool.len()), (27, 39, 7));
+        let resident = (0..16).filter(|&p| pool.contains(PageId(p))).count();
+        assert_eq!((hits, misses, resident), (27, 39, 7));
     }
 }

@@ -10,12 +10,15 @@ use std::ops::Sub;
 /// Snapshot of cumulative I/O counters for one [`crate::PageStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
-    /// Page reads served by the backend (i.e. actual transfers; buffer-pool
-    /// hits are *not* counted here).
+    /// Page reads served by the backend: actual transfers, each a pread and
+    /// a frame checksum. Buffer-pool hits are *not* counted here, on a
+    /// volatile or a durable store.
     pub reads: u64,
     /// Page writes issued to the backend (including pool write-backs).
     pub writes: u64,
-    /// Logical reads absorbed by the buffer pool (0 in strict mode).
+    /// Logical reads absorbed by the buffer pool: 0 on a strict volatile
+    /// store; on a durable store (which always has a pool) the reads of
+    /// resident pages, those it wrote or read lately.
     pub cache_hits: u64,
     /// Pages allocated over the store's lifetime.
     pub allocs: u64,

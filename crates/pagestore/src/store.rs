@@ -16,7 +16,7 @@
 //! group as one record. A freed page the last commit holds joins the free
 //! list at the commit, after the other entries; this is decided here alone.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -80,7 +80,9 @@ pub struct StoreConfig {
     /// for a structure storing records of `r` bytes is `page_size / r`.
     pub page_size: usize,
     /// Buffer-pool capacity in pages; `0` disables the pool and yields the
-    /// strict I/O model (every logical access is one transfer).
+    /// strict I/O model (every logical access is one transfer). A durable
+    /// store gets at least `4 MiB / page_size` frames
+    /// (see [`PageStore::new_durable`]).
     pub pool_pages: usize,
     /// Number of buffer-pool shards; `0` picks a hardware-sized power of
     /// two automatically, `1` is the classic single-lock pool. Ignored in
@@ -128,9 +130,9 @@ impl Default for WalConfig {
     }
 }
 
-/// The durable half of a [`PageStore`]: the write-ahead log, the open
-/// group and a read cache. A committed page is never overwritten (shadow
-/// paging; see the `wal` module docs), so recovery writes nothing.
+/// The durable half of a [`PageStore`]: the write-ahead log and the open
+/// group. A committed page is never overwritten (shadow paging; see the
+/// `wal` module docs), so recovery writes nothing.
 struct WalState {
     wal: Wal,
     /// The open group. Its lock also serializes mutations (write, alloc,
@@ -145,43 +147,11 @@ struct WalState {
     /// `frame_count()` of the backend at open. A fresh id below it may hold
     /// the frame of a group that never committed; `alloc` zeroes it.
     stale_frames: u64,
-    /// Pages written lately; only `write`, `free` and `inject_corruption`
-    /// take it exclusive.
-    recent: RwLock<Recent>,
 }
 
-/// Payload bytes a [`Recent`] holds at most.
-const RECENT_BYTES: usize = 8 << 20;
-
-/// A durable store's read cache of the pages it wrote lately, in two
-/// generations (`[newer, older]`): a full newer one becomes the older, and
-/// the older goes. A page enters after its frame reached the backend and
-/// leaves when freed, and a committed page never changes, so any entry may
-/// go at any time: a miss reads the same bytes. A hit saves the pread and
-/// the checksum, not the counted read.
-#[derive(Default)]
-struct Recent([HashMap<u64, Page>; 2]);
-
-impl Recent {
-    fn get(&self, id: u64) -> Option<Page> {
-        self.0.iter().find_map(|g| g.get(&id)).cloned()
-    }
-
-    /// Returns the generation it pushed out, to drop after the lock.
-    fn put(&mut self, id: u64, page: Page) -> HashMap<u64, Page> {
-        let mut out = HashMap::new();
-        if self.0[0].len() * page.len() >= RECENT_BYTES / 2 {
-            self.0.swap(0, 1);
-            out = std::mem::take(&mut self.0[0]);
-        }
-        self.0[0].insert(id, page);
-        out
-    }
-
-    fn forget(&mut self, id: u64) {
-        self.0.iter_mut().for_each(|g| drop(g.remove(&id)));
-    }
-}
+/// Payload bytes a durable store's buffer pool holds at least: its frame
+/// count is `max(pool_pages, DURABLE_POOL_BYTES / page_size)`.
+const DURABLE_POOL_BYTES: usize = 4 << 20;
 
 /// The open group: what the next commit record carries.
 #[derive(Default)]
@@ -306,21 +276,21 @@ impl PageStore {
     /// every commit since the last checkpoint — and returns the
     /// [`RecoveryReport`] alongside the store.
     ///
-    /// Durable stores are strict (`pool_pages` must be 0): a commit syncs
-    /// the data backend, so every write must have reached it. Durability is
-    /// opt-in per store and never changes the volatile store's I/O
-    /// accounting.
+    /// A durable store reads through a buffer pool of
+    /// `max(pool_pages, 4 MiB / page_size)` frames that holds only clean
+    /// frames: a write reaches the backend before its frame enters the
+    /// pool, so a commit's sync covers every write. A committed page never
+    /// changes, so a resident frame is always the backend's bytes.
+    /// Durability is opt-in per store and never changes the volatile
+    /// store's I/O accounting.
     pub fn new_durable(
         config: StoreConfig,
         backend: Box<dyn Backend>,
         log: Box<dyn LogMedium>,
         wal_config: WalConfig,
     ) -> Result<(Self, RecoveryReport)> {
-        assert_eq!(
-            config.pool_pages, 0,
-            "durable stores are strict: a commit syncs every write the backend holds"
-        );
-        let mut store = PageStore::new(config, backend);
+        let pool_pages = config.pool_pages.max(DURABLE_POOL_BYTES / config.page_size);
+        let mut store = PageStore::new(StoreConfig { pool_pages, ..config }, backend);
         let (wal, outcome) = Wal::open(log, store.page_size)?;
         let (report, snap) = crate::recovery::replay(&outcome)?;
         // Retire the old log: the data file already holds every committed
@@ -343,7 +313,6 @@ impl PageStore {
             checkpoint_bytes: wal_config.checkpoint_bytes,
             last_meta: Mutex::new(recovered_meta),
             stale_frames: store.backend.frame_count(),
-            recent: RwLock::default(),
         });
         Ok((store, report))
     }
@@ -485,7 +454,6 @@ impl PageStore {
         }
         if let Some(ws) = &self.wal {
             ws.wal.count_entry();
-            ws.recent.write().forget(id.0);
         }
         if let Some(pool) = &self.pool {
             pool.discard(id);
@@ -569,13 +537,13 @@ impl PageStore {
 
     /// Reads page `id`, returning its full `page_size`-byte payload.
     ///
-    /// Costs one backend read in strict mode; a durable store counts the
-    /// same read but serves a page it wrote lately from memory. With a
-    /// pool, resident pages cost nothing, are counted as `cache_hits`, and
-    /// are returned by cloning the resident `Arc` — a hit copies zero
-    /// payload bytes. The returned [`Page`] is an immutable snapshot: a
-    /// later write to the same page replaces the pool's handle without
-    /// touching it.
+    /// Costs one backend read in strict mode. With a pool (every durable
+    /// store has one), resident pages cost no transfer, are counted as
+    /// `cache_hits`, and are returned by cloning the resident `Arc` under
+    /// the shard's lock taken shared — a hit copies zero payload bytes and
+    /// takes no exclusive lock. The returned [`Page`] is an immutable
+    /// snapshot: a later write to the same page replaces the pool's handle
+    /// without touching it.
     pub fn read(&self, id: PageId) -> Result<Page> {
         // Snapshot / apply-session translation (identity outside one): all
         // allocation, quarantine and pool state below is keyed by the
@@ -596,11 +564,14 @@ impl PageStore {
     /// Writes page `id`. `data` may be shorter than the page size; the
     /// remainder is zero-filled.
     ///
-    /// Costs one backend write in strict mode; with a pool, the write is
-    /// absorbed and deferred until eviction or [`PageStore::sync`]. A
-    /// durable store writes only a page allocated since the last commit and
-    /// refuses any other with [`StoreError::CommittedPage`]; inside a
-    /// version apply session a write to a frozen page gets a fresh one.
+    /// Costs one backend write in strict mode; with a volatile store's
+    /// pool, the write is absorbed and deferred until eviction or
+    /// [`PageStore::sync`]. A durable store writes only a page allocated
+    /// since the last commit and refuses any other with
+    /// [`StoreError::CommittedPage`]; inside a version apply session a
+    /// write to a frozen page gets a fresh one. Its write reaches the
+    /// backend, then the same bytes enter its pool as a clean frame; a
+    /// write the backend fails leaves the pool as it was.
     pub fn write(&self, id: PageId, data: &[u8]) -> Result<()> {
         if data.len() > self.page_size {
             return Err(StoreError::PayloadTooLarge {
@@ -630,12 +601,16 @@ impl PageStore {
                 return Err(StoreError::CommittedPage(id));
             }
             self.backend_write(id, data)?;
-            // The lock goes at the `;`, the pushed-out generation after.
-            let _pushed_out = ws.recent.write().put(id.0, self.padded(data));
+            // Still under the group lock, so frames enter in write order; a
+            // durable pool holds no dirty frame, so nothing is written back.
+            if let Some(pool) = &self.pool {
+                pool.write(id, self.padded(data), false, |_, _| Ok(()))?;
+            }
             return Ok(());
         }
         if let Some(pool) = &self.pool {
-            return pool.write(id, self.padded(data), |vid, vdata| self.backend_write(vid, vdata));
+            let write_back = |vid, vdata: &[u8]| self.backend_write(vid, vdata);
+            return pool.write(id, self.padded(data), true, write_back);
         }
         self.backend_write(id, data)
     }
@@ -655,9 +630,6 @@ impl PageStore {
         // purely observational, so `IoStats` and transfer behavior stay
         // bit-identical either way.
         pc_obs::record_io(IoEvent::Read);
-        if let Some(page) = self.wal.as_ref().and_then(|ws| ws.recent.read().get(id.0)) {
-            return Ok(page);
-        }
         let mut frame = vec![0u8; self.page_size + CHECKSUM_LEN];
         self.with_retry(id, || self.backend.read_frame(id, &mut frame))?;
         // Checksum failures are permanent (re-reading the same bytes cannot
@@ -892,9 +864,6 @@ impl PageStore {
         if let Some(pool) = &self.pool {
             pool.flush(|vid, vdata| self.backend_write(vid, vdata))?;
             pool.discard(id);
-        }
-        if let Some(ws) = &self.wal {
-            ws.recent.write().forget(id.0);
         }
         let mut frame = vec![0u8; self.page_size + CHECKSUM_LEN];
         self.backend.read_frame(id, &mut frame)?;
@@ -1170,7 +1139,9 @@ mod tests {
         store.write(id, b"logged").unwrap();
         assert_eq!(store.stats().writes, 1, "the page reaches the backend once");
         assert_eq!(&store.read(id).unwrap()[..6], b"logged");
-        assert_eq!(store.stats().reads, 1, "a durable read counts one read");
+        let s = store.stats();
+        assert_eq!((s.reads, s.cache_hits), (0, 1), "the write left the page in the pool");
+        assert_eq!(s.logical_reads(), 1, "a durable read counts one logical read");
         let ws = store.wal_stats().unwrap();
         assert_eq!((ws.dirty_pages, ws.dirty_hits), (0, 0));
         assert_eq!(ws.appends, 2, "open-time checkpoint + alloc; the log holds no page");
@@ -1215,31 +1186,42 @@ mod tests {
         store.write(a, b"v2").unwrap();
         store.sync().unwrap();
         assert_eq!(&store.read(a).unwrap()[..2], b"v2", "the newest image");
-        assert_eq!((store.stats().reads, frames.load(Ordering::Relaxed)), (1, 0));
+        let s = store.stats();
+        assert_eq!((s.cache_hits, s.logical_reads(), frames.load(Ordering::Relaxed)), (1, 1, 0));
         // A free drops the image: the recycled id reads as zeros, from the
         // backend.
         store.free(a).unwrap();
         store.sync().unwrap();
         assert_eq!(store.alloc().unwrap(), a);
         assert!(store.read(a).unwrap().iter().all(|&b| b == 0));
-        assert_eq!((store.stats().reads, frames.load(Ordering::Relaxed)), (2, 1));
+        let s = store.stats();
+        assert_eq!((s.cache_hits, s.logical_reads(), frames.load(Ordering::Relaxed)), (1, 2, 1));
     }
 
     #[test]
-    fn recent_pages_age_out_a_generation_at_a_time() {
-        // Two pages fill a generation.
-        let page = |b: u8| Page::from(vec![b; RECENT_BYTES / 4]);
-        let mut r = Recent::default();
-        for id in 1..=4 {
-            assert!(r.put(id, page(id as u8)).is_empty());
-        }
-        assert_eq!(r.put(5, page(5)).len(), 2, "pages 1 and 2 go");
-        assert_eq!(r.get(1), None);
-        assert_eq!(r.get(3).unwrap()[0], 3);
-        r.put(3, page(9));
-        assert_eq!(r.get(3).unwrap()[0], 9, "the newer generation wins");
-        r.forget(3);
-        assert_eq!(r.get(3), None, "a forgotten page is gone from both");
+    fn durable_write_the_backend_fails_leaves_the_old_bytes_in_pool_and_backend() {
+        let mem = Arc::new(MemBackend::new(64 + CHECKSUM_LEN));
+        let backend = crate::FaultBackend::new(Box::new(mem.clone()), crate::FaultPlan::none(5));
+        let handle = backend.handle();
+        let (store, _) = PageStore::new_durable(
+            StoreConfig::strict(64).with_retry(RetryPolicy::none()),
+            Box::new(backend),
+            Box::new(MemLog::new()),
+            WalConfig::default(),
+        )
+        .unwrap();
+        let id = store.alloc().unwrap();
+        store.write(id, b"v1").unwrap();
+        handle.fail_nth_write(id, 2);
+        assert!(store.write(id, b"v2").is_err(), "the backend's error is returned");
+        let before = store.stats();
+        assert_eq!(&store.read(id).unwrap()[..2], b"v1", "the pool kept the old frame");
+        assert_eq!((store.stats() - before).cache_hits, 1);
+        let mut frame = vec![0u8; 64 + CHECKSUM_LEN];
+        mem.read_frame(id, &mut frame).unwrap();
+        assert_eq!(&frame[..2], b"v1", "and so did the backend");
+        store.write(id, b"v3").unwrap();
+        assert_eq!(&store.read(id).unwrap()[..2], b"v3");
     }
 
     #[test]
@@ -1322,7 +1304,8 @@ mod tests {
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(store.read(id).unwrap()[0], i as u8 + 1);
         }
-        assert_eq!(store.stats().reads, 3);
+        let s = store.stats();
+        assert_eq!((s.cache_hits, s.logical_reads()), (3, 3), "the writes left them resident");
     }
 
     #[test]

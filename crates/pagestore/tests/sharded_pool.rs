@@ -211,17 +211,18 @@ fn interleaving_smoke_with_small_shard_count() {
     }
 }
 
-/// The rendezvous of [`GateBackend`]: a read of `page` waits at `entered`,
-/// then at `release`.
+/// The rendezvous of [`GateBackend`]: a write of `page` waits at
+/// `entered`, then at `release`.
 struct Gate {
     page: AtomicU64,
     entered: Barrier,
     release: Barrier,
 }
 
-/// A memory backend whose read of one chosen page parks until released. A
-/// pool miss holds its shard lock across the fetch, so parking the fetch
-/// parks every later operation on that shard at the lock.
+/// A memory backend whose write of one chosen page parks until released.
+/// An insert holds its shard's exclusive lock across a dirty victim's
+/// write-back, so parking that write parks every later operation on the
+/// shard at the lock.
 struct GateBackend {
     inner: MemBackend,
     gate: Arc<Gate>,
@@ -233,14 +234,14 @@ impl Backend for GateBackend {
     }
 
     fn read_frame(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
-        if id.0 == self.gate.page.load(Ordering::SeqCst) {
-            self.gate.entered.wait();
-            self.gate.release.wait();
-        }
         self.inner.read_frame(id, buf)
     }
 
     fn write_frame(&self, id: PageId, buf: &[u8]) -> Result<()> {
+        if id.0 == self.gate.page.load(Ordering::SeqCst) {
+            self.gate.entered.wait();
+            self.gate.release.wait();
+        }
         self.inner.write_frame(id, buf)
     }
 
@@ -266,21 +267,20 @@ fn free_retires_the_frame_before_publishing_the_id() {
         release: Barrier::new(2),
     });
     let store = PageStore::new(
-        StoreConfig { pool_shards: 1, ..StoreConfig::pooled(64, 1) },
+        StoreConfig { pool_shards: 1, ..StoreConfig::pooled(64, 2) },
         Box::new(GateBackend { inner: MemBackend::new(64 + 8), gate: Arc::clone(&gate) }),
     );
-    let gated = store.alloc().unwrap();
-    let victim = store.alloc().unwrap();
+    let [gated, victim, third] = [(); 3].map(|()| store.alloc().unwrap());
+    // Two frames, both dirty: `gated`, then `victim`.
     store.write(gated, &[0x11; 64]).unwrap();
-    // One frame: this evicts `gated` to the backend and leaves `victim`
-    // as the resident dirty page.
     store.write(victim, &[0xAA; 64]).unwrap();
     gate.page.store(gated.0, Ordering::SeqCst);
     let live = store.live_pages();
 
     let recycled = std::thread::scope(|s| {
-        // Misses on `gated` and parks in the fetch, holding the shard lock.
-        let reader = s.spawn(|| store.read(gated).unwrap());
+        // The clock evicts `gated`, the first frame; its write-back parks,
+        // holding the shard lock, with `victim`'s dirty frame resident.
+        let writer = s.spawn(|| store.write(third, &[0x33; 64]).unwrap());
         gate.entered.wait();
         // Unallocates `victim`, then parks at the shard lock in `discard`.
         let freer = s.spawn(|| store.free(victim).unwrap());
@@ -288,12 +288,12 @@ fn free_retires_the_frame_before_publishing_the_id() {
             std::thread::yield_now();
         }
         let fresh = store.alloc().unwrap();
-        // The reader's insert now evicts `victim`'s stale frame.
         gate.release.wait();
-        assert!(reader.join().unwrap().iter().all(|&b| b == 0x11));
+        writer.join().unwrap();
         freer.join().unwrap();
         fresh
     });
+    assert!(store.read(gated).unwrap().iter().all(|&b| b == 0x11));
     assert!(store.read(recycled).unwrap().iter().all(|&b| b == 0), "a fresh page reads as zeros");
     let again = store.alloc().unwrap();
     assert_eq!(again, victim, "the freed id is recyclable once its frame is retired");

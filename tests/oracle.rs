@@ -122,6 +122,29 @@ structures! {
     dynamic_three_sided_pst: DynamicThreeSidedPst, ThreeSided, CLASSES, 300;
 }
 
+/// The `structures!` cells build at most two records a byte of page, so at
+/// 4 KiB a 3-sided PST is one skeletal page. This cell builds at least
+/// 80 000 records of the benchmark's class, which span several: queries
+/// walk into lower pages and the A-runs their roots carry.
+#[test]
+fn three_sided_pst_on_lower_pages() {
+    let (widths, outliers) = CLASSES[1];
+    let shape = Shape::ThreeSided;
+    let spec = Spec { shape, widths, records: 100_000, updates: 0, queries: 60, outliers };
+    let big = |rng: &mut Rng| loop {
+        let case = gen::case(rng, &spec);
+        if case.build.len() >= 80_000 {
+            return case;
+        }
+    };
+    cell("three_sided_pst at 4096 B, lower pages", 1, big, |case| {
+        let mut pst = InProcess::<ThreeSidedPst>::build(4096, &case.build)?;
+        let census = pst.s.page_census(&pst.store).map_err(|e| e.to_string())?;
+        assert!(census.skeletal > 1, "one skeletal page: {census:?}");
+        drive(&mut pst, case)
+    });
+}
+
 /// Kind `i`'s cases: of `CLASSES[i % 4]`, the segment tree's of the wide
 /// class, and the B-trees' with outliers.
 fn served_spec(i: usize, records: usize, updates: usize) -> Spec {

@@ -82,16 +82,19 @@ fn initial_points(n: usize, seed: u64) -> Vec<Point> {
 /// Acceptance pin: a reader holds one snapshot across many concurrent
 /// batch installs; every probed read round is bit-identical to the answers
 /// recorded before the first install, and takes zero exclusive locks — on a
-/// volatile store and on a durable one, whose installs are group commits.
+/// strict volatile store, on a durable one, whose installs are group
+/// commits, and on a volatile one whose pool holds every page, where each
+/// probed read is a pool hit.
 #[test]
 fn pinned_snapshot_is_lock_free_and_bit_identical_across_installs() {
     pinned_snapshot_round(PageStore::in_memory(PAGE));
     pinned_snapshot_round(PageStore::in_memory_durable(PAGE).0);
+    pinned_snapshot_round(PageStore::in_memory_pooled(PAGE, 1 << 14));
 }
 
 fn pinned_snapshot_round(store: PageStore) {
     let seed = SEED;
-    let durable = store.is_durable();
+    let (durable, pooled) = (store.is_durable(), store.pool_shards() > 0);
     let initial = initial_points(300, seed);
     let (handle, store) = spawn(store, &initial, 8);
     let versions = Arc::clone(handle.versions());
@@ -155,7 +158,7 @@ fn pinned_snapshot_round(store: PageStore) {
             pc_sync::exclusive_acquisitions(),
             locks_before,
             "pinned-snapshot query path acquired an exclusive lock \
-             (round {rounds}, durable: {durable})"
+             (round {rounds}, durable: {durable}, pooled: {pooled})"
         );
         rounds += 1;
         if finished {
