@@ -28,7 +28,7 @@ use pc_bench::{
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
 use pc_obs::ReadClass;
-use pc_pagestore::{PageStore, Point};
+use pc_pagestore::{PageStore, Point, UpdateOp};
 use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, SegmentedPst,
     ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
@@ -893,7 +893,7 @@ fn sub_seed(seed: u64, stream: u64) -> u64 {
 
 /// E10's line for the served benchmark's `mixed_durable` counted pass, in
 /// process: its seed-11 points, corners (in its order) and writer stream,
-/// a burst of 16 updates before each 16 corners.
+/// a burst of 16 updates, applied as one batch, before each 16 corners.
 fn e10_served_pass() {
     let (n, seed, burst) = (500_000usize, 11, 16);
     let raw = gen_points(n, PointDist::Uniform, sub_seed(seed, 1));
@@ -905,13 +905,17 @@ fn e10_served_pass() {
     let mut bursts = stream.chunks_exact(burst);
     let (mut reads, mut classes) = (0, Classes::default());
     for corners in queries.chunks(burst) {
-        for op in bursts.next().into_iter().flatten() {
-            match *op {
-                TemporalOp::Insert((x, y, id)) => pst.insert(&store, Point::new(x, y, id)),
-                TemporalOp::Expire((x, y, id)) => pst.delete(&store, Point::new(x, y, id)),
-            }
-            .unwrap();
-        }
+        // One burst is one batch, applied whole, as the server applies it.
+        let ops: Vec<UpdateOp> = bursts
+            .next()
+            .into_iter()
+            .flatten()
+            .map(|op| match *op {
+                TemporalOp::Insert((x, y, id)) => UpdateOp::Insert(Point::new(x, y, id)),
+                TemporalOp::Expire((x, y, id)) => UpdateOp::Delete(Point::new(x, y, id)),
+            })
+            .collect();
+        pst.apply(&store, &ops).unwrap();
         store.reset_stats();
         for q in corners {
             classes.traced(|| pst.answers(&store, TwoSided { x0: q.x0, y0: q.y0 }));

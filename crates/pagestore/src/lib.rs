@@ -74,7 +74,7 @@ pub use pool::{ShardStats, ShardedPool};
 pub use recovery::RecoveryReport;
 pub use stats::IoStats;
 pub use store::{PageId, PageStore, RetryPolicy, StoreConfig, WalConfig, NULL_PAGE};
-pub use types::{Interval, Point, Record};
+pub use types::{Interval, Point, Record, UpdateOp};
 pub use version::{
     decode_version_meta, encode_version_meta, ApplyGuard, Snapshot, SnapshotGuard, VersionConfig,
     VersionMeta, VersionMetrics, VersionedStore,

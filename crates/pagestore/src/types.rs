@@ -85,6 +85,15 @@ impl Point {
 
 coordinate_record!(Point, x, y);
 
+/// One update of a point set, as a dynamic structure applies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpdateOp {
+    /// Insert a point.
+    Insert(Point),
+    /// Delete a point.
+    Delete(Point),
+}
+
 /// A point as skeletal records and handles embed it: 24 bytes.
 impl Record for Point {
     const ENCODED_LEN: usize = 24;

@@ -81,7 +81,7 @@ use pc_pagestore::layout::{fill_blocks, min_records, BlockList};
 use pc_pagestore::skeleton::{
     for_each_skeletal_page, patch_page, patch_record, write_page, NodeRef, SkelRecord,
 };
-use pc_pagestore::{PageId, PageStore, Point, Result};
+use pc_pagestore::{PageId, PageStore, Point, Result, UpdateOp};
 
 use crate::build::{Kind, PstHandle};
 use crate::mem::{cmp_x, cmp_y, TwoSided, MAX_NODE_POINTS};
@@ -122,6 +122,15 @@ impl Touched {
         self.x_first |= x_rank <= usize::from(r.x_list.first);
         self.y_first |= y_rank <= usize::from(r.y_list.first);
         self.ops.push(op);
+    }
+}
+
+/// `op` as a buffer record, stamped with the next `seq`.
+fn stamped(op: UpdateOp, seq: &mut u64) -> UpdateRec {
+    *seq += 1;
+    match op {
+        UpdateOp::Insert(p) => UpdateRec { is_delete: false, seq: *seq, p },
+        UpdateOp::Delete(p) => UpdateRec { is_delete: true, seq: *seq, p },
     }
 }
 
@@ -233,27 +242,26 @@ impl DynamicPst {
         self.seq
     }
 
-    /// Inserts a point. Amortized `O(log_B n)` I/Os.
+    /// Inserts a point: a one-op [`DynamicPst::apply`].
     pub fn insert(&mut self, store: &PageStore, p: Point) -> Result<()> {
-        let _span = pc_obs::span!("dynpst_insert");
-        self.live += 1;
-        self.log(store, p, false)
+        self.apply(store, &[UpdateOp::Insert(p)])
     }
 
     /// Deletes a point (matched by its full `(x, y, id)` identity; a
-    /// non-existent point is a no-op apart from buffer traffic).
-    /// Amortized `O(log_B n)` I/Os.
+    /// non-existent point costs buffer traffic only): a one-op `apply`.
     pub fn delete(&mut self, store: &PageStore, p: Point) -> Result<()> {
-        let _span = pc_obs::span!("dynpst_delete");
-        self.live = self.live.saturating_sub(1);
-        self.log(store, p, true)
+        self.apply(store, &[UpdateOp::Delete(p)])
     }
 
-    /// Stamps an update and logs it in the root page's `U`.
-    fn log(&mut self, store: &PageStore, p: Point, is_delete: bool) -> Result<()> {
-        self.seq += 1;
-        let rec = UpdateRec { is_delete, seq: self.seq, p };
-        self.push_updates(store, self.root, vec![rec], None)
+    /// Applies a batch in order as one push into the root page's `U`, which
+    /// flushes where it is full: a batch that fits `U` writes it once.
+    pub fn apply(&mut self, store: &PageStore, ops: &[UpdateOp]) -> Result<()> {
+        let _span = pc_obs::span!("dynpst_apply", ops.len());
+        let recs: Vec<UpdateRec> = ops.iter().map(|&op| stamped(op, &mut self.seq)).collect();
+        for rec in &recs {
+            self.live = if rec.is_delete { self.live.saturating_sub(1) } else { self.live + 1 };
+        }
+        self.push_updates(store, self.root, recs, None)
     }
 
     /// Answers a 2-sided query, merging buffered updates.
@@ -314,17 +322,13 @@ impl DynamicPst {
                     &tail,
                 )?;
             }
-            if !ops.is_empty() {
-                // A flush may rebuild the subtree under a fresh page; keep
-                // appending the remaining ops to the new root.
-                if let FlushOutcome::Rebuilt(new_page) =
-                    self.flush_page(store, page_id, parent)?
-                {
-                    page_id = new_page;
-                }
-            }
             if ops.is_empty() {
                 return Ok(());
+            }
+            // A flush may rebuild the subtree under a fresh page; keep
+            // appending the remaining ops to the new root.
+            if let FlushOutcome::Rebuilt(new_page) = self.flush_page(store, page_id, parent)? {
+                page_id = new_page;
             }
         }
     }
@@ -341,13 +345,7 @@ impl DynamicPst {
     ) -> Result<FlushOutcome> {
         let page = store.read(page_id)?;
         let mut header = decode_header(&page)?;
-        if header.u_page.is_null() {
-            return Ok(FlushOutcome::InPlace);
-        }
         let mut ops = read_buffer(store, header.u_page)?;
-        if ops.is_empty() {
-            return Ok(FlushOutcome::InPlace);
-        }
         ops.sort_unstable_by_key(|o| o.seq);
         // Clear the buffer up front (the page itself is kept for reuse).
         write_buffer(store, header.u_page, &[])?;
@@ -784,35 +782,44 @@ impl DynamicThreeSidedPst {
         self.len() == 0
     }
 
-    /// Inserts a point.
+    /// Inserts a point: a one-op [`DynamicThreeSidedPst::apply`].
     pub fn insert(&mut self, store: &PageStore, p: Point) -> Result<()> {
-        let _span = pc_obs::span!("dynpst3_insert");
-        self.log(store, p, false)
+        self.apply(store, &[UpdateOp::Insert(p)])
     }
 
-    /// Deletes a point (by full identity).
+    /// Deletes a point (by full identity): a one-op `apply`.
     pub fn delete(&mut self, store: &PageStore, p: Point) -> Result<()> {
-        let _span = pc_obs::span!("dynpst3_delete");
-        self.log(store, p, true)
+        self.apply(store, &[UpdateOp::Delete(p)])
     }
 
-    fn log(&mut self, store: &PageStore, p: Point, is_delete: bool) -> Result<()> {
-        // Persist buffered ops in blocks; the in-memory copy mirrors disk
-        // (appending costs the read-modify-write the experiments measure).
-        self.seq += 1;
-        let rec = UpdateRec { is_delete, seq: self.seq, p };
-        // The last buffer page takes it while it fits; else a new one does.
-        let held = &self.buffered[self.last_start..];
-        if self.buffer.is_empty() || buffer_room(store.page_size(), held, &[rec]) == 0 {
-            self.buffer.push(store.alloc()?);
-            self.last_start = self.buffered.len();
+    /// Applies a batch in order: each op goes to the last buffer page while
+    /// it fits, else to a new one, and each page the batch touched is
+    /// written once. The op that fills the buffer rebuilds the structure.
+    pub fn apply(&mut self, store: &PageStore, ops: &[UpdateOp]) -> Result<()> {
+        let _span = pc_obs::span!("dynpst3_apply", ops.len());
+        let write_last = |s: &Self| {
+            write_buffer(store, s.buffer[s.buffer.len() - 1], &s.buffered[s.last_start..])
+        };
+        let mut unwritten = false; // the last buffer page lags `buffered`
+        for &op in ops {
+            let rec = stamped(op, &mut self.seq);
+            let held = &self.buffered[self.last_start..];
+            if self.buffer.is_empty() || buffer_room(store.page_size(), held, &[rec]) == 0 {
+                if unwritten {
+                    write_last(self)?;
+                }
+                self.buffer.push(store.alloc()?);
+                self.last_start = self.buffered.len();
+            }
+            self.buffered.push(rec);
+            unwritten = self.buffered.len() < self.buffer_cap;
+            if !unwritten {
+                write_last(self)?;
+                self.rebuild(store)?;
+            }
         }
-        self.buffered.push(rec);
-        let last = *self.buffer.last().expect("a buffer page");
-        write_buffer(store, last, &self.buffered[self.last_start..])?;
-
-        if self.buffered.len() >= self.buffer_cap {
-            self.rebuild(store)?;
+        if unwritten {
+            write_last(self)?;
         }
         Ok(())
     }
@@ -1532,6 +1539,59 @@ mod tests {
         // O(log_B n) with a generous constant: at B=20, n=10k the flush
         // machinery (list rebuilds every ~15 updates) dominates.
         assert!(per_update < 60.0, "amortized update cost {per_update:.1} I/Os");
+    }
+
+    /// A random op stream cut into random batches applies as it does one op
+    /// at a time — the same answers in the same order, `len` and `seq` —
+    /// for both dynamic PSTs, through `U` flushes and every kind of rebuild.
+    #[test]
+    fn a_batch_applies_as_its_ops_one_at_a_time() {
+        for (page_size, n, domain, steps) in
+            [(512, 400, 5_000, 1_500), (4096, 3_000, 1 << 20, 3_000)]
+        {
+            let mut rng = Rng::seed_from_u64(page_size as u64);
+            let initial = uniform_points(&mut rng, n, domain);
+            let mut live = initial.clone();
+            let ops: Vec<UpdateOp> = (0..steps as u64)
+                .map(|i| match rng.gen_range(0..3u64) {
+                    0 if !live.is_empty() => {
+                        UpdateOp::Delete(live.swap_remove(rng.gen_range(0..live.len())))
+                    }
+                    _ => {
+                        let (x, y) = (rng.gen_range(0..domain), rng.gen_range(0..domain));
+                        live.push(Point::new(x, y, 1_000_000 + i));
+                        UpdateOp::Insert(Point::new(x, y, 1_000_000 + i))
+                    }
+                })
+                .collect();
+            let stores: Vec<PageStore> = (0..4).map(|_| PageStore::in_memory(page_size)).collect();
+            let [one2, cut2, one3, cut3] = &stores[..] else { unreachable!() };
+            let mut two = [one2, cut2].map(|s| DynamicPst::build(s, &initial).unwrap());
+            let mut three = [one3, cut3].map(|s| DynamicThreeSidedPst::build(s, &initial).unwrap());
+            let mut at = 0;
+            while at < ops.len() {
+                let batch = &ops[at..(at + rng.gen_range(1..40usize)).min(ops.len())];
+                at += batch.len();
+                for op in batch {
+                    two[0].apply(one2, &[*op]).unwrap();
+                    three[0].apply(one3, &[*op]).unwrap();
+                }
+                two[1].apply(cut2, batch).unwrap();
+                three[1].apply(cut3, batch).unwrap();
+                let (x0, y0) = (rng.gen_range(0..domain), rng.gen_range(0..domain));
+                let (q2, q3) =
+                    (TwoSided { x0, y0 }, ThreeSided { x1: x0, x2: x0 + domain / 4, y0 });
+                let ctx = format!("{page_size} B, op {at}");
+                let (a2, b2) = (two[0].query(one2, q2).unwrap(), two[1].query(cut2, q2).unwrap());
+                assert_eq!(a2, b2, "{ctx}");
+                let (a3, b3) = (three[0].query(one3, q3), three[1].query(cut3, q3));
+                assert_eq!(a3.unwrap(), b3.unwrap(), "{ctx}");
+                assert_eq!((two[0].len(), two[0].seq()), (two[1].len(), two[1].seq()), "{ctx}");
+                assert_eq!((three[0].len(), three[0].seq), (three[1].len(), three[1].seq), "{ctx}");
+            }
+            let everything = TwoSided { x0: i64::MIN, y0: i64::MIN };
+            assert_eq!(canonical(two[1].query(cut2, everything).unwrap()), canonical(live));
+        }
     }
 
     #[test]

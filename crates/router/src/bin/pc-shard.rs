@@ -130,7 +130,9 @@ fn open_service(args: &Args) -> Result<Service, String> {
     let target = match recovered_meta.as_deref().and_then(decode_commit_meta) {
         Some((_seq, descriptors)) if matches!(descriptors.first(), Some(Some(_))) => {
             let desc = descriptors[0].as_ref().expect("matched Some");
-            DynamicPstTarget::open(&store, desc).map_err(|e| format!("reopen structure: {e}"))?
+            let pst =
+                DynamicPst::open(&store, desc).map_err(|e| format!("reopen structure: {e}"))?;
+            DynamicPstTarget::new(pst)
         }
         _ => {
             let pst = DynamicPst::build(&store, &preload(args))

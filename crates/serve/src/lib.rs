@@ -16,8 +16,8 @@
 //! * **per-request deadlines** — a relative deadline in the request header
 //!   answered with `DeadlineExceeded` when it expires in the queue;
 //! * an **update-batching stage** ([`server`]) — dynamic-structure writes
-//!   are coalesced and applied per target with one lock hold per batch,
-//!   the service-layer analogue of the paper's §5 buffered updates;
+//!   are coalesced, and a target takes its group whole, as one push into
+//!   its §5 update buffer; a batch installs whole or fails whole;
 //! * a **structure-agnostic router** ([`target`]) — structures register as
 //!   [`QueryTarget`] trait objects, so new external structures join the
 //!   server without touching it;
@@ -54,6 +54,7 @@ pub mod target;
 pub mod wire;
 
 pub use client::{Client, ClientError, RetryPolicy};
+pub use pc_pagestore::UpdateOp;
 pub use obsplane::{TargetStats, TargetStatsSet};
 pub use router::{
     canonicalize, FrontendHandle, Router, RouterConfig, RouterError, RouterFrontend, ShardMap,
@@ -66,7 +67,7 @@ pub use stats::ServeStats;
 pub use target::{
     BTreeTarget, DynamicBTreeTarget, DynamicPstTarget, DynamicThreeSidedTarget, FrozenView,
     IntervalTreeTarget, NaivePstTarget, PstTarget, QueryTarget, Registry, SegTreeTarget,
-    TargetError, ThreeSidedTarget, UpdateOp,
+    TargetError, ThreeSidedTarget,
 };
 pub use wire::{
     Body, DecodeError, ErrorCode, Op, Request, Response, SlowEntry, WireSpan, FLAG_TRACE,

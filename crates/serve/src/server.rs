@@ -15,10 +15,11 @@
 //! * **batcher** — pops one update, then drains whatever else is already
 //!   queued (up to `BATCH_MAX`), groups by target, and applies each group
 //!   with a single [`crate::target::QueryTarget::apply_updates`] call inside
-//!   one copy-on-write session — the service-layer version of the paper's §5
-//!   buffered-update idea: the structure pays its lock and root-path
-//!   traffic once per batch. There is one update path: a target takes
-//!   updates exactly when it is versioned.
+//!   one copy-on-write session — the paper's §5 buffered updates at the
+//!   service boundary: a structure takes its group whole. The batch installs
+//!   as one epoch or, if a group fails, rolls back and answers every job
+//!   `Storage`. There is one update path: a target takes updates exactly
+//!   when it is versioned.
 //!
 //! Graceful drain-then-shutdown: the ADMIN `Shutdown` op (or
 //! [`ServerHandle::shutdown`]) flips one flag and closes both queues. New
@@ -42,14 +43,14 @@ use pc_obs::serve_metrics as names;
 use pc_obs::slowlog::{SlowLog, SlowQuery};
 use pc_obs::{QueryTrace, Sample};
 use pc_pagestore::{
-    decode_version_meta, IoStats, PageStore, Snapshot, VersionConfig, VersionedStore,
+    decode_version_meta, IoStats, PageStore, Snapshot, UpdateOp, VersionConfig, VersionedStore,
 };
 
 use crate::front::{Conn, ConnEvent, Front, Handler};
 use crate::obsplane::{store_samples, version_samples, TargetStatsSet};
 use crate::queue::{Bounded, PushError};
 use crate::stats::{io_stat_pairs, ServeStats};
-use crate::target::{FrozenView, QueryTarget, Registry, TargetError, UpdateOp};
+use crate::target::{FrozenView, QueryTarget, Registry, TargetError};
 use crate::wire::{
     flatten_spans, Body, ErrorCode, Op, Request, Response, SlowEntry, FLAG_TRACE,
     RANKED_BY_LATENCY, RANKED_BY_WASTE,
@@ -331,19 +332,6 @@ pub fn decode_commit_meta(meta: &[u8]) -> Option<(u64, Vec<Option<Vec<u8>>>)> {
     (at == meta.len()).then_some((seq, out))
 }
 
-fn target_error_response(stats: &ServeStats, id: u64, err: TargetError) -> Response {
-    match err {
-        TargetError::Unsupported { .. } => {
-            stats.bad_requests.fetch_add(1, Relaxed);
-            Response::error(id, ErrorCode::Unsupported, err.to_string())
-        }
-        TargetError::Storage(e) => {
-            stats.storage_errors.fetch_add(1, Relaxed);
-            Response::error(id, ErrorCode::Storage, e.to_string())
-        }
-    }
-}
-
 /// A popped job's time in the queue goes on record; if its deadline passed
 /// there, this is its answer (an expired update must not be applied).
 fn expired(shared: &Shared, job: &Job) -> Option<Response> {
@@ -393,7 +381,14 @@ fn execute_query(shared: &Shared, job: &Job) -> Response {
                 shared.stats.queries_ok.fetch_add(1, Relaxed);
                 Response { id: job.req.id, body }
             }
-            Err(e) => target_error_response(&shared.stats, job.req.id, e),
+            Err(e @ TargetError::Unsupported { .. }) => {
+                shared.stats.bad_requests.fetch_add(1, Relaxed);
+                Response::error(job.req.id, ErrorCode::Unsupported, e.to_string())
+            }
+            Err(TargetError::Storage(e)) => {
+                shared.stats.storage_errors.fetch_add(1, Relaxed);
+                Response::error(job.req.id, ErrorCode::Storage, e.to_string())
+            }
         }
     };
     if let Some(ts) = shared.target_stats.get(job.req.target) {
@@ -451,15 +446,9 @@ fn query_at_snapshot(
     view.query(&shared.store, op)
 }
 
-/// Applies one per-target group of coalesced updates with a single
-/// `apply_updates` call (one lock hold, one root-path traversal), folding
-/// per-job results into `outcomes`.
-fn apply_group(
-    shared: &Shared,
-    tid: u16,
-    jobs: Vec<Job>,
-    outcomes: &mut Vec<(Job, std::result::Result<u32, TargetError>)>,
-) {
+/// Applies one per-target group with a single `apply_updates` call: one
+/// lock hold, one push into the structure.
+fn apply_group(shared: &Shared, tid: u16, jobs: &[Job]) -> Result<(), TargetError> {
     let ops: Vec<UpdateOp> = jobs
         .iter()
         .filter_map(|j| match &j.req.op {
@@ -494,12 +483,48 @@ fn apply_group(
         ts.batched_updates.fetch_add(coalesced as u64, Relaxed);
         ts.latency_ns.record(apply_ns);
     }
-    for (job, res) in jobs.into_iter().zip(results) {
-        outcomes.push((job, res.map(|()| coalesced)));
+    results.into_iter().collect()
+}
+
+/// Applies every group in one copy-on-write session (snapshot readers see
+/// nothing until install) and installs it as epoch `seq`, or, on any
+/// error, drops the session, which rolls the whole batch back.
+fn apply_batch(shared: &Shared, seq: u64, groups: &[(u16, Vec<Job>)]) -> Result<(), String> {
+    let session = shared.versions.begin_apply();
+    let applied = groups.iter().try_for_each(|(tid, jobs)| apply_group(shared, *tid, jobs));
+    applied.map_err(|e| e.to_string())?;
+    // On a durable store the install is also the group commit (no Ack
+    // before its batch is in the synced WAL), and every commit's metadata
+    // stays version-framed, carrying each target's reopen descriptor: both
+    // recovery and `as_of` reads resolve handles of exactly this state.
+    let descriptors = shared.registry.descriptors();
+    session.install_as(seq, &encode_commit_meta(seq, &descriptors)).map_err(|e| {
+        shared.stats.commit_failures.fetch_add(1, Relaxed);
+        format!("group commit failed: {e}")
+    })?;
+    if shared.store.is_durable() {
+        shared.stats.group_commits.fetch_add(1, Relaxed);
     }
+    Ok(())
+}
+
+/// Reopens every versioned target as the current epoch committed it.
+fn reopen_targets(shared: &Shared) -> Result<(), TargetError> {
+    let snap = shared.versions.snapshot();
+    let _g = snap.enter();
+    for tid in 0..shared.registry.len() as u16 {
+        let target = shared.registry.get(tid).expect("a registered id");
+        if target.versioned_updates() {
+            target.reopen(&shared.store, &snapshot_descriptor(&snap, tid)?)?;
+        }
+    }
+    Ok(())
 }
 
 fn batcher_loop(shared: &Shared) {
+    // A failed batch leaves the live structures ahead of the installed
+    // epoch: the next batch first reopens them at it.
+    let mut stale = false;
     while let Some(first) = shared.updates.pop() {
         // Coalesce: take whatever else is already queued, up to BATCH_MAX.
         let mut batch = vec![first];
@@ -532,68 +557,38 @@ fn batcher_loop(shared: &Shared) {
                 None => groups.push((job.req.target, vec![job])),
             }
         }
-        let mut outcomes: Vec<(Job, std::result::Result<u32, TargetError>)> = Vec::new();
-        if !groups.is_empty() {
-            // The copy-on-write apply session (admission lets an update
-            // through only to a versioned target): every write to a frozen
-            // page is redirected to a fresh one, so concurrent snapshot
-            // readers observe nothing until install.
-            let session = shared.versions.begin_apply();
-            for (tid, jobs) in groups {
-                apply_group(shared, tid, jobs, &mut outcomes);
-            }
-
-            // Install the batch as the next epoch. On a durable store the
-            // install is also the group commit (the lost-ack rule: no Ack
-            // leaves before its batch is in the synced WAL), and it keeps
-            // the durability invariant that every commit's metadata is
-            // version-framed — recovery would silently drop the epoch map
-            // if a plain commit ever landed on top of it. The framed
-            // payload carries each target's reopen descriptor, so both
-            // recovery and historical `as_of` reads resolve structure
-            // handles matching exactly this acknowledged state.
-            let descriptors = shared.registry.descriptors();
-            match session.install_as(seq, &encode_commit_meta(seq, &descriptors)) {
-                Ok(_) => {
-                    if shared.store.is_durable() {
-                        shared.stats.group_commits.fetch_add(1, Relaxed);
-                    }
-                }
-                Err(e) => {
-                    // Nothing in this batch is durable: acking any of it
-                    // would be a lie. Fail every applied update.
-                    shared.stats.commit_failures.fetch_add(1, Relaxed);
-                    let msg = format!("group commit failed: {e}");
-                    for (_, res) in outcomes.iter_mut() {
-                        if res.is_ok() {
-                            *res = Err(TargetError::Storage(
-                                pc_pagestore::StoreError::Corrupt(msg.clone()),
-                            ));
-                        }
-                    }
-                }
-            }
+        if groups.is_empty() {
+            continue;
         }
-
-        for (job, res) in outcomes {
-            let ts = shared.target_stats.get(job.req.target);
-            let resp = match res {
-                Ok(coalesced) => {
-                    shared.stats.updates_ok.fetch_add(1, Relaxed);
-                    if let Some(ts) = ts {
-                        ts.updates_ok.fetch_add(1, Relaxed);
-                    }
-                    Response { id: job.req.id, body: Body::Ack { batch: seq, coalesced } }
+        let reopened =
+            if stale { reopen_targets(shared).map_err(|e| e.to_string()) } else { Ok(()) };
+        let outcome = reopened.and_then(|()| apply_batch(shared, seq, &groups));
+        stale = outcome.is_err();
+        // Every job gets the batch's outcome.
+        for (tid, jobs) in groups {
+            let ts = shared.target_stats.get(tid);
+            let coalesced = jobs.len() as u32;
+            for job in jobs {
+                let id = job.req.id;
+                let (total, per_target, resp) = match &outcome {
+                    Ok(()) => (
+                        &shared.stats.updates_ok,
+                        ts.map(|ts| &ts.updates_ok),
+                        Response { id, body: Body::Ack { batch: seq, coalesced } },
+                    ),
+                    Err(msg) => (
+                        &shared.stats.storage_errors,
+                        ts.map(|ts| &ts.errors),
+                        Response::error(id, ErrorCode::Storage, msg.clone()),
+                    ),
+                };
+                total.fetch_add(1, Relaxed);
+                if let Some(counter) = per_target {
+                    counter.fetch_add(1, Relaxed);
                 }
-                Err(e) => {
-                    if let Some(ts) = ts {
-                        ts.errors.fetch_add(1, Relaxed);
-                    }
-                    target_error_response(&shared.stats, job.req.id, e)
-                }
-            };
-            shared.stats.update_latency_ns.record(job.enqueued.elapsed().as_nanos() as u64);
-            job.conn.respond(&resp);
+                shared.stats.update_latency_ns.record(job.enqueued.elapsed().as_nanos() as u64);
+                job.conn.respond(&resp);
+            }
         }
     }
 }

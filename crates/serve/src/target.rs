@@ -10,15 +10,15 @@
 //! [`Answers`] — one method per read op, each absent by default — and
 //! `answer` holds the one arm per op that turns a wire op into the call and
 //! the result into its wire body. A structure that also takes [`Updates`]
-//! (insert, delete, a reopen descriptor) is served by [`Dynamic`], which
-//! holds the one insert/delete loop: the batching stage hands over everything
-//! it coalesced, so the structure pays its lock acquisition and root-path
-//! traffic once per batch, not once per update (the Thm 5.1 buffering idea
-//! applied at the service boundary). Because `Updates` demands the
-//! descriptor, every target that accepts an update is versioned and
-//! time-travelable: there is no second, unversioned update path. Adding a
-//! structure to the server is one `impl Answers` (plus `impl Updates`) and
-//! one `register` call.
+//! (a batch apply, a reopen descriptor) is served by [`Dynamic`], which
+//! hands it each coalesced batch whole, under one lock hold — a dynamic PST
+//! pushes a burst into its root buffer at once (the Thm 5.1 buffering idea
+//! at the service boundary) — and the batch succeeds or fails whole.
+//! Because `Updates` demands the descriptor, every target that accepts an
+//! update is versioned, time-travelable and reopened at the installed epoch
+//! after a failed batch: there is no second, unversioned update path.
+//! Adding a structure to the server is one `impl Answers` (plus `impl
+//! Updates`) and one `register` call.
 //!
 //! All registered structures share one [`PageStore`] (`&self` API, `Sync`),
 //! so worker threads query concurrently through the sharded buffer pool.
@@ -27,7 +27,7 @@ use std::fmt;
 
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pagestore::{Interval, PageStore, Point, StoreError};
+use pc_pagestore::{Interval, PageStore, Point, StoreError, UpdateOp};
 use pc_pst::{
     DynamicPst, DynamicThreeSidedPst, NaivePst, ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
 };
@@ -69,15 +69,6 @@ impl From<StoreError> for TargetError {
     }
 }
 
-/// One update taken from the wire, as handed to [`QueryTarget::apply_updates`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateOp {
-    /// Insert a point.
-    Insert(Point),
-    /// Delete a point.
-    Delete(Point),
-}
-
 /// A servable structure. Implementations must be `Send + Sync`: queries run
 /// concurrently from the worker pool against a shared [`PageStore`].
 pub trait QueryTarget: Send + Sync {
@@ -87,8 +78,9 @@ pub trait QueryTarget: Send + Sync {
     /// Serves one read op; anything else is `Unsupported`.
     fn query(&self, store: &PageStore, op: &Op) -> Result<Body, TargetError>;
 
-    /// Applies a coalesced batch of updates, returning one result per op in
-    /// order. The default rejects everything (static structure).
+    /// Applies a coalesced batch of updates as one unit, returning one
+    /// result per op in order: each the batch's outcome. The default
+    /// rejects everything (static structure).
     fn apply_updates(&self, store: &PageStore, ops: &[UpdateOp]) -> Vec<Result<(), TargetError>> {
         let _ = store;
         ops.iter()
@@ -112,6 +104,13 @@ pub trait QueryTarget: Send + Sync {
     /// at admission. False for static targets, which are read in place.
     fn versioned_updates(&self) -> bool {
         false
+    }
+
+    /// Resets the live structure to a committed descriptor's state, as
+    /// after a failed batch rolled back. The default refuses.
+    fn reopen(&self, store: &PageStore, desc: &[u8]) -> Result<(), TargetError> {
+        let _ = (store, desc);
+        Err(TargetError::Unsupported { op: "reopen", target: self.kind() })
     }
 
     /// Reopens a read-only view of this target's state as captured by a
@@ -298,10 +297,8 @@ static_target! {
 pub trait Updates: Answers + Sized + 'static {
     /// [`Answers::KIND`] of a frozen per-epoch view.
     const FROZEN_KIND: &'static str;
-    /// Inserts a point.
-    fn insert(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError>;
-    /// Deletes a point.
-    fn delete(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError>;
+    /// Applies a batch in order; after an error, reopen the structure.
+    fn apply(&mut self, store: &PageStore, ops: &[UpdateOp]) -> Result<(), StoreError>;
     /// The reopen handle of the current state.
     fn descriptor(&self) -> Vec<u8>;
     /// Reopens the state a descriptor names.
@@ -313,11 +310,8 @@ macro_rules! updates {
     ($S:ty, frozen $kind:literal) => {
         impl Updates for $S {
             const FROZEN_KIND: &'static str = $kind;
-            fn insert(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError> {
-                <$S>::insert(self, store, p)
-            }
-            fn delete(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError> {
-                <$S>::delete(self, store, p)
+            fn apply(&mut self, store: &PageStore, ops: &[UpdateOp]) -> Result<(), StoreError> {
+                <$S>::apply(self, store, ops)
             }
             fn descriptor(&self) -> Vec<u8> {
                 <$S>::descriptor(self).into()
@@ -334,13 +328,13 @@ updates!(DynamicThreeSidedPst, frozen "dynamic_pst3@epoch");
 /// A B-tree takes a point's `x` as the key and its `id` as the value.
 impl Updates for BTree {
     const FROZEN_KIND: &'static str = "btree@epoch";
-    fn insert(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError> {
-        BTree::insert(self, store, p.x, p.id).map(drop)
-    }
-    /// Deletes the entry `p.x → p.id` only: another point's insert may
-    /// have replaced the value under `p.x` since.
-    fn delete(&mut self, store: &PageStore, p: Point) -> Result<(), StoreError> {
-        BTree::delete_if(self, store, p.x, |id| id == p.id).map(drop)
+    /// A delete removes the entry `p.x → p.id` only: another point's
+    /// insert may have replaced the value under `p.x` since.
+    fn apply(&mut self, store: &PageStore, ops: &[UpdateOp]) -> Result<(), StoreError> {
+        ops.iter().try_for_each(|op| match *op {
+            UpdateOp::Insert(p) => BTree::insert(self, store, p.x, p.id).map(drop),
+            UpdateOp::Delete(p) => BTree::delete_if(self, store, p.x, |id| id == p.id).map(drop),
+        })
     }
     fn descriptor(&self) -> Vec<u8> {
         BTree::descriptor(self).into()
@@ -364,15 +358,10 @@ pub type DynamicThreeSidedTarget = Dynamic<DynamicThreeSidedPst>;
 pub type DynamicBTreeTarget = Dynamic<BTree>;
 
 impl<S: Updates> Dynamic<S> {
-    /// Wraps an already-built structure.
+    /// Wraps a built or reopened structure (after a crash, reopened from
+    /// the descriptor in the recovered store's `last_commit_meta`).
     pub fn new(structure: S) -> Dynamic<S> {
         Dynamic(Mutex::new(structure))
-    }
-
-    /// Reopens from a committed descriptor (crash recovery: the handle
-    /// comes out of the recovered store's `last_commit_meta`).
-    pub fn open(store: &PageStore, desc: &[u8]) -> Result<Dynamic<S>, TargetError> {
-        Ok(Dynamic::new(S::open(store, desc)?))
     }
 }
 
@@ -386,16 +375,9 @@ impl<S: Updates> QueryTarget for Dynamic<S> {
     }
 
     fn apply_updates(&self, store: &PageStore, ops: &[UpdateOp]) -> Vec<Result<(), TargetError>> {
-        let mut structure = self.0.lock();
-        ops.iter()
-            .map(|op| {
-                match *op {
-                    UpdateOp::Insert(p) => structure.insert(store, p),
-                    UpdateOp::Delete(p) => structure.delete(store, p),
-                }
-                .map_err(TargetError::from)
-            })
-            .collect()
+        let outcome = self.0.lock().apply(store, ops).map_err(|e| format!("batch failed: {e}"));
+        let each = |_| outcome.clone().map_err(|e| TargetError::Storage(StoreError::Corrupt(e)));
+        ops.iter().map(each).collect()
     }
 
     fn descriptor(&self) -> Option<Vec<u8>> {
@@ -404,6 +386,11 @@ impl<S: Updates> QueryTarget for Dynamic<S> {
 
     fn versioned_updates(&self) -> bool {
         true
+    }
+
+    fn reopen(&self, store: &PageStore, desc: &[u8]) -> Result<(), TargetError> {
+        *self.0.lock() = S::open(store, desc)?;
+        Ok(())
     }
 
     fn open_frozen(
@@ -564,7 +551,12 @@ mod tests {
         let target = DynamicPstTarget::new(DynamicPst::build(&store, &[]).unwrap());
         let ops: Vec<UpdateOp> =
             (0..40).map(|i| UpdateOp::Insert(Point { x: i, y: i % 10, id: i as u64 })).collect();
-        let results = target.apply_updates(&store, &ops);
+        // A batch that fits the root's `U` is one push: `U` and the root
+        // page's staircase are written once each, not once an update.
+        store.reset_stats();
+        assert!(target.apply_updates(&store, &ops[..16]).iter().all(|r| r.is_ok()));
+        assert!(store.stats().writes <= 2, "{:?}", store.stats());
+        let results = target.apply_updates(&store, &ops[16..]);
         assert!(results.iter().all(|r| r.is_ok()));
         let deletes: Vec<UpdateOp> =
             (0..10).map(|i| UpdateOp::Delete(Point { x: i, y: i % 10, id: i as u64 })).collect();

@@ -51,7 +51,7 @@ fn spawn_replica(path: &Path, preload: &[Point]) -> (ServerHandle, u64) {
     let (target, recovered_seq) = match meta.as_deref().and_then(decode_commit_meta) {
         Some((_batch, descriptors)) if matches!(descriptors.first(), Some(Some(_))) => {
             let desc = descriptors[0].as_ref().expect("matched Some");
-            let target = DynamicPstTarget::open(&store, desc).unwrap();
+            let target = DynamicPstTarget::new(DynamicPst::open(&store, desc).unwrap());
             let seq = target.0.lock().seq();
             (target, seq)
         }

@@ -339,7 +339,7 @@ fn points(n: i64) -> Vec<Point> {
 // ---------------------------------------------------------------------------
 
 const V_FRAME: usize = PAGE + 8;
-const V_BATCHES: u64 = 5;
+const V_BATCHES: u64 = 12;
 
 fn version_wal_cfg() -> WalConfig {
     // Small threshold so the matrix includes kills inside checkpoints of
@@ -365,7 +365,7 @@ const SERVED: [Served; 2] = [
     Served {
         name: "dynamic_pst",
         build: |store, points| Ok(Box::new(DynamicPstTarget::new(DynamicPst::build(store, points)?))),
-        reopen: |store, desc| Ok(Box::new(DynamicPstTarget::open(store, desc)?)),
+        reopen: |store, desc| Ok(Box::new(DynamicPstTarget::new(DynamicPst::open(store, desc)?))),
         scan: Op::TwoSided { x0: i64::MIN, y0: i64::MIN },
     },
     Served {
@@ -373,7 +373,9 @@ const SERVED: [Served; 2] = [
         build: |store, points| {
             Ok(Box::new(DynamicThreeSidedTarget::new(DynamicThreeSidedPst::build(store, points)?)))
         },
-        reopen: |store, desc| Ok(Box::new(DynamicThreeSidedTarget::open(store, desc)?)),
+        reopen: |store, desc| {
+            Ok(Box::new(DynamicThreeSidedTarget::new(DynamicThreeSidedPst::open(store, desc)?)))
+        },
         scan: Op::ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN },
     },
 ];

@@ -7,6 +7,7 @@
 //! Seeds follow the `tests/chaos.rs` convention: fixed by default,
 //! `PC_CHAOS_SEED=<u64>` to explore fresh scenarios.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -195,6 +196,64 @@ fn corruption_is_a_typed_error_response_never_a_hang() {
     for (i, op) in queries.iter().enumerate() {
         assert_eq!(c.call(0, 0, op.clone()).unwrap().body, golden[i]);
     }
+    handle.shutdown();
+    handle.join();
+}
+
+/// A batch that fails is not installed. Acked inserts sit in the dynamic
+/// PST's root `U`; a pipelined burst overflows `U`, and its flush fails
+/// reading a root-page X-list: every page the build wrote is made
+/// unreadable, while a push reads only the root page and `U`, which the
+/// acked batches moved to fresh pages. The failing batch rolls back whole
+/// — all its jobs answered `Storage` — so every acked insert is still
+/// answered, and once the faults stop the reopened structure flushes again.
+#[test]
+fn a_batch_whose_flush_fails_loses_no_acked_update() {
+    let seed = chaos_seed();
+    let backend = FaultBackend::new(Box::new(MemBackend::new(PAGE + 8)), FaultPlan::none(seed));
+    let faults = backend.handle();
+    let config = StoreConfig::strict(PAGE).with_retry(RetryPolicy::none());
+    let handle = spawn_over(PageStore::new(config, Box::new(backend)), seed);
+    let built = handle.store().allocated_pages();
+    let mut c = Client::connect(handle.addr(), Duration::from_secs(10)).unwrap();
+    // Full-width points: `U` holds a block of them, ~19 at 512 B.
+    let mut rng = Rng::seed_from_u64(seed ^ 0xf1a5);
+    let mut coordinate = || rng.gen_range(i64::MIN..i64::MAX);
+    let wide: Vec<Point> =
+        (0..140).map(|i| Point { x: coordinate(), y: coordinate(), id: 10_000 + i }).collect();
+    let point = |i: i64| wide[i as usize];
+    let mut acked = Vec::new();
+    let insert = |c: &mut Client, i: i64| match c.call(0, 0, Op::Insert(point(i))).unwrap().body {
+        Body::Ack { .. } => point(i),
+        other => panic!("insert {i} answered {other:?} (seed={seed})"),
+    };
+    acked.extend((0..3).map(|i| insert(&mut c, i)));
+
+    for &id in &built {
+        (1..=1_000).for_each(|nth| faults.fail_nth_read(id, nth));
+    }
+    let sent: HashMap<u64, Point> =
+        (3..67).map(|i| (c.send(0, 0, Op::Insert(point(i))).unwrap(), point(i))).collect();
+    let mut failed = 0;
+    for _ in 0..sent.len() {
+        let resp = c.recv().unwrap();
+        match resp.body {
+            Body::Ack { .. } => acked.push(sent[&resp.id]),
+            Body::Error { code: ErrorCode::Storage, .. } => failed += 1,
+            other => panic!("burst answered {other:?} (seed={seed})"),
+        }
+    }
+    assert!(failed > 0, "the burst never flushed U (seed={seed})");
+
+    faults.set_enabled(false);
+    acked.extend((100..140).map(|i| insert(&mut c, i)));
+    let everything = Op::TwoSided { x0: i64::MIN, y0: i64::MIN };
+    let Body::Points(got) = c.call(0, 0, everything).unwrap().body else {
+        panic!("the whole-plane query failed (seed={seed})")
+    };
+    let got: HashSet<u64> = got.iter().map(|p| p.id).collect();
+    let lost: Vec<u64> = acked.iter().map(|p| p.id).filter(|id| !got.contains(id)).collect();
+    assert!(lost.is_empty(), "acked inserts lost: {lost:?} (seed={seed})");
     handle.shutdown();
     handle.join();
 }
