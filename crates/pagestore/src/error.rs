@@ -38,11 +38,6 @@ pub enum StoreError {
     /// last commit, or write inside a version apply session, which moves a
     /// frozen page to a fresh one.
     CommittedPage(PageId),
-    /// The page exhausted its transient-fault retry budget and is held in
-    /// the store's quarantine set; access is refused until the backend is
-    /// repaired (e.g. via [`crate::PageStore::scrub`]) or the set is
-    /// cleared with [`crate::PageStore::clear_quarantine`].
-    Quarantined(PageId),
     /// A partial (torn) trailing write was detected in a backing file: the
     /// file ends mid-frame or mid-record. A WAL-backed open recovers by
     /// truncating the tail, which only an uncommitted group can own
@@ -71,24 +66,24 @@ pub enum StoreError {
     },
 }
 
-impl StoreError {
-    /// True for failures worth retrying: the operation may succeed if
-    /// re-issued (interrupted/timed-out I/O, including the transient
-    /// faults injected by [`crate::backend::FaultBackend`]).
-    ///
-    /// Everything else is *permanent* for the retry layer: allocation and
-    /// size errors are caller bugs, checksum/layout corruption will not
-    /// heal by re-reading the same frame (a router replica group reads
-    /// another replica instead), and quarantine is by definition sticky.
-    pub fn is_transient(&self) -> bool {
+/// A copy for each op of a batch that failed whole. An `Io` error keeps
+/// its kind and message; `std::io::Error` itself is not `Clone`.
+impl Clone for StoreError {
+    fn clone(&self) -> Self {
+        use StoreError::*;
         match self {
-            StoreError::Io(e) => matches!(
-                e.kind(),
-                std::io::ErrorKind::Interrupted
-                    | std::io::ErrorKind::TimedOut
-                    | std::io::ErrorKind::WouldBlock
-            ),
-            _ => false,
+            Io(e) => Io(std::io::Error::new(e.kind(), e.to_string())),
+            PageNotAllocated(id) => PageNotAllocated(*id),
+            ChecksumMismatch(id) => ChecksumMismatch(*id),
+            &PayloadTooLarge { payload, page_size } => PayloadTooLarge { payload, page_size },
+            Corrupt(msg) => Corrupt(msg.clone()),
+            &LogRecordTooLarge { payload, max } => LogRecordTooLarge { payload, max },
+            CommittedPage(id) => CommittedPage(*id),
+            &TornWrite { complete, trailing_bytes } => TornWrite { complete, trailing_bytes },
+            Crashed => Crashed,
+            &VersionNotRetained { requested, oldest, current } => {
+                VersionNotRetained { requested, oldest, current }
+            }
         }
     }
 }
@@ -108,9 +103,6 @@ impl fmt::Display for StoreError {
             }
             StoreError::CommittedPage(id) => {
                 write!(f, "page {id:?} is committed and cannot be overwritten")
-            }
-            StoreError::Quarantined(id) => {
-                write!(f, "page {id:?} is quarantined after exhausting its retry budget")
             }
             StoreError::TornWrite { complete, trailing_bytes } => write!(
                 f,
@@ -160,23 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_classification() {
-        use std::io::ErrorKind;
-        for kind in [ErrorKind::Interrupted, ErrorKind::TimedOut, ErrorKind::WouldBlock] {
-            assert!(StoreError::Io(std::io::Error::new(kind, "glitch")).is_transient());
-        }
-        assert!(!StoreError::Io(std::io::Error::other("dead disk")).is_transient());
-        assert!(!StoreError::ChecksumMismatch(PageId(1)).is_transient());
-        assert!(!StoreError::PageNotAllocated(PageId(1)).is_transient());
-        assert!(!StoreError::Corrupt("x".into()).is_transient());
-        assert!(!StoreError::Quarantined(PageId(1)).is_transient());
-        assert!(!StoreError::TornWrite { complete: 3, trailing_bytes: 17 }.is_transient());
-        assert!(!StoreError::Crashed.is_transient());
-        assert!(!StoreError::VersionNotRetained { requested: 9, oldest: 3, current: 7 }
-            .is_transient());
-    }
-
-    #[test]
     fn version_not_retained_display_carries_the_window() {
         let e = StoreError::VersionNotRetained { requested: 2, oldest: 5, current: 9 };
         for needle in ["2", "5", "9"] {
@@ -193,10 +168,13 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_display_names_the_page() {
-        let e = StoreError::Quarantined(PageId(9));
-        assert!(e.to_string().contains('9'));
-        assert!(e.to_string().contains("quarantin"));
+    fn a_clone_keeps_the_variant_and_the_message() {
+        let io = StoreError::Io(std::io::Error::new(std::io::ErrorKind::Interrupted, "glitch"));
+        let copy = io.clone();
+        assert!(matches!(&copy, StoreError::Io(e) if e.kind() == std::io::ErrorKind::Interrupted));
+        assert_eq!(copy.to_string(), io.to_string());
+        let e = StoreError::TornWrite { complete: 3, trailing_bytes: 17 };
+        assert_eq!(e.clone().to_string(), e.to_string());
     }
 
     #[test]

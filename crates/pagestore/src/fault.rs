@@ -16,13 +16,14 @@
 //!
 //! | fault            | op    | surfaces as                               |
 //! |------------------|-------|-------------------------------------------|
-//! | transient        | r/w   | `Err(Io)` with a retryable kind           |
+//! | transient        | r/w   | one-shot `Err(Io)`, kind `Interrupted`    |
 //! | frame loss       | read  | sticky permanent `Err(Io)`; write heals   |
 //! | torn write       | write | silent `Ok`; prefix new + suffix old      |
 //! | bit rot at write | write | silent `Ok`; one flipped bit at rest      |
 //!
 //! Silent faults are exactly the ones the store's checksums must catch;
-//! loud faults are the ones its retry layer must absorb. A torn write
+//! loud faults reach the store's caller as they are, to fail the read over
+//! to another replica or roll the batch back (DESIGN §9). A torn write
 //! therefore never keeps the old frame whole, checksum included: no
 //! checksum tells that apart from a write never made (lost writes are
 //! outside the fault model, DESIGN §9).
@@ -45,10 +46,10 @@ pub struct FaultPlan {
     /// Seed for every injection decision. Two backends with the same plan
     /// and workload inject identical faults.
     pub seed: u64,
-    /// Probability a read fails with a retryable I/O error.
+    /// Probability a read fails with a one-shot `Interrupted` I/O error.
     pub read_transient_p: f64,
-    /// Probability a write fails with a retryable I/O error (nothing is
-    /// written).
+    /// Probability a write fails with a one-shot `Interrupted` I/O error
+    /// (nothing is written).
     pub write_transient_p: f64,
     /// Probability a write silently persists only a prefix of the frame,
     /// keeping the old suffix (the classic torn page). The cut falls after
@@ -75,8 +76,9 @@ impl FaultPlan {
         }
     }
 
-    /// Transient faults only, at probability `p` per read and per write —
-    /// everything this plan injects is absorbable by bounded retries.
+    /// Transient faults only, at probability `p` per read and per write:
+    /// each fails one access and leaves the frame as it was, so the same
+    /// access issued again may succeed.
     pub fn transient(seed: u64, p: f64) -> Self {
         FaultPlan { read_transient_p: p, write_transient_p: p, ..FaultPlan::none(seed) }
     }
@@ -87,9 +89,9 @@ impl FaultPlan {
 /// "the run was never actually under fault".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InjectionStats {
-    /// Reads failed with a retryable error.
+    /// Reads failed with a transient error.
     pub read_transients: u64,
-    /// Writes failed with a retryable error.
+    /// Writes failed with a transient error.
     pub write_transients: u64,
     /// Writes that silently persisted a torn frame.
     pub torn_writes: u64,
@@ -171,8 +173,8 @@ fn transient_err(what: &str, id: PageId) -> crate::StoreError {
 }
 
 fn lost_err(id: PageId) -> crate::StoreError {
-    // `Other` is deliberately outside `StoreError::is_transient`: a lost
-    // frame does not come back by retrying the same replica.
+    // `Other`, not the transient class's `Interrupted`: a lost frame does
+    // not come back by reading the same replica again.
     std::io::Error::other(format!("injected permanent frame loss on page {}", id.0)).into()
 }
 
@@ -385,6 +387,10 @@ mod tests {
         b.write_frame(PageId(id), &[fill; 64]).unwrap();
     }
 
+    fn interrupted(e: &crate::StoreError) -> bool {
+        matches!(e, crate::StoreError::Io(e) if e.kind() == std::io::ErrorKind::Interrupted)
+    }
+
     #[test]
     fn same_seed_injects_identical_faults() {
         let run = |seed: u64| {
@@ -431,10 +437,10 @@ mod tests {
         let mut buf = [0u8; 64];
         b.read_frame(PageId(9), &mut buf).unwrap(); // 1st read: fine
         let err = b.read_frame(PageId(9), &mut buf).unwrap_err(); // 2nd: trigger
-        assert!(err.is_transient());
+        assert!(interrupted(&err), "{err}");
         b.read_frame(PageId(9), &mut buf).unwrap(); // 3rd: one-shot, fine again
         write_ok(&b, 9, 6); // 2nd write: fine
-        assert!(b.write_frame(PageId(9), &[7; 64]).unwrap_err().is_transient());
+        assert!(interrupted(&b.write_frame(PageId(9), &[7; 64]).unwrap_err()));
         write_ok(&b, 9, 7); // 4th write: fine
         assert_eq!(h.injected().triggers_fired, 2);
     }
@@ -471,11 +477,11 @@ mod tests {
         write_ok(&b, 2, 9);
         h.set_plan(FaultPlan { frame_loss_p: 1.0, ..FaultPlan::none(17) });
         let mut buf = [0u8; 64];
-        assert!(!b.read_frame(PageId(2), &mut buf).unwrap_err().is_transient());
+        assert!(!interrupted(&b.read_frame(PageId(2), &mut buf).unwrap_err()));
         h.set_plan(FaultPlan::none(17));
         for _ in 0..3 {
             let err = b.read_frame(PageId(2), &mut buf).unwrap_err();
-            assert!(!err.is_transient(), "loss must be permanent: {err}");
+            assert!(!interrupted(&err), "loss must be permanent: {err}");
         }
         assert_eq!(h.injected().frames_lost, 1, "one loss, however often it is read");
         write_ok(&b, 2, 10); // rewrite heals

@@ -19,10 +19,11 @@
 //! * [`backend`] — where the bytes live: [`backend::MemBackend`] (RAM) or
 //!   [`backend::FileBackend`] (a real file, positional I/O).
 //! * [`fault`] — deterministic seeded fault injection ([`FaultBackend`]):
-//!   transient errors, frame loss, torn writes, bit rot. The store layers
-//!   checksums, bounded retries and a quarantine set on top (see DESIGN.md
-//!   §9 "Fault model & recovery"); replication is the router's replica
-//!   groups', one level up (DESIGN.md §15).
+//!   transient errors, frame loss, torn writes, bit rot. The store checks
+//!   every frame's checksum and hands any backend error to its caller
+//!   unchanged (see DESIGN.md §9 "Fault model & recovery"); recovery from
+//!   a failed read is the router's replica groups', one level up
+//!   (DESIGN.md §15).
 //! * [`codec`] — bounds-checked little-endian cursors for page layouts.
 //! * [`layout`] — the self-describing block codec every list of data
 //!   records is stored in (a base, a bit width and an offset-or-gap mode
@@ -73,7 +74,7 @@ pub use page::Page;
 pub use pool::{ShardStats, ShardedPool};
 pub use recovery::RecoveryReport;
 pub use stats::IoStats;
-pub use store::{PageId, PageStore, RetryPolicy, StoreConfig, WalConfig, NULL_PAGE};
+pub use store::{PageId, PageStore, StoreConfig, WalConfig, NULL_PAGE};
 pub use types::{Interval, Point, Record, UpdateOp};
 pub use version::{
     decode_version_meta, encode_version_meta, ApplyGuard, Snapshot, SnapshotGuard, VersionConfig,

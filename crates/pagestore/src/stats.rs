@@ -27,12 +27,6 @@ pub struct IoStats {
     /// Buffer-pool frames evicted to make room (dirty or clean; 0 in
     /// strict mode). Dirty evictions also count one backend write.
     pub pool_evictions: u64,
-    /// Extra backend attempts issued by the retry layer after a transient
-    /// fault (a fault-free run always reports 0).
-    pub retries: u64,
-    /// Pages moved into the quarantine set after exhausting their retry
-    /// budget (cumulative events, not the current set size).
-    pub quarantined: u64,
 }
 
 impl IoStats {
@@ -96,8 +90,6 @@ impl Sub for IoStats {
             allocs: self.allocs.saturating_sub(rhs.allocs),
             frees: self.frees.saturating_sub(rhs.frees),
             pool_evictions: self.pool_evictions.saturating_sub(rhs.pool_evictions),
-            retries: self.retries.saturating_sub(rhs.retries),
-            quarantined: self.quarantined.saturating_sub(rhs.quarantined),
         }
     }
 }
@@ -106,16 +98,13 @@ impl fmt::Display for IoStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "reads={} writes={} hits={} allocs={} frees={} evictions={} \
-             retries={} quarantined={} hit_ratio={:.2}",
+            "reads={} writes={} hits={} allocs={} frees={} evictions={} hit_ratio={:.2}",
             self.reads,
             self.writes,
             self.cache_hits,
             self.allocs,
             self.frees,
             self.pool_evictions,
-            self.retries,
-            self.quarantined,
             self.hit_ratio()
         )
     }
@@ -142,7 +131,6 @@ mod tests {
             allocs: 8,
             frees: 2,
             pool_evictions: 3,
-            ..IoStats::default()
         };
         let d = b - a;
         assert_eq!(d.reads, 15);
@@ -150,21 +138,6 @@ mod tests {
         assert_eq!(d.writes, 5);
         assert_eq!(d.total_io(), 20);
         assert_eq!(b.live_pages(), 6);
-    }
-
-    #[test]
-    fn resilience_counters_follow_saturating_delta_rules() {
-        // The two fault-layer counters obey the same snapshot/delta
-        // semantics as the original six: exact deltas when monotonic,
-        // clamped to 0 when snapshots interleave non-monotonically.
-        let a = IoStats { retries: 2, quarantined: 1, ..IoStats::default() };
-        let b = IoStats { retries: 7, quarantined: 3, ..IoStats::default() };
-        let d = b - a;
-        assert_eq!(d.retries, 5);
-        assert_eq!(d.quarantined, 2);
-        let clamped = a - b;
-        assert_eq!(clamped.retries, 0);
-        assert_eq!(clamped.quarantined, 0);
     }
 
     #[test]
@@ -209,8 +182,6 @@ mod tests {
             allocs: 4,
             frees: 5,
             pool_evictions: 6,
-            retries: 7,
-            quarantined: 8,
         }
         .to_string();
         for needle in [
@@ -220,8 +191,6 @@ mod tests {
             "allocs=4",
             "frees=5",
             "evictions=6",
-            "retries=7",
-            "quarantined=8",
             "hit_ratio=0.75",
         ] {
             assert!(s.contains(needle), "{s} missing {needle}");

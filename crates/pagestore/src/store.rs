@@ -47,32 +47,6 @@ impl PageId {
     }
 }
 
-/// Bounded-retry policy for transient backend faults (see
-/// [`StoreError::is_transient`]). Permanent errors are never retried, and
-/// a transient one is re-attempted at once, which keeps fault runs
-/// deterministic.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts per logical backend op, the first included; `1`
-    /// disables retrying. Each extra attempt counts one `retries` in
-    /// [`IoStats`] — *not* an extra read/write, so strict-mode transfer
-    /// accounting is untouched by the retry layer.
-    pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 3 }
-    }
-}
-
-impl RetryPolicy {
-    /// Policy that never retries (the pre-fault-layer behavior).
-    pub fn none() -> Self {
-        RetryPolicy { max_attempts: 1 }
-    }
-}
-
 /// Construction-time configuration for a [`PageStore`].
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
@@ -89,25 +63,17 @@ pub struct StoreConfig {
     /// strict mode. Free-form values are rounded up to a power of two and
     /// clamped to `pool_pages` (see [`ShardedPool::resolve_shards`]).
     pub pool_shards: usize,
-    /// Transient-fault retry policy for backend reads and writes.
-    pub retry: RetryPolicy,
 }
 
 impl StoreConfig {
     /// Strict-model configuration with the given page size.
     pub fn strict(page_size: usize) -> Self {
-        StoreConfig { page_size, pool_pages: 0, pool_shards: 0, retry: RetryPolicy::default() }
+        StoreConfig { page_size, pool_pages: 0, pool_shards: 0 }
     }
 
     /// Pooled configuration with auto-sized sharding.
     pub fn pooled(page_size: usize, pool_pages: usize) -> Self {
-        StoreConfig { page_size, pool_pages, pool_shards: 0, retry: RetryPolicy::default() }
-    }
-
-    /// This configuration with a different retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
+        StoreConfig { page_size, pool_pages, pool_shards: 0 }
     }
 }
 
@@ -177,8 +143,6 @@ struct AtomicStats {
     writes: AtomicU64,
     allocs: AtomicU64,
     frees: AtomicU64,
-    retries: AtomicU64,
-    quarantined: AtomicU64,
 }
 
 impl AtomicStats {
@@ -188,8 +152,6 @@ impl AtomicStats {
             writes: self.writes.load(Ordering::Relaxed),
             allocs: self.allocs.load(Ordering::Relaxed),
             frees: self.frees.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
             ..IoStats::default()
         }
     }
@@ -199,8 +161,6 @@ impl AtomicStats {
         self.writes.store(0, Ordering::Relaxed);
         self.allocs.store(0, Ordering::Relaxed);
         self.frees.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.quarantined.store(0, Ordering::Relaxed);
     }
 }
 
@@ -220,15 +180,6 @@ pub struct PageStore {
     stats: AtomicStats,
     alloc: RwLock<AllocState>,
     pool: Option<ShardedPool>,
-    retry: RetryPolicy,
-    /// Pages that exhausted their transient-retry budget. Reads and writes
-    /// refuse them with [`StoreError::Quarantined`] until a scrub or an
-    /// explicit clear, so a flaky page degrades to clean errors instead of
-    /// burning its retry budget on every access.
-    quarantine: Mutex<HashSet<u64>>,
-    /// Mirror of `quarantine.len()`, so the (overwhelmingly common) empty
-    /// case is a lock-free relaxed load on the hot read/write path.
-    quarantine_len: AtomicU64,
     /// `Some` for durable stores: write-ahead log + open group. `None`
     /// keeps the classic volatile store with bit-identical I/O accounting.
     wal: Option<WalState>,
@@ -262,9 +213,6 @@ impl PageStore {
                 let shards = ShardedPool::resolve_shards(config.pool_shards, config.pool_pages);
                 ShardedPool::new(config.pool_pages, shards)
             }),
-            retry: config.retry,
-            quarantine: Mutex::new(HashSet::new()),
-            quarantine_len: AtomicU64::new(0),
             wal: None,
         }
     }
@@ -336,7 +284,7 @@ impl PageStore {
     pub fn in_memory_pooled_sharded(page_size: usize, pool_pages: usize, shards: usize) -> Self {
         let backend = MemBackend::new(page_size + CHECKSUM_LEN);
         PageStore::new(
-            StoreConfig { page_size, pool_pages, pool_shards: shards, retry: RetryPolicy::default() },
+            StoreConfig { page_size, pool_pages, pool_shards: shards },
             Box::new(backend),
         )
     }
@@ -458,14 +406,6 @@ impl PageStore {
         if let Some(pool) = &self.pool {
             pool.discard(id);
         }
-        // A freed id leaves quarantine: recycling hands out a fresh zeroed
-        // page, so the old frame's bad luck must not follow the new owner.
-        if self.quarantine_len.load(Ordering::Relaxed) > 0 {
-            let mut q = self.quarantine.lock();
-            if q.remove(&id.0) {
-                self.quarantine_len.store(q.len() as u64, Ordering::Relaxed);
-            }
-        }
         // Publish the id last: a concurrent `alloc` that recycled it before
         // the pool dropped the page would have its first write discarded.
         // A committed page waits for the commit that frees it: reused
@@ -492,49 +432,6 @@ impl PageStore {
         Ok(())
     }
 
-    fn check_quarantine(&self, id: PageId) -> Result<()> {
-        if self.quarantine_len.load(Ordering::Relaxed) > 0 && self.quarantine.lock().contains(&id.0)
-        {
-            return Err(StoreError::Quarantined(id));
-        }
-        Ok(())
-    }
-
-    fn quarantine_page(&self, id: PageId) {
-        let mut q = self.quarantine.lock();
-        if q.insert(id.0) {
-            self.quarantine_len.store(q.len() as u64, Ordering::Relaxed);
-            self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Runs a backend op under the store's [`RetryPolicy`]: transient
-    /// errors are re-attempted up to the budget (each re-attempt counts one
-    /// `retries`, never an extra read/write); exhausting the budget
-    /// quarantines the page and reports [`StoreError::Quarantined`].
-    /// Permanent errors pass straight through.
-    fn with_retry<T>(&self, id: PageId, mut op: impl FnMut() -> Result<T>) -> Result<T> {
-        let max_attempts = self.retry.max_attempts.max(1);
-        let mut attempt = 1u32;
-        loop {
-            match op() {
-                Ok(v) => return Ok(v),
-                // With retries disabled there is no budget to exhaust:
-                // transient errors pass through unchanged (the pre-retry-
-                // layer behavior) and nothing is quarantined.
-                Err(e) if e.is_transient() && max_attempts > 1 => {
-                    if attempt >= max_attempts {
-                        self.quarantine_page(id);
-                        return Err(StoreError::Quarantined(id));
-                    }
-                    attempt += 1;
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Reads page `id`, returning its full `page_size`-byte payload.
     ///
     /// Costs one backend read in strict mode. With a pool (every durable
@@ -546,11 +443,9 @@ impl PageStore {
     /// without touching it.
     pub fn read(&self, id: PageId) -> Result<Page> {
         // Snapshot / apply-session translation (identity outside one): all
-        // allocation, quarantine and pool state below is keyed by the
-        // *physical* id.
+        // allocation and pool state below is keyed by the *physical* id.
         let id = crate::version::translate(self.addr(), id);
         self.check_allocated(id)?;
-        self.check_quarantine(id)?;
         if let Some(pool) = &self.pool {
             return pool.read_through(
                 id,
@@ -594,7 +489,6 @@ impl PageStore {
             }
         };
         self.check_allocated(id)?;
-        self.check_quarantine(id)?;
         if let Some(ws) = &self.wal {
             let group = ws.group.lock();
             if !group.fresh.contains(&id.0) {
@@ -622,18 +516,13 @@ impl PageStore {
     }
 
     fn backend_read(&self, id: PageId) -> Result<Page> {
-        // One logical read regardless of retries: the counters stay exact
-        // under the paper's transfer accounting, with re-attempts surfaced
-        // separately as `retries`.
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
         // Observer hook for pc-obs (inert outside a `begin_trace` capture):
         // purely observational, so `IoStats` and transfer behavior stay
         // bit-identical either way.
         pc_obs::record_io(IoEvent::Read);
         let mut frame = vec![0u8; self.page_size + CHECKSUM_LEN];
-        self.with_retry(id, || self.backend.read_frame(id, &mut frame))?;
-        // Checksum failures are permanent (re-reading the same bytes cannot
-        // help), so verification sits outside the retry loop.
+        self.backend.read_frame(id, &mut frame)?;
         if !frame_is_valid(&frame) {
             return Err(StoreError::ChecksumMismatch(id));
         }
@@ -648,7 +537,7 @@ impl PageStore {
         frame[..data.len()].copy_from_slice(data);
         let checksum = fnv1a64(&frame[..self.page_size]);
         frame[self.page_size..].copy_from_slice(&checksum.to_le_bytes());
-        self.with_retry(id, || self.backend.write_frame(id, &frame))
+        self.backend.write_frame(id, &frame)
     }
 
     /// Flushes all buffered dirty pages (shard by shard, in shard order)
@@ -779,8 +668,7 @@ impl PageStore {
     }
 
     /// Resets all I/O counters — including per-shard pool counters — to
-    /// zero (allocation state, resident pages, and the quarantine set are
-    /// untouched).
+    /// zero (allocation state and resident pages are untouched).
     pub fn reset_stats(&self) {
         self.stats.reset();
         if let Some(pool) = &self.pool {
@@ -822,34 +710,6 @@ impl PageStore {
             .enumerate()
             .filter_map(|(i, &live)| live.then_some(PageId(i as u64)))
             .collect()
-    }
-
-    /// Pages currently held in quarantine, in id order.
-    pub fn quarantined_pages(&self) -> Vec<PageId> {
-        let q = self.quarantine.lock();
-        let mut ids: Vec<PageId> = q.iter().map(|&id| PageId(id)).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Empties the quarantine set, letting previously fenced pages be
-    /// retried. Use after fixing the underlying backend out-of-band;
-    /// [`PageStore::scrub`] calls this for you.
-    pub fn clear_quarantine(&self) {
-        let mut q = self.quarantine.lock();
-        q.clear();
-        self.quarantine_len.store(0, Ordering::Relaxed);
-    }
-
-    /// Flushes buffered dirty pages, then clears the quarantine set:
-    /// fenced pages get a fresh retry budget.
-    pub fn scrub(&self) -> Result<()> {
-        let _span = pc_obs::span!("store.scrub");
-        if let Some(pool) = &self.pool {
-            pool.flush(|vid, vdata| self.backend_write(vid, vdata))?;
-        }
-        self.clear_quarantine();
-        Ok(())
     }
 
     /// Fault injection for tests: flips one byte of the stored frame for
@@ -1050,78 +910,6 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    fn faulty_store(plan: crate::FaultPlan, retry: RetryPolicy) -> (PageStore, crate::FaultHandle) {
-        let backend = crate::FaultBackend::new(Box::new(MemBackend::new(64 + CHECKSUM_LEN)), plan);
-        let handle = backend.handle();
-        let store = PageStore::new(StoreConfig::strict(64).with_retry(retry), Box::new(backend));
-        (store, handle)
-    }
-
-    #[test]
-    fn retry_absorbs_transient_faults_without_extra_transfers() {
-        let (store, handle) = faulty_store(crate::FaultPlan::none(1), RetryPolicy::default());
-        let id = store.alloc().unwrap();
-        store.write(id, b"resilient").unwrap();
-        // Both of the first two backend reads fault; attempt 3 succeeds.
-        handle.fail_nth_read(id, 1);
-        handle.fail_nth_read(id, 2);
-        let page = store.read(id).unwrap();
-        assert_eq!(&page[..9], b"resilient");
-        let s = store.stats();
-        assert_eq!(s.reads, 1, "a retried read is still one logical transfer");
-        assert_eq!(s.retries, 2, "both armed triggers were absorbed");
-        assert_eq!(s.quarantined, 0);
-    }
-
-    #[test]
-    fn exhausted_retries_quarantine_the_page() {
-        let (store, handle) =
-            faulty_store(crate::FaultPlan::transient(3, 1.0), RetryPolicy::default());
-        handle.set_enabled(false);
-        let id = store.alloc().unwrap();
-        store.write(id, b"doomed").unwrap();
-        let ok = store.alloc().unwrap();
-        store.write(ok, b"fine").unwrap();
-        handle.set_enabled(true);
-        // p = 1.0: every attempt fails; the budget of 3 is spent and the
-        // page lands in quarantine.
-        assert!(matches!(store.read(id), Err(StoreError::Quarantined(q)) if q == id));
-        let s = store.stats();
-        assert_eq!(s.reads, 1);
-        assert_eq!(s.retries, 2, "attempts 2 and 3");
-        assert_eq!(s.quarantined, 1);
-        assert_eq!(store.quarantined_pages(), vec![id]);
-        // Quarantined access fast-fails without touching the backend again.
-        assert!(matches!(store.read(id), Err(StoreError::Quarantined(_))));
-        assert!(matches!(store.write(id, b"no"), Err(StoreError::Quarantined(_))));
-        assert_eq!(store.stats().reads, 1, "fenced reads are not transfers");
-        // Other pages are unaffected by the fence (faults aside).
-        handle.set_enabled(false);
-        assert_eq!(&store.read(ok).unwrap()[..4], b"fine");
-        // Re-quarantining is idempotent in the cumulative counter.
-        store.clear_quarantine();
-        handle.set_enabled(true);
-        assert!(store.read(id).is_err());
-        assert_eq!(store.stats().quarantined, 2);
-        // Freeing the page clears its quarantine entry.
-        store.free(id).unwrap();
-        assert!(store.quarantined_pages().is_empty());
-    }
-
-    #[test]
-    fn scrub_clears_quarantine_and_restores_service() {
-        let (store, handle) =
-            faulty_store(crate::FaultPlan::none(4), RetryPolicy { max_attempts: 2 });
-        let id = store.alloc().unwrap();
-        store.write(id, b"healme").unwrap();
-        handle.fail_nth_read(id, 1);
-        handle.fail_nth_read(id, 2);
-        assert!(matches!(store.read(id), Err(StoreError::Quarantined(_))));
-        store.scrub().unwrap();
-        assert!(store.quarantined_pages().is_empty());
-        assert_eq!(&store.read(id).unwrap()[..6], b"healme");
-    }
-
     #[test]
     fn allocated_pages_lists_live_ids_in_order() {
         let store = PageStore::in_memory(64);
@@ -1204,7 +992,7 @@ mod tests {
         let backend = crate::FaultBackend::new(Box::new(mem.clone()), crate::FaultPlan::none(5));
         let handle = backend.handle();
         let (store, _) = PageStore::new_durable(
-            StoreConfig::strict(64).with_retry(RetryPolicy::none()),
+            StoreConfig::strict(64),
             Box::new(backend),
             Box::new(MemLog::new()),
             WalConfig::default(),

@@ -214,7 +214,7 @@ fn pooled_file_store_matches_oracle_after_sync_cycles() {
     {
         let backend = pc_pagestore::backend::FileBackend::open(&path, 64 + 8).unwrap();
         let store = PageStore::new(
-            pc_pagestore::StoreConfig { page_size: 64, pool_pages: 2, pool_shards: 2, ..pc_pagestore::StoreConfig::strict(64) },
+            pc_pagestore::StoreConfig { page_size: 64, pool_pages: 2, pool_shards: 2 },
             Box::new(backend),
         );
         let ids: Vec<PageId> = (0..16).map(|_| store.alloc().unwrap()).collect();

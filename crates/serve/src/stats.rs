@@ -112,8 +112,8 @@ impl ServeStats {
     }
 }
 
-/// The shared store's [`IoStats`] (the retry and quarantine counters
-/// included) as `io_*` pairs — carried by the ADMIN `Stats` body only.
+/// The shared store's [`IoStats`] as `io_*` pairs — carried by the ADMIN
+/// `Stats` body only.
 pub fn io_stat_pairs(io: &IoStats) -> Vec<(String, u64)> {
     [
         ("io_reads", io.reads),
@@ -122,8 +122,6 @@ pub fn io_stat_pairs(io: &IoStats) -> Vec<(String, u64)> {
         ("io_allocs", io.allocs),
         ("io_frees", io.frees),
         ("io_pool_evictions", io.pool_evictions),
-        ("io_retries", io.retries),
-        ("io_quarantined", io.quarantined),
     ]
     .into_iter()
     .map(|(name, v)| (name.to_string(), v))
@@ -146,15 +144,14 @@ mod tests {
         s.requests.fetch_add(5, Relaxed);
         s.overloaded.fetch_add(2, Relaxed);
         s.query_latency_ns.record(1000);
-        let io = IoStats { reads: 7, retries: 3, quarantined: 1, ..IoStats::default() };
+        let io = IoStats { reads: 7, pool_evictions: 3, ..IoStats::default() };
         let mut pairs = pc_obs::stat_pairs(&samples(&s));
         pairs.extend(io_stat_pairs(&io));
         let get = |n: &str| pairs.iter().find(|(k, _)| k == n).map(|&(_, v)| v).unwrap();
         assert_eq!(get(names::REQUESTS), 5);
         assert_eq!(get(names::OVERLOADED), 2);
         assert_eq!(get("io_reads"), 7);
-        assert_eq!(get("io_retries"), 3);
-        assert_eq!(get("io_quarantined"), 1);
+        assert_eq!(get("io_pool_evictions"), 3);
         assert_eq!(get("pc_serve_query_p50_ns"), 1023);
     }
 

@@ -37,7 +37,7 @@ use pc_sync::Mutex;
 use crate::wire::{Body, Op};
 
 /// Why a target could not serve an op.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum TargetError {
     /// This target does not implement the op (e.g. a stab against a B-tree).
     Unsupported {
@@ -375,9 +375,8 @@ impl<S: Updates> QueryTarget for Dynamic<S> {
     }
 
     fn apply_updates(&self, store: &PageStore, ops: &[UpdateOp]) -> Vec<Result<(), TargetError>> {
-        let outcome = self.0.lock().apply(store, ops).map_err(|e| format!("batch failed: {e}"));
-        let each = |_| outcome.clone().map_err(|e| TargetError::Storage(StoreError::Corrupt(e)));
-        ops.iter().map(each).collect()
+        let outcome = self.0.lock().apply(store, ops).map_err(TargetError::Storage);
+        ops.iter().map(|_| outcome.clone()).collect()
     }
 
     fn descriptor(&self) -> Option<Vec<u8>> {

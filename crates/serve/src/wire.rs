@@ -503,7 +503,7 @@ wire_enum! {
         /// Malformed request, unknown target, or an op the target cannot serve
         /// was addressed at it with malformed intent (see also [`ErrorCode::Unsupported`]).
         3 BadRequest => ("bad_request", false),
-        /// The storage layer returned a typed error (checksum, quarantine, I/O).
+        /// The storage layer returned a typed error (checksum, I/O).
         4 Storage => ("storage", false),
         /// The server is draining; no new work is admitted.
         5 ShuttingDown => ("shutting_down", true),
@@ -529,7 +529,7 @@ impl ErrorCode {
     /// fails reads over to another replica on these and backs off after a
     /// full cycle. `BadRequest` / `Unsupported` would fail identically
     /// everywhere and are surfaced immediately. `Storage` is one node's
-    /// page store failing (a checksum, a quarantined page, I/O): the router
+    /// page store failing (a checksum, a lost or unreadable frame): the router
     /// fails a read over on it too, since another replica's copy may serve,
     /// but fails the read at once when every healthy replica answered it.
     pub fn is_transient(self) -> bool {

@@ -271,9 +271,7 @@ const STATS_NAMES: &[&str] = &[
     "io_cache_hits",
     "io_frees",
     "io_pool_evictions",
-    "io_quarantined",
     "io_reads",
-    "io_retries",
     "io_writes",
     "pc_serve_admitted_total",
     "pc_serve_bad_requests_total",

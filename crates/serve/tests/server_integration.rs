@@ -71,7 +71,6 @@ fn queries_and_admin_ops_over_a_real_socket() {
             let get = |n: &str| pairs.iter().find(|(k, _)| k == n).map(|&(_, v)| v);
             assert!(get("pc_serve_requests_total").unwrap() >= 4);
             assert!(get("io_reads").is_some());
-            assert!(get("io_retries").is_some());
         }
         other => panic!("unexpected body {other:?}"),
     }

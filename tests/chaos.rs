@@ -6,13 +6,13 @@
 //! per-operation outputs are logged as canonical strings. The fault-free
 //! log is the golden reference; fault runs are diffed against it:
 //!
-//! - **transient-only faults + retries**: invisible — the full log matches
-//!   the golden one bit-for-bit, and so do the transfer counts (retries are
-//!   not transfers).
+//! - **transient-only faults**: not retried — a run logs the golden prefix
+//!   and then ends clean or fails with the backend's own `Io` error.
 //! - **single backend under full chaos**: every completed operation matches
 //!   the golden prefix; the first failure (if any) is a clean `Err`.
 //! - **corruption walk**: a corrupt page is detected on one store, and
-//!   masked by a router replica group whose other replica holds it intact.
+//!   masked by a router replica group whose other replica holds it intact;
+//!   so are one replica's transient read faults.
 //!
 //! Seeds are fixed by default; set `PC_CHAOS_SEED=<u64>` to explore fresh
 //! scenarios (`scripts/verify.sh --chaos` does both, and sweeps seeds
@@ -25,9 +25,7 @@ use std::sync::Arc;
 use pc_btree::BTree;
 use pc_obs::shard_metrics::FAILOVERS;
 use pc_pagestore::backend::MemBackend;
-use pc_pagestore::{
-    FaultBackend, FaultHandle, FaultPlan, PageStore, RetryPolicy, StoreConfig, StoreError,
-};
+use pc_pagestore::{FaultBackend, FaultHandle, FaultPlan, PageStore, StoreConfig, StoreError};
 use pc_pst::{DynamicPst, DynamicThreeSidedPst, SegmentedPst, ThreeSidedPst, TwoLevelPst};
 use pc_rng::Rng;
 use pc_serve::wire::{Body, ErrorCode, Op};
@@ -289,58 +287,67 @@ fn run_guarded(
 }
 
 /// Fault-free golden run; must succeed by construction.
-fn golden(name: &str, f: Scenario, seed: u64) -> (Vec<String>, pc_pagestore::IoStats) {
+fn golden(name: &str, f: Scenario, seed: u64) -> Vec<String> {
     let store = PageStore::in_memory(PAGE);
     let mut log = Vec::new();
     f(&store, seed, &mut log)
         .unwrap_or_else(|e| panic!("scenario {name}: fault-free run failed (seed={seed}): {e}"));
-    (log, store.stats())
+    log
 }
 
-fn strict_faulty(plan: FaultPlan, retry: RetryPolicy) -> (PageStore, FaultHandle) {
+fn strict_faulty(plan: FaultPlan) -> (PageStore, FaultHandle) {
     let backend = FaultBackend::new(Box::new(MemBackend::new(PAGE + 8)), plan);
     let handle = backend.handle();
-    (PageStore::new(StoreConfig::strict(PAGE).with_retry(retry), Box::new(backend)), handle)
+    (PageStore::new(StoreConfig::strict(PAGE), Box::new(backend)), handle)
 }
 
 #[test]
 fn fault_free_runs_are_deterministic() {
     let seed = chaos_seed();
     for &(name, f) in SCENARIOS {
-        let (a, _) = golden(name, f, seed);
-        let (b, _) = golden(name, f, seed);
+        let a = golden(name, f, seed);
+        let b = golden(name, f, seed);
         assert_eq!(a, b, "scenario {name} is nondeterministic (seed={seed})");
         assert!(!a.is_empty(), "scenario {name} logged nothing (seed={seed})");
     }
 }
 
-/// Transient faults + bounded retries are invisible: identical answers,
-/// identical transfer counts (retries are accounted separately).
+/// Transient faults are not retried: each scenario logs the golden prefix
+/// and then either ends clean, having met no fault, or fails at its first
+/// fault with the backend's own `Interrupted` error, which the store hands
+/// over unchanged.
 #[test]
-fn transient_faults_are_fully_absorbed_by_retries() {
+fn transient_faults_surface_as_the_backends_io_error() {
     let seed = chaos_seed();
-    // p = 0.02 per access with a 10-attempt budget: the chance of ever
-    // exhausting it is ~1e-17 per access — negligible for any seed.
-    let retry = RetryPolicy { max_attempts: 10 };
-    let mut total_retries = 0;
+    let mut surfaced = 0;
     for &(name, f) in SCENARIOS {
-        let (want, clean_stats) = golden(name, f, seed);
-        let (store, handle) = strict_faulty(FaultPlan::transient(seed, 0.02), retry);
+        let want = golden(name, f, seed);
+        let (store, handle) = strict_faulty(FaultPlan::transient(seed, 0.02));
         let (got, outcome) = run_guarded(name, f, &store, seed);
-        if let Err(e) = outcome {
-            panic!("scenario {name}: retries failed to absorb a transient (seed={seed}): {e}");
+        match outcome {
+            Ok(()) => {
+                assert_eq!(got, want, "scenario {name}: clean run diverged (seed={seed})");
+                assert_eq!(
+                    handle.injected().total(),
+                    0,
+                    "scenario {name}: an injected transient was swallowed (seed={seed})"
+                );
+            }
+            Err(e) => {
+                assert!(
+                    got.len() <= want.len() && got[..] == want[..got.len()],
+                    "scenario {name}: diverged before erroring with {e} (seed={seed})"
+                );
+                assert!(
+                    matches!(&e, StoreError::Io(io)
+                        if io.kind() == std::io::ErrorKind::Interrupted),
+                    "scenario {name}: a transient surfaced as {e} (seed={seed})"
+                );
+                surfaced += 1;
+            }
         }
-        assert_eq!(got, want, "scenario {name} diverged under transients (seed={seed})");
-        let s = store.stats();
-        assert_eq!(
-            (s.reads, s.writes),
-            (clean_stats.reads, clean_stats.writes),
-            "scenario {name}: retries must not change transfer counts (seed={seed})"
-        );
-        assert_eq!(s.retries, handle.injected().total(), "every injected fault cost one retry");
-        total_retries += s.retries;
     }
-    assert!(total_retries > 0, "the transient plan never fired — chaos was a no-op (seed={seed})");
+    assert!(surfaced > 0, "the transient plan never fired — chaos was a no-op (seed={seed})");
 }
 
 /// A single backend under full chaos (torn writes + bit rot + transients):
@@ -362,8 +369,8 @@ fn single_backend_chaos_never_panics_or_lies() {
             ..FaultPlan::none(seed)
         };
         for &(name, f) in SCENARIOS {
-            let (want, _) = golden(name, f, seed);
-            let (store, handle) = strict_faulty(plan, RetryPolicy::default());
+            let want = golden(name, f, seed);
+            let (store, handle) = strict_faulty(plan);
             let (got, outcome) = run_guarded(name, f, &store, seed);
             match outcome {
                 // A fully clean run must match the golden log exactly.
@@ -393,9 +400,10 @@ fn single_backend_chaos_never_panics_or_lies() {
 /// The corruption walk: corrupt every live page in turn. On a single
 /// store each walk step either leaves the answers untouched (the page was
 /// not read) or surfaces `ChecksumMismatch` for exactly that page. Through
-/// a router over a two-replica shard with one replica's page corrupt the
-/// answers never change at all — the read fails over — and with every page
-/// corrupt on both replicas the answer is a typed `Storage` error.
+/// a router over a two-replica shard with one replica's page corrupt, or
+/// its reads failing transiently, the answers never change at all — the
+/// read fails over — and with every page corrupt on both replicas the
+/// answer is a typed `Storage` error.
 #[test]
 fn corruption_walk_is_detected_bare_and_masked_routed() {
     let seed = chaos_seed();
@@ -443,9 +451,12 @@ fn corruption_walk_is_detected_bare_and_masked_routed() {
     assert!(detections > 0, "no corruption was ever read back — walk was a no-op (seed={seed})");
 
     // Routed: one shard, two replicas built alike (same pages, same ids).
-    let replicas: Vec<ServerHandle> = (0..2)
-        .map(|_| {
-            let store = Arc::new(PageStore::in_memory(PAGE));
+    // Both run over fault backends; replica 0's plan is armed after the build.
+    let (replica0, faults) = strict_faulty(FaultPlan::none(seed));
+    let replicas: Vec<ServerHandle> = [replica0, strict_faulty(FaultPlan::none(seed)).0]
+        .into_iter()
+        .map(|store| {
+            let store = Arc::new(store);
             let mut registry = Registry::new();
             let pst = TwoLevelPst::build(&store, &points).unwrap();
             registry.register("pst", Box::new(PstTarget(pst)));
@@ -459,9 +470,27 @@ fn corruption_walk_is_detected_bare_and_masked_routed() {
         Ok(other) => panic!("routed query answered {other:?} (seed={seed})"),
         Err(e) => Err(e),
     };
+    let failovers = || {
+        let name = format!("{FAILOVERS}{{shard=\"0\"}}");
+        router.stat_pairs().into_iter().find(|(n, _)| n == &name).map_or(0, |(_, v)| v)
+    };
     let stores: Vec<&Arc<PageStore>> = replicas.iter().map(ServerHandle::store).collect();
     let pages = stores[0].allocated_pages();
     assert_eq!(pages, stores[1].allocated_pages(), "replicas built differently (seed={seed})");
+    // Replica 0's reads fail transiently: each failure is a typed `Storage`
+    // answer, and the group fails the read over to replica 1.
+    faults.set_plan(FaultPlan::transient(seed, 0.25));
+    for _ in 0..3 {
+        for (i, &q) in queries.iter().enumerate() {
+            let got = routed(q).unwrap_or_else(|e| {
+                panic!("the group failed to mask replica 0's transients (seed={seed}): {e}")
+            });
+            assert_eq!(got, golden[i], "routed answer changed under transients (seed={seed})");
+        }
+    }
+    faults.set_plan(FaultPlan::none(seed));
+    let transient_failovers = failovers();
+    assert!(transient_failovers > 0, "no transient ever failed a read over (seed={seed})");
     // Every page of replica 0 corrupt in turn: the group masks each one.
     for &id in &pages {
         stores[0].inject_corruption(id, 1).unwrap();
@@ -473,12 +502,10 @@ fn corruption_walk_is_detected_bare_and_masked_routed() {
         }
         stores[0].inject_corruption(id, 1).unwrap();
     }
-    let failovers = router
-        .stat_pairs()
-        .into_iter()
-        .find(|(name, _)| name == &format!("{FAILOVERS}{{shard=\"0\"}}"))
-        .map_or(0, |(_, v)| v);
-    assert!(failovers > 0, "no read ever failed over — walk was a no-op (seed={seed})");
+    assert!(
+        failovers() > transient_failovers,
+        "no read ever failed over — walk was a no-op (seed={seed})"
+    );
     // Every page corrupt on both replicas: a typed `Storage` error, at once.
     for store in &stores {
         pages.iter().for_each(|&id| store.inject_corruption(id, 1).unwrap());

@@ -145,12 +145,7 @@ fn pooled_file_backed_store_round_trips() {
     {
         let backend = pc_pagestore::backend::FileBackend::open(&path, 1024 + 8).unwrap();
         let store = pc_pagestore::PageStore::new(
-            pc_pagestore::StoreConfig {
-                page_size: 1024,
-                pool_pages: 64,
-                pool_shards: 4,
-                ..pc_pagestore::StoreConfig::strict(1024)
-            },
+            pc_pagestore::StoreConfig { page_size: 1024, pool_pages: 64, pool_shards: 4 },
             Box::new(backend),
         );
         let index = PointIndex::build(&store, &points, Variant::Segmented).unwrap();
