@@ -16,6 +16,7 @@
 //! that is not a section.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use pc_bench::{
     basic_constants, btree_constants, dynamic_churn_pages, f1, f2, interval_tree_constants,
@@ -28,7 +29,7 @@ use pc_bench::{
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
 use pc_obs::ReadClass;
-use pc_pagestore::{PageStore, Point, UpdateOp};
+use pc_pagestore::{PageStore, Point, UpdateOp, VersionConfig, VersionedStore};
 use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, SegmentedPst,
     ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
@@ -811,7 +812,8 @@ fn e10_dynamic_pst() {
     println!("corner answered from one block of its lists reads no `u`, which the lists hold.");
     println!("`pages/(n/B)` follows the updates: an inner tree rebuilt near its fullest takes");
     println!("more blocks than a fresh one (ROADMAP 6c), which the churn factor below bounds. The");
-    println!("last line replays the benchmark's `mixed_durable` pass: no corner meets a step.\n");
+    println!("last line replays the benchmark's `mixed_durable` pass: no corner meets a step, and");
+    println!("each burst, an epoch, writes fresh copies of the pages it changes and the paths.\n");
     let mut table = Table::new(&[
         "n",
         "B",
@@ -893,17 +895,21 @@ fn sub_seed(seed: u64, stream: u64) -> u64 {
 
 /// E10's line for the served benchmark's `mixed_durable` counted pass, in
 /// process: its seed-11 points, corners (in its order) and writer stream,
-/// a burst of 16 updates, applied as one batch, before each 16 corners.
+/// a burst of 16 updates, applied as one batch in an apply session on a
+/// durable store and installed as an epoch, before each 16 corners.
 fn e10_served_pass() {
     let (n, seed, burst) = (500_000usize, 11, 16);
     let raw = gen_points(n, PointDist::Uniform, sub_seed(seed, 1));
-    let store = PageStore::in_memory(PAGE);
+    let store = Arc::new(PageStore::in_memory_durable(PAGE).0);
     let mut pst = DynamicPst::build(&store, &to_points(&raw)).unwrap();
+    store.sync().unwrap();
+    let versions = VersionedStore::new(Arc::clone(&store), VersionConfig::default(), &[]);
     let mut queries = gen_two_sided(&raw, 5_000, 16, sub_seed(seed, 10));
     pc_rng::Rng::seed_from_u64(sub_seed(seed, 14)).shuffle(&mut queries);
     let stream = gen_temporal(400_000, 4_096, PointDist::Uniform, n as u64, sub_seed(seed, 20));
     let mut bursts = stream.chunks_exact(burst);
     let (mut reads, mut classes) = (0, Classes::default());
+    let (mut updates, mut writes, mut frame_bytes) = (0, 0, 0);
     for corners in queries.chunks(burst) {
         // One burst is one batch, applied whole, as the server applies it.
         let ops: Vec<UpdateOp> = bursts
@@ -915,7 +921,12 @@ fn e10_served_pass() {
                 TemporalOp::Expire((x, y, id)) => UpdateOp::Delete(Point::new(x, y, id)),
             })
             .collect();
+        let before = store.stats();
+        let session = versions.begin_apply();
         pst.apply(&store, &ops).unwrap();
+        session.install(&pst.descriptor()).unwrap();
+        (updates, writes) = (updates + ops.len(), writes + (store.stats() - before).writes);
+        frame_bytes += store.last_commit_meta().map_or(0, |frame| frame.len());
         store.reset_stats();
         for q in corners {
             classes.traced(|| pst.answers(&store, TwoSided { x0: q.x0, y0: q.y0 }));
@@ -923,12 +934,16 @@ fn e10_served_pass() {
         reads += store.stats().logical_reads();
     }
     let by_class = classes.mean("E10", reads, &THREE_CLASSES);
+    let per_update = |v: usize| f2(v as f64 / updates as f64);
     println!(
         "The served benchmark's `mixed_durable` pass in process (n = 500k, seed 11: {} t ≈ 16 \
-         corners, a burst of {burst} updates of its sliding-window stream before each {burst}): \
-         {} reads a query, {by_class} by class\n",
+         corners, a burst of {burst} updates of its sliding-window stream before each {burst}, \
+         each burst one apply session on a durable store): {} reads a query, {by_class} by \
+         class; {} data-page writes and {} commit-frame bytes an update\n",
         queries.len(),
-        f2(reads as f64 / queries.len() as f64)
+        f2(reads as f64 / queries.len() as f64),
+        per_update(writes as usize),
+        per_update(frame_bytes),
     );
 }
 

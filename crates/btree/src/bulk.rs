@@ -28,7 +28,7 @@ impl BTree {
             node::write_pieces(store, kind, rows, &starts, &ids)
         };
         let leaves: Vec<Row> = entries.iter().map(|&(k, v)| Row(k, v)).collect();
-        let (mut rows, mut height) = (level(Kind::LEAF, &leaves)?, 0);
+        let (mut rows, mut height) = (level(Kind::Leaf, &leaves)?, 0);
         while rows.len() > 1 {
             rows = level(Kind::Internal, &rows)?;
             height += 1;
@@ -43,20 +43,16 @@ mod tests {
     use crate::node::{min_rows, Node};
     use pc_pagestore::PageStore;
 
-    /// The leaves of `tree` in chain order.
+    /// The leaves of `tree`, left to right.
     fn leaves(store: &PageStore, tree: &BTree) -> Vec<Node> {
-        let mut id = tree.root;
+        let mut level = vec![Node::read(store, tree.root).unwrap()];
         for _ in 0..tree.height {
-            id = PageId(Node::read(store, id).unwrap().rows[0].1);
+            let ids = level.iter().flat_map(|node| node.rows.iter().map(|row| PageId(row.1)));
+            let ids: Vec<PageId> = ids.collect();
+            level = ids.into_iter().map(|id| Node::read(store, id).unwrap()).collect();
         }
-        let mut out = Vec::new();
-        while !id.is_null() {
-            let leaf = Node::read(store, id).unwrap();
-            let Kind::Leaf { next, .. } = leaf.kind else { panic!("a leaf") };
-            out.push(leaf);
-            id = next;
-        }
-        out
+        assert!(level.iter().all(|node| node.kind == Kind::Leaf));
+        level
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! block of the block codec ([`pc_pagestore::layout`]).
 //!
 //! ```text
-//! [tag u8][prev u64] then a block of (key, value) rows whose next is a leaf's next
+//! [tag u8][reserved u64, zero] then a block of (key, value) rows
 //! ```
 //!
 //! A node is a run of *rows*: a leaf's entries, or an internal node's
@@ -11,6 +11,9 @@
 //! `i64::MIN`. Columns take the widths of the node's own data: a 4 KiB leaf
 //! holds ~2 700 of the benchmark's entries. Queries decode a page in place
 //! ([`View::each`], stopping past their bound); updates decode a [`Node`].
+//! Leaves carry no sibling links: a node is named by its parent alone, so
+//! an update that moves one to a fresh page ([`write`]) rewrites its path,
+//! not its neighbours.
 
 use std::borrow::Cow;
 
@@ -20,20 +23,16 @@ use pc_pagestore::{PageId, PageStore, Result, StoreError, NULL_PAGE};
 
 const TAG_INTERNAL: u8 = 0;
 const TAG_LEAF: u8 = 1;
-/// Bytes before a node's block: its tag and a leaf's `prev` id.
-const PREFIX: usize = 1 + 8;
+/// Bytes before a node's block: its tag and 8 reserved zero bytes, where a
+/// leaf once kept a sibling link. They keep every node's bytes, and so every
+/// cut [`pack`] makes, what they were.
+const PREFIX: usize = 9;
 
-/// What a node is; a leaf with its neighbours in key order ([`NULL_PAGE`]
-/// at either end of the chain).
+/// What a node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     Internal,
-    Leaf { next: PageId, prev: PageId },
-}
-
-impl Kind {
-    /// An unlinked leaf.
-    pub const LEAF: Kind = Kind::Leaf { next: NULL_PAGE, prev: NULL_PAGE };
+    Leaf,
 }
 
 /// A row: a leaf's `(key, value)`, an internal node's `(separator, child)`.
@@ -156,9 +155,9 @@ impl Node {
     }
 }
 
-/// Writes `rows` cut at `starts` ([`pack`]) to the pages `ids`, a leaf's
-/// pieces chained between `kind`'s neighbours; returns each piece's first
-/// key (`i64::MIN` if empty) and page: the rows their parent takes.
+/// Writes `rows` cut at `starts` ([`pack`]) to the pages `ids`, each moved
+/// where [`write`] puts it; returns each piece's first key (`i64::MIN` if
+/// empty) and page: the rows their parent takes.
 pub fn write_pieces(
     store: &PageStore,
     kind: Kind,
@@ -167,47 +166,28 @@ pub fn write_pieces(
     ids: &[PageId],
 ) -> Result<Vec<Row>> {
     let ends = starts[1..].iter().copied().chain([rows.len()]);
-    for (j, (start, end)) in starts.iter().copied().zip(ends).enumerate() {
-        let kind = match kind {
-            Kind::Leaf { next, prev } => Kind::Leaf {
-                next: ids.get(j + 1).copied().unwrap_or(next),
-                prev: if j == 0 { prev } else { ids[j - 1] },
-            },
-            Kind::Internal => Kind::Internal,
-        };
-        write(store, ids[j], kind, &rows[start..end])?;
-    }
     let first = |start: usize| rows.get(start).map_or(i64::MIN, |row| row.0);
-    Ok(starts.iter().zip(ids).map(|(&start, id)| Row(first(start), id.0)).collect())
+    let piece = |((start, end), &id): ((usize, usize), &PageId)| {
+        Ok(Row(first(start), write(store, id, kind, &rows[start..end])?.0))
+    };
+    starts.iter().copied().zip(ends).zip(ids).map(piece).collect()
 }
 
 /// `rows` as a node of `kind`: the prefix, then the block.
 pub fn encode(kind: Kind, rows: &[Row]) -> Vec<u8> {
-    let (tag, next, prev) = match kind {
-        Kind::Internal => (TAG_INTERNAL, NULL_PAGE, NULL_PAGE),
-        Kind::Leaf { next, prev } => (TAG_LEAF, next, prev),
-    };
-    let block = layout::encode_block(&stored(kind, rows), next);
-    [&[tag][..], &prev.0.to_le_bytes(), &block].concat()
+    let tag = if kind == Kind::Internal { TAG_INTERNAL } else { TAG_LEAF };
+    [&[tag][..], &[0; PREFIX - 1], &layout::encode_block(&stored(kind, rows), NULL_PAGE)].concat()
 }
 
-/// Encodes `rows` as a node of `kind` and writes it to `id` (one I/O).
+/// Encodes `rows` as a node of `kind` and writes it to `id`, or to the page
+/// [`PageStore::relocate`] moves `id` to, which it returns (one I/O).
 /// Panics if they do not fit a page: every caller cuts first.
-pub fn write(store: &PageStore, id: PageId, kind: Kind, rows: &[Row]) -> Result<()> {
+pub fn write(store: &PageStore, id: PageId, kind: Kind, rows: &[Row]) -> Result<PageId> {
     let page = encode(kind, rows);
     assert!(page.len() <= store.page_size(), "{} rows do not fit one page", rows.len());
-    store.write(id, &page)
-}
-
-/// Points the leaf at `id`, if there is one, back at `prev` in place.
-pub fn set_prev(store: &PageStore, id: PageId, prev: PageId) -> Result<()> {
-    if id.is_null() {
-        return Ok(());
-    }
-    let mut page = store.read(id)?.to_vec();
-    View::parse(&page)?;
-    page[1..PREFIX].copy_from_slice(&prev.0.to_le_bytes());
-    store.write(id, &page)
+    let at = store.relocate(id)?;
+    store.write(at, &page)?;
+    Ok(at)
 }
 
 /// A node read in place: its kind and its block, the rows decoded a few at
@@ -222,12 +202,11 @@ impl<'a> View<'a> {
     /// The node `page` holds: a typed [`StoreError::Corrupt`] for an
     /// unknown tag or a block whose columns run past the page.
     pub fn parse(page: &'a [u8]) -> Result<View<'a>> {
-        let mut r = PageReader::new(page);
-        let (tag, prev) = (r.get_u8()?, PageId(r.get_u64()?));
+        let tag = PageReader::new(page).get_u8()?;
         let block = Block::parse::<Row>(&page[PREFIX..])?;
         let kind = match tag {
             TAG_INTERNAL => Kind::Internal,
-            TAG_LEAF => Kind::Leaf { next: block.next, prev },
+            TAG_LEAF => Kind::Leaf,
             tag => return Err(StoreError::Corrupt(format!("unknown b+tree node tag {tag}"))),
         };
         Ok(View { kind, block })
@@ -260,10 +239,29 @@ impl<'a> View<'a> {
         last
     }
 
-    /// A leaf's neighbours `(next, prev)`.
-    pub fn links(&self) -> (PageId, PageId) {
-        let Kind::Leaf { next, prev } = self.kind else { return (NULL_PAGE, NULL_PAGE) };
-        (next, prev)
+    /// The index and value of the last row whose key is at most `key`
+    /// (row 0 if none): in an internal node, the child whose keys cover it.
+    pub fn route(&self, key: i64) -> (usize, u64) {
+        let (mut i, mut at) = (0, (0, 0));
+        self.each(|Row(k, v)| {
+            if k <= key || i == 0 {
+                at = (i, v);
+            }
+            i += 1;
+            k <= key
+        });
+        at
+    }
+
+    /// Row `i`'s value: in an internal node, child `i`.
+    pub fn value(&self, i: usize) -> u64 {
+        let (mut j, mut value) = (0, 0);
+        self.each(|Row(_, v)| {
+            value = v;
+            j += 1;
+            j <= i
+        });
+        value
     }
 
     /// The whole node, decoded.
@@ -318,20 +316,19 @@ mod tests {
         // Every column width 0–64, at both ends of i64 and u64.
         for page_size in PAGES {
             let store = PageStore::in_memory(page_size);
-            let links = Kind::Leaf { next: PageId(42), prev: NULL_PAGE };
             for width in 0..=64u32 {
                 let top = u64::MAX.checked_shr(64 - width).unwrap_or(0);
                 let high = i64::MAX.wrapping_sub(top as i64);
                 for rows in [pair(i64::MIN, top, 0, top), pair(high, top, u64::MAX - top, top)] {
                     // Width 0 is a lone entry's: no gap, one value.
                     let rows = if width == 0 { &rows[..1] } else { &rows[..] };
-                    let node = roundtrip(&store, links, rows);
-                    assert_eq!(widths(links, &node.rows), (width as u8, width as u8));
+                    let node = roundtrip(&store, Kind::Leaf, rows);
+                    assert_eq!(widths(Kind::Leaf, &node.rows), (width as u8, width as u8));
                 }
             }
-            roundtrip(&store, links, &[]);
-            roundtrip(&store, Kind::LEAF, &[Row(i64::MIN, u64::MAX)]);
-            roundtrip(&store, Kind::LEAF, &[Row(i64::MIN, 0), Row(i64::MAX, u64::MAX)]);
+            roundtrip(&store, Kind::Leaf, &[]);
+            roundtrip(&store, Kind::Leaf, &[Row(i64::MIN, u64::MAX)]);
+            roundtrip(&store, Kind::Leaf, &[Row(i64::MIN, 0), Row(i64::MAX, u64::MAX)]);
         }
     }
 
@@ -362,12 +359,12 @@ mod tests {
         let rows: Vec<Row> = (0..65)
             .map(|i| Row(i as i64, if i % 2 == 0 { u64::MAX - i as u64 } else { i as u64 }))
             .collect();
-        assert_eq!(Node { kind: Kind::LEAF, rows: rows.clone() }.bytes(), page);
-        let back = roundtrip(&store, Kind::LEAF, &rows);
+        assert_eq!(Node { kind: Kind::Leaf, rows: rows.clone() }.bytes(), page);
+        let back = roundtrip(&store, Kind::Leaf, &rows);
         assert_eq!(back.rows, rows);
         let mut one_more = rows.clone();
         one_more.push(Row(65, 0));
-        assert!(!Node { kind: Kind::LEAF, rows: one_more }.fits(page));
+        assert!(!Node { kind: Kind::Leaf, rows: one_more }.fits(page));
     }
 
     #[test]
@@ -386,7 +383,10 @@ mod tests {
         let page = store.read(id).unwrap();
         let view = View::parse(&page).unwrap();
         for key in [i64::MIN, 5, 10, 15, 29, 30, 99] {
-            assert_eq!(view.last_to(key).unwrap().1, n.child_index(key) as u64, "{key}");
+            let i = n.child_index(key);
+            assert_eq!(view.last_to(key).unwrap().1, i as u64, "{key}");
+            assert_eq!(view.route(key), (i, i as u64), "{key}");
+            assert_eq!(view.value(i), i as u64, "{key}");
         }
     }
 
@@ -396,7 +396,7 @@ mod tests {
         // mapped to their ranks (gaps of 1, 1 bit).
         let rows: Vec<Row> =
             (0..10_000).map(|i| Row(i * 1000 + (i * 7919) % 1000, i as u64)).collect();
-        let starts = pack(Kind::LEAF, &rows, 4096);
+        let starts = pack(Kind::Leaf, &rows, 4096);
         assert_eq!(starts[1], 2705, "12 bits a row after the first in 4 057 bytes");
         // At the widest columns a half page holds `m` rows, any 2m − 1 fit.
         assert_eq!(PAGES.map(min_rows), [3, 127]);
@@ -412,7 +412,7 @@ mod tests {
             (0..n).map(|i| Row(key(i), [0, u64::MAX][i % 2])).collect()
         };
         for page_size in PAGES {
-            for kind in [Kind::LEAF, Kind::Internal] {
+            for kind in [Kind::Leaf, Kind::Internal] {
                 let m = min_rows(page_size);
                 assert!(Node { kind, rows: wide(2 * m - 1) }.fits(page_size));
                 let more = Node { kind, rows: wide(2 * m + 1) };
@@ -421,13 +421,13 @@ mod tests {
         }
         // Narrow rows stop at the u16 count.
         let ones: Vec<Row> = (0..200_000).map(|i| Row(i, 0)).collect();
-        assert_eq!(pack(Kind::LEAF, &ones, 1 << 16)[1], usize::from(u16::MAX));
+        assert_eq!(pack(Kind::Leaf, &ones, 1 << 16)[1], usize::from(u16::MAX));
     }
 
     #[test]
     fn pack_and_balance_keep_every_piece_fitting_and_at_least_m() {
         for page_size in PAGES {
-            for kind in [Kind::LEAF, Kind::Internal] {
+            for kind in [Kind::Leaf, Kind::Internal] {
                 let m = min_rows(page_size);
                 // Narrow runs with outlier keys and values at the ends and
                 // inside.
@@ -456,8 +456,7 @@ mod tests {
         let mut outliers = narrow.clone();
         (outliers[0].0, outliers[100].1, outliers[199].0) = (i64::MIN, u64::MAX, i64::MAX);
         for rows in [&narrow[..], &outliers[..], &narrow[..1], &narrow[..2], &[][..]] {
-            let links = Kind::Leaf { next: PageId(3), prev: PageId(u64::MAX) };
-            for kind in [Kind::Internal, Kind::LEAF, links] {
+            for kind in [Kind::Internal, Kind::Leaf] {
                 if kind == Kind::Internal && rows.is_empty() {
                     continue;
                 }
@@ -480,7 +479,7 @@ mod tests {
         let page = store.read(id).unwrap();
         assert!(matches!(View::parse(&page), Err(StoreError::Corrupt(_))));
         // A count whose columns would run past the page.
-        write(&store, id, Kind::LEAF, &[Row(1, 2), Row(5, 9)]).unwrap();
+        write(&store, id, Kind::Leaf, &[Row(1, 2), Row(5, 9)]).unwrap();
         let mut bytes = store.read(id).unwrap().to_vec();
         bytes[PREFIX..PREFIX + 2].copy_from_slice(&u16::MAX.to_le_bytes());
         bytes[PREFIX + 10 + 8] = 64;

@@ -5,12 +5,16 @@
 //! `B` at least [`node::min_rows`] (127 at 4 KiB) whatever the data.
 
 use pc_obs::ReadClass;
-use pc_pagestore::{codec::PageReader, Page, PageId, PageStore, Result, StoreError, NULL_PAGE};
+use pc_pagestore::{codec::PageReader, Page, PageId, PageStore, Result, StoreError};
 
 use crate::node::{self, Kind, Node, Row, View};
 
 /// An internal node on a descent: its page, its rows, and the row taken.
 type Step = (PageId, Node, usize);
+
+/// The internal pages a query read on its way to a leaf, root first, each
+/// with the child taken.
+type Path = Vec<(Page, usize)>;
 
 /// A disk-resident B+-tree mapping `i64` keys to `u64` values with map
 /// semantics (inserting an existing key replaces its value).
@@ -92,11 +96,17 @@ impl BTree {
         Ok(Census { leaves, internal, mean_leaf_fill: self.len as f64 / leaves as f64 })
     }
 
-    /// The leaf page covering `key`, reading the path in place: internal
-    /// nodes are skeletal reads, the leaf a read of class `leaf` — a node
-    /// read where a range scans it, navigation where a lookup ends in it.
-    fn leaf_page(&self, store: &PageStore, key: i64, leaf: ReadClass) -> Result<Page> {
-        let mut page = store.read(self.root)?;
+    /// The leaf below `page`, read in place, each internal page on the way
+    /// pushed on `path` with the child `pick` takes: internal pages are
+    /// skeletal reads, the leaf a read of class `leaf` — a node read where a
+    /// range scans it, navigation where a lookup ends in it.
+    fn down(
+        store: &PageStore,
+        path: &mut Path,
+        mut page: Page,
+        pick: impl Fn(&View) -> (usize, u64),
+        leaf: ReadClass,
+    ) -> Result<Page> {
         loop {
             let view = View::parse(&page)?;
             if view.kind != Kind::Internal {
@@ -104,8 +114,37 @@ impl BTree {
                 return Ok(page);
             }
             pc_obs::record_read(ReadClass::Skeletal);
-            page = store.read(view.last_to(key).map_or(NULL_PAGE, |(_, child)| PageId(child)))?;
+            let (i, child) = pick(&view);
+            path.push((std::mem::replace(&mut page, store.read(PageId(child))?), i));
         }
+    }
+
+    /// The leaf covering `key` and the path to it.
+    fn leaf_page(&self, store: &PageStore, key: i64, leaf: ReadClass) -> Result<(Path, Page)> {
+        let mut path = Vec::with_capacity(self.height as usize);
+        let page = Self::down(store, &mut path, store.read(self.root)?, |v| v.route(key), leaf)?;
+        Ok((path, page))
+    }
+
+    /// The leaf after (`forward`) or before the one `path` leads to, from
+    /// the internal pages `path` holds, and `path` to it; `None` past either
+    /// end. The leaf is a node read going forward (a range scans it), a
+    /// skeletal one going back (a predecessor lookup ends in it).
+    fn step(store: &PageStore, path: &mut Path, forward: bool) -> Result<Option<Page>> {
+        let leaf = if forward { ReadClass::Node } else { ReadClass::Skeletal };
+        while let Some((page, i)) = path.pop() {
+            let (view, j) = (View::parse(&page)?, if forward { i + 1 } else { i.wrapping_sub(1) });
+            if j < view.rows() {
+                let child = PageId(view.value(j));
+                path.push((page, j));
+                let edge = |v: &View| {
+                    let i = if forward { 0 } else { v.rows() - 1 };
+                    (i, v.value(i))
+                };
+                return Self::down(store, path, store.read(child)?, edge, leaf).map(Some);
+            }
+        }
+        Ok(None)
     }
 
     /// The path to the leaf covering `key` and the leaf, decoded.
@@ -125,35 +164,37 @@ impl BTree {
     /// Point lookup: the value stored under `key`, if any. `O(log_B n)`.
     pub fn get(&self, store: &PageStore, key: &i64) -> Result<Option<u64>> {
         let _span = pc_obs::span!("btree_get");
-        let page = self.leaf_page(store, *key, ReadClass::Skeletal)?;
+        let (_, page) = self.leaf_page(store, *key, ReadClass::Skeletal)?;
         let last = View::parse(&page)?.last_to(*key);
         Ok(last.filter(|&(k, _)| k == *key).map(|(_, v)| v))
     }
 
     /// Predecessor lookup: the entry with the greatest key `<= key`.
-    /// `O(log_B n)` — at most one extra I/O to hop to the previous leaf.
+    /// `O(log_B n)` — at most one more descent, from the path in hand, to
+    /// the previous leaf.
     pub fn pred(&self, store: &PageStore, key: &i64) -> Result<Option<(i64, u64)>> {
         let _span = pc_obs::span!("btree_pred");
-        let page = self.leaf_page(store, *key, ReadClass::Skeletal)?;
-        let leaf = View::parse(&page)?;
-        let (last, prev) = (leaf.last_to(*key), leaf.links().1);
-        if last.is_some() || prev.is_null() {
+        let (mut path, page) = self.leaf_page(store, *key, ReadClass::Skeletal)?;
+        let last = View::parse(&page)?.last_to(*key);
+        if last.is_some() {
             return Ok(last);
         }
-        pc_obs::record_read(ReadClass::Skeletal);
-        let page = store.read(prev)?;
-        Ok(View::parse(&page)?.last_to(i64::MAX))
+        match Self::step(store, &mut path, false)? {
+            Some(page) => Ok(View::parse(&page)?.last_to(i64::MAX)),
+            None => Ok(None),
+        }
     }
 
-    /// Range scan over `lo..=hi` in key order: a descent, then the leaf
-    /// chain, each leaf decoded in place until a key passes `hi`.
+    /// Range scan over `lo..=hi` in key order: a descent, then the leaves
+    /// after it, each reached from the path in hand and decoded in place
+    /// until a key passes `hi`.
     pub fn range(&self, store: &PageStore, lo: &i64, hi: &i64) -> Result<Vec<(i64, u64)>> {
         let _span = pc_obs::span!("btree_range");
         let mut out = Vec::new();
         if lo > hi {
             return Ok(out);
         }
-        let mut page = self.leaf_page(store, *lo, ReadClass::Node)?;
+        let (mut path, mut page) = self.leaf_page(store, *lo, ReadClass::Node)?;
         pc_obs::set_block_capacity(View::parse(&page)?.rows() as u64);
         let _scan = pc_obs::span!(output: "leaf_scan");
         loop {
@@ -166,12 +207,13 @@ impl BTree {
                 k <= *hi
             });
             pc_obs::add_items((out.len() - before) as u64);
-            let next = leaf.links().0;
-            if past_hi || next.is_null() {
+            if past_hi {
                 return Ok(out);
             }
-            pc_obs::record_read(ReadClass::Node);
-            page = store.read(next)?;
+            match Self::step(store, &mut path, true)? {
+                Some(next) => page = next,
+                None => return Ok(out),
+            }
         }
     }
 
@@ -230,6 +272,9 @@ impl BTree {
     /// column too); after a delete (`shrank`) one [`Node::under`] settles
     /// with a sibling. Inserts only grow nodes, so a split's halves — each
     /// under half a page once their columns narrow — are left as they are.
+    /// A node [`node::write`] moves to a fresh page changes its parent's
+    /// row, so the parent is written too: inside an apply session the path
+    /// is copied up to the root.
     fn settle(
         &mut self,
         store: &PageStore,
@@ -242,42 +287,44 @@ impl BTree {
         while let Some((parent_id, mut parent, idx)) = path.pop() {
             if !node.fits(page_size) {
                 let pieces = self.split(store, id, node)?;
-                parent.rows.splice(idx + 1..idx + 1, pieces);
+                parent.rows[idx].1 = pieces[0].1;
+                parent.rows.splice(idx + 1..idx + 1, pieces.into_iter().skip(1));
             } else if !(shrank
                 && node.under(page_size)
                 && self.fix_underflow(store, &mut parent, idx, id, node.clone())?)
             {
-                return node::write(store, id, node.kind, &node.rows);
+                let at = node::write(store, id, node.kind, &node.rows)?;
+                if at == id {
+                    return Ok(());
+                }
+                parent.rows[idx].1 = at.0;
             }
             (id, node) = (parent_id, parent);
         }
         if !node.fits(page_size) {
             // The root split: the tree grows a level.
-            let mut rows = vec![Row(i64::MIN, id.0)];
-            rows.extend(self.split(store, id, node)?);
+            let mut rows = self.split(store, id, node)?;
+            rows[0].0 = i64::MIN;
             (self.root, self.height) = (store.alloc()?, self.height + 1);
-            node::write(store, self.root, Kind::Internal, &rows)
+            node::write(store, self.root, Kind::Internal, &rows).map(drop)
         } else if node.kind == Kind::Internal && node.rows.len() == 1 {
             // The root kept a single child: the tree shrinks a level.
             store.free(id)?;
             (self.root, self.height) = (PageId(node.rows[0].1), self.height - 1);
             Ok(())
         } else {
-            node::write(store, id, node.kind, &node.rows)
+            self.root = node::write(store, id, node.kind, &node.rows)?;
+            Ok(())
         }
     }
 
     /// Cuts `node` into pieces that fit ([`node::pack`]), the first at `id`;
-    /// returns the rows the others enter in the parent.
+    /// returns the rows the pieces enter in the parent.
     fn split(&self, store: &PageStore, id: PageId, node: Node) -> Result<Vec<Row>> {
         let starts = node::pack(node.kind, &node.rows, store.page_size());
         let more = (1..starts.len()).map(|_| store.alloc());
         let ids: Vec<PageId> = std::iter::once(Ok(id)).chain(more).collect::<Result<_>>()?;
-        let mut rows = node::write_pieces(store, node.kind, &node.rows, &starts, &ids)?;
-        if let Kind::Leaf { next, .. } = node.kind {
-            node::set_prev(store, next, ids[ids.len() - 1])?;
-        }
-        Ok(rows.split_off(1))
+        node::write_pieces(store, node.kind, &node.rows, &starts, &ids)
     }
 
     /// Settles `node`, child `idx` of `parent` at `id`, with its left
@@ -304,14 +351,8 @@ impl BTree {
             right.rows[0].0 = parent.rows[i + 1].0;
         }
         union.rows.append(&mut right.rows);
-        if let (Kind::Leaf { prev, .. }, Kind::Leaf { next, .. }) = (union.kind, right.kind) {
-            union.kind = Kind::Leaf { next, prev };
-        }
         if union.fits(page_size) {
-            node::write(store, left_id, union.kind, &union.rows)?;
-            if let Kind::Leaf { next, .. } = union.kind {
-                node::set_prev(store, next, left_id)?;
-            }
+            parent.rows[i].1 = node::write(store, left_id, union.kind, &union.rows)?.0;
             parent.rows.remove(i + 1);
             store.free(right_id)?;
             return Ok(true);
@@ -322,8 +363,8 @@ impl BTree {
         let cut = node::balance(union.kind, &union.rows, page_size)
             .expect("a pair past one page has an even cut");
         let ids = [left_id, right_id];
-        parent.rows[i + 1].0 =
-            node::write_pieces(store, union.kind, &union.rows, &[0, cut], &ids)?[1].0;
+        let rows = node::write_pieces(store, union.kind, &union.rows, &[0, cut], &ids)?;
+        (parent.rows[i].1, parent.rows[i + 1]) = (rows[0].1, rows[1]);
         Ok(true)
     }
 }
@@ -344,8 +385,8 @@ mod tests {
 
     /// Every node of `t` against the invariants: each fits its page as
     /// priced, each non-root one holds at least `min_rows`, the keys under
-    /// a child lie between its separators, the leaf chain runs through
-    /// every leaf in key order, and the entries are `want`'s.
+    /// a child lie between its separators, and the leaves, left to right,
+    /// hold `want`'s entries.
     fn audit(t: &BTree, store: &PageStore, want: &[(i64, u64)]) {
         let page_size = store.page_size();
         let mut leaves = Vec::new();
@@ -380,18 +421,13 @@ mod tests {
                             below.push((PageId(child), low, high));
                         }
                     }
-                    Kind::Leaf { .. } => leaves.push((id, node)),
+                    Kind::Leaf => leaves.push(node),
                 }
             }
             level = below;
         }
-        for (j, (id, leaf)) in leaves.iter().enumerate() {
-            let Kind::Leaf { next, prev } = leaf.kind else { unreachable!() };
-            assert_eq!(prev, if j == 0 { pc_pagestore::NULL_PAGE } else { leaves[j - 1].0 });
-            assert_eq!(next, leaves.get(j + 1).map_or(pc_pagestore::NULL_PAGE, |l| l.0), "{id:?}");
-        }
         let got: Vec<(i64, u64)> =
-            leaves.into_iter().flat_map(|(_, l)| l.rows).map(|Row(k, v)| (k, v)).collect();
+            leaves.into_iter().flat_map(|l| l.rows).map(|Row(k, v)| (k, v)).collect();
         assert_eq!(got, want);
         assert_eq!(t.len(), want.len() as u64);
         assert_eq!(t.census(store).unwrap().pages(), store.live_pages(), "a page leaked");

@@ -33,10 +33,10 @@ pub enum StoreError {
         /// Largest payload a record may carry.
         max: usize,
     },
-    /// A durable store refused a write to a page the last commit holds: a
-    /// committed page is never overwritten. Write a page allocated since the
-    /// last commit, or write inside a version apply session, which moves a
-    /// frozen page to a fresh one.
+    /// A write refused because a committed epoch may still read the page:
+    /// on a durable store, a page the last commit holds; inside a version
+    /// apply session, a page allocated before it. Write a page allocated
+    /// since, such as the one [`crate::PageStore::relocate`] gives.
     CommittedPage(PageId),
     /// A partial (torn) trailing write was detected in a backing file: the
     /// file ends mid-frame or mid-record. A WAL-backed open recovers by

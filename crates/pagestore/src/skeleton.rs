@@ -211,20 +211,22 @@ pub fn patch_record<R: SkelRecord>(
 /// the bytes of `id` its caller holds (one write, no read). What `header`
 /// adds to the count, and `tail` flush with the page's end, as
 /// [`write_page`] puts them; an empty `tail` leaves the page's own alone.
+/// Returns the bytes written.
 pub fn patch_page<R: SkelRecord>(
     store: &PageStore,
     id: PageId,
     page: &[u8],
     header: impl FnOnce(&mut PageWriter<'_>) -> Result<()>,
     tail: &[u8],
-) -> Result<()> {
+) -> Result<Vec<u8>> {
     let mut bytes = page.to_vec();
     header(&mut PageWriter::new(&mut bytes[2..R::HEADER]))?;
     let records = R::HEADER + R::LEN * usize::from(PageReader::new(&bytes).get_u16()?);
     let start = bytes.len().checked_sub(tail.len()).filter(|&start| start >= records);
     let start = start.expect("a page tail over the records");
     bytes[start..].copy_from_slice(tail);
-    store.write(id, &bytes)
+    store.write(id, &bytes)?;
+    Ok(bytes)
 }
 
 /// Groups a binary tree into skeletal pages (the paper's Figure 2):

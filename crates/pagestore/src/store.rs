@@ -186,10 +186,9 @@ pub struct PageStore {
 }
 
 impl PageStore {
-    /// Identity of this store for the thread-local version-session hooks
-    /// (see [`crate::version`]): sessions tag themselves with the store
-    /// address so a session on one store never translates another's ids.
-    fn addr(&self) -> usize {
+    /// Identity of this store for the apply-session hooks: a session
+    /// ([`crate::version`]) governs the pages of one store.
+    pub(crate) fn addr(&self) -> usize {
         self as *const PageStore as usize
     }
 
@@ -382,16 +381,16 @@ impl PageStore {
 
     /// Releases a page for reuse. Its contents become undefined.
     ///
-    /// Inside a version apply session (see [`crate::version`]) a free of
-    /// *frozen* content is deferred: the page is retired for epoch GC and
-    /// nothing is returned to the allocator yet, so pinned snapshots keep
-    /// reading it. On a durable store a page the last commit holds is
-    /// reused only after the next commit.
+    /// Inside a version apply session (see [`crate::version`]) a free of a
+    /// page allocated before the session is deferred: the page is retired
+    /// for epoch GC and nothing is returned to the allocator yet, so pinned
+    /// snapshots keep reading it. On a durable store a page the last commit
+    /// holds is reused only after the next commit.
     pub fn free(&self, id: PageId) -> Result<()> {
-        let id = match crate::version::free_route(self.addr(), id) {
-            crate::version::FreeRoute::Direct(phys) => phys,
-            crate::version::FreeRoute::Deferred => return Ok(()),
-        };
+        self.check_allocated(id)?;
+        if crate::version::defer_free(self.addr(), id) {
+            return Ok(());
+        }
         let mut group = self.wal.as_ref().map(|ws| ws.group.lock());
         {
             let mut a = self.alloc.write();
@@ -442,9 +441,6 @@ impl PageStore {
     /// snapshot: a later write to the same page replaces the pool's handle
     /// without touching it.
     pub fn read(&self, id: PageId) -> Result<Page> {
-        // Snapshot / apply-session translation (identity outside one): all
-        // allocation and pool state below is keyed by the *physical* id.
-        let id = crate::version::translate(self.addr(), id);
         self.check_allocated(id)?;
         if let Some(pool) = &self.pool {
             return pool.read_through(
@@ -461,12 +457,14 @@ impl PageStore {
     ///
     /// Costs one backend write in strict mode; with a volatile store's
     /// pool, the write is absorbed and deferred until eviction or
-    /// [`PageStore::sync`]. A durable store writes only a page allocated
-    /// since the last commit and refuses any other with
-    /// [`StoreError::CommittedPage`]; inside a version apply session a
-    /// write to a frozen page gets a fresh one. Its write reaches the
-    /// backend, then the same bytes enter its pool as a clean frame; a
-    /// write the backend fails leaves the pool as it was.
+    /// [`PageStore::sync`]. A write that would change a page a committed
+    /// epoch may still read is refused with [`StoreError::CommittedPage`]:
+    /// on a durable store, any page not allocated since the last commit;
+    /// inside a version apply session, any page allocated before it
+    /// ([`PageStore::relocate`] gives one that may be written). A durable
+    /// store's write reaches the backend, then the same bytes enter its
+    /// pool as a clean frame; a write the backend fails leaves the pool as
+    /// it was.
     pub fn write(&self, id: PageId, data: &[u8]) -> Result<()> {
         if data.len() > self.page_size {
             return Err(StoreError::PayloadTooLarge {
@@ -474,21 +472,10 @@ impl PageStore {
                 page_size: self.page_size,
             });
         }
-        // Inside a version apply session, a write to a frozen page is
-        // redirected copy-on-write to a freshly allocated physical page;
-        // the logical id keeps naming the page, the session records the
-        // remap, and the superseded page is retired for epoch GC.
-        let id = match crate::version::write_route(self.addr(), id) {
-            crate::version::WriteRoute::Direct(phys) => phys,
-            crate::version::WriteRoute::Cow => {
-                // A durable store writes the whole frame below; a volatile
-                // one keeps its accounting (the zeroing write included).
-                let fresh = self.alloc_page(self.wal.is_none())?;
-                crate::version::note_cow(self.addr(), id, fresh);
-                fresh
-            }
-        };
         self.check_allocated(id)?;
+        if crate::version::frozen(self.addr(), id) {
+            return Err(StoreError::CommittedPage(id));
+        }
         if let Some(ws) = &self.wal {
             let group = ws.group.lock();
             if !group.fresh.contains(&id.0) {
@@ -507,6 +494,18 @@ impl PageStore {
             return pool.write(id, self.padded(data), true, write_back);
         }
         self.backend_write(id, data)
+    }
+
+    /// The id to write page `id`'s new bytes to: `id` itself outside a
+    /// version apply session or for a page allocated in it (no alloc, no
+    /// I/O), else a fresh page, `id` retired for epoch GC — the caller
+    /// writes the whole page there and points whatever named `id` at it.
+    pub fn relocate(&self, id: PageId) -> Result<PageId> {
+        if !crate::version::frozen(self.addr(), id) {
+            return Ok(id);
+        }
+        self.free(id)?;
+        self.alloc_page(false)
     }
 
     fn padded(&self, data: &[u8]) -> Page {
@@ -1013,8 +1012,22 @@ mod tests {
     }
 
     #[test]
+    fn durable_write_to_a_committed_page_is_refused() {
+        let (store, _) = PageStore::in_memory_durable(64);
+        let id = store.alloc().unwrap();
+        store.write(id, b"v1").unwrap();
+        store.write(id, b"v2").unwrap();
+        store.sync().unwrap();
+        assert!(matches!(store.write(id, b"v3"), Err(StoreError::CommittedPage(p)) if p == id));
+        assert_eq!(&store.read(id).unwrap()[..2], b"v2", "the committed page is intact");
+        assert_eq!(store.stats().writes, 2);
+    }
+
+    /// A relocated page is written once, over a recycled id too: no zeroing
+    /// write first.
+    #[test]
     fn durable_copy_on_write_to_a_recycled_page_writes_it_once() {
-        for (durable, writes) in [(true, 1), (false, 2)] {
+        for durable in [true, false] {
             let store = Arc::new(if durable {
                 PageStore::in_memory_durable(64).0
             } else {
@@ -1029,34 +1042,12 @@ mod tests {
                 crate::VersionedStore::new(store.clone(), crate::VersionConfig::default(), &[]);
             let session = vs.begin_apply();
             let before = store.stats().writes;
-            store.write(a, b"a2").unwrap();
-            // The copy went to the recycled id: zeroed first only where the
-            // volatile accounting counts it.
-            assert_eq!(store.stats().writes - before, writes, "durable: {durable}");
+            let to = store.relocate(a).unwrap();
+            assert_eq!(to, b, "the recycled id");
+            store.write(to, b"a2").unwrap();
+            assert_eq!(store.stats().writes - before, 1, "durable: {durable}");
             session.install(&[]).unwrap();
         }
-    }
-
-    #[test]
-    fn durable_write_to_a_committed_page_is_refused() {
-        let (store, _) = PageStore::in_memory_durable(64);
-        let id = store.alloc().unwrap();
-        store.write(id, b"v1").unwrap();
-        store.write(id, b"v2").unwrap();
-        store.sync().unwrap();
-        assert!(matches!(store.write(id, b"v3"), Err(StoreError::CommittedPage(p)) if p == id));
-        assert_eq!(&store.read(id).unwrap()[..2], b"v2", "the committed page is intact");
-        assert_eq!(store.stats().writes, 2);
-        // Inside a version apply session the write moves the page to a
-        // fresh one instead.
-        let store = Arc::new(store);
-        let vs = crate::VersionedStore::new(store.clone(), crate::VersionConfig::default(), &[]);
-        let session = vs.begin_apply();
-        store.write(id, b"v3").unwrap();
-        session.install(&[]).unwrap();
-        let snap = vs.snapshot();
-        let _g = snap.enter();
-        assert_eq!(&store.read(id).unwrap()[..2], b"v3");
     }
 
     #[test]

@@ -1,75 +1,47 @@
-//! Partial persistence: epochs, copy-on-write page mapping, and pinned
-//! snapshots — so readers never block on writers.
+//! Partial persistence: epochs, apply sessions and pinned snapshots — so
+//! readers never block on writers.
 //!
-//! The paper's Thm 5.1 buffering (PR 5's serve batcher) hides update cost
-//! behind batching, but every dynamic target still takes one lock per
-//! batch: readers stall behind writers. Brodal/Rysgaard/Svenning
-//! ("Buffered Partially-Persistent External-Memory Search Trees",
-//! PAPERS.md) show the optimal external-memory answer is to combine that
-//! buffering with *partial persistence*: updates produce a new immutable
-//! version, queries pin one version and proceed untouched. This module is
-//! that layer for the page store.
+//! The paper's Thm 5.1 buffering (the serve batcher) hides update cost
+//! behind batching; Brodal/Rysgaard/Svenning ("Buffered Partially-Persistent
+//! External-Memory Search Trees", PAPERS.md) pair it with *partial
+//! persistence*: updates produce a new version in the structure's own
+//! nodes, and queries pin one version and proceed untouched.
 //!
 //! ## Model
 //!
-//! A [`VersionedStore`] wraps an `Arc<PageStore>` and maintains a sequence
-//! of **epochs**. Each epoch is an immutable logical→physical page map
-//! (plus opaque caller metadata, e.g. the serve layer's target
-//! descriptors). Structures keep using plain [`PageId`]s; those ids are
-//! *logical* names, and the epoch map records the exceptions where a
-//! page's current bytes live somewhere other than its own slot (identity
-//! is implied for unmapped ids, so the map stays proportional to pages
-//! rewritten since versioning began, not to the structure size).
+//! An **epoch** is its committed descriptors plus a retire queue: its seq,
+//! the caller's metadata (the serve layer's target descriptors, which name
+//! every root a reader starts from) and the pages its install superseded.
 //!
-//! * **Apply sessions** ([`VersionedStore::begin_apply`]): a single writer
-//!   thread opens a session; while it is active, every
-//!   [`PageStore::write`] to a frozen page is transparently redirected
-//!   copy-on-write to a freshly allocated physical page, every
-//!   [`PageStore::free`] of a frozen page is deferred (retired, not
-//!   returned to the allocator), and reads resolve through the pending
-//!   remap. [`ApplyGuard::install`] publishes the batch as the next epoch;
-//!   dropping the guard instead aborts and rolls back (fresh pages are
-//!   freed, the current epoch never changed).
+//! * **Apply sessions** ([`VersionedStore::begin_apply`]): one writer
+//!   thread at a time. Inside a session a page allocated before it is never
+//!   written: a structure asks [`PageStore::relocate`] for a writable id (a
+//!   fresh page, the old one retired) and patches the page that names it,
+//!   up to its descriptor — path copying. A write to a pre-session page is
+//!   refused with [`StoreError::CommittedPage`], and a free of one is
+//!   deferred (retired). [`ApplyGuard::install`] publishes the session as
+//!   the next epoch; dropping the guard frees every page the session
+//!   allocated and retires nothing.
 //! * **Snapshots** ([`VersionedStore::snapshot`] /
-//!   [`VersionedStore::snapshot_at`]): pin an epoch. A pinned snapshot's
-//!   [`Snapshot::enter`] guard makes the calling thread's reads resolve
-//!   through that epoch's map — with **no exclusive lock anywhere on the
-//!   path** (the thread-local map handle is pre-pinned; the store's
-//!   allocation table and `MemBackend` take shared reads only), which is
-//!   what the `snapshot_semantics` suite pins with
-//!   `pc_sync::exclusive_acquisitions`.
+//!   [`VersionedStore::snapshot_at`]) pin an epoch. A reader opens the
+//!   roots its descriptors name and reads plain page ids, taking the
+//!   store's shared locks only: no page a retained epoch reaches is written.
 //! * **GC**: pages superseded at epoch `N` are *retired*, tagged `N`, and
-//!   reclaimed only once every retained epoch has seq ≥ `N` — retention is
+//!   reclaimed once every retained epoch has seq ≥ `N` — retention is
 //!   bounded by [`VersionConfig::retain`], but a pinned epoch is never
-//!   trimmed, so GC can never reclaim a page a live snapshot can reach.
-//!
-//! ## Name leases
-//!
-//! Logical ids and physical slots share the base allocator's namespace.
-//! When logical page `L`'s bytes move to slot `P`, slot `L` must not be
-//! recycled while the *name* `L` is still live — a later `alloc()`
-//! handing `L` to an unrelated structure would collide with the mapping.
-//! So a remapped page's original slot is kept allocated as a **name
-//! lease** and is only retired when the structure frees `L` itself. The
-//! cost is one idle slot per live remapped page; the benefit is that the
-//! allocator can never hand out a live logical name.
+//!   trimmed, so GC never reclaims a page a live snapshot can reach.
 //!
 //! ## Durability
 //!
-//! The copy-on-write above is also how a durable store keeps its rule
-//! that a committed page is never overwritten (see the `wal` module
-//! docs): every write in a session lands on a page allocated since the
-//! last commit. On a durable store, [`ApplyGuard::install`] frames the
-//! caller's commit metadata with the new epoch's seq, full map, and
-//! pending retirement queue ([`encode_version_meta`]), and group-commits
-//! it — so crash recovery's `last_commit_meta` *is* the epoch; the GC
-//! frees it makes wait in the allocator until that commit is durable.
-//! [`VersionedStore::open`] decodes it, resumes from exactly the last
-//! committed epoch, and frees the now-orphaned retirement queue (history
-//! is memory-only; only the current epoch survives a crash). A kill
-//! mid-install loses only the uncommitted CoW pages, whose ids the
-//! recovered allocator calls free or has never handed out — the previous
-//! epoch remains the visible version, bit-identical.
+//! The session rule is also a durable store's own (see the `wal` module
+//! docs): every write in a session lands on a page allocated since the last
+//! commit. On a durable store, [`ApplyGuard::install`] frames the caller's
+//! metadata with the epoch's seq and the pending retire queue
+//! ([`encode_version_meta`]) and group-commits it, so crash recovery's
+//! `last_commit_meta` *is* the epoch. [`VersionedStore::open`] resumes from
+//! it and frees its orphaned retire queue (history is memory-only). A kill
+//! mid-session loses only uncommitted copies: the previous epoch's
+//! descriptors still name its pages, bit-identical.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -79,181 +51,61 @@ use std::sync::Arc;
 
 use pc_sync::{Mutex, RwLock};
 
+use crate::codec::PageReader;
 use crate::error::{Result, StoreError};
 use crate::store::{PageId, PageStore};
 
 // ---------------------------------------------------------------------------
-// Thread-local session state and the store hooks
+// The thread-local apply session and the store hooks
 // ---------------------------------------------------------------------------
 
-struct ApplyCtx {
+struct Session {
     store: usize,
-    map: Arc<HashMap<u64, u64>>,
-    /// Pending remap: `Some(p)` = logical id now lives at `p`;
-    /// `None` = drop any inherited mapping (identity / dead name).
-    delta: HashMap<u64, Option<u64>>,
-    /// Physical pages allocated inside this session. Never visible to any
-    /// epoch, so they are written in place and really freed.
+    /// Pages allocated inside this session: no epoch can reach them, so
+    /// they are written in place and really freed.
     fresh: HashSet<u64>,
-    /// Physical slots superseded by this session, to retire at install.
+    /// Pre-session pages relocated or freed, to retire at install.
     retired: Vec<u64>,
 }
 
-enum Ctx {
-    Snapshot { store: usize, map: Arc<HashMap<u64, u64>> },
-    Apply(ApplyCtx),
-}
-
 thread_local! {
-    static ACTIVE: RefCell<Option<Ctx>> = const { RefCell::new(None) };
+    static SESSION: RefCell<Option<Session>> = const { RefCell::new(None) };
 }
 
-fn resolve(map: &HashMap<u64, u64>, delta: &HashMap<u64, Option<u64>>, id: u64) -> u64 {
-    match delta.get(&id) {
-        Some(Some(p)) => *p,
-        Some(None) => id,
-        None => map.get(&id).copied().unwrap_or(id),
-    }
+/// Runs `f` on the calling thread's session over `store`, if there is one.
+fn in_session<T>(store: usize, f: impl FnOnce(Option<&mut Session>) -> T) -> T {
+    SESSION.with(|s| f(s.borrow_mut().as_mut().filter(|s| s.store == store)))
 }
 
-/// Read-path hook: logical→physical translation for the calling thread's
-/// pinned snapshot or apply session (identity otherwise).
-pub(crate) fn translate(store: usize, id: PageId) -> PageId {
-    ACTIVE.with(|c| match &*c.borrow() {
-        Some(Ctx::Snapshot { store: s, map }) if *s == store => {
-            PageId(map.get(&id.0).copied().unwrap_or(id.0))
+/// True when a session over `store` is open on this thread and `id` was
+/// allocated before it: the page may not be written.
+pub(crate) fn frozen(store: usize, id: PageId) -> bool {
+    in_session(store, |s| s.is_some_and(|s| !s.fresh.contains(&id.0)))
+}
+
+/// Free-path hook: true when the free is deferred (a pre-session page in
+/// an open session, retired for epoch GC); false when the page is really
+/// freed (no session, or a page the session allocated).
+pub(crate) fn defer_free(store: usize, id: PageId) -> bool {
+    in_session(store, |s| {
+        let Some(s) = s else { return false };
+        let deferred = !s.fresh.remove(&id.0);
+        if deferred {
+            s.retired.push(id.0);
         }
-        Some(Ctx::Apply(a)) if a.store == store => PageId(resolve(&a.map, &a.delta, id.0)),
-        _ => PageId(id.0),
+        deferred
     })
 }
 
-pub(crate) enum WriteRoute {
-    /// Write this physical page in place.
-    Direct(PageId),
-    /// The target is frozen: allocate a fresh page, then [`note_cow`].
-    Cow,
-}
-
-/// Write-path hook: decides whether a logical write goes in place (no
-/// session, or the page is already a fresh copy) or needs copy-on-write.
-pub(crate) fn write_route(store: usize, id: PageId) -> WriteRoute {
-    ACTIVE.with(|c| match &*c.borrow() {
-        Some(Ctx::Apply(a)) if a.store == store => {
-            let phys = resolve(&a.map, &a.delta, id.0);
-            if a.fresh.contains(&phys) {
-                WriteRoute::Direct(PageId(phys))
-            } else {
-                WriteRoute::Cow
-            }
-        }
-        _ => WriteRoute::Direct(id),
-    })
-}
-
-/// Records a copy-on-write: logical `id` now lives at freshly allocated
-/// `fresh`; the superseded physical page is retired (unless it is the
-/// logical id's own slot, which stays allocated as a name lease).
-pub(crate) fn note_cow(store: usize, id: PageId, fresh: PageId) {
-    ACTIVE.with(|c| {
-        let mut b = c.borrow_mut();
-        let Some(Ctx::Apply(a)) = &mut *b else { return };
-        if a.store != store {
-            return;
-        }
-        let old = resolve(&a.map, &a.delta, id.0);
-        if old != id.0 {
-            a.retired.push(old);
-        }
-        a.delta.insert(id.0, Some(fresh.0));
-    });
-}
-
-pub(crate) enum FreeRoute {
-    /// Really free this physical page.
-    Direct(PageId),
-    /// Frozen content: retired for GC, nothing freed now.
-    Deferred,
-}
-
-/// Free-path hook. Fresh pages are really freed; frozen content is
-/// deferred to epoch GC. Either way the logical name's mapping is dropped
-/// from the next epoch, and a remapped name's leased slot is retired.
-pub(crate) fn free_route(store: usize, id: PageId) -> FreeRoute {
-    ACTIVE.with(|c| {
-        let mut b = c.borrow_mut();
-        let Some(Ctx::Apply(a)) = &mut *b else { return FreeRoute::Direct(id) };
-        if a.store != store {
-            return FreeRoute::Direct(id);
-        }
-        let phys = resolve(&a.map, &a.delta, id.0);
-        if a.fresh.remove(&phys) {
-            if phys != id.0 {
-                // The fresh copy dies for real, but the name's own slot
-                // still holds frozen bytes older epochs may reach.
-                a.retired.push(id.0);
-            }
-            a.delta.insert(id.0, None);
-            FreeRoute::Direct(PageId(phys))
-        } else {
-            a.retired.push(phys);
-            if phys != id.0 {
-                a.retired.push(id.0);
-            }
-            a.delta.insert(id.0, None);
-            FreeRoute::Deferred
-        }
-    })
-}
-
-/// Alloc-path hook: inside a session every allocation is a fresh page; a
-/// recycled slot also shadows any stale inherited mapping for its id.
+/// Alloc-path hook: inside a session every allocation is fresh.
 pub(crate) fn note_alloc(store: usize, id: PageId) {
-    ACTIVE.with(|c| {
-        let mut b = c.borrow_mut();
-        let Some(Ctx::Apply(a)) = &mut *b else { return };
-        if a.store != store {
-            return;
-        }
-        a.fresh.insert(id.0);
-        if a.map.contains_key(&id.0) || a.delta.contains_key(&id.0) {
-            a.delta.insert(id.0, None);
-        }
-    });
+    in_session(store, |s| s.map(|s| s.fresh.insert(id.0)));
 }
 
-fn install_ctx(ctx: Ctx) {
-    ACTIVE.with(|c| {
-        let mut b = c.borrow_mut();
-        assert!(
-            b.is_none(),
-            "a version context (snapshot or apply session) is already active on this thread"
-        );
-        *b = Some(ctx);
-    });
-}
-
-fn take_apply(store: usize) -> ApplyCtx {
-    ACTIVE.with(|c| {
-        let mut b = c.borrow_mut();
-        match b.take() {
-            Some(Ctx::Apply(a)) if a.store == store => a,
-            other => {
-                *b = other;
-                panic!("no apply session active for this store on this thread");
-            }
-        }
-    })
-}
-
-fn clear_snapshot(store: usize) {
-    ACTIVE.with(|c| {
-        let mut b = c.borrow_mut();
-        match b.take() {
-            Some(Ctx::Snapshot { store: s, .. }) if s == store => {}
-            other => *b = other,
-        }
-    });
+fn take_session(store: usize) -> Session {
+    let session = SESSION.with(|s| s.borrow_mut().take()).expect("an apply session on this thread");
+    assert_eq!(session.store, store, "the apply session is over another store");
+    session
 }
 
 // ---------------------------------------------------------------------------
@@ -262,7 +114,6 @@ fn clear_snapshot(store: usize) {
 
 struct Epoch {
     seq: u64,
-    map: Arc<HashMap<u64, u64>>,
     user_meta: Vec<u8>,
     pins: AtomicU64,
     /// Per-epoch cache of derived read-only artifacts (the serve layer
@@ -271,13 +122,17 @@ struct Epoch {
     cache: RwLock<HashMap<u64, Arc<dyn Any + Send + Sync>>>,
 }
 
-/// A pinned, immutable version of the store. Reads made under
-/// [`Snapshot::enter`] resolve through this epoch's page map and are
-/// bit-identical for the snapshot's whole lifetime, no matter how many
-/// later epochs install concurrently. Dropping the snapshot releases the
-/// pin (making the epoch eligible for retention trimming and GC).
+impl Epoch {
+    fn new(seq: u64, user_meta: Vec<u8>) -> Arc<Epoch> {
+        Arc::new(Epoch { seq, user_meta, pins: AtomicU64::new(0), cache: RwLock::default() })
+    }
+}
+
+/// A pinned, immutable version of the store: the pages its descriptors
+/// reach stay bit-identical for the snapshot's whole lifetime, however
+/// many later epochs install. Dropping it releases the pin (making the
+/// epoch eligible for retention trimming and GC).
 pub struct Snapshot {
-    base: Arc<PageStore>,
     epoch: Arc<Epoch>,
 }
 
@@ -293,13 +148,10 @@ impl Snapshot {
         &self.epoch.user_meta
     }
 
-    /// Makes the calling thread's reads of the underlying store resolve
-    /// through this snapshot's page map until the guard drops. Panics if
-    /// the thread already has a snapshot or apply session active.
+    /// A no-op guard: a snapshot's reads need no translation. Kept only
+    /// for callers written against the former page map.
     pub fn enter(&self) -> SnapshotGuard<'_> {
-        let store = store_addr(&self.base);
-        install_ctx(Ctx::Snapshot { store, map: self.epoch.map.clone() });
-        SnapshotGuard { store, _snap: self }
+        SnapshotGuard { _snap: self }
     }
 
     /// Cached derived artifact for `key` (shared-read lookup).
@@ -322,7 +174,7 @@ impl Snapshot {
 impl Clone for Snapshot {
     fn clone(&self) -> Self {
         self.epoch.pins.fetch_add(1, Relaxed);
-        Snapshot { base: self.base.clone(), epoch: self.epoch.clone() }
+        Snapshot { epoch: self.epoch.clone() }
     }
 }
 
@@ -332,17 +184,9 @@ impl Drop for Snapshot {
     }
 }
 
-/// Active thread-local read translation for a [`Snapshot`]; see
-/// [`Snapshot::enter`].
+/// What [`Snapshot::enter`] returns; it does nothing.
 pub struct SnapshotGuard<'a> {
-    store: usize,
     _snap: &'a Snapshot,
-}
-
-impl Drop for SnapshotGuard<'_> {
-    fn drop(&mut self) {
-        clear_snapshot(self.store);
-    }
 }
 
 /// Configuration for a [`VersionedStore`].
@@ -363,9 +207,9 @@ impl Default for VersionConfig {
 struct VersionState {
     /// Retained epochs, oldest front, current back. Never empty.
     epochs: VecDeque<Arc<Epoch>>,
-    /// Retired physical slots awaiting GC: `(installing epoch seq, slots)`,
-    /// in seq order. A group is reclaimable once every retained epoch has
-    /// seq ≥ its tag.
+    /// Retired pages awaiting GC: `(installing epoch seq, pages)`, in seq
+    /// order. A group is reclaimable once every retained epoch has seq ≥
+    /// its tag.
     retired: VecDeque<(u64, Vec<u64>)>,
 }
 
@@ -400,68 +244,57 @@ pub struct VersionedStore {
     reclaimed: AtomicU64,
 }
 
-fn store_addr(store: &Arc<PageStore>) -> usize {
-    Arc::as_ptr(store) as usize
-}
-
 impl VersionedStore {
-    /// Fresh versioned view over `base` at epoch 0 (empty map), carrying
-    /// `initial_user_meta` so epoch-0 snapshots can resolve frozen views.
+    /// Fresh versioned view over `base` at epoch 0, carrying
+    /// `initial_user_meta` so epoch-0 snapshots can open frozen views.
     pub fn new(base: Arc<PageStore>, cfg: VersionConfig, initial_user_meta: &[u8]) -> Self {
-        Self::with_epoch0(base, cfg, 0, HashMap::new(), initial_user_meta.to_vec(), Vec::new())
+        Self::at(base, cfg, 0, initial_user_meta.to_vec())
+    }
+
+    /// [`VersionedStore::try_open`], for a payload known to decode.
+    ///
+    /// # Panics
+    ///
+    /// On a payload `try_open` refuses: a frame of the former page-map
+    /// format.
+    pub fn open(base: Arc<PageStore>, recovered_meta: Option<&[u8]>, cfg: VersionConfig) -> Self {
+        Self::try_open(base, recovered_meta, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Reopens a versioned view from a recovered store: `recovered_meta`
     /// is the `RecoveryReport::last_commit_meta` payload. A version frame
-    /// restores the exact committed epoch (seq, map, metadata) and frees
-    /// its orphaned retirement queue — older epochs do not survive a
-    /// crash, so every pending retiree is immediately reclaimable. A bare
-    /// (legacy) payload or `None` starts at epoch 0 with that payload as
-    /// the user metadata.
-    pub fn open(base: Arc<PageStore>, recovered_meta: Option<&[u8]>, cfg: VersionConfig) -> Self {
-        match recovered_meta.and_then(decode_version_meta) {
-            Some(m) => {
-                let orphans: Vec<u64> = m.retired.into_iter().flat_map(|(_, ids)| ids).collect();
-                let vs = Self::with_epoch0(base, cfg, m.seq, m.map, m.user, Vec::new());
-                let mut freed = 0u64;
-                for p in orphans {
-                    // The frees ride the next commit; a crash before it
-                    // loses them, and the next open frees the same
-                    // (still-pending) queue again.
-                    if vs.base.free(PageId(p)).is_ok() {
-                        freed += 1;
-                    }
-                }
-                vs.note_reclaimed(freed);
-                vs
-            }
-            None => {
-                let user = recovered_meta.unwrap_or_default().to_vec();
-                Self::with_epoch0(base, cfg, 0, HashMap::new(), user, Vec::new())
+    /// restores the exact committed epoch (seq, metadata) and frees its
+    /// orphaned retire queue — older epochs do not survive a crash, so
+    /// every pending retiree is immediately reclaimable. A bare payload or
+    /// `None` starts at epoch 0 with that payload as the user metadata. A
+    /// `PCV1` frame, whose ids a page map translated, is `Corrupt`.
+    pub fn try_open(
+        base: Arc<PageStore>,
+        recovered_meta: Option<&[u8]>,
+        cfg: VersionConfig,
+    ) -> Result<Self> {
+        let Some(m) = recovered_meta.map(decode_version_meta).transpose()?.flatten() else {
+            return Ok(Self::at(base, cfg, 0, recovered_meta.unwrap_or_default().to_vec()));
+        };
+        let vs = Self::at(base, cfg, m.seq, m.user);
+        let mut freed = 0u64;
+        for p in m.retired.into_iter().flat_map(|(_, ids)| ids) {
+            // The frees ride the next commit; a crash before it loses them,
+            // and the next open frees the same (still-pending) queue again.
+            if vs.base.free(PageId(p)).is_ok() {
+                freed += 1;
             }
         }
+        vs.note_reclaimed(freed);
+        Ok(vs)
     }
 
-    fn with_epoch0(
-        base: Arc<PageStore>,
-        cfg: VersionConfig,
-        seq: u64,
-        map: HashMap<u64, u64>,
-        user_meta: Vec<u8>,
-        retired: Vec<(u64, Vec<u64>)>,
-    ) -> Self {
-        let epoch = Arc::new(Epoch {
-            seq,
-            map: Arc::new(map),
-            user_meta,
-            pins: AtomicU64::new(0),
-            cache: RwLock::new(HashMap::new()),
-        });
+    fn at(base: Arc<PageStore>, cfg: VersionConfig, seq: u64, user_meta: Vec<u8>) -> Self {
         VersionedStore {
             base,
             state: Mutex::new(VersionState {
-                epochs: VecDeque::from([epoch]),
-                retired: VecDeque::from(retired),
+                epochs: VecDeque::from([Epoch::new(seq, user_meta)]),
+                retired: VecDeque::new(),
             }),
             retain: cfg.retain.max(1),
             installed: AtomicU64::new(0),
@@ -491,7 +324,7 @@ impl VersionedStore {
         let st = self.state.lock();
         let epoch = st.epochs.back().unwrap().clone();
         epoch.pins.fetch_add(1, Relaxed);
-        Snapshot { base: self.base.clone(), epoch }
+        Snapshot { epoch }
     }
 
     /// Pins the retained epoch with exactly seq `seq`, or reports the
@@ -501,7 +334,7 @@ impl VersionedStore {
         match st.epochs.iter().find(|e| e.seq == seq) {
             Some(e) => {
                 e.pins.fetch_add(1, Relaxed);
-                Ok(Snapshot { base: self.base.clone(), epoch: e.clone() })
+                Ok(Snapshot { epoch: e.clone() })
             }
             None => Err(StoreError::VersionNotRetained {
                 requested: seq,
@@ -511,21 +344,22 @@ impl VersionedStore {
         }
     }
 
-    /// Opens a copy-on-write apply session on the calling thread. Until
-    /// [`ApplyGuard::install`], every write to a frozen page through the
-    /// base store is redirected to a fresh page and every free of frozen
-    /// content is deferred — concurrent snapshot readers (other threads)
-    /// observe nothing. One writer at a time: this is the serve batcher's
-    /// single-threaded apply stage, and the session is thread-local.
+    /// Opens an apply session on the calling thread. Until
+    /// [`ApplyGuard::install`], no page allocated before it is written
+    /// (relocate it first, [`PageStore::relocate`]) or freed — concurrent
+    /// snapshot readers (other threads) observe nothing. One writer at a
+    /// time: this is the serve batcher's single-threaded apply stage.
+    ///
+    /// # Panics
+    ///
+    /// If the thread already has a session open.
     pub fn begin_apply(&self) -> ApplyGuard<'_> {
-        let map = self.state.lock().epochs.back().unwrap().map.clone();
-        install_ctx(Ctx::Apply(ApplyCtx {
-            store: store_addr(&self.base),
-            map,
-            delta: HashMap::new(),
-            fresh: HashSet::new(),
-            retired: Vec::new(),
-        }));
+        SESSION.with(|s| {
+            let mut b = s.borrow_mut();
+            assert!(b.is_none(), "an apply session is already active on this thread");
+            let store = self.base.addr();
+            *b = Some(Session { store, fresh: HashSet::new(), retired: Vec::new() });
+        });
         ApplyGuard { vs: self, armed: true }
     }
 
@@ -533,12 +367,8 @@ impl VersionedStore {
     /// retired page. Runs automatically at install; call it directly after
     /// dropping long-held snapshots. Returns pages freed.
     pub fn collect(&self) -> Result<u64> {
-        let to_free = {
-            let mut st = self.state.lock();
-            trim(&mut st, self.retain)
-        };
-        let freed = self.free_all(&to_free)?;
-        Ok(freed)
+        let to_free = trim(&mut self.state.lock(), self.retain);
+        self.free_all(&to_free)
     }
 
     /// Observability snapshot.
@@ -551,9 +381,7 @@ impl VersionedStore {
             let p = e.pins.load(Relaxed);
             if p > 0 {
                 pinned += p;
-                if oldest_pinned.is_none() {
-                    oldest_pinned = Some(e.seq);
-                }
+                oldest_pinned.get_or_insert(e.seq);
             }
         }
         VersionMetrics {
@@ -568,19 +396,15 @@ impl VersionedStore {
     }
 
     fn note_reclaimed(&self, n: u64) {
-        if n > 0 {
-            self.reclaimed.fetch_add(n, Relaxed);
-        }
+        self.reclaimed.fetch_add(n, Relaxed);
     }
 
     fn free_all(&self, pages: &[u64]) -> Result<u64> {
-        let mut freed = 0u64;
         for &p in pages {
             self.base.free(PageId(p))?;
-            freed += 1;
         }
-        self.note_reclaimed(freed);
-        Ok(freed)
+        self.note_reclaimed(pages.len() as u64);
+        Ok(pages.len() as u64)
     }
 }
 
@@ -618,41 +442,18 @@ impl ApplyGuard<'_> {
     pub fn install_as(mut self, seq: u64, user_meta: &[u8]) -> Result<u64> {
         self.armed = false;
         let vs = self.vs;
-        let ctx = take_apply(store_addr(&vs.base));
+        let session = take_session(vs.base.addr());
         let (to_free, meta_bytes) = {
             let mut st = vs.state.lock();
-            let parent = st.epochs.back().unwrap();
-            assert!(seq > parent.seq, "epoch seqs must be strictly increasing");
-            let mut map = (*parent.map).clone();
-            for (l, d) in ctx.delta {
-                match d {
-                    Some(p) => {
-                        map.insert(l, p);
-                    }
-                    None => {
-                        map.remove(&l);
-                    }
-                }
-            }
-            let map = Arc::new(map);
-            st.epochs.push_back(Arc::new(Epoch {
-                seq,
-                map: map.clone(),
-                user_meta: user_meta.to_vec(),
-                pins: AtomicU64::new(0),
-                cache: RwLock::new(HashMap::new()),
-            }));
-            if !ctx.retired.is_empty() {
-                st.retired.push_back((seq, ctx.retired));
+            assert!(seq > st.epochs.back().unwrap().seq, "epoch seqs must be strictly increasing");
+            st.epochs.push_back(Epoch::new(seq, user_meta.to_vec()));
+            if !session.retired.is_empty() {
+                st.retired.push_back((seq, session.retired));
             }
             let to_free = trim(&mut st, vs.retain);
             let meta_bytes = vs.base.is_durable().then(|| {
-                encode_version_meta(&VersionMeta {
-                    seq,
-                    map: map.as_ref().clone(),
-                    user: user_meta.to_vec(),
-                    retired: st.retired.iter().cloned().collect(),
-                })
+                let retired = st.retired.iter().cloned().collect();
+                encode_version_meta(&VersionMeta { seq, user: user_meta.to_vec(), retired })
             });
             (to_free, meta_bytes)
         };
@@ -672,10 +473,11 @@ impl Drop for ApplyGuard<'_> {
         if !self.armed {
             return;
         }
-        // Abort: the epoch never changed, so rollback is just returning
-        // the session's fresh pages to the allocator.
-        let ctx = take_apply(store_addr(&self.vs.base));
-        for p in ctx.fresh {
+        // Abort: the epoch never changed, so rollback is returning the
+        // session's fresh pages to the allocator; nothing is retired.
+        let mut fresh: Vec<u64> = take_session(self.vs.base.addr()).fresh.into_iter().collect();
+        fresh.sort_unstable();
+        for p in fresh {
             let _ = self.vs.base.free(PageId(p));
         }
     }
@@ -686,36 +488,31 @@ impl Drop for ApplyGuard<'_> {
 // ---------------------------------------------------------------------------
 
 /// Magic prefix of a version-framed commit metadata payload.
-pub const VERSION_META_MAGIC: &[u8; 4] = b"PCV1";
+pub const VERSION_META_MAGIC: &[u8; 4] = b"PCV2";
+
+/// The former frame's magic: its epoch carried a logical→physical page
+/// map, so the ids its metadata names are not where their bytes are.
+const PAGE_MAP_MAGIC: &[u8; 4] = b"PCV1";
 
 /// Decoded version frame: one committed epoch plus its pending GC queue.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VersionMeta {
     /// Epoch sequence number.
     pub seq: u64,
-    /// Full logical→physical page map of the epoch.
-    pub map: HashMap<u64, u64>,
     /// The caller's inner metadata (the serve layer's batch frame).
     pub user: Vec<u8>,
-    /// Retired-but-unreclaimed slots: `(installing seq, slots)`.
+    /// Retired-but-unreclaimed pages: `(installing seq, pages)`.
     pub retired: Vec<(u64, Vec<u64>)>,
 }
 
-/// Encodes a version frame. Map entries are sorted so the encoding is
-/// deterministic (golden tests depend on it).
+/// Encodes a version frame.
 pub fn encode_version_meta(m: &VersionMeta) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + m.user.len() + m.map.len() * 16);
+    let ids: usize = m.retired.iter().map(|(_, ids)| 12 + 8 * ids.len()).sum();
+    let mut out = Vec::with_capacity(20 + m.user.len() + ids);
     out.extend_from_slice(VERSION_META_MAGIC);
     out.extend_from_slice(&m.seq.to_le_bytes());
     out.extend_from_slice(&(m.user.len() as u32).to_le_bytes());
     out.extend_from_slice(&m.user);
-    let mut entries: Vec<(u64, u64)> = m.map.iter().map(|(&k, &v)| (k, v)).collect();
-    entries.sort_unstable();
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (k, v) in entries {
-        out.extend_from_slice(&k.to_le_bytes());
-        out.extend_from_slice(&v.to_le_bytes());
-    }
     out.extend_from_slice(&(m.retired.len() as u32).to_le_bytes());
     for (tag, ids) in &m.retired {
         out.extend_from_slice(&tag.to_le_bytes());
@@ -727,43 +524,33 @@ pub fn encode_version_meta(m: &VersionMeta) -> Vec<u8> {
     out
 }
 
-/// Decodes a version frame; `None` for anything that is not one (legacy
-/// bare metadata passes through untouched at the call sites).
-pub fn decode_version_meta(bytes: &[u8]) -> Option<VersionMeta> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = bytes.get(*pos..*pos + n)?;
-        *pos += n;
-        Some(s)
-    };
-    if take(&mut pos, 4)? != VERSION_META_MAGIC {
-        return None;
+/// Decodes a version frame: `Ok(None)` for anything that is not one (bare
+/// metadata passes through untouched at the call sites), `Corrupt` for a
+/// `PCV1` frame of the former page-map format, whose epoch no longer
+/// opens.
+pub fn decode_version_meta(bytes: &[u8]) -> Result<Option<VersionMeta>> {
+    if bytes.starts_with(PAGE_MAP_MAGIC) {
+        return Err(StoreError::Corrupt(
+            "a PCV1 version frame: its epoch was read through a page map, which this store \
+             no longer keeps"
+                .to_string(),
+        ));
     }
-    let seq = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-    let user_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-    let user = take(&mut pos, user_len)?.to_vec();
-    let map_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-    let mut map = HashMap::with_capacity(map_len);
-    for _ in 0..map_len {
-        let k = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let v = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        map.insert(k, v);
-    }
-    let groups = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-    let mut retired = Vec::with_capacity(groups);
-    for _ in 0..groups {
-        let tag = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let n = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
+    let Some(body) = bytes.strip_prefix(VERSION_META_MAGIC) else { return Ok(None) };
+    let mut r = PageReader::new(body);
+    let mut frame = || -> Result<VersionMeta> {
+        let seq = r.get_u64()?;
+        let len = r.get_u32()? as usize;
+        let user = r.get_bytes(len)?.to_vec();
+        let mut retired = Vec::new();
+        for _ in 0..r.get_u32()? {
+            let tag = r.get_u64()?;
+            retired.push((tag, (0..r.get_u32()?).map(|_| r.get_u64()).collect::<Result<_>>()?));
         }
-        retired.push((tag, ids));
-    }
-    if pos != bytes.len() {
-        return None;
-    }
-    Some(VersionMeta { seq, map, user, retired })
+        Ok(VersionMeta { seq, user, retired })
+    };
+    let meta = frame().ok();
+    Ok(meta.filter(|_| r.remaining() == 0))
 }
 
 #[cfg(test)]
@@ -774,57 +561,49 @@ mod tests {
         Arc::new(PageStore::in_memory(64))
     }
 
+    /// One session that moves `id` to a fresh page holding `bytes`.
+    fn rewrite(vs: &VersionedStore, id: PageId, bytes: &[u8], meta: &[u8]) -> PageId {
+        let session = vs.begin_apply();
+        let to = vs.base().relocate(id).unwrap();
+        vs.base().write(to, bytes).unwrap();
+        session.install(meta).unwrap();
+        to
+    }
+
     #[test]
     fn cow_preserves_pinned_snapshot_reads() {
         let base = store();
         let vs = VersionedStore::new(base.clone(), VersionConfig::default(), b"meta0");
         let id = base.alloc().unwrap();
         base.write(id, b"v0").unwrap();
-
         let snap = vs.snapshot();
-        assert_eq!(snap.seq(), 0);
-        assert_eq!(snap.user_meta(), b"meta0");
+        assert_eq!((snap.seq(), snap.user_meta()), (0, &b"meta0"[..]));
 
-        // Two concurrent-style installs rewrite the page twice.
-        for (i, payload) in [b"v1", b"v2"].iter().enumerate() {
-            let session = vs.begin_apply();
-            base.write(id, *payload).unwrap();
-            let seq = session.install(format!("meta{}", i + 1).as_bytes()).unwrap();
-            assert_eq!(seq, i as u64 + 1);
-        }
-
-        // Pinned snapshot still reads the original bytes.
-        {
-            let _g = snap.enter();
-            assert_eq!(&base.read(id).unwrap()[..2], b"v0");
-        }
-        // The current epoch reads the newest.
-        let cur = vs.snapshot();
-        {
-            let _g = cur.enter();
-            assert_eq!(&base.read(id).unwrap()[..2], b"v2");
-        }
-        // An untranslated read (no snapshot) sees the identity slot, which
-        // still holds the frozen v0 bytes (slot is the name lease).
+        let v1 = rewrite(&vs, id, b"v1", b"meta1");
+        let v2 = rewrite(&vs, v1, b"v2", b"meta2");
+        assert!(id != v1 && v1 != v2, "each session wrote a fresh page");
+        // The pinned epoch's page is untouched; the current one names v2.
         assert_eq!(&base.read(id).unwrap()[..2], b"v0");
+        assert_eq!(&base.read(v2).unwrap()[..2], b"v2");
+        assert_eq!(vs.snapshot().user_meta(), b"meta2");
     }
 
     #[test]
     fn as_of_addresses_each_retained_epoch() {
         let base = store();
         let vs = VersionedStore::new(base.clone(), VersionConfig { retain: 16 }, &[]);
-        let id = base.alloc().unwrap();
+        let mut id = base.alloc().unwrap();
         base.write(id, &[0]).unwrap();
+        let mut ids = vec![id];
         for i in 1..=5u8 {
-            let s = vs.begin_apply();
-            base.write(id, &[i]).unwrap();
-            s.install(&[i]).unwrap();
+            id = rewrite(&vs, id, &[i], &[i]);
+            ids.push(id);
         }
         assert_eq!(vs.retained_range(), (0, 5));
-        for i in 0..=5u8 {
+        for i in 1..=5u8 {
             let snap = vs.snapshot_at(i as u64).unwrap();
-            let _g = snap.enter();
-            assert_eq!(base.read(id).unwrap()[0], i);
+            assert_eq!(snap.user_meta(), [i]);
+            assert_eq!(base.read(ids[i as usize]).unwrap()[0], i);
         }
         match vs.snapshot_at(99) {
             Err(StoreError::VersionNotRetained { requested, oldest, current }) => {
@@ -839,103 +618,147 @@ mod tests {
     fn gc_reclaims_only_unpinned_epochs() {
         let base = store();
         let vs = VersionedStore::new(base.clone(), VersionConfig { retain: 1 }, &[]);
-        let id = base.alloc().unwrap();
+        let mut id = base.alloc().unwrap();
         base.write(id, b"a").unwrap();
-        let pages0 = base.live_pages();
 
         let pin = vs.snapshot();
         for i in 0..4u8 {
-            let s = vs.begin_apply();
-            base.write(id, &[i]).unwrap();
-            s.install(&[]).unwrap();
+            id = rewrite(&vs, id, &[i], &[]);
         }
         // Epoch 0 is pinned, so nothing it can reach was reclaimed: every
-        // CoW copy is still allocated.
-        assert_eq!(base.live_pages(), pages0 + 4);
+        // copy is still allocated.
+        assert_eq!(base.live_pages(), 5);
         assert_eq!(vs.metrics().pinned, 1);
         assert_eq!(vs.metrics().oldest_pin_age, 4);
 
         drop(pin);
-        let freed = vs.collect().unwrap();
-        assert_eq!(freed, 3, "all superseded copies except the live one");
-        assert_eq!(base.live_pages(), pages0 + 1, "live copy + leased name slot");
-        assert_eq!(vs.metrics().reclaimed_pages, 3);
+        assert_eq!(vs.collect().unwrap(), 4, "all superseded copies");
+        assert_eq!(base.live_pages(), 1, "the current copy alone");
+        assert_eq!(vs.metrics().reclaimed_pages, 4);
         assert_eq!(vs.metrics().retained, 1);
-    }
-
-    #[test]
-    fn freed_logical_names_release_their_lease() {
-        let base = store();
-        let vs = VersionedStore::new(base.clone(), VersionConfig { retain: 1 }, &[]);
-        let id = base.alloc().unwrap();
-        base.write(id, b"x").unwrap();
-
-        // Remap the page, then free the logical name in a later session.
-        let s = vs.begin_apply();
-        base.write(id, b"y").unwrap();
-        s.install(&[]).unwrap();
-        let s = vs.begin_apply();
-        base.free(id).unwrap();
-        s.install(&[]).unwrap();
-        let _ = vs.collect().unwrap();
-        assert_eq!(base.live_pages(), 0, "copy and leased slot both reclaimed");
     }
 
     #[test]
     fn fresh_pages_allocated_and_freed_in_session_roundtrip() {
         let base = store();
-        let vs = VersionedStore::new(base.clone(), VersionConfig::default(), &[]);
+        let vs = VersionedStore::new(base.clone(), VersionConfig { retain: 1 }, &[]);
+        let old = base.alloc().unwrap();
         let s = vs.begin_apply();
         let a = base.alloc().unwrap();
         base.write(a, b"tmp").unwrap();
         base.free(a).unwrap();
         let b = base.alloc().unwrap();
         base.write(b, b"keep").unwrap();
+        base.free(old).unwrap();
+        assert_eq!(base.live_pages(), 2, "the pre-session page waits for GC");
         s.install(&[]).unwrap();
-        assert_eq!(base.live_pages(), 1);
-        let snap = vs.snapshot();
-        let _g = snap.enter();
+        assert_eq!(base.live_pages(), 1, "reclaimed at install with retain 1");
         assert_eq!(&base.read(b).unwrap()[..4], b"keep");
+    }
+
+    /// Inside a session a pre-session page is never written, on a volatile
+    /// store or a durable one; relocating it gives a fresh page, and
+    /// relocating that again gives it back.
+    #[test]
+    fn a_session_write_to_a_pre_session_page_is_refused() {
+        for durable in [false, true] {
+            let (durable_store, _) = PageStore::in_memory_durable(64);
+            let base = Arc::new(if durable { durable_store } else { PageStore::in_memory(64) });
+            let vs = VersionedStore::new(base.clone(), VersionConfig::default(), &[]);
+            let id = base.alloc().unwrap();
+            base.write(id, b"v0").unwrap();
+            base.sync().unwrap();
+            let session = vs.begin_apply();
+            let refused = base.write(id, b"v1");
+            assert!(matches!(refused, Err(StoreError::CommittedPage(p)) if p == id), "{durable}");
+            let to = base.relocate(id).unwrap();
+            assert_ne!(to, id);
+            assert_eq!(base.relocate(to).unwrap(), to, "a fresh page is written in place");
+            base.write(to, b"v1").unwrap();
+            session.install(&[]).unwrap();
+            assert_eq!(&base.read(id).unwrap()[..2], b"v0", "durable: {durable}");
+            assert_eq!(&base.read(to).unwrap()[..2], b"v1", "durable: {durable}");
+        }
+    }
+
+    #[test]
+    fn outside_a_session_relocation_is_the_identity_at_no_cost() {
+        let base = store();
+        let _vs = VersionedStore::new(base.clone(), VersionConfig::default(), &[]);
+        let id = base.alloc().unwrap();
+        let before = base.stats();
+        assert_eq!(base.relocate(id).unwrap(), id);
+        assert_eq!(base.stats() - before, crate::IoStats::default(), "no alloc, no I/O");
     }
 
     #[test]
     fn dropped_session_aborts_and_rolls_back() {
         let base = store();
-        let vs = VersionedStore::new(base.clone(), VersionConfig::default(), &[]);
-        let id = base.alloc().unwrap();
-        base.write(id, b"keep").unwrap();
-        let live = base.live_pages();
-
+        let vs = VersionedStore::new(base.clone(), VersionConfig { retain: 1 }, &[]);
+        let ids: Vec<PageId> = (0..3).map(|_| base.alloc().unwrap()).collect();
+        for &id in &ids {
+            base.write(id, b"keep").unwrap();
+        }
         {
             let _s = vs.begin_apply();
-            base.write(id, b"doomed").unwrap();
+            for &id in &ids {
+                let to = base.relocate(id).unwrap();
+                base.write(to, b"doomed").unwrap();
+            }
+            base.free(ids[0]).unwrap();
             let extra = base.alloc().unwrap();
             base.write(extra, b"also doomed").unwrap();
-            // Guard dropped without install: abort.
+            assert_eq!(base.live_pages(), 7);
         }
         assert_eq!(vs.current_seq(), 0, "no epoch installed");
-        assert_eq!(base.live_pages(), live, "fresh pages returned");
-        assert_eq!(&base.read(id).unwrap()[..4], b"keep");
+        assert_eq!(base.live_pages(), 3, "the relocated copies went back");
+        // The next install retires nothing the aborted session named.
+        vs.begin_apply().install(&[]).unwrap();
+        assert_eq!((base.live_pages(), vs.metrics().reclaimed_pages), (3, 0));
+        for id in ids {
+            assert_eq!(&base.read(id).unwrap()[..4], b"keep");
+        }
     }
 
     #[test]
     fn version_meta_roundtrips_and_rejects_garbage() {
         let m = VersionMeta {
             seq: 42,
-            map: HashMap::from([(3, 9), (7, 11)]),
             user: b"inner".to_vec(),
             retired: vec![(41, vec![5]), (42, vec![6, 8])],
         };
         let bytes = encode_version_meta(&m);
-        assert_eq!(decode_version_meta(&bytes).unwrap(), m);
-        // Deterministic encoding.
-        assert_eq!(bytes, encode_version_meta(&m.clone()));
-        assert!(decode_version_meta(b"").is_none());
-        assert!(decode_version_meta(b"not a frame").is_none());
-        assert!(decode_version_meta(&bytes[..bytes.len() - 1]).is_none());
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(decode_version_meta(&trailing).is_none());
+        assert_eq!(decode_version_meta(&bytes).unwrap(), Some(m));
+        for garbage in [&b""[..], b"not a frame", &bytes[..bytes.len() - 1]] {
+            assert_eq!(decode_version_meta(garbage).unwrap(), None);
+        }
+        let trailing = [&bytes[..], &[0]].concat();
+        assert_eq!(decode_version_meta(&trailing).unwrap(), None);
+    }
+
+    /// A `PCV1` frame — the former format, whose epoch carried a page map —
+    /// is refused wherever it is decoded, with or without map entries.
+    #[test]
+    fn a_page_map_frame_is_refused() {
+        let pcv1 = |map: &[(u64, u64)]| {
+            let mut out = b"PCV1".to_vec();
+            out.extend_from_slice(&7u64.to_le_bytes());
+            out.extend_from_slice(&5u32.to_le_bytes());
+            out.extend_from_slice(b"inner");
+            out.extend_from_slice(&(map.len() as u32).to_le_bytes());
+            for &(k, v) in map {
+                out.extend_from_slice(&k.to_le_bytes());
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            out.extend_from_slice(&0u32.to_le_bytes());
+            out
+        };
+        for frame in [pcv1(&[(3, 9), (7, 11)]), pcv1(&[])] {
+            let refused = |e: StoreError| matches!(e, StoreError::Corrupt(m) if m.contains("PCV1"));
+            assert!(refused(decode_version_meta(&frame).unwrap_err()));
+            let opened = VersionedStore::try_open(store(), Some(&frame), VersionConfig::default());
+            assert!(refused(opened.err().expect("a page-map frame does not open")));
+        }
     }
 
     #[test]
@@ -943,36 +766,21 @@ mod tests {
         let (base, _) = PageStore::in_memory_durable(64);
         let base = Arc::new(base);
         let vs = VersionedStore::new(base.clone(), VersionConfig { retain: 4 }, b"seed");
-        let id = base.alloc().unwrap();
+        let mut id = base.alloc().unwrap();
         base.write(id, b"v0").unwrap();
         base.sync().unwrap();
         for i in 1..=3u8 {
-            let s = vs.begin_apply();
-            base.write(id, &[i]).unwrap();
-            s.install(&[b'm', i]).unwrap();
+            id = rewrite(&vs, id, &[i], &[b'm', i]);
         }
-        // Simulate recovery hand-off: the last committed metadata is the
-        // version frame install() wrote.
-        let pending: Vec<(u64, Vec<u64>)> = {
-            let st = vs.state.lock();
-            st.retired.iter().cloned().collect()
-        };
-        let meta = {
-            let st = vs.state.lock();
-            let cur = st.epochs.back().unwrap();
-            encode_version_meta(&VersionMeta {
-                seq: cur.seq,
-                map: cur.map.as_ref().clone(),
-                user: cur.user_meta.clone(),
-                retired: pending,
-            })
-        };
+        // Recovery's hand-off: the last committed metadata is the frame
+        // install() wrote, with the retire queue still pending.
+        let meta = base.last_commit_meta().unwrap();
+        let live = base.live_pages();
         drop(vs);
         let vs2 = VersionedStore::open(base.clone(), Some(&meta), VersionConfig::default());
         assert_eq!(vs2.current_seq(), 3);
-        let snap = vs2.snapshot();
-        assert_eq!(snap.user_meta(), &[b'm', 3]);
-        let _g = snap.enter();
+        assert_eq!(vs2.snapshot().user_meta(), &[b'm', 3]);
+        assert_eq!(base.live_pages(), live - 3, "the orphaned queue is freed");
         assert_eq!(base.read(id).unwrap()[0], 3);
     }
 
@@ -1008,22 +816,17 @@ mod tests {
         let vs = VersionedStore::new(base.clone(), VersionConfig::default(), &[]);
         let id = base.alloc().unwrap();
         base.write(id, b"pin me").unwrap();
-        let s = vs.begin_apply();
-        base.write(id, b"cowed").unwrap();
-        s.install(&[]).unwrap();
+        rewrite(&vs, id, b"moved", &[]);
 
-        let snap = vs.snapshot_at(0).unwrap();
+        let _snap = vs.snapshot_at(0).unwrap();
         let before = pc_sync::exclusive_acquisitions();
-        {
-            let _g = snap.enter();
-            for _ in 0..64 {
-                assert_eq!(&base.read(id).unwrap()[..6], b"pin me");
-            }
+        for _ in 0..64 {
+            assert_eq!(&base.read(id).unwrap()[..6], b"pin me");
         }
         assert_eq!(
             pc_sync::exclusive_acquisitions(),
             before,
-            "translated snapshot reads must be exclusive-lock-free"
+            "snapshot reads must be exclusive-lock-free"
         );
     }
 }

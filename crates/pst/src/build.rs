@@ -350,7 +350,7 @@ macro_rules! static_pst {
 
             /// Answers a 2-sided query.
             pub fn query(&self, store: &PageStore, q: TwoSided) -> Result<Vec<Point>> {
-                Ok($crate::two_level::query_handle(store, self.root, q)?.0)
+                Ok($crate::two_level::query_handle(store, self.root, pc_pagestore::NULL_PAGE, q)?.0)
             }
         }
     };
@@ -486,7 +486,8 @@ mod tests {
                     let own = store.read(rec.own_pts).unwrap();
                     let own: Vec<Point> = PointsPage::parse(&own).unwrap().points.to_vec();
                     let q = TwoSided { x0: own[0].x, y0: rec.min_y.y + 1 };
-                    let (_, log) = logged.reads_of(|s| query_handle(s, core, q).unwrap());
+                    let query = |s: &PageStore| query_handle(s, core, NULL_PAGE, q).unwrap();
+                    let (_, log) = logged.reads_of(query);
                     let of = |heads: &HashSet<PageId>| -> Vec<PageId> {
                         log.iter().copied().filter(|p| heads.contains(p)).collect()
                     };

@@ -76,12 +76,12 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use pc_pagestore::codec::PageReader;
+use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::{fill_blocks, min_records, BlockList};
 use pc_pagestore::skeleton::{
     for_each_skeletal_page, patch_page, patch_record, write_page, NodeRef, SkelRecord,
 };
-use pc_pagestore::{PageId, PageStore, Point, Result, UpdateOp};
+use pc_pagestore::{PageId, PageStore, Point, Result, UpdateOp, NULL_PAGE};
 
 use crate::build::{Kind, PstHandle};
 use crate::mem::{cmp_x, cmp_y, TwoSided, MAX_NODE_POINTS};
@@ -93,13 +93,6 @@ use crate::two_level::{
     page_census, query_handle, read_buffer, region_blocks, write_buffer, ListRef, PageHeaderInfo,
     RegionCensus, RegionRecord, UpdateRec,
 };
-
-/// Outcome of a page flush: either the page was rewritten in place, or
-/// its whole subtree was rebuilt under a fresh root page.
-enum FlushOutcome {
-    InPlace,
-    Rebuilt(PageId),
-}
 
 /// What one flush did to one in-page region.
 #[derive(Default, Clone)]
@@ -167,13 +160,19 @@ fn merge_buffered(
 /// `O((n/B)·log log B)` space plus one buffer block per super node.
 pub struct DynamicPst {
     root: PageId,
+    /// The root page's `U`, which the handle names rather than the page, so
+    /// that a push that moves `U` alone rewrites no page but `U`.
+    root_u: PageId,
     caps: Vec<usize>,
     seq: u64,
     live: u64,
 }
 
 /// Byte size of a [`DynamicPst::descriptor`].
-const DESCRIPTOR_LEN: usize = 24;
+const DESCRIPTOR_LEN: usize = 32;
+
+/// A page's parent record `(page, slot, child_is_right)`; `None` at the root.
+type Parent = Option<(PageId, u16, bool)>;
 
 impl DynamicPst {
     /// Builds the structure over an initial point set (ids must be unique
@@ -181,22 +180,19 @@ impl DynamicPst {
     pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
         let caps = region_blocks(store.page_size(), 2);
         assert!(!caps.is_empty(), "page too small for the two-level scheme");
-        let handle = build_region_tree(store, points, &caps)?;
-        Ok(DynamicPst { root: handle.root, caps, seq: 0, live: points.len() as u64 })
+        let root = build_region_tree(store, points, &caps)?.root;
+        Ok(DynamicPst { root, root_u: NULL_PAGE, caps, seq: 0, live: points.len() as u64 })
     }
 
-    /// Serializes the structure's handle — root page, update sequence,
-    /// live count — as a fixed 24-byte descriptor. Everything else (`caps`)
-    /// is a pure function of the store's page size, so the descriptor plus
-    /// the store's pages is the whole structure: a service that commits the
-    /// descriptor with each durable batch can reopen the PST after a crash
-    /// with [`DynamicPst::open`].
+    /// Serializes the structure's handle — root page, its `U`, update
+    /// sequence, live count — as a fixed 32-byte descriptor. Everything else
+    /// (`caps`) is a pure function of the store's page size, so the
+    /// descriptor plus the store's pages is the whole structure: a service
+    /// that commits the descriptor with each durable batch can reopen the
+    /// PST after a crash with [`DynamicPst::open`].
     pub fn descriptor(&self) -> [u8; DESCRIPTOR_LEN] {
-        let mut out = [0u8; DESCRIPTOR_LEN];
-        out[0..8].copy_from_slice(&self.root.0.to_le_bytes());
-        out[8..16].copy_from_slice(&self.seq.to_le_bytes());
-        out[16..24].copy_from_slice(&self.live.to_le_bytes());
-        out
+        let words = [self.root.0, self.root_u.0, self.seq, self.live].map(u64::to_le_bytes);
+        words.concat().try_into().expect("sized to its words")
     }
 
     /// Reopens a structure from a [`DynamicPst::descriptor`] against a
@@ -215,7 +211,7 @@ impl DynamicPst {
         let caps = region_blocks(store.page_size(), 2);
         assert!(!caps.is_empty(), "page too small for the two-level scheme");
         decode_header(&store.read(root)?)?;
-        Ok(DynamicPst { root, caps, seq: word(8), live: word(16) })
+        Ok(DynamicPst { root, root_u: PageId(word(8)), caps, seq: word(16), live: word(24) })
     }
 
     /// Number of live points (settled plus buffered). A delete counts
@@ -232,7 +228,9 @@ impl DynamicPst {
 
     /// Counts the structure's pages by class, update buffers included.
     pub fn page_census(&self, store: &PageStore) -> Result<RegionCensus> {
-        page_census(store, self.root, self.live)
+        let mut census = page_census(store, self.root, self.live)?;
+        census.buffers += u64::from(!self.root_u.is_null());
+        Ok(census)
     }
 
     /// Update records applied since the initial build — the `seq` word of
@@ -261,7 +259,7 @@ impl DynamicPst {
         for rec in &recs {
             self.live = if rec.is_delete { self.live.saturating_sub(1) } else { self.live + 1 };
         }
-        self.push_updates(store, self.root, recs, None)
+        self.push_updates(store, self.root, recs, None).map(drop)
     }
 
     /// Answers a 2-sided query, merging buffered updates.
@@ -269,34 +267,49 @@ impl DynamicPst {
         // The root span: the merge below reports into it.
         let _span = pc_obs::span!("dynpst_query");
         let handle = PstHandle { root: self.root, n: self.live.max(1), kind: Kind::Region };
-        let (static_res, pending) = query_handle(store, handle, q)?;
+        let (static_res, pending) = query_handle(store, handle, self.root_u, q)?;
         Ok(merge_buffered(static_res, pending, |p| q.contains(p)))
     }
 
     /// Pushes updates into a page's `U` buffer, flushing the page whenever
-    /// the buffer cannot take the next. `parent` is `(page, slot,
-    /// child_is_right)` for splice patching on rebuild (`None` at the root).
+    /// the buffer cannot take the next. `parent` is the page's parent
+    /// record, for patching it on a rewrite or rebuild. Inside an apply
+    /// session a written `U` or page moves to a fresh one
+    /// ([`PageStore::relocate`]), and what names it is patched: the root's
+    /// in the handle, a page below's in its parent's record — where a
+    /// flush already writes it — or, for a page moved by its `U` alone, by
+    /// the caller, which gets that page's new id.
     fn push_updates(
         &mut self,
         store: &PageStore,
         mut page_id: PageId,
         mut ops: Vec<UpdateRec>,
-        parent: Option<(PageId, u16, bool)>,
-    ) -> Result<()> {
+        parent: Parent,
+    ) -> Result<Option<PageId>> {
         let page_size = store.page_size();
         let budget = stairs_budget(page_size, parent);
+        let mut page = store.read(page_id)?.to_vec();
+        // `U` is known empty after a flush, which cleared it.
+        let mut flushed = false;
         loop {
-            let page = store.read(page_id)?;
             let mut header = decode_header(&page)?;
-            let fresh = header.u_page.is_null();
-            let mut buffered = if fresh { Vec::new() } else { read_buffer(store, header.u_page)? };
+            let u_page = if parent.is_none() { self.root_u } else { header.u_page };
+            let fresh = u_page.is_null();
+            let mut buffered =
+                if fresh || flushed { Vec::new() } else { read_buffer(store, u_page)? };
             let take = buffer_room(page_size, &buffered, &ops);
             let held = buffered.len();
             buffered.extend(ops.drain(..take));
-            if fresh {
-                header.u_page = store.alloc()?;
-            }
-            write_buffer(store, header.u_page, &buffered)?;
+            let to = if fresh { store.alloc()? } else { store.relocate(u_page)? };
+            write_buffer(store, to, &buffered)?;
+            // Where the page names `U`, a moved `U` rewrites the page.
+            let renamed = match parent {
+                None => {
+                    self.root_u = to;
+                    false
+                }
+                Some(_) => std::mem::replace(&mut header.u_page, to) != to,
+            };
             // `U`'s staircase: the page's steps with the ops `U` took, or
             // all of `U` where the page keeps none. The page is rewritten
             // where it moved, so that it covers `U` at every write.
@@ -311,47 +324,56 @@ impl DynamicPst {
                 };
                 staircase(steps.iter().copied().chain(taken.iter().map(Step::of)), budget)
             });
-            if fresh || stairs != kept {
+            let mut moved = None;
+            if fresh || renamed || stairs != kept {
                 header.stairs = stairs.is_some();
                 let tail = stairs.map_or(Vec::new(), |steps| staircase::encode(&steps, page_size));
-                patch_page::<RegionRecord>(
-                    store,
-                    page_id,
-                    &page,
-                    |w| encode_header(w, &header),
-                    &tail,
-                )?;
+                let (at, bytes) = relocate_page(store, page_id, &page)?;
+                let header = |w: &mut PageWriter<'_>| encode_header(w, &header);
+                page = patch_page::<RegionRecord>(store, at, &bytes, header, &tail)?;
+                if at != page_id {
+                    page_id = at;
+                    match parent {
+                        None => self.root = at,
+                        Some(_) => moved = Some(at),
+                    }
+                }
             }
             if ops.is_empty() {
-                return Ok(());
+                return Ok(moved);
             }
-            // A flush may rebuild the subtree under a fresh page; keep
-            // appending the remaining ops to the new root.
-            if let FlushOutcome::Rebuilt(new_page) = self.flush_page(store, page_id, parent)? {
-                page_id = new_page;
-            }
+            // A flush may move the page or rebuild its subtree under a
+            // fresh one, and names it in the parent either way; keep
+            // appending the remaining ops to it.
+            page_id = self.flush_page(store, page_id, &page, buffered, parent)?;
+            page = store.read(page_id)?.to_vec();
+            flushed = true;
         }
     }
 
     /// Distributes a page's buffered updates: applies those landing in
     /// in-page regions (rebuilding the page's lists and caches) and
     /// forwards the rest to child pages. May instead rebuild the whole
-    /// subtree when churn or an invariant hazard demands it.
+    /// subtree when churn or an invariant hazard demands it. `page` is the
+    /// page's bytes and `ops` its `U`'s, which the caller holds. Returns the
+    /// page's id after: where a rewrite moved it, or the root of the
+    /// rebuilt subtree.
     fn flush_page(
         &mut self,
         store: &PageStore,
         page_id: PageId,
-        parent: Option<(PageId, u16, bool)>,
-    ) -> Result<FlushOutcome> {
-        let page = store.read(page_id)?;
-        let mut header = decode_header(&page)?;
-        let mut ops = read_buffer(store, header.u_page)?;
+        page: &[u8],
+        mut ops: Vec<UpdateRec>,
+        parent: Parent,
+    ) -> Result<PageId> {
+        let mut header = decode_header(page)?;
         ops.sort_unstable_by_key(|o| o.seq);
-        // Clear the buffer up front (the page itself is kept for reuse).
-        write_buffer(store, header.u_page, &[])?;
+        // Clear the buffer up front (the page itself is kept for reuse): the
+        // push that hands it over wrote it, in the same apply session.
+        write_buffer(store, if parent.is_none() { self.root_u } else { header.u_page }, &[])?;
 
         // Materialize all in-page regions.
-        let records = RegionRecord::all(&page)?;
+        let records = RegionRecord::all(page)?;
         let count = records.len();
         let mut points: Vec<Vec<Point>> = Vec::with_capacity(count);
         for rec in &records {
@@ -463,19 +485,27 @@ impl DynamicPst {
             // flush — applied in memory or queued for forwarding — must be
             // replayed by the rebuild's gather (the U buffer was already
             // cleared above).
-            patch_page::<RegionRecord>(store, page_id, &page, |w| encode_header(w, &header), &[])?;
-            let new_page = self.rebuild_subtree(store, page_id, parent, ops)?;
-            return Ok(FlushOutcome::Rebuilt(new_page));
+            let (at, bytes) = relocate_page(store, page_id, page)?;
+            patch_page::<RegionRecord>(store, at, &bytes, |w| encode_header(w, &header), &[])?;
+            return self.rebuild_subtree(store, at, parent, ops);
         }
 
         // Rewrite the page's regions: new X/Y lists and caches.
-        self.rewrite_page(store, page_id, header, records, points, &touched, parent)?;
+        let page_id = self.rewrite_page(store, page_id, header, records, points, &touched, parent)?;
 
-        // Forward the rest (children flush recursively as needed).
+        // Forward the rest (children flush recursively as needed). A child
+        // its `U` alone moved is named here, all of them in one write.
+        let mut moved = Vec::new();
         for (_, (child, pslot, is_right, f_ops)) in forwards {
-            self.push_updates(store, child.page, f_ops, Some((page_id, pslot, is_right)))?;
+            let parent = Some((page_id, pslot, is_right));
+            if let Some(at) = self.push_updates(store, child.page, f_ops, parent)? {
+                moved.push((child.page, at));
+            }
         }
-        Ok(FlushOutcome::InPlace)
+        if !moved.is_empty() {
+            store.write(page_id, &renamed(&store.read(page_id)?, &moved)?)?;
+        }
+        Ok(page_id)
     }
 
     /// Rewrites one page after its regions' contents changed: fresh X/Y
@@ -484,7 +514,8 @@ impl DynamicPst {
     /// region whose children's A-list (left child's S-list) has a source
     /// whose first X- (Y-) block moved — the other caches still hold exactly
     /// what a rebuild would write — an empty staircase, `U` being empty, and
-    /// a parent patch for the page root's metadata.
+    /// a parent patch for the page root's metadata. Returns where the page
+    /// went ([`PageStore::relocate`]), which the parent patch names.
     #[allow(clippy::too_many_arguments)]
     fn rewrite_page(
         &mut self,
@@ -494,8 +525,8 @@ impl DynamicPst {
         mut records: Vec<RegionRecord>,
         points: Vec<Vec<Point>>,
         touched: &[Touched],
-        parent: Option<(PageId, u16, bool)>,
-    ) -> Result<()> {
+        parent: Parent,
+    ) -> Result<PageId> {
         let count = records.len();
         let page_size = store.page_size();
 
@@ -534,9 +565,9 @@ impl DynamicPst {
             } else {
                 u_ops.extend(ops.iter().copied());
             }
-            if records[slot].u_buf.is_null() {
-                records[slot].u_buf = store.alloc()?;
-            }
+            let u_buf = records[slot].u_buf;
+            records[slot].u_buf =
+                if u_buf.is_null() { store.alloc()? } else { store.relocate(u_buf)? };
             write_buffer(store, records[slot].u_buf, &u_ops)?;
         }
 
@@ -584,13 +615,17 @@ impl DynamicPst {
 
         header.stairs = stairs_budget(page_size, parent) > 0;
         let tail = if header.stairs { staircase::encode(&[], page_size) } else { Vec::new() };
-        write_page(store, page_id, |w| encode_header(w, &header), &records, &tail)?;
+        let at = store.relocate(page_id)?;
+        rename(&mut records, &[(page_id, at)]);
+        write_page(store, at, |w| encode_header(w, &header), &records, &tail)?;
 
         // Patch the parent's view of this page's root if it changed.
+        let moved_to = NodeRef { page: at, slot: 0 };
         match parent {
-            Some(parent) => patch_parent(store, parent, None, &records[0]),
-            None => Ok(()),
+            Some(parent) => patch_parent(store, parent, moved_to, &records[0])?,
+            None => self.root = at,
         }
+        Ok(at)
     }
 
     /// Gathers every live point under `page_id` (resolving pending buffered
@@ -601,9 +636,15 @@ impl DynamicPst {
         &mut self,
         store: &PageStore,
         page_id: PageId,
-        parent: Option<(PageId, u16, bool)>,
-        extra: Vec<UpdateRec>,
+        parent: Parent,
+        mut extra: Vec<UpdateRec>,
     ) -> Result<PageId> {
+        // The root page's `U` is the handle's: gathered and freed with the
+        // subtree, and allocated again by the next push.
+        if parent.is_none() && !self.root_u.is_null() {
+            extra.extend(read_buffer(store, self.root_u)?);
+            store.free(std::mem::replace(&mut self.root_u, NULL_PAGE))?;
+        }
         let points = gather_live(store, page_id, extra)?;
         free_pages(store, page_id, true)?;
         let handle = build_region_tree(store, &points, &self.caps)?;
@@ -612,7 +653,7 @@ impl DynamicPst {
             None => self.root = handle.root,
             Some(parent) => {
                 let new_root = RegionRecord::at(&store.read(handle.root)?, 0)?;
-                patch_parent(store, parent, Some(at), &new_root)?;
+                patch_parent(store, parent, at, &new_root)?;
             }
         }
         Ok(handle.root)
@@ -624,30 +665,55 @@ impl DynamicPst {
 /// reads, and none below it. A page below takes its ops a flush of the page
 /// above at a time, and a staircase there would cost it a write per such
 /// flush for queries that seldom reach it (DESIGN §12).
-fn stairs_budget(page_size: usize, parent: Option<(PageId, u16, bool)>) -> usize {
-    if parent.is_none() {
-        staircase::tail_len(page_size)
-    } else {
-        0
-    }
+fn stairs_budget(page_size: usize, parent: Parent) -> usize {
+    if parent.is_none() { staircase::tail_len(page_size) } else { 0 }
 }
 
 /// Updates the record `(page, slot)` of the parent of a page whose root
-/// region changed — `child_root`, its right child if `is_right` — or was
-/// rebuilt under the fresh root `moved_to`.
+/// region changed — `child_root`, at `at`, its right child if `is_right`:
+/// moved or rebuilt, or where it was. The parent was written in the same
+/// apply session, if there is one (a flush rewrites a page before it
+/// forwards to the pages below), so the patch is in place.
 fn patch_parent(
     store: &PageStore,
     (page, slot, is_right): (PageId, u16, bool),
-    moved_to: Option<NodeRef>,
+    at: NodeRef,
     child_root: &RegionRecord,
 ) -> Result<()> {
     let bytes = store.read(page)?;
     let mut rec = RegionRecord::at(&bytes, slot)?;
-    if let Some(at) = moved_to {
-        *(if is_right { &mut rec.right } else { &mut rec.left }) = at;
-    }
+    *(if is_right { &mut rec.right } else { &mut rec.left }) = at;
     rec.set_child(is_right, child_root);
     patch_record(store, NodeRef { page, slot }, &bytes, &rec)
+}
+
+/// Points `records`' references to a page of `moves` — a page's own, for
+/// the regions on it, or a child page's — at where it went.
+fn rename(records: &mut [RegionRecord], moves: &[(PageId, PageId)]) {
+    for child in records.iter_mut().flat_map(|rec| [&mut rec.left, &mut rec.right]) {
+        if let Some(&(_, to)) = moves.iter().find(|(from, _)| *from == child.page) {
+            child.page = to;
+        }
+    }
+}
+
+/// A region page's bytes `page` with its records [`rename`]d, its header
+/// and tail kept.
+fn renamed(page: &[u8], moves: &[(PageId, PageId)]) -> Result<Vec<u8>> {
+    let (mut records, mut bytes) = (RegionRecord::all(page)?, page.to_vec());
+    rename(&mut records, moves);
+    for (slot, rec) in records.iter().enumerate() {
+        let start = RegionRecord::HEADER + RegionRecord::LEN * slot;
+        rec.encode(&mut PageWriter::new(&mut bytes[start..start + RegionRecord::LEN]))?;
+    }
+    Ok(bytes)
+}
+
+/// Region page `id`, its bytes `page` in hand, where
+/// [`PageStore::relocate`] puts it: the id and the bytes to write there.
+fn relocate_page(store: &PageStore, id: PageId, page: &[u8]) -> Result<(PageId, Vec<u8>)> {
+    let at = store.relocate(id)?;
+    Ok((at, if at == id { page.to_vec() } else { renamed(page, &[(id, at)])? }))
 }
 
 /// The live points of the subtree rooted at `page_id`: those of the
@@ -797,8 +863,11 @@ impl DynamicThreeSidedPst {
     /// written once. The op that fills the buffer rebuilds the structure.
     pub fn apply(&mut self, store: &PageStore, ops: &[UpdateOp]) -> Result<()> {
         let _span = pc_obs::span!("dynpst3_apply", ops.len());
-        let write_last = |s: &Self| {
-            write_buffer(store, s.buffer[s.buffer.len() - 1], &s.buffered[s.last_start..])
+        // The last buffer page, where [`PageStore::relocate`] puts it.
+        let write_last = |s: &mut Self| {
+            let last = s.buffer.last_mut().expect("a buffer page");
+            *last = store.relocate(*last)?;
+            write_buffer(store, *last, &s.buffered[s.last_start..])
         };
         let mut unwritten = false; // the last buffer page lags `buffered`
         for &op in ops {
@@ -870,6 +939,16 @@ mod tests {
     use pc_pagestore::layout::{chain_pages, encode_block, BlockList};
     use pc_pagestore::{PageStore, NULL_PAGE};
     use pc_rng::Rng;
+
+    /// Flushes page `id` as a push that overflows its `U` does, reading the
+    /// page and `U` it hands over; returns where the page went.
+    fn flush(pst: &mut DynamicPst, store: &PageStore, id: PageId, parent: Parent) -> PageId {
+        let page = store.read(id).unwrap();
+        let header = decode_header(&page).unwrap();
+        let u_page = if parent.is_none() { pst.root_u } else { header.u_page };
+        let ops = read_buffer(store, u_page).unwrap();
+        pst.flush_page(store, id, &page, ops, parent).unwrap()
+    }
 
     fn check_against_oracle(
         store: &PageStore,
@@ -999,6 +1078,7 @@ mod tests {
         assert!(census.buffers > 0, "{census:?}");
         assert_eq!(census.total(), after);
         free_pages(&store, pst.root, true).unwrap();
+        store.free(pst.root_u).unwrap();
         assert_eq!(store.live_pages(), 0);
     }
 
@@ -1088,7 +1168,8 @@ mod tests {
         // empty leaf. Flushing the root page forwards it to that page's U.
         let p = Point::new(root.split_x, -1, 999_999);
         pst.insert(&store, p).unwrap();
-        pst.flush_page(&store, pst.root, None).unwrap();
+        let root = pst.root;
+        flush(&mut pst, &store, root, None);
         let got = pst.query(&store, TwoSided { x0: i64::MIN, y0: i64::MIN }).unwrap();
         assert_eq!(got.len() as i64, n + 1);
         assert!(got.contains(&p), "the buffered insert was not reported");
@@ -1208,7 +1289,7 @@ mod tests {
                     pst.insert(&store, p).unwrap();
                 }
                 let before = store.stats().writes;
-                assert!(matches!(pst.flush_page(&store, root, None).unwrap(), FlushOutcome::InPlace));
+                assert_eq!(flush(pst, &store, root, None), root, "in place");
                 store.stats().writes - before
             };
 
@@ -1268,10 +1349,7 @@ mod tests {
             flush_root(&mut pst, below, false);
             assert_caches_match_a_rebuild(&store, root, "forwarding flush");
             let parent = Some((root, pslot as u16, is_right));
-            assert!(matches!(
-                pst.flush_page(&store, child.page, parent).unwrap(),
-                FlushOutcome::InPlace
-            ));
+            assert_eq!(flush(&mut pst, &store, child.page, parent), child.page, "in place");
             assert_caches_match_a_rebuild(&store, child.page, "child page root");
             assert_caches_match_a_rebuild(&store, root, "parent of the flushed page");
             let child_root = RegionRecord::at(&store.read(child.page).unwrap(), 0).unwrap();
@@ -1370,7 +1448,7 @@ mod tests {
         let header = decode_header(&page).unwrap();
         assert!(header.stairs, "a 4 KiB root page keeps its staircase");
         let steps = staircase::decode(staircase::tail(&page)).unwrap();
-        (read_buffer(store, header.u_page).unwrap(), steps)
+        (read_buffer(store, pst.root_u).unwrap(), steps)
     }
 
     /// Reads by class of `q` on `pst`, and its answer in [`canonical`] order.

@@ -12,7 +12,7 @@ use pc_pagestore::backend::{Backend, MemBackend};
 use pc_pagestore::layout::{BlockList, Columns};
 use pc_pagestore::skeleton::{NodeRef, SkelRecord};
 use pc_pagestore::store::CHECKSUM_LEN;
-use pc_pagestore::{PageId, PageStore, Point, Result, StoreConfig};
+use pc_pagestore::{PageId, PageStore, Point, Result, StoreConfig, NULL_PAGE};
 use pc_rng::Rng;
 
 use crate::build::{CacheMode, Kind, PstHandle, SkeletalRecord};
@@ -220,7 +220,8 @@ pub(crate) fn corner_cost(
         _ => holds_all(corner.y_list, |p| p.y, q.y0).then_some(corner.y_list.head),
     };
     let mut replaced = Vec::from_iter([corner.u_buf].into_iter().filter(|u| !u.is_null()));
-    replaced.extend(logged.reads_of(|s| query_handle(s, corner.inner(), q).unwrap()).1);
+    let inner = |s: &PageStore| query_handle(s, corner.inner(), NULL_PAGE, q).unwrap();
+    replaced.extend(logged.reads_of(inner).1);
     let ((), log) = logged.reads_of(query);
     let inner_pages = [corner.u_buf, corner.inner_root].into_iter().filter(|p| !p.is_null());
     if corner.own_cnt == 0 || block.is_some() {

@@ -502,6 +502,7 @@ fn run_region_query(
     walk: &mut Walk<'_>,
     pending: &mut Vec<UpdateRec>,
     root_page: PageId,
+    root_u: PageId,
     q: TwoSided,
 ) -> Result<()> {
     // Nested region levels open nested spans; each sets its own B.
@@ -517,7 +518,7 @@ fn run_region_query(
     let mut cur_s: BlockList<SEntry> = BlockList::empty();
 
     let mut ctx = TlCtx { walk, pending, q };
-    load_page(ctx.walk, ctx.pending, root_page, true, q)?;
+    load_page(ctx.walk, ctx.pending, root_page, root_u, true, q)?;
     let mut slot = 0u16;
     loop {
         let rec = RegionRecord::at(&ctx.walk.page, slot)?;
@@ -535,7 +536,7 @@ fn run_region_query(
             if !rec.u_buf.is_null() {
                 pending.extend(decode_buffer(&walk.cache_page(rec.u_buf)?)?);
             }
-            return query_on(walk, pending, rec.inner(), q);
+            return query_on(walk, pending, rec.inner(), NULL_PAGE, q);
         }
 
         let go_left = q.x0 <= rec.split_x;
@@ -552,7 +553,7 @@ fn run_region_query(
             anc.clear();
             sib.clear();
             (cur_a, cur_s) = (BlockList::empty(), BlockList::empty());
-            load_page(ctx.walk, ctx.pending, next.page, true, q)?;
+            load_page(ctx.walk, ctx.pending, next.page, NULL_PAGE, true, q)?;
             continue;
         }
         anc.push(rec.x_list);
@@ -569,30 +570,35 @@ fn run_region_query(
     }
 }
 
-/// Answers `q` from the structure `handle` names, on `walk`.
+/// Answers `q` from the structure `handle` names, on `walk`; `root_u` is
+/// the `U` of a region tree's root page, which the handle names.
 fn query_on(
     walk: &mut Walk<'_>,
     pending: &mut Vec<UpdateRec>,
     handle: PstHandle,
+    root_u: PageId,
     q: TwoSided,
 ) -> Result<()> {
     match handle.kind {
         _ if handle.n == 0 => Ok(()),
-        Kind::Region => run_region_query(walk, pending, handle.root, q),
+        Kind::Region => run_region_query(walk, pending, handle.root, root_u, q),
         Kind::Basic(mode) => run_two_sided(walk, handle.root, mode, q),
     }
 }
 
 /// Queries a [`PstHandle`] (region tree or single-level PST): the answer
 /// and any buffered updates encountered, for the caller to merge.
+/// `root_u` is the `U` of a region tree's root page, which its handle
+/// names.
 pub(crate) fn query_handle(
     store: &PageStore,
     handle: PstHandle,
+    root_u: PageId,
     q: TwoSided,
 ) -> Result<(Vec<Point>, Vec<UpdateRec>)> {
     let mut walk = Walk::new(store);
     let mut pending = Vec::new();
-    query_on(&mut walk, &mut pending, handle, q)?;
+    query_on(&mut walk, &mut pending, handle, root_u, q)?;
     Ok((walk.results, pending))
 }
 
@@ -719,23 +725,24 @@ impl TwoLevelPst {
 
 /// Takes skeletal page `id` in hand (one I/O, plus its `U` buffer's, whose
 /// updates go to `pending`, unless the page's staircase shows no op of `U`
-/// in `q`'s corner). `on_path` marks a step of the corner path rather than
-/// of a descendant traversal.
+/// in `q`'s corner). `U` is the one the header names, else `root_u` (a
+/// root page's, which its handle names). `on_path` marks a step of the
+/// corner path rather than of a descendant traversal.
 fn load_page(
     walk: &mut Walk<'_>,
     pending: &mut Vec<UpdateRec>,
     id: PageId,
+    root_u: PageId,
     on_path: bool,
     q: TwoSided,
 ) -> Result<()> {
     walk.load(id, on_path.then_some(walk.levels))?;
     let header = decode_header(&walk.page)?;
-    if header.u_page.is_null()
-        || header.stairs && !staircase::meets(staircase::tail(&walk.page), q)?
-    {
+    let u_page = if header.u_page.is_null() { root_u } else { header.u_page };
+    if u_page.is_null() || header.stairs && !staircase::meets(staircase::tail(&walk.page), q)? {
         return Ok(());
     }
-    pending.extend(decode_buffer(&walk.cache_page(header.u_page)?)?);
+    pending.extend(decode_buffer(&walk.cache_page(u_page)?)?);
     Ok(())
 }
 
@@ -798,7 +805,7 @@ impl TlCtx<'_, '_> {
         let y0 = q.y0;
         walk.traverse(seeds, false, |&(at, _)| at.page, |walk, (at, report), below| {
             if at.page != walk.held {
-                load_page(walk, pending, at.page, false, *q)?;
+                load_page(walk, pending, at.page, NULL_PAGE, false, *q)?;
             }
             let rec = RegionRecord::at(&walk.page, at.slot)?;
             if report && walk.prefix(rec.y_list.head, |p| p.y >= y0)? < u64::from(rec.own_cnt) {
@@ -1074,8 +1081,10 @@ mod tests {
 
                 let handle = PstHandle { root: root_page, n: pts.len() as u64, kind: Kind::Region };
                 let q = TwoSided { x0: i64::MIN, y0: i64::MIN };
-                let (((hits, _), trace), log) =
-                    logged.reads_of(|s| pc_obs::traced(|| query_handle(s, handle, q).unwrap()));
+                let (((hits, _), trace), log) = logged.reads_of(|s| {
+                    let (answer, trace) = pc_obs::traced(|| query_handle(s, handle, NULL_PAGE, q));
+                    (answer.unwrap(), trace)
+                });
                 assert_eq!(canonical(hits), canonical(pts.clone()));
                 let total: u64 = trace.reads_by_class.iter().sum();
                 assert_eq!(total, log.len() as u64);
@@ -1102,7 +1111,10 @@ mod tests {
                         assert_eq!(log.last(), Some(&head));
                         1
                     }
-                    None => logged.reads_of(|s| query_handle(s, corner.inner(), q)).1.len() as u64,
+                    None => {
+                        let inner = |s: &PageStore| query_handle(s, corner.inner(), NULL_PAGE, q);
+                        logged.reads_of(inner).1.len() as u64
+                    }
                 };
                 corners[usize::from(corner_reads > 1)] += 1;
                 let want = 1 + caches as u64 + more_blocks as u64 + corner_reads;
@@ -1131,7 +1143,8 @@ mod tests {
                 for _ in 0..200 {
                     let (a, b) = (rng.choose(&pts).unwrap(), rng.choose(&pts).unwrap());
                     let q = TwoSided { x0: a.x, y0: b.y };
-                    let query = |s: &PageStore| drop(query_handle(s, handle, q).unwrap());
+                    let query =
+                        |s: &PageStore| drop(query_handle(s, handle, NULL_PAGE, q).unwrap());
                     if let Some((fired, _)) = corner_cost(&logged, handle.root, q, query) {
                         seen[usize::from(fired)] += 1;
                     }
@@ -1186,7 +1199,8 @@ mod tests {
                         false => TwoSided { x0: edge, y0: rec.min_y_y + 1 },
                         true => TwoSided { x0: lowest(rec.x_list).x, y0: edge },
                     };
-                    let query = |s: &PageStore| drop(query_handle(s, handle, q).unwrap());
+                    let query =
+                        |s: &PageStore| drop(query_handle(s, handle, NULL_PAGE, q).unwrap());
                     let (fired, corner) =
                         corner_cost(&logged, handle.root, q, query).expect("a corner");
                     if corner.x_list == rec.x_list {

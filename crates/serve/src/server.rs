@@ -300,11 +300,12 @@ pub fn encode_commit_meta(seq: u64, descriptors: &[Option<Vec<u8>>]) -> Vec<u8> 
 
 /// Decodes [`encode_commit_meta`] output; total (returns `None` on any
 /// malformed input). On a versioned server every durable commit is
-/// version-framed (the epoch map wraps the batch meta); a frame is
-/// transparently unwrapped so recovery callers see the inner batch payload
-/// either way.
+/// version-framed (the epoch's seq and retire queue wrap the batch meta); a
+/// frame is transparently unwrapped so recovery callers see the inner
+/// batch payload either way. A frame of the former page-map format, whose
+/// descriptors name ids a map translated, is `None`: it does not reopen.
 pub fn decode_commit_meta(meta: &[u8]) -> Option<(u64, Vec<Option<Vec<u8>>>)> {
-    if let Some(vm) = decode_version_meta(meta) {
+    if let Some(vm) = decode_version_meta(meta).ok()? {
         return decode_commit_meta(&vm.user);
     }
     if meta.len() < 8 {
@@ -417,11 +418,10 @@ fn snapshot_descriptor(snap: &Snapshot, tid: u16) -> Result<Vec<u8>, TargetError
 /// per-epoch view of the target.
 ///
 /// The view is built once per `(epoch, target)` — from the descriptor the
-/// batcher committed with that epoch, with the build's own page reads
-/// resolving through the epoch map — then parked in the epoch's artifact
-/// cache, so steady-state queries take only the thread-local snapshot
-/// guard and a shared-read cache probe: zero exclusive locks on the query
-/// path (pinned by the snapshot-semantics suite).
+/// batcher committed with that epoch, whose pages no later batch writes —
+/// then parked in the epoch's artifact cache, so steady-state queries take
+/// only a shared-read cache probe: zero exclusive locks on the query path
+/// (pinned by the snapshot-semantics suite).
 fn query_at_snapshot(
     shared: &Shared,
     target: &dyn QueryTarget,
@@ -432,17 +432,12 @@ fn query_at_snapshot(
     let view: Arc<FrozenView> = match snap.cached(tid as u64) {
         Some(v) => v.downcast().expect("epoch cache holds one FrozenView per target id"),
         None => {
-            let desc = snapshot_descriptor(snap, tid)?;
-            let boxed = {
-                let _g = snap.enter();
-                target.open_frozen(&shared.store, &desc)?
-            };
+            let boxed = target.open_frozen(&shared.store, &snapshot_descriptor(snap, tid)?)?;
             snap.cache_put(tid as u64, Arc::new(FrozenView(boxed)))
                 .downcast()
                 .expect("epoch cache holds one FrozenView per target id")
         }
     };
-    let _g = snap.enter();
     view.query(&shared.store, op)
 }
 
@@ -511,7 +506,6 @@ fn apply_batch(shared: &Shared, seq: u64, groups: &[(u16, Vec<Job>)]) -> Result<
 /// Reopens every versioned target as the current epoch committed it.
 fn reopen_targets(shared: &Shared) -> Result<(), TargetError> {
     let snap = shared.versions.snapshot();
-    let _g = snap.enter();
     for tid in 0..shared.registry.len() as u16 {
         let target = shared.registry.get(tid).expect("a registered id");
         if target.versioned_updates() {
@@ -706,15 +700,16 @@ impl Server {
             .map(str::to_string)
             .collect();
         // The epoch manager. On a recovered durable store the last commit
-        // metadata restores the exact committed epoch (seq + page map +
-        // descriptors); a fresh store starts at epoch 0, whose user
-        // metadata already carries the registered descriptors so epoch-0
-        // snapshots can resolve frozen views.
+        // metadata restores the exact committed epoch (seq + descriptors);
+        // a fresh store starts at epoch 0, whose user metadata already
+        // carries the registered descriptors so epoch-0 snapshots can open
+        // frozen views.
         let vcfg = VersionConfig { retain: config.version_retain };
         let versions = match service.store.last_commit_meta() {
-            Some(meta) => {
-                Arc::new(VersionedStore::open(Arc::clone(&service.store), Some(&meta), vcfg))
-            }
+            Some(meta) => Arc::new(
+                VersionedStore::try_open(Arc::clone(&service.store), Some(&meta), vcfg)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
+            ),
             None => Arc::new(VersionedStore::new(
                 Arc::clone(&service.store),
                 vcfg,
@@ -929,5 +924,34 @@ mod tests {
         let mut padded = meta.clone();
         padded.push(0);
         assert_eq!(decode_commit_meta(&padded), None);
+
+        // A version frame unwraps; the former page-map frame does not.
+        let vm = pc_pagestore::VersionMeta { seq: 1, user: meta.clone(), retired: Vec::new() };
+        let framed = pc_pagestore::encode_version_meta(&vm);
+        assert_eq!(decode_commit_meta(&framed), decode_commit_meta(&meta));
+        let pcv1 = [&b"PCV1"[..], &framed[4..]].concat();
+        assert_eq!(decode_commit_meta(&pcv1), None);
+    }
+
+    /// A durable store whose last commit is a `PCV1` frame — an epoch of the
+    /// former page map, whose descriptors name ids the map translated — is
+    /// refused at spawn, not reopened at those ids.
+    #[test]
+    fn a_store_committed_under_the_page_map_is_refused() {
+        let (store, _) = PageStore::in_memory_durable(512);
+        let page = store.alloc().unwrap();
+        store.write(page, b"x").unwrap();
+        let user = encode_commit_meta(3, &[]);
+        let mut pcv1 = b"PCV1".to_vec();
+        pcv1.extend_from_slice(&3u64.to_le_bytes());
+        pcv1.extend_from_slice(&(user.len() as u32).to_le_bytes());
+        pcv1.extend_from_slice(&user);
+        pcv1.extend_from_slice(&[1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]);
+        pcv1.extend_from_slice(&0u32.to_le_bytes());
+        store.commit_with(&pcv1).unwrap();
+        let service = Service { store: Arc::new(store), registry: Registry::new() };
+        let refused = Server::spawn(service, ServerConfig::default()).err().expect("refused");
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        assert!(refused.to_string().contains("PCV1"), "{refused}");
     }
 }

@@ -114,10 +114,11 @@ pub trait QueryTarget: Send + Sync {
     }
 
     /// Reopens a read-only view of this target's state as captured by a
-    /// committed descriptor (see [`QueryTarget::descriptor`]). Callers
-    /// resolve page reads through a pinned epoch, so the view is immutable
-    /// and safely shared across query workers without locks. The default
-    /// refuses (no descriptor, nothing to reopen).
+    /// committed descriptor (see [`QueryTarget::descriptor`]). No later
+    /// batch writes a page the descriptor reaches while a caller pins its
+    /// epoch, so the view is immutable and safely shared across query
+    /// workers without locks. The default refuses (no descriptor, nothing
+    /// to reopen).
     fn open_frozen(
         &self,
         store: &PageStore,
@@ -403,8 +404,8 @@ impl<S: Updates> QueryTarget for Dynamic<S> {
 
 /// Read-only reopen of a dynamic structure at a committed descriptor. Its
 /// queries are `&self`, so no mutex is needed: the state is immutable by
-/// construction (page reads resolve through the pinned epoch that produced
-/// the descriptor).
+/// construction (a batch copies the pages it changes, and the pinned epoch
+/// keeps those the descriptor names).
 struct Frozen<S: Updates>(S);
 
 impl<S: Updates> QueryTarget for Frozen<S> {

@@ -388,9 +388,9 @@ fn versioned_scan(kind: &Served, target: &dyn QueryTarget, store: &PageStore) ->
 }
 
 /// Deterministic versioned workload: build + durable epoch-0 commit, then
-/// `V_BATCHES` copy-on-write apply sessions, each installed as the next
-/// epoch (which is what group-commits it) with the target's descriptor as
-/// the batcher frames it. Stops at the first error — the crash — and
+/// `V_BATCHES` apply sessions, which copy the paths they write, each
+/// installed as the next epoch (which is what group-commits it) with the
+/// target's descriptor as the batcher frames it. Stops at the first error — the crash — and
 /// returns how many epochs were acked (`install_as` returned `Ok`), plus,
 /// when `record` is set, the full scan and the allocation table at every
 /// epoch.
@@ -409,8 +409,6 @@ fn versioned_workload(
     let Ok(target) = setup else { return (0, states) };
     let vs = VersionedStore::new(Arc::clone(store), VersionConfig { retain: 3 }, &meta(0, &*target));
     if record {
-        let snap = vs.snapshot();
-        let _g = snap.enter();
         states.push((versioned_scan(kind, &*target, store), store.alloc_snapshot()));
     }
     let mut acked = 0u64;
@@ -434,11 +432,6 @@ fn versioned_workload(
         }
         acked += 1;
         if record {
-            // Scans must run under the just-installed epoch's snapshot: an
-            // untranslated read sees the frozen name-lease slots, not the
-            // copy-on-write heads.
-            let snap = vs.snapshot();
-            let _g = snap.enter();
             states.push((versioned_scan(kind, &*target, store), store.alloc_snapshot()));
         }
     }
@@ -484,6 +477,9 @@ fn versioned_kill_point_matrix(kind: &Served) {
     // plus the first/last few ops exactly.
     let kill_points: Vec<u64> =
         (1..=total).filter(|k| *k <= 4 || *k + 4 > total || *k % 7 == 0).collect();
+    // Kills inside an apply session: after its first relocation, before its
+    // install's commit was durable.
+    let mut mid_session = 0;
     for kill_at in kill_points {
         let ctx = format!("{name} seed {seed:#x} kill_at {kill_at}");
         let ctrl = CrashController::new(CrashPlan::kill_at(seed, kill_at));
@@ -529,13 +525,13 @@ fn versioned_kill_point_matrix(kind: &Served) {
             s >= acked && s <= acked + 1,
             "{ctx}: {acked} epochs acked but recovery exposes seq {s}"
         );
+        mid_session += usize::from(s == acked && acked < V_BATCHES);
         // Exactly one epoch — the last committed one — is visible.
         assert_eq!(vs.retained_range(), (s, s), "{ctx}");
         let snap = vs.snapshot_at(s).unwrap();
         let (seq, descs) = decode_commit_meta(snap.user_meta()).expect("batcher-framed meta");
         assert_eq!((seq, descs.len()), (s, 1), "{ctx}");
         let got = {
-            let _g = snap.enter();
             let desc = descs[0].as_ref().expect("a dynamic target's descriptor");
             let target = (kind.reopen)(&recovered, desc)
                 .unwrap_or_else(|e| panic!("{ctx}: epoch {s} descriptor unusable: {e}"));
@@ -544,4 +540,5 @@ fn versioned_kill_point_matrix(kind: &Served) {
         assert_eq!(got, states[s as usize].0, "{ctx}: as_of({s}) diverged after recovery");
         assert_eq!(table, states[s as usize].1, "{ctx}: epoch {s}'s allocation table");
     }
+    assert!(mid_session > 0, "{name}: no kill landed between a relocation and its install");
 }

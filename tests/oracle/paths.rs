@@ -350,7 +350,6 @@ pub fn recovered<S: Structure>(case: &Case, seed: u64) -> Res<()> {
     let Some((_, descriptors)) = decode_commit_meta(snapshot.user_meta()) else {
         return Err(format!("{at}: epoch {epoch}'s meta does not decode"));
     };
-    let _reads = snapshot.enter();
     let s = match &descriptors[0] {
         Some(desc) => S::open(&recovered, desc).map_err(|e| format!("{at}: reopen: {e}"))?,
         None => built.ok_or_else(|| format!("{at}: a static structure recovered unbuilt"))?,

@@ -21,13 +21,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pc_pagestore::{PageStore, Point, Snapshot, StoreError};
+use pc_btree::BTree;
+use pc_pagestore::{PageStore, Point, Snapshot, StoreError, UpdateOp, VersionConfig, VersionedStore};
 use pc_pst::{DynamicPst, TwoSided};
 use pc_rng::Rng;
 use pc_serve::wire::{Body, Op};
 use pc_serve::{
-    canonicalize, decode_commit_meta, Client, DynamicPstTarget, Registry, Server, ServerConfig,
-    ServerHandle, Service,
+    canonicalize, decode_commit_meta, Client, DynamicBTreeTarget, DynamicPstTarget, QueryTarget,
+    Registry, Server, ServerConfig, ServerHandle, Service,
 };
 use pc_workloads::{gen_points, PointDist, DOMAIN};
 
@@ -53,13 +54,11 @@ fn open_frozen(snap: &Snapshot, store: &PageStore) -> DynamicPst {
     let desc = decode_commit_meta(snap.user_meta())
         .and_then(|(_, descs)| descs.into_iter().next().flatten())
         .expect("versioned epoch carries the target descriptor");
-    let _g = snap.enter();
     DynamicPst::open(store, &desc).unwrap()
 }
 
-/// Full scan of a frozen view under its snapshot, canonically sorted.
-fn frozen_scan(snap: &Snapshot, frozen: &DynamicPst, store: &PageStore) -> Vec<Point> {
-    let _g = snap.enter();
+/// Full scan of a frozen view, canonically sorted.
+fn frozen_scan(frozen: &DynamicPst, store: &PageStore) -> Vec<Point> {
     let mut v = frozen.query(store, TwoSided { x0: i64::MIN, y0: i64::MIN }).unwrap();
     v.sort_unstable_by_key(|p| (p.x, p.y, p.id));
     v
@@ -113,10 +112,7 @@ fn pinned_snapshot_round(store: PageStore) {
         .collect();
     let expected: Vec<Vec<Point>> = queries
         .iter()
-        .map(|&q| {
-            let _g = snap.enter();
-            frozen.query(&store, q).unwrap()
-        })
+        .map(|&q| frozen.query(&store, q).unwrap())
         .collect();
 
     // Writer: 32 acked single-op batches — each ack proves an epoch
@@ -148,10 +144,7 @@ fn pinned_snapshot_round(store: PageStore) {
         let finished = done.load(Ordering::Acquire);
         let locks_before = pc_sync::exclusive_acquisitions();
         for (q, want) in queries.iter().zip(&expected) {
-            let got = {
-                let _g = snap.enter();
-                frozen.query(&store, *q).unwrap()
-            };
+            let got = frozen.query(&store, *q).unwrap();
             assert_eq!(&got, want, "pinned snapshot diverged at {q:?} (round {rounds})");
         }
         assert_eq!(
@@ -180,7 +173,7 @@ fn pinned_snapshot_round(store: PageStore) {
     let Body::Points(live) = canonicalize(live.body) else { panic!("full scan body") };
     assert_eq!(live.len(), initial.len() + 32, "live head must see every acked insert");
     assert_eq!(
-        frozen_scan(&snap, &frozen, &store).len(),
+        frozen_scan(&frozen, &store).len(),
         initial.len(),
         "pinned snapshot must not see post-pin inserts"
     );
@@ -217,11 +210,10 @@ fn a_snapshot_pinned_before_an_outlier_keeps_its_answers() {
         .map(|_| TwoSided { x0: rng.gen_range(0..=DOMAIN), y0: rng.gen_range(0..=DOMAIN / 2) })
         .chain([TwoSided { x0: i64::MIN, y0: i64::MIN }])
         .collect();
-    let answers = |view: &DynamicPst, snap: &Snapshot| -> Vec<Vec<Point>> {
-        let _g = snap.enter();
+    let answers = |view: &DynamicPst| -> Vec<Vec<Point>> {
         queries.iter().map(|&q| view.query(&store, q).unwrap()).collect()
     };
-    let expected = answers(&frozen, &snap);
+    let expected = answers(&frozen);
 
     let wide =
         [Point { x: i64::MAX, y: 7, id: 69_998 }, Point { x: -3, y: i64::MIN, id: u64::MAX }];
@@ -229,12 +221,12 @@ fn a_snapshot_pinned_before_an_outlier_keeps_its_answers() {
         acked(client.call(0, 0, Op::Insert(p)));
         let head = versions.snapshot();
         assert_eq!(open_frozen(&head, &store).len(), frozen.len() + 1 + (p.id == u64::MAX) as u64);
-        assert_eq!(answers(&frozen, &snap), expected, "the pinned snapshot after {p:?}");
+        assert_eq!(answers(&frozen), expected, "the pinned snapshot after {p:?}");
     }
 
     let old = client.call_as_of(0, 0, snap.seq(), full_scan_op()).unwrap();
     let Body::Points(old) = canonicalize(old.body) else { panic!("as_of body") };
-    assert_eq!(old, frozen_scan(&snap, &frozen, &store), "as_of the epoch before the outliers");
+    assert_eq!(old, frozen_scan(&frozen, &store), "as_of the epoch before the outliers");
     assert_eq!(old.len(), initial.len());
     let live = client.call(0, 0, full_scan_op()).unwrap();
     let Body::Points(live) = canonicalize(live.body) else { panic!("full scan body") };
@@ -259,7 +251,7 @@ fn gc_never_reclaims_pinned_epochs() {
     let snap = versions.snapshot();
     let pinned_seq = snap.seq();
     let frozen = open_frozen(&snap, &store);
-    let before = frozen_scan(&snap, &frozen, &store);
+    let before = frozen_scan(&frozen, &store);
 
     let mut client = Client::connect(handle.addr(), Duration::from_secs(5)).unwrap();
     let mut rng = Rng::seed_from_u64(seed ^ 0x6C);
@@ -284,7 +276,7 @@ fn gc_never_reclaims_pinned_epochs() {
     );
     versions.snapshot_at(pinned_seq).expect("pinned epoch stays addressable");
     // ...and the pin still answers bit-identically under the churn.
-    assert_eq!(frozen_scan(&snap, &frozen, &store), before, "pinned epoch was reclaimed");
+    assert_eq!(frozen_scan(&frozen, &store), before, "pinned epoch was reclaimed");
 
     // Releasing the pin lets the deferred reclamation go.
     drop(snap);
@@ -380,7 +372,7 @@ fn seeded_interleavings_preserve_snapshot_isolation() {
                     if !pins.is_empty() {
                         let (snap, frozen, want) = &pins[rng.gen_range(0..pins.len())];
                         assert_eq!(
-                            &frozen_scan(snap, frozen, &store),
+                            &frozen_scan(frozen, &store),
                             want,
                             "round {round} step {step}: pinned seq {} diverged",
                             snap.seq()
@@ -409,11 +401,78 @@ fn seeded_interleavings_preserve_snapshot_isolation() {
         }
 
         // Every surviving pin is still intact at the end.
-        for (snap, frozen, want) in &pins {
-            assert_eq!(&frozen_scan(snap, frozen, &store), want, "round {round}: final pin check");
+        for (_, frozen, want) in &pins {
+            assert_eq!(&frozen_scan(frozen, &store), want, "round {round}: final pin check");
         }
         drop(pins);
         handle.shutdown();
     handle.join();
     }
+}
+
+/// With `retain: 1` and no pin, every page an install retires is freed at
+/// that install: after a run of batches through `Dynamic<S>` in apply
+/// sessions and one `collect`, the store holds exactly the structure's own
+/// pages, as its census names them — a dynamic PST and a B-tree, at 512 B
+/// and 4 KiB.
+#[test]
+fn with_nothing_pinned_gc_leaves_exactly_the_structures_pages() {
+    for page in [512, 4096] {
+        let mut rng = Rng::seed_from_u64(SEED ^ page as u64);
+        let initial = initial_points(if page == 512 { 600 } else { 3_000 }, SEED ^ 11);
+        let mut live = initial.clone();
+        let batches: Vec<Vec<UpdateOp>> = (0..60u64)
+            .map(|b| {
+                (0..9u64)
+                    .map(|i| match rng.gen_range(0..3u64) {
+                        0 if !live.is_empty() => {
+                            UpdateOp::Delete(live.swap_remove(rng.gen_range(0..live.len())))
+                        }
+                        _ => {
+                            let (x, y) = (rng.gen_range(0..=DOMAIN), rng.gen_range(0..=DOMAIN));
+                            let p = Point { x, y, id: 80_000_000 + b * 9 + i };
+                            live.push(p);
+                            UpdateOp::Insert(p)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let store = Arc::new(PageStore::in_memory(page));
+        let pst = DynamicPstTarget::new(DynamicPst::build(&store, &initial).unwrap());
+        let census = |s: &PageStore| pst.0.lock().page_census(s).unwrap().total();
+        installs(&store, &pst, &batches, census);
+
+        let store = Arc::new(PageStore::in_memory(page));
+        let entries: Vec<(i64, u64)> = {
+            let mut keyed: Vec<(i64, u64)> = initial.iter().map(|p| (p.x, p.id)).collect();
+            keyed.sort_unstable();
+            keyed.dedup_by_key(|e| e.0);
+            keyed
+        };
+        let btree = DynamicBTreeTarget::new(BTree::bulk_build(&store, &entries).unwrap());
+        let census = |s: &PageStore| btree.0.lock().census(s).unwrap().pages();
+        installs(&store, &btree, &batches, census);
+    }
+}
+
+/// Applies each batch to `target` in its own session on a `retain: 1`
+/// versioned store, then collects: the live pages are `census`'s.
+fn installs(
+    store: &Arc<PageStore>,
+    target: &dyn QueryTarget,
+    batches: &[Vec<UpdateOp>],
+    census: impl Fn(&PageStore) -> u64,
+) {
+    let versions = VersionedStore::new(Arc::clone(store), VersionConfig { retain: 1 }, &[]);
+    for (b, ops) in batches.iter().enumerate() {
+        let session = versions.begin_apply();
+        assert!(target.apply_updates(store, ops).iter().all(Result::is_ok), "batch {b}");
+        session.install(&target.descriptor().unwrap()).unwrap();
+    }
+    versions.collect().unwrap();
+    let what = format!("{} at {} B", target.kind(), store.page_size());
+    assert!(versions.metrics().reclaimed_pages > 0, "{what}: the batches retired pages");
+    assert_eq!(store.live_pages(), census(store), "{what}: pages the census does not name");
 }
