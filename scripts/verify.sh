@@ -112,6 +112,9 @@ echo "OK: all $COUNT packages are workspace-local, declare no feature and use wh
 # keeps a gate and its check one command.
 echo "==> scripts/loc.sh serve pst btree segtree pagestore intervaltree (non-test source lines)"
 scripts/loc.sh serve pst btree segtree pagestore intervaltree
+# The durable publish path's files (ROADMAP item 14's gate).
+echo "==> scripts/loc.sh crates/pagestore/src/{store,wal,recovery,version}.rs"
+scripts/loc.sh crates/pagestore/src/{store,wal,recovery,version}.rs
 
 if [ "$RUN_CHAOS" = 1 ]; then
     # On failure, rerun the printed command to reproduce the exact

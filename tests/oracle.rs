@@ -69,7 +69,8 @@ fn in_process<S: Structure>(page_size: usize, case: &Case) -> Res<()> {
 
 /// For every data class of `classes`: three cases in process at every page
 /// size, with builds of up to two records a byte of page (1 024 at 512 B,
-/// 8 192 at 4 KiB), and two recovered after a seeded kill.
+/// 8 192 at 4 KiB), two recovered after a seeded kill and, for a structure
+/// that takes updates, two committed after every update with no session.
 fn structure<S: Structure>(name: &str, shape: Shape, classes: &[Class], updates: usize) {
     let data = |(widths, outliers): Class| {
         format!("{widths}{}", if outliers { " with outliers" } else { "" })
@@ -89,6 +90,9 @@ fn structure<S: Structure>(name: &str, shape: Shape, classes: &[Class], updates:
         cell(&format!("{name} recovered, {class}"), 2, case_and_kill, |(case, kill)| {
             paths::recovered::<S>(case, *kill)
         });
+        if updates > 0 {
+            cases(&format!("{name} committed, {class}"), 2, spec, paths::committed::<S>);
+        }
     }
 }
 

@@ -1,8 +1,10 @@
 //! The access paths: **served** (a client and a server) with **`as_of`**
 //! (every retained epoch against the model at that epoch's prefix),
-//! **routed** (a client, the router's front-end and 1–8 shards) and
+//! **routed** (a client, the router's front-end and 1–8 shards),
 //! **recovered** (crash media killed at a seeded durable I/O, recovered,
-//! reopened from the commit meta, against the model at the acked prefix).
+//! reopened from the commit meta, against the model at the acked prefix)
+//! and **committed** (a durable store updated with no apply session and
+//! committed after every update, then recovered and reopened).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -362,4 +364,66 @@ pub fn recovered<S: Structure>(case: &Case, seed: u64) -> Res<()> {
     };
     drive(&mut InProcess { store: recovered, s }, &state)
         .map_err(|e| format!("{at}, epoch {epoch}: {e}"))
+}
+
+/// `case` on a durable store with no apply session, as a program that keeps
+/// one structure on disk does: committed after the build and after every
+/// update, so an update writes the fresh page [`PageStore::relocate`] gives
+/// for each committed page it changes; then the store recovered from its
+/// media, the structure reopened from the last commit and held to the model
+/// after every update.
+pub fn committed<S: Structure>(case: &Case) -> Res<()> {
+    let (_, backend, log) = crash_media(CrashPlan::count_only(0));
+    let (store, _) = PageStore::new_durable(
+        StoreConfig::strict(PAGE),
+        Box::new(Arc::clone(&backend)),
+        Box::new(Arc::clone(&log)),
+        WalConfig::default(),
+    )
+    .map_err(|e| e.to_string())?;
+    let s = S::build(&store, &case.build)?;
+    let mut live = Committing(InProcess { store: Arc::new(store), s });
+    live.commit().map_err(|e| format!("the build's commit: {e}"))?;
+    drive(&mut live, case)?;
+    let (recovered, _) = PageStore::new_durable(
+        StoreConfig::strict(PAGE),
+        Box::new(backend.surviving_backend()),
+        Box::new(log.surviving_log()),
+        WalConfig::default(),
+    )
+    .map_err(|e| format!("recovery failed: {e}"))?;
+    let desc = recovered.last_commit_meta().ok_or("no commit recovered")?;
+    let s = S::open(&recovered, &desc).map_err(|e| format!("reopen: {e}"))?;
+    let model = Model::after(case, case.updates().count());
+    let state = Case {
+        shape: case.shape,
+        build: model.records(),
+        ops: case.queries().map(|q| Op::Query(*q)).collect(),
+    };
+    drive(&mut InProcess { store: Arc::new(recovered), s }, &state)
+        .map_err(|e| format!("recovered: {e}"))
+}
+
+/// A structure on a durable store that commits its descriptor after every
+/// update.
+struct Committing<S>(InProcess<S>);
+
+impl<S: Structure> Committing<S> {
+    fn commit(&self) -> Res<()> {
+        let desc = self.0.s.descriptor().ok_or("a static structure has no descriptor")?;
+        self.0.store.commit_with(&desc).map(drop).map_err(|e| e.to_string())
+    }
+}
+
+impl<S: Structure> Subject for Committing<S> {
+    fn update(&mut self, op: &Op) -> Res<()> {
+        self.0.update(op)?;
+        self.commit()
+    }
+    fn answer(&mut self, q: &Query) -> Res<Vec<Point>> {
+        self.0.answer(q)
+    }
+    fn len(&mut self) -> Option<u64> {
+        self.0.len()
+    }
 }

@@ -7,15 +7,21 @@
 //! `PC_CHAOS_SEED=<u64>` to explore fresh scenarios.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use pc_pagestore::backend::MemBackend;
-use pc_pagestore::{FaultBackend, FaultPlan, PageStore, Point, StoreConfig};
-use pc_pst::DynamicPst;
+use pc_pagestore::{
+    FaultBackend, FaultPlan, LogMedium, MemLog, PageStore, Point, StoreConfig, WalConfig,
+};
+use pc_pst::{DynamicPst, TwoSided};
 use pc_rng::Rng;
 use pc_serve::wire::{Body, ErrorCode, Op};
-use pc_serve::{Client, DynamicPstTarget, Registry, Server, ServerConfig, ServerHandle, Service};
+use pc_serve::{
+    decode_commit_meta, Client, DynamicPstTarget, Registry, Server, ServerConfig, ServerHandle,
+    Service,
+};
 
 const PAGE: usize = 512;
 
@@ -269,4 +275,86 @@ fn a_batch_whose_flush_fails_loses_no_acked_update() {
     assert!(lost.is_empty(), "acked inserts lost: {lost:?} (seed={seed})");
     handle.shutdown();
     handle.join();
+}
+
+/// A log medium that refuses its next append once armed.
+#[derive(Default)]
+struct RefuseOnce {
+    log: MemLog,
+    armed: AtomicBool,
+}
+
+impl LogMedium for RefuseOnce {
+    fn read_all(&self) -> pc_pagestore::Result<Vec<u8>> {
+        self.log.read_all()
+    }
+    fn append(&self, buf: &[u8]) -> pc_pagestore::Result<()> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            return Err(std::io::Error::other("log append refused").into());
+        }
+        self.log.append(buf)
+    }
+    fn sync(&self) -> pc_pagestore::Result<()> {
+        self.log.sync()
+    }
+    fn len(&self) -> pc_pagestore::Result<u64> {
+        self.log.len()
+    }
+    fn reset(&self, contents: &[u8]) -> pc_pagestore::Result<()> {
+        self.log.reset(contents)
+    }
+}
+
+/// A batch whose commit fails is never visible. The log refuses one append,
+/// so the batch of one insert is answered `Storage`; that insert is absent
+/// from the next read, after the next acked batch, and after the store is
+/// reopened from its media, while every acked insert is there.
+#[test]
+fn a_batch_whose_commit_fails_is_never_visible() {
+    let seed = chaos_seed();
+    let backend = Arc::new(MemBackend::new(PAGE + 8));
+    let log = Arc::new(RefuseOnce::default());
+    let open = |log: Box<dyn LogMedium>| {
+        let data = Box::new(Arc::clone(&backend));
+        PageStore::new_durable(StoreConfig::strict(PAGE), data, log, WalConfig::default())
+            .unwrap()
+            .0
+    };
+    let handle = spawn_over(open(Box::new(Arc::clone(&log))), seed);
+    let mut c = Client::connect(handle.addr(), Duration::from_secs(10)).unwrap();
+    let point = |id: u64| Point { x: 500 + id as i64, y: 500 + id as i64, id };
+    let everything = TwoSided { x0: i64::MIN, y0: i64::MIN };
+    let ids = |c: &mut Client| -> HashSet<u64> {
+        let op = Op::TwoSided { x0: everything.x0, y0: everything.y0 };
+        match c.call(0, 0, op).unwrap().body {
+            Body::Points(got) => got.iter().map(|p| p.id).collect(),
+            other => panic!("the whole-plane query answered {other:?} (seed={seed})"),
+        }
+    };
+    let insert = |c: &mut Client, id: u64| c.call(0, 0, Op::Insert(point(id))).unwrap().body;
+    assert!(matches!(insert(&mut c, 20_000), Body::Ack { .. }));
+
+    log.armed.store(true, Ordering::SeqCst);
+    match insert(&mut c, 20_001) {
+        Body::Error { code: ErrorCode::Storage, message } => {
+            assert!(message.contains("log append refused"), "{message} (seed={seed})")
+        }
+        other => panic!("the batch whose commit fails answered {other:?} (seed={seed})"),
+    }
+    let held = |ids: &HashSet<u64>| (ids.contains(&20_000), ids.contains(&20_001));
+    assert_eq!(held(&ids(&mut c)), (true, false), "after the failed batch (seed={seed})");
+    assert!(matches!(insert(&mut c, 20_002), Body::Ack { .. }));
+    let live = ids(&mut c);
+    assert_eq!(held(&live), (true, false), "after the next acked batch (seed={seed})");
+    assert!(live.contains(&20_002));
+    handle.shutdown();
+    handle.join();
+
+    let store = open(Box::new(MemLog::from_bytes(log.read_all().unwrap())));
+    let meta = store.last_commit_meta().expect("the acked batches' commits");
+    let (_, descriptors) = decode_commit_meta(&meta).unwrap();
+    let desc = descriptors[0].as_ref().expect("the dynamic PST's descriptor");
+    let pst = DynamicPst::open(&store, desc).unwrap();
+    let reopened = pst.query(&store, everything).unwrap();
+    assert_eq!(reopened.iter().map(|p| p.id).collect::<HashSet<u64>>(), live, "seed={seed}");
 }

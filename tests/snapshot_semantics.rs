@@ -23,12 +23,12 @@ use std::time::Duration;
 
 use pc_btree::BTree;
 use pc_pagestore::{PageStore, Point, Snapshot, StoreError, UpdateOp, VersionConfig, VersionedStore};
-use pc_pst::{DynamicPst, TwoSided};
+use pc_pst::{DynamicPst, DynamicThreeSidedPst, TwoSided};
 use pc_rng::Rng;
 use pc_serve::wire::{Body, Op};
 use pc_serve::{
-    canonicalize, decode_commit_meta, Client, DynamicBTreeTarget, DynamicPstTarget, QueryTarget,
-    Registry, Server, ServerConfig, ServerHandle, Service,
+    canonicalize, decode_commit_meta, Client, DynamicBTreeTarget, DynamicPstTarget,
+    DynamicThreeSidedTarget, QueryTarget, Registry, Server, ServerConfig, ServerHandle, Service,
 };
 use pc_workloads::{gen_points, PointDist, DOMAIN};
 
@@ -413,11 +413,17 @@ fn seeded_interleavings_preserve_snapshot_isolation() {
 /// With `retain: 1` and no pin, every page an install retires is freed at
 /// that install: after a run of batches through `Dynamic<S>` in apply
 /// sessions and one `collect`, the store holds exactly the structure's own
-/// pages, as its census names them — a dynamic PST and a B-tree, at 512 B
-/// and 4 KiB.
+/// pages, as its census names them — a dynamic PST, a dynamic 3-sided PST
+/// and a B-tree, at 512 B and 4 KiB, on a volatile store and a durable one.
 #[test]
 fn with_nothing_pinned_gc_leaves_exactly_the_structures_pages() {
-    for page in [512, 4096] {
+    for (page, durable) in [(512, false), (512, true), (4096, false), (4096, true)] {
+        let new_store = || {
+            Arc::new(match durable {
+                true => PageStore::in_memory_durable(page).0,
+                false => PageStore::in_memory(page),
+            })
+        };
         let mut rng = Rng::seed_from_u64(SEED ^ page as u64);
         let initial = initial_points(if page == 512 { 600 } else { 3_000 }, SEED ^ 11);
         let mut live = initial.clone();
@@ -439,12 +445,17 @@ fn with_nothing_pinned_gc_leaves_exactly_the_structures_pages() {
             })
             .collect();
 
-        let store = Arc::new(PageStore::in_memory(page));
+        let store = new_store();
         let pst = DynamicPstTarget::new(DynamicPst::build(&store, &initial).unwrap());
         let census = |s: &PageStore| pst.0.lock().page_census(s).unwrap().total();
         installs(&store, &pst, &batches, census);
 
-        let store = Arc::new(PageStore::in_memory(page));
+        let store = new_store();
+        let pst3 = DynamicThreeSidedPst::build(&store, &initial).unwrap();
+        let pst3 = DynamicThreeSidedTarget::new(pst3);
+        installs(&store, &pst3, &batches, |s: &PageStore| pst3.0.lock().pages(s).unwrap());
+
+        let store = new_store();
         let entries: Vec<(i64, u64)> = {
             let mut keyed: Vec<(i64, u64)> = initial.iter().map(|p| (p.x, p.id)).collect();
             keyed.sort_unstable();
@@ -472,7 +483,8 @@ fn installs(
         session.install(&target.descriptor().unwrap()).unwrap();
     }
     versions.collect().unwrap();
-    let what = format!("{} at {} B", target.kind(), store.page_size());
+    let durable = if store.is_durable() { ", durable" } else { "" };
+    let what = format!("{} at {} B{durable}", target.kind(), store.page_size());
     assert!(versions.metrics().reclaimed_pages > 0, "{what}: the batches retired pages");
     assert_eq!(store.live_pages(), census(store), "{what}: pages the census does not name");
 }
