@@ -34,9 +34,9 @@ pub enum StoreError {
         max: usize,
     },
     /// A write refused because a committed epoch may still read the page:
-    /// on a durable store, a page the last commit holds; inside a version
-    /// apply session, a page allocated before it. Write a page allocated
-    /// since, such as the one [`crate::PageStore::relocate`] gives.
+    /// on a durable store or inside a version apply session, a page the
+    /// store's open group did not allocate. Write a page allocated since,
+    /// such as the one [`crate::PageStore::relocate`] gives.
     CommittedPage(PageId),
     /// A partial (torn) trailing write was detected in a backing file: the
     /// file ends mid-frame or mid-record. A WAL-backed open recovers by
