@@ -577,6 +577,12 @@ impl Wal {
         Ok(())
     }
 
+    /// True after a log write of unknown fate: a failed append that left
+    /// bytes, or a failed fsync. The record may be on the medium.
+    pub fn is_broken(&self) -> bool {
+        self.inner.lock().broken
+    }
+
     /// Appended log length in bytes (the auto-checkpoint trigger input).
     pub fn log_bytes(&self) -> u64 {
         self.inner.lock().log_bytes
