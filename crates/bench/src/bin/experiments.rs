@@ -19,8 +19,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pc_bench::{
-    basic_constants, btree_constants, dynamic_churn_pages, f1, f2, interval_tree_constants,
-    log_base, multilevel_constants, points_block, segmented_constants, segtree_constants, three_sided_constants,
+    band_rebuild_stream, basic_constants, btree_constants, dynamic_churn_pages, f1, f2,
+    interval_tree_constants, log_base, multilevel_constants, points_block, segmented_constants,
+    segtree_constants, three_sided_constants,
     to_intervals, to_points, two_level_constants, BTreeConstants, SegTreeConstants, Spread, Table,
     TwoSidedConstants, TwoSidedPin, TwoSidedPst, BASIC_PINS, BTREE_PINS, DYNAMIC_CHURN_FACTOR,
     INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS, SEGMENTED_PINS, SEGTREE_PINS,
@@ -286,6 +287,7 @@ fn e2_wasteful_ios() {
     println!("Claim: underfull cover-lists cost the naive blocking one wasteful I/O per path");
     println!("node; path caching coalesces them. Naive waste grows like the binary path length");
     println!("(≈ log₂ n); cached waste is 2.8–4.1× lower (one per path *segment*), same answers.");
+    println!("Search I/O is the skeletal pages a stab descends, the same in both variants.");
     println!("The binary exits 1 unless caching lowers the waste at every n.\n");
     let mut table = Table::new(&[
         "n", "variant", "search I/O", "useful I/O", "wasteful I/O", "t",
@@ -335,9 +337,10 @@ fn e3_segment_tree() {
     println!("## E3 — Theorem 3.4: path-cached segment tree\n");
     let b = b_segtree();
     println!("Claim: query `O(log_B n + t/B)`, space `O((n/B)·log n)` blocks (`B` = {b}). Query");
-    println!("I/O is 0.9–3× the idealised bound, the per-segment cache reads. Space grows like");
-    println!("`n·log n` at ~3× the idealised count: the skeletal records of a binary tree's Θ(n)");
-    println!("nodes and the caches' copies, one stream of blocks.\n");
+    println!("I/O is 0.8–2.2× the idealised bound: the skeletal pages, whose records route by the");
+    println!("query point, and the per-segment cache reads. Space grows like `n·log n` at ~3× the");
+    println!("idealised count: the skeletal records of a binary tree's Θ(n) nodes and the caches'");
+    println!("copies, one stream of blocks.\n");
     let mut table = Table::new(&[
         "n", "pages", "(n/B)·log2 n", "avg t", "avg query I/O", ALL_READ_CLASSES, "log_B n + t/B",
     ]);
@@ -883,6 +886,17 @@ fn e10_dynamic_pst() {
         if factor > pin {
             past_pin(format_args!("E10: the dynamic PST drifted past its pinned churn factor"));
         }
+    }
+    let (rebuilds, reads, writes) = band_rebuild_stream();
+    println!(
+        "the flush's rebuild branch (1 000 inserts above every y on 5 000 uniform points, 512 B \
+         pages: each lands in the root region's band, whose Y-list outgrows twice its blocks): \
+         the root subtree rebuilt {rebuilds}×, {} reads and {} writes an update\n",
+        f2(reads as f64 / 1_000.0),
+        f2(writes as f64 / 1_000.0),
+    );
+    if rebuilds == 0 {
+        past_pin(format_args!("E10: the band of inserts took no rebuild"));
     }
     e10_served_pass();
 }

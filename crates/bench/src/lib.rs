@@ -319,6 +319,29 @@ pub fn dynamic_churn_pages(spread: Spread) -> (u64, u64, u64) {
     (b, store.live_pages(), rebuilt.live_pages())
 }
 
+/// E10's rebuilding stream: 5 000 uniform points at 512-byte pages, then
+/// 1 000 inserts above every y, each in the root region's band, which the
+/// root page's flushes grow past twice its Y-list's blocks (the flush's
+/// hazard). Returns `(rebuilds, reads, writes)` over the inserts, a rebuild
+/// being a `dynpst_rebuild` span in an insert's capture.
+pub fn band_rebuild_stream() -> (u64, u64, u64) {
+    fn rebuilds(span: &pc_obs::SpanNode) -> u64 {
+        let own = u64::from(span.name == "dynpst_rebuild");
+        own + span.children.iter().map(rebuilds).sum::<u64>()
+    }
+    let points = to_points(&gen_points(5_000, PointDist::Uniform, 0xba2d));
+    let store = PageStore::in_memory(512);
+    let mut pst = DynamicPst::build(&store, &points).expect("in-memory build");
+    let (mut count, before) = (0, store.stats());
+    for (i, &(x, _, _)) in gen_points(1_000, PointDist::Uniform, 0xba2e).iter().enumerate() {
+        let p = Point::new(x, pc_workloads::DOMAIN + 1 + i as i64, 10_000 + i as u64);
+        let ((), trace) = pc_obs::traced(|| pst.insert(&store, p).expect("in-memory insert"));
+        count += rebuilds(&trace.root);
+    }
+    let io = store.stats() - before;
+    (count, io.logical_reads(), io.writes)
+}
+
 /// The interval tree's pinned constants at 4 KiB pages, per [`Spread`] and
 /// per mean stab output `t`: `(t, c, c1)` with `pages <= c·(n/B)·log₂B` and
 /// every stab's `reads <= c1·⌈log_B n⌉ + 2·⌈t/B⌉` over
@@ -490,17 +513,18 @@ pub type SegTreePin = (u64, f64, [(i64, f64); 2]);
 /// 2·⌈t/B⌉` at mean output `t`, over [`segtree_constants`]' data, `B` = 169
 /// the full-width intervals a block guarantees
 /// (`pc_segtree::block_capacity`); `c` is the worst of the two builds, the
-/// one at t ≈ 500. Measured c 3.771 / 3.330 at n = 10k / 50k — a binary
+/// one at t ≈ 500. Measured c 3.762 / 3.324 at n = 10k / 50k — a binary
 /// tree's Θ(n) skeletal records, its caches packed into one stream of
-/// blocks — and c1 3.50 / 2.33 at t ≈ 16, 3.50 / 1.67 at t ≈ 500 (two and
-/// three levels of `log_B n`); on full-width data c 7.693 / 7.079 (a block
-/// holds fewer of the wider intervals) and c1 4.00 / 2.67 at t ≈ 16, the
-/// same at t ≈ 500. The pins are 10% above; `tests/layout_bounds.rs`
+/// blocks — and c1 2.50 / 1.67 at t ≈ 16, 2.50 / 1.00 at t ≈ 500 (two and
+/// three levels of `log_B n`; a stab reads the skeletal pages and its
+/// output, no other index); on full-width data c 7.650 / 7.046 (a block
+/// holds fewer of the wider intervals) and c1 3.00 / 2.00 at t ≈ 16, 2.50 /
+/// 1.00 at t ≈ 500. The pins are 10% above; `tests/layout_bounds.rs`
 /// asserts the 10 000 rows and the `experiments` binary's E3 exits non-zero
 /// past any of them.
 pub const SEGTREE_PINS: [&[SegTreePin]; 2] = [
-    &[(10_000, 4.149, [(16, 3.85), (500, 3.85)]), (50_000, 3.663, [(16, 2.567), (500, 1.834)])],
-    &[(10_000, 8.463, [(16, 4.4), (500, 3.85)]), (50_000, 7.787, [(16, 2.934), (500, 1.834)])],
+    &[(10_000, 4.139, [(16, 2.75), (500, 2.75)]), (50_000, 3.657, [(16, 1.834), (500, 1.1)])],
+    &[(10_000, 8.416, [(16, 3.3), (500, 2.75)]), (50_000, 7.751, [(16, 2.2), (500, 1.1)])],
 ];
 
 /// One measurement of [`SEGTREE_PINS`]: the larger build's pages, and `c`

@@ -3,8 +3,8 @@
 //! A disk-resident B+-tree over the [`pc_pagestore::PageStore`] substrate:
 //! the structure whose 1-d optimality — `O(log_B n + t/B)` range queries,
 //! `O(log_B n)` worst-case updates, `O(n/B)` space — sets the bar that path
-//! caching matches in two dimensions (§1): baseline E1, and the segment
-//! tree's endpoint → rank map.
+//! caching matches in two dimensions (§1): baseline E1, and the served
+//! ordered map.
 //!
 //! Each node is one block of the block codec ([`pc_pagestore::layout`]) of
 //! `(key, value)` rows, so `B` follows the data node by node — ~2 700

@@ -10,7 +10,7 @@
 //!                  [right_page: u64][right_slot: u16]
 //!                  [bundle: u64][L head: u64][R head: u64][padding]
 //! leaf record:     [tag=1][bundle: u64][padding]
-//! mini leaf record: [tag=2][bundle: u64][mini: SegTreeHandle (36 B)][padding]
+//! mini leaf record: [tag=2][bundle: u64][mini: SegTreeHandle (16 B)][padding]
 //! ```
 //!
 //! `bundle` is a kit `TailAt`: none, an offset in a page tail, or a page of
@@ -72,7 +72,7 @@ pub enum NodeRecord {
 
 impl SkelRecord for NodeRecord {
     const HEADER: usize = 2;
-    /// A boundary node needs 53 bytes, a mini leaf 45.
+    /// A boundary node needs 53 bytes, a mini leaf 25.
     const LEN: usize = 64;
 
     fn decode(r: &mut PageReader<'_>) -> Result<NodeRecord> {
@@ -368,9 +368,9 @@ mod tests {
     fn record_geometry() {
         // One complete subtree per page: 3, 6 and 9 levels' worth.
         assert_eq!([512, 4096, 32768].map(NodeRecord::fit), [7, 63, 511]);
-        // The largest record, a mini leaf, round-trips in its 64 bytes.
+        // A mini leaf round-trips in its 64 bytes.
         let mut buf = vec![0u8; NodeRecord::HEADER + NodeRecord::LEN];
-        let mini = SegTreeHandle::decode(&mut PageReader::new(&[7u8; 36])).unwrap();
+        let mini = SegTreeHandle::decode(&mut PageReader::new(&[7u8; 16])).unwrap();
         let rec = NodeRecord::Leaf { mini: Some(mini), bundle: TailAt::Inline(4_000) };
         rec.encode(&mut PageWriter::new(&mut buf[NodeRecord::HEADER..])).unwrap();
         assert_eq!(format!("{:?}", NodeRecord::at(&buf, 0).unwrap()), format!("{rec:?}"));

@@ -382,6 +382,26 @@ mod tests {
         }
     }
 
+    /// A mini leaf whose segment tree spans the whole domain routes every
+    /// stab: endpoints at `i64::MIN` and `i64::MAX`, a stab at each endpoint
+    /// and one either side of it, at both page sizes.
+    #[test]
+    fn a_mini_leaf_routes_at_the_domain_edges() {
+        let edges = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        let pairs: Vec<(i64, i64)> =
+            (0..edges.len()).flat_map(|i| edges[i..].iter().map(move |&b| (edges[i], b))).collect();
+        let intervals: Vec<Interval> =
+            (0..4_000).map(|i| iv(pairs[i % 28].0, pairs[i % 28].1, i as u64)).collect();
+        let stabs = edges.iter().flat_map(|&e| [e.checked_sub(1), Some(e), e.checked_add(1)]);
+        let stabs: Vec<i64> = stabs.flatten().collect();
+        for page_size in [512, 4096] {
+            let store = PageStore::in_memory(page_size);
+            let tree = ExternalIntervalTree::build(&store, &intervals).unwrap();
+            assert_eq!(crate::build::leaf_kinds(&tree, &store), (0, 1), "{page_size} B");
+            check_against_brute(&intervals, &stabs, page_size);
+        }
+    }
+
     #[test]
     fn pooled_and_strict_stores_report_the_same_reads() {
         let intervals = random_intervals(3000, 50_000, 2000, 0xabc);

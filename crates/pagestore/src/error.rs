@@ -33,6 +33,15 @@ pub enum StoreError {
         /// Largest payload a record may carry.
         max: usize,
     },
+    /// A build refused because a count a record names does not fit its
+    /// field (a segment-tree cache slice past `u16::MAX` intervals);
+    /// nothing is truncated.
+    CountOverflow {
+        /// The count that did not fit.
+        count: usize,
+        /// The largest the field holds.
+        max: usize,
+    },
     /// A write refused because a committed epoch may still read the page:
     /// on a durable store or inside a version apply session, a page the
     /// store's open group did not allocate. Write a page allocated since,
@@ -78,6 +87,7 @@ impl Clone for StoreError {
             &PayloadTooLarge { payload, page_size } => PayloadTooLarge { payload, page_size },
             Corrupt(msg) => Corrupt(msg.clone()),
             &LogRecordTooLarge { payload, max } => LogRecordTooLarge { payload, max },
+            &CountOverflow { count, max } => CountOverflow { count, max },
             CommittedPage(id) => CommittedPage(*id),
             &TornWrite { complete, trailing_bytes } => TornWrite { complete, trailing_bytes },
             Crashed => Crashed,
@@ -100,6 +110,9 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt(msg) => write!(f, "corrupt page layout: {msg}"),
             StoreError::LogRecordTooLarge { payload, max } => {
                 write!(f, "log record payload of {payload} bytes exceeds the {max}-byte limit")
+            }
+            StoreError::CountOverflow { count, max } => {
+                write!(f, "a count of {count} exceeds its field's {max}")
             }
             StoreError::CommittedPage(id) => {
                 write!(f, "page {id:?} is committed and cannot be overwritten")

@@ -1,4 +1,4 @@
-//! Deterministic fault injection for storage backends.
+//! Deterministic fault injection for storage backends and the log.
 //!
 //! [`FaultBackend`] decorates any [`Backend`] and injects failures —
 //! transient I/O errors, permanent frame loss, torn writes, single-bit rot
@@ -20,6 +20,12 @@
 //! | frame loss       | read  | sticky permanent `Err(Io)`; write heals   |
 //! | torn write       | write | silent `Ok`; prefix new + suffix old      |
 //! | bit rot at write | write | silent `Ok`; one flipped bit at rest      |
+//! | refused append   | log   | `Err(Io)` while armed; nothing written    |
+//! | refused fsync    | log   | `Err(Io)` while armed; the record stays   |
+//!
+//! The log rows are [`FaultLog`], a [`MemLog`] that refuses appends or
+//! fsyncs while a test has them armed: a commit whose record cannot be
+//! logged, or whose record the medium holds without an acknowledged sync.
 //!
 //! Silent faults are exactly the ones the store's checksums must catch;
 //! loud faults reach the store's caller as they are, to fail the read over
@@ -38,6 +44,7 @@ use pc_sync::Mutex;
 use crate::backend::Backend;
 use crate::error::Result;
 use crate::store::PageId;
+use crate::wal::{LogMedium, MemLog};
 
 /// Per-operation fault probabilities plus the seed that makes them
 /// deterministic. All probabilities are per-access, in `[0, 1]`.
@@ -369,6 +376,55 @@ impl Backend for FaultBackend {
 
     fn frame_count(&self) -> u64 {
         self.inner.frame_count()
+    }
+}
+
+/// A [`MemLog`] that refuses appends, or fsyncs, while armed (see the
+/// module docs). Share it through an `Arc` to arm it under a store.
+#[derive(Default)]
+pub struct FaultLog {
+    log: MemLog,
+    refuse_append: AtomicBool,
+    refuse_sync: AtomicBool,
+}
+
+impl FaultLog {
+    /// Arms (`true`) or disarms refusing every append.
+    pub fn refuse_appends(&self, on: bool) {
+        self.refuse_append.store(on, Ordering::SeqCst);
+    }
+
+    /// Arms (`true`) or disarms refusing every fsync.
+    pub fn refuse_syncs(&self, on: bool) {
+        self.refuse_sync.store(on, Ordering::SeqCst);
+    }
+}
+
+impl LogMedium for FaultLog {
+    fn read_all(&self) -> Result<Vec<u8>> {
+        self.log.read_all()
+    }
+
+    fn append(&self, buf: &[u8]) -> Result<()> {
+        if self.refuse_append.load(Ordering::SeqCst) {
+            return Err(std::io::Error::other("log append refused").into());
+        }
+        self.log.append(buf)
+    }
+
+    fn sync(&self) -> Result<()> {
+        if self.refuse_sync.load(Ordering::SeqCst) {
+            return Err(std::io::Error::other("log fsync refused").into());
+        }
+        self.log.sync()
+    }
+
+    fn len(&self) -> Result<u64> {
+        self.log.len()
+    }
+
+    fn reset(&self, contents: &[u8]) -> Result<()> {
+        self.log.reset(contents)
     }
 }
 

@@ -69,7 +69,7 @@ pub mod wal;
 pub use backend::{ResilienceStats, ScrubReport};
 pub use crash::{CrashBackend, CrashController, CrashLog, CrashPlan};
 pub use error::{Result, StoreError};
-pub use fault::{FaultBackend, FaultHandle, FaultPlan, InjectionStats};
+pub use fault::{FaultBackend, FaultHandle, FaultLog, FaultPlan, InjectionStats};
 pub use page::Page;
 pub use pool::{ShardStats, ShardedPool};
 pub use recovery::RecoveryReport;

@@ -71,16 +71,6 @@ impl Point {
     pub fn new(x: i64, y: i64, id: u64) -> Self {
         Point { x, y, id }
     }
-
-    /// Total order by (x, y, id) — the x-order used for tree division.
-    pub fn cmp_xy(&self, other: &Point) -> std::cmp::Ordering {
-        (self.x, self.y, self.id).cmp(&(other.x, other.y, other.id))
-    }
-
-    /// Total order by (y, x, id) — the y-order used for heap layering.
-    pub fn cmp_yx(&self, other: &Point) -> std::cmp::Ordering {
-        (self.y, self.x, self.id).cmp(&(other.y, other.x, other.id))
-    }
 }
 
 coordinate_record!(Point, x, y);
@@ -240,17 +230,6 @@ mod tests {
         let ordered = [i64::MIN, -1, 0, 1, i64::MAX];
         assert!(ordered.windows(2).all(|w| key_of(w[0]) < key_of(w[1])));
         assert!(ordered.iter().all(|&v| signed_of(key_of(v)) == v));
-    }
-
-    #[test]
-    fn point_orders_break_ties_deterministically() {
-        let a = Point::new(1, 2, 0);
-        let b = Point::new(1, 2, 1);
-        assert_eq!(a.cmp_xy(&b), std::cmp::Ordering::Less);
-        assert_eq!(a.cmp_yx(&b), std::cmp::Ordering::Less);
-        let c = Point::new(0, 9, 5);
-        assert_eq!(c.cmp_xy(&a), std::cmp::Ordering::Less);
-        assert_eq!(a.cmp_yx(&c), std::cmp::Ordering::Less);
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //! log of the previous format. The exhaustive kill-point matrix lives in `crash_recovery.rs`;
 //! these tests pin the individual behaviors it composes.
 
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
 use pc_pagestore::backend::MemBackend;
 use pc_pagestore::wal::MAX_RECORD_PAYLOAD;
 use pc_pagestore::{
-    CrashBackend, CrashController, CrashLog, CrashPlan, LogMedium, MemLog, PageId, PageStore,
-    StoreConfig, StoreError, VersionConfig, VersionedStore, WalConfig,
+    CrashBackend, CrashController, CrashLog, CrashPlan, FaultLog, LogMedium, MemLog, PageId,
+    PageStore, StoreConfig, StoreError, VersionConfig, VersionedStore, WalConfig,
 };
 
 const PAGE: usize = 64;
@@ -382,38 +381,6 @@ fn recycled_free_alloc_cycle_survives_recovery() {
     assert_eq!(store2.alloc_snapshot().free_list, [b.0, c.0], "b at the commit, after c");
 }
 
-/// A log medium whose appends, or fsyncs, fail while their flag is set.
-#[derive(Default)]
-struct RefusingLog {
-    log: MemLog,
-    refuse_append: AtomicBool,
-    refuse_sync: AtomicBool,
-}
-
-impl LogMedium for RefusingLog {
-    fn read_all(&self) -> pc_pagestore::Result<Vec<u8>> {
-        self.log.read_all()
-    }
-    fn append(&self, buf: &[u8]) -> pc_pagestore::Result<()> {
-        if self.refuse_append.load(Relaxed) {
-            return Err(std::io::Error::other("log append refused").into());
-        }
-        self.log.append(buf)
-    }
-    fn sync(&self) -> pc_pagestore::Result<()> {
-        if self.refuse_sync.load(Relaxed) {
-            return Err(std::io::Error::other("log fsync refused").into());
-        }
-        self.log.sync()
-    }
-    fn len(&self) -> pc_pagestore::Result<u64> {
-        self.log.len()
-    }
-    fn reset(&self, contents: &[u8]) -> pc_pagestore::Result<()> {
-        self.log.reset(contents)
-    }
-}
-
 /// A durable store over `log` and a shared in-memory data medium.
 fn store_over(backend: &Arc<MemBackend>, log: Box<dyn LogMedium>) -> PageStore {
     PageStore::new_durable(cfg(), Box::new(Arc::clone(backend)), log, WalConfig::default())
@@ -424,13 +391,13 @@ fn store_over(backend: &Arc<MemBackend>, log: Box<dyn LogMedium>) -> PageStore {
 #[test]
 fn alloc_and_free_do_no_log_io() {
     let backend = Arc::new(MemBackend::new(FRAME));
-    let log = Arc::new(RefusingLog::default());
+    let log = Arc::new(FaultLog::default());
     let store = store_over(&backend, Box::new(Arc::clone(&log)));
     let a = store.alloc().unwrap();
     store.write(a, &payload(0x0A, 0)).unwrap();
     store.commit_with(b"first").unwrap();
 
-    log.refuse_append.store(true, Relaxed);
+    log.refuse_appends(true);
     let b = store.alloc().unwrap();
     store.write(b, &payload(0x0B, 1)).unwrap();
     let c = store.alloc().unwrap();
@@ -443,7 +410,7 @@ fn alloc_and_free_do_no_log_io() {
     assert_eq!(store.alloc().unwrap(), c, "the group's own free is reused, the held one is not");
     store.free(c).unwrap();
 
-    log.refuse_append.store(false, Relaxed);
+    log.refuse_appends(false);
     // Take b, take c, push c, take c, push c, then the held push of a.
     assert_eq!(store.commit_with(b"second").unwrap(), 6);
     let committed = (snapshot(&store), store.alloc_snapshot());
@@ -460,7 +427,7 @@ fn alloc_and_free_do_no_log_io() {
 #[test]
 fn an_install_whose_commit_fails_publishes_nothing() {
     let backend = Arc::new(MemBackend::new(FRAME));
-    let log = Arc::new(RefusingLog::default());
+    let log = Arc::new(FaultLog::default());
     let store = Arc::new(store_over(&backend, Box::new(Arc::clone(&log))));
     let a = store.alloc().unwrap();
     store.write(a, &payload(0x0A, 0)).unwrap();
@@ -475,9 +442,9 @@ fn an_install_whose_commit_fails_publishes_nothing() {
     };
 
     let (session, doomed) = rewrite(0xDD);
-    log.refuse_append.store(true, Relaxed);
+    log.refuse_appends(true);
     assert!(session.install(b"epoch 1, failed").is_err(), "the commit record's append fails");
-    log.refuse_append.store(false, Relaxed);
+    log.refuse_appends(false);
     assert_eq!((vs.current_seq(), vs.snapshot().user_meta()), (0, &b"epoch 0"[..]));
     assert_eq!(vs.metrics().installed, 0);
     assert_eq!(store.live_pages(), live, "the session's page went back");
@@ -507,7 +474,7 @@ fn an_install_whose_commit_fails_publishes_nothing() {
 #[test]
 fn an_install_whose_log_fsync_fails_keeps_its_pages_until_reopen() {
     let backend = Arc::new(MemBackend::new(FRAME));
-    let log = Arc::new(RefusingLog::default());
+    let log = Arc::new(FaultLog::default());
     let store = Arc::new(store_over(&backend, Box::new(Arc::clone(&log))));
     let a = store.alloc().unwrap();
     store.write(a, &payload(0x0A, 0)).unwrap();
@@ -521,9 +488,9 @@ fn an_install_whose_log_fsync_fails_keeps_its_pages_until_reopen() {
         (session.install(&to.0.to_le_bytes()), to)
     };
 
-    log.refuse_sync.store(true, Relaxed);
+    log.refuse_syncs(true);
     let (installed, unknown) = rewrite(0xDD);
-    log.refuse_sync.store(false, Relaxed);
+    log.refuse_syncs(false);
     assert!(installed.is_err(), "the commit record's fsync fails");
     assert_eq!((vs.current_seq(), vs.snapshot().user_meta()), (0, &b"epoch 0"[..]));
     assert_eq!(store.live_pages(), live + 1, "the session's page stays allocated");
@@ -545,15 +512,15 @@ fn an_install_whose_log_fsync_fails_keeps_its_pages_until_reopen() {
 #[test]
 fn after_a_failed_log_fsync_no_commit_is_logged_until_reopen() {
     let backend = Arc::new(MemBackend::new(FRAME));
-    let log = Arc::new(RefusingLog::default());
+    let log = Arc::new(FaultLog::default());
     let store = store_over(&backend, Box::new(Arc::clone(&log)));
     let a = store.alloc().unwrap();
     store.write(a, &payload(0x2A, 0)).unwrap();
-    log.refuse_sync.store(true, Relaxed);
+    log.refuse_syncs(true);
     assert!(store.commit_with(b"unknown").is_err(), "the fsync fails");
     // The record is on the medium, durable or not: logged again, its
     // takes would replay twice.
-    log.refuse_sync.store(false, Relaxed);
+    log.refuse_syncs(false);
     assert!(store.commit_with(b"unknown").is_err(), "the log takes no record");
     let bytes = log.read_all().unwrap();
     drop(store);

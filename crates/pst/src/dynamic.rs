@@ -633,6 +633,7 @@ impl DynamicPst {
         page_id: PageId,
         parent: Parent,
     ) -> Result<PageId> {
+        let _span = pc_obs::span!("dynpst_rebuild");
         // The root page's `U` is the handle's: gathered and freed with the
         // subtree, and allocated again by the next push.
         let mut root_ops = Vec::new();

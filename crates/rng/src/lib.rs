@@ -84,11 +84,6 @@ impl Rng {
         result
     }
 
-    /// Returns the next 32-bit output (upper half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)` by unbiased rejection sampling.
     /// `bound` must be nonzero.
     fn bounded(&mut self, bound: u64) -> u64 {

@@ -5,13 +5,17 @@
 //!
 //! ```text
 //! page:   [count: u16][record * count]
-//! record: [split: u32]
+//! record: [key: i64]                // route left iff q <= key
 //!         [left_page: u64][left_slot: u16][right_page: u64][right_slot: u16]
 //!         [cover_full: BlockList (16 B)]
-//!         [shared: Slice (14 B)]      // leaf cache / naive cover
-//!         [above: Slice (14 B)]       // entry segment cache
-//! slice:  [page: u64][skip: u16][len: u32]
+//!         [shared: Slice (12 B)]      // leaf cache / naive cover
+//!         [above: Slice (12 B)]       // entry segment cache
+//! slice:  [page: u64][skip: u16][len: u16]
 //! ```
+//!
+//! A stab descends by its query point alone: a record's key is the last
+//! point of its left subtree's slabs ([`MemTree::route_key`]), so the tree's
+//! own pages are its whole search path.
 //!
 //! A page may hold several disjoint subtrees (packed to capacity); a node
 //! whose parent lives in another page is an *entry node* and carries a
@@ -37,13 +41,14 @@
 //! cover-lists are not stored at all (their entries live in the caches) and
 //! the regions hold the per-leaf in-page and per-entry segment caches.
 //! Reading a slice costs one block read per block it spans — every block
-//! full of answers except the boundaries.
+//! full of answers except the boundaries. A slice holds at most one page's
+//! path of underfull lists, fewer than `B` intervals a node; a length or
+//! skip past `u16::MAX` fails the build ([`StoreError::CountOverflow`]).
 
-use pc_btree::BTree;
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::{min_records, BlockList};
 use pc_pagestore::skeleton::{write_page, NodeRef, SkelRecord};
-use pc_pagestore::{Interval, PageId, PageStore, Record, Result, NULL_PAGE};
+use pc_pagestore::{Interval, PageId, PageStore, Record, Result, StoreError, NULL_PAGE};
 
 use crate::mem::{MemTree, NONE};
 
@@ -56,28 +61,33 @@ pub struct Slice {
     /// Intervals of that block before the run.
     pub skip: u16,
     /// Intervals in the run.
-    pub len: u32,
+    pub len: u16,
 }
 
 impl Record for Slice {
-    const ENCODED_LEN: usize = 8 + 2 + 4;
+    const ENCODED_LEN: usize = 8 + 2 + 2;
 
     fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
         w.put_u64(self.page.0)?;
         w.put_u16(self.skip)?;
-        w.put_u32(self.len)
+        w.put_u16(self.len)
     }
 
     fn decode(r: &mut PageReader<'_>) -> Result<Self> {
-        Ok(Slice { page: PageId(r.get_u64()?), skip: r.get_u16()?, len: r.get_u32()? })
+        Ok(Slice { page: PageId(r.get_u64()?), skip: r.get_u16()?, len: r.get_u16()? })
     }
+}
+
+/// `count` as a slice field, or the typed error of one past `u16::MAX`.
+fn slice_field(count: usize) -> Result<u16> {
+    u16::try_from(count).map_err(|_| StoreError::CountOverflow { count, max: u16::MAX.into() })
 }
 
 /// A fully decoded node record.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeRecord {
-    /// Route left iff target slab `<= split`.
-    pub split: u32,
+    /// Route left iff the query point is `<= key`.
+    pub key: i64,
     /// Left child.
     pub left: NodeRef,
     /// Right child.
@@ -95,11 +105,11 @@ pub struct NodeRecord {
 
 impl SkelRecord for NodeRecord {
     const HEADER: usize = 2;
-    const LEN: usize = 4 + 10 + 10 + 16 + 2 * Slice::ENCODED_LEN;
+    const LEN: usize = 8 + 10 + 10 + 16 + 2 * Slice::ENCODED_LEN;
 
     fn decode(r: &mut PageReader<'_>) -> Result<NodeRecord> {
         Ok(NodeRecord {
-            split: r.get_u32()?,
+            key: r.get_i64()?,
             left: NodeRef::decode(r)?,
             right: NodeRef::decode(r)?,
             cover_full: BlockList::decode(r)?,
@@ -109,7 +119,7 @@ impl SkelRecord for NodeRecord {
     }
 
     fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
-        w.put_u32(self.split)?;
+        w.put_i64(self.key)?;
         self.left.encode(w)?;
         self.right.encode(w)?;
         self.cover_full.encode(w)?;
@@ -130,29 +140,12 @@ pub fn block_capacity(page_size: usize) -> usize {
     min_records::<Interval>(page_size)
 }
 
-/// Everything `ext` needs to run queries.
-#[derive(Clone, Copy)]
-pub struct BuiltTree {
-    /// Page holding the binary root (slot 0).
-    pub root_page: PageId,
-    /// Maps an endpoint value to its index in the sorted endpoint array.
-    pub endpoint_tree: BTree,
-    /// Number of input intervals.
-    pub n: u64,
-}
-
-/// Builds the external tree. With `cached = false` no caches are written
-/// (the naive §2 structure); with `cached = true` both above-path and
-/// in-page caches are materialized.
-pub fn build_external(
-    store: &PageStore,
-    intervals: &[Interval],
-    cached: bool,
-) -> Result<BuiltTree> {
+/// Builds the external tree and returns the page of its binary root (slot
+/// 0). With `cached = false` no caches are written (the naive §2
+/// structure); with `cached = true` both above-path and in-page caches are
+/// materialized.
+pub fn build_external(store: &PageStore, intervals: &[Interval], cached: bool) -> Result<PageId> {
     let mem = MemTree::build(intervals);
-    let entries: Vec<(i64, u64)> =
-        mem.endpoints.iter().enumerate().map(|(i, &e)| (e, i as u64)).collect();
-    let endpoint_tree = BTree::bulk_build(store, &entries)?;
 
     // Assign nodes to pages. The binary tree has Θ(n) nodes, so pages must
     // be packed to capacity: each page pulls as many pending subtree roots
@@ -232,13 +225,14 @@ pub fn build_external(
         .iter()
         .scan(0, |at, &(_, count)| Some(std::mem::replace(at, *at + count)))
         .collect();
-    let slice = |ni: usize, (off, len): (u32, u32)| {
+    let slice = |ni: usize, (off, len): (u32, u32)| -> Result<Slice> {
         if len == 0 {
-            return Slice { page: NULL_PAGE, skip: 0, len };
+            return Ok(Slice { page: NULL_PAGE, skip: 0, len: 0 });
         }
         let at = region_start[node_loc[ni].0] + off as usize;
         let b = block_start.partition_point(|&start| start <= at) - 1;
-        Slice { page: blocks[b].0, skip: (at - block_start[b]) as u16, len }
+        let (skip, len) = (slice_field(at - block_start[b])?, slice_field(len as usize)?);
+        Ok(Slice { page: blocks[b].0, skip, len })
     };
 
     let node_ref = |ni: usize| match ni {
@@ -248,19 +242,22 @@ pub fn build_external(
     for (members, &id) in pages.iter().zip(&page_ids) {
         let records: Vec<NodeRecord> = members
             .iter()
-            .map(|&ni| NodeRecord {
-                split: mem.nodes[ni].split,
-                left: node_ref(mem.nodes[ni].left),
-                right: node_ref(mem.nodes[ni].right),
-                cover_full: cover_full[ni],
-                shared: slice(ni, shared_slice[ni]),
-                above: slice(ni, above_slice[ni]),
+            .map(|&ni| {
+                let node = &mem.nodes[ni];
+                Ok(NodeRecord {
+                    key: if node.is_leaf() { 0 } else { mem.route_key(node.split) },
+                    left: node_ref(node.left),
+                    right: node_ref(node.right),
+                    cover_full: cover_full[ni],
+                    shared: slice(ni, shared_slice[ni])?,
+                    above: slice(ni, above_slice[ni])?,
+                })
             })
-            .collect();
+            .collect::<Result<_>>()?;
         write_page(store, id, |_| Ok(()), &records, &[])?;
     }
 
-    Ok(BuiltTree { root_page: page_ids[0], endpoint_tree, n: intervals.len() as u64 })
+    Ok(page_ids[0])
 }
 
 /// DFS computing, for every entry node, the underfull cover-list entries
@@ -368,12 +365,20 @@ mod tests {
         let store = PageStore::in_memory(512);
         let intervals: Vec<Interval> =
             (0..50).map(|i| Interval::new(i, i + 5, i as u64)).collect();
-        let built = build_external(&store, &intervals, true).unwrap();
-        let page = store.read(built.root_page).unwrap();
+        let root = build_external(&store, &intervals, true).unwrap();
+        let page = store.read(root).unwrap();
         let rec = NodeRecord::at(&page, 0).unwrap();
         // Root of a 50-interval tree is internal: children exist.
         assert!(!rec.left.page.is_null());
         assert!(!rec.right.page.is_null());
-        assert_eq!(built.n, 50);
+    }
+
+    /// A slice's length and skip are `u16`s: one past is a typed error,
+    /// not a wrapped length.
+    #[test]
+    fn a_slice_field_past_u16_is_a_typed_error() {
+        assert_eq!(slice_field(usize::from(u16::MAX)).unwrap(), u16::MAX);
+        let err = slice_field(usize::from(u16::MAX) + 1).unwrap_err();
+        assert!(matches!(err, StoreError::CountOverflow { count: 65_536, max: 65_535 }), "{err}");
     }
 }

@@ -1,42 +1,35 @@
 //! External segment-tree queries: naive vs path-cached.
 
-use pc_btree::BTree;
 use pc_obs::ReadClass;
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::{scan_chain, BlockList};
 use pc_pagestore::skeleton::SkelRecord;
 use pc_pagestore::{Interval, PageId, PageStore, Record, Result};
 
-use crate::build::{block_capacity, build_external, BuiltTree, NodeRecord, Slice};
+use crate::build::{block_capacity, build_external, NodeRecord, Slice};
 
 /// A serializable, copyable reference to a built segment tree.
 ///
 /// Lets other structures embed a whole (cached) segment tree inside one of
 /// their own page records — the external interval tree stores one per
-/// endpoint run. 36 bytes: the root page, the endpoint B-tree's
-/// descriptor and `n`.
+/// endpoint run. 16 bytes: the root page and `n`; a stab needs nothing
+/// else, since the skeletal records route by the query point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegTreeHandle {
     root_page: PageId,
-    endpoint_tree: BTree,
     n: u64,
 }
 
 impl Record for SegTreeHandle {
-    const ENCODED_LEN: usize = 16 + BTree::DESCRIPTOR_LEN;
+    const ENCODED_LEN: usize = 16;
 
     fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
         w.put_u64(self.root_page.0)?;
-        w.put_bytes(&self.endpoint_tree.descriptor())?;
         w.put_u64(self.n)
     }
 
     fn decode(r: &mut PageReader<'_>) -> Result<Self> {
-        Ok(SegTreeHandle {
-            root_page: PageId(r.get_u64()?),
-            endpoint_tree: BTree::open(r.get_bytes(BTree::DESCRIPTOR_LEN)?)?,
-            n: r.get_u64()?,
-        })
+        Ok(SegTreeHandle { root_page: PageId(r.get_u64()?), n: r.get_u64()? })
     }
 }
 
@@ -45,22 +38,11 @@ impl Record for SegTreeHandle {
 /// span's reads past the full blocks its intervals fill are wasteful (§3).
 struct Engine<'a> {
     store: &'a PageStore,
-    tree: &'a BuiltTree,
+    root: PageId,
     cached: bool,
 }
 
 impl Engine<'_> {
-    /// Maps a query point to its elementary-slab index using the external
-    /// endpoint B-tree (`O(log_B n)` I/Os, counted by the caller via store
-    /// stats).
-    fn slab_of_query(&self, q: i64) -> Result<u32> {
-        Ok(match self.tree.endpoint_tree.pred(self.store, &q)? {
-            None => 0,
-            Some((e, j)) if e == q => 2 * j as u32 + 1,
-            Some((_, j)) => 2 * j as u32 + 2,
-        })
-    }
-
     /// Reads a whole cover list, a node read a block.
     fn drain_list(&self, list: &BlockList<Interval>, results: &mut Vec<Interval>) -> Result<()> {
         let _span = pc_obs::span!(output: "cover_list");
@@ -98,9 +80,7 @@ impl Engine<'_> {
     fn stab(&self, q: i64) -> Result<Vec<Interval>> {
         let _span = pc_obs::span!("segtree_stab");
         let mut out = Vec::new();
-        let target = self.slab_of_query(q)?;
-
-        let mut cur_page = self.tree.root_page;
+        let mut cur_page = self.root;
         let mut cur_slot = 0u16;
         // Slot through which the path entered the current page; its record
         // carries the above-path cache for this page visit.
@@ -135,7 +115,7 @@ impl Engine<'_> {
                 }
                 break;
             }
-            let next = if target <= rec.split { rec.left } else { rec.right };
+            let next = if q <= rec.key { rec.left } else { rec.right };
             if next.page != cur_page {
                 cur_page = next.page;
                 skeletal_depth += 1;
@@ -154,41 +134,40 @@ macro_rules! segment_tree_variant {
     ($(#[$doc:meta])* $name:ident, $cached:expr) => {
         $(#[$doc])*
         pub struct $name {
-            built: BuiltTree,
+            handle: SegTreeHandle,
         }
 
         impl $name {
             /// Builds the structure over `intervals` in the given store.
             pub fn build(store: &PageStore, intervals: &[Interval]) -> Result<Self> {
-                Ok($name { built: build_external(store, intervals, $cached)? })
+                let root_page = build_external(store, intervals, $cached)?;
+                Ok($name { handle: SegTreeHandle { root_page, n: intervals.len() as u64 } })
             }
 
             /// Number of indexed intervals.
             pub fn len(&self) -> u64 {
-                self.built.n
+                self.handle.n
             }
 
             /// True when the structure indexes no intervals.
             pub fn is_empty(&self) -> bool {
-                self.built.n == 0
+                self.handle.n == 0
             }
 
             /// Stabbing query: all intervals containing `q`.
             pub fn stab(&self, store: &PageStore, q: i64) -> Result<Vec<Interval>> {
-                Engine { store, tree: &self.built, cached: $cached }.stab(q)
+                Engine { store, root: self.handle.root_page, cached: $cached }.stab(q)
             }
 
             /// A compact, serializable reference to this tree, suitable for
             /// embedding in another structure's pages.
             pub fn handle(&self) -> SegTreeHandle {
-                let BuiltTree { root_page, endpoint_tree, n } = self.built;
-                SegTreeHandle { root_page, endpoint_tree, n }
+                self.handle
             }
 
             /// Reconstructs the tree from a previously obtained handle.
-            pub fn from_handle(h: SegTreeHandle) -> Self {
-                let SegTreeHandle { root_page, endpoint_tree, n } = h;
-                $name { built: BuiltTree { root_page, endpoint_tree, n } }
+            pub fn from_handle(handle: SegTreeHandle) -> Self {
+                $name { handle }
             }
         }
     };
@@ -305,8 +284,9 @@ mod tests {
             let q = xorshift(&mut s, 10_000);
             let (results, p) = pc_obs::traced(|| tree.stab(&store, q).unwrap());
             let t = results.len() as u64;
-            // O(log_B n) navigation (skeletal pages + endpoint B-tree).
-            assert!(p.search_ios <= 18, "search {} too high", p.search_ios);
+            // O(log_B n) navigation: the skeletal pages alone, a page per
+            // about three of the binary tree's ~15 levels (7 records a page).
+            assert!(p.search_ios <= 8, "search {} too high", p.search_ios);
             // Output cost <= 2 t/B + O(log_B n): one partially-filled
             // cache slice per page crossing plus partial list tails.
             let output = p.total_io - p.search_ios;
@@ -331,9 +311,9 @@ mod tests {
         let (_, blocks) = BlockList::build_blocks(&store, &stream).unwrap();
         assert!(blocks.len() >= 3, "{blocks:?}");
         let skip = blocks[0].1 / 2;
-        let engine = Engine { store: &store, tree: &tree.built, cached: true };
+        let engine = Engine { store: &store, root: tree.handle.root_page, cached: true };
         for (len, spans) in [(blocks[0].1 - skip + blocks[1].1 + 1, 3), (blocks[0].1 - skip, 1)] {
-            let slice = Slice { page: blocks[0].0, skip: skip as u16, len: len as u32 };
+            let slice = Slice { page: blocks[0].0, skip: skip as u16, len: len as u16 };
             let (got, trace) = pc_obs::traced(|| {
                 let mut out = Vec::new();
                 engine.drain_shared(slice, &mut out).unwrap();
@@ -362,14 +342,62 @@ mod tests {
                 "q={q}"
             );
         }
-        // And the handle round-trips through its Record encoding, the
-        // endpoint tree's descriptor with it.
-        assert_eq!(SegTreeHandle::ENCODED_LEN, 36);
+        // And the handle round-trips through its 16-byte Record encoding.
+        assert_eq!(SegTreeHandle::ENCODED_LEN, 16);
         let mut buf = vec![0u8; SegTreeHandle::ENCODED_LEN];
         let mut w = PageWriter::new(&mut buf);
         handle.encode(&mut w).unwrap();
         let mut r = PageReader::new(&buf);
         assert_eq!(SegTreeHandle::decode(&mut r).unwrap(), handle);
+    }
+
+    /// Routing at the domain's edges against the in-memory tree's walk by
+    /// slab index, at both page sizes and in both variants: endpoints at
+    /// `i64::MIN` and `i64::MAX`, a stab at every endpoint and one either
+    /// side of it, and ties — many intervals over few endpoints, so stabs
+    /// equal split keys on every level.
+    #[test]
+    fn routing_at_the_domain_edges_matches_the_oracle() {
+        let (lo, hi) = (i64::MIN, i64::MAX);
+        let edges = [lo, lo + 1, lo + 2, -1, 0, 1, hi - 2, hi - 1, hi];
+        let mut s = 0xed9e_u64;
+        let pick = |s: &mut u64| match xorshift(s, 3) {
+            0 => xorshift(s, i64::MAX) - xorshift(s, i64::MAX),
+            _ => edges[xorshift(s, edges.len() as i64) as usize],
+        };
+        let dense: Vec<Interval> = (0..600)
+            .map(|id| {
+                let (a, b) = (pick(&mut s), pick(&mut s));
+                iv(a.min(b), a.max(b), id)
+            })
+            .collect();
+        let inputs = [
+            vec![iv(lo, lo, 0)],
+            vec![iv(hi, hi, 0)],
+            vec![iv(lo, hi, 0), iv(lo, lo, 1), iv(hi, hi, 2)],
+            vec![iv(lo, -1, 0), iv(0, hi, 1), iv(-1, 0, 2), iv(lo + 1, hi - 1, 3)],
+            dense,
+        ];
+        for intervals in &inputs {
+            let oracle = crate::mem::MemTree::build(intervals);
+            let stabs: Vec<i64> = oracle
+                .endpoints
+                .iter()
+                .flat_map(|&e| [e.checked_sub(1), Some(e), e.checked_add(1)])
+                .flatten()
+                .collect();
+            for page in [512, 4096] {
+                let store = PageStore::in_memory(page);
+                let naive = NaiveSegmentTree::build(&store, intervals).unwrap();
+                let cached = CachedSegmentTree::build(&store, intervals).unwrap();
+                for &q in &stabs {
+                    let want = ids(oracle.stab_oracle(q));
+                    let (naive, cached) = (naive.stab(&store, q), cached.stab(&store, q));
+                    assert_eq!(ids(naive.unwrap()), want, "naive {page} B, q={q}");
+                    assert_eq!(ids(cached.unwrap()), want, "cached {page} B, q={q}");
+                }
+            }
+        }
     }
 
     #[test]

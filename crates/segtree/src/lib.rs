@@ -30,7 +30,9 @@
 //! The extended abstract defers the space-optimized construction to the
 //! full version; we implement the following well-defined variant. The
 //! binary tree is packed breadth-first into skeletal pages of 68-byte
-//! records (Figure 2; a page may hold several subtrees). A record is a
+//! records (Figure 2; a page may hold several subtrees), each routing a stab
+//! by a key on the query point, so a stab reads the tree's own pages and
+//! no other index. A record is a
 //! `SkelRecord` of `pc_pagestore::skeleton`, the workspace's one
 //! skeletal-page format, written by its `write_page`; the packing is this
 //! crate's own, since `skeleton::paginate` puts one subtree on a page. Every *entry

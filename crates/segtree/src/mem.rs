@@ -15,7 +15,11 @@
 //! ```
 //!
 //! Closed input intervals decompose exactly into slab ranges, which sidesteps
-//! the paper's "no shared endpoints" simplification.
+//! the paper's "no shared endpoints" simplification. When `e_0 = i64::MIN`
+//! slab 0 holds no integer, and the tree is built over slabs `1..=2m` only.
+//!
+//! The slab indices are the build's: the external records route by a key
+//! on the query point itself ([`MemTree::route_key`]).
 
 use pc_pagestore::Interval;
 
@@ -27,8 +31,8 @@ pub struct MemNode {
     pub lo: u32,
     /// Highest slab index covered by this subtree (inclusive).
     pub hi: u32,
-    /// Highest slab index covered by the left child; route left iff
-    /// `target <= split`. Unused for leaves.
+    /// Highest slab index covered by the left child: a slab `<= split`
+    /// lies to the left. Unused for leaves.
     pub split: u32,
     /// Arena index of the left child (`NONE` for leaves).
     pub left: usize,
@@ -69,8 +73,9 @@ impl MemTree {
         endpoints.dedup();
 
         let slabs = if endpoints.is_empty() { 1 } else { 2 * endpoints.len() as u32 + 1 };
+        let first = u32::from(endpoints.first() == Some(&i64::MIN));
         let mut nodes = Vec::with_capacity(2 * slabs as usize);
-        build_subtree(&mut nodes, 0, slabs - 1);
+        build_subtree(&mut nodes, first, slabs - 1);
         let mut tree = MemTree { nodes, endpoints };
         for iv in intervals {
             let lo_slab = tree.slab_of_endpoint(iv.lo);
@@ -87,14 +92,16 @@ impl MemTree {
         2 * j as u32 + 1
     }
 
-    /// Slab index containing an arbitrary query point (in-memory oracle
-    /// counterpart of the external endpoint-B-tree lookup).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn slab_of_query(&self, q: i64) -> u32 {
-        match self.endpoints.binary_search(&q) {
-            Ok(j) => 2 * j as u32 + 1,
-            // Insertion position j means e_{j-1} < q < e_j: open slab 2j.
-            Err(j) => 2 * j as u32,
+    /// The key a split at slab `split` routes by: a query point `q` lies
+    /// in a slab `<= split` iff `q <= key`. For the singleton `[e_j, e_j]`
+    /// that is `e_j`; for the open slab `(e_{j-1}, e_j)` it is `e_j − 1`,
+    /// which fits unless `e_j = i64::MIN`, whose open slab below is never in
+    /// the tree (see [`MemTree::build`]).
+    pub fn route_key(&self, split: u32) -> i64 {
+        let e = self.endpoints[split as usize / 2];
+        match split % 2 {
+            1 => e,
+            _ => e.checked_sub(1).expect("the slab below i64::MIN is not in the tree"),
         }
     }
 
@@ -121,22 +128,6 @@ impl MemTree {
             self.allocate(right, lo, hi, iv);
         }
     }
-
-    /// Oracle query used by tests: walk the path and union cover-lists.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn stab_oracle(&self, q: i64) -> Vec<Interval> {
-        let target = self.slab_of_query(q);
-        let mut out = Vec::new();
-        let mut cur = 0usize;
-        loop {
-            let n = &self.nodes[cur];
-            out.extend(n.cover.iter().copied());
-            if n.is_leaf() {
-                return out;
-            }
-            cur = if target <= n.split { n.left } else { n.right };
-        }
-    }
 }
 
 /// Recursively builds a balanced subtree over slabs `[lo, hi]`, returning
@@ -157,8 +148,36 @@ fn build_subtree(nodes: &mut Vec<MemNode>, lo: u32, hi: u32) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The test oracle: slab lookup by binary search and a walk by slab
+    /// index, apart from the external records' keys.
+    impl MemTree {
+        /// Slab index containing an arbitrary query point.
+        pub(crate) fn slab_of_query(&self, q: i64) -> u32 {
+            match self.endpoints.binary_search(&q) {
+                Ok(j) => 2 * j as u32 + 1,
+                // Insertion position j means e_{j-1} < q < e_j: open slab 2j.
+                Err(j) => 2 * j as u32,
+            }
+        }
+
+        /// Walks the path of `q`'s slab and unions its cover-lists.
+        pub(crate) fn stab_oracle(&self, q: i64) -> Vec<Interval> {
+            let target = self.slab_of_query(q);
+            let mut out = Vec::new();
+            let mut cur = 0usize;
+            loop {
+                let n = &self.nodes[cur];
+                out.extend(n.cover.iter().copied());
+                if n.is_leaf() {
+                    return out;
+                }
+                cur = if target <= n.split { n.left } else { n.right };
+            }
+        }
+    }
 
     fn iv(lo: i64, hi: i64, id: u64) -> Interval {
         Interval::new(lo, hi, id)
@@ -230,6 +249,39 @@ mod tests {
         let tree = MemTree::build(&[]);
         assert_eq!(tree.nodes.len(), 1);
         assert!(tree.stab_oracle(5).is_empty());
+    }
+
+    /// Every split's key routes every probe as its slab index does, and an
+    /// endpoint at `i64::MIN` leaves the empty slab below it out of the tree
+    /// (its key, `i64::MIN − 1`, would not fit).
+    #[test]
+    fn route_keys_agree_with_slab_indices_at_the_domain_edges() {
+        let (lo, hi) = (i64::MIN, i64::MAX);
+        for intervals in [
+            vec![iv(lo, lo, 0)],
+            vec![iv(hi, hi, 0)],
+            vec![iv(lo, 0, 0), iv(0, hi, 1), iv(lo + 1, hi - 1, 2), iv(-1, 1, 3)],
+            vec![iv(5, 9, 0), iv(9, 12, 1)],
+        ] {
+            let tree = MemTree::build(&intervals);
+            assert_eq!(tree.nodes[0].lo, u32::from(tree.endpoints[0] == lo), "{intervals:?}");
+            let probes: Vec<i64> = tree
+                .endpoints
+                .iter()
+                .flat_map(|&e| [e.checked_sub(1), Some(e), e.checked_add(1)])
+                .flatten()
+                .chain([lo, hi])
+                .collect();
+            for n in tree.nodes.iter().filter(|n| !n.is_leaf()) {
+                let key = tree.route_key(n.split);
+                for &q in &probes {
+                    let left = tree.slab_of_query(q) <= n.split;
+                    assert_eq!(q <= key, left, "q={q} split={} key={key}", n.split);
+                }
+            }
+            let queries: Vec<i64> = probes.clone();
+            check(&intervals, &queries);
+        }
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //!   nested ones that stress segment/interval-tree cover lists;
 //! * **queries** calibrated to hit a target output size `t`, since every
 //!   bound in the paper is output-sensitive (`O(log_B n + t/B)`);
-//! * **skewed traffic** — Zipfian key popularity and hot-window 3-sided
-//!   queries that drive one shard of a range-partitioned fabric into
-//!   `Overloaded` while the rest stay healthy;
 //! * **temporal streams** — sliding-window insert/expire churn (FIFO
 //!   tenure) that keeps retiring the exact pages older snapshot epochs
 //!   may still pin, the stress case for MVCC garbage collection.
@@ -31,7 +28,6 @@ mod intervals;
 mod points;
 mod queries;
 mod temporal;
-mod zipf;
 
 pub use intervals::{gen_intervals, IntervalDist};
 pub use points::{gen_points, PointDist};
@@ -40,7 +36,6 @@ pub use queries::{
     gen_range_1d, gen_stabbing, gen_three_sided, gen_two_sided, Range1d, Stab, ThreeSidedQ,
     TwoSidedQ,
 };
-pub use zipf::{gen_three_sided_hot, gen_zipf_keys, ZipfSampler};
 
 /// Coordinate domain used by all generators: values fall in `[0, DOMAIN]`.
 pub const DOMAIN: i64 = 1_000_000;

@@ -74,12 +74,12 @@ echo "==> checking that the dependency graph is workspace-only, feature-free and
 # may declare a cargo feature: each one is a second build configuration
 # that every gate above would have to run again. And every declared
 # dependency's crate name must occur in the declaring package's sources,
-# so that the crate graph of DESIGN §3 is the real one — but for the two
+# so that the crate graph of DESIGN §3 is the real one — but for the three
 # edges `benchmark/Cargo.lock` records, which go in the PR that may change
 # that file (ROADMAP 3f). `jq` reads the metadata and `grep -w` finds the
 # uses, so the script needs nothing past bash, coreutils, grep and jq.
 METADATA="$(cargo metadata --format-version 1 --offline)"
-LOCKED_BY_BENCHMARK=" pc-pst>pc-btree pc-intervaltree>pc-btree "
+LOCKED_BY_BENCHMARK=" pc-pst>pc-btree pc-intervaltree>pc-btree pc-segtree>pc-btree "
 BAD="$(
   printf '%s' "$METADATA" | jq -r '.packages[] | select(.source != null)
       | "non-workspace package: \(.id)"'

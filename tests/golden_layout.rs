@@ -87,8 +87,8 @@ const GOLDEN: [&str; 2] = [
 4096 dynamic 3-sided churned: update_reads=5393 update_writes=11434\n\
 4096 dynamic 3-sided churned: pages=1573 reads=1488 answers=412314 hash=e65a44a28f916929\n\
 4096 interval tree: pages=188 reads=982 answers=337863 hash=451695569c27a934\n\
-4096 cached segment tree: pages=3982 reads=2022 answers=337863 hash=cb8d7031bc381a2c\n\
-4096 naive segment tree: pages=2675 reads=2997 answers=337863 hash=3060cdbfcab2e44c\n\
+4096 cached segment tree: pages=3971 reads=1622 answers=337863 hash=cb8d7031bc381a2c\n\
+4096 naive segment tree: pages=2664 reads=2597 answers=337863 hash=3060cdbfcab2e44c\n\
 ",
     "\
 512 basic: pages=7784 reads=24430 answers=379220 hash=d86f4420bf5c0d29\n\
@@ -107,8 +107,8 @@ const GOLDEN: [&str; 2] = [
 512 dynamic 3-sided churned: update_reads=85563 update_writes=125794\n\
 512 dynamic 3-sided churned: pages=2377 reads=20442 answers=420027 hash=465244eab4fc4bd1\n\
 512 interval tree: pages=1583 reads=7926 answers=276846 hash=a33d61578b0c710b\n\
-512 cached segment tree: pages=17231 reads=11081 answers=276846 hash=1a14ddcea07f6747\n\
-512 naive segment tree: pages=12737 reads=11654 answers=276846 hash=a56fc0d64527bb07\n\
+512 cached segment tree: pages=16996 reads=10481 answers=276846 hash=1a14ddcea07f6747\n\
+512 naive segment tree: pages=12502 reads=11054 answers=276846 hash=a56fc0d64527bb07\n\
 ",
 ];
 

@@ -14,12 +14,13 @@
 
 use path_caching::{PageStore, Point, TwoSided};
 use pc_bench::{
-    basic_constants, btree_constants, dynamic_churn_pages, interval_tree_constants,
-    multilevel_constants, reads_of, segmented_constants, segtree_constants, three_sided_constants,
-    two_level_constants, two_sided_corners, BTreeConstants, SegTreeConstants, Spread,
-    TwoSidedConstants, TwoSidedPin, TwoSidedPst, BASIC_PINS, BTREE_PINS, DYNAMIC_CHURN_FACTOR,
-    INTERVAL_TREE_PINS, LADDER_PIN_SIZES, MULTILEVEL_PINS, SEGMENTED_PINS, SEGTREE_PINS,
-    THREE_SIDED_PINS, TWO_LEVEL_PINS, TWO_LEVEL_PIN_SIZES, WIDE_PIN_SIZE,
+    band_rebuild_stream, basic_constants, btree_constants, dynamic_churn_pages,
+    interval_tree_constants, multilevel_constants, reads_of, segmented_constants,
+    segtree_constants, three_sided_constants, two_level_constants, two_sided_corners,
+    BTreeConstants, SegTreeConstants, Spread, TwoSidedConstants, TwoSidedPin, TwoSidedPst,
+    BASIC_PINS, BTREE_PINS, DYNAMIC_CHURN_FACTOR, INTERVAL_TREE_PINS, LADDER_PIN_SIZES,
+    MULTILEVEL_PINS, SEGMENTED_PINS, SEGTREE_PINS, THREE_SIDED_PINS, TWO_LEVEL_PINS,
+    TWO_LEVEL_PIN_SIZES, WIDE_PIN_SIZE,
 };
 use pc_intervaltree::ExternalIntervalTree;
 use pc_pst::{
@@ -423,4 +424,13 @@ fn dynamic_pst_space_stays_near_a_fresh_build_under_churn() {
             "{spread:?}, B={b}: {after} pages after churn, {fresh} fresh: factor {factor:.3}"
         );
     }
+}
+
+/// E10's rebuilding stream takes the flush's rebuild branch: inserts in
+/// the root region's band grow its Y-list past twice its blocks, and the
+/// root subtree is rebuilt at least once (a `dynpst_rebuild` span).
+#[test]
+fn a_band_of_inserts_rebuilds_the_dynamic_pst() {
+    let (rebuilds, reads, writes) = band_rebuild_stream();
+    assert!(rebuilds >= 1, "no rebuild: {reads} reads, {writes} writes");
 }

@@ -282,6 +282,22 @@ fn regression_stabs_on_exit_boundaries() {
     }
 }
 
+#[test]
+fn regression_stabs_at_the_domain_edges() {
+    for one_run in [false, true] {
+        let case = regressions::stabs_at_the_domain_edges(one_run);
+        for page_size in [512, 4096] {
+            let at = |what: &str, e: String| {
+                panic!("{what} at the domain's edges (one run: {one_run}), {page_size} B: {e}")
+            };
+            in_process::<NaiveSegmentTree>(page_size, &case).unwrap_or_else(|e| at("naive", e));
+            in_process::<CachedSegmentTree>(page_size, &case).unwrap_or_else(|e| at("cached", e));
+            in_process::<ExternalIntervalTree>(page_size, &case)
+                .unwrap_or_else(|e| at("interval tree", e));
+        }
+    }
+}
+
 /// A carried-run input (`regressions::carried_*`) over the 3-sided PST in
 /// process at 512 B and 4 KiB.
 fn carried_regression(what: &str, case: impl Fn(usize) -> Case) {

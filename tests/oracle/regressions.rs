@@ -60,6 +60,14 @@
 //! [`stabs_on_exit_boundaries`]. What the cut-overs read is held in
 //! `pc-intervaltree` (`query::tests::an_exit_bundle_*`, `a_leaf_bundle_*`).
 //!
+//! A segment tree's records route a stab by a key on the query point: the
+//! last point of the left subtree's slabs, `e` for a singleton slab
+//! `[e, e]` and `e − 1` below it; the empty slab below an endpoint at
+//! `i64::MIN` is not in the tree. The inputs at the keys' edges, run by
+//! `tests/oracle.rs`' `regression_stabs_at_the_domain_edges` over both
+//! segment trees and the interval tree (whose one run is then a mini
+//! segment tree) at 512 B and 4 KiB: [`stabs_at_the_domain_edges`].
+//!
 //! A 3-sided PST's lower skeletal page whose root has its children on it
 //! carries, in the root's A-list, its entry exit's A-entries in the root's
 //! route; no node below the root copies it, and the exit's run reads only
@@ -529,6 +537,37 @@ pub fn stabs_on_exit_boundaries() -> Case {
     }
     let stabs = endpoints.into_iter().map(|q| Op::Query(Query::Stab(q)));
     Case { shape: Shape::Stab, build, ops: stabs.collect() }
+}
+
+/// Stabs at the domain's edges: intervals (`x` to `y`) whose endpoints
+/// include `i64::MIN` and `i64::MAX`, many over few endpoints so that stabs
+/// tie with a segment tree's split keys, and a stab at every endpoint and
+/// one either side of it. With `one_run`, every endpoint is one of seven,
+/// which an interval tree keeps in one mini segment tree; otherwise a third
+/// of them are random, spread over many pages.
+pub fn stabs_at_the_domain_edges(one_run: bool) -> Case {
+    let edges = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    let mut rng = Rng::seed_from_u64(0xed9e);
+    let end = |rng: &mut Rng| match rng.gen_range(0..3u64) {
+        0 if !one_run => rng.gen_range(i64::MIN..=i64::MAX),
+        _ => edges[rng.gen_range(0..7u64) as usize],
+    };
+    let build: Vec<Point> = (0..1_000u64)
+        .map(|id| {
+            let (a, b) = (end(&mut rng), end(&mut rng));
+            Point::new(a.min(b), a.max(b), id)
+        })
+        .collect();
+    let mut stabs: Vec<i64> = build
+        .iter()
+        .flat_map(|p| [p.x, p.y])
+        .flat_map(|e| [e.checked_sub(1), Some(e), e.checked_add(1)])
+        .flatten()
+        .collect();
+    stabs.sort_unstable();
+    stabs.dedup();
+    let ops = stabs.into_iter().map(|q| Op::Query(Query::Stab(q))).collect();
+    Case { shape: Shape::Stab, build, ops }
 }
 
 /// `n` records, half of 20-bit x and id, half of x and id past `2^40` and

@@ -7,13 +7,12 @@
 //! `PC_CHAOS_SEED=<u64>` to explore fresh scenarios.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use pc_pagestore::backend::MemBackend;
 use pc_pagestore::{
-    FaultBackend, FaultPlan, LogMedium, MemLog, PageStore, Point, StoreConfig, WalConfig,
+    FaultBackend, FaultLog, FaultPlan, LogMedium, MemLog, PageStore, Point, StoreConfig, WalConfig,
 };
 use pc_pst::{DynamicPst, TwoSided};
 use pc_rng::Rng;
@@ -277,34 +276,6 @@ fn a_batch_whose_flush_fails_loses_no_acked_update() {
     handle.join();
 }
 
-/// A log medium that refuses its next append once armed.
-#[derive(Default)]
-struct RefuseOnce {
-    log: MemLog,
-    armed: AtomicBool,
-}
-
-impl LogMedium for RefuseOnce {
-    fn read_all(&self) -> pc_pagestore::Result<Vec<u8>> {
-        self.log.read_all()
-    }
-    fn append(&self, buf: &[u8]) -> pc_pagestore::Result<()> {
-        if self.armed.swap(false, Ordering::SeqCst) {
-            return Err(std::io::Error::other("log append refused").into());
-        }
-        self.log.append(buf)
-    }
-    fn sync(&self) -> pc_pagestore::Result<()> {
-        self.log.sync()
-    }
-    fn len(&self) -> pc_pagestore::Result<u64> {
-        self.log.len()
-    }
-    fn reset(&self, contents: &[u8]) -> pc_pagestore::Result<()> {
-        self.log.reset(contents)
-    }
-}
-
 /// A batch whose commit fails is never visible. The log refuses one append,
 /// so the batch of one insert is answered `Storage`; that insert is absent
 /// from the next read, after the next acked batch, and after the store is
@@ -313,7 +284,7 @@ impl LogMedium for RefuseOnce {
 fn a_batch_whose_commit_fails_is_never_visible() {
     let seed = chaos_seed();
     let backend = Arc::new(MemBackend::new(PAGE + 8));
-    let log = Arc::new(RefuseOnce::default());
+    let log = Arc::new(FaultLog::default());
     let open = |log: Box<dyn LogMedium>| {
         let data = Box::new(Arc::clone(&backend));
         PageStore::new_durable(StoreConfig::strict(PAGE), data, log, WalConfig::default())
@@ -334,13 +305,14 @@ fn a_batch_whose_commit_fails_is_never_visible() {
     let insert = |c: &mut Client, id: u64| c.call(0, 0, Op::Insert(point(id))).unwrap().body;
     assert!(matches!(insert(&mut c, 20_000), Body::Ack { .. }));
 
-    log.armed.store(true, Ordering::SeqCst);
+    log.refuse_appends(true);
     match insert(&mut c, 20_001) {
         Body::Error { code: ErrorCode::Storage, message } => {
             assert!(message.contains("log append refused"), "{message} (seed={seed})")
         }
         other => panic!("the batch whose commit fails answered {other:?} (seed={seed})"),
     }
+    log.refuse_appends(false);
     let held = |ids: &HashSet<u64>| (ids.contains(&20_000), ids.contains(&20_001));
     assert_eq!(held(&ids(&mut c)), (true, false), "after the failed batch (seed={seed})");
     assert!(matches!(insert(&mut c, 20_002), Body::Ack { .. }));
