@@ -462,8 +462,8 @@ fn e4_interval_tree() {
 // ---------------------------------------------------------------------------
 // Shared 2-sided PST experiment body
 // ---------------------------------------------------------------------------
-/// A column that breaks a structure's pages down: its label and its cell.
-type ByClass<'a, P> = (&'a str, fn(&P, &PageStore) -> String);
+/// Columns that break a structure's pages down: their labels and cells.
+type ByClass<'a, P> = (&'a [&'a str], fn(&P, &PageStore) -> Vec<String>);
 
 /// `space_pred` takes `(n, B)`.
 fn pst_experiment<P: TwoSidedPst>(
@@ -473,8 +473,9 @@ fn pst_experiment<P: TwoSidedPst>(
 ) {
     let mut headers =
         vec!["n", "B", "pages", space_label, "avg t", "avg query I/O", "log_B n + t/B"];
-    if let Some((label, _)) = by_class {
-        headers.extend([READ_CLASSES, label]);
+    if let Some((labels, _)) = by_class {
+        headers.push(READ_CLASSES);
+        headers.extend(labels);
     }
     let mut table = Table::new(&headers);
     for n in [20_000usize, 100_000, 400_000] {
@@ -503,7 +504,8 @@ fn pst_experiment<P: TwoSidedPst>(
             f1(log_base(n as f64, b) + t_avg / b),
         ];
         if let Some((_, describe)) = by_class {
-            row.extend([reads, describe(&pst, &store)]);
+            row.push(reads);
+            row.extend(describe(&pst, &store));
         }
         table.row(row);
     }
@@ -561,11 +563,16 @@ const ALL_CLASSES: [ReadClass; ReadClass::COUNT] =
     [ReadClass::Skeletal, ReadClass::Directory, ReadClass::Cache, ReadClass::Node];
 
 /// A two-level or dynamic PST's pages by class, in the order of the
-/// `REGION_CLASSES` column label.
+/// `REGION_CLASSES` column label; then, per class, the bytes in use over
+/// the bytes of its pages (`-` for none) and its blocks in skeletal page
+/// tails, which have no page.
 const REGION_CLASSES: &str = "skeletal/X/Y/A/S + inner skeletal/points/caches + buffers";
+const REGION_COLUMNS: [&str; 3] = [REGION_CLASSES, "fill, same classes", "in tails, same classes"];
 fn by_region_class(c: &pc_pst::RegionCensus) -> String {
-    format!(
-        "{}/{}/{}/{}/{} + {}/{}/{} + {}",
+    by_class_cells(classes(c).map(|pages| pages.to_string()))
+}
+fn classes(c: &pc_pst::RegionCensus) -> [u64; 9] {
+    [
         c.skeletal,
         c.x_lists,
         c.y_lists,
@@ -574,8 +581,19 @@ fn by_region_class(c: &pc_pst::RegionCensus) -> String {
         c.inner_skeletal,
         c.inner_points,
         c.inner_caches,
-        c.buffers
-    )
+        c.buffers,
+    ]
+}
+fn region_columns(census: &pc_pst::RegionCensus, fill: &pc_pst::RegionFill) -> Vec<String> {
+    let (pages, used) = (classes(census), classes(&fill.used));
+    let fill_cells = std::array::from_fn(|i| match pages[i] {
+        0 => "-".to_string(),
+        pages => f2(used[i] as f64 / (pages * PAGE as u64) as f64),
+    });
+    vec![by_region_class(census), by_class_cells(fill_cells), by_region_class(&fill.in_tails)]
+}
+fn by_class_cells(v: [String; 9]) -> String {
+    format!("{}/{}/{}/{}/{} + {}/{}/{} + {}", v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8])
 }
 
 /// Exits non-zero past [`BASIC_PINS`].
@@ -591,8 +609,8 @@ fn e5_basic_pst() {
 /// Exits non-zero past [`SEGMENTED_PINS`].
 fn e6_segmented_pst() {
     println!("## E6 — Theorem 3.2: segmented PST, log B-sized cache segments\n");
-    println!("Claim: the same queries at space `O((n/B)·log B)` blocks: about half of E5's pages");
-    println!("from 100k on (at 20k both trees are one segment), the smallest rung up to 100k.\n");
+    println!("Claim: the same queries at space `O((n/B)·log B)` blocks: half of E5's pages or");
+    println!("fewer from 100k on (at 20k both trees are one segment), the smallest rung to 100k.\n");
     pst_experiment::<SegmentedPst>("(n/B)·log2 B", |n, b| n / b * b.log2(), None);
     pinned_two_sided("E6", "(n/B)·log2 B", &LADDER_PIN_SIZES, SEGMENTED_PINS, segmented_constants);
 }
@@ -600,8 +618,10 @@ fn e6_segmented_pst() {
 /// Exits non-zero past [`TWO_LEVEL_PINS`].
 fn e7_two_level_pst() {
     println!("## E7 — Theorem 4.3: two-level recursive PST\n");
-    println!("Claim: the same queries at space `O((n/B)·loglog B)` blocks; the last column is");
-    println!("the page census. ⚠️ Constant-factor deviation from the asymptotic ladder: X- and");
+    println!("Claim: the same queries at space `O((n/B)·loglog B)` blocks; the last columns are");
+    println!("the page census, per class the bytes in use over the bytes of its pages, and per");
+    println!("class the blocks in a skeletal page's tail (an inner tree's small points blocks and");
+    println!("its lists' last blocks, smallest first). ⚠️ Constant-factor deviation: X- and");
     println!("Y-lists are two more copies of the data, and every region has an inner PST, so up");
     println!("to 100k this is *above* E6 on space (a bigger block shrinks `log B` levels of");
     println!("caches faster than two data copies) and below it at 400k; below E5, and it reads");
@@ -610,7 +630,9 @@ fn e7_two_level_pst() {
     pst_experiment::<TwoLevelPst>(
         "(n/B)·loglog2 B",
         |n, b| n / b * b.log2().log2(),
-        Some((REGION_CLASSES, |pst, store| by_region_class(&pst.page_census(store).unwrap()))),
+        Some((&REGION_COLUMNS, |pst, store| {
+            region_columns(&pst.page_census(store).unwrap(), &pst.page_fill(store).unwrap())
+        })),
     );
     let unit = "(n/B)·log2 log2 B";
     pinned_two_sided("E7", unit, &TWO_LEVEL_PIN_SIZES, TWO_LEVEL_PINS, two_level_constants);
@@ -808,11 +830,11 @@ fn e9_served_pass() {
 fn e10_dynamic_pst() {
     println!("## E10 — Theorem 5.1: dynamic two-level PST\n");
     println!("Claim: amortised update `O(log_B n)`; queries stay `O(log_B n + t/B)` under churn;");
-    println!("space `O((n/B)·loglog B)`. Update I/O is flat in n from 100k on (≈ 3·log_B n:");
-    println!("per-flush list rebuilds amortised over a buffer page). Dirty queries are E7's plus");
-    println!("the pages' `U` buffers, read as cache blocks: the root page's only where a step of");
-    println!("the staircase in its tail lies in the corner, as it does in these large ones. A");
-    println!("corner answered from one block of its lists reads no `u`, which the lists hold.");
+    println!("space `O((n/B)·loglog B)`, by E7's census columns. Update I/O is flat in n from");
+    println!("100k on (≈ 3·log_B n: per-flush list rebuilds amortised over a buffer page).");
+    println!("Dirty queries are E7's plus the pages' `U` buffers, read as cache blocks: the root");
+    println!("page's only where a step of its tail's staircase meets the corner, as in these.");
+    println!("A corner answered from one block of its lists reads no `u`, which the lists hold.");
     println!("`pages/(n/B)` follows the updates: an inner tree rebuilt near its fullest takes");
     println!("more blocks than a fresh one (ROADMAP 6c), which the churn factor below bounds. The");
     println!("last line replays the benchmark's `mixed_durable` pass: no corner meets a step, and");
@@ -827,7 +849,9 @@ fn e10_dynamic_pst() {
         READ_CLASSES,
         "avg t",
         "pages/(n/B)",
-        REGION_CLASSES,
+        REGION_COLUMNS[0],
+        REGION_COLUMNS[1],
+        REGION_COLUMNS[2],
     ]);
     for n in [20_000usize, 100_000, 400_000] {
         let raw = gen_points(n, PointDist::Uniform, 14);
@@ -849,6 +873,7 @@ fn e10_dynamic_pst() {
         }
         let del_io = store.stats().total_io() as f64 / updates as f64;
         let census = pst.page_census(&store).unwrap();
+        let fill = pst.page_fill(&store).unwrap();
         let b = census.block_capacity as f64;
 
         // Queries against the churned structure (buffers non-empty).
@@ -860,7 +885,7 @@ fn e10_dynamic_pst() {
         }
         let q_io = store.stats().reads as f64 / queries.len() as f64;
         let reads = classes.mean("E10", store.stats().logical_reads(), &THREE_CLASSES);
-        table.row(vec![
+        let mut row = vec![
             n.to_string(),
             b.to_string(),
             f1(ins_io),
@@ -870,8 +895,9 @@ fn e10_dynamic_pst() {
             reads,
             f1(t_total as f64 / queries.len() as f64),
             f2(store.live_pages() as f64 / (n as f64 / b)),
-            by_region_class(&census),
-        ]);
+        ];
+        row.extend(region_columns(&census, &fill));
+        table.row(row);
     }
     table.print();
 
@@ -1015,7 +1041,8 @@ fn e12_naive_vs_cached() {
     println!("`log₂(n/B)`; the cached ones grow like `log_B n` with a per-segment constant,");
     println!("ahead everywhere and by more as n grows — the paper's core claim. waste/q is the");
     println!("mean `wasteful_ios` of a `pc_obs::begin_trace()` capture per query: naive waste");
-    println!("grows with the binary path (Figure 3), segmented waste is the corner's own block.\n");
+    println!("grows with the binary path (Figure 3); segmented waste, the corner's own block, is");
+    println!("none where that block rides in the tail of the corner's skeletal page, as here.\n");
     let mut table = Table::new(&[
         "n",
         "t",

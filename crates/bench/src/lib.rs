@@ -200,15 +200,19 @@ pub const SEGMENTED_PINS: [TwoSidedPin; 2] =
     [(0.637, [(16, 2.2), (4096, 2.75)]), (0.91, [(16, 2.2), (4096, 2.2)])];
 /// The two-level PST's pinned space constant on the generators' data, in
 /// units of `(n/B)·log₂log₂ B` pages: [`TWO_LEVEL_PINS`]' `c` there, which
-/// E14's two-level row is held to as well. Measured 1.711 / 1.689 / 1.797 /
-/// 1.923 / 1.936 over [`TWO_LEVEL_PIN_SIZES`] (`B` = 714 to 748; 1.549 /
-/// 1.732 / 1.560 / 1.520 / 1.545 at the fixed-count layout's 454 and 408,
-/// the pages falling by a quarter and `n/B` by two fifths).
-pub const TWO_LEVEL_SPACE_C: f64 = 2.13;
+/// E14's two-level row is held to as well. Measured 1.498 / 1.560 / 1.650 /
+/// 1.683 / 1.688 over [`TWO_LEVEL_PIN_SIZES`] (`B` = 714 to 748), the pin
+/// 10% over the worst, since the inner trees' small blocks ride in their
+/// skeletal pages' tails; 1.711 / 1.689 / 1.797 / 1.923 / 1.936 when each
+/// had a page (pin 2.13), and 1.549 / 1.732 / 1.560 / 1.520 / 1.545 at the
+/// fixed-count layout's `B` of 454 and 408, the pages falling by a quarter
+/// and `n/B` by two fifths.
+pub const TWO_LEVEL_SPACE_C: f64 = 1.857;
 /// Theorems 4.3 and 5.1, unit `(n/B)·log₂log₂ B` ([`two_level_constants`],
 /// E7). Measured c1 2.00 (n = 250k) / 1.50: `⌈log_B n⌉` is 2 levels where it
 /// was 3, so the same few reads past the output are more per level (2.50 /
-/// 0.00 at the fixed-count layout); on full-width data (`B` = 243) c 2.029,
+/// 0.00 at the fixed-count layout); on full-width data (`B` = 243) c 1.860
+/// (2.029 before the inner trees' blocks rode in tails),
 /// c1 0.50 / −1.50. A corner region answers from one block of its lists
 /// where that block holds every candidate: t ≈ 16's c1 was 3.00 / 1.50
 /// when every corner asked its inner tree.

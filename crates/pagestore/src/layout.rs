@@ -238,6 +238,27 @@ pub fn encode_block<R: Columns>(records: &[R], next: PageId) -> Vec<u8> {
     encode_filled(records, next, &fill)
 }
 
+/// `records` cut into blocks as [`BlockList::build`] cuts them for pages
+/// of `page_size` bytes: each block's record count and bytes, chained to
+/// nothing ([`set_next`] chains them). For a builder that keeps a list's
+/// last block elsewhere than on a page of its own
+/// ([`BlockList::with_head`]).
+pub fn encode_blocks<R: Columns>(records: &[R], page_size: usize) -> Vec<(usize, Vec<u8>)> {
+    let (mut blocks, mut taken) = (Vec::new(), 0);
+    while taken < records.len() {
+        let (run, fill) = fill_one(&records[taken..], page_size);
+        assert!(run > 0, "{page_size}-byte blocks hold no record");
+        blocks.push((run, encode_filled(&records[taken..taken + run], NULL_PAGE, &fill)));
+        taken += run;
+    }
+    blocks
+}
+
+/// Chains the encoded block `block` to `next`.
+pub fn set_next(block: &mut [u8], next: PageId) {
+    block[2..10].copy_from_slice(&next.0.to_le_bytes());
+}
+
 /// [`encode_block`] of `records` whose [`Fill`] is `fill`.
 fn encode_filled<R: Columns>(records: &[R], next: PageId, fill: &Fill) -> Vec<u8> {
     let bytes = fill.bytes();
@@ -288,6 +309,8 @@ pub struct Block<'a> {
     pub count: usize,
     /// The next block of its chain ([`NULL_PAGE`] at the end).
     pub next: PageId,
+    /// Bytes the block takes, its header included.
+    pub bytes: usize,
     columns: [Column; MAX_COLUMNS],
 }
 
@@ -316,7 +339,7 @@ impl<'a> Block<'a> {
                 page.len()
             )));
         }
-        Ok(Block { page, count, next, columns })
+        Ok(Block { page, count, next, bytes: bit.div_ceil(8), columns })
     }
 
     /// Column `c` of records `from..from + out.len()` into `out`, a gap
@@ -407,25 +430,16 @@ pub fn chain_pages(store: &PageStore, head: PageId) -> Result<Vec<PageId>> {
 
 /// Scans the chain of blocks from page `start` on, each block one read
 /// named `class`, handing its records to `take` until it returns false: no
-/// block is decoded far, or read at all, past that record.
+/// block is decoded far, or read at all, past that record. A chain whose
+/// last block rides in a page tail is `skeleton::scan_chain_in`'s.
 #[inline]
 pub fn scan_chain<R: Columns>(
     store: &PageStore,
     start: PageId,
     class: ReadClass,
-    mut take: impl FnMut(R) -> bool,
+    take: impl FnMut(R) -> bool,
 ) -> Result<()> {
-    let mut next = start;
-    while !next.is_null() {
-        pc_obs::record_read(class);
-        let page = store.read(next)?;
-        let block = Block::parse::<R>(&page)?;
-        if !block.each(&mut take) {
-            return Ok(());
-        }
-        next = block.next;
-    }
-    Ok(())
+    crate::skeleton::scan_chain_in(store, start, &[], class, take)
 }
 
 /// Handle to a blocked, immutable-once-built list of records.
@@ -460,22 +474,22 @@ impl<R: Columns> BlockList<R> {
         if records.is_empty() {
             return Ok((Self::empty(), Vec::new()));
         }
-        let (mut runs, mut taken) = (Vec::new(), 0);
-        while taken < records.len() {
-            let (run, fill) = fill_one(&records[taken..], store.page_size());
-            assert!(run > 0, "{}-byte blocks hold no record", store.page_size());
-            runs.push((run, fill));
-            taken += run;
-        }
-        let ids: Vec<PageId> = runs.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
-        let (mut blocks, mut start) = (Vec::with_capacity(runs.len()), 0);
-        for (i, (run, fill)) in runs.iter().enumerate() {
-            let next = ids.get(i + 1).copied().unwrap_or(NULL_PAGE);
-            store.write(ids[i], &encode_filled(&records[start..start + run], next, fill))?;
-            blocks.push((ids[i], *run));
-            start += run;
+        let encoded = encode_blocks(records, store.page_size());
+        let ids: Vec<PageId> = encoded.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
+        let mut blocks = Vec::with_capacity(encoded.len());
+        for (i, (run, mut bytes)) in encoded.into_iter().enumerate() {
+            set_next(&mut bytes, ids.get(i + 1).copied().unwrap_or(NULL_PAGE));
+            store.write(ids[i], &bytes)?;
+            blocks.push((ids[i], run));
         }
         Ok((BlockList { head: ids[0], len: records.len() as u64, _marker: PhantomData }, blocks))
+    }
+
+    /// The list of `len` records whose first block is at `head`: a page, or
+    /// whatever else its builder made of its [`encode_blocks`] (such as a
+    /// `skeleton::TailAt` value, which its readers resolve).
+    pub fn with_head(head: PageId, len: u64) -> Self {
+        BlockList { head, len, _marker: PhantomData }
     }
 
     /// First page of the chain ([`NULL_PAGE`] when empty).

@@ -7,13 +7,17 @@
 //! [`patch_page`] the header and tail around them, and
 //! [`for_each_skeletal_page`] walks them. [`Skeleton::place`] keeps a
 //! node's bytes in a page tail where there is room, else on a page of its
-//! own, and [`TailAt`] says where. The segment tree packs several subtrees
+//! own ([`Skeleton::reserve`] and [`Skeleton::fill`] in two steps), and
+//! [`TailAt`] says where. The segment tree packs several subtrees
 //! a page, so it writes its records with [`write_page`] alone.
 
 use std::collections::VecDeque;
 
+use pc_obs::ReadClass;
+
 use crate::codec::{PageReader, PageWriter};
 use crate::error::{Result, StoreError};
+use crate::layout::{set_next, Block, Columns};
 use crate::page::Page;
 use crate::store::{PageId, PageStore, NULL_PAGE};
 
@@ -117,6 +121,25 @@ impl TailAt {
         }
     }
 
+    /// The value that names these bytes from off their page, where they
+    /// are on `page` (a link to a child's): [`TailAt::encode`], an inline
+    /// offset carrying `page` above its low 16 bits.
+    pub fn link(self, page: PageId) -> u64 {
+        let TailAt::Inline(offset) = self else { return self.encode() };
+        // The top page would make the link `NULL_PAGE`.
+        assert!(offset >> 16 == 0 && page.0 < (1 << 47) - 1, "a link past 47 + 16 bits");
+        TailAt::Inline((page.0 as usize) << 16 | offset).encode()
+    }
+
+    /// The page a [`TailAt::link`] names and where on it the bytes are.
+    pub fn unlink(v: u64) -> (PageId, TailAt) {
+        match TailAt::decode(v) {
+            TailAt::Inline(at) => (PageId((at >> 16) as u64), TailAt::Inline(at & 0xffff)),
+            at @ TailAt::Page(id) => (id, at),
+            TailAt::None => (NULL_PAGE, TailAt::None),
+        }
+    }
+
     /// The page holding the bytes of the node on page `own` (in hand as
     /// `page`) whose left child is on `left` (null for none): `page` where
     /// they are inline and `left` is null or `own`, else a child's page —
@@ -148,6 +171,58 @@ impl TailAt {
             StoreError::Corrupt(format!("a tail at {offset} past a {}-byte page", holder.len()))
         })
     }
+}
+
+/// Hands `take` the records of the chain of blocks from `start` on until it
+/// declines one — a block a read of `class`, none past that record — but a
+/// block at a [`TailAt::Inline`] value, which is read from `holder`, the
+/// page whose record named the list, at no read: a list whose last block
+/// rides in a tail.
+#[inline]
+pub fn scan_chain_in<R: Columns>(
+    store: &PageStore,
+    start: PageId,
+    holder: &[u8],
+    class: ReadClass,
+    mut take: impl FnMut(R) -> bool,
+) -> Result<()> {
+    let mut next = start;
+    while !next.is_null() {
+        let at = TailAt::decode(next.0);
+        let page = match at {
+            TailAt::Inline(_) => None,
+            _ => {
+                pc_obs::record_read(class);
+                Some(store.read(next)?)
+            }
+        };
+        let block = Block::parse::<R>(at.bytes(page.as_deref().unwrap_or(holder))?)?;
+        if !block.each(&mut take) {
+            return Ok(());
+        }
+        next = block.next;
+    }
+    Ok(())
+}
+
+/// Every block of the chain from `head` on, for the walks that count or
+/// free a structure's pages: its page — `None` for a block at a
+/// [`TailAt::Inline`] value, in the tail of `holder` — and its bytes.
+pub fn chain_blocks<R: Columns>(
+    store: &PageStore,
+    head: PageId,
+    holder: &[u8],
+) -> Result<Vec<(Option<PageId>, usize)>> {
+    let mut blocks = Vec::new();
+    let mut next = head;
+    while !next.is_null() {
+        let at = TailAt::decode(next.0);
+        let page = if let TailAt::Page(id) = at { Some(store.read(id)?) } else { None };
+        let block = Block::parse::<R>(at.bytes(page.as_deref().unwrap_or(holder))?)?;
+        blocks.push((page.is_some().then_some(next), block.bytes));
+        next = block.next;
+    }
+    Ok(blocks)
 }
 
 /// Writes page `id` from zeroed bytes: what `fill` puts under the writer,
@@ -330,7 +405,8 @@ impl Skeleton {
     /// (a walk leaving the page reads them with the page it goes on to),
     /// any other node on its own page. Bytes that do not fit above the
     /// records of `R::LEN` bytes and the tails placed before take a page of
-    /// their own; no bytes are kept nowhere.
+    /// their own; no bytes are kept nowhere. [`Skeleton::reserve`] and
+    /// [`Skeleton::fill`] in one call.
     pub fn place<R: SkelRecord>(
         &mut self,
         store: &PageStore,
@@ -338,28 +414,95 @@ impl Skeleton {
         children: Option<[usize; 2]>,
         bytes: &[u8],
     ) -> Result<TailAt> {
-        if bytes.is_empty() {
+        let at = self.reserve::<R>(store, ni, children, bytes.len())?;
+        self.fill(store, ni, children, at, bytes)?;
+        Ok(at)
+    }
+
+    /// Where [`Skeleton::place`] keeps `len` bytes for node `ni`: room in
+    /// the tails, zeroed, or a page of its own, allocated. A builder whose
+    /// bytes name where other nodes' went reserves every node's first and
+    /// [`Skeleton::fill`]s them after.
+    pub fn reserve<R: SkelRecord>(
+        &mut self,
+        store: &PageStore,
+        ni: usize,
+        children: Option<[usize; 2]>,
+        len: usize,
+    ) -> Result<TailAt> {
+        if len == 0 {
             return Ok(TailAt::None);
         }
+        let pages = self.homes(ni, children);
+        let end = |p: usize| self.page_size - self.tails[p].len();
+        let records = |p: usize| R::HEADER + R::LEN * self.pages[p].len();
+        let offset = end(pages[0]).checked_sub(len);
+        let fits = |offset| pages.iter().all(|&p| end(p) == end(pages[0]) && records(p) <= offset);
+        let Some(offset) = offset.filter(|&offset| fits(offset)) else {
+            return Ok(TailAt::Page(store.alloc()?));
+        };
+        for p in pages {
+            self.tails[p].splice(0..0, std::iter::repeat_n(0, len));
+        }
+        Ok(TailAt::Inline(offset))
+    }
+
+    /// Writes `bytes` where [`Skeleton::reserve`] put them for node `ni`
+    /// (of the same `children`): into the tails, or on the page.
+    pub fn fill(
+        &mut self,
+        store: &PageStore,
+        ni: usize,
+        children: Option<[usize; 2]>,
+        at: TailAt,
+        bytes: &[u8],
+    ) -> Result<()> {
+        match at {
+            TailAt::None => Ok(()),
+            TailAt::Page(id) => write_with(store, id, |w| w.put_bytes(bytes)),
+            TailAt::Inline(offset) => {
+                for p in self.homes(ni, children) {
+                    let start = offset + self.tails[p].len() - self.page_size;
+                    self.tails[p][start..start + bytes.len()].copy_from_slice(bytes);
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Writes node `ni`'s list of `blocks` (`layout::encode_blocks`) whose
+    /// last block [`Skeleton::reserve`] put at `at` (with no children): that
+    /// one there, each other on a page of its own, chained to the next.
+    /// Returns where the list starts, as a page id (a [`TailAt`] value where
+    /// the list is its last block).
+    pub fn fill_list(
+        &mut self,
+        store: &PageStore,
+        ni: usize,
+        at: TailAt,
+        mut blocks: Vec<(usize, Vec<u8>)>,
+    ) -> Result<PageId> {
+        let (_, last) = blocks.pop().expect("a list of one block or more");
+        self.fill(store, ni, None, at, &last)?;
+        let mut next = PageId(at.encode());
+        for (_, mut bytes) in blocks.into_iter().rev() {
+            let id = store.alloc()?;
+            set_next(&mut bytes, next);
+            store.write(id, &bytes)?;
+            next = id;
+        }
+        Ok(next)
+    }
+
+    /// The pages whose tails keep node `ni`'s bytes ([`Skeleton::place`]).
+    fn homes(&self, ni: usize, children: Option<[usize; 2]>) -> Vec<usize> {
         let homes = match children {
             Some([left, right]) if !self.same_page(ni, left) => vec![left, right],
             _ => vec![ni],
         };
         let mut pages: Vec<usize> = homes.into_iter().map(|ni| self.loc[ni].0).collect();
         pages.dedup();
-        let end = |p: usize| self.page_size - self.tails[p].len();
-        let records = |p: usize| R::HEADER + R::LEN * self.pages[p].len();
-        let offset = end(pages[0]).checked_sub(bytes.len());
-        let fits = |offset| pages.iter().all(|&p| end(p) == end(pages[0]) && records(p) <= offset);
-        let Some(offset) = offset.filter(|&offset| fits(offset)) else {
-            let id = store.alloc()?;
-            write_with(store, id, |w| w.put_bytes(bytes))?;
-            return Ok(TailAt::Page(id));
-        };
-        for p in pages {
-            self.tails[p].splice(0..0, bytes.iter().copied());
-        }
-        Ok(TailAt::Inline(offset))
+        pages
     }
 
     /// Writes every page: what `header` adds to the count for the page
@@ -466,6 +609,12 @@ mod tests {
         let all = [TailAt::None, TailAt::Inline(0), TailAt::Inline(4_000), TailAt::Page(PageId(7))];
         assert!(all.iter().all(|&at| TailAt::decode(at.encode()) == at));
         assert_eq!(TailAt::None.encode(), NULL_PAGE.0);
+        // A link names the page too, where the bytes are inline.
+        let page = PageId((1 << 47) - 2);
+        let inline = TailAt::Inline(65_535);
+        assert_eq!(TailAt::unlink(inline.link(page)), (page, inline));
+        assert_eq!(TailAt::unlink(TailAt::Page(PageId(7)).link(page)), (PageId(7), all[3]));
+        assert_eq!(TailAt::unlink(TailAt::None.link(page)), (NULL_PAGE, TailAt::None));
     }
 
     /// `place` keeps an exit's bytes on both its child pages at one offset,

@@ -3,14 +3,18 @@
 //!
 //! ## On-page layouts
 //!
-//! Every region (binary node) owns a **points page**, which also carries
+//! Every region (binary node) owns a **points block**, which also carries
 //! the child links used by the descendant traversal so that visiting a
-//! descendant costs exactly one I/O:
+//! descendant costs at most one I/O:
 //!
 //! ```text
-//! points page: [count: u16][left_pts: u64][right_pts: u64]
-//!              [left_cnt: u16][right_cnt: u16][point * count]
+//! points block: [left_pts: u64][right_pts: u64]
+//!               [left_cnt: u16][right_cnt: u16][block of points]
 //! ```
+//!
+//! A points block, and a cache list's last block, rides in its node's
+//! skeletal page's tail where it fits, smallest first (DESIGN §4.5); the
+//! naive variant keeps a page a node. Links are `TailAt::link`s.
 //!
 //! Navigation state lives in **skeletal pages** (Figure 2): binary subtrees
 //! of height `h = ⌊log₂(capacity+1)⌋` packed one per page, with 130-byte
@@ -19,8 +23,8 @@
 //! ```text
 //! record: [split: Point][min_y: Point]
 //!         [left_ref: u64+u16][right_ref: u64+u16]
-//!         [own_pts: u64][own_cnt: u16]
-//!         [left_pts: u64][left_cnt: u16][right_pts: u64][right_cnt: u16]
+//!         [own_pts: TailAt][own_cnt: u16]
+//!         [left_pts: TailAt][left_cnt: u16][right_pts: TailAt][right_cnt: u16]
 //!         [child_a: BlockList<Point>][left_s: BlockList<SEntry>]
 //! ```
 //!
@@ -45,8 +49,10 @@
 //! whether it is full. Skeletal records are fixed-width.
 
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::layout::{encode_block, signed_of, Block, BlockList, Columns, MAX_COLUMNS};
-use pc_pagestore::skeleton::{write_with, NodeRef, SkelRecord, Skeleton};
+use pc_pagestore::layout::{
+    encode_block, encode_blocks, signed_of, Block, BlockList, Columns, MAX_COLUMNS,
+};
+use pc_pagestore::skeleton::{NodeRef, SkelRecord, Skeleton, TailAt};
 use pc_pagestore::{PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::mem::{cmp_x, cmp_y, MemPst, NodeFill, TwoSided, NONE};
@@ -94,8 +100,8 @@ impl Columns for SEntry {
     }
 }
 
-/// Bytes of a points page before its block: the children's pages and
-/// counts.
+/// Bytes of a points block before its block of points: the children's
+/// links and counts.
 pub const POINTS_PREFIX: usize = 8 + 8 + 2 + 2;
 
 /// What a node of a single-level PST holds: its top points while they fit
@@ -116,18 +122,17 @@ pub struct SkeletalRecord {
     pub left: NodeRef,
     /// Right child skeletal ref.
     pub right: NodeRef,
-    /// This node's points page.
-    pub own_pts: PageId,
+    /// This node's points block: on its own page, or in this page's tail.
+    pub own_pts: TailAt,
     /// Number of points at this node.
     pub own_cnt: u16,
-    /// Left child's points page (kept for layout symmetry; the 2-sided
-    /// engine only seeds right siblings, but the record format is shared
-    /// with diagnostics and freeing walks).
-    pub left_pts: PageId,
+    /// Left child's points block, on its page (kept for layout symmetry;
+    /// the 2-sided engine only seeds right siblings).
+    pub left_pts: TailAt,
     /// Left child's point count.
     pub left_cnt: u16,
-    /// Right child's points page.
-    pub right_pts: PageId,
+    /// Right child's points block, on its page.
+    pub right_pts: TailAt,
     /// Right child's point count.
     pub right_cnt: u16,
     /// True if the right child has no children.
@@ -151,11 +156,11 @@ impl SkelRecord for SkeletalRecord {
             min_y: Point::decode(r)?,
             left: NodeRef::decode(r)?,
             right: NodeRef::decode(r)?,
-            own_pts: PageId(r.get_u64()?),
+            own_pts: TailAt::decode(r.get_u64()?),
             own_cnt: r.get_u16()?,
-            left_pts: PageId(r.get_u64()?),
+            left_pts: TailAt::decode(r.get_u64()?),
             left_cnt: r.get_u16()?,
-            right_pts: PageId(r.get_u64()?),
+            right_pts: TailAt::decode(r.get_u64()?),
             right_cnt: r.get_u16()?,
             right_leaf: r.get_u8()? != 0,
             child_a: BlockList::decode(r)?,
@@ -173,7 +178,7 @@ impl SkelRecord for SkeletalRecord {
             (self.left_pts, self.left_cnt),
             (self.right_pts, self.right_cnt),
         ] {
-            w.put_u64(pts.0)?;
+            w.put_u64(pts.encode())?;
             w.put_u16(cnt)?;
         }
         w.put_u8(u8::from(self.right_leaf))?;
@@ -186,15 +191,15 @@ impl SkelRecord for SkeletalRecord {
     }
 }
 
-/// A points page read in place.
+/// A points block read in place.
 #[derive(Debug, Clone, Copy)]
 pub struct PointsPage<'a> {
     /// The node's points, descending y-key.
     pub points: Block<'a>,
-    /// Left child points page ([`NULL_PAGE`] for leaves).
-    pub left_pts: PageId,
-    /// Right child points page.
-    pub right_pts: PageId,
+    /// Left child's points, a `TailAt::link` ([`NULL_PAGE`] for leaves).
+    pub left_pts: u64,
+    /// Right child's points, a `TailAt::link`.
+    pub right_pts: u64,
     /// Left child point count.
     pub left_cnt: u16,
     /// Right child point count.
@@ -202,12 +207,11 @@ pub struct PointsPage<'a> {
 }
 
 impl PointsPage<'_> {
-    /// Parses a points page: `[left_pts u64][right_pts u64][left_cnt
+    /// Parses a points block: `[left_pts u64][right_pts u64][left_cnt
     /// u16][right_cnt u16]`, then the node's points as one block.
     pub fn parse(page: &[u8]) -> Result<PointsPage<'_>> {
         let mut r = PageReader::new(page);
-        let left_pts = PageId(r.get_u64()?);
-        let right_pts = PageId(r.get_u64()?);
+        let (left_pts, right_pts) = (r.get_u64()?, r.get_u64()?);
         let left_cnt = r.get_u16()?;
         let right_cnt = r.get_u16()?;
         let points = Block::parse::<Point>(&page[POINTS_PREFIX..])?;
@@ -243,16 +247,20 @@ pub(crate) fn build_external(
 ) -> Result<PstHandle> {
     let page_size = store.page_size();
     assert_eq!(mem.fill, node_fill(page_size), "a node is one points page");
-
-    // Points pages (allocated up front for child links).
-    let pts_of = write_points_pages(store, mem)?;
+    let n_nodes = mem.nodes.len();
     let children = |ni| mem.children(ni).into_iter().flatten();
-    let skel = Skeleton::new(store, mem.nodes.len(), SkeletalRecord::fit(page_size), children)?;
+    let mut skel = Skeleton::new(store, n_nodes, SkeletalRecord::fit(page_size), children)?;
 
-    // The children's lists, per internal node: whole nodes, the S-entries
-    // tagged with the path node's depth in the tree.
-    let mut child_a: Vec<BlockList<Point>> = vec![BlockList::empty(); mem.nodes.len()];
-    let mut left_s: Vec<BlockList<SEntry>> = vec![BlockList::empty(); mem.nodes.len()];
+    // Every node's points block, its links still zero, and with caches its
+    // children's lists (whole nodes, the S-entries tagged with the path
+    // node's depth in the tree): encoded blocks that wait for their places.
+    let mut lists: Vec<List> = (0..n_nodes)
+        .map(|node| {
+            let mut bytes = vec![0; POINTS_PREFIX];
+            bytes.extend(encode_block(mem.points(node), NULL_PAGE));
+            List { node, of: Of::Points, len: 0, blocks: vec![(0, bytes)], at: TailAt::None }
+        })
+        .collect();
     if mode != CacheMode::None {
         let covered = |parent, child| mode == CacheMode::FullPath || skel.same_page(parent, child);
         let points = |ni: usize| mem.points(ni);
@@ -264,13 +272,53 @@ pub(crate) fn build_external(
             });
             let s = merge_tagged(sibs, cmp_y);
             let a: Vec<Point> = a.into_iter().map(|e| e.p).collect();
-            child_a[node] = BlockList::build(store, &a)?;
-            left_s[node] = BlockList::build(store, &s)?;
+            for (of, len, blocks) in [
+                (Of::ChildA, a.len(), encode_blocks(&a, page_size)),
+                (Of::LeftS, s.len(), encode_blocks(&s, page_size)),
+            ] {
+                let list = List { node, of, len: len as u64, blocks, at: TailAt::None };
+                lists.extend((len > 0).then_some(list));
+            }
             Ok(())
         })?;
     }
 
-    let pts_of = |ni: usize| pts_of.get(ni).copied().unwrap_or((NULL_PAGE, 0));
+    // Where each goes, by its last block, smallest first; the naive variant
+    // keeps a page a node. A points block names its children's places and a
+    // block its next's, so every place is taken before any is filled.
+    let last = |list: &List| list.blocks.last().map_or(0, |(_, bytes)| bytes.len());
+    let mut order: Vec<usize> = (0..lists.len()).collect();
+    order.sort_by_key(|&i| last(&lists[i]));
+    for i in order {
+        lists[i].at = match mode {
+            CacheMode::None => TailAt::Page(store.alloc()?),
+            _ => skel.reserve::<SkeletalRecord>(store, lists[i].node, None, last(&lists[i]))?,
+        };
+    }
+    let pts_at: Vec<TailAt> = lists[..n_nodes].iter().map(|list| list.at).collect();
+    let pts_of = |ni: usize| match ni {
+        NONE => (TailAt::None, 0),
+        _ => (pts_at[ni], mem.points(ni).len() as u16),
+    };
+    let pages: Vec<PageId> = (0..n_nodes).map(|ni| skel.node_ref(ni).page).collect();
+    let child = |ni| (pts_of(ni).0.link(pages.get(ni).copied().unwrap_or(NULL_PAGE)), pts_of(ni).1);
+    let mut child_a: Vec<BlockList<Point>> = vec![BlockList::empty(); n_nodes];
+    let mut left_s: Vec<BlockList<SEntry>> = vec![BlockList::empty(); n_nodes];
+    for List { node, of, len, mut blocks, at } in lists {
+        if of == Of::Points {
+            let [left, right] = [mem.nodes[node].left, mem.nodes[node].right].map(child);
+            let prefix = [left.0.to_le_bytes(), right.0.to_le_bytes()].concat();
+            let prefix = [prefix, left.1.to_le_bytes().to_vec(), right.1.to_le_bytes().to_vec()];
+            blocks[0].1[..POINTS_PREFIX].copy_from_slice(&prefix.concat());
+        }
+        let head = skel.fill_list(store, node, at, blocks)?;
+        match of {
+            Of::Points => {}
+            Of::ChildA => child_a[node] = BlockList::with_head(head, len),
+            Of::LeftS => left_s[node] = BlockList::with_head(head, len),
+        }
+    }
+
     skel.write(store, |_, _| Ok(()), |ni| {
         let node = &mem.nodes[ni];
         let ((own_pts, own_cnt), (left_pts, left_cnt), (right_pts, right_cnt)) =
@@ -295,25 +343,22 @@ pub(crate) fn build_external(
     Ok(PstHandle { root: skel.root(), n, kind: Kind::Basic(mode) })
 }
 
-/// Writes one points page per region (child links included) and returns
-/// each region's `(page, point count)`, indexed by arena position.
-fn write_points_pages(store: &PageStore, mem: &MemPst) -> Result<Vec<(PageId, u16)>> {
-    let mut pts_of = Vec::with_capacity(mem.nodes.len());
-    for ni in 0..mem.nodes.len() {
-        pts_of.push((store.alloc()?, mem.points(ni).len() as u16));
-    }
-    let link = |ni: usize| pts_of.get(ni).copied().unwrap_or((NULL_PAGE, 0));
-    for (ni, (node, &(page, _))) in mem.nodes.iter().zip(&pts_of).enumerate() {
-        let ((left_pts, left_cnt), (right_pts, right_cnt)) = (link(node.left), link(node.right));
-        write_with(store, page, |w| {
-            w.put_u64(left_pts.0)?;
-            w.put_u64(right_pts.0)?;
-            w.put_u16(left_cnt)?;
-            w.put_u16(right_cnt)?;
-            w.put_bytes(&encode_block(mem.points(ni), NULL_PAGE))
-        })?;
-    }
-    Ok(pts_of)
+/// Blocks [`build_external`] places: a node's points block, or the
+/// children's A- or left child's S-list it owns (of `len` records), and
+/// where the last block goes.
+struct List {
+    node: usize,
+    of: Of,
+    len: u64,
+    blocks: Vec<(usize, Vec<u8>)>,
+    at: TailAt,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Of {
+    Points,
+    ChildA,
+    LeftS,
 }
 
 /// A static 2-sided PST: the type, its `build` — `$build` is what makes a
@@ -352,6 +397,7 @@ macro_rules! static_pst {
             pub fn query(&self, store: &PageStore, q: TwoSided) -> Result<Vec<Point>> {
                 Ok($crate::two_level::query_handle(store, self.root, pc_pagestore::NULL_PAGE, q)?.0)
             }
+
         }
     };
 }
@@ -396,7 +442,9 @@ mod tests {
 
     use super::*;
     use pc_pagestore::skeleton::{for_each_skeletal_page, paginate, write_page};
-    use crate::testutil::{block_sizes, check_core_caches, distinct_points, wide, LoggedStore};
+    use crate::testutil::{
+        check_core_caches, distinct_points, list_blocks, own_points, wide, LoggedStore,
+    };
     use crate::two_level::query_handle;
     use pc_pagestore::layout::{fill_blocks, min_records};
 
@@ -428,20 +476,25 @@ mod tests {
     /// Every distinct list once, and one owner each: the pages of a tree
     /// with full-path caches are its points pages, its skeletal pages and
     /// the blocks of every record's two lists, counted from their heads —
-    /// a list two records shared would count twice — and a free walk that
-    /// knows no aliasing rule returns every page.
+    /// a list two records shared would count twice — but for the blocks in
+    /// skeletal page tails, and a free walk that knows no aliasing rule
+    /// returns every page.
     #[test]
     fn each_cache_list_is_written_once_and_freed_once() {
+        let mut inline = 0;
         for (page_size, n) in [(512usize, 1_000usize), (4096, 20_000)] {
             for pts in [distinct_points(n), wide(&distinct_points(n))] {
                 let store = PageStore::in_memory(page_size);
                 let (mem, core) = build_core(&store, &pts, CacheMode::FullPath);
                 assert!(mem.nodes.len() >= 7, "{} nodes", mem.nodes.len());
-                let mut cache_blocks = 0;
-                for_each_skeletal_page(&store, core.root, &mut |_, _, recs: &[SkeletalRecord]| {
+                let mut blocks = 0;
+                for_each_skeletal_page(&store, core.root, &mut |_, page, recs: &[SkeletalRecord]| {
                     for rec in recs {
-                        cache_blocks += block_sizes(&store, &rec.child_a).len();
-                        cache_blocks += block_sizes(&store, &rec.left_s).len();
+                        let a = list_blocks(&store, page, &rec.child_a).into_iter().map(|b| b.1);
+                        let s = list_blocks(&store, page, &rec.left_s).into_iter().map(|b| b.1);
+                        for paged in a.chain(s).chain([matches!(rec.own_pts, TailAt::Page(_))]) {
+                            *(if paged { &mut blocks } else { &mut inline }) += 1;
+                        }
                     }
                     Ok(())
                 })
@@ -449,17 +502,19 @@ mod tests {
                 let children = |ni| mem.children(ni).into_iter().flatten();
                 let cap = SkeletalRecord::fit(page_size);
                 let skeletal = paginate(mem.nodes.len(), cap, children).0.len();
-                let pages = mem.nodes.len() + skeletal + cache_blocks;
+                let pages = skeletal + blocks;
                 assert_eq!(store.live_pages() as usize, pages);
                 crate::two_level::free_pages(&store, core.root, false).unwrap();
                 assert_eq!(store.live_pages(), 0);
             }
         }
+        assert!(inline > 0, "no block in a tail");
     }
 
     /// Two siblings drain one A-list, and a right child the S-list its
     /// parent drains: corner queries at a node and at each of its children
-    /// meet the same cache lists, compared by the pages of their heads.
+    /// meet the same cache lists, compared by the pages of their heads (a
+    /// list in a tail is read with a page the query reads anyway).
     #[test]
     fn siblings_drain_the_same_lists() {
         for (page_size, n) in [(512, 6_000), (4096, 60_000)] {
@@ -474,6 +529,8 @@ mod tests {
                     Ok(())
                 })
                 .unwrap();
+                // A list in a tail is read with the page in hand: no head.
+                let paged = |head: PageId| !matches!(TailAt::decode(head.0), TailAt::Inline(_));
                 let heads = |list: fn(&SkeletalRecord) -> PageId| -> HashSet<PageId> {
                     records.iter().map(|(_, rec)| list(rec)).filter(|p| !p.is_null()).collect()
                 };
@@ -483,8 +540,7 @@ mod tests {
                 // inside the node's x-range, y0 just above its lowest point.
                 let met = |at: NodeRef| {
                     let rec = &records.iter().find(|(r, _)| *r == at).expect("a record").1;
-                    let own = store.read(rec.own_pts).unwrap();
-                    let own: Vec<Point> = PointsPage::parse(&own).unwrap().points.to_vec();
+                    let own = own_points(store, &store.read(at.page).unwrap(), rec);
                     let q = TwoSided { x0: own[0].x, y0: rec.min_y.y + 1 };
                     let query = |s: &PageStore| query_handle(s, core, NULL_PAGE, q).unwrap();
                     let (_, log) = logged.reads_of(query);
@@ -501,12 +557,15 @@ mod tests {
                     }
                     let ((a_left, s_left), (a_right, s_right)) = (met(rec.left), met(rec.right));
                     assert_eq!(a_left, a_right, "siblings meet one A-list");
-                    assert_eq!(a_left.last(), Some(&rec.child_a.head()));
-                    assert_eq!(s_left.last(), Some(&rec.left_s.head()));
                     assert_eq!(s_right, met(*at).1, "a right child meets its parent's S-list");
+                    for (met, head) in [(a_left, rec.child_a.head()), (s_left, rec.left_s.head())] {
+                        if paged(head) {
+                            assert_eq!(met.last(), Some(&head));
+                        }
+                    }
                     shared += 1;
                 }
-                assert!(shared >= 20, "{shared} sibling pairs compared");
+                assert!(shared >= 20, "{page_size} B, {mode:?}: {shared} sibling pairs compared");
             }
         }
     }
@@ -529,11 +588,10 @@ mod tests {
                     assert!(own.len() >= min_records::<Point>(fill.budget));
                     assert_eq!(fill_blocks(own, 1, fill.budget), own.len());
                 }
-                let root = SkeletalRecord::at(&store.read(core.root).unwrap(), 0).unwrap();
-                let page = store.read(root.own_pts).unwrap();
-                assert!(page.len() <= page_size);
-                let points: Vec<Point> = PointsPage::parse(&page).unwrap().points.to_vec();
-                assert_eq!(points, mem.points(0));
+                let skeletal = store.read(core.root).unwrap();
+                let root = SkeletalRecord::at(&skeletal, 0).unwrap();
+                assert!(matches!(root.own_pts, TailAt::Page(_)), "a full root has a page");
+                assert_eq!(own_points(&store, &skeletal, &root), mem.points(0));
             }
         }
     }
@@ -561,11 +619,11 @@ mod tests {
                 min_y: Point::new(5, i64::MAX, k),
                 left: NodeRef { page: PageId(10 + k), slot: 1 },
                 right: NodeRef { page: PageId(20 + k), slot: 2 },
-                own_pts: PageId(30 + k),
+                own_pts: TailAt::Page(PageId(30 + k)),
                 own_cnt: 3,
-                left_pts: PageId(40 + k),
+                left_pts: TailAt::Inline(400 + k as usize),
                 left_cnt: 4,
-                right_pts: PageId(50 + k),
+                right_pts: TailAt::None,
                 right_cnt: 5,
                 right_leaf: k % 2 == 1,
                 child_a: BlockList::decode(&mut PageReader::new(&[k as u8 + 1; 16])).unwrap(),

@@ -90,8 +90,8 @@ use crate::staircase::{self, staircase, Step};
 use crate::three_sided::{ThreeSided, ThreeSidedPst};
 use crate::two_level::{
     buffer_room, build_inner, build_region_tree, decode_header, encode_header, free_pages,
-    page_census, query_handle, read_buffer, region_blocks, write_buffer, ListRef, PageHeaderInfo,
-    RegionCensus, RegionRecord, UpdateRec,
+    for_each_page, page_census, query_handle, read_buffer, region_blocks, write_buffer, ListRef,
+    PageHeaderInfo, RegionCensus, RegionFill, RegionRecord, UpdateRec,
 };
 
 /// What one flush did to one in-page region.
@@ -228,9 +228,23 @@ impl DynamicPst {
 
     /// Counts the structure's pages by class, update buffers included.
     pub fn page_census(&self, store: &PageStore) -> Result<RegionCensus> {
-        let mut census = page_census(store, self.root, self.live)?;
-        census.buffers += u64::from(!self.root_u.is_null());
-        Ok(census)
+        Ok(page_census(store, self.root, self.live, self.root_u)?.0)
+    }
+
+    /// The id of every page the structure owns, once, the root page's `U` too.
+    pub fn page_ids(&self, store: &PageStore) -> Result<Vec<PageId>> {
+        let mut ids = Vec::from_iter(Some(self.root_u).filter(|u| !u.is_null()));
+        for_each_page(store, self.root, true, false, &mut |_, page, _| {
+            ids.extend(page);
+            Ok(())
+        })?;
+        Ok(ids)
+    }
+
+    /// The bytes in use on the structure's pages and its blocks in tails,
+    /// by class, the root page's `U` included.
+    pub fn page_fill(&self, store: &PageStore) -> Result<RegionFill> {
+        Ok(page_census(store, self.root, self.live, self.root_u)?.1)
     }
 
     /// Update records applied since the initial build — the `seq` word of
@@ -1082,6 +1096,54 @@ mod tests {
         free_pages(&store, pst.root, true).unwrap();
         store.free(pst.root_u).unwrap();
         assert_eq!(store.live_pages(), 0);
+    }
+
+    /// Every page accounted for after both rebuilds, at 512 B and 4 KiB: a
+    /// band of inserts above every point, which rebuilds the root's subtree
+    /// once the root region's Y-list outgrows twice its blocks, then
+    /// insert/delete pairs, which rebuild subtrees for churn and inner trees
+    /// for full `u`s. The census totals the store's pages, and the ids the
+    /// structure walks are the store's allocated pages, once each: no block
+    /// in a skeletal page's tail is freed, or counted, as a page.
+    #[test]
+    fn every_page_is_accounted_for_after_both_rebuilds() {
+        fn rebuilds(span: &pc_obs::SpanNode) -> u64 {
+            let own = u64::from(span.name == "dynpst_rebuild");
+            own + span.children.iter().map(rebuilds).sum::<u64>()
+        }
+        for (page_size, n, band) in [(512, 3_000, 1_000), (4096, 10_000, 15_000)] {
+            let store = PageStore::in_memory(page_size);
+            let mut rng = Rng::seed_from_u64(0xacc0);
+            let mut live = uniform_points(&mut rng, n, 1 << 20);
+            let mut pst = DynamicPst::build(&store, &live).unwrap();
+            let update = |pst: &mut DynamicPst, op: UpdateOp| {
+                let ((), trace) = pc_obs::traced(|| pst.apply(&store, &[op]).unwrap());
+                rebuilds(&trace.root)
+            };
+            let mut band_rebuilds = 0;
+            for i in 0..band {
+                let p = Point::new(rng.gen_range(0..1i64 << 20), (1 << 20) + i, 1 << 40 | i as u64);
+                band_rebuilds += update(&mut pst, UpdateOp::Insert(p));
+                live.push(p);
+            }
+            let mut churn_rebuilds = 0;
+            for i in 0..n as u64 {
+                let (x, y) = (rng.gen_range(0..1i64 << 20), rng.gen_range(0..1i64 << 20));
+                let p = Point::new(x, y, 1 << 41 | i);
+                churn_rebuilds += update(&mut pst, UpdateOp::Insert(p));
+                live.push(p);
+                let victim = live.swap_remove(rng.gen_range(0..live.len()));
+                churn_rebuilds += update(&mut pst, UpdateOp::Delete(victim));
+            }
+            let what = format!("{page_size} B, rebuilds {band_rebuilds} / {churn_rebuilds}");
+            assert!(band_rebuilds > 0 && churn_rebuilds > 0, "{what}");
+            assert_eq!(pst.page_census(&store).unwrap().total(), store.live_pages(), "{what}");
+            let mut ids = pst.page_ids(&store).unwrap();
+            ids.sort_unstable();
+            assert_eq!(ids, store.allocated_pages(), "{what}");
+            let all = pst.query(&store, TwoSided { x0: i64::MIN, y0: i64::MIN }).unwrap();
+            assert_eq!(canonical(all), canonical(live), "{what}");
+        }
     }
 
     #[test]

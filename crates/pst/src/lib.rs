@@ -72,7 +72,7 @@ pub use dynamic::{DynamicPst, DynamicThreeSidedPst};
 pub use mem::TwoSided;
 pub use multilevel::MultilevelPst;
 pub use three_sided::{PageCensus, ThreeSided, ThreeSidedPst};
-pub use two_level::{RegionCensus, TwoLevelPst};
+pub use two_level::{RegionCensus, RegionFill, TwoLevelPst};
 
 #[cfg(test)]
 mod testutil;

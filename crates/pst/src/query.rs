@@ -2,8 +2,8 @@
 //! variants (§3 of the paper), on the `region` substrate's [`Walk`].
 
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::skeleton::SkelRecord;
-use pc_pagestore::{PageId, Point, Result};
+use pc_pagestore::skeleton::{SkelRecord, TailAt};
+use pc_pagestore::{Page, PageId, Point, Result, NULL_PAGE};
 
 use crate::build::{CacheMode, PointsPage, SEntry, SkeletalRecord};
 use crate::mem::TwoSided;
@@ -28,12 +28,13 @@ pub(crate) fn run_two_sided(
     let above = walk.levels;
     let mut ctx = Ctx { walk, q };
     // Per path depth, the right sibling left behind there, if any:
-    // (points page, count, whether it has children).
-    let mut sib: Vec<Option<(PageId, u16, bool)>> = Vec::new();
+    // (points link, count, whether it has children).
+    let mut sib: Vec<Option<(u64, u16, bool)>> = Vec::new();
     // The A- and S-list of the node in hand, picked up from its ancestors'
-    // records on the way down (see the `region` module header).
-    let mut cur_a: BlockList<Point> = BlockList::empty();
-    let mut cur_s: BlockList<SEntry> = BlockList::empty();
+    // records on the way down (see the `region` module header), with the
+    // page of the record that named each.
+    let mut cur_a = (BlockList::<Point>::empty(), Page::from(Vec::new()));
+    let mut cur_s = (BlockList::<SEntry>::empty(), Page::from(Vec::new()));
 
     ctx.walk.load(root_page, Some(0))?;
     let mut slot = 0u16;
@@ -51,7 +52,8 @@ pub(crate) fn run_two_sided(
         // v is a proper ancestor of the corner: all its points satisfy
         // y >= y0, and the path continues below.
         let go_left = q.x0 <= rec.split.x;
-        let right = (rec.right_pts, rec.right_cnt, !rec.right_leaf);
+        let right_pts = rec.right_pts.link(rec.right.page);
+        let right = (right_pts, rec.right_cnt, !rec.right_leaf);
         sib.push((go_left && rec.right_cnt > 0).then_some(right));
         let next = if go_left { rec.left } else { rec.right };
         let crosses_page = next.page != ctx.walk.held;
@@ -69,20 +71,20 @@ pub(crate) fn run_two_sided(
             }
             ctx.read_own_filtered(&rec, uncached)?;
             if go_left && rec.right_cnt > 0 {
-                ctx.traverse(rec.right_pts, true)?;
+                ctx.traverse(right_pts, true)?;
             }
         }
 
+        if crosses_page && mode == CacheMode::InPage {
+            (cur_a.0, cur_s.0) = (BlockList::empty(), BlockList::empty());
+        } else {
+            cur_a = (rec.child_a, ctx.walk.page.clone());
+            if go_left {
+                cur_s = (rec.left_s, ctx.walk.page.clone());
+            }
+        }
         if crosses_page {
             ctx.walk.load(next.page, Some(ctx.walk.levels - above))?;
-        }
-        if crosses_page && mode == CacheMode::InPage {
-            (cur_a, cur_s) = (BlockList::empty(), BlockList::empty());
-        } else {
-            cur_a = rec.child_a;
-            if go_left {
-                cur_s = rec.left_s;
-            }
         }
         slot = next.slot;
     }
@@ -112,9 +114,13 @@ impl Ctx<'_, '_> {
         };
         let (walk, q) = (&mut *self.walk, self.q);
         let before = walk.results.len();
-        let page = walk.node_page(rec.own_pts)?;
+        // A block in the tail of the page in hand costs no read.
+        let page = match rec.own_pts {
+            TailAt::Page(id) => walk.node_page(id)?,
+            _ => walk.page.clone(),
+        };
         // Points are descending by y-key, so the y-qualifiers are a prefix.
-        PointsPage::parse(&page)?.points.each(|p: Point| {
+        PointsPage::parse(rec.own_pts.bytes(&page)?)?.points.each(|p: Point| {
             if p.y >= q.y0 && p.x >= q.x0 {
                 walk.results.push(p);
             }
@@ -129,9 +135,9 @@ impl Ctx<'_, '_> {
     /// qualified.
     fn drain_caches_and_seed(
         &mut self,
-        a_list: &BlockList<Point>,
-        s_list: &BlockList<SEntry>,
-        sib: &[Option<(PageId, u16, bool)>],
+        (a_list, a_page): &(BlockList<Point>, Page),
+        (s_list, s_page): &(BlockList<SEntry>, Page),
+        sib: &[Option<(u64, u16, bool)>],
     ) -> Result<()> {
         let TwoSided { x0, y0 } = self.q;
         // A-list: descending x; prefix with x >= x0 qualifies (covered
@@ -140,13 +146,13 @@ impl Ctx<'_, '_> {
         // right of x0), counted per source depth for the descent rule; the
         // traversals below run, and report, in depth order.
         let qualified = self.walk.probe(|walk| {
-            walk.cache_scan(a_list.head(), |answer, p: Point| {
+            walk.cache_scan(a_list.head(), a_page, |answer, p: Point| {
                 p.x >= x0 && {
                     answer.push(p);
                     true
                 }
             })?;
-            walk.drain(s_list, sib.len(), |p| p.y >= y0)
+            walk.drain(s_list, s_page, sib.len(), |p| p.y >= y0)
         })?;
         // Descend into a sibling's children only when its region is fully
         // inside the query (§3's paid-for rule) and it has children.
@@ -163,16 +169,22 @@ impl Ctx<'_, '_> {
     /// points with `y >= y0`, and recurse only when *all* points qualified.
     /// With `add = false` the node's points were already reported (from an
     /// S-list); the read only fetches its child links. Only this engine uses
-    /// points pages (the others read Y-lists, whose links are in the
+    /// points blocks (the others read Y-lists, whose links are in the
     /// skeletal records); visited subtrees lie wholly inside the query's
-    /// x-range, so only the y-filter applies.
-    fn traverse(&mut self, pts_page: PageId, add: bool) -> Result<()> {
+    /// x-range, so only the y-filter applies. A block in a skeletal page's
+    /// tail costs the read of that page, as its own page did, or none where
+    /// that page is in hand.
+    fn traverse(&mut self, pts: u64, add: bool) -> Result<()> {
         let y0 = self.q.y0;
-        // No points page is the skeletal page in hand: last in, first out.
-        let seeds = vec![(pts_page, add)];
-        self.walk.traverse(seeds, true, |&(page, _)| page, |walk, (page, add), below| {
-            let page = walk.node_page(page)?;
-            let pp = PointsPage::parse(&page)?;
+        // Every node last in, first out, as when each had a page of its own.
+        let seeds = vec![(pts, add)];
+        self.walk.traverse(seeds, true, |_| NULL_PAGE, |walk, (pts, add), below| {
+            let (id, at) = TailAt::unlink(pts);
+            let page = match at {
+                TailAt::Inline(_) if id == walk.held => walk.page.clone(),
+                _ => walk.node_page(id)?,
+            };
+            let pp = PointsPage::parse(at.bytes(&page)?)?;
             // Points are descending by y-key, so the y-qualifiers are a prefix.
             let mut cut = 0;
             let all = pp.points.each(|p: Point| {
@@ -187,7 +199,7 @@ impl Ctx<'_, '_> {
             }
             if all && cut > 0 {
                 let children = [(pp.left_pts, pp.left_cnt), (pp.right_pts, pp.right_cnt)];
-                let children = children.into_iter().filter(|&(p, cnt)| !p.is_null() && cnt > 0);
+                let children = children.into_iter().filter(|&(p, cnt)| p != NULL_PAGE.0 && cnt > 0);
                 below.extend(children.map(|(p, _)| (p, true)));
             }
             Ok(())

@@ -42,21 +42,26 @@
 use std::cmp::Ordering;
 
 use pc_obs::ReadClass;
-use pc_pagestore::layout::{chain_pages, min_records, scan_chain, BlockList, Columns};
+use pc_pagestore::layout::{min_records, scan_chain, BlockList, Columns};
+use pc_pagestore::skeleton::{chain_blocks, scan_chain_in};
 use pc_pagestore::{Page, PageId, PageStore, Point, Result, NULL_PAGE};
 
 use crate::build::SEntry;
 
-/// Names the blocks of the list whose chain starts at `head`, as pages of
-/// `class`, for the visitors that count or free a structure's pages (one
-/// read per block; the pages are read before the first is named).
-pub(crate) fn for_each_block<C: Copy>(
+/// Names the blocks of the list of `R` under `head` as blocks of `class`,
+/// with their pages ([`chain_blocks`]; all read before the first is named)
+/// and bytes, for the visitors that count or free a structure's pages.
+/// Returns the bytes of its block in the tail of `page`, the list's owner's.
+pub(crate) fn for_each_block<R: Columns, C: Copy>(
     store: &PageStore,
     head: PageId,
+    page: &[u8],
     class: C,
-    visit: &mut impl FnMut(C, PageId) -> Result<()>,
-) -> Result<()> {
-    chain_pages(store, head)?.into_iter().try_for_each(|page| visit(class, page))
+    visit: &mut impl FnMut(C, Option<PageId>, usize) -> Result<()>,
+) -> Result<usize> {
+    let blocks = chain_blocks::<R>(store, head, page)?;
+    blocks.iter().try_for_each(|&(id, used)| visit(class, id, used))?;
+    Ok(blocks.iter().filter(|(id, _)| id.is_none()).map(|&(_, used)| used).sum())
 }
 
 /// One step of a path inside a segment: the node stepped from, its depth in
@@ -249,27 +254,33 @@ impl<'a> Walk<'a> {
     }
 
     /// Scans a cache list from block `start` on, handing each record and
-    /// the answer to `take` until it declines one.
+    /// the answer to `take` until it declines one; a block in the tail of
+    /// `holder`, the skeletal page whose record named the list, costs no
+    /// read ([`scan_chain_in`]).
     #[inline]
     pub(crate) fn cache_scan<R: Columns>(
         &mut self,
         start: PageId,
+        holder: &[u8],
         mut take: impl FnMut(&mut Vec<Point>, R) -> bool,
     ) -> Result<()> {
-        scan_chain(self.store, start, ReadClass::Cache, |rec| take(&mut self.results, rec))
+        let class = ReadClass::Cache;
+        scan_chain_in(self.store, start, holder, class, |rec| take(&mut self.results, rec))
     }
 
-    /// Drains a tagged cache over `sources` sources: reports the prefix that
-    /// `keep`s and counts it per source tag.
+    /// Drains a tagged cache over `sources` sources ([`Walk::cache_scan`]'s
+    /// `holder`): reports the prefix that `keep`s and counts it per source
+    /// tag.
     #[inline]
     pub(crate) fn drain(
         &mut self,
         list: &BlockList<SEntry>,
+        holder: &[u8],
         sources: usize,
         keep: impl Fn(&Point) -> bool,
     ) -> Result<Vec<u64>> {
         let mut qualified = vec![0u64; sources];
-        self.cache_scan(list.head(), |answer, e: SEntry| {
+        self.cache_scan(list.head(), holder, |answer, e: SEntry| {
             keep(&e.p) && {
                 answer.push(e.p);
                 qualified[e.depth as usize] += 1;

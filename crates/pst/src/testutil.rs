@@ -9,13 +9,13 @@
 use std::sync::{Arc, Mutex};
 
 use pc_pagestore::backend::{Backend, MemBackend};
-use pc_pagestore::layout::{BlockList, Columns};
-use pc_pagestore::skeleton::{NodeRef, SkelRecord};
+use pc_pagestore::layout::{Block, BlockList, Columns};
+use pc_pagestore::skeleton::{NodeRef, SkelRecord, TailAt};
 use pc_pagestore::store::CHECKSUM_LEN;
-use pc_pagestore::{PageId, PageStore, Point, Result, StoreConfig, NULL_PAGE};
+use pc_pagestore::{Page, PageId, PageStore, Point, Result, StoreConfig, NULL_PAGE};
 use pc_rng::Rng;
 
-use crate::build::{CacheMode, Kind, PstHandle, SkeletalRecord};
+use crate::build::{CacheMode, Kind, PointsPage, PstHandle, SkeletalRecord};
 use crate::mem::TwoSided;
 use crate::two_level::{query_handle, ListRef, RegionRecord};
 
@@ -112,6 +112,39 @@ pub(crate) fn block_sizes<R: Columns>(store: &PageStore, list: &BlockList<R>) ->
     list.blocks(store).map(|b| b.unwrap().len()).collect()
 }
 
+/// The blocks of `list`, which a record on the skeletal page of bytes
+/// `page` names, and whether each is on a page of its own: its chain, the
+/// last block in that page's tail where it rides there.
+pub(crate) fn list_blocks<R: Columns>(
+    store: &PageStore,
+    page: &[u8],
+    list: &BlockList<R>,
+) -> Vec<(Vec<R>, bool)> {
+    let mut blocks = Vec::new();
+    let mut next = list.head();
+    while !next.is_null() {
+        let at = TailAt::decode(next.0);
+        let holder = match at {
+            TailAt::Page(id) => store.read(id).unwrap(),
+            _ => Page::copy_from_slice(page),
+        };
+        let block = Block::parse::<R>(at.bytes(&holder).unwrap()).unwrap();
+        blocks.push((block.to_vec(), matches!(at, TailAt::Page(_))));
+        next = block.next;
+    }
+    blocks
+}
+
+/// The points of the node whose record on the skeletal page of bytes
+/// `page` is `rec`: on their own page, or in that page's tail.
+pub(crate) fn own_points(store: &PageStore, page: &[u8], rec: &SkeletalRecord) -> Vec<Point> {
+    let holder = match rec.own_pts {
+        TailAt::Page(id) => store.read(id).unwrap(),
+        _ => Page::copy_from_slice(page),
+    };
+    PointsPage::parse(rec.own_pts.bytes(&holder).unwrap()).unwrap().points.to_vec()
+}
+
 /// Asserts that `list` holds the `records` entries a cache over `sources`
 /// whole blocks or nodes copies, in at most `sources + ⌈sources/8⌉` blocks
 /// (DESIGN §4.5: the block codec re-blocks the merged records, whose tags
@@ -124,7 +157,11 @@ pub(crate) fn assert_cache_blocks<R: Columns>(
     sources: usize,
     what: &str,
 ) {
-    let sizes = block_sizes(store, list);
+    assert_block_sizes(&block_sizes(store, list), records, sources, what);
+}
+
+/// [`assert_cache_blocks`] of a list whose blocks hold `sizes` records.
+fn assert_block_sizes(sizes: &[usize], records: usize, sources: usize, what: &str) {
     assert_eq!(sizes.iter().sum::<usize>(), records, "{what}: {sizes:?}");
     let bound = sources + sources.div_ceil(8);
     assert!(sizes.len() <= bound, "{what}: {sizes:?} over {sources} sources");
@@ -152,7 +189,8 @@ pub(crate) fn check_core_caches(store: &PageStore, core: &PstHandle) -> (usize, 
     let root = NodeRef { page: root_page, slot: 0 };
     let mut stack = vec![Visit { at: root, covered: Vec::new(), sibs: Vec::new() }];
     while let Some(f) = stack.pop() {
-        let rec = SkeletalRecord::at(&store.read(f.at.page).unwrap(), f.at.slot).unwrap();
+        let page = store.read(f.at.page).unwrap();
+        let rec = SkeletalRecord::at(&page, f.at.slot).unwrap();
         nodes += 1;
         full += usize::from(!rec.left.page.is_null());
         let covers = |child: NodeRef| match mode {
@@ -170,8 +208,12 @@ pub(crate) fn check_core_caches(store: &PageStore, core: &PstHandle) -> (usize, 
             true => ([total(&covered), covered.len()], [total(&left_sibs), left_sibs.len()]),
             false => ([0; 2], [0; 2]),
         };
-        assert_cache_blocks(store, &rec.child_a, a, a_sources, "child_a");
-        assert_cache_blocks(store, &rec.left_s, s, s_sources, "left_s");
+        let sizes: Vec<usize> =
+            list_blocks(store, &page, &rec.child_a).iter().map(|b| b.0.len()).collect();
+        assert_block_sizes(&sizes, a, a_sources, "child_a");
+        let sizes: Vec<usize> =
+            list_blocks(store, &page, &rec.left_s).iter().map(|b| b.0.len()).collect();
+        assert_block_sizes(&sizes, s, s_sources, "left_s");
         for (child, sibs) in [(rec.left, left_sibs), (rec.right, f.sibs)] {
             if covers(child) {
                 stack.push(Visit { at: child, covered: covered.clone(), sibs });

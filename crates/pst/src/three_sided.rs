@@ -524,20 +524,25 @@ impl ThreeSidedPst {
         visit: &mut impl FnMut(PageClass, PageId) -> Result<()>,
     ) -> Result<()> {
         for_each_skeletal_page(store, self.root_page, &mut |pid, page, records: &[TsRecord]| {
+            let blocks =
+                &mut |class, id: Option<PageId>, _| id.map_or(Ok(()), |id| visit(class, id));
             for (slot, rec) in (0..).zip(records) {
-                for_each_block(store, rec.y_list.head(), |c| &mut c.y_lists, visit)?;
-                for_each_block(store, rec.a_list.head(), |c| &mut c.a_lists, visit)?;
+                let [y, a]: [PageClass; 2] = [|c| &mut c.y_lists, |c| &mut c.a_lists];
+                for_each_block::<Point, _>(store, rec.y_list.head(), page, y, blocks)?;
+                for_each_block::<SEntry, _>(store, rec.a_list.head(), page, a, blocks)?;
                 let at = NodeRef { page: pid, slot };
                 let dir = NodeDir::find(rec, at, page, None, |id| store.read(id))?;
                 for (right_sibs, left_sibs) in dir.s {
-                    for_each_block(store, right_sibs.head(), |c| &mut c.s_lists, visit)?;
-                    for_each_block(store, left_sibs.head(), |c| &mut c.s_lists, visit)?;
+                    for sibs in [right_sibs, left_sibs] {
+                        let s: PageClass = |c| &mut c.s_lists;
+                        for_each_block::<SEntry, _>(store, sibs.head(), page, s, blocks)?;
+                    }
                 }
                 if let TailAt::Page(id) = rec.dir {
-                    visit(|c| &mut c.directories, id)?;
+                    blocks(|c| &mut c.directories, Some(id), 0)?;
                 }
             }
-            visit(|c| &mut c.skeletal, pid)
+            blocks(|c| &mut c.skeletal, Some(pid), 0)
         })
     }
 
@@ -675,7 +680,7 @@ impl TsCtx<'_> {
             return Ok(());
         };
         self.walk.probe(|walk| {
-            walk.cache_scan(start, |answer, e: SEntry| {
+            walk.cache_scan(start, &[], |answer, e: SEntry| {
                 if e.p.x < band.lo {
                     return false;
                 }
@@ -826,7 +831,7 @@ impl TsCtx<'_> {
             return Ok(inside);
         };
         let list = if left { right_sibs } else { left_sibs };
-        let qualified = walk.probe(|walk| walk.drain(&list, sib.len(), |p| p.y >= y0))?;
+        let qualified = walk.probe(|walk| walk.drain(&list, &[], sib.len(), |p| p.y >= y0))?;
         for (slot, cached) in sib.iter().zip(qualified) {
             if cached == 0 {
                 continue;

@@ -36,14 +36,15 @@
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::{
-    chain_pages, decode_block, encode_block, fill_blocks, min_records, signed_of, BlockList,
+    chain_pages, decode_block, encode_block, fill_blocks, min_records, signed_of, Block, BlockList,
     Columns, MAX_COLUMNS,
 };
-use pc_pagestore::skeleton::{for_each_skeletal_page, NodeRef, SkelRecord, Skeleton};
+use pc_pagestore::skeleton::{for_each_skeletal_page, NodeRef, SkelRecord, Skeleton, TailAt};
 use pc_pagestore::{PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::build::{
     build_external, build_single_level, CacheMode, Kind, PstHandle, SEntry, SkeletalRecord,
+    POINTS_PREFIX,
 };
 use crate::mem::{cmp_x, cmp_y, MemPst, NodeFill, TwoSided, NONE};
 use crate::query::run_two_sided;
@@ -649,64 +650,119 @@ impl RegionCensus {
 /// A class of pages: the census field that counts them.
 pub(crate) type PageClass = fn(&mut RegionCensus) -> &mut u64;
 
+/// Per class of a [`RegionCensus`]: the bytes in use on its pages (a skeletal
+/// page's with its tail's blocks), and its blocks in tails, with no page.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RegionFill {
+    /// Bytes in use, per class.
+    pub used: RegionCensus,
+    /// Blocks in tails, per class.
+    pub in_tails: RegionCensus,
+}
+
+/// The bytes of a points block (`PointsPage`), and of an update buffer.
+fn points_bytes(block: &[u8]) -> Result<usize> {
+    Ok(POINTS_PREFIX + Block::parse::<Point>(&block[POINTS_PREFIX.min(block.len())..])?.bytes)
+}
+fn buffer_bytes(page: &[u8]) -> Result<usize> {
+    Ok(Block::parse::<UpdateRec>(page)?.bytes)
+}
+
 /// Names every page of the region tree (or basic PST) under `root` once,
-/// with its class. Each list has one owner, so there is no aliasing rule:
-/// a record's `right_y_list` is the right child's `y_list` and is named
-/// there. A page is named after the pages found through it have been read,
-/// so `visit` may free it.
+/// with its class and bytes in use, and every block in a skeletal page's
+/// tail, with no page. Each list has one owner, so there is no aliasing
+/// rule: a record's `right_y_list` is the right child's `y_list` and is
+/// named there. A page is named after the pages found through it are read,
+/// so `visit` may free it; points pages and buffers are read to `measure`.
 pub(crate) fn for_each_page(
     store: &PageStore,
     root: PageId,
     is_region: bool,
-    visit: &mut impl FnMut(PageClass, PageId) -> Result<()>,
+    measure: bool,
+    visit: &mut impl FnMut(PageClass, Option<PageId>, usize) -> Result<()>,
 ) -> Result<()> {
     if root.is_null() {
         return Ok(());
     }
+    let read = |id: PageId, bytes: fn(&[u8]) -> Result<usize>| match measure {
+        true => bytes(&store.read(id)?),
+        false => Ok(0),
+    };
     if !is_region {
-        return for_each_skeletal_page(store, root, &mut |pid, _, records: &[SkeletalRecord]| {
+        return for_each_skeletal_page(store, root, &mut |pid, page, records: &[SkeletalRecord]| {
+            let mut used = SkeletalRecord::HEADER + SkeletalRecord::LEN * records.len();
+            let points: PageClass = |c| &mut c.inner_points;
             for rec in records {
-                visit(|c| &mut c.inner_points, rec.own_pts)?;
-                for_each_block(store, rec.child_a.head(), |c| &mut c.inner_caches, visit)?;
-                for_each_block(store, rec.left_s.head(), |c| &mut c.inner_caches, visit)?;
+                match rec.own_pts {
+                    TailAt::Page(id) => visit(points, Some(id), read(id, points_bytes)?)?,
+                    at @ TailAt::Inline(_) => {
+                        let bytes = points_bytes(at.bytes(page)?)?;
+                        used += bytes;
+                        visit(points, None, bytes)?;
+                    }
+                    TailAt::None => {}
+                }
+                let caches: PageClass = |c| &mut c.inner_caches;
+                let [a, s] = [rec.child_a.head(), rec.left_s.head()];
+                used += for_each_block::<Point, _>(store, a, page, caches, visit)?;
+                used += for_each_block::<SEntry, _>(store, s, page, caches, visit)?;
             }
-            visit(|c| &mut c.inner_skeletal, pid)
+            visit(|c| &mut c.inner_skeletal, Some(pid), used)
         });
     }
     let mut inners = Vec::new();
     for_each_skeletal_page(store, root, &mut |pid, page, records: &[RegionRecord]| {
-        let mut buffers = vec![decode_header(page)?.u_page];
+        let header = decode_header(page)?;
+        let mut buffers = vec![header.u_page];
         for rec in records {
-            for_each_block(store, rec.x_list.head, |c| &mut c.x_lists, visit)?;
-            for_each_block(store, rec.y_list.head, |c| &mut c.y_lists, visit)?;
-            for_each_block(store, rec.child_a.head(), |c| &mut c.a_caches, visit)?;
-            for_each_block(store, rec.left_s.head(), |c| &mut c.s_caches, visit)?;
+            for_each_block::<Point, _>(store, rec.x_list.head, page, |c| &mut c.x_lists, visit)?;
+            for_each_block::<Point, _>(store, rec.y_list.head, page, |c| &mut c.y_lists, visit)?;
+            let [a, s]: [PageClass; 2] = [|c| &mut c.a_caches, |c| &mut c.s_caches];
+            for_each_block::<SEntry, _>(store, rec.child_a.head(), page, a, visit)?;
+            for_each_block::<SEntry, _>(store, rec.left_s.head(), page, s, visit)?;
             buffers.push(rec.u_buf);
             inners.push((rec.inner_root, rec.inner_is_region));
         }
-        let mut buffers = buffers.into_iter().filter(|page| !page.is_null());
-        buffers.try_for_each(|page| visit(|c| &mut c.buffers, page))?;
-        visit(|c| &mut c.skeletal, pid)
+        for id in buffers.into_iter().filter(|page| !page.is_null()) {
+            visit(|c| &mut c.buffers, Some(id), read(id, buffer_bytes)?)?;
+        }
+        let tail = if header.stairs { staircase::tail(page).len() } else { 0 };
+        let used = RegionRecord::HEADER + RegionRecord::LEN * records.len() + tail;
+        visit(|c| &mut c.skeletal, Some(pid), used)
     })?;
-    inners.into_iter().try_for_each(|(inner, nested)| for_each_page(store, inner, nested, visit))
+    inners
+        .into_iter()
+        .try_for_each(|(inner, nested)| for_each_page(store, inner, nested, measure, visit))
 }
 
 /// Frees every page of the region tree (or basic PST) under `root`.
 pub(crate) fn free_pages(store: &PageStore, root: PageId, is_region: bool) -> Result<()> {
-    for_each_page(store, root, is_region, &mut |_, page| store.free(page))
+    for_each_page(store, root, is_region, false, &mut |_, page, _| {
+        page.map_or(Ok(()), |page| store.free(page))
+    })
 }
 
 /// Counts the pages of the region tree of `n` points under `root` by class
-/// (one read per page but the inner trees' points pages and the update
-/// buffers, which their owners' records name).
-pub(crate) fn page_census(store: &PageStore, root: PageId, n: u64) -> Result<RegionCensus> {
-    let mut census = RegionCensus::default();
-    for_each_page(store, root, true, &mut |class, _| {
-        *class(&mut census) += 1;
+/// — and `root_u`, the root page's `U` its handle names — with the bytes
+/// in use on them and the blocks in tails (one read a page).
+pub(crate) fn page_census(
+    store: &PageStore,
+    root: PageId,
+    n: u64,
+    root_u: PageId,
+) -> Result<(RegionCensus, RegionFill)> {
+    let (mut census, mut fill) = (RegionCensus::default(), RegionFill::default());
+    let mut count = |class: PageClass, page: Option<PageId>, used: usize| {
+        *class(if page.is_some() { &mut census } else { &mut fill.in_tails }) += 1;
+        *class(&mut fill.used) += if page.is_some() { used as u64 } else { 0 };
         Ok(())
-    })?;
+    };
+    for_each_page(store, root, true, true, &mut count)?;
+    if !root_u.is_null() {
+        count(|c| &mut c.buffers, Some(root_u), buffer_bytes(&store.read(root_u)?)?)?;
+    }
     census.block_capacity = (n as f64 / census.y_lists.max(1) as f64).round() as u64;
-    Ok(census)
+    Ok((census, fill))
 }
 
 static_pst!(
@@ -719,7 +775,13 @@ static_pst!(
 impl TwoLevelPst {
     /// Counts the structure's pages by class.
     pub fn page_census(&self, store: &PageStore) -> Result<RegionCensus> {
-        page_census(store, self.root.root, self.root.n)
+        Ok(page_census(store, self.root.root, self.root.n, NULL_PAGE)?.0)
+    }
+
+    /// The bytes in use on the structure's pages and its blocks in tails,
+    /// by class.
+    pub fn page_fill(&self, store: &PageStore) -> Result<RegionFill> {
+        Ok(page_census(store, self.root.root, self.root.n, NULL_PAGE)?.1)
     }
 }
 
@@ -771,7 +833,7 @@ impl TlCtx<'_, '_> {
         let TwoSided { x0, y0 } = self.q;
         let walk = &mut *self.walk;
         // A-cache: first blocks of ancestors' X-lists, descending x.
-        let cached = walk.probe(|w| w.drain(a_cache, anc.len(), |p| p.x >= x0))?;
+        let cached = walk.probe(|w| w.drain(a_cache, &[], anc.len(), |p| p.x >= x0))?;
         for (x_list, cached) in anc.iter().zip(cached) {
             if Walk::continues(cached, x_list.first, x_list.second) {
                 walk.prefix(x_list.second, |p| p.x >= x0)?;
@@ -782,7 +844,7 @@ impl TlCtx<'_, '_> {
         // traversal's seeds: (region, whether its own points are still to
         // be reported).
         let mut seeds: Vec<(NodeRef, bool)> = exit_sibling.map(|r| (r, true)).into_iter().collect();
-        let cached = walk.probe(|w| w.drain(s_cache, sib.len(), |p| p.y >= y0))?;
+        let cached = walk.probe(|w| w.drain(s_cache, &[], sib.len(), |p| p.y >= y0))?;
         for (sibling, cached) in sib.iter().zip(cached) {
             let Some((y_list, total, is_leaf, sref)) = *sibling else { continue };
             let mut qualified = cached;
@@ -976,25 +1038,59 @@ mod tests {
         }
     }
 
-    /// Every list once: the census of a two-level and of a nested build,
+    /// Every list once, every page accounted for and no block in a tail
+    /// taken for a page: the census of a two-level and of a nested build,
     /// on narrow and full-width data, counts every page the store holds,
-    /// and a free walk returns every page.
+    /// the ids its walk names are the store's allocated pages, once each —
+    /// and so are a basic and a segmented PST's — the bytes it finds in use
+    /// fit its pages, and a free walk returns every page.
     #[test]
     fn census_counts_each_list_once_and_free_returns_every_page() {
+        let ids = |store: &PageStore, root, is_region| {
+            let mut ids = Vec::new();
+            let mut name = |_, page: Option<PageId>, _| {
+                ids.extend(page);
+                Ok(())
+            };
+            for_each_page(store, root, is_region, false, &mut name).unwrap();
+            ids.sort_unstable();
+            ids
+        };
+        let classes = |c: RegionCensus| {
+            let fields = [c.skeletal, c.x_lists, c.y_lists, c.a_caches, c.s_caches];
+            [fields, [c.inner_skeletal, c.inner_points, c.inner_caches, c.buffers, 0]].concat()
+        };
+        let mut tails = 0;
         for (page_size, n, levels) in [(512, 3_000, 2), (4096, 60_000, 2), (4096, 30_000, 3)] {
             let narrow = uniform_points(&mut Rng::seed_from_u64(0x7e57), n, 1 << 30);
             for pts in [wide(&narrow), narrow] {
+                let what = format!("{page_size} B, {levels} levels");
                 let store = PageStore::in_memory(page_size);
                 let caps = region_blocks(page_size, levels);
                 assert_eq!(caps.len() as u32, levels - 1);
                 let root = build_region_tree(&store, &pts, &caps).unwrap().root;
-                let census = page_census(&store, root, n as u64).unwrap();
-                assert_eq!(census.total(), store.live_pages(), "{page_size} B, {levels} levels");
+                let (census, fill) = page_census(&store, root, n as u64, NULL_PAGE).unwrap();
+                assert_eq!(census.total(), store.live_pages(), "{what}");
                 assert!(census.skeletal > 0 && census.x_lists > 0 && census.inner_points > 0);
+                assert_eq!(ids(&store, root, true), store.allocated_pages(), "{what}");
+                let (pages, used) = (classes(census), classes(fill.used));
+                for (pages, used) in pages.into_iter().zip(used) {
+                    let room = pages * page_size as u64;
+                    assert!(used <= room && (used > 0) == (pages > 0), "{what}");
+                }
+                tails += fill.in_tails.total();
                 free_pages(&store, root, true).unwrap();
                 assert_eq!(store.live_pages(), 0);
+
+                for mode in [CacheMode::FullPath, CacheMode::InPage] {
+                    let store = PageStore::in_memory(page_size);
+                    let root = build_single_level(&store, &pts, mode).unwrap().root;
+                    let walked = ids(&store, root, false);
+                    assert_eq!(walked, store.allocated_pages(), "{what}, {mode:?}");
+                }
             }
         }
+        assert!(tails > 0, "no block in a tail");
     }
 
     /// Two sibling regions drain one A-cache, and a right child the S-cache

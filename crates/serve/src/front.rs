@@ -66,11 +66,20 @@ impl Conn {
         w.write_all(frame).inspect_err(|_| self.cut())
     }
 
-    /// Encodes and writes one response. A failed write means the peer is
-    /// gone; the request is complete either way and the reader notices the
-    /// shut-down socket on its next poll.
+    /// Encodes and writes one response. An answer whose payload passes
+    /// [`MAX_FRAME`], which the peer's frame reader would refuse, goes as a
+    /// typed `BadRequest` that names its size instead, and the connection
+    /// stays up. A failed write means the peer is gone; the request is
+    /// complete either way and the reader notices the shut-down socket on
+    /// its next poll.
     pub(crate) fn respond(&self, resp: &Response) {
-        let _ = self.send(&response_frame(resp));
+        let mut frame = response_frame(resp);
+        let payload = frame.len() - 4;
+        if payload > MAX_FRAME {
+            let cap = format!("an answer of {payload} bytes passes the {MAX_FRAME}-byte frame cap");
+            frame = response_frame(&Response::error(resp.id, ErrorCode::BadRequest, cap));
+        }
+        let _ = self.send(&frame);
     }
 
     /// Cuts the socket, both directions, now.

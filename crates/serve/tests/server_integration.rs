@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use pc_pagestore::{PageStore, Point, WalConfig};
 use pc_pst::DynamicPst;
-use pc_serve::wire::{Body, ErrorCode, Op};
+use pc_serve::wire::{Body, ErrorCode, Op, MAX_FRAME};
 use pc_serve::{
     Client, ClientError, DynamicPstTarget, QueryTarget, Registry, Server, ServerConfig, Service,
     TargetError,
@@ -207,6 +207,43 @@ fn overload_sheds_with_overloaded_and_admitted_p99_stays_bounded() {
     let stats = handle.stats();
     let overloaded = stats.overloaded.load(std::sync::atomic::Ordering::Relaxed);
     assert_eq!(overloaded, shed as u64);
+    handle.join();
+}
+
+/// A target whose every answer is `n` points.
+struct WideTarget(usize);
+
+impl QueryTarget for WideTarget {
+    fn kind(&self) -> &'static str {
+        "wide"
+    }
+
+    fn query(&self, _store: &PageStore, _op: &Op) -> Result<Body, TargetError> {
+        Ok(Body::Points(vec![Point { x: 1, y: 2, id: 3 }; self.0]))
+    }
+}
+
+/// An answer past the frame cap, which the client's frame reader would
+/// refuse and so lose the connection over, comes back as a typed
+/// `BadRequest` that names its size, and the connection goes on.
+#[test]
+fn an_answer_past_the_frame_cap_is_a_bad_request_and_the_connection_lives() {
+    let store = Arc::new(PageStore::in_memory(PAGE));
+    let mut registry = Registry::new();
+    // 24 bytes a point on the wire: the fewest points past the cap.
+    registry.register("wide", Box::new(WideTarget(MAX_FRAME / 24 + 1)));
+    let handle = Server::spawn(Service { store, registry }, test_config()).unwrap();
+    let mut c = connect(&handle);
+    let resp = c.call(0, 0, Op::TwoSided { x0: 0, y0: 0 }).unwrap();
+    match resp.body {
+        Body::Error { code: ErrorCode::BadRequest, message } => {
+            let size: usize = message.split(' ').nth(3).and_then(|n| n.parse().ok()).unwrap();
+            assert!(size > MAX_FRAME && message.contains("frame cap"), "{message}");
+        }
+        other => panic!("unexpected body {other:?}"),
+    }
+    assert!(!ErrorCode::BadRequest.is_transient(), "a router does not fail over on it");
+    assert!(matches!(c.ping().unwrap().body, Body::Pong));
     handle.join();
 }
 

@@ -329,6 +329,85 @@ fn regression_carried_corners_below_the_root() {
     carried_regression("corners at and below a carrying root", case);
 }
 
+/// A tail-placement input (`regressions::tail_*`) at `page_size`: the
+/// basic, segmented, two-level and multilevel PSTs over its build and
+/// queries and the dynamic PST over all of it answer as the model does, and
+/// each reads at most the pages `reads` names, in that order — what each
+/// read when every block had a page of its own.
+fn tails_regression(what: &str, case: &Case, page_size: usize, reads: [u64; 5]) {
+    fn run<S: Structure>(page_size: usize, case: &Case) -> Res<u64> {
+        let mut subject = InProcess::<S>::build(page_size, &case.build)?;
+        let before = subject.store.stats().reads;
+        drive(&mut subject, case)?;
+        Ok(subject.store.stats().reads - before)
+    }
+    let queries = Case {
+        shape: case.shape,
+        build: case.build.clone(),
+        ops: case.queries().map(|q| gen::Op::Query(*q)).collect(),
+    };
+    let got = [
+        run::<BasicPst>(page_size, &queries),
+        run::<SegmentedPst>(page_size, &queries),
+        run::<TwoLevelPst>(page_size, &queries),
+        run::<Multilevel>(page_size, &queries),
+        run::<DynamicPst>(page_size, case),
+    ];
+    let names = ["basic", "segmented", "two-level", "multilevel", "dynamic"];
+    for ((name, got), cap) in names.into_iter().zip(got).zip(reads) {
+        let got = got.unwrap_or_else(|e| panic!("{what}, {name} at {page_size} B: {e}"));
+        assert!(got <= cap, "{what}, {name} at {page_size} B: {got} reads, {cap} a page a block");
+    }
+}
+
+#[test]
+fn regression_tails_filled_to_the_byte() {
+    let case = regressions::tail_filled_to_the_byte(true);
+    tails_regression("a tail filled to the byte", &case, 512, TAIL_READS[0]);
+    let case = regressions::tail_filled_to_the_byte(false);
+    tails_regression("a block a byte past the tail", &case, 512, TAIL_READS[1]);
+}
+
+#[test]
+fn regression_tails_empty_nodes() {
+    let case = regressions::tail_empty_nodes();
+    tails_regression("nodes with no points", &case, 512, TAIL_READS[2]);
+    tails_regression("nodes with no points", &case, 4096, TAIL_READS[3]);
+}
+
+#[test]
+fn regression_tails_traversals() {
+    let case = regressions::tail_traversals();
+    tails_regression("traversals through tails", &case, 4096, TAIL_READS[4]);
+}
+
+#[test]
+fn regression_tails_regions_rebuilt() {
+    let case = regressions::tail_regions_rebuilt();
+    tails_regression("regions rebuilt by a flush", &case, 512, TAIL_READS[5]);
+    tails_regression("regions rebuilt by a flush", &case, 4096, TAIL_READS[6]);
+}
+
+#[test]
+fn regression_tails_little_fits_at_512() {
+    let case = regressions::tail_little_fits_at_512();
+    tails_regression("little fits at 512 B", &case, 512, TAIL_READS[7]);
+}
+
+/// What each `regression_tails_*` cell read — basic, segmented, two-level,
+/// multilevel (all four level counts), dynamic — when every block had a
+/// page of its own, in the order the cells name them.
+const TAIL_READS: [[u64; 5]; 8] = [
+    [241, 241, 237, 952, 1627],
+    [241, 241, 237, 952, 1627],
+    [0, 0, 0, 0, 2027],
+    [0, 0, 0, 0, 1763],
+    [503, 503, 461, 1874, 461],
+    [2239, 2312, 1700, 7339, 15259],
+    [483, 483, 507, 1940, 8886],
+    [455, 481, 359, 1532, 359],
+];
+
 #[test]
 fn regression_x_tie_deletes() {
     let case = regressions::x_tie_deletes();

@@ -78,6 +78,18 @@
 //! [`carried_boundary_walks`], [`carried_one_record_pages`] and
 //! [`carried_corners_below_the_root`]. What the rule reads is held in
 //! `pc-pst` (`three_sided::tests::a_corner_at_a_carrying_root_*`).
+//!
+//! A basic PST's points blocks, and the last block of each of its cache
+//! lists, ride in the tail of the skeletal page that holds their node's
+//! record where they fit, smallest first, else on a page of their own; so
+//! do a region's inner tree's (the naive PST keeps a page a node). The
+//! inputs at the placement's edges, run by `tests/oracle.rs`' `regression_
+//! tails_*` over the basic, segmented, two-level, multilevel and dynamic
+//! PSTs, each read count held to the one it had when every block had a
+//! page: [`tail_filled_to_the_byte`] (and a byte short), [`tail_empty_nodes`],
+//! [`tail_traversals`], [`tail_regions_rebuilt`] and
+//! [`tail_little_fits_at_512`]. What a page holds is held in `pc-pst`
+//! (`two_level::tests::census_counts_*`, `dynamic::tests::every_page_*`).
 
 use std::collections::HashSet;
 
@@ -695,4 +707,109 @@ pub fn carried_corners_below_the_root(page_size: usize) -> Case {
         (0..40).map(|_| rng.gen_range(0..xs.len() - 4)).map(|at| (xs[at], xs[at + 3])).collect();
     let ys = from_top(&build, |p| p.y, &[1, 3, 10, 30, 60, 100, 200, 350, 500]);
     Case { shape: Shape::ThreeSided, build, ops: bands_at(&bands, &ys) }
+}
+
+/// A sweep of 2-sided corners over `build`: `x0` at `xs` thousandths from
+/// the top and `y0` at `ys`, and the whole plane.
+fn sweep(build: &[Point], xs: &[usize], ys: &[usize]) -> Vec<Op> {
+    let mut ops = grid(&from_top(build, |p| p.x, xs), &from_top(build, |p| p.y, ys));
+    ops.push(Op::Query(everything(Shape::TwoSided)));
+    ops
+}
+
+/// 109 points of the served benchmark's class, one region at 512 B, whose
+/// inner tree's skeletal page the smallest-first placement fills to its
+/// last byte (`exact`, seed 1), or leaves 117 bytes short of a block of
+/// 118, which takes a page of its own (seed 0). Found by a search over
+/// seeds and sizes; corners over the region, and churn after, which
+/// rebuilds the inner tree of the dynamic PST's region.
+pub fn tail_filled_to_the_byte(exact: bool) -> Case {
+    let mut rng = Rng::seed_from_u64(u64::from(exact));
+    let build = points(&mut rng, 109, 0);
+    let queries = sweep(&build, &[0, 100, 300, 600, 900, 999], &[0, 100, 300, 600, 999]);
+    let mut ops = queries.clone();
+    let mut live = build.clone();
+    for (i, p) in points(&mut rng, 300, 1_000).into_iter().enumerate() {
+        let victim = live.swap_remove(rng.gen_range(0..live.len()));
+        live.push(p);
+        ops.extend([Op::Insert(p), Op::Delete(victim)]);
+        if i % 60 == 59 {
+            ops.extend(queries.iter().step_by(4).copied());
+        }
+    }
+    ops.extend(queries);
+    Case { shape: Shape::TwoSided, build, ops }
+}
+
+/// Nodes with no points: an empty build — a tree of one empty node, whose
+/// points block is its prefix alone — then inserts into the dynamic PST,
+/// every one of them deleted again, which empties its regions, and fresh
+/// inserts; queries between.
+pub fn tail_empty_nodes() -> Case {
+    let mut rng = Rng::seed_from_u64(0xE497);
+    let queries = [everything(Shape::TwoSided), Query::Two(TwoSided { x0: 0, y0: 0 })];
+    let mut ops: Vec<Op> = queries.iter().map(|&q| Op::Query(q)).collect();
+    let first = points(&mut rng, 400, 0);
+    ops.extend(first.iter().map(|&p| Op::Insert(p)));
+    ops.extend(sweep(&first, &[0, 200, 500, 900], &[0, 200, 500, 999]));
+    for (i, &p) in first.iter().enumerate() {
+        ops.push(Op::Delete(p));
+        if i % 100 == 99 {
+            ops.extend(queries.iter().map(|&q| Op::Query(q)));
+        }
+    }
+    let fresh = points(&mut rng, 40, 1_000);
+    ops.extend(fresh.iter().map(|&p| Op::Insert(p)));
+    ops.extend(sweep(&fresh, &[0, 500, 999], &[0, 500, 999]));
+    Case { shape: Shape::TwoSided, build: Vec::new(), ops }
+}
+
+/// 20 000 points at 4 KiB: the leaves on a basic PST's lowest skeletal
+/// pages ride in those pages' tails, so corners low in `y` — whose
+/// descendant traversals run down to the leaves from the pages above —
+/// read their points from a skeletal page's tail, one read a page.
+pub fn tail_traversals() -> Case {
+    let build = points(&mut Rng::seed_from_u64(0x7A11), 20_000, 0);
+    let ops = sweep(&build, &[1, 10, 50, 200, 500, 800, 990], &[300, 600, 900, 990, 999]);
+    Case { shape: Shape::TwoSided, build, ops }
+}
+
+/// Regions rebuilt by a flush: 1 000 inserts above every point, which the
+/// dynamic PST's root region takes until its Y-list outgrows twice its
+/// blocks and the flush rebuilds the root's subtree (at 512 B), then 1 500
+/// insert/delete pairs, whose flushes rebuild inner trees on full `u`s and
+/// subtrees on churn; queries between.
+pub fn tail_regions_rebuilt() -> Case {
+    let mut rng = Rng::seed_from_u64(0x4EB1);
+    let build = points(&mut rng, 3_000, 0);
+    let queries = sweep(&build, &[0, 50, 300, 700, 999], &[0, 100, 500, 999]);
+    let mut ops = queries.clone();
+    let mut live = build.clone();
+    for (i, p) in points(&mut rng, 1_000, 10_000).into_iter().enumerate() {
+        let p = Point::new(p.x, (1 << 20) + i as i64, p.id);
+        live.push(p);
+        ops.push(Op::Insert(p));
+        if i % 250 == 249 {
+            ops.extend(queries.iter().step_by(2).copied());
+        }
+    }
+    for (i, p) in points(&mut rng, 1_500, 20_000).into_iter().enumerate() {
+        let victim = live.swap_remove(rng.gen_range(0..live.len()));
+        live.push(p);
+        ops.extend([Op::Insert(p), Op::Delete(victim)]);
+        if i % 300 == 299 {
+            ops.extend(queries.iter().step_by(2).copied());
+        }
+    }
+    ops.extend(queries);
+    Case { shape: Shape::TwoSided, build, ops }
+}
+
+/// 3 000 points at 512 B: three basic-tree records fill all but 117 bytes
+/// of a skeletal page, so few blocks fit a tail — a leaf of a few points
+/// or a short list's last block — and most keep their pages.
+pub fn tail_little_fits_at_512() -> Case {
+    let build = points(&mut Rng::seed_from_u64(0x512), 3_000, 0);
+    let ops = sweep(&build, &[0, 5, 30, 100, 400, 800, 999], &[0, 5, 30, 100, 500, 999]);
+    Case { shape: Shape::TwoSided, build, ops }
 }

@@ -414,7 +414,8 @@ fn seeded_interleavings_preserve_snapshot_isolation() {
 /// that install: after a run of batches through `Dynamic<S>` in apply
 /// sessions and one `collect`, the store holds exactly the structure's own
 /// pages, as its census names them — a dynamic PST, a dynamic 3-sided PST
-/// and a B-tree, at 512 B and 4 KiB, on a volatile store and a durable one.
+/// and a B-tree, at 512 B and 4 KiB, on a volatile store and a durable one;
+/// the dynamic PST's walk names exactly the store's allocated pages.
 #[test]
 fn with_nothing_pinned_gc_leaves_exactly_the_structures_pages() {
     for (page, durable) in [(512, false), (512, true), (4096, false), (4096, true)] {
@@ -449,6 +450,11 @@ fn with_nothing_pinned_gc_leaves_exactly_the_structures_pages() {
         let pst = DynamicPstTarget::new(DynamicPst::build(&store, &initial).unwrap());
         let census = |s: &PageStore| pst.0.lock().page_census(s).unwrap().total();
         installs(&store, &pst, &batches, census);
+        // Page for page, not only in number: a block in a skeletal page's
+        // tail is no page of its own.
+        let mut ids = pst.0.lock().page_ids(&store).unwrap();
+        ids.sort_unstable();
+        assert_eq!(ids, store.allocated_pages(), "dynamic PST at {page} B: the walked pages");
 
         let store = new_store();
         let pst3 = DynamicThreeSidedPst::build(&store, &initial).unwrap();
