@@ -30,7 +30,11 @@ use pc_bench::{
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
 use pc_obs::ReadClass;
-use pc_pagestore::{PageStore, Point, UpdateOp, VersionConfig, VersionedStore};
+use pc_pagestore::backend::MemBackend;
+use pc_pagestore::{
+    LogMedium, MemLog, PageStore, Point, StoreConfig, UpdateOp, VersionConfig, VersionedStore,
+    WalConfig,
+};
 use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, SegmentedPst,
     ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
@@ -833,12 +837,12 @@ fn e10_dynamic_pst() {
     println!("space `O((n/B)·loglog B)`, by E7's census columns. Update I/O is flat in n from");
     println!("100k on (≈ 3·log_B n: per-flush list rebuilds amortised over a buffer page).");
     println!("Dirty queries are E7's plus the pages' `U` buffers, read as cache blocks: the root");
-    println!("page's only where a step of its tail's staircase meets the corner, as in these.");
-    println!("A corner answered from one block of its lists reads no `u`, which the lists hold.");
+    println!("page's only where a step of its tail's staircase meets the corner, as in these. A");
+    println!("corner answered from one block of its lists reads no `u`, which the lists hold.");
     println!("`pages/(n/B)` follows the updates: an inner tree rebuilt near its fullest takes");
     println!("more blocks than a fresh one (ROADMAP 6c), which the churn factor below bounds. The");
-    println!("last line replays the benchmark's `mixed_durable` pass: no corner meets a step, and");
-    println!("each burst, an epoch, writes fresh copies of the pages it changes and the paths.\n");
+    println!("last lines replay the benchmark's `mixed_durable` pass (each burst an epoch that");
+    println!("copies the paths it changes, its commit the descriptor alone), then recover it.\n");
     let mut table = Table::new(&[
         "n",
         "B",
@@ -933,14 +937,24 @@ fn sub_seed(seed: u64, stream: u64) -> u64 {
     pc_rng::mix64(seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
+/// Opens a durable store over `backend` and `log`, at `PAGE` bytes.
+fn durable(backend: &Arc<MemBackend>, log: impl LogMedium + 'static) -> PageStore {
+    let data = Box::new(Arc::clone(backend));
+    let log = Box::new(log);
+    PageStore::new_durable(StoreConfig::strict(PAGE), data, log, WalConfig::default()).unwrap().0
+}
+
 /// E10's line for the served benchmark's `mixed_durable` counted pass, in
 /// process: its seed-11 points, corners (in its order) and writer stream,
 /// a burst of 16 updates, applied as one batch in an apply session on a
-/// durable store and installed as an epoch, before each 16 corners.
+/// durable store and installed as an epoch, before each 16 corners. Then
+/// the store's recovery from its media: the epoch reopened, its pages
+/// walked and handed over; the time goes to stderr and fails past its bound.
 fn e10_served_pass() {
     let (n, seed, burst) = (500_000usize, 11, 16);
     let raw = gen_points(n, PointDist::Uniform, sub_seed(seed, 1));
-    let store = Arc::new(PageStore::in_memory_durable(PAGE).0);
+    let (backend, log) = (Arc::new(MemBackend::new(PAGE + 8)), Arc::new(MemLog::new()));
+    let store = Arc::new(durable(&backend, Arc::clone(&log)));
     let mut pst = DynamicPst::build(&store, &to_points(&raw)).unwrap();
     store.sync().unwrap();
     let versions = VersionedStore::new(Arc::clone(&store), VersionConfig::default(), &[]);
@@ -984,6 +998,24 @@ fn e10_served_pass() {
         f2(reads as f64 / queries.len() as f64),
         per_update(writes as usize),
         per_update(frame_bytes),
+    );
+    drop((pst, versions, store));
+    let started = std::time::Instant::now();
+    let store = Arc::new(durable(&backend, MemLog::from_bytes(log.read_all().unwrap())));
+    let meta = store.last_commit_meta();
+    let versions = VersionedStore::open(Arc::clone(&store), meta.as_deref(), VersionConfig::default());
+    let pst = DynamicPst::open(&store, versions.snapshot().user_meta()).unwrap();
+    let reached = pst.page_ids(&store).unwrap();
+    let freed = store.free_unreached(&reached);
+    let ms = started.elapsed().as_millis();
+    eprintln!("E10: the 500k-point store recovered in {ms} ms");
+    if ms > 50 {
+        past_pin(format_args!("E10: recovery took {ms} ms, past 50 ms"));
+    }
+    let (pages, reads) = (reached.len(), store.stats().logical_reads());
+    println!(
+        "That store reopened from its media: its epoch's {pages} pages walked in {reads} page \
+         reads and handed to the store, which frees the other {freed}; within 50 ms\n"
     );
 }
 

@@ -83,17 +83,29 @@ impl BTree {
 
     /// The pages by kind, read through the internal nodes only.
     pub fn census(&self, store: &PageStore) -> Result<Census> {
-        let (mut level, mut internal) = (vec![self.root], 0);
+        let mut levels = self.levels(store)?;
+        let leaves = levels.pop().expect("a root").len() as u64;
+        let internal = levels.iter().map(Vec::len).sum::<usize>() as u64;
+        Ok(Census { leaves, internal, mean_leaf_fill: self.len as f64 / leaves as f64 })
+    }
+
+    /// The id of every page, once, level by level from the root, the
+    /// leaves last; read through the internal nodes only.
+    pub fn page_ids(&self, store: &PageStore) -> Result<Vec<PageId>> {
+        Ok(self.levels(store)?.concat())
+    }
+
+    /// The ids of each level, the root's first.
+    fn levels(&self, store: &PageStore) -> Result<Vec<Vec<PageId>>> {
+        let mut levels = vec![vec![self.root]];
         for _ in 0..self.height {
-            internal += level.len() as u64;
             let mut below = Vec::new();
-            for id in level {
+            for &id in levels.last().expect("a root") {
                 below.extend(Node::read(store, id)?.rows.iter().map(|row| PageId(row.1)));
             }
-            level = below;
+            levels.push(below);
         }
-        let leaves = level.len() as u64;
-        Ok(Census { leaves, internal, mean_leaf_fill: self.len as f64 / leaves as f64 })
+        Ok(levels)
     }
 
     /// The leaf below `page`, read in place, each internal page on the way
@@ -431,6 +443,34 @@ mod tests {
         assert_eq!(got, want);
         assert_eq!(t.len(), want.len() as u64);
         assert_eq!(t.census(store).unwrap().pages(), store.live_pages(), "a page leaked");
+    }
+
+    /// The walk names exactly the store's pages, after a bulk build and
+    /// after churn that splits and merges nodes, at 512 B and at 4 KiB.
+    #[test]
+    fn page_ids_are_the_allocated_pages() {
+        let walked = |t: &BTree, store: &PageStore| {
+            let mut ids = t.page_ids(store).unwrap();
+            ids.sort_unstable();
+            ids
+        };
+        for page_size in [512, 4096] {
+            let store = PageStore::in_memory(page_size);
+            let entries: Vec<(i64, u64)> = (0..20_000).map(|k| (k * 3, k as u64)).collect();
+            let mut t = BTree::bulk_build(&store, &entries).unwrap();
+            assert!(t.height() >= 1, "{page_size} B");
+            assert_eq!(walked(&t, &store), store.allocated_pages(), "{page_size} B, built");
+            for i in 0..20_000u64 {
+                let draw = (i ^ page_size as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+                let k = (draw % 60_000) as i64;
+                if draw.is_multiple_of(2) {
+                    t.insert(&store, k, k as u64).unwrap();
+                } else {
+                    t.delete(&store, &k).unwrap();
+                }
+            }
+            assert_eq!(walked(&t, &store), store.allocated_pages(), "{page_size} B, churned");
+        }
     }
 
     #[test]

@@ -73,6 +73,14 @@ pub enum StoreError {
         /// Current (newest) epoch seq.
         current: u64,
     },
+    /// A durable store was written under another on-disk layout version
+    /// ([`crate::wal::LAYOUT_VERSION`]); nothing of it was read.
+    LayoutVersion {
+        /// The version its log names.
+        found: u32,
+        /// The version this build reads and writes.
+        expected: u32,
+    },
 }
 
 /// A copy for each op of a batch that failed whole. An `Io` error keeps
@@ -94,6 +102,7 @@ impl Clone for StoreError {
             &VersionNotRetained { requested, oldest, current } => {
                 VersionNotRetained { requested, oldest, current }
             }
+            &LayoutVersion { found, expected } => LayoutVersion { found, expected },
         }
     }
 }
@@ -126,6 +135,11 @@ impl fmt::Display for StoreError {
             StoreError::VersionNotRetained { requested, oldest, current } => write!(
                 f,
                 "version {requested} is not retained (retained range {oldest}..={current})"
+            ),
+            StoreError::LayoutVersion { found, expected } => write!(
+                f,
+                "the store was written under layout version {found}; this build reads \
+                 version {expected}"
             ),
         }
     }

@@ -22,10 +22,12 @@
 //! | bit rot at write | write | silent `Ok`; one flipped bit at rest      |
 //! | refused append   | log   | `Err(Io)` while armed; nothing written    |
 //! | refused fsync    | log   | `Err(Io)` while armed; the record stays   |
+//! | refused reset    | log   | `Err(Io)` while armed; the old log stays  |
 //!
-//! The log rows are [`FaultLog`], a [`MemLog`] that refuses appends or
-//! fsyncs while a test has them armed: a commit whose record cannot be
-//! logged, or whose record the medium holds without an acknowledged sync.
+//! The log rows are [`FaultLog`], a [`MemLog`] that refuses appends,
+//! fsyncs or log swaps while a test has them armed: a commit whose record
+//! cannot be logged, one whose record the medium holds without an
+//! acknowledged sync, or a checkpoint that cannot replace the log.
 //!
 //! Silent faults are exactly the ones the store's checksums must catch;
 //! loud faults reach the store's caller as they are, to fail the read over
@@ -379,13 +381,14 @@ impl Backend for FaultBackend {
     }
 }
 
-/// A [`MemLog`] that refuses appends, or fsyncs, while armed (see the
-/// module docs). Share it through an `Arc` to arm it under a store.
+/// A [`MemLog`] that refuses appends, fsyncs or resets while armed (see
+/// the module docs). Share it through an `Arc` to arm it under a store.
 #[derive(Default)]
 pub struct FaultLog {
     log: MemLog,
     refuse_append: AtomicBool,
     refuse_sync: AtomicBool,
+    refuse_reset: AtomicBool,
 }
 
 impl FaultLog {
@@ -397,6 +400,12 @@ impl FaultLog {
     /// Arms (`true`) or disarms refusing every fsync.
     pub fn refuse_syncs(&self, on: bool) {
         self.refuse_sync.store(on, Ordering::SeqCst);
+    }
+
+    /// Arms (`true`) or disarms refusing every reset (a checkpoint's log
+    /// swap), as a full disk refuses the new log's temporary file.
+    pub fn refuse_resets(&self, on: bool) {
+        self.refuse_reset.store(on, Ordering::SeqCst);
     }
 }
 
@@ -424,6 +433,9 @@ impl LogMedium for FaultLog {
     }
 
     fn reset(&self, contents: &[u8]) -> Result<()> {
+        if self.refuse_reset.load(Ordering::SeqCst) {
+            return Err(std::io::Error::other("log reset refused").into());
+        }
         self.log.reset(contents)
     }
 }

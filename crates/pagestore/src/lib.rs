@@ -80,4 +80,4 @@ pub use version::{
     decode_version_meta, encode_version_meta, ApplyGuard, Snapshot, SnapshotGuard, VersionConfig,
     VersionMeta, VersionMetrics, VersionedStore,
 };
-pub use wal::{AllocSnapshot, FileLog, LogMedium, MemLog, Wal, WalStats};
+pub use wal::{FileLog, LogMedium, MemLog, Wal, WalStats};

@@ -35,13 +35,15 @@
 //! ## Durability
 //!
 //! On a durable store, [`ApplyGuard::install`] frames the caller's metadata
-//! with the epoch's seq and the pending retire queue
-//! ([`encode_version_meta`]) and group-commits it before it publishes the
-//! epoch, so crash recovery's `last_commit_meta` *is* the epoch, and an
-//! install whose commit fails publishes nothing. [`VersionedStore::open`]
-//! resumes from it and frees its orphaned retire queue (history is
-//! memory-only). A kill mid-session loses only uncommitted copies: the
-//! previous epoch's descriptors still name its pages, bit-identical.
+//! with the epoch's seq ([`encode_version_meta`]) and group-commits it
+//! before it publishes the epoch, so crash recovery's `last_commit_meta`
+//! *is* the epoch, and an install whose commit fails publishes nothing.
+//! [`VersionedStore::open`] resumes from it. History and the retire queue
+//! are memory-only: after a crash the epoch's descriptors reach every page
+//! the store keeps, and the owner's walk of them frees the rest
+//! ([`PageStore::free_unreached`]). A kill mid-session loses only
+//! uncommitted copies: the previous epoch's descriptors still name its
+//! pages, bit-identical.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -193,38 +195,16 @@ impl VersionedStore {
         Self::at(base, cfg, 0, initial_user_meta.to_vec())
     }
 
-    /// [`VersionedStore::try_open`], for a payload known to decode.
-    ///
-    /// # Panics
-    ///
-    /// On a payload `try_open` refuses: a frame of the former page-map
-    /// format.
-    pub fn open(base: Arc<PageStore>, recovered_meta: Option<&[u8]>, cfg: VersionConfig) -> Self {
-        Self::try_open(base, recovered_meta, cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Reopens a versioned view from a recovered store: `recovered_meta`
     /// is the `RecoveryReport::last_commit_meta` payload. A version frame
-    /// restores the exact committed epoch (seq, metadata) and frees its
-    /// orphaned retire queue — older epochs do not survive a crash, so
-    /// every pending retiree is immediately reclaimable. A bare payload or
-    /// `None` starts at epoch 0 with that payload as the user metadata. A
-    /// `PCV1` frame, whose ids a page map translated, is `Corrupt`.
-    pub fn try_open(
-        base: Arc<PageStore>,
-        recovered_meta: Option<&[u8]>,
-        cfg: VersionConfig,
-    ) -> Result<Self> {
-        let Some(m) = recovered_meta.map(decode_version_meta).transpose()?.flatten() else {
-            return Ok(Self::at(base, cfg, 0, recovered_meta.unwrap_or_default().to_vec()));
-        };
-        let vs = Self::at(base, cfg, m.seq, m.user);
-        // The frees ride the next commit; a crash before it loses them, and
-        // the next open frees the same (still-pending) queue again.
-        let pending = m.retired.into_iter().flat_map(|(_, ids)| ids);
-        let freed = pending.filter(|&p| vs.base.free(PageId(p)).is_ok()).count();
-        vs.reclaimed.fetch_add(freed as u64, Relaxed);
-        Ok(vs)
+    /// restores the exact committed epoch (seq, metadata), the only one a
+    /// crash keeps. A bare payload or `None` starts at epoch 0 with that
+    /// payload as the user metadata.
+    pub fn open(base: Arc<PageStore>, recovered_meta: Option<&[u8]>, cfg: VersionConfig) -> Self {
+        match recovered_meta.and_then(decode_version_meta) {
+            Some(m) => Self::at(base, cfg, m.seq, m.user),
+            None => Self::at(base, cfg, 0, recovered_meta.unwrap_or_default().to_vec()),
+        }
     }
 
     fn at(base: Arc<PageStore>, cfg: VersionConfig, seq: u64, user_meta: Vec<u8>) -> Self {
@@ -375,16 +355,10 @@ impl ApplyGuard<'_> {
         self.armed = false;
         let vs = self.vs;
         let retired = vs.base.end_session();
-        let frame = {
-            let st = vs.state.lock();
-            assert!(seq > st.epochs.back().unwrap().seq, "epoch seqs must be strictly increasing");
-            vs.base.is_durable().then(|| {
-                let mut pending: Vec<_> = st.retired.iter().cloned().collect();
-                pending.extend((!retired.is_empty()).then(|| (seq, retired.clone())));
-                let user = user_meta.to_vec();
-                encode_version_meta(&VersionMeta { seq, user, retired: pending })
-            })
-        };
+        assert!(seq > vs.current_seq(), "epoch seqs must be strictly increasing");
+        let frame = vs.base.is_durable().then(|| {
+            encode_version_meta(&VersionMeta { seq, user: user_meta.to_vec() })
+        });
         if let Err(e) = frame.map_or(Ok(0), |frame| vs.base.commit_with(&frame)) {
             vs.base.roll_back();
             return Err(e);
@@ -398,8 +372,8 @@ impl ApplyGuard<'_> {
             trim(&mut st, vs.retain)
         };
         vs.installed.fetch_add(1, Relaxed);
-        // On a durable store these frees are held until the next commit;
-        // the frame just committed still lists them for a reopen to free.
+        // On a durable store these frees are held until the next commit:
+        // until then the last record's epoch may reach them.
         vs.free_all(&to_free)?;
         Ok(seq)
     }
@@ -423,67 +397,34 @@ impl Drop for ApplyGuard<'_> {
 /// Magic prefix of a version-framed commit metadata payload.
 pub const VERSION_META_MAGIC: &[u8; 4] = b"PCV2";
 
-/// The former frame's magic: its epoch carried a logical→physical page
-/// map, so the ids its metadata names are not where their bytes are.
-const PAGE_MAP_MAGIC: &[u8; 4] = b"PCV1";
-
-/// Decoded version frame: one committed epoch plus its pending GC queue.
+/// Decoded version frame: one committed epoch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VersionMeta {
     /// Epoch sequence number.
     pub seq: u64,
     /// The caller's inner metadata (the serve layer's batch frame).
     pub user: Vec<u8>,
-    /// Retired-but-unreclaimed pages: `(installing seq, pages)`.
-    pub retired: Vec<(u64, Vec<u64>)>,
 }
 
-/// Encodes a version frame.
+/// Encodes a version frame: magic, seq, the user metadata's length and
+/// the user metadata.
 pub fn encode_version_meta(m: &VersionMeta) -> Vec<u8> {
-    let ids: usize = m.retired.iter().map(|(_, ids)| 12 + 8 * ids.len()).sum();
-    let mut out = Vec::with_capacity(20 + m.user.len() + ids);
+    let mut out = Vec::with_capacity(16 + m.user.len());
     out.extend_from_slice(VERSION_META_MAGIC);
     out.extend_from_slice(&m.seq.to_le_bytes());
     out.extend_from_slice(&(m.user.len() as u32).to_le_bytes());
     out.extend_from_slice(&m.user);
-    out.extend_from_slice(&(m.retired.len() as u32).to_le_bytes());
-    for (tag, ids) in &m.retired {
-        out.extend_from_slice(&tag.to_le_bytes());
-        out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-        for id in ids {
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-    }
     out
 }
 
-/// Decodes a version frame: `Ok(None)` for anything that is not one (bare
-/// metadata passes through untouched at the call sites), `Corrupt` for a
-/// `PCV1` frame of the former page-map format, whose epoch no longer
-/// opens.
-pub fn decode_version_meta(bytes: &[u8]) -> Result<Option<VersionMeta>> {
-    if bytes.starts_with(PAGE_MAP_MAGIC) {
-        return Err(StoreError::Corrupt(
-            "a PCV1 version frame: its epoch was read through a page map, which this store \
-             no longer keeps"
-                .to_string(),
-        ));
-    }
-    let Some(body) = bytes.strip_prefix(VERSION_META_MAGIC) else { return Ok(None) };
-    let mut r = PageReader::new(body);
-    let mut frame = || -> Result<VersionMeta> {
-        let seq = r.get_u64()?;
-        let len = r.get_u32()? as usize;
-        let user = r.get_bytes(len)?.to_vec();
-        let mut retired = Vec::new();
-        for _ in 0..r.get_u32()? {
-            let tag = r.get_u64()?;
-            retired.push((tag, (0..r.get_u32()?).map(|_| r.get_u64()).collect::<Result<_>>()?));
-        }
-        Ok(VersionMeta { seq, user, retired })
-    };
-    let meta = frame().ok();
-    Ok(meta.filter(|_| r.remaining() == 0))
+/// Decodes a version frame: `None` for anything that is not one exactly
+/// (bare metadata passes through untouched at the call sites).
+pub fn decode_version_meta(bytes: &[u8]) -> Option<VersionMeta> {
+    let mut r = PageReader::new(bytes.strip_prefix(VERSION_META_MAGIC)?);
+    let seq = r.get_u64().ok()?;
+    let len = r.get_u32().ok()? as usize;
+    let user = r.get_bytes(len).ok()?.to_vec();
+    (r.remaining() == 0).then_some(VersionMeta { seq, user })
 }
 
 #[cfg(test)]
@@ -681,43 +622,14 @@ mod tests {
 
     #[test]
     fn version_meta_roundtrips_and_rejects_garbage() {
-        let m = VersionMeta {
-            seq: 42,
-            user: b"inner".to_vec(),
-            retired: vec![(41, vec![5]), (42, vec![6, 8])],
-        };
+        let m = VersionMeta { seq: 42, user: b"inner".to_vec() };
         let bytes = encode_version_meta(&m);
-        assert_eq!(decode_version_meta(&bytes).unwrap(), Some(m));
+        assert_eq!(decode_version_meta(&bytes), Some(m));
         for garbage in [&b""[..], b"not a frame", &bytes[..bytes.len() - 1]] {
-            assert_eq!(decode_version_meta(garbage).unwrap(), None);
+            assert_eq!(decode_version_meta(garbage), None);
         }
         let trailing = [&bytes[..], &[0]].concat();
-        assert_eq!(decode_version_meta(&trailing).unwrap(), None);
-    }
-
-    /// A `PCV1` frame — the former format, whose epoch carried a page map —
-    /// is refused wherever it is decoded, with or without map entries.
-    #[test]
-    fn a_page_map_frame_is_refused() {
-        let pcv1 = |map: &[(u64, u64)]| {
-            let mut out = b"PCV1".to_vec();
-            out.extend_from_slice(&7u64.to_le_bytes());
-            out.extend_from_slice(&5u32.to_le_bytes());
-            out.extend_from_slice(b"inner");
-            out.extend_from_slice(&(map.len() as u32).to_le_bytes());
-            for &(k, v) in map {
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            out.extend_from_slice(&0u32.to_le_bytes());
-            out
-        };
-        for frame in [pcv1(&[(3, 9), (7, 11)]), pcv1(&[])] {
-            let refused = |e: StoreError| matches!(e, StoreError::Corrupt(m) if m.contains("PCV1"));
-            assert!(refused(decode_version_meta(&frame).unwrap_err()));
-            let opened = VersionedStore::try_open(store(), Some(&frame), VersionConfig::default());
-            assert!(refused(opened.err().expect("a page-map frame does not open")));
-        }
+        assert_eq!(decode_version_meta(&trailing), None);
     }
 
     #[test]
@@ -732,14 +644,15 @@ mod tests {
             id = rewrite(&vs, id, &[i], &[b'm', i]);
         }
         // Recovery's hand-off: the last committed metadata is the frame
-        // install() wrote, with the retire queue still pending.
+        // install() wrote, and it names the epoch alone.
         let meta = base.last_commit_meta().unwrap();
+        assert_eq!(meta, encode_version_meta(&VersionMeta { seq: 3, user: vec![b'm', 3] }));
         let live = base.live_pages();
         drop(vs);
         let vs2 = VersionedStore::open(base.clone(), Some(&meta), VersionConfig::default());
         assert_eq!(vs2.current_seq(), 3);
         assert_eq!(vs2.snapshot().user_meta(), &[b'm', 3]);
-        assert_eq!(base.live_pages(), live - 3, "the orphaned queue is freed");
+        assert_eq!(base.live_pages(), live, "opening frees nothing");
         assert_eq!(base.read(id).unwrap()[0], 3);
     }
 

@@ -1,15 +1,17 @@
 //! Store-level durability integration tests: reopen after a clean
-//! shutdown, recovery that writes no frame, a group killed between its data
-//! sync and its commit record, torn-tail handling in both the data file and
-//! the log, checkpointing bounding replay, a log that refuses appends or
-//! fsyncs (an install under either), a record too large for the log, and a
-//! log of the previous format. The exhaustive kill-point matrix lives in `crash_recovery.rs`;
-//! these tests pin the individual behaviors it composes.
+//! shutdown, recovery that writes no frame and frees what the owner's ids
+//! do not reach, a group killed between its data sync and its commit
+//! record, torn-tail handling in both the data file and the log,
+//! checkpointing bounding the log, a log that refuses appends, fsyncs or
+//! swaps (an install under each), a record too large for the log, and a
+//! log of another layout version. The exhaustive kill-point matrix lives in
+//! `crash_recovery.rs`; these tests pin the individual behaviors it
+//! composes.
 
 use std::sync::Arc;
 
 use pc_pagestore::backend::MemBackend;
-use pc_pagestore::wal::MAX_RECORD_PAYLOAD;
+use pc_pagestore::wal::{encode_header, scan, LAYOUT_VERSION, MAX_RECORD_PAYLOAD};
 use pc_pagestore::{
     CrashBackend, CrashController, CrashLog, CrashPlan, FaultLog, LogMedium, MemLog, PageId,
     PageStore, StoreConfig, StoreError, VersionConfig, VersionedStore, WalConfig,
@@ -30,12 +32,20 @@ fn payload(tag: u8, i: u8) -> Vec<u8> {
 }
 
 /// Logical state snapshot: every allocated page's id and bytes.
-fn snapshot(store: &PageStore) -> Vec<(PageId, Vec<u8>)> {
+type Image = Vec<(PageId, Vec<u8>)>;
+
+fn snapshot(store: &PageStore) -> Image {
     store
         .allocated_pages()
         .into_iter()
         .map(|id| (id, store.read(id).unwrap().to_vec()))
         .collect()
+}
+
+/// Hands a reopened store the pages of `image`, the state its last commit
+/// names, as an owner's walk would.
+fn claim(store: &PageStore, image: &Image) {
+    store.free_unreached(&image.iter().map(|&(id, _)| id).collect::<Vec<_>>());
 }
 
 fn tempfile(name: &str) -> std::path::PathBuf {
@@ -65,6 +75,7 @@ fn file_store_reopen_after_clean_shutdown_restores_every_page() {
     }
     let (store, report) = PageStore::file_durable(&path, PAGE, WalConfig::default()).unwrap();
     assert!(!report.data_torn_tail);
+    claim(&store, &before);
     assert_eq!(snapshot(&store), before, "reopen must restore the exact committed state");
 }
 
@@ -101,9 +112,11 @@ fn committed_pages_are_on_the_medium_and_recovery_writes_no_frame() {
         PageStore::new_durable(cfg(), Box::new(data), Box::new(log.surviving_log()), wal_cfg)
             .unwrap();
     assert_eq!(data_ctrl.ops(), 0, "recovery touches the data medium not once: {report:?}");
-    assert_eq!((report.replayed_entries, report.commits), (5, 1), "{report:?}");
     assert_eq!(report.last_commit_meta.as_deref(), Some(&b"batch-1"[..]));
-    assert_eq!(snapshot(&store2), want);
+    assert_eq!(snapshot(&store2), want, "every id below the frontier, until the hand-off");
+    assert_eq!(store2.free_unreached(&[want[1].0, want[3].0]), 3);
+    assert_eq!(snapshot(&store2), [want[1].clone(), want[3].clone()]);
+    assert_eq!(data_ctrl.ops(), 0, "nor does the hand-off");
 }
 
 #[test]
@@ -164,10 +177,12 @@ fn a_group_killed_between_its_data_sync_and_commit_record_leaves_zeroed_ids() {
         // The data sync ran, so the lost group's page is on the medium...
         let frame = frames.iter().find(|(id, _)| *id == b).map(|(_, f)| &f[..PAGE / 2 + 1]);
         assert_eq!(frame, Some(&payload(0xDE, 1)[..]), "seed {seed}: data synced first");
-        // ...and the reopened store hands its id out again, reading zeros.
+        // ...and the reopened store, handed the acked page, frees the lost
+        // one and hands its id out again, reading zeros.
+        assert_eq!(store2.free_unreached(&[PageId(0)]), 1, "seed {seed}");
         assert_eq!(store2.allocated_pages().len(), 1, "seed {seed}");
         let fresh = store2.alloc().unwrap();
-        assert_eq!(fresh, b, "seed {seed}: the lost id is the frontier");
+        assert_eq!(fresh, b, "seed {seed}: the lost id is the lowest free one");
         assert!(store2.read(fresh).unwrap().iter().all(|&x| x == 0), "seed {seed}: stale bytes");
     }
     assert!(lost > 0, "no seed lost the commit record: the test never ran its check");
@@ -208,6 +223,7 @@ fn uncommitted_tail_is_discarded_and_acked_state_kept() {
         )
         .unwrap();
         assert_eq!(report.last_commit_meta.as_deref(), Some(&b"acked"[..]), "seed {seed}");
+        claim(&store2, &committed);
         assert_eq!(
             snapshot(&store2),
             committed,
@@ -243,14 +259,18 @@ fn checkpoint_leaves_nothing_to_replay() {
         WalConfig::default(),
     )
     .unwrap();
-    assert_eq!(report.replayed_records(), 0, "nothing left to replay: {report:?}");
+    assert!(report.clean(), "{report:?}");
+    let log = scan(&log.surviving_bytes(), PAGE).unwrap();
+    assert_eq!(log.records.len(), 1, "the checkpoint's log holds its last record alone");
+    claim(&store2, &committed);
     assert_eq!(snapshot(&store2), committed);
 }
 
 #[test]
 fn auto_checkpoint_keeps_the_log_bounded_across_reopens() {
     let path = tempfile("bounded.pcstore");
-    let wal_cfg = WalConfig { checkpoint_bytes: 512 };
+    // A record is the commit's one byte of meta and 12 of framing.
+    let wal_cfg = WalConfig { checkpoint_bytes: 64 };
     let before;
     {
         let (store, _) = PageStore::file_durable(&path, PAGE, wal_cfg).unwrap();
@@ -272,13 +292,14 @@ fn auto_checkpoint_keeps_the_log_bounded_across_reopens() {
         let ws = store.wal_stats().unwrap();
         assert!(ws.checkpoints > 1, "workload must cross the threshold: {ws:?}");
         assert!(
-            ws.log_bytes < 8 * 512,
+            ws.log_bytes < 8 * 64,
             "log must stay within a small multiple of the threshold: {ws:?}"
         );
         before = snapshot(&store);
     }
     let (store, report) = PageStore::file_durable(&path, PAGE, wal_cfg).unwrap();
     assert!(!report.data_torn_tail);
+    claim(&store, &before);
     assert_eq!(snapshot(&store), before);
 }
 
@@ -304,6 +325,7 @@ fn torn_data_file_tail_is_detected_and_recovered_on_open() {
     }
     let (store, report) = PageStore::file_durable(&path, PAGE, WalConfig::default()).unwrap();
     assert!(report.data_torn_tail, "the torn tail must be surfaced, not silently dropped");
+    claim(&store, &before);
     assert_eq!(snapshot(&store), before, "truncating the tear restores the committed state");
 
     // And a second open is clean: the tear was actually repaired on disk.
@@ -333,6 +355,7 @@ fn torn_wal_tail_is_truncated_on_open() {
     }
     let (store, report) = PageStore::file_durable(&path, PAGE, WalConfig::default()).unwrap();
     assert!(report.torn_tail, "the torn log tail must be reported: {report:?}");
+    claim(&store, &before);
     assert_eq!(snapshot(&store), before);
 }
 
@@ -374,11 +397,10 @@ fn recycled_free_alloc_cycle_survives_recovery() {
         WalConfig::default(),
     )
     .unwrap();
+    assert_eq!(store2.free_unreached(&[e]), 2, "b and c");
     assert_eq!(snapshot(&store2), committed);
-    // The free list is state too, order included: the recovered allocator
-    // must continue as the live one would.
-    assert_eq!(store2.alloc_snapshot(), store.alloc_snapshot());
-    assert_eq!(store2.alloc_snapshot().free_list, [b.0, c.0], "b at the commit, after c");
+    // The free list is rebuilt in id order: the lowest free id goes first.
+    assert_eq!(store2.alloc().unwrap(), b.min(c));
 }
 
 /// A durable store over `log` and a shared in-memory data medium.
@@ -403,21 +425,22 @@ fn alloc_and_free_do_no_log_io() {
     let c = store.alloc().unwrap();
     store.free(c).unwrap();
     store.free(a).unwrap();
-    let (live, table) = (store.live_pages(), store.alloc_snapshot());
+    let live = store.allocated_pages();
     assert!(store.commit_with(b"second").is_err(), "the commit record's append fails");
-    assert_eq!(store.live_pages(), live, "the group stays open");
-    assert_eq!(store.alloc_snapshot(), table, "a failed commit releases no held page");
+    assert_eq!(store.allocated_pages(), live, "the group stays open");
     assert_eq!(store.alloc().unwrap(), c, "the group's own free is reused, the held one is not");
     store.free(c).unwrap();
+    assert_ne!(store.alloc().unwrap(), a, "a failed commit releases no held page");
 
     log.refuse_appends(false);
-    // Take b, take c, push c, take c, push c, then the held push of a.
-    assert_eq!(store.commit_with(b"second").unwrap(), 6);
-    let committed = (snapshot(&store), store.alloc_snapshot());
+    // Alloc b, alloc c, free c, alloc c, free c, free a (held), alloc.
+    assert_eq!(store.commit_with(b"second").unwrap(), 7);
+    let committed = snapshot(&store);
     drop(store);
     let reopened = store_over(&backend, Box::new(MemLog::from_bytes(log.read_all().unwrap())));
     assert_eq!(reopened.last_commit_meta().as_deref(), Some(&b"second"[..]));
-    assert_eq!((snapshot(&reopened), reopened.alloc_snapshot()), committed);
+    claim(&reopened, &committed);
+    assert_eq!(snapshot(&reopened), committed);
 }
 
 /// An install whose commit the log refuses publishes nothing: the current
@@ -433,7 +456,7 @@ fn an_install_whose_commit_fails_publishes_nothing() {
     store.write(a, &payload(0x0A, 0)).unwrap();
     store.commit_with(b"built").unwrap();
     let vs = VersionedStore::new(Arc::clone(&store), VersionConfig::default(), b"epoch 0");
-    let (live, table) = (store.live_pages(), store.alloc_snapshot());
+    let live = store.live_pages();
     let rewrite = |tag| {
         let session = vs.begin_apply();
         let to = store.relocate(a).unwrap();
@@ -453,7 +476,7 @@ fn an_install_whose_commit_fails_publishes_nothing() {
 
     let (session, kept) = rewrite(0x0C);
     assert_eq!(session.install(b"epoch 1").unwrap(), 1);
-    assert_eq!(store.alloc_snapshot().next_id, table.next_id + 1, "the failed copy's id reused");
+    assert_eq!(kept, doomed, "the failed copy's id reused");
     let committed = snapshot(&store);
     drop(vs);
     let reopened = store_over(&backend, Box::new(MemLog::from_bytes(log.read_all().unwrap())));
@@ -462,7 +485,8 @@ fn an_install_whose_commit_fails_publishes_nothing() {
     let vs = VersionedStore::open(Arc::clone(&reopened), Some(&meta), VersionConfig::default());
     assert_eq!((vs.current_seq(), vs.snapshot().user_meta()), (1, &b"epoch 1"[..]));
     assert_eq!(reopened.read(kept).unwrap()[..PAGE / 2 + 1], payload(0x0C, 1)[..]);
-    // The reopen frees the retired copy of `a`, which the commit kept.
+    // The epoch reaches its copy of `a` alone: the retired `a` is freed.
+    assert_eq!(reopened.free_unreached(&[kept]), 1);
     let survivors: Vec<_> = committed.into_iter().filter(|(id, _)| *id != a).collect();
     assert_eq!(snapshot(&reopened), survivors);
 }
@@ -504,7 +528,9 @@ fn an_install_whose_log_fsync_fails_keeps_its_pages_until_reopen() {
     let reopened = Arc::new(reopened);
     let vs = VersionedStore::open(Arc::clone(&reopened), Some(&meta), VersionConfig::default());
     assert_eq!((vs.current_seq(), vs.snapshot().user_meta()), (1, &unknown.0.to_le_bytes()[..]));
-    // The reopen frees the retired `a`: the recovered epoch is its copy alone.
+    // The recovered epoch reaches its copy alone: the retired `a` and the
+    // later session's page are freed.
+    assert_eq!(reopened.free_unreached(&[unknown]), 2);
     assert_eq!(snapshot(&reopened), [(unknown, store.read(unknown).unwrap().to_vec())]);
     assert_eq!(reopened.read(unknown).unwrap()[..PAGE / 2 + 1], payload(0xDD, 1)[..]);
 }
@@ -526,6 +552,7 @@ fn after_a_failed_log_fsync_no_commit_is_logged_until_reopen() {
     drop(store);
     let reopened = store_over(&backend, Box::new(MemLog::from_bytes(bytes)));
     assert_eq!(reopened.last_commit_meta().as_deref(), Some(&b"unknown"[..]));
+    assert_eq!(reopened.free_unreached(&[a]), 0);
     assert_eq!(snapshot(&reopened).len(), 1);
     // The reopened store's checkpoint replaced the log: commits resume.
     reopened.alloc().unwrap();
@@ -551,22 +578,102 @@ fn a_commit_too_large_for_the_log_is_refused_and_the_previous_one_kept() {
     drop(store);
     let reopened = store_over(&backend, Box::new(MemLog::from_bytes(log.read_all().unwrap())));
     assert_eq!(reopened.last_commit_meta().as_deref(), Some(&b"kept"[..]));
+    claim(&reopened, &committed);
     assert_eq!(snapshot(&reopened), committed);
 }
 
+/// A log of another layout version is refused by name before a page is
+/// read: a newer one, the previous format (`PCWAL003`, whose commits named
+/// free-list operations), and one old enough to hold a `PCV1` version
+/// frame (`PCWAL002`, whose epochs a page map translated).
 #[test]
 fn a_log_of_the_previous_format_is_refused_not_replayed() {
-    // A `PCWAL002` header and one of its commit records (`len | kind | lsn
-    // | page | crc`): its records are not this format's.
-    let mut old = b"PCWAL002".to_vec();
-    old.extend_from_slice(&(PAGE as u64).to_le_bytes());
-    old.extend_from_slice(&[0, 0, 0, 0, 4]);
-    old.extend_from_slice(&[0; 24]);
-    let opened = PageStore::new_durable(
-        cfg(),
-        Box::new(MemBackend::new(FRAME)),
-        Box::new(MemLog::from_bytes(old)),
-        WalConfig::default(),
-    );
-    assert!(matches!(opened, Err(StoreError::Corrupt(_))), "{:?}", opened.err());
+    let mut newer = encode_header(PAGE);
+    newer[12..16].copy_from_slice(&(LAYOUT_VERSION + 1).to_le_bytes());
+    let old = |magic: &[u8; 8]| {
+        let mut log = magic.to_vec();
+        log.extend_from_slice(&(PAGE as u64).to_le_bytes());
+        // One record: `len | kind | payload | crc`.
+        log.extend_from_slice(&[16, 0, 0, 0, 4]);
+        log.extend_from_slice(&[0; 24]);
+        log
+    };
+    let logs = [(newer, LAYOUT_VERSION + 1), (old(b"PCWAL003"), 3), (old(b"PCWAL002"), 2)];
+    for (log, found) in logs {
+        let opened = PageStore::new_durable(
+            cfg(),
+            Box::new(MemBackend::new(FRAME)),
+            Box::new(MemLog::from_bytes(log)),
+            WalConfig::default(),
+        );
+        let refused = matches!(
+            opened,
+            Err(StoreError::LayoutVersion { found: f, expected: LAYOUT_VERSION }) if f == found
+        );
+        assert!(refused, "layout version {found}: {:?}", opened.err());
+    }
+}
+
+/// The hand-off frees, in id order, every id below the frontier that the
+/// owner's walk does not reach — a reached id past the data file's frames
+/// (allocated, never written) moves the frontier — and happens once: no
+/// alloc or free runs before it.
+#[test]
+fn a_reopened_store_frees_what_its_owner_does_not_reach() {
+    let backend = Arc::new(MemBackend::new(FRAME));
+    let log = Arc::new(MemLog::new());
+    let store = store_over(&backend, Box::new(Arc::clone(&log)));
+    let ids: Vec<PageId> = (0..6).map(|_| store.alloc().unwrap()).collect();
+    for &id in &ids[..5] {
+        store.write(id, &payload(0x5E, id.0 as u8)).unwrap();
+    }
+    store.commit_with(b"six").unwrap();
+    drop(store);
+    let reopened = store_over(&backend, Box::new(MemLog::from_bytes(log.read_all().unwrap())));
+    assert_eq!(reopened.allocated_pages(), ids[..5], "every id below the data file's frames");
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reopened.alloc()));
+    assert!(refused.is_err(), "an alloc before the hand-off");
+    assert_eq!(reopened.free_unreached(&[ids[1], ids[5], ids[3]]), 3);
+    assert_eq!(reopened.allocated_pages(), [ids[1], ids[3], ids[5]]);
+    assert_eq!(reopened.free_unreached(&[]), 0, "a second hand-off does nothing");
+    let recycled: Vec<PageId> = (0..4).map(|_| reopened.alloc().unwrap()).collect();
+    assert_eq!(recycled, [ids[0], ids[2], ids[4], PageId(6)], "lowest first, then the frontier");
+    assert!(reopened.read(ids[4]).unwrap().iter().all(|&b| b == 0), "a recycled id reads zeros");
+}
+
+/// A checkpoint whose log swap fails after its commit was durable fails
+/// nothing: the install publishes its epoch, a reopen recovers it, and the
+/// next commit swaps the log.
+#[test]
+fn an_install_whose_checkpoint_swap_fails_publishes_its_epoch() {
+    let backend = Arc::new(MemBackend::new(FRAME));
+    let log = Arc::new(FaultLog::default());
+    let data = Box::new(Arc::clone(&backend));
+    let wal = WalConfig { checkpoint_bytes: 1 };
+    let store = PageStore::new_durable(cfg(), data, Box::new(Arc::clone(&log)), wal).unwrap().0;
+    let store = Arc::new(store);
+    let a = store.alloc().unwrap();
+    store.write(a, &payload(0x0A, 0)).unwrap();
+    store.commit_with(b"built").unwrap();
+    let vs = VersionedStore::new(Arc::clone(&store), VersionConfig::default(), b"epoch 0");
+    let checkpoints = store.wal_stats().unwrap().checkpoints;
+
+    log.refuse_resets(true);
+    let session = vs.begin_apply();
+    let to = store.relocate(a).unwrap();
+    store.write(to, &payload(0x0B, 1)).unwrap();
+    assert_eq!(session.install(b"epoch 1").unwrap(), 1, "the commit was durable");
+    assert_eq!((vs.current_seq(), vs.snapshot().user_meta()), (1, &b"epoch 1"[..]));
+    assert_eq!(store.wal_stats().unwrap().checkpoints, checkpoints, "the swap failed");
+    let reopened = store_over(&backend, Box::new(MemLog::from_bytes(log.read_all().unwrap())));
+    let meta = reopened.last_commit_meta().unwrap();
+    let recovered = VersionedStore::open(Arc::new(reopened), Some(&meta), VersionConfig::default());
+    assert_eq!((recovered.current_seq(), recovered.snapshot().user_meta()), (1, &b"epoch 1"[..]));
+
+    log.refuse_resets(false);
+    let session = vs.begin_apply();
+    store.write(store.relocate(to).unwrap(), &payload(0x0C, 2)).unwrap();
+    session.install(b"epoch 2").unwrap();
+    assert_eq!(store.wal_stats().unwrap().checkpoints, checkpoints + 1, "the next commit swaps");
+    assert_eq!(scan(&log.read_all().unwrap(), PAGE).unwrap().records.len(), 1);
 }

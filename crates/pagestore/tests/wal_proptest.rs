@@ -13,61 +13,40 @@
 //!   the original sequence (the CRC catches the damage and the scanner
 //!   stops there);
 //! - **recovery**: a durable store killed after any mix of allocs, frees
-//!   and commits reopens with the allocation table of its last commit,
-//!   free-list order included.
+//!   and commits, handed the pages its last commit holds, reopens with that
+//!   commit's allocation table, and never hands one of them out again.
 
 use pc_pagestore::backend::MemBackend;
 use pc_pagestore::wal::{
-    decode_record, encode_header, scan, Entry, WalRecord, MAX_RECORD_PAYLOAD, WAL_HEADER_LEN,
+    decode_record, encode_header, encode_record, scan, MAX_RECORD_PAYLOAD, WAL_HEADER_LEN,
 };
-use pc_pagestore::{AllocSnapshot, LogMedium, MemLog, PageStore, StoreConfig, WalConfig};
+use pc_pagestore::{LogMedium, MemLog, PageStore, StoreConfig, WalConfig};
 use pc_rng::check::{check, no_shrink, shrink_vec, Config};
 use pc_rng::Rng;
 
 const PAGE: usize = 64;
 
-fn gen_record(rng: &mut Rng) -> WalRecord {
-    match rng.gen_range(0..3u64) {
-        0 | 1 => {
-            let entries = (0..rng.gen_range(0..8usize))
-                .map(|_| {
-                    let id = rng.gen_range(0..64u64);
-                    if rng.gen_range(0..2u64) == 0 { Entry::Take(id) } else { Entry::Push(id) }
-                })
-                .collect();
-            let len = rng.gen_range(0..16usize);
-            let mut meta = vec![0u8; len];
-            rng.fill_bytes(&mut meta);
-            WalRecord::Commit { entries, meta }
-        }
-        _ => {
-            let frees = rng.gen_range(0..6usize);
-            let free_list = (0..frees).map(|_| rng.gen_range(0..64u64)).collect();
-            let meta_len = rng.gen_range(0..12usize);
-            let mut meta = vec![0u8; meta_len];
-            rng.fill_bytes(&mut meta);
-            WalRecord::Checkpoint {
-                alloc: AllocSnapshot { next_id: rng.gen_range(0..128u64), free_list },
-                meta,
-            }
-        }
-    }
+/// One record: its metadata.
+fn gen_record(rng: &mut Rng) -> Vec<u8> {
+    let mut meta = vec![0u8; rng.gen_range(0..24usize)];
+    rng.fill_bytes(&mut meta);
+    meta
 }
 
-fn gen_records(rng: &mut Rng) -> Vec<WalRecord> {
+fn gen_records(rng: &mut Rng) -> Vec<Vec<u8>> {
     let n = rng.gen_range(0..24usize);
     (0..n).map(|_| gen_record(rng)).collect()
 }
 
 /// Drop-front/drop-back/drop-one shrinking.
-fn shrink_records(recs: &[WalRecord]) -> Vec<Vec<WalRecord>> {
+fn shrink_records(recs: &[Vec<u8>]) -> Vec<Vec<Vec<u8>>> {
     shrink_vec(recs, |_| Vec::new())
 }
 
-fn encode_log(records: &[WalRecord]) -> Vec<u8> {
+fn encode_log(records: &[Vec<u8>]) -> Vec<u8> {
     let mut bytes = encode_header(PAGE);
-    for r in records {
-        r.encode_into(&mut bytes).unwrap();
+    for meta in records {
+        encode_record(&mut bytes, meta).unwrap();
     }
     bytes
 }
@@ -216,9 +195,7 @@ fn oversized_length_field_is_rejected_not_allocated() {
     // over MAX_RECORD_PAYLOAD is treated as torn.
     let mut bytes = encode_header(PAGE);
     let rec_start = bytes.len();
-    WalRecord::Commit { entries: vec![Entry::Take(0)], meta: vec![7; 4] }
-        .encode_into(&mut bytes)
-        .unwrap();
+    encode_record(&mut bytes, &[7; 4]).unwrap();
     bytes[rec_start..rec_start + 4]
         .copy_from_slice(&((MAX_RECORD_PAYLOAD as u32) + 1).to_le_bytes());
     let out = scan(&bytes, PAGE).unwrap();
@@ -248,24 +225,31 @@ fn prop_recovery_restores_the_last_commits_allocation_table() {
             };
             let (store, _) = open(Box::new(log.clone())).map_err(|e| e.to_string())?;
             let mut live = Vec::new();
-            let mut committed = store.alloc_snapshot();
+            let mut committed = store.allocated_pages();
             for &op in ops {
                 let done = match op % 4 {
                     0 | 1 => store.alloc().map(|id| live.push(id)),
                     2 if !live.is_empty() => store.free(live.swap_remove(op as usize % live.len())),
                     2 => Ok(()),
-                    _ => store.commit_with(&[op]).map(|_| committed = store.alloc_snapshot()),
+                    _ => store.commit_with(&[op]).map(|_| committed = store.allocated_pages()),
                 };
                 done.map_err(|e| format!("op {op}: {e}"))?;
             }
             let bytes = log.read_all().map_err(|e| e.to_string())?;
             let (reopened, _) =
                 open(Box::new(MemLog::from_bytes(bytes))).map_err(|e| format!("reopen: {e}"))?;
-            if reopened.alloc_snapshot() != committed {
+            reopened.free_unreached(&committed);
+            if reopened.allocated_pages() != committed {
                 return Err(format!(
                     "recovered {:?}, last commit left {committed:?}",
-                    reopened.alloc_snapshot()
+                    reopened.allocated_pages()
                 ));
+            }
+            for _ in 0..4 {
+                let id = reopened.alloc().map_err(|e| e.to_string())?;
+                if committed.contains(&id) {
+                    return Err(format!("the reopened store handed out committed {id:?}"));
+                }
             }
             Ok(())
         },

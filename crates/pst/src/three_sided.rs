@@ -518,7 +518,7 @@ impl ThreeSidedPst {
     /// indexes and the directory's own page where it has one. A page is
     /// named after the pages found through it have been read, so `visit`
     /// may free it.
-    fn for_each_page(
+    pub(crate) fn for_each_page(
         &self,
         store: &PageStore,
         visit: &mut impl FnMut(PageClass, PageId) -> Result<()>,

@@ -12,9 +12,9 @@
 //!   seeded uniform points (every replica of a group must be started with
 //!   identical `--points`/`--seed` so the group holds identical data);
 //! * `--data PATH`: file-backed store with a write-ahead log. A fresh path
-//!   builds the preload; an existing path **recovers**: pages are replayed
-//!   to the last committed batch and the structure is reopened from the
-//!   descriptor the server embeds in every group commit — acknowledged
+//!   builds the preload; an existing path **recovers**: the structure is
+//!   reopened from the descriptor the server embeds in every group commit,
+//!   and the store frees every page it does not reach — acknowledged
 //!   updates survive a kill, which is what the node-kill chaos suite
 //!   leans on.
 //!
@@ -22,14 +22,13 @@
 //! sends the ADMIN `Shutdown` op (the router's fabric drain does).
 
 use std::io::Write as _;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use pc_pagestore::{PageStore, Point, WalConfig};
+use pc_pagestore::{PageStore, Point, RecoveryReport, WalConfig};
 use pc_pst::DynamicPst;
-use pc_serve::{
-    decode_commit_meta, DynamicPstTarget, Registry, Server, ServerConfig, Service,
-};
+use pc_serve::{DynamicPstTarget, Registry, Server, ServerConfig, Service};
 use pc_workloads::{gen_points, PointDist};
 
 const USAGE: &str = "usage: pc-shard [--addr HOST:PORT] [--page-size N] [--data PATH] \
@@ -105,44 +104,34 @@ fn preload(args: &Args) -> Vec<Point> {
 /// Builds (fresh store) or recovers (existing `--data` file) the node's
 /// store and its target registry.
 fn open_service(args: &Args) -> Result<Service, String> {
-    let (store, recovered_meta) = match &args.data {
-        None => (PageStore::in_memory(args.page_size), None),
+    let (store, report) = match &args.data {
+        None => (PageStore::in_memory(args.page_size), RecoveryReport::default()),
         Some(path) => {
-            let existed = std::path::Path::new(path).exists();
-            let (store, report) =
-                PageStore::file_durable(std::path::Path::new(path), args.page_size, WalConfig::default())
-                    .map_err(|e| format!("open {path}: {e}"))?;
-            let meta = if existed { report.last_commit_meta.clone() } else { None };
-            eprintln!(
-                "pc-shard: {} {path}: {} replayed records, {} commits{}",
-                if existed { "recovered" } else { "created" },
-                report.replayed_records(),
-                report.commits,
-                if report.torn_tail { ", torn WAL tail discarded" } else { "" },
-            );
-            (store, meta)
+            PageStore::file_durable(Path::new(path), args.page_size, WalConfig::default())
+                .map_err(|e| format!("open {path}: {e}"))?
         }
     };
     let store = Arc::new(store);
-    // An existing data file with any committed descriptor reopens the
-    // structure exactly as of the last acknowledged batch; everything else
-    // builds from the (possibly empty) preload.
-    let target = match recovered_meta.as_deref().and_then(decode_commit_meta) {
-        Some((_seq, descriptors)) if matches!(descriptors.first(), Some(Some(_))) => {
-            let desc = descriptors[0].as_ref().expect("matched Some");
-            let pst =
-                DynamicPst::open(&store, desc).map_err(|e| format!("reopen structure: {e}"))?;
-            DynamicPstTarget::new(pst)
-        }
-        _ => {
-            let pst = DynamicPst::build(&store, &preload(args))
-                .map_err(|e| format!("build structure: {e:?}"))?;
-            DynamicPstTarget::new(pst)
-        }
-    };
-    let mut registry = Registry::new();
-    registry.register("dyn", Box::new(target));
-    Ok(Service { store, registry })
+    let at_open = store.live_pages();
+    // A committed descriptor reopens the structure exactly as of the last
+    // acknowledged batch; without one it builds from the preload.
+    let service = Service::recover(store, |store, descriptors| {
+        let pst = match descriptors.and_then(|d| d.first()).and_then(Option::as_deref) {
+            Some(desc) => DynamicPst::open(store, desc)?,
+            None => DynamicPst::build(store, &preload(args))?,
+        };
+        let mut registry = Registry::new();
+        registry.register("dyn", Box::new(DynamicPstTarget::new(pst)));
+        Ok(registry)
+    })
+    .map_err(|e| format!("open structure: {e}"))?;
+    if let (Some(path), Some(_)) = (&args.data, &report.last_commit_meta) {
+        let (reached, torn) = (service.store.live_pages(), report.torn_tail);
+        let freed = at_open.saturating_sub(reached);
+        let torn = if torn { ", torn WAL tail discarded" } else { "" };
+        eprintln!("pc-shard: recovered {path}: {reached} pages reached, {freed} freed{torn}");
+    }
+    Ok(service)
 }
 
 fn run() -> Result<(), String> {

@@ -139,7 +139,6 @@ pub fn store_samples(store: &PageStore, out: &mut Vec<Sample>) {
         Sample::counter(store_metrics::WAL_COMMITS, w.commits),
         Sample::counter(store_metrics::WAL_FSYNCS, w.fsyncs),
         Sample::counter(store_metrics::WAL_CHECKPOINTS, w.checkpoints),
-        Sample::counter(store_metrics::WAL_REPLAYED, w.replayed),
         Sample::gauge(store_metrics::WAL_LOG_BYTES, w.log_bytes),
         Sample::histogram(
             store_metrics::WAL_GROUP_COMMIT_RECORDS,

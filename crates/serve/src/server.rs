@@ -43,7 +43,8 @@ use pc_obs::serve_metrics as names;
 use pc_obs::slowlog::{SlowLog, SlowQuery};
 use pc_obs::{QueryTrace, Sample};
 use pc_pagestore::{
-    decode_version_meta, IoStats, PageStore, Snapshot, UpdateOp, VersionConfig, VersionedStore,
+    decode_version_meta, IoStats, PageStore, Snapshot, StoreError, UpdateOp, VersionConfig,
+    VersionedStore,
 };
 
 use crate::front::{Conn, ConnEvent, Front, Handler};
@@ -71,6 +72,28 @@ pub struct Service {
     pub store: Arc<PageStore>,
     /// The structures, addressed by wire target id.
     pub registry: Registry,
+}
+
+impl Service {
+    /// The service over a store just opened: the one place a reopened node
+    /// hands its store the pages it keeps. `open` builds the registry from
+    /// the last commit's descriptors ([`decode_commit_meta`]'s), or from
+    /// scratch on `None`; the store then frees every page no target
+    /// reaches ([`PageStore::free_unreached`]) — on `None` first, so a
+    /// build reuses them.
+    pub fn recover(
+        store: Arc<PageStore>,
+        open: impl FnOnce(&PageStore, Option<&[Option<Vec<u8>>]>) -> Result<Registry, StoreError>,
+    ) -> Result<Service, StoreError> {
+        let recovered = store.last_commit_meta().as_deref().and_then(decode_commit_meta);
+        let descriptors = recovered.map(|(_, descriptors)| descriptors);
+        if descriptors.is_none() {
+            store.free_unreached(&[]);
+        }
+        let registry = open(&store, descriptors.as_deref())?;
+        store.free_unreached(&registry.page_ids(&store)?);
+        Ok(Service { store, registry })
+    }
 }
 
 /// Server tuning knobs. `Default` is sized for tests and small machines.
@@ -300,12 +323,11 @@ pub fn encode_commit_meta(seq: u64, descriptors: &[Option<Vec<u8>>]) -> Vec<u8> 
 
 /// Decodes [`encode_commit_meta`] output; total (returns `None` on any
 /// malformed input). On a versioned server every durable commit is
-/// version-framed (the epoch's seq and retire queue wrap the batch meta); a
-/// frame is transparently unwrapped so recovery callers see the inner
-/// batch payload either way. A frame of the former page-map format, whose
-/// descriptors name ids a map translated, is `None`: it does not reopen.
+/// version-framed (the epoch's seq wraps the batch meta); a frame is
+/// transparently unwrapped so recovery callers see the inner batch payload
+/// either way.
 pub fn decode_commit_meta(meta: &[u8]) -> Option<(u64, Vec<Option<Vec<u8>>>)> {
-    if let Some(vm) = decode_version_meta(meta).ok()? {
+    if let Some(vm) = decode_version_meta(meta) {
         return decode_commit_meta(&vm.user);
     }
     if meta.len() < 8 {
@@ -706,10 +728,9 @@ impl Server {
         // frozen views.
         let vcfg = VersionConfig { retain: config.version_retain };
         let versions = match service.store.last_commit_meta() {
-            Some(meta) => Arc::new(
-                VersionedStore::try_open(Arc::clone(&service.store), Some(&meta), vcfg)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-            ),
+            Some(meta) => {
+                Arc::new(VersionedStore::open(Arc::clone(&service.store), Some(&meta), vcfg))
+            }
             None => Arc::new(VersionedStore::new(
                 Arc::clone(&service.store),
                 vcfg,
@@ -926,32 +947,27 @@ mod tests {
         assert_eq!(decode_commit_meta(&padded), None);
 
         // A version frame unwraps; the former page-map frame does not.
-        let vm = pc_pagestore::VersionMeta { seq: 1, user: meta.clone(), retired: Vec::new() };
+        let vm = pc_pagestore::VersionMeta { seq: 1, user: meta.clone() };
         let framed = pc_pagestore::encode_version_meta(&vm);
         assert_eq!(decode_commit_meta(&framed), decode_commit_meta(&meta));
         let pcv1 = [&b"PCV1"[..], &framed[4..]].concat();
         assert_eq!(decode_commit_meta(&pcv1), None);
     }
 
-    /// A durable store whose last commit is a `PCV1` frame — an epoch of the
-    /// former page map, whose descriptors name ids the map translated — is
-    /// refused at spawn, not reopened at those ids.
+    /// A durable store committed under the former page map — whose
+    /// epochs' descriptors name ids a map translated — is refused by its
+    /// log's header (`PCWAL002`), before a server could reopen those ids.
     #[test]
     fn a_store_committed_under_the_page_map_is_refused() {
-        let (store, _) = PageStore::in_memory_durable(512);
-        let page = store.alloc().unwrap();
-        store.write(page, b"x").unwrap();
-        let user = encode_commit_meta(3, &[]);
-        let mut pcv1 = b"PCV1".to_vec();
-        pcv1.extend_from_slice(&3u64.to_le_bytes());
-        pcv1.extend_from_slice(&(user.len() as u32).to_le_bytes());
-        pcv1.extend_from_slice(&user);
-        pcv1.extend_from_slice(&[1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]);
-        pcv1.extend_from_slice(&0u32.to_le_bytes());
-        store.commit_with(&pcv1).unwrap();
-        let service = Service { store: Arc::new(store), registry: Registry::new() };
-        let refused = Server::spawn(service, ServerConfig::default()).err().expect("refused");
-        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
-        assert!(refused.to_string().contains("PCV1"), "{refused}");
+        let mut log = b"PCWAL002".to_vec();
+        log.extend_from_slice(&512u64.to_le_bytes());
+        let opened = PageStore::new_durable(
+            pc_pagestore::StoreConfig::strict(512),
+            Box::new(pc_pagestore::backend::MemBackend::new(520)),
+            Box::new(pc_pagestore::MemLog::from_bytes(log)),
+            pc_pagestore::WalConfig::default(),
+        );
+        let refused = opened.err().expect("refused");
+        assert!(matches!(refused, StoreError::LayoutVersion { found: 2, .. }), "{refused}");
     }
 }

@@ -27,7 +27,7 @@ use std::fmt;
 
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pagestore::{Interval, PageStore, Point, StoreError, UpdateOp};
+use pc_pagestore::{Interval, PageId, PageStore, Point, StoreError, UpdateOp};
 use pc_pst::{
     DynamicPst, DynamicThreeSidedPst, NaivePst, ThreeSided, ThreeSidedPst, TwoLevelPst, TwoSided,
 };
@@ -126,6 +126,13 @@ pub trait QueryTarget: Send + Sync {
     ) -> Result<Box<dyn QueryTarget>, TargetError> {
         let _ = (store, desc);
         Err(TargetError::Unsupported { op: "open_frozen", target: self.kind() })
+    }
+
+    /// The id of every page the live structure reaches: what a reopened
+    /// store keeps. None for a static target, which is never reopened.
+    fn page_ids(&self, store: &PageStore) -> Result<Vec<PageId>, StoreError> {
+        let _ = store;
+        Ok(Vec::new())
     }
 }
 
@@ -304,6 +311,8 @@ pub trait Updates: Answers + Sized + 'static {
     fn descriptor(&self) -> Vec<u8>;
     /// Reopens the state a descriptor names.
     fn open(store: &PageStore, desc: &[u8]) -> Result<Self, StoreError>;
+    /// The id of every page the structure reaches, once.
+    fn page_ids(&self, store: &PageStore) -> Result<Vec<PageId>, StoreError>;
 }
 
 /// `Updates` for a structure whose inherent methods already are the contract.
@@ -319,6 +328,9 @@ macro_rules! updates {
             }
             fn open(store: &PageStore, desc: &[u8]) -> Result<Self, StoreError> {
                 <$S>::open(store, desc)
+            }
+            fn page_ids(&self, store: &PageStore) -> Result<Vec<PageId>, StoreError> {
+                <$S>::page_ids(self, store)
             }
         }
     };
@@ -342,6 +354,9 @@ impl Updates for BTree {
     }
     fn open(_store: &PageStore, desc: &[u8]) -> Result<Self, StoreError> {
         BTree::open(desc)
+    }
+    fn page_ids(&self, store: &PageStore) -> Result<Vec<PageId>, StoreError> {
+        BTree::page_ids(self, store)
     }
 }
 
@@ -399,6 +414,10 @@ impl<S: Updates> QueryTarget for Dynamic<S> {
         desc: &[u8],
     ) -> Result<Box<dyn QueryTarget>, TargetError> {
         Ok(Box::new(Frozen(S::open(store, desc)?)))
+    }
+
+    fn page_ids(&self, store: &PageStore) -> Result<Vec<PageId>, StoreError> {
+        self.0.lock().page_ids(store)
     }
 }
 
@@ -461,6 +480,12 @@ impl Registry {
     /// commit metadata carries (see [`crate::server::encode_commit_meta`]).
     pub fn descriptors(&self) -> Vec<Option<Vec<u8>>> {
         self.targets.iter().map(|(_, t)| t.descriptor()).collect()
+    }
+
+    /// The id of every page a registered target reaches.
+    pub fn page_ids(&self, store: &PageStore) -> Result<Vec<PageId>, StoreError> {
+        let ids: Result<Vec<_>, _> = self.targets.iter().map(|(_, t)| t.page_ids(store)).collect();
+        Ok(ids?.concat())
     }
 }
 

@@ -309,7 +309,6 @@ const STATS_NAMES: &[&str] = &[
     "pc_store_wal_group_commit_records_count",
     "pc_store_wal_group_commit_records_p50",
     "pc_store_wal_log_bytes",
-    "pc_store_wal_replayed_records_total",
     "pc_version_epochs_installed_total",
     "pc_version_epochs_retained",
     "pc_version_oldest_pin_age_epochs",

@@ -116,6 +116,18 @@ scripts/loc.sh serve pst btree segtree pagestore intervaltree
 echo "==> scripts/loc.sh crates/pagestore/src/{store,wal,recovery,version}.rs"
 scripts/loc.sh crates/pagestore/src/{store,wal,recovery,version}.rs
 
+# ROADMAP 13(e): the newest CHANGES.md entry — its `- ` line and every
+# line after it, FOUND / MENDED ones included — stays short.
+echo "==> the newest CHANGES.md entry: at most 15 lines of at most 100 columns"
+ENTRY="$(awk '/^- /{buf=""} {buf=buf $0 "\n"} END{printf "%s", buf}' CHANGES.md)"
+ENTRY_LINES="$(printf '%s\n' "$ENTRY" | wc -l)"
+ENTRY_COLS="$(printf '%s\n' "$ENTRY" | LC_ALL=C.UTF-8 wc -L)"
+if [ "$ENTRY_LINES" -gt 15 ] || [ "$ENTRY_COLS" -gt 100 ]; then
+    echo "ERROR: the newest CHANGES.md entry is $ENTRY_LINES lines, $ENTRY_COLS columns at its widest" >&2
+    exit 1
+fi
+echo "OK: $ENTRY_LINES lines, $ENTRY_COLS columns at its widest"
+
 if [ "$RUN_CHAOS" = 1 ]; then
     # On failure, rerun the printed command to reproduce the exact
     # scenario. The hard timeout turns a wedged failover, health loop or

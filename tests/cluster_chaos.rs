@@ -28,7 +28,7 @@ use pc_pst::{DynamicPst, TwoSided};
 use pc_rng::Rng;
 use pc_serve::wire::{Body, Op};
 use pc_serve::{
-    canonicalize, decode_commit_meta, Client, DynamicPstTarget, Registry, Router, RouterConfig,
+    canonicalize, Client, DynamicPstTarget, Registry, Router, RouterConfig,
     RouterError, Server, ServerConfig, ServerHandle, Service, ShardMap,
 };
 use pc_workloads::{gen_points, PointDist, DOMAIN};
@@ -44,27 +44,23 @@ fn seed() -> u64 {
 /// replica node, returning its handle and the number of update records its
 /// recovered structure had durably applied — the router's replay cursor.
 fn spawn_replica(path: &Path, preload: &[Point]) -> (ServerHandle, u64) {
-    let existed = path.exists();
-    let (store, report) = PageStore::file_durable(path, PAGE, WalConfig::default()).unwrap();
-    let store = Arc::new(store);
-    let meta = if existed { report.last_commit_meta.clone() } else { None };
-    let (target, recovered_seq) = match meta.as_deref().and_then(decode_commit_meta) {
-        Some((_batch, descriptors)) if matches!(descriptors.first(), Some(Some(_))) => {
-            let desc = descriptors[0].as_ref().expect("matched Some");
-            let target = DynamicPstTarget::new(DynamicPst::open(&store, desc).unwrap());
-            let seq = target.0.lock().seq();
-            (target, seq)
-        }
-        _ => {
+    let (store, _) = PageStore::file_durable(path, PAGE, WalConfig::default()).unwrap();
+    let mut recovered_seq = 0;
+    let service = Service::recover(Arc::new(store), |store, descriptors| {
+        let pst = match descriptors.and_then(|d| d.first()).and_then(Option::as_deref) {
+            Some(desc) => DynamicPst::open(store, desc)?,
             // Fresh node, or a node killed before its first group commit:
             // rebuild the preload, replay everything.
-            (DynamicPstTarget::new(DynamicPst::build(&store, preload).unwrap()), 0)
-        }
-    };
-    let mut registry = Registry::new();
-    registry.register("dyn", Box::new(target));
+            None => DynamicPst::build(store, preload)?,
+        };
+        recovered_seq = pst.seq();
+        let mut registry = Registry::new();
+        registry.register("dyn", Box::new(DynamicPstTarget::new(pst)));
+        Ok(registry)
+    })
+    .unwrap();
     let cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
-    let handle = Server::spawn(Service { store, registry }, cfg).unwrap();
+    let handle = Server::spawn(service, cfg).unwrap();
     (handle, recovered_seq)
 }
 

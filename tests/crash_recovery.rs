@@ -8,18 +8,19 @@
 //!    (log appends, log fsyncs, checkpoint log swaps, data-frame writes,
 //!    data fsyncs); the matrix then re-runs it dying at *every* one of
 //!    them, extracts what durable media would hold, and asserts that every
-//!    frame of a committed batch prefix holding every acknowledged batch is
-//!    intact on the medium; then it reopens, recovers, and asserts the
-//!    store equals that prefix, its allocation table (free-list order
-//!    included) too. Every decision derives from
-//!    `(seed, op ordinal)`, so a failure reproduces from its printed
-//!    `(seed, kill_at)` pair.
+//!    frame of the committed batch prefix the recovered commit names, which
+//!    holds every acknowledged batch, is intact on the medium; then it
+//!    reopens, hands the store that prefix's pages as an owner's walk
+//!    would, and asserts the store equals that prefix. Every decision
+//!    derives from `(seed, op ordinal)`, so a failure reproduces from its
+//!    printed `(seed, kill_at)` pair.
 //!
 //! 2. **Versioned matrix** — each update-capable target kind, applied in
 //!    copy-on-write sessions and installed epoch by epoch as a shard does,
 //!    killed at a stride of its durable I/Os: recovery exposes exactly the
-//!    last committed epoch, bit-identical, over the allocation table that
-//!    epoch's commit left.
+//!    last committed epoch, bit-identical, and the store, handed the pages
+//!    the reopened target walks, holds exactly the pages that epoch's
+//!    target reached in the run that installed it.
 //!
 //! That every structure *answers* as the model at the acked prefix after
 //! a seeded kill is `tests/oracle.rs`'s, one test per structure.
@@ -31,8 +32,8 @@ use std::sync::Arc;
 
 use pc_pagestore::codec::frame_is_valid;
 use pc_pagestore::{
-    AllocSnapshot, CrashBackend, CrashController, CrashLog, CrashPlan, PageId, PageStore,
-    StoreConfig, VersionConfig, VersionedStore, WalConfig,
+    CrashBackend, CrashController, CrashLog, CrashPlan, PageId, PageStore, StoreConfig,
+    VersionConfig, VersionedStore, WalConfig,
 };
 use pc_pst::{DynamicPst, DynamicThreeSidedPst};
 use path_caching::Point;
@@ -53,10 +54,9 @@ fn snapshot(store: &PageStore) -> PageImage {
         .collect()
 }
 
-/// [`snapshot`] plus the allocation table: what a continued run allocates
-/// next is committed state too.
-fn state(store: &PageStore) -> (PageImage, AllocSnapshot) {
-    (snapshot(store), store.alloc_snapshot())
+/// The ids of an image: what an owner's walk of its state reaches.
+fn ids(image: &PageImage) -> Vec<PageId> {
+    image.iter().map(|&(id, _)| id).collect()
 }
 
 /// A matrix's seed: `fixed`, or, when `PC_CHAOS_SEED` is set, that seed
@@ -88,9 +88,9 @@ fn raw_cfg() -> StoreConfig {
 
 /// Small checkpoint threshold so the six batches cross it several times —
 /// the matrix must include kill points inside checkpoints (the log swap),
-/// not just inside commits.
+/// not just inside commits. A record is 14 bytes, the header 16.
 fn raw_wal_cfg() -> WalConfig {
-    WalConfig { checkpoint_bytes: 160 }
+    WalConfig { checkpoint_bytes: 48 }
 }
 
 fn batch_payload(batch: u8, slot: u8) -> Vec<u8> {
@@ -100,18 +100,33 @@ fn batch_payload(batch: u8, slot: u8) -> Vec<u8> {
     v
 }
 
-/// Runs the deterministic mixed workload. Stops at the first error (the
-/// crash) and returns how many batches were acknowledged (committed).
-/// When `record` is set (reference run; never crashes) also returns the
-/// committed state after each batch, with the initial empty state at
-/// index 0.
-fn raw_workload(store: &PageStore, record: bool) -> (u64, Vec<(PageImage, AllocSnapshot)>) {
-    let mut snaps = Vec::new();
+/// What a run of [`raw_workload`] committed.
+#[derive(Default)]
+struct Run {
+    /// Batches acknowledged.
+    acked: u64,
+    /// The live pages each batch's commit names (the last perhaps a
+    /// commit whose acknowledgement the kill took): what the batch
+    /// `[round, b]` of a recovered commit reaches.
+    live: Vec<Vec<PageId>>,
+    /// With `record` (the reference run; never crashes), the committed
+    /// state after each batch, the initial empty state at index 0.
+    snaps: Vec<PageImage>,
+}
+
+/// The batch a recovered commit names: its round and batch index.
+fn batch_of(meta: Option<&[u8]>) -> Option<(u8, usize)> {
+    meta.map(|m| (m[0], m[1] as usize))
+}
+
+/// Runs the deterministic mixed workload, committing batch `b` as
+/// `[round, b]`. Stops at the first error (the crash).
+fn raw_workload(store: &PageStore, round: u8, record: bool) -> Run {
+    let mut run = Run::default();
     if record {
-        snaps.push(state(store));
+        run.snaps.push(snapshot(store));
     }
     let mut live: Vec<PageId> = Vec::new();
-    let mut acked = 0u64;
     for b in 0..BATCHES {
         let step = || -> pc_pagestore::Result<()> {
             for slot in 0..2u8 {
@@ -134,20 +149,21 @@ fn raw_workload(store: &PageStore, record: bool) -> (u64, Vec<(PageImage, AllocS
                 let victim = live.remove(0);
                 store.free(victim)?;
             }
-            store.commit_with(&[b])?;
+            run.live.push(live.clone());
+            store.commit_with(&[round, b])?;
             Ok(())
         }();
         match step {
             Ok(()) => {
-                acked += 1;
+                run.acked += 1;
                 if record {
-                    snaps.push(state(store));
+                    run.snaps.push(snapshot(store));
                 }
             }
             Err(_) => break,
         }
     }
-    (acked, snaps)
+    run
 }
 
 fn crash_media(seed: u64, kill_at: u64) -> (CrashController, Arc<CrashBackend>, Arc<CrashLog>) {
@@ -184,7 +200,7 @@ fn kill_point_matrix_every_acked_batch_survives() {
         raw_wal_cfg(),
     )
     .unwrap();
-    let (acked, snaps) = raw_workload(&store, true);
+    let Run { acked, snaps, .. } = raw_workload(&store, 1, true);
     assert_eq!(acked, BATCHES as u64);
     let ws = store.wal_stats().unwrap();
     assert!(
@@ -204,7 +220,7 @@ fn kill_point_matrix_every_acked_batch_survives() {
             Box::new(Arc::clone(&log)),
             raw_wal_cfg(),
         ) {
-            Ok((store, _)) => raw_workload(&store, false).0,
+            Ok((store, _)) => raw_workload(&store, 1, false).acked,
             // Killed during the open itself: nothing was ever acked.
             Err(_) => 0,
         };
@@ -221,30 +237,17 @@ fn kill_point_matrix_every_acked_batch_survives() {
         .unwrap_or_else(|e| {
             panic!("seed {seed:#x} kill_at {kill_at}: recovery must never fail: {e}")
         });
-        let state = state(&recovered);
-        let idx = snaps.iter().position(|s| s == &state).unwrap_or_else(|| {
-            panic!(
-                "seed {seed:#x} kill_at {kill_at}: recovered state ({} pages, {:?}) matches \
-                 no committed batch prefix; report: {report:?}",
-                state.0.len(),
-                state.1
-            )
-        });
+        // The batch the recovered commit names is the prefix restored.
+        let idx = batch_of(report.last_commit_meta.as_deref()).map_or(0, |(_, b)| b + 1);
         assert!(
-            idx as u64 >= acked,
-            "seed {seed:#x} kill_at {kill_at}: {acked} batches were acked but recovery \
-             restored only {idx}; report: {report:?}"
+            idx as u64 >= acked && idx as u64 <= acked + 1,
+            "{ctx}: {acked} batches were acked but recovery restored {idx}; report: {report:?}"
         );
         // Recovery writes no frame, so the medium itself must hold the
         // state it restored, every acked batch included.
-        assert_frames_intact(&frames, &snaps[idx].0, &ctx);
-        // The commit meta the recovery reports must agree with the state
-        // it restored (meta is the batch index the workload committed).
-        if idx > 0 {
-            if let Some(meta) = &report.last_commit_meta {
-                assert_eq!(meta.as_slice(), &[idx as u8 - 1], "kill_at {kill_at}");
-            }
-        }
+        assert_frames_intact(&frames, &snaps[idx], &ctx);
+        recovered.free_unreached(&ids(&snaps[idx]));
+        assert!(snapshot(&recovered) == snaps[idx], "{ctx}: the store is not batch {idx}'s");
     }
 }
 
@@ -263,19 +266,20 @@ fn multi_crash_rounds_carry_survivors_forward() {
         raw_wal_cfg(),
     )
     .unwrap();
-    let (_, snaps) = raw_workload(&store, true);
+    let snaps = raw_workload(&store, 1, true).snaps;
     drop(store);
 
     let (_, backend, log) = crash_media(seed, 23);
-    let first_acked = match PageStore::new_durable(
+    let first = match PageStore::new_durable(
         raw_cfg(),
         Box::new(Arc::clone(&backend)),
         Box::new(Arc::clone(&log)),
         raw_wal_cfg(),
     ) {
-        Ok((store, _)) => raw_workload(&store, false).0,
-        Err(_) => 0,
+        Ok((store, _)) => raw_workload(&store, 1, false),
+        Err(_) => Run::default(),
     };
+    let first_acked = first.acked;
 
     // Round two: carry the survivors into fresh crash media and keep going.
     let ctrl2 = CrashController::new(CrashPlan::kill_at(seed ^ 1, 17));
@@ -285,7 +289,9 @@ fn multi_crash_rounds_carry_survivors_forward() {
         backend.surviving_frames(),
     ));
     let log2 = Arc::new(CrashLog::with_bytes(ctrl2.clone(), log.surviving_bytes()));
-    let mut second_acked = 0;
+    // Round one's pages the reopened commit names, which round two keeps.
+    let mut kept: Vec<PageId> = Vec::new();
+    let mut second = Run::default();
     if let Ok((store, report)) = PageStore::new_durable(
         raw_cfg(),
         Box::new(Arc::clone(&backend2)),
@@ -293,34 +299,38 @@ fn multi_crash_rounds_carry_survivors_forward() {
         raw_wal_cfg(),
     ) {
         // Whatever round one acked must already be here.
-        let state = state(&store);
-        let idx = snaps.iter().position(|s| s == &state);
+        let idx = batch_of(report.last_commit_meta.as_deref()).map_or(0, |(_, b)| b + 1);
+        kept = ids(&snaps[idx]);
+        store.free_unreached(&kept);
         assert!(
-            idx.is_some_and(|i| i as u64 >= first_acked),
-            "seed {seed:#x}: round two opened on {idx:?}, not a prefix of round one's \
+            idx as u64 >= first_acked && snapshot(&store) == snaps[idx],
+            "seed {seed:#x}: round two opened on batch {idx}, not a prefix of round one's \
              {first_acked} acked batches; report: {report:?}"
         );
-        second_acked = raw_workload(&store, false).0;
+        second = raw_workload(&store, 2, false);
     }
 
-    // Final recovery over round two's survivors must succeed and hold a
-    // consistent state with at least as many pages as two committed
-    // batches imply — the precise prefix equality is covered by the
-    // matrix; here the point is that recovery composes.
-    let (recovered, _) = PageStore::new_durable(
+    // Final recovery over round two's survivors: the commit it names holds
+    // round one's kept pages and, from round two, every acked batch.
+    let (recovered, report) = PageStore::new_durable(
         raw_cfg(),
         Box::new(backend2.surviving_backend()),
         Box::new(log2.surviving_log()),
         raw_wal_cfg(),
     )
     .unwrap();
-    let state = snapshot(&recovered);
-    assert!(
-        state.len() as u64 >= first_acked.min(1) + second_acked.min(1),
-        "survivors lost acked state: round1={first_acked} round2={second_acked}, \
-         {} pages",
-        state.len()
-    );
+    let mut reached = kept;
+    let restored = match batch_of(report.last_commit_meta.as_deref()) {
+        Some((2, b)) => {
+            reached.extend(&second.live[b]);
+            b as u64 + 1
+        }
+        _ => 0,
+    };
+    assert!(restored >= second.acked, "seed {seed:#x}: round two's acked batches lost");
+    reached.sort_unstable();
+    recovered.free_unreached(&reached);
+    assert_eq!(ids(&snapshot(&recovered)), reached, "seed {seed:#x}: round1={first_acked}");
 }
 
 const PAGE: usize = 512;
@@ -348,6 +358,9 @@ fn version_wal_cfg() -> WalConfig {
 }
 
 type Opened = Result<Box<dyn QueryTarget>, TargetError>;
+
+/// An epoch of the reference run: its full scan and the pages it reaches.
+type Epoch = (Vec<Point>, Vec<PageId>);
 
 /// One update-capable target kind as a shard serves it: built and
 /// registered, updated through `apply_updates` inside the batcher's session,
@@ -392,13 +405,9 @@ fn versioned_scan(kind: &Served, target: &dyn QueryTarget, store: &PageStore) ->
 /// installed as the next epoch (which is what group-commits it) with the
 /// target's descriptor as the batcher frames it. Stops at the first error — the crash — and
 /// returns how many epochs were acked (`install_as` returned `Ok`), plus,
-/// when `record` is set, the full scan and the allocation table at every
-/// epoch.
-fn versioned_workload(
-    kind: &Served,
-    store: &Arc<PageStore>,
-    record: bool,
-) -> (u64, Vec<(Vec<Point>, AllocSnapshot)>) {
+/// when `record` is set, the full scan and the pages the target reaches at
+/// every epoch.
+fn versioned_workload(kind: &Served, store: &Arc<PageStore>, record: bool) -> (u64, Vec<Epoch>) {
     let mut states = Vec::new();
     let meta = |seq: u64, target: &dyn QueryTarget| encode_commit_meta(seq, &[target.descriptor()]);
     let setup = (|| -> Opened {
@@ -409,7 +418,7 @@ fn versioned_workload(
     let Ok(target) = setup else { return (0, states) };
     let vs = VersionedStore::new(Arc::clone(store), VersionConfig { retain: 3 }, &meta(0, &*target));
     if record {
-        states.push((versioned_scan(kind, &*target, store), store.alloc_snapshot()));
+        states.push((versioned_scan(kind, &*target, store), walk(&*target, store)));
     }
     let mut acked = 0u64;
     let initial = points(60);
@@ -432,10 +441,17 @@ fn versioned_workload(
         }
         acked += 1;
         if record {
-            states.push((versioned_scan(kind, &*target, store), store.alloc_snapshot()));
+            states.push((versioned_scan(kind, &*target, store), walk(&*target, store)));
         }
     }
     (acked, states)
+}
+
+/// The pages `target` reaches, in id order.
+fn walk(target: &dyn QueryTarget, store: &PageStore) -> Vec<PageId> {
+    let mut ids = target.page_ids(store).unwrap();
+    ids.sort_unstable();
+    ids
 }
 
 #[test]
@@ -504,7 +520,6 @@ fn versioned_kill_point_matrix(kind: &Served) {
         )
         .unwrap_or_else(|e| panic!("{ctx}: recovery must never fail: {e}"));
         let recovered = Arc::new(recovered);
-        let table = recovered.alloc_snapshot();
         let Some(meta) = recovered.last_commit_meta() else {
             // Killed before the epoch-0 commit became durable: recovery
             // must have erased the whole uncommitted build.
@@ -531,14 +546,15 @@ fn versioned_kill_point_matrix(kind: &Served) {
         let snap = vs.snapshot_at(s).unwrap();
         let (seq, descs) = decode_commit_meta(snap.user_meta()).expect("batcher-framed meta");
         assert_eq!((seq, descs.len()), (s, 1), "{ctx}");
-        let got = {
-            let desc = descs[0].as_ref().expect("a dynamic target's descriptor");
-            let target = (kind.reopen)(&recovered, desc)
-                .unwrap_or_else(|e| panic!("{ctx}: epoch {s} descriptor unusable: {e}"));
-            versioned_scan(kind, &*target, &recovered)
-        };
+        let desc = descs[0].as_ref().expect("a dynamic target's descriptor");
+        let target = (kind.reopen)(&recovered, desc)
+            .unwrap_or_else(|e| panic!("{ctx}: epoch {s} descriptor unusable: {e}"));
+        let got = versioned_scan(kind, &*target, &recovered);
         assert_eq!(got, states[s as usize].0, "{ctx}: as_of({s}) diverged after recovery");
-        assert_eq!(table, states[s as usize].1, "{ctx}: epoch {s}'s allocation table");
+        let reached = walk(&*target, &recovered);
+        assert_eq!(reached, states[s as usize].1, "{ctx}: epoch {s} reaches other pages");
+        recovered.free_unreached(&reached);
+        assert_eq!(recovered.allocated_pages(), reached, "{ctx}: epoch {s}'s allocation table");
     }
     assert!(mid_session > 0, "{name}: no kill landed between a relocation and its install");
 }

@@ -2,9 +2,11 @@
 //! (every retained epoch against the model at that epoch's prefix),
 //! **routed** (a client, the router's front-end and 1–8 shards),
 //! **recovered** (crash media killed at a seeded durable I/O, recovered,
-//! reopened from the commit meta, against the model at the acked prefix)
+//! reopened from the commit meta, its pages handed to the store, against
+//! the model at the acked prefix and then through the rest of the case)
 //! and **committed** (a durable store updated with no apply session and
-//! committed after every update, then recovered and reopened).
+//! committed after every update, then recovered and reopened: the pages
+//! the reopened structure reaches are the pages the live store held).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,7 +14,7 @@ use std::time::Duration;
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
 use pc_pagestore::{
-    CrashBackend, CrashController, CrashLog, CrashPlan, PageStore, Point, StoreConfig,
+    CrashBackend, CrashController, CrashLog, CrashPlan, PageId, PageStore, Point, StoreConfig,
     VersionConfig, VersionedStore, WalConfig,
 };
 use pc_pst::{DynamicPst, DynamicThreeSidedPst, NaivePst, ThreeSidedPst, TwoLevelPst};
@@ -267,13 +269,14 @@ fn crash_media(plan: CrashPlan) -> (CrashController, Arc<CrashBackend>, Arc<Cras
 /// epoch, the structure's descriptor framed into every commit; at
 /// the end, a page written and one overwritten, never committed. Stops at
 /// the first error — the kill — and returns how many commits were acked,
-/// and the structure.
+/// and the structure with the ids its build allocated: what a static
+/// structure, which has no walk, reaches.
 fn durable_run<S: Structure>(
     (backend, log): (&Arc<CrashBackend>, &Arc<CrashLog>),
     wal: WalConfig,
     build: &[Point],
     batches: &[&[Op]],
-) -> (usize, Option<S>) {
+) -> (usize, Option<(S, Vec<PageId>)>) {
     let opened = PageStore::new_durable(
         StoreConfig::strict(PAGE),
         Box::new(Arc::clone(backend)),
@@ -284,8 +287,9 @@ fn durable_run<S: Structure>(
     let store = Arc::new(store);
     let meta = |epoch: usize, s: &S| encode_commit_meta(epoch as u64, &[s.descriptor()]);
     let Ok(mut s) = S::build(&store, build) else { return (0, None) };
+    let built = store.allocated_pages();
     if store.commit_with(&meta(0, &s)).is_err() {
-        return (0, Some(s));
+        return (0, Some((s, built)));
     }
     let versions =
         VersionedStore::new(Arc::clone(&store), VersionConfig { retain: 2 }, &meta(0, &s));
@@ -293,22 +297,25 @@ fn durable_run<S: Structure>(
         let session = versions.begin_apply();
         let applied = batch.iter().all(|op| s.update(&store, op).is_ok());
         if !applied || session.install_as(b as u64 + 1, &meta(b + 1, &s)).is_err() {
-            return (b + 1, Some(s));
+            return (b + 1, Some((s, built)));
         }
     }
     let scribble = |page| store.write(page, &[0xAB; 64]);
     let _ = store.alloc().and_then(scribble);
     let _ = store.allocated_pages().first().map(|&page| scribble(page));
-    (batches.len() + 1, Some(s))
+    (batches.len() + 1, Some((s, built)))
 }
 
 /// `case` on crash media killed at a durable I/O ordinal `seed` draws from
 /// those the whole run issues — or, one time in three, after the last —
 /// recovered, reopened at the epoch the commit meta names and held to the
 /// model at that prefix, which the acked commits bound: it holds every
-/// acked one and at most the one in flight. Odd seeds never checkpoint
-/// (recovery replays the whole log); even ones checkpoint often enough that
-/// kills land in checkpoints too.
+/// acked one and at most the one in flight. The store, handed the pages
+/// the reopened structure walks, holds exactly those; the rest of the case
+/// then runs on it, committed after every update, so a page the walk
+/// missed would be handed out again under the structure. Odd seeds never
+/// checkpoint (the log keeps every record); even ones checkpoint often
+/// enough that kills land in checkpoints too.
 pub fn recovered<S: Structure>(case: &Case, seed: u64) -> Res<()> {
     let updates: Vec<Op> = case.updates().copied().collect();
     let batches: Vec<&[Op]> = updates.chunks(1 + (seed >> 8) as usize % 8).collect();
@@ -352,18 +359,37 @@ pub fn recovered<S: Structure>(case: &Case, seed: u64) -> Res<()> {
     let Some((_, descriptors)) = decode_commit_meta(snapshot.user_meta()) else {
         return Err(format!("{at}: epoch {epoch}'s meta does not decode"));
     };
-    let s = match &descriptors[0] {
-        Some(desc) => S::open(&recovered, desc).map_err(|e| format!("{at}: reopen: {e}"))?,
+    let (s, mut reached) = match &descriptors[0] {
+        Some(desc) => {
+            let s = S::open(&recovered, desc).map_err(|e| format!("{at}: reopen: {e}"))?;
+            let ids = s.page_ids(&recovered).map_err(|e| format!("{at}: walk: {e}"))?;
+            (s, ids)
+        }
         None => built.ok_or_else(|| format!("{at}: a static structure recovered unbuilt"))?,
     };
-    let model = Model::after(case, batches[..epoch].iter().map(|batch| batch.len()).sum());
+    recovered.free_unreached(&reached);
+    reached.sort_unstable();
+    if recovered.allocated_pages() != reached {
+        return Err(format!("{at}: the store keeps other pages than epoch {epoch} reaches"));
+    }
+    let applied: usize = batches[..epoch].iter().map(|batch| batch.len()).sum();
+    let model = Model::after(case, applied);
     let state = Case {
         shape: case.shape,
         build: model.records(),
         ops: case.queries().map(|q| Op::Query(*q)).collect(),
     };
-    drive(&mut InProcess { store: recovered, s }, &state)
-        .map_err(|e| format!("{at}, epoch {epoch}: {e}"))
+    let mut subject = Committing(InProcess { store: recovered, s });
+    drive(&mut subject, &state).map_err(|e| format!("{at}, epoch {epoch}: {e}"))?;
+    // The ops after the last update the epoch holds.
+    let updates = case.ops.iter().enumerate();
+    let updates = updates.filter(|(_, op)| matches!(op, Op::Insert(_) | Op::Delete(_)));
+    let start = match applied {
+        0 => 0,
+        _ => updates.map(|(at, _)| at + 1).nth(applied - 1).expect("the epoch's updates"),
+    };
+    let rest = Case { shape: case.shape, build: model.records(), ops: case.ops[start..].to_vec() };
+    drive(&mut subject, &rest).map_err(|e| format!("{at}, after epoch {epoch}: {e}"))
 }
 
 /// `case` on a durable store with no apply session, as a program that keeps
@@ -394,6 +420,15 @@ pub fn committed<S: Structure>(case: &Case) -> Res<()> {
     .map_err(|e| format!("recovery failed: {e}"))?;
     let desc = recovered.last_commit_meta().ok_or("no commit recovered")?;
     let s = S::open(&recovered, &desc).map_err(|e| format!("reopen: {e}"))?;
+    let mut reached = s.page_ids(&recovered).map_err(|e| format!("walk: {e}"))?;
+    recovered.free_unreached(&reached);
+    reached.sort_unstable();
+    if reached != live.0.store.allocated_pages() {
+        return Err("the recovered structure reaches other pages than the store held".into());
+    }
+    if recovered.allocated_pages() != reached {
+        return Err("the recovered store keeps other pages than the structure reaches".into());
+    }
     let model = Model::after(case, case.updates().count());
     let state = Case {
         shape: case.shape,

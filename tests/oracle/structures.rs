@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
-use pc_pagestore::{Interval, PageStore, Point};
+use pc_pagestore::{Interval, PageId, PageStore, Point};
 use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, MultilevelPst, NaivePst, SegmentedPst, ThreeSided,
     ThreeSidedPst, TwoLevelPst, TwoSided,
@@ -22,7 +22,7 @@ fn ok<T>(r: pc_pagestore::Result<T>) -> Res<T> {
 }
 
 /// What the oracle needs of a structure: build, answer, count and — for
-/// one that takes updates — update, describe and reopen.
+/// one that takes updates — update, describe, reopen and walk its pages.
 pub trait Structure: Sized {
     fn build(store: &PageStore, records: &[Point]) -> Res<Self>;
     fn answer(&self, store: &PageStore, q: &Query) -> Res<Vec<Point>>;
@@ -37,6 +37,10 @@ pub trait Structure: Sized {
     }
     fn open(_store: &PageStore, _desc: &[u8]) -> Res<Self> {
         Err("a static structure has no descriptor".into())
+    }
+    /// The id of every page the structure reaches.
+    fn page_ids(&self, _store: &PageStore) -> Res<Vec<PageId>> {
+        Err("a static structure has no walk".into())
     }
 }
 
@@ -178,6 +182,9 @@ impl Structure for BTree {
     fn open(_store: &PageStore, desc: &[u8]) -> Res<Self> {
         ok(BTree::open(desc))
     }
+    fn page_ids(&self, store: &PageStore) -> Res<Vec<PageId>> {
+        ok(BTree::page_ids(self, store))
+    }
 }
 
 macro_rules! dynamic {
@@ -204,6 +211,9 @@ macro_rules! dynamic {
             }
             fn open(store: &PageStore, desc: &[u8]) -> Res<Self> {
                 ok($S::open(store, desc))
+            }
+            fn page_ids(&self, store: &PageStore) -> Res<Vec<PageId>> {
+                ok($S::page_ids(self, store))
             }
         }
     )*};

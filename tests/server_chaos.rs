@@ -18,8 +18,7 @@ use pc_pst::{DynamicPst, TwoSided};
 use pc_rng::Rng;
 use pc_serve::wire::{Body, ErrorCode, Op};
 use pc_serve::{
-    decode_commit_meta, Client, DynamicPstTarget, Registry, Server, ServerConfig, ServerHandle,
-    Service,
+    Client, DynamicPstTarget, Registry, Server, ServerConfig, ServerHandle, Service,
 };
 
 const PAGE: usize = 512;
@@ -279,7 +278,8 @@ fn a_batch_whose_flush_fails_loses_no_acked_update() {
 /// A batch whose commit fails is never visible. The log refuses one append,
 /// so the batch of one insert is answered `Storage`; that insert is absent
 /// from the next read, after the next acked batch, and after the store is
-/// reopened from its media, while every acked insert is there.
+/// reopened from its media, while every acked insert is there and the
+/// store keeps exactly the pages the reopened structure reaches.
 #[test]
 fn a_batch_whose_commit_fails_is_never_visible() {
     let seed = chaos_seed();
@@ -322,11 +322,20 @@ fn a_batch_whose_commit_fails_is_never_visible() {
     handle.shutdown();
     handle.join();
 
-    let store = open(Box::new(MemLog::from_bytes(log.read_all().unwrap())));
-    let meta = store.last_commit_meta().expect("the acked batches' commits");
-    let (_, descriptors) = decode_commit_meta(&meta).unwrap();
-    let desc = descriptors[0].as_ref().expect("the dynamic PST's descriptor");
-    let pst = DynamicPst::open(&store, desc).unwrap();
-    let reopened = pst.query(&store, everything).unwrap();
+    let store = Arc::new(open(Box::new(MemLog::from_bytes(log.read_all().unwrap()))));
+    let service = Service::recover(store, |store, descriptors| {
+        let descriptors = descriptors.expect("the acked batches' commits");
+        let desc = descriptors[0].as_deref().expect("the dynamic PST's descriptor");
+        let mut registry = Registry::new();
+        registry.register("dyn", Box::new(DynamicPstTarget::new(DynamicPst::open(store, desc)?)));
+        Ok(registry)
+    })
+    .unwrap();
+    let (store, target) = (&service.store, service.registry.get(0).unwrap());
+    let op = Op::TwoSided { x0: everything.x0, y0: everything.y0 };
+    let Body::Points(reopened) = target.query(store, &op).unwrap() else { panic!("seed={seed}") };
     assert_eq!(reopened.iter().map(|p| p.id).collect::<HashSet<u64>>(), live, "seed={seed}");
+    let mut reached = target.page_ids(store).unwrap();
+    reached.sort_unstable();
+    assert_eq!(store.allocated_pages(), reached, "seed={seed}");
 }
