@@ -834,15 +834,15 @@ fn e9_served_pass() {
 fn e10_dynamic_pst() {
     println!("## E10 — Theorem 5.1: dynamic two-level PST\n");
     println!("Claim: amortised update `O(log_B n)`; queries stay `O(log_B n + t/B)` under churn;");
-    println!("space `O((n/B)·loglog B)`, by E7's census columns. Update I/O is flat in n from");
-    println!("100k on (≈ 3·log_B n: per-flush list rebuilds amortised over a buffer page).");
-    println!("Dirty queries are E7's plus the pages' `U` buffers, read as cache blocks: the root");
-    println!("page's only where a step of its tail's staircase meets the corner, as in these. A");
-    println!("corner answered from one block of its lists reads no `u`, which the lists hold.");
-    println!("`pages/(n/B)` follows the updates: an inner tree rebuilt near its fullest takes");
-    println!("more blocks than a fresh one (ROADMAP 6c), which the churn factor below bounds. The");
-    println!("last lines replay the benchmark's `mixed_durable` pass (each burst an epoch that");
-    println!("copies the paths it changes, its commit the descriptor alone), then recover it.\n");
+    println!("space `O((n/B)·loglog B)`, by E7's census columns. The root's `U` rides in the");
+    println!("descriptor, so an update costs page I/O only where it flushes the root page (the");
+    println!("per-batch line below). Dirty queries are E7's plus the `U` of each page below the");
+    println!("root they visit, read as a cache block; a corner answered from one block of its");
+    println!("lists reads no `u`, which the lists hold. `pages/(n/B)` follows the updates: an");
+    println!("inner tree rebuilt near its fullest takes more blocks than a fresh one (ROADMAP 6c),");
+    println!("which the churn factor below bounds. The last lines replay the benchmark's");
+    println!("`mixed_durable` pass (each burst an epoch that copies the paths it changes, its");
+    println!("commit the descriptor alone, read through a view opened from it), then recover it.\n");
     let mut table = Table::new(&[
         "n",
         "B",
@@ -928,7 +928,50 @@ fn e10_dynamic_pst() {
     if rebuilds == 0 {
         past_pin(format_args!("E10: the band of inserts took no rebuild"));
     }
+    e10_batch_io();
     e10_served_pass();
+}
+
+/// E10's per-batch update I/O: the served benchmark's seed-11 points on a
+/// strict in-memory store and the first `BATCHES` 16-op batches of its
+/// sliding-window stream, the page I/O of each.
+fn e10_batch_io() {
+    const BATCHES: usize = 5_000;
+    let (n, seed, burst) = (500_000usize, 11, 16);
+    let raw = gen_points(n, PointDist::Uniform, sub_seed(seed, 1));
+    let store = PageStore::in_memory(PAGE);
+    let mut pst = DynamicPst::build(&store, &to_points(&raw)).unwrap();
+    let stream = gen_temporal(400_000, 4_096, PointDist::Uniform, n as u64, sub_seed(seed, 20));
+    let mut io: Vec<u64> = stream
+        .chunks_exact(burst)
+        .take(BATCHES)
+        .map(|batch| {
+            let ops: Vec<UpdateOp> = batch.iter().map(update_op).collect();
+            store.reset_stats();
+            pst.apply(&store, &ops).unwrap();
+            store.stats().total_io()
+        })
+        .collect();
+    io.sort_unstable();
+    let at = |q: usize| io[(io.len() - 1) * q / 100];
+    let flushes = io.iter().filter(|&&io| io > 0).count();
+    println!(
+        "page I/O a batch (n = 500k, seed 11, strict in-memory store: the first {BATCHES} \
+         batches of 16 updates of the benchmark's sliding-window stream, {flushes} of which \
+         flush the root page and the rest none): p50 {}, p99 {}, max {}, mean {}\n",
+        at(50),
+        at(99),
+        at(100),
+        f1(io.iter().sum::<u64>() as f64 / BATCHES as f64),
+    );
+}
+
+/// A generated stream op as an update.
+fn update_op(op: &TemporalOp) -> UpdateOp {
+    match *op {
+        TemporalOp::Insert((x, y, id)) => UpdateOp::Insert(Point::new(x, y, id)),
+        TemporalOp::Expire((x, y, id)) => UpdateOp::Delete(Point::new(x, y, id)),
+    }
 }
 
 /// The served benchmark's seed of stream `stream` under `--seed seed`: its
@@ -947,9 +990,11 @@ fn durable(backend: &Arc<MemBackend>, log: impl LogMedium + 'static) -> PageStor
 /// E10's line for the served benchmark's `mixed_durable` counted pass, in
 /// process: its seed-11 points, corners (in its order) and writer stream,
 /// a burst of 16 updates, applied as one batch in an apply session on a
-/// durable store and installed as an epoch, before each 16 corners. Then
-/// the store's recovery from its media: the epoch reopened, its pages
-/// walked and handed over; the time goes to stderr and fails past its bound.
+/// durable store and installed as an epoch, before each 16 corners, while
+/// whole bursts last, as the benchmark does. The corners read the epoch
+/// through a view opened from its descriptor, as a server does. Then the
+/// store's recovery from its media: the epoch reopened, its pages walked
+/// and handed over; the time goes to stderr and fails past its bound.
 fn e10_served_pass() {
     let (n, seed, burst) = (500_000usize, 11, 16);
     let raw = gen_points(n, PointDist::Uniform, sub_seed(seed, 1));
@@ -961,41 +1006,46 @@ fn e10_served_pass() {
     let mut queries = gen_two_sided(&raw, 5_000, 16, sub_seed(seed, 10));
     pc_rng::Rng::seed_from_u64(sub_seed(seed, 14)).shuffle(&mut queries);
     let stream = gen_temporal(400_000, 4_096, PointDist::Uniform, n as u64, sub_seed(seed, 20));
-    let mut bursts = stream.chunks_exact(burst);
-    let (mut reads, mut classes) = (0, Classes::default());
+    let mut bursts = stream.chunks_exact(burst).take(queries.len() / burst);
+    let (mut reads, mut opens, mut open_reads, mut classes) = (0, 0, 0, Classes::default());
     let (mut updates, mut writes, mut frame_bytes) = (0, 0, 0);
+    let mut view = None;
     for corners in queries.chunks(burst) {
         // One burst is one batch, applied whole, as the server applies it.
-        let ops: Vec<UpdateOp> = bursts
-            .next()
-            .into_iter()
-            .flatten()
-            .map(|op| match *op {
-                TemporalOp::Insert((x, y, id)) => UpdateOp::Insert(Point::new(x, y, id)),
-                TemporalOp::Expire((x, y, id)) => UpdateOp::Delete(Point::new(x, y, id)),
-            })
-            .collect();
-        let before = store.stats();
-        let session = versions.begin_apply();
-        pst.apply(&store, &ops).unwrap();
-        session.install(&pst.descriptor()).unwrap();
-        (updates, writes) = (updates + ops.len(), writes + (store.stats() - before).writes);
-        frame_bytes += store.last_commit_meta().map_or(0, |frame| frame.len());
+        if let Some(burst) = bursts.next() {
+            let ops: Vec<UpdateOp> = burst.iter().map(update_op).collect();
+            let before = store.stats();
+            let session = versions.begin_apply();
+            pst.apply(&store, &ops).unwrap();
+            let desc = pst.descriptor();
+            session.install(&desc).unwrap();
+            (updates, writes) = (updates + ops.len(), writes + (store.stats() - before).writes);
+            frame_bytes += store.last_commit_meta().map_or(0, |frame| frame.len());
+            store.reset_stats();
+            view = Some(DynamicPst::open(&store, &desc).unwrap());
+            (opens, open_reads) = (opens + 1, open_reads + store.stats().logical_reads());
+        }
+        let view = view.as_ref().expect("a burst before the first corners");
         store.reset_stats();
         for q in corners {
-            classes.traced(|| pst.answers(&store, TwoSided { x0: q.x0, y0: q.y0 }));
+            classes.traced(|| view.answers(&store, TwoSided { x0: q.x0, y0: q.y0 }));
         }
         reads += store.stats().logical_reads();
     }
     let by_class = classes.mean("E10", reads, &THREE_CLASSES);
+    let per_query = |v: u64| v as f64 / queries.len() as f64;
     let per_update = |v: usize| f2(v as f64 / updates as f64);
     println!(
         "The served benchmark's `mixed_durable` pass in process (n = 500k, seed 11: {} t ≈ 16 \
-         corners, a burst of {burst} updates of its sliding-window stream before each {burst}, \
-         each burst one apply session on a durable store): {} reads a query, {by_class} by \
-         class; {} data-page writes and {} commit-frame bytes an update\n",
+         corners, a burst of {burst} updates of its sliding-window stream before each {burst} \
+         while whole bursts last, each burst one apply session on a durable store): {:.4} \
+         reads a query, {:.4} in the corners ({by_class} by class) and {:.4} in opening the \
+         {opens} epochs' views ({open_reads} reads: the root page each); {} data-page writes \
+         and {} commit-frame bytes an update\n",
         queries.len(),
-        f2(reads as f64 / queries.len() as f64),
+        per_query(reads + open_reads),
+        per_query(reads),
+        per_query(open_reads),
         per_update(writes as usize),
         per_update(frame_bytes),
     );

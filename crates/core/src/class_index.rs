@@ -165,18 +165,6 @@ impl ClassIndex {
     pub fn is_empty(&self) -> bool {
         self.pst.is_empty()
     }
-
-    /// Diagnostic: the preorder interval of a class (subtree id range).
-    pub fn subtree_range(&self, class: ClassId) -> (i64, i64) {
-        (self.pre[class.0], self.post[class.0])
-    }
-
-    /// Testing aid: brute-force subtree membership, used by differential
-    /// tests.
-    #[doc(hidden)]
-    pub fn is_in_subtree(&self, class: ClassId, candidate_pre: i64) -> bool {
-        self.pre[class.0] <= candidate_pre && candidate_pre <= self.post[class.0]
-    }
 }
 
 #[cfg(test)]

@@ -604,20 +604,25 @@ impl PageStore {
     /// number: recovery hands back the last — and fsyncs the log once (see
     /// [`Wal::commit`], which also swaps a log past
     /// [`WalConfig::checkpoint_bytes`]). Returns the group's allocs and
-    /// frees; `0` means nothing was pending and no sync was issued. After a
-    /// successful commit, every mutation in the group is crash-durable —
-    /// the serve layer's "Ack means durable" point. A failed commit leaves
-    /// the group open. On a volatile store this is a no-op returning 0.
+    /// frees. An empty group syncs no data, and commits `meta` alone — a
+    /// structure may keep state in its descriptor — or nothing, where
+    /// `meta` is empty or what the last record holds. After a successful
+    /// commit, every mutation in the group
+    /// is crash-durable — the serve layer's "Ack means durable" point. A
+    /// failed commit leaves the group open. On a volatile store this is a
+    /// no-op returning 0.
     pub fn commit_with(&self, meta: &[u8]) -> Result<u64> {
         let Some(wal) = &self.wal else { return Ok(0) };
         let mut group = self.group.lock();
         assert!(group.session.is_none(), "an apply session commits at its install");
         // Every write is to a page the group allocated, and a held page is
         // freed, so an empty group means no frame awaits a sync either.
-        if group.ops == 0 {
+        if group.ops == 0 && (meta.is_empty() || wal.last_meta().as_deref() == Some(meta)) {
             return Ok(0);
         }
-        self.backend.sync()?;
+        if group.ops > 0 {
+            self.backend.sync()?;
+        }
         wal.commit(meta, group.ops)?;
         group.fresh.clear();
         self.alloc.write().free_list.append(&mut group.held);

@@ -1,7 +1,7 @@
 //! Store-level durability integration tests: reopen after a clean
 //! shutdown, recovery that writes no frame and frees what the owner's ids
 //! do not reach, a group killed between its data sync and its commit
-//! record, torn-tail handling in both the data file and the log,
+//! record, a commit of metadata alone, torn-tail handling in both the data file and the log,
 //! checkpointing bounding the log, a log that refuses appends, fsyncs or
 //! swaps (an install under each), a record too large for the log, and a
 //! log of another layout version. The exhaustive kill-point matrix lives in
@@ -443,6 +443,31 @@ fn alloc_and_free_do_no_log_io() {
     assert_eq!(snapshot(&reopened), committed);
 }
 
+/// A group of no page operations still commits its metadata — a structure
+/// may keep state in its descriptor — and a reopen hands that metadata
+/// back; with no metadata, or the last record's, it commits nothing.
+#[test]
+fn a_commit_of_metadata_alone_is_logged_and_recovered() {
+    let backend = Arc::new(MemBackend::new(FRAME));
+    let log = Arc::new(MemLog::new());
+    let store = store_over(&backend, Box::new(Arc::clone(&log)));
+    let a = store.alloc().unwrap();
+    store.write(a, &payload(0x0A, 0)).unwrap();
+    assert_eq!(store.commit_with(b"pages").unwrap(), 1);
+    let commits = store.wal_stats().unwrap().commits;
+    assert_eq!(store.commit_with(b"descriptor alone").unwrap(), 0);
+    assert_eq!(store.wal_stats().unwrap().commits, commits + 1, "a record");
+    assert_eq!(store.commit_with(&[]).unwrap(), 0);
+    assert_eq!(store.commit_with(b"descriptor alone").unwrap(), 0);
+    assert_eq!(store.wal_stats().unwrap().commits, commits + 1, "nothing new to commit");
+    let committed = snapshot(&store);
+    drop(store);
+    let reopened = store_over(&backend, Box::new(MemLog::from_bytes(log.read_all().unwrap())));
+    assert_eq!(reopened.last_commit_meta().as_deref(), Some(&b"descriptor alone"[..]));
+    claim(&reopened, &committed);
+    assert_eq!(snapshot(&reopened), committed);
+}
+
 /// An install whose commit the log refuses publishes nothing: the current
 /// epoch and a new snapshot stay on the previous one, the session's pages
 /// go back, and the next install commits without the failed session's
@@ -583,9 +608,10 @@ fn a_commit_too_large_for_the_log_is_refused_and_the_previous_one_kept() {
 }
 
 /// A log of another layout version is refused by name before a page is
-/// read: a newer one, the previous format (`PCWAL003`, whose commits named
-/// free-list operations), and one old enough to hold a `PCV1` version
-/// frame (`PCWAL002`, whose epochs a page map translated).
+/// read: a newer one, the previous format (`PCWAL004`, whose dynamic PST
+/// descriptors named a page for the root's `U`), `PCWAL003` (whose commits
+/// named free-list operations), and one old enough to hold a `PCV1`
+/// version frame (`PCWAL002`, whose epochs a page map translated).
 #[test]
 fn a_log_of_the_previous_format_is_refused_not_replayed() {
     let mut newer = encode_header(PAGE);
@@ -598,7 +624,16 @@ fn a_log_of_the_previous_format_is_refused_not_replayed() {
         log.extend_from_slice(&[0; 24]);
         log
     };
-    let logs = [(newer, LAYOUT_VERSION + 1), (old(b"PCWAL003"), 3), (old(b"PCWAL002"), 2)];
+    // `PCWAL004`'s header named its version after the page size, as this
+    // format's does.
+    let mut v4 = old(b"PCWAL004");
+    v4[12..16].copy_from_slice(&4u32.to_le_bytes());
+    let logs = [
+        (newer, LAYOUT_VERSION + 1),
+        (v4, 4),
+        (old(b"PCWAL003"), 3),
+        (old(b"PCWAL002"), 2),
+    ];
     for (log, found) in logs {
         let opened = PageStore::new_durable(
             cfg(),

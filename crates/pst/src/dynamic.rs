@@ -6,7 +6,7 @@
 //! the region tree, a subtree of height `h ≈ log B` — carries an update
 //! buffer `U` of one block, and every region carries a buffer `u`:
 //!
-//! * An update is logged in the root page's `U` (`O(1)` I/Os). When `U`
+//! * An update is logged in the root's `U`. When `U`
 //!   overflows, its updates trickle one level of pages down: each is either
 //!   applied to the in-page region that contains its coordinates or
 //!   forwarded to a child page's `U`, cascading. A buffer is one block of
@@ -24,22 +24,25 @@
 //!   **inner PST is rebuilt only when `u` overflows** (`O(log B · log log
 //!   B)` per `B` updates — §5's accounting).
 //! * Queries run the static §4.1 algorithm, reading the `U` buffer of
-//!   every page they visit that may hold an op in the corner and, where
-//!   the corner asks its inner PST (not its lists, which hold `u`'s ops),
-//!   the corner's `u`; then merge: buffered deletes mask stale results,
+//!   every page they visit below the root and, where the corner asks its
+//!   inner PST (not its lists, which hold `u`'s ops), the corner's `u`;
+//!   then merge: buffered deletes mask stale results,
 //!   buffered inserts that satisfy the query are added. Sequence stamps
 //!   resolve op order across buffer levels. The merge costs one extra I/O
 //!   per visited page — `O(log_B n)` — and can remove at most one block's
 //!   worth of points per super node, which is the paper's "for every
 //!   `B log B` points we collect we can lose at most `B`" argument.
-//! * The root page keeps the staircase of its `U` — the ops' maximal
-//!   points, coarsened to fit — in its tail ([`crate::staircase`]), and a
-//!   query whose corner holds no step leaves that `U` unread: an op outside
-//!   the corner neither adds to the answer nor masks one, and the query
-//!   reads the page anyway. A push rewrites the page only where the
-//!   staircase moved; a flush empties it. Pages below the root keep none:
-//!   each takes its ops a flush above at a time, so a staircase there would
-//!   cost a page write per such flush, for corners that seldom reach it.
+//!
+//! ## The root's `U` (documented in DESIGN.md)
+//!
+//! The root's `U` is one block, as every page's, under the same capacity
+//! rule ([`buffer_room`] against one page), and flushes at the same ops;
+//! but it is held in memory and persisted in the [`DynamicPst::descriptor`]
+//! rather than on a page of its own. An update that does not flush the
+//! root therefore costs no page I/O, and a service that commits the
+//! descriptor with each batch commits the root's ops with it. A query
+//! takes of them only the ops in its corner: an op outside the corner
+//! neither adds to the answer nor masks a point of it.
 //!
 //! ## Substitution (documented in DESIGN.md)
 //!
@@ -77,16 +80,15 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use pc_pagestore::codec::{PageReader, PageWriter};
-use pc_pagestore::layout::{fill_blocks, min_records, BlockList};
+use pc_pagestore::layout::{encode_block, fill_blocks, min_records, Block, BlockList};
 use pc_pagestore::skeleton::{
     for_each_skeletal_page, patch_page, patch_record, write_page, NodeRef, SkelRecord,
 };
-use pc_pagestore::{PageId, PageStore, Point, Result, UpdateOp, NULL_PAGE};
+use pc_pagestore::{PageId, PageStore, Point, Result, StoreError, UpdateOp, NULL_PAGE};
 
 use crate::build::{Kind, PstHandle};
 use crate::mem::{cmp_x, cmp_y, TwoSided, MAX_NODE_POINTS};
 use crate::region::{for_each_cache_owner, merge_tagged};
-use crate::staircase::{self, staircase, Step};
 use crate::three_sided::{ThreeSided, ThreeSidedPst};
 use crate::two_level::{
     buffer_room, build_inner, build_region_tree, decode_header, encode_header, free_pages,
@@ -160,19 +162,18 @@ fn merge_buffered(
 /// `O((n/B)·log log B)` space plus one buffer block per super node.
 pub struct DynamicPst {
     root: PageId,
-    /// The root page's `U`, which the handle names rather than the page, so
-    /// that a push that moves `U` alone rewrites no page but `U`.
-    root_u: PageId,
+    /// The root's `U`, in `seq` order: one block's worth of ops, held here
+    /// and in the descriptor (the module header says why).
+    root_ops: Vec<UpdateRec>,
     caps: Vec<usize>,
     seq: u64,
     live: u64,
 }
 
-/// Byte size of a [`DynamicPst::descriptor`].
-const DESCRIPTOR_LEN: usize = 32;
-
-/// A page's parent record `(page, slot, child_is_right)`; `None` at the root.
-type Parent = Option<(PageId, u16, bool)>;
+/// A page's parent record `(page, slot, child_is_right)`.
+type ParentRec = (PageId, u16, bool);
+/// A page's parent record; `None` at the root.
+type Parent = Option<ParentRec>;
 
 impl DynamicPst {
     /// Builds the structure over an initial point set (ids must be unique
@@ -181,37 +182,42 @@ impl DynamicPst {
         let caps = region_blocks(store.page_size(), 2);
         assert!(!caps.is_empty(), "page too small for the two-level scheme");
         let root = build_region_tree(store, points, &caps)?.root;
-        Ok(DynamicPst { root, root_u: NULL_PAGE, caps, seq: 0, live: points.len() as u64 })
+        let (root_ops, live) = (Vec::new(), points.len() as u64);
+        Ok(DynamicPst { root, root_ops, caps, seq: 0, live })
     }
 
-    /// Serializes the structure's handle — root page, its `U`, update
-    /// sequence, live count — as a fixed 32-byte descriptor. Everything else
-    /// (`caps`) is a pure function of the store's page size, so the
+    /// Serializes the structure's handle: the root page, the update
+    /// sequence and the live count, 8 bytes each, then the root's `U` as
+    /// one block of the block codec, as a buffer page holds it. Everything
+    /// else (`caps`) is a pure function of the store's page size, so the
     /// descriptor plus the store's pages is the whole structure: a service
     /// that commits the descriptor with each durable batch can reopen the
     /// PST after a crash with [`DynamicPst::open`].
-    pub fn descriptor(&self) -> [u8; DESCRIPTOR_LEN] {
-        let words = [self.root.0, self.root_u.0, self.seq, self.live].map(u64::to_le_bytes);
-        words.concat().try_into().expect("sized to its words")
+    pub fn descriptor(&self) -> Vec<u8> {
+        let words = [self.root.0, self.seq, self.live].map(u64::to_le_bytes).concat();
+        [words, encode_block(&self.root_ops, NULL_PAGE)].concat()
     }
 
     /// Reopens a structure from a [`DynamicPst::descriptor`] against a
     /// (recovered) store. The root page is read and decoded up front, so a
     /// descriptor pointing at garbage fails here with a typed error rather
-    /// than on the first query.
+    /// than on the first query, as does an op block cut short or followed
+    /// by other bytes.
     pub fn open(store: &PageStore, desc: &[u8]) -> Result<Self> {
-        if desc.len() != DESCRIPTOR_LEN {
-            return Err(pc_pagestore::StoreError::Corrupt(format!(
-                "dynamic PST descriptor must be {DESCRIPTOR_LEN} bytes, got {}",
-                desc.len()
+        let mut r = PageReader::new(desc);
+        let (root, seq, live) = (PageId(r.get_u64()?), r.get_u64()?, r.get_u64()?);
+        let block = r.get_bytes(r.remaining())?;
+        let ops = Block::parse::<UpdateRec>(block)?;
+        if ops.bytes != block.len() {
+            return Err(StoreError::Corrupt(format!(
+                "dynamic PST descriptor with {} bytes past its block of the root's ops",
+                block.len() - ops.bytes
             )));
         }
-        let word = |i: usize| u64::from_le_bytes(desc[i..i + 8].try_into().expect("8 bytes"));
-        let root = PageId(word(0));
         let caps = region_blocks(store.page_size(), 2);
         assert!(!caps.is_empty(), "page too small for the two-level scheme");
         decode_header(&store.read(root)?)?;
-        Ok(DynamicPst { root, root_u: PageId(word(8)), caps, seq: word(16), live: word(24) })
+        Ok(DynamicPst { root, root_ops: ops.to_vec(), caps, seq, live })
     }
 
     /// Number of live points (settled plus buffered). A delete counts
@@ -228,12 +234,12 @@ impl DynamicPst {
 
     /// Counts the structure's pages by class, update buffers included.
     pub fn page_census(&self, store: &PageStore) -> Result<RegionCensus> {
-        Ok(page_census(store, self.root, self.live, self.root_u)?.0)
+        Ok(page_census(store, self.root, self.live)?.0)
     }
 
-    /// The id of every page the structure owns, once, the root page's `U` too.
+    /// The id of every page the structure owns, once.
     pub fn page_ids(&self, store: &PageStore) -> Result<Vec<PageId>> {
-        let mut ids = Vec::from_iter(Some(self.root_u).filter(|u| !u.is_null()));
+        let mut ids = Vec::new();
         for_each_page(store, self.root, true, false, &mut |_, page, _| {
             ids.extend(page);
             Ok(())
@@ -242,9 +248,9 @@ impl DynamicPst {
     }
 
     /// The bytes in use on the structure's pages and its blocks in tails,
-    /// by class, the root page's `U` included.
+    /// by class.
     pub fn page_fill(&self, store: &PageStore) -> Result<RegionFill> {
-        Ok(page_census(store, self.root, self.live, self.root_u)?.1)
+        Ok(page_census(store, self.root, self.live)?.1)
     }
 
     /// Update records applied since the initial build — the `seq` word of
@@ -265,32 +271,44 @@ impl DynamicPst {
         self.apply(store, &[UpdateOp::Delete(p)])
     }
 
-    /// Applies a batch in order as one push into the root page's `U`, which
-    /// flushes where it is full: a batch that fits `U` writes it once.
+    /// Applies a batch in order: the ops go to the root's `U` while they
+    /// fit it, and each time it is full and ops remain, the root page is
+    /// flushed. A batch that fits `U` costs no page I/O.
     pub fn apply(&mut self, store: &PageStore, ops: &[UpdateOp]) -> Result<()> {
         let _span = pc_obs::span!("dynpst_apply", ops.len());
-        let recs: Vec<UpdateRec> = ops.iter().map(|&op| stamped(op, &mut self.seq)).collect();
+        let mut recs: Vec<UpdateRec> = ops.iter().map(|&op| stamped(op, &mut self.seq)).collect();
         for rec in &recs {
             self.live = if rec.is_delete { self.live.saturating_sub(1) } else { self.live + 1 };
         }
-        self.push_updates(store, self.root, recs, None).map(drop)
+        loop {
+            let take = buffer_room(store.page_size(), &self.root_ops, &recs);
+            self.root_ops.extend(recs.drain(..take));
+            if recs.is_empty() {
+                return Ok(());
+            }
+            let (page, ops) = (store.read(self.root)?, std::mem::take(&mut self.root_ops));
+            self.root = self.flush_page(store, self.root, &page, ops, None)?;
+        }
     }
 
-    /// Answers a 2-sided query, merging buffered updates.
+    /// Answers a 2-sided query, merging buffered updates: those of the
+    /// root's `U` that lie in the corner, and those of every `U` and `u`
+    /// the walk reads.
     pub fn query(&self, store: &PageStore, q: TwoSided) -> Result<Vec<Point>> {
         // The root span: the merge below reports into it.
         let _span = pc_obs::span!("dynpst_query");
         let handle = PstHandle { root: self.root, n: self.live.max(1), kind: Kind::Region };
-        let (static_res, pending) = query_handle(store, handle, self.root_u, q)?;
+        let (static_res, mut pending) = query_handle(store, handle, q)?;
+        pending.extend(self.root_ops.iter().filter(|op| q.contains(&op.p)));
         Ok(merge_buffered(static_res, pending, |p| q.contains(p)))
     }
 
-    /// Pushes updates into a page's `U` buffer, flushing the page whenever
-    /// the buffer cannot take the next. `parent` is the page's parent
-    /// record, for patching it on a rewrite or rebuild. Inside an apply
-    /// session a written `U` or page moves to a fresh one
-    /// ([`PageStore::relocate`]), and what names it is patched: the root's
-    /// in the handle, a page below's in its parent's record — where a
+    /// Pushes updates into the `U` buffer of a page below the root,
+    /// flushing the page whenever the buffer cannot take the next. `parent`
+    /// is the page's parent record, for patching it on a rewrite or
+    /// rebuild. Inside an apply session a written `U` or page moves to a
+    /// fresh one ([`PageStore::relocate`]), and what names it is patched:
+    /// `U` in the page's header, the page in its parent's record — where a
     /// flush already writes it — or, for a page moved by its `U` alone, by
     /// the caller, which gets that page's new id.
     fn push_updates(
@@ -298,59 +316,28 @@ impl DynamicPst {
         store: &PageStore,
         mut page_id: PageId,
         mut ops: Vec<UpdateRec>,
-        parent: Parent,
+        parent: ParentRec,
     ) -> Result<Option<PageId>> {
-        let page_size = store.page_size();
-        let budget = stairs_budget(page_size, parent);
         let mut page = store.read(page_id)?.to_vec();
         // `U` is known empty after a flush, which cleared it.
         let mut flushed = false;
         loop {
             let mut header = decode_header(&page)?;
-            let u_page = if parent.is_none() { self.root_u } else { header.u_page };
-            let fresh = u_page.is_null();
+            let fresh = header.u_page.is_null();
             let mut buffered =
-                if fresh || flushed { Vec::new() } else { read_buffer(store, u_page)? };
-            let take = buffer_room(page_size, &buffered, &ops);
-            let held = buffered.len();
+                if fresh || flushed { Vec::new() } else { read_buffer(store, header.u_page)? };
+            let take = buffer_room(store.page_size(), &buffered, &ops);
             buffered.extend(ops.drain(..take));
-            let to = if fresh { store.alloc()? } else { store.relocate(u_page)? };
+            let to = if fresh { store.alloc()? } else { store.relocate(header.u_page)? };
             write_buffer(store, to, &buffered)?;
-            // Where the page names `U`, a moved `U` rewrites the page.
-            let renamed = match parent {
-                None => {
-                    self.root_u = to;
-                    false
-                }
-                Some(_) => std::mem::replace(&mut header.u_page, to) != to,
-            };
-            // `U`'s staircase: the page's steps with the ops `U` took, or
-            // all of `U` where the page keeps none. The page is rewritten
-            // where it moved, so that it covers `U` at every write.
-            let kept = match header.stairs {
-                true => Some(staircase::decode(staircase::tail(&page))?),
-                false => None,
-            };
-            let stairs = (budget > 0).then(|| {
-                let (steps, taken) = match &kept {
-                    Some(steps) => (&steps[..], &buffered[held..]),
-                    None => (&[][..], &buffered[..]),
-                };
-                staircase(steps.iter().copied().chain(taken.iter().map(Step::of)), budget)
-            });
+            // A moved `U` rewrites the page, which names it.
             let mut moved = None;
-            if fresh || renamed || stairs != kept {
-                header.stairs = stairs.is_some();
-                let tail = stairs.map_or(Vec::new(), |steps| staircase::encode(&steps, page_size));
+            if std::mem::replace(&mut header.u_page, to) != to {
                 let (at, bytes) = relocate_page(store, page_id, &page)?;
                 let header = |w: &mut PageWriter<'_>| encode_header(w, &header);
-                page = patch_page::<RegionRecord>(store, at, &bytes, header, &tail)?;
+                page = patch_page::<RegionRecord>(store, at, &bytes, header, &[])?;
                 if at != page_id {
-                    page_id = at;
-                    match parent {
-                        None => self.root = at,
-                        Some(_) => moved = Some(at),
-                    }
+                    (page_id, moved) = (at, Some(at));
                 }
             }
             if ops.is_empty() {
@@ -359,7 +346,7 @@ impl DynamicPst {
             // A flush may move the page or rebuild its subtree under a
             // fresh one, and names it in the parent either way; keep
             // appending the remaining ops to it.
-            page_id = self.flush_page(store, page_id, &page, buffered, parent)?;
+            page_id = self.flush_page(store, page_id, &page, buffered, Some(parent))?;
             page = store.read(page_id)?.to_vec();
             flushed = true;
         }
@@ -369,9 +356,9 @@ impl DynamicPst {
     /// in-page regions (rebuilding the page's lists and caches) and
     /// forwards the rest to child pages. May instead rebuild the whole
     /// subtree when churn or an invariant hazard demands it. `page` is the
-    /// page's bytes and `ops` its `U`'s, which the caller holds. Returns the
-    /// page's id after: where a rewrite moved it, or the root of the
-    /// rebuilt subtree.
+    /// page's bytes and `ops` its `U`'s, which the caller holds (the root's
+    /// having taken them out of its own). Returns the page's id after:
+    /// where a rewrite moved it, or the root of the rebuilt subtree.
     fn flush_page(
         &mut self,
         store: &PageStore,
@@ -492,13 +479,15 @@ impl DynamicPst {
         let buffer = min_records::<UpdateRec>(store.page_size()) as u64;
         let rebuild_threshold = (header.subtree_n / 2).max(4 * buffer);
         if hazard || u64::from(header.churn) > rebuild_threshold {
-            // The rebuild frees the page as it is, and its `U`, which still
-            // holds every op of this flush: the gather replays them.
-            return self.rebuild_subtree(store, page_id, parent);
+            // The rebuild frees the page as it is, and its `U` page, if it
+            // has one: the gather replays every op of this flush.
+            return self.rebuild_subtree(store, page_id, parent, ops);
         }
-        // Clear the buffer (the page itself is kept for reuse): the push
-        // that hands it over wrote it, in the same apply session.
-        write_buffer(store, if parent.is_none() { self.root_u } else { header.u_page }, &[])?;
+        // Clear a `U` page (kept for reuse): the push that hands it over
+        // wrote it, in the same apply session.
+        if !header.u_page.is_null() {
+            write_buffer(store, header.u_page, &[])?;
+        }
 
         // Rewrite the page's regions: new X/Y lists and caches.
         let page_id = self.rewrite_page(store, page_id, header, records, points, &touched, parent)?;
@@ -507,7 +496,7 @@ impl DynamicPst {
         // its `U` alone moved is named here, all of them in one write.
         let mut moved = Vec::new();
         for (_, (child, pslot, is_right, f_ops)) in forwards {
-            let parent = Some((page_id, pslot, is_right));
+            let parent = (page_id, pslot, is_right);
             if let Some(at) = self.push_updates(store, child.page, f_ops, parent)? {
                 moved.push((child.page, at));
             }
@@ -523,22 +512,21 @@ impl DynamicPst {
     /// rebuilds on `u` overflow, a fresh `child_a` (`left_s`) for every
     /// region whose children's A-list (left child's S-list) has a source
     /// whose first X- (Y-) block moved — the other caches still hold exactly
-    /// what a rebuild would write — an empty staircase, `U` being empty, and
-    /// a parent patch for the page root's metadata. Returns where the page
-    /// went ([`PageStore::relocate`]), which the parent patch names.
+    /// what a rebuild would write — and a parent patch for the page root's
+    /// metadata. Returns where the page went ([`PageStore::relocate`]),
+    /// which the parent patch names.
     #[allow(clippy::too_many_arguments)]
     fn rewrite_page(
         &mut self,
         store: &PageStore,
         page_id: PageId,
-        mut header: PageHeaderInfo,
+        header: PageHeaderInfo,
         mut records: Vec<RegionRecord>,
         points: Vec<Vec<Point>>,
         touched: &[Touched],
         parent: Parent,
     ) -> Result<PageId> {
         let count = records.len();
-        let page_size = store.page_size();
 
         // Rebuild X/Y lists and region buffers of touched regions.
         let mut x_sorted: Vec<Vec<Point>> = Vec::with_capacity(count);
@@ -566,7 +554,7 @@ impl DynamicPst {
                 read_buffer(store, records[slot].u_buf)?
             };
             let ops = &touched[slot].ops;
-            if buffer_room(page_size, &u_ops, ops) < ops.len() {
+            if buffer_room(store.page_size(), &u_ops, ops) < ops.len() {
                 free_pages(store, records[slot].inner_root, records[slot].inner_is_region)?;
                 let inner = build_inner(store, &points[slot], &self.caps[1..])?;
                 records[slot].inner_root = inner.root;
@@ -623,11 +611,9 @@ impl DynamicPst {
             }
         }
 
-        header.stairs = stairs_budget(page_size, parent) > 0;
-        let tail = if header.stairs { staircase::encode(&[], page_size) } else { Vec::new() };
         let at = store.relocate(page_id)?;
         rename(&mut records, &[(page_id, at)]);
-        write_page(store, at, |w| encode_header(w, &header), &records, &tail)?;
+        write_page(store, at, |w| encode_header(w, &header), &records, &[])?;
 
         // Patch the parent's view of this page's root if it changed.
         let moved_to = NodeRef { page: at, slot: 0 };
@@ -639,23 +625,17 @@ impl DynamicPst {
     }
 
     /// Gathers every live point under `page_id` (resolving pending buffered
-    /// ops by stamp), frees the old subtree, rebuilds it statically, and
-    /// splices the new root into the parent.
+    /// ops, and `ops`, the page's `U`, by stamp), frees the old subtree,
+    /// rebuilds it statically, and splices the new root into the parent.
     fn rebuild_subtree(
         &mut self,
         store: &PageStore,
         page_id: PageId,
         parent: Parent,
+        ops: Vec<UpdateRec>,
     ) -> Result<PageId> {
         let _span = pc_obs::span!("dynpst_rebuild");
-        // The root page's `U` is the handle's: gathered and freed with the
-        // subtree, and allocated again by the next push.
-        let mut root_ops = Vec::new();
-        if parent.is_none() && !self.root_u.is_null() {
-            root_ops = read_buffer(store, self.root_u)?;
-            store.free(std::mem::replace(&mut self.root_u, NULL_PAGE))?;
-        }
-        let points = gather_live(store, page_id, root_ops)?;
+        let points = gather_live(store, page_id, ops)?;
         free_pages(store, page_id, true)?;
         let handle = build_region_tree(store, &points, &self.caps)?;
         let at = NodeRef { page: handle.root, slot: 0 };
@@ -668,15 +648,6 @@ impl DynamicPst {
         }
         Ok(handle.root)
     }
-}
-
-/// Bytes of the staircase tail of the region page whose parent record is
-/// `parent`: the root page's ([`staircase::tail_len`]), which every query
-/// reads, and none below it. A page below takes its ops a flush of the page
-/// above at a time, and a staircase there would cost it a write per such
-/// flush for queries that seldom reach it (DESIGN §12).
-fn stairs_budget(page_size: usize, parent: Parent) -> usize {
-    if parent.is_none() { staircase::tail_len(page_size) } else { 0 }
 }
 
 /// Updates the record `(page, slot)` of the parent of a page whose root
@@ -727,12 +698,13 @@ fn relocate_page(store: &PageStore, id: PageId, page: &[u8]) -> Result<(PageId, 
 }
 
 /// The live points of the subtree rooted at `page_id`: those of the
-/// X-lists with the pending buffered ops, and `extra` ops (the root page's
-/// `U`, which the handle names), applied in stamp order. Region `u` contents are *not* collected: those
-/// ops are already reflected in the X-lists.
-fn gather_live(store: &PageStore, page_id: PageId, extra: Vec<UpdateRec>) -> Result<Vec<Point>> {
+/// X-lists with the ops of every `U` page, and `ops`, applied in stamp
+/// order. `ops` is the subtree root's `U`, which its `U` page, where it has
+/// one, holds too: an op replayed twice is replayed once. Region `u`
+/// contents are *not* collected: those ops are already reflected in the
+/// X-lists.
+fn gather_live(store: &PageStore, page_id: PageId, mut ops: Vec<UpdateRec>) -> Result<Vec<Point>> {
     let mut live: HashSet<Point> = HashSet::new();
-    let mut ops = extra;
     for_each_skeletal_page(store, page_id, &mut |_, page, records: &[RegionRecord]| {
         let u_page = decode_header(page)?.u_page;
         if !u_page.is_null() {
@@ -964,17 +936,19 @@ mod tests {
     use super::*;
     use crate::build::SEntry;
     use crate::testutil::{canonical, corner_cost, in_page_paths, uniform_points, LoggedStore};
-    use pc_pagestore::layout::{chain_pages, encode_block, BlockList};
+    use pc_pagestore::layout::{chain_pages, BlockList};
     use pc_pagestore::{PageStore, NULL_PAGE};
     use pc_rng::Rng;
 
-    /// Flushes page `id` as a push that overflows its `U` does, reading the
-    /// page and `U` it hands over; returns where the page went.
+    /// Flushes page `id` as a full `U` does, handing over the page and its
+    /// `U` — the root's own, else the page its header names; returns where
+    /// the page went.
     fn flush(pst: &mut DynamicPst, store: &PageStore, id: PageId, parent: Parent) -> PageId {
         let page = store.read(id).unwrap();
-        let header = decode_header(&page).unwrap();
-        let u_page = if parent.is_none() { pst.root_u } else { header.u_page };
-        let ops = read_buffer(store, u_page).unwrap();
+        let ops = match parent {
+            None => std::mem::take(&mut pst.root_ops),
+            Some(_) => read_buffer(store, decode_header(&page).unwrap().u_page).unwrap(),
+        };
         pst.flush_page(store, id, &page, ops, parent).unwrap()
     }
 
@@ -1106,7 +1080,6 @@ mod tests {
         assert!(census.buffers > 0, "{census:?}");
         assert_eq!(census.total(), after);
         free_pages(&store, pst.root, true).unwrap();
-        store.free(pst.root_u).unwrap();
         assert_eq!(store.live_pages(), 0);
     }
 
@@ -1474,8 +1447,8 @@ mod tests {
     }
 
     /// A flush that rebuilds its subtree writes no page it frees: not the
-    /// header of the page it rebuilds, nor that page's `U`, whose ops the
-    /// rebuild reads back. A page it wrote is live after it, and not zeroed
+    /// header of the page it rebuilds, whose `U` the rebuild replays. A
+    /// page it wrote is live after it, and not zeroed
     /// since: `alloc` zeroes a page freed and handed out again.
     #[test]
     fn a_rebuilding_flush_writes_no_page_it_frees() {
@@ -1494,10 +1467,8 @@ mod tests {
             let fresh = uniform_points(&mut rng, 8, 1 << 20);
             let inserts: Vec<Point> =
                 fresh.iter().map(|p| Point::new(p.x, p.y, p.id + 9_000)).collect();
-            let ops: Vec<UpdateRec> =
+            pst.root_ops =
                 inserts.iter().map(|&p| stamped(UpdateOp::Insert(p), &mut pst.seq)).collect();
-            pst.root_u = store.alloc().unwrap();
-            write_buffer(store, pst.root_u, &ops).unwrap();
 
             let root = pst.root;
             let (_, writes) = logged.writes_of(|s| flush(&mut pst, s, root, None));
@@ -1560,8 +1531,8 @@ mod tests {
     /// A dynamic PST over `n` uniform points at 4 KiB and, beside it, the
     /// same build left clean; then `inserts` fresh uniform points, the
     /// oldest deleted again once 256 are live, as the served benchmark's
-    /// sliding window does. The stream stays in the root page's `U`. Returns
-    /// the two stores and structures and the live points.
+    /// sliding window does. The stream stays in the root's `U`. Returns the
+    /// two stores and structures and the live points.
     fn dirty_and_clean(n: usize, inserts: u64) -> [(PageStore, DynamicPst, Vec<Point>); 2] {
         let mut rng = Rng::seed_from_u64(0x57a1);
         let points = uniform_points(&mut rng, n, DOMAIN);
@@ -1583,18 +1554,9 @@ mod tests {
                 live.retain(|q| *q != gone);
             }
         }
-        let census = pst.page_census(&store).unwrap();
-        assert_eq!(census.buffers, 1, "the stream stays in the root page's `U`");
+        assert_eq!(pst.root_ops.len() as u64, pst.seq, "the stream stays in the root's `U`");
+        assert_eq!(pst.page_census(&store).unwrap().buffers, 0);
         [(store, pst, live), clean]
-    }
-
-    /// The root page's `U` and its staircase.
-    fn root_buffer(store: &PageStore, pst: &DynamicPst) -> (Vec<UpdateRec>, Vec<Step>) {
-        let page = store.read(pst.root).unwrap();
-        let header = decode_header(&page).unwrap();
-        assert!(header.stairs, "a 4 KiB root page keeps its staircase");
-        let steps = staircase::decode(staircase::tail(&page)).unwrap();
-        (read_buffer(store, pst.root_u).unwrap(), steps)
     }
 
     /// Reads by class of `q` on `pst`, and its answer in [`canonical`] order.
@@ -1603,24 +1565,16 @@ mod tests {
         (trace.reads_by_class, canonical(answer))
     }
 
-    /// A `Cache` read more than `reads`.
-    fn plus_a_cache_read(mut reads: [u64; 4]) -> [u64; 4] {
-        reads[pc_obs::ReadClass::Cache as usize] += 1;
-        reads
-    }
-
-    /// The staircase costs no read and hides no op: over 50k uniform
-    /// points at 4 KiB and a stream in the root page's `U`, a corner that
-    /// holds no step reads what it reads on the clean build, and a corner
-    /// on an op — which holds that op — reads `U` too, one `Cache` read
-    /// more. The benchmark's kind of corner, about 16 points, holds no op
-    /// of a few hundred and no step either.
+    /// The root's `U` costs a query no read and hides no op: over 50k
+    /// uniform points at 4 KiB and a stream in the root's `U`, a corner
+    /// reads what it reads on the clean build and answers as the live set
+    /// does — the benchmark's kind of corner, about 16 points, which holds
+    /// no op of a few hundred, and a corner on each op, which holds it.
     #[test]
-    fn a_dirty_corner_reads_u_only_where_a_step_lies_in_it() {
+    fn a_dirty_corner_reads_what_the_clean_build_reads() {
         let [(store, pst, live), (clean_store, clean, _)] = dirty_and_clean(50_000, 400);
-        let (ops, steps) = root_buffer(&store, &pst);
-        assert!(ops.len() > 400 && (2..=8).contains(&steps.len()), "{} ops, {steps:?}", ops.len());
-        let holds = |q: TwoSided, x: i64, y: i64| x >= q.x0 && y >= q.y0;
+        let ops = &pst.root_ops;
+        assert!(ops.len() > 400, "{} ops", ops.len());
         let want =
             |q: TwoSided| canonical(live.iter().copied().filter(|p| q.contains(p)).collect());
         let mut rng = Rng::seed_from_u64(0xc0);
@@ -1630,51 +1584,75 @@ mod tests {
             let q = TwoSided { x0: side(), y0: side() };
             let (reads, answer) = counted(&store, &pst, q);
             assert_eq!(answer, want(q), "{q:?}");
-            assert!(!ops.iter().any(|op| holds(q, op.p.x, op.p.y)), "{q:?} holds an op");
-            assert!(!steps.iter().any(|s| holds(q, s.x, s.y)), "{q:?} holds a step");
+            assert!(!ops.iter().any(|op| q.contains(&op.p)), "{q:?} holds an op");
             assert_eq!(reads, counted(&clean_store, &clean, q).0, "{q:?}");
             small += usize::from(answer.len() <= 64);
         }
         assert!(small >= 150, "{small} corners of at most 64 points");
-        for op in &ops {
+        for op in ops {
             let q = TwoSided { x0: op.p.x, y0: op.p.y };
             let (reads, answer) = counted(&store, &pst, q);
             assert_eq!(answer, want(q), "{q:?}");
-            assert_eq!(reads, plus_a_cache_read(counted(&clean_store, &clean, q).0), "{q:?}");
+            assert_eq!(reads, counted(&clean_store, &clean, q).0, "{q:?}");
         }
     }
 
-    /// A page without [`staircase::STAIRS`] — one too small for a
-    /// staircase, or one written before staircases — reads its `U` as it
-    /// always did: clearing the flag of a dirty root page costs a corner
-    /// that holds no step one `Cache` read and no answer, and the next
-    /// update writes the staircase of all of `U` again. The staircase is
-    /// part of the committed page: a durable store reopened from its files
-    /// answers every corner as before, at the same reads.
+    /// The descriptor carries the root's `U` whole, at 512 B and 4 KiB:
+    /// empty, one op, and full (the next op would flush the root page). The
+    /// structure it reopens holds the same ops and answers alike; an op
+    /// block cut short anywhere, or followed by a byte, is `Corrupt`.
     #[test]
-    fn a_page_without_the_staircase_flag_reads_u_and_a_reopened_store_keeps_it() {
-        let [(store, mut pst, _), _] = dirty_and_clean(20_000, 300);
+    fn the_descriptor_carries_the_root_ops_whole() {
+        for page_size in [512, 4096] {
+            let store = PageStore::in_memory(page_size);
+            let mut rng = Rng::seed_from_u64(page_size as u64);
+            let points = uniform_points(&mut rng, 2_000, DOMAIN);
+            let mut pst = DynamicPst::build(&store, &points).unwrap();
+            let full = |pst: &DynamicPst, p: Point| {
+                let next = UpdateRec { is_delete: false, seq: pst.seq + 1, p };
+                buffer_room(page_size, &pst.root_ops, &[next]) == 0
+            };
+            for held in [Some(0), Some(1), None] {
+                loop {
+                    let (x, y) = (rng.gen_range(0..DOMAIN), rng.gen_range(0..DOMAIN));
+                    let p = Point::new(x, y, 1 << 40 | pst.seq);
+                    if Some(pst.root_ops.len()) == held || full(&pst, p) {
+                        break;
+                    }
+                    pst.insert(&store, p).unwrap();
+                }
+                let what = format!("{page_size} B, {} ops", pst.root_ops.len());
+                let desc = pst.descriptor();
+                let reopened = DynamicPst::open(&store, &desc).unwrap();
+                assert_eq!(reopened.root_ops, pst.root_ops, "{what}");
+                assert_eq!((reopened.len(), reopened.seq()), (pst.len(), pst.seq()), "{what}");
+                for q in [(0, 0), (DOMAIN / 2, DOMAIN / 3), (DOMAIN - 5_000, 0)] {
+                    let q = TwoSided { x0: q.0, y0: q.1 };
+                    let (a, b) = (reopened.query(&store, q), pst.query(&store, q));
+                    assert_eq!(a.unwrap(), b.unwrap(), "{what}: {q:?}");
+                }
+                let corrupt = |desc: &[u8]| {
+                    matches!(DynamicPst::open(&store, desc), Err(StoreError::Corrupt(_)))
+                };
+                for cut in 0..desc.len() {
+                    assert!(corrupt(&desc[..cut]), "{what}: cut at {cut} of {}", desc.len());
+                }
+                assert!(corrupt(&[&desc[..], &[0]].concat()), "{what}: a byte past the ops");
+            }
+            let ops = pst.root_ops.len();
+            assert!(ops > if page_size == 512 { 20 } else { 200 }, "{page_size} B: {ops} ops");
+        }
+    }
+
+    /// The root's ops are part of the committed descriptor: a durable store
+    /// reopened from its files answers every corner as before, at the same
+    /// reads, from the same ops.
+    #[test]
+    fn a_reopened_durable_store_keeps_the_root_ops() {
         let corners: Vec<TwoSided> = (1..=16)
             .map(|k| TwoSided { x0: DOMAIN - k * k * 2_000, y0: DOMAIN - k * k * 1_800 })
             .collect();
-        let (_, steps) = root_buffer(&store, &pst);
-        let unread = |q: &&TwoSided| !steps.iter().any(|s| s.x >= q.x0 && s.y >= q.y0);
-        let q = *corners.iter().find(unread).expect("a corner past the staircase");
-        let (reads, answer) = counted(&store, &pst, q);
-        let page = store.read(pst.root).unwrap();
-        let mut header = decode_header(&page).unwrap();
-        header.stairs = false;
-        patch_page::<RegionRecord>(&store, pst.root, &page, |w| encode_header(w, &header), &[])
-            .unwrap();
-        assert_eq!(counted(&store, &pst, q), (plus_a_cache_read(reads), answer.clone()));
-        pst.insert(&store, Point::new(0, 0, 1 << 40)).unwrap();
-        let (ops, again) = root_buffer(&store, &pst);
-        let budget = staircase::tail_len(4096);
-        assert_eq!(again, staircase(ops.iter().map(Step::of), budget), "all of `U`'s");
-        assert!(!again.iter().any(|s| s.x >= q.x0 && s.y >= q.y0), "{q:?} holds a step");
-        assert_eq!(counted(&store, &pst, q), (reads, answer));
-
-        let dir = std::env::temp_dir().join(format!("pc-pst-stairs-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("pc-pst-root-ops-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dyn.db");
         let wal = pc_pagestore::WalConfig::default();
@@ -1689,61 +1667,17 @@ mod tests {
         let desc = pst.descriptor();
         durable.commit_with(&desc).unwrap();
         let before: Vec<_> = corners.iter().map(|&q| counted(&durable, &pst, q)).collect();
-        assert!(before.iter().any(|(reads, _)| reads[pc_obs::ReadClass::Cache as usize] == 0));
+        let held = |q: &TwoSided| pst.root_ops.iter().any(|op| q.contains(&op.p));
+        assert!(corners.iter().any(held) && !corners.iter().all(held), "corners with and without");
+        let ops = std::mem::take(&mut pst.root_ops);
         drop((pst, durable));
         let (durable, _) = PageStore::file_durable(&path, 4096, wal).unwrap();
         let pst = DynamicPst::open(&durable, &desc).unwrap();
+        assert_eq!(pst.root_ops, ops);
         let after: Vec<_> = corners.iter().map(|&q| counted(&durable, &pst, q)).collect();
         assert_eq!(after, before);
         drop(durable);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Over random op sets — uniform, on an anti-diagonal (every op a
-    /// maximal point), at 20 and 64 bits — and byte budgets from one step's
-    /// to room for all: the staircase is strictly `x`-descending and
-    /// `y`-ascending, every op lies at or below and left of a step, the
-    /// block fits the budget, and a budget that holds every maximal point
-    /// keeps exactly those.
-    #[test]
-    fn a_coarsened_staircase_dominates_every_op_and_fits_its_budget() {
-        let mut rng = Rng::seed_from_u64(0x5ca1e);
-        let budgets = [30, 45, 47, 64, 195, 253, 4096];
-        for round in 0..200 {
-            let n = rng.gen_range(1..300usize);
-            let bits = if round % 2 == 0 { 20 } else { 63 };
-            let mut coord = || rng.gen_range(-(1i64 << (bits - 1))..1i64 << (bits - 1));
-            let ops: Vec<Step> = match round % 3 {
-                0 => (0..n).map(|_| Step { x: coord(), y: coord() }).collect(),
-                _ => {
-                    let mut xs: Vec<i64> = (0..n).map(|_| coord()).collect();
-                    xs.sort_unstable();
-                    xs.iter().rev().map(|&x| Step { x, y: -x }).collect()
-                }
-            };
-            let maximal: Vec<Step> = {
-                let mut out: Vec<Step> = ops
-                    .iter()
-                    .filter(|p| !ops.iter().any(|q| q != *p && q.x >= p.x && q.y >= p.y))
-                    .copied()
-                    .collect();
-                out.sort_unstable_by_key(|s| std::cmp::Reverse(s.x));
-                out.dedup();
-                out
-            };
-            for budget in budgets {
-                let steps = staircase(ops.iter().copied(), budget);
-                assert!(steps.windows(2).all(|w| w[0].x > w[1].x && w[0].y < w[1].y), "{steps:?}");
-                for op in &ops {
-                    assert!(steps.iter().any(|s| s.x >= op.x && s.y >= op.y), "{op:?} uncovered");
-                }
-                let bytes = encode_block(&steps, NULL_PAGE).len();
-                assert!(bytes <= budget, "{bytes} bytes over a budget of {budget}");
-                if encode_block(&maximal, NULL_PAGE).len() <= budget {
-                    assert_eq!(steps, maximal, "nothing to coarsen at {budget} bytes");
-                }
-            }
-        }
     }
 
     #[test]

@@ -63,7 +63,6 @@ mod mem;
 mod multilevel;
 mod query;
 mod region;
-mod staircase;
 mod three_sided;
 mod two_level;
 

@@ -49,7 +49,6 @@ use crate::build::{
 use crate::mem::{cmp_x, cmp_y, MemPst, NodeFill, TwoSided, NONE};
 use crate::query::run_two_sided;
 use crate::region::{for_each_block, for_each_cache_owner, merge_tagged, Walk};
-use crate::staircase::{self, STAIRS};
 
 /// Byte size of one region record.
 ///
@@ -71,11 +70,11 @@ use crate::staircase::{self, STAIRS};
 /// static builds):
 ///
 /// ```text
-/// [count u16][flags u16][churn u32][subtree_n u64][u_page u64][pad to 24]
+/// [count u16][zero u16][churn u32][subtree_n u64][u_page u64][pad to 24]
 /// ```
 ///
-/// `flags` holds [`crate::staircase::STAIRS`]: the page's tail holds the
-/// staircase of its `U`.
+/// `u_page` is the page's `U`, null until the page takes an op; the root
+/// page's `U` is the dynamic structure's own (`crate::dynamic`).
 pub const RECORD_LEN: usize = 8 + 8 + 10 + 10 + 2 + 2 + 2 + 1 + (18 + 8) * 2 + 18 + 16 * 2 + 8 + 8;
 pub(crate) const PAGE_HEADER: usize = 24;
 
@@ -306,8 +305,6 @@ impl SkelRecord for RegionRecord {
 /// dynamic structure's bookkeeping.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PageHeaderInfo {
-    /// The page's tail holds its `U`'s staircase ([`crate::staircase`]).
-    pub(crate) stairs: bool,
     pub(crate) churn: u32,
     pub(crate) subtree_n: u64,
     pub(crate) u_page: PageId,
@@ -315,15 +312,14 @@ pub(crate) struct PageHeaderInfo {
 
 pub(crate) fn decode_header(page: &[u8]) -> Result<PageHeaderInfo> {
     let mut r = PageReader::new(page);
-    r.skip(2)?;
-    let stairs = r.get_u16()? & STAIRS != 0;
+    r.skip(4)?;
     let (churn, subtree_n) = (r.get_u32()?, r.get_u64()?);
-    Ok(PageHeaderInfo { stairs, churn, subtree_n, u_page: PageId(r.get_u64()?) })
+    Ok(PageHeaderInfo { churn, subtree_n, u_page: PageId(r.get_u64()?) })
 }
 
 /// Writes the header's bytes after the count.
 pub(crate) fn encode_header(w: &mut PageWriter<'_>, h: &PageHeaderInfo) -> Result<()> {
-    w.put_u16(if h.stairs { STAIRS } else { 0 })?;
+    w.put_u16(0)?;
     w.put_u32(h.churn)?;
     w.put_u64(h.subtree_n)?;
     w.put_u64(h.u_page.0)?;
@@ -449,7 +445,7 @@ pub(crate) fn build_region_tree(
     };
     let header = |root: usize, w: &mut PageWriter<'_>| {
         let subtree_n = mem.nodes[root].subtree_size;
-        encode_header(w, &PageHeaderInfo { stairs: false, churn: 0, subtree_n, u_page: NULL_PAGE })
+        encode_header(w, &PageHeaderInfo { churn: 0, subtree_n, u_page: NULL_PAGE })
     };
     skel.write(store, header, |ni| {
         let node = &mem.nodes[ni];
@@ -495,15 +491,13 @@ type Sibling = (ListRef, u16, bool, NodeRef);
 
 /// Runs a 2-sided query against a region tree rooted at `root_page`,
 /// appending to `walk` (recursive across levels). Buffered updates
-/// encountered along the way (super-node `U` buffers on visited pages whose
-/// staircase meets the corner, the corner region's `u` buffer) are appended
-/// to `pending` for the caller to merge; static structures have no buffers,
-/// so it stays empty for them.
+/// encountered along the way (the `U` buffers of visited pages, the corner
+/// region's `u` buffer) are appended to `pending` for the caller to merge;
+/// static structures have no buffers, so it stays empty for them.
 fn run_region_query(
     walk: &mut Walk<'_>,
     pending: &mut Vec<UpdateRec>,
     root_page: PageId,
-    root_u: PageId,
     q: TwoSided,
 ) -> Result<()> {
     // Nested region levels open nested spans; each sets its own B.
@@ -519,7 +513,7 @@ fn run_region_query(
     let mut cur_s: BlockList<SEntry> = BlockList::empty();
 
     let mut ctx = TlCtx { walk, pending, q };
-    load_page(ctx.walk, ctx.pending, root_page, root_u, true, q)?;
+    load_page(ctx.walk, ctx.pending, root_page, true)?;
     let mut slot = 0u16;
     loop {
         let rec = RegionRecord::at(&ctx.walk.page, slot)?;
@@ -537,7 +531,7 @@ fn run_region_query(
             if !rec.u_buf.is_null() {
                 pending.extend(decode_buffer(&walk.cache_page(rec.u_buf)?)?);
             }
-            return query_on(walk, pending, rec.inner(), NULL_PAGE, q);
+            return query_on(walk, pending, rec.inner(), q);
         }
 
         let go_left = q.x0 <= rec.split_x;
@@ -554,7 +548,7 @@ fn run_region_query(
             anc.clear();
             sib.clear();
             (cur_a, cur_s) = (BlockList::empty(), BlockList::empty());
-            load_page(ctx.walk, ctx.pending, next.page, NULL_PAGE, true, q)?;
+            load_page(ctx.walk, ctx.pending, next.page, true)?;
             continue;
         }
         anc.push(rec.x_list);
@@ -571,35 +565,30 @@ fn run_region_query(
     }
 }
 
-/// Answers `q` from the structure `handle` names, on `walk`; `root_u` is
-/// the `U` of a region tree's root page, which the handle names.
+/// Answers `q` from the structure `handle` names, on `walk`.
 fn query_on(
     walk: &mut Walk<'_>,
     pending: &mut Vec<UpdateRec>,
     handle: PstHandle,
-    root_u: PageId,
     q: TwoSided,
 ) -> Result<()> {
     match handle.kind {
         _ if handle.n == 0 => Ok(()),
-        Kind::Region => run_region_query(walk, pending, handle.root, root_u, q),
+        Kind::Region => run_region_query(walk, pending, handle.root, q),
         Kind::Basic(mode) => run_two_sided(walk, handle.root, mode, q),
     }
 }
 
 /// Queries a [`PstHandle`] (region tree or single-level PST): the answer
 /// and any buffered updates encountered, for the caller to merge.
-/// `root_u` is the `U` of a region tree's root page, which its handle
-/// names.
 pub(crate) fn query_handle(
     store: &PageStore,
     handle: PstHandle,
-    root_u: PageId,
     q: TwoSided,
 ) -> Result<(Vec<Point>, Vec<UpdateRec>)> {
     let mut walk = Walk::new(store);
     let mut pending = Vec::new();
-    query_on(&mut walk, &mut pending, handle, root_u, q)?;
+    query_on(&mut walk, &mut pending, handle, q)?;
     Ok((walk.results, pending))
 }
 
@@ -726,8 +715,7 @@ pub(crate) fn for_each_page(
         for id in buffers.into_iter().filter(|page| !page.is_null()) {
             visit(|c| &mut c.buffers, Some(id), read(id, buffer_bytes)?)?;
         }
-        let tail = if header.stairs { staircase::tail(page).len() } else { 0 };
-        let used = RegionRecord::HEADER + RegionRecord::LEN * records.len() + tail;
+        let used = RegionRecord::HEADER + RegionRecord::LEN * records.len();
         visit(|c| &mut c.skeletal, Some(pid), used)
     })?;
     inners
@@ -742,14 +730,12 @@ pub(crate) fn free_pages(store: &PageStore, root: PageId, is_region: bool) -> Re
     })
 }
 
-/// Counts the pages of the region tree of `n` points under `root` by class
-/// — and `root_u`, the root page's `U` its handle names — with the bytes
-/// in use on them and the blocks in tails (one read a page).
+/// Counts the pages of the region tree of `n` points under `root` by class,
+/// with the bytes in use on them and the blocks in tails (one read a page).
 pub(crate) fn page_census(
     store: &PageStore,
     root: PageId,
     n: u64,
-    root_u: PageId,
 ) -> Result<(RegionCensus, RegionFill)> {
     let (mut census, mut fill) = (RegionCensus::default(), RegionFill::default());
     let mut count = |class: PageClass, page: Option<PageId>, used: usize| {
@@ -758,9 +744,6 @@ pub(crate) fn page_census(
         Ok(())
     };
     for_each_page(store, root, true, true, &mut count)?;
-    if !root_u.is_null() {
-        count(|c| &mut c.buffers, Some(root_u), buffer_bytes(&store.read(root_u)?)?)?;
-    }
     census.block_capacity = (n as f64 / census.y_lists.max(1) as f64).round() as u64;
     Ok((census, fill))
 }
@@ -775,36 +758,30 @@ static_pst!(
 impl TwoLevelPst {
     /// Counts the structure's pages by class.
     pub fn page_census(&self, store: &PageStore) -> Result<RegionCensus> {
-        Ok(page_census(store, self.root.root, self.root.n, NULL_PAGE)?.0)
+        Ok(page_census(store, self.root.root, self.root.n)?.0)
     }
 
     /// The bytes in use on the structure's pages and its blocks in tails,
     /// by class.
     pub fn page_fill(&self, store: &PageStore) -> Result<RegionFill> {
-        Ok(page_census(store, self.root.root, self.root.n, NULL_PAGE)?.1)
+        Ok(page_census(store, self.root.root, self.root.n)?.1)
     }
 }
 
-/// Takes skeletal page `id` in hand (one I/O, plus its `U` buffer's, whose
-/// updates go to `pending`, unless the page's staircase shows no op of `U`
-/// in `q`'s corner). `U` is the one the header names, else `root_u` (a
-/// root page's, which its handle names). `on_path` marks a step of the
-/// corner path rather than of a descendant traversal.
+/// Takes skeletal page `id` in hand (one I/O, plus that of the `U` buffer
+/// its header names, whose updates go to `pending`). `on_path` marks a
+/// step of the corner path rather than of a descendant traversal.
 fn load_page(
     walk: &mut Walk<'_>,
     pending: &mut Vec<UpdateRec>,
     id: PageId,
-    root_u: PageId,
     on_path: bool,
-    q: TwoSided,
 ) -> Result<()> {
     walk.load(id, on_path.then_some(walk.levels))?;
-    let header = decode_header(&walk.page)?;
-    let u_page = if header.u_page.is_null() { root_u } else { header.u_page };
-    if u_page.is_null() || header.stairs && !staircase::meets(staircase::tail(&walk.page), q)? {
-        return Ok(());
+    let u_page = decode_header(&walk.page)?.u_page;
+    if !u_page.is_null() {
+        pending.extend(decode_buffer(&walk.cache_page(u_page)?)?);
     }
-    pending.extend(decode_buffer(&walk.cache_page(u_page)?)?);
     Ok(())
 }
 
@@ -867,7 +844,7 @@ impl TlCtx<'_, '_> {
         let y0 = q.y0;
         walk.traverse(seeds, false, |&(at, _)| at.page, |walk, (at, report), below| {
             if at.page != walk.held {
-                load_page(walk, pending, at.page, NULL_PAGE, false, *q)?;
+                load_page(walk, pending, at.page, false)?;
             }
             let rec = RegionRecord::at(&walk.page, at.slot)?;
             if report && walk.prefix(rec.y_list.head, |p| p.y >= y0)? < u64::from(rec.own_cnt) {
@@ -1069,7 +1046,7 @@ mod tests {
                 let caps = region_blocks(page_size, levels);
                 assert_eq!(caps.len() as u32, levels - 1);
                 let root = build_region_tree(&store, &pts, &caps).unwrap().root;
-                let (census, fill) = page_census(&store, root, n as u64, NULL_PAGE).unwrap();
+                let (census, fill) = page_census(&store, root, n as u64).unwrap();
                 assert_eq!(census.total(), store.live_pages(), "{what}");
                 assert!(census.skeletal > 0 && census.x_lists > 0 && census.inner_points > 0);
                 assert_eq!(ids(&store, root, true), store.allocated_pages(), "{what}");
@@ -1178,7 +1155,7 @@ mod tests {
                 let handle = PstHandle { root: root_page, n: pts.len() as u64, kind: Kind::Region };
                 let q = TwoSided { x0: i64::MIN, y0: i64::MIN };
                 let (((hits, _), trace), log) = logged.reads_of(|s| {
-                    let (answer, trace) = pc_obs::traced(|| query_handle(s, handle, NULL_PAGE, q));
+                    let (answer, trace) = pc_obs::traced(|| query_handle(s, handle, q));
                     (answer.unwrap(), trace)
                 });
                 assert_eq!(canonical(hits), canonical(pts.clone()));
@@ -1208,7 +1185,7 @@ mod tests {
                         1
                     }
                     None => {
-                        let inner = |s: &PageStore| query_handle(s, corner.inner(), NULL_PAGE, q);
+                        let inner = |s: &PageStore| query_handle(s, corner.inner(), q);
                         logged.reads_of(inner).1.len() as u64
                     }
                 };
@@ -1240,7 +1217,7 @@ mod tests {
                     let (a, b) = (rng.choose(&pts).unwrap(), rng.choose(&pts).unwrap());
                     let q = TwoSided { x0: a.x, y0: b.y };
                     let query =
-                        |s: &PageStore| drop(query_handle(s, handle, NULL_PAGE, q).unwrap());
+                        |s: &PageStore| drop(query_handle(s, handle, q).unwrap());
                     if let Some((fired, _)) = corner_cost(&logged, handle.root, q, query) {
                         seen[usize::from(fired)] += 1;
                     }
@@ -1296,7 +1273,7 @@ mod tests {
                         true => TwoSided { x0: lowest(rec.x_list).x, y0: edge },
                     };
                     let query =
-                        |s: &PageStore| drop(query_handle(s, handle, NULL_PAGE, q).unwrap());
+                        |s: &PageStore| drop(query_handle(s, handle, q).unwrap());
                     let (fired, corner) =
                         corner_cost(&logged, handle.root, q, query).expect("a corner");
                     if corner.x_list == rec.x_list {

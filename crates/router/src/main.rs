@@ -119,7 +119,7 @@ fn run() -> Result<(), String> {
     let args = parse_args()?;
     let cfg = RouterConfig {
         health_interval: Duration::from_millis(args.health_ms.max(1)),
-        retry: pc_serve::RetryPolicy { attempts: args.attempts, ..Default::default() },
+        retry: pc_serve::RetryPolicy { attempts: args.attempts },
         seed: args.seed,
     };
     let router = Arc::new(

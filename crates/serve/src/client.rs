@@ -202,27 +202,23 @@ impl Client {
 }
 
 /// Retry tuning for the router's per-replica failover: capped exponential
-/// backoff with full jitter. Attempt `k`
-/// sleeps a uniformly random duration in `[0, min(cap, base * 2^k)]` —
-/// the jitter is drawn from a seeded [`pc_rng::Rng`], so a test's retry
-/// schedule is exactly reproducible.
+/// backoff with full jitter. Attempt `k` sleeps a uniformly random duration
+/// in `[0, min(500 ms, 20 ms * 2^k)]` — the jitter is drawn from a seeded
+/// [`pc_rng::Rng`], so a test's retry schedule is exactly reproducible.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
-    /// First-retry backoff ceiling.
-    pub base: Duration,
-    /// Upper bound the exponential is capped at.
-    pub cap: Duration,
     /// Total attempts (the first try included). 1 = no retries.
     pub attempts: u32,
 }
 
+/// First-retry backoff ceiling.
+const RETRY_BASE: Duration = Duration::from_millis(20);
+/// Upper bound the exponential is capped at.
+const RETRY_CAP: Duration = Duration::from_millis(500);
+
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            base: Duration::from_millis(20),
-            cap: Duration::from_millis(500),
-            attempts: 4,
-        }
+        RetryPolicy { attempts: 4 }
     }
 }
 
@@ -230,8 +226,8 @@ impl RetryPolicy {
     /// The jittered sleep before retry number `attempt` (1-based: the
     /// sleep between the first failure and the second try is `delay(1)`).
     pub fn delay(&self, attempt: u32, rng: &mut Rng) -> Duration {
-        let exp = self.base.saturating_mul(1u32 << attempt.min(16).saturating_sub(1));
-        let ceil = exp.min(self.cap).as_nanos() as u64;
+        let exp = RETRY_BASE.saturating_mul(1u32 << attempt.min(16).saturating_sub(1));
+        let ceil = exp.min(RETRY_CAP).as_nanos() as u64;
         Duration::from_nanos(if ceil == 0 { 0 } else { rng.gen_range(0..=ceil) })
     }
 

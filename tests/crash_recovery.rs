@@ -20,7 +20,9 @@
 //!    killed at a stride of its durable I/Os: recovery exposes exactly the
 //!    last committed epoch, bit-identical, and the store, handed the pages
 //!    the reopened target walks, holds exactly the pages that epoch's
-//!    target reached in the run that installed it.
+//!    target reached in the run that installed it. The dynamic PST runs a
+//!    second stream whose batches mostly stay in its root's `U`, which its
+//!    descriptor carries: their commits write no data frame.
 //!
 //! That every structure *answers* as the model at the acked prefix after
 //! a seeded kill is `tests/oracle.rs`'s, one test per structure.
@@ -362,24 +364,38 @@ type Opened = Result<Box<dyn QueryTarget>, TargetError>;
 /// An epoch of the reference run: its full scan and the pages it reaches.
 type Epoch = (Vec<Point>, Vec<PageId>);
 
-/// One update-capable target kind as a shard serves it: built and
-/// registered, updated through `apply_updates` inside the batcher's session,
-/// its descriptor committed with every epoch, and — after a kill — reopened
-/// from the recovered store's commit metadata.
+/// One update-capable target kind as a shard serves it, with a stream:
+/// built and registered, updated through `apply_updates` inside the
+/// batcher's session, its descriptor committed with every epoch, and —
+/// after a kill — reopened from the recovered store's commit metadata.
 struct Served {
     name: &'static str,
     build: fn(&PageStore, &[Point]) -> Opened,
     reopen: fn(&PageStore, &[u8]) -> Opened,
     /// The op that returns every point.
     scan: Op,
+    /// Batch `b` of the stream.
+    batch: fn(u64) -> Vec<UpdateOp>,
+    /// At least this many of the stream's batches write no page.
+    frameless: u64,
 }
 
-const SERVED: [Served; 2] = [
+const SERVED: [Served; 3] = [
     Served {
         name: "dynamic_pst",
         build: |store, points| Ok(Box::new(DynamicPstTarget::new(DynamicPst::build(store, points)?))),
         reopen: |store, desc| Ok(Box::new(DynamicPstTarget::new(DynamicPst::open(store, desc)?))),
         scan: Op::TwoSided { x0: i64::MIN, y0: i64::MIN },
+        batch: mixed_batch,
+        frameless: 0,
+    },
+    Served {
+        name: "dynamic_pst, root-buffered",
+        build: |store, points| Ok(Box::new(DynamicPstTarget::new(DynamicPst::build(store, points)?))),
+        reopen: |store, desc| Ok(Box::new(DynamicPstTarget::new(DynamicPst::open(store, desc)?))),
+        scan: Op::TwoSided { x0: i64::MIN, y0: i64::MIN },
+        batch: root_buffered_batch,
+        frameless: V_BATCHES * 3 / 4,
     },
     Served {
         name: "dynamic_pst3",
@@ -390,8 +406,39 @@ const SERVED: [Served; 2] = [
             Ok(Box::new(DynamicThreeSidedTarget::new(DynamicThreeSidedPst::open(store, desc)?)))
         },
         scan: Op::ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN },
+        batch: mixed_batch,
+        frameless: 0,
     },
 ];
+
+/// Batch `b` of the mixed stream: six inserts and a delete of a built point.
+fn mixed_batch(b: u64) -> Vec<UpdateOp> {
+    let mut ops: Vec<UpdateOp> = (0..6i64)
+        .map(|i| {
+            UpdateOp::Insert(Point {
+                x: 500 + b as i64 * 10 + i,
+                y: (b as i64 * 31 + i * 7) % 97,
+                id: 9000 + b * 10 + i as u64,
+            })
+        })
+        .collect();
+    ops.push(UpdateOp::Delete(points(60)[b as usize]));
+    ops
+}
+
+/// Batch `b` of a stream that mostly stays in the dynamic PST's root `U`:
+/// an insert and a delete of a built point, but every fourth batch 120
+/// inserts, more than `U` holds at 512 B, which flush it down the tree.
+fn root_buffered_batch(b: u64) -> Vec<UpdateOp> {
+    let insert = |i: u64| {
+        let (x, y) = ((b * 53 + i * 11) % 400, (b * 17 + i * 29) % 97);
+        UpdateOp::Insert(Point { x: 300 + x as i64, y: y as i64, id: 20_000 + b * 1000 + i })
+    };
+    match b % 4 {
+        3 => (0..120).map(insert).collect(),
+        _ => vec![insert(0), UpdateOp::Delete(points(60)[20 + b as usize])],
+    }
+}
 
 fn versioned_scan(kind: &Served, target: &dyn QueryTarget, store: &PageStore) -> Vec<Point> {
     match canonicalize(target.query(store, &kind.scan).unwrap()) {
@@ -401,50 +448,47 @@ fn versioned_scan(kind: &Served, target: &dyn QueryTarget, store: &PageStore) ->
 }
 
 /// Deterministic versioned workload: build + durable epoch-0 commit, then
-/// `V_BATCHES` apply sessions, which copy the paths they write, each
-/// installed as the next epoch (which is what group-commits it) with the
-/// target's descriptor as the batcher frames it. Stops at the first error — the crash — and
-/// returns how many epochs were acked (`install_as` returned `Ok`), plus,
-/// when `record` is set, the full scan and the pages the target reaches at
-/// every epoch.
-fn versioned_workload(kind: &Served, store: &Arc<PageStore>, record: bool) -> (u64, Vec<Epoch>) {
-    let mut states = Vec::new();
+/// `V_BATCHES` apply sessions of the kind's stream, which copy the paths
+/// they write, each installed as the next epoch (which is what
+/// group-commits it) with the target's descriptor as the batcher frames
+/// it. Stops at the first error — the crash — and returns how many epochs
+/// were acked (`install_as` returned `Ok`), plus, when `record` is set, the
+/// full scan and the pages the target reaches at every epoch, and how many
+/// batches wrote no page.
+fn versioned_workload(
+    kind: &Served,
+    store: &Arc<PageStore>,
+    record: bool,
+) -> (u64, Vec<Epoch>, u64) {
+    let (mut states, mut frameless) = (Vec::new(), 0);
     let meta = |seq: u64, target: &dyn QueryTarget| encode_commit_meta(seq, &[target.descriptor()]);
     let setup = (|| -> Opened {
         let target = (kind.build)(store, &points(60))?;
         store.commit_with(&meta(0, &*target))?;
         Ok(target)
     })();
-    let Ok(target) = setup else { return (0, states) };
+    let Ok(target) = setup else { return (0, states, frameless) };
     let vs = VersionedStore::new(Arc::clone(store), VersionConfig { retain: 3 }, &meta(0, &*target));
     if record {
         states.push((versioned_scan(kind, &*target, store), walk(&*target, store)));
     }
     let mut acked = 0u64;
-    let initial = points(60);
     for b in 0..V_BATCHES {
+        let writes = store.stats().writes;
         let session = vs.begin_apply();
-        let mut ops: Vec<UpdateOp> = (0..6i64)
-            .map(|i| {
-                UpdateOp::Insert(Point {
-                    x: 500 + b as i64 * 10 + i,
-                    y: (b as i64 * 31 + i * 7) % 97,
-                    id: 9000 + b * 10 + i as u64,
-                })
-            })
-            .collect();
-        ops.push(UpdateOp::Delete(initial[b as usize]));
+        let ops = (kind.batch)(b);
         let applied = target.apply_updates(store, &ops).into_iter().all(|r| r.is_ok());
         // Dropping the session aborts the batch.
         if !applied || session.install_as(b + 1, &meta(b + 1, &*target)).is_err() {
             break;
         }
         acked += 1;
+        frameless += u64::from(store.stats().writes == writes);
         if record {
             states.push((versioned_scan(kind, &*target, store), walk(&*target, store)));
         }
     }
-    (acked, states)
+    (acked, states, frameless)
 }
 
 /// The pages `target` reaches, in id order.
@@ -475,9 +519,10 @@ fn versioned_kill_point_matrix(kind: &Served) {
     )
     .unwrap();
     let store = Arc::new(store);
-    let (acked, states) = versioned_workload(kind, &store, true);
+    let (acked, states, frameless) = versioned_workload(kind, &store, true);
     assert_eq!(acked, V_BATCHES, "{name}: reference run must complete");
     assert_eq!(states.len() as u64, V_BATCHES + 1);
+    assert!(frameless >= kind.frameless, "{name}: {frameless} batches wrote no page");
     let ws = store.wal_stats().unwrap();
     assert!(
         ws.checkpoints >= 2,

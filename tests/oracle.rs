@@ -193,8 +193,8 @@ fn routed() {
     }
 }
 
-/// A corner-rule or staircase input (`regressions::corner_*`,
-/// `regressions::staircase_*`) at the page sizes it is for: the two-level and every multilevel PST over its build and queries
+/// A corner-rule or root-filter input (`regressions::corner_*`,
+/// `regressions::root_*`) at the page sizes it is for: the two-level and every multilevel PST over its build and queries
 /// and the dynamic PST over all of it, in process; served — the dynamic PST
 /// with every epoch read `as_of` — and routed over one shard, at 512 B.
 fn corner_regression(what: &str, case: &Case, pages: &[usize]) {
@@ -256,21 +256,21 @@ fn regression_corner_at_the_inner_region_level() {
 }
 
 #[test]
-fn regression_staircase_ops_on_the_boundary() {
-    let case = regressions::staircase_ops_on_the_boundary();
-    corner_regression("ops on the staircase's corners", &case, &[512, 4096]);
+fn regression_root_ops_on_the_corner_boundary() {
+    let case = regressions::root_ops_on_the_corner_boundary();
+    corner_regression("root ops on the corners' boundaries", &case, &[512, 4096]);
 }
 
 #[test]
-fn regression_staircase_coarsened() {
-    let case = regressions::staircase_coarsened();
-    corner_regression("a coarsened staircase", &case, &[512, 4096]);
+fn regression_root_ops_on_an_anti_diagonal() {
+    let case = regressions::root_ops_on_an_anti_diagonal();
+    corner_regression("root ops on an anti-diagonal", &case, &[512, 4096]);
 }
 
 #[test]
-fn regression_staircase_delete_masks_a_static_answer() {
-    let case = regressions::staircase_delete_masks_a_static_answer();
-    corner_regression("deletes on the staircase", &case, &[512, 4096]);
+fn regression_root_delete_masks_a_static_answer() {
+    let case = regressions::root_delete_masks_a_static_answer();
+    corner_regression("root deletes of maximal points", &case, &[512, 4096]);
 }
 
 #[test]

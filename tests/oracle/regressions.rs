@@ -44,15 +44,14 @@
 //! [`corner_at_the_inner_region_level`]. What the rule reads is held in
 //! `pc-pst` (`two_level::tests::a_corner_*`, `testutil::corner_cost`).
 //!
-//! A dynamic region page keeps the staircase of its `U` buffer — the ops'
-//! maximal points, coarsened to outer corners where they do not fit — in
-//! its tail, and a query whose corner holds no step leaves `U` unread (at
-//! 4 KiB; a 512-byte page has no room and reads `U` as before). The inputs
-//! at the staircase's edges, run by `tests/oracle.rs`' `regression_
-//! staircase_*` like the corner inputs: [`staircase_ops_on_the_boundary`],
-//! [`staircase_coarsened`] and [`staircase_delete_masks_a_static_answer`].
-//! What a staircase costs a query is held in `pc-pst`
-//! (`dynamic::tests::a_dirty_corner_*`).
+//! The dynamic PST holds its root's `U` in memory (and in its descriptor),
+//! and a query takes of it only the ops in its corner: an op outside the
+//! corner neither adds to the answer nor masks a point of it. The inputs
+//! at that filter's edges, run by `tests/oracle.rs`' `regression_root_*`
+//! like the corner inputs: [`root_ops_on_the_corner_boundary`],
+//! [`root_ops_on_an_anti_diagonal`] and
+//! [`root_delete_masks_a_static_answer`]. That the filter costs a query no
+//! read is held in `pc-pst` (`dynamic::tests::a_dirty_corner_*`).
 //!
 //! An interval-tree bundle rides in the tail of a skeletal page the stab
 //! reads anyway: an exit's on both its child pages. A stab exactly on an
@@ -445,11 +444,10 @@ fn around(ops: &[Point]) -> Vec<Op> {
 }
 
 /// Three inserts in the top right of 2 000 points, none above and right of
-/// another, so each is a step of the root page's staircase; queries with a
-/// corner exactly on each (it holds the op: `U` is read) and one unit right
-/// of or above it (it holds none), before and after a reopen, and after 800
-/// inserts flush the root page's `U` at 4 KiB and rebuild its staircase.
-pub fn staircase_ops_on_the_boundary() -> Case {
+/// another; queries with a corner exactly on each (it holds the op) and
+/// one unit right of or above it (it holds none), before and after a
+/// reopen, and after 800 inserts flush the root's `U`.
+pub fn root_ops_on_the_corner_boundary() -> Case {
     let mut rng = Rng::seed_from_u64(0x57A1);
     let build = points(&mut rng, 2_000, 0);
     let top = 1i64 << 20;
@@ -472,11 +470,10 @@ pub fn staircase_ops_on_the_boundary() -> Case {
 }
 
 /// Twelve inserts on an anti-diagonal through the top right of 2 000
-/// points: every one is a step, and at 4 KiB their block does not fit the
-/// page's tail, so adjacent pairs give way to their outer corners.
-/// Queries at every outer corner `(x_i, y_j)` of the twelve — each holds no
-/// op, and those the coarsening kept as steps read `U` — and on each op.
-pub fn staircase_coarsened() -> Case {
+/// points, none above and right of another. Queries at every outer corner
+/// `(x_i, y_j)` of the twelve — each holds no op, though it lies above and
+/// right of none of them — and on each op.
+pub fn root_ops_on_an_anti_diagonal() -> Case {
     let mut rng = Rng::seed_from_u64(0xC0A5);
     let build = points(&mut rng, 2_000, 0);
     let (top, d) = (1i64 << 20, 20_000);
@@ -499,11 +496,11 @@ pub fn staircase_coarsened() -> Case {
 }
 
 /// Deletes of the built points no other built point lies above and right
-/// of: each delete, in `U`, is a step, and masks its point, which the
-/// static structure still reports, in every corner that holds it. Queries
-/// on and around every deleted point, then the points inserted again (the
-/// later op wins) and the queries again.
-pub fn staircase_delete_masks_a_static_answer() -> Case {
+/// of: each delete, in the root's `U`, masks its point, which the static
+/// structure still reports, in every corner that holds it, and in no
+/// corner that does not. Queries on and around every deleted point, then
+/// the points inserted again (the later op wins) and the queries again.
+pub fn root_delete_masks_a_static_answer() -> Case {
     let mut rng = Rng::seed_from_u64(0xDE1A);
     let build = points(&mut rng, 2_000, 0);
     let mut by_x = build.clone();

@@ -196,7 +196,7 @@ fn skewed_load_sheds_on_the_hot_shard_only() {
         vec![SPLIT],
         RouterConfig {
             // A shed request comes back as the shard's own error, unretried.
-            retry: RetryPolicy { attempts: 1, ..RetryPolicy::default() },
+            retry: RetryPolicy { attempts: 1 },
             ..RouterConfig::default()
         },
     )

@@ -255,7 +255,9 @@ fn gc_never_reclaims_pinned_epochs() {
 
     let mut client = Client::connect(handle.addr(), Duration::from_secs(5)).unwrap();
     let mut rng = Rng::seed_from_u64(seed ^ 0x6C);
-    for i in 0..10u64 {
+    // Enough single inserts to flush the root's `U`, which takes a few
+    // dozen at 512 B in the descriptor alone: the flushes copy pages.
+    for i in 0..200u64 {
         let p = Point {
             x: rng.gen_range(0..=DOMAIN),
             y: rng.gen_range(0..=DOMAIN),
