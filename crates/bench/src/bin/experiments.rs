@@ -698,28 +698,29 @@ fn e9_three_sided() {
     println!("§12). `c1` at t ≈ 4096 is what a query pays per node it meets, in whole blocks,");
     println!("against few blocks of output; below 0, less than the form's `2·⌈t/B⌉`. A lower page");
     println!("whose root has its children on it carries its entry exit's A-entries in the root's");
-    println!("route, so a corner there reads one A-run, not two (from 400k; the last line).\n");
+    println!("route, so a corner there reads one A-run, not two (from 400k; the last line). Every");
+    println!("list's last block and every directory no tail holds share pack pages, first fit, at");
+    println!("the one read a page of its own costs; the census counts blocks by class, then pack");
+    println!("pages, and fill is each class's bytes in use over a page for each page or block.\n");
     let mut table = Table::new(&[
         "n",
         "B",
         "pages",
-        "skeletal/Y/A/S/directory",
+        THREE_SIDED_CLASSES,
+        "fill, skeletal/Y/A/S/directory/packed",
         "(n/B)·log2²B",
         "avg t",
         "avg query I/O",
         "skeletal/directory/cache/node",
         "log_B n + t/B",
     ]);
-    let by_class = |c: &pc_pst::PageCensus| {
-        format!("{}/{}/{}/{}/{}", c.skeletal, c.y_lists, c.a_lists, c.s_lists, c.directories)
-    };
     for n in [20_000usize, 100_000, 400_000] {
         let raw = gen_points(n, PointDist::Uniform, 12);
         let points = to_points(&raw);
         let store = PageStore::in_memory(PAGE);
         let pst = ThreeSidedPst::build(&store, &points).unwrap();
         let pages = store.live_pages();
-        let census = pst.page_census(&store).unwrap();
+        let (census, fill) = pst.page_fill(&store).unwrap();
         let b = census.block_capacity as f64;
         let queries = gen_three_sided(&raw, 100, n / 50, 13);
         store.reset_stats();
@@ -735,7 +736,8 @@ fn e9_three_sided() {
             n.to_string(),
             b.to_string(),
             pages.to_string(),
-            by_class(&census),
+            three_sided_classes(&census),
+            three_sided_fill(&census, &fill),
             f1(n as f64 / b * b.log2() * b.log2()),
             f1(t_avg),
             f1(io),
@@ -749,7 +751,7 @@ fn e9_three_sided() {
     println!("of its space sawtooth at fixed-count blocks, 15 full nodes and 16 one-point leaves:");
     println!("pages <= c·(n/B)·log2²B, reads <= c1·ceil(log_B n) + 2·ceil(t/B)\n");
     let mut pinned = Table::new(&[
-        "data", "n", "B", "pages", "skeletal/Y/A/S/directory", "c", "pin", "c1 t≈16", "pin",
+        "data", "n", "B", "pages", THREE_SIDED_CLASSES, "c", "pin", "c1 t≈16", "pin",
         "c1 t≈4096", "pin",
     ]);
     let mut within = true;
@@ -763,7 +765,7 @@ fn e9_three_sided() {
             n.to_string(),
             census.block_capacity.to_string(),
             census.total().to_string(),
-            by_class(&census),
+            three_sided_classes(&census),
             format!("{c:.3}"),
             format!("{c_pin:.3}"),
             f2(c1[0]),
@@ -808,7 +810,8 @@ fn e9_served_pass() {
     let raw = gen_points(500_000, PointDist::Uniform, sub_seed(11, 1));
     let store = PageStore::in_memory(PAGE);
     let pst = ThreeSidedPst::build(&store, &to_points(&raw)).unwrap();
-    let c = pst.page_census(&store).unwrap();
+    let (c, fill) = pst.page_fill(&store).unwrap();
+    let fill = three_sided_fill(&c, &fill);
     let reads = [(6_000, 16), (1_500, 4096)].map(|(count, t)| {
         let queries = gen_three_sided(&raw, count, t, sub_seed(11, 11));
         let mut classes = Classes::default();
@@ -821,10 +824,38 @@ fn e9_served_pass() {
     });
     println!(
         "The served benchmark's 3-sided queries in process (n = 500k, seed 11: 6 000 at t ≈ 16, \
-         1 500 at t ≈ 4096): {}/{}/{}/{}/{} pages (skeletal/Y/A/S/directory), {} and {} reads a \
+         1 500 at t ≈ 4096): {} pages, {} ({THREE_SIDED_CLASSES}), fill {fill}, {} and {} reads a \
          query (skeletal/directory/cache/node)\n",
-        c.skeletal, c.y_lists, c.a_lists, c.s_lists, c.directories, reads[0], reads[1]
+        c.total(),
+        three_sided_classes(&c),
+        reads[0],
+        reads[1]
     );
+}
+
+/// The 3-sided census's classes: blocks (skeletal pages), then pack pages.
+const THREE_SIDED_CLASSES: &str = "skeletal/Y/A/S/directory + packed";
+fn three_sided_classes(c: &pc_pst::PageCensus) -> String {
+    let (y, a, s) = (c.y_lists, c.a_lists, c.s_lists);
+    format!("{}/{y}/{a}/{s}/{} + {}", c.skeletal, c.directories, c.packed)
+}
+
+/// Per class of the 3-sided census, the bytes in use over a page per page
+/// or block it counts: how full its pages, or its blocks, are.
+fn three_sided_fill(c: &pc_pst::PageCensus, fill: &pc_pst::PageFill) -> String {
+    let classes: [fn(&pc_pst::PageCensus) -> u64; 6] = [
+        |c| c.skeletal,
+        |c| c.y_lists,
+        |c| c.a_lists,
+        |c| c.s_lists,
+        |c| c.directories,
+        |c| c.packed,
+    ];
+    let cells = classes.map(|class| match class(c) {
+        0 => "-".to_string(),
+        pages => f2(class(&fill.used) as f64 / (pages * PAGE as u64) as f64),
+    });
+    cells.join("/")
 }
 
 // ---------------------------------------------------------------------------

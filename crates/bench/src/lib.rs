@@ -395,19 +395,20 @@ pub type ThreeSidedPin = (u64, f64, [(usize, f64); 2]);
 /// it holds — so the sizes were its peak at the fixed-count layout (15 full
 /// nodes and 16 leaves of one point: 47 686 at `B` = 454, 17 131 at `B` =
 /// 163), the small size E9 and E11 run at, and 100k. Measured with the
-/// block codec (`B` = 690–734 and 235) c 0.085 / 0.063 / 0.114 and c1
-/// 1.50 / 0.50 / 1.50 at t ≈ 16, 1.00 / 0.00 / 1.50 at t ≈ 4096 — fewer
-/// blocks of output from nodes of seven blocks each, where a query pays per
-/// node it meets only the partial blocks its runs and Y-prefixes end in —
-/// and on full-width data c 0.114 and c1 1.00 / −5.00; the pins are 10%
-/// above (a tenth of a read per level at 0), and the ones the measurement
-/// stays under are the fixed-count layout's. `tests/layout_bounds.rs`
+/// block codec (`B` = 690–734 and 235) and every list's last block on a
+/// shared pack page, c 0.076 / 0.055 / 0.101 and c1 1.50 / 0.50 / 1.50 at
+/// t ≈ 16, 1.00 / 0.00 / 1.50 at t ≈ 4096 — fewer blocks of output from
+/// nodes of seven blocks each, where a query pays per node it meets only
+/// the partial blocks its runs and Y-prefixes end in — and on full-width
+/// data c 0.099 and c1 1.00 / −5.00; the pins are 10% above (a tenth of a
+/// read per level at 0), and the ones the measurement stays under are the
+/// fixed-count layout's. `tests/layout_bounds.rs`
 /// asserts them and the `experiments` binary's E9 exits non-zero past them.
 pub const THREE_SIDED_PINS: [&[ThreeSidedPin]; 2] = [
     &[
         (47_686, 0.158, [(16, 1.65), (4096, 2.2)]),
-        (20_000, 0.069, [(16, 0.55), (4096, 0.1)]),
-        (100_000, 0.125, [(16, 1.65), (4096, 1.65)]),
+        (20_000, 0.061, [(16, 0.55), (4096, 0.1)]),
+        (100_000, 0.111, [(16, 1.65), (4096, 1.65)]),
     ],
     &[(17_131, 0.227, [(16, 1.65), (4096, -3.6)])],
 ];

@@ -23,6 +23,8 @@ use pc_obs::ReadClass;
 
 use crate::codec::{get_bits, put_bits, PageReader, PageWriter};
 use crate::error::{Result, StoreError};
+use crate::page::Page;
+use crate::skeleton::{write_chain, Packer, TailAt};
 use crate::store::{PageId, PageStore, NULL_PAGE};
 use crate::types::Record;
 
@@ -416,14 +418,27 @@ pub fn next_of(page: &[u8]) -> Result<PageId> {
     Ok(PageId(r.get_u64()?))
 }
 
+/// The page a chain's link names and its block's bytes there: a page of
+/// its own, or a pack page from the link's offset on
+/// (`skeleton::TailAt::Packed`).
+fn read_link(store: &PageStore, link: PageId) -> Result<(PageId, Page, usize)> {
+    let at = TailAt::decode(link.0);
+    let id = at.page().unwrap_or(link);
+    let page = store.read(id)?;
+    let offset = page.len() - at.bytes(&page)?.len();
+    Ok((id, page, offset))
+}
+
 /// The pages of the chain of blocks starting at `head`, in order (one I/O
-/// per block), for the walks that count or free a structure's pages.
+/// per block; a pack page where a block is on one), for the walks that
+/// count or free a structure's pages.
 pub fn chain_pages(store: &PageStore, head: PageId) -> Result<Vec<PageId>> {
     let mut out = Vec::new();
     let mut cur = head;
     while !cur.is_null() {
-        out.push(cur);
-        cur = next_of(&store.read(cur)?)?;
+        let (id, page, offset) = read_link(store, cur)?;
+        out.push(id);
+        cur = next_of(&page[offset..])?;
     }
     Ok(out)
 }
@@ -485,6 +500,20 @@ impl<R: Columns> BlockList<R> {
         Ok((BlockList { head: ids[0], len: records.len() as u64, _marker: PhantomData }, blocks))
     }
 
+    /// [`BlockList::build_blocks`], but the last block on a shared page of
+    /// `packer`, which the block before it or the head names.
+    pub fn build_packed(
+        store: &PageStore,
+        records: &[R],
+        packer: &mut Packer,
+    ) -> Result<(Self, Vec<(PageId, usize)>)> {
+        let blocks = encode_blocks(records, store.page_size());
+        let Some((_, last)) = blocks.last() else { return Ok((Self::empty(), Vec::new())) };
+        let at = packer.put(store, last)?;
+        let links = write_chain(store, blocks, at)?;
+        Ok((Self::with_head(links[0].0, records.len() as u64), links))
+    }
+
     /// The list of `len` records whose first block is at `head`: a page, or
     /// whatever else its builder made of its [`encode_blocks`] (such as a
     /// `skeleton::TailAt` value, which its readers resolve).
@@ -544,7 +573,8 @@ impl<R: Columns> BlockList<R> {
     /// primitive behind *directory-indexed* lists (used by the 3-sided PST
     /// to jump into the middle of a sorted list in one I/O).
     pub fn read_block(store: &PageStore, page_id: PageId) -> Result<(Vec<R>, PageId)> {
-        decode_block(&store.read(page_id)?)
+        let (_, page, offset) = read_link(store, page_id)?;
+        decode_block(&page[offset..])
     }
 
     /// The page ids of every block in chain order (one I/O per block), for

@@ -7,9 +7,10 @@
 //! [`patch_page`] the header and tail around them, and
 //! [`for_each_skeletal_page`] walks them. [`Skeleton::place`] keeps a
 //! node's bytes in a page tail where there is room, else on a page of its
-//! own ([`Skeleton::reserve`] and [`Skeleton::fill`] in two steps), and
-//! [`TailAt`] says where. The segment tree packs several subtrees
-//! a page, so it writes its records with [`write_page`] alone.
+//! own ([`Skeleton::reserve`] and [`Skeleton::fill`] in two steps) or on a
+//! [`Packer`]'s shared page, and [`TailAt`] says where. The segment tree
+//! packs several subtrees a page, so it writes its records with
+//! [`write_page`] alone.
 
 use std::collections::VecDeque;
 
@@ -88,7 +89,7 @@ pub trait SkelRecord: Sized {
 
 /// Where the bytes a tree keeps for a node are ([`Skeleton::place`]). On
 /// a record it is a `u64`: [`NULL_PAGE`], the offset with the top bit set,
-/// or the page.
+/// a pack page above its low 16 bits with the next bit set, or the page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TailAt {
     /// Nowhere: the node keeps nothing.
@@ -98,16 +99,22 @@ pub enum TailAt {
     Inline(usize),
     /// On a page of its own.
     Page(PageId),
+    /// At this byte offset of a pack page, shared by many lists ([`Packer`]).
+    Packed(PageId, usize),
 }
 
 impl TailAt {
     const INLINE: u64 = 1 << 63;
+    const PACKED: u64 = 1 << 62;
 
     /// Reads a [`TailAt::encode`]d value.
     pub fn decode(v: u64) -> TailAt {
         match v {
             _ if v == NULL_PAGE.0 => TailAt::None,
             _ if v & Self::INLINE != 0 => TailAt::Inline((v ^ Self::INLINE) as usize),
+            _ if v & Self::PACKED != 0 => {
+                TailAt::Packed(PageId((v ^ Self::PACKED) >> 16), (v & 0xffff) as usize)
+            }
             _ => TailAt::Page(PageId(v)),
         }
     }
@@ -118,6 +125,19 @@ impl TailAt {
             TailAt::None => NULL_PAGE.0,
             TailAt::Inline(offset) => Self::INLINE | offset as u64,
             TailAt::Page(page) => page.0,
+            TailAt::Packed(page, offset) => {
+                assert!(offset >> 16 == 0 && page.0 >> 46 == 0, "a pack handle past 46 + 16 bits");
+                Self::PACKED | page.0 << 16 | offset as u64
+            }
+        }
+    }
+
+    /// The page a read fetches for the bytes, where they are not in a tail:
+    /// their own page or their pack page.
+    pub fn page(self) -> Option<PageId> {
+        match self {
+            TailAt::Page(id) | TailAt::Packed(id, _) => Some(id),
+            TailAt::None | TailAt::Inline(_) => None,
         }
     }
 
@@ -135,7 +155,7 @@ impl TailAt {
     pub fn unlink(v: u64) -> (PageId, TailAt) {
         match TailAt::decode(v) {
             TailAt::Inline(at) => (PageId((at >> 16) as u64), TailAt::Inline(at & 0xffff)),
-            at @ TailAt::Page(id) => (id, at),
+            at @ (TailAt::Page(id) | TailAt::Packed(id, _)) => (id, at),
             TailAt::None => (NULL_PAGE, TailAt::None),
         }
     }
@@ -155,7 +175,7 @@ impl TailAt {
     ) -> Result<Option<Page>> {
         Ok(Some(match (self, ahead) {
             (TailAt::None, _) => return Ok(None),
-            (TailAt::Page(id), _) => read(id)?,
+            (TailAt::Page(id) | TailAt::Packed(id, _), _) => read(id)?,
             (TailAt::Inline(_), _) if left.is_null() || left == own => page.clone(),
             (TailAt::Inline(_), Some(ahead)) => ahead.clone(),
             (TailAt::Inline(_), None) => read(left)?,
@@ -166,7 +186,7 @@ impl TailAt {
     /// offset on, or all of a page of their own. `Corrupt` for an offset
     /// past the page.
     pub fn bytes(self, holder: &[u8]) -> Result<&[u8]> {
-        let TailAt::Inline(offset) = self else { return Ok(holder) };
+        let (TailAt::Inline(offset) | TailAt::Packed(_, offset)) = self else { return Ok(holder) };
         holder.get(offset..).ok_or_else(|| {
             StoreError::Corrupt(format!("a tail at {offset} past a {}-byte page", holder.len()))
         })
@@ -174,10 +194,10 @@ impl TailAt {
 }
 
 /// Hands `take` the records of the chain of blocks from `start` on until it
-/// declines one — a block a read of `class`, none past that record — but a
-/// block at a [`TailAt::Inline`] value, which is read from `holder`, the
-/// page whose record named the list, at no read: a list whose last block
-/// rides in a tail.
+/// declines one — a block a read of `class` (of its page or its pack page),
+/// none past that record — but a block at a [`TailAt::Inline`] value, which
+/// is read from `holder`, the page whose record named the list, at no read:
+/// a list whose last block rides in a tail.
 #[inline]
 pub fn scan_chain_in<R: Columns>(
     store: &PageStore,
@@ -189,13 +209,11 @@ pub fn scan_chain_in<R: Columns>(
     let mut next = start;
     while !next.is_null() {
         let at = TailAt::decode(next.0);
-        let page = match at {
-            TailAt::Inline(_) => None,
-            _ => {
-                pc_obs::record_read(class);
-                Some(store.read(next)?)
-            }
-        };
+        let page = at.page().map(|id| {
+            pc_obs::record_read(class);
+            store.read(id)
+        });
+        let page = page.transpose()?;
         let block = Block::parse::<R>(at.bytes(page.as_deref().unwrap_or(holder))?)?;
         if !block.each(&mut take) {
             return Ok(());
@@ -206,20 +224,20 @@ pub fn scan_chain_in<R: Columns>(
 }
 
 /// Every block of the chain from `head` on, for the walks that count or
-/// free a structure's pages: its page — `None` for a block at a
-/// [`TailAt::Inline`] value, in the tail of `holder` — and its bytes.
+/// free a structure's pages: where it is — [`TailAt::Inline`] in the tail
+/// of `holder` — and its bytes.
 pub fn chain_blocks<R: Columns>(
     store: &PageStore,
     head: PageId,
     holder: &[u8],
-) -> Result<Vec<(Option<PageId>, usize)>> {
+) -> Result<Vec<(TailAt, usize)>> {
     let mut blocks = Vec::new();
     let mut next = head;
     while !next.is_null() {
         let at = TailAt::decode(next.0);
-        let page = if let TailAt::Page(id) = at { Some(store.read(id)?) } else { None };
+        let page = at.page().map(|id| store.read(id)).transpose()?;
         let block = Block::parse::<R>(at.bytes(page.as_deref().unwrap_or(holder))?)?;
-        blocks.push((page.is_some().then_some(next), block.bytes));
+        blocks.push((at, block.bytes));
         next = block.next;
     }
     Ok(blocks)
@@ -430,21 +448,46 @@ impl Skeleton {
         children: Option<[usize; 2]>,
         len: usize,
     ) -> Result<TailAt> {
+        let tail = self.reserve_tail::<R>(ni, children, len);
+        tail.map_or_else(|| store.alloc().map(TailAt::Page), Ok)
+    }
+
+    /// [`Skeleton::place`], but bytes that do not fit the tails go to a
+    /// pack page of `packer`, not to a page of their own.
+    pub fn place_packed<R: SkelRecord>(
+        &mut self,
+        store: &PageStore,
+        packer: &mut Packer,
+        ni: usize,
+        children: Option<[usize; 2]>,
+        bytes: &[u8],
+    ) -> Result<TailAt> {
+        match self.reserve_tail::<R>(ni, children, bytes.len()) {
+            Some(at) => self.fill(store, ni, children, at, bytes).map(|()| at),
+            None => packer.put(store, bytes),
+        }
+    }
+
+    /// Room for `len` bytes in the tails [`Skeleton::reserve`] keeps them
+    /// in, zeroed; `None` where they do not fit.
+    fn reserve_tail<R: SkelRecord>(
+        &mut self,
+        ni: usize,
+        children: Option<[usize; 2]>,
+        len: usize,
+    ) -> Option<TailAt> {
         if len == 0 {
-            return Ok(TailAt::None);
+            return Some(TailAt::None);
         }
         let pages = self.homes(ni, children);
         let end = |p: usize| self.page_size - self.tails[p].len();
         let records = |p: usize| R::HEADER + R::LEN * self.pages[p].len();
-        let offset = end(pages[0]).checked_sub(len);
         let fits = |offset| pages.iter().all(|&p| end(p) == end(pages[0]) && records(p) <= offset);
-        let Some(offset) = offset.filter(|&offset| fits(offset)) else {
-            return Ok(TailAt::Page(store.alloc()?));
-        };
+        let offset = end(pages[0]).checked_sub(len).filter(|&offset| fits(offset))?;
         for p in pages {
             self.tails[p].splice(0..0, std::iter::repeat_n(0, len));
         }
-        Ok(TailAt::Inline(offset))
+        Some(TailAt::Inline(offset))
     }
 
     /// Writes `bytes` where [`Skeleton::reserve`] put them for node `ni`
@@ -460,6 +503,7 @@ impl Skeleton {
         match at {
             TailAt::None => Ok(()),
             TailAt::Page(id) => write_with(store, id, |w| w.put_bytes(bytes)),
+            TailAt::Packed(..) => unreachable!("`reserve` keeps no bytes on a pack page"),
             TailAt::Inline(offset) => {
                 for p in self.homes(ni, children) {
                     let start = offset + self.tails[p].len() - self.page_size;
@@ -480,18 +524,11 @@ impl Skeleton {
         store: &PageStore,
         ni: usize,
         at: TailAt,
-        mut blocks: Vec<(usize, Vec<u8>)>,
+        blocks: Vec<(usize, Vec<u8>)>,
     ) -> Result<PageId> {
-        let (_, last) = blocks.pop().expect("a list of one block or more");
-        self.fill(store, ni, None, at, &last)?;
-        let mut next = PageId(at.encode());
-        for (_, mut bytes) in blocks.into_iter().rev() {
-            let id = store.alloc()?;
-            set_next(&mut bytes, next);
-            store.write(id, &bytes)?;
-            next = id;
-        }
-        Ok(next)
+        let (_, last) = blocks.last().expect("a list of one block or more");
+        self.fill(store, ni, None, at, last)?;
+        Ok(write_chain(store, blocks, at)?[0].0)
     }
 
     /// The pages whose tails keep node `ni`'s bytes ([`Skeleton::place`]).
@@ -520,6 +557,58 @@ impl Skeleton {
         }
         Ok(())
     }
+}
+
+/// Shared pages for the partial blocks of many lists: a list's last block,
+/// a directory that fits no tail. Each goes to the first page opened so far
+/// with room for it — first fit, so at most one page is half full or less
+/// — and a page is allocated when it is opened. A block there is a
+/// [`TailAt::Packed`] value and costs the one read its own page would;
+/// [`Packer::finish`] writes the pages.
+#[derive(Default)]
+pub struct Packer {
+    pages: Vec<(PageId, Vec<u8>)>,
+}
+
+impl Packer {
+    /// Keeps `bytes` on the first open page with room, opening one where
+    /// none has: where they went.
+    pub fn put(&mut self, store: &PageStore, bytes: &[u8]) -> Result<TailAt> {
+        let page_size = store.page_size();
+        assert!(bytes.len() <= page_size, "{} bytes packed on a page", bytes.len());
+        let room = |(_, page): &(PageId, Vec<u8>)| page.len() + bytes.len() <= page_size;
+        let i = self.pages.iter().position(room).unwrap_or(self.pages.len());
+        if i == self.pages.len() {
+            self.pages.push((store.alloc()?, Vec::new()));
+        }
+        let (id, page) = &mut self.pages[i];
+        let at = TailAt::Packed(*id, page.len());
+        page.extend_from_slice(bytes);
+        Ok(at)
+    }
+
+    /// Writes every page opened.
+    pub fn finish(self, store: &PageStore) -> Result<()> {
+        self.pages.iter().try_for_each(|(id, bytes)| store.write(*id, bytes))
+    }
+}
+
+/// Writes the encoded `blocks` of a list whose last block is at `last`, each
+/// other on a page of its own: each block's link and record count, in order.
+pub(crate) fn write_chain(
+    store: &PageStore,
+    mut blocks: Vec<(usize, Vec<u8>)>,
+    last: TailAt,
+) -> Result<Vec<(PageId, usize)>> {
+    let mut links = vec![(PageId(last.encode()), blocks.pop().expect("a block").0)];
+    for (run, mut bytes) in blocks.into_iter().rev() {
+        let id = store.alloc()?;
+        set_next(&mut bytes, links[links.len() - 1].0);
+        store.write(id, &bytes)?;
+        links.push((id, run));
+    }
+    links.reverse();
+    Ok(links)
 }
 
 /// Visits every skeletal page under `root` with its bytes and records, a
@@ -608,6 +697,12 @@ mod tests {
     fn tail_at_round_trips_through_its_u64() {
         let all = [TailAt::None, TailAt::Inline(0), TailAt::Inline(4_000), TailAt::Page(PageId(7))];
         assert!(all.iter().all(|&at| TailAt::decode(at.encode()) == at));
+        // A pack handle is told from a tail offset and a page, page 0 too.
+        let top = PageId((1 << 46) - 1);
+        for at in [TailAt::Packed(PageId(0), 0), TailAt::Packed(top, 65_535)] {
+            assert_eq!(TailAt::decode(at.encode()), at);
+            assert_eq!(TailAt::unlink(at.link(PageId(3))), (at.page().unwrap(), at));
+        }
         assert_eq!(TailAt::None.encode(), NULL_PAGE.0);
         // A link names the page too, where the bytes are inline.
         let page = PageId((1 << 47) - 2);
@@ -615,6 +710,87 @@ mod tests {
         assert_eq!(TailAt::unlink(inline.link(page)), (page, inline));
         assert_eq!(TailAt::unlink(TailAt::Page(PageId(7)).link(page)), (PageId(7), all[3]));
         assert_eq!(TailAt::unlink(TailAt::None.link(page)), (NULL_PAGE, TailAt::None));
+    }
+
+    /// The packer puts each block on the first page opened with room for
+    /// it; a list's last block there costs the one read of its class its
+    /// own page would, and a chain names it from anywhere.
+    #[test]
+    fn a_packed_last_block_is_first_fit_and_one_read() {
+        use crate::layout::{encode_block, BlockList};
+        use crate::types::Point;
+        let store = PageStore::in_memory(256);
+        let mut packer = Packer::default();
+        let points = |n: usize, from: i64| -> Vec<Point> {
+            (0..n as i64).map(|i| Point::new(from + i, 7 * i % 101, i as u64)).collect()
+        };
+        let mut lists = Vec::new();
+        for (n, from) in [(300, 0), (60, 500), (5, 900), (60, 1200)] {
+            let records = points(n, from);
+            lists.push((BlockList::build_packed(&store, &records, &mut packer).unwrap(), records));
+        }
+        packer.finish(&store).unwrap();
+        // Last blocks of 108 and 60 records (162 and 108 bytes) open two
+        // pages; 5 records (43 bytes) fit the first, where next fit would
+        // put them on the second; 60 more fit only the second.
+        let sizes = [(300, 0), (5, 900)].map(|(n, from)| {
+            let records = points(n, from);
+            let last = &records[records.len() - [108, 5][usize::from(n == 5)]..];
+            encode_block(last, NULL_PAGE).len()
+        });
+        assert_eq!(sizes, [162, 43]);
+        let placed: Vec<TailAt> = lists
+            .iter()
+            .map(|((_, blocks), _)| TailAt::decode(blocks[blocks.len() - 1].0 .0))
+            .collect();
+        let [a, b, c, d] = placed[..] else { unreachable!() };
+        assert!(matches!((a, b), (TailAt::Packed(p, 0), TailAt::Packed(q, 0)) if p != q));
+        assert_eq!(c, TailAt::Packed(a.page().unwrap(), 162));
+        assert_eq!(d, TailAt::Packed(b.page().unwrap(), 108));
+        for ((list, blocks), records) in &lists {
+            assert_eq!(list.read_all(&store).unwrap(), *records);
+            store.reset_stats();
+            let mut got = Vec::new();
+            let trace = pc_obs::traced(|| {
+                let _scan = pc_obs::span!("scan");
+                scan_chain_in(&store, list.head(), &[], ReadClass::Cache, |p: Point| {
+                    got.push(p);
+                    true
+                })
+            });
+            trace.0.unwrap();
+            assert_eq!(got, *records);
+            let reads = blocks.len() as u64;
+            assert_eq!(trace.1.reads_by_class[ReadClass::Cache as usize], reads);
+            assert_eq!(store.stats().reads, reads, "one read a block");
+        }
+        assert_eq!(store.live_pages(), 2 + 1, "two pack pages, one page of a first block");
+    }
+
+    /// A pack handle whose offset, or whose block, runs past its page is
+    /// `Corrupt`, not a panic.
+    #[test]
+    fn a_pack_handle_past_its_page_is_corrupt() {
+        use crate::layout::BlockList;
+        use crate::types::Point;
+        let store = PageStore::in_memory(256);
+        let mut packer = Packer::default();
+        let records: Vec<Point> = (0..20).map(|i| Point::new(i, i, i as u64)).collect();
+        let (list, _) = BlockList::build_packed(&store, &records, &mut packer).unwrap();
+        packer.finish(&store).unwrap();
+        let TailAt::Packed(page, _) = TailAt::decode(list.head().0) else { unreachable!() };
+        let scan = |at: TailAt| {
+            let head = PageId(at.encode());
+            scan_chain_in(&store, head, &[], ReadClass::Cache, |_: Point| true)
+        };
+        assert!(scan(TailAt::Packed(page, 0)).is_ok());
+        for offset in [257, 250, 230] {
+            let err = scan(TailAt::Packed(page, offset));
+            assert!(matches!(err, Err(StoreError::Corrupt(_))), "offset {offset}: {err:?}");
+        }
+        let past = PageId(TailAt::Packed(page, 300).encode());
+        let err = BlockList::<Point>::read_block(&store, past);
+        assert!(matches!(err, Err(StoreError::Corrupt(_))), "{err:?}");
     }
 
     /// `place` keeps an exit's bytes on both its child pages at one offset,

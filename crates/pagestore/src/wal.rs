@@ -35,12 +35,12 @@ use crate::recovery::RecoveryReport;
 
 /// Magic bytes opening every WAL. A log of the formats before it names its
 /// version in the magic's last digit (`PCWAL003` is version 3).
-pub const WAL_MAGIC: &[u8; 8] = b"PCWAL005";
+pub const WAL_MAGIC: &[u8; 8] = b"PCWAL006";
 /// Version of every on-disk format the store and the structures on it
 /// write: the log's, the version frame's and every page layout's. A change
 /// to any of them bumps it, and a store written under another is refused
 /// by name ([`StoreError::LayoutVersion`]).
-pub const LAYOUT_VERSION: u32 = 5;
+pub const LAYOUT_VERSION: u32 = 6;
 /// Header length: magic, then the little-endian page size and layout
 /// version, four bytes each.
 pub const WAL_HEADER_LEN: usize = 16;

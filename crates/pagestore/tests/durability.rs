@@ -608,8 +608,9 @@ fn a_commit_too_large_for_the_log_is_refused_and_the_previous_one_kept() {
 }
 
 /// A log of another layout version is refused by name before a page is
-/// read: a newer one, the previous format (`PCWAL004`, whose dynamic PST
-/// descriptors named a page for the root's `U`), `PCWAL003` (whose commits
+/// read: a newer one, the previous format (`PCWAL005`, whose 3-sided PSTs
+/// kept each list's last block on a page of its own), `PCWAL004` (whose
+/// dynamic PST descriptors named a page for the root's `U`), `PCWAL003` (whose commits
 /// named free-list operations), and one old enough to hold a `PCV1`
 /// version frame (`PCWAL002`, whose epochs a page map translated).
 #[test]
@@ -624,13 +625,17 @@ fn a_log_of_the_previous_format_is_refused_not_replayed() {
         log.extend_from_slice(&[0; 24]);
         log
     };
-    // `PCWAL004`'s header named its version after the page size, as this
-    // format's does.
-    let mut v4 = old(b"PCWAL004");
-    v4[12..16].copy_from_slice(&4u32.to_le_bytes());
+    // `PCWAL004`'s and `PCWAL005`'s headers named their version after the
+    // page size, as this format's does.
+    let named = |magic: &[u8; 8], version: u32| {
+        let mut log = old(magic);
+        log[12..16].copy_from_slice(&version.to_le_bytes());
+        log
+    };
     let logs = [
         (newer, LAYOUT_VERSION + 1),
-        (v4, 4),
+        (named(b"PCWAL005", 5), 5),
+        (named(b"PCWAL004", 4), 4),
         (old(b"PCWAL003"), 3),
         (old(b"PCWAL002"), 2),
     ];

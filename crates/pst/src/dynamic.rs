@@ -826,11 +826,7 @@ impl DynamicThreeSidedPst {
     /// The id of every page the structure owns, once: the static index's,
     /// then the buffer pages.
     pub fn page_ids(&self, store: &PageStore) -> Result<Vec<PageId>> {
-        let mut ids = Vec::new();
-        self.inner.for_each_page(store, &mut |_, id| {
-            ids.push(id);
-            Ok(())
-        })?;
+        let mut ids = self.inner.page_ids(store)?;
         ids.extend(&self.buffer);
         Ok(ids)
     }

@@ -70,7 +70,7 @@ pub use build::{BasicPst, NaivePst, SegmentedPst};
 pub use dynamic::{DynamicPst, DynamicThreeSidedPst};
 pub use mem::TwoSided;
 pub use multilevel::MultilevelPst;
-pub use three_sided::{PageCensus, ThreeSided, ThreeSidedPst};
+pub use three_sided::{PageCensus, PageFill, ThreeSided, ThreeSidedPst};
 pub use two_level::{RegionCensus, RegionFill, TwoLevelPst};
 
 #[cfg(test)]

@@ -43,25 +43,27 @@ use std::cmp::Ordering;
 
 use pc_obs::ReadClass;
 use pc_pagestore::layout::{min_records, scan_chain, BlockList, Columns};
-use pc_pagestore::skeleton::{chain_blocks, scan_chain_in};
+use pc_pagestore::skeleton::{chain_blocks, scan_chain_in, TailAt};
 use pc_pagestore::{Page, PageId, PageStore, Point, Result, NULL_PAGE};
 
 use crate::build::SEntry;
 
 /// Names the blocks of the list of `R` under `head` as blocks of `class`,
-/// with their pages ([`chain_blocks`]; all read before the first is named)
-/// and bytes, for the visitors that count or free a structure's pages.
-/// Returns the bytes of its block in the tail of `page`, the list's owner's.
+/// with where they are ([`chain_blocks`]; all read before the first is
+/// named) and their bytes, for the visitors that count or free a
+/// structure's pages. Returns the bytes of its block in the tail of `page`,
+/// the list's owner's.
 pub(crate) fn for_each_block<R: Columns, C: Copy>(
     store: &PageStore,
     head: PageId,
     page: &[u8],
     class: C,
-    visit: &mut impl FnMut(C, Option<PageId>, usize) -> Result<()>,
+    visit: &mut impl FnMut(C, TailAt, usize) -> Result<()>,
 ) -> Result<usize> {
     let blocks = chain_blocks::<R>(store, head, page)?;
-    blocks.iter().try_for_each(|&(id, used)| visit(class, id, used))?;
-    Ok(blocks.iter().filter(|(id, _)| id.is_none()).map(|&(_, used)| used).sum())
+    blocks.iter().try_for_each(|&(at, used)| visit(class, at, used))?;
+    let in_tail = blocks.iter().filter(|(at, _)| matches!(at, TailAt::Inline(_)));
+    Ok(in_tail.map(|&(_, used)| used).sum())
 }
 
 /// One step of a path inside a segment: the node stepped from, its depth in

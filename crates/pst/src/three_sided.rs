@@ -1,117 +1,74 @@
 //! 3-sided queries: `x1 <= x <= x2 && y >= y0` (Theorem 3.3; the static
-//! core reused by Theorem 5.2).
+//! core reused by Theorem 5.2). DESIGN §12 "3-sided structure" has the
+//! long form of the layout and the rules below, with their measurements.
+//! The two boundaries trace root paths that share a prefix up to the
+//! **split node**; below it each is a 2-sided problem, while on the shared
+//! prefix a node's answers are a *middle run* `[x1, x2]` of its x-order.
 //!
-//! ## Query anatomy
+//! A node is a §4 **region**: its top points while its Y-list fills `m =
+//! 2^h − 1 <= ⌈log₂ B⌉` blocks at the guaranteed `B` (7 at 4 KiB, 3 at
+//! 512 B), so a cache copies only each sibling's *first* block. Per node:
 //!
-//! The two vertical boundaries trace two root paths that share a prefix up
-//! to the **split node**. Below it the left path is a 2-sided problem cut
-//! by `x = x1` and the right path its mirror, with fully-contained subtrees
-//! between them; on the shared prefix a node's qualifying points are a
-//! *middle run* `[x1, x2]` of its x-order, not a prefix — the extra
-//! machinery relative to Theorem 3.2.
+//! * **Y-list** — its points, descending y; the record names its first and
+//!   second block and the first's count.
+//! * **One A-list** — the points of the in-page ancestors *and the node*,
+//!   descending x, tagged with their source's in-page depth: the only place
+//!   a path node's points are read from. A lower page whose root has its
+//!   children on it *carries*: the root's A-list holds its own points and
+//!   its entry exit's A-entries in its *route* (the x-range `[lo, hi]` the
+//!   splits above send to it, closed: x-ties straddle a split), and no node
+//!   below copies the root.
+//! * **S-lists over first blocks**, one per in-page split depth `j`: `S_j`
+//!   the first Y-blocks of the right siblings of in-page ancestors at depth
+//!   `>= j`, descending y, and `S'_j` the left ones' — the paper's extra
+//!   `log B` space factor.
+//! * **A directory** `[a_count u16][(x i64, link u64)*][y_count u16][y
+//!   i64*][s_count u16][(S_j 16, S'_j 16)*]`: per A-block its last x and
+//!   link (a run starts with a jump), per Y-block its last y, the S-family.
+//!   It rides in the tail of the skeletal page holding the node's children
+//!   (a leaf's own; an exit's on both child pages, at one offset).
 //!
-//! ## Our instantiation of the Thm 3.3 space/time trade
-//!
-//! The extended abstract defers the construction. We build it on §4's
-//! **regions**: a node holds its top points while its Y-list fills `m`
-//! blocks of the block codec, `m = 2^h − 1 <= ⌈log₂ B⌉` at the guaranteed
-//! `B` (7 at 4 KiB, 3 at 512 B — the 2-sided scheme's `region_blocks`
-//! rule), so there are `m` times fewer nodes to hang caches on, and a cache
-//! copies only each sibling's *first* block. Per node:
-//!
-//! * **Y-list** — the node's points, once, descending y, in blocks. The
-//!   skeletal record names its first and its second block and the first's
-//!   count.
-//! * **One A-list, the node included.** The points of the in-page
-//!   ancestors *and of the node itself*, descending x, each tagged with its
-//!   source's in-page depth: the only place a path node's points are read
-//!   from, by either walk and by the shared prefix. A lower page whose
-//!   root has its children on it is *carrying*: the segment starts one
-//!   level down. Its root's A-list holds the root's points and the entries
-//!   of its entry exit's A-list (on the page above) whose x lies in the
-//!   root's *route* — the x-range `[lo, hi]` of the keys the splits above
-//!   send to it, closed at both ends since x-ties straddle a split — the
-//!   copies under the exit's tags, its own points one deeper; no node
-//!   below copies the root. The root page and a lower page of one record
-//!   keep the plain lists.
-//! * **Threshold-indexed S-lists over first blocks.** A sibling of a
-//!   *shared* node lies wholly outside the query band, so the S-cache must
-//!   exclude ancestors above the split. We store one S-list per possible
-//!   in-page split depth `j` (`S_j` = the first Y-blocks of the right
-//!   siblings of in-page ancestors at in-page depth `>= j`, merged
-//!   descending y) and the mirrored `S'_j` for left siblings. This family
-//!   of up to `h` lists per node, each up to `h` blocks, is the paper's
-//!   extra `log B` space factor: total space `O((n/B)·log² B)`.
-//! * **A directory**: `[a_count u16][(x i64, page u64)*][y_count u16]
-//!   [y i64*][s_count u16][(S_j 16, S'_j 16)*]` — per A-block its last x
-//!   and page (a run starts with a jump), per Y-block its last y, the
-//!   S-family. It lives in the free tail of the skeletal page holding the
-//!   node's children (a leaf's own): a corner or a split finds it on the
-//!   page in hand, an exit on the page it continues into — on both child
-//!   pages, at one offset from the end, inline only where both have room.
-//!   Tails fill from the end, pages and slots in order, so an exit's comes
-//!   first; one that does not fit keeps a page of its own (`Skeleton::place`).
-//!
-//! Skeletal pages hold complete subtrees ([`skeletal_capacity`] is a
-//! `2^h − 1`: 31 records at 4 KiB, 3 at 512 B), `MemPst`'s leaves differ in
-//! depth by at most one, and [`paginate`](pc_pagestore::skeleton::paginate)
-//! fills breadth first — so a page
-//! is the top `h` levels under its root, in-page depth stays below `h`
-//! (≤ 4 at 4 KiB: an A-list is at most `5·m` blocks, its directory 35
-//! entries; a carrying root's is its own `m` and, the ancestors' shares of
-//! its route falling geometrically, about one node's worth of copies),
-//! both children of a node are on its page or both are roots of
-//! pages of their own, and a sibling the S-list names always has its
-//! record on the page in hand. The 122-byte record:
+//! Every list's last block and every directory no tail holds is on a
+//! shared **pack page** (`Packer`, first fit), named by a [`TailAt::Packed`]
+//! link: one read of its class, as a page of its own would cost. Skeletal
+//! pages hold complete subtrees ([`skeletal_capacity`]: 31 records at
+//! 4 KiB, 3 at 512 B), so in-page depth stays below `h`, both children of a
+//! node share its page or neither does, and a sibling an S-list names has
+//! its record on the page in hand. The 122-byte record:
 //!
 //! ```text
 //! [split_x i64][min_y i64][y_list 16][y_second u64][y_first u16]
 //! [left 28][right 28]          child: [page u64][slot u16][y_head u64][cnt u16][top_y i64]
 //!                              (cnt's top bit: the child is a leaf)
-//! [a_list 16][dir u64]         dir: a page, or (top bit) an offset on the children's page
+//! [a_list 16][dir u64]         dir: a `TailAt`
 //! ```
 //!
 //! ## The query rules
 //!
 //! 1. **One run per page and walk, each walk its half.** Where a walk
-//!    leaves a skeletal page — at the corner, at an *exit* whose path child
-//!    is on another page or has nothing at or above `y0` (its top y is in
-//!    the record, so such a corner is never opened) — it scans that node's
-//!    A-run; ancestors lie above `y0` entirely. Below a split whose
-//!    children share its page the left walk's run ends at `split_x` and the
-//!    right walk's starts there (a shared ancestor's entry at `split_x` is
-//!    the left walk's). At an exit into a carrying page the run covers the
-//!    band outside the root's route only, and the root reads its A-run
-//!    over the rest first thing: on the shared prefix the band lies inside
-//!    the route, so the exit reads nothing and a corner at the root reads
-//!    one run where there were two. A split whose children are roots of
-//!    pages runs its own A-list over each half no carrying child takes,
-//!    and the right half's tie at `split_x` holds on the copies.
-//! 2. **A corner reads the cheaper of two orders**: its A-run, its own
-//!    entries filtered by `y >= y0` (up to `m − 1` blocks of non-answers),
-//!    or its in-page parent's A-run (its in-page ancestors, all answers)
-//!    and its own Y-prefix filtered by x — priced exactly by the two
-//!    directories, the parent's on the page in hand; a tie keeps the run.
-//!    A carrying root prices its entry exit's run over its route's part
-//!    of the band; a corner just below it has its parent's run for free.
-//! 3. **Continuation.** The same stop drains `S_threshold`. A sibling
-//!    whose cached block qualified entirely continues in its own Y-list
-//!    *from the second block*; only a sibling whose whole Y-list qualified
-//!    is descended into.
-//! 4. **Descendants by Y-prefix.** A descendant is visited only below a
-//!    wholly reported parent and only if its top y qualifies, and costs
-//!    its qualifying Y-prefix: at most `⌊c/B⌋ + 1` blocks for `c` answers. Its
-//!    record is needed only when all of it qualified and it has children
-//!    (its parent's record says so); the traversal keeps the skeletal page
-//!    in hand and finishes it before loading another.
+//!    leaves a page — at the corner, or an *exit* whose path child is on
+//!    another page or below `y0` — it scans that node's A-run; below a split
+//!    on its page the left walk's ends at `split_x`, where the right's starts
+//!    (a shared ancestor's entry there is the left's). An exit into a
+//!    carrying page runs the band outside the root's route, the root the rest.
+//! 2. **A corner reads the cheaper order**: its A-run (its entries filtered
+//!    by y), or its in-page parent's run and its Y-prefix filtered by x —
+//!    priced exactly by the two directories; a tie keeps the run.
+//! 3. **Continuation.** The same stop drains `S_threshold`; a sibling whose
+//!    cached block qualified entirely continues in its Y-list *from the
+//!    second block*, and only a wholly reported one is descended into.
+//! 4. **Descendants by Y-prefix**: only below a wholly reported parent, only
+//!    if its top y qualifies, at most `⌊c/B⌋ + 1` blocks for `c` answers;
+//!    its record is read only where all of it qualified and it has children.
 //!
-//! Per skeletal page on each path that is the run blocks, one `S_j` prefix
-//! (all answers but the partial ends) and a directory read only where one
-//! spilled — `O(1)` overhead per segment, hence `O(log_B n + t/B)` total.
+//! Per page on a path: the runs, one `S_j` prefix and a directory only where
+//! one is off the tails — `O(1)` a segment, `O(log_B n + t/B)` in all.
 
 use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
-use pc_pagestore::skeleton::{for_each_skeletal_page, NodeRef, SkelRecord, Skeleton, TailAt};
+use pc_pagestore::skeleton::{
+    for_each_skeletal_page, NodeRef, Packer, SkelRecord, Skeleton, TailAt,
+};
 use pc_pagestore::{Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
 use crate::build::SEntry;
@@ -328,8 +285,8 @@ impl NodeDir {
     }
 }
 
-/// A built [`ThreeSidedPst`]'s pages by class, and the `B` its data came
-/// to.
+/// A built [`ThreeSidedPst`]'s blocks and pages by class, and the `B` its
+/// data came to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PageCensus {
     /// `B` as the data set it: the structure's points over the blocks of
@@ -343,15 +300,30 @@ pub struct PageCensus {
     pub a_lists: u64,
     /// Blocks of the S-families.
     pub s_lists: u64,
-    /// Pages of the directories that did not fit a skeletal page's tail.
+    /// Directories that did not fit a skeletal page's tail.
     pub directories: u64,
+    /// Pack pages: every list's last block and every directory above.
+    pub packed: u64,
+    /// Of the blocks and directories above, those on pack pages.
+    pub packed_blocks: u64,
 }
 
 impl PageCensus {
     /// All pages of the structure.
     pub fn total(&self) -> u64 {
-        self.skeletal + self.y_lists + self.a_lists + self.s_lists + self.directories
+        let blocks = self.y_lists + self.a_lists + self.s_lists + self.directories;
+        self.skeletal + blocks - self.packed_blocks + self.packed
     }
+}
+
+/// What a built [`ThreeSidedPst`]'s pages hold.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PageFill {
+    /// Bytes in use by the blocks of each class of the [`PageCensus`], and
+    /// on its skeletal and its pack pages.
+    pub used: PageCensus,
+    /// Bytes in use on each pack page, in page order.
+    pub pack_pages: Vec<u64>,
 }
 
 /// A class of pages: the census field that counts them.
@@ -381,16 +353,14 @@ impl ThreeSidedPst {
         let children = |ni| mem.children(ni).into_iter().flatten();
         let mut skel =
             Skeleton::new(store, mem.nodes.len(), skeletal_capacity(page_size), children)?;
+        // Every list's last block, and every directory no tail holds.
+        let mut packer = Packer::default();
 
         let n_nodes = mem.nodes.len();
-        let mut y_list = Vec::with_capacity(n_nodes);
-        let mut y_blocks = Vec::with_capacity(n_nodes);
-        for ni in 0..n_nodes {
-            // Node points are already descending by y-key.
-            let (list, blocks) = BlockList::build_blocks(store, mem.points(ni))?;
-            y_list.push(list);
-            y_blocks.push(blocks);
-        }
+        // Node points are already descending by y-key.
+        let y_list = |ni| BlockList::build_packed(store, mem.points(ni), &mut packer);
+        let y_lists: Vec<_> = (0..n_nodes).map(y_list).collect::<Result<_>>()?;
+        let (y_list, y_blocks): (Vec<_>, Vec<_>) = y_lists.into_iter().unzip();
         let y_first = |ni: usize| y_blocks[ni].first().map_or(0, |&(_, count)| count);
         let mut a_list = vec![BlockList::empty(); n_nodes];
         // Each node's directory, encoded; empty where its A-list is.
@@ -440,7 +410,7 @@ impl ThreeSidedPst {
             if a.is_empty() {
                 return Ok(());
             }
-            let (list, blocks) = BlockList::build_blocks(store, &a)?;
+            let (list, blocks) = BlockList::build_packed(store, &a, &mut packer)?;
             a_list[node] = list;
             let pages = blocks.iter().map(|&(page, _)| page);
             let mut node_dir = NodeDir {
@@ -451,7 +421,7 @@ impl ThreeSidedPst {
             // Threshold-indexed S-families over the first blocks of the
             // siblings on one side, tagged with the depth of their parent.
             for j in 0..chain.len() {
-                let family = |went_left: bool| {
+                let mut family = |went_left: bool| -> Result<BlockList<SEntry>> {
                     let steps =
                         chain[j..].iter().filter(move |step| step.went_left == went_left);
                     let sibs = steps.map(|step| {
@@ -459,7 +429,8 @@ impl ThreeSidedPst {
                         let sib = if went_left { parent.right } else { parent.left };
                         (&points_of(sib)[..y_first(sib)], step.depth)
                     });
-                    BlockList::build(store, &merge_tagged(sibs, cmp_y))
+                    let family = merge_tagged(sibs, cmp_y);
+                    Ok(BlockList::build_packed(store, &family, &mut packer)?.0)
                 };
                 node_dir.s.push((family(true)?, family(false)?));
             }
@@ -470,7 +441,8 @@ impl ThreeSidedPst {
         // Where each directory lives (module doc), pages and slots in order.
         let mut dir_at = vec![TailAt::None; n_nodes];
         for ni in skel.nodes() {
-            dir_at[ni] = skel.place::<TsRecord>(store, ni, mem.children(ni), &dirs[ni])?;
+            let (kids, dir) = (mem.children(ni), &dirs[ni]);
+            dir_at[ni] = skel.place_packed::<TsRecord>(store, &mut packer, ni, kids, dir)?;
         }
 
         let child = |ni: usize| match ni {
@@ -500,6 +472,7 @@ impl ThreeSidedPst {
                 dir: dir_at[ni],
             }
         })?;
+        packer.finish(store)?;
         Ok(ThreeSidedPst { root_page: skel.root(), n: points.len() as u64 })
     }
 
@@ -513,54 +486,81 @@ impl ThreeSidedPst {
         self.n == 0
     }
 
-    /// Names every page of the structure once, with its class: skeletal
-    /// pages and, per node, its Y-list, A-list, the S-family its directory
-    /// indexes and the directory's own page where it has one. A page is
-    /// named after the pages found through it have been read, so `visit`
-    /// may free it.
+    /// Names every block with its class, where it is and its bytes: each
+    /// skeletal page (records and tail directories, an exit's once), per
+    /// node its Y-list, A-list, S-family and any directory off the tails;
+    /// then each pack page once, a [`TailAt::Page`] of class `packed`.
     pub(crate) fn for_each_page(
         &self,
         store: &PageStore,
-        visit: &mut impl FnMut(PageClass, PageId) -> Result<()>,
+        visit: &mut impl FnMut(PageClass, TailAt, usize) -> Result<()>,
     ) -> Result<()> {
+        let mut packed = std::collections::BTreeMap::<PageId, usize>::new();
         for_each_skeletal_page(store, self.root_page, &mut |pid, page, records: &[TsRecord]| {
-            let blocks =
-                &mut |class, id: Option<PageId>, _| id.map_or(Ok(()), |id| visit(class, id));
+            let blocks = &mut |class, at: TailAt, used| {
+                if let TailAt::Packed(id, _) = at {
+                    *packed.entry(id).or_default() += used;
+                }
+                visit(class, at, used)
+            };
+            let [y, a, s]: [PageClass; 3] =
+                [|c| &mut c.y_lists, |c| &mut c.a_lists, |c| &mut c.s_lists];
+            let mut used = TsRecord::HEADER + TsRecord::LEN * records.len();
             for (slot, rec) in (0..).zip(records) {
-                let [y, a]: [PageClass; 2] = [|c| &mut c.y_lists, |c| &mut c.a_lists];
                 for_each_block::<Point, _>(store, rec.y_list.head(), page, y, blocks)?;
                 for_each_block::<SEntry, _>(store, rec.a_list.head(), page, a, blocks)?;
                 let at = NodeRef { page: pid, slot };
                 let dir = NodeDir::find(rec, at, page, None, |id| store.read(id))?;
-                for (right_sibs, left_sibs) in dir.s {
-                    for sibs in [right_sibs, left_sibs] {
-                        let s: PageClass = |c| &mut c.s_lists;
-                        for_each_block::<SEntry, _>(store, sibs.head(), page, s, blocks)?;
-                    }
+                for sibs in dir.s.iter().flat_map(|&(right, left)| [right, left]) {
+                    for_each_block::<SEntry, _>(store, sibs.head(), page, s, blocks)?;
                 }
-                if let TailAt::Page(id) = rec.dir {
-                    blocks(|c| &mut c.directories, Some(id), 0)?;
+                match rec.dir {
+                    TailAt::None => {}
+                    TailAt::Inline(_) => used += dir.encode()?.len(),
+                    at => blocks(|c| &mut c.directories, at, dir.encode()?.len())?,
                 }
             }
-            blocks(|c| &mut c.skeletal, Some(pid), 0)
-        })
+            blocks(|c| &mut c.skeletal, TailAt::Page(pid), used)
+        })?;
+        let mut pages = packed.into_iter();
+        pages.try_for_each(|(id, used)| visit(|c| &mut c.packed, TailAt::Page(id), used))
     }
 
-    /// Frees every page of the structure. The handle must not be used
-    /// again.
+    /// The id of every page of the structure, once, a pack page included.
+    pub fn page_ids(&self, store: &PageStore) -> Result<Vec<PageId>> {
+        let mut ids = Vec::new();
+        self.for_each_page(store, &mut |_, at, _| {
+            if let TailAt::Page(id) = at {
+                ids.push(id);
+            }
+            Ok(())
+        })?;
+        Ok(ids)
+    }
+
+    /// Frees every page of the structure; the handle is spent.
     pub fn free(&self, store: &PageStore) -> Result<()> {
-        self.for_each_page(store, &mut |_, page| store.free(page))
+        self.page_ids(store)?.into_iter().try_for_each(|id| store.free(id))
     }
 
-    /// Counts the structure's pages by class (one read per page).
+    /// Counts the structure's blocks and pages by class (one read a block).
     pub fn page_census(&self, store: &PageStore) -> Result<PageCensus> {
-        let mut census = PageCensus::default();
-        self.for_each_page(store, &mut |class, _| {
+        Ok(self.page_fill(store)?.0)
+    }
+
+    /// [`ThreeSidedPst::page_census`], and what the pages hold.
+    pub fn page_fill(&self, store: &PageStore) -> Result<(PageCensus, PageFill)> {
+        let (mut census, mut fill) = (PageCensus::default(), PageFill::default());
+        self.for_each_page(store, &mut |class, at, used| {
+            let pack_pages = census.packed;
             *class(&mut census) += 1;
+            *class(&mut fill.used) += used as u64;
+            census.packed_blocks += u64::from(matches!(at, TailAt::Packed(..)));
+            fill.pack_pages.extend((census.packed > pack_pages).then_some(used as u64));
             Ok(())
         })?;
         census.block_capacity = (self.n as f64 / census.y_lists.max(1) as f64).round() as u64;
-        Ok(census)
+        Ok((census, fill))
     }
 
     /// Answers a 3-sided query. A band whose bounds are out of order holds
@@ -709,7 +709,7 @@ impl TsCtx<'_> {
         let ancestors = match parent {
             TailAt::None => NodeDir::default(),
             TailAt::Inline(_) => NodeDir::decode(parent.bytes(&self.walk.page)?)?,
-            TailAt::Page(_) => return self.a_run(dir, band, Some(tag)),
+            TailAt::Page(_) | TailAt::Packed(..) => return self.a_run(dir, band, Some(tag)),
         };
         // Blocks read: a run from the first block whose last x is at most
         // `hi` through the first whose last x is below `lo`, a Y-prefix
@@ -972,7 +972,8 @@ mod tests {
     use crate::testutil::{
         assert_cache_blocks, block_sizes, canonical, uniform_points, LoggedStore,
     };
-    use pc_pagestore::layout::min_records;
+    use pc_pagestore::layout::{min_records, Columns};
+    use pc_pagestore::skeleton::chain_blocks;
     use pc_rng::Rng;
 
     fn check(points: &[Point], queries: &[ThreeSided], page_size: usize) {
@@ -1553,6 +1554,20 @@ mod tests {
         assert_eq!(y_blocks as usize, off_walks - 2);
     }
 
+    /// The link that names each block of the list under `head`, in chain
+    /// order, checking where the blocks are: each on a page of its own but
+    /// the last, which is on a pack page.
+    fn list_links<R: Columns>(store: &PageStore, head: PageId) -> Vec<PageId> {
+        let blocks = chain_blocks::<R>(store, head, &[]).unwrap();
+        for (i, (at, _)) in blocks.iter().enumerate() {
+            let last = i + 1 == blocks.len();
+            let n = blocks.len();
+            assert_eq!(matches!(at, TailAt::Packed(..)), last, "block {i} of {n}: {at:?}");
+            assert_eq!(matches!(at, TailAt::Page(_)), !last, "block {i} of {n}");
+        }
+        blocks.iter().map(|(at, _)| PageId(at.encode())).collect()
+    }
+
     /// A node's Y-list is its points in whole blocks; its A-list copies the
     /// in-page ancestors and the node itself — on a lower page, those below
     /// the page's root, and that root, where its children share its page,
@@ -1587,14 +1602,15 @@ mod tests {
                 assert!(y_sizes.iter().rev().skip(1).all(|&size| size >= m), "{y_sizes:?}");
                 assert!(y_sizes.len() <= blocks, "a node of {y_sizes:?}");
                 assert_eq!(usize::from(rec.y_first), y_sizes.first().copied().unwrap_or(0));
-                let y_pages = rec.y_list.block_pages(&store).unwrap();
-                assert_eq!(rec.y_second, y_pages.get(1).copied().unwrap_or(NULL_PAGE));
-                second_blocks += y_pages.len().min(2) / 2;
+                let y_links = list_links::<Point>(&store, rec.y_list.head());
+                list_links::<SEntry>(&store, rec.a_list.head());
+                assert_eq!(rec.y_second, y_links.get(1).copied().unwrap_or(NULL_PAGE));
+                second_blocks += y_links.len().min(2) / 2;
                 let (copied, sources) = (above.0 + cnt, above.1 + y_sizes.len());
                 assert_cache_blocks(&store, &rec.a_list, copied, sources, "A-list");
                 let page = store.read(at.page).unwrap();
                 let dir = NodeDir::find(&rec, at, &page, None, |id| store.read(id)).unwrap();
-                spilled += u64::from(matches!(rec.dir, TailAt::Page(_)));
+                spilled += u64::from(matches!(rec.dir, TailAt::Packed(..)));
                 assert_eq!(dir.y.len(), y_sizes.len(), "one directory entry per Y-block");
                 let a_blocks = block_sizes(&store, &rec.a_list).len();
                 assert_eq!(dir.a.len(), a_blocks, "one directory entry per A-block");
@@ -1607,6 +1623,8 @@ mod tests {
                     let (r, l) = (right.iter().sum(), left.iter().sum());
                     assert_cache_blocks(&store, right_sibs, r, right.len(), "S_j");
                     assert_cache_blocks(&store, left_sibs, l, left.len(), "S'_j");
+                    list_links::<SEntry>(&store, right_sibs.head());
+                    list_links::<SEntry>(&store, left_sibs.head());
                 }
                 if rec.left.at.page.is_null() {
                     continue;
@@ -1676,6 +1694,9 @@ mod tests {
                     assert!(skeletal >= 2 && directories == 0, "{q:?}: {c:?}");
                 }
             }
+            let mut ids = pst.page_ids(&store).unwrap();
+            ids.sort_unstable();
+            assert_eq!(ids, store.allocated_pages(), "{page_size} B: the id walk");
             pst.free(&store).unwrap();
             assert_eq!(store.live_pages(), 0, "free-walk left pages behind");
         }

@@ -677,26 +677,28 @@ pub(crate) fn for_each_page(
         true => bytes(&store.read(id)?),
         false => Ok(0),
     };
+    // A region tree packs no block (its blocks are on pages or in tails).
+    let blocks = &mut |class, at: TailAt, used| visit(class, at.page(), used);
     if !is_region {
         return for_each_skeletal_page(store, root, &mut |pid, page, records: &[SkeletalRecord]| {
             let mut used = SkeletalRecord::HEADER + SkeletalRecord::LEN * records.len();
             let points: PageClass = |c| &mut c.inner_points;
             for rec in records {
                 match rec.own_pts {
-                    TailAt::Page(id) => visit(points, Some(id), read(id, points_bytes)?)?,
+                    at @ TailAt::Page(id) => blocks(points, at, read(id, points_bytes)?)?,
                     at @ TailAt::Inline(_) => {
                         let bytes = points_bytes(at.bytes(page)?)?;
                         used += bytes;
-                        visit(points, None, bytes)?;
+                        blocks(points, at, bytes)?;
                     }
-                    TailAt::None => {}
+                    _ => {}
                 }
                 let caches: PageClass = |c| &mut c.inner_caches;
                 let [a, s] = [rec.child_a.head(), rec.left_s.head()];
-                used += for_each_block::<Point, _>(store, a, page, caches, visit)?;
-                used += for_each_block::<SEntry, _>(store, s, page, caches, visit)?;
+                used += for_each_block::<Point, _>(store, a, page, caches, blocks)?;
+                used += for_each_block::<SEntry, _>(store, s, page, caches, blocks)?;
             }
-            visit(|c| &mut c.inner_skeletal, Some(pid), used)
+            blocks(|c| &mut c.inner_skeletal, TailAt::Page(pid), used)
         });
     }
     let mut inners = Vec::new();
@@ -704,19 +706,19 @@ pub(crate) fn for_each_page(
         let header = decode_header(page)?;
         let mut buffers = vec![header.u_page];
         for rec in records {
-            for_each_block::<Point, _>(store, rec.x_list.head, page, |c| &mut c.x_lists, visit)?;
-            for_each_block::<Point, _>(store, rec.y_list.head, page, |c| &mut c.y_lists, visit)?;
+            for_each_block::<Point, _>(store, rec.x_list.head, page, |c| &mut c.x_lists, blocks)?;
+            for_each_block::<Point, _>(store, rec.y_list.head, page, |c| &mut c.y_lists, blocks)?;
             let [a, s]: [PageClass; 2] = [|c| &mut c.a_caches, |c| &mut c.s_caches];
-            for_each_block::<SEntry, _>(store, rec.child_a.head(), page, a, visit)?;
-            for_each_block::<SEntry, _>(store, rec.left_s.head(), page, s, visit)?;
+            for_each_block::<SEntry, _>(store, rec.child_a.head(), page, a, blocks)?;
+            for_each_block::<SEntry, _>(store, rec.left_s.head(), page, s, blocks)?;
             buffers.push(rec.u_buf);
             inners.push((rec.inner_root, rec.inner_is_region));
         }
         for id in buffers.into_iter().filter(|page| !page.is_null()) {
-            visit(|c| &mut c.buffers, Some(id), read(id, buffer_bytes)?)?;
+            blocks(|c| &mut c.buffers, TailAt::Page(id), read(id, buffer_bytes)?)?;
         }
         let used = RegionRecord::HEADER + RegionRecord::LEN * records.len();
-        visit(|c| &mut c.skeletal, Some(pid), used)
+        blocks(|c| &mut c.skeletal, TailAt::Page(pid), used)
     })?;
     inners
         .into_iter()

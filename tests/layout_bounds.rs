@@ -365,8 +365,27 @@ fn wide_data_builds_the_fixed_width_three_sided_psts() {
         (reads, answers) = (reads + read, answers + hits.len());
         dyn_answers += dynamic.query(&dyn_store, q).unwrap().len();
     }
-    assert_eq!((pages, reads, answers), (1531, 3895, 616_808));
-    assert_eq!((dyn_pages, dyn_store.stats().reads, dyn_answers), (1532, 4195, 618_051));
+    assert_eq!((pages, reads, answers), (1347, 3895, 616_808));
+    assert_eq!((dyn_pages, dyn_store.stats().reads, dyn_answers), (1348, 4195, 618_051));
+}
+
+/// The 3-sided PST packs every list's last block and every spilled
+/// directory onto shared pages, first fit, which leaves at most one of them
+/// half full or less: a build that fell back to a page a block would leave
+/// most of them so. At `tests/golden_layout.rs`' two geometries.
+#[test]
+fn at_most_one_pack_page_of_a_three_sided_pst_is_half_full_or_less() {
+    for (page_size, n, spread) in [(4096, 150_000, Spread::Domain), (512, 20_000, Spread::Full)] {
+        let raw = gen_points(n, PointDist::Uniform, 0x901d);
+        let store = PageStore::in_memory(page_size);
+        let pst = ThreeSidedPst::build(&store, &spread.points(&raw)).unwrap();
+        let (census, fill) = pst.page_fill(&store).unwrap();
+        assert_eq!(census.total(), store.live_pages(), "{page_size} B");
+        assert_eq!(fill.pack_pages.len() as u64, census.packed, "{page_size} B");
+        assert!(census.packed_blocks > 2 * census.packed, "{page_size} B: {census:?}");
+        let half = fill.pack_pages.iter().filter(|&&used| 2 * used <= page_size as u64).count();
+        assert!(half <= 1, "{page_size} B: {half} pack pages half full or less");
+    }
 }
 
 #[test]

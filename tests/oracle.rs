@@ -32,7 +32,7 @@ use std::collections::BTreeSet;
 use pc_btree::BTree;
 use pc_intervaltree::ExternalIntervalTree;
 use pc_pagestore::layout::min_records;
-use pc_pagestore::Point;
+use pc_pagestore::{PageStore, Point};
 use pc_pst::{
     BasicPst, DynamicPst, DynamicThreeSidedPst, NaivePst, SegmentedPst, ThreeSidedPst, TwoLevelPst,
 };
@@ -62,9 +62,12 @@ const CLASSES: [Class; 4] = [
 /// The one class of the segment tree's cases: full width.
 const WIDE_ONLY: [Class; 1] = [(Widths::WIDE, false)];
 
-/// Builds `case` at `page_size` and drives it.
+/// Builds `case` at `page_size` and drives it; then the structure's page
+/// walk, where it has one, names exactly the pages its store holds.
 fn in_process<S: Structure>(page_size: usize, case: &Case) -> Res<()> {
-    drive(&mut InProcess::<S>::build(page_size, &case.build)?, case)
+    let mut subject = InProcess::<S>::build(page_size, &case.build)?;
+    drive(&mut subject, case)?;
+    subject.walked()
 }
 
 /// For every data class of `classes`: three cases in process at every page
@@ -145,7 +148,8 @@ fn three_sided_pst_on_lower_pages() {
         let mut pst = InProcess::<ThreeSidedPst>::build(4096, &case.build)?;
         let census = pst.s.page_census(&pst.store).map_err(|e| e.to_string())?;
         assert!(census.skeletal > 1, "one skeletal page: {census:?}");
-        drive(&mut pst, case)
+        drive(&mut pst, case)?;
+        pst.walked()
     });
 }
 
@@ -407,6 +411,74 @@ const TAIL_READS: [[u64; 5]; 8] = [
     [483, 483, 507, 1940, 8886],
     [455, 481, 359, 1532, 359],
 ];
+
+/// A pack-page input (`regressions::packed_*`) over the 3-sided PST in
+/// process at 512 B and 4 KiB: it answers as the model does, its walk names
+/// the pages its store holds, its census has the shape `shape` names (Y
+/// blocks and skeletal pages, one a page size) and it reads at most what
+/// `reads` names — what it read when every block had a page of its own.
+fn packed_regression(
+    what: &str,
+    case: impl Fn(usize) -> Case,
+    shape: [(u64, u64); 2],
+    reads: [u64; 2],
+) {
+    for ((page_size, shape), cap) in [512, 4096].into_iter().zip(shape).zip(reads) {
+        let case = case(page_size);
+        let run = || -> Res<u64> {
+            let mut subject = InProcess::<ThreeSidedPst>::build(page_size, &case.build)?;
+            let census = subject.s.page_census(&subject.store).map_err(|e| e.to_string())?;
+            if (census.y_lists, census.skeletal) != shape {
+                return Err(format!("a tree of another shape: {census:?}"));
+            }
+            let before = subject.store.stats().reads;
+            drive(&mut subject, &case)?;
+            let reads = subject.store.stats().reads - before;
+            subject.walked().map(|()| reads)
+        };
+        let got = run().unwrap_or_else(|e| panic!("{what} at {page_size} B: {e}"));
+        assert!(got <= cap, "{what} at {page_size} B: {got} reads, {cap} a page a block");
+    }
+}
+
+#[test]
+fn regression_packed_second_blocks() {
+    let case = regressions::packed_second_blocks;
+    packed_regression("packed second blocks", case, [(37, 5), (137, 1)], PACKED_READS[0]);
+}
+
+#[test]
+fn regression_packed_run_starts() {
+    let case = regressions::packed_run_starts;
+    packed_regression("runs from packed last blocks", case, [(29, 5), (121, 1)], PACKED_READS[1]);
+}
+
+#[test]
+fn regression_packed_one_block_s_lists() {
+    let case = regressions::packed_one_block_s_lists;
+    packed_regression("one-block S-lists", case, [(29, 5), (121, 1)], PACKED_READS[2]);
+}
+
+/// One and two Y-blocks of exactly a page each: the last takes a pack page
+/// to the byte.
+#[test]
+fn regression_packed_full_page_blocks() {
+    for blocks in [1, 2] {
+        let case = |page_size| regressions::packed_full_page_blocks(page_size, blocks);
+        let what = format!("{blocks} blocks of a page each");
+        packed_regression(&what, case, [(blocks as u64, 1); 2], PACKED_READS[2 + blocks]);
+        for page_size in [512, 4096] {
+            let store = PageStore::in_memory(page_size);
+            let pst = ThreeSidedPst::build(&store, &case(page_size).build).unwrap();
+            let (_, fill) = pst.page_fill(&store).unwrap();
+            assert!(fill.pack_pages.contains(&(page_size as u64)), "{what}: {fill:?}");
+        }
+    }
+}
+
+/// What each `regression_packed_*` cell read at 512 B and 4 KiB when every
+/// block had a page of its own, in the order the cells name them.
+const PACKED_READS: [[u64; 2]; 5] = [[1738, 4122], [901, 777], [867, 2390], [72, 72], [85, 82]];
 
 #[test]
 fn regression_x_tie_deletes() {

@@ -365,7 +365,18 @@ pub fn recovered<S: Structure>(case: &Case, seed: u64) -> Res<()> {
             let ids = s.page_ids(&recovered).map_err(|e| format!("{at}: walk: {e}"))?;
             (s, ids)
         }
-        None => built.ok_or_else(|| format!("{at}: a static structure recovered unbuilt"))?,
+        None => {
+            let (s, built) =
+                built.ok_or_else(|| format!("{at}: a static structure recovered unbuilt"))?;
+            if S::WALKED {
+                let mut ids = s.page_ids(&recovered).map_err(|e| format!("{at}: walk: {e}"))?;
+                ids.sort_unstable();
+                if ids != built {
+                    return Err(format!("{at}: the walk names other pages than the build made"));
+                }
+            }
+            (s, built)
+        }
     };
     recovered.free_unreached(&reached);
     reached.sort_unstable();

@@ -89,6 +89,18 @@
 //! [`tail_traversals`], [`tail_regions_rebuilt`] and
 //! [`tail_little_fits_at_512`]. What a page holds is held in `pc-pst`
 //! (`two_level::tests::census_counts_*`, `dynamic::tests::every_page_*`).
+//!
+//! Every list's last block of a 3-sided PST, and every directory no tail
+//! holds, shares a pack page with others' (first fit); a block there costs
+//! the one read its own page did. The inputs at the packing's edges, each
+//! at 512 B and 4 KiB, run by `tests/oracle.rs`' `regression_packed_*`,
+//! which hold each read count to the one it had when every block had a page
+//! of its own: [`packed_second_blocks`] (a continuation into a packed
+//! second block), [`packed_run_starts`] (A-runs that start at a packed last
+//! block), [`packed_one_block_s_lists`] and [`packed_full_page_blocks`].
+//! Where a block goes is held in `pc-pst`
+//! (`three_sided::tests::caches_are_whole_blocks_*`) and `pc-pagestore`
+//! (`skeleton::tests::a_pack*`).
 
 use std::collections::HashSet;
 
@@ -809,4 +821,84 @@ pub fn tail_little_fits_at_512() -> Case {
     let build = points(&mut Rng::seed_from_u64(0x512), 3_000, 0);
     let ops = sweep(&build, &[0, 5, 30, 100, 400, 800, 999], &[0, 5, 30, 100, 500, 999]);
     Case { shape: Shape::TwoSided, build, ops }
+}
+
+/// `n` points over all 64 bits of every field: about 20 a block at 512 B
+/// and 170 at 4 KiB, so a few hundred points make a tree of several levels.
+fn full_width(seed: u64, n: usize) -> Vec<Point> {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut field = || rng.next_u64();
+    (0..n).map(|_| Point::new(field() as i64, field() as i64, field())).collect()
+}
+
+/// 3-sided queries over `build`: bands across all of x, its halves and
+/// quarters, and an eighth at every eighth, from y bounds `per_mille` from
+/// the top; then the whole plane.
+fn packed_bands(build: &[Point], per_mille: &[usize]) -> Vec<Op> {
+    let mut xs: Vec<i64> = build.iter().map(|p| p.x).collect();
+    xs.sort_unstable();
+    let n = xs.len();
+    let mut bands = vec![(i64::MIN, i64::MAX)];
+    for parts in [2, 4, 8] {
+        bands.extend((0..parts).map(|k| (xs[k * n / parts], xs[((k + 1) * n / parts).min(n - 1)])));
+    }
+    let mut ops = bands_at(&bands, &from_top(build, |p| p.y, per_mille));
+    ops.push(Op::Query(everything(Shape::ThreeSided)));
+    ops
+}
+
+/// A tree whose leaves hold two blocks each: 7 nodes of three blocks and 8
+/// leaves at 512 B (600 points, 37 Y-blocks on 5 skeletal pages), 15 nodes
+/// of seven blocks and 16 leaves at 4 KiB (22 000, 137 on one page). A
+/// walk that ends in a leaf drains its S-list, which holds its sibling
+/// leaf's first block; a sibling all of whose cached block qualified is
+/// read on from its second block, its last, on a pack page.
+pub fn packed_second_blocks(page_size: usize) -> Case {
+    let build = full_width(0x9ac4, if page_size >= 4096 { 22_000 } else { 600 });
+    let ops = packed_bands(&build, &[20, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]);
+    Case { shape: Shape::ThreeSided, build, ops }
+}
+
+/// The tree of [`packed_one_block_s_lists`], and bands at the left end of
+/// each sixteenth of x, a few points wide: every A-list is in descending
+/// x, so a band at the low end of a node's A-list starts its run with a
+/// jump to the list's last block, on a pack page.
+pub fn packed_run_starts(page_size: usize) -> Case {
+    let build = full_width(0x9ac4, if page_size >= 4096 { 18_900 } else { 432 });
+    let mut xs: Vec<i64> = build.iter().map(|p| p.x).collect();
+    xs.sort_unstable();
+    let n = xs.len();
+    let bands: Vec<(i64, i64)> = (0..16)
+        .flat_map(|k| [0, 1, 3, 10, 30].map(|w| (xs[k * n / 16], xs[(k * n / 16 + w).min(n - 1)])))
+        .collect();
+    let ys = from_top(&build, |p| p.y, &[50, 300, 1000]);
+    let mut ops = bands_at(&bands, &ys);
+    ops.push(Op::Query(everything(Shape::ThreeSided)));
+    Case { shape: Shape::ThreeSided, build, ops }
+}
+
+/// A tree whose leaves hold less than a block: 432 points at 512 B (29
+/// Y-blocks on 5 skeletal pages), 18 900 at 4 KiB (121 on one page). A
+/// leaf's S-list over its sibling's first block is then one block, on a
+/// pack page, its head the pack handle.
+pub fn packed_one_block_s_lists(page_size: usize) -> Case {
+    let build = full_width(0x9ac4, if page_size >= 4096 { 18_900 } else { 432 });
+    let ops = packed_bands(&build, &[20, 100, 300, 500, 700, 900, 1000]);
+    Case { shape: Shape::ThreeSided, build, ops }
+}
+
+/// `blocks` blocks of points whose Y-list blocks are each exactly one page:
+/// x in `[0, 64)` (6 bits), y falling by 1 and ids rising by 1 (a bit each)
+/// take a byte a point, so `page_size − 40` points fill a block's page to
+/// the byte. One node at either size; its Y-list's last block takes a pack
+/// page whole.
+pub fn packed_full_page_blocks(page_size: usize, blocks: usize) -> Case {
+    let mut rng = Rng::seed_from_u64(0xe8ac);
+    let n = blocks * (page_size - 40);
+    let build: Vec<Point> =
+        (0..n).map(|i| Point::new(rng.gen_range(0..64i64), -(i as i64), i as u64)).collect();
+    let bands = [(0, 63), (0, 0), (63, 63), (10, 20), (-5, 5), (31, 32), (1, 62)];
+    let mut ops = bands_at(&bands, &from_top(&build, |p| p.y, &[1, 100, 500, 999, 1000]));
+    ops.push(Op::Query(everything(Shape::ThreeSided)));
+    Case { shape: Shape::ThreeSided, build, ops }
 }

@@ -38,6 +38,8 @@ pub trait Structure: Sized {
     fn open(_store: &PageStore, _desc: &[u8]) -> Res<Self> {
         Err("a static structure has no descriptor".into())
     }
+    /// True where [`Structure::page_ids`] walks the structure.
+    const WALKED: bool = false;
     /// The id of every page the structure reaches.
     fn page_ids(&self, _store: &PageStore) -> Res<Vec<PageId>> {
         Err("a static structure has no walk".into())
@@ -104,7 +106,22 @@ macro_rules! static_pst {
 }
 
 static_pst!(NaivePst: two, BasicPst: two, SegmentedPst: two, TwoLevelPst: two);
-static_pst!(ThreeSidedPst: three);
+
+impl Structure for ThreeSidedPst {
+    fn build(store: &PageStore, records: &[Point]) -> Res<Self> {
+        ok(ThreeSidedPst::build(store, records))
+    }
+    fn answer(&self, store: &PageStore, q: &Query) -> Res<Vec<Point>> {
+        ok(self.query(store, three(q)))
+    }
+    fn len(&self) -> u64 {
+        ThreeSidedPst::len(self)
+    }
+    const WALKED: bool = true;
+    fn page_ids(&self, store: &PageStore) -> Res<Vec<PageId>> {
+        ok(ThreeSidedPst::page_ids(self, store))
+    }
+}
 
 /// The multilevel PST at every level count from the basic one (1) to past
 /// `log* B` (4): they answer as one, or the answer names the level.
@@ -182,6 +199,7 @@ impl Structure for BTree {
     fn open(_store: &PageStore, desc: &[u8]) -> Res<Self> {
         ok(BTree::open(desc))
     }
+    const WALKED: bool = true;
     fn page_ids(&self, store: &PageStore) -> Res<Vec<PageId>> {
         ok(BTree::page_ids(self, store))
     }
@@ -212,6 +230,7 @@ macro_rules! dynamic {
             fn open(store: &PageStore, desc: &[u8]) -> Res<Self> {
                 ok($S::open(store, desc))
             }
+            const WALKED: bool = true;
             fn page_ids(&self, store: &PageStore) -> Res<Vec<PageId>> {
                 ok($S::page_ids(self, store))
             }
@@ -232,6 +251,20 @@ impl<S: Structure> InProcess<S> {
         let store = Arc::new(PageStore::in_memory(page_size));
         let s = S::build(&store, records)?;
         Ok(InProcess { store, s })
+    }
+
+    /// Where the structure walks its pages: that the walk names each page
+    /// the store holds, once, and no other.
+    pub fn walked(&self) -> Res<()> {
+        if !S::WALKED {
+            return Ok(());
+        }
+        let mut ids = self.s.page_ids(&self.store)?;
+        ids.sort_unstable();
+        match ids == self.store.allocated_pages() {
+            true => Ok(()),
+            false => Err(format!("the walk names {} pages, the store holds other", ids.len())),
+        }
     }
 }
 
