@@ -65,10 +65,11 @@
 //! ## Dynamic 3-sided queries (Theorem 5.2)
 //!
 //! [`DynamicThreeSidedPst`] wraps the static Theorem 3.3 structure with a
-//! root buffer of `B·log_B n` updates (queries scan it: `O(log_B n)` extra
-//! I/Os, keeping queries optimal) and, on overflow, frees the structure and
-//! builds it again. The measured amortized update cost is reported in
-//! experiment E11.
+//! root buffer of `B·⌈log_B n⌉` updates, `n` the static structure's, held
+//! as the root's `U` above is: in memory and in the descriptor. A query
+//! reads what the static structure reads and merges the buffered ops in its
+//! band; the op that fills the buffer frees the structure and builds it
+//! again. The measured amortized update cost is reported in experiment E11.
 //!
 //! Both structures append the buffered inserts a query accepts in `seq`
 //! order: one query on one store returns one vector, call after call.
@@ -157,6 +158,26 @@ fn merge_buffered(
     results
 }
 
+/// A dynamic structure's descriptor: three words, 8 bytes each, then its
+/// root buffer's ops as one block of the block codec.
+fn encode_descriptor(words: [u64; 3], ops: &[UpdateRec]) -> Vec<u8> {
+    [words.map(u64::to_le_bytes).concat(), encode_block(ops, NULL_PAGE)].concat()
+}
+
+/// The words and ops of an [`encode_descriptor`] output; one cut short, or
+/// with bytes past its block, is `Corrupt`.
+fn parse_descriptor(desc: &[u8], what: &str) -> Result<([u64; 3], Vec<UpdateRec>)> {
+    let mut r = PageReader::new(desc);
+    let words = [r.get_u64()?, r.get_u64()?, r.get_u64()?];
+    let block = r.get_bytes(r.remaining())?;
+    let ops = Block::parse::<UpdateRec>(block)?;
+    if ops.bytes != block.len() {
+        let past = block.len() - ops.bytes;
+        return Err(StoreError::Corrupt(format!("{what} descriptor: {past} bytes past its ops")));
+    }
+    Ok((words, ops.to_vec()))
+}
+
 /// Fully dynamic external PST for 2-sided queries (Theorem 5.1):
 /// `O(log_B n + t/B)` queries, `O(log_B n)` amortized updates,
 /// `O((n/B)·log log B)` space plus one buffer block per super node.
@@ -194,8 +215,7 @@ impl DynamicPst {
     /// that commits the descriptor with each durable batch can reopen the
     /// PST after a crash with [`DynamicPst::open`].
     pub fn descriptor(&self) -> Vec<u8> {
-        let words = [self.root.0, self.seq, self.live].map(u64::to_le_bytes).concat();
-        [words, encode_block(&self.root_ops, NULL_PAGE)].concat()
+        encode_descriptor([self.root.0, self.seq, self.live], &self.root_ops)
     }
 
     /// Reopens a structure from a [`DynamicPst::descriptor`] against a
@@ -204,20 +224,11 @@ impl DynamicPst {
     /// than on the first query, as does an op block cut short or followed
     /// by other bytes.
     pub fn open(store: &PageStore, desc: &[u8]) -> Result<Self> {
-        let mut r = PageReader::new(desc);
-        let (root, seq, live) = (PageId(r.get_u64()?), r.get_u64()?, r.get_u64()?);
-        let block = r.get_bytes(r.remaining())?;
-        let ops = Block::parse::<UpdateRec>(block)?;
-        if ops.bytes != block.len() {
-            return Err(StoreError::Corrupt(format!(
-                "dynamic PST descriptor with {} bytes past its block of the root's ops",
-                block.len() - ops.bytes
-            )));
-        }
-        let caps = region_blocks(store.page_size(), 2);
+        let ([root, seq, live], root_ops) = parse_descriptor(desc, "dynamic PST")?;
+        let (root, caps) = (PageId(root), region_blocks(store.page_size(), 2));
         assert!(!caps.is_empty(), "page too small for the two-level scheme");
         decode_header(&store.read(root)?)?;
-        Ok(DynamicPst { root, root_ops: ops.to_vec(), caps, seq, live })
+        Ok(DynamicPst { root, root_ops, caps, seq, live })
     }
 
     /// Number of live points (settled plus buffered). A delete counts
@@ -733,102 +744,65 @@ fn replayed(mut live: HashSet<Point>, mut ops: Vec<UpdateRec>) -> Vec<Point> {
 }
 
 /// Dynamic 3-sided structure (Theorem 5.2): the static Theorem 3.3 index
-/// plus a root update buffer of `B·log_B n` entries. Queries stay optimal
-/// (the buffer scan is `O(log_B n)` I/Os); the structure is rebuilt when
-/// the buffer fills.
+/// plus a root buffer of `B·⌈log_B n⌉` ops, held in memory and in the
+/// descriptor as [`DynamicPst`]'s root `U` is. A query reads what the
+/// static index reads; the op that fills the buffer rebuilds the index.
 pub struct DynamicThreeSidedPst {
     inner: ThreeSidedPst,
-    buffer: Vec<PageId>,
+    /// The buffered ops, in `seq` order.
     buffered: Vec<UpdateRec>,
-    /// Where the last buffer page's updates start in `buffered`.
-    last_start: usize,
     seq: u64,
-    buffer_cap: usize,
 }
 
-/// Byte size of a [`DynamicThreeSidedPst::descriptor`] before its buffer
-/// page ids: root, point count, `seq`, buffer capacity.
-const DESCRIPTOR3_FIXED: usize = 8 + 8 + 8 + 8;
+/// The root buffer's capacity over a static index of `n` points on pages
+/// of `page_size` bytes: `B·⌈log_B n⌉` ops, `B` the guaranteed block and
+/// `n` at least `B`, which keeps the buffer at `O(log_B n)` blocks. The
+/// descriptor codes the buffer as one block, whose count is a `u16`.
+fn buffer_cap(n: u64, page_size: usize) -> usize {
+    let b = min_records::<Point>(page_size).max(2);
+    let log_b_n = (1..).find(|&k| (b as u64).saturating_pow(k) >= n).expect("B^k reaches n");
+    let cap = b * log_b_n as usize;
+    assert!(cap <= usize::from(u16::MAX), "a buffer of {cap} ops is past one block");
+    cap
+}
 
 impl DynamicThreeSidedPst {
     /// Builds the structure over an initial point set.
     pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
         let inner = ThreeSidedPst::build(store, points)?;
-        let b = min_records::<Point>(store.page_size());
-        let n = points.len().max(b);
-        // B * log_B n buffered updates keep the query overhead at
-        // O(log_B n) block reads.
-        let log_b_n = (n as f64).log(b.max(2) as f64).ceil().max(1.0) as usize;
-        Ok(DynamicThreeSidedPst {
-            inner,
-            buffer: Vec::new(),
-            buffered: Vec::new(),
-            last_start: 0,
-            seq: 0,
-            buffer_cap: b * log_b_n,
-        })
+        Ok(DynamicThreeSidedPst { inner, buffered: Vec::new(), seq: 0 })
     }
 
     /// Serializes the structure's handle: the static index's root page and
-    /// point count, then the update sequence, the buffer capacity and the id
-    /// of every buffer page. With the store's pages that is the
-    /// whole structure, so a service that commits the descriptor with each
-    /// batch can reopen it with [`DynamicThreeSidedPst::open`] — after a
-    /// crash, or read-only at the epoch that installed the batch.
+    /// point count and the update sequence, 8 bytes each, then the buffered
+    /// ops as one block of the block codec, as [`DynamicPst::descriptor`]
+    /// is laid out. With the store's pages that is the whole structure, so
+    /// a service that commits the descriptor with each batch can reopen it
+    /// with [`DynamicThreeSidedPst::open`] — after a crash, or read-only at
+    /// the epoch that installed the batch.
     pub fn descriptor(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(DESCRIPTOR3_FIXED + 8 * self.buffer.len());
-        out.extend_from_slice(&self.inner.root_page.0.to_le_bytes());
-        out.extend_from_slice(&self.inner.n.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(self.buffer_cap as u64).to_le_bytes());
-        for page in &self.buffer {
-            out.extend_from_slice(&page.0.to_le_bytes());
-        }
-        out
+        encode_descriptor([self.inner.root_page.0, self.inner.n, self.seq], &self.buffered)
     }
 
     /// Reopens a structure from a [`DynamicThreeSidedPst::descriptor`]. The
-    /// root page and every buffer page are read here (the buffered updates
-    /// are mirrored in memory), so a descriptor pointing at garbage is a
-    /// typed error now rather than on the first query.
+    /// root page is read here, so a descriptor pointing at garbage is a
+    /// typed error now rather than on the first query, as is an op block
+    /// cut short or followed by other bytes.
     pub fn open(store: &PageStore, desc: &[u8]) -> Result<Self> {
-        if desc.len() < DESCRIPTOR3_FIXED || !(desc.len() - DESCRIPTOR3_FIXED).is_multiple_of(8) {
-            return Err(pc_pagestore::StoreError::Corrupt(format!(
-                "dynamic 3-sided PST descriptor is {DESCRIPTOR3_FIXED} bytes plus 8 per buffer \
-                 page, got {}",
-                desc.len()
-            )));
-        }
-        let mut r = PageReader::new(desc);
-        let root_page = PageId(r.get_u64()?);
-        let n = r.get_u64()?;
-        let seq = r.get_u64()?;
-        let buffer_cap = r.get_u64()? as usize;
-        let mut buffer = Vec::with_capacity(r.remaining() / 8);
-        let (mut buffered, mut last_start) = (Vec::new(), 0);
-        while r.remaining() > 0 {
-            let page = PageId(r.get_u64()?);
-            last_start = buffered.len();
-            buffered.extend(read_buffer(store, page)?);
-            buffer.push(page);
-        }
-        store.read(root_page)?;
-        let inner = ThreeSidedPst { root_page, n };
-        Ok(DynamicThreeSidedPst { inner, buffer, buffered, last_start, seq, buffer_cap })
+        let ([root, n, seq], buffered) = parse_descriptor(desc, "dynamic 3-sided PST")?;
+        let inner = ThreeSidedPst { root_page: PageId(root), n };
+        store.read(inner.root_page)?;
+        Ok(DynamicThreeSidedPst { inner, buffered, seq })
     }
 
-    /// Counts the structure's pages: the static index's, by
-    /// [`ThreeSidedPst::page_census`], and the buffer pages.
-    pub fn pages(&self, store: &PageStore) -> Result<u64> {
-        Ok(self.inner.page_census(store)?.total() + self.buffer.len() as u64)
+    /// The static index under the buffer.
+    pub fn static_index(&self) -> &ThreeSidedPst {
+        &self.inner
     }
 
-    /// The id of every page the structure owns, once: the static index's,
-    /// then the buffer pages.
+    /// The id of every page the structure owns, once: the static index's.
     pub fn page_ids(&self, store: &PageStore) -> Result<Vec<PageId>> {
-        let mut ids = self.inner.page_ids(store)?;
-        ids.extend(&self.buffer);
-        Ok(ids)
+        self.inner.page_ids(store)
     }
 
     /// Number of live points. A buffered delete counts even when it
@@ -854,76 +828,39 @@ impl DynamicThreeSidedPst {
         self.apply(store, &[UpdateOp::Delete(p)])
     }
 
-    /// Applies a batch in order: each op goes to the last buffer page while
-    /// it fits, else to a new one, and each page the batch touched is
-    /// written once. The op that fills the buffer rebuilds the structure.
+    /// Applies a batch in order: each op joins the buffer, and the op that
+    /// fills it rebuilds the structure. A batch that does not fill it costs
+    /// no page I/O.
     pub fn apply(&mut self, store: &PageStore, ops: &[UpdateOp]) -> Result<()> {
         let _span = pc_obs::span!("dynpst3_apply", ops.len());
-        // The last buffer page, where [`PageStore::relocate`] puts it.
-        let write_last = |s: &mut Self| {
-            let last = s.buffer.last_mut().expect("a buffer page");
-            *last = store.relocate(*last)?;
-            write_buffer(store, *last, &s.buffered[s.last_start..])
-        };
-        let mut unwritten = false; // the last buffer page lags `buffered`
         for &op in ops {
-            let rec = stamped(op, &mut self.seq);
-            let held = &self.buffered[self.last_start..];
-            if self.buffer.is_empty() || buffer_room(store.page_size(), held, &[rec]) == 0 {
-                if unwritten {
-                    write_last(self)?;
-                }
-                self.buffer.push(store.alloc()?);
-                self.last_start = self.buffered.len();
-            }
-            self.buffered.push(rec);
-            unwritten = self.buffered.len() < self.buffer_cap;
-            if !unwritten {
-                write_last(self)?;
+            self.buffered.push(stamped(op, &mut self.seq));
+            if self.buffered.len() >= buffer_cap(self.inner.n, store.page_size()) {
                 self.rebuild(store)?;
             }
         }
-        if unwritten {
-            write_last(self)?;
-        }
         Ok(())
     }
 
+    /// Frees the static index and builds it again over its points with the
+    /// buffered ops applied, which empties the buffer.
     fn rebuild(&mut self, store: &PageStore) -> Result<()> {
-        // Collect the full live set: existing structure points + buffer.
         let everything =
             self.inner.query(store, ThreeSided { x1: i64::MIN, x2: i64::MAX, y0: i64::MIN })?;
         let points = replayed(everything.into_iter().collect(), std::mem::take(&mut self.buffered));
-        for page in self.buffer.drain(..) {
-            store.free(page)?;
-        }
         self.inner.free(store)?;
         self.inner = ThreeSidedPst::build(store, &points)?;
-        self.last_start = 0;
         Ok(())
     }
 
-    /// Answers a 3-sided query, merging buffered updates (the static query
-    /// plus `O(buffer/B)` = `O(log_B n)` block reads).
+    /// Answers a 3-sided query: the static index's answer merged with the
+    /// buffered ops in the band, which cost no read.
     pub fn query(&self, store: &PageStore, q: ThreeSided) -> Result<Vec<Point>> {
-        if q.x1 > q.x2 {
-            // No point lies in a band whose bounds are out of order, and
-            // none of the buffer's can: the empty answer, at no read.
-            return Ok(Vec::new());
-        }
-        // The root span: the buffer reads and the merge sit inside it.
+        // The root span: the merge reports into it.
         let _span = pc_obs::span!("dynpst3_query");
         let static_res = self.inner.query(store, q)?;
-        // Re-read the persisted buffer pages (honest I/O accounting).
-        let mut ops: Vec<UpdateRec> = Vec::new();
-        {
-            let _buf = pc_obs::span!("update_buffer");
-            for &page in &self.buffer {
-                pc_obs::record_read(pc_obs::ReadClass::Cache);
-                ops.extend(read_buffer(store, page)?);
-            }
-        }
-        Ok(merge_buffered(static_res, ops, |p| q.contains(p)))
+        let pending = self.buffered.iter().filter(|op| q.contains(&op.p)).copied().collect();
+        Ok(merge_buffered(static_res, pending, |p| q.contains(p)))
     }
 }
 
@@ -1015,18 +952,25 @@ mod tests {
         garbage_root[..8].copy_from_slice(&[0xFF; 8]);
         assert!(DynamicPst::open(&store, &garbage_root).is_err());
 
-        // The 3-sided structure's descriptor names its buffer pages too, and
-        // reopens with what they hold.
+        // The 3-sided structure's descriptor carries its buffered ops too,
+        // and reopens with them.
+        assert!(!three.buffered.is_empty(), "a buffered tail");
         let desc = three.descriptor();
-        assert!(desc.len() > DESCRIPTOR3_FIXED, "a buffered tail");
         let mut reopened = DynamicThreeSidedPst::open(&store, &desc).unwrap();
+        assert_eq!(reopened.buffered, three.buffered);
         let q = ThreeSided { x1: 1000, x2: 4000, y0: 2000 };
         assert_eq!(reopened.query(&store, q).unwrap(), three.query(&store, q).unwrap());
         reopened.insert(&store, Point::new(1, 1, 99_999)).unwrap();
         assert_eq!(reopened.len(), three.len() + 1);
-        assert!(DynamicThreeSidedPst::open(&store, &desc[..DESCRIPTOR3_FIXED - 1]).is_err());
-        assert!(DynamicThreeSidedPst::open(&store, &desc[..desc.len() - 3]).is_err());
-        assert!(DynamicThreeSidedPst::open(&store, &vec![0xFF; desc.len()]).is_err());
+        let corrupt = |desc: &[u8]| {
+            matches!(DynamicThreeSidedPst::open(&store, desc), Err(StoreError::Corrupt(_)))
+        };
+        assert!(corrupt(&desc[..23]), "a short descriptor");
+        assert!(corrupt(&desc[..desc.len() - 3]), "a cut block");
+        assert!(corrupt(&[&desc[..], &[3, 3, 3]].concat()), "a padded block");
+        let mut garbage_root = desc;
+        garbage_root[..8].copy_from_slice(&[0xFF; 8]);
+        assert!(DynamicThreeSidedPst::open(&store, &garbage_root).is_err(), "a garbage root");
     }
 
     #[test]
@@ -1145,7 +1089,7 @@ mod tests {
         }
         // 3000 updates through a 57-update buffer (B = 19 and log_B n = 3
         // at 512 B): 52 rebuilds.
-        assert_eq!(pst.buffer_cap, 57);
+        assert_eq!(buffer_cap(pst.inner.n, 512), 57);
         let after = store.live_pages();
         assert!(
             after <= baseline + baseline / 10 + 10,
@@ -1156,8 +1100,8 @@ mod tests {
     }
 
     /// The walk names exactly the store's pages, after a build and after
-    /// churn that rebuilds the static index and leaves buffer pages, at
-    /// 512 B and at 4 KiB.
+    /// churn that rebuilds the static index and leaves ops in the buffer,
+    /// which holds no page, at 512 B and at 4 KiB.
     #[test]
     fn three_sided_page_ids_are_the_allocated_pages() {
         for (page_size, n) in [(512, 2000), (4096, 20_000)] {
@@ -1171,14 +1115,14 @@ mod tests {
                 ids
             };
             assert_eq!(walked(&pst), store.allocated_pages(), "{page_size} B, built");
-            for id in 0..3 * pst.buffer_cap as u64 + 5 {
+            for id in 0..3 * buffer_cap(pst.inner.n, page_size) as u64 + 5 {
                 let p = Point::new(rng.gen_range(0..1i64 << 20), rng.gen_range(0..1i64 << 20), id);
                 pst.insert(&store, Point { id: id | 1 << 40, ..p }).unwrap();
                 live.push(Point { id: id | 1 << 40, ..p });
                 let victim = live.swap_remove(rng.gen_range(0..live.len()));
                 pst.delete(&store, victim).unwrap();
             }
-            assert!(!pst.buffer.is_empty(), "{page_size} B: buffer pages to walk");
+            assert!(!pst.buffered.is_empty(), "{page_size} B: buffered ops");
             assert_eq!(walked(&pst), store.allocated_pages(), "{page_size} B, churned");
         }
     }
@@ -1676,6 +1620,72 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The 3-sided root buffer costs a query no read and hides no op, at
+    /// 512 B and 4 KiB: with the buffer one op short of full of inserts and
+    /// deletes, a band reads on a strict store the pages the static index
+    /// reads on it, in order, and answers as the live set does — bands of a
+    /// twentieth of the domain, and a band on each op, which holds it.
+    #[test]
+    fn a_buffered_band_reads_what_the_static_index_reads() {
+        for (page_size, n) in [(512, 2_000), (4096, 20_000)] {
+            let logged = LoggedStore::new(page_size);
+            let store = &logged.store;
+            let mut rng = Rng::seed_from_u64(0xbf + page_size as u64);
+            let mut live = uniform_points(&mut rng, n, DOMAIN);
+            let mut pst = DynamicThreeSidedPst::build(store, &live).unwrap();
+            for id in 1..buffer_cap(pst.inner.n, page_size) as u64 {
+                if id % 4 == 0 {
+                    pst.delete(store, live.swap_remove(rng.gen_range(0..live.len()))).unwrap();
+                } else {
+                    let (x, y) = (rng.gen_range(0..DOMAIN), rng.gen_range(0..DOMAIN));
+                    pst.insert(store, Point::new(x, y, 1 << 40 | id)).unwrap();
+                    live.push(Point::new(x, y, 1 << 40 | id));
+                }
+            }
+            let ops = pst.buffered.clone();
+            assert_eq!(ops.len() + 1, buffer_cap(pst.inner.n, page_size), "{page_size} B");
+            let mut bands: Vec<ThreeSided> = (0..200)
+                .map(|_| {
+                    let (x1, y0) = (rng.gen_range(0..DOMAIN), rng.gen_range(0..DOMAIN));
+                    ThreeSided { x1, x2: x1 + DOMAIN / 20, y0 }
+                })
+                .collect();
+            bands.extend(ops.iter().map(|op| ThreeSided { x1: op.p.x, x2: op.p.x, y0: op.p.y }));
+            for q in bands {
+                let (answer, reads) = logged.reads_of(|s| pst.query(s, q).unwrap());
+                let (_, static_reads) = logged.reads_of(|s| pst.inner.query(s, q).unwrap());
+                assert!(!reads.is_empty(), "{page_size} B, {q:?}");
+                assert_eq!(reads, static_reads, "{page_size} B, {q:?}");
+                let want = canonical(live.iter().copied().filter(|p| q.contains(p)).collect());
+                assert_eq!(canonical(answer), want, "{page_size} B, {q:?}");
+            }
+        }
+    }
+
+    /// The buffer's capacity follows the static index's `n`: at 512 B a
+    /// structure built over no points rebuilds at its `B`th op, and once a
+    /// rebuild leaves it more than `B` points (`⌈log_B n⌉ = 2`), its next `B`
+    /// inserts stay in the buffer.
+    #[test]
+    fn the_rebuild_threshold_follows_n() {
+        let store = PageStore::in_memory(512);
+        let b = min_records::<Point>(512);
+        let mut rng = Rng::seed_from_u64(0x7e);
+        let mut pst = DynamicThreeSidedPst::build(&store, &[]).unwrap();
+        let mut insert = |pst: &mut DynamicThreeSidedPst| {
+            let (x, y) = (rng.gen_range(0..DOMAIN), rng.gen_range(0..DOMAIN));
+            pst.insert(&store, Point::new(x, y, pst.seq)).unwrap();
+        };
+        while pst.inner.len() <= b as u64 {
+            insert(&mut pst);
+        }
+        assert!(pst.buffered.is_empty(), "a rebuild empties the buffer");
+        for _ in 0..b {
+            insert(&mut pst);
+        }
+        assert_eq!(pst.buffered.len(), b, "{} points settled", pst.inner.len());
+    }
+
     #[test]
     fn amortized_update_cost_is_logarithmic() {
         let store = PageStore::in_memory(512);
@@ -1784,9 +1794,8 @@ mod tests {
             assert_eq!(pst.len(), live.len() as u64, "step {step}");
         }
         // Updates keep working through a handle reopened after the churn.
-        let desc = pst.descriptor();
-        assert!(desc.len() > DESCRIPTOR3_FIXED, "the run ends with a buffered tail");
-        let mut reopened = DynamicThreeSidedPst::open(&store, &desc).unwrap();
+        assert!(!pst.buffered.is_empty(), "the run ends with a buffered tail");
+        let mut reopened = DynamicThreeSidedPst::open(&store, &pst.descriptor()).unwrap();
         reopened.insert(&store, Point::new(1, 1, 99_999)).unwrap();
         assert_eq!(reopened.len(), pst.len() + 1);
     }

@@ -417,7 +417,7 @@ fn seeded_interleavings_preserve_snapshot_isolation() {
 /// sessions and one `collect`, the store holds exactly the structure's own
 /// pages, as its census names them — a dynamic PST, a dynamic 3-sided PST
 /// and a B-tree, at 512 B and 4 KiB, on a volatile store and a durable one;
-/// the dynamic PST's walk names exactly the store's allocated pages.
+/// each dynamic PST's walk names exactly the store's allocated pages.
 #[test]
 fn with_nothing_pinned_gc_leaves_exactly_the_structures_pages() {
     for (page, durable) in [(512, false), (512, true), (4096, false), (4096, true)] {
@@ -461,7 +461,11 @@ fn with_nothing_pinned_gc_leaves_exactly_the_structures_pages() {
         let store = new_store();
         let pst3 = DynamicThreeSidedPst::build(&store, &initial).unwrap();
         let pst3 = DynamicThreeSidedTarget::new(pst3);
-        installs(&store, &pst3, &batches, |s: &PageStore| pst3.0.lock().pages(s).unwrap());
+        let walked = |s: &PageStore| pst3.0.lock().page_ids(s).unwrap();
+        installs(&store, &pst3, &batches, |s: &PageStore| walked(s).len() as u64);
+        let mut ids = walked(&store);
+        ids.sort_unstable();
+        assert_eq!(ids, store.allocated_pages(), "dynamic 3-sided PST at {page} B: the walked pages");
 
         let store = new_store();
         let entries: Vec<(i64, u64)> = {
